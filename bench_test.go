@@ -7,8 +7,6 @@
 package nilicon_test
 
 import (
-	"fmt"
-
 	"testing"
 
 	"nilicon/internal/core"
@@ -202,31 +200,4 @@ func BenchmarkDeltaVsFullTransfer(b *testing.B) {
 	b.Run("DeltaDedup", func(b *testing.B) {
 		run(b, core.DeltaOpts())
 	})
-}
-
-// BenchmarkShardedVsSerial races the two simulation engines on the
-// BENCH_5 fleet (DESIGN.md §11): 10 hosts, 32 replicating pairs, each
-// pair a small thread pool holding a deep bank of parked connection
-// timers. The sharded rows must hold the ≥2× events/sec advantage
-// recorded in BENCH_5.json; allocations are reported because slot
-// recycling inside the wheels is what keeps the sharded engine's
-// per-event cost flat.
-func BenchmarkShardedVsSerial(b *testing.B) {
-	b.Run("Serial", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ev, wall := harness.Bench5SerialRun(1)
-			b.ReportMetric(float64(ev)/wall.Seconds(), "events/sec")
-		}
-	})
-	for _, lanes := range []int{1, 4} {
-		b.Run(fmt.Sprintf("ShardedLanes%d", lanes), func(b *testing.B) {
-			lanes := lanes
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ev, wall := harness.Bench5ShardedRun(1, lanes)
-				b.ReportMetric(float64(ev)/wall.Seconds(), "events/sec")
-			}
-		})
-	}
 }

@@ -14,8 +14,6 @@
 //	table6         Single-client response latency
 //	validate       §VII-A fault-injection validation
 //	pipeline       Epoch-pipeline transfer-mode ablation (streamcluster)
-//	bench          BENCH_3.json: the optimization ladder plus the §8
-//	               delta-compression rows, as JSON on stdout
 //	chaos          Seeded deterministic fault campaign with invariant
 //	               oracles (-sweep for the full matrix, including the
 //	               fleet scenarios; -replicas N>2 runs the f+1 chain
@@ -25,28 +23,12 @@
 //	               oracles verified (-smoke for the reduced CI shape;
 //	               -replicas N>2 places f+1 chains zone-anti-affine over
 //	               -zones failure domains and kills a whole zone)
-//	fleetbench     BENCH_4.json: fleet scaling sweep, as JSON on stdout
-//	bench5         BENCH_5.json: simulation-engine event throughput,
-//	               serial clock vs sharded event wheels, as JSON on
-//	               stdout
-//	bench6         BENCH_6.json: externally-visible response latency
-//	               across output-commit disciplines (stop-and-copy,
-//	               pipelined, lease, record/replay), as JSON on stdout
-//	bench7         BENCH_7.json: parallel windowed throughput on a
-//	               64-host / 256-pair fleet, ladder lanes 1/2/4/8 vs
-//	               windowed lanes x workers grid, as JSON on stdout
 //	traffic        Trace tooling (DESIGN.md §14): -synth <profile> writes
 //	               a synthesized JSONL trace to stdout, -capture <bench>
 //	               records a uniform client run into a trace, -replay
 //	               reads a trace from stdin and replays it through a
 //	               chaos campaign with windowed SLO judging (-smoke for
 //	               the clean fault-free CI shape)
-//	bench8         BENCH_8.json: client-observed SLO ladder — uniform vs
-//	               zipf vs burst traces through a mid-run failover, as
-//	               JSON on stdout
-//	bench9         BENCH_9.json: f+1 replication ladder — failover time
-//	               and fan-out wire bytes at chain widths 2/3/4, single
-//	               host kill vs whole-zone kill, as JSON on stdout
 //	scale-threads  Streamcluster 1..32 threads
 //	scale-clients  Lighttpd 2..128 clients
 //	scale-procs    Lighttpd 1..8 processes
@@ -63,12 +45,15 @@
 // (DeltaPages + BackupPageDedup, DESIGN.md §8) the same way. The -opts
 // replay option set (chaos) runs HyCoR-mode record/replay (DESIGN.md
 // §12). The -j flag runs sweep-style experiments (chaos -sweep, table1,
-// pipeline, bench, fleetbench) on a worker pool; every seeded run stays
-// single-threaded and results are collected in a fixed order, so output
-// is byte-identical for any -j value.
+// pipeline) on a worker pool; every seeded run stays single-threaded
+// and results are collected in a fixed order, so output is
+// byte-identical for any -j value. -shards and -workers set the chaos
+// and fleet campaigns' engine lanes and window-drain goroutines; traces
+// are byte-identical for any values.
 //
 // All experiments run in virtual time and are fully deterministic for a
-// given -seed.
+// given -seed. The re-runnable benchmark of the simulated system and
+// the simulator lives in bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -167,8 +152,8 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.zones = fs.Int("zones", 0, "fleet: failure domains for zone-anti-affine chain placement (0 = auto: max(replicas, 1))")
 	a.smoke = fs.Bool("smoke", false, "fleet: reduced CI shape (4 pairs, 4 hosts, 1 kill, short window)")
 	a.degrade = fs.String("degrade", "strict", "chaos/fleet: lease degradation policy (strict|availability)")
-	a.shards = fs.Int("shards", 0, "chaos/fleet: simulation engine (0 = serial clock; N>=1 = sharded event wheels with N lanes, trace-identical for any N)")
-	a.workers = fs.Int("workers", 0, "chaos/fleet: window-drain goroutines for the sharded engine (0 = ladder mode; N>=1 = conservative windows, trace-identical for any N)")
+	a.shards = fs.Int("shards", 1, "chaos/fleet: event-wheel lanes of the simulation engine (trace-identical for any N >= 1)")
+	a.workers = fs.Int("workers", 0, "chaos/fleet: window-drain goroutines for the simulation engine (0 = ladder mode; N>=1 = conservative windows, trace-identical for any N)")
 	a.synth = fs.String("synth", "", "traffic: synthesize a trace from this profile (uniform|zipf|burst|slowclient) to stdout")
 	a.capture = fs.String("capture", "", "traffic: run this server benchmark's uniform clients under capture and write the recorded trace to stdout")
 	a.replay = fs.Bool("replay", false, "traffic: read a JSONL trace from stdin and replay it through a chaos campaign with SLO judging")
@@ -179,7 +164,7 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	a.memprof = fs.String("memprofile", "", "write a heap profile to this file at exit (pprof format)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: niliconctl <table1|table2|fig3|table6|validate|pipeline|bench|chaos|fleet|fleetbench|bench5|bench6|bench7|traffic|bench8|bench9|scale-threads|scale-clients|scale-procs|report|timeline|all> [flags]\n")
+		fmt.Fprintf(stderr, "usage: niliconctl <table1|table2|fig3|table6|validate|pipeline|chaos|fleet|traffic|scale-threads|scale-clients|scale-procs|report|timeline|all> [flags]\n")
 		fs.PrintDefaults()
 	}
 	return a
@@ -239,9 +224,7 @@ func (a *app) run(args []string) int {
 }
 
 // startProfiles begins CPU profiling and arms the heap snapshot when
-// the -cpuprofile/-memprofile flags are set. Meant for the bench*
-// subcommands (profile the hot simulation paths), but valid on any
-// experiment.
+// the -cpuprofile/-memprofile flags are set. Valid on any experiment.
 func (a *app) startProfiles() error {
 	if *a.cpuprof != "" {
 		f, err := os.Create(*a.cpuprof)
@@ -283,14 +266,11 @@ func (a *app) validate() error {
 	if *a.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", *a.jobs)
 	}
-	if *a.shards < 0 {
-		return fmt.Errorf("-shards must be >= 0 (got %d)", *a.shards)
+	if *a.shards < 1 {
+		return fmt.Errorf("-shards must be >= 1 (got %d)", *a.shards)
 	}
 	if *a.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0 (got %d)", *a.workers)
-	}
-	if *a.workers > 0 && *a.shards == 0 {
-		return fmt.Errorf("-workers requires the sharded engine (-shards >= 1)")
 	}
 	if *a.seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1 (got %d)", *a.seeds)
@@ -313,9 +293,8 @@ func (a *app) validate() error {
 }
 
 var commands = []string{
-	"table1", "table2", "fig3", "table6", "validate", "pipeline", "bench",
-	"chaos", "fleet", "fleetbench", "bench5", "bench6", "bench7",
-	"traffic", "bench8", "bench9",
+	"table1", "table2", "fig3", "table6", "validate", "pipeline",
+	"chaos", "fleet", "traffic",
 	"scale-threads", "scale-clients", "scale-procs", "report", "timeline", "all",
 }
 
@@ -349,26 +328,12 @@ func (a *app) runCommand(name string) error {
 		return a.runValidate()
 	case "pipeline":
 		return a.runTable(func(rc harness.RunConfig) fmt.Stringer { _, tb := harness.RunPipelineAblation(rc); return tb })
-	case "bench":
-		return a.runBench()
 	case "chaos":
 		return a.runChaos()
 	case "fleet":
 		return a.runFleet()
-	case "fleetbench":
-		return a.runFleetBench()
-	case "bench5":
-		return a.runBench5()
-	case "bench6":
-		return a.runBench6()
-	case "bench7":
-		return a.runBench7()
 	case "traffic":
 		return a.runTraffic()
-	case "bench8":
-		return a.runBench8()
-	case "bench9":
-		return a.runBench9()
 	case "scale-threads":
 		return a.runTable(func(rc harness.RunConfig) fmt.Stringer { _, tb := harness.RunScaleThreads(nil, rc); return tb })
 	case "scale-clients":
@@ -407,18 +372,9 @@ func (a *app) runValidate() error {
 	return nil
 }
 
-func (a *app) runBench() error {
-	out, err := harness.RunBench3(a.runConfig()).JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
-}
-
 func (a *app) runChaos() error {
 	if *a.sweep {
-		results, tb := harness.RunChaosSweepSharded(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs, *a.shards, *a.workers)
+		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs, *a.shards, *a.workers)
 		fmt.Fprintln(a.stdout, tb)
 		failed := 0
 		for _, res := range results {
@@ -527,12 +483,12 @@ func (a *app) runTrafficCapture() error {
 	if !ok {
 		return fmt.Errorf("traffic: -capture needs a server benchmark, %q runs to completion", *a.capture)
 	}
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	sv.Install(cl.NewProtectedContainer(*a.capture, "10.0.0.10", 1))
 	set := sv.NewClients(cl, "10.0.0.10", *a.tClients, *a.seed)
-	set.Capture = traffic.NewRecorder("capture:"+*a.capture, len(set.Clients), clock.Now())
-	clock.RunFor(simtime.Duration(*a.tDur))
+	set.Capture = traffic.NewRecorder("capture:"+*a.capture, len(set.Clients), sc.Now())
+	sc.RunFor(simtime.Duration(*a.tDur))
 	tr, err := set.Capture.Trace()
 	if err != nil {
 		return err
@@ -570,20 +526,6 @@ func (a *app) runTrafficReplay() error {
 		return fmt.Errorf("trace replay failed (seed %d)", *a.seed)
 	}
 	return nil
-}
-
-func (a *app) runBench8() error {
-	rep := harness.RunBench8(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench8Table(rep))
-	if !rep.AllPassed {
-		return fmt.Errorf("bench8: a profile failed its oracles")
-	}
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
 }
 
 func (a *app) runFleet() error {
@@ -632,61 +574,6 @@ func (a *app) runFleet() error {
 			cfg.Seed, cfg.Pairs, cfg.Workers, cfg.Spares, cfg.Kills)
 	}
 	return nil
-}
-
-func (a *app) runFleetBench() error {
-	rep := harness.RunBench4(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench4Table(rep))
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
-}
-
-func (a *app) runBench5() error {
-	rep := harness.RunBench5(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench5Table(rep))
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
-}
-
-func (a *app) runBench7() error {
-	rep := harness.RunBench7(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench7Table(rep))
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
-}
-
-func (a *app) runBench9() error {
-	rep := harness.RunBench9(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench9Table(rep))
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
-}
-
-func (a *app) runBench6() error {
-	rep := harness.RunBench6(*a.seed)
-	fmt.Fprintln(a.stderr, harness.Bench6Table(rep))
-	out, err := rep.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = a.stdout.Write(out)
-	return err
 }
 
 func (a *app) runTimeline() error {

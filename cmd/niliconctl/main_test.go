@@ -18,9 +18,10 @@ func TestUsageErrors(t *testing.T) {
 		{"no-args", nil, "usage: niliconctl"},
 		{"unknown-subcommand", []string{"frobnicate"}, `unknown experiment "frobnicate"`},
 		{"subcommand-typo", []string{"chaso"}, `unknown experiment "chaso"`},
-		{"negative-shards", []string{"chaos", "-shards", "-1"}, "-shards must be >= 0"},
+		{"negative-shards", []string{"chaos", "-shards", "-1"}, "-shards must be >= 1"},
+		{"zero-shards", []string{"fleet", "-shards", "0"}, "-shards must be >= 1"},
 		{"zero-jobs", []string{"chaos", "-j", "0"}, "-j must be >= 1"},
-		{"negative-jobs", []string{"bench", "-j", "-4"}, "-j must be >= 1"},
+		{"negative-jobs", []string{"pipeline", "-j", "-4"}, "-j must be >= 1"},
 		{"zero-seeds", []string{"chaos", "-sweep", "-seeds", "0"}, "-seeds must be >= 1"},
 		{"zero-runs", []string{"validate", "-runs", "0"}, "-runs must be >= 1"},
 		{"degrade-typo", []string{"chaos", "-degrade", "availabilty"}, "-degrade"},

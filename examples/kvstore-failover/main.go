@@ -18,8 +18,9 @@ import (
 )
 
 func main() {
-	clock := simtime.NewClock()
-	cluster := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 	server := workloads.Redis()
 	server.Install(ctr)

@@ -17,8 +17,9 @@ import (
 func main() {
 	// 1. Build the two-host topology: primary and backup joined by a
 	//    10 GbE replication link, clients on the 1 GbE LAN.
-	clock := simtime.NewClock()
-	cluster := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 
 	// 2. Create the protected container (its root file system sits on
 	//    the replicated DRBD device) and install a Redis-like store.

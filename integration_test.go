@@ -13,8 +13,9 @@ import (
 // quickstart flow — protect a KV container, drive verified load, fail
 // the primary, and require transparent recovery.
 func TestEndToEndFailover(t *testing.T) {
-	clock := simtime.NewClock()
-	cluster := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 	server := workloads.Redis()
 	server.Install(ctr)
@@ -60,8 +61,9 @@ func TestEndToEndFailover(t *testing.T) {
 // relies on.
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64, float64) {
-		clock := simtime.NewClock()
-		cluster := core.NewCluster(clock, core.ClusterParams{})
+		sc := simtime.NewShardedClock(1)
+		clock := sc.Root()
+		cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 		ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 		server := workloads.Redis()
 		server.Install(ctr)

@@ -153,19 +153,9 @@ func VerifyChainSeed(cfg ChainConfig) Result {
 }
 
 func (c *chainCampaign) build() {
-	params := core.ClusterParams{}
-	if c.cfg.Shards > 0 {
-		sc := simtime.NewShardedClock(c.cfg.Shards)
-		if c.cfg.Workers > 0 {
-			sc.SetWorkers(c.cfg.Workers)
-			sc.PinNewShards(0)
-		}
-		c.clock = sc.Root()
-		c.views = core.NewShardedChainViews(sc, params, c.cfg.Replicas)
-	} else {
-		c.clock = simtime.NewClock()
-		c.views = core.NewChainViews(c.clock, params, c.cfg.Replicas)
-	}
+	sc := newEngine(c.cfg.Shards, c.cfg.Workers)
+	c.clock = sc.Root()
+	c.views = core.NewShardedChainViews(sc, core.ClusterParams{}, c.cfg.Replicas)
 	c.ctr = c.views[0].NewProtectedContainer("chaos", "10.0.0.10", 1)
 	c.app = newKVApp(c.ctr)
 	c.timeline = &trace.Timeline{}

@@ -86,20 +86,18 @@ type Config struct {
 	// sustained one-way cuts ("oneway-pb", "oneway-bp") and seeded link
 	// flapping ("flap").
 	FaultKinds []string
-	// Shards selects the simulation engine: 0 runs the legacy serial
-	// clock; N >= 1 runs the sharded engine with N physical lanes (one
-	// shard per simulated host regardless of N). Any N >= 1 produces an
-	// identical trace for a given seed — the shard-parity oracle checks
-	// exactly that.
+	// Shards is the simulation engine's physical lane count (0 is taken
+	// as 1). Every simulated host gets its own shard regardless, so any
+	// lane count produces an identical trace for a given seed — the
+	// shard-parity oracle checks exactly that.
 	Shards int
-	// Workers enables the sharded engine's conservative-window mode
-	// with that many window-drain goroutines (0 = ladder mode, the
-	// default). Campaigns schedule across shards freely — the root
-	// oracle ticker and fault injection touch every shard — so every
-	// shard is pinned onto one lane: windows then hold a single active
-	// lane and drain in exactly ladder order, keeping the trace
-	// byte-identical for any (Shards, Workers) combination. Requires
-	// Shards >= 1.
+	// Workers enables the engine's conservative-window mode with that
+	// many window-drain goroutines (0 = ladder mode, the default).
+	// Campaigns schedule across shards freely — the root oracle ticker
+	// and fault injection touch every shard — so every shard is pinned
+	// onto one lane: windows then hold a single active lane and drain in
+	// exactly ladder order, keeping the trace byte-identical for any
+	// (Shards, Workers) combination.
 	Workers int
 }
 
@@ -228,19 +226,22 @@ func VerifySeed(cfg Config) Result {
 	return a
 }
 
-func (c *campaign) build() {
-	if c.cfg.Shards > 0 {
-		sc := simtime.NewShardedClock(c.cfg.Shards)
-		if c.cfg.Workers > 0 {
-			sc.SetWorkers(c.cfg.Workers)
-			sc.PinNewShards(0)
-		}
-		c.clock = sc.Root()
-		c.cl = core.NewShardedCluster(sc, core.ClusterParams{})
-	} else {
-		c.clock = simtime.NewClock()
-		c.cl = core.NewCluster(c.clock, core.ClusterParams{})
+// newEngine builds a campaign's simulation engine: shards lanes (0 is
+// taken as 1), and with workers > 0 the conservative-window mode with
+// every shard pinned onto lane 0 (see Config.Workers).
+func newEngine(shards, workers int) *simtime.ShardedClock {
+	sc := simtime.NewShardedClock(shards)
+	if workers > 0 {
+		sc.SetWorkers(workers)
+		sc.PinNewShards(0)
 	}
+	return sc
+}
+
+func (c *campaign) build() {
+	sc := newEngine(c.cfg.Shards, c.cfg.Workers)
+	c.clock = sc.Root()
+	c.cl = core.NewShardedCluster(sc, core.ClusterParams{})
 	c.ctr = c.cl.NewProtectedContainer("chaos", "10.0.0.10", 1)
 	c.app = newKVApp(c.ctr)
 	c.timeline = &trace.Timeline{}

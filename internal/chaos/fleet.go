@@ -60,16 +60,15 @@ type FleetConfig struct {
 	// degradation policy.
 	PreLease bool
 	Degrade  core.DegradePolicy
-	// Shards selects the simulation engine: 0 runs the legacy serial
-	// clock; N >= 1 runs the sharded engine with N lanes (one shard per
-	// host plus the control-plane root shard, folded onto N lanes). Any
-	// N >= 1 produces an identical trace.
+	// Shards is the engine's lane count (0 is taken as 1): one shard per
+	// host plus the control-plane root shard, folded onto that many
+	// lanes. Any lane count produces an identical trace.
 	Shards int
 	// EngineWorkers enables conservative-window mode with that many
 	// window-drain goroutines (see chaos.Config.Workers — every shard is
 	// pinned to one lane so the detector's cross-shard scheduling stays
 	// legal and the trace stays byte-identical). Named to avoid clashing
-	// with Workers, the host-pool field above. Requires Shards >= 1.
+	// with Workers, the host-pool field above.
 	EngineWorkers int
 	// Traffic, when set, replaces the per-pair fixed-interval writers
 	// with an open-loop replay of this trace against every pair, judged
@@ -266,23 +265,11 @@ func (c *fleetCampaign) build() {
 		MaxConcurrentResyncs: 2,
 		Workload:             func(string) cluster.Workload { return &kvWorkload{} },
 	}
-	var f *cluster.Fleet
-	var err error
-	if c.cfg.Shards > 0 {
-		sc := simtime.NewShardedClock(c.cfg.Shards)
-		if c.cfg.EngineWorkers > 0 {
-			sc.SetWorkers(c.cfg.EngineWorkers)
-			sc.PinNewShards(0)
-		}
-		c.clock = sc.Root()
-		f, err = cluster.NewSharded(sc, params)
-	} else {
-		c.clock = simtime.NewClock()
-		f, err = cluster.New(c.clock, params)
-	}
+	f, err := cluster.NewSharded(newEngine(c.cfg.Shards, c.cfg.EngineWorkers), params)
 	if err != nil {
 		panic("chaos: fleet build failed: " + err.Error())
 	}
+	c.clock = f.Clock
 	c.fleet = f
 	f.Eventf = func(format string, args ...any) {
 		fmt.Fprintf(&c.trace, "t=%d event %s\n", int64(c.clock.Now()), fmt.Sprintf(format, args...))

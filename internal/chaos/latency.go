@@ -1,6 +1,6 @@
 package chaos
 
-// Latency probe (BENCH_6): a fault-free steady-state run of the kv
+// Latency probe: a fault-free steady-state run of the kv
 // workload that measures externally-visible response latency — the
 // virtual time from a client's SET leaving its socket to the OK reply
 // arriving back. This is the quantity the output-commit rule taxes:
@@ -22,12 +22,8 @@ type LatencyConfig struct {
 	Seed    int64
 	Opts    core.OptSet
 	OptName string
-	// Lease enables output-release lease arbitration.
-	Lease bool
 	// Duration is the measured window after warmup. Default 2 s.
 	Duration simtime.Duration
-	// Shards selects the simulation engine (see Config.Shards).
-	Shards int
 }
 
 // LatencyResult is one probe's outcome. Latencies are in milliseconds
@@ -51,24 +47,14 @@ func RunLatency(cfg LatencyConfig) LatencyResult {
 		cfg.Duration = 2 * simtime.Second
 	}
 
-	var clock *simtime.Clock
-	var cl *core.Cluster
-	if cfg.Shards > 0 {
-		sc := simtime.NewShardedClock(cfg.Shards)
-		clock = sc.Root()
-		cl = core.NewShardedCluster(sc, core.ClusterParams{})
-	} else {
-		clock = simtime.NewClock()
-		cl = core.NewCluster(clock, core.ClusterParams{})
-	}
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("latency", "10.0.0.10", 1)
 	app := newKVApp(ctr)
 
 	rcfg := core.DefaultConfig()
 	rcfg.Opts = cfg.Opts
-	if cfg.Lease {
-		rcfg.Lease = core.DefaultLease()
-	}
 	rcfg.Reattach = func(rc core.RestoredContainer, state any) {
 		app.RestoreState(state)
 		app.attach(rc)

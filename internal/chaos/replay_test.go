@@ -70,7 +70,7 @@ func TestReplayRecoversPostCheckpointWork(t *testing.T) {
 	}
 }
 
-// TestReplayLatencySweep pins the BENCH_6 headline in a test: replay's
+// TestReplayLatencySweep pins the record/replay headline: replay's
 // p99 response latency sits below even the p50 of the epoch-gated
 // pipeline in fault-free steady state.
 func TestReplayLatencySweep(t *testing.T) {

@@ -131,14 +131,15 @@ func TestFleetTrafficSLO(t *testing.T) {
 
 // TestTrafficEngineParity: the whole point of judging on simtime — the
 // campaign trace (slo lines included) is byte-identical across the
-// serial clock, the sharded engine, and worker mode.
+// default engine (Shards 0, taken as one lane), more lanes, and worker
+// mode.
 func TestTrafficEngineParity(t *testing.T) {
 	base := Config{
 		Seed: 17, Opts: core.AllOpts(), OptName: "all",
 		Terminal: TerminalKill, Events: -1,
 		Traffic: synthTrace(t, "burst", 17, longTrace),
 	}
-	serial := Run(base)
+	ref := Run(base)
 	for _, eng := range []struct {
 		name            string
 		shards, workers int
@@ -147,8 +148,8 @@ func TestTrafficEngineParity(t *testing.T) {
 		cfg.Traffic = synthTrace(t, "burst", 17, longTrace)
 		cfg.Shards, cfg.Workers = eng.shards, eng.workers
 		got := Run(cfg)
-		if got.Trace != serial.Trace {
-			t.Fatalf("%s: trace diverged from serial engine", eng.name)
+		if got.Trace != ref.Trace {
+			t.Fatalf("%s: trace diverged from the default engine", eng.name)
 		}
 	}
 }

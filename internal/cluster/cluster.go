@@ -114,18 +114,6 @@ type Params struct {
 	// LANLatency / ARPDelay tune the shared client LAN.
 	LANLatency simtime.Duration
 	ARPDelay   simtime.Duration
-	// Isolated builds a fleet whose pairs never schedule across engine
-	// lanes, so it can run the sharded engine's conservative-window mode
-	// (SetWorkers > 0). Placement becomes coupled — primary and backup
-	// land on the two hosts of a couple, and NewSharded pins both hosts'
-	// shards to the same lane — the host-failure control plane (detector,
-	// re-protection pump) stays disarmed, and the shared Timeline is
-	// dropped (per-pair records would race under parallel drains). The
-	// only cross-lane traffic left is client LAN frames, which cross
-	// through the engine mailbox with the switch latency as lookahead.
-	// This is the throughput-bench configuration (bench7); chaos and
-	// failover campaigns need cross-lane scheduling and must keep it off.
-	Isolated bool
 	// Replicas is each protected container's total replica count
 	// including the primary (an f+1 chain tolerating f simultaneous
 	// failures; 2 = the classic pair, the default). Above 2 every
@@ -340,43 +328,6 @@ func PlacePairs(n, workers, coresPerHost, pagesPerHost int) ([]Placement, error)
 	return out, nil
 }
 
-// PlaceCoupled assigns n pairs to host couples: pair p joins couple
-// c = p mod (workers/2) and runs on hosts 2c and 2c+1, alternating
-// which side is primary so cores spread evenly. Every pair's two ends
-// share a couple, which is what lets the sharded engine pin them to one
-// lane (Params.Isolated). Requires an even worker count.
-func PlaceCoupled(n, workers, coresPerHost, pagesPerHost int) ([]Placement, error) {
-	if workers < 2 || workers%2 != 0 {
-		return nil, fmt.Errorf("cluster: coupled placement needs an even worker count >= 2, have %d", workers)
-	}
-	couples := workers / 2
-	cores := make([]int, workers)
-	pages := make([]int, workers)
-	out := make([]Placement, 0, n)
-	for p := 0; p < n; p++ {
-		c := p % couples
-		pri, bak := 2*c, 2*c+1
-		if (p/couples)%2 == 1 {
-			pri, bak = bak, pri
-		}
-		if cores[pri]+pairCores > coresPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of cores placing pair %d (%d/%d used)",
-				pri, p, cores[pri], coresPerHost)
-		}
-		if pages[pri]+pairPrimaryPgs > pagesPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of pages placing pair %d primary", pri, p)
-		}
-		if pages[bak]+pairBackupPgs > pagesPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of pages placing pair %d backup", bak, p)
-		}
-		cores[pri] += pairCores
-		pages[pri] += pairPrimaryPgs
-		pages[bak] += pairBackupPgs
-		out = append(out, Placement{Pair: p, Primary: pri, Backup: bak})
-	}
-	return out, nil
-}
-
 // PlaceChains assigns n f+1 chains over the worker hosts: primaries
 // round-robin like PlacePairs, and each chain's replicas-1 backups are
 // picked by a ring scan from the primary with zone anti-affinity —
@@ -448,57 +399,28 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 	return out, nil
 }
 
-// New builds the fleet: hosts, NICs, placements, per-pair volumes, DRBD
-// pairs, workloads, and replicators. Nothing runs until Start.
-func New(clock *simtime.Clock, params Params) (*Fleet, error) {
-	return build(clock, func(int) *simtime.Clock { return clock }, params)
-}
-
-// NewSharded builds the same fleet on a sharded engine: the switch and
-// the control plane (detector, re-protection pump) run on the root
-// shard, and every host gets its own shard in pool-index order so shard
-// assignment is topology-deterministic. Because a host's NIC fans out to
-// whichever hosts back its pairs, the fleet runs the engine's ladder
-// mode: cross-shard schedules are legal and the (when, shard, seq) key
-// keeps the trace independent of the lane count.
+// NewSharded builds the fleet — hosts, NICs, placements, per-pair
+// volumes, DRBD pairs, workloads, and replicators — on a sharded engine.
+// The switch and the control plane (detector, re-protection pump) run on
+// the root shard, and every host gets its own shard in pool-index order
+// so shard assignment is topology-deterministic. Because a host's NIC
+// fans out to whichever hosts back its pairs, the fleet runs the
+// engine's ladder mode: cross-shard schedules are legal and the (when,
+// shard, seq) key keeps the trace independent of the lane count.
+// Nothing runs until Start.
 func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
-	if params.Isolated {
-		// Couple c's two hosts (2c, 2c+1) share lane c mod Lanes: every
-		// pair's machinery — replication NIC, DRBD, acks — stays on one
-		// lane, which makes conservative windows legal (cross-lane
-		// Schedule would panic mid-window). Restore round-robin shard
-		// assignment afterwards for any later NewShard callers.
-		defer sc.PinNewShards(-1)
-		return build(sc.Root(), func(i int) *simtime.Clock {
-			sc.PinNewShards((i / 2) % sc.Lanes())
-			return sc.NewShard()
-		}, params)
-	}
-	return build(sc.Root(), func(int) *simtime.Clock { return sc.NewShard() }, params)
-}
-
-func build(clock *simtime.Clock, hostClock func(i int) *simtime.Clock, params Params) (*Fleet, error) {
 	params.defaults()
-	if params.Isolated && (params.Replicas > 2 || params.Zones > 1) {
-		return nil, fmt.Errorf("cluster: isolated (coupled) fleets are pair-only; replicas=%d zones=%d need the chain control plane",
-			params.Replicas, params.Zones)
-	}
+	clock := sc.Root()
 	f := &Fleet{
 		Params:   params,
 		Clock:    clock,
 		Switch:   simnet.NewSwitch(clock, params.LANLatency, params.ARPDelay),
 		Timeline: &trace.Timeline{},
 	}
-	if params.Isolated {
-		// Pairs on different lanes would append epoch records
-		// concurrently during parallel windows; the replicator skips
-		// recording when Timeline is nil.
-		f.Timeline = nil
-	}
 	total := params.Workers + params.Spares
 	for i := 0; i < total; i++ {
 		name := fmt.Sprintf("host%02d", i)
-		hc := hostClock(i)
+		hc := sc.NewShard()
 		h := &Host{
 			Index: i,
 			Name:  name,
@@ -513,10 +435,7 @@ func build(clock *simtime.Clock, hostClock func(i int) *simtime.Clock, params Pa
 	}
 
 	place := PlacePairs
-	switch {
-	case params.Isolated:
-		place = PlaceCoupled
-	case params.Replicas > 2 || params.Zones > 1:
+	if params.Replicas > 2 || params.Zones > 1 {
 		place = func(n, w, c, pg int) ([]Placement, error) {
 			return PlaceChains(n, w, params.Zones, params.Replicas, c, pg)
 		}
@@ -663,12 +582,6 @@ func (f *Fleet) Start() {
 	f.started = true
 	for _, pr := range f.Pairs {
 		pr.Repl.Start()
-	}
-	if f.Params.Isolated {
-		// No control plane: the detector and pump run on the root shard
-		// and read every pair's state — cross-lane access that is illegal
-		// inside conservative windows. Isolated fleets never kill hosts.
-		return
 	}
 	f.detector = simtime.NewTicker(f.Clock, detectorPeriod, f.checkHosts)
 	f.pump = simtime.NewTicker(f.Clock, reprotectPeriod, f.pumpReprotect)

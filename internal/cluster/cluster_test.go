@@ -47,12 +47,11 @@ func TestPlacementCapacity(t *testing.T) {
 
 func newTestFleet(t *testing.T, p Params) (*simtime.Clock, *Fleet) {
 	t.Helper()
-	clock := simtime.NewClock()
-	f, err := New(clock, p)
+	f, err := NewSharded(simtime.NewShardedClock(1), p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return clock, f
+	return f.Clock, f
 }
 
 func TestFleetSteadyState(t *testing.T) {
@@ -266,11 +265,7 @@ func TestFleetReprotectOntoLoadedHost(t *testing.T) {
 // fleetTrace runs a fixed fleet scenario and returns its event trace.
 func fleetTrace(t *testing.T) string {
 	t.Helper()
-	clock := simtime.NewClock()
-	f, err := New(clock, Params{Workers: 3, Spares: 1, Pairs: 4, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
+	clock, f := newTestFleet(t, Params{Workers: 3, Spares: 1, Pairs: 4, Seed: 7})
 	var b strings.Builder
 	f.Eventf = func(format string, args ...any) {
 		fmt.Fprintf(&b, "t=%d ", int64(clock.Now()))

@@ -25,8 +25,9 @@ func newChainEnv(t *testing.T, cfg Config, attach int) *chainEnv {
 	if cfg.Replicas < 2 {
 		cfg.Replicas = 2
 	}
-	clock := simtime.NewClock()
-	views := NewChainViews(clock, ClusterParams{}, cfg.Replicas)
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	views := NewShardedChainViews(sc, ClusterParams{}, cfg.Replicas)
 	ctr := views[0].NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)

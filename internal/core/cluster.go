@@ -63,17 +63,12 @@ func (p *ClusterParams) defaults() {
 	}
 }
 
-// NewCluster builds the two-host topology plus the replication links
-// and the DRBD pair over the hosts' disks.
-func NewCluster(clock *simtime.Clock, params ClusterParams) *Cluster {
-	return newCluster(clock, clock, clock, params)
-}
-
-// NewShardedCluster builds the same topology on a sharded engine: the
-// primary and backup hosts each get their own shard, the switch and
-// campaign drivers run on the root shard, and the replication/ack links
-// deliver on the receiving host's shard — they are the cross-shard
-// edges whose latency bounds the engine's conservative lookahead.
+// NewShardedCluster builds the two-host topology plus the replication
+// links and the DRBD pair over the hosts' disks. The primary and backup
+// hosts each get their own shard, the switch and campaign drivers run
+// on the root shard, and the replication/ack links deliver on the
+// receiving host's shard — they are the cross-shard edges whose latency
+// bounds the engine's conservative lookahead.
 func NewShardedCluster(sc *simtime.ShardedClock, params ClusterParams) *Cluster {
 	return newCluster(sc.Root(), sc.NewShard(), sc.NewShard(), params)
 }
@@ -89,62 +84,38 @@ func newCluster(root, pclk, bclk *simtime.Clock, params ClusterParams) *Cluster 
 		ReplLink: simnet.NewLink(pclk, params.ReplLatency, params.ReplBW),
 		AckLink:  simnet.NewLink(bclk, params.ReplLatency, params.ReplBW),
 	}
-	if pclk != bclk {
-		// Checkpoint state flows primary→backup; acks flow back.
-		cl.ReplLink.BindRemote(bclk)
-		cl.AckLink.BindRemote(pclk)
-	}
+	// Checkpoint state flows primary→backup; acks flow back.
+	cl.ReplLink.BindRemote(bclk)
+	cl.AckLink.BindRemote(pclk)
 	cl.Xfer = NewTransferScheduler(pclk, cl.ReplLink)
 	cl.DRBDPrimary, cl.DRBDBackup = simdisk.NewDRBDPair(cl.Primary.Disk, cl.Backup.Disk, cl.ReplLink)
 	return cl
 }
 
-// NewChainViews builds the topology for an f+1 replication chain
+// NewShardedChainViews builds the topology for an f+1 replication chain
 // (DESIGN.md §15): one primary host and replicas-1 backup hosts, each
 // backup joined to the primary by its own dedicated replication/ack
-// link pair and its own DRBD secondary over the primary's volume.
+// link pair and its own DRBD secondary over the primary's volume. The
+// primary and every backup host get their own shard, and each view's
+// links are the cross-shard edges bounding the conservative lookahead.
 // views[0] is a classic pair cluster; each further view shares the
 // primary side (clock, switch, primary host, DRBD primary end) and
 // carries its own backup host, links, transfer scheduler and DRBD
 // secondary. Pass the slice to NewChainReplicator.
-func NewChainViews(clock *simtime.Clock, params ClusterParams, replicas int) []*Cluster {
-	if replicas < 2 {
-		replicas = 2
-	}
-	clks := make([]*simtime.Clock, replicas-1) // one per backup
-	for i := range clks {
-		clks[i] = clock
-	}
-	return newChainViews(clock, clock, clks, params, replicas)
-}
-
-// NewShardedChainViews is NewChainViews on a sharded engine: the
-// primary and every backup host get their own shard, and each view's
-// links are the cross-shard edges bounding the conservative lookahead.
 func NewShardedChainViews(sc *simtime.ShardedClock, params ClusterParams, replicas int) []*Cluster {
 	if replicas < 2 {
 		replicas = 2
 	}
-	pclk := sc.NewShard()
-	clks := make([]*simtime.Clock, replicas-1)
-	for i := range clks {
-		clks[i] = sc.NewShard()
-	}
-	return newChainViews(sc.Root(), pclk, clks, params, replicas)
-}
-
-func newChainViews(root, pclk *simtime.Clock, bclks []*simtime.Clock, params ClusterParams, replicas int) []*Cluster {
 	params.defaults()
-	base := newCluster(root, pclk, bclks[0], params)
+	pclk := sc.NewShard()
+	base := newCluster(sc.Root(), pclk, sc.NewShard(), params)
 	views := []*Cluster{base}
 	for i := 1; i < replicas-1; i++ {
-		bclk := bclks[i]
+		bclk := sc.NewShard()
 		repl := simnet.NewLink(pclk, params.ReplLatency, params.ReplBW)
 		ack := simnet.NewLink(bclk, params.ReplLatency, params.ReplBW)
-		if pclk != bclk {
-			repl.BindRemote(bclk)
-			ack.BindRemote(pclk)
-		}
+		repl.BindRemote(bclk)
+		ack.BindRemote(pclk)
 		v := &Cluster{
 			Clock:       pclk,
 			Switch:      base.Switch,

@@ -213,8 +213,9 @@ const benchProcs = 24
 
 func newBenchEnv(b *testing.B) *testEnv {
 	b.Helper()
-	clock := simtime.NewClock()
-	cl := NewCluster(clock, ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := NewShardedCluster(sc, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)

@@ -201,8 +201,9 @@ func (a *randApp) attach(ctr *container.Container) {
 }
 
 func TestReplayRandomDrawsInjected(t *testing.T) {
-	clock := simtime.NewClock()
-	cl := NewCluster(clock, ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := NewShardedCluster(sc, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &randApp{}
 	ctr.AddProcess("rng", 3)

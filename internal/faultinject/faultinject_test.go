@@ -9,8 +9,9 @@ import (
 )
 
 func newReplicator() (*simtime.Clock, *core.Replicator) {
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
 	ctr.AddProcess("app", 1)
 	repl := core.NewReplicator(cl, ctr, core.DefaultConfig())

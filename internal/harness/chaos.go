@@ -57,35 +57,22 @@ func ChaosOptSets() []core.LadderStep {
 // RunChaosSweep runs `seeds` chaos campaigns (seeds base..base+seeds-1)
 // against every option set in the matrix, the asymmetric-fault and
 // scripted split-brain lease campaigns, plus every fleet scenario
-// (host-granularity fault schedules, FleetScenarios), on the harness's
-// worker pool (Jobs). Every campaign is executed twice so the
-// determinism oracle (same seed ⇒ byte-identical trace) is always
-// checked alongside the runtime oracles. It returns every campaign
-// result plus a per-matrix-entry summary table.
-func RunChaosSweep(seeds int, base int64, duration simtime.Duration) ([]chaos.Result, *metrics.Table) {
-	return RunChaosSweepSharded(seeds, base, duration, Jobs, 0, 0)
-}
-
-// RunChaosSweepParallel is RunChaosSweep with an explicit worker count.
-// Campaigns run concurrently, but each seeded DES run is single-threaded
-// and results are aggregated in (option set, seed) order, so the results
-// slice, the progress lines and the summary table are byte-identical for
-// any jobs value.
-func RunChaosSweepParallel(seeds int, base int64, duration simtime.Duration, jobs int) ([]chaos.Result, *metrics.Table) {
-	return RunChaosSweepSharded(seeds, base, duration, jobs, 0, 0)
-}
-
-// RunChaosSweepSharded is RunChaosSweepParallel with an explicit
-// simulation engine: shards=0 runs the legacy serial clock, shards>=1
-// the sharded engine with that many lanes, and workers>=1 additionally
-// runs the engine's conservative-window mode with that many drain
-// goroutines (requires shards>=1). Because the sharded engine's traces
-// are lane-count and worker-count invariant, the sweep's output is
-// byte-identical for every shards>=1 × workers>=0 value — the CI
-// determinism smoke diffs shards=1 against shards=4 and against
-// shards=4/workers=4. The shards and workers values themselves are
-// deliberately absent from all output.
-func RunChaosSweepSharded(seeds int, base int64, duration simtime.Duration, jobs, shards, workers int) ([]chaos.Result, *metrics.Table) {
+// (host-granularity fault schedules, FleetScenarios). Every campaign is
+// executed twice so the determinism oracle (same seed ⇒ byte-identical
+// trace) is always checked alongside the runtime oracles. It returns
+// every campaign result plus a per-matrix-entry summary table.
+//
+// Campaigns run concurrently on jobs workers, but each seeded DES run
+// is single-threaded and results are aggregated in (option set, seed)
+// order, so the results slice, the progress lines and the summary table
+// are byte-identical for any jobs value. shards is each campaign
+// engine's lane count (0 is taken as 1) and workers its window-drain
+// goroutine count (0 = ladder mode); traces are lane-count and
+// worker-count invariant, so the output is byte-identical for every
+// shards × workers value too — the CI determinism smoke diffs shards=1
+// against shards=4 and against shards=4/workers=4. The shards and
+// workers values themselves are deliberately absent from all output.
+func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shards, workers int) ([]chaos.Result, *metrics.Table) {
 	if seeds <= 0 {
 		seeds = 20
 	}
@@ -193,7 +180,7 @@ func RunChaosSweepSharded(seeds int, base int64, duration simtime.Duration, jobs
 		func(i int) {
 			cmp := campaigns[i]
 			if cmp.fleet != nil {
-				results[i] = RunFleetCampaignSharded(*cmp.fleet, cmp.seed, duration, shards, workers)
+				results[i] = RunFleetCampaign(*cmp.fleet, cmp.seed, duration, shards, workers)
 				return
 			}
 			if cmp.sb != nil {

@@ -120,8 +120,9 @@ type RunResult struct {
 // setup builds a cluster with the workload installed on a protected
 // container.
 func setup(wl workloads.Workload, cores int) (*simtime.Clock, *core.Cluster, *container.Container) {
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	if cores <= 0 {
 		prof := wl.Profile()
 		cores = prof.Procs * prof.ThreadsPer

@@ -4,7 +4,7 @@ import "sync/atomic"
 
 // Jobs is the worker-pool width for experiments that fan out over many
 // independent simulations (the chaos sweep, the Table I ladder, the
-// pipeline ablation, the BENCH_3 sweep). 0 or 1 runs serially; the CLI's
+// pipeline ablation). 0 or 1 runs serially; the CLI's
 // -j flag sets it. Each seeded DES run stays single-threaded and
 // deterministic — parallelism is only across runs — and results are
 // always collected in a fixed order, so all output is byte-identical

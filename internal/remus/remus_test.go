@@ -19,8 +19,9 @@ type vmEnv struct {
 type coreContainer = containerAlias
 
 func TestMCEpochsAndDirtyTracking(t *testing.T) {
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 4)
 	p := ctr.AddProcess("guest", 2)
 	v := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
@@ -51,8 +52,9 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 }
 
 func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	p := ctr.AddProcess("guest", 0)
 	v := p.Mem.Mmap(500*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
@@ -80,8 +82,9 @@ func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
 }
 
 func TestMCOutputCommit(t *testing.T) {
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	ctr.AddProcess("guest", 0)
 	ctr.Stack.Listen(7, func(s *simnet.Socket) {
@@ -117,8 +120,9 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 	// The qualitative Table III / Figure 3 relationship on one workload:
 	// identical container+load under MC vs NiLiCon.
 	build := func() (*simtime.Clock, *core.Cluster, *containerAlias, func()) {
-		clock := simtime.NewClock()
-		cl := core.NewCluster(clock, core.ClusterParams{})
+		sc := simtime.NewShardedClock(1)
+		clock := sc.Root()
+		cl := core.NewShardedCluster(sc, core.ClusterParams{})
 		ctr := cl.NewProtectedContainer("x", "10.0.0.20", 4)
 		p := ctr.AddProcess("app", 2)
 		v := p.Mem.Mmap(5000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)

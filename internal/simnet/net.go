@@ -131,9 +131,7 @@ func (s *Switch) Attach(name string) *Port {
 func (s *Switch) AttachOn(name string, clock *simtime.Clock) *Port {
 	p := &Port{sw: s, name: name, enabled: true, clock: clock}
 	if clock != nil {
-		if eng := clock.Engine(); eng != nil {
-			eng.ObserveLookahead(s.latency)
-		}
+		clock.Engine().ObserveLookahead(s.latency)
 	}
 	s.ports = append(s.ports, p)
 	return p
@@ -227,9 +225,7 @@ func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int6
 func (l *Link) BindRemote(c *simtime.Clock) {
 	l.remote = c
 	if c != nil {
-		if eng := c.Engine(); eng != nil {
-			eng.ObserveLookahead(l.Lookahead())
-		}
+		c.Engine().ObserveLookahead(l.Lookahead())
 	}
 }
 

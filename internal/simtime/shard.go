@@ -164,13 +164,17 @@ type wheel struct {
 	free [][]*Event
 }
 
+// insert files e at the lowest level whose slot number is less than one
+// revolution past the cursor's. Choosing by slot-number difference
+// rather than tick delta matters: a delay just under one revolution from
+// a cursor late in its slot has a small enough tick delta but lands one
+// full revolution ahead, in the very slot being scanned.
 func (w *wheel) insert(e *Event) {
 	w.count++
 	tw := uint64(e.when) >> tickShift
 	tc := uint64(w.cur) >> tickShift
-	delta := tw - tc
 	for l := uint(0); l < wheelLevels; l++ {
-		if delta < 1<<((l+1)*wheelBits) {
+		if (tw>>(l*wheelBits))-(tc>>(l*wheelBits)) < wheelSlots {
 			idx := int((tw >> (l * wheelBits)) & wheelMask)
 			lv := &w.levels[l]
 			if lv.slots[idx] == nil {
@@ -488,7 +492,7 @@ func (ln *lane) drainWindow() {
 			}
 			ln.curShard = e.target
 			ln.live--
-			e.fn()
+			e.fire()
 			ln.executed++
 			if ln.limit < limit {
 				limit = ln.limit
@@ -728,7 +732,7 @@ func (sc *ShardedClock) scheduleAt(view *Clock, t Time, fn func()) *Event {
 		}
 	}
 	e := ln.alloc()
-	*e = Event{when: t, seq: sc.ctrs[schedShard], shard: schedShard, target: view.shard, fn: fn, index: -1, eng: sc}
+	*e = Event{when: t, seq: sc.ctrs[schedShard], shard: schedShard, target: view.shard, fn: fn, eng: sc}
 	sc.ctrs[schedShard]++
 	ln.live++
 	ln.insert(e)
@@ -751,7 +755,7 @@ func (sc *ShardedClock) sendFrom(src, dst *Clock, t Time, fn func()) *Event {
 		t = srcLn.now
 	}
 	e := srcLn.alloc()
-	*e = Event{when: t, seq: sc.ctrs[schedShard], shard: schedShard, target: dst.shard, fn: fn, index: -1, eng: sc}
+	*e = Event{when: t, seq: sc.ctrs[schedShard], shard: schedShard, target: dst.shard, fn: fn, eng: sc}
 	sc.ctrs[schedShard]++
 	srcLn.live++
 	if dst.lane == src.lane {
@@ -827,7 +831,7 @@ func (sc *ShardedClock) step() bool {
 	best.now = bestE.when
 	sc.curShard = bestE.target
 	best.live--
-	bestE.fn()
+	bestE.fire()
 	best.executed++
 	sc.curShard = -1
 	return true
@@ -847,7 +851,7 @@ func (sc *ShardedClock) runLaneSerial(until Time, bounded bool) {
 		ln.now = e.when
 		sc.curShard = e.target
 		ln.live--
-		e.fn()
+		e.fire()
 		ln.executed++
 		sc.curShard = -1
 	}
@@ -885,7 +889,7 @@ func (sc *ShardedClock) runLadder(until Time, bounded bool) {
 			best.now = bestE.when
 			sc.curShard = bestE.target
 			best.live--
-			bestE.fn()
+			bestE.fire()
 			best.executed++
 			sc.curShard = -1
 			if sc.treeStale || sc.stopped.Load() {

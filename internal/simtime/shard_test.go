@@ -69,27 +69,48 @@ func TestShardedLaneCountInvariance(t *testing.T) {
 	}
 }
 
-// A sharded engine with one shard per event must agree with the serial
-// clock on ordering semantics (time order, insertion-order ties within
-// a shard, clamping).
+// A sharded engine driven from one shard must agree with the serial
+// reference heap on ordering semantics (time order, insertion-order ties
+// within a shard, clamping).
 func TestShardedMatchesSerialSemantics(t *testing.T) {
-	serial := NewClock()
+	ref := &refClock{}
 	sc := NewShardedClock(4)
 	view := sc.Root()
 	var a, b []int
 	for i := 0; i < 20; i++ {
 		i := i
 		d := Duration((i*37)%11) * Millisecond
-		serial.Schedule(d, func() { a = append(a, i) })
+		ref.Schedule(d, func() { a = append(a, i) })
 		view.Schedule(d, func() { b = append(b, i) })
 	}
-	serial.Run()
+	ref.Run()
 	sc.Run()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
 		t.Fatalf("serial order %v != sharded order %v", a, b)
 	}
-	if serial.Now() != sc.Now() {
-		t.Fatalf("serial now %v != sharded now %v", serial.Now(), sc.Now())
+	if ref.now != sc.Now() {
+		t.Fatalf("serial now %v != sharded now %v", ref.now, sc.Now())
+	}
+}
+
+// Regression: a delay just under one level-l revolution, scheduled from
+// the last tick of a level-l slot, must fire on time. Filed by tick
+// delta it landed one revolution ahead in the slot being scanned, the
+// cascade re-filed it in the same place, and RunFor never returned.
+func TestWheelRevolutionFromSlotEnd(t *testing.T) {
+	const tick = Time(1) << tickShift
+	for l := 1; l < wheelLevels; l++ {
+		slot := tick << (l * wheelBits) // level-l slot width
+		c := NewClock()
+		fired := Time(-1)
+		c.ScheduleAt(slot-tick, func() {
+			c.Schedule(Duration(slot*wheelSlots-tick), func() { fired = c.Now() })
+		})
+		want := slot - tick + slot*wheelSlots - tick
+		withWatchdog(t, func() { c.RunUntil(want + Time(Second)) })
+		if fired != want {
+			t.Fatalf("level %d: event fired at %v, want %v", l, fired, want)
+		}
 	}
 }
 
@@ -324,34 +345,62 @@ func TestShardedFarFutureOrdering(t *testing.T) {
 	}
 }
 
+// wheelDelay maps a random word onto a delay within one of the wheel's
+// level spans or past the last (the overflow heap), so every level is
+// drawn about equally often. Half the draws sit within two slots below
+// the span's end: a delay just under one revolution is where filing by
+// tick delta went wrong.
+func wheelDelay(r uint64) Duration {
+	level := r % (wheelLevels + 1)
+	r /= wheelLevels + 1
+	span := uint64(1) << ((level+1)*wheelBits + tickShift)
+	if r&1 == 0 {
+		return Duration((r >> 1) % span)
+	}
+	slot := span >> wheelBits
+	return Duration(span - 1 - (r>>1)%(2*slot))
+}
+
 // Property: arbitrary delays and cancels behave identically on the
-// serial clock and a multi-lane sharded engine driven from one shard.
+// serial reference heap and a multi-lane sharded engine driven from one
+// shard. The delays reach every wheel level and the overflow heap, and
+// are scheduled from a cursor at an arbitrary offset inside its slot.
 func TestPropertyShardedEquivalence(t *testing.T) {
-	f := func(delaysUs []uint16, cancelMask []bool) bool {
-		serial := NewClock()
+	f := func(start uint32, raw []uint64, cancelMask []bool) bool {
+		ref := &refClock{}
 		sc := NewShardedClock(3)
 		view := sc.NewShard()
 		var a, b []int
-		se := make([]*Event, len(delaysUs))
-		he := make([]*Event, len(delaysUs))
-		for i, d := range delaysUs {
-			i := i
-			dur := Duration(d) * Microsecond
-			se[i] = serial.Schedule(dur, func() { a = append(a, i) })
-			he[i] = view.Schedule(dur, func() { b = append(b, i) })
-		}
-		for i := range se {
-			if i < len(cancelMask) && cancelMask[i] {
-				se[i].Cancel()
-				he[i].Cancel()
+		re := make([]*refEvent, len(raw))
+		he := make([]*Event, len(raw))
+		ref.ScheduleAt(Time(start), func() {
+			for i, r := range raw {
+				i := i
+				re[i] = ref.Schedule(wheelDelay(r), func() { a = append(a, i) })
 			}
-		}
-		serial.Run()
-		sc.Run()
-		if serial.Pending() != 0 || sc.Pending() != 0 {
+			for i := range re {
+				if i < len(cancelMask) && cancelMask[i] {
+					ref.Cancel(re[i])
+				}
+			}
+		})
+		view.ScheduleAt(Time(start), func() {
+			for i, r := range raw {
+				i := i
+				he[i] = view.Schedule(wheelDelay(r), func() { b = append(b, i) })
+			}
+			for i := range he {
+				if i < len(cancelMask) && cancelMask[i] {
+					he[i].Cancel()
+				}
+			}
+		})
+		ref.Run()
+		withWatchdog(t, sc.Run)
+		if len(ref.pq) != 0 || sc.Pending() != 0 {
 			return false
 		}
-		return fmt.Sprint(a) == fmt.Sprint(b) && serial.Now() == sc.Now()
+		return fmt.Sprint(a) == fmt.Sprint(b) && ref.now == sc.Now()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)

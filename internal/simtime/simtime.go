@@ -4,23 +4,17 @@
 // All simulated activity — container execution, packet delivery, disk
 // writes, checkpoint state collection — is expressed as events on a
 // Clock. The simulation is therefore deterministic: events fire in
-// (time, insertion order) sequence, and the only source of randomness is
-// explicitly seeded generators (see NewRand).
+// (time, scheduling shard, insertion order) sequence, and the only
+// source of randomness is explicitly seeded generators (see NewRand).
 //
-// Two engines implement the same Clock API:
-//
-//   - NewClock returns the classic serial engine: one binary heap, one
-//     goroutine, (time, seq) order. This is the reference semantics.
-//   - NewShardedClock returns the sharded engine (see shard.go): one
-//     hierarchical timing wheel per lane, (time, shardID, seq) total
-//     order, and optional conservative-lookahead windows. Clocks
-//     obtained from ShardedClock.Root/NewShard are *views* onto that
-//     engine; every Clock method transparently routes to it, so code
-//     written against *Clock runs unchanged on either engine.
+// There is one engine, the sharded one (see shard.go): one hierarchical
+// timing wheel per lane and optional conservative-lookahead windows. A
+// Clock is a view onto that engine bound to one logical shard; views
+// come from ShardedClock.Root/NewShard, and NewClock is shorthand for
+// the root view of a fresh one-lane engine.
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -58,18 +52,14 @@ func (t Time) String() string { return Duration(t).String() }
 // can cancel it before it fires.
 type Event struct {
 	when Time
-	// seq breaks ties between same-time events. On the serial engine it
-	// is a single clock-wide counter; on the sharded engine it is the
-	// scheduling shard's counter, and (when, shard, seq) is the total
-	// order.
+	// seq is the scheduling shard's counter; (when, shard, seq) is the
+	// engine's total order.
 	seq    uint64
-	shard  int32 // scheduling shard (sharded engine only)
-	target int32 // shard whose wheel holds the event (sharded engine only)
-	fn     func()
-	index  int // heap index; -1 when not queued
+	shard  int32  // scheduling shard
+	target int32  // shard whose wheel holds the event
+	fn     func() // nil once fired or canceled
 	cancel bool
-	owner  *Clock        // serial engine that queued the event
-	eng    *ShardedClock // sharded engine that queued the event
+	eng    *ShardedClock
 }
 
 // Canceled reports whether Cancel was called on the event.
@@ -80,110 +70,57 @@ func (e *Event) Canceled() bool { return e.cancel }
 func (e *Event) When() Time { return e.when }
 
 // Cancel prevents the event from firing. Canceling an event that already
-// fired is a no-op. On the serial engine the event is removed from the
-// heap immediately, so Pending() never counts dead entries; the sharded
-// engine drops canceled events lazily when their slot drains.
+// fired is a no-op. Pending() stops counting the event and its closure
+// is released at once; the engine drops the event itself lazily when
+// its slot drains.
 func (e *Event) Cancel() {
-	if e.cancel {
+	if e.fn == nil {
 		return
 	}
 	e.cancel = true
-	if e.eng != nil {
-		e.eng.cancelEvent(e)
-		return
-	}
-	if e.owner != nil && e.index >= 0 {
-		heap.Remove(&e.owner.pq, e.index)
-	}
+	e.fn = nil
+	e.eng.cancelEvent(e)
 }
 
-// eventHeap orders events by (when, seq).
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// fire runs the event's callback, first dropping it so a fired event
+// neither cancels nor keeps its closure reachable from the lane's slab.
+func (e *Event) fire() {
+	fn := e.fn
+	e.fn = nil
+	fn()
 }
 
-// Clock is the virtual clock and event queue. The zero value is not
-// usable; create one with NewClock, or obtain a sharded view with
-// ShardedClock.Root/NewShard.
+// Clock is a view onto a sharded engine, bound to one logical shard.
+// The zero value is not usable; create one with NewClock, or obtain a
+// view with ShardedClock.Root/NewShard.
 type Clock struct {
-	now      Time
-	seq      uint64
-	pq       eventHeap
-	stopped  bool
-	executed uint64
-
-	// View fields: when eng is non-nil this Clock is a view onto a
-	// sharded engine and all state above is unused.
 	eng   *ShardedClock
 	shard int32
 	lane  int
 }
 
-// NewClock returns a serial clock at virtual time zero with an empty
-// queue.
-func NewClock() *Clock {
-	return &Clock{}
-}
+// NewClock returns the root view of a fresh one-lane engine, at virtual
+// time zero with an empty queue.
+func NewClock() *Clock { return NewShardedClock(1).Root() }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time {
-	if c.eng != nil {
-		return c.eng.viewNow(c)
-	}
-	return c.now
-}
+func (c *Clock) Now() Time { return c.eng.viewNow(c) }
 
-// Shard returns the shard ID this clock schedules onto: 0 for a serial
-// clock or a root view, the shard's ID for views from NewShard.
+// Shard returns the shard ID this clock schedules onto: 0 for a root
+// view, the shard's ID for views from NewShard.
 func (c *Clock) Shard() int { return int(c.shard) }
 
-// Engine returns the sharded engine this clock is a view of, or nil for
-// a serial clock. Simulation components (links, switches) use it to
-// report their minimum propagation delay via ObserveLookahead.
+// Engine returns the sharded engine this clock is a view of. Simulation
+// components (links, switches) use it to report their minimum
+// propagation delay via ObserveLookahead.
 func (c *Clock) Engine() *ShardedClock { return c.eng }
 
-// Pending returns the number of scheduled events that have neither fired
-// nor been canceled.
-func (c *Clock) Pending() int {
-	if c.eng != nil {
-		return c.eng.Pending()
-	}
-	return len(c.pq)
-}
+// Pending returns the number of scheduled events, engine-wide, that have
+// neither fired nor been canceled.
+func (c *Clock) Pending() int { return c.eng.Pending() }
 
-// Executed returns the number of events fired since the clock was
-// created. For a sharded view it reports the whole engine's count.
-func (c *Clock) Executed() uint64 {
-	if c.eng != nil {
-		return c.eng.Executed()
-	}
-	return c.executed
-}
+// Executed returns the number of events the whole engine has fired.
+func (c *Clock) Executed() uint64 { return c.eng.Executed() }
 
 // Schedule queues fn to run after delay d. A negative delay is treated as
 // zero. The returned Event may be canceled.
@@ -200,102 +137,40 @@ func (c *Clock) ScheduleAt(t Time, fn func()) *Event {
 	if fn == nil {
 		panic("simtime: ScheduleAt with nil function")
 	}
-	if c.eng != nil {
-		return c.eng.scheduleAt(c, t, fn)
-	}
-	if t < c.now {
-		t = c.now
-	}
-	e := &Event{when: t, seq: c.seq, fn: fn, index: -1, owner: c}
-	c.seq++
-	heap.Push(&c.pq, e)
-	return e
+	return c.eng.scheduleAt(c, t, fn)
 }
 
 // SendFrom schedules fn at absolute time at on dst, identifying src as
-// the sending clock. On serial clocks (or when src and dst share a
-// lane) this is exactly dst.ScheduleAt. On a sharded engine running
-// conservative windows, cross-lane sends must use SendFrom: the event is
-// placed in the sending lane's outbox and merged at the next barrier,
-// and its arrival time is checked against the lookahead horizon.
+// the sending clock. Outside conservative windows, or when src and dst
+// share a lane, this is exactly dst.ScheduleAt. During windows,
+// cross-lane sends must use SendFrom: the event is placed in the sending
+// lane's outbox and merged at the next barrier, and its arrival time is
+// checked against the lookahead horizon.
 func SendFrom(src, dst *Clock, at Time, fn func()) *Event {
-	if dst.eng == nil || dst.eng != src.eng {
+	if dst.eng != src.eng {
 		return dst.ScheduleAt(at, fn)
 	}
 	return dst.eng.sendFrom(src, dst, at, fn)
 }
 
 // Step fires the next event, advancing the clock to its time. It returns
-// false when the queue is empty. Canceled events are removed eagerly by
-// Cancel; any stragglers are skipped (and advance nothing).
-func (c *Clock) Step() bool {
-	if c.eng != nil {
-		return c.eng.step()
-	}
-	for len(c.pq) > 0 {
-		e := heap.Pop(&c.pq).(*Event)
-		if e.cancel {
-			continue
-		}
-		c.now = e.when
-		c.executed++
-		e.fn()
-		return true
-	}
-	return false
-}
+// false when the queue is empty.
+func (c *Clock) Step() bool { return c.eng.step() }
 
 // Run fires events until the queue is empty or Stop is called.
-func (c *Clock) Run() {
-	if c.eng != nil {
-		c.eng.Run()
-		return
-	}
-	c.stopped = false
-	for !c.stopped && c.Step() {
-	}
-}
+func (c *Clock) Run() { c.eng.Run() }
 
 // RunUntil fires events with time <= t, then sets the clock to t. Events
 // scheduled after t remain queued. An event exactly at t fires; the
 // clock always lands exactly on t even when the queue goes empty early
 // or the head events were canceled.
-func (c *Clock) RunUntil(t Time) {
-	if c.eng != nil {
-		c.eng.RunUntil(t)
-		return
-	}
-	c.stopped = false
-	for !c.stopped && len(c.pq) > 0 {
-		next := c.pq[0]
-		if next.cancel {
-			// Canceled events are removed eagerly by Cancel, so this is
-			// defensive only: drop stragglers without touching now, so a
-			// canceled head never stalls or misorders the boundary.
-			heap.Pop(&c.pq)
-			continue
-		}
-		if next.when > t {
-			break
-		}
-		c.Step()
-	}
-	if c.now < t {
-		c.now = t
-	}
-}
+func (c *Clock) RunUntil(t Time) { c.eng.RunUntil(t) }
 
 // RunFor is shorthand for RunUntil(Now().Add(d)).
 func (c *Clock) RunFor(d Duration) { c.RunUntil(c.Now().Add(d)) }
 
 // Stop makes a Run/RunUntil in progress return after the current event.
-func (c *Clock) Stop() {
-	if c.eng != nil {
-		c.eng.Stop()
-		return
-	}
-	c.stopped = true
-}
+func (c *Clock) Stop() { c.eng.Stop() }
 
 // Sleeper is a convenience for code that wants to model a busy/blocked
 // interval: it schedules fn after d and returns the event.

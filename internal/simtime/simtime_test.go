@@ -102,6 +102,9 @@ func TestCancelAfterFireIsNoop(t *testing.T) {
 	e := c.Schedule(time.Millisecond, func() {})
 	c.Run()
 	e.Cancel() // must not panic
+	if c.Pending() != 0 || e.Canceled() {
+		t.Fatalf("cancel after fire: Pending = %d, Canceled = %v; want 0, false", c.Pending(), e.Canceled())
+	}
 }
 
 func TestRunUntilStopsAtBoundary(t *testing.T) {
@@ -322,7 +325,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// Regression: Cancel must remove the event from the heap immediately so
+// Regression: Cancel must stop counting the event immediately so
 // Pending() does not overreport — long chaos runs used to accumulate
 // dead entries until they drained.
 func TestCancelRemovesFromQueue(t *testing.T) {

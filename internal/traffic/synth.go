@@ -118,8 +118,8 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	return c
 }
 
-// Profiles returns the named synthesis presets the CLI and bench8
-// expose: the three-step SLO ladder plus the backpressure shape.
+// Profiles returns the named synthesis presets the CLI exposes: the
+// three-step SLO ladder plus the backpressure shape.
 func Profiles() []string { return []string{"uniform", "zipf", "burst", "slowclient"} }
 
 // Profile returns the preset SynthConfig for a named profile.

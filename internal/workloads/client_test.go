@@ -11,8 +11,9 @@ import (
 
 func TestLoaderLoadsAllRecords(t *testing.T) {
 	sv := Redis()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	loader := NewLoader(cl, sv.Profile(), "10.0.0.10", 500)
@@ -31,8 +32,7 @@ func TestKeyStripesDisjointAcrossKinds(t *testing.T) {
 	// Batch clients draw from the lower half, probes from the upper
 	// half; no writer shares a key with another writer.
 	prof := Redis().Profile()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	cl := core.NewShardedCluster(simtime.NewShardedClock(1), core.ClusterParams{})
 	batchSet := &ClientSet{cl: cl, prof: prof}
 	probeSet := &ClientSet{cl: cl, prof: prof}
 	mk := func(set *ClientSet, kind ClientKind, id int) *Client {
@@ -86,8 +86,9 @@ func TestClientKindMapping(t *testing.T) {
 
 func TestProbeClientVerifiesReads(t *testing.T) {
 	sv := Redis()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	set := NewClientSet(cl, sv.Profile(), "10.0.0.10", KVProbe, 2, 9)
@@ -106,8 +107,9 @@ func TestProbeClientVerifiesReads(t *testing.T) {
 // SLO judge with a clean run showing zero violation windows.
 func TestTraceClientSetReplaysTrace(t *testing.T) {
 	sv := Redis()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 
@@ -145,8 +147,9 @@ func TestTraceClientSetReplaysTrace(t *testing.T) {
 // mode produces a parseable trace that replays through the trace client.
 func TestClientSetCaptureRoundTrip(t *testing.T) {
 	sv := Redis()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	set := NewClientSet(cl, sv.Profile(), "10.0.0.10", KVProbe, 2, 9)
@@ -173,8 +176,9 @@ func TestClientSetCaptureRoundTrip(t *testing.T) {
 	}
 
 	// And the capture replays against a fresh server.
-	clock2 := simtime.NewClock()
-	cl2 := core.NewCluster(clock2, core.ClusterParams{})
+	sc2 := simtime.NewShardedClock(1)
+	clock2 := sc2.Root()
+	cl2 := core.NewShardedCluster(sc2, core.ClusterParams{})
 	sv2 := Redis()
 	sv2.Install(cl2.NewProtectedContainer("kv", "10.0.0.10", 1))
 	set2 := sv2.NewTraceClients(cl2, "10.0.0.10", back, traffic.SLO{})

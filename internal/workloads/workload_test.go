@@ -143,8 +143,9 @@ type wlEnv struct {
 
 func newWLEnv(t *testing.T, wl Workload) *wlEnv {
 	t.Helper()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer(wl.Profile().Name, "10.0.0.10", 4)
 	wl.Install(ctr)
 	return &wlEnv{clock: clock, cl: cl, ctr: ctr, wl: wl}
@@ -397,8 +398,9 @@ func min(a, b int) int {
 func TestZipfianKeysSkewed(t *testing.T) {
 	prof := Redis().Profile()
 	prof.ZipfianKeys = true
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("z", "10.0.0.10", 1)
 	sv := NewServer(prof)
 	sv.Install(ctr)
@@ -416,8 +418,9 @@ func TestZipfianKeysSkewed(t *testing.T) {
 
 func TestUniformKeysCoverStripe(t *testing.T) {
 	prof := Redis().Profile()
-	clock := simtime.NewClock()
-	cl := core.NewCluster(clock, core.ClusterParams{})
+	sc := simtime.NewShardedClock(1)
+	clock := sc.Root()
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("u", "10.0.0.10", 1)
 	sv := NewServer(prof)
 	sv.Install(ctr)
