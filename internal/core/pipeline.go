@@ -26,7 +26,12 @@ const cowRedirtyDivisor = 8
 type epochRun struct {
 	r     *Replicator
 	epoch uint64
+	// img is the checkpoint image, held until the run retires — or only
+	// until its transfer is reported lost, after which it is dead weight
+	// (a lost image is never resent) and released; full records
+	// img.Full for the measurement that outlives it.
 	img   *criu.Image
+	full  bool
 	stats criu.CheckpointStats
 
 	deps    [NumStages][]Stage
@@ -143,7 +148,7 @@ func (run *epochRun) freezeCollect() {
 	}
 
 	img, stats := r.engine.Checkpoint()
-	run.img, run.stats = img, stats
+	run.img, run.full, run.stats = img, img.Full, stats
 
 	var stop simtime.Duration
 	if r.Cfg.Opts.PipelinedTransfer {
@@ -303,7 +308,7 @@ func (run *epochRun) transfer() {
 			s.view.Xfer.SubmitReq(r.flowFor(s.idx), img2.StreamChunks(xferChunkBytes), func() {
 				s.agent.receiveState(epoch, img2)
 			}, func() {
-				r.replicaTransferDropped(epoch)
+				r.replicaTransferDropped(epoch, img2)
 			})
 		}
 		cl.Xfer.SubmitReq(r.Ctr.ID, img.StreamChunks(xferChunkBytes), func() {
@@ -316,8 +321,12 @@ func (run *epochRun) transfer() {
 			// complete the transfer stage so a stop-and-copy container is
 			// not left frozen forever waiting on a delivery that cannot
 			// happen. Output stays buffered: AwaitAck completes only via a
-			// later cumulative ack.
+			// later cumulative ack. The image itself is released now: the
+			// repair is a fresh full checkpoint, never a resend, so an
+			// isolated primary retains no image past its loss.
 			run.lossy = true
+			run.img = nil
+			img.ReleaseLost()
 			if !r.stopped {
 				r.resyncArmed = true
 				if r.resyncPendingB && epoch == r.resyncPending {
@@ -354,8 +363,10 @@ func (run *epochRun) transfer() {
 // NACK-free repair as a slot-0 drop — arm a full resync at the next
 // checkpoint (chain-global: every replica receives the baseline) —
 // without touching the pipeline run, whose transfer stage is driven by
-// slot 0 alone.
-func (r *Replicator) replicaTransferDropped(epoch uint64) {
+// slot 0 alone. The replica's clone is released like a lost slot-0
+// image.
+func (r *Replicator) replicaTransferDropped(epoch uint64, img *criu.Image) {
+	img.ReleaseLost()
 	if r.stopped {
 		return
 	}
@@ -413,7 +424,7 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 // time is known. The initial full synchronization is one-time setup;
 // Tables III/IV report steady-state incremental checkpoints.
 func (run *epochRun) recordStop() {
-	if run.img.Full || run.lossy {
+	if run.full || run.lossy {
 		return
 	}
 	r := run.r
@@ -431,7 +442,7 @@ func (run *epochRun) recordStop() {
 // record adds the per-stage samples and the timeline row once the whole
 // pipeline (through output release) has run for this epoch.
 func (run *epochRun) record() {
-	if run.img.Full || run.lossy {
+	if run.full || run.lossy {
 		return
 	}
 	r := run.r

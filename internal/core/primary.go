@@ -458,6 +458,20 @@ func (r *Replicator) FenceBackup() {
 // heal and quiesce it must drain to zero.
 func (r *Replicator) InflightEpochs() int { return len(r.inflight) }
 
+// RetainedImageBytes returns the memory-page payload held by the
+// checkpoint images of in-flight epochs. A run drops its image when the
+// transfer is lost, so on an isolated primary this stays bounded by the
+// images still queued on the link, however long the outage lasts.
+func (r *Replicator) RetainedImageBytes() int64 {
+	var n int64
+	for _, run := range r.inflight {
+		if run.img != nil {
+			n += run.img.PayloadBytes()
+		}
+	}
+	return n
+}
+
 // ReleasedEpoch returns the highest epoch whose buffered output has been
 // released to clients.
 func (r *Replicator) ReleasedEpoch() (uint64, bool) { return r.released, r.hasReleased }

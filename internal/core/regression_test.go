@@ -428,3 +428,133 @@ func TestReplCutResyncsAndDrains(t *testing.T) {
 		})
 	}
 }
+
+// TestLostImageReleaseKeepsDeltaChainIntact: a primary releases every
+// checkpoint image whose transfer is lost. Under the delta encoder the
+// lost images' frame payloads are co-owned by the encoder's bases (the
+// base of later XOR deltas, the donor of dedup references), and in a
+// chain every further replica holds its own copy; releasing a lost
+// image must free neither. A cut and heal of one replication link, with
+// delta, dedup and zero frames streaming on both sides of it, must end
+// with every replica decoding the post-heal stream hash-verified (a
+// corrupted base or donor fails verification, which NACKs into another
+// resync), holding exactly the primary's memory and every write whose
+// reply the client saw.
+func TestLostImageReleaseKeepsDeltaChainIntact(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		replicas, cut int
+	}{{"pair", 2, 0}, {"chain-cut-slot0", 3, 0}, {"chain-cut-slot1", 3, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := chainConfig(tc.replicas)
+			cfg.Opts = DeltaOpts()
+			env := newChainEnv(t, cfg, 0)
+			p := env.app.proc
+			const pages = 32
+			v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+			page := func(i int) uint64 { return v.Start + uint64(i)*simkernel.PageSize }
+			fill := func(seed byte) []byte {
+				b := make([]byte, simkernel.PageSize)
+				for j := range b {
+					b[j] = seed + byte(j*31)
+				}
+				return b
+			}
+			// Pages 0–15 take small in-place edits (XOR deltas), 16–23
+			// flip between the contents of the two template pages 28/29
+			// (dedup references), 30 alternates zero and non-zero.
+			tmplA, tmplB := fill(0xA1), fill(0xB2)
+			for i := 0; i < 16; i++ {
+				_ = p.Mem.Write(page(i), fill(byte(i)))
+			}
+			_ = p.Mem.Write(page(28), tmplA)
+			_ = p.Mem.Write(page(29), tmplB)
+
+			env.repl.Start()
+			env.clock.RunFor(500 * simtime.Millisecond)
+			client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
+			env.clock.RunFor(50 * simtime.Millisecond)
+
+			step := 0
+			run := func(d simtime.Duration) {
+				for end := env.clock.Now().Add(d); env.clock.Now() < end; step++ {
+					_ = p.Mem.Write(page(step%16)+uint64(step*37%4000), []byte{byte(step), byte(step >> 8), 0x5A})
+					if (step/8)%2 == 0 {
+						_ = p.Mem.Write(page(16+step%8), tmplA)
+					} else {
+						_ = p.Mem.Write(page(16+step%8), tmplB)
+					}
+					if step%2 == 0 {
+						_ = p.Mem.Write(page(30), make([]byte, simkernel.PageSize))
+					} else {
+						_ = p.Mem.Write(page(30), fill(byte(step)))
+					}
+					if step%4 == 0 {
+						client.send(fmt.Sprintf("SET k%d v%d", step, step))
+					}
+					env.clock.RunFor(5 * simtime.Millisecond)
+				}
+			}
+			run(300 * simtime.Millisecond)
+
+			view := env.views[tc.cut]
+			view.ReplLink.SetDown(true)
+			run(60 * simtime.Millisecond) // loses whole epochs
+			view.ReplLink.SetDown(false)
+			run(300 * simtime.Millisecond) // NACK, resync baseline, re-ack
+			if env.repl.Resyncs.Value() == 0 {
+				t.Fatal("cut lost no epochs — lost-image release not exercised")
+			}
+
+			resyncs := env.repl.Resyncs.Value()
+			delta0, dedup0 := env.repl.DeltaFrames.Value(), env.repl.DedupFrames.Value()
+			run(700 * simtime.Millisecond)
+			if got := env.repl.Resyncs.Value(); got != resyncs {
+				t.Fatalf("resyncs kept coming after the heal (%d → %d): a frame failed verification", resyncs, got)
+			}
+			if env.repl.DeltaFrames.Value() == delta0 || env.repl.DedupFrames.Value() == dedup0 {
+				t.Fatal("post-heal stream shipped no delta or dedup frames — decode path not exercised")
+			}
+
+			// Drain: stop writing, let one more checkpoint capture the last
+			// writes, then quiesce until every epoch is committed everywhere.
+			env.clock.RunFor(100 * simtime.Millisecond)
+			env.repl.Quiesce()
+			env.clock.RunFor(300 * simtime.Millisecond)
+			if n := env.repl.InflightEpochs(); n != 0 {
+				t.Fatalf("inflight after heal+quiesce = %d, want 0", n)
+			}
+			last := env.repl.Epochs() - 1
+			acked := 0
+			for _, r := range client.replies {
+				if r == "OK" {
+					acked++
+				}
+			}
+			if acked == 0 {
+				t.Fatal("client saw no acked writes")
+			}
+			for i := 0; i < env.repl.Replicas(); i++ {
+				b := env.repl.ReplicaAgent(i)
+				if com, ok := b.CommittedEpoch(); !ok || com != last {
+					t.Fatalf("replica %d committed %d (ok=%v), want the last epoch %d", i, com, ok, last)
+				}
+				for pg := 0; pg < pages; pg++ {
+					pn := page(pg) / simkernel.PageSize
+					want := p.Mem.PageData(pn)
+					got := b.store.Get(criu.PageKey(0, pn))
+					if string(got) != string(want) {
+						t.Fatalf("replica %d page %d diverged from the primary's memory", i, pg)
+					}
+				}
+				state := b.lastImage.AppState.(map[string]string)
+				for j := 0; j < acked; j++ {
+					k := fmt.Sprintf("k%d", 4*j)
+					if state[k] != fmt.Sprintf("v%d", 4*j) {
+						t.Fatalf("replica %d lost acked write %s (have %q)", i, k, state[k])
+					}
+				}
+			}
+		})
+	}
+}

@@ -15,12 +15,14 @@ const xferChunkBytes = 256 << 10
 // completion callback that fires when the last chunk is delivered, and
 // an optional drop callback that fires (once) if any chunk's delivery is
 // lost to a link outage — a half-streamed transfer must never complete.
+// settled records that the outcome is decided — delivered, lost or
+// cancelled — so at most one of done and dropped ever runs.
 type xferReq struct {
 	chunks  []int64
 	next    int
 	done    func()
 	dropped func()
-	failed  bool
+	settled bool
 }
 
 // xferFlow is one traffic source (one replicator's container, a disk
@@ -137,7 +139,7 @@ func (s *TransferScheduler) CancelFlow(id string) {
 		return
 	}
 	for _, req := range f.reqs {
-		req.failed = true
+		req.settled = true
 		req.done = nil
 		req.dropped = nil
 	}
@@ -171,7 +173,8 @@ func (s *TransferScheduler) pump() {
 		// if its last chunk happens to be delivered after the link heals.
 		d := req.done
 		done = func() {
-			if !req.failed {
+			if !req.settled {
+				req.settled = true
 				d()
 			}
 		}
@@ -180,10 +183,13 @@ func (s *TransferScheduler) pump() {
 	if req.done != nil || req.dropped != nil {
 		// Watch for the chunk being lost to a link cut. The link's own
 		// delivery event was scheduled first at the same timestamp, so it
-		// observes the same down/up state this check does.
+		// usually observes the same down/up state this check does — but a
+		// done callback (or another lane) may take the link down in
+		// between, and a delivered request must not also report a drop:
+		// its receiver already owns what it was sent.
 		s.clock.ScheduleAt(deliverAt, func() {
-			if s.link.Down() && !req.failed {
-				req.failed = true
+			if s.link.Down() && !req.settled {
+				req.settled = true
 				if req.dropped != nil {
 					req.dropped()
 				}

@@ -244,3 +244,28 @@ func TestSchedulerDropAccountingVariableChunks(t *testing.T) {
 		t.Fatalf("post-outage transfer also dropped: %d", dropCnt)
 	}
 }
+
+// done and dropped are mutually exclusive: a done callback that takes
+// the link down runs before the drop watcher of the same chunk (same
+// delivery instant), and that watcher must not then report the already
+// delivered request as lost — its receiver owns what it was sent.
+func TestSchedulerDoneThatDownsLinkNeverDrops(t *testing.T) {
+	for _, chunks := range [][]int64{{4096}, {256 << 10, 256 << 10, 1000}} {
+		clock, link, sched := newTestScheduler()
+		var doneCnt, dropCnt int
+		sched.SubmitReq("repl-1", chunks, func() {
+			doneCnt++
+			link.SetDown(true)
+		}, func() { dropCnt++ })
+		clock.RunFor(100 * simtime.Millisecond)
+		if doneCnt != 1 {
+			t.Fatalf("%d chunks: done fired %d times, want 1", len(chunks), doneCnt)
+		}
+		if dropCnt != 0 {
+			t.Fatalf("%d chunks: dropped fired %d times after done", len(chunks), dropCnt)
+		}
+		if !link.Down() {
+			t.Fatal("done callback did not take the link down")
+		}
+	}
+}

@@ -153,6 +153,39 @@ func (img *Image) Clone() *Image {
 	return &cp
 }
 
+// ReleaseLost frees the memory-page payload of an image whose transfer
+// was lost: the receiver never saw it, and a lost image is never sent
+// again (the repair is a fresh full checkpoint), so its pages are dead.
+// Verbatim page buffers belong to the image alone and go back to the
+// collector's pool. Encoded frame payloads are co-owned by the delta
+// encoder's bases, so they are only dereferenced. Never call it on a
+// delivered image: the receiver's page store owns those buffers.
+func (img *Image) ReleaseLost() {
+	for i := range img.Procs {
+		p := &img.Procs[i]
+		for _, pg := range p.Pages {
+			putPageBuf(pg.Data)
+		}
+		p.Pages, p.Frames = nil, nil
+	}
+}
+
+// PayloadBytes returns the memory-page content the image holds:
+// verbatim pages plus encoded frame data and patches.
+func (img *Image) PayloadBytes() int64 {
+	var n int64
+	for i := range img.Procs {
+		p := &img.Procs[i]
+		for _, pg := range p.Pages {
+			n += int64(len(pg.Data))
+		}
+		for _, f := range p.Frames {
+			n += int64(len(f.Data) + len(f.Delta))
+		}
+	}
+	return n
+}
+
 // DirtyPages returns the number of memory pages in the image.
 func (img *Image) DirtyPages() int {
 	n := 0

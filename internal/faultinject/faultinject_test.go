@@ -1,10 +1,12 @@
 package faultinject
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"nilicon/internal/core"
+	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
 )
 
@@ -39,6 +41,72 @@ func TestFailStopBlocksEverything(t *testing.T) {
 	clock.RunFor(simtime.Second)
 	if !repl.Backup.Recovered() {
 		t.Fatal("backup did not take over")
+	}
+}
+
+// An isolated primary keeps checkpointing into its down link, one full
+// resync image per epoch. Each image is dead from the moment its
+// transfer is lost, so across 30 virtual seconds of isolation the
+// primary may retain only what it held at the fault, the images still
+// queued on the link (plus the ≤2 chunks in flight) and the newest
+// checkpoint not yet handed to the link — never the backlog of lost
+// epochs — and the live heap stays under a fixed cap. The run takes
+// ~150 full checkpoints of 4 MiB each.
+func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
+	const (
+		mappedPages = 1024 // a 4 MiB full checkpoint per isolated epoch
+		chunkSlack  = 2 * 256 << 10
+		heapCap     = 64 << 20
+	)
+	for _, tc := range []struct {
+		name string
+		opts core.OptSet
+	}{{"all", core.AllOpts()}, {"delta", core.DeltaOpts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := simtime.NewShardedClock(1)
+			clock := sc.Root()
+			cl := core.NewShardedCluster(sc, core.ClusterParams{})
+			ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
+			p := ctr.AddProcess("app", 1)
+			v := p.Mem.Mmap(mappedPages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+			if err := p.Mem.Touch(v, 0, mappedPages, 1); err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Opts = tc.opts
+			repl := core.NewReplicator(cl, ctr, cfg)
+			repl.Start()
+			clock.RunFor(500 * simtime.Millisecond)
+
+			FailStop(repl)
+			atFault := repl.RetainedImageBytes()
+			epochs := repl.Epochs()
+			var peak int64
+			for i := 1; i <= 6000; i++ {
+				clock.RunFor(5 * simtime.Millisecond)
+				got := repl.RetainedImageBytes()
+				bound := atFault + cl.Xfer.QueuedBytes() + chunkSlack + repl.LastStats.StateBytes
+				if got > bound {
+					t.Fatalf("after %v of isolation the primary retains %d image bytes, want <= %d (%d held at the fault + queued on the link + newest checkpoint)",
+						simtime.Duration(i)*5*simtime.Millisecond, got, bound, atFault)
+				}
+				peak = max(peak, got)
+			}
+			if n := repl.Epochs() - epochs; n < 100 || repl.Resyncs.Value() < 100 {
+				t.Fatalf("isolated primary took %d checkpoints (%d full resyncs) in 30s, want it to keep checkpointing",
+					n, repl.Resyncs.Value())
+			}
+			// The whole world stays reachable through the measurement: the
+			// cap is on what the isolated primary holds, not on garbage.
+			runtime.GC()
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			runtime.KeepAlive(repl)
+			if ms.HeapInuse > heapCap {
+				t.Fatalf("heap in use %d MiB after 30s of isolation, cap %d MiB", ms.HeapInuse>>20, heapCap>>20)
+			}
+			t.Logf("isolation: peak retained %d KiB, heap in use %d MiB", peak>>10, ms.HeapInuse>>20)
+		})
 	}
 }
 
