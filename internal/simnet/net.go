@@ -2,10 +2,11 @@
 // ARP table (the virtual bridge containers attach to), point-to-point
 // links with bandwidth and latency (the dedicated 10 GbE replication
 // link), a small but real TCP implementation with sequence numbers,
-// cumulative ACKs, retransmission timers and RST semantics, TCP repair
-// mode for checkpoint/restore of established connections (§II-B), and
-// the sch_plug-style qdisc NiLiCon uses to buffer container egress and
-// block ingress during checkpoints (§II-A, §V-C).
+// cumulative ACKs, retransmission timers, fast retransmit and RST
+// semantics, TCP repair mode for checkpoint/restore of established
+// connections (§II-B), and the sch_plug-style qdisc NiLiCon uses to
+// buffer container egress and block ingress during checkpoints (§II-A,
+// §V-C).
 package simnet
 
 import (

@@ -43,10 +43,7 @@ func (sn SocketSnapshot) Size() int64 {
 // pending timers are disarmed.
 func (s *Socket) EnterRepair() {
 	s.repair = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
-	}
+	s.stopRTO()
 }
 
 // LeaveRepair exits repair mode. If repairRTOPatch is true, NiLiCon's
@@ -73,15 +70,10 @@ func (s *Socket) LeaveRepair(repairRTOPatch bool) {
 			remaining = simtime.Millisecond
 		}
 		s.wasRestore = false
-		if s.rtoTimer != nil {
-			s.rtoTimer.Cancel()
-		}
-		if len(s.sendQ) > 0 {
-			s.rtoTimer = s.stack.clock.Schedule(remaining, func() { s.retransmitAll() })
-		}
+		s.startRTO(remaining)
 		return
 	}
-	s.armRTO()
+	s.startRTO(s.rto)
 }
 
 // InRepair reports whether the socket is in repair mode.
@@ -141,6 +133,9 @@ func (st *Stack) RestoreSocket(sn SocketSnapshot) *Socket {
 	s.sndUna = sn.SndUna
 	s.sndNxt = sn.SndNxt
 	s.rcvNxt = sn.RcvNxt
+	// A restored socket is in no recovery episode: like a fresh one
+	// (recover = ISS), it may fast-retransmit at once.
+	s.recover = sn.SndUna - 1
 	s.repair = true
 	for _, sg := range sn.WriteQueue {
 		data := make([]byte, len(sg.Data))

@@ -71,10 +71,18 @@ type Socket struct {
 	// process: the "read queue".
 	recvBuf []byte
 
-	rto        simtime.Duration
+	rto simtime.Duration
+	// rtoTimer is the running retransmission (or SYN) timer; nil exactly
+	// when no timer is running.
 	rtoTimer   *simtime.Event
 	synTries   int
 	retransmit int
+	// dupAcks counts consecutive duplicate ACKs for sndUna (RFC 5681
+	// §2); recover is the ISS, then the sndNxt recorded at the last fast
+	// retransmit (RFC 6582): a socket re-enters fast retransmit only
+	// once the cumulative ACK has passed it.
+	dupAcks int
+	recover uint32
 
 	// repair marks the socket as being in TCP repair mode: no packets
 	// are emitted and state can be set directly.
@@ -236,7 +244,7 @@ func (st *Stack) Connect(remote Addr, port int, onConnect func(*Socket)) *Socket
 	s.State = StateSynSent
 	s.OnConnect = onConnect
 	iss := uint32(s.ID) * 100000
-	s.sndUna, s.sndNxt = iss, iss+1
+	s.sndUna, s.sndNxt, s.recover = iss, iss+1, iss
 	st.emit(s, FlagSYN, iss, 0, nil)
 	st.armSynTimer(s)
 	return s
@@ -251,6 +259,7 @@ func (st *Stack) allocPort() int {
 func (st *Stack) armSynTimer(s *Socket) {
 	backoff := st.RTOInitial << uint(s.synTries)
 	s.rtoTimer = st.clock.Schedule(backoff, func() {
+		s.rtoTimer = nil
 		if s.State != StateSynSent {
 			return
 		}
@@ -292,7 +301,7 @@ func (s *Socket) Send(data []byte) {
 		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk)
 		data = data[n:]
 	}
-	s.armRTO()
+	s.startRTO(s.rto)
 }
 
 // Close sends FIN after all queued data.
@@ -305,7 +314,7 @@ func (s *Socket) Close() {
 	s.sendQ = append(s.sendQ, sg)
 	s.sndNxt++
 	s.stack.emit(s, FlagFIN|FlagACK, sg.seq, s.rcvNxt, nil)
-	s.armRTO()
+	s.startRTO(s.rto)
 }
 
 // Available returns the number of unread bytes in the read queue.
@@ -344,20 +353,44 @@ func (s *Socket) UnackedBytes() int {
 	return n
 }
 
-func (s *Socket) armRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
-	if len(s.sendQ) == 0 || s.repair {
+// startRTO arms the retransmission timer to fire after d unless one is
+// already running: a send starts the timer only when none is running
+// (RFC 6298 §5.1), so data sent while earlier data is outstanding does
+// not push the timeout out. Nothing is armed for an empty write queue
+// or a socket in repair mode.
+func (s *Socket) startRTO(d simtime.Duration) {
+	if s.rtoTimer != nil || len(s.sendQ) == 0 || s.repair {
 		return
 	}
-	s.rtoTimer = s.stack.clock.Schedule(s.rto, func() { s.retransmitAll() })
+	s.rtoTimer = s.stack.clock.Schedule(d, s.onRTO)
 }
 
-func (s *Socket) retransmitAll() {
+// stopRTO cancels the retransmission timer if one is running.
+func (s *Socket) stopRTO() {
+	if s.rtoTimer != nil {
+		s.rtoTimer.Cancel()
+		s.rtoTimer = nil
+	}
+}
+
+// onRTO is the retransmission timeout: resend the write queue, back the
+// timeout off, and run the timer again.
+func (s *Socket) onRTO() {
+	s.rtoTimer = nil
 	if len(s.sendQ) == 0 || s.repair || s.State == StateClosed {
 		return
 	}
+	s.resend()
+	if s.rto < 8*simtime.Second {
+		s.rto *= 2
+	}
+	s.startRTO(s.rto)
+}
+
+// resend retransmits the whole write queue from sndUna (Go-Back-N: the
+// receiver discards out-of-order segments, so everything after a loss
+// must be sent again).
+func (s *Socket) resend() {
 	for _, sg := range s.sendQ {
 		flags := FlagACK
 		if sg.fin {
@@ -366,10 +399,19 @@ func (s *Socket) retransmitAll() {
 		s.stack.emit(s, flags, sg.seq, s.rcvNxt, sg.data)
 		s.retransmit++
 	}
-	if s.rto < 8*simtime.Second {
-		s.rto *= 2
+}
+
+// onDupAck counts a duplicate ACK and, on the third, fast-retransmits
+// the write queue (RFC 5681 §3.2) without backing off the RTO. The
+// recover point (RFC 6582) keeps the duplicates that Go-Back-N itself
+// provokes from triggering another fast retransmit before the
+// cumulative ACK passes the data outstanding at this one.
+func (s *Socket) onDupAck() {
+	s.dupAcks++
+	if s.dupAcks == 3 && seqLT(s.recover, s.sndUna) {
+		s.recover = s.sndNxt
+		s.resend()
 	}
-	s.armRTO()
 }
 
 // Retransmits returns how many segments this socket retransmitted.
@@ -404,9 +446,7 @@ func (st *Stack) sendRST(to Packet) {
 func (st *Stack) drop(s *Socket) {
 	delete(st.sockets, connKey{s.Remote, s.RemotePort, s.LocalPort})
 	delete(st.byID, s.ID)
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
+	s.stopRTO()
 }
 
 // Receive is the stack's ingress entry point.
@@ -439,7 +479,7 @@ func (st *Stack) accept(l *Listener, syn Packet) {
 	s.State = StateSynRcvd
 	s.rcvNxt = syn.Seq + 1
 	iss := uint32(s.ID)*100000 + 50000
-	s.sndUna, s.sndNxt = iss, iss+1
+	s.sndUna, s.sndNxt, s.recover = iss, iss+1, iss
 	s.acceptCb = l.OnAccept
 	st.emit(s, FlagSYN|FlagACK, iss, s.rcvNxt, nil)
 }
@@ -462,9 +502,7 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			s.rcvNxt = pkt.Seq + 1
 			s.sndUna = pkt.Ack
 			s.rto = st.RTOMin
-			if s.rtoTimer != nil {
-				s.rtoTimer.Cancel()
-			}
+			s.stopRTO()
 			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
 			if s.OnConnect != nil {
 				s.OnConnect(s)
@@ -488,9 +526,15 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 		}
 	}
 
-	// ACK processing: drop fully acknowledged segments.
-	if pkt.Flags&FlagACK != 0 && seqLT(s.sndUna, pkt.Ack) && seqLE(pkt.Ack, s.sndNxt) {
+	// ACK processing: a new ACK drops fully acknowledged segments and
+	// restarts the timer, or stops it once everything is acknowledged
+	// (RFC 6298 §5.2–5.3); a pure ACK for sndUna while data is
+	// outstanding is a duplicate.
+	switch {
+	case pkt.Flags&FlagACK == 0:
+	case seqLT(s.sndUna, pkt.Ack) && seqLE(pkt.Ack, s.sndNxt):
 		s.sndUna = pkt.Ack
+		s.dupAcks = 0
 		i := 0
 		for ; i < len(s.sendQ); i++ {
 			if seqLT(pkt.Ack, s.sendQ[i].end()) {
@@ -498,11 +542,9 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			}
 		}
 		s.sendQ = s.sendQ[i:]
+		s.stopRTO()
 		if len(s.sendQ) == 0 {
 			s.rto = st.RTOMin
-			if s.rtoTimer != nil {
-				s.rtoTimer.Cancel()
-			}
 			if s.State == StateFinWait {
 				s.State = StateClosed
 				st.drop(s)
@@ -511,9 +553,10 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 				}
 				return
 			}
-		} else {
-			s.armRTO()
 		}
+		s.startRTO(s.rto)
+	case pkt.Flags == FlagACK && len(pkt.Payload) == 0 && pkt.Ack == s.sndUna && len(s.sendQ) > 0 && !s.repair:
+		s.onDupAck()
 	}
 
 	// Data processing (in-order only; out-of-order segments are dropped
