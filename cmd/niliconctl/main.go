@@ -397,28 +397,14 @@ func (a *app) runChaos() error {
 	if opts == nil {
 		return fmt.Errorf("unknown option set %q", *a.optsName)
 	}
-	if *a.replicas > 2 {
-		// f+1 chain campaign: a witness-arbitrated chain of -replicas
-		// members through the chain fault kinds (zone-kill,
-		// witness-partition, asym-cut) and a terminal primary kill. The
-		// trace is byte-identical for any -shards/-workers value.
-		res := chaos.VerifyChainSeed(chaos.ChainConfig{
-			Seed: *a.seed, Opts: *opts, OptName: *a.optsName,
-			Replicas: *a.replicas,
-			Kills:    1,
-			Duration: simtime.Duration(*a.chaosDur),
-			Shards:   *a.shards,
-			Workers:  *a.workers,
-		})
-		fmt.Fprint(a.stdout, res.Trace)
-		if !res.Passed {
-			return fmt.Errorf("chain campaign failed (seed %d, opts %s, replicas %d)", *a.seed, *a.optsName, *a.replicas)
-		}
-		return nil
-	}
+	// -replicas > 2 runs an f+1 chain campaign: a witness-arbitrated
+	// chain through the chain fault kinds (zone-kill, witness-partition,
+	// asym-cut) and a terminal primary kill. The trace is byte-identical
+	// for any -shards/-workers value.
 	cfg := chaos.Config{
 		Seed: *a.seed, Opts: *opts, OptName: *a.optsName,
 		Duration: simtime.Duration(*a.chaosDur),
+		Replicas: *a.replicas,
 		Degrade:  a.degradePol,
 		Shards:   *a.shards,
 		Workers:  *a.workers,
@@ -438,7 +424,7 @@ func (a *app) runChaos() error {
 	res := chaos.VerifySeed(cfg)
 	fmt.Fprint(a.stdout, res.Trace)
 	if !res.Passed {
-		return fmt.Errorf("campaign failed (seed %d, opts %s)", *a.seed, *a.optsName)
+		return fmt.Errorf("campaign failed (seed %d, opts %s, replicas %d)", *a.seed, *a.optsName, cfg.Replicas)
 	}
 	return nil
 }
@@ -529,40 +515,37 @@ func (a *app) runTrafficReplay() error {
 }
 
 func (a *app) runFleet() error {
-	cfg := chaos.FleetConfig{
+	f := &chaos.Fleet{Pairs: *a.pairs, Hosts: *a.hosts, Spares: *a.spares, Kills: *a.kills}
+	cfg := chaos.Config{
 		Seed:    *a.seed,
 		Opts:    core.AllOpts(),
 		OptName: "all",
-		Pairs:   *a.pairs,
-		Workers: *a.hosts,
-		Spares:  *a.spares,
-		Kills:   *a.kills,
+		Fleet:   f,
 		Degrade: a.degradePol,
 		Shards:  *a.shards,
-
-		EngineWorkers: *a.workers,
+		Workers: *a.workers,
 	}
 	if d := simtime.Duration(*a.chaosDur); d > 0 {
 		cfg.Duration = d
 	}
 	if *a.smoke {
-		cfg.Pairs, cfg.Workers, cfg.Spares, cfg.Kills = 4, 4, 1, 1
+		f.Pairs, f.Hosts, f.Spares, f.Kills = 4, 4, 1, 1
 		cfg.Duration = 600 * simtime.Millisecond
 	}
 	// Chain flags apply after the smoke shape so the CI form
 	// `fleet -smoke -replicas 3 -zones 3` runs small chains; wider
 	// chains need one spare per zone for zone-kill re-protection.
-	cfg.Replicas, cfg.Zones = *a.replicas, *a.zones
-	if *a.smoke && cfg.Replicas > 2 && cfg.Spares < cfg.Replicas {
-		cfg.Spares = cfg.Replicas
+	cfg.Replicas, f.Zones = *a.replicas, *a.zones
+	if *a.smoke && cfg.Replicas > 2 && f.Spares < cfg.Replicas {
+		f.Spares = cfg.Replicas
 	}
-	if cfg.Pairs <= 0 || cfg.Workers < 2 {
-		return fmt.Errorf("need at least 1 pair and 2 hosts (got -pairs %d -hosts %d)", cfg.Pairs, cfg.Workers)
+	if f.Pairs <= 0 || f.Hosts < 2 {
+		return fmt.Errorf("need at least 1 pair and 2 hosts (got -pairs %d -hosts %d)", f.Pairs, f.Hosts)
 	}
-	if cfg.Workers < cfg.Replicas {
-		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", cfg.Workers, cfg.Replicas)
+	if f.Hosts < cfg.Replicas {
+		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", f.Hosts, cfg.Replicas)
 	}
-	res := chaos.VerifyFleetSeed(cfg)
+	res := chaos.VerifySeed(cfg)
 	fmt.Fprint(a.stdout, res.Trace)
 	for _, v := range res.Verdicts {
 		if v.Oracle == "determinism" {
@@ -571,7 +554,7 @@ func (a *app) runFleet() error {
 	}
 	if !res.Passed {
 		return fmt.Errorf("fleet campaign failed (seed %d, %d pairs, %d+%d hosts, %d kills)",
-			cfg.Seed, cfg.Pairs, cfg.Workers, cfg.Spares, cfg.Kills)
+			cfg.Seed, f.Pairs, f.Hosts, f.Spares, f.Kills)
 	}
 	return nil
 }

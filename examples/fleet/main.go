@@ -29,19 +29,11 @@ import (
 )
 
 func main() {
-	cfg := chaos.FleetConfig{
-		Seed:    1,
-		Opts:    core.AllOpts(),
-		OptName: "all",
-		Pairs:   8,
-		Workers: 4,
-		Spares:  2,
-		Kills:   2,
-	}
+	f := &chaos.Fleet{Pairs: 8, Hosts: 4, Spares: 2, Kills: 2}
 	fmt.Printf("fleet: %d pairs over %d workers + %d spares, %d concurrent host kills\n\n",
-		cfg.Pairs, cfg.Workers, cfg.Spares, cfg.Kills)
+		f.Pairs, f.Hosts, f.Spares, f.Kills)
 
-	res := chaos.VerifyFleetSeed(cfg)
+	res := chaos.VerifySeed(chaos.Config{Seed: 1, Opts: core.AllOpts(), OptName: "all", Fleet: f})
 
 	// The full trace is long; show the control-plane arc — schedule,
 	// host deaths, failovers, fences, re-protections — then the verdicts.
@@ -70,5 +62,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("\nall %d pairs protected again: %d failovers, every oracle green\n",
-		cfg.Pairs, res.Failovers)
+		f.Pairs, res.Failovers)
 }

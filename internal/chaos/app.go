@@ -4,9 +4,9 @@ import (
 	"strings"
 
 	"nilicon/internal/container"
-	"nilicon/internal/core"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
+	"nilicon/internal/simtime"
 )
 
 // kvApp is the campaign workload: a newline-framed "SET k v" / "GET k"
@@ -109,22 +109,20 @@ func (a *kvApp) attach(ctr *container.Container) {
 // kvClient drives the workload over a real simulated TCP connection and
 // accumulates newline-framed replies. onReply, when set, observes every
 // complete reply at its virtual arrival instant (the latency probe's
-// measurement point).
+// measurement point). A writer client also keeps each SET's send
+// instant, sentAt, and how many OKs have matched one, oks.
 type kvClient struct {
 	sock    *simnet.Socket
 	replies []string
 	partial string
 	onReply func(reply string)
-}
-
-func newKVClient(cl *core.Cluster, ip, serverIP simnet.Addr) *kvClient {
-	return newKVClientOn(cl.NewClient(ip), serverIP)
+	sentAt  []simtime.Time
+	oks     int
 }
 
 // newKVClientOn drives the workload over an already-attached client
-// stack (the fleet campaign attaches one client per pair to the shared
-// LAN).
-func newKVClientOn(st *simnet.Stack, serverIP simnet.Addr) *kvClient {
+// stack.
+func newKVClient(st *simnet.Stack, serverIP simnet.Addr) *kvClient {
 	c := &kvClient{}
 	st.Connect(serverIP, 6379, func(s *simnet.Socket) {
 		c.sock = s

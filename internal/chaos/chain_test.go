@@ -21,9 +21,9 @@ func verdict(res Result, oracle string) (Verdict, bool) {
 // most-caught-up replica, and every acknowledged write reads back.
 func TestChainKillPrimaryPreservesAckedOutput(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		res := VerifyChainSeed(ChainConfig{
+		res := VerifySeed(Config{
 			Seed: seed, Opts: core.AllOpts(), OptName: "all",
-			Replicas: 3, Kills: 1, Events: -1,
+			Replicas: 3, Terminal: TerminalKill, Events: -1,
 		})
 		requirePassed(t, res)
 		if res.Failovers != 1 {
@@ -43,9 +43,9 @@ func TestChainKillPrimaryPreservesAckedOutput(t *testing.T) {
 // lost.
 func TestChainTwoSimultaneousFailures(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
-		res := VerifyChainSeed(ChainConfig{
+		res := VerifySeed(Config{
 			Seed: seed, Opts: core.AllOpts(), OptName: "all",
-			Replicas: 3, Kills: 2, Events: -1,
+			Replicas: 3, Terminal: TerminalDoubleKill, Events: -1,
 		})
 		requirePassed(t, res)
 		if res.Failovers != 1 {
@@ -67,9 +67,9 @@ func TestChainTwoSimultaneousFailures(t *testing.T) {
 // TestChainWiderChains runs the f=1 claim at replicas=4: the chain
 // machinery is not a 3-replica special case.
 func TestChainWiderChains(t *testing.T) {
-	res := VerifyChainSeed(ChainConfig{
+	res := VerifySeed(Config{
 		Seed: 3, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 4, Kills: 2, Events: -1,
+		Replicas: 4, Terminal: TerminalDoubleKill, Events: -1,
 	})
 	requirePassed(t, res)
 	if res.Failovers != 1 {
@@ -89,9 +89,9 @@ func TestChainGeometrySweep(t *testing.T) {
 	}
 	kinds := map[string]bool{}
 	for seed := int64(1); seed <= int64(seeds); seed++ {
-		res := VerifyChainSeed(ChainConfig{
+		res := VerifySeed(Config{
 			Seed: seed, Opts: core.AllOpts(), OptName: "all",
-			Replicas: 3, Kills: 1,
+			Replicas: 3, Terminal: TerminalKill,
 		})
 		requirePassed(t, res)
 		for _, k := range []string{"zone-kill", "witness-partition", "asym-cut"} {
@@ -110,9 +110,9 @@ func TestChainGeometrySweep(t *testing.T) {
 // stop, no replica can be elected, and after the heal the chain
 // resumes and still passes data verification.
 func TestChainWitnessPartitionNobodyServes(t *testing.T) {
-	res := VerifyChainSeed(ChainConfig{
+	res := VerifySeed(Config{
 		Seed: 2, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 3, Kills: -1, Events: 1, FaultKinds: []string{"witness-partition"},
+		Replicas: 3, Terminal: TerminalNone, Events: 1, FaultKinds: []string{"witness-partition"},
 	})
 	requirePassed(t, res)
 	if res.Failovers != 0 {
@@ -127,9 +127,9 @@ func TestChainWitnessPartitionNobodyServes(t *testing.T) {
 // for promotion, but the witness still hears the primary and refuses —
 // the primary serves alone throughout.
 func TestChainAsymCutRefused(t *testing.T) {
-	res := VerifyChainSeed(ChainConfig{
+	res := VerifySeed(Config{
 		Seed: 4, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 3, Kills: -1, Events: 1, FaultKinds: []string{"asym-cut"},
+		Replicas: 3, Terminal: TerminalNone, Events: 1, FaultKinds: []string{"asym-cut"},
 	})
 	requirePassed(t, res)
 	if res.Failovers != 0 {
@@ -149,9 +149,9 @@ func TestChainAsymCutRefused(t *testing.T) {
 // been closed some other way and the witness's reason-to-exist needs
 // re-documenting.
 func TestChainPreQuorumAsymCutDualServes(t *testing.T) {
-	res := RunChain(ChainConfig{
+	res := Run(Config{
 		Seed: 4, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 3, Kills: -1, Events: 1, FaultKinds: []string{"asym-cut"},
+		Replicas: 3, Terminal: TerminalNone, Events: 1, FaultKinds: []string{"asym-cut"},
 		PreQuorum: true,
 	})
 	v, ok := verdict(res, "at-most-one-serving")
@@ -172,9 +172,9 @@ func TestChainPreQuorumAsymCutDualServes(t *testing.T) {
 // exactly the configuration the strict chain tail exists to replace
 // for f=2 — the test pins the f=1 guarantee for it.
 func TestChainQuorumRelaxedTradeoff(t *testing.T) {
-	res := VerifyChainSeed(ChainConfig{
+	res := VerifySeed(Config{
 		Seed: 6, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 3, Quorum: 1, Kills: 1, Events: -1,
+		Replicas: 3, Quorum: 1, Terminal: TerminalKill, Events: -1,
 	})
 	requirePassed(t, res)
 	if res.Failovers != 1 {

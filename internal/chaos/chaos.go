@@ -1,22 +1,32 @@
 // Package chaos is a seeded, deterministic failure-campaign engine for
-// the replication pipeline. A campaign composes a randomized schedule of
-// failures — replication/ack link cuts and heals, heartbeat-threatening
-// partitions, primary hard-kills (optionally timed mid-transfer), and
-// failover → reprotect → second-failover sequences — from a single
-// rand.Rand seed, runs it against a protected container under any
-// OptSet, and checks the design's invariants after every event:
+// the replication pipeline. A campaign is a topology × a fault schedule
+// × an oracle list (DESIGN.md §6):
 //
-//  1. no client-visible output is released before the covering
-//     checkpoint commits at the backup (output-commit, DESIGN.md §4);
-//  2. no acknowledged output is lost across a failover;
-//  3. recovery always converges, or the campaign fails loudly;
-//  4. after the faults heal and the pipeline quiesces, nothing is
+//   - the topology is one replication chain of Config.Replicas members
+//     (the classic primary/backup pair is the chain of two) or, with
+//     Config.Fleet, a host pool running many chains under the cluster
+//     control plane;
+//
+//   - the schedule is drawn from the seed (transient link faults plus a
+//     terminal phase), scripted (Config.Scenario: the split-brain
+//     geometries), or a fleet host/zone kill;
+//
+//   - the oracles check the design's invariants after every event:
+//
+//     1. no client-visible output is released before the covering
+//     checkpoint commits on the release quorum (output-commit,
+//     DESIGN.md §4);
+//     2. at most one side of a chain serves clients at any instant;
+//     3. no acknowledged output is lost across a failover;
+//     4. recovery always converges, or the campaign fails loudly;
+//     5. after the faults heal and the pipeline quiesces, nothing is
 //     retained: no in-flight epochs, no transfer-scheduler flows, no
 //     queued bytes;
-//  5. the same seed reproduces a byte-identical event trace.
+//     6. the same seed reproduces a byte-identical event trace and
+//     epoch timeline.
 //
 // Everything runs in virtual time on the simulated cluster; a campaign
-// is a pure function of (seed, options), which is what makes invariant
+// is a pure function of its Config, which is what makes invariant
 // violations found here replayable as regression tests.
 package chaos
 
@@ -24,9 +34,9 @@ import (
 	"fmt"
 	"strings"
 
-	"nilicon/internal/container"
+	"nilicon/internal/cluster"
 	"nilicon/internal/core"
-	"nilicon/internal/faultinject"
+	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
 	"nilicon/internal/traffic"
@@ -38,6 +48,10 @@ const (
 	TerminalKill            = "kill"
 	TerminalKillMidTransfer = "kill-mid-transfer"
 	TerminalReprotect       = "reprotect"
+	// TerminalDoubleKill kills the primary's host and the slot-0
+	// replica's host in the same instant: the f=2 claim, for chains of
+	// three or more.
+	TerminalDoubleKill = "double-kill"
 )
 
 // Config parameterizes one campaign.
@@ -46,32 +60,50 @@ type Config struct {
 	Opts    core.OptSet
 	OptName string
 	// Duration is the fault-injection window (virtual time) between
-	// warmup and the terminal phase. Default 1.5 s.
+	// warmup and the terminal phase. Default 1.5 s, 900 ms for a fleet;
+	// a Scenario fixes its own.
 	Duration simtime.Duration
-	// Terminal overrides the randomly drawn terminal phase ("" draws
-	// from the seed): TerminalNone, TerminalKill, TerminalKillMidTransfer
-	// or TerminalReprotect.
+
+	// Replicas is the chain width including the primary: 2 (the
+	// default) is the classic pair; more adds backup replicas, each on
+	// its own failure domain, arbitrated by a witness (DESIGN.md §15).
+	// In a fleet it is every pair's chain width, and a width above 2
+	// forces Fleet.KillZone.
+	Replicas int
+	// Quorum is core.Config.CommitQuorum: 0 gates release on the chain
+	// tail (every unfenced replica), k>0 on the k-th fastest. Only the
+	// strict default survives TerminalDoubleKill.
+	Quorum int
+	// PreQuorum omits the witness from a chain wider than a pair: every
+	// backup grants leases and self-promotes on its own staleness view —
+	// the multi-grantor hole the witness closes.
+	PreQuorum bool
+	// Fleet, when set, replaces the single chain with a host pool of
+	// many chains, whose schedule is one host (or zone) kill.
+	Fleet *Fleet
+
+	// Terminal overrides the randomly drawn terminal phase of a pair
+	// ("" draws from the seed; a chain wider than a pair defaults to
+	// TerminalKill). TerminalReprotect needs a pair and
+	// TerminalDoubleKill a wider chain.
 	Terminal string
 	// Events overrides the number of transient fault events (0 draws
 	// 2–6 from the seed; a negative value means zero events — a clean
 	// run whose only disruption is the terminal phase).
 	Events int
-	// Traffic, when set, replaces the fixed-interval writer with an
-	// open-loop replay of this trace: one TCP connection per trace
-	// client, arrivals fired at trace time regardless of completions,
-	// every reply judged against SLO. The fault window is still
-	// Duration; a trace longer than it keeps arriving through the
-	// terminal phase (a terminal kill becomes a mid-run failover),
-	// while a TerminalNone campaign wants the trace to fit inside
-	// Duration so arrivals do not bleed into the quiesce epilogue.
-	Traffic *traffic.Trace
-	// SLO configures the windowed latency judge (zero values take the
-	// traffic package defaults: p99.9 < 100 ms per 100 ms window).
-	SLO traffic.SLO
-	// SLOSlack pads the fault-injection intervals when the slo-windows
-	// oracle checks that every violation window coincides with an
-	// injected disruption. Default 500 ms.
-	SLOSlack simtime.Duration
+	// FaultKinds overrides the transient-fault kinds the schedule draws
+	// from. Nil keeps, for a pair, the legacy cut-repl/cut-ack/partition
+	// trio with its exact historical random stream and, for a wider
+	// chain, the chain geometries ("zone-kill", "witness-partition",
+	// "asym-cut"). A list may also name the sustained one-way cuts
+	// ("oneway-pb", "oneway-bp") and seeded link flapping ("flap"); the
+	// pair-era kinds act on slot 0.
+	FaultKinds []string
+	// Scenario replaces the drawn schedule with a scripted split-brain
+	// geometry (ScenarioPartitionHeal or ScenarioAckOutage) plus its
+	// post-settle policy assertions; it fixes Duration and Terminal.
+	Scenario string
+
 	// PreLease disables output-commit lease arbitration, reverting to
 	// the pre-lease detector behavior. It exists for the split-brain
 	// regression: the same seed that passes the at-most-one-serving
@@ -80,12 +112,24 @@ type Config struct {
 	// Degrade selects the lease degradation policy (StrictSafety by
 	// default; ignored under PreLease).
 	Degrade core.DegradePolicy
-	// FaultKinds overrides the transient-fault kinds the schedule draws
-	// from. Nil keeps the legacy cut-repl/cut-ack/partition trio with
-	// its exact historical random stream; a non-nil list may add the
-	// sustained one-way cuts ("oneway-pb", "oneway-bp") and seeded link
-	// flapping ("flap").
-	FaultKinds []string
+
+	// Traffic, when set, replaces the fixed-interval writer with an
+	// open-loop replay of this trace against every chain: one TCP
+	// connection per trace client, arrivals fired at trace time
+	// regardless of completions, every reply judged against SLO. A
+	// trace longer than Duration keeps arriving through the terminal
+	// phase (a terminal kill becomes a mid-run failover), while a
+	// TerminalNone campaign wants the trace to fit inside Duration so
+	// arrivals do not bleed into the quiesce epilogue.
+	Traffic *traffic.Trace
+	// SLO configures the windowed latency judge (zero values take the
+	// traffic package defaults: p99.9 < 100 ms per 100 ms window).
+	SLO traffic.SLO
+	// SLOSlack pads the disruption spans when the slo-windows oracle
+	// checks that every violation window coincides with one. Default
+	// 500 ms.
+	SLOSlack simtime.Duration
+
 	// Shards is the simulation engine's physical lane count (0 is taken
 	// as 1). Every simulated host gets its own shard regardless, so any
 	// lane count produces an identical trace for a given seed — the
@@ -99,6 +143,96 @@ type Config struct {
 	// exactly ladder order, keeping the trace byte-identical for any
 	// (Shards, Workers) combination.
 	Workers int
+}
+
+// Fleet is the host-pool topology (DESIGN.md §9): Pairs chains placed
+// over Hosts workers plus Spares, re-protected by the control plane.
+type Fleet struct {
+	// Defaults: 8 pairs over 4 hosts, 2 kills; Spares stays as given.
+	Pairs  int
+	Hosts  int
+	Spares int
+	// Kills is how many hosts die — all in the same instant. Victims are
+	// never ring-adjacent: a pair's backup sits on the next host in the
+	// placement ring, so adjacent victims would take both of a pair's
+	// hosts at once, which is outside NiLiCon's fault model (one failure
+	// per pair at a time).
+	Kills int
+	// Zones is the number of failure domains for zone-anti-affine chain
+	// placement (cluster.Params.Zones).
+	Zones int
+	// KillZone replaces the Kills independent host victims with an
+	// entire failure domain drawn from the seed: every host in the
+	// chosen zone — workers and spares — dies in the same instant.
+	KillZone bool
+}
+
+func (cfg *Config) defaults() {
+	if cfg.OptName == "" {
+		cfg.OptName = "custom"
+	}
+	if cfg.Replicas < 2 {
+		cfg.Replicas = 2
+	}
+	if f := cfg.Fleet; f != nil {
+		// Default a copy: callers may share one Fleet across configs.
+		fc := *f
+		cfg.Fleet = &fc
+		fc.defaults(cfg.Replicas)
+		if cfg.Duration <= 0 {
+			cfg.Duration = 900 * simtime.Millisecond
+		}
+		return
+	}
+	switch cfg.Scenario {
+	case "":
+	case ScenarioPartitionHeal:
+		cfg.Duration, cfg.Terminal = sbPartitionRun, TerminalNone
+	case ScenarioAckOutage:
+		cfg.Duration, cfg.Terminal = sbAckRun, TerminalNone
+	default:
+		panic("chaos: unknown split-brain scenario " + cfg.Scenario)
+	}
+	if cfg.Replicas > 2 && cfg.Terminal == "" {
+		cfg.Terminal = TerminalKill
+	}
+	if cfg.Replicas > 2 && cfg.FaultKinds == nil {
+		cfg.FaultKinds = []string{"zone-kill", "witness-partition", "asym-cut"}
+	}
+	if cfg.Duration <= 0 {
+		cfg.Duration = 1500 * simtime.Millisecond
+	}
+}
+
+func (f *Fleet) defaults(replicas int) {
+	if f.Pairs <= 0 {
+		f.Pairs = 8
+	}
+	if f.Hosts <= 0 {
+		f.Hosts = 4
+	}
+	if f.Spares < 0 {
+		f.Spares = 0
+	}
+	if f.Kills <= 0 {
+		f.Kills = 2
+	}
+	if f.Zones < 1 {
+		f.Zones = 1
+	}
+	// Zone anti-affinity is what guarantees a single instant takes at
+	// most one host from any chain, which the convergence accounting
+	// (and the fault model: f failures spread across domains, not two
+	// hosts of one chain) depends on.
+	if replicas > 2 {
+		f.KillZone = true
+		if f.Zones < replicas {
+			f.Zones = replicas
+		}
+	}
+	if f.KillZone && f.Zones < 2 {
+		f.Zones = 2
+	}
 }
 
 // Verdict is one oracle's outcome.
@@ -116,11 +250,11 @@ type Result struct {
 	Passed   bool
 	Verdicts []Verdict
 	// Trace is the canonical event trace; byte-identical across runs of
-	// the same (seed, options).
+	// the same Config.
 	Trace string
 	// TimelineCSV is the per-epoch trace.Timeline rendered as CSV —
-	// the second artifact the shard-parity oracle compares byte for
-	// byte between engine configurations.
+	// the second artifact the determinism and shard-parity oracles
+	// compare byte for byte.
 	TimelineCSV string
 
 	// Campaign counters.
@@ -144,82 +278,81 @@ const (
 	settleAfter  = 400 * simtime.Millisecond
 	quiesceAfter = 600 * simtime.Millisecond
 	convergeIn   = 3 * simtime.Second
+
+	// A fleet warms up longer (many initial syncs share each NIC) and
+	// converges slower (rolling re-protection under admission control).
+	fleetWarmup     = 600 * simtime.Millisecond
+	fleetConvergeIn = 6 * simtime.Second
 )
 
 type campaign struct {
-	cfg   Config
-	clock *simtime.Clock
-	cl    *core.Cluster
-	ctr   *container.Container
-	app   *kvApp
-	repl  *core.Replicator
-	cli   *kvClient
-
+	cfg      Config
 	sched    schedule
+	clock    *simtime.Clock
 	trace    strings.Builder
 	timeline *trace.Timeline
 	verdicts []Verdict
 
-	keysSent    int
-	ackedAtStop int
+	warmup, convergeIn simtime.Duration
 
-	recovered   bool
+	// Chain topology (cfg.Fleet == nil). repl is the current replicator
+	// generation: a pair's reprotect terminal replaces it.
+	app  *kvApp
+	repl *core.Replicator
+	wit  *core.Witness
+
+	// Fleet topology (cfg.Fleet != nil).
+	pool  *cluster.Fleet
+	audit fleetAudit
+
+	// The writer: one client per chain, sent[g] SETs issued so far.
+	clients []*kvClient
+	sent    []int
+	acked   int
+	latency metrics.Stream
+	// traffic replaces the writer under cfg.Traffic.
+	traffic   *trafficDriver
+	sloReport *traffic.Report
+
 	recoveredAt simtime.Time
 	failovers   int
 	replays     []*core.ReplayStats
-
-	// Traffic mode (cfg.Traffic != nil). killDrains[i] is when the
-	// client-visible backlog from kill i finished draining — the real
-	// end of that disruption from the clients' point of view.
-	traffic     *trafficDriver
+	// kills[i] is when kill i struck; killDrains[i] when the
+	// client-visible backlog it caused finished draining — the real end
+	// of that disruption from the clients' point of view.
 	kills       []simtime.Time
 	killDrains  []simtime.Time
 	killPending bool
-	sloReport   *traffic.Report
 
-	ocChecks     int
-	ocViolations int
-	ocDetail     string
-
-	svChecks     int
-	svViolations int
-	svDetail     string
-
-	// postSettle, when set, runs after the TerminalNone heal-and-settle
-	// window, before data verification. The scripted split-brain
-	// campaigns use it for policy assertions and the
-	// unprotected-pair re-protection step.
-	postSettle func()
-
-	oracleTicker *simtime.Ticker
+	outputCommit, serving sampled
 }
 
 // Run executes one campaign and returns its result.
 func Run(cfg Config) Result {
-	if cfg.Duration <= 0 {
-		cfg.Duration = 1500 * simtime.Millisecond
-	}
-	if cfg.OptName == "" {
-		cfg.OptName = "custom"
-	}
-	c := &campaign{cfg: cfg}
-	c.sched = drawSchedule(cfg)
+	cfg.defaults()
+	c := &campaign{cfg: cfg, sched: drawSchedule(cfg)}
 	c.build()
 	c.emitHeader()
 	c.execute()
 	return c.finish()
 }
 
-// VerifySeed runs the campaign twice and adds the determinism oracle:
-// the two traces must be byte-identical. The first run's result (with
-// the extra verdict) is returned.
+// VerifySeed runs the campaign twice and adds the determinism oracle.
 func VerifySeed(cfg Config) Result {
-	a := Run(cfg)
-	b := Run(cfg)
-	ok := a.Trace == b.Trace
+	return withDeterminism(Run(cfg), Run(cfg))
+}
+
+// withDeterminism adds the determinism oracle to run a: a second run of
+// the same Config must reproduce its trace and its epoch timeline byte
+// for byte.
+func withDeterminism(a, b Result) Result {
+	ok := a.Trace == b.Trace && a.TimelineCSV == b.TimelineCSV
 	detail := "two runs produced byte-identical traces"
-	if !ok {
+	switch {
+	case a.Trace != b.Trace:
 		detail = fmt.Sprintf("trace mismatch: run1 %d bytes, run2 %d bytes", len(a.Trace), len(b.Trace))
+	case !ok:
+		detail = fmt.Sprintf("timeline mismatch: run1 %d bytes, run2 %d bytes", len(a.TimelineCSV), len(b.TimelineCSV))
 	}
 	a.Verdicts = append(a.Verdicts, Verdict{Oracle: "determinism", OK: ok, Detail: detail})
 	a.Passed = a.Passed && ok
@@ -240,18 +373,35 @@ func newEngine(shards, workers int) *simtime.ShardedClock {
 
 func (c *campaign) build() {
 	sc := newEngine(c.cfg.Shards, c.cfg.Workers)
+	if c.cfg.Fleet != nil {
+		c.buildFleet(sc)
+		return
+	}
+	c.warmup, c.convergeIn = warmup, convergeIn
 	c.clock = sc.Root()
-	c.cl = core.NewShardedCluster(sc, core.ClusterParams{})
-	c.ctr = c.cl.NewProtectedContainer("chaos", "10.0.0.10", 1)
-	c.app = newKVApp(c.ctr)
+	views := core.NewShardedChainViews(sc, core.ClusterParams{}, c.cfg.Replicas)
+	ctr := views[0].NewProtectedContainer("chaos", "10.0.0.10", 1)
+	c.app = newKVApp(ctr)
 	c.timeline = &trace.Timeline{}
+	c.repl = core.NewChainReplicator(views, ctr, c.replConfig())
+	c.repl.Timeline = c.timeline
+	if c.cfg.Replicas > 2 && !c.cfg.PreQuorum {
+		c.wit = core.AttachWitness(c.repl, 0, 0)
+	}
+}
 
+// replConfig is the replicator configuration of every chain generation
+// the campaign builds. Campaigns run with lease arbitration on by
+// default: every schedule doubles as a regression for the lease path,
+// and the at-most-one-serving oracle holds by protocol rather than by
+// luck. On a chain the witness becomes the sole grantor; PreQuorum
+// keeps the per-slot two-party leases precisely to show they are not
+// enough.
+func (c *campaign) replConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Opts = c.cfg.Opts
-	// Campaigns run with lease arbitration on by default: every
-	// pre-existing schedule doubles as a regression for the lease path,
-	// and the at-most-one-serving oracle holds by protocol rather than
-	// by luck. PreLease is the escape hatch for the dual-primary demo.
+	cfg.Replicas = c.cfg.Replicas
+	cfg.CommitQuorum = c.cfg.Quorum
 	if !c.cfg.PreLease {
 		cfg.Lease = core.DefaultLease()
 		cfg.Degrade = c.cfg.Degrade
@@ -261,23 +411,31 @@ func (c *campaign) build() {
 		c.app.attach(rc)
 	}
 	cfg.OnRecovered = c.onRecovered
-	c.repl = core.NewReplicator(c.cl, c.ctr, cfg)
-	c.repl.Timeline = c.timeline
+	return cfg
 }
 
 // onRecovered records a completed failover. In replay mode every
 // recovery carries replay stats; the replay-divergence verdict in
 // finish checks them against the recorded egress digests.
 func (c *campaign) onRecovered(rc core.RestoredContainer, stats core.RecoveryStats) {
-	c.recovered = true
 	c.recoveredAt = c.clock.Now()
 	c.killPending = false
 	c.failovers++
-	c.eventf("recovered epoch=%d detect=%d", stats.CommittedEpoch, int64(stats.DetectedAt))
+	slot := ""
+	if c.cfg.Replicas > 2 {
+		i := 0
+		for i < c.repl.Replicas() && !c.repl.ReplicaAgent(i).Recovered() {
+			i++
+		}
+		if i == c.repl.Replicas() {
+			i = -1
+		}
+		slot = fmt.Sprintf(" slot=%d", i)
+	}
+	c.eventf("recovered%s epoch=%d detect=%d", slot, stats.CommittedEpoch, int64(stats.DetectedAt))
 	if c.cfg.Opts.RecordReplay {
 		c.replays = append(c.replays, stats.Replay)
-		if stats.Replay != nil {
-			r := stats.Replay
+		if r := stats.Replay; r != nil {
 			c.eventf("replay from=%d through=%d segments=%d events=%d bytes=%d diverged=%v",
 				r.From, r.Through, r.Segments, r.Events, r.Bytes, r.Diverged)
 		}
@@ -293,8 +451,27 @@ func (c *campaign) emitHeader() {
 	if c.cfg.PreLease {
 		lease = "off"
 	}
-	fmt.Fprintf(&c.trace, "chaos seed=%d opts=%s duration=%s terminal=%s lease=%s degrade=%s\n",
-		c.cfg.Seed, c.cfg.OptName, c.cfg.Duration, c.sched.terminal, lease, c.cfg.Degrade)
+	switch {
+	case c.pool != nil:
+		f := c.cfg.Fleet
+		fmt.Fprintf(&c.trace, "chaos-fleet seed=%d opts=%s pairs=%d workers=%d spares=%d replicas=%d zones=%d duration=%s lease=%s degrade=%s\n",
+			c.cfg.Seed, c.cfg.OptName, f.Pairs, f.Hosts, f.Spares, c.cfg.Replicas, f.Zones, c.cfg.Duration, lease, c.cfg.Degrade)
+		zone := ""
+		if c.sched.zone >= 0 {
+			zone = fmt.Sprintf(" zone=%d", c.sched.zone)
+		}
+		fmt.Fprintf(&c.trace, "sched kill-at=%d%s victims=%v\n", int64(c.sched.killAt), zone, c.sched.victims)
+	case c.cfg.Replicas > 2:
+		witness := "on"
+		if c.wit == nil {
+			witness = "off"
+		}
+		fmt.Fprintf(&c.trace, "chaos-chain seed=%d opts=%s replicas=%d quorum=%d kills=%d duration=%s witness=%s\n",
+			c.cfg.Seed, c.cfg.OptName, c.cfg.Replicas, c.repl.Quorum(), c.hostKills(), c.cfg.Duration, witness)
+	default:
+		fmt.Fprintf(&c.trace, "chaos seed=%d opts=%s duration=%s terminal=%s lease=%s degrade=%s\n",
+			c.cfg.Seed, c.cfg.OptName, c.cfg.Duration, c.sched.terminal, lease, c.cfg.Degrade)
+	}
 	if tr := c.cfg.Traffic; tr != nil {
 		slo := c.cfg.SLO.WithDefaults()
 		fmt.Fprintf(&c.trace, "traffic name=%s reqs=%d clients=%d keys=%d dur=%s slo=p%v<%s/%s\n",
@@ -304,107 +481,180 @@ func (c *campaign) emitHeader() {
 	for _, ev := range c.sched.events {
 		fmt.Fprintf(&c.trace, "sched at=%d kind=%s for=%d\n", int64(ev.At), ev.Kind, int64(ev.For))
 	}
+	if c.cfg.Scenario != "" {
+		fmt.Fprintf(&c.trace, "splitbrain scenario=%s\n", c.cfg.Scenario)
+	}
+}
+
+// hostKills is how many hosts a chain's terminal phase kills (-1 for
+// none), as the chain header and the acked-output verdict report it.
+func (c *campaign) hostKills() int {
+	switch c.sched.terminal {
+	case TerminalNone:
+		return -1
+	case TerminalDoubleKill:
+		return 2
+	}
+	return 1
+}
+
+// groups is how many chains the campaign protects: one, or one per
+// fleet pair.
+func (c *campaign) groups() int {
+	if c.pool != nil {
+		return len(c.pool.Pairs)
+	}
+	return 1
+}
+
+// eachGroup visits every chain's current replicator generation. who
+// prefixes violation details; live marks a fleet pair with an active
+// replicator generation (output-commit applies only to those).
+func (c *campaign) eachGroup(fn func(who string, r *core.Replicator, live bool)) {
+	if c.pool == nil {
+		fn("", c.repl, true)
+		return
+	}
+	for _, pr := range c.pool.Pairs {
+		fn("pair="+pr.ID+" ", pr.Repl, pr.State == cluster.Protected || pr.State == cluster.Resyncing)
+	}
 }
 
 // execute drives the campaign through its phases in virtual time.
 func (c *campaign) execute() {
-	c.repl.Start()
-
+	if c.pool != nil {
+		c.pool.Start()
+	} else {
+		c.repl.Start()
+	}
 	// Output-commit and at-most-one-serving oracles: sampled
 	// continuously; the pipeline also enforces output-commit with a
 	// panic, so a violation cannot slip through between samples
 	// unnoticed.
-	c.oracleTicker = simtime.NewTicker(c.clock, simtime.Millisecond, func() {
-		c.checkOutputCommit()
-		c.checkServing()
-		if c.traffic != nil {
-			c.sampleTraffic()
-		}
-	})
-
-	writeUntil := warmup + c.cfg.Duration
+	oracle := simtime.NewTicker(c.clock, simtime.Millisecond, c.sample)
 	if c.cfg.Traffic != nil {
-		// Trace-driven open-loop replay (traffic.go) instead of the
-		// fixed-interval writer. The fault window stays cfg.Duration; a
-		// trace longer than it keeps arriving straight through the
-		// terminal phase — that is what makes a terminal kill a mid-run
-		// failover from the clients' point of view.
 		c.startTraffic()
 	} else {
-		// Writer: one unique SET every 10 ms over a real TCP connection.
-		// Connect before the first epoch boundary: the unoptimized
-		// configuration drops input (firewall rules, §V-C) during its long
-		// stop phases, and a SYN that keeps missing the short open windows
-		// may never get through — the campaign needs an established
-		// connection under every option set.
-		c.clock.Schedule(simtime.Millisecond, func() {
-			c.cli = newKVClient(c.cl, "10.0.0.1", "10.0.0.10")
-		})
-		var writer *simtime.Ticker
-		c.clock.Schedule(warmup, func() {
-			writer = simtime.NewTicker(c.clock, writeEvery, func() {
-				if simtime.Duration(c.clock.Now()) >= writeUntil {
-					writer.Stop()
-					return
-				}
-				// Under the unoptimized configuration the first full
-				// checkpoint freezes the container for hundreds of
-				// milliseconds, so the handshake may still be buffered when
-				// the writer starts; skip ticks until the connection is up
-				// (virtual time only — stays deterministic).
-				if c.cli.sock == nil {
-					return
-				}
-				c.cli.send(fmt.Sprintf("SET k%d v%d", c.keysSent, c.keysSent))
-				c.keysSent++
-			})
-		})
+		c.startWriter()
 	}
-
-	// Transient fault events, drawn entirely up front from the seed.
-	for _, ev := range c.sched.events {
-		ev := ev
-		c.clock.ScheduleAt(simtime.Time(ev.At), func() {
-			c.inject(ev)
-		})
-	}
-
-	c.clock.RunUntil(simtime.Time(writeUntil + terminalGap))
-	if c.traffic != nil {
-		c.keysSent = c.traffic.rep.Issued()
-		c.ackedAtStop = c.traffic.judge.Completions()
-		c.eventf("traffic-fault-window-end issued=%d completed=%d outstanding=%d queued=%d",
-			c.keysSent, c.ackedAtStop, c.traffic.rep.Outstanding(), c.traffic.rep.QueuedClientSide())
+	if c.pool != nil {
+		c.scheduleHostKill()
 	} else {
-		c.ackedAtStop = c.cli.okReplies()
-		c.eventf("writer-stopped sent=%d acked=%d", c.keysSent, c.ackedAtStop)
+		for _, ev := range c.sched.events {
+			c.clock.ScheduleAt(simtime.Time(ev.At), func() { c.inject(ev) })
+		}
 	}
 
-	// Closely spaced replication-link cuts can legitimately trip the
-	// failure detector (heartbeats gone > 3 intervals across two cuts);
-	// such an unplanned failover is a valid system response, and the
-	// terminal phase adapts: there is no primary left to kill.
+	c.clock.RunUntil(simtime.Time(c.warmup + c.cfg.Duration + terminalGap))
+	if d := c.traffic; d != nil {
+		issued, outstanding, queued := d.load()
+		if c.pool != nil {
+			c.eventf("traffic-fault-window-end issued=%d completed=%d", issued, d.judge.Completions())
+		} else {
+			c.eventf("traffic-fault-window-end issued=%d completed=%d outstanding=%d queued=%d",
+				issued, d.judge.Completions(), outstanding, queued)
+		}
+	} else {
+		for _, cli := range c.clients {
+			c.acked += cli.okReplies()
+		}
+		stopped := "writer-stopped"
+		if c.pool != nil {
+			stopped = "writers-stopped"
+		}
+		c.eventf("%s sent=%d acked=%d", stopped, sum(c.sent), c.acked)
+	}
+
+	if c.pool != nil {
+		c.awaitFleetConvergence()
+	} else {
+		c.terminal()
+	}
+
+	// Read-back verification runs with the survivors still serving; for
+	// a no-terminal campaign replication is still active, so the GET
+	// replies themselves traverse the output-commit path.
+	if c.traffic != nil {
+		c.verifyTrafficData()
+	} else {
+		c.verifyWrites()
+	}
+	switch {
+	case c.pool != nil:
+		c.quiesceDrain()
+	case c.sched.terminal != TerminalNone:
+	case c.failovers == 0:
+		c.quiesceDrain()
+	case c.cfg.Replicas == 2:
+		c.eventf("drain-skipped failovers=%d", c.failovers)
+	}
+	if c.traffic != nil {
+		c.finishTraffic()
+	}
+	oracle.Stop()
+}
+
+// startWriter connects one client per chain before the first epoch
+// boundary — the unoptimized configuration drops input (firewall rules,
+// §V-C) during its long stop phases, and a SYN that keeps missing the
+// short open windows may never get through — and from warmup sends each
+// chain one unique SET every 10 ms. Every OK's latency from its SET is
+// recorded (the RunLatency probe's measurement).
+func (c *campaign) startWriter() {
+	n := c.groups()
+	c.clients = make([]*kvClient, n)
+	c.sent = make([]int, n)
+	c.clock.Schedule(simtime.Millisecond, func() {
+		for g := range c.clients {
+			cli := c.dial(g, c.clientIP(writerClient, g, 0))
+			cli.onReply = func(reply string) {
+				if reply == "OK" && cli.oks < len(cli.sentAt) {
+					c.latency.Add(c.clock.Now().Sub(cli.sentAt[cli.oks]).Seconds() * 1000)
+					cli.oks++
+				}
+			}
+			c.clients[g] = cli
+		}
+	})
+	writeUntil := c.warmup + c.cfg.Duration
+	var writer *simtime.Ticker
+	c.clock.Schedule(c.warmup, func() {
+		writer = simtime.NewTicker(c.clock, writeEvery, func() {
+			if simtime.Duration(c.clock.Now()) >= writeUntil {
+				writer.Stop()
+				return
+			}
+			for g, cli := range c.clients {
+				// A long first full checkpoint can freeze the container
+				// with the handshake still buffered; skip ticks until the
+				// connection is up (virtual time only — deterministic).
+				if cli.sock == nil {
+					continue
+				}
+				cli.sentAt = append(cli.sentAt, c.clock.Now())
+				cli.send(fmt.Sprintf("SET k%d v%d", c.sent[g], c.sent[g]))
+				c.sent[g]++
+			}
+		})
+	})
+}
+
+// terminal runs a chain's terminal phase. Closely spaced replication
+// cuts can legitimately trip the failure detector (heartbeats gone > 3
+// intervals across two cuts); such an unplanned failover is a valid
+// system response, and the terminal phase adapts: there is no primary
+// left to kill.
+func (c *campaign) terminal() {
 	switch c.sched.terminal {
 	case TerminalNone:
-		faultinject.Heal(c.repl)
+		c.healAll()
 		c.eventf("final-heal")
 		c.clock.RunFor(settleAfter)
-		if c.postSettle != nil {
-			c.postSettle()
-		}
-	case TerminalKill:
-		if c.failovers == 0 {
-			c.kill("terminal-kill")
-			c.awaitRecovery()
-		} else {
-			c.eventf("terminal-kill-skipped already-failed-over")
-		}
-	case TerminalKillMidTransfer:
-		if c.failovers == 0 {
-			c.killMidTransfer()
-			c.awaitRecovery()
-		} else {
-			c.eventf("terminal-kill-skipped already-failed-over")
+		switch c.cfg.Scenario {
+		case ScenarioPartitionHeal:
+			c.afterPartitionHeal()
+		case ScenarioAckOutage:
+			c.afterAckOutage()
 		}
 	case TerminalReprotect:
 		done := c.failovers > 0
@@ -415,79 +665,28 @@ func (c *campaign) execute() {
 		if done {
 			c.reprotectCycle()
 		}
-	}
-
-	// Read-back verification runs with the survivor still serving; for
-	// the no-terminal campaign replication is still active, so the GET
-	// replies themselves traverse the output-commit path.
-	if c.traffic != nil {
-		c.verifyTrafficData()
-	} else {
-		c.verifyData()
-	}
-	if c.sched.terminal == TerminalNone {
-		if c.failovers == 0 {
-			c.quiesceDrain()
-		} else {
-			c.eventf("drain-skipped failovers=%d", c.failovers)
+	default:
+		if c.failovers > 0 {
+			c.eventf("terminal-kill-skipped already-failed-over")
+			return
 		}
-	}
-	if c.traffic != nil {
-		c.finishTraffic()
-	}
-	c.oracleTicker.Stop()
-}
-
-func (c *campaign) inject(ev event) {
-	switch ev.Kind {
-	case "cut-repl":
-		faultinject.CutRepl(c.repl)
-	case "cut-ack":
-		faultinject.CutAck(c.repl)
-	case "partition":
-		faultinject.Partition(c.repl)
-	case "oneway-pb":
-		faultinject.CutPrimaryToBackup(c.repl)
-	case "oneway-bp":
-		faultinject.CutBackupToPrimary(c.repl)
-	case "flap":
-		// The burst schedules its own seeded toggles and ends healed
-		// inside ev.For; the trailing heal below is a harmless no-op that
-		// keeps the event lifecycle uniform in the trace. The salt keeps
-		// multiple flap events in one campaign decorrelated while staying
-		// a pure function of (seed, schedule).
-		faultinject.FlapLinks(c.repl, c.cfg.Seed^int64(ev.At), ev.For)
-	}
-	c.eventf("%s for=%d", ev.Kind, int64(ev.For))
-	c.clock.Schedule(ev.For, func() {
-		faultinject.Heal(c.repl)
-		c.eventf("heal after=%s", ev.Kind)
-	})
-}
-
-func (c *campaign) kill(label string) {
-	c.kills = append(c.kills, c.clock.Now())
-	c.killPending = true
-	faultinject.HardKill(c.repl)
-	// The dead host schedules nothing further: without this, the killed
-	// replicator's epoch engine would keep checkpointing the stopped
-	// container into the cut link forever.
-	c.repl.Quiesce()
-	c.eventf("%s epoch=%d", label, c.repl.Epochs())
-}
-
-// killMidTransfer waits (in virtual time) for bytes to be queued on the
-// transfer scheduler — i.e. a checkpoint image actually streaming — and
-// kills the primary at that instant.
-func (c *campaign) killMidTransfer() {
-	for i := 0; i < 400; i++ {
-		if c.cl.Xfer.QueuedBytes() > 0 {
-			break
+		if c.sched.terminal == TerminalKillMidTransfer {
+			c.awaitTransfer()
 		}
+		c.kill("terminal-kill")
+		c.awaitRecovery()
+	}
+}
+
+// awaitTransfer waits (in virtual time) for bytes to be queued on the
+// transfer scheduler — a checkpoint image actually streaming — so the
+// kill that follows lands mid-transfer.
+func (c *campaign) awaitTransfer() {
+	xfer := c.repl.Cluster.Xfer
+	for i := 0; i < 400 && xfer.QueuedBytes() == 0; i++ {
 		c.clock.RunFor(500 * simtime.Microsecond)
 	}
-	c.eventf("mid-transfer queued=%d", c.cl.Xfer.QueuedBytes())
-	c.kill("terminal-kill")
+	c.eventf("mid-transfer queued=%d", xfer.QueuedBytes())
 }
 
 // awaitRecovery runs the clock until failover completes; a recovery
@@ -507,30 +706,8 @@ func (c *campaign) awaitRecovery() bool {
 	return ok
 }
 
-// quiesceDrain is the no-terminal epilogue: with everything healed and
-// the backlog drained, stop new epochs and assert that the pipeline
-// retains nothing.
-func (c *campaign) quiesceDrain() {
-	c.repl.Quiesce()
-	c.eventf("quiesce epoch=%d", c.repl.Epochs())
-	c.clock.RunFor(quiesceAfter)
-
-	inflight := c.repl.InflightEpochs()
-	flows := c.cl.Xfer.Flows()
-	queued := c.cl.Xfer.QueuedBytes()
-	ok := inflight == 0 && flows == 0 && queued == 0
-	c.verdicts = append(c.verdicts, Verdict{
-		Oracle: "drain-to-zero", OK: ok,
-		Detail: fmt.Sprintf("inflight=%d flows=%d queued=%d after quiesce", inflight, flows, queued),
-	})
-	rel, relOK := c.repl.ReleasedEpoch()
-	com, comOK := c.repl.Backup.CommittedEpoch()
-	c.eventf("drained inflight=%d flows=%d queued=%d released=%d/%v committed=%d/%v",
-		inflight, flows, queued, rel, relOK, com, comOK)
-}
-
-// reprotectCycle re-protects the restored container on the repaired
-// original host and then fails it over a second time.
+// reprotectCycle re-protects a pair's restored container on the
+// repaired original host and then fails it over a second time.
 func (c *campaign) reprotectCycle() {
 	restored := c.repl.Backup.RestoredCtr
 	if restored == nil {
@@ -539,26 +716,13 @@ func (c *campaign) reprotectCycle() {
 		return
 	}
 	c.clock.RunFor(200 * simtime.Millisecond)
-	faultinject.Heal(c.repl)
-
-	cfg2 := core.DefaultConfig()
-	cfg2.Opts = c.cfg.Opts
-	if !c.cfg.PreLease {
-		cfg2.Lease = core.DefaultLease()
-		cfg2.Degrade = c.cfg.Degrade
-	}
-	cfg2.Reattach = func(rc core.RestoredContainer, state any) {
-		c.app.RestoreState(state)
-		c.app.attach(rc)
-	}
-	cfg2.OnRecovered = c.onRecovered
-	_, repl2, err := core.Reprotect(c.cl, restored, cfg2)
+	c.healAll()
+	_, repl2, err := core.Reprotect(c.repl.Cluster, restored, c.replConfig())
 	if err != nil {
 		c.verdicts = append(c.verdicts, Verdict{Oracle: "convergence", OK: false,
 			Detail: "reprotect: " + err.Error()})
 		return
 	}
-	c.cl = repl2.Cluster
 	c.repl = repl2
 	repl2.Timeline = c.timeline
 	repl2.Start()
@@ -569,148 +733,45 @@ func (c *campaign) reprotectCycle() {
 	c.awaitRecovery()
 }
 
-// checkOutputCommit samples invariant (1): the highest epoch whose
-// buffered output was released never exceeds the backup's committed
-// epoch.
-func (c *campaign) checkOutputCommit() {
-	rel, relOK := c.repl.ReleasedEpoch()
-	if !relOK {
-		return
-	}
-	c.ocChecks++
-	com, comOK := c.repl.Backup.CommittedEpoch()
-	if !comOK || rel > com {
-		c.ocViolations++
-		if c.ocDetail == "" {
-			c.ocDetail = fmt.Sprintf("released=%d committed=%d/%v at t=%d", rel, com, comOK, int64(c.clock.Now()))
-		}
-	}
-}
-
-// checkServing samples the split-brain invariant: at every simulated
-// instant at most one replica of the pair releases output to clients.
-// The predicate reads the current replicator generation — after a
-// reprotect the previously promoted container is that generation's
-// primary, so the old generation's agents are out of the picture.
-func (c *campaign) checkServing() {
-	c.svChecks++
-	n := 0
-	if c.repl.Serving() {
-		n++
-	}
-	if c.repl.Backup.Serving() {
-		n++
-	}
-	if n > 1 {
-		c.svViolations++
-		if c.svDetail == "" {
-			c.svDetail = fmt.Sprintf("primary and promoted backup both serving at t=%d lease=%s",
-				int64(c.clock.Now()), c.repl.LeaseState())
-		}
-	}
-}
-
-// verifyData is invariant (2): every write the client sent was either
-// acknowledged (and must survive) or sits in the client's TCP send
-// queue and is retransmitted to the (possibly restored) server before
-// the trailing GETs — so every key must read back its value.
-func (c *campaign) verifyData() {
-	if c.cli == nil || c.keysSent == 0 {
-		return
-	}
-	if !c.cfg.Opts.PlugInput {
-		// Firewall-mode input blocking (§V-C) drops packets during every
-		// stop phase; with the stop phases dominating the epoch and the
-		// client's RTO backing off to seconds, segments take unbounded
-		// virtual time to land in an open window. That multi-second
-		// client-visible latency is exactly the deficiency PlugInput
-		// fixes — data-path verification needs a configuration that
-		// buffers instead of drops.
-		c.verdicts = append(c.verdicts, Verdict{Oracle: "acked-output", OK: true,
-			Detail: "skipped: firewall input blocking drops client segments for seconds-long RTO backoffs"})
-		return
-	}
-	// Let retransmissions settle, then read everything back on the same
-	// connection: TCP FIFO ordering puts the GETs after every SET.
-	c.clock.RunFor(2 * simtime.Second)
-	for i := 0; i < c.keysSent; i++ {
-		c.cli.send(fmt.Sprintf("GET k%d", i))
-		c.clock.RunFor(2 * simtime.Millisecond)
-	}
-	deadline := c.clock.Now().Add(convergeIn)
-	want := c.keysSent * 2
-	for len(c.cli.replies) < want && c.clock.Now() < deadline {
-		c.clock.RunFor(10 * simtime.Millisecond)
-	}
-
-	ok := true
-	detail := fmt.Sprintf("%d writes (%d acked pre-terminal) all readable", c.keysSent, c.ackedAtStop)
-	if len(c.cli.replies) < want {
-		ok = false
-		detail = fmt.Sprintf("only %d/%d replies arrived", len(c.cli.replies), want)
-	} else {
-		for i := 0; i < c.keysSent; i++ {
-			if c.cli.replies[i] != "OK" {
-				ok = false
-				detail = fmt.Sprintf("SET k%d reply = %q", i, c.cli.replies[i])
-				break
-			}
-			if got, wantV := c.cli.replies[c.keysSent+i], fmt.Sprintf("v%d", i); got != wantV {
-				ok = false
-				detail = fmt.Sprintf("GET k%d = %q, want %q", i, got, wantV)
-				break
-			}
-		}
-	}
-	c.verdicts = append(c.verdicts, Verdict{Oracle: "acked-output", OK: ok, Detail: detail})
-}
-
 func (c *campaign) finish() Result {
-	c.verdicts = append([]Verdict{{
-		Oracle: "output-commit",
-		OK:     c.ocViolations == 0,
-		Detail: fmt.Sprintf("%d samples, %d violations %s", c.ocChecks, c.ocViolations, c.ocDetail),
-	}, {
-		Oracle: "at-most-one-serving",
-		OK:     c.svViolations == 0,
-		Detail: fmt.Sprintf("%d samples, %d dual-serving instants %s", c.svChecks, c.svViolations, c.svDetail),
-	}}, c.verdicts...)
-
-	if c.cfg.Opts.RecordReplay && c.failovers > 0 {
-		ok := true
-		detail := fmt.Sprintf("%d failovers, all replayed to recorded egress digests", c.failovers)
-		if len(c.replays) != c.failovers {
-			ok = false
-			detail = fmt.Sprintf("%d failovers but %d replay records", c.failovers, len(c.replays))
-		}
-		for i, r := range c.replays {
-			if r == nil {
-				ok = false
-				detail = fmt.Sprintf("failover %d produced no replay stats", i+1)
-				break
-			}
-			if r.Diverged {
-				ok = false
-				detail = fmt.Sprintf("failover %d diverged at segment %d", i+1, r.DivergedSeq)
-				break
-			}
-		}
-		c.verdicts = append(c.verdicts, Verdict{Oracle: "replay-divergence", OK: ok, Detail: detail})
-	}
+	c.verdicts = append([]Verdict{
+		c.outputCommit.verdict("output-commit", "violations"),
+		c.serving.verdict("at-most-one-serving", "dual-serving instants"),
+	}, c.verdicts...)
 
 	res := Result{
 		Seed:        c.cfg.Seed,
 		OptName:     c.cfg.OptName,
 		Terminal:    c.sched.terminal,
-		Verdicts:    c.verdicts,
-		Epochs:      c.repl.Epochs(),
-		Resyncs:     c.repl.Resyncs.Value(),
-		LinkDrops:   c.cl.ReplLink.Drops() + c.cl.AckLink.Drops(),
-		AckedWrites: c.ackedAtStop,
-		SentWrites:  c.keysSent,
+		AckedWrites: c.acked,
+		SentWrites:  sum(c.sent),
 		Failovers:   c.failovers,
 		SLO:         c.sloReport,
 	}
+	if c.traffic != nil {
+		res.SentWrites, _, _ = c.traffic.load()
+	}
+	if c.pool != nil {
+		res.Terminal = fmt.Sprintf("host-kill×%d", len(c.sched.victims))
+		for _, pr := range c.pool.Pairs {
+			res.Epochs += pr.Repl.Epochs()
+			res.Failovers += pr.Failovers
+		}
+		for _, h := range c.pool.Hosts {
+			res.LinkDrops += h.NIC.Drops()
+		}
+	} else {
+		res.Epochs = c.repl.Epochs()
+		res.Resyncs = c.repl.Resyncs.Value()
+		for i := 0; i < c.repl.Replicas(); i++ {
+			v := c.repl.ReplicaView(i)
+			res.LinkDrops += v.ReplLink.Drops() + v.AckLink.Drops()
+		}
+	}
+	if c.cfg.Opts.RecordReplay && res.Failovers > 0 {
+		c.verdicts = append(c.verdicts, replayVerdict(res.Failovers, c.replayRecords()))
+	}
+	res.Verdicts = c.verdicts
 	res.Passed = true
 	for _, v := range c.verdicts {
 		st := "PASS"
@@ -720,12 +781,31 @@ func (c *campaign) finish() Result {
 		}
 		fmt.Fprintf(&c.trace, "verdict %s %s: %s\n", v.Oracle, st, v.Detail)
 	}
-	fmt.Fprintf(&c.trace, "counters epochs=%d resyncs=%d linkdrops=%d sent=%d acked=%d failovers=%d\n",
-		res.Epochs, res.Resyncs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers)
+	switch {
+	case c.pool != nil:
+		c.emitFleetFinal(res)
+	case c.cfg.Replicas > 2:
+		elections, aborts := 0, 0
+		if c.wit != nil {
+			elections, aborts = c.wit.Elections, c.wit.Aborts
+		}
+		fmt.Fprintf(&c.trace, "counters epochs=%d resyncs=%d linkdrops=%d sent=%d acked=%d failovers=%d elections=%d aborts=%d\n",
+			res.Epochs, res.Resyncs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers, elections, aborts)
+	default:
+		fmt.Fprintf(&c.trace, "counters epochs=%d resyncs=%d linkdrops=%d sent=%d acked=%d failovers=%d\n",
+			res.Epochs, res.Resyncs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers)
+	}
 	res.Trace = c.trace.String()
 	var csv strings.Builder
-	if err := c.timeline.WriteCSV(&csv); err == nil {
-		res.TimelineCSV = csv.String()
-	}
+	c.timeline.WriteCSV(&csv)
+	res.TimelineCSV = csv.String()
 	return res
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }

@@ -150,3 +150,25 @@ func TestChaosDenseSchedule(t *testing.T) {
 		requirePassed(t, res)
 	}
 }
+
+// TestChaosDeterminismOracleFiresOnTimeline shows the determinism
+// oracle firing: two runs whose traces match but whose epoch timelines
+// differ must fail it, for every campaign kind that goes through the
+// one run-twice helper.
+func TestChaosDeterminismOracleFiresOnTimeline(t *testing.T) {
+	a := Run(Config{Seed: 42, Opts: core.AllOpts(), OptName: "all", Terminal: TerminalNone})
+	requirePassed(t, a)
+	if v := findVerdict(t, withDeterminism(a, a), "determinism"); !v.OK {
+		t.Fatalf("identical runs failed the determinism oracle: %s", v.Detail)
+	}
+	b := a
+	b.TimelineCSV += "0,0,0\n"
+	res := withDeterminism(a, b)
+	v := findVerdict(t, res, "determinism")
+	if v.OK || res.Passed {
+		t.Fatal("runs differing only in TimelineCSV passed the determinism oracle")
+	}
+	if !strings.Contains(v.Detail, "timeline mismatch") {
+		t.Fatalf("determinism detail = %q, want a timeline mismatch", v.Detail)
+	}
+}

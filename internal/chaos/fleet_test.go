@@ -13,14 +13,11 @@ import (
 // and all oracles (output-commit, acked-output, convergence,
 // drain-to-zero, determinism) pass.
 func TestFleetCampaignDemo(t *testing.T) {
-	res := VerifyFleetSeed(FleetConfig{
+	res := VerifySeed(Config{
 		Seed:    1,
 		Opts:    core.AllOpts(),
 		OptName: "all",
-		Pairs:   8,
-		Workers: 4,
-		Spares:  2,
-		Kills:   2,
+		Fleet:   &Fleet{Pairs: 8, Hosts: 4, Spares: 2, Kills: 2},
 	})
 	if !res.Passed {
 		t.Fatalf("fleet campaign failed:\n%s", res.Trace)
@@ -51,14 +48,11 @@ func TestFleetCampaignDemo(t *testing.T) {
 // vary kill timing and victim choice.
 func TestFleetCampaignSeeds(t *testing.T) {
 	for seed := int64(2); seed <= 4; seed++ {
-		res := VerifyFleetSeed(FleetConfig{
+		res := VerifySeed(Config{
 			Seed:    seed,
 			Opts:    core.AllOpts(),
 			OptName: "all",
-			Pairs:   4,
-			Workers: 4,
-			Spares:  1,
-			Kills:   1,
+			Fleet:   &Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1},
 		})
 		if !res.Passed {
 			t.Fatalf("seed %d failed:\n%s", seed, res.Trace)
@@ -74,15 +68,12 @@ func TestFleetCampaignSeeds(t *testing.T) {
 // fails over (primary in the dead zone) or fences exactly one slot,
 // and all oracles hold.
 func TestFleetZoneKill(t *testing.T) {
-	res := VerifyFleetSeed(FleetConfig{
+	res := VerifySeed(Config{
 		Seed:     1,
 		Opts:     core.AllOpts(),
 		OptName:  "all",
-		Pairs:    4,
-		Workers:  6,
-		Spares:   3,
 		Replicas: 3,
-		Zones:    3,
+		Fleet:    &Fleet{Pairs: 4, Hosts: 6, Spares: 3, Zones: 3},
 	})
 	if !res.Passed {
 		t.Fatalf("zone-kill fleet campaign failed:\n%s", res.Trace)
@@ -105,19 +96,18 @@ func TestFleetZoneKill(t *testing.T) {
 // in the same instant — outside the fault model the convergence
 // accounting assumes.
 func TestFleetReplicasForceZoneKill(t *testing.T) {
-	cfg := FleetConfig{Seed: 7, Replicas: 3}
+	cfg := Config{Seed: 7, Replicas: 3, Fleet: &Fleet{}}
 	cfg.defaults()
-	if !cfg.KillZone || cfg.Zones != 3 {
-		t.Fatalf("defaults: KillZone=%v Zones=%d, want zone-kill with 3 zones", cfg.KillZone, cfg.Zones)
+	if !cfg.Fleet.KillZone || cfg.Fleet.Zones != 3 {
+		t.Fatalf("defaults: KillZone=%v Zones=%d, want zone-kill with 3 zones", cfg.Fleet.KillZone, cfg.Fleet.Zones)
 	}
-	c := &fleetCampaign{cfg: cfg}
-	c.drawKills()
-	if c.killZone < 0 || c.killZone >= cfg.Zones {
-		t.Fatalf("killZone = %d, want a zone in [0,%d)", c.killZone, cfg.Zones)
+	s := drawSchedule(cfg)
+	if s.zone < 0 || s.zone >= cfg.Fleet.Zones {
+		t.Fatalf("killZone = %d, want a zone in [0,%d)", s.zone, cfg.Fleet.Zones)
 	}
-	for _, v := range c.victims {
-		if v%cfg.Zones != c.killZone {
-			t.Fatalf("victim %d not in zone %d (victims %v)", v, c.killZone, c.victims)
+	for _, v := range s.victims {
+		if v%cfg.Fleet.Zones != s.zone {
+			t.Fatalf("victim %d not in zone %d (victims %v)", v, s.zone, s.victims)
 		}
 	}
 }
@@ -127,16 +117,16 @@ func TestFleetReplicasForceZoneKill(t *testing.T) {
 // pair can lose both hosts in one instant.
 func TestFleetKillsNeverAdjacent(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
-		c := &fleetCampaign{cfg: FleetConfig{Seed: seed}}
-		c.cfg.defaults()
-		c.drawKills()
-		if len(c.victims) != 2 {
-			t.Fatalf("seed %d: %d victims, want 2", seed, len(c.victims))
+		cfg := Config{Seed: seed, Fleet: &Fleet{}}
+		cfg.defaults()
+		s := drawSchedule(cfg)
+		if len(s.victims) != 2 {
+			t.Fatalf("seed %d: %d victims, want 2", seed, len(s.victims))
 		}
-		w := c.cfg.Workers
-		d := (c.victims[0] - c.victims[1] + w) % w
+		w := cfg.Fleet.Hosts
+		d := (s.victims[0] - s.victims[1] + w) % w
 		if d == 1 || d == w-1 {
-			t.Fatalf("seed %d drew adjacent victims %v", seed, c.victims)
+			t.Fatalf("seed %d drew adjacent victims %v", seed, s.victims)
 		}
 	}
 }

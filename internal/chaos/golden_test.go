@@ -58,49 +58,49 @@ func goldenCases(t *testing.T) []struct {
 				Terminal: TerminalKill, Events: -1, Traffic: synthTrace(t, "uniform", 9, longTrace)})
 		}},
 		{"splitbrain-partition-strict", func() Result {
-			return RunSplitBrain(SplitBrainConfig{Seed: 21, Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety})
+			return Run(Config{Seed: 21, Opts: core.AllOpts(), OptName: "all", Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety})
 		}},
 		{"splitbrain-partition-replay", func() Result {
-			return RunSplitBrain(SplitBrainConfig{Seed: 2, Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety, Replay: true})
+			return Run(Config{Seed: 2, Opts: core.ReplayOpts(), OptName: "replay", Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety})
 		}},
 		{"splitbrain-partition-prelease", func() Result {
-			return RunSplitBrain(SplitBrainConfig{Seed: 21, Scenario: ScenarioPartitionHeal, PreLease: true})
+			return Run(Config{Seed: 21, Opts: core.AllOpts(), OptName: "all", Scenario: ScenarioPartitionHeal, PreLease: true})
 		}},
 		{"splitbrain-ackout-availability", func() Result {
-			return RunSplitBrain(SplitBrainConfig{Seed: 33, Scenario: ScenarioAckOutage, Degrade: core.Availability})
+			return Run(Config{Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: ScenarioAckOutage, Degrade: core.Availability})
 		}},
 		{"splitbrain-ackout-strict", func() Result {
-			return RunSplitBrain(SplitBrainConfig{Seed: 33, Scenario: ScenarioAckOutage, Degrade: core.StrictSafety})
+			return Run(Config{Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: ScenarioAckOutage, Degrade: core.StrictSafety})
 		}},
 		{"chain-replicas3-seed2", func() Result {
-			return RunChain(ChainConfig{Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Kills: 1})
+			return Run(Config{Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: TerminalKill})
 		}},
 		{"chain-replicas4-kills2", func() Result {
-			return RunChain(ChainConfig{Seed: 3, Opts: core.AllOpts(), OptName: "all", Replicas: 4, Kills: 2, Events: -1})
+			return Run(Config{Seed: 3, Opts: core.AllOpts(), OptName: "all", Replicas: 4, Terminal: TerminalDoubleKill, Events: -1})
 		}},
 		{"chain-prequorum-asymcut", func() Result {
-			return RunChain(ChainConfig{Seed: 4, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Kills: -1,
+			return Run(Config{Seed: 4, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: TerminalNone,
 				Events: 1, FaultKinds: []string{"asym-cut"}, PreQuorum: true})
 		}},
 		{"chain-witness-partition", func() Result {
-			return RunChain(ChainConfig{Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Kills: -1,
+			return Run(Config{Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: TerminalNone,
 				Events: 1, FaultKinds: []string{"witness-partition"}})
 		}},
 		{"fleet-smoke", func() Result {
-			return RunFleet(FleetConfig{Seed: 1, Opts: core.AllOpts(), OptName: "all",
-				Pairs: 4, Workers: 4, Spares: 1, Kills: 1, Duration: 600 * simtime.Millisecond})
+			return Run(Config{Seed: 1, Opts: core.AllOpts(), OptName: "all", Duration: 600 * simtime.Millisecond,
+				Fleet: &Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}})
 		}},
 		{"fleet-zonekill-replicas3", func() Result {
-			return RunFleet(FleetConfig{Seed: 1, Opts: core.AllOpts(), OptName: "all",
-				Pairs: 4, Workers: 4, Spares: 3, Kills: 1, Replicas: 3, Zones: 3, Duration: 600 * simtime.Millisecond})
+			return Run(Config{Seed: 1, Opts: core.AllOpts(), OptName: "all", Duration: 600 * simtime.Millisecond,
+				Replicas: 3, Fleet: &Fleet{Pairs: 4, Hosts: 4, Spares: 3, Kills: 1, Zones: 3}})
 		}},
 		{"fleet-replay", func() Result {
-			return RunFleet(FleetConfig{Seed: 4, Opts: core.ReplayOpts(), OptName: "fleet-replay",
-				Pairs: 4, Workers: 4, Spares: 1, Kills: 1, Duration: 500 * simtime.Millisecond})
+			return Run(Config{Seed: 4, Opts: core.ReplayOpts(), OptName: "fleet-replay", Duration: 500 * simtime.Millisecond,
+				Fleet: &Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}})
 		}},
 		{"fleet-traffic", func() Result {
-			return RunFleet(FleetConfig{Seed: 4, Opts: core.AllOpts(), OptName: "all",
-				Pairs: 4, Workers: 4, Spares: 1, Kills: 1, Traffic: synthTrace(t, "uniform", 4, 2*simtime.Second)})
+			return Run(Config{Seed: 4, Opts: core.AllOpts(), OptName: "all",
+				Fleet: &Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}, Traffic: synthTrace(t, "uniform", 4, 2*simtime.Second)})
 		}},
 	}
 }

@@ -75,8 +75,8 @@ func TestReplayRecoversPostCheckpointWork(t *testing.T) {
 // pipeline in fault-free steady state.
 func TestReplayLatencySweep(t *testing.T) {
 	dur := 500 * simtime.Millisecond
-	pipe := RunLatency(LatencyConfig{Seed: 3, Opts: core.PipelinedOpts(), OptName: "pipelined", Duration: dur})
-	rp := RunLatency(LatencyConfig{Seed: 3, Opts: core.ReplayOpts(), OptName: "replay", Duration: dur})
+	pipe := RunLatency(Config{Seed: 3, Opts: core.PipelinedOpts(), OptName: "pipelined", Duration: dur})
+	rp := RunLatency(Config{Seed: 3, Opts: core.ReplayOpts(), OptName: "replay", Duration: dur})
 	if pipe.Acked == 0 || rp.Acked == 0 {
 		t.Fatalf("idle probes: pipelined acked=%d replay acked=%d", pipe.Acked, rp.Acked)
 	}

@@ -75,8 +75,9 @@ func TestShardParitySplitBrain(t *testing.T) {
 		for _, seed := range tc.seeds {
 			name := tc.scenario + "/" + tc.degrade.String()
 			assertParity(t, name, func(shards, workers int) Result {
-				return RunSplitBrain(SplitBrainConfig{
-					Seed: seed, Scenario: tc.scenario, Degrade: tc.degrade,
+				return Run(Config{
+					Seed: seed, Opts: core.AllOpts(), OptName: "all",
+					Scenario: tc.scenario, Degrade: tc.degrade,
 					Shards: shards, Workers: workers,
 				})
 			})
@@ -105,13 +106,14 @@ func TestShardParityRandomizedSchedules(t *testing.T) {
 func TestShardParityFleetHostKill(t *testing.T) {
 	for _, seed := range []int64{1, 2, 5} {
 		assertParity(t, "fleet/host-kill", func(shards, workers int) Result {
-			return RunFleet(FleetConfig{
-				Seed:          seed,
-				Opts:          core.AllOpts(),
-				OptName:       "all",
-				Duration:      500 * simtime.Millisecond,
-				Shards:        shards,
-				EngineWorkers: workers,
+			return Run(Config{
+				Seed:     seed,
+				Opts:     core.AllOpts(),
+				OptName:  "all",
+				Duration: 500 * simtime.Millisecond,
+				Fleet:    &Fleet{},
+				Shards:   shards,
+				Workers:  workers,
 			})
 		})
 	}
@@ -144,21 +146,23 @@ func TestShardParityReplay(t *testing.T) {
 	// promotion replays the committed suffix while the fenced old
 	// primary parks log-ack releases.
 	assertParity(t, "replay/splitbrain", func(shards, workers int) Result {
-		return RunSplitBrain(SplitBrainConfig{
-			Seed: 2, Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety,
-			Replay: true, Shards: shards, Workers: workers,
+		return Run(Config{
+			Seed: 2, Opts: core.ReplayOpts(), OptName: "replay",
+			Scenario: ScenarioPartitionHeal, Degrade: core.StrictSafety,
+			Shards: shards, Workers: workers,
 		})
 	})
 	// Fleet host-kill under replay: several pairs fail over at once and
 	// each must replay on its own host's lane.
 	assertParity(t, "replay/fleet", func(shards, workers int) Result {
-		return RunFleet(FleetConfig{
-			Seed:          4,
-			Opts:          core.ReplayOpts(),
-			OptName:       "fleet-replay",
-			Duration:      500 * simtime.Millisecond,
-			Shards:        shards,
-			EngineWorkers: workers,
+		return Run(Config{
+			Seed:     4,
+			Opts:     core.ReplayOpts(),
+			OptName:  "fleet-replay",
+			Duration: 500 * simtime.Millisecond,
+			Fleet:    &Fleet{},
+			Shards:   shards,
+			Workers:  workers,
 		})
 	})
 }
@@ -173,24 +177,24 @@ func TestShardParityReplay(t *testing.T) {
 func TestShardParityChain(t *testing.T) {
 	for _, seed := range []int64{1, 2, 5} {
 		assertParity(t, "chain/kill", func(shards, workers int) Result {
-			return RunChain(ChainConfig{
+			return Run(Config{
 				Seed: seed, Opts: core.AllOpts(), OptName: "all",
-				Replicas: 3, Kills: 1,
+				Replicas: 3, Terminal: TerminalKill,
 				Shards: shards, Workers: workers,
 			})
 		})
 	}
 	assertParity(t, "chain/f2", func(shards, workers int) Result {
-		return RunChain(ChainConfig{
+		return Run(Config{
 			Seed: 3, Opts: core.AllOpts(), OptName: "all",
-			Replicas: 3, Kills: 2, Events: -1,
+			Replicas: 3, Terminal: TerminalDoubleKill, Events: -1,
 			Shards: shards, Workers: workers,
 		})
 	})
 	assertParity(t, "chain/geometries", func(shards, workers int) Result {
-		return RunChain(ChainConfig{
+		return Run(Config{
 			Seed: 2, Opts: core.AllOpts(), OptName: "all",
-			Replicas: 3, Kills: -1, Events: 2,
+			Replicas: 3, Terminal: TerminalNone, Events: 2,
 			FaultKinds: []string{"witness-partition", "asym-cut"},
 			Shards:     shards, Workers: workers,
 		})

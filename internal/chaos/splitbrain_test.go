@@ -17,7 +17,8 @@ import (
 // promoted backup serving.
 func TestSplitBrainPartitionHeal(t *testing.T) {
 	for _, pol := range []core.DegradePolicy{core.StrictSafety, core.Availability} {
-		res := VerifySplitBrainSeed(SplitBrainConfig{
+		res := VerifySeed(Config{
+			Opts: core.AllOpts(), OptName: "all",
 			Seed:     21,
 			Scenario: ScenarioPartitionHeal,
 			Degrade:  pol,
@@ -42,15 +43,15 @@ func TestSplitBrainPartitionHeal(t *testing.T) {
 // lease), so the comparison is exact: one configuration flag separates
 // a passing campaign from a split brain.
 func TestSplitBrainRegressionPreLease(t *testing.T) {
-	sb := SplitBrainConfig{Seed: 21, Scenario: ScenarioPartitionHeal}
+	sb := Config{Seed: 21, Opts: core.AllOpts(), OptName: "all", Scenario: ScenarioPartitionHeal}
 
-	with := RunSplitBrain(sb)
+	with := Run(sb)
 	if v := findVerdict(t, with, "at-most-one-serving"); !v.OK {
 		t.Fatalf("lease on: at-most-one-serving failed: %s\n%s", v.Detail, with.Trace)
 	}
 
 	sb.PreLease = true
-	without := RunSplitBrain(sb)
+	without := Run(sb)
 	v := findVerdict(t, without, "at-most-one-serving")
 	if v.OK {
 		t.Fatalf("pre-lease detector did not dual-serve — regression demo lost its teeth:\n%s", without.Trace)
@@ -70,7 +71,8 @@ func TestSplitBrainRegressionPreLease(t *testing.T) {
 // output flushed) after the heal. No failover, no data loss, pipeline
 // drains to zero.
 func TestSplitBrainAckOutageStrict(t *testing.T) {
-	res := VerifySplitBrainSeed(SplitBrainConfig{
+	res := VerifySeed(Config{
+		Opts: core.AllOpts(), OptName: "all",
 		Seed:     33,
 		Scenario: ScenarioAckOutage,
 		Degrade:  core.StrictSafety,
@@ -92,7 +94,8 @@ func TestSplitBrainAckOutageStrict(t *testing.T) {
 // heals the campaign re-protects the pair in place with a full resync,
 // and the new backup must commit within the convergence bound.
 func TestSplitBrainAckOutageAvailability(t *testing.T) {
-	res := VerifySplitBrainSeed(SplitBrainConfig{
+	res := VerifySeed(Config{
+		Opts: core.AllOpts(), OptName: "all",
 		Seed:     33,
 		Scenario: ScenarioAckOutage,
 		Degrade:  core.Availability,
@@ -124,7 +127,7 @@ func TestSplitBrainSeedSweep(t *testing.T) {
 	for _, scenario := range []string{ScenarioPartitionHeal, ScenarioAckOutage} {
 		for _, pol := range []core.DegradePolicy{core.StrictSafety, core.Availability} {
 			for _, seed := range seeds {
-				res := RunSplitBrain(SplitBrainConfig{Seed: seed, Scenario: scenario, Degrade: pol})
+				res := Run(Config{Seed: seed, Opts: core.AllOpts(), OptName: "all", Scenario: scenario, Degrade: pol})
 				if !res.Passed {
 					t.Fatalf("scenario=%s degrade=%s seed=%d failed:\n%s", scenario, pol, seed, res.Trace)
 				}

@@ -109,9 +109,9 @@ func TestTrafficReplayModeAttributesReplayCPU(t *testing.T) {
 // kill→drain interval, with the read-back oracle still holding on
 // every pair.
 func TestFleetTrafficSLO(t *testing.T) {
-	res := VerifyFleetSeed(FleetConfig{
+	res := VerifySeed(Config{
 		Seed: 4, Opts: core.AllOpts(), OptName: "all",
-		Pairs: 4, Workers: 4, Spares: 1, Kills: 1,
+		Fleet:   &Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1},
 		Traffic: synthTrace(t, "uniform", 4, 2*simtime.Second),
 	})
 	requirePassed(t, res)

@@ -55,15 +55,16 @@ func ChaosOptSets() []core.LadderStep {
 }
 
 // RunChaosSweep runs `seeds` chaos campaigns (seeds base..base+seeds-1)
-// against every option set in the matrix, the asymmetric-fault and
-// scripted split-brain lease campaigns, plus every fleet scenario
-// (host-granularity fault schedules, FleetScenarios). Every campaign is
-// executed twice so the determinism oracle (same seed ⇒ byte-identical
-// trace) is always checked alongside the runtime oracles. It returns
-// every campaign result plus a per-matrix-entry summary table.
+// against every option set in the matrix, the trace-replay,
+// asymmetric-fault and scripted split-brain lease campaigns, plus every
+// fleet scenario (host-granularity fault schedules, FleetScenarios).
+// Every campaign is executed twice so the determinism oracle (same seed
+// ⇒ byte-identical trace and timeline) is always checked alongside the
+// runtime oracles. It returns every campaign result plus a
+// per-matrix-entry summary table, one row per OptName.
 //
 // Campaigns run concurrently on jobs workers, but each seeded DES run
-// is single-threaded and results are aggregated in (option set, seed)
+// is single-threaded and results are aggregated in (matrix entry, seed)
 // order, so the results slice, the progress lines and the summary table
 // are byte-identical for any jobs value. shards is each campaign
 // engine's lane count (0 is taken as 1) and workers its window-drain
@@ -76,61 +77,47 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shard
 	if seeds <= 0 {
 		seeds = 20
 	}
-	steps := ChaosOptSets()
-	type campaign struct {
-		name    string
-		seed    int64
-		opts    core.OptSet
-		kinds   []string                // non-nil: restrict transient-fault kinds
-		sb      *chaos.SplitBrainConfig // non-nil: scripted split-brain scenario
-		fleet   *FleetScenario          // nil: single-pair campaign
-		traffic bool                    // trace-replay campaign with SLO judging
-	}
-	var campaigns []campaign
-	for _, step := range steps {
+	var campaigns []chaos.Config
+	each := func(cfg chaos.Config) {
 		for s := int64(0); s < int64(seeds); s++ {
-			campaigns = append(campaigns, campaign{name: step.Name, seed: base + s, opts: step.Opts})
+			c := cfg
+			c.Seed, c.Shards, c.Workers = base+s, shards, workers
+			campaigns = append(campaigns, c)
 		}
+	}
+	for _, step := range ChaosOptSets() {
+		each(chaos.Config{Opts: step.Opts, OptName: step.Name, Duration: duration})
 	}
 	// Trace-replay campaigns: the fixed-interval writer is replaced by
 	// an open-loop synthesized trace (profile rotating by seed) judged
 	// against the windowed SLO; the slo-windows oracle requires every
 	// violation window to coincide with an injected disruption.
-	for s := int64(0); s < int64(seeds); s++ {
-		campaigns = append(campaigns, campaign{name: "traffic", seed: base + s, opts: core.AllOpts(), traffic: true})
+	each(chaos.Config{Opts: core.AllOpts(), OptName: "traffic", Duration: duration})
+	for i := len(campaigns) - seeds; i < len(campaigns); i++ {
+		campaigns[i].Traffic = trafficSweepTrace(campaigns[i].Seed, duration)
 	}
 	// Asymmetric-fault campaigns: schedules drawn only from the sustained
 	// one-way cuts and seeded link flapping — the geometries the lease
-	// protocol arbitrates (PR 5); randomized complement to the scripted
+	// protocol arbitrates; randomized complement to the scripted
 	// split-brain scenarios below.
-	for s := int64(0); s < int64(seeds); s++ {
-		campaigns = append(campaigns, campaign{name: "asym", seed: base + s, opts: core.AllOpts(),
-			kinds: []string{"oneway-pb", "oneway-bp", "flap"}})
-	}
+	each(chaos.Config{Opts: core.AllOpts(), OptName: "asym", Duration: duration,
+		FaultKinds: []string{"oneway-pb", "oneway-bp", "flap"}})
 	// Scripted split-brain scenarios: the partition that heals
-	// mid-election under StrictSafety, and the prolonged ack outage under
-	// the Availability policy (unprotect → serve without acks →
-	// re-protect on heal).
-	for s := int64(0); s < int64(seeds); s++ {
-		campaigns = append(campaigns, campaign{name: "splitbrain-partition", seed: base + s,
-			sb: &chaos.SplitBrainConfig{Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety}})
-	}
-	for s := int64(0); s < int64(seeds); s++ {
-		campaigns = append(campaigns, campaign{name: "splitbrain-ackout", seed: base + s,
-			sb: &chaos.SplitBrainConfig{Scenario: chaos.ScenarioAckOutage, Degrade: core.Availability}})
-	}
-	// The partition-heal geometry again under record/replay: the
-	// mid-partition promotion must replay the committed log suffix and
-	// the healed old primary's parked log-ack releases must flush safely.
-	for s := int64(0); s < int64(seeds); s++ {
-		campaigns = append(campaigns, campaign{name: "splitbrain-replay", seed: base + s,
-			sb: &chaos.SplitBrainConfig{Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety, Replay: true}})
-	}
+	// mid-election under StrictSafety, the prolonged ack outage under the
+	// Availability policy (unprotect → serve without acks → re-protect on
+	// heal), and the partition-heal geometry again under record/replay —
+	// the mid-partition promotion must replay the committed log suffix
+	// and the healed old primary's parked log-ack releases must flush
+	// safely.
+	each(chaos.Config{Opts: core.AllOpts(), OptName: "splitbrain-partition",
+		Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety})
+	each(chaos.Config{Opts: core.AllOpts(), OptName: "splitbrain-ackout",
+		Scenario: chaos.ScenarioAckOutage, Degrade: core.Availability})
+	each(chaos.Config{Opts: core.ReplayOpts(), OptName: "splitbrain-replay",
+		Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety})
 	for _, sc := range FleetScenarios() {
-		sc := sc
-		for s := int64(0); s < int64(seeds); s++ {
-			campaigns = append(campaigns, campaign{name: sc.Name, seed: base + s, fleet: &sc})
-		}
+		sc.Duration = duration
+		each(sc)
 	}
 	results := make([]chaos.Result, len(campaigns))
 
@@ -177,30 +164,7 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shard
 	}
 
 	runIndexed(len(campaigns), jobs,
-		func(i int) {
-			cmp := campaigns[i]
-			if cmp.fleet != nil {
-				results[i] = RunFleetCampaign(*cmp.fleet, cmp.seed, duration, shards, workers)
-				return
-			}
-			if cmp.sb != nil {
-				sb := *cmp.sb
-				sb.Seed = cmp.seed
-				sb.Shards = shards
-				sb.Workers = workers
-				results[i] = chaos.VerifySplitBrainSeed(sb)
-				return
-			}
-			var tr *traffic.Trace
-			if cmp.traffic {
-				tr = trafficSweepTrace(cmp.seed, duration)
-			}
-			results[i] = chaos.VerifySeed(chaos.Config{
-				Seed: cmp.seed, Opts: cmp.opts, OptName: cmp.name, Duration: duration,
-				FaultKinds: cmp.kinds, Shards: shards, Workers: workers,
-				Traffic: tr,
-			})
-		},
+		func(i int) { results[i] = chaos.VerifySeed(campaigns[i]) },
 		func(i int) {
 			cmp, res := campaigns[i], results[i]
 			terminals[res.Terminal]++
@@ -221,13 +185,13 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shard
 			} else {
 				for _, v := range res.Verdicts {
 					if !v.OK {
-						progressf("chaos %s seed=%d FAIL %s: %s", cmp.name, cmp.seed, v.Oracle, v.Detail)
+						progressf("chaos %s seed=%d FAIL %s: %s", cmp.OptName, cmp.Seed, v.Oracle, v.Detail)
 					}
 				}
 			}
-			progressf("chaos %s seed=%d terminal=%s passed=%v", cmp.name, cmp.seed, res.Terminal, res.Passed)
+			progressf("chaos %s seed=%d terminal=%s passed=%v", cmp.OptName, cmp.Seed, res.Terminal, res.Passed)
 			if (i+1)%seeds == 0 {
-				flush(cmp.name)
+				flush(cmp.OptName)
 			}
 		})
 	return results, tb

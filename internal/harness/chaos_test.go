@@ -60,8 +60,8 @@ func TestChaosSweepSmall(t *testing.T) {
 	// The fleet scenarios ride in the same matrix: each has a summary row
 	// and its campaigns report host-kill terminals with real failovers.
 	for _, sc := range FleetScenarios() {
-		if !strings.Contains(tb.String(), sc.Name) {
-			t.Fatalf("summary table missing fleet scenario %q:\n%s", sc.Name, tb)
+		if !strings.Contains(tb.String(), sc.OptName) {
+			t.Fatalf("summary table missing fleet scenario %q:\n%s", sc.OptName, tb)
 		}
 	}
 	fleetFailovers := 0
