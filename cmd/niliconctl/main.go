@@ -47,9 +47,7 @@
 // §12). The -j flag runs sweep-style experiments (chaos -sweep, table1,
 // pipeline) on a worker pool; every seeded run stays single-threaded
 // and results are collected in a fixed order, so output is
-// byte-identical for any -j value. -shards and -workers set the chaos
-// and fleet campaigns' engine lanes and window-drain goroutines; traces
-// are byte-identical for any values.
+// byte-identical for any -j value.
 //
 // All experiments run in virtual time and are fully deterministic for a
 // given -seed. The re-runnable benchmark of the simulated system and
@@ -110,8 +108,6 @@ type app struct {
 	zones    *int
 	smoke    *bool
 	degrade  *string
-	shards   *int
-	workers  *int
 	synth    *string
 	capture  *string
 	replay   *bool
@@ -152,8 +148,6 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.zones = fs.Int("zones", 0, "fleet: failure domains for zone-anti-affine chain placement (0 = auto: max(replicas, 1))")
 	a.smoke = fs.Bool("smoke", false, "fleet: reduced CI shape (4 pairs, 4 hosts, 1 kill, short window)")
 	a.degrade = fs.String("degrade", "strict", "chaos/fleet: lease degradation policy (strict|availability)")
-	a.shards = fs.Int("shards", 1, "chaos/fleet: event-wheel lanes of the simulation engine (trace-identical for any N >= 1)")
-	a.workers = fs.Int("workers", 0, "chaos/fleet: window-drain goroutines for the simulation engine (0 = ladder mode; N>=1 = conservative windows, trace-identical for any N)")
 	a.synth = fs.String("synth", "", "traffic: synthesize a trace from this profile (uniform|zipf|burst|slowclient) to stdout")
 	a.capture = fs.String("capture", "", "traffic: run this server benchmark's uniform clients under capture and write the recorded trace to stdout")
 	a.replay = fs.Bool("replay", false, "traffic: read a JSONL trace from stdin and replay it through a chaos campaign with SLO judging")
@@ -266,12 +260,6 @@ func (a *app) validate() error {
 	if *a.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", *a.jobs)
 	}
-	if *a.shards < 1 {
-		return fmt.Errorf("-shards must be >= 1 (got %d)", *a.shards)
-	}
-	if *a.workers < 0 {
-		return fmt.Errorf("-workers must be >= 0 (got %d)", *a.workers)
-	}
 	if *a.seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1 (got %d)", *a.seeds)
 	}
@@ -374,7 +362,7 @@ func (a *app) runValidate() error {
 
 func (a *app) runChaos() error {
 	if *a.sweep {
-		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs, *a.shards, *a.workers)
+		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs)
 		fmt.Fprintln(a.stdout, tb)
 		failed := 0
 		for _, res := range results {
@@ -399,15 +387,12 @@ func (a *app) runChaos() error {
 	}
 	// -replicas > 2 runs an f+1 chain campaign: a witness-arbitrated
 	// chain through the chain fault kinds (zone-kill, witness-partition,
-	// asym-cut) and a terminal primary kill. The trace is byte-identical
-	// for any -shards/-workers value.
+	// asym-cut) and a terminal primary kill.
 	cfg := chaos.Config{
 		Seed: *a.seed, Opts: *opts, OptName: *a.optsName,
 		Duration: simtime.Duration(*a.chaosDur),
 		Replicas: *a.replicas,
 		Degrade:  a.degradePol,
-		Shards:   *a.shards,
-		Workers:  *a.workers,
 	}
 	if *a.traceF != "" {
 		f, err := os.Open(*a.traceF)
@@ -469,7 +454,7 @@ func (a *app) runTrafficCapture() error {
 	if !ok {
 		return fmt.Errorf("traffic: -capture needs a server benchmark, %q runs to completion", *a.capture)
 	}
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	sv.Install(cl.NewProtectedContainer(*a.capture, "10.0.0.10", 1))
 	set := sv.NewClients(cl, "10.0.0.10", *a.tClients, *a.seed)
@@ -499,8 +484,6 @@ func (a *app) runTrafficReplay() error {
 		Terminal: chaos.TerminalKill, Events: -1,
 		Traffic: tr,
 		Degrade: a.degradePol,
-		Shards:  *a.shards,
-		Workers: *a.workers,
 	}
 	if *a.smoke {
 		cfg.Terminal = chaos.TerminalNone
@@ -522,8 +505,6 @@ func (a *app) runFleet() error {
 		OptName: "all",
 		Fleet:   f,
 		Degrade: a.degradePol,
-		Shards:  *a.shards,
-		Workers: *a.workers,
 	}
 	if d := simtime.Duration(*a.chaosDur); d > 0 {
 		cfg.Duration = d
@@ -544,6 +525,9 @@ func (a *app) runFleet() error {
 	}
 	if f.Hosts < cfg.Replicas {
 		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", f.Hosts, cfg.Replicas)
+	}
+	if err := chaos.Check(cfg); err != nil {
+		return err
 	}
 	res := chaos.VerifySeed(cfg)
 	fmt.Fprint(a.stdout, res.Trace)

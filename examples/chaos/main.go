@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("replay of seed 3 byte-identical: %v\n\n", res.Trace == again.Trace)
 
 	fmt.Println("Sweep: 5 seeds × option-set matrix:")
-	results, tb := harness.RunChaosSweep(5, 1, 0, harness.Jobs, 1, 0)
+	results, tb := harness.RunChaosSweep(5, 1, 0, harness.Jobs)
 	fmt.Println(tb)
 	failed := 0
 	for _, r := range results {

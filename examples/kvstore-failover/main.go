@@ -18,7 +18,7 @@ import (
 )
 
 func main() {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)

@@ -17,7 +17,7 @@ import (
 func main() {
 	// 1. Build the two-host topology: primary and backup joined by a
 	//    10 GbE replication link, clients on the 1 GbE LAN.
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 

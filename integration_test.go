@@ -13,7 +13,7 @@ import (
 // quickstart flow — protect a KV container, drive verified load, fail
 // the primary, and require transparent recovery.
 func TestEndToEndFailover(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
@@ -61,7 +61,7 @@ func TestEndToEndFailover(t *testing.T) {
 // relies on.
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64, float64) {
-		sc := simtime.NewShardedClock(1)
+		sc := simtime.NewEngine()
 		clock := sc.Root()
 		cluster := core.NewShardedCluster(sc, core.ClusterParams{})
 		ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)

@@ -129,20 +129,6 @@ type Config struct {
 	// checks that every violation window coincides with one. Default
 	// 500 ms.
 	SLOSlack simtime.Duration
-
-	// Shards is the simulation engine's physical lane count (0 is taken
-	// as 1). Every simulated host gets its own shard regardless, so any
-	// lane count produces an identical trace for a given seed — the
-	// shard-parity oracle checks exactly that.
-	Shards int
-	// Workers enables the engine's conservative-window mode with that
-	// many window-drain goroutines (0 = ladder mode, the default).
-	// Campaigns schedule across shards freely — the root oracle ticker
-	// and fault injection touch every shard — so every shard is pinned
-	// onto one lane: windows then hold a single active lane and drain in
-	// exactly ladder order, keeping the trace byte-identical for any
-	// (Shards, Workers) combination.
-	Workers int
 }
 
 // Fleet is the host-pool topology (DESIGN.md §9): Pairs chains placed
@@ -253,8 +239,8 @@ type Result struct {
 	// the same Config.
 	Trace string
 	// TimelineCSV is the per-epoch trace.Timeline rendered as CSV —
-	// the second artifact the determinism and shard-parity oracles
-	// compare byte for byte.
+	// the second artifact the determinism oracle compares byte for
+	// byte.
 	TimelineCSV string
 
 	// Campaign counters.
@@ -327,6 +313,19 @@ type campaign struct {
 	outputCommit, serving sampled
 }
 
+// Check reports whether cfg's topology can be built: for a fleet,
+// whether its chains fit on its hosts, with the placement engine's own
+// error when they do not. Run and VerifySeed panic on a config Check
+// rejects.
+func Check(cfg Config) error {
+	cfg.defaults()
+	if cfg.Fleet == nil {
+		return nil
+	}
+	_, err := cluster.Place(cfg.fleetParams())
+	return err
+}
+
 // Run executes one campaign and returns its result.
 func Run(cfg Config) Result {
 	cfg.defaults()
@@ -359,20 +358,8 @@ func withDeterminism(a, b Result) Result {
 	return a
 }
 
-// newEngine builds a campaign's simulation engine: shards lanes (0 is
-// taken as 1), and with workers > 0 the conservative-window mode with
-// every shard pinned onto lane 0 (see Config.Workers).
-func newEngine(shards, workers int) *simtime.ShardedClock {
-	sc := simtime.NewShardedClock(shards)
-	if workers > 0 {
-		sc.SetWorkers(workers)
-		sc.PinNewShards(0)
-	}
-	return sc
-}
-
 func (c *campaign) build() {
-	sc := newEngine(c.cfg.Shards, c.cfg.Workers)
+	sc := simtime.NewEngine()
 	if c.cfg.Fleet != nil {
 		c.buildFleet(sc)
 		return

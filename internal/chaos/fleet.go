@@ -93,31 +93,36 @@ func drawHostKill(cfg Config) schedule {
 	return s
 }
 
-func (c *campaign) buildFleet(sc *simtime.ShardedClock) {
-	f := c.cfg.Fleet
-	c.warmup, c.convergeIn = fleetWarmup, fleetConvergeIn
-	var lease core.LeaseConfig
-	if !c.cfg.PreLease {
-		lease = core.DefaultLease()
-	}
-	pool, err := cluster.NewSharded(sc, cluster.Params{
+// fleetParams is the pool shape and control-plane policy of cfg's
+// fleet: everything cluster placement reads.
+func (cfg *Config) fleetParams() cluster.Params {
+	f := cfg.Fleet
+	return cluster.Params{
 		Workers:  f.Hosts,
 		Spares:   f.Spares,
 		Pairs:    f.Pairs,
-		Replicas: c.cfg.Replicas,
+		Replicas: cfg.Replicas,
 		Zones:    f.Zones,
-		Seed:     c.cfg.Seed,
-		Opts:     &c.cfg.Opts,
-		Lease:    lease,
-		Degrade:  c.cfg.Degrade,
+		Seed:     cfg.Seed,
+		Degrade:  cfg.Degrade,
 		// Two concurrent resyncs: with several pairs displaced per host
 		// kill, strictly serial re-protection would leave the fleet
 		// degraded for most of the campaign.
 		MaxConcurrentResyncs: 2,
-		Workload:             func(string) cluster.Workload { return &kvWorkload{} },
-	})
+	}
+}
+
+func (c *campaign) buildFleet(sc *simtime.ShardedClock) {
+	c.warmup, c.convergeIn = fleetWarmup, fleetConvergeIn
+	params := c.cfg.fleetParams()
+	if !c.cfg.PreLease {
+		params.Lease = core.DefaultLease()
+	}
+	params.Opts = &c.cfg.Opts
+	params.Workload = func(string) cluster.Workload { return &kvWorkload{} }
+	pool, err := cluster.NewSharded(sc, params)
 	if err != nil {
-		panic("chaos: fleet build failed: " + err.Error())
+		panic("chaos: fleet does not fit (reject it with Check first): " + err.Error())
 	}
 	c.clock = pool.Clock
 	c.pool = pool

@@ -128,28 +128,3 @@ func TestFleetTrafficSLO(t *testing.T) {
 		t.Fatal("fleet trace missing slo report line")
 	}
 }
-
-// TestTrafficEngineParity: the whole point of judging on simtime — the
-// campaign trace (slo lines included) is byte-identical across the
-// default engine (Shards 0, taken as one lane), more lanes, and worker
-// mode.
-func TestTrafficEngineParity(t *testing.T) {
-	base := Config{
-		Seed: 17, Opts: core.AllOpts(), OptName: "all",
-		Terminal: TerminalKill, Events: -1,
-		Traffic: synthTrace(t, "burst", 17, longTrace),
-	}
-	ref := Run(base)
-	for _, eng := range []struct {
-		name            string
-		shards, workers int
-	}{{"shards1", 1, 0}, {"shards4", 4, 0}, {"shards4-workers4", 4, 4}} {
-		cfg := base
-		cfg.Traffic = synthTrace(t, "burst", 17, longTrace)
-		cfg.Shards, cfg.Workers = eng.shards, eng.workers
-		got := Run(cfg)
-		if got.Trace != ref.Trace {
-			t.Fatalf("%s: trace diverged from the default engine", eng.name)
-		}
-	}
-}

@@ -399,17 +399,33 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 	return out, nil
 }
 
+// Place runs the placement engine NewSharded uses — PlaceChains for
+// chains wider than a pair or zoned pools, PlacePairs otherwise — on
+// params without building anything, so a shape that does not fit can
+// be rejected before a run starts.
+func Place(params Params) ([]Placement, error) {
+	params.defaults()
+	if params.Replicas > 2 || params.Zones > 1 {
+		return PlaceChains(params.Pairs, params.Workers, params.Zones, params.Replicas,
+			params.CoresPerHost, params.PagesPerHost)
+	}
+	return PlacePairs(params.Pairs, params.Workers, params.CoresPerHost, params.PagesPerHost)
+}
+
 // NewSharded builds the fleet — hosts, NICs, placements, per-pair
 // volumes, DRBD pairs, workloads, and replicators — on a sharded engine.
 // The switch and the control plane (detector, re-protection pump) run on
 // the root shard, and every host gets its own shard in pool-index order
-// so shard assignment is topology-deterministic. Because a host's NIC
-// fans out to whichever hosts back its pairs, the fleet runs the
-// engine's ladder mode: cross-shard schedules are legal and the (when,
-// shard, seq) key keeps the trace independent of the lane count.
-// Nothing runs until Start.
+// so shard assignment is topology-deterministic. A host's NIC fans out
+// to whichever hosts back its pairs; cross-shard schedules are ordinary
+// schedules under the engine's (when, shard, seq) key. Nothing runs
+// until Start.
 func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 	params.defaults()
+	placements, err := Place(params)
+	if err != nil {
+		return nil, err
+	}
 	clock := sc.Root()
 	f := &Fleet{
 		Params:   params,
@@ -434,16 +450,6 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 		f.Hosts = append(f.Hosts, h)
 	}
 
-	place := PlacePairs
-	if params.Replicas > 2 || params.Zones > 1 {
-		place = func(n, w, c, pg int) ([]Placement, error) {
-			return PlaceChains(n, w, params.Zones, params.Replicas, c, pg)
-		}
-	}
-	placements, err := place(params.Pairs, params.Workers, params.CoresPerHost, params.PagesPerHost)
-	if err != nil {
-		return nil, err
-	}
 	for _, pl := range placements {
 		pr, err := f.buildPair(pl)
 		if err != nil {

@@ -47,7 +47,7 @@ func TestPlacementCapacity(t *testing.T) {
 
 func newTestFleet(t *testing.T, p Params) (*simtime.Clock, *Fleet) {
 	t.Helper()
-	f, err := NewSharded(simtime.NewShardedClock(1), p)
+	f, err := NewSharded(simtime.NewEngine(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

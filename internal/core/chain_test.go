@@ -25,7 +25,7 @@ func newChainEnv(t *testing.T, cfg Config, attach int) *chainEnv {
 	if cfg.Replicas < 2 {
 		cfg.Replicas = 2
 	}
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	views := NewShardedChainViews(sc, ClusterParams{}, cfg.Replicas)
 	ctr := views[0].NewProtectedContainer("kv", "10.0.0.10", 1)

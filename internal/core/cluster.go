@@ -67,8 +67,7 @@ func (p *ClusterParams) defaults() {
 // links and the DRBD pair over the hosts' disks. The primary and backup
 // hosts each get their own shard, the switch and campaign drivers run
 // on the root shard, and the replication/ack links deliver on the
-// receiving host's shard — they are the cross-shard edges whose latency
-// bounds the engine's conservative lookahead.
+// receiving host's shard.
 func NewShardedCluster(sc *simtime.ShardedClock, params ClusterParams) *Cluster {
 	return newCluster(sc.Root(), sc.NewShard(), sc.NewShard(), params)
 }
@@ -97,7 +96,7 @@ func newCluster(root, pclk, bclk *simtime.Clock, params ClusterParams) *Cluster 
 // backup joined to the primary by its own dedicated replication/ack
 // link pair and its own DRBD secondary over the primary's volume. The
 // primary and every backup host get their own shard, and each view's
-// links are the cross-shard edges bounding the conservative lookahead.
+// links deliver on the receiving host's shard.
 // views[0] is a classic pair cluster; each further view shares the
 // primary side (clock, switch, primary host, DRBD primary end) and
 // carries its own backup host, links, transfer scheduler and DRBD

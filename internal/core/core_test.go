@@ -119,7 +119,7 @@ type testEnv struct {
 
 func newTestEnv(t *testing.T, cfg Config) *testEnv {
 	t.Helper()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := NewShardedCluster(sc, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)

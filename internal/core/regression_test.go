@@ -213,7 +213,7 @@ const benchProcs = 24
 
 func newBenchEnv(b *testing.B) *testEnv {
 	b.Helper()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := NewShardedCluster(sc, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)

@@ -201,7 +201,7 @@ func (a *randApp) attach(ctr *container.Container) {
 }
 
 func TestReplayRandomDrawsInjected(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := NewShardedCluster(sc, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)

@@ -129,10 +129,8 @@ func AttachWitness(r *Replicator, latency simtime.Duration, bw int64) *Witness {
 
 func (w *Witness) addReplicaLinks() {
 	// Candidacies originate on the replica's host, promote-grants on the
-	// witness's (co-scheduled with the primary's clock); on a sharded
-	// engine the pair of links is therefore a shard boundary and must be
-	// bound remote so deliveries cross through the engine's mailbox. On
-	// a single clock the binding degenerates to a plain schedule.
+	// witness's (co-scheduled with the primary's clock); each link is
+	// bound remote so its deliveries run as the receiving host's shard.
 	i := len(w.CandidacyLinks)
 	bclk := w.r.chain[i].view.Backup.Clock
 	cand := simnet.NewLink(bclk, w.latency, w.bw)

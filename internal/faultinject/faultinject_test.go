@@ -11,7 +11,7 @@ import (
 )
 
 func newReplicator() (*simtime.Clock, *core.Replicator) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
@@ -63,7 +63,7 @@ func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
 		opts core.OptSet
 	}{{"all", core.AllOpts()}, {"delta", core.DeltaOpts()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := simtime.NewShardedClock(1)
+			sc := simtime.NewEngine()
 			clock := sc.Root()
 			cl := core.NewShardedCluster(sc, core.ClusterParams{})
 			ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)

@@ -63,7 +63,7 @@ func (c *olConn) onData(s *simnet.Socket, now func() simtime.Time) {
 // detection, the promotion barrier, restore and ARP; every SET issued
 // before the fault is readable afterwards, and nothing is reset.
 func TestFailStopOpenLoopResumesAtNetworkLive(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	prof := workloads.Profile{

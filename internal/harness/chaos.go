@@ -66,14 +66,8 @@ func ChaosOptSets() []core.LadderStep {
 // Campaigns run concurrently on jobs workers, but each seeded DES run
 // is single-threaded and results are aggregated in (matrix entry, seed)
 // order, so the results slice, the progress lines and the summary table
-// are byte-identical for any jobs value. shards is each campaign
-// engine's lane count (0 is taken as 1) and workers its window-drain
-// goroutine count (0 = ladder mode); traces are lane-count and
-// worker-count invariant, so the output is byte-identical for every
-// shards × workers value too — the CI determinism smoke diffs shards=1
-// against shards=4 and against shards=4/workers=4. The shards and
-// workers values themselves are deliberately absent from all output.
-func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shards, workers int) ([]chaos.Result, *metrics.Table) {
+// are byte-identical for any jobs value.
+func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int) ([]chaos.Result, *metrics.Table) {
 	if seeds <= 0 {
 		seeds = 20
 	}
@@ -81,7 +75,7 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs, shard
 	each := func(cfg chaos.Config) {
 		for s := int64(0); s < int64(seeds); s++ {
 			c := cfg
-			c.Seed, c.Shards, c.Workers = base+s, shards, workers
+			c.Seed = base + s
 			campaigns = append(campaigns, c)
 		}
 	}

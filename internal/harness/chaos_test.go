@@ -17,7 +17,7 @@ func TestChaosSweepSmall(t *testing.T) {
 	// asymmetric-fault and three scripted split-brain lease blocks,
 	// plus the fleet scenarios.
 	entries := len(ChaosOptSets()) + 5 + len(FleetScenarios())
-	results, tb := RunChaosSweep(2, 21, 800*simtime.Millisecond, Jobs, 1, 0)
+	results, tb := RunChaosSweep(2, 21, 800*simtime.Millisecond, Jobs)
 	if len(results) != 2*entries {
 		t.Fatalf("results = %d, want %d", len(results), 2*entries)
 	}
@@ -92,7 +92,7 @@ func TestChaosSweepParallelByteIdentical(t *testing.T) {
 		Verbose = func(format string, args ...any) {
 			lines = append(lines, fmt.Sprintf(format, args...))
 		}
-		results, tb := RunChaosSweep(2, 31, 500*simtime.Millisecond, jobs, 1, 0)
+		results, tb := RunChaosSweep(2, 31, 500*simtime.Millisecond, jobs)
 		return lines, tb.String(), results
 	}
 	lines1, table1, results1 := capture(1)

@@ -120,7 +120,7 @@ type RunResult struct {
 // setup builds a cluster with the workload installed on a protected
 // container.
 func setup(wl workloads.Workload, cores int) (*simtime.Clock, *core.Cluster, *container.Container) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	if cores <= 0 {

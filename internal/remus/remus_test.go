@@ -19,7 +19,7 @@ type vmEnv struct {
 type coreContainer = containerAlias
 
 func TestMCEpochsAndDirtyTracking(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 4)
@@ -52,7 +52,7 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 }
 
 func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
@@ -82,7 +82,7 @@ func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
 }
 
 func TestMCOutputCommit(t *testing.T) {
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
@@ -120,7 +120,7 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 	// The qualitative Table III / Figure 3 relationship on one workload:
 	// identical container+load under MC vs NiLiCon.
 	build := func() (*simtime.Clock, *core.Cluster, *containerAlias, func()) {
-		sc := simtime.NewShardedClock(1)
+		sc := simtime.NewEngine()
 		clock := sc.Root()
 		cl := core.NewShardedCluster(sc, core.ClusterParams{})
 		ctr := cl.NewProtectedContainer("x", "10.0.0.20", 4)

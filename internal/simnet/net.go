@@ -125,15 +125,10 @@ func (s *Switch) Attach(name string) *Port {
 	return s.AttachOn(name, nil)
 }
 
-// AttachOn adds a port that delivers ingress on the given host clock.
-// On a sharded engine this pins the port's traffic to the host's shard;
-// the switch's per-hop latency becomes the conservative lookahead of
-// the shard boundary (see ObserveLookahead).
+// AttachOn adds a port that delivers ingress on the given host clock,
+// so the port's traffic runs as the host's shard.
 func (s *Switch) AttachOn(name string, clock *simtime.Clock) *Port {
 	p := &Port{sw: s, name: name, enabled: true, clock: clock}
-	if clock != nil {
-		clock.Engine().ObserveLookahead(s.latency)
-	}
 	s.ports = append(s.ports, p)
 	return p
 }
@@ -175,14 +170,9 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 		s.dropped++
 		return
 	}
-	// Deliver on the receiving host's clock: the switch hop is the
-	// shard boundary, so the frame crosses it through the engine's
-	// mailbox (SendFrom). Single-clock topologies and clockless ports
-	// degrade to a plain schedule on the switch's clock.
-	src, dstClock := s.clock, s.clock
-	if from.clock != nil {
-		src = from.clock
-	}
+	// Deliver on the receiving host's clock; clockless ports deliver on
+	// the switch's.
+	dstClock := s.clock
 	if dst.clock != nil {
 		dstClock = dst.clock
 	}
@@ -195,7 +185,7 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 		}
 		dst.rx(pkt)
 	}
-	simtime.SendFrom(src, dstClock, src.Now().Add(s.latency), deliver)
+	dstClock.Schedule(s.latency, deliver)
 }
 
 // Link is a dedicated point-to-point link with bandwidth and latency,
@@ -205,7 +195,6 @@ type Link struct {
 	clock     *simtime.Clock
 	remote    *simtime.Clock // delivery clock; nil = deliver on clock
 	latency   simtime.Duration
-	lookahead simtime.Duration
 	bytesPerS int64
 	busyUntil simtime.Time
 	sent      int64
@@ -215,39 +204,20 @@ type Link struct {
 
 // NewLink creates a link. bytesPerSecond of zero means infinite bandwidth.
 func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int64) *Link {
-	return &Link{clock: clock, latency: latency, lookahead: latency, bytesPerS: bytesPerSecond}
+	return &Link{clock: clock, latency: latency, bytesPerS: bytesPerSecond}
 }
 
-// BindRemote makes deliveries execute on the far end's clock. On a
-// sharded engine the link then becomes a shard boundary: deliveries
-// cross through the engine's mailbox, and the link's lookahead (its
-// minimum propagation delay) is reported as a conservative barrier
-// bound.
-func (l *Link) BindRemote(c *simtime.Clock) {
-	l.remote = c
-	if c != nil {
-		c.Engine().ObserveLookahead(l.Lookahead())
-	}
-}
+// BindRemote makes deliveries execute on the far end's clock, so they
+// run as the far end's shard.
+func (l *Link) BindRemote(c *simtime.Clock) { l.remote = c }
 
-// Lookahead returns the link's minimum propagation delay: the earliest
-// a frame submitted now can affect the far end. It defaults to the
-// link's latency.
-func (l *Link) Lookahead() simtime.Duration { return l.lookahead }
-
-// SetLookahead overrides the link's advertised lookahead (it must stay
-// at or below the true minimum delay for conservative windows to be
-// correct; lowering it is always safe, merely less parallel).
-func (l *Link) SetLookahead(d simtime.Duration) { l.lookahead = d }
-
-// deliver schedules fn at time t on the delivery clock, crossing the
-// shard boundary when the link has a bound remote.
+// deliver schedules fn at time t on the delivery clock.
 func (l *Link) deliver(t simtime.Time, fn func()) {
-	if l.remote == nil {
-		l.clock.ScheduleAt(t, fn)
-		return
+	c := l.clock
+	if l.remote != nil {
+		c = l.remote
 	}
-	simtime.SendFrom(l.clock, l.remote, t, fn)
+	c.ScheduleAt(t, fn)
 }
 
 // Transfer schedules delivery of size bytes; done runs when the last

@@ -7,65 +7,36 @@ import (
 	"time"
 )
 
-// buildShardTopology schedules an identical deterministic workload onto
-// an engine with the given lane count: nShards host shards, each running
-// a self-rescheduling task, plus cross-shard sends and a root driver.
-// It returns the recorded execution log.
-func runShardWorkload(t *testing.T, lanes, nShards int, seed int64) []string {
-	t.Helper()
-	sc := NewShardedClock(lanes)
-	views := make([]*Clock, nShards)
-	for i := range views {
-		views[i] = sc.NewShard()
-	}
-	var log []string
-	rng := NewRand(seed)
-	for i, v := range views {
-		i, v := i, v
-		var step func()
-		n := 0
-		step = func() {
-			n++
-			log = append(log, fmt.Sprintf("s%d n%d t%d", i, n, v.Now()))
-			if n < 50 {
-				v.Schedule(Duration(50+rng.Intn(200))*Microsecond, step)
-			}
-			// Cross-shard ping to the next shard (legal in ladder mode).
-			peer := views[(i+1)%len(views)]
-			peer.Schedule(300*Microsecond, func() {
-				log = append(log, fmt.Sprintf("ping s%d->s%d t%d", i, (i+1)%len(views), peer.Now()))
-			})
-		}
-		v.Schedule(Duration(i+1)*Microsecond, step)
-	}
-	done := false
-	sc.Root().Schedule(40*Millisecond, func() { done = true })
-	sc.Root().RunUntil(Time(60 * Millisecond))
-	if !done {
-		t.Fatal("root driver event did not fire")
-	}
-	return log
-}
-
-// The core tentpole guarantee: the same topology and seed produce an
-// identical execution order no matter how many physical lanes back it.
-func TestShardedLaneCountInvariance(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42} {
-		ref := runShardWorkload(t, 1, 5, seed)
-		if len(ref) == 0 {
-			t.Fatal("empty reference log")
-		}
-		for _, lanes := range []int{2, 3, 4, 8} {
-			got := runShardWorkload(t, lanes, 5, seed)
-			if len(got) != len(ref) {
-				t.Fatalf("lanes=%d seed=%d: %d events, want %d", lanes, seed, len(got), len(ref))
-			}
-			for i := range ref {
-				if got[i] != ref[i] {
-					t.Fatalf("lanes=%d seed=%d: event %d = %q, want %q", lanes, seed, i, got[i], ref[i])
-				}
-			}
-		}
+// Events due at the same instant fire shard by shard, and within a
+// shard in scheduling order, whatever order they were scheduled in. An
+// event scheduled from inside another is keyed by the executing shard,
+// not by the view it is scheduled on.
+func TestShardedSameInstantTieOrder(t *testing.T) {
+	sc := NewEngine()
+	root := sc.Root()
+	a, b := sc.NewShard(), sc.NewShard() // shards 1 and 2
+	at := Time(5 * Millisecond)
+	var order []string
+	log := func(s string) func() { return func() { order = append(order, s) } }
+	b.ScheduleAt(at, log("b0"))
+	a.ScheduleAt(at, log("a0"))
+	root.ScheduleAt(at, func() {
+		order = append(order, "r0")
+		// Keyed (at, 0, ·): sorts ahead of every shard-1 and shard-2
+		// event still due at this instant.
+		b.ScheduleAt(at, log("b-from-r0"))
+	})
+	b.ScheduleAt(at, log("b1"))
+	a.ScheduleAt(at, log("a1"))
+	b.ScheduleAt(at-Time(Millisecond), func() {
+		// Keyed (at, 2, ·): after b0 and b1, ahead of nothing else.
+		a.ScheduleAt(at, log("a-from-b"))
+		root.ScheduleAt(at, log("r-from-b"))
+	})
+	sc.Run()
+	want := "[r0 b-from-r0 a0 a1 b0 b1 a-from-b r-from-b]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("same-instant order = %v, want %v", got, want)
 	}
 }
 
@@ -74,7 +45,9 @@ func TestShardedLaneCountInvariance(t *testing.T) {
 // within a shard, clamping).
 func TestShardedMatchesSerialSemantics(t *testing.T) {
 	ref := &refClock{}
-	sc := NewShardedClock(4)
+	sc := NewEngine()
+	sc.NewShard()
+	sc.NewShard()
 	view := sc.Root()
 	var a, b []int
 	for i := 0; i < 20; i++ {
@@ -115,7 +88,7 @@ func TestWheelRevolutionFromSlotEnd(t *testing.T) {
 }
 
 func TestShardedRunUntilBoundary(t *testing.T) {
-	sc := NewShardedClock(2)
+	sc := NewEngine()
 	v := sc.NewShard()
 	var fired []Time
 	v.Schedule(10*Millisecond, func() { fired = append(fired, v.Now()) })
@@ -138,7 +111,7 @@ func TestShardedRunUntilBoundary(t *testing.T) {
 }
 
 func TestShardedRunUntilIdleAdvances(t *testing.T) {
-	sc := NewShardedClock(3)
+	sc := NewEngine()
 	sc.RunUntil(Time(time.Second))
 	if sc.Now() != Time(time.Second) {
 		t.Fatalf("idle RunUntil left engine at %v, want 1s", sc.Now())
@@ -146,7 +119,7 @@ func TestShardedRunUntilIdleAdvances(t *testing.T) {
 }
 
 func TestShardedCancel(t *testing.T) {
-	sc := NewShardedClock(2)
+	sc := NewEngine()
 	v := sc.NewShard()
 	fired := false
 	e := v.Schedule(Millisecond, func() { fired = true })
@@ -164,7 +137,7 @@ func TestShardedCancel(t *testing.T) {
 }
 
 func TestShardedPendingAndExecuted(t *testing.T) {
-	sc := NewShardedClock(4)
+	sc := NewEngine()
 	views := []*Clock{sc.NewShard(), sc.NewShard(), sc.NewShard()}
 	for i, v := range views {
 		v.Schedule(Duration(i+1)*Millisecond, func() {})
@@ -181,139 +154,10 @@ func TestShardedPendingAndExecuted(t *testing.T) {
 	}
 }
 
-// Barrier boundary: with lookahead L and the minimum next event at time
-// m, events strictly below m+L execute in the window; an event exactly
-// at the horizon m+L must wait for the next window. Observable through
-// the mailbox: a cross-lane send issued in window 1 arriving exactly at
-// the horizon is flushed at the barrier, so if the horizon event ran in
-// window 1 it would fire before the mailbox event despite having the
-// larger (when, shard, seq) key.
-func TestShardedWindowHorizonBoundary(t *testing.T) {
-	sc := NewShardedClock(2)
-	a := sc.NewShard() // shard 1, lane 1
-	b := sc.NewShard() // shard 2, lane 0 (with root)
-	const la = 100 * Microsecond
-	sc.SetLookahead(la)
-	sc.SetWorkers(1) // windowed path, deterministic sequential drain
-
-	var aLog, bLog []string
-	// Window 1 starts at t=10µs (min event), horizon t=110µs.
-	a.ScheduleAt(Time(10*Microsecond), func() {
-		aLog = append(aLog, "a@10")
-		// Arrives exactly at the horizon: legal, rides the mailbox.
-		SendFrom(a, b, Time(110*Microsecond), func() { bLog = append(bLog, "mail@110") })
-	})
-	b.ScheduleAt(Time(109*Microsecond+999), func() { bLog = append(bLog, "b@109.999") })
-	// Exactly at the horizon: must NOT run in window 1. Its key
-	// (110µs, shard 2, ·) sorts after the mailbox event's key
-	// (110µs, shard 1, ·), so in window 2 the mailbox event runs first.
-	b.ScheduleAt(Time(110*Microsecond), func() { bLog = append(bLog, "b@110(horizon)") })
-	sc.RunUntil(Time(1 * Millisecond))
-
-	if fmt.Sprint(aLog) != "[a@10]" {
-		t.Fatalf("aLog = %v, want [a@10]", aLog)
-	}
-	want := []string{"b@109.999", "mail@110", "b@110(horizon)"}
-	if fmt.Sprint(bLog) != fmt.Sprint(want) {
-		t.Fatalf("bLog = %v, want %v (horizon event must wait for the next window and sort after the mailbox event)", bLog, want)
-	}
-}
-
-// SendFrom across lanes during a window must be deferred through the
-// mailbox and arrive no earlier than the horizon.
-func TestShardedSendFromMailbox(t *testing.T) {
-	sc := NewShardedClock(2)
-	a := sc.NewShard()
-	b := sc.NewShard()
-	const la = 50 * Microsecond
-	sc.SetLookahead(la)
-	sc.SetWorkers(1)
-
-	got := Time(-1)
-	a.ScheduleAt(Time(10*Microsecond), func() {
-		// Cross-lane: must ride the mailbox, arriving >= the horizon.
-		SendFrom(a, b, a.Now().Add(la), func() { got = b.Now() })
-	})
-	sc.RunUntil(Time(1 * Millisecond))
-	if got != Time(60*Microsecond) {
-		t.Fatalf("cross-lane send fired at %v, want 60µs", got)
-	}
-}
-
-func TestShardedSendFromBelowHorizonPanics(t *testing.T) {
-	sc := NewShardedClock(2)
-	a := sc.NewShard()
-	b := sc.NewShard()
-	sc.SetLookahead(100 * Microsecond)
-	sc.SetWorkers(1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("cross-lane send below the lookahead horizon did not panic")
-		}
-	}()
-	a.ScheduleAt(Time(10*Microsecond), func() {
-		SendFrom(a, b, a.Now().Add(10*Microsecond), func() {}) // 20µs < horizon 110µs
-	})
-	sc.RunUntil(Time(1 * Millisecond))
-}
-
-// Windowed mode with parallel workers must produce the same result as
-// ladder mode when lanes are isolated (each lane only touches its own
-// state and uses SendFrom across lanes). This is the -race soak target.
-func TestShardedWindowedParallelMatchesLadder(t *testing.T) {
-	run := func(workers int) []string {
-		sc := NewShardedClock(4)
-		const nShards = 8
-		views := make([]*Clock, nShards)
-		logs := make([][]string, nShards) // per-lane logs: no shared state
-		for i := range views {
-			views[i] = sc.NewShard()
-		}
-		const la = 100 * Microsecond
-		sc.SetLookahead(la)
-		sc.SetWorkers(workers)
-		for i := range views {
-			i, v := i, views[i]
-			n := 0
-			var step func()
-			step = func() {
-				n++
-				logs[i] = append(logs[i], fmt.Sprintf("s%d n%d t%d", i, n, v.Now()))
-				if n < 200 {
-					v.Schedule(Duration(20+(n*i)%60)*Microsecond, step)
-				}
-				if n%10 == 0 {
-					peer := views[(i+3)%nShards]
-					SendFrom(v, peer, v.Now().Add(la+Duration(n)*Microsecond), func() {
-						pi := (i + 3) % nShards
-						logs[pi] = append(logs[pi], fmt.Sprintf("s%d got ping t%d", pi, peer.Now()))
-					})
-				}
-			}
-			v.Schedule(Duration(i+1)*Microsecond, step)
-		}
-		sc.RunUntil(Time(100 * Millisecond))
-		var all []string
-		for _, l := range logs {
-			all = append(all, l...)
-		}
-		return all
-	}
-	ladder := run(0)
-	seq := run(1)
-	par := run(8)
-	if fmt.Sprint(ladder) != fmt.Sprint(seq) {
-		t.Fatal("sequential windowed run diverged from ladder run")
-	}
-	if fmt.Sprint(seq) != fmt.Sprint(par) {
-		t.Fatal("parallel windowed run diverged from sequential windowed run")
-	}
-}
-
 // The wheel must honor arbitrary far-future schedules (higher levels
 // and overflow) in exact time order.
 func TestShardedFarFutureOrdering(t *testing.T) {
-	sc := NewShardedClock(2)
+	sc := NewEngine()
 	v := sc.NewShard()
 	delays := []Duration{
 		500 * Nanosecond,  // level 0
@@ -362,14 +206,16 @@ func wheelDelay(r uint64) Duration {
 }
 
 // Property: arbitrary delays and cancels behave identically on the
-// serial reference heap and a multi-lane sharded engine driven from one
-// shard. The delays reach every wheel level and the overflow heap, and
-// are scheduled from a cursor at an arbitrary offset inside its slot.
+// serial reference heap and the engine, with events spread over three
+// shard views but all scheduled from one event (so keyed by one shard).
+// The delays reach every wheel level and the overflow heap, and are
+// scheduled from a cursor at an arbitrary offset inside its slot.
 func TestPropertyShardedEquivalence(t *testing.T) {
 	f := func(start uint32, raw []uint64, cancelMask []bool) bool {
 		ref := &refClock{}
-		sc := NewShardedClock(3)
-		view := sc.NewShard()
+		sc := NewEngine()
+		views := []*Clock{sc.NewShard(), sc.NewShard(), sc.NewShard()}
+		view := views[0]
 		var a, b []int
 		re := make([]*refEvent, len(raw))
 		he := make([]*Event, len(raw))
@@ -387,7 +233,7 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 		view.ScheduleAt(Time(start), func() {
 			for i, r := range raw {
 				i := i
-				he[i] = view.Schedule(wheelDelay(r), func() { b = append(b, i) })
+				he[i] = views[i%len(views)].Schedule(wheelDelay(r), func() { b = append(b, i) })
 			}
 			for i := range he {
 				if i < len(cancelMask) && cancelMask[i] {
@@ -408,7 +254,7 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 }
 
 func TestShardedTicker(t *testing.T) {
-	sc := NewShardedClock(2)
+	sc := NewEngine()
 	v := sc.NewShard()
 	var ticks []Time
 	tk := NewTicker(v, 30*Millisecond, func() { ticks = append(ticks, v.Now()) })
@@ -421,7 +267,7 @@ func TestShardedTicker(t *testing.T) {
 }
 
 func TestShardedStop(t *testing.T) {
-	sc := NewShardedClock(2)
+	sc := NewEngine()
 	v := sc.NewShard()
 	count := 0
 	for i := 0; i < 10; i++ {
@@ -434,14 +280,14 @@ func TestShardedStop(t *testing.T) {
 	}
 	sc.Run()
 	if count != 3 {
-		t.Fatalf("Stop did not interrupt ladder run: %d events fired, want 3", count)
+		t.Fatalf("Stop did not interrupt the run: %d events fired, want 3", count)
 	}
 }
 
 func BenchmarkShardedEngine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc := NewShardedClock(4)
+		sc := NewEngine()
 		views := make([]*Clock, 8)
 		for j := range views {
 			views[j] = sc.NewShard()
@@ -459,5 +305,21 @@ func BenchmarkShardedEngine(b *testing.B) {
 			v.Schedule(Microsecond, step)
 		}
 		sc.Run()
+	}
+}
+
+func TestNewShardedClockOneLaneOnly(t *testing.T) {
+	if sc := NewShardedClock(1); sc.Now() != 0 || sc.Pending() != 0 || sc.NewShard().Shard() != 1 {
+		t.Fatal("NewShardedClock(1) did not return a fresh engine")
+	}
+	for _, n := range []int{0, 2, 8} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewShardedClock(%d) did not panic", n)
+				}
+			}()
+			NewShardedClock(n)
+		}()
 	}
 }

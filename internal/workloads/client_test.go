@@ -11,7 +11,7 @@ import (
 
 func TestLoaderLoadsAllRecords(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
@@ -32,7 +32,7 @@ func TestKeyStripesDisjointAcrossKinds(t *testing.T) {
 	// Batch clients draw from the lower half, probes from the upper
 	// half; no writer shares a key with another writer.
 	prof := Redis().Profile()
-	cl := core.NewShardedCluster(simtime.NewShardedClock(1), core.ClusterParams{})
+	cl := core.NewShardedCluster(simtime.NewEngine(), core.ClusterParams{})
 	batchSet := &ClientSet{cl: cl, prof: prof}
 	probeSet := &ClientSet{cl: cl, prof: prof}
 	mk := func(set *ClientSet, kind ClientKind, id int) *Client {
@@ -86,7 +86,7 @@ func TestClientKindMapping(t *testing.T) {
 
 func TestProbeClientVerifiesReads(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
@@ -107,7 +107,7 @@ func TestProbeClientVerifiesReads(t *testing.T) {
 // SLO judge with a clean run showing zero violation windows.
 func TestTraceClientSetReplaysTrace(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
@@ -147,7 +147,7 @@ func TestTraceClientSetReplaysTrace(t *testing.T) {
 // mode produces a parseable trace that replays through the trace client.
 func TestClientSetCaptureRoundTrip(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
@@ -176,7 +176,7 @@ func TestClientSetCaptureRoundTrip(t *testing.T) {
 	}
 
 	// And the capture replays against a fresh server.
-	sc2 := simtime.NewShardedClock(1)
+	sc2 := simtime.NewEngine()
 	clock2 := sc2.Root()
 	cl2 := core.NewShardedCluster(sc2, core.ClusterParams{})
 	sv2 := Redis()

@@ -143,7 +143,7 @@ type wlEnv struct {
 
 func newWLEnv(t *testing.T, wl Workload) *wlEnv {
 	t.Helper()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer(wl.Profile().Name, "10.0.0.10", 4)
@@ -398,7 +398,7 @@ func min(a, b int) int {
 func TestZipfianKeysSkewed(t *testing.T) {
 	prof := Redis().Profile()
 	prof.ZipfianKeys = true
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("z", "10.0.0.10", 1)
@@ -418,7 +418,7 @@ func TestZipfianKeysSkewed(t *testing.T) {
 
 func TestUniformKeysCoverStripe(t *testing.T) {
 	prof := Redis().Profile()
-	sc := simtime.NewShardedClock(1)
+	sc := simtime.NewEngine()
 	clock := sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("u", "10.0.0.10", 1)
