@@ -435,15 +435,24 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	for _, d := range decoded {
 		// Decoded buffers (and the image's own page buffers below) are
 		// dead after this merge; hand them to the store without copying.
+		// What a decoded frame supersedes is never recycled: a full
+		// frame's payload is co-owned by the primary's encoder, and a
+		// dedup donor's slice sits under two keys.
 		b.store.PutOwned(d.key, d.data)
 	}
+	// Without an encoder the store holds every verbatim page under one
+	// key and nobody else holds it, so the copy a newer epoch supersedes
+	// is dead and goes back to the collector's pool (DESIGN.md §8).
+	recycle := !b.cfg.Opts.DeltaPages && !b.cfg.Opts.BackupPageDedup
 	for pi := range img.Procs {
 		p := &img.Procs[pi]
 		for _, pg := range p.Pages {
 			if pg.PN >= maxPageNumber {
 				panic(fmt.Sprintf("core: page number %#x exceeds store key space", pg.PN))
 			}
-			b.store.PutOwned(criu.PageKey(pi, pg.PN), pg.Data)
+			if old := b.store.PutOwned(criu.PageKey(pi, pg.PN), pg.Data); recycle {
+				criu.RecyclePage(old)
+			}
 			pageBytes += int64(len(pg.Data))
 		}
 	}

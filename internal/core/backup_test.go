@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nilicon/internal/simkernel"
@@ -50,6 +51,72 @@ func TestIncrementalMergeRestoresLatestContent(t *testing.T) {
 		t.Fatalf("second page = %q", got2)
 	}
 }
+
+// TestRawCommitRecyclesPageBuffers guards the closed page-buffer loop
+// (DESIGN.md §8). Without an encoder the backup's store hands every
+// verbatim page a newer epoch supersedes back to the collector's pool,
+// so a pair that dirties over a thousand pages per epoch allocates, per
+// committed epoch, well under a quarter of the page bytes it ships.
+// Without the recycling every dirty page costs a fresh 4 KiB buffer and
+// the ratio sits near 1.
+func TestRawCommitRecyclesPageBuffers(t *testing.T) {
+	const dirty = 1200
+	env := newTestEnv(t, DefaultConfig())
+	if env.repl.Cfg.Opts.DeltaPages || env.repl.Cfg.Opts.BackupPageDedup {
+		t.Fatal("DefaultConfig encodes pages; this guard needs a raw store")
+	}
+	p := env.app.proc
+	v := p.Mem.Mmap(dirty*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	stamp := byte(0)
+	env.ctr.AddTask(p.NewThread(), func() (simtime.Duration, simtime.Duration) {
+		stamp++
+		if err := p.Mem.Touch(v, 0, dirty, stamp); err != nil {
+			t.Error(err)
+		}
+		return 50 * simtime.Microsecond, 10 * simtime.Millisecond
+	})
+	env.repl.Start()
+	// Past the initial full sync, with the pool warmed by a few commits.
+	env.clock.RunFor(500 * simtime.Millisecond)
+
+	committed := func() uint64 {
+		e, ok := env.repl.Backup.CommittedEpoch()
+		if !ok {
+			t.Fatal("nothing committed")
+		}
+		return e
+	}
+	epochs0, committed0, pages0 := env.repl.Epochs(), committed(), env.repl.DirtyPages.Sum()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	env.clock.RunFor(time2s())
+	runtime.ReadMemStats(&after)
+	epochs, commits := env.repl.Epochs()-epochs0, committed()-committed0
+	if commits < 30 {
+		t.Fatalf("only %d epochs committed in 2s", commits)
+	}
+	pagesPerEpoch := (env.repl.DirtyPages.Sum() - pages0) / float64(epochs)
+	if pagesPerEpoch < 1000 {
+		t.Fatalf("%.0f dirty pages per epoch, want >= 1000", pagesPerEpoch)
+	}
+	allocPerCommit := float64(after.TotalAlloc-before.TotalAlloc) / float64(commits)
+	ratio := allocPerCommit / (pagesPerEpoch * simkernel.PageSize)
+	t.Logf("%.0f pages/epoch, %d commits, %.0f B allocated per commit: %.3f of shipped page bytes",
+		pagesPerEpoch, commits, allocPerCommit, ratio)
+	limit := 0.25
+	if raceEnabled {
+		// Under the race detector sync.Pool drops a random quarter of
+		// the buffers put into it, and each drop costs a fresh page.
+		limit += 0.25
+	}
+	if ratio >= limit {
+		t.Fatalf("allocated %.3f of shipped page bytes per committed epoch, want < %.2f: "+
+			"superseded page buffers are not recycled", ratio, limit)
+	}
+}
+
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
 
 // TestUncommittedEpochDiscardedOnFailover ensures state from an epoch
 // whose checkpoint never reached the backup is rolled back.

@@ -294,8 +294,9 @@ func (run *epochRun) transfer() {
 		epoch, img := run.epoch, run.img
 		// Chain fan-out: every further replica gets its own deep copy of
 		// the image on its own flow. The copy is mandatory, not an
-		// optimization — page buffers are pool-recycled when a backup
-		// commits, so two backups must never share frame storage. Slot 0
+		// optimization — each replica's store owns the pages it commits,
+		// and a raw store recycles a verbatim page once a newer epoch
+		// supersedes it, so two backups must never share page storage. Slot 0
 		// keeps the original image and the legacy flow name, and alone
 		// drives the pipeline's StageTransfer completion; replica drops
 		// arm the same full-resync repair without touching the run.

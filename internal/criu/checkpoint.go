@@ -183,8 +183,9 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 			if data == nil {
 				continue
 			}
-			// Pooled scratch buffer; the copy overwrites it completely.
-			// The delta encoder recycles it if the page compresses away.
+			// Pooled buffer; the copy overwrites it completely. The delta
+			// encoder recycles it if the page compresses away, a raw
+			// backup store once a newer copy supersedes it.
 			cp := getPageBuf(len(data))
 			copy(cp, data)
 			pi.Pages = append(pi.Pages, PageImage{PN: pn, Data: cp})

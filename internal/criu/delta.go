@@ -104,11 +104,13 @@ func PageKey(procIdx int, pn uint64) uint64 {
 
 // --- Page-buffer pool ---------------------------------------------------------
 
-// pagePool recycles page-sized scratch buffers between the checkpoint
-// collector (which copies dirty pages out of the address space) and the
-// delta encoder (which retires superseded base copies). Only buffers
-// that provably never left the primary are returned: a buffer shipped in
-// a full frame is co-owned by the backup's store and must not be reused.
+// pagePool recycles page-sized buffers. The checkpoint collector and
+// Image.Clone draw from it; three owners return dead buffers to it: the
+// delta encoder (superseded base copies that never left the primary), a
+// lost image's release, and a raw backup store (the verbatim page a
+// newer epoch's copy supersedes, via RecyclePage). A buffer shipped in a
+// full frame is co-owned by the encoder and the backup's store and is
+// never returned (DESIGN.md §8).
 var pagePool = sync.Pool{
 	New: func() any {
 		b := make([]byte, simkernel.PageSize)
@@ -125,8 +127,11 @@ func getPageBuf(n int) []byte {
 	return *pagePool.Get().(*[]byte)
 }
 
-// putPageBuf recycles an exclusively-owned, dead page buffer.
-func putPageBuf(b []byte) {
+// RecyclePage returns a dead page buffer to the collector's pool. The
+// caller must be its only owner: a buffer still reachable from a page
+// store, an image or the delta encoder would be overwritten by the next
+// checkpoint. Buffers that are not page-sized (and nil) are ignored.
+func RecyclePage(b []byte) {
 	if len(b) != simkernel.PageSize {
 		return
 	}
@@ -332,7 +337,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 		// The copied buffer never leaves this host: recycle it and point
 		// the base at the shared zero singleton.
 		e.setBase(key, zeroPage, hv, epoch, true)
-		putPageBuf(pg.Data)
+		RecyclePage(pg.Data)
 		st.ZeroFrames++
 		return PageFrame{Kind: FrameZero, PN: pg.PN, Hash: hv}
 	}
@@ -378,7 +383,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 func (e *DeltaEncoder) setBase(key uint64, data []byte, hv, epoch uint64, shared bool) {
 	if prev := e.base[key]; prev != nil {
 		if !prev.shared {
-			putPageBuf(prev.data)
+			RecyclePage(prev.data)
 		}
 		if e.dedup && prev.hash != hv && len(e.byHash[hv]) < maxDonorCands {
 			e.byHash[hv] = append(e.byHash[hv], key)
@@ -433,7 +438,7 @@ func (e *DeltaEncoder) findDonor(self, hv uint64, data []byte, acked uint64, hav
 func (e *DeltaEncoder) reset() {
 	for _, sp := range e.base {
 		if !sp.shared {
-			putPageBuf(sp.data)
+			RecyclePage(sp.data)
 		}
 	}
 	e.base = make(map[uint64]*sentPage)

@@ -361,12 +361,12 @@ func TestPageBufPoolExactSizeOnly(t *testing.T) {
 	if int64(len(b)) != simkernel.PageSize {
 		t.Fatalf("pooled buffer len = %d", len(b))
 	}
-	putPageBuf(b)
+	RecyclePage(b)
 	odd := getPageBuf(100)
 	if len(odd) != 100 {
 		t.Fatalf("odd-size buffer len = %d", len(odd))
 	}
-	putPageBuf(odd) // must be a no-op, not a pool poisoning
+	RecyclePage(odd) // must be a no-op, not a pool poisoning
 	again := getPageBuf(simkernel.PageSize)
 	if int64(len(again)) != simkernel.PageSize {
 		t.Fatalf("pool poisoned: len = %d", len(again))

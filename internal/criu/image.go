@@ -101,12 +101,14 @@ type Image struct {
 // Clone returns a copy of the image that is safe to deliver to an
 // additional replica in a fan-out chain. Every page-content buffer —
 // verbatim dirty pages, full-frame payloads, XOR patches, fs-cache
-// pages — is deep-copied: the originals are co-owned by the first
-// replica's page store and by the primary's recycled staging buffers,
-// and a restore on one replica must never alias another replica's
-// committed state. Structured snapshots (threads, VMAs, sockets,
-// infrequent state) and AppState are shared read-only; at most one
-// replica of a generation ever restores them.
+// pages — is deep-copied: each replica's page store owns what it
+// commits, and a raw store recycles the verbatim pages it supersedes
+// (DESIGN.md §8), so two replicas must never share one buffer. The
+// verbatim copies come from the collector's pool, so a replica store
+// recycles them exactly as slot 0's store recycles the originals.
+// Structured snapshots (threads, VMAs, sockets, infrequent state) and
+// AppState are shared read-only; at most one replica of a generation
+// ever restores them.
 func (img *Image) Clone() *Image {
 	cp := *img
 	cp.Procs = make([]ProcessImage, len(img.Procs))
@@ -115,7 +117,7 @@ func (img *Image) Clone() *Image {
 		if len(p.Pages) > 0 {
 			pages := make([]PageImage, len(p.Pages))
 			for j, pg := range p.Pages {
-				d := make([]byte, len(pg.Data))
+				d := getPageBuf(len(pg.Data))
 				copy(d, pg.Data)
 				pages[j] = PageImage{PN: pg.PN, Data: d}
 			}
@@ -164,7 +166,7 @@ func (img *Image) ReleaseLost() {
 	for i := range img.Procs {
 		p := &img.Procs[i]
 		for _, pg := range p.Pages {
-			putPageBuf(pg.Data)
+			RecyclePage(pg.Data)
 		}
 		p.Pages, p.Frames = nil, nil
 	}

@@ -24,10 +24,12 @@ type PageStore interface {
 	// Put stores (a copy of) data under key.
 	Put(key uint64, data []byte)
 	// PutOwned stores data under key, taking ownership of the slice
-	// (no copy). Callers must not reuse data afterwards. The backup
-	// agent uses this for received checkpoint pages, whose buffers are
-	// dead after the merge.
-	PutOwned(key uint64, data []byte)
+	// (no copy), and returns the buffer it replaces (nil for a new key).
+	// Callers must not reuse data afterwards. The backup agent uses this
+	// for received checkpoint pages, whose buffers are dead after the
+	// merge, and recycles the replaced buffer when nothing else can
+	// hold it (DESIGN.md §8).
+	PutOwned(key uint64, data []byte) (old []byte)
 	// Get returns the stored page (nil if absent). The result must not
 	// be mutated.
 	Get(key uint64) []byte
@@ -84,7 +86,7 @@ func (s *ListStore) Put(key uint64, data []byte) {
 }
 
 // PutOwned is Put without the defensive copy.
-func (s *ListStore) PutOwned(key uint64, data []byte) {
+func (s *ListStore) PutOwned(key uint64, data []byte) (old []byte) {
 	if len(s.dirs) == 0 {
 		s.dirs = append(s.dirs, nil)
 	}
@@ -94,6 +96,7 @@ func (s *ListStore) PutOwned(key uint64, data []byte) {
 		dir := s.dirs[di]
 		for i := range dir {
 			if dir[i].key == key {
+				old = dir[i].data
 				last := len(dir) - 1
 				dir[i] = dir[last]
 				s.dirs[di] = dir[:last]
@@ -112,6 +115,7 @@ func (s *ListStore) PutOwned(key uint64, data []byte) {
 	cur := len(s.dirs) - 1
 	s.dirs[cur] = append(s.dirs[cur], pageRec{key: key, data: data})
 	s.cost += costListAppend
+	return old
 }
 
 // Get linearly searches the directories (newest first).
@@ -197,7 +201,7 @@ func (s *RadixStore) Put(key uint64, data []byte) {
 }
 
 // PutOwned is Put without the defensive copy.
-func (s *RadixStore) PutOwned(key uint64, data []byte) {
+func (s *RadixStore) PutOwned(key uint64, data []byte) (old []byte) {
 	n := s.root
 	for level := 0; level < 3; level++ {
 		i := radixIdx(key, level)
@@ -207,11 +211,13 @@ func (s *RadixStore) PutOwned(key uint64, data []byte) {
 		n = n.children[i]
 	}
 	i := radixIdx(key, 3)
-	if n.leaves[i] == nil {
+	old = n.leaves[i]
+	if old == nil {
 		s.n++
 	}
 	n.leaves[i] = data
 	s.cost += costRadixPut
+	return old
 }
 
 // Get walks the tree.

@@ -52,6 +52,29 @@ func TestPageStoreOverwriteKeepsLatest(t *testing.T) {
 	}
 }
 
+// PutOwned hands back exactly the slice it replaced, so the backup can
+// recycle a superseded page buffer.
+func TestPageStorePutOwnedReturnsReplaced(t *testing.T) {
+	for name, mk := range storeImpls() {
+		t.Run(name, func(t *testing.T) {
+			s := mk()
+			v1, v2 := []byte("v1"), []byte("v2")
+			s.BeginCheckpoint()
+			if old := s.PutOwned(7, v1); old != nil {
+				t.Fatalf("PutOwned on a new key returned %q", old)
+			}
+			s.PutOwned(8, []byte("other"))
+			s.BeginCheckpoint()
+			if old := s.PutOwned(7, v2); &old[0] != &v1[0] {
+				t.Fatalf("PutOwned returned %q, want the replaced slice", old)
+			}
+			if got := s.Get(7); &got[0] != &v2[0] || s.Len() != 2 {
+				t.Fatalf("Get = %q, Len = %d after PutOwned", got, s.Len())
+			}
+		})
+	}
+}
+
 func TestPageStorePutCopies(t *testing.T) {
 	for name, mk := range storeImpls() {
 		t.Run(name, func(t *testing.T) {

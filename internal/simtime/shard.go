@@ -155,12 +155,13 @@ func (w *wheel) getSlot() []*Event {
 }
 
 // recycle returns a drained slot slice to the freelist, dropping its
-// event pointers for the GC.
+// event pointers for the GC. Clearing the used prefix is enough: slot
+// slices only ever grow by append, so every freelist slice is all-nil
+// beyond its length, and so is everything append fills from it.
 func (w *wheel) recycle(s []*Event) {
 	if cap(s) == 0 {
 		return
 	}
-	s = s[:cap(s)]
 	clear(s)
 	w.free = append(w.free, s[:0])
 }

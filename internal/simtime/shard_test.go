@@ -284,6 +284,26 @@ func TestShardedStop(t *testing.T) {
 	}
 }
 
+// BenchmarkWheelChurn drives one long-lived engine through bursts that
+// grow slot slices well past their initial capacity, then through
+// sparse schedules that refill them from the freelist: the steady state
+// that wheel.recycle's prefix clear serves.
+func BenchmarkWheelChurn(b *testing.B) {
+	b.ReportAllocs()
+	sc := NewEngine()
+	root := sc.Root()
+	fn := func() {}
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 256; j++ {
+			root.Schedule(Millisecond, fn)
+		}
+		for j := 0; j < 32; j++ {
+			root.Schedule(Duration(j)*100*Microsecond, fn)
+		}
+		sc.Run()
+	}
+}
+
 func BenchmarkShardedEngine(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -306,6 +326,50 @@ func BenchmarkShardedEngine(b *testing.B) {
 		}
 		sc.Run()
 	}
+}
+
+// wheel.recycle clears only a slot slice's used prefix. That is sound
+// only if every freelist slice is all-nil beyond its length, so a slot
+// grown far past its initial capacity of 8 — and any slot later refilled
+// from the freelist with fewer events — must come back with no event
+// pointer left anywhere in its backing array.
+func TestWheelRecycledSlotsAreNilToCap(t *testing.T) {
+	sc := NewEngine()
+	root := sc.Root()
+	checkFree := func(round string, wantCap int) {
+		t.Helper()
+		maxCap := 0
+		for _, s := range sc.wh.free {
+			if len(s) != 0 {
+				t.Fatalf("%s: freelist slice has length %d, want 0", round, len(s))
+			}
+			for i, e := range s[:cap(s)] {
+				if e != nil {
+					t.Fatalf("%s: freelist slice (cap %d) still holds an event at %d", round, cap(s), i)
+				}
+			}
+			maxCap = max(maxCap, cap(s))
+		}
+		if maxCap < wantCap {
+			t.Fatalf("%s: largest recycled slot has cap %d, want >= %d", round, maxCap, wantCap)
+		}
+	}
+	// A burst far larger than one slot's initial capacity, far enough
+	// ahead to land above level 0 and cascade down, plus stragglers.
+	for i := 0; i < 200; i++ {
+		root.ScheduleAt(Time(5*Millisecond), func() {})
+	}
+	for i := 0; i < 3; i++ {
+		root.ScheduleAt(Time(7*Millisecond), func() {})
+	}
+	sc.Run()
+	checkFree("burst", 200)
+	// Refill the recycled slices with fewer events than they once held.
+	for i := 0; i < 5; i++ {
+		root.Schedule(Duration(i)*Millisecond, func() {})
+	}
+	sc.Run()
+	checkFree("refill", 200)
 }
 
 func TestNewShardedClockOneLaneOnly(t *testing.T) {

@@ -11,6 +11,7 @@
 package workloads
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
 	"sync"
@@ -202,17 +203,33 @@ func KeyBytes(k uint64) []byte {
 
 // ValueFor deterministically derives a record value from (key, version):
 // clients use it to generate writes and to verify reads without storing
-// every value.
+// every value. Byte i is seed[i%12] ^ byte(i*131>>3), where seed is the
+// big-endian key followed by the big-endian version.
 func ValueFor(key uint64, version uint32, size int) []byte {
 	out := make([]byte, size)
 	var seed [12]byte
 	binary.BigEndian.PutUint64(seed[:], key)
 	binary.BigEndian.PutUint32(seed[8:], version)
-	for i := range out {
-		out[i] = seed[i%12] ^ byte(i*131>>3)
+	// Tile the seed by copy-doubling: every copied prefix is a whole
+	// number of seeds, so the tiling stays aligned.
+	for n := copy(out, seed[:]); n < size; n *= 2 {
+		copy(out[n:], out[:n])
+	}
+	for off := 0; off < size; off += len(valueMask) {
+		subtle.XORBytes(out[off:], out[off:], valueMask[:])
 	}
 	return out
 }
+
+// valueMask is ValueFor's position mask byte(i*131>>3), which repeats
+// every 2048 bytes: adding 2048 to i adds 2048*131>>3, a multiple of
+// 256, before the truncation to a byte.
+var valueMask = func() (m [2048]byte) {
+	for i := range m {
+		m[i] = byte(i * 131 >> 3)
+	}
+	return m
+}()
 
 // pageCache memoizes PageFor: the function is pure and both the servers
 // and the verifying clients call it per request, so the shared cached

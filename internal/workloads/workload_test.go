@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -99,6 +100,44 @@ func TestValueForDeterministic(t *testing.T) {
 	}
 	if bytes.Equal(a, ValueFor(43, 7, 1024)) {
 		t.Fatal("different keys produced equal values")
+	}
+}
+
+// valueForReference is ValueFor's defining per-byte formula. Verifying
+// clients and the benchmark's value decoder depend on these exact bytes.
+func valueForReference(key uint64, version uint32, size int) []byte {
+	out := make([]byte, size)
+	var seed [12]byte
+	binary.BigEndian.PutUint64(seed[:], key)
+	binary.BigEndian.PutUint32(seed[8:], version)
+	for i := range out {
+		out[i] = seed[i%12] ^ byte(i*131>>3)
+	}
+	return out
+}
+
+// TestValueForMatchesReference checks ValueFor byte for byte against the
+// per-byte formula at sizes around the seed period (12), the mask period
+// (2048), their multiples and past 64 KiB, for many (key, version) pairs.
+func TestValueForMatchesReference(t *testing.T) {
+	sizes := []int{0, 1, 11, 12, 13, 24, 1024, 2047, 2048, 2049, 4096, 4097, 6144, 6145, 64<<10 + 13}
+	keys := []uint64{0, 1, 42, 0xFF, 1 << 32, 0xDEADBEEFCAFEF00D, ^uint64(0)}
+	versions := []uint32{0, 1, 7, 0xFFFF, ^uint32(0)}
+	for _, size := range sizes {
+		for _, key := range keys {
+			for _, v := range versions {
+				got, want := ValueFor(key, v, size), valueForReference(key, v, size)
+				if len(got) != size || !bytes.Equal(got, want) {
+					t.Fatalf("ValueFor(%#x, %d, %d) differs from the reference formula", key, v, size)
+				}
+			}
+		}
+	}
+	prop := func(key uint64, v uint32, size uint16) bool {
+		return bytes.Equal(ValueFor(key, v, int(size)), valueForReference(key, v, int(size)))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }
 
