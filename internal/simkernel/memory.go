@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"nilicon/internal/simtime"
@@ -44,6 +45,10 @@ type VMA struct {
 	// stock CRIU (§V cause (1)).
 	Path    string
 	FileOff uint64
+
+	// frames holds the VMA's page frames, indexed by page offset from
+	// Start. A frame with nil Data is not resident.
+	frames []Page
 }
 
 // Pages returns the number of pages the VMA spans.
@@ -56,7 +61,8 @@ func (v *VMA) String() string {
 	return fmt.Sprintf("%x-%x %s %s", v.Start, v.End, v.Prot, v.Path)
 }
 
-// Page is one resident page frame. Data always has length PageSize.
+// Page is one page frame. Data is nil while the page is not resident and
+// has length PageSize once it is.
 type Page struct {
 	Data []byte
 	// SoftDirty is the kernel's soft-dirty PTE bit (set on write, cleared
@@ -67,14 +73,22 @@ type Page struct {
 	WriteProtected bool
 }
 
-// AddressSpace is a process's virtual memory: a sorted set of VMAs plus
-// the resident pages, with both soft-dirty (NiLiCon) and write-protect
-// (MC) dirty tracking.
+// AddressSpace is a process's virtual memory: a sorted set of VMAs, each
+// owning its page frames, with both soft-dirty (NiLiCon) and
+// write-protect (MC) dirty tracking.
+//
+// Like a hardware page table, a page is found through its VMA, and the
+// soft-dirty pages are kept on a list: a pagemap scan and a clear_refs
+// cost the simulator O(dirty) work, while ReadPagemap and ClearRefs
+// still charge the modelled kernel its per-resident-page cost.
 type AddressSpace struct {
-	k    *Kernel
-	vmas []*VMA // sorted by Start, non-overlapping
-	// pages maps page number (address / PageSize) to the resident frame.
-	pages map[uint64]*Page
+	k        *Kernel
+	vmas     []*VMA // sorted by Start, non-overlapping
+	resident int    // resident frames across all VMAs
+	// dirty lists, unsorted, the page numbers (address / PageSize) whose
+	// soft-dirty bit is set. A page is appended exactly when its bit goes
+	// from clear to set, so the list holds no duplicates.
+	dirty []uint64
 
 	nextMap uint64 // bump allocator for Mmap
 
@@ -92,7 +106,6 @@ type AddressSpace struct {
 func NewAddressSpace(k *Kernel) *AddressSpace {
 	return &AddressSpace{
 		k:       k,
-		pages:   make(map[uint64]*Page),
 		nextMap: 0x10000, // leave the zero pages unmapped
 	}
 }
@@ -108,12 +121,19 @@ func (as *AddressSpace) Mmap(size uint64, prot Prot, path string, pid int, conta
 	pages := (size + PageSize - 1) / PageSize
 	v := &VMA{Start: as.nextMap, End: as.nextMap + pages*PageSize, Prot: prot, Path: path}
 	as.nextMap = v.End + PageSize // guard page gap
-	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	as.insertVMA(v)
 	if path != "" {
 		as.k.Trace.Fire(ftraceEvent("mmap_region", pid, containerID, path))
 	}
 	return v
+}
+
+// insertVMA gives v fresh, non-resident frames and adds it to the
+// sorted VMA list.
+func (as *AddressSpace) insertVMA(v *VMA) {
+	v.frames = make([]Page, v.Pages())
+	as.vmas = append(as.vmas, v)
+	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 }
 
 // Munmap removes a VMA and drops its resident pages.
@@ -121,9 +141,14 @@ func (as *AddressSpace) Munmap(v *VMA) {
 	for i, x := range as.vmas {
 		if x == v {
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
-			for pn := v.Start / PageSize; pn < v.End/PageSize; pn++ {
-				delete(as.pages, pn)
+			for j := range v.frames {
+				if v.frames[j].Data != nil {
+					as.resident--
+				}
 			}
+			v.frames = nil
+			lo, hi := v.Start/PageSize, v.End/PageSize
+			as.dirty = slices.DeleteFunc(as.dirty, func(pn uint64) bool { return lo <= pn && pn < hi })
 			return
 		}
 	}
@@ -170,23 +195,40 @@ func (as *AddressSpace) checkRange(addr uint64, n int) error {
 	return nil
 }
 
-// page returns the resident frame for pn, faulting it in if needed.
-func (as *AddressSpace) page(pn uint64, forWrite bool) *Page {
-	pg := as.pages[pn]
-	if pg == nil {
-		pg = &Page{Data: make([]byte, PageSize)}
-		as.pages[pn] = pg
+// frame returns page pn's frame slot, or nil when no VMA maps it.
+func (as *AddressSpace) frame(pn uint64) *Page {
+	v := as.FindVMA(pn * PageSize)
+	if v == nil {
+		return nil
+	}
+	return &v.frames[pn-v.Start/PageSize]
+}
+
+// setSoftDirty sets pg's soft-dirty bit, listing pn if the bit was clear.
+// It reports whether the bit was clear.
+func (as *AddressSpace) setSoftDirty(pg *Page, pn uint64) bool {
+	if pg.SoftDirty {
+		return false
+	}
+	pg.SoftDirty = true
+	as.dirty = append(as.dirty, pn)
+	return true
+}
+
+// access returns frame slot pg, which holds page pn, faulting it in if
+// needed and doing the dirty-tracking work of the access.
+func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
+	if pg.Data == nil {
+		pg.Data = make([]byte, PageSize)
+		as.resident++
 		as.trackOverhead += as.k.Costs.MinorFault
 		// A freshly faulted page starts dirty under both trackers.
-		pg.SoftDirty = true
+		as.setSoftDirty(pg, pn)
 		return pg
 	}
 	if forWrite {
-		if as.softTracking && !pg.SoftDirty {
-			pg.SoftDirty = true
+		if as.setSoftDirty(pg, pn) && as.softTracking {
 			as.trackOverhead += as.k.Costs.SoftDirtyFault
-		} else if !as.softTracking {
-			pg.SoftDirty = true
 		}
 		if as.wpTracking && pg.WriteProtected {
 			pg.WriteProtected = false
@@ -216,7 +258,7 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 		if n > len(data)-off {
 			n = len(data) - off
 		}
-		pg := as.page(pn, true)
+		pg := as.access(as.frame(pn), pn, true)
 		copy(pg.Data[po:], data[off:off+n])
 		off += n
 	}
@@ -236,7 +278,7 @@ func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
 		if c > n-off {
 			c = n - off
 		}
-		pg := as.page(pn, false)
+		pg := as.access(as.frame(pn), pn, false)
 		copy(out[off:off+c], pg.Data[po:])
 		off += c
 	}
@@ -247,20 +289,29 @@ func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
 // real payloads; workloads use it to model computation over large arrays
 // cheaply while still exercising the fault/tracking machinery. Each page
 // gets one byte written so content-based checks still see a change.
+//
+// v may come from another address space (a worker holding a VMA from
+// before a restore), but it must span exactly one of the receiver's
+// VMAs; anything else is an error, never a write to whatever the
+// receiver maps at v.Start.
 func (as *AddressSpace) Touch(v *VMA, firstPage, count int, stamp byte) error {
-	if firstPage < 0 || firstPage+count > v.Pages() {
-		return fmt.Errorf("simkernel: Touch out of VMA range (%d+%d of %d pages)", firstPage, count, v.Pages())
+	own := as.FindVMA(v.Start)
+	if own == nil || own.Start != v.Start || own.End != v.End {
+		return fmt.Errorf("simkernel: Touch with stale VMA %v", v)
 	}
-	base := v.Start/PageSize + uint64(firstPage)
-	for i := 0; i < count; i++ {
-		pg := as.page(base+uint64(i), true)
-		pg.Data[0] = stamp
+	if firstPage < 0 || firstPage+count > own.Pages() {
+		return fmt.Errorf("simkernel: Touch out of VMA range (%d+%d of %d pages)", firstPage, count, own.Pages())
+	}
+	base := own.Start/PageSize + uint64(firstPage)
+	frames := own.frames[firstPage : firstPage+count]
+	for i := range frames {
+		as.access(&frames[i], base+uint64(i), true).Data[0] = stamp
 	}
 	return nil
 }
 
 // ResidentPages returns the number of resident page frames.
-func (as *AddressSpace) ResidentPages() int { return len(as.pages) }
+func (as *AddressSpace) ResidentPages() int { return as.resident }
 
 // SetSoftDirtyTracking enables or disables soft-dirty accounting of
 // writes (the tracking bit itself lives on each page).
@@ -274,8 +325,12 @@ func (as *AddressSpace) SoftDirtyTracking() bool { return as.softTracking }
 // of each epoch.
 func (as *AddressSpace) WriteProtectAll() {
 	as.wpTracking = true
-	for _, pg := range as.pages {
-		pg.WriteProtected = true
+	for _, v := range as.vmas {
+		for i := range v.frames {
+			if v.frames[i].Data != nil {
+				v.frames[i].WriteProtected = true
+			}
+		}
 	}
 }
 
@@ -287,28 +342,24 @@ func (as *AddressSpace) SetWriteProtectTracking(on bool) { as.wpTracking = on }
 // is set. This is the functional core of a pagemap scan; the procfs
 // wrapper charges the scan cost.
 func (as *AddressSpace) DirtyPageNumbers() []uint64 {
-	var out []uint64
-	for pn, pg := range as.pages {
-		if pg.SoftDirty {
-			out = append(out, pn)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(as.dirty)
+	return append([]uint64(nil), as.dirty...)
 }
 
 // ClearSoftDirtyBits clears every page's soft-dirty bit (the functional
-// part of writing /proc/pid/clear_refs).
+// part of writing /proc/pid/clear_refs). Only the listed dirty pages are
+// visited.
 func (as *AddressSpace) ClearSoftDirtyBits() {
-	for _, pg := range as.pages {
-		pg.SoftDirty = false
+	for _, pn := range as.dirty {
+		as.frame(pn).SoftDirty = false
 	}
+	as.dirty = as.dirty[:0]
 }
 
 // PageData returns the frame contents for page number pn (nil if the
 // page is not resident). The returned slice aliases the live page.
 func (as *AddressSpace) PageData(pn uint64) []byte {
-	if pg := as.pages[pn]; pg != nil {
+	if pg := as.frame(pn); pg != nil {
 		return pg.Data
 	}
 	return nil
@@ -316,20 +367,28 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 
 // InstallPage places content at page number pn during restore, without
 // dirty-tracking charges. A copy of data is made; short data is
-// zero-padded.
+// zero-padded. Restore installs the VMAs first, so a page outside every
+// VMA is a bug and panics.
 func (as *AddressSpace) InstallPage(pn uint64, data []byte) {
-	pg := &Page{Data: make([]byte, PageSize)}
-	copy(pg.Data, data)
-	pg.SoftDirty = true
-	as.pages[pn] = pg
+	pg := as.frame(pn)
+	if pg == nil {
+		panic(fmt.Sprintf("simkernel: InstallPage of page %#x outside every VMA", pn))
+	}
+	if pg.Data == nil {
+		pg.Data = make([]byte, PageSize)
+		as.resident++
+	}
+	clear(pg.Data[copy(pg.Data, data):])
+	pg.WriteProtected = false
+	as.setSoftDirty(pg, pn)
 }
 
 // InstallVMA places a VMA during restore (no hook fire, no allocator
-// bump beyond the VMA's own range).
+// bump beyond the VMA's own range). The new VMA starts with no resident
+// pages.
 func (as *AddressSpace) InstallVMA(v VMA) *VMA {
 	nv := v
-	as.vmas = append(as.vmas, &nv)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	as.insertVMA(&nv)
 	if nv.End+PageSize > as.nextMap {
 		as.nextMap = nv.End + PageSize
 	}

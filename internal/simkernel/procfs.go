@@ -30,8 +30,8 @@ func (k *Kernel) vmaInfos(p *Process, withStats bool) []VMAInfo {
 	for _, v := range vmas {
 		info := VMAInfo{Start: v.Start, End: v.End, Prot: v.Prot, Path: v.Path, FileOff: v.FileOff}
 		if withStats {
-			for pn := v.Start / PageSize; pn < v.End/PageSize; pn++ {
-				if pg := p.Mem.pages[pn]; pg != nil {
+			for i := range v.frames {
+				if pg := &v.frames[i]; pg.Data != nil {
 					info.ResidentPages++
 					if pg.SoftDirty {
 						info.DirtyPages++

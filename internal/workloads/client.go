@@ -35,9 +35,16 @@ const (
 type outstanding struct {
 	op       byte
 	sentAt   simtime.Time
-	expected []byte // nil → don't verify content
+	expected []byte // nil → don't verify content, unless version is set
 	key      uint64
+	// version, when nonzero, is the version of key a read must return:
+	// the reply is checked against ValueFor(key, version), regenerated
+	// on arrival rather than held while the request is in flight.
+	version uint32
 }
+
+// okReply is the server's reply to a write.
+var okReply = []byte("OK")
 
 // Client is one closed-loop load generator.
 type Client struct {
@@ -51,8 +58,16 @@ type Client struct {
 	sock  *simnet.Socket
 	fr    FrameReader
 
+	// inflight[head:] are the requests awaiting replies, oldest first.
 	inflight  []outstanding
+	head      int
 	respCount int
+
+	// out and scratch are reused across requests: out holds the frames
+	// one issue call sends (Socket.Send copies it), scratch a write's
+	// payload or a read's expected value.
+	out     []byte
+	scratch []byte
 
 	// versions tracks the last value version written per key, in stream
 	// order, to derive the expected value of subsequent reads.
@@ -176,49 +191,17 @@ func (c *Client) issue() {
 		if batch <= 0 {
 			batch = 1000
 		}
-		var buf bytes.Buffer
+		c.out = c.out[:0]
 		now := c.set.cl.Clock.Now()
 		for i := 0; i < batch; i++ {
-			key := c.randKey()
-			if i%2 == 0 {
-				// Write: bump the version.
-				v := c.versions[key] + 1
-				c.versions[key] = v
-				payload := append(KeyBytes(key), ValueFor(key, v, recordSize)...)
-				buf.Write(Frame(OpSet, payload))
-				c.inflight = append(c.inflight, outstanding{op: OpSet, sentAt: now, expected: []byte("OK"), key: key})
-				c.set.record(now, c.id, traffic.OpSet, key, recordSize)
-			} else {
-				v, known := c.versions[key]
-				var exp []byte
-				if known {
-					exp = ValueFor(key, v, recordSize)
-				}
-				buf.Write(Frame(OpGet, KeyBytes(key)))
-				c.inflight = append(c.inflight, outstanding{op: OpGet, sentAt: now, expected: exp, key: key})
-				c.set.record(now, c.id, traffic.OpGet, key, 0)
-			}
+			c.appendKV(now, c.randKey(), i%2 == 0)
 		}
-		c.sock.Send(buf.Bytes())
+		c.sock.Send(c.out)
 	case KVProbe:
 		key := c.randKey()
-		now := c.set.cl.Clock.Now()
-		if c.rng.Intn(2) == 0 {
-			v := c.versions[key] + 1
-			c.versions[key] = v
-			c.sock.Send(Frame(OpSet, append(KeyBytes(key), ValueFor(key, v, recordSize)...)))
-			c.inflight = append(c.inflight, outstanding{op: OpSet, sentAt: now, expected: []byte("OK"), key: key})
-			c.set.record(now, c.id, traffic.OpSet, key, recordSize)
-		} else {
-			v, known := c.versions[key]
-			var exp []byte
-			if known {
-				exp = ValueFor(key, v, recordSize)
-			}
-			c.sock.Send(Frame(OpGet, KeyBytes(key)))
-			c.inflight = append(c.inflight, outstanding{op: OpGet, sentAt: now, expected: exp, key: key})
-			c.set.record(now, c.id, traffic.OpGet, key, 0)
-		}
+		c.out = c.out[:0]
+		c.appendKV(c.set.cl.Clock.Now(), key, c.rng.Intn(2) == 0)
+		c.sock.Send(c.out)
 	case WebLoop:
 		pathID := uint32(c.rng.Intn(512))
 		var p [4]byte
@@ -227,7 +210,7 @@ func (c *Client) issue() {
 		// is kv-shaped, so a replay drives the page set as reads.
 		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
 		c.sock.Send(Frame(OpWeb, p[:]))
-		c.inflight = append(c.inflight, outstanding{
+		c.push(outstanding{
 			op: OpWeb, sentAt: c.set.cl.Clock.Now(),
 			expected: PageFor(pathID, c.set.prof.RespKB<<10),
 		})
@@ -240,12 +223,43 @@ func (c *Client) issue() {
 		c.rng.Read(payload)
 		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpSet, uint64(c.id), size)
 		c.sock.Send(Frame(OpEcho, payload))
-		c.inflight = append(c.inflight, outstanding{op: OpEcho, sentAt: c.set.cl.Clock.Now(), expected: payload})
+		c.push(outstanding{op: OpEcho, sentAt: c.set.cl.Clock.Now(), expected: payload})
 	}
 }
 
-func (c *Client) onData(s *simnet.Socket) {
-	c.fr.Feed(s.ReadAll())
+// appendKV appends one write (a new version of key) or read of key to
+// c.out and queues its expected reply.
+func (c *Client) appendKV(now simtime.Time, key uint64, write bool) {
+	if write {
+		v := c.versions[key] + 1
+		c.versions[key] = v
+		c.scratch = appendValue(binary.BigEndian.AppendUint64(c.scratch[:0], key), key, v, recordSize)
+		c.out = AppendFrame(c.out, OpSet, c.scratch)
+		c.push(outstanding{op: OpSet, sentAt: now, expected: okReply, key: key})
+		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
+		return
+	}
+	c.out = AppendFrame(c.out, OpGet, binary.BigEndian.AppendUint64(c.scratch[:0], key))
+	c.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key]})
+	c.set.record(now, c.id, traffic.OpGet, key, 0)
+}
+
+// push queues an in-flight request. A full queue first moves its live
+// tail to the front, so the backing array is reused rather than regrown.
+func (c *Client) push(o outstanding) {
+	if c.head > 0 && len(c.inflight) == cap(c.inflight) {
+		n := copy(c.inflight, c.inflight[c.head:])
+		c.inflight, c.head = c.inflight[:n], 0
+	}
+	c.inflight = append(c.inflight, o)
+}
+
+func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadAll()) }
+
+// receive consumes reply bytes from the server; the client takes
+// ownership of b.
+func (c *Client) receive(b []byte) {
+	c.fr.Feed(b)
 	for {
 		op, payload, ok := c.fr.Next()
 		if !ok {
@@ -255,13 +269,21 @@ func (c *Client) onData(s *simnet.Socket) {
 			c.set.fail(fmt.Sprintf("client %d: unexpected response op %q", c.id, op))
 			continue
 		}
-		exp := c.inflight[0]
-		c.inflight = c.inflight[1:]
+		exp := c.inflight[c.head]
+		c.head++
+		if c.head == len(c.inflight) {
+			c.inflight, c.head = c.inflight[:0], 0
+		}
+		want := exp.expected
+		if exp.version != 0 {
+			c.scratch = appendValue(c.scratch[:0], exp.key, exp.version, recordSize)
+			want = c.scratch
+		}
 		if op != exp.op {
 			c.set.fail(fmt.Sprintf("client %d: response op %q for request %q", c.id, op, exp.op))
-		} else if exp.expected != nil && !bytes.Equal(payload, exp.expected) {
+		} else if want != nil && !bytes.Equal(payload, want) {
 			c.set.fail(fmt.Sprintf("client %d: wrong content for op %q key %d (%dB vs %dB expected)",
-				c.id, exp.op, exp.key, len(payload), len(exp.expected)))
+				c.id, exp.op, exp.key, len(payload), len(want)))
 		}
 		c.set.Completed++
 		c.set.windowCount++

@@ -1,10 +1,12 @@
 package workloads
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"nilicon/internal/core"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 	"nilicon/internal/traffic"
 )
@@ -187,5 +189,57 @@ func TestClientSetCaptureRoundTrip(t *testing.T) {
 	clock2.RunFor(back.Duration() + 500*simtime.Millisecond)
 	if set2.Rep.Outstanding() != 0 || int(set2.Completed) == 0 {
 		t.Fatalf("capture replay: completed=%d outstanding=%d", set2.Completed, set2.Rep.Outstanding())
+	}
+}
+
+// TestKVBatchClientAllocsBounded is the allocation guard for the KV
+// request path: after warm-up, receiving a batch's replies, verifying
+// them and issuing the replacement batch allocates a few objects at
+// most, however large the batch. The socket is closed, so Send drops the
+// frames and only the client's own work is counted.
+func TestKVBatchClientAllocsBounded(t *testing.T) {
+	const maxAllocs = 8
+	for _, batch := range []int{1000, 4000} {
+		prof := Redis().Profile()
+		prof.BatchSize, prof.Records, prof.ZipfianKeys = batch, 2000, false
+		cl := core.NewShardedCluster(simtime.NewEngine(), core.ClusterParams{})
+		set := &ClientSet{cl: cl, prof: prof}
+		c := &Client{set: set, kind: KVBatch, rng: simtime.NewRand(1), versions: map[uint64]uint32{}, sock: &simnet.Socket{}}
+		set.Clients = append(set.Clients, c)
+		for i := 0; i < prof.PipelineDepth; i++ {
+			c.issue()
+		}
+		var allocs uint64
+		for cycle := 0; cycle < 40; cycle++ {
+			// The server's replies to the oldest batch, built before the
+			// measurement.
+			var replies []byte
+			for _, o := range c.inflight[c.head : c.head+batch] {
+				switch {
+				case o.op == OpSet:
+					replies = AppendFrame(replies, OpSet, okReply)
+				case o.version != 0:
+					replies = AppendFrame(replies, OpGet, ValueFor(o.key, o.version, recordSize))
+				default:
+					replies = AppendFrame(replies, OpGet, nil)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			c.receive(replies)
+			runtime.ReadMemStats(&after)
+			// The first cycles are warm-up: every key gets written and
+			// the buffers grow to size.
+			if n := after.Mallocs - before.Mallocs; cycle >= 30 && n > allocs {
+				allocs = n
+			}
+		}
+		if len(set.Errors) > 0 || set.Completed != int64(40*batch) {
+			t.Fatalf("batch %d: %d replies completed, errors %v", batch, set.Completed, set.Errors)
+		}
+		t.Logf("batch %d: at most %d allocations per reply-and-reissue cycle", batch, allocs)
+		if allocs > maxAllocs {
+			t.Errorf("batch %d: a reply-and-reissue cycle allocated %d objects, want <= %d", batch, allocs, maxAllocs)
+		}
 	}
 }

@@ -84,6 +84,7 @@ type Server struct {
 	readers map[connID]*FrameReader
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
+	out     []byte // respond's frame buffer; Socket.Send copies it
 
 	processed int64
 }
@@ -109,7 +110,7 @@ func (sv *Server) SnapshotState() any {
 	sv.state.ReaderBufs = make(map[connID][]byte, len(sv.readers))
 	for id, fr := range sv.readers {
 		if fr.Buffered() > 0 {
-			sv.state.ReaderBufs[id] = append([]byte(nil), fr.buf...)
+			sv.state.ReaderBufs[id] = append([]byte(nil), fr.buf[fr.off:]...)
 		}
 	}
 	return sv.state.clone()
@@ -311,7 +312,8 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 
 func (sv *Server) respond(id connID, op byte, payload []byte) {
 	if s := sv.conns[id]; s != nil {
-		s.Send(Frame(op, payload))
+		sv.out = AppendFrame(sv.out[:0], op, payload)
+		s.Send(sv.out)
 	}
 }
 
@@ -392,7 +394,7 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 		// Internal data-structure churn per write (dict entries,
 		// allocator metadata) dirties additional pages.
 		sv.churn(w, byte(key))
-		sv.respond(req.Conn, OpSet, []byte("OK"))
+		sv.respond(req.Conn, OpSet, okReply)
 	case OpGet:
 		if len(req.Payload) < 8 {
 			sv.fail("short GET payload")

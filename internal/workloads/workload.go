@@ -14,6 +14,7 @@ import (
 	"crypto/subtle"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 
 	"nilicon/internal/container"
@@ -158,41 +159,66 @@ const (
 
 // Frame encodes one message.
 func Frame(op byte, payload []byte) []byte {
-	out := make([]byte, 4+1+len(payload))
-	binary.BigEndian.PutUint32(out, uint32(1+len(payload)))
-	out[4] = op
-	copy(out[5:], payload)
-	return out
+	return AppendFrame(make([]byte, 0, 4+1+len(payload)), op, payload)
+}
+
+// AppendFrame appends the encoding of one message to dst and returns the
+// extended slice.
+func AppendFrame(dst []byte, op byte, payload []byte) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
+	dst = append(dst, op)
+	return append(dst, payload...)
 }
 
 // FrameReader incrementally parses a byte stream into frames.
+//
+// Ownership: Feed takes ownership of the slice it is given, and Next
+// returns payloads that alias the reader's buffer instead of copying.
+// This is sound because buf only grows at its end: the bytes before
+// len(buf) are never written again, so a returned payload stays valid,
+// unchanged, for as long as its holder keeps it. Each payload is capped
+// at its own length, so appending to it copies rather than overwriting
+// the stream.
 type FrameReader struct {
 	buf []byte
+	off int // start of the unconsumed bytes in buf
 }
 
-// Feed appends stream bytes.
-func (fr *FrameReader) Feed(b []byte) { fr.buf = append(fr.buf, b...) }
+// Feed appends stream bytes. The reader takes ownership of b: the caller
+// must not modify it afterwards.
+func (fr *FrameReader) Feed(b []byte) {
+	if fr.off == len(fr.buf) {
+		// Nothing buffered: adopt b instead of copying it. The cap keeps
+		// a later append from writing past b into memory b's owner may
+		// still use.
+		fr.buf, fr.off = b[:len(b):len(b)], 0
+		return
+	}
+	fr.buf = append(fr.buf, b...)
+}
 
-// Next returns the next complete frame (ok=false if none buffered).
+// Next returns the next complete frame (ok=false if none buffered). The
+// payload aliases the reader's buffer; see the type's ownership rule.
 func (fr *FrameReader) Next() (op byte, payload []byte, ok bool) {
-	if len(fr.buf) < 5 {
+	rest := fr.buf[fr.off:]
+	if len(rest) < 5 {
 		return 0, nil, false
 	}
-	n := binary.BigEndian.Uint32(fr.buf)
+	n := binary.BigEndian.Uint32(rest)
 	if n < 1 || n > 64<<20 {
 		panic(fmt.Sprintf("workloads: bad frame length %d", n))
 	}
-	if len(fr.buf) < 4+int(n) {
+	if len(rest) < 4+int(n) {
 		return 0, nil, false
 	}
-	op = fr.buf[4]
-	payload = append([]byte(nil), fr.buf[5:4+n]...)
-	fr.buf = fr.buf[4+n:]
+	op = rest[4]
+	payload = rest[5 : 4+n : 4+n]
+	fr.off += 4 + int(n)
 	return op, payload, true
 }
 
 // Buffered returns the number of unconsumed bytes.
-func (fr *FrameReader) Buffered() int { return len(fr.buf) }
+func (fr *FrameReader) Buffered() int { return len(fr.buf) - fr.off }
 
 // KeyBytes renders a KV key.
 func KeyBytes(k uint64) []byte {
@@ -206,7 +232,15 @@ func KeyBytes(k uint64) []byte {
 // every value. Byte i is seed[i%12] ^ byte(i*131>>3), where seed is the
 // big-endian key followed by the big-endian version.
 func ValueFor(key uint64, version uint32, size int) []byte {
-	out := make([]byte, size)
+	return appendValue(make([]byte, 0, size), key, version, size)
+}
+
+// appendValue appends ValueFor(key, version, size) to dst and returns the
+// extended slice.
+func appendValue(dst []byte, key uint64, version uint32, size int) []byte {
+	start := len(dst)
+	dst = slices.Grow(dst, size)[:start+size]
+	out := dst[start:]
 	var seed [12]byte
 	binary.BigEndian.PutUint64(seed[:], key)
 	binary.BigEndian.PutUint32(seed[8:], version)
@@ -218,7 +252,7 @@ func ValueFor(key uint64, version uint32, size int) []byte {
 	for off := 0; off < size; off += len(valueMask) {
 		subtle.XORBytes(out[off:], out[off:], valueMask[:])
 	}
-	return out
+	return dst
 }
 
 // valueMask is ValueFor's position mask byte(i*131>>3), which repeats
