@@ -103,6 +103,13 @@ type Container struct {
 	// workloads that keep all state in simulated pages/files).
 	App App
 
+	// SharesFrames marks a container whose page buffers may also be
+	// another container's frames: one restored from a backup's page
+	// store, and the primary whose checkpoints filled that store. A
+	// raw backup store never recycles the pages of such a container's
+	// full checkpoints (DESIGN.md §8).
+	SharesFrames bool
+
 	frozen   bool
 	frozenAt simtime.Time
 	stopped  bool

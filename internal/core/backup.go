@@ -7,6 +7,7 @@ import (
 
 	"nilicon/internal/criu"
 	"nilicon/internal/simfs"
+	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
@@ -82,6 +83,11 @@ type BackupAgent struct {
 	slot int
 
 	store criu.PageStore
+	// baseline holds, for a raw store built from a full image with
+	// SharesFrames set, the keys whose buffer arrived in that image and
+	// has not been superseded since. Such a buffer may still be another
+	// container's frame, so it is never recycled (DESIGN.md §8).
+	baseline map[uint64]struct{}
 
 	fsPages  map[fsPageKey]simfs.PageEntry
 	fsInodes map[int]simfs.InodeEntry
@@ -433,27 +439,51 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	b.store.BeginCheckpoint()
 	storeBefore := b.store.Cost()
 	for _, d := range decoded {
-		// Decoded buffers (and the image's own page buffers below) are
-		// dead after this merge; hand them to the store without copying.
+		// Decoded buffers (and the image's own page buffers below) go
+		// to the store without copying; nothing writes them afterwards.
 		// What a decoded frame supersedes is never recycled: a full
 		// frame's payload is co-owned by the primary's encoder, and a
 		// dedup donor's slice sits under two keys.
 		b.store.PutOwned(d.key, d.data)
 	}
 	// Without an encoder the store holds every verbatim page under one
-	// key and nobody else holds it, so the copy a newer epoch supersedes
-	// is dead and goes back to the collector's pool (DESIGN.md §8).
+	// key. A copy a newer epoch supersedes was lent from the primary's
+	// frame, which the write that superseded it moved to a fresh copy,
+	// so it is dead and goes back to the page pool (DESIGN.md §8).
 	recycle := !b.cfg.Opts.DeltaPages && !b.cfg.Opts.BackupPageDedup
+	if recycle && img.Full {
+		// A full image commits into an empty store.
+		b.baseline = nil
+		if img.SharesFrames {
+			b.baseline = make(map[uint64]struct{})
+		}
+	}
 	for pi := range img.Procs {
 		p := &img.Procs[pi]
 		for _, pg := range p.Pages {
 			if pg.PN >= maxPageNumber {
 				panic(fmt.Sprintf("core: page number %#x exceeds store key space", pg.PN))
 			}
-			if old := b.store.PutOwned(criu.PageKey(pi, pg.PN), pg.Data); recycle {
-				criu.RecyclePage(old)
+			key := criu.PageKey(pi, pg.PN)
+			old := b.store.PutOwned(key, pg.Data)
+			if len(old) > 0 && len(pg.Data) > 0 && &old[0] == &pg.Data[0] {
+				// A page is shipped again only after a write, and the
+				// write moved the frame to a fresh copy.
+				panic(fmt.Sprintf("core: page %#x committed twice in one buffer", key))
 			}
 			pageBytes += int64(len(pg.Data))
+			if !recycle {
+				continue
+			}
+			if img.Full {
+				if b.baseline != nil {
+					b.baseline[key] = struct{}{}
+				}
+			} else if _, base := b.baseline[key]; base {
+				delete(b.baseline, key)
+			} else {
+				simkernel.RecyclePage(old)
+			}
 		}
 	}
 	for _, s := range img.Sockets {
@@ -621,6 +651,11 @@ func (b *BackupAgent) doRecover() {
 	stats.Restore = restoreCost
 	stats.ARP = 28 * simtime.Millisecond
 	b.RestoredCtr = ctr
+	// The restored frames are the store's buffers, installed shared.
+	// Dropping the store leaves nothing here that could recycle one.
+	// The primary that lent them may still be running on them.
+	b.store, b.baseline = nil, nil
+	b.r.Ctr.SharesFrames = true
 
 	// The restore spans [now+Other, now+Other+Restore) in virtual time;
 	// sockets are repaired roughly halfway through, which is when their

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
+	"nilicon/internal/criu"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
 )
@@ -117,6 +119,178 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 
 // raceEnabled reports a -race build (set in race_test.go).
 var raceEnabled bool
+
+// TestIsolatedPrimaryResyncsCopyNoPages: a primary cut off from its
+// backup takes a full resync checkpoint every epoch, and every one is
+// lost on the link. The checkpoints lend the container's frames, so a
+// resync allocates its page list and bookkeeping, not a copy of the
+// resident memory.
+func TestIsolatedPrimaryResyncsCopyNoPages(t *testing.T) {
+	const pages = 6000
+	env := newTestEnv(t, DefaultConfig())
+	p := env.app.proc
+	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	if err := p.Mem.Touch(v, 0, pages, 1); err != nil {
+		t.Fatal(err)
+	}
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	env.ctr.Disconnect()
+	env.cl.ReplLink.SetDown(true)
+	env.cl.AckLink.SetDown(true)
+	// Past the failover: the restore and its allocations are done.
+	env.clock.RunFor(simtime.Second)
+	if !env.repl.Backup.Recovered() {
+		t.Fatal("no failover")
+	}
+
+	// Two collections every 10 ms empty the page pool, as the garbage of
+	// full-size images does on a production-size heap, so the
+	// measurement does not depend on what the pool happens to keep.
+	resyncs0 := env.repl.Resyncs.Value()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 300; i++ {
+		env.clock.RunFor(10 * simtime.Millisecond)
+		runtime.GC()
+		runtime.GC()
+	}
+	runtime.ReadMemStats(&after)
+	resyncs := env.repl.Resyncs.Value() - resyncs0
+	if resyncs < 10 {
+		t.Fatalf("%d resyncs in 3s of isolation, want >= 10", resyncs)
+	}
+	residentBytes := float64(p.Mem.ResidentPages() * simkernel.PageSize)
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / float64(resyncs) / residentBytes
+	t.Logf("%d resyncs of %d resident pages: %.4f of the resident bytes allocated per resync",
+		resyncs, p.Mem.ResidentPages(), ratio)
+	if ratio >= 0.05 {
+		t.Fatalf("allocated %.3f of the resident page bytes per resync, want < 0.05: checkpoints copy pages", ratio)
+	}
+}
+
+// TestCommitRejectsADuplicatePageBuffer: a page is shipped again only
+// after a write, which moved its frame to a fresh copy, so commit never
+// sees the buffer it already stores under the same key. If it did, the
+// raw store would recycle a live buffer; commit panics instead.
+func TestCommitRejectsADuplicatePageBuffer(t *testing.T) {
+	env := newTestEnv(t, DefaultConfig())
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	b := env.repl.Backup
+	committed, ok := b.CommittedEpoch()
+	if !ok {
+		t.Fatal("no committed epoch")
+	}
+	pn := env.app.vma.Start / simkernel.PageSize
+	buf := b.store.Get(criu.PageKey(0, pn))
+	if buf == nil {
+		t.Fatal("page not committed")
+	}
+	img := &criu.Image{
+		ContainerID: "kv", Epoch: committed + 1, InfrequentCached: true,
+		Procs: []criu.ProcessImage{{PID: 1, Pages: []criu.PageImage{{PN: pn, Data: buf}}}},
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "committed twice in one buffer") {
+			t.Fatalf("commit of a stored buffer: recovered %q, want the duplicate-buffer panic", msg)
+		}
+	}()
+	_ = b.commit(img.Epoch, img)
+}
+
+// TestSharedFramesSurviveTheNextStoresRecycling: a restore installs the
+// backup store's buffers as the new container's frames, and in a raw
+// store those buffers are frames the old primary lent, so after a
+// failover both containers map them. If either one is then re-protected
+// and rewrites its pages, its new backup supersedes the full baseline's
+// buffers; recycling them would let the next copy-on-write copies
+// overwrite the other container's memory.
+func TestSharedFramesSurviveTheNextStoresRecycling(t *testing.T) {
+	for _, reprotectOld := range []bool{false, true} {
+		name := "restored-reprotected"
+		if reprotectOld {
+			name = "old-primary-reprotected"
+		}
+		t.Run(name, func(t *testing.T) { runSharedFramesReprotect(t, reprotectOld) })
+	}
+}
+
+func runSharedFramesReprotect(t *testing.T, reprotectOld bool) {
+	const pages = 256
+	env := newTestEnv(t, DefaultConfig())
+	p := env.app.proc
+	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	content := func(i int) string { return fmt.Sprintf("shared-page-%d", i) }
+	for i := 0; i < pages; i++ {
+		if err := p.Mem.Write(v.Start+uint64(i)*simkernel.PageSize, []byte(content(i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	env.ctr.Disconnect()
+	env.cl.ReplLink.SetDown(true)
+	env.cl.AckLink.SetDown(true)
+	env.clock.RunFor(simtime.Second)
+	if !env.repl.Backup.Recovered() {
+		t.Fatal("no failover")
+	}
+	// The old primary's replication stops; both containers keep running.
+	env.repl.Stop()
+	env.cl.ReplLink.SetDown(false)
+	env.cl.AckLink.SetDown(false)
+
+	restored := env.repl.Backup.RestoredCtr
+	// writer is re-protected and rewrites every page; keeper keeps its
+	// frames and must read the same bytes throughout.
+	writer, keeper := restored, env.ctr
+	var repl2 *Replicator
+	var err error
+	if reprotectOld {
+		writer, keeper = env.ctr, restored
+		cfg := DefaultConfig()
+		cfg.KeepAlive = false // the container keeps its keep-alive task
+		repl2, err = ReprotectOnto(&Cluster{
+			Clock: env.clock, Switch: env.cl.Switch, Primary: env.cl.Primary, Backup: env.cl.Backup,
+			ReplLink: env.cl.ReplLink, AckLink: env.cl.AckLink, Xfer: env.cl.Xfer,
+		}, env.ctr, env.cl.Primary.Disk, cfg)
+	} else {
+		_, repl2, err = Reprotect(env.cl, restored, DefaultConfig())
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	repl2.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	first, ok := repl2.Backup.CommittedEpoch()
+	if !ok {
+		t.Fatal("re-protected pair committed no baseline")
+	}
+	// The baseline holds the shared frames; now rewrite every page.
+	wp := writer.Procs[0]
+	wv := wp.Mem.FindVMA(v.Start)
+	stamp := byte(0)
+	writer.AddTask(wp.NewThread(), func() (simtime.Duration, simtime.Duration) {
+		stamp++
+		if err := wp.Mem.Touch(wv, 0, pages, stamp); err != nil {
+			t.Error(err)
+		}
+		return 50 * simtime.Microsecond, 10 * simtime.Millisecond
+	})
+	env.clock.RunFor(simtime.Second)
+	if last, _ := repl2.Backup.CommittedEpoch(); last < first+10 {
+		t.Fatalf("re-protected pair committed epochs %d..%d, want >= 10 incremental commits", first, last)
+	}
+	km := keeper.Procs[0].Mem
+	for i := 0; i < pages; i++ {
+		got, err := km.Read(v.Start+uint64(i)*simkernel.PageSize, len(content(i)))
+		if err != nil || string(got) != content(i) {
+			t.Fatalf("page %d reads %q, want %q: a buffer this container maps was recycled", i, got, content(i))
+		}
+	}
+}
 
 // TestUncommittedEpochDiscardedOnFailover ensures state from an epoch
 // whose checkpoint never reached the backup is rolled back.

@@ -122,12 +122,13 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 	resync := e.forceFull
 	e.forceFull = false
 	img := &Image{
-		ContainerID: ctr.ID,
-		IP:          ctr.IP,
-		Cores:       ctr.Cores,
-		Epoch:       e.epoch,
-		Full:        e.first || resync || !e.Opts.Incremental,
-		FSComplete:  resync,
+		ContainerID:  ctr.ID,
+		IP:           ctr.IP,
+		Cores:        ctr.Cores,
+		Epoch:        e.epoch,
+		Full:         e.first || resync || !e.Opts.Incremental,
+		FSComplete:   resync,
+		SharesFrames: ctr.SharesFrames,
 	}
 
 	m := k.StartMeter()
@@ -161,6 +162,7 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		if img.Full {
 			// Full dump: every resident page; also start soft-dirty
 			// tracking for subsequent incremental checkpoints.
+			pns = make([]uint64, 0, p.Mem.ResidentPages())
 			for _, v := range p.Mem.VMAs() {
 				for pn := v.Start / simkernel.PageSize; pn < v.End/simkernel.PageSize; pn++ {
 					if p.Mem.PageData(pn) != nil {
@@ -178,17 +180,17 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		if e.Opts.SharedMemPages {
 			perPage = c.PageCopyShared
 		}
+		pi.Pages = make([]PageImage, 0, len(pns))
 		for _, pn := range pns {
-			data := p.Mem.PageData(pn)
+			// The frame is lent, not copied: it is marked shared, so the
+			// container's next write to the page goes to a fresh copy and
+			// the image keeps the capture-time bytes (DESIGN.md §8). The
+			// modelled copy into the staging buffer is still charged.
+			data := p.Mem.SharePage(pn)
 			if data == nil {
 				continue
 			}
-			// Pooled buffer; the copy overwrites it completely. The delta
-			// encoder recycles it if the page compresses away, a raw
-			// backup store once a newer copy supersedes it.
-			cp := getPageBuf(len(data))
-			copy(cp, data)
-			pi.Pages = append(pi.Pages, PageImage{PN: pn, Data: cp})
+			pi.Pages = append(pi.Pages, PageImage{PN: pn, Data: data})
 			k.Charge(perPage)
 		}
 		stats.MemCopy += mm.Stop()

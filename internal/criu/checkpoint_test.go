@@ -2,6 +2,8 @@ package criu
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
 
 	"nilicon/internal/container"
@@ -90,20 +92,89 @@ func TestCheckpointCapturesPageContent(t *testing.T) {
 	}
 }
 
-func TestCheckpointPagesAreDeepCopies(t *testing.T) {
+// pageBytes returns a copy of every page an image holds, by page number.
+func pageBytes(img *Image) map[uint64][]byte {
+	out := make(map[uint64][]byte)
+	for _, pg := range img.Procs[0].Pages {
+		out[pg.PN] = bytes.Clone(pg.Data)
+	}
+	return out
+}
+
+// TestImagesKeepCaptureTimeBytes: a checkpoint lends the container's
+// frames instead of copying them, so every image — the full one and
+// each incremental one — must keep the bytes it captured while the
+// container goes on writing the same pages, through Write and Touch.
+func TestImagesKeepCaptureTimeBytes(t *testing.T) {
+	const pages = 32
 	ctr, _ := newTestContainer()
-	p, v := addWorkProcess(ctr, "app", 2)
-	_ = p.Mem.Write(v.Start, []byte("original"))
+	p, v := addWorkProcess(ctr, "app", pages)
+	e := NewEngine(ctr, NiLiConOptions())
+	defer e.Close()
+	var imgs []*Image
+	var want []map[uint64][]byte
+	for round := 0; round < 4; round++ {
+		img, _ := e.Checkpoint()
+		ctr.Thaw()
+		if img.Full != (round == 0) {
+			t.Fatalf("round %d: full=%v", round, img.Full)
+		}
+		imgs, want = append(imgs, img), append(want, pageBytes(img))
+		// Rewrite every page the images hold, and a few more.
+		if err := p.Mem.Touch(v, 0, pages+round, byte(10+round)); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Mem.Write(v.Start+7, []byte(fmt.Sprintf("round-%d", round))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, img := range imgs {
+		if len(want[i]) < pages {
+			t.Fatalf("image %d holds %d pages, want >= %d", i, len(want[i]), pages)
+		}
+		for _, pg := range img.Procs[0].Pages {
+			if !bytes.Equal(pg.Data, want[i][pg.PN]) {
+				t.Fatalf("image %d (full=%v): page %#x changed after capture", i, img.Full, pg.PN)
+			}
+		}
+	}
+	if got, _ := p.Mem.Read(v.Start, 14); got[0] != 13 || string(got[7:]) != "round-3" {
+		t.Fatalf("live memory = %q, want the last round's writes", got)
+	}
+}
+
+// TestLostImageReleaseKeepsMemoryIntact: a lost image's pages are lent
+// frames, so releasing it must not hand them to the page pool — the
+// next copies drawn from the pool would overwrite the container's
+// memory.
+func TestLostImageReleaseKeepsMemoryIntact(t *testing.T) {
+	const pages = 64
+	ctr, _ := newTestContainer()
+	p, v := addWorkProcess(ctr, "app", pages)
+	for i := 0; i < pages; i++ {
+		if err := p.Mem.Write(v.Start+uint64(i)*simkernel.PageSize, []byte(fmt.Sprintf("page-%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
 	e := NewEngine(ctr, NiLiConOptions())
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()
-	_ = p.Mem.Write(v.Start, []byte("mutated!"))
-	for _, pg := range img.Procs[0].Pages {
-		if pg.PN == v.Start/simkernel.PageSize && !bytes.HasPrefix(pg.Data, []byte("original")) {
-			t.Fatal("image aliases live memory")
+	img.ReleaseLost()
+	// Pool churn: draw more buffers than the image held and fill them.
+	junk := bytes.Repeat([]byte{0xDB}, simkernel.PageSize)
+	var held [][]byte
+	for i := 0; i < 4*pages; i++ {
+		held = append(held, simkernel.CopyPage(junk))
+	}
+	for i := 0; i < pages; i++ {
+		want := fmt.Sprintf("page-%d", i)
+		got, err := p.Mem.Read(v.Start+uint64(i)*simkernel.PageSize, len(want))
+		if err != nil || string(got) != want {
+			t.Fatalf("page %d reads %q after a lost image's release and pool churn, want %q", i, got, want)
 		}
 	}
+	runtime.KeepAlive(held)
 }
 
 func TestFreezePollVsSleepWait(t *testing.T) {

@@ -102,42 +102,6 @@ func PageKey(procIdx int, pn uint64) uint64 {
 	return uint64(procIdx)<<28 | pn
 }
 
-// --- Page-buffer pool ---------------------------------------------------------
-
-// pagePool recycles page-sized buffers. The checkpoint collector and
-// Image.Clone draw from it; three owners return dead buffers to it: the
-// delta encoder (superseded base copies that never left the primary), a
-// lost image's release, and a raw backup store (the verbatim page a
-// newer epoch's copy supersedes, via RecyclePage). A buffer shipped in a
-// full frame is co-owned by the encoder and the backup's store and is
-// never returned (DESIGN.md §8).
-var pagePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, simkernel.PageSize)
-		return &b
-	},
-}
-
-// getPageBuf returns a page-sized scratch buffer. Callers must overwrite
-// it completely; recycled buffers hold stale content.
-func getPageBuf(n int) []byte {
-	if n != simkernel.PageSize {
-		return make([]byte, n)
-	}
-	return *pagePool.Get().(*[]byte)
-}
-
-// RecyclePage returns a dead page buffer to the collector's pool. The
-// caller must be its only owner: a buffer still reachable from a page
-// store, an image or the delta encoder would be overwritten by the next
-// checkpoint. Buffers that are not page-sized (and nil) are ignored.
-func RecyclePage(b []byte) {
-	if len(b) != simkernel.PageSize {
-		return
-	}
-	pagePool.Put(&b)
-}
-
 // --- Hashing ------------------------------------------------------------------
 
 var hasherPool = sync.Pool{New: func() any { return fnv.New64a() }}
@@ -316,6 +280,10 @@ func (e *DeltaEncoder) EncodeImage(img *Image, acked uint64, haveAck bool) Encod
 		}
 		frames := make([]PageFrame, 0, len(p.Pages))
 		for _, pg := range p.Pages {
+			// The checkpoint lent pg.Data from the container's frame. The
+			// encoder's bases are its own pooled copies, which it may
+			// recycle; the lent buffer is only dropped.
+			pg.Data = simkernel.CopyPage(pg.Data)
 			frames = append(frames, e.encodePage(pi, pg, img.Epoch, acked, haveAck, &st))
 		}
 		p.Frames = frames
@@ -337,7 +305,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 		// The copied buffer never leaves this host: recycle it and point
 		// the base at the shared zero singleton.
 		e.setBase(key, zeroPage, hv, epoch, true)
-		RecyclePage(pg.Data)
+		simkernel.RecyclePage(pg.Data)
 		st.ZeroFrames++
 		return PageFrame{Kind: FrameZero, PN: pg.PN, Hash: hv}
 	}
@@ -383,7 +351,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 func (e *DeltaEncoder) setBase(key uint64, data []byte, hv, epoch uint64, shared bool) {
 	if prev := e.base[key]; prev != nil {
 		if !prev.shared {
-			RecyclePage(prev.data)
+			simkernel.RecyclePage(prev.data)
 		}
 		if e.dedup && prev.hash != hv && len(e.byHash[hv]) < maxDonorCands {
 			e.byHash[hv] = append(e.byHash[hv], key)
@@ -438,7 +406,7 @@ func (e *DeltaEncoder) findDonor(self, hv uint64, data []byte, acked uint64, hav
 func (e *DeltaEncoder) reset() {
 	for _, sp := range e.base {
 		if !sp.shared {
-			RecyclePage(sp.data)
+			simkernel.RecyclePage(sp.data)
 		}
 	}
 	e.base = make(map[uint64]*sentPage)

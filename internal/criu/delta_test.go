@@ -355,20 +355,3 @@ func TestFrameWireBytes(t *testing.T) {
 		t.Fatalf("wire sizes: zero=%d dedup=%d delta=%d", zero.WireBytes(), dedup.WireBytes(), delta.WireBytes())
 	}
 }
-
-func TestPageBufPoolExactSizeOnly(t *testing.T) {
-	b := getPageBuf(simkernel.PageSize)
-	if int64(len(b)) != simkernel.PageSize {
-		t.Fatalf("pooled buffer len = %d", len(b))
-	}
-	RecyclePage(b)
-	odd := getPageBuf(100)
-	if len(odd) != 100 {
-		t.Fatalf("odd-size buffer len = %d", len(odd))
-	}
-	RecyclePage(odd) // must be a no-op, not a pool poisoning
-	again := getPageBuf(simkernel.PageSize)
-	if int64(len(again)) != simkernel.PageSize {
-		t.Fatalf("pool poisoned: len = %d", len(again))
-	}
-}

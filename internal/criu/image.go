@@ -89,6 +89,10 @@ type Image struct {
 	// AppState is the workload's user-space state snapshot.
 	AppState any
 
+	// SharesFrames copies the container's flag at capture time: the
+	// lent pages may also be another container's frames.
+	SharesFrames bool
+
 	// LogSeqThrough is the highest nondeterminism-log segment sequence
 	// sealed before this checkpoint's freeze (HyCoR mode, DESIGN.md §12).
 	// Every record in segments ≤ LogSeqThrough describes execution the
@@ -104,7 +108,7 @@ type Image struct {
 // pages — is deep-copied: each replica's page store owns what it
 // commits, and a raw store recycles the verbatim pages it supersedes
 // (DESIGN.md §8), so two replicas must never share one buffer. The
-// verbatim copies come from the collector's pool, so a replica store
+// verbatim copies come from simkernel's page pool, so a replica store
 // recycles them exactly as slot 0's store recycles the originals.
 // Structured snapshots (threads, VMAs, sockets, infrequent state) and
 // AppState are shared read-only; at most one replica of a generation
@@ -117,9 +121,7 @@ func (img *Image) Clone() *Image {
 		if len(p.Pages) > 0 {
 			pages := make([]PageImage, len(p.Pages))
 			for j, pg := range p.Pages {
-				d := getPageBuf(len(pg.Data))
-				copy(d, pg.Data)
-				pages[j] = PageImage{PN: pg.PN, Data: d}
+				pages[j] = PageImage{PN: pg.PN, Data: simkernel.CopyPage(pg.Data)}
 			}
 			p.Pages = pages
 		}
@@ -155,19 +157,15 @@ func (img *Image) Clone() *Image {
 	return &cp
 }
 
-// ReleaseLost frees the memory-page payload of an image whose transfer
+// ReleaseLost drops the memory-page payload of an image whose transfer
 // was lost: the receiver never saw it, and a lost image is never sent
-// again (the repair is a fresh full checkpoint), so its pages are dead.
-// Verbatim page buffers belong to the image alone and go back to the
-// collector's pool. Encoded frame payloads are co-owned by the delta
-// encoder's bases, so they are only dereferenced. Never call it on a
-// delivered image: the receiver's page store owns those buffers.
+// again (the repair is a fresh full checkpoint). The buffers are only
+// dereferenced, never recycled: a verbatim page is lent from the
+// container and may still be its live frame, and encoded frame payloads
+// are co-owned by the delta encoder's bases (DESIGN.md §8).
 func (img *Image) ReleaseLost() {
 	for i := range img.Procs {
 		p := &img.Procs[i]
-		for _, pg := range p.Pages {
-			RecyclePage(pg.Data)
-		}
 		p.Pages, p.Frames = nil, nil
 	}
 }

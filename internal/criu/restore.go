@@ -34,6 +34,8 @@ func Restore(h *container.Host, img *Image, store simfs.BlockStore) (*container.
 	})
 	// Input must be blocked until the network state is fully restored.
 	ctr.Disconnect()
+	// The pages are installed shared: the image's buffers become frames.
+	ctr.SharesFrames = true
 
 	// Mount table and devices from the image replace the defaults.
 	for _, m := range ctr.Mounts.Mounts() {

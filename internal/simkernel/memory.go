@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"nilicon/internal/simtime"
 )
@@ -71,6 +72,43 @@ type Page struct {
 	// WriteProtected supports hypervisor-style dirty tracking (MC): a
 	// write to a protected page costs a VM exit and clears the bit.
 	WriteProtected bool
+	// Shared marks Data as handed out (SharePage, InstallPage): other
+	// holders may read it for as long as they keep it, so the address
+	// space never writes it again. The next write copies the page into
+	// a fresh buffer first and clears the bit.
+	Shared bool
+}
+
+// pagePool recycles page-sized buffers. Copy-on-write copies and
+// CopyPage draw from it; RecyclePage returns buffers whose last holder
+// let go (DESIGN.md §8).
+var pagePool = sync.Pool{
+	New: func() any {
+		b := make([]byte, PageSize)
+		return &b
+	},
+}
+
+// CopyPage returns a copy of src. A page-sized copy comes from the page
+// pool; any other length is a fresh allocation.
+func CopyPage(src []byte) []byte {
+	if len(src) != PageSize {
+		return append([]byte(nil), src...)
+	}
+	b := *pagePool.Get().(*[]byte)
+	copy(b, src)
+	return b
+}
+
+// RecyclePage returns a dead page buffer to the pool. The caller must be
+// its last holder: a buffer still reachable from a frame, a page store,
+// an image or the delta encoder would be overwritten by the next copy.
+// Buffers that are not page-sized (and nil) are ignored.
+func RecyclePage(b []byte) {
+	if len(b) != PageSize {
+		return
+	}
+	pagePool.Put(&b)
 }
 
 // AddressSpace is a process's virtual memory: a sorted set of VMAs, each
@@ -227,6 +265,9 @@ func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
 		return pg
 	}
 	if forWrite {
+		if pg.Shared {
+			pg.Data, pg.Shared = CopyPage(pg.Data), false
+		}
 		if as.setSoftDirty(pg, pn) && as.softTracking {
 			as.trackOverhead += as.k.Costs.SoftDirtyFault
 		}
@@ -267,10 +308,15 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 
 // Read copies n bytes starting at addr.
 func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
+	return as.AppendRead(make([]byte, 0, n), addr, n)
+}
+
+// AppendRead appends the n bytes starting at addr to dst and returns the
+// extended slice; on error dst is returned unchanged.
+func (as *AddressSpace) AppendRead(dst []byte, addr uint64, n int) ([]byte, error) {
 	if err := as.checkRange(addr, n); err != nil {
-		return nil, err
+		return dst, err
 	}
-	out := make([]byte, n)
 	for off := 0; off < n; {
 		pn := (addr + uint64(off)) / PageSize
 		po := (addr + uint64(off)) % PageSize
@@ -279,10 +325,10 @@ func (as *AddressSpace) Read(addr uint64, n int) ([]byte, error) {
 			c = n - off
 		}
 		pg := as.access(as.frame(pn), pn, false)
-		copy(out[off:off+c], pg.Data[po:])
+		dst = append(dst, pg.Data[po:int(po)+c]...)
 		off += c
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Touch dirties count pages starting at the VMA's base without copying
@@ -357,7 +403,9 @@ func (as *AddressSpace) ClearSoftDirtyBits() {
 }
 
 // PageData returns the frame contents for page number pn (nil if the
-// page is not resident). The returned slice aliases the live page.
+// page is not resident). The returned slice aliases the live page: it
+// must not be written, and a later write to the page may or may not
+// show through it. To keep the bytes, use SharePage.
 func (as *AddressSpace) PageData(pn uint64) []byte {
 	if pg := as.frame(pn); pg != nil {
 		return pg.Data
@@ -365,20 +413,38 @@ func (as *AddressSpace) PageData(pn uint64) []byte {
 	return nil
 }
 
+// SharePage lends page pn's buffer (nil if the page is not resident).
+// The frame is marked shared, so the buffer keeps its current content
+// for as long as the caller holds it: the address space's next write to
+// the page goes to a fresh copy. The caller must not write the buffer.
+func (as *AddressSpace) SharePage(pn uint64) []byte {
+	pg := as.frame(pn)
+	if pg == nil || pg.Data == nil {
+		return nil
+	}
+	pg.Shared = true
+	return pg.Data
+}
+
 // InstallPage places content at page number pn during restore, without
-// dirty-tracking charges. A copy of data is made; short data is
-// zero-padded. Restore installs the VMAs first, so a page outside every
-// VMA is a bug and panics.
+// dirty-tracking charges. A page-sized data becomes the frame itself,
+// installed shared: the caller may keep reading it, and must not write
+// it. Other data is copied and zero-padded. Restore installs the VMAs
+// first, so a page outside every VMA is a bug and panics.
 func (as *AddressSpace) InstallPage(pn uint64, data []byte) {
 	pg := as.frame(pn)
 	if pg == nil {
 		panic(fmt.Sprintf("simkernel: InstallPage of page %#x outside every VMA", pn))
 	}
 	if pg.Data == nil {
-		pg.Data = make([]byte, PageSize)
 		as.resident++
 	}
-	clear(pg.Data[copy(pg.Data, data):])
+	if len(data) == PageSize {
+		pg.Data, pg.Shared = data, true
+	} else {
+		pg.Data, pg.Shared = make([]byte, PageSize), false
+		copy(pg.Data, data)
+	}
 	pg.WriteProtected = false
 	as.setSoftDirty(pg, pn)
 }

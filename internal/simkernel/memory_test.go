@@ -343,3 +343,21 @@ func TestPropertyDirtySetMatchesWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestPageBufPoolExactSizeOnly(t *testing.T) {
+	src := make([]byte, PageSize)
+	src[7] = 7
+	b := CopyPage(src)
+	if len(b) != PageSize || b[7] != 7 {
+		t.Fatalf("pooled copy len = %d, byte 7 = %d", len(b), b[7])
+	}
+	RecyclePage(b)
+	odd := CopyPage(make([]byte, 100))
+	if len(odd) != 100 {
+		t.Fatalf("odd-size copy len = %d", len(odd))
+	}
+	RecyclePage(odd) // must be a no-op, not a pool poisoning
+	if again := CopyPage(src); len(again) != PageSize {
+		t.Fatalf("pool poisoned: len = %d", len(again))
+	}
+}

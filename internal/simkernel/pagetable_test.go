@@ -141,10 +141,19 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 		rng.Read(b)
 		return b
 	}
+	// lent holds every buffer the space has handed out (SharePage) or
+	// been handed (a page-sized InstallPage), with the model's content
+	// at that moment. A lent buffer is never written again, whatever
+	// later steps do to its page.
+	type lease struct {
+		pn        uint64
+		buf, want []byte
+	}
+	var lent []lease
 
 	for step := 0; step < steps; step++ {
 		var op string
-		switch r := rng.Intn(20); {
+		switch r := rng.Intn(22); {
 		case r < 3 || len(as.VMAs()) == 0:
 			op = "mmap"
 			prot := ProtRead | ProtWrite
@@ -208,10 +217,16 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 				}
 				pn := v.Start/PageSize + uint64(i)
 				data := randBytes(rng.Intn(PageSize + 1))
+				if rng.Intn(2) == 0 {
+					data = randBytes(PageSize)
+				}
 				as.InstallPage(pn, data)
 				pg := &refPage{data: make([]byte, PageSize), softDirty: true}
 				copy(pg.data, data)
 				m.pages[pn] = pg
+				if len(data) == PageSize {
+					lent = append(lent, lease{pn, data, bytes.Clone(data)})
+				}
 			}
 		case r < 18:
 			op = "clear_refs"
@@ -226,6 +241,22 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 			for _, pg := range m.pages {
 				pg.wpr = true
 			}
+		case r < 21:
+			op = "share"
+			v := pick()
+			// Includes the page just past the end, which may be unmapped.
+			pn := v.Start/PageSize + uint64(rng.Intn(v.Pages()+1))
+			buf := as.SharePage(pn)
+			pg := m.pages[pn]
+			if (buf == nil) != (pg == nil) {
+				t.Fatalf("step %d: SharePage(%#x) resident %v, model %v", step, pn, buf != nil, pg != nil)
+			}
+			if buf != nil {
+				if !bytes.Equal(buf, pg.data) {
+					t.Fatalf("step %d: SharePage(%#x) lent content differs from the model", step, pn)
+				}
+				lent = append(lent, lease{pn, buf, bytes.Clone(pg.data)})
+			}
 		default:
 			op = "soft_tracking"
 			on := rng.Intn(2) == 0
@@ -233,6 +264,11 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 			m.softTracking = on
 		}
 		checkAgainstModel(t, as, m, fmt.Sprintf("step %d (%s)", step, op))
+		for _, l := range lent {
+			if !bytes.Equal(l.buf, l.want) {
+				t.Fatalf("step %d (%s): buffer lent for page %#x was written after lending", step, op, l.pn)
+			}
+		}
 	}
 }
 

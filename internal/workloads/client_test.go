@@ -1,10 +1,13 @@
 package workloads
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
 
+	"nilicon/internal/container"
 	"nilicon/internal/core"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
@@ -241,5 +244,32 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 		if allocs > maxAllocs {
 			t.Errorf("batch %d: a reply-and-reissue cycle allocated %d objects, want <= %d", batch, allocs, maxAllocs)
 		}
+	}
+}
+
+// TestServerGetAllocsBounded guards the server's GET path: the record is
+// read from the heap into a reused per-server buffer, so a GET
+// allocates nothing once that buffer has grown to a record.
+func TestServerGetAllocsBounded(t *testing.T) {
+	prof := Redis().Profile()
+	prof.MemPages, prof.Records = 64, 200
+	clock := simtime.NewClock()
+	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
+	ctr := container.Create(container.NewHost("srv", clock, sw), container.Spec{ID: "kv", IP: "10.0.0.5", Cores: 1})
+	sv := NewServer(prof)
+	sv.Install(ctr)
+	w := sv.workers[0]
+	key := binary.BigEndian.AppendUint64(nil, 42)
+	want := ValueFor(42, 1, recordSize)
+	sv.process(w, pendingReq{Op: OpSet, Payload: append(key, want...)})
+	get := pendingReq{Op: OpGet, Payload: key}
+	sv.process(w, get) // grows the buffer
+	allocs := testing.AllocsPerRun(100, func() { sv.process(w, get) })
+	if errs := sv.AppErrors(); len(errs) > 0 || !bytes.Equal(sv.value, want) {
+		t.Fatalf("GET read %d bytes, want the stored record (errors %v)", len(sv.value), errs)
+	}
+	t.Logf("%.0f allocations per GET", allocs)
+	if allocs > 0 {
+		t.Errorf("a GET allocated %.0f objects, want 0", allocs)
 	}
 }

@@ -85,6 +85,7 @@ type Server struct {
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
 	out     []byte // respond's frame buffer; Socket.Send copies it
+	value   []byte // a GET's record, read from the heap; respond copies it
 
 	processed int64
 }
@@ -412,11 +413,12 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 			return cpu
 		}
 		mem := sv.ctr.Procs[0].Mem
-		value, err := mem.Read(addr, recordSize)
+		value, err := mem.AppendRead(sv.value[:0], addr, recordSize)
 		if err != nil {
 			sv.fail("heap read: " + err.Error())
 			return cpu
 		}
+		sv.value = value
 		sv.respond(req.Conn, OpGet, value)
 	case OpWeb:
 		if len(req.Payload) < 4 {
