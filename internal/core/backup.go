@@ -466,9 +466,12 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 			}
 			key := criu.PageKey(pi, pg.PN)
 			old := b.store.PutOwned(key, pg.Data)
-			if len(old) > 0 && len(pg.Data) > 0 && &old[0] == &pg.Data[0] {
+			if len(old) > 0 && len(pg.Data) > 0 && &old[0] == &pg.Data[0] && !simkernel.IsStampPage(old) {
 				// A page is shipped again only after a write, and the
-				// write moved the frame to a fresh copy.
+				// write moved the frame to a fresh copy. A stamp frame
+				// is the exception: a page stamped with the same value
+				// in two epochs ships the same frame twice, and nothing
+				// recycles it.
 				panic(fmt.Sprintf("core: page %#x committed twice in one buffer", key))
 			}
 			pageBytes += int64(len(pg.Data))

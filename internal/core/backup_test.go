@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"strings"
@@ -60,7 +61,8 @@ func TestIncrementalMergeRestoresLatestContent(t *testing.T) {
 // so a pair that dirties over a thousand pages per epoch allocates, per
 // committed epoch, well under a quarter of the page bytes it ships.
 // Without the recycling every dirty page costs a fresh 4 KiB buffer and
-// the ratio sits near 1.
+// the ratio sits near 1. The pages are dirtied with Write, not Touch:
+// Touch backs a page with a stamp frame and allocates nothing at all.
 func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 	const dirty = 1200
 	env := newTestEnv(t, DefaultConfig())
@@ -69,11 +71,16 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 	}
 	p := env.app.proc
 	v := p.Mem.Mmap(dirty*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
-	stamp := byte(0)
+	content := make([]byte, 64)
+	round := 0
 	env.ctr.AddTask(p.NewThread(), func() (simtime.Duration, simtime.Duration) {
-		stamp++
-		if err := p.Mem.Touch(v, 0, dirty, stamp); err != nil {
-			t.Error(err)
+		round++
+		binary.LittleEndian.PutUint64(content, uint64(round))
+		for i := 0; i < dirty; i++ {
+			binary.LittleEndian.PutUint64(content[56:], uint64(i))
+			if err := p.Mem.Write(v.Start+uint64(i)*simkernel.PageSize, content); err != nil {
+				t.Error(err)
+			}
 		}
 		return 50 * simtime.Microsecond, 10 * simtime.Millisecond
 	})
@@ -172,9 +179,16 @@ func TestIsolatedPrimaryResyncsCopyNoPages(t *testing.T) {
 // TestCommitRejectsADuplicatePageBuffer: a page is shipped again only
 // after a write, which moved its frame to a fresh copy, so commit never
 // sees the buffer it already stores under the same key. If it did, the
-// raw store would recycle a live buffer; commit panics instead.
+// raw store would recycle a live buffer; commit panics instead. The
+// page is written with Write: a page only Touch wrote holds a stamp
+// frame, which commit may see twice (TestCommitAcceptsARepeatedStampFrame).
 func TestCommitRejectsADuplicatePageBuffer(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
+	p := env.app.proc
+	v := p.Mem.Mmap(simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	if err := p.Mem.Write(v.Start, []byte("owned-page")); err != nil {
+		t.Fatal(err)
+	}
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	b := env.repl.Backup
@@ -182,10 +196,10 @@ func TestCommitRejectsADuplicatePageBuffer(t *testing.T) {
 	if !ok {
 		t.Fatal("no committed epoch")
 	}
-	pn := env.app.vma.Start / simkernel.PageSize
+	pn := v.Start / simkernel.PageSize
 	buf := b.store.Get(criu.PageKey(0, pn))
-	if buf == nil {
-		t.Fatal("page not committed")
+	if buf == nil || simkernel.IsStampPage(buf) || string(buf[:10]) != "owned-page" {
+		t.Fatal("written page not committed in an owned buffer")
 	}
 	img := &criu.Image{
 		ContainerID: "kv", Epoch: committed + 1, InfrequentCached: true,
@@ -198,6 +212,45 @@ func TestCommitRejectsADuplicatePageBuffer(t *testing.T) {
 		}
 	}()
 	_ = b.commit(img.Epoch, img)
+}
+
+// TestCommitAcceptsARepeatedStampFrame: a page stamped with the same
+// value in two epochs ships the same stamp frame twice. Commit stores it
+// again without panicking and without recycling it, so the next
+// copy-on-write copies cannot overwrite the frame.
+func TestCommitAcceptsARepeatedStampFrame(t *testing.T) {
+	env := newTestEnv(t, DefaultConfig())
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	b := env.repl.Backup
+	committed, ok := b.CommittedEpoch()
+	if !ok {
+		t.Fatal("no committed epoch")
+	}
+	frame := simkernel.StampPage(0x5A)
+	pn := env.app.vma.Start / simkernel.PageSize
+	for i := uint64(1); i <= 2; i++ {
+		img := &criu.Image{
+			ContainerID: "kv", Epoch: committed + i, InfrequentCached: true,
+			Procs: []criu.ProcessImage{{PID: 1, Pages: []criu.PageImage{{PN: pn, Data: frame}}}},
+		}
+		if err := b.commit(img.Epoch, img); err != nil {
+			t.Fatalf("commit %d of a stamp frame: %v", i, err)
+		}
+	}
+	if got := b.store.Get(criu.PageKey(0, pn)); !simkernel.IsStampPage(got) || got[0] != 0x5A {
+		t.Fatal("store does not hold the committed stamp frame")
+	}
+	// Drain whatever the pool holds into copies that are then written.
+	ones := bytes.Repeat([]byte{0xFF}, simkernel.PageSize)
+	for i := 0; i < 1024; i++ {
+		if cp := simkernel.CopyPage(ones); simkernel.IsStampPage(cp) {
+			t.Fatal("commit recycled a stamp frame into the page pool")
+		}
+	}
+	if frame[0] != 0x5A || !bytes.Equal(frame[1:], make([]byte, simkernel.PageSize-1)) {
+		t.Fatal("stamp frame 0x5A was overwritten")
+	}
 }
 
 // TestSharedFramesSurviveTheNextStoresRecycling: a restore installs the

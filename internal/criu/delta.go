@@ -125,10 +125,6 @@ func allZero(data []byte) bool {
 	return true
 }
 
-// zeroPage is the shared all-zero base installed when a zero frame is
-// sent. It is read-only and must never enter the buffer pool.
-var zeroPage = make([]byte, simkernel.PageSize)
-
 // --- Sparse XOR patches -------------------------------------------------------
 
 // maxDonorCands bounds the per-hash donor candidate list. A dedup
@@ -211,7 +207,7 @@ type sentPage struct {
 	hash  uint64
 	epoch uint64 // epoch the copy was shipped in
 	// shared marks a buffer that also travels to the backup (full-frame
-	// data, the zero singleton); such buffers must never be recycled.
+	// data, the zero stamp frame); such buffers must never be recycled.
 	shared bool
 }
 
@@ -303,8 +299,8 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 
 	if e.delta && allZero(pg.Data) {
 		// The copied buffer never leaves this host: recycle it and point
-		// the base at the shared zero singleton.
-		e.setBase(key, zeroPage, hv, epoch, true)
+		// the base at the all-zero stamp frame.
+		e.setBase(key, simkernel.StampPage(0), hv, epoch, true)
 		simkernel.RecyclePage(pg.Data)
 		st.ZeroFrames++
 		return PageFrame{Kind: FrameZero, PN: pg.PN, Hash: hv}
@@ -424,14 +420,15 @@ func (e *DeltaEncoder) reset() {
 //
 // A dedup frame returns the donor's stored slice itself: the store then
 // holds the same content under both keys, which is exactly the radix
-// store's cross-VMA/process dedup. Stored pages are never mutated in
-// place (only replaced), so the sharing is safe.
+// store's cross-VMA/process dedup. A zero frame returns the all-zero
+// stamp frame. Stored pages are never mutated in place (only replaced),
+// so the sharing is safe.
 func DecodeFrame(f *PageFrame, key uint64, store PageStore) ([]byte, error) {
 	switch f.Kind {
 	case FrameFull:
 		return f.Data, nil
 	case FrameZero:
-		return make([]byte, simkernel.PageSize), nil
+		return simkernel.StampPage(0), nil
 	case FrameDelta:
 		base := store.Get(key)
 		if base == nil {

@@ -110,6 +110,8 @@ type Image struct {
 // (DESIGN.md §8), so two replicas must never share one buffer. The
 // verbatim copies come from simkernel's page pool, so a replica store
 // recycles them exactly as slot 0's store recycles the originals.
+// Stamp frames are the exception: nothing owns, writes or recycles
+// them, so every replica shares them.
 // Structured snapshots (threads, VMAs, sockets, infrequent state) and
 // AppState are shared read-only; at most one replica of a generation
 // ever restores them.
@@ -121,7 +123,10 @@ func (img *Image) Clone() *Image {
 		if len(p.Pages) > 0 {
 			pages := make([]PageImage, len(p.Pages))
 			for j, pg := range p.Pages {
-				pages[j] = PageImage{PN: pg.PN, Data: simkernel.CopyPage(pg.Data)}
+				if !simkernel.IsStampPage(pg.Data) {
+					pg.Data = simkernel.CopyPage(pg.Data)
+				}
+				pages[j] = pg
 			}
 			p.Pages = pages
 		}

@@ -297,3 +297,54 @@ func TestMisorderedRecoveryBreaksConnections(t *testing.T) {
 		t.Fatal("expected an RST from the socket-less namespace")
 	}
 }
+
+// TestRestoreOfStampFramesKeepsThemIntact: pages only Touch wrote are
+// captured, stored and restored as stamp frames. Writing a restored page
+// gives the container a private copy and re-stamping the others swaps
+// in other stamp frames; the arena and the backup's store keep their
+// content.
+func TestRestoreOfStampFramesKeepsThemIntact(t *testing.T) {
+	const pages = 8
+	ctr, clock := newTestContainer()
+	_, v := addWorkProcess(ctr, "app", pages)
+	e := NewEngine(ctr, NiLiConOptions())
+	defer e.Close()
+	img, _ := e.Checkpoint()
+	store := NewRadixStore()
+	for _, pg := range img.Procs[0].Pages {
+		if !simkernel.IsStampPage(pg.Data) || pg.Data[0] != 1 {
+			t.Fatalf("page %#x was not captured as stamp frame 1", pg.PN)
+		}
+		store.PutOwned(PageKey(0, pg.PN), pg.Data)
+	}
+	backup := container.NewHost("backup", clock, ctr.Host.Switch)
+	restored, err := Restore(backup, img, backup.Disk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm := restored.Procs[0].Mem
+	if err := rm.Write(v.Start+10, []byte("after-restore")); err != nil {
+		t.Fatal(err)
+	}
+	if err := rm.Touch(rm.FindVMA(v.Start), 1, pages-1, 7); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := rm.Read(v.Start, 23); got[0] != 1 || string(got[10:]) != "after-restore" {
+		t.Fatalf("restored page 0 reads %q", got)
+	}
+	if got := rm.PageData(v.Start/simkernel.PageSize + 1); got[0] != 7 {
+		t.Fatalf("restored page 1 stamp = %d, want 7", got[0])
+	}
+	zero := make([]byte, simkernel.PageSize)
+	for s := 0; s < 256; s++ {
+		if f := simkernel.StampPage(byte(s)); f[0] != byte(s) || !bytes.Equal(f[1:], zero[1:]) {
+			t.Fatalf("stamp frame %d was written", s)
+		}
+	}
+	for i := uint64(0); i < pages; i++ {
+		pn := v.Start/simkernel.PageSize + i
+		if got := store.Get(PageKey(0, pn)); &got[0] != &simkernel.StampPage(1)[0] {
+			t.Fatalf("stored page %#x is no longer stamp frame 1", pn)
+		}
+	}
+}

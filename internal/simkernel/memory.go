@@ -72,10 +72,11 @@ type Page struct {
 	// WriteProtected supports hypervisor-style dirty tracking (MC): a
 	// write to a protected page costs a VM exit and clears the bit.
 	WriteProtected bool
-	// Shared marks Data as handed out (SharePage, InstallPage): other
-	// holders may read it for as long as they keep it, so the address
-	// space never writes it again. The next write copies the page into
-	// a fresh buffer first and clears the bit.
+	// Shared marks Data as handed out (SharePage, InstallPage) or as a
+	// stamp frame (Touch): other holders may read it for as long as
+	// they keep it, so the address space never writes it again. The
+	// next write copies the page into a fresh buffer first and clears
+	// the bit.
 	Shared bool
 }
 
@@ -103,12 +104,37 @@ func CopyPage(src []byte) []byte {
 // RecyclePage returns a dead page buffer to the pool. The caller must be
 // its last holder: a buffer still reachable from a frame, a page store,
 // an image or the delta encoder would be overwritten by the next copy.
-// Buffers that are not page-sized (and nil) are ignored.
+// Buffers that are not page-sized (and nil) and stamp frames are
+// ignored.
 func RecyclePage(b []byte) {
-	if len(b) != PageSize {
+	if len(b) != PageSize || IsStampPage(b) {
 		return
 	}
 	pagePool.Put(&b)
+}
+
+// stampPages are the stamp frames: stampPages[s] is a read-only page of
+// zeros with byte 0 set to s, the only contents a page can have when
+// Touch is all that ever wrote it. All 256 live in one arena.
+var stampPages = func() (pages [256][]byte) {
+	arena := make([]byte, len(pages)*PageSize)
+	for s := range pages {
+		pages[s] = arena[s*PageSize : (s+1)*PageSize : (s+1)*PageSize]
+		pages[s][0] = byte(s)
+	}
+	return pages
+}()
+
+// StampPage returns the stamp frame for s. It must never be written;
+// stamp frame 0 is the all-zero page.
+func StampPage(s byte) []byte { return stampPages[s] }
+
+// IsStampPage reports whether b is one of the stamp frames (by identity,
+// not content). Stamp frames are never owned: nothing writes or
+// recycles them, so any number of frames, images and stores may hold
+// one.
+func IsStampPage(b []byte) bool {
+	return len(b) == PageSize && &b[0] == &stampPages[b[0]][0]
 }
 
 // AddressSpace is a process's virtual memory: a sorted set of VMAs, each
@@ -253,21 +279,19 @@ func (as *AddressSpace) setSoftDirty(pg *Page, pn uint64) bool {
 	return true
 }
 
-// access returns frame slot pg, which holds page pn, faulting it in if
-// needed and doing the dirty-tracking work of the access.
-func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
+// account does the fault and dirty-tracking work of an access to frame
+// slot pg, which holds page pn, and reports whether the page was
+// resident. A page that was not is counted resident; the caller gives
+// it a buffer.
+func (as *AddressSpace) account(pg *Page, pn uint64, forWrite bool) bool {
 	if pg.Data == nil {
-		pg.Data = make([]byte, PageSize)
 		as.resident++
 		as.trackOverhead += as.k.Costs.MinorFault
 		// A freshly faulted page starts dirty under both trackers.
 		as.setSoftDirty(pg, pn)
-		return pg
+		return false
 	}
 	if forWrite {
-		if pg.Shared {
-			pg.Data, pg.Shared = CopyPage(pg.Data), false
-		}
 		if as.setSoftDirty(pg, pn) && as.softTracking {
 			as.trackOverhead += as.k.Costs.SoftDirtyFault
 		}
@@ -275,6 +299,18 @@ func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
 			pg.WriteProtected = false
 			as.trackOverhead += as.k.Costs.VMExit
 		}
+	}
+	return true
+}
+
+// access returns frame slot pg, which holds page pn, faulting it in if
+// needed and doing the dirty-tracking work of the access. A write to a
+// shared frame copies it first.
+func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
+	if !as.account(pg, pn, forWrite) {
+		pg.Data = make([]byte, PageSize)
+	} else if forWrite && pg.Shared {
+		pg.Data, pg.Shared = CopyPage(pg.Data), false
 	}
 	return pg
 }
@@ -334,7 +370,12 @@ func (as *AddressSpace) AppendRead(dst []byte, addr uint64, n int) ([]byte, erro
 // Touch dirties count pages starting at the VMA's base without copying
 // real payloads; workloads use it to model computation over large arrays
 // cheaply while still exercising the fault/tracking machinery. Each page
-// gets one byte written so content-based checks still see a change.
+// gets stamp written to byte 0 so content-based checks still see a
+// change. A page that is not resident, or holds a stamp frame, then
+// holds exactly a stamp frame's content, so Touch points it at
+// StampPage(stamp) instead of writing: no copy, no allocation. Any
+// other page is written as Write would. The fault and tracking costs
+// are the same either way.
 //
 // v may come from another address space (a worker holding a VMA from
 // before a restore), but it must span exactly one of the receiver's
@@ -351,7 +392,13 @@ func (as *AddressSpace) Touch(v *VMA, firstPage, count int, stamp byte) error {
 	base := own.Start/PageSize + uint64(firstPage)
 	frames := own.frames[firstPage : firstPage+count]
 	for i := range frames {
-		as.access(&frames[i], base+uint64(i), true).Data[0] = stamp
+		pg := &frames[i]
+		if pg.Data == nil || IsStampPage(pg.Data) {
+			as.account(pg, base+uint64(i), true)
+			pg.Data, pg.Shared = stampPages[stamp], true
+			continue
+		}
+		as.access(pg, base+uint64(i), true).Data[0] = stamp
 	}
 	return nil
 }

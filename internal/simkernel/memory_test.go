@@ -361,3 +361,74 @@ func TestPageBufPoolExactSizeOnly(t *testing.T) {
 		t.Fatalf("pool poisoned: len = %d", len(again))
 	}
 }
+
+// TestTouchSharesStampFrames: Touch backs a page that only Touch has
+// written with the stamp frame for its stamp, allocating nothing, and
+// the first real write copies the frame instead of writing it.
+func TestTouchSharesStampFrames(t *testing.T) {
+	k := newTestKernel()
+	p := k.NewProcess("test", "")
+	v := p.Mem.Mmap(64*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	base := v.Start / PageSize
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := p.Mem.Touch(v, 0, 64, 0x42); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("Touch of non-resident and stamp-frame pages: %.0f allocations, want 0", allocs)
+	}
+	for pn := base; pn < base+64; pn++ {
+		if got := p.Mem.PageData(pn); !IsStampPage(got) || got[0] != 0x42 {
+			t.Fatalf("page %#x is not stamp frame 0x42 after Touch", pn)
+		}
+	}
+	if err := p.Mem.Write(v.Start+7, []byte("private")); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Mem.PageData(base); IsStampPage(got) || got[0] != 0x42 || string(got[7:14]) != "private" {
+		t.Fatalf("Write to a stamp-frame page: stamp frame %v, content %q", IsStampPage(got), got[:14])
+	}
+	// A page with private content stays private under Touch.
+	if err := p.Mem.Touch(v, 0, 1, 0x43); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Mem.PageData(base); IsStampPage(got) || got[0] != 0x43 || string(got[7:14]) != "private" {
+		t.Fatalf("Touch of a written page: stamp frame %v, content %q", IsStampPage(got), got[:14])
+	}
+	checkStampFrames(t, "after Touch and Write")
+}
+
+// TestRecyclePageIgnoresStampFrames: handing every stamp frame to
+// RecyclePage, as a raw store does with what a newer epoch supersedes,
+// must not let the pool give one out for the next copy to overwrite.
+func TestRecyclePageIgnoresStampFrames(t *testing.T) {
+	for s := range stampPages {
+		RecyclePage(StampPage(byte(s)))
+	}
+	src := bytes.Repeat([]byte{0xFF}, PageSize)
+	var held [][]byte
+	for i := 0; i < 2*len(stampPages); i++ {
+		held = append(held, CopyPage(src))
+	}
+	for _, b := range held {
+		if IsStampPage(b) {
+			t.Fatal("CopyPage returned a stamp frame")
+		}
+	}
+	checkStampFrames(t, "after pool churn")
+}
+
+func TestIsStampPage(t *testing.T) {
+	for s := range stampPages {
+		if !IsStampPage(StampPage(byte(s))) {
+			t.Fatalf("stamp frame %d not recognised", s)
+		}
+	}
+	look := make([]byte, PageSize)
+	look[0] = 9
+	for _, b := range [][]byte{nil, {}, look, StampPage(9)[:100], bytes.Clone(StampPage(9))} {
+		if IsStampPage(b) {
+			t.Fatalf("IsStampPage(len %d, byte 0 %v) = true for a buffer that is not a stamp frame", len(b), b[:min(len(b), 1)])
+		}
+	}
+}

@@ -150,10 +150,26 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 		buf, want []byte
 	}
 	var lent []lease
+	write := func(step int, addr uint64, data []byte) {
+		if got, want := as.Write(addr, data) == nil, m.write(addr, data); got != want {
+			t.Fatalf("step %d: Write(%#x, %d bytes) ok=%v, model ok=%v", step, addr, len(data), got, want)
+		}
+	}
+	touch := func(step int, v *VMA, first, count int, stamp byte) {
+		err := as.Touch(v, first, count, stamp)
+		if inRange := first+count <= v.Pages(); (err == nil) != inRange {
+			t.Fatalf("step %d: Touch(%d+%d of %d) err=%v", step, first, count, v.Pages(), err)
+		}
+		if err == nil {
+			for i := 0; i < count; i++ {
+				m.access(v.Start/PageSize+uint64(first+i), true).data[0] = stamp
+			}
+		}
+	}
 
 	for step := 0; step < steps; step++ {
 		var op string
-		switch r := rng.Intn(22); {
+		switch r := rng.Intn(24); {
 		case r < 3 || len(as.VMAs()) == 0:
 			op = "mmap"
 			prot := ProtRead | ProtWrite
@@ -172,10 +188,7 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 			v := pick()
 			// May run past the VMA's end into the guard gap.
 			addr := v.Start + uint64(rng.Intn(int(v.End-v.Start)))
-			data := randBytes(rng.Intn(2 * PageSize))
-			if got, want := as.Write(addr, data) == nil, m.write(addr, data); got != want {
-				t.Fatalf("step %d: Write(%#x, %d bytes) ok=%v, model ok=%v", step, addr, len(data), got, want)
-			}
+			write(step, addr, randBytes(rng.Intn(2*PageSize)))
 		case r < 11:
 			op = "read"
 			v := pick()
@@ -189,17 +202,7 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 		case r < 14:
 			op = "touch"
 			v := pick()
-			first, count := rng.Intn(v.Pages()+1), rng.Intn(v.Pages()+1)
-			stamp := byte(rng.Intn(256))
-			err := as.Touch(v, first, count, stamp)
-			if inRange := first+count <= v.Pages(); (err == nil) != inRange {
-				t.Fatalf("step %d: Touch(%d+%d of %d) err=%v", step, first, count, v.Pages(), err)
-			}
-			if err == nil {
-				for i := 0; i < count; i++ {
-					m.access(v.Start/PageSize+uint64(first+i), true).data[0] = stamp
-				}
-			}
+			touch(step, v, rng.Intn(v.Pages()+1), rng.Intn(v.Pages()+1), byte(rng.Intn(256)))
 		case r < 16:
 			op = "install"
 			// Restore places VMAs at their checkpointed addresses; here,
@@ -216,9 +219,15 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 					continue
 				}
 				pn := v.Start/PageSize + uint64(i)
-				data := randBytes(rng.Intn(PageSize + 1))
-				if rng.Intn(2) == 0 {
+				var data []byte
+				switch rng.Intn(3) {
+				case 0:
+					data = randBytes(rng.Intn(PageSize + 1))
+				case 1:
 					data = randBytes(PageSize)
+				default:
+					// A restored page that only Touch ever wrote.
+					data = StampPage(byte(rng.Intn(256)))
 				}
 				as.InstallPage(pn, data)
 				pg := &refPage{data: make([]byte, PageSize), softDirty: true}
@@ -257,6 +266,21 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 				}
 				lent = append(lent, lease{pn, buf, bytes.Clone(pg.data)})
 			}
+		case r < 23:
+			// Touch and Write of the same page, in either order: a
+			// stamp frame turns into a private copy and back again.
+			op = "touch_write"
+			v := pick()
+			i := rng.Intn(v.Pages())
+			addr := v.Start + uint64(i)*PageSize + uint64(rng.Intn(PageSize))
+			data, stamp := randBytes(1+rng.Intn(64)), byte(rng.Intn(256))
+			if rng.Intn(2) == 0 {
+				touch(step, v, i, 1, stamp)
+				write(step, addr, data)
+			} else {
+				write(step, addr, data)
+				touch(step, v, i, 1, stamp)
+			}
 		default:
 			op = "soft_tracking"
 			on := rng.Intn(2) == 0
@@ -264,10 +288,23 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 			m.softTracking = on
 		}
 		checkAgainstModel(t, as, m, fmt.Sprintf("step %d (%s)", step, op))
+		checkStampFrames(t, fmt.Sprintf("step %d (%s)", step, op))
 		for _, l := range lent {
 			if !bytes.Equal(l.buf, l.want) {
 				t.Fatalf("step %d (%s): buffer lent for page %#x was written after lending", step, op, l.pn)
 			}
+		}
+	}
+}
+
+// checkStampFrames fails t unless every stamp frame still holds zeros
+// with its stamp in byte 0.
+func checkStampFrames(t testing.TB, where string) {
+	t.Helper()
+	zero := make([]byte, PageSize)
+	for s := range stampPages {
+		if pg := stampPages[s]; len(pg) != PageSize || pg[0] != byte(s) || !bytes.Equal(pg[1:], zero[1:]) {
+			t.Fatalf("%s: stamp frame %d was written", where, s)
 		}
 	}
 }
@@ -370,5 +407,29 @@ func BenchmarkPagemapScan(b *testing.B) {
 			b.Fatalf("pagemap found %d dirty pages, want %d", got, dirty)
 		}
 		k.ClearRefs(p)
+	}
+}
+
+// BenchmarkTouchAfterShare measures redis-ycsb's churn pattern: a
+// checkpoint lends 6,400 pages (SharePage), then the container stamps
+// every one of them again (Touch).
+func BenchmarkTouchAfterShare(b *testing.B) {
+	const pages = 6400
+	k := newTestKernel()
+	p := k.NewProcess("churn", "")
+	v := p.Mem.Mmap(pages*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	if err := p.Mem.Touch(v, 0, pages, 1); err != nil {
+		b.Fatal(err)
+	}
+	base := v.Start / PageSize
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for pn := base; pn < base+pages; pn++ {
+			p.Mem.SharePage(pn)
+		}
+		if err := p.Mem.Touch(v, 0, pages, byte(i)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -136,9 +136,7 @@ func Parse(r io.Reader) (*Trace, error) {
 			continue
 		}
 		var req Request
-		dec := json.NewDecoder(strings.NewReader(text))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&req); err != nil {
+		if err := decodeLine(text, &req); err != nil {
 			return nil, fmt.Errorf("traffic: line %d: truncated or malformed record: %w", line, err)
 		}
 		if req.ID == 0 {
@@ -177,10 +175,22 @@ func Parse(r io.Reader) (*Trace, error) {
 	return tr, nil
 }
 
-func parseHeader(text string, h *Header) error {
+// decodeLine decodes text, one trace line, into v. Unknown fields and
+// anything after the first JSON value are errors.
+func decodeLine(text string, v any) error {
 	dec := json.NewDecoder(strings.NewReader(text))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(h); err != nil {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON value at offset %d", dec.InputOffset())
+	}
+	return nil
+}
+
+func parseHeader(text string, h *Header) error {
+	if err := decodeLine(text, h); err != nil {
 		return fmt.Errorf("traffic: malformed trace header: %w", err)
 	}
 	if h.Version != TraceVersion {

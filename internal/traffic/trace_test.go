@@ -62,6 +62,10 @@ func TestParseRejectsEdgeCases(t *testing.T) {
 		{"zero-clients", `{"nilicon_trace":1,"name":"t","seed":0,"clients":0,"keys":1}` + "\n", "clients"},
 		{"truncated-line", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":0,"client":0,"op":"set","ke`, "truncated or malformed"},
+		{"two-records-one-line", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
+			`{"id":1,"at":0,"client":0,"op":"set","key":0,"size":1}{"id":2,"at":0,"cl`, "data after the JSON value"},
+		{"header-trailing-data", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1} x` + "\n" +
+			`{"id":1,"at":0,"client":0,"op":"set","key":0,"size":1}` + "\n", "data after the JSON value"},
 		{"out-of-order", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":5000,"client":0,"op":"set","key":0,"size":1}` + "\n" +
 			`{"id":2,"at":4000,"client":0,"op":"set","key":0,"size":1}` + "\n", "out-of-order"},
