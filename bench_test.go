@@ -177,7 +177,7 @@ func BenchmarkPipelinedVsStopAndCopy(b *testing.B) {
 // BenchmarkDeltaVsFullTransfer compares the replication stream with and
 // without the delta-compressed wire format (DESIGN.md §8) on the
 // memory-heavy streamcluster workload: steady-state bytes on the wire
-// per epoch and the p99 output-commit latency. The delta rows must show
+// per epoch and the p99 output-commit latency. The delta row must show
 // a large wire-byte drop with no commit-tail regression.
 func BenchmarkDeltaVsFullTransfer(b *testing.B) {
 	run := func(b *testing.B, opts core.OptSet) {
@@ -191,11 +191,6 @@ func BenchmarkDeltaVsFullTransfer(b *testing.B) {
 	}
 	b.Run("Full", func(b *testing.B) {
 		run(b, core.AllOpts())
-	})
-	b.Run("Delta", func(b *testing.B) {
-		opts := core.AllOpts()
-		opts.DeltaPages = true
-		run(b, opts)
 	})
 	b.Run("DeltaDedup", func(b *testing.B) {
 		run(b, core.DeltaOpts())

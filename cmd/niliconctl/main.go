@@ -39,12 +39,15 @@
 // primary that lost its backup fenced, availability lets it declare the
 // pair unprotected and serve without acks until re-protection).
 //
-// The -pipeline flag enables the overlapped (pipelined) state transfer
-// on experiments that run a replicator (timeline, validate, fig3, ...).
-// The -delta flag enables the delta-compressed replication stream
-// (DeltaPages + BackupPageDedup, DESIGN.md §8) the same way. The -opts
-// replay option set (chaos) runs HyCoR-mode record/replay (DESIGN.md
-// §12). The -j flag runs sweep-style experiments (chaos -sweep, table1,
+// The -opts flag names the option set of every experiment that runs a
+// replicator (timeline, validate, fig3, chaos, fleet, ...): basic,
+// stop-and-copy, all (the default), pipelined (the overlapped state
+// transfer), delta (the delta-compressed replication stream, DESIGN.md
+// §8) or replay (HyCoR-mode record/replay, DESIGN.md §12). table1 and
+// pipeline pin their own option set per row and ignore it. An unknown
+// name is a usage error.
+//
+// The -j flag runs sweep-style experiments (chaos -sweep, table1,
 // pipeline) on a worker pool; every seeded run stays single-threaded
 // and results are collected in a fixed order, so output is
 // byte-identical for any -j value.
@@ -61,6 +64,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"nilicon/internal/chaos"
@@ -93,8 +97,6 @@ type app struct {
 	runs     *int
 	bench    *string
 	runLen   *time.Duration
-	pipeline *bool
-	delta    *bool
 	jobs     *int
 	seeds    *int
 	optsName *string
@@ -118,6 +120,7 @@ type app struct {
 	cpuprof  *string
 	memprof  *string
 
+	opts       core.OptSet
 	degradePol core.DegradePolicy
 	cpuprofF   *os.File
 }
@@ -133,11 +136,9 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.runs = fs.Int("runs", 5, "validation runs per benchmark")
 	a.bench = fs.String("bench", "redis", "benchmark for the timeline command")
 	a.runLen = fs.Duration("runlen", 20*time.Second, "validation run length (paper: 60s, 50 runs)")
-	a.pipeline = fs.Bool("pipeline", false, "enable the overlapped (pipelined) state transfer")
-	a.delta = fs.Bool("delta", false, "enable the delta-compressed replication stream (XOR page deltas, zero elision, backup page dedup)")
 	a.jobs = fs.Int("j", 1, "worker-pool width for sweep experiments (output is identical for any value)")
 	a.seeds = fs.Int("seeds", 20, "chaos: campaigns per matrix entry in sweep mode")
-	a.optsName = fs.String("opts", "all", "chaos: option set (basic|stop-and-copy|all|pipelined|delta|replay)")
+	a.optsName = fs.String("opts", "all", "option set of every experiment that runs a replicator ("+optSetNames()+"); table1 and pipeline pin their own")
 	a.sweep = fs.Bool("sweep", false, "chaos: run the full matrix sweep instead of one campaign")
 	a.chaosDur = fs.Duration("chaos-duration", 1500*time.Millisecond, "chaos/fleet: fault-injection window (virtual)")
 	a.pairs = fs.Int("pairs", 8, "fleet: protected container pairs")
@@ -277,7 +278,22 @@ func (a *app) validate() error {
 		return fmt.Errorf("-degrade: %v", err)
 	}
 	a.degradePol = pol
-	return nil
+	for _, step := range harness.OptSets() {
+		if step.Name == *a.optsName {
+			a.opts = step.Opts
+			return nil
+		}
+	}
+	return fmt.Errorf("-opts: unknown option set %q (want %s)", *a.optsName, optSetNames())
+}
+
+// optSetNames lists the names -opts accepts.
+func optSetNames() string {
+	var names []string
+	for _, step := range harness.OptSets() {
+		names = append(names, step.Name)
+	}
+	return strings.Join(names, "|")
 }
 
 var commands = []string{
@@ -297,7 +313,7 @@ func knownCommand(name string) bool {
 
 // runConfig assembles the shared RunConfig from the parsed flags.
 func (a *app) runConfig() harness.RunConfig {
-	return harness.RunConfig{Seed: *a.seed, Warmup: *a.warmup, Measure: *a.measure, Pipelined: *a.pipeline, Delta: *a.delta}
+	return harness.RunConfig{Seed: *a.seed, Warmup: *a.warmup, Measure: *a.measure, Opts: &a.opts}
 }
 
 // runCommand dispatches one experiment; every branch is a run helper
@@ -355,7 +371,7 @@ func (a *app) runFig3() error {
 }
 
 func (a *app) runValidate() error {
-	_, tb := harness.RunValidationOpts(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, *a.pipeline)
+	_, tb := harness.RunValidationOpts(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, a.opts)
 	fmt.Fprintln(a.stdout, tb)
 	return nil
 }
@@ -375,21 +391,11 @@ func (a *app) runChaos() error {
 		}
 		return nil
 	}
-	var opts *core.OptSet
-	for _, step := range harness.ChaosOptSets() {
-		if step.Name == *a.optsName {
-			o := step.Opts
-			opts = &o
-		}
-	}
-	if opts == nil {
-		return fmt.Errorf("unknown option set %q", *a.optsName)
-	}
 	// -replicas > 2 runs an f+1 chain campaign: a witness-arbitrated
 	// chain through the chain fault kinds (zone-kill, witness-partition,
 	// asym-cut) and a terminal primary kill.
 	cfg := chaos.Config{
-		Seed: *a.seed, Opts: *opts, OptName: *a.optsName,
+		Seed: *a.seed, Opts: a.opts, OptName: *a.optsName,
 		Duration: simtime.Duration(*a.chaosDur),
 		Replicas: *a.replicas,
 		Degrade:  a.degradePol,
@@ -479,7 +485,7 @@ func (a *app) runTrafficReplay() error {
 		return err
 	}
 	cfg := chaos.Config{
-		Seed: *a.seed, Opts: core.AllOpts(), OptName: "traffic-replay",
+		Seed: *a.seed, Opts: a.opts, OptName: "traffic-replay",
 		Duration: simtime.Duration(*a.chaosDur),
 		Terminal: chaos.TerminalKill, Events: -1,
 		Traffic: tr,
@@ -501,8 +507,8 @@ func (a *app) runFleet() error {
 	f := &chaos.Fleet{Pairs: *a.pairs, Hosts: *a.hosts, Spares: *a.spares, Kills: *a.kills}
 	cfg := chaos.Config{
 		Seed:    *a.seed,
-		Opts:    core.AllOpts(),
-		OptName: "all",
+		Opts:    a.opts,
+		OptName: *a.optsName,
 		Fleet:   f,
 		Degrade: a.degradePol,
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -25,6 +26,8 @@ func TestUsageErrors(t *testing.T) {
 		{"zero-seeds", []string{"chaos", "-sweep", "-seeds", "0"}, "-seeds must be >= 1"},
 		{"zero-runs", []string{"validate", "-runs", "0"}, "-runs must be >= 1"},
 		{"degrade-typo", []string{"chaos", "-degrade", "availabilty"}, "-degrade"},
+		{"opts-typo-chaos", []string{"chaos", "-opts", "detla"}, `-opts: unknown option set "detla"`},
+		{"opts-typo-timeline", []string{"timeline", "-opts", "detla"}, `-opts: unknown option set "detla"`},
 		{"unparseable-int", []string{"chaos", "-seeds", "abc"}, `invalid value "abc"`},
 		{"unparseable-duration", []string{"chaos", "-chaos-duration", "soon"}, `invalid value "soon"`},
 		{"unknown-flag", []string{"chaos", "-frob"}, "flag provided but not defined"},
@@ -108,10 +111,49 @@ func TestTrafficSynthReplayPipe(t *testing.T) {
 	}
 }
 
-// TestCommittedOutputs replays three deterministic invocations through
-// the CLI entry point and diffs stdout against the committed files in
-// testdata/. Any engine or protocol change that moves a single byte of
-// these traces shows up here (and in the matching CI diff steps).
+// TestOptsSelectsTheOptionSet: -opts reaches a non-chaos experiment.
+// The timeline's per-epoch frame columns count compressed frames only
+// when the delta stream is on.
+func TestOptsSelectsTheOptionSet(t *testing.T) {
+	compressed := func(opts string) int {
+		var stdout, stderr bytes.Buffer
+		code := newApp(&stdout, &stderr).run([]string{"timeline", "-opts", opts,
+			"-bench", "redis", "-warmup", "300ms", "-measure", "300ms"})
+		if code != 0 {
+			t.Fatalf("-opts %s: exit=%d stderr=%s", opts, code, stderr.String())
+		}
+		lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
+		col := map[string]int{}
+		for i, name := range strings.Split(lines[0], ",") {
+			col[name] = i
+		}
+		n := 0
+		for _, line := range lines[1:] {
+			fields := strings.Split(line, ",")
+			for _, name := range []string{"delta_frames", "zero_frames", "dedup_frames"} {
+				v, err := strconv.Atoi(fields[col[name]])
+				if err != nil {
+					t.Fatalf("-opts %s: column %s: %v", opts, name, err)
+				}
+				n += v
+			}
+		}
+		return n
+	}
+	if n := compressed("delta"); n == 0 {
+		t.Fatal("-opts delta: the timeline shows no delta, zero or dedup frames")
+	}
+	if n := compressed("all"); n != 0 {
+		t.Fatalf("-opts all: the timeline shows %d delta, zero or dedup frames, want 0", n)
+	}
+}
+
+// TestCommittedOutputs replays deterministic invocations through the
+// CLI entry point and diffs stdout against the committed files in
+// testdata/: the paper's tables, the pipeline ablation and three chaos
+// and traffic traces. Any engine, protocol or model change that moves
+// a single byte of these outputs shows up here (and in the matching CI
+// diff steps for the traces).
 func TestCommittedOutputs(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -126,6 +168,11 @@ func TestCommittedOutputs(t *testing.T) {
 		{"traffic-replay", []string{"traffic", "-replay"},
 			[]string{"traffic", "-synth", "burst", "-traffic-duration", "2500ms"},
 			"traffic-replay-burst.txt"},
+		{"table1", []string{"table1"}, nil, "table1.txt"},
+		{"table2", []string{"table2"}, nil, "table2.txt"},
+		{"fig3", []string{"fig3"}, nil, "fig3.txt"},
+		{"table6", []string{"table6"}, nil, "table6.txt"},
+		{"pipeline", []string{"pipeline"}, nil, "pipeline.txt"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

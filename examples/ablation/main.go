@@ -32,7 +32,7 @@ func main() {
 	staging, piped := prows[1], prows[len(prows)-1]
 	fmt.Printf("pipelined transfer: %.0f%% → %.0f%% overhead vs the staging buffer\n",
 		staging.Overhead*100, piped.Overhead*100)
-	delta := prows[len(prows)-2] // + Backup page dedup: full §8 compression
+	delta := prows[len(prows)-2] // + Delta-compressed pages (§8)
 	fmt.Printf("delta compression: %.0f KiB → %.0f KiB on the wire per epoch\n",
 		staging.WireMean/1024, delta.WireMean/1024)
 }

@@ -450,7 +450,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	// key. A copy a newer epoch supersedes was lent from the primary's
 	// frame, which the write that superseded it moved to a fresh copy,
 	// so it is dead and goes back to the page pool (DESIGN.md §8).
-	recycle := !b.cfg.Opts.DeltaPages && !b.cfg.Opts.BackupPageDedup
+	recycle := !b.cfg.Opts.DeltaPages
 	if recycle && img.Full {
 		// A full image commits into an empty store.
 		b.baseline = nil

@@ -66,7 +66,7 @@ func TestIncrementalMergeRestoresLatestContent(t *testing.T) {
 func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 	const dirty = 1200
 	env := newTestEnv(t, DefaultConfig())
-	if env.repl.Cfg.Opts.DeltaPages || env.repl.Cfg.Opts.BackupPageDedup {
+	if env.repl.Cfg.Opts.DeltaPages {
 		t.Fatal("DefaultConfig encodes pages; this guard needs a raw store")
 	}
 	p := env.app.proc

@@ -52,13 +52,16 @@ type OptSet struct {
 	// part of AllOpts.
 	PipelinedTransfer bool
 	// DeltaPages delta-compresses the replication stream (DESIGN.md §8):
-	// each dirty page ships as a sparse XOR patch against the
-	// previous-epoch copy the backup provably committed, and all-zero
-	// pages are elided entirely. Pages without a committed base — every
-	// page after a NACK-triggered full resynchronization, until the
-	// baseline is re-acked — fall back to full frames, so a delta can
-	// never apply against a stale base. Beyond the Table I ladder; not
-	// part of AllOpts.
+	// each dirty page ships as the cheapest of four frames. An all-zero
+	// page is elided; a page identical to a committed one (in any VMA or
+	// process) ships as a reference to that donor's store key, which the
+	// primary byte-verifies and the backup hash-verifies; a page with a
+	// committed previous copy ships as a sparse XOR patch against it; any
+	// other page ships verbatim. A delta base or dedup donor must be
+	// covered by the backup's cumulative ack, so every page after a
+	// NACK-triggered full resynchronization ships full until the baseline
+	// is re-acked and a frame can never apply against a stale base.
+	// Beyond the Table I ladder; not part of AllOpts.
 	DeltaPages bool
 	// RecordReplay enables HyCoR-mode record/replay (DESIGN.md §12): the
 	// primary records all nondeterminism between checkpoints — network
@@ -72,14 +75,6 @@ type OptSet struct {
 	// exactly as it parks epoch releases. Beyond the Table I ladder; not
 	// part of AllOpts.
 	RecordReplay bool
-	// BackupPageDedup tags every encoded frame with an FNV-1a content
-	// hash and ships an identical page (across VMAs and processes) as a
-	// reference to the committed donor's store key; the backup's radix
-	// page store then holds one copy under both keys. The donor is
-	// byte-verified on the primary and hash-verified at the backup, so a
-	// hash collision cannot corrupt state. Beyond the Table I ladder;
-	// not part of AllOpts.
-	BackupPageDedup bool
 }
 
 // AllOpts returns the fully optimized NiLiCon configuration.
@@ -108,13 +103,12 @@ func PipelinedOpts() OptSet {
 }
 
 // DeltaOpts returns the fully optimized configuration plus the
-// delta-compressed replication stream (XOR page deltas, zero-page
-// elision) and the content-addressed backup page dedup — the rows
-// beyond the paper's Table I ladder that shrink bytes on the wire.
+// delta-compressed replication stream (zero elision, page dedup, XOR
+// page deltas), which shrinks the bytes on the wire beyond the paper's
+// Table I ladder.
 func DeltaOpts() OptSet {
 	o := AllOpts()
 	o.DeltaPages = true
-	o.BackupPageDedup = true
 	return o
 }
 

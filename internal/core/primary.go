@@ -63,7 +63,7 @@ type Replicator struct {
 	hasAcked     bool
 
 	// encoder rewrites images into delta wire frames (nil unless
-	// DeltaPages or BackupPageDedup is enabled).
+	// DeltaPages is enabled).
 	encoder *criu.DeltaEncoder
 	// submitFloor serializes transfer submissions: the replication thread
 	// encodes and submits epochs one at a time, so an epoch whose encode
@@ -166,8 +166,8 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 	}
 	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, inflight: make(map[uint64]*epochRun)}
 	r.engine = criu.NewEngine(ctr, cfg.Opts.criuOptions())
-	if cfg.Opts.DeltaPages || cfg.Opts.BackupPageDedup {
-		r.encoder = criu.NewDeltaEncoder(cfg.Opts.DeltaPages, cfg.Opts.BackupPageDedup)
+	if cfg.Opts.DeltaPages {
+		r.encoder = criu.NewDeltaEncoder()
 	}
 	if cfg.Opts.RecordReplay {
 		r.rec = newRecorder(r)

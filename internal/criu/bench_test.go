@@ -133,28 +133,35 @@ func BenchmarkRestore(b *testing.B) {
 
 // BenchmarkDeltaEncode measures the delta encoder's real per-image cost
 // at a streamcluster-like dirty set (256 lightly-touched pages per
-// epoch), with allocation tracking: steady-state encoding must recycle
-// its page copies through the pool, not allocate fresh ones per epoch.
+// epoch), with allocation tracking: steady-state encoding copies no
+// pages, because its bases are the images' lent buffers.
 func BenchmarkDeltaEncode(b *testing.B) {
 	const pages = 256
 	// The images lend these buffers, as a checkpoint lends the
-	// container's frames; the encoder copies what it keeps.
-	frames := make([][]byte, pages)
-	for p := range frames {
-		frames[p] = make([]byte, simkernel.PageSize)
-		for j := range frames[p] {
-			frames[p][j] = byte(p)*3 + 1
+	// container's frames, and the encoder keeps them as its bases. A
+	// lent buffer is never written while held, so two sets alternate, as
+	// a container's copy-on-write would: when an epoch rewrites a set,
+	// the encoder has already replaced every base it held there.
+	var frames [2][pages][]byte
+	for s := range frames {
+		set := &frames[s]
+		for p := range set {
+			set[p] = make([]byte, simkernel.PageSize)
+			for j := range set[p] {
+				set[p][j] = byte(p)*3 + 1
+			}
 		}
 	}
 	mkimg := func(epoch uint64, full bool, seed byte) *Image {
 		ps := make([]PageImage, pages)
+		set := &frames[epoch%2]
 		for p := range ps {
-			frames[p][0] = seed // one-byte churn per epoch → delta frames
-			ps[p] = PageImage{PN: uint64(p), Data: frames[p]}
+			set[p][0] = seed // one-byte churn per epoch → delta frames
+			ps[p] = PageImage{PN: uint64(p), Data: set[p]}
 		}
 		return &Image{Epoch: epoch, Full: full, Procs: []ProcessImage{{PID: 1, Pages: ps}}}
 	}
-	enc := NewDeltaEncoder(true, true)
+	enc := NewDeltaEncoder()
 	enc.EncodeImage(mkimg(0, true, 0), 0, false)
 	b.ReportAllocs()
 	b.ResetTimer()

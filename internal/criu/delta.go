@@ -201,14 +201,11 @@ func ApplyXORDelta(base, patch []byte) ([]byte, error) {
 
 // --- Encoder ------------------------------------------------------------------
 
-// sentPage is the encoder's record of the copy of a page it last shipped.
+// sentPage is the encoder's record of the page content it last shipped.
 type sentPage struct {
 	data  []byte
 	hash  uint64
 	epoch uint64 // epoch the copy was shipped in
-	// shared marks a buffer that also travels to the backup (full-frame
-	// data, the zero stamp frame); such buffers must never be recycled.
-	shared bool
 }
 
 // EncodeStats summarizes one image's encoding, for metric streams and
@@ -237,21 +234,19 @@ func (st EncodeStats) Frames() int {
 // committed. Any full image (the initial sync or a post-NACK
 // resynchronization baseline) resets the encoder completely, so every
 // page falls back to full frames until the baseline is re-acked.
+//
+// The bases are the checkpoint's lent page buffers themselves:
+// the container never writes a lent buffer again (its next write copies
+// the page first), so a base keeps its shipped bytes without a copy of
+// its own, and nobody recycles it (DESIGN.md §8).
 type DeltaEncoder struct {
-	delta bool // XOR deltas + zero-page elision
-	dedup bool // content-hash dedup references
-
-	h      hash.Hash64
 	base   map[uint64]*sentPage
 	byHash map[uint64][]uint64 // content hash → candidate donor keys, insertion-ordered
 }
 
-// NewDeltaEncoder returns an encoder with the given frame kinds enabled.
-func NewDeltaEncoder(delta, dedup bool) *DeltaEncoder {
+// NewDeltaEncoder returns an encoder with no shipped pages.
+func NewDeltaEncoder() *DeltaEncoder {
 	return &DeltaEncoder{
-		delta:  delta,
-		dedup:  dedup,
-		h:      fnv.New64a(),
 		base:   make(map[uint64]*sentPage),
 		byHash: make(map[uint64][]uint64),
 	}
@@ -266,7 +261,8 @@ func (e *DeltaEncoder) EncodeImage(img *Image, acked uint64, haveAck bool) Encod
 		// Initial sync or resynchronization baseline: the backup (re)builds
 		// its store from this image alone, so nothing previously shipped
 		// may serve as a base until the baseline itself is acknowledged.
-		e.reset()
+		e.base = make(map[uint64]*sentPage)
+		e.byHash = make(map[uint64][]uint64)
 	}
 	var st EncodeStats
 	for pi := range img.Procs {
@@ -276,10 +272,6 @@ func (e *DeltaEncoder) EncodeImage(img *Image, acked uint64, haveAck bool) Encod
 		}
 		frames := make([]PageFrame, 0, len(p.Pages))
 		for _, pg := range p.Pages {
-			// The checkpoint lent pg.Data from the container's frame. The
-			// encoder's bases are its own pooled copies, which it may
-			// recycle; the lent buffer is only dropped.
-			pg.Data = simkernel.CopyPage(pg.Data)
 			frames = append(frames, e.encodePage(pi, pg, img.Epoch, acked, haveAck, &st))
 		}
 		p.Frames = frames
@@ -289,36 +281,30 @@ func (e *DeltaEncoder) EncodeImage(img *Image, acked uint64, haveAck bool) Encod
 	return st
 }
 
+// encodePage ships one page as the cheapest frame it can: zero, then a
+// dedup reference, then an XOR delta, then full.
 func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64, haveAck bool, st *EncodeStats) (f PageFrame) {
 	key := PageKey(procIdx, pg.PN)
-	e.h.Reset()
-	e.h.Write(pg.Data)
-	hv := e.h.Sum64()
+	hv := HashPage(pg.Data)
 	st.HashedPages++
 	defer func() { st.WireBytes += f.WireBytes() }()
 
-	if e.delta && allZero(pg.Data) {
-		// The copied buffer never leaves this host: recycle it and point
-		// the base at the all-zero stamp frame.
-		e.setBase(key, simkernel.StampPage(0), hv, epoch, true)
-		simkernel.RecyclePage(pg.Data)
+	if allZero(pg.Data) {
+		// The base is the all-zero stamp frame, so the encoder does not
+		// keep the lent buffer alive.
+		e.setBase(key, simkernel.StampPage(0), hv, epoch)
 		st.ZeroFrames++
 		return PageFrame{Kind: FrameZero, PN: pg.PN, Hash: hv}
 	}
 
-	prev := e.base[key]
-
-	// Cheapest first: a dedup reference to an identical committed page.
-	if e.dedup {
-		if donor, ok := e.findDonor(key, hv, pg.Data, acked, haveAck, st); ok {
-			e.setBase(key, pg.Data, hv, epoch, false)
-			st.DedupFrames++
-			return PageFrame{Kind: FrameDedup, PN: pg.PN, Hash: hv, Donor: donor}
-		}
+	if donor, ok := e.findDonor(key, hv, pg.Data, acked, haveAck, st); ok {
+		e.setBase(key, pg.Data, hv, epoch)
+		st.DedupFrames++
+		return PageFrame{Kind: FrameDedup, PN: pg.PN, Hash: hv, Donor: donor}
 	}
 
 	// An XOR delta against the backup's committed copy of this page.
-	if e.delta && prev != nil && haveAck && prev.epoch <= acked &&
+	if prev := e.base[key]; prev != nil && haveAck && prev.epoch <= acked &&
 		len(prev.data) == len(pg.Data) {
 		st.DiffedPages++
 		// setBase below rewrites prev in place: the base hash must be
@@ -328,7 +314,7 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 		deltaWire := int64(frameHeaderBytes + 2*frameFieldBytes + len(patch))
 		fullWire := int64(frameHeaderBytes + frameFieldBytes + simkernel.PageSize)
 		if deltaWire < fullWire {
-			e.setBase(key, pg.Data, hv, epoch, false)
+			e.setBase(key, pg.Data, hv, epoch)
 			st.DeltaFrames++
 			return PageFrame{Kind: FrameDelta, PN: pg.PN, Hash: hv,
 				BaseHash: baseHash, Delta: patch}
@@ -336,27 +322,23 @@ func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64
 	}
 
 	// Incompressible (or no provably-committed base): full frame. The
-	// buffer travels to the backup's store and is co-owned from here on.
-	e.setBase(key, pg.Data, hv, epoch, true)
+	// lent buffer is the payload and the base at once.
+	e.setBase(key, pg.Data, hv, epoch)
 	st.FullFrames++
 	return PageFrame{Kind: FrameFull, PN: pg.PN, Hash: hv, Data: pg.Data}
 }
 
-// setBase records data as the last-shipped copy of key, recycling the
-// superseded copy when it was exclusively ours.
-func (e *DeltaEncoder) setBase(key uint64, data []byte, hv, epoch uint64, shared bool) {
+// setBase records data as the last-shipped copy of key.
+func (e *DeltaEncoder) setBase(key uint64, data []byte, hv, epoch uint64) {
 	if prev := e.base[key]; prev != nil {
-		if !prev.shared {
-			simkernel.RecyclePage(prev.data)
-		}
-		if e.dedup && prev.hash != hv && len(e.byHash[hv]) < maxDonorCands {
+		if prev.hash != hv && len(e.byHash[hv]) < maxDonorCands {
 			e.byHash[hv] = append(e.byHash[hv], key)
 		}
-		prev.data, prev.hash, prev.epoch, prev.shared = data, hv, epoch, shared
+		prev.data, prev.hash, prev.epoch = data, hv, epoch
 		return
 	}
-	e.base[key] = &sentPage{data: data, hash: hv, epoch: epoch, shared: shared}
-	if e.dedup && len(e.byHash[hv]) < maxDonorCands {
+	e.base[key] = &sentPage{data: data, hash: hv, epoch: epoch}
+	if len(e.byHash[hv]) < maxDonorCands {
 		e.byHash[hv] = append(e.byHash[hv], key)
 	}
 }
@@ -395,18 +377,6 @@ func (e *DeltaEncoder) findDonor(self, hv uint64, data []byte, acked uint64, hav
 		e.byHash[hv] = cands[:w]
 	}
 	return donor, found
-}
-
-// reset drops all base state (full image: initial sync or resync
-// baseline), recycling every buffer that never left the primary.
-func (e *DeltaEncoder) reset() {
-	for _, sp := range e.base {
-		if !sp.shared {
-			simkernel.RecyclePage(sp.data)
-		}
-	}
-	e.base = make(map[uint64]*sentPage)
-	e.byHash = make(map[uint64][]uint64)
 }
 
 // --- Decoding (backup side) ---------------------------------------------------

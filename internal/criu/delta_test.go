@@ -124,7 +124,7 @@ func TestEncodeXORDeltaEdgeCases(t *testing.T) {
 // committed, then switches to the cheapest frame kind per page; the
 // decoded stream reproduces the exact page content at every step.
 func TestDeltaEncoderLifecycle(t *testing.T) {
-	enc := NewDeltaEncoder(true, true)
+	enc := NewDeltaEncoder()
 	store := NewRadixStore()
 
 	// Initial full sync, nothing acked: content pages go verbatim, the
@@ -220,7 +220,7 @@ func TestDeltaEncoderLifecycle(t *testing.T) {
 // shipment is covered by the cumulative ack; otherwise the encoder must
 // fall back to full frames.
 func TestDeltaEncoderRequiresAck(t *testing.T) {
-	enc := NewDeltaEncoder(true, true)
+	enc := NewDeltaEncoder()
 	base := fillPage(10, 1)
 	enc.EncodeImage(imageOf(0, true, base), 0, false)
 
@@ -259,7 +259,7 @@ func TestDeltaEncoderRequiresAck(t *testing.T) {
 // resets the encoder: nothing shipped before the baseline may serve as a
 // base, and deltas resume only after the baseline itself is acked.
 func TestDeltaEncoderResetOnFullResync(t *testing.T) {
-	enc := NewDeltaEncoder(true, false)
+	enc := NewDeltaEncoder()
 	pg := fillPage(10, 1)
 	enc.EncodeImage(imageOf(0, true, pg), 0, false)
 	t1 := fillPage(10, 1)
@@ -353,5 +353,117 @@ func TestFrameWireBytes(t *testing.T) {
 	delta := PageFrame{Kind: FrameDelta, Delta: make([]byte, 12)}
 	if zero.WireBytes() != 24 || dedup.WireBytes() != 32 || delta.WireBytes() != 44 {
 		t.Fatalf("wire sizes: zero=%d dedup=%d delta=%d", zero.WireBytes(), dedup.WireBytes(), delta.WireBytes())
+	}
+}
+
+// TestEncoderBasesAreLentFrames: the encoder keeps no page copies of its
+// own. A full frame's payload and the encoder's base for that page are
+// the buffer the checkpoint lent from the container's frame. The
+// container's next write copies the page first, so the shipped bytes
+// stay what was shipped, and the following epoch's delta and dedup
+// frames, encoded against that base, decode hash-verified at the backup
+// into the primary's memory.
+func TestEncoderBasesAreLentFrames(t *testing.T) {
+	const pages = 8
+	ctr, _ := newTestContainer()
+	p, v := addWorkProcess(ctr, "app", pages)
+	content := func(seed uint32) []byte {
+		d := make([]byte, simkernel.PageSize)
+		for i := range d {
+			seed = seed*1664525 + 1013904223
+			d[i] = byte(seed >> 24)
+		}
+		return d
+	}
+	pageAddr := func(i int) uint64 { return v.Start + uint64(i)*simkernel.PageSize }
+	write := func(i int, data []byte) {
+		t.Helper()
+		if err := p.Mem.Write(pageAddr(i), data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < pages; i++ {
+		write(i, content(uint32(i+1)))
+	}
+	procIdx := func(img *Image) int {
+		for pi := range img.Procs {
+			if img.Procs[pi].PID == p.PID {
+				return pi
+			}
+		}
+		t.Fatal("checkpoint has no image of the app process")
+		return -1
+	}
+	e := NewEngine(ctr, NiLiConOptions())
+	defer e.Close()
+	enc := NewDeltaEncoder()
+	store := NewRadixStore()
+
+	img0, _ := e.Checkpoint()
+	ctr.Thaw()
+	enc.EncodeImage(img0, 0, false)
+	commitImage(t, img0, store)
+
+	// Epoch 1 rewrites page 0 whole: no patch beats a full frame.
+	pn := pageAddr(0) / simkernel.PageSize
+	write(0, content(100))
+	img1, _ := e.Checkpoint()
+	ctr.Thaw()
+	pi := procIdx(img1)
+	key := PageKey(pi, pn)
+	var lent []byte
+	for _, pg := range img1.Procs[pi].Pages {
+		if pg.PN == pn {
+			lent = pg.Data
+		}
+	}
+	if lent == nil || &lent[0] != &p.Mem.PageData(pn)[0] {
+		t.Fatal("the checkpoint did not lend page 0's live frame")
+	}
+	enc.EncodeImage(img1, 0, true)
+	var full *PageFrame
+	for fi := range img1.Procs[pi].Frames {
+		if f := &img1.Procs[pi].Frames[fi]; f.PN == pn {
+			full = f
+		}
+	}
+	if full == nil || full.Kind != FrameFull {
+		t.Fatalf("page 0 did not ship as a full frame: %+v", full)
+	}
+	if &full.Data[0] != &lent[0] {
+		t.Fatal("the full frame's payload is a copy, not the lent buffer")
+	}
+	if b := enc.base[key]; b == nil || &b.data[0] != &lent[0] {
+		t.Fatal("the encoder's base is a copy, not the lent buffer")
+	}
+	commitImage(t, img1, store)
+	shipped := bytes.Clone(lent)
+
+	// Epoch 2: a one-byte write to page 0 must copy on write; page 1
+	// becomes identical to page 2's committed content.
+	write(0, []byte{0xA5})
+	if &p.Mem.PageData(pn)[0] == &lent[0] {
+		t.Fatal("a write to a lent page did not copy it")
+	}
+	if !bytes.Equal(lent, shipped) || !bytes.Equal(store.Get(key), shipped) {
+		t.Fatal("a write to the container changed the shipped bytes")
+	}
+	write(1, content(3))
+	img2, _ := e.Checkpoint()
+	ctr.Thaw()
+	st := enc.EncodeImage(img2, 1, true)
+	if st.DeltaFrames != 1 || st.DedupFrames != 1 || st.FullFrames != 0 {
+		t.Fatalf("epoch-2 stats = %+v, want one delta and one dedup frame", st)
+	}
+	commitImage(t, img2, store)
+	for i := 0; i < pages; i++ {
+		pn := pageAddr(i) / simkernel.PageSize
+		want, err := p.Mem.Read(pageAddr(i), simkernel.PageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(store.Get(PageKey(pi, pn)), want) {
+			t.Fatalf("page %d: the backup's copy differs from the primary's memory", i)
+		}
 	}
 }

@@ -34,14 +34,15 @@ func trafficSweepTrace(seed int64, fault simtime.Duration) *traffic.Trace {
 	return traffic.Synthesize(cfg)
 }
 
-// ChaosOptSets is the configuration matrix the chaos sweep runs against:
-// the unoptimized baseline, the serialized stop-and-copy graph with
+// OptSets is the table of named option sets: niliconctl's -opts picks
+// from it, and the chaos sweep runs every entry. It holds the
+// unoptimized baseline, the serialized stop-and-copy graph with
 // buffered input, the fully optimized set, the overlapped transfer, the
 // delta-compressed wire format (whose campaigns force delta ↔
 // full-resync transitions at every injected outage), and the HyCoR-mode
 // record/replay configuration (whose failover campaigns replay the
 // committed log suffix and check the replay-divergence oracle).
-func ChaosOptSets() []core.LadderStep {
+func OptSets() []core.LadderStep {
 	stopcopy := core.AllOpts()
 	stopcopy.StagingBuffer = false
 	return []core.LadderStep{
@@ -79,7 +80,7 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int) (
 			campaigns = append(campaigns, c)
 		}
 	}
-	for _, step := range ChaosOptSets() {
+	for _, step := range OptSets() {
 		each(chaos.Config{Opts: step.Opts, OptName: step.Name, Duration: duration})
 	}
 	// Trace-replay campaigns: the fixed-interval writer is replaced by

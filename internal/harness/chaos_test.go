@@ -16,7 +16,7 @@ func TestChaosSweepSmall(t *testing.T) {
 	// Option sets, plus the trace-replay (SLO-judged) block, the
 	// asymmetric-fault and three scripted split-brain lease blocks,
 	// plus the fleet scenarios.
-	entries := len(ChaosOptSets()) + 5 + len(FleetScenarios())
+	entries := len(OptSets()) + 5 + len(FleetScenarios())
 	results, tb := RunChaosSweep(2, 21, 800*simtime.Millisecond, Jobs)
 	if len(results) != 2*entries {
 		t.Fatalf("results = %d, want %d", len(results), 2*entries)
@@ -34,7 +34,7 @@ func TestChaosSweepSmall(t *testing.T) {
 	if tb.NumRows() != entries {
 		t.Fatalf("table rows = %d, want %d", tb.NumRows(), entries)
 	}
-	for _, step := range ChaosOptSets() {
+	for _, step := range OptSets() {
 		if !strings.Contains(tb.String(), step.Name) {
 			t.Fatalf("summary table missing option set %q:\n%s", step.Name, tb)
 		}

@@ -353,14 +353,13 @@ type ValidationResult struct {
 // of ≥60 s per benchmark; runs and runLength are configurable so tests
 // stay fast.
 func RunValidation(benches []string, runs int, runLength simtime.Duration, seed int64) ([]ValidationResult, *metrics.Table) {
-	return RunValidationOpts(benches, runs, runLength, seed, false)
+	return RunValidationOpts(benches, runs, runLength, seed, core.AllOpts())
 }
 
-// RunValidationOpts is RunValidation with the overlapped (pipelined)
-// state transfer optionally enabled on every run's replicator: the
-// output-commit guarantees of §VII-A must hold identically with the
-// transfer overlapping execution.
-func RunValidationOpts(benches []string, runs int, runLength simtime.Duration, seed int64, pipelined bool) ([]ValidationResult, *metrics.Table) {
+// RunValidationOpts is RunValidation with every run's replicator on the
+// given option set: the output-commit guarantees of §VII-A must hold
+// identically under, say, the overlapped transfer or the delta stream.
+func RunValidationOpts(benches []string, runs int, runLength simtime.Duration, seed int64, opts core.OptSet) ([]ValidationResult, *metrics.Table) {
 	if len(benches) == 0 {
 		benches = []string{"diskstress", "netstress", "redis", "ssdb", "node", "lighttpd", "djcms", "swaptions", "streamcluster"}
 	}
@@ -368,7 +367,7 @@ func RunValidationOpts(benches []string, runs int, runLength simtime.Duration, s
 	for _, name := range benches {
 		for run := 0; run < runs; run++ {
 			progressf("validate: %s run %d/%d...", name, run+1, runs)
-			results = append(results, validateOnce(name, run, runLength, seed+int64(run)*104729, pipelined))
+			results = append(results, validateOnce(name, run, runLength, seed+int64(run)*104729, opts))
 		}
 	}
 	tb := metrics.NewTable("§VII-A validation: fail-stop fault injection",
@@ -396,7 +395,7 @@ func RunValidationOpts(benches []string, runs int, runLength simtime.Duration, s
 	return results, tb
 }
 
-func validateOnce(name string, run int, runLength simtime.Duration, seed int64, pipelined bool) ValidationResult {
+func validateOnce(name string, run int, runLength simtime.Duration, seed int64, opts core.OptSet) ValidationResult {
 	wl, err := workloads.ByName(name)
 	if err != nil {
 		panic(err)
@@ -410,7 +409,7 @@ func validateOnce(name string, run int, runLength simtime.Duration, seed int64, 
 	}
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
-	rc := RunConfig{Seed: seed, Pipelined: pipelined}
+	rc := RunConfig{Seed: seed, Opts: &opts}
 	rc.defaults()
 	cfg := nlConfig(prof, func() workloads.Workload {
 		fresh, _ := workloads.ByName(name)

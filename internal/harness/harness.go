@@ -48,15 +48,9 @@ type RunConfig struct {
 	Measure simtime.Duration
 	Seed    int64
 	// Opts overrides the NiLiCon optimization set (AllOpts by default).
+	// Experiments that pin their own rows (the Table I ladder, the
+	// pipeline ablation) replace it per row.
 	Opts *core.OptSet
-	// Pipelined enables the overlapped state transfer (PipelinedTransfer)
-	// on top of the default option set. Ignored when Opts is set: an
-	// experiment that pins an explicit option set owns its transfer mode.
-	Pipelined bool
-	// Delta enables the delta-compressed replication stream (DeltaPages +
-	// BackupPageDedup) on top of the default option set. Ignored when
-	// Opts is set, like Pipelined.
-	Delta bool
 	// Clients overrides the profile's saturating client count.
 	Clients int
 }
@@ -141,18 +135,7 @@ func setup(wl workloads.Workload, cores int) (*simtime.Clock, *core.Cluster, *co
 func nlConfig(prof workloads.Profile, fresh func() workloads.Workload, rc RunConfig) core.Config {
 	cfg := core.DefaultConfig()
 	if rc.Opts != nil {
-		// An experiment that pins its own optimization set (the Table I
-		// ladder, the pipeline ablation rows) owns the transfer mode too;
-		// the global Pipelined toggle must not silently rewrite its rows.
 		cfg.Opts = *rc.Opts
-	} else {
-		if rc.Pipelined {
-			cfg.Opts.PipelinedTransfer = true
-		}
-		if rc.Delta {
-			cfg.Opts.DeltaPages = true
-			cfg.Opts.BackupPageDedup = true
-		}
 	}
 	cfg.ExtraStopPerCheckpoint = prof.TotalExtraStop()
 	cfg.RuntimeTaxPerEpoch = prof.RuntimeTax

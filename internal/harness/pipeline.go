@@ -30,8 +30,8 @@ type PipelineRow struct {
 // RunPipelineAblation measures how the epoch pipeline's transfer path
 // affects streamcluster overhead: strict stop-and-copy (container frozen
 // until the state reaches the backup), the paper's staging buffer
-// (§V-D), the delta-compressed wire format on top of it (§8: XOR page
-// deltas + zero elision, then + backup page dedup), and the overlapped
+// (§V-D), the delta-compressed wire format on top of it (§8: zero
+// elision, page dedup and XOR page deltas), and the overlapped
 // pipelined transfer (CoW pages stream while the next epoch executes).
 // Overhead must not increase down the rows, and the pipelined row must
 // strictly beat the non-overlapped modes (its pause excludes the
@@ -43,16 +43,13 @@ func RunPipelineAblation(rc RunConfig) ([]PipelineRow, *metrics.Table) {
 
 	stopCopy := core.AllOpts()
 	stopCopy.StagingBuffer = false
-	deltaOnly := core.AllOpts()
-	deltaOnly.DeltaPages = true
 	modes := []struct {
 		name string
 		opts core.OptSet
 	}{
 		{"Stop-and-copy (thaw waits for delivery)", stopCopy},
 		{"Staging buffer (§V-D)", core.AllOpts()},
-		{"+ Delta-compressed pages (XOR + zero elision)", deltaOnly},
-		{"+ Backup page dedup (FNV-1a content hashes)", core.DeltaOpts()},
+		{"+ Delta-compressed pages (zero + dedup + XOR)", core.DeltaOpts()},
 		{"Pipelined transfer (CoW streaming)", core.PipelinedOpts()},
 	}
 

@@ -10,13 +10,13 @@ import (
 func TestPipelineAblationOverheadDrops(t *testing.T) {
 	rc := RunConfig{Measure: 2 * simtime.Second}
 	rows, tb := RunPipelineAblation(rc)
-	if len(rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(rows))
+	if len(rows) != 4 {
+		t.Fatalf("rows = %d, want 4", len(rows))
 	}
 	if tb == nil || tb.String() == "" {
 		t.Fatal("empty table")
 	}
-	stopCopy, staging, delta, dedup, piped := rows[0], rows[1], rows[2], rows[3], rows[4]
+	stopCopy, staging, delta, piped := rows[0], rows[1], rows[2], rows[3]
 	// Down the rows, overhead must not increase; the pipelined transfer
 	// must strictly beat both non-overlapped modes (its pause excludes
 	// the dirty-page copy).
@@ -32,35 +32,24 @@ func TestPipelineAblationOverheadDrops(t *testing.T) {
 		t.Fatalf("pipelined stop %.2fms not below staging %.2fms",
 			float64(piped.StopMean)/1e6, float64(staging.StopMean)/1e6)
 	}
-	// §8 acceptance: with DeltaPages + BackupPageDedup the bytes on the
-	// wire per epoch drop by at least 40% against the AllOpts staging row
-	// on the memory-heavy workload, and the commit tail improves.
-	if staging.WireMean <= 0 || dedup.WireMean <= 0 {
-		t.Fatalf("wire means missing: staging=%.0f dedup=%.0f", staging.WireMean, dedup.WireMean)
+	// §8 acceptance: with DeltaPages the bytes on the wire per epoch
+	// drop by at least 40% against the AllOpts staging row on the
+	// memory-heavy workload, and the commit tail improves.
+	if staging.WireMean <= 0 || delta.WireMean <= 0 {
+		t.Fatalf("wire means missing: staging=%.0f delta=%.0f", staging.WireMean, delta.WireMean)
 	}
-	if dedup.WireMean > 0.6*staging.WireMean {
-		t.Fatalf("delta+dedup wire bytes %.0f not >=40%% below staging %.0f (%.0f%%)",
-			dedup.WireMean, staging.WireMean, 100*(1-dedup.WireMean/staging.WireMean))
+	if delta.WireMean > 0.6*staging.WireMean {
+		t.Fatalf("delta wire bytes %.0f not >=40%% below staging %.0f (%.0f%%)",
+			delta.WireMean, staging.WireMean, 100*(1-delta.WireMean/staging.WireMean))
 	}
-	if dedup.CommitP99 >= staging.CommitP99 {
-		t.Fatalf("delta+dedup p99 commit %.2fms not below staging %.2fms",
-			float64(dedup.CommitP99)/1e6, float64(staging.CommitP99)/1e6)
+	if delta.CommitP99 >= staging.CommitP99 {
+		t.Fatalf("delta p99 commit %.2fms not below staging %.2fms",
+			float64(delta.CommitP99)/1e6, float64(staging.CommitP99)/1e6)
 	}
-	// The delta rows compress but never inflate: dedup rides on top of the
-	// delta row's savings, and both report their hit rates.
-	if delta.WireMean > staging.WireMean {
-		t.Fatalf("delta-only wire %.0f above staging %.0f", delta.WireMean, staging.WireMean)
-	}
-	if dedup.WireMean > delta.WireMean*1.001 {
-		t.Fatalf("dedup wire %.0f above delta-only %.0f", dedup.WireMean, delta.WireMean)
-	}
-	if delta.DeltaHit <= 0 {
-		t.Fatalf("delta row reports no delta/zero frames (hit=%v)", delta.DeltaHit)
-	}
-	// Dedup references are tried before XOR deltas, so the dedup row may
-	// ship everything as references; its combined hit rate must be real.
-	if dedup.DeltaHit+dedup.DedupHit <= 0 {
-		t.Fatalf("dedup row reports no compressed frames (delta=%v dedup=%v)", dedup.DeltaHit, dedup.DedupHit)
+	// Dedup references are tried before XOR deltas, so the row may ship
+	// everything as references; its combined hit rate must be real.
+	if delta.DeltaHit+delta.DedupHit <= 0 {
+		t.Fatalf("delta row reports no compressed frames (delta=%v dedup=%v)", delta.DeltaHit, delta.DedupHit)
 	}
 	for _, r := range rows {
 		if r.TransferMean <= 0 || r.CommitMean <= 0 {
@@ -76,7 +65,8 @@ func TestPipelineAblationOverheadDrops(t *testing.T) {
 }
 
 func TestRunResultCarriesStageMeans(t *testing.T) {
-	rc := RunConfig{Measure: simtime.Second, Pipelined: true}
+	opts := core.PipelinedOpts()
+	rc := RunConfig{Measure: simtime.Second, Opts: &opts}
 	res, err := Run("redis", NiLiCon, rc)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +85,7 @@ func TestRunResultCarriesStageMeans(t *testing.T) {
 }
 
 func TestValidationPassesPipelined(t *testing.T) {
-	results, _ := RunValidationOpts([]string{"netstress", "redis", "streamcluster"}, 2, 6*simtime.Second, 77, true)
+	results, _ := RunValidationOpts([]string{"netstress", "redis", "streamcluster"}, 2, 6*simtime.Second, 77, core.PipelinedOpts())
 	for _, r := range results {
 		if !r.Passed {
 			t.Fatalf("pipelined validation failed: %+v", r)
@@ -104,7 +94,8 @@ func TestValidationPassesPipelined(t *testing.T) {
 }
 
 func TestTimelineHasStageColumns(t *testing.T) {
-	csv, err := RunTimeline("redis", RunConfig{Measure: simtime.Second, Pipelined: true})
+	opts := core.PipelinedOpts()
+	csv, err := RunTimeline("redis", RunConfig{Measure: simtime.Second, Opts: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
