@@ -165,19 +165,3 @@ func TestChainPreQuorumAsymCutDualServes(t *testing.T) {
 		t.Fatal("the cut replica never self-promoted; the demo did not exercise the hole")
 	}
 }
-
-// TestChainQuorumRelaxedTradeoff documents the quorum dial honestly: a
-// 2-of-3 commit quorum (release after the fastest backup's ack) keeps
-// output-commit in its quorum formulation and survives f=1, but it is
-// exactly the configuration the strict chain tail exists to replace
-// for f=2 — the test pins the f=1 guarantee for it.
-func TestChainQuorumRelaxedTradeoff(t *testing.T) {
-	res := VerifySeed(Config{
-		Seed: 6, Opts: core.AllOpts(), OptName: "all",
-		Replicas: 3, Quorum: 1, Terminal: TerminalKill, Events: -1,
-	})
-	requirePassed(t, res)
-	if res.Failovers != 1 {
-		t.Fatalf("failovers = %d, want 1", res.Failovers)
-	}
-}

@@ -70,10 +70,6 @@ type Config struct {
 	// In a fleet it is every pair's chain width, and a width above 2
 	// forces Fleet.KillZone.
 	Replicas int
-	// Quorum is core.Config.CommitQuorum: 0 gates release on the chain
-	// tail (every unfenced replica), k>0 on the k-th fastest. Only the
-	// strict default survives TerminalDoubleKill.
-	Quorum int
 	// PreQuorum omits the witness from a chain wider than a pair: every
 	// backup grants leases and self-promotes on its own staleness view —
 	// the multi-grantor hole the witness closes.
@@ -388,7 +384,6 @@ func (c *campaign) replConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Opts = c.cfg.Opts
 	cfg.Replicas = c.cfg.Replicas
-	cfg.CommitQuorum = c.cfg.Quorum
 	if !c.cfg.PreLease {
 		cfg.Lease = core.DefaultLease()
 		cfg.Degrade = c.cfg.Degrade

@@ -33,7 +33,10 @@ func (w *kvWorkload) Reattach(ctr *container.Container, state any) {
 // convergence audit.
 type fleetAudit struct {
 	failovers, fences int
-	victim            map[int]bool
+	// displaced counts the chains with an agent on a victim host: each
+	// needs a failover, a re-protection or a chain repair.
+	displaced int
+	victim    map[int]bool
 	// detectable marks the victims hosting at least one agent at the
 	// kill instant: those MUST be declared dead. A victim spare with
 	// nothing placed on it is legitimately undiscovered until a repair
@@ -140,17 +143,21 @@ func (c *campaign) scheduleHostKill() {
 			a.victim[v] = true
 		}
 		for _, pr := range c.pool.Pairs {
-			if a.victim[pr.PrimaryHost] {
+			hit := a.victim[pr.PrimaryHost]
+			if hit {
 				a.failovers++
 				a.detectable[pr.PrimaryHost] = true
 			}
-			// Every chain slot on a victim host fences (reduces to the
-			// classic backup-host check: ReplicaHosts[0] == BackupHost).
+			// Every chain slot on a victim host fences.
 			for _, rh := range pr.ReplicaHosts {
 				if a.victim[rh] {
 					a.fences++
 					a.detectable[rh] = true
+					hit = true
 				}
+			}
+			if hit {
+				a.displaced++
 			}
 		}
 		for _, v := range c.sched.victims {
@@ -167,10 +174,27 @@ func (c *campaign) scheduleHostKill() {
 // wrongful conviction, the only path to fencing an innocent slot), and
 // every victim that hosted an agent must be declared. With that, fences
 // beyond the floor are provably repair probes into dead spares.
+//
+// Re-protection is rolling (Params.MaxConcurrentResyncs at a time), so
+// the wait follows progress rather than a fixed deadline: it goes on
+// while some chain regained protection within the last fleetConvergeIn,
+// up to one fleetConvergeIn per displaced chain. A miss names the
+// re-protection pump's state.
 func (c *campaign) awaitFleetConvergence() {
-	deadline := c.clock.Now().Add(fleetConvergeIn)
-	for !c.allProtected() && c.clock.Now() < deadline {
+	start := c.clock.Now()
+	limit := start.Add(simtime.Duration(max(c.audit.displaced, 1)) * fleetConvergeIn)
+	progress := start
+	was := make([]bool, len(c.pool.Pairs))
+	for !c.allProtected() && c.clock.Now() < limit && c.clock.Now().Sub(progress) < fleetConvergeIn {
+		for i, pr := range c.pool.Pairs {
+			was[i] = pr.State == cluster.Protected
+		}
 		c.clock.RunFor(5 * simtime.Millisecond)
+		for i, pr := range c.pool.Pairs {
+			if !was[i] && pr.State == cluster.Protected {
+				progress = c.clock.Now()
+			}
+		}
 	}
 	failovers, fences := 0, 0
 	for _, pr := range c.pool.Pairs {
@@ -194,11 +218,16 @@ func (c *campaign) awaitFleetConvergence() {
 	for _, pr := range c.pool.Pairs {
 		states = append(states, fmt.Sprintf("%s=%s", pr.ID, pr.State))
 	}
+	pump := ""
+	if !c.allProtected() {
+		pump = fmt.Sprintf(" pump=queued:%d,resyncing:%d/%d",
+			c.pool.QueuedReprotects(), c.pool.ActiveResyncs(), c.pool.Params.MaxConcurrentResyncs)
+	}
 	ok := c.allProtected() && failovers == c.audit.failovers && fences >= c.audit.fences && belief == ""
 	c.verdicts = append(c.verdicts, Verdict{
 		Oracle: "convergence", OK: ok,
-		Detail: fmt.Sprintf("failovers=%d/%d fences=%d/>=%d%s states=%s at t=%d",
-			failovers, c.audit.failovers, fences, c.audit.fences, belief, strings.Join(states, ","), int64(c.clock.Now())),
+		Detail: fmt.Sprintf("failovers=%d/%d fences=%d/>=%d%s%s states=%s at t=%d",
+			failovers, c.audit.failovers, fences, c.audit.fences, belief, pump, strings.Join(states, ","), int64(c.clock.Now())),
 	})
 }
 
@@ -211,14 +240,16 @@ func (c *campaign) allProtected() bool {
 	return true
 }
 
-// emitFleetFinal ends a fleet trace with every pair's end state and
-// the fleet counters.
+// emitFleetFinal ends a fleet trace with every pair's end state — its
+// backup and committed epoch are the lead slot's — and the fleet
+// counters.
 func (c *campaign) emitFleetFinal(res Result) {
 	for _, pr := range c.pool.Pairs {
+		lead := pr.Repl.LeadSlot()
 		rel, _ := pr.Repl.ReleasedEpoch()
-		com, _ := pr.Repl.Backup.CommittedEpoch()
+		com, _ := pr.Repl.ReplicaAgent(lead).CommittedEpoch()
 		fmt.Fprintf(&c.trace, "final pair=%s state=%s pri=%d bak=%d failovers=%d fences=%d reprotects=%d rel=%d com=%d\n",
-			pr.ID, pr.State, pr.PrimaryHost, pr.BackupHost, pr.Failovers, pr.Fences, pr.Reprotects, rel, com)
+			pr.ID, pr.State, pr.PrimaryHost, pr.ReplicaHosts[lead], pr.Failovers, pr.Fences, pr.Reprotects, rel, com)
 	}
 	fmt.Fprintf(&c.trace, "counters epochs=%d drops=%d sent=%d acked=%d failovers=%d wire=%d\n",
 		res.Epochs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers, c.pool.WireBytes())

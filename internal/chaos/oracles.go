@@ -66,13 +66,15 @@ func (c *campaign) sample() {
 }
 
 // quorumCommitted returns the quorum-th-highest committed epoch across
-// a replicator's unfenced slots — the epoch the chain's output release
-// is allowed to reach — and whether a full quorum of commits exists at
-// all. For a classic pair (one slot, quorum 1) it reduces exactly to
-// Backup.CommittedEpoch. Comparing against slot 0 alone would be wrong
-// in both directions: a quorum release may legitimately run ahead of
-// one laggard's commit, and a release covered only by the laggard would
-// be a real violation this formulation catches.
+// a replicator's unfenced slots, the quorum being the number of slots
+// that gate release — the epoch the chain's output release is allowed
+// to reach — and whether that many commits exist at all. For a classic
+// pair (one slot, quorum 1) it reduces exactly to
+// Backup.CommittedEpoch. Comparing against any single slot would be
+// wrong in both directions: release may legitimately run ahead of a
+// repair replica still catching up (it does not gate release yet), and
+// a release covered by one slot but not by every participant would be
+// a real violation this formulation catches.
 func quorumCommitted(r *core.Replicator) (uint64, bool) {
 	var coms []uint64
 	for i := 0; i < r.Replicas(); i++ {

@@ -16,7 +16,7 @@ func TestPlaceChainsZoneAntiAffinity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, pl := range pls {
-		hosts := append([]int{pl.Primary, pl.Backup}, pl.Extras...)
+		hosts := append([]int{pl.Primary}, pl.Backups...)
 		if len(hosts) != 3 {
 			t.Fatalf("chain %d has %d hosts, want 3", pl.Pair, len(hosts))
 		}
@@ -36,23 +36,20 @@ func TestPlaceChainsZoneAntiAffinity(t *testing.T) {
 	}
 }
 
-// TestPlaceChainsReducesToPlacePairs: with one zone and two replicas the
-// chain engine makes exactly the classic ring choices.
-func TestPlaceChainsReducesToPlacePairs(t *testing.T) {
-	chains, err := PlaceChains(8, 4, 1, 2, 8, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pairs, err := PlacePairs(8, 4, 8, 4096)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range pairs {
-		if chains[i].Primary != pairs[i].Primary || chains[i].Backup != pairs[i].Backup {
-			t.Fatalf("placement %d diverges: chain %+v vs pair %+v", i, chains[i], pairs[i])
+// TestPlaceChainsPairIsRingNext: with one zone and two replicas the
+// chain engine places pair p on worker p mod workers with its backup on
+// the next worker in the ring, for any ring size.
+func TestPlaceChainsPairIsRingNext(t *testing.T) {
+	for _, workers := range []int{2, 3, 5} {
+		pls, err := PlaceChains(2*workers, workers, 1, 2, 8, 4096)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if len(chains[i].Extras) != 0 {
-			t.Fatalf("placement %d has extras %v for replicas=2", i, chains[i].Extras)
+		for p, pl := range pls {
+			if pl.Primary != p%workers || len(pl.Backups) != 1 || pl.Backups[0] != (p+1)%workers {
+				t.Fatalf("workers=%d placement %d = %+v, want primary %d backups [%d]",
+					workers, p, pl, p%workers, (p+1)%workers)
+			}
 		}
 	}
 }

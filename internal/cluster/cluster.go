@@ -119,14 +119,8 @@ type Params struct {
 	// failures; 2 = the classic pair, the default). Above 2 every
 	// checkpoint fans out over the primary host's one replication NIC —
 	// the wire cost scales with Replicas-1 and the fleet does not hide
-	// it.
+	// it. Release is gated on every unfenced replica's ack.
 	Replicas int
-	// Quorum is the per-chain release quorum over the backup replicas
-	// (core.Config.CommitQuorum): 0 = strict chain-tail gating (every
-	// unfenced replica must ack before output release; the full
-	// f-failure durability claim), k < Replicas-1 trades durability for
-	// release latency under a straggler.
-	Quorum int
 	// Zones partitions the host pool into failure domains: host i
 	// belongs to zone i mod Zones. Chain placement spreads each chain's
 	// replicas across distinct zones (zone anti-affinity), so losing an
@@ -210,15 +204,13 @@ type Pair struct {
 	ID    string
 	IP    simnet.Addr
 
-	// PrimaryHost / BackupHost are pool indices; they change across
-	// failovers and re-protections.
+	// PrimaryHost is a pool index; it changes across failovers.
 	PrimaryHost int
-	BackupHost  int
 
 	// ReplicaHosts are the chain's backup replica host indices by chain
-	// slot; ReplicaHosts[0] == BackupHost always (the classic pair
-	// slot). Fenced slots keep their entry so indices stay aligned with
-	// the replicator's chain.
+	// slot (one entry for a classic pair); they change across failovers
+	// and re-protections. Fenced slots keep their entry so indices stay
+	// aligned with the replicator's chain.
 	ReplicaHosts []int
 
 	State PairState
@@ -286,56 +278,23 @@ type Fleet struct {
 	clients int
 }
 
-// Placement is one pair's host assignment. Extras lists the hosts of
-// chain replicas beyond the classic backup (slot 2, 3, … of an f+1
-// chain); empty for pairs.
+// Placement is one chain's host assignment: Backups lists the backup
+// replica hosts by chain slot (one for a classic pair).
 type Placement struct {
 	Pair    int
 	Primary int
-	Backup  int
-	Extras  []int
-}
-
-// PlacePairs assigns n pairs round-robin over the worker hosts with
-// primary/backup anti-affinity (backup = next worker in the ring) and
-// validates capacity. It is a pure function so tests can exercise the
-// placement engine without building a fleet.
-func PlacePairs(n, workers, coresPerHost, pagesPerHost int) ([]Placement, error) {
-	if workers < 2 {
-		return nil, fmt.Errorf("cluster: anti-affine placement needs >= 2 workers, have %d", workers)
-	}
-	cores := make([]int, workers)
-	pages := make([]int, workers)
-	out := make([]Placement, 0, n)
-	for p := 0; p < n; p++ {
-		pri := p % workers
-		bak := (p + 1) % workers
-		if cores[pri]+pairCores > coresPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of cores placing pair %d (%d/%d used)",
-				pri, p, cores[pri], coresPerHost)
-		}
-		if pages[pri]+pairPrimaryPgs > pagesPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of pages placing pair %d primary", pri, p)
-		}
-		if pages[bak]+pairBackupPgs > pagesPerHost {
-			return nil, fmt.Errorf("cluster: host %d out of pages placing pair %d backup", bak, p)
-		}
-		cores[pri] += pairCores
-		pages[pri] += pairPrimaryPgs
-		pages[bak] += pairBackupPgs
-		out = append(out, Placement{Pair: p, Primary: pri, Backup: bak})
-	}
-	return out, nil
+	Backups []int
 }
 
 // PlaceChains assigns n f+1 chains over the worker hosts: primaries
-// round-robin like PlacePairs, and each chain's replicas-1 backups are
-// picked by a ring scan from the primary with zone anti-affinity —
-// hosts in zones the chain does not already occupy are preferred, and
-// only when no such host has capacity does the scan fall back to an
-// already-used zone. Host i belongs to zone i mod zones. With zones=1
-// and replicas=2 the choices reduce exactly to PlacePairs. Pure
-// function, like the other placement engines.
+// round-robin, and each chain's replicas-1 backups are picked by a ring
+// scan from the primary with zone anti-affinity — hosts in zones the
+// chain does not already occupy are preferred, and only when no such
+// host has capacity does the scan fall back to an already-used zone.
+// Host i belongs to zone i mod zones. With zones=1 and replicas=2 a
+// pair's backup is the next worker in the ring with capacity. It is a
+// pure function so tests can exercise the placement engine without
+// building a fleet.
 func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([]Placement, error) {
 	if replicas < 2 {
 		replicas = 2
@@ -390,26 +349,18 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 		}
 		cores[pri] += pairCores
 		pages[pri] += pairPrimaryPgs
-		pl := Placement{Pair: p, Primary: pri, Backup: backups[0]}
-		if len(backups) > 1 {
-			pl.Extras = backups[1:]
-		}
-		out = append(out, pl)
+		out = append(out, Placement{Pair: p, Primary: pri, Backups: backups})
 	}
 	return out, nil
 }
 
-// Place runs the placement engine NewSharded uses — PlaceChains for
-// chains wider than a pair or zoned pools, PlacePairs otherwise — on
-// params without building anything, so a shape that does not fit can
-// be rejected before a run starts.
+// Place runs the placement engine NewSharded uses on params without
+// building anything, so a shape that does not fit can be rejected
+// before a run starts.
 func Place(params Params) ([]Placement, error) {
 	params.defaults()
-	if params.Replicas > 2 || params.Zones > 1 {
-		return PlaceChains(params.Pairs, params.Workers, params.Zones, params.Replicas,
-			params.CoresPerHost, params.PagesPerHost)
-	}
-	return PlacePairs(params.Pairs, params.Workers, params.CoresPerHost, params.PagesPerHost)
+	return PlaceChains(params.Pairs, params.Workers, params.Zones, params.Replicas,
+		params.CoresPerHost, params.PagesPerHost)
 }
 
 // NewSharded builds the fleet — hosts, NICs, placements, per-pair
@@ -460,41 +411,50 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 	return f, nil
 }
 
-// buildPair creates one pair on its placement: a per-pair volume on the
-// primary, its clone on the backup, a DRBD pair over the primary's NIC,
-// the container (file system on the DRBD primary end), the workload, and
-// the replicator against the pair's Cluster view.
+// buildPair creates one chain on its placement: a per-pair volume on
+// the primary, and per backup replica a day-one clone of it on the
+// replica's host, a DRBD secondary over the primary's NIC and a Cluster
+// view; then the container (file system on the DRBD primary end), the
+// workload, and the replicator over the views. Every view shares the
+// primary side — host, replication NIC and transfer scheduler (the
+// fan-out cost is real and lands on one wire).
 func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
-	ph, bh := f.Hosts[pl.Primary], f.Hosts[pl.Backup]
+	ph := f.Hosts[pl.Primary]
 	id := fmt.Sprintf("p%02d", pl.Pair)
 	ip := simnet.Addr(fmt.Sprintf("10.1.0.%d", pl.Pair+1))
 
 	vol := simdisk.NewDisk(id + "-vol")
-	bvol := vol.Clone(id + "-backup")
-	view := &core.Cluster{
-		Clock:    ph.H.Clock,
-		Switch:   f.Switch,
-		Primary:  ph.H,
-		Backup:   bh.H,
-		ReplLink: ph.NIC,
-		AckLink:  bh.NIC,
-		Xfer:     ph.Xfer,
+	drbd := simdisk.NewDRBDPrimary(vol)
+	views := make([]*core.Cluster, 0, len(pl.Backups))
+	for j, bi := range pl.Backups {
+		bh := f.Hosts[bi]
+		v := &core.Cluster{
+			Clock:       ph.H.Clock,
+			Switch:      f.Switch,
+			Primary:     ph.H,
+			Backup:      bh.H,
+			ReplLink:    ph.NIC,
+			AckLink:     bh.NIC,
+			Xfer:        ph.Xfer,
+			DRBDPrimary: drbd,
+		}
+		v.DRBDBackup = drbd.AttachSecondary(vol.Clone(fmt.Sprintf("%s-backup%d", id, j+1)), ph.NIC)
+		views = append(views, v)
+		bh.PagesUsed += pairBackupPgs
 	}
-	view.DRBDPrimary, view.DRBDBackup = simdisk.NewDRBDPair(vol, bvol, ph.NIC)
 
 	ctr := container.Create(ph.H, container.Spec{
-		ID: id, IP: ip, Cores: pairCores, Store: view.DRBDPrimary,
+		ID: id, IP: ip, Cores: pairCores, Store: drbd,
 	})
 	pr := &Pair{
 		Index:        pl.Pair,
 		ID:           id,
 		IP:           ip,
 		PrimaryHost:  pl.Primary,
-		BackupHost:   pl.Backup,
-		ReplicaHosts: []int{pl.Backup},
+		ReplicaHosts: pl.Backups,
 		State:        Protected,
 		Ctr:          ctr,
-		View:         view,
+		View:         views[0],
 		Vol:          vol,
 		repairSlot:   -1,
 		electedSlot:  -1,
@@ -505,30 +465,6 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 		pr.Workload = NewDirtyLoop(f.Params.Seed + int64(pl.Pair))
 	}
 	pr.Workload.Install(ctr)
-
-	// Chain replicas beyond the classic backup: each shares the primary
-	// side — host, replication NIC and transfer scheduler (the fan-out
-	// cost is real and lands on one wire) — and brings its own backup
-	// host, day-one volume clone and DRBD secondary.
-	views := []*core.Cluster{view}
-	for j, ei := range pl.Extras {
-		eh := f.Hosts[ei]
-		bv := vol.Clone(fmt.Sprintf("%s-backup%d", id, j+2))
-		v := &core.Cluster{
-			Clock:       ph.H.Clock,
-			Switch:      f.Switch,
-			Primary:     ph.H,
-			Backup:      eh.H,
-			ReplLink:    ph.NIC,
-			AckLink:     eh.NIC,
-			Xfer:        ph.Xfer,
-			DRBDPrimary: view.DRBDPrimary,
-		}
-		v.DRBDBackup = view.DRBDPrimary.AttachSecondary(bv, ph.NIC)
-		views = append(views, v)
-		pr.ReplicaHosts = append(pr.ReplicaHosts, ei)
-		eh.PagesUsed += pairBackupPgs
-	}
 
 	pr.Repl = core.NewChainReplicator(views, ctr, f.pairConfig(pr, true))
 	if len(views) > 1 {
@@ -541,7 +477,6 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 
 	ph.CoresUsed += pairCores
 	ph.PagesUsed += pairPrimaryPgs
-	bh.PagesUsed += pairBackupPgs
 	return pr, nil
 }
 
@@ -569,7 +504,6 @@ func (f *Fleet) pairConfig(pr *Pair, keepAlive bool) core.Config {
 	cfg.Lease = f.Params.Lease
 	cfg.Degrade = f.Params.Degrade
 	cfg.Replicas = f.Params.Replicas
-	cfg.CommitQuorum = f.Params.Quorum
 	cfg.Reattach = func(rc core.RestoredContainer, state any) {
 		pr.Workload.Reattach(rc, state)
 	}
@@ -630,28 +564,6 @@ func (f *Fleet) AliveHosts() []*Host {
 	return out
 }
 
-// PairsOn returns the pairs whose primary or backup (per role) is host i,
-// in pair order.
-func (f *Fleet) pairsWithPrimaryOn(i int) []*Pair {
-	var out []*Pair
-	for _, pr := range f.Pairs {
-		if pr.PrimaryHost == i {
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
-func (f *Fleet) pairsWithBackupOn(i int) []*Pair {
-	var out []*Pair
-	for _, pr := range f.Pairs {
-		if pr.BackupHost == i {
-			out = append(out, pr)
-		}
-	}
-	return out
-}
-
 func (f *Fleet) eventf(format string, args ...any) {
 	if f.Eventf != nil {
 		f.Eventf(format, args...)
@@ -690,8 +602,9 @@ func (f *Fleet) Summary() (*metrics.Table, error) {
 	tb := metrics.NewTable("Fleet: protected pairs",
 		"Pair", "State", "Pri", "Bak", "Replicas", "Quorum", "Epochs", "Released", "Committed", "Failovers", "Fences", "Reprotects", "Lease")
 	for _, pr := range f.Pairs {
+		lead := pr.Repl.LeadSlot()
 		rel, relOK := pr.Repl.ReleasedEpoch()
-		com, comOK := pr.Repl.Backup.CommittedEpoch()
+		com, comOK := pr.Repl.ReplicaAgent(lead).CommittedEpoch()
 		relS, comS := "-", "-"
 		if relOK {
 			relS = fmt.Sprintf("%d", rel)
@@ -700,7 +613,7 @@ func (f *Fleet) Summary() (*metrics.Table, error) {
 			comS = fmt.Sprintf("%d", com)
 		}
 		err := tb.AddKeyedRow(pr.ID, pr.ID, pr.State.String(),
-			f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.BackupHost].Name,
+			f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.ReplicaHosts[lead]].Name,
 			fmt.Sprintf("%d", f.liveBackups(pr)+1), fmt.Sprintf("%d", pr.Repl.Quorum()),
 			fmt.Sprintf("%d", pr.Repl.Epochs()), relS, comS,
 			fmt.Sprintf("%d", pr.Failovers), fmt.Sprintf("%d", pr.Fences),

@@ -8,39 +8,36 @@ import (
 	"nilicon/internal/simtime"
 )
 
+// TestPlacementAntiAffinity: the fleet's placement engine puts pair p's
+// primary on worker p mod workers and its backup on the next worker in
+// the ring, never on a spare.
 func TestPlacementAntiAffinity(t *testing.T) {
-	pls, err := PlacePairs(8, 4, 8, 4096)
+	const workers = 4
+	pls, err := Place(Params{Workers: workers, Spares: 2, Pairs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pls) != 8 {
 		t.Fatalf("placements = %d", len(pls))
 	}
-	perHost := make(map[int]int)
-	for _, pl := range pls {
-		if pl.Primary == pl.Backup {
-			t.Fatalf("pair %d co-located on host %d", pl.Pair, pl.Primary)
+	for p, pl := range pls {
+		if pl.Pair != p || pl.Primary != p%workers {
+			t.Fatalf("placement %d = %+v, want primary %d", p, pl, p%workers)
 		}
-		if pl.Primary >= 4 || pl.Backup >= 4 {
-			t.Fatalf("pair %d placed on a spare", pl.Pair)
-		}
-		perHost[pl.Primary]++
-	}
-	for h := 0; h < 4; h++ {
-		if perHost[h] != 2 {
-			t.Fatalf("host %d has %d primaries, want 2 (round-robin)", h, perHost[h])
+		if len(pl.Backups) != 1 || pl.Backups[0] != (p+1)%workers {
+			t.Fatalf("placement %d backups = %v, want [%d] (ring next)", p, pl.Backups, (p+1)%workers)
 		}
 	}
 }
 
 func TestPlacementCapacity(t *testing.T) {
-	if _, err := PlacePairs(5, 2, 2, 4096); err == nil {
+	if _, err := Place(Params{Workers: 2, Pairs: 5, CoresPerHost: 2}); err == nil {
 		t.Fatal("5 pairs on 2 hosts with 2 cores each accepted")
 	}
-	if _, err := PlacePairs(4, 2, 8, 512); err == nil {
+	if _, err := Place(Params{Workers: 2, Pairs: 4, PagesPerHost: 512}); err == nil {
 		t.Fatal("4 pairs with 512 pages/host accepted (needs 4*256 primary+backup)")
 	}
-	if _, err := PlacePairs(2, 1, 8, 4096); err == nil {
+	if _, err := Place(Params{Workers: 1, Pairs: 2}); err == nil {
 		t.Fatal("single-worker placement accepted (anti-affinity impossible)")
 	}
 }
@@ -139,10 +136,10 @@ func TestFleetHostFailureConcurrentFailover(t *testing.T) {
 			t.Fatalf("pair %s state = %v after recovery window (events:\n%s)",
 				pr.ID, pr.State, strings.Join(events, "\n"))
 		}
-		if pr.PrimaryHost == 0 || pr.BackupHost == 0 {
+		if pr.PrimaryHost == 0 || pr.ReplicaHosts[0] == 0 {
 			t.Fatalf("pair %s still placed on the dead host", pr.ID)
 		}
-		if pr.PrimaryHost == pr.BackupHost {
+		if pr.PrimaryHost == pr.ReplicaHosts[0] {
 			t.Fatalf("pair %s lost anti-affinity", pr.ID)
 		}
 	}
@@ -237,7 +234,7 @@ func TestFleetReprotectOntoLoadedHost(t *testing.T) {
 		if pr.State != Protected {
 			t.Fatalf("pair %s state = %v", pr.ID, pr.State)
 		}
-		if pr.PrimaryHost == 2 || pr.BackupHost == 2 {
+		if pr.PrimaryHost == 2 || pr.ReplicaHosts[0] == 2 {
 			t.Fatalf("pair %s still on the dead host", pr.ID)
 		}
 	}
@@ -280,7 +277,7 @@ func fleetTrace(t *testing.T) string {
 		rel, _ := pr.Repl.ReleasedEpoch()
 		com, _ := pr.Repl.Backup.CommittedEpoch()
 		fmt.Fprintf(&b, "final pair=%s state=%s pri=%d bak=%d rel=%d com=%d seq=%d\n",
-			pr.ID, pr.State, pr.PrimaryHost, pr.BackupHost, rel, com,
+			pr.ID, pr.State, pr.PrimaryHost, pr.ReplicaHosts[0], rel, com,
 			pr.Workload.(*DirtyLoop).Seq())
 	}
 	fmt.Fprintf(&b, "wire=%d\n", f.WireBytes())

@@ -21,8 +21,9 @@ import (
 //     not committed an initial sync yet self-reset that clock (they
 //     cannot distinguish a dead primary from a long first checkpoint)
 //     and therefore contribute no evidence either way.
-//   - backup on the host: the pair's primary tracks the last reverse
-//     liveness beat (Replicator.LastBackupBeat, Config.BackupBeat).
+//   - backup on the host: the pair's primary tracks each slot's last
+//     reverse liveness beat (Replicator.LastReplicaBeat,
+//     Config.BackupBeat).
 //
 // Declaring a host dead triggers, in the same virtual-time instant, a
 // concurrent failover of every Protected pair whose primary ran there
@@ -164,7 +165,7 @@ func (f *Fleet) primaryHostDied(pr *Pair) {
 		}
 		pr.State = FailingOver
 		f.eventf("failover-start pair=%s from=%s to=%s",
-			pr.ID, f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.BackupHost].Name)
+			pr.ID, f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.ReplicaHosts[0]].Name)
 		// The pair's own detector may already have fired (both run at the
 		// same cadence); Recover is idempotent.
 		pr.Repl.Backup.Recover()
@@ -185,7 +186,7 @@ func (f *Fleet) primaryHostDied(pr *Pair) {
 		pr.Repl.Stop()
 		pr.Repl.Backup.Halt()
 		f.removeResync(pr.Index)
-		if bh := f.Hosts[pr.BackupHost]; bh.Alive {
+		if bh := f.Hosts[pr.ReplicaHosts[0]]; bh.Alive {
 			bh.PagesUsed -= pairBackupPgs
 		}
 		pr.State = Lost

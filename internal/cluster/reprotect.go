@@ -65,7 +65,7 @@ func (f *Fleet) pumpReprotect() {
 				pr.State = Protected
 				f.resyncActive = append(f.resyncActive[:i], f.resyncActive[i+1:]...)
 				f.eventf("protected pair=%s primary=%s backup=%s", pr.ID,
-					f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.BackupHost].Name)
+					f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.ReplicaHosts[0]].Name)
 				continue
 			}
 		} else if pr.State == Protected && pr.repairSlot >= 0 {
@@ -99,7 +99,7 @@ func (f *Fleet) pumpReprotect() {
 		pr := f.Pairs[idx]
 		switch {
 		case pr.State == Degraded:
-			target := f.pickBackupHost(pr)
+			target := f.pickReprotectTarget(pr)
 			if target < 0 {
 				// No host has capacity right now (e.g. spares still absorbing
 				// other re-protections); retry on the next tick rather than
@@ -149,12 +149,12 @@ func (f *Fleet) probeTarget(pr *Pair, target int) bool {
 	return false
 }
 
-// pickBackupHost chooses the least-loaded (by reserved pages) alive
+// pickReprotectTarget chooses the least-loaded (by reserved pages) alive
 // host with capacity, excluding the pair's own primary (anti-affinity);
 // ties break toward the lowest index, keeping placement deterministic.
 // With failure domains configured, hosts outside the primary's zone are
 // preferred (pass 0) and the primary's own zone is the fallback.
-func (f *Fleet) pickBackupHost(pr *Pair) int {
+func (f *Fleet) pickReprotectTarget(pr *Pair) int {
 	passes := 1
 	if f.Params.Zones > 1 {
 		passes = 2
@@ -293,7 +293,6 @@ func (f *Fleet) startReprotect(pr *Pair, target int) bool {
 	repl.Timeline = f.Timeline
 	pr.View = view
 	pr.Repl = repl
-	pr.BackupHost = target
 	pr.ReplicaHosts = []int{target}
 	pr.repairSlot = -1
 	pr.State = Resyncing

@@ -15,23 +15,19 @@ import (
 // shipped to each replica on its own TransferScheduler flow, and each
 // replica maintains its own cumulative acknowledgment watermark.
 //
-// Two watermarks fall out of the per-replica acks:
+// Every watermark is the MINIMUM over the participating replicas
+// (unfenced, not catching up): it gates the delta encoder's bases,
+// resync retirement, log-segment retention, and — strict chain-tail
+// gating — output release and pipeline-run retirement. A wire frame
+// must never reference a base some replica lacks, and output is
+// released only once every participant holds the epoch, which is what
+// makes the f-failure durability claim: any surviving replica of an
+// f+1 chain holds every acked epoch.
 //
-//   - the MINIMUM watermark (every participating replica acked) gates
-//     the delta encoder's bases, resync retirement, and implicit
-//     log-segment commit — a wire frame must never reference a base
-//     some replica lacks, and a segment may only be dropped from the
-//     retransmission buffer once nobody can still need it;
-//
-//   - the RELEASE watermark (the CommitQuorum-th highest ack; with the
-//     strict default quorum the two coincide) gates output release and
-//     pipeline-run retirement. Strict chain-tail gating is what makes
-//     the f-failure durability claim: any surviving replica of an f+1
-//     chain holds every acked epoch.
-//
-// Slot 0 wraps the classic pair (Replicator.Backup, Replicator.Cluster)
-// so every Replicas==2 configuration behaves — byte-for-byte in the
-// deterministic traces — exactly as before this layer existed.
+// Every slot is equal. The classic pair is the one-slot chain
+// (Replicator.Backup is chain[0].agent); the lead slot — the lowest
+// unfenced one — keeps each epoch's original image and drives the
+// pipeline's transfer stage, and every other slot gets a clone.
 
 // replicaSlot is one backup replica of the chain.
 type replicaSlot struct {
@@ -173,19 +169,28 @@ func (r *Replicator) ChainLastGrantSent() simtime.Time {
 // fleet keep self-promotion; set this only for multi-slot chains.
 func (r *Replicator) SetExternalArbiter(on bool) { r.externalArbiter = on }
 
-// Quorum returns the effective release quorum over the currently
-// participating replicas.
-func (r *Replicator) Quorum() int {
-	n := 0
+// Quorum returns how many replicas currently gate release: every
+// participating (unfenced, caught-up) slot.
+func (r *Replicator) Quorum() int { return len(r.participants()) }
+
+// lead returns the chain's lead slot, the lowest unfenced one (nil when
+// every slot is fenced).
+func (r *Replicator) lead() *replicaSlot {
 	for _, s := range r.chain {
-		if !s.fenced && !s.catchingUp {
-			n++
+		if !s.fenced {
+			return s
 		}
 	}
-	if n == 0 {
-		return 0
+	return nil
+}
+
+// LeadSlot returns the index of the lead slot (DESIGN.md §15): the
+// lowest unfenced one, or 0 when every slot is fenced.
+func (r *Replicator) LeadSlot() int {
+	if s := r.lead(); s != nil {
+		return s.idx
 	}
-	return r.effQuorum(n)
+	return 0
 }
 
 // flowFor names slot i's transfer-scheduler flow for checkpoint images
@@ -198,16 +203,6 @@ func (r *Replicator) flowFor(i int) string {
 		return r.Ctr.ID
 	}
 	return fmt.Sprintf("%s/r%d", r.Ctr.ID, i)
-}
-
-// effQuorum clamps Config.CommitQuorum to the participating replica
-// count; 0 (and anything out of range) means strict chain-tail gating.
-func (r *Replicator) effQuorum(n int) int {
-	q := r.Cfg.CommitQuorum
-	if q <= 0 || q > n {
-		q = n
-	}
-	return q
 }
 
 // participants returns the slots that gate the watermarks: not fenced,
@@ -242,48 +237,25 @@ func (r *Replicator) chainMinAcked() (uint64, bool) {
 	return min, true
 }
 
-// chainReleaseWatermark returns the quorum-th-highest epoch-ack
-// watermark across the participating replicas — the output-release
-// watermark. With the strict default quorum it equals chainMinAcked.
-func (r *Replicator) chainReleaseWatermark() (uint64, bool) {
-	ps := r.participants()
-	if len(ps) == 0 {
-		return 0, false
-	}
-	q := r.effQuorum(len(ps))
-	acked := make([]uint64, 0, len(ps))
-	for _, s := range ps {
-		if s.hasAck {
-			acked = append(acked, s.acked)
-		}
-	}
-	if len(acked) < q {
-		return 0, false
-	}
-	sort.Slice(acked, func(i, j int) bool { return acked[i] > acked[j] })
-	return acked[q-1], true
-}
-
-// chainCommittedWatermark returns the quorum-th-highest committed epoch
-// across the participating replicas' agents; the release stage's
-// output-commit assertion checks the released epoch against it.
+// chainCommittedWatermark returns the minimum committed epoch across
+// the participating replicas' agents; the release stage's output-commit
+// assertion checks the released epoch against it.
 func (r *Replicator) chainCommittedWatermark() (uint64, bool) {
 	ps := r.participants()
 	if len(ps) == 0 {
 		return 0, false
 	}
-	q := r.effQuorum(len(ps))
-	committed := make([]uint64, 0, len(ps))
-	for _, s := range ps {
-		if c, ok := s.agent.CommittedEpoch(); ok {
-			committed = append(committed, c)
+	var min uint64
+	for i, s := range ps {
+		c, ok := s.agent.CommittedEpoch()
+		if !ok {
+			return 0, false
+		}
+		if i == 0 || c < min {
+			min = c
 		}
 	}
-	if len(committed) < q {
-		return 0, false
-	}
-	sort.Slice(committed, func(i, j int) bool { return committed[i] > committed[j] })
-	return committed[q-1], true
+	return min, true
 }
 
 // chainLogMin returns the minimum log-segment ack watermark across the
@@ -303,26 +275,12 @@ func (r *Replicator) chainLogMin() (uint64, bool) {
 	return min, true
 }
 
-// chainLogWatermark returns the quorum-th-highest log-segment ack
-// watermark (the log-release gate).
-func (r *Replicator) chainLogWatermark() (uint64, bool) {
-	ps := r.participants()
-	if len(ps) == 0 {
-		return 0, false
-	}
-	q := r.effQuorum(len(ps))
-	acked := make([]uint64, 0, len(ps))
-	for _, s := range ps {
-		acked = append(acked, s.logAcked)
-	}
-	sort.Slice(acked, func(i, j int) bool { return acked[i] > acked[j] })
-	return acked[q-1], true
-}
-
 // ackReceivedFrom is the per-replica epoch acknowledgment entry point:
-// record slot's cumulative ack, then re-derive the chain watermarks.
-// Acks are cumulative per replica exactly as in the pair protocol; the
-// chain layer only changes which watermark each consumer reads.
+// record slot's cumulative ack, then re-derive the chain watermark.
+// Acks are cumulative: a backup commits in epoch order, so an ack for e
+// vouches for every epoch <= e — this is what lets a single post-resync
+// ack retire the pipeline runs of all the epochs that were lost on the
+// link (their own acks never existed).
 func (r *Replicator) ackReceivedFrom(slot int, e uint64) {
 	if r.stopped {
 		return
@@ -340,12 +298,11 @@ func (r *Replicator) ackReceivedFrom(slot int, e uint64) {
 	r.recomputeWatermarks()
 }
 
-// recomputeWatermarks re-derives both chain watermarks and applies
-// their consequences: the minimum watermark feeds the delta encoder's
-// base gate, resync retirement and implicit log-segment commit; the
-// release watermark retires pipeline runs and flushes buffered output.
-// Called on every ack and whenever the participant set changes (a fence
-// can advance both watermarks by removing the laggard).
+// recomputeWatermarks re-derives the chain's ack watermark and applies
+// its consequences: the delta encoder's base gate, resync retirement,
+// implicit log-segment commit, pipeline-run retirement and output
+// release. Called on every ack and whenever the participant set changes
+// (a fence can advance the watermark by removing the laggard).
 func (r *Replicator) recomputeWatermarks() {
 	if r.stopped {
 		return
@@ -364,16 +321,14 @@ func (r *Replicator) recomputeWatermarks() {
 			// (replay.go).
 			r.rec.epochAcked(m)
 		}
-	}
-	if w, ok := r.chainReleaseWatermark(); ok {
-		r.retireThrough(w)
+		r.retireThrough(m)
 	}
 	if r.rec != nil {
 		r.logRecompute()
 	}
 }
 
-// retireThrough retires every pipeline run covered by the release
+// retireThrough retires every pipeline run covered by the ack
 // watermark e. Acks are cumulative: the watermark vouches for every
 // epoch <= e, including epochs whose own transfer was lost and whose
 // acks therefore never existed (they are covered by a later resync).
@@ -434,15 +389,19 @@ func (r *Replicator) logAckedFrom(slot int, seq uint64) {
 	r.logRecompute()
 }
 
-// logRecompute re-derives the chain log watermarks: segments every
-// participant has acknowledged leave the retransmission buffer, and the
-// quorum watermark releases (or parks, under a fence) buffered egress.
+// logRecompute re-derives the chain log watermark: segments every
+// participant has acknowledged leave the retransmission buffer, and
+// their buffered egress is released (or parked, under a fence).
 func (r *Replicator) logRecompute() {
 	rec := r.rec
 	if rec == nil || r.stopped {
 		return
 	}
-	if m, ok := r.chainLogMin(); ok && m > 0 {
+	m, ok := r.chainLogMin()
+	if !ok {
+		return
+	}
+	if m > 0 {
 		now := r.Cluster.Clock.Now()
 		for s := range rec.unacked {
 			if s <= m {
@@ -456,19 +415,18 @@ func (r *Replicator) logRecompute() {
 			}
 		}
 	}
-	w, ok := r.chainLogWatermark()
-	if !ok || w <= rec.acked {
+	if m <= rec.acked {
 		return
 	}
-	rec.acked = w
+	rec.acked = m
 	if !r.releaseAuthorized() {
-		if !rec.hasParked || w > rec.parked {
-			rec.parked = w
+		if !rec.hasParked || m > rec.parked {
+			rec.parked = m
 			rec.hasParked = true
 		}
 		return
 	}
-	rec.releaseThrough(w)
+	rec.releaseThrough(m)
 }
 
 // unfencedCount returns how many chain slots are not fenced.
@@ -511,9 +469,5 @@ func (r *Replicator) FenceReplica(i int) {
 // backupBeatSeenFrom records the arrival of slot's reverse liveness
 // beat.
 func (r *Replicator) backupBeatSeenFrom(slot int) {
-	now := r.Cluster.Clock.Now()
-	r.chain[slot].lastBeat = now
-	if slot == 0 {
-		r.lastBackupBeat = now
-	}
+	r.chain[slot].lastBeat = r.Cluster.Clock.Now()
 }

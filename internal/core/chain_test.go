@@ -145,26 +145,6 @@ func TestQuorumStrictGatingStallsOnLaggard(t *testing.T) {
 	}
 }
 
-func TestQuorumOneReleasesWithLaggard(t *testing.T) {
-	// CommitQuorum=1 trades durability for availability: the fastest
-	// replica's ack releases output even while another is unreachable.
-	cfg := chainConfig(3)
-	cfg.CommitQuorum = 1
-	env := newChainEnv(t, cfg, 0)
-	env.repl.Start()
-	env.clock.RunFor(500 * simtime.Millisecond)
-	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
-	env.clock.RunFor(200 * simtime.Millisecond)
-
-	env.cutView(1)
-	env.clock.RunFor(50 * simtime.Millisecond)
-	client.send("SET k v")
-	env.clock.RunFor(400 * simtime.Millisecond)
-	if len(client.replies) != 1 || client.replies[0] != "OK" {
-		t.Fatalf("quorum=1 chain did not release with one laggard: %v", client.replies)
-	}
-}
-
 func TestQuorumFailoverSurvivesTwoSimultaneousFailures(t *testing.T) {
 	// f=2 with a 3-replica chain (primary + 2 backups): kill the primary
 	// AND one backup in the same instant; the surviving backup must hold
@@ -385,5 +365,37 @@ func TestQuorumFenceReplicaKeepsChainProtected(t *testing.T) {
 	env.repl.FenceReplica(0)
 	if !env.repl.Fenced() {
 		t.Fatal("fencing the last replica must fence the backup entirely")
+	}
+}
+
+func TestQuorumFencedSlotZeroGetsNoImages(t *testing.T) {
+	// Fencing slot 0 of a 3-chain hands the lead to slot 1: the dead
+	// slot's link carries nothing more, and since no image is dropped on
+	// it, nothing re-arms a full resync while the survivor keeps the
+	// chain releasing output.
+	env := newChainEnv(t, chainConfig(3), 0)
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
+	env.clock.RunFor(200 * simtime.Millisecond)
+
+	env.cutView(0)
+	env.repl.FenceReplica(0)
+	if lead := env.repl.LeadSlot(); lead != 1 {
+		t.Fatalf("lead slot = %d after fencing slot 0, want 1", lead)
+	}
+	sent := env.views[0].ReplLink.BytesSent()
+	resyncs := env.repl.Resyncs.Value()
+	client.send("SET after fence")
+	env.clock.RunFor(simtime.Second)
+
+	if got := env.views[0].ReplLink.BytesSent(); got != sent {
+		t.Fatalf("fenced slot 0's link carried %d more bytes", got-sent)
+	}
+	if d := env.repl.Resyncs.Value() - resyncs; d > 1 {
+		t.Fatalf("%d full resyncs in 1 s with slot 0 fenced, want at most 1", d)
+	}
+	if len(client.replies) != 1 || client.replies[0] != "OK" {
+		t.Fatalf("write not released with slot 1 leading: %v", client.replies)
 	}
 }

@@ -189,20 +189,13 @@ type Config struct {
 	// including the primary (DESIGN.md §15). The default 2 is the classic
 	// primary/backup pair; N > 2 fans checkpoints, page deltas, DRBD
 	// writes and replay-log segments out to N−1 backup replicas, each on
-	// its own flow, and tolerates f = N−1 simultaneous replica failures
-	// under strict commit gating. The field is plumbing for the topology
-	// builders (cluster placement, the chain campaign); the replicator
-	// itself replicates to however many replica views are attached.
+	// its own flow, and tolerates f = N−1 simultaneous replica failures:
+	// output is released only once every participating backup holds the
+	// epoch (strict chain-tail gating). The field is plumbing for the
+	// topology builders (cluster placement, the chain campaign); the
+	// replicator itself replicates to however many replica views are
+	// attached.
 	Replicas int
-	// CommitQuorum is how many backup acknowledgments must cover an
-	// epoch (or log segment) before its buffered output may be released.
-	// 0 (the default) is strict chain-tail gating: every participating
-	// backup must have acknowledged, so ANY surviving replica carries all
-	// acked output. 1..N−1 releases earlier at the cost of durability:
-	// only CommitQuorum replicas are guaranteed to hold an acked epoch.
-	// Delta encoding always gates on the minimum watermark regardless, so
-	// a wire frame can never reference a base some replica lacks.
-	CommitQuorum int
 
 	// Lease enables output-release lease arbitration (DESIGN.md §10):
 	// the backup grants the primary a time-bounded right to release

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nilicon/internal/criu"
 	"nilicon/internal/simdisk"
@@ -213,17 +214,13 @@ func (run *epochRun) freezeCollect() {
 		// replica's loss, and the delta encoder's base gate is the chain
 		// minimum, so all replicas must share the baseline). The snapshot
 		// itself is immutable and safely shared; the chunk slice is
-		// per-flow state and copied.
+		// per-flow state, so each flow gets its own.
 		for _, s := range r.chain {
 			if s.fenced || s.agent.recovered || s.agent.halted {
 				continue
 			}
 			s := s
-			ch := chunks
-			if s.idx != 0 {
-				ch = append([]int64(nil), chunks...)
-			}
-			s.view.Xfer.SubmitReq(r.flowFor(s.idx), ch, func() {
+			s.view.Xfer.SubmitReq(r.flowFor(s.idx), slices.Clone(chunks), func() {
 				// A snapshot still in flight when failover promotes the
 				// backup is dead weight; never apply it to a promoted disk.
 				if r.stopped || s.agent.recovered {
@@ -278,10 +275,11 @@ func (run *epochRun) thaw() {
 	})
 }
 
-// transfer streams the image to the backup through the cluster's
-// TransferScheduler. Overlapped configurations start streaming when the
-// container resumes (the pages are staged or CoW-protected by then);
-// stop-and-copy streams during the pause, directly from frozen memory.
+// transfer streams the image to every live chain replica through its
+// view's TransferScheduler. Overlapped configurations start streaming
+// when the container resumes (the pages are staged or CoW-protected by
+// then); stop-and-copy streams during the pause, directly from frozen
+// memory.
 func (run *epochRun) transfer() {
 	r := run.r
 	cl := r.Cluster
@@ -290,53 +288,63 @@ func (run *epochRun) transfer() {
 	// delays the submission in virtual time, so the compression win is
 	// charged honestly against the bytes it saves.
 	doSubmit := func(start simtime.Time) {
-		b := r.Backup
 		epoch, img := run.epoch, run.img
-		// Chain fan-out: every further replica gets its own deep copy of
-		// the image on its own flow. The copy is mandatory, not an
-		// optimization — each replica's store owns the pages it commits,
-		// and a raw store recycles a verbatim page once a newer epoch
-		// supersedes it, so two backups must never share page storage. Slot 0
-		// keeps the original image and the legacy flow name, and alone
-		// drives the pipeline's StageTransfer completion; replica drops
-		// arm the same full-resync repair without touching the run.
-		for _, s := range r.chain[1:] {
-			if s.fenced || s.agent.recovered || s.agent.halted {
-				continue
-			}
-			s := s
-			img2 := img.Clone()
-			s.view.Xfer.SubmitReq(r.flowFor(s.idx), img2.StreamChunks(xferChunkBytes), func() {
-				s.agent.receiveState(epoch, img2)
-			}, func() {
-				r.replicaTransferDropped(epoch, img2)
-			})
-		}
-		cl.Xfer.SubmitReq(r.Ctr.ID, img.StreamChunks(xferChunkBytes), func() {
-			b.receiveState(epoch, img)
+		finish := func() {
 			now := cl.Clock.Now()
 			run.complete(StageTransfer, now, now.Sub(start))
-		}, func() {
-			// The image was (partly) lost to a link cut: the backup will
-			// never see this epoch. Mark the run lossy, arm a resync, and
-			// complete the transfer stage so a stop-and-copy container is
-			// not left frozen forever waiting on a delivery that cannot
-			// happen. Output stays buffered: AwaitAck completes only via a
-			// later cumulative ack. The image itself is released now: the
-			// repair is a fresh full checkpoint, never a resend, so an
-			// isolated primary retains no image past its loss.
+		}
+		// dropped is every slot's loss handler: the slot's image (the
+		// lead's original or another slot's clone) was (partly) lost to a
+		// link cut, so that replica will never see this epoch. The lost
+		// image is released at once — the repair is a fresh full
+		// checkpoint, never a resend, so an isolated primary retains no
+		// image past its loss — and a chain-global resync is armed.
+		dropped := func(lost *criu.Image) {
+			lost.ReleaseLost()
+			if r.stopped {
+				return
+			}
+			r.resyncArmed = true
+			if r.resyncPendingB && epoch == r.resyncPending {
+				r.resyncPendingB = false
+			}
+		}
+		// The lead's loss also marks the run lossy and completes the
+		// transfer stage, so a stop-and-copy container is not left frozen
+		// waiting on a delivery that cannot happen. Output stays buffered:
+		// AwaitAck completes only via a later cumulative ack. With every
+		// slot fenced there is no lead, and the run is lost at once.
+		leadDropped := func() {
 			run.lossy = true
 			run.img = nil
-			img.ReleaseLost()
-			if !r.stopped {
-				r.resyncArmed = true
-				if r.resyncPendingB && epoch == r.resyncPending {
-					r.resyncPendingB = false
-				}
+			dropped(img)
+			finish()
+		}
+		lead := r.lead()
+		if lead == nil {
+			leadDropped()
+			return
+		}
+		// Fan-out: every other live replica gets its own deep copy of the
+		// image on its own flow, submitted ahead of the lead's. The copy is
+		// mandatory, not an optimization — each replica's store owns the
+		// pages it commits, and a raw store recycles a verbatim page once
+		// a newer epoch supersedes it, so two backups must never share page
+		// storage. The lead keeps the original image and alone drives the
+		// pipeline's StageTransfer completion. Fenced slots get nothing.
+		for _, s := range r.chain {
+			if s == lead || s.fenced || s.agent.recovered || s.agent.halted {
+				continue
 			}
-			now := cl.Clock.Now()
-			run.complete(StageTransfer, now, now.Sub(start))
-		})
+			clone := img.Clone()
+			s.view.Xfer.SubmitReq(r.flowFor(s.idx), clone.StreamChunks(xferChunkBytes), func() {
+				s.agent.receiveState(epoch, clone)
+			}, func() { dropped(clone) })
+		}
+		lead.view.Xfer.SubmitReq(r.flowFor(lead.idx), img.StreamChunks(xferChunkBytes), func() {
+			lead.agent.receiveState(epoch, img)
+			finish()
+		}, leadDropped)
 	}
 	submit := func() {
 		start := cl.Clock.Now()
@@ -360,27 +368,11 @@ func (run *epochRun) transfer() {
 	}
 }
 
-// replicaTransferDropped handles a chain replica's image loss: the same
-// NACK-free repair as a slot-0 drop — arm a full resync at the next
-// checkpoint (chain-global: every replica receives the baseline) —
-// without touching the pipeline run, whose transfer stage is driven by
-// slot 0 alone. The replica's clone is released like a lost slot-0
-// image.
-func (r *Replicator) replicaTransferDropped(epoch uint64, img *criu.Image) {
-	img.ReleaseLost()
-	if r.stopped {
-		return
-	}
-	r.resyncArmed = true
-	if r.resyncPendingB && epoch == r.resyncPending {
-		r.resyncPendingB = false
-	}
-}
-
-// awaitAck has no work of its own: it completes when the backup's
-// acknowledgment arrives (Replicator.ackReceived). If the backup fails
-// or the link goes down, the stage never completes and the epoch's
-// output stays buffered — which is exactly the output-commit rule.
+// awaitAck has no work of its own: it completes when the chain's
+// acknowledgment watermark covers it (Replicator.ackReceivedFrom). If
+// a backup fails or its link goes down, the stage never completes and
+// the epoch's output stays buffered — which is exactly the output-commit
+// rule.
 func (run *epochRun) awaitAck() {}
 
 // releaseOutput flushes the epoch's buffered output. The stage graph

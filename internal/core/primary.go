@@ -16,12 +16,14 @@ type Replicator struct {
 	Cfg     Config
 	Cluster *Cluster
 	Ctr     *container.Container
-	Backup  *BackupAgent
+	// Backup is chain[0].agent: the first slot's backup agent, the only
+	// one of a classic pair.
+	Backup *BackupAgent
 
-	// chain holds the f+1 replica slots (chain.go); chain[0] wraps
-	// Backup and the primary Cluster view, so the classic pair is the
-	// one-slot chain. witness is the quorum-promotion arbiter
-	// (witness.go; nil outside quorum mode).
+	// chain holds the f+1 replica slots (chain.go); chain[0] runs over
+	// the primary Cluster view, so the classic pair is the one-slot
+	// chain. witness is the quorum-promotion arbiter (witness.go; nil
+	// outside quorum mode).
 	chain   []*replicaSlot
 	witness *Witness
 	// externalArbiter suppresses per-replica self-promotion: an outside
@@ -108,10 +110,6 @@ type Replicator struct {
 	hbTicker *simtime.Ticker
 	lastCPU  simtime.Duration
 
-	// lastBackupBeat is when the backup's most recent reverse liveness
-	// beat arrived (Config.BackupBeat); the fleet control plane reads it
-	// to detect backup-host loss.
-	lastBackupBeat simtime.Time
 	// fenced marks a replicator whose backup was declared dead and cut
 	// off (FenceBackup): the pair runs unprotected until re-protected.
 	fenced bool
@@ -204,13 +202,12 @@ func (r *Replicator) Start() {
 
 	r.hbTicker = simtime.NewTicker(r.Cluster.Clock, r.Cfg.HeartbeatInterval, r.heartbeat)
 	r.lastCPU = r.Ctr.Cgroup.CPUUsage()
-	r.lastBackupBeat = r.Cluster.Clock.Now()
+	now := r.Cluster.Clock.Now()
 	for _, s := range r.chain {
-		s.lastBeat = r.lastBackupBeat
+		s.lastBeat = now
 	}
 	r.startLease()
-	r.Backup.start()
-	for _, s := range r.chain[1:] {
+	for _, s := range r.chain {
 		s.agent.start()
 	}
 	if r.witness != nil {
@@ -238,8 +235,7 @@ func (r *Replicator) Stop() {
 	if r.rec != nil {
 		r.rec.uninstall()
 	}
-	r.Backup.stop()
-	for _, s := range r.chain[1:] {
+	for _, s := range r.chain {
 		s.agent.stop()
 	}
 	if r.witness != nil {
@@ -299,15 +295,6 @@ func (r *Replicator) runEpoch() {
 	r.inflight[run.epoch] = run
 	run.advance()
 }
-
-// ackReceived records an acknowledgment of epoch e from the first
-// (slot 0) backup. Acks are cumulative: the backup commits in epoch
-// order, so an ack for e vouches for every epoch <= e — this is what
-// lets a single post-resync ack retire the pipeline runs of all the
-// epochs that were lost on the link (their own acks never existed).
-// The chain layer (chain.go) generalizes this to per-replica
-// watermarks; ackReceivedFrom is the per-slot entry point.
-func (r *Replicator) ackReceived(e uint64) { r.ackReceivedFrom(0, e) }
 
 // nackReceived is called when the backup reports an out-of-order epoch
 // (it missed one or more images to a link outage): arm a full
@@ -409,14 +396,6 @@ func (r *Replicator) DedupHitRate() float64 {
 // assert it never regresses while resync traffic from other pairs
 // shares the replication NIC.
 func (r *Replicator) AckedThrough() (uint64, bool) { return r.ackedThrough, r.hasAcked }
-
-// backupBeatSeen records the arrival of slot 0's reverse liveness beat
-// (chain slots route through backupBeatSeenFrom in chain.go).
-func (r *Replicator) backupBeatSeen() { r.backupBeatSeenFrom(0) }
-
-// LastBackupBeat returns when the backup's most recent reverse beat
-// arrived (only meaningful with Config.BackupBeat).
-func (r *Replicator) LastBackupBeat() simtime.Time { return r.lastBackupBeat }
 
 // Fenced reports whether FenceBackup has run.
 func (r *Replicator) Fenced() bool { return r.fenced }

@@ -71,10 +71,14 @@ type DRBD struct {
 
 // NewDRBDPair wires a primary/secondary pair over the replication link.
 func NewDRBDPair(primaryDisk, backupDisk *Disk, link *simnet.Link) (*DRBD, *DRBD) {
-	p := &DRBD{Role: RolePrimary, Local: primaryDisk,
-		epochWrites: make(map[uint64]int64)}
-	s := p.AttachSecondary(backupDisk, link)
-	return p, s
+	p := NewDRBDPrimary(primaryDisk)
+	return p, p.AttachSecondary(backupDisk, link)
+}
+
+// NewDRBDPrimary returns a primary end over disk with no secondary yet;
+// AttachSecondary adds each replica.
+func NewDRBDPrimary(disk *Disk) *DRBD {
+	return &DRBD{Role: RolePrimary, Local: disk, epochWrites: make(map[uint64]int64)}
 }
 
 // AttachSecondary stacks one more secondary onto a primary end over its
