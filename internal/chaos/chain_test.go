@@ -140,19 +140,20 @@ func TestChainAsymCutRefused(t *testing.T) {
 	}
 }
 
-// TestChainPreQuorumAsymCutDualServes is the escape-hatch seed the
-// issue demands: the SAME asymmetric-cut geometry that the witness
-// refuses above, run without the witness, demonstrably dual-serves —
-// the cut replica's two-party lease expires and it self-promotes while
-// the primary still holds grants from the other replica. If this test
-// ever fails because the verdict PASSES, the multi-grantor hole has
-// been closed some other way and the witness's reason-to-exist needs
-// re-documenting.
-func TestChainPreQuorumAsymCutDualServes(t *testing.T) {
+// TestChainPreLeaseAsymCutDualServes is the chain's escape-hatch seed:
+// the SAME asymmetric-cut geometry that the witness refuses above, run
+// under PreLease (no witness, no lease), demonstrably dual-serves — the
+// cut replica convicts the primary on staleness alone and self-promotes
+// while the primary keeps serving. If this test ever fails because the
+// verdict PASSES, the hole has been closed some other way and the
+// witness's reason-to-exist needs re-documenting. The narrower
+// multi-grantor hole (per-slot two-party leases without a witness) is
+// shown at the core level by TestQuorumPreQuorumAsymmetricCutDualServes.
+func TestChainPreLeaseAsymCutDualServes(t *testing.T) {
 	res := Run(Config{
 		Seed: 4, Opts: core.AllOpts(), OptName: "all",
 		Replicas: 3, Terminal: TerminalNone, Events: 1, FaultKinds: []string{"asym-cut"},
-		PreQuorum: true,
+		PreLease: true,
 	})
 	v, ok := verdict(res, "at-most-one-serving")
 	if !ok {

@@ -70,10 +70,6 @@ type Config struct {
 	// In a fleet it is every pair's chain width, and a width above 2
 	// forces Fleet.KillZone.
 	Replicas int
-	// PreQuorum omits the witness from a chain wider than a pair: every
-	// backup grants leases and self-promotes on its own staleness view —
-	// the multi-grantor hole the witness closes.
-	PreQuorum bool
 	// Fleet, when set, replaces the single chain with a host pool of
 	// many chains, whose schedule is one host (or zone) kill.
 	Fleet *Fleet
@@ -101,9 +97,12 @@ type Config struct {
 	Scenario string
 
 	// PreLease disables output-commit lease arbitration, reverting to
-	// the pre-lease detector behavior. It exists for the split-brain
-	// regression: the same seed that passes the at-most-one-serving
-	// oracle with the lease on demonstrably dual-serves with it off.
+	// the pre-lease detector behavior; on a chain wider than a pair it
+	// also omits the witness, so every backup self-promotes on its own
+	// staleness view. It is the one escape hatch, kept for the
+	// split-brain regressions: the same seed that passes the
+	// at-most-one-serving oracle with the lease (and, on a chain, the
+	// witness) on demonstrably dual-serves with it off.
 	PreLease bool
 	// Degrade selects the lease degradation policy (StrictSafety by
 	// default; ignored under PreLease).
@@ -112,19 +111,13 @@ type Config struct {
 	// Traffic, when set, replaces the fixed-interval writer with an
 	// open-loop replay of this trace against every chain: one TCP
 	// connection per trace client, arrivals fired at trace time
-	// regardless of completions, every reply judged against SLO. A
+	// regardless of completions, every reply judged against the
+	// traffic package's default SLO (p99.9 < 100 ms per 100 ms window). A
 	// trace longer than Duration keeps arriving through the terminal
 	// phase (a terminal kill becomes a mid-run failover), while a
 	// TerminalNone campaign wants the trace to fit inside Duration so
 	// arrivals do not bleed into the quiesce epilogue.
 	Traffic *traffic.Trace
-	// SLO configures the windowed latency judge (zero values take the
-	// traffic package defaults: p99.9 < 100 ms per 100 ms window).
-	SLO traffic.SLO
-	// SLOSlack pads the disruption spans when the slo-windows oracle
-	// checks that every violation window coincides with one. Default
-	// 500 ms.
-	SLOSlack simtime.Duration
 }
 
 // Fleet is the host-pool topology (DESIGN.md §9): Pairs chains placed
@@ -265,6 +258,10 @@ const (
 	// converges slower (rolling re-protection under admission control).
 	fleetWarmup     = 600 * simtime.Millisecond
 	fleetConvergeIn = 6 * simtime.Second
+
+	// sloSlack pads the disruption spans when the slo-windows oracle
+	// checks that every violation window coincides with one.
+	sloSlack = 500 * simtime.Millisecond
 )
 
 type campaign struct {
@@ -362,14 +359,14 @@ func (c *campaign) build() {
 	}
 	c.warmup, c.convergeIn = warmup, convergeIn
 	c.clock = sc.Root()
-	views := core.NewShardedChainViews(sc, core.ClusterParams{}, c.cfg.Replicas)
+	views := core.NewShardedChainViews(sc, c.cfg.Replicas)
 	ctr := views[0].NewProtectedContainer("chaos", "10.0.0.10", 1)
 	c.app = newKVApp(ctr)
 	c.timeline = &trace.Timeline{}
 	c.repl = core.NewChainReplicator(views, ctr, c.replConfig())
 	c.repl.Timeline = c.timeline
-	if c.cfg.Replicas > 2 && !c.cfg.PreQuorum {
-		c.wit = core.AttachWitness(c.repl, 0, 0)
+	if c.cfg.Replicas > 2 && !c.cfg.PreLease {
+		c.wit = core.AttachWitness(c.repl)
 	}
 }
 
@@ -377,13 +374,11 @@ func (c *campaign) build() {
 // the campaign builds. Campaigns run with lease arbitration on by
 // default: every schedule doubles as a regression for the lease path,
 // and the at-most-one-serving oracle holds by protocol rather than by
-// luck. On a chain the witness becomes the sole grantor; PreQuorum
-// keeps the per-slot two-party leases precisely to show they are not
-// enough.
+// luck. On a chain the witness becomes the sole grantor; PreLease
+// drops both to show what the chain does without them.
 func (c *campaign) replConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Opts = c.cfg.Opts
-	cfg.Replicas = c.cfg.Replicas
 	if !c.cfg.PreLease {
 		cfg.Lease = core.DefaultLease()
 		cfg.Degrade = c.cfg.Degrade
@@ -455,7 +450,7 @@ func (c *campaign) emitHeader() {
 			c.cfg.Seed, c.cfg.OptName, c.cfg.Duration, c.sched.terminal, lease, c.cfg.Degrade)
 	}
 	if tr := c.cfg.Traffic; tr != nil {
-		slo := c.cfg.SLO.WithDefaults()
+		slo := traffic.SLO{}.WithDefaults()
 		fmt.Fprintf(&c.trace, "traffic name=%s reqs=%d clients=%d keys=%d dur=%s slo=p%v<%s/%s\n",
 			tr.Header.Name, len(tr.Reqs), tr.Header.Clients, tr.Header.Keys, tr.Duration(),
 			slo.Quantile, slo.Target, slo.Window)

@@ -130,3 +130,35 @@ func TestFleetKillsNeverAdjacent(t *testing.T) {
 		}
 	}
 }
+
+// TestFleetConvergenceMissFails shows the convergence oracle fires:
+// with no spare host, the survivors of a host kill have nowhere to
+// re-protect, so the displaced pairs stay degraded and the verdict
+// must FAIL with the re-protection pump's state in its detail, while
+// every other oracle still passes.
+func TestFleetConvergenceMissFails(t *testing.T) {
+	cfg := Config{Seed: 1, Opts: core.AllOpts(), Fleet: &Fleet{Pairs: 2, Hosts: 2, Spares: 0, Kills: 1}}
+	if err := Check(cfg); err != nil {
+		t.Fatalf("Check: %v", err)
+	}
+	res := Run(cfg)
+	if res.Passed {
+		t.Fatalf("campaign passed with nowhere to re-protect:\n%s", res.Trace)
+	}
+	for _, v := range res.Verdicts {
+		switch {
+		case v.Oracle == "convergence":
+			if v.OK {
+				t.Fatalf("convergence verdict passed: %s", v.Detail)
+			}
+			if !strings.Contains(v.Detail, "pump=queued:") {
+				t.Fatalf("convergence FAIL detail lacks the pump state: %s", v.Detail)
+			}
+		case !v.OK:
+			t.Fatalf("verdict %s failed, want only convergence to fail: %s", v.Oracle, v.Detail)
+		}
+	}
+	if _, ok := verdict(res, "convergence"); !ok {
+		t.Fatal("no convergence verdict")
+	}
+}

@@ -78,9 +78,9 @@ func goldenCases(t *testing.T) []struct {
 		{"chain-replicas4-kills2", func() Result {
 			return Run(Config{Seed: 3, Opts: core.AllOpts(), OptName: "all", Replicas: 4, Terminal: TerminalDoubleKill, Events: -1})
 		}},
-		{"chain-prequorum-asymcut", func() Result {
+		{"chain-prelease-asymcut", func() Result {
 			return Run(Config{Seed: 4, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: TerminalNone,
-				Events: 1, FaultKinds: []string{"asym-cut"}, PreQuorum: true})
+				Events: 1, FaultKinds: []string{"asym-cut"}, PreLease: true})
 		}},
 		{"chain-witness-partition", func() Result {
 			return Run(Config{Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: TerminalNone,

@@ -132,13 +132,6 @@ func (c *campaign) verifyWrites() {
 	switch {
 	case total == 0:
 		return
-	case c.cfg.PreQuorum:
-		// Two sides answering the same IP make readback meaningless by
-		// construction; the campaign's value is the at-most-one-serving
-		// FAIL, not the data path.
-		c.verdicts = append(c.verdicts, Verdict{Oracle: "acked-output", OK: true,
-			Detail: "skipped: pre-quorum demo dual-serves by design"})
-		return
 	case !c.cfg.Opts.PlugInput:
 		c.verdicts = append(c.verdicts, firewallSkip("acked-output"))
 		return

@@ -204,8 +204,7 @@ func (c *campaign) zoneKill() {
 	c.repl.ReplicaAgent(slot).Halt()
 	c.setWitnessSlot(slot, true)
 	c.eventf("zone-kill slot=%d", slot)
-	detect := simtime.Duration(c.repl.Cfg.HeartbeatMisses)*c.repl.Cfg.HeartbeatInterval + 10*simtime.Millisecond
-	c.clock.Schedule(detect, func() {
+	c.clock.Schedule(core.DetectionDeadline+10*simtime.Millisecond, func() {
 		c.repl.FenceReplica(slot)
 		c.eventf("fence slot=%d quorum=%d", slot, c.repl.Quorum())
 	})
@@ -232,8 +231,8 @@ func (c *campaign) witnessPartition(dur simtime.Duration) {
 // leaving its witness links intact: the replica sees a stale primary
 // and bids for promotion while the witness still hears the primary.
 // With the witness the candidacy is refused and the primary serves
-// alone; under PreQuorum the replica self-promotes into a dual-serve —
-// the escape-hatch geometry.
+// alone; under PreLease (no witness, no lease) the replica
+// self-promotes into a dual-serve — the escape-hatch geometry.
 func (c *campaign) asymCut(dur simtime.Duration) {
 	slot := c.victimSlot(0)
 	if slot < 0 {
@@ -332,8 +331,8 @@ func (c *campaign) kill(label string) {
 //     The backup hears every heartbeat (so it must never promote) while
 //     the primary's grants stop arriving. StrictSafety keeps the
 //     primary fenced for the whole outage and resumes on heal;
-//     Availability declares the pair unprotected after
-//     UnprotectedAfter, serves without acks, and the campaign
+//     Availability declares the pair unprotected after its fixed 1 s
+//     unprotected-after delay, serves without acks, and the campaign
 //     re-protects it with a full resync once the link heals.
 //
 // Run with Config.PreLease the same seed demonstrates the pre-lease
@@ -347,9 +346,9 @@ const (
 )
 
 // Scripted scenario geometry. The partition must outlive the promotion
-// barrier (lastGrantSent + Duration + SkewMargin ≈ 255 ms past the cut)
+// barrier (last grant + lease term + skew margin ≈ 255 ms past the cut)
 // so the backup genuinely promotes mid-partition; the ack outage must
-// outlive the fence (≈120 ms) plus UnprotectedAfter (1 s) so the
+// outlive the fence (≈120 ms) plus the 1 s unprotected-after delay so the
 // Availability policy genuinely triggers.
 const (
 	sbFaultAt      = warmup + 300*simtime.Millisecond

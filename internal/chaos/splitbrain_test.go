@@ -90,9 +90,10 @@ func TestSplitBrainAckOutageStrict(t *testing.T) {
 
 // TestSplitBrainAckOutageAvailability: the same outage under the
 // Availability policy. The primary declares the pair unprotected after
-// UnprotectedAfter and resumes releasing without acks; once the link
-// heals the campaign re-protects the pair in place with a full resync,
-// and the new backup must commit within the convergence bound.
+// the fixed 1 s unprotected-after delay and resumes releasing without
+// acks; once the link heals the campaign re-protects the pair in place
+// with a full resync, and the new backup must commit within the
+// convergence bound.
 func TestSplitBrainAckOutageAvailability(t *testing.T) {
 	res := VerifySeed(Config{
 		Opts: core.AllOpts(), OptName: "all",

@@ -89,7 +89,7 @@ func (d *trafficDriver) load() (issued, outstanding, queued int) {
 // the replay at warmup — the instant the writer would have started.
 func (c *campaign) startTraffic() {
 	tr := c.cfg.Traffic
-	d := &trafficDriver{judge: traffic.NewJudge(c.cfg.SLO), wrote: make(map[uint64]map[uint64]bool)}
+	d := &trafficDriver{judge: traffic.NewJudge(traffic.SLO{}), wrote: make(map[uint64]map[uint64]bool)}
 	for g := 0; g < c.groups(); g++ {
 		rep := traffic.NewReplayer(c.clock, tr, d.judge)
 		conns := make([]*trafficConn, tr.Header.Clients)
@@ -294,8 +294,8 @@ func (c *campaign) verifyTrafficData() {
 
 // finishTraffic closes the SLO evaluation: emit the judged report and
 // attribution as trace lines, and add the slo-windows oracle — every
-// violation window must overlap a disruption span padded by the
-// configured slack. The spans are the injected transient faults and
+// violation window must overlap a disruption span padded by sloSlack.
+// The spans are the injected transient faults and
 // each kill up to the drain of the client backlog it caused.
 // Client-visible SLO damage outside every span means the pipeline
 // itself (not the fault schedule) hurt clients, which is exactly what
@@ -308,10 +308,6 @@ func (c *campaign) finishTraffic() {
 	fmt.Fprintf(&c.trace, "t=%d %s\n", int64(c.clock.Now()), rep.Line())
 	fmt.Fprintf(&c.trace, "t=%d %s\n", int64(c.clock.Now()), rep.AttributionLine())
 
-	slack := c.cfg.SLOSlack
-	if slack <= 0 {
-		slack = 500 * simtime.Millisecond
-	}
 	type span struct{ from, to simtime.Time }
 	var disruptions []span
 	for _, ev := range c.sched.events {
@@ -336,7 +332,7 @@ func (c *campaign) finishTraffic() {
 		we := start.Add(w.Start + rep.SLO.Window)
 		covered := false
 		for _, sp := range disruptions {
-			if we > sp.from.Add(-slack) && ws < sp.to.Add(slack) {
+			if we > sp.from.Add(-sloSlack) && ws < sp.to.Add(sloSlack) {
 				covered = true
 				break
 			}
@@ -345,11 +341,11 @@ func (c *campaign) finishTraffic() {
 			bad++
 			if firstBad == "" {
 				firstBad = fmt.Sprintf("window %d [%d,%d)ms outside every fault interval ±%s",
-					w.Index, int64(ws)/int64(simtime.Millisecond), int64(we)/int64(simtime.Millisecond), slack)
+					w.Index, int64(ws)/int64(simtime.Millisecond), int64(we)/int64(simtime.Millisecond), sloSlack)
 			}
 		}
 	}
-	detail := fmt.Sprintf("%d violation windows, all within fault intervals ±%s", rep.Violations, slack)
+	detail := fmt.Sprintf("%d violation windows, all within fault intervals ±%s", rep.Violations, sloSlack)
 	if bad > 0 {
 		detail = fmt.Sprintf("%d/%d violation windows uncovered: %s", bad, rep.Violations, firstBad)
 	}

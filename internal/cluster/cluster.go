@@ -107,13 +107,6 @@ type Params struct {
 	// Degrade selects each pair's degradation policy when its lease
 	// expires with the backup unreachable (StrictSafety by default).
 	Degrade core.DegradePolicy
-	// LinkParams tunes the per-host replication NIC; zero takes the
-	// paper's 10 GbE defaults.
-	ReplLatency simtime.Duration
-	ReplBW      int64
-	// LANLatency / ARPDelay tune the shared client LAN.
-	LANLatency simtime.Duration
-	ARPDelay   simtime.Duration
 	// Replicas is each protected container's total replica count
 	// including the primary (an f+1 chain tolerating f simultaneous
 	// failures; 2 = the classic pair, the default). Above 2 every
@@ -144,18 +137,6 @@ func (p *Params) defaults() {
 	}
 	if p.MaxConcurrentResyncs <= 0 {
 		p.MaxConcurrentResyncs = defaultResyncs
-	}
-	if p.ReplLatency == 0 {
-		p.ReplLatency = 50 * simtime.Microsecond
-	}
-	if p.ReplBW == 0 {
-		p.ReplBW = 1_250_000_000
-	}
-	if p.LANLatency == 0 {
-		p.LANLatency = 150 * simtime.Microsecond
-	}
-	if p.ARPDelay == 0 {
-		p.ARPDelay = 28 * simtime.Millisecond
 	}
 	if p.Replicas < 2 {
 		p.Replicas = 2
@@ -381,7 +362,7 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 	f := &Fleet{
 		Params:   params,
 		Clock:    clock,
-		Switch:   simnet.NewSwitch(clock, params.LANLatency, params.ARPDelay),
+		Switch:   simnet.NewSwitch(clock, core.LANLatency, core.ARPDelay),
 		Timeline: &trace.Timeline{},
 	}
 	total := params.Workers + params.Spares
@@ -393,7 +374,7 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 			Name:  name,
 			Zone:  i % params.Zones,
 			H:     container.NewHost(name, hc, f.Switch),
-			NIC:   simnet.NewLink(hc, params.ReplLatency, params.ReplBW),
+			NIC:   simnet.NewLink(hc, core.ReplLatency, core.ReplBW),
 			Spare: i >= params.Workers,
 			Alive: true,
 		}
@@ -503,7 +484,6 @@ func (f *Fleet) pairConfig(pr *Pair, keepAlive bool) core.Config {
 	cfg.BackupBeat = true
 	cfg.Lease = f.Params.Lease
 	cfg.Degrade = f.Params.Degrade
-	cfg.Replicas = f.Params.Replicas
 	cfg.Reattach = func(rc core.RestoredContainer, state any) {
 		pr.Workload.Reattach(rc, state)
 	}
@@ -551,17 +531,6 @@ func (f *Fleet) NewClient(ip simnet.Addr) *simnet.Stack {
 	port.SetReceiver(st.Receive)
 	f.Switch.Learn(ip, port)
 	return st
-}
-
-// AliveHosts returns the control plane's current belief, in index order.
-func (f *Fleet) AliveHosts() []*Host {
-	var out []*Host
-	for _, h := range f.Hosts {
-		if h.Alive {
-			out = append(out, h)
-		}
-	}
-	return out
 }
 
 func (f *Fleet) eventf(format string, args ...any) {

@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"nilicon/internal/core"
-	"nilicon/internal/simtime"
-)
+import "nilicon/internal/core"
 
 // Host-level failure detection (DESIGN.md §9): the fleet aggregates the
 // per-pair heartbeat machinery of internal/core into a verdict about
@@ -30,21 +27,14 @@ import (
 // and a fencing (FenceBackup) of every pair backed there; the fenced
 // pairs queue for re-protection (reprotect.go).
 
-// deadline is the host-level staleness threshold, matching the per-pair
-// detector: HeartbeatMisses consecutive silent intervals.
-func (f *Fleet) deadline() simtime.Duration {
-	cfg := core.DefaultConfig()
-	return simtime.Duration(cfg.HeartbeatMisses) * cfg.HeartbeatInterval
-}
-
 // hostEvidence tallies one host's liveness evidence. excluded filters
 // out observers sitting on the given suspect hosts: a stale heartbeat
 // at backup B about pair P→B is ambiguous — it means "P dead OR B
 // dead" — so an observer that is itself suspected of being dead proves
-// nothing about the host it observes.
+// nothing about the host it observes. An observer is stale after
+// core.DetectionDeadline of silence, the per-pair detector's threshold.
 func (f *Fleet) hostEvidence(h *Host, excluded map[int]bool) (evidence, stale int) {
 	now := f.Clock.Now()
-	deadline := f.deadline()
 	for _, pr := range f.Pairs {
 		if pr.State != Protected && pr.State != Resyncing {
 			continue
@@ -66,7 +56,7 @@ func (f *Fleet) hostEvidence(h *Host, excluded map[int]bool) (evidence, stale in
 					continue
 				}
 				evidence++
-				if now.Sub(ag.LastHeartbeat()) > deadline {
+				if now.Sub(ag.LastHeartbeat()) > core.DetectionDeadline {
 					stale++
 				}
 			}
@@ -82,7 +72,7 @@ func (f *Fleet) hostEvidence(h *Host, excluded map[int]bool) (evidence, stale in
 				continue
 			}
 			evidence++
-			if now.Sub(pr.Repl.LastReplicaBeat(i)) > deadline {
+			if now.Sub(pr.Repl.LastReplicaBeat(i)) > core.DetectionDeadline {
 				stale++
 			}
 		}

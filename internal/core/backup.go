@@ -175,7 +175,7 @@ func (b *BackupAgent) start() {
 	b.lastGrantSent = b.lastHeartbeat
 	b.monitoring = true
 	b.cl.DRBDBackup.OnBarrier = func(e uint64) { b.tryAck(e) }
-	b.detector = simtime.NewTicker(b.cl.Clock, b.cfg.HeartbeatInterval, b.checkHeartbeat)
+	b.detector = simtime.NewTicker(b.cl.Clock, heartbeatInterval, b.checkHeartbeat)
 }
 
 func (b *BackupAgent) stop() {
@@ -227,8 +227,7 @@ func (b *BackupAgent) checkHeartbeat() {
 	if !b.hasCommitted {
 		b.lastHeartbeat = now
 	}
-	deadline := simtime.Duration(b.cfg.HeartbeatMisses) * b.cfg.HeartbeatInterval
-	stale := now.Sub(b.lastHeartbeat) > deadline
+	stale := now.Sub(b.lastHeartbeat) > DetectionDeadline
 	if b.cfg.BackupBeat || b.cfg.Lease.Enabled {
 		// Reverse liveness beat: an individual packet on the ack link, so
 		// the primary (and through it the fleet control plane) can tell a

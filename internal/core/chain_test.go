@@ -17,17 +17,14 @@ type chainEnv struct {
 	repl  *Replicator
 }
 
-// newChainEnv builds a chain of cfg.Replicas total replicas. attach
-// limits how many backup views are wired in up front (0 = all); the
-// rest stay available for AttachReplica repair tests.
-func newChainEnv(t *testing.T, cfg Config, attach int) *chainEnv {
+// newChainEnv builds a chain of replicas total replicas. attach limits
+// how many backup views are wired in up front (0 = all); the rest stay
+// available for AttachReplica repair tests.
+func newChainEnv(t *testing.T, replicas int, cfg Config, attach int) *chainEnv {
 	t.Helper()
-	if cfg.Replicas < 2 {
-		cfg.Replicas = 2
-	}
 	sc := simtime.NewEngine()
 	clock := sc.Root()
-	views := NewShardedChainViews(sc, ClusterParams{}, cfg.Replicas)
+	views := NewShardedChainViews(sc, replicas)
 	ctr := views[0].NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)
@@ -84,14 +81,8 @@ func (env *chainEnv) servingCount(primaryAlive bool) int {
 	return n
 }
 
-func chainConfig(replicas int) Config {
-	cfg := DefaultConfig()
-	cfg.Replicas = replicas
-	return cfg
-}
-
 func TestQuorumChainAllReplicasCommit(t *testing.T) {
-	env := newChainEnv(t, chainConfig(3), 0)
+	env := newChainEnv(t, 3, DefaultConfig(), 0)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -121,7 +112,7 @@ func TestQuorumStrictGatingStallsOnLaggard(t *testing.T) {
 	// With the strict default quorum, one unreachable replica must stall
 	// output release — that stall is exactly what buys the f-failure
 	// durability claim.
-	env := newChainEnv(t, chainConfig(3), 0)
+	env := newChainEnv(t, 3, DefaultConfig(), 0)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -150,10 +141,10 @@ func TestQuorumFailoverSurvivesTwoSimultaneousFailures(t *testing.T) {
 	// AND one backup in the same instant; the surviving backup must hold
 	// every acked write. Strict chain-tail gating is what makes this
 	// true — the client saw "OK" only after BOTH backups committed.
-	cfg := chainConfig(3)
+	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, cfg, 0)
-	AttachWitness(env.repl, 0, 0)
+	env := newChainEnv(t, 3, cfg, 0)
+	AttachWitness(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -191,10 +182,10 @@ func TestQuorumWitnessElectsExactlyOne(t *testing.T) {
 	// Primary dies with both backups alive: the witness must elect
 	// exactly one (the most-caught-up), and at no sampled instant may
 	// two replicas serve.
-	cfg := chainConfig(3)
+	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, cfg, 0)
-	w := AttachWitness(env.repl, 0, 0)
+	env := newChainEnv(t, 3, cfg, 0)
+	w := AttachWitness(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 
@@ -233,10 +224,10 @@ func TestQuorumWitnessRefusesAsymmetricCut(t *testing.T) {
 	// One replica loses its links to the primary while the witness still
 	// hears primary keep-alives: the isolated replica's candidacies must
 	// be refused, the primary keeps its lease, and nobody promotes.
-	cfg := chainConfig(3)
+	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, cfg, 0)
-	w := AttachWitness(env.repl, 0, 0)
+	env := newChainEnv(t, 3, cfg, 0)
+	w := AttachWitness(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 
@@ -277,9 +268,9 @@ func TestQuorumPreQuorumAsymmetricCutDualServes(t *testing.T) {
 	// witness's at-most-one-serving guarantee is demonstrably load-
 	// bearing, exactly as the pre-lease split-brain regression does for
 	// the pair.
-	cfg := chainConfig(3)
+	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, cfg, 0) // no witness: PreQuorum mode
+	env := newChainEnv(t, 3, cfg, 0) // no witness: per-slot two-party leases
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 
@@ -306,7 +297,7 @@ func TestQuorumAttachReplicaCatchesUp(t *testing.T) {
 	// Chain repair: a replica attached mid-stream starts non-voting,
 	// receives the next full-resync baseline, and joins the watermarks
 	// at its first ack — without ever stalling the healthy replicas.
-	env := newChainEnv(t, chainConfig(3), 1) // wire only backup 0 up front
+	env := newChainEnv(t, 3, DefaultConfig(), 1) // wire only backup 0 up front
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -340,7 +331,7 @@ func TestQuorumFenceReplicaKeepsChainProtected(t *testing.T) {
 	// Fencing one dead replica of a 3-chain must keep the survivor
 	// protecting the pair (releases resume via the narrowed quorum) —
 	// and must not degenerate to the unprotected FenceBackup state.
-	env := newChainEnv(t, chainConfig(3), 0)
+	env := newChainEnv(t, 3, DefaultConfig(), 0)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -373,7 +364,7 @@ func TestQuorumFencedSlotZeroGetsNoImages(t *testing.T) {
 	// slot's link carries nothing more, and since no image is dropped on
 	// it, nothing re-arms a full resync while the survivor keeps the
 	// chain releasing output.
-	env := newChainEnv(t, chainConfig(3), 0)
+	env := newChainEnv(t, 3, DefaultConfig(), 0)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")

@@ -39,49 +39,44 @@ type Cluster struct {
 	clients int
 }
 
-// ClusterParams tunes the topology; zero values take the defaults
-// matching the paper's testbed.
-type ClusterParams struct {
-	LANLatency  simtime.Duration // client↔host one-way (1 GbE LAN)
-	ARPDelay    simtime.Duration // gratuitous-ARP propagation (Table II: 28 ms)
-	ReplLatency simtime.Duration // 10 GbE link one-way
-	ReplBW      int64            // bytes/second (10 Gb/s)
-}
+// The link model is the paper's testbed (§VI), fixed for every
+// topology this repository builds: the pair cluster, chain views, the
+// fleet's switch and per-host NICs, and the witness links.
+const (
+	// LANLatency is the client↔host one-way latency (1 GbE LAN).
+	LANLatency = 150 * simtime.Microsecond
+	// ARPDelay is the gratuitous-ARP propagation delay (Table II: 28 ms).
+	ARPDelay = 28 * simtime.Millisecond
+	// ReplLatency is the replication link's one-way latency (10 GbE).
+	ReplLatency = 50 * simtime.Microsecond
+	// ReplBW is the replication link's bandwidth in bytes/second
+	// (10 Gb/s).
+	ReplBW = 1_250_000_000
+)
 
-func (p *ClusterParams) defaults() {
-	if p.LANLatency == 0 {
-		p.LANLatency = 150 * simtime.Microsecond
-	}
-	if p.ARPDelay == 0 {
-		p.ARPDelay = 28 * simtime.Millisecond
-	}
-	if p.ReplLatency == 0 {
-		p.ReplLatency = 50 * simtime.Microsecond
-	}
-	if p.ReplBW == 0 {
-		p.ReplBW = 1_250_000_000 // 10 Gb/s
-	}
-}
+// ClusterParams has no fields: the topology's link model is the
+// constants above. The type stays so existing NewShardedCluster
+// callers keep compiling.
+type ClusterParams struct{}
 
 // NewShardedCluster builds the two-host topology plus the replication
 // links and the DRBD pair over the hosts' disks. The primary and backup
 // hosts each get their own shard, the switch and campaign drivers run
 // on the root shard, and the replication/ack links deliver on the
 // receiving host's shard.
-func NewShardedCluster(sc *simtime.ShardedClock, params ClusterParams) *Cluster {
-	return newCluster(sc.Root(), sc.NewShard(), sc.NewShard(), params)
+func NewShardedCluster(sc *simtime.ShardedClock, _ ClusterParams) *Cluster {
+	return newCluster(sc.Root(), sc.NewShard(), sc.NewShard())
 }
 
-func newCluster(root, pclk, bclk *simtime.Clock, params ClusterParams) *Cluster {
-	params.defaults()
-	sw := simnet.NewSwitch(root, params.LANLatency, params.ARPDelay)
+func newCluster(root, pclk, bclk *simtime.Clock) *Cluster {
+	sw := simnet.NewSwitch(root, LANLatency, ARPDelay)
 	cl := &Cluster{
 		Clock:    pclk,
 		Switch:   sw,
 		Primary:  container.NewHost("primary", pclk, sw),
 		Backup:   container.NewHost("backup", bclk, sw),
-		ReplLink: simnet.NewLink(pclk, params.ReplLatency, params.ReplBW),
-		AckLink:  simnet.NewLink(bclk, params.ReplLatency, params.ReplBW),
+		ReplLink: simnet.NewLink(pclk, ReplLatency, ReplBW),
+		AckLink:  simnet.NewLink(bclk, ReplLatency, ReplBW),
 	}
 	// Checkpoint state flows primary→backup; acks flow back.
 	cl.ReplLink.BindRemote(bclk)
@@ -101,18 +96,17 @@ func newCluster(root, pclk, bclk *simtime.Clock, params ClusterParams) *Cluster 
 // primary side (clock, switch, primary host, DRBD primary end) and
 // carries its own backup host, links, transfer scheduler and DRBD
 // secondary. Pass the slice to NewChainReplicator.
-func NewShardedChainViews(sc *simtime.ShardedClock, params ClusterParams, replicas int) []*Cluster {
+func NewShardedChainViews(sc *simtime.ShardedClock, replicas int) []*Cluster {
 	if replicas < 2 {
 		replicas = 2
 	}
-	params.defaults()
 	pclk := sc.NewShard()
-	base := newCluster(sc.Root(), pclk, sc.NewShard(), params)
+	base := newCluster(sc.Root(), pclk, sc.NewShard())
 	views := []*Cluster{base}
 	for i := 1; i < replicas-1; i++ {
 		bclk := sc.NewShard()
-		repl := simnet.NewLink(pclk, params.ReplLatency, params.ReplBW)
-		ack := simnet.NewLink(bclk, params.ReplLatency, params.ReplBW)
+		repl := simnet.NewLink(pclk, ReplLatency, ReplBW)
+		ack := simnet.NewLink(bclk, ReplLatency, ReplBW)
 		repl.BindRemote(bclk)
 		ack.BindRemote(pclk)
 		v := &Cluster{

@@ -31,7 +31,7 @@ const (
 	// which the backup also died.
 	StrictSafety DegradePolicy = iota
 	// Availability lets a primary that has been self-fenced for
-	// Lease.UnprotectedAfter declare the pair unprotected: it flushes
+	// unprotectedAfter declare the pair unprotected: it flushes
 	// its buffered output, stops replicating, and resumes serving
 	// without acks. The backup can only reach this state's mirror —
 	// promotion — if the primary's heartbeats also stopped, so the
@@ -68,49 +68,33 @@ type LeaseConfig struct {
 	// heartbeat staleness alone — the configuration the split-brain
 	// regression test demonstrates is unsafe under asymmetric cuts.
 	Enabled bool
-	// Duration is the lease term, measured from the grant's send time
-	// (the conservative end: the primary's copy of the lease expires
-	// no later than the backup believes it does). Must comfortably
-	// exceed the heartbeat deadline so a healthy pair renews many
-	// times per term. Default 120ms.
-	Duration simtime.Duration
-	// SkewMargin is the extra wait the backup adds past the lease term
-	// before promoting, covering clock skew between the replicas.
-	// Default 15ms.
-	SkewMargin simtime.Duration
-	// UnprotectedAfter is how long a primary stays self-fenced before
-	// the Availability policy declares the pair unprotected. Ignored
-	// under StrictSafety. Default 1s.
-	UnprotectedAfter simtime.Duration
-	// SupersedeFor bounds how long a promoted backup beacons its
-	// supersede notice toward the old primary (so a fenced primary
-	// that reconnects stands down instead of waiting forever).
-	// Default 10s.
-	SupersedeFor simtime.Duration
 }
 
-// DefaultLease returns the lease defaults with arbitration enabled.
-func DefaultLease() LeaseConfig {
-	lc := LeaseConfig{Enabled: true}
-	lc.fillDefaults()
-	return lc
-}
+// DefaultLease returns the lease with arbitration enabled.
+func DefaultLease() LeaseConfig { return LeaseConfig{Enabled: true} }
 
-// fillDefaults replaces zero durations with the defaults.
-func (lc *LeaseConfig) fillDefaults() {
-	if lc.Duration <= 0 {
-		lc.Duration = 120 * simtime.Millisecond
-	}
-	if lc.SkewMargin <= 0 {
-		lc.SkewMargin = 15 * simtime.Millisecond
-	}
-	if lc.UnprotectedAfter <= 0 {
-		lc.UnprotectedAfter = 1 * simtime.Second
-	}
-	if lc.SupersedeFor <= 0 {
-		lc.SupersedeFor = 10 * simtime.Second
-	}
-}
+// The lease timeline is fixed, not configurable: the safety argument
+// of DESIGN.md §10 (self-fencing strictly precedes promotion, and a
+// healthy pair renews several times per term) is made for these values
+// against DetectionDeadline, and TestLeaseTimelineInequalities pins it.
+const (
+	// leaseTerm is the lease term, measured from the grant's send time
+	// (the conservative end: the primary's copy of the lease expires no
+	// later than the backup believes it does). It exceeds
+	// DetectionDeadline so a healthy pair renews many times per term.
+	leaseTerm = 120 * simtime.Millisecond
+	// leaseSkewMargin is the extra wait the backup adds past the lease
+	// term before promoting, covering clock skew between the replicas.
+	leaseSkewMargin = 15 * simtime.Millisecond
+	// unprotectedAfter is how long a primary stays self-fenced before
+	// the Availability policy declares the pair unprotected. Unused
+	// under StrictSafety.
+	unprotectedAfter = 1 * simtime.Second
+	// supersedeFor bounds how long a promoted backup beacons its
+	// supersede notice toward the old primary (so a fenced primary that
+	// reconnects stands down instead of waiting forever).
+	supersedeFor = 10 * simtime.Second
+)
 
 // LeaseState is the primary's position in the lease state machine.
 type LeaseState int
@@ -166,7 +150,7 @@ func (r *Replicator) startLease() {
 		return
 	}
 	r.setLeaseState(LeaseHeld)
-	r.leaseExpiresAt = r.Cluster.Clock.Now().Add(r.Cfg.Lease.Duration)
+	r.leaseExpiresAt = r.Cluster.Clock.Now().Add(leaseTerm)
 	r.armLeaseExpiry()
 }
 
@@ -206,7 +190,7 @@ func (r *Replicator) leaseGranted(sentAt simtime.Time) {
 		// one.
 		return
 	}
-	exp := sentAt.Add(r.Cfg.Lease.Duration)
+	exp := sentAt.Add(leaseTerm)
 	if exp <= r.leaseExpiresAt {
 		return
 	}
@@ -241,7 +225,7 @@ func (r *Replicator) selfFence() {
 		if r.unprotEvent != nil {
 			r.unprotEvent.Cancel()
 		}
-		r.unprotEvent = r.Cluster.Clock.Schedule(r.Cfg.Lease.UnprotectedAfter, r.unprotectDeadline)
+		r.unprotEvent = r.Cluster.Clock.Schedule(unprotectedAfter, r.unprotectDeadline)
 	}
 }
 
@@ -293,7 +277,7 @@ func (r *Replicator) releaseDirect(e uint64) {
 	}
 }
 
-// unprotectDeadline fires UnprotectedAfter into a fence under the
+// unprotectDeadline fires unprotectedAfter into a fence under the
 // Availability policy.
 func (r *Replicator) unprotectDeadline() {
 	if r.stopped || r.quiesced || r.leaseState != LeaseSelfFenced || r.Ctr.Stopped() {
@@ -384,14 +368,11 @@ func (r *Replicator) Serving() bool {
 // what starts the primary's term, and an undelivered grant only makes
 // the primary fence sooner) plus the full term plus the skew margin.
 func (b *BackupAgent) promotionBarrier() simtime.Time {
-	return b.lastGrantSent.Add(b.cfg.Lease.Duration + b.cfg.Lease.SkewMargin)
+	return b.lastGrantSent.Add(leaseTerm + leaseSkewMargin)
 }
 
 // PromotionPending reports a conviction waiting out the lease barrier.
 func (b *BackupAgent) PromotionPending() bool { return b.promotePending }
-
-// LastGrantSent returns when this backup last sent a lease grant.
-func (b *BackupAgent) LastGrantSent() simtime.Time { return b.lastGrantSent }
 
 // promoteBarrierReached fires when the last-granted lease has provably
 // expired (plus skew). If the primary's heartbeats are still stale the
@@ -405,8 +386,7 @@ func (b *BackupAgent) promoteBarrierReached() {
 		return
 	}
 	b.promotePending = false
-	deadline := simtime.Duration(b.cfg.HeartbeatMisses) * b.cfg.HeartbeatInterval
-	if b.cl.Clock.Now().Sub(b.lastHeartbeat) > deadline {
+	if b.cl.Clock.Now().Sub(b.lastHeartbeat) > DetectionDeadline {
 		b.doRecover()
 		return
 	}
@@ -441,20 +421,16 @@ func (b *BackupAgent) Serving() bool {
 // primary once the restored container's network is live. A fenced
 // primary on the far side of a healing partition stands down on
 // receipt and acknowledges; the beacon stops on the acknowledgment or
-// after SupersedeFor, whichever is first. The beacon rides the ack
+// after supersedeFor, whichever is first. The beacon rides the ack
 // link (backup→primary) as express packets; while the partition
 // persists they are simply dropped.
 func (b *BackupAgent) startSupersedeBeacon() {
 	if !b.cfg.Lease.Enabled {
 		return
 	}
-	interval := b.cfg.HeartbeatInterval
-	b.beaconTicks = int(b.cfg.Lease.SupersedeFor / interval)
-	if b.beaconTicks < 1 {
-		b.beaconTicks = 1
-	}
+	b.beaconTicks = int(supersedeFor / heartbeatInterval)
 	r := b.r
-	b.beacon = simtime.NewTicker(b.cl.Clock, interval, func() {
+	b.beacon = simtime.NewTicker(b.cl.Clock, heartbeatInterval, func() {
 		if b.standDown || b.beaconTicks <= 0 {
 			b.beacon.Stop()
 			return

@@ -23,6 +23,38 @@ func leaseTestEnv(t *testing.T) *testEnv {
 	return env
 }
 
+// TestLeaseTimelineInequalities pins the relations between the fixed
+// detection and lease constants that the DESIGN.md §10 safety argument
+// rests on, so editing one constant breaks a test rather than the
+// argument.
+func TestLeaseTimelineInequalities(t *testing.T) {
+	if DetectionDeadline != 3*heartbeatInterval {
+		t.Fatalf("DetectionDeadline = %s, want 3 heartbeats (%s)", DetectionDeadline, 3*heartbeatInterval)
+	}
+	// Grants ride every detector tick, so a healthy pair renews several
+	// times per term, and a term outlives the detection deadline.
+	if leaseTerm <= DetectionDeadline {
+		t.Fatalf("lease term %s does not exceed the detection deadline %s", leaseTerm, DetectionDeadline)
+	}
+	if renewals := leaseTerm / heartbeatInterval; renewals < 3 {
+		t.Fatalf("only %d renewals per lease term, want several", renewals)
+	}
+	// The barrier sits past every lease the backup ever granted: the
+	// primary's copy expires at last grant + term, and the skew margin
+	// puts promotion strictly after it.
+	if leaseSkewMargin <= 0 {
+		t.Fatalf("skew margin %s leaves no gap between fence and promotion", leaseSkewMargin)
+	}
+	b := &BackupAgent{lastGrantSent: simtime.Time(7 * simtime.Millisecond)}
+	if got, want := b.promotionBarrier(), b.lastGrantSent.Add(leaseTerm+leaseSkewMargin); got != want {
+		t.Fatalf("promotion barrier = %d, want last grant + term + skew = %d", int64(got), int64(want))
+	}
+	// The supersede beacon sends at least one notice.
+	if supersedeFor < heartbeatInterval {
+		t.Fatalf("supersede window %s is shorter than one beacon tick %s", supersedeFor, heartbeatInterval)
+	}
+}
+
 // TestLeaseFenceExactlyAtTermEnd: after the grants stop arriving, the
 // primary stays authorized through every instant strictly before the
 // last received grant's term ends, and self-fences at precisely that
@@ -56,7 +88,7 @@ func TestLeaseFenceExactlyAtTermEnd(t *testing.T) {
 
 // TestPromotionExactlyAtSkewMargin: a fully partitioned backup convicts
 // the primary on heartbeat staleness but must hold its promotion until
-// exactly lastGrantSent + Duration + SkewMargin — and the primary must
+// exactly lastGrantSent + leaseTerm + leaseSkewMargin — and the primary must
 // already be self-fenced strictly before that instant. The ordering
 // fence-then-promote is the at-most-one-serving proof obligation.
 func TestPromotionExactlyAtSkewMargin(t *testing.T) {

@@ -155,7 +155,6 @@ func Table1Ladder() []LadderStep {
 // criuOptions maps the option set onto the checkpoint engine's flags.
 func (o OptSet) criuOptions() criu.Options {
 	return criu.Options{
-		Incremental:     true,
 		FreezePoll:      o.OptimizeCRIU,
 		NetlinkVMA:      o.NetlinkVMA,
 		SharedMemPages:  o.SharedMemPages,
@@ -163,15 +162,27 @@ func (o OptSet) criuOptions() criu.Options {
 	}
 }
 
+// Failure detection uses the paper's fixed parameters (§IV): a
+// heartbeat every 30 ms, and recovery after three consecutive misses.
+// They are not configurable: the lease timeline (lease.go) is sized
+// against DetectionDeadline, and the safety argument of DESIGN.md §10
+// holds only for that pairing.
+const (
+	heartbeatInterval = 30 * simtime.Millisecond
+	heartbeatMisses   = 3
+	// DetectionDeadline is how long a peer may stay silent before a
+	// detector convicts it (90 ms): the per-pair backup detector, the
+	// witness, the fleet's host detector and the campaigns' fencing
+	// schedules all use this one value.
+	DetectionDeadline = heartbeatMisses * heartbeatInterval
+)
+
 // Config parameterizes a Replicator.
 type Config struct {
-	// EpochInterval is the execution phase length (30 ms in the paper).
+	// EpochInterval is the execution phase length (30 ms in the paper;
+	// zero takes it). Every run uses the paper's value; the field stays
+	// because the benchmark reads it from DefaultConfig.
 	EpochInterval simtime.Duration
-	// HeartbeatInterval is the failure-detector period (30 ms).
-	HeartbeatInterval simtime.Duration
-	// HeartbeatMisses is how many consecutive missed heartbeats trigger
-	// recovery (3).
-	HeartbeatMisses int
 	// Opts selects the active optimizations.
 	Opts OptSet
 	// KeepAlive starts the keep-alive process in the container (§IV).
@@ -185,18 +196,6 @@ type Config struct {
 	// information about the backup's health.
 	BackupBeat bool
 
-	// Replicas is the total number of replicas of the container's state,
-	// including the primary (DESIGN.md §15). The default 2 is the classic
-	// primary/backup pair; N > 2 fans checkpoints, page deltas, DRBD
-	// writes and replay-log segments out to N−1 backup replicas, each on
-	// its own flow, and tolerates f = N−1 simultaneous replica failures:
-	// output is released only once every participating backup holds the
-	// epoch (strict chain-tail gating). The field is plumbing for the
-	// topology builders (cluster placement, the chain campaign); the
-	// replicator itself replicates to however many replica views are
-	// attached.
-	Replicas int
-
 	// Lease enables output-release lease arbitration (DESIGN.md §10):
 	// the backup grants the primary a time-bounded right to release
 	// buffered output, renewed implicitly by acks and backup beats;
@@ -207,7 +206,7 @@ type Config struct {
 	Lease LeaseConfig
 	// Degrade selects what a self-fenced primary does when the outage
 	// persists: StrictSafety (default) stays fenced; Availability
-	// declares the pair unprotected after Lease.UnprotectedAfter and
+	// declares the pair unprotected after unprotectedAfter (1 s) and
 	// resumes serving without acks.
 	Degrade DegradePolicy
 
@@ -232,10 +231,8 @@ type Config struct {
 // DefaultConfig returns the paper's parameters with all optimizations.
 func DefaultConfig() Config {
 	return Config{
-		EpochInterval:     30 * simtime.Millisecond,
-		HeartbeatInterval: 30 * simtime.Millisecond,
-		HeartbeatMisses:   3,
-		Opts:              AllOpts(),
-		KeepAlive:         true,
+		EpochInterval: 30 * simtime.Millisecond,
+		Opts:          AllOpts(),
+		KeepAlive:     true,
 	}
 }

@@ -153,15 +153,6 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 	if cfg.EpochInterval <= 0 {
 		cfg.EpochInterval = 30 * simtime.Millisecond
 	}
-	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 30 * simtime.Millisecond
-	}
-	if cfg.HeartbeatMisses <= 0 {
-		cfg.HeartbeatMisses = 3
-	}
-	if cfg.Lease.Enabled {
-		cfg.Lease.fillDefaults()
-	}
 	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, inflight: make(map[uint64]*epochRun)}
 	r.engine = criu.NewEngine(ctr, cfg.Opts.criuOptions())
 	if cfg.Opts.DeltaPages {
@@ -191,7 +182,7 @@ func (r *Replicator) Start() {
 		r.Ctr.Qdisc.SetInputMode(firewallDropMode)
 	}
 	if r.Cfg.KeepAlive {
-		r.Ctr.StartKeepAlive(r.Cfg.HeartbeatInterval)
+		r.Ctr.StartKeepAlive(heartbeatInterval)
 	}
 	if r.rec != nil {
 		// Install after the keep-alive process exists so recorded process
@@ -200,7 +191,7 @@ func (r *Replicator) Start() {
 	}
 	r.Cluster.DRBDPrimary.SetEpoch(0)
 
-	r.hbTicker = simtime.NewTicker(r.Cluster.Clock, r.Cfg.HeartbeatInterval, r.heartbeat)
+	r.hbTicker = simtime.NewTicker(r.Cluster.Clock, heartbeatInterval, r.heartbeat)
 	r.lastCPU = r.Ctr.Cgroup.CPUUsage()
 	now := r.Cluster.Clock.Now()
 	for _, s := range r.chain {

@@ -446,9 +446,9 @@ func TestLostImageReleaseKeepsDeltaChainIntact(t *testing.T) {
 		replicas, cut int
 	}{{"pair", 2, 0}, {"chain-cut-slot0", 3, 0}, {"chain-cut-slot1", 3, 1}} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := chainConfig(tc.replicas)
+			cfg := DefaultConfig()
 			cfg.Opts = DeltaOpts()
-			env := newChainEnv(t, cfg, 0)
+			env := newChainEnv(t, tc.replicas, cfg, 0)
 			p := env.app.proc
 			const pages = 32
 			v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)

@@ -46,7 +46,8 @@ import (
 //   - asymmetric cut (one replica loses the primary): that replica
 //     sends candidacies, but the witness still hears the primary and
 //     refuses to conclude; the primary keeps serving alone. Without the
-//     witness (PreQuorum mode) this exact geometry dual-serves.
+//     witness (per-slot two-party leases, or no lease at all) this exact
+//     geometry dual-serves.
 type Witness struct {
 	r     *Replicator
 	clock *simtime.Clock
@@ -60,9 +61,6 @@ type Witness struct {
 	GrantLink      *simnet.Link
 	CandidacyLinks []*simnet.Link
 	PromoteLinks   []*simnet.Link
-
-	latency simtime.Duration
-	bw      int64
 
 	lastKeepAlive simtime.Time
 	lastGrantSent simtime.Time
@@ -101,20 +99,14 @@ type candidacy struct {
 // beats but never grants, and on primary staleness they send candidacies
 // instead of self-promoting. Must be attached before faults are
 // injected; attaching to a running replicator arms its ticker
-// immediately. latency/bw parameterize the witness's links (zero values
-// take the replication-link defaults).
-func AttachWitness(r *Replicator, latency simtime.Duration, bw int64) *Witness {
-	if latency <= 0 {
-		latency = 50 * simtime.Microsecond
-	}
-	if bw <= 0 {
-		bw = 1_250_000_000
-	}
+// immediately. The witness's links are replication-class links
+// (ReplLatency, ReplBW).
+func AttachWitness(r *Replicator) *Witness {
 	clk := r.Cluster.Clock
 	w := &Witness{
-		r: r, clock: clk, latency: latency, bw: bw,
-		KeepAliveLink: simnet.NewLink(clk, latency, bw),
-		GrantLink:     simnet.NewLink(clk, latency, bw),
+		r: r, clock: clk,
+		KeepAliveLink: simnet.NewLink(clk, ReplLatency, ReplBW),
+		GrantLink:     simnet.NewLink(clk, ReplLatency, ReplBW),
 		candidates:    make(map[int]candidacy),
 	}
 	for range r.chain {
@@ -133,8 +125,8 @@ func (w *Witness) addReplicaLinks() {
 	// bound remote so its deliveries run as the receiving host's shard.
 	i := len(w.CandidacyLinks)
 	bclk := w.r.chain[i].view.Backup.Clock
-	cand := simnet.NewLink(bclk, w.latency, w.bw)
-	prom := simnet.NewLink(w.clock, w.latency, w.bw)
+	cand := simnet.NewLink(bclk, ReplLatency, ReplBW)
+	prom := simnet.NewLink(w.clock, ReplLatency, ReplBW)
 	if bclk != w.clock {
 		cand.BindRemote(w.clock)
 		prom.BindRemote(bclk)
@@ -151,7 +143,7 @@ func (w *Witness) start() {
 	// Grant accounting starts at arming time: the primary armed its own
 	// initial lease in the same instant, so the barrier math covers it.
 	w.lastGrantSent = w.lastKeepAlive
-	w.ticker = simtime.NewTicker(w.clock, w.r.Cfg.HeartbeatInterval, w.tick)
+	w.ticker = simtime.NewTicker(w.clock, heartbeatInterval, w.tick)
 }
 
 func (w *Witness) stop() {
@@ -171,10 +163,6 @@ func (w *Witness) Halt() {
 // Halted reports whether the witness host was killed.
 func (w *Witness) Halted() bool { return w.halted }
 
-// Promoted reports whether a promote-grant is outstanding (or consumed)
-// and, if so, which slot received it.
-func (w *Witness) Promoted() (int, bool) { return w.promotedSlot, w.promoted }
-
 // primaryKeepAlive is called from the primary's heartbeat tick under
 // the same progress gating as replica heartbeats: a wedged primary
 // stops renewing and fences itself one lease term later.
@@ -193,14 +181,13 @@ func (w *Witness) tick() {
 		return
 	}
 	now := w.clock.Now()
-	deadline := simtime.Duration(w.r.Cfg.HeartbeatMisses) * w.r.Cfg.HeartbeatInterval
-	stale := now.Sub(w.lastKeepAlive) > deadline
+	stale := now.Sub(w.lastKeepAlive) > DetectionDeadline
 	// Expire old bids first: live candidates re-send every detector
 	// tick, so anything older than the detection deadline is an echo of
 	// a resolved episode. (Map iteration order is irrelevant — the
 	// surviving set is the same either way.)
 	for slot, c := range w.candidates {
-		if now.Sub(c.at) > deadline {
+		if now.Sub(c.at) > DetectionDeadline {
 			delete(w.candidates, slot)
 		}
 	}
@@ -229,7 +216,7 @@ func (w *Witness) tick() {
 		// the election sees every reachable replica's watermark rather
 		// than crowning the first to notice.
 		w.electing = true
-		w.clock.Schedule(w.r.Cfg.HeartbeatInterval, w.concludeElection)
+		w.clock.Schedule(heartbeatInterval, w.concludeElection)
 	}
 }
 
@@ -260,8 +247,7 @@ func (w *Witness) concludeElection() {
 	}
 	w.electing = false
 	now := w.clock.Now()
-	deadline := simtime.Duration(w.r.Cfg.HeartbeatMisses) * w.r.Cfg.HeartbeatInterval
-	if now.Sub(w.lastKeepAlive) <= deadline {
+	if now.Sub(w.lastKeepAlive) <= DetectionDeadline {
 		w.candidates = make(map[int]candidacy)
 		return
 	}
@@ -269,7 +255,7 @@ func (w *Witness) concludeElection() {
 	var bestC uint64
 	for slot := 0; slot < len(w.r.chain); slot++ {
 		c, ok := w.candidates[slot]
-		if !ok || now.Sub(c.at) > deadline {
+		if !ok || now.Sub(c.at) > DetectionDeadline {
 			continue
 		}
 		s := w.r.chain[slot]

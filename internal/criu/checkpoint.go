@@ -9,12 +9,13 @@ import (
 )
 
 // Options selects between stock-CRIU and NiLiCon-optimized code paths;
-// each flag corresponds to one row of Table I.
+// each flag corresponds to one row of Table I. Every configuration is
+// incremental: soft-dirty tracking checkpoints only the pages modified
+// since the previous checkpoint (§II-B), and the first checkpoint (or a
+// resync baseline) is full. Every configuration also checkpoints the
+// file-system cache through the DNC state and fgetfc (§III) rather than
+// flushing it as stock CRIU does.
 type Options struct {
-	// Incremental uses soft-dirty tracking to checkpoint only pages
-	// modified since the previous checkpoint (§II-B). The first
-	// checkpoint is always full.
-	Incremental bool
 	// FreezePoll polls thread state instead of stock CRIU's fixed 100 ms
 	// sleep after issuing the virtual signals (§V-A).
 	FreezePoll bool
@@ -28,28 +29,16 @@ type Options struct {
 	// device/mapped-file state unless the ftrace tracker saw a change
 	// (§V-B).
 	CacheInfrequent bool
-	// FlushFsCache reproduces stock CRIU's NAS-oriented behaviour:
-	// flush the file-system cache at checkpoint instead of using the
-	// DNC state and fgetfc (§III).
-	FlushFsCache bool
 }
 
 // NiLiConOptions returns the fully optimized configuration.
 func NiLiConOptions() Options {
 	return Options{
-		Incremental:     true,
 		FreezePoll:      true,
 		NetlinkVMA:      true,
 		SharedMemPages:  true,
 		CacheInfrequent: true,
 	}
-}
-
-// StockOptions returns the unmodified-CRIU configuration (except that
-// checkpoints are still incremental: stock CRIU supports soft-dirty
-// incremental dumps, §II-B).
-func StockOptions() Options {
-	return Options{Incremental: true, FlushFsCache: true}
 }
 
 // Engine checkpoints one container repeatedly.
@@ -81,9 +70,6 @@ func (e *Engine) Close() {
 		e.tracker.Close()
 	}
 }
-
-// Tracker returns the state tracker (nil when caching is disabled).
-func (e *Engine) Tracker() *StateTracker { return e.tracker }
 
 // ForceFull makes the next checkpoint a full one with a complete
 // fs-cache dump (FSComplete) — the resynchronization baseline the
@@ -126,7 +112,7 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		IP:           ctr.IP,
 		Cores:        ctr.Cores,
 		Epoch:        e.epoch,
-		Full:         e.first || resync || !e.Opts.Incremental,
+		Full:         e.first || resync,
 		FSComplete:   resync,
 		SharesFrames: ctr.SharesFrames,
 	}
@@ -210,9 +196,7 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 	stats.SocketCollect = sm.Stop()
 
 	// --- File-system cache (§III) -------------------------------------------
-	if e.Opts.FlushFsCache {
-		ctr.FS.FlushAll()
-	} else if resync {
+	if resync {
 		// Resync baseline: the incremental DNC deltas of epochs lost to
 		// the outage are unrecoverable, so the whole cache travels.
 		img.FSCache = ctr.FS.FgetfcFull()

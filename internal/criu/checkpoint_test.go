@@ -348,26 +348,6 @@ func TestCheckpointIncludesFsCache(t *testing.T) {
 	}
 }
 
-func TestStockFlushesInsteadOfDNC(t *testing.T) {
-	ctr, _ := newTestContainer()
-	addWorkProcess(ctr, "app", 4)
-	f := ctr.FS.Create("/data/db")
-	_ = ctr.FS.WriteAt(f, 0, []byte("x"))
-	e := NewEngine(ctr, StockOptions())
-	defer e.Close()
-	img, _ := e.Checkpoint()
-	ctr.Thaw()
-	if len(img.FSCache.Pages) != 0 {
-		t.Fatal("stock mode should flush, not checkpoint, the fs cache")
-	}
-	if ctr.FS.DirtyPages() != 0 {
-		t.Fatal("stock flush left dirty pages")
-	}
-	if ctr.Host.Disk.Writes() == 0 {
-		t.Fatal("flush never reached the disk")
-	}
-}
-
 func TestCheckpointStatsBreakdownSums(t *testing.T) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "app", 50)

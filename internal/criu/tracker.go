@@ -30,7 +30,6 @@ type StateTracker struct {
 	containerID string
 	dirty       bool
 	ids         []ftrace.HookID
-	invalidates int
 }
 
 // NewStateTracker installs hooks on the tracked kernel functions of the
@@ -42,9 +41,6 @@ func NewStateTracker(k *simkernel.Kernel, containerID string) *StateTracker {
 		// The hook function checks the arguments and calling thread to
 		// decide whether the event concerns a thread in the container.
 		if ev.ContainerID == t.containerID {
-			if !t.dirty {
-				t.invalidates++
-			}
 			t.dirty = true
 		}
 	}
@@ -60,9 +56,6 @@ func (t *StateTracker) Dirty() bool { return t.dirty }
 
 // Reset marks the cache valid (called after fresh state is collected).
 func (t *StateTracker) Reset() { t.dirty = false }
-
-// Invalidations counts cache invalidations after the initial collection.
-func (t *StateTracker) Invalidations() int { return t.invalidates }
 
 // Close removes the hooks.
 func (t *StateTracker) Close() {

@@ -29,12 +29,13 @@ const (
 	PauseFixed = 2200 * simtime.Microsecond
 	// PerDirtyPage is the per-page copy cost into the staging buffer.
 	PerDirtyPage = 1150 * simtime.Nanosecond
+	// epochInterval is the checkpoint interval (30 ms, matching
+	// NiLiCon's epoch in the paper's comparison).
+	epochInterval = 30 * simtime.Millisecond
 )
 
 // Config parameterizes the MC replicator.
 type Config struct {
-	// EpochInterval is the checkpoint interval (30 ms, matching NiLiCon).
-	EpochInterval simtime.Duration
 	// KernelDirtyPages is the number of guest-kernel pages dirtied per
 	// epoch in addition to the workload's user-space pages.
 	KernelDirtyPages int
@@ -68,9 +69,6 @@ type config = Config
 
 // New creates an MC replicator for the given guest.
 func New(cl *core.Cluster, ctr *container.Container, cfg Config) *MC {
-	if cfg.EpochInterval <= 0 {
-		cfg.EpochInterval = 30 * simtime.Millisecond
-	}
 	return &MC{Cfg: cfg, Ctr: ctr, cl: cl, first: true}
 }
 
@@ -84,7 +82,7 @@ func (m *MC) Start() {
 		p.Mem.SetSoftDirtyTracking(false) // no soft-dirty charges...
 		p.Mem.WriteProtectAll()           // ...VM exits instead
 	}
-	m.cl.Clock.Schedule(m.Cfg.EpochInterval, m.runEpoch)
+	m.cl.Clock.Schedule(epochInterval, m.runEpoch)
 }
 
 // Stop ends replication.
@@ -148,7 +146,7 @@ func (m *MC) runEpoch() {
 				}
 			})
 		})
-		cl.Clock.Schedule(m.Cfg.EpochInterval, m.runEpoch)
+		cl.Clock.Schedule(epochInterval, m.runEpoch)
 		m.applyRuntimeTax()
 	})
 }
@@ -160,7 +158,7 @@ func (m *MC) applyRuntimeTax() {
 	if tax <= 0 {
 		return
 	}
-	m.cl.Clock.Schedule(m.Cfg.EpochInterval/2, func() {
+	m.cl.Clock.Schedule(epochInterval/2, func() {
 		if m.stopped || m.Ctr.Frozen() || m.Ctr.Stopped() {
 			return
 		}

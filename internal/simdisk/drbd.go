@@ -296,9 +296,6 @@ func (d *DRBD) Detach() error {
 	return nil
 }
 
-// Peers returns the number of attached secondaries.
-func (d *DRBD) Peers() int { return len(d.peers) }
-
 // Promote turns a secondary into a standalone primary during failover:
 // the restored container's file system writes to the (previously
 // backup) disk directly. Any still-buffered writes must be committed or

@@ -412,31 +412,6 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 	return cs
 }
 
-// FlushAll models stock CRIU's behaviour: flush the entire dirty cache
-// to stable storage at checkpoint time, charging per flushed page. The
-// paper rejects this because it can cost hundreds of milliseconds per
-// epoch for disk-intensive applications (§III).
-func (fs *FS) FlushAll() int {
-	n := 0
-	for k, pg := range fs.cache {
-		if pg.dirty {
-			ino := fs.byIno[k.ino]
-			if ino == nil {
-				continue
-			}
-			fs.writebackPage(ino, k.idx, pg)
-			pg.dnc = false
-			fs.charge(fs.costs().FlushPerPage)
-			n++
-		}
-	}
-	for _, ino := range fs.Inodes() {
-		ino.attrDNC = false
-		ino.attrDirty = false
-	}
-	return n
-}
-
 // ApplyCache applies checkpointed fs-cache entries during restore, using
 // the existing system calls (pwrite for pages, chown/chmod for inodes),
 // charging per entry.

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"nilicon/internal/simdisk"
-	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
 )
 
@@ -202,31 +201,6 @@ func TestFgetfcDirtyFlagPreserved(t *testing.T) {
 	cs2 := fs.Fgetfc()
 	if cs2.Pages[0].Dirty {
 		t.Fatal("page already written back should snapshot as clean")
-	}
-}
-
-func TestFlushAllChargesAndCleans(t *testing.T) {
-	c := simtime.NewClock()
-	k := simkernel.NewKernel(c)
-	d := simdisk.NewDisk("sda")
-	fs := New(c, d)
-	fs.Kernel = k
-	f := fs.Create("/f")
-	_ = fs.WriteAt(f, 0, bytes.Repeat([]byte{1}, 10*PageSize))
-	m := k.StartMeter()
-	n := fs.FlushAll()
-	cost := m.Stop()
-	if n != 10 {
-		t.Fatalf("flushed %d pages", n)
-	}
-	if cost != 10*k.Costs.FlushPerPage {
-		t.Fatalf("flush cost = %v", cost)
-	}
-	if fs.DirtyPages() != 0 || fs.DNCPages() != 0 {
-		t.Fatal("flush left dirty/DNC pages")
-	}
-	if d.Writes() != 10 {
-		t.Fatalf("disk writes = %d", d.Writes())
 	}
 }
 

@@ -132,9 +132,6 @@ type Costs struct {
 
 	// FgetfcPerEntry is the per-DNC-entry cost of the new fgetfc syscall.
 	FgetfcPerEntry simtime.Duration
-	// FlushPerPage is the per-dirty-page cost of flushing the fs cache to
-	// the NAS (stock CRIU behaviour, prohibitive at epoch frequency).
-	FlushPerPage simtime.Duration
 
 	// --- Delta-compressed replication wire format (DESIGN.md §8) --------------
 
@@ -225,7 +222,6 @@ func DefaultCosts() *Costs {
 		PlugBlock:     43 * simtime.Microsecond,
 
 		FgetfcPerEntry: 2 * simtime.Microsecond,
-		FlushPerPage:   18 * simtime.Microsecond,
 
 		PageHash:       1200 * simtime.Nanosecond,
 		PageDiff:       400 * simtime.Nanosecond,

@@ -55,9 +55,6 @@ type VMA struct {
 // Pages returns the number of pages the VMA spans.
 func (v *VMA) Pages() int { return int((v.End - v.Start) / PageSize) }
 
-// Anonymous reports whether the VMA has no backing file.
-func (v *VMA) Anonymous() bool { return v.Path == "" }
-
 func (v *VMA) String() string {
 	return fmt.Sprintf("%x-%x %s %s", v.Start, v.End, v.Prot, v.Path)
 }
@@ -410,9 +407,6 @@ func (as *AddressSpace) ResidentPages() int { return as.resident }
 // writes (the tracking bit itself lives on each page).
 func (as *AddressSpace) SetSoftDirtyTracking(on bool) { as.softTracking = on }
 
-// SoftDirtyTracking reports whether soft-dirty fault accounting is on.
-func (as *AddressSpace) SoftDirtyTracking() bool { return as.softTracking }
-
 // WriteProtectAll marks every resident page write-protected and enables
 // VM-exit accounting; this models MC re-protecting the guest at the start
 // of each epoch.
@@ -426,10 +420,6 @@ func (as *AddressSpace) WriteProtectAll() {
 		}
 	}
 }
-
-// SetWriteProtectTracking toggles hypervisor-style tracking without
-// touching page bits.
-func (as *AddressSpace) SetWriteProtectTracking(on bool) { as.wpTracking = on }
 
 // DirtyPageNumbers returns the sorted page numbers whose soft-dirty bit
 // is set. This is the functional core of a pagemap scan; the procfs

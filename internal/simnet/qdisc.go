@@ -79,9 +79,6 @@ func (q *PlugQdisc) SetInput(in func(Packet)) { q.in = in }
 // SetInputMode selects drop vs buffer semantics for blocked ingress.
 func (q *PlugQdisc) SetInputMode(m InputBlockMode) { q.inputMode = m }
 
-// InputMode returns the current ingress blocking mode.
-func (q *PlugQdisc) InputMode() InputBlockMode { return q.inputMode }
-
 // SetReplicating turns epoch-buffered egress on or off. Turning it off
 // flushes everything held.
 func (q *PlugQdisc) SetReplicating(on bool) {
@@ -90,9 +87,6 @@ func (q *PlugQdisc) SetReplicating(on bool) {
 		q.ReleaseAll()
 	}
 }
-
-// Replicating reports whether egress is epoch-buffered.
-func (q *PlugQdisc) Replicating() bool { return q.replicating }
 
 // Egress is called by the container stack for each outgoing packet.
 func (q *PlugQdisc) Egress(pkt Packet) {
@@ -170,9 +164,6 @@ func (q *PlugQdisc) UnblockInput() {
 		q.deliver(pkt)
 	}
 }
-
-// InputBlocked reports whether ingress is currently blocked.
-func (q *PlugQdisc) InputBlocked() bool { return q.inputBlocked }
 
 // Ingress is the bridge-port receiver: it forwards to the container's
 // stack unless input is blocked.

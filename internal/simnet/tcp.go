@@ -106,8 +106,6 @@ type Socket struct {
 
 	// acceptCb fires when a SynRcvd socket completes the handshake.
 	acceptCb func(*Socket)
-
-	bytesIn, bytesOut int64
 }
 
 func (s *Socket) String() string {
@@ -297,7 +295,6 @@ func (s *Socket) Send(data []byte) {
 		sg := segment{seq: s.sndNxt, data: chunk}
 		s.sendQ = append(s.sendQ, sg)
 		s.sndNxt += uint32(n)
-		s.bytesOut += int64(n)
 		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk)
 		data = data[n:]
 	}
@@ -339,10 +336,6 @@ func (s *Socket) ReadN(n int) []byte {
 
 // Peek returns the read queue without consuming it.
 func (s *Socket) Peek() []byte { return s.recvBuf }
-
-// BytesIn and BytesOut return transfer totals.
-func (s *Socket) BytesIn() int64  { return s.bytesIn }
-func (s *Socket) BytesOut() int64 { return s.bytesOut }
 
 // UnackedBytes returns the size of the write queue.
 func (s *Socket) UnackedBytes() int {
@@ -577,7 +570,6 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 		if seq == s.rcvNxt {
 			s.recvBuf = append(s.recvBuf, payload...)
 			s.rcvNxt += uint32(len(payload))
-			s.bytesIn += int64(len(payload))
 			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
 			if s.OnData != nil {
 				s.OnData(s)

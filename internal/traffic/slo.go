@@ -62,10 +62,6 @@ type Factors struct {
 // factor line.
 var factorNames = [...]string{"checkpoint-stall", "transfer-backlog", "fence", "replay-cpu", "client-queueing"}
 
-// FactorNames returns the factor display order Report.Shares is indexed
-// by.
-func FactorNames() []string { return factorNames[:] }
-
 const numFactors = len(factorNames)
 
 func (f Factors) vec() [numFactors]bool {

@@ -167,11 +167,6 @@ func NetStress() *Server {
 	})
 }
 
-// ServerBenchmarks returns the five server benchmarks in paper order.
-func ServerBenchmarks() []*Server {
-	return []*Server{Redis(), SSDB(), Node(), Lighttpd(), DJCMS()}
-}
-
 // BenchmarkNames lists the seven Figure 3 benchmarks in paper order.
 func BenchmarkNames() []string {
 	return []string{"swaptions", "streamcluster", "redis", "ssdb", "node", "lighttpd", "djcms"}
