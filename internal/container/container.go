@@ -20,10 +20,12 @@ import (
 )
 
 // App is implemented by workloads whose user-space state must survive
-// failover. SnapshotState must return a deep copy; RestoreState
-// reinitializes the application from such a copy. This models the
-// application's memory contents at a semantic level, while the
-// simkernel page machinery models their footprint and dirtying.
+// failover. SnapshotState must return a copy that later mutation of
+// the live application cannot change (it may share data neither side
+// ever writes again); RestoreState reinitializes the application from
+// such a copy. This models the application's memory contents at a
+// semantic level, while the simkernel page machinery models their
+// footprint and dirtying.
 type App interface {
 	SnapshotState() any
 	RestoreState(snapshot any)

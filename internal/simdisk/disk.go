@@ -18,7 +18,9 @@ import (
 // BlockSize is the device block size in bytes.
 const BlockSize = 4096
 
-// Disk is one host's block device.
+// Disk is one host's block device. It is the only owner of its blocks:
+// a write overwrites the block in place, and every read-out (ReadBlock,
+// Clone, CopyFrom) hands out a copy.
 type Disk struct {
 	Name   string
 	blocks map[uint64][]byte
@@ -32,14 +34,19 @@ func NewDisk(name string) *Disk {
 }
 
 // WriteBlock stores data at block bn. Data longer than BlockSize is an
-// error; shorter data is zero-padded.
+// error; shorter data is zero-padded. Only a block never written before
+// allocates.
 func (d *Disk) WriteBlock(bn uint64, data []byte) error {
 	if len(data) > BlockSize {
 		return fmt.Errorf("simdisk: write of %d bytes exceeds block size", len(data))
 	}
-	b := make([]byte, BlockSize)
-	copy(b, data)
-	d.blocks[bn] = b
+	b, ok := d.blocks[bn]
+	if !ok {
+		b = make([]byte, BlockSize)
+		d.blocks[bn] = b
+	}
+	n := copy(b, data)
+	clear(b[n:])
 	d.writes++
 	return nil
 }

@@ -2,6 +2,7 @@ package simdisk
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,68 @@ func TestClone(t *testing.T) {
 	_ = b.WriteBlock(2, []byte("mut"))
 	if string(a.ReadBlock(2)[:4]) != "orig" {
 		t.Fatal("clone aliases original")
+	}
+}
+
+func TestDiskShorterOverwriteZeroFillsTail(t *testing.T) {
+	d := NewDisk("sda")
+	_ = d.WriteBlock(4, bytes.Repeat([]byte{0xAB}, BlockSize))
+	if err := d.WriteBlock(4, []byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, BlockSize)
+	copy(want, "short")
+	if !bytes.Equal(d.ReadBlock(4), want) {
+		t.Fatal("shorter overwrite left the old block's tail in place")
+	}
+	if d.Blocks() != 1 || d.Writes() != 2 {
+		t.Fatalf("blocks=%d writes=%d, want 1 and 2", d.Blocks(), d.Writes())
+	}
+}
+
+// TestDiskReadOutsSurviveOverwrite: a block is overwritten in place, so
+// everything handed out before (ReadBlock's slice, a Clone, a CopyFrom
+// target) must hold its own copy.
+func TestDiskReadOutsSurviveOverwrite(t *testing.T) {
+	d := NewDisk("sda")
+	_ = d.WriteBlock(1, []byte("before"))
+	read := d.ReadBlock(1)
+	clone := d.Clone("clone")
+	copied := NewDisk("copy")
+	copied.CopyFrom(d)
+	want := d.Checksum()
+	_ = d.WriteBlock(1, []byte("after!"))
+	if string(read[:6]) != "before" {
+		t.Errorf("ReadBlock result changed to %q by a later overwrite", read[:6])
+	}
+	for _, o := range []*Disk{clone, copied} {
+		if o.Checksum() != want || string(o.ReadBlock(1)[:6]) != "before" {
+			t.Errorf("%s changed by a later overwrite of its source", o.Name)
+		}
+	}
+	// And the other direction: writing the copies leaves the source.
+	_ = clone.WriteBlock(1, []byte("clone"))
+	_ = copied.WriteBlock(1, []byte("copy"))
+	if string(d.ReadBlock(1)[:6]) != "after!" {
+		t.Error("writing a Clone or CopyFrom target changed the source disk")
+	}
+}
+
+// BenchmarkDiskWriteBlock overwrites already-written blocks, the steady
+// state of a synced KV store rewriting its records.
+func BenchmarkDiskWriteBlock(b *testing.B) {
+	d := NewDisk("sda")
+	data := bytes.Repeat([]byte{0x5A}, 1024)
+	const blocks = 256
+	for bn := uint64(0); bn < blocks; bn++ {
+		_ = d.WriteBlock(bn, data)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := d.WriteBlock(uint64(i%blocks), data); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -178,6 +241,48 @@ func TestDRBDDiscardAbove(t *testing.T) {
 	if !bytes.Equal(s.Local.ReadBlock(2)[:4], zero[:]) {
 		t.Fatal("uncommitted epoch survived discard")
 	}
+}
+
+// TestDRBDCommitFiltersBufferInPlace: Commit, DiscardAbove and
+// ApplyResync keep the surviving writes in arrival order, in the same
+// array, and zero the vacated tail so dropped writes' data is released.
+func TestDRBDCommitFiltersBufferInPlace(t *testing.T) {
+	c := simtime.NewClock()
+	p, s, _ := newDRBDPair(c)
+	for i, e := range []uint64{1, 2, 1, 3, 2, 4, 3} {
+		p.SetEpoch(e)
+		_ = p.WriteBlock(uint64(i), []byte{byte(i)})
+	}
+	c.Run()
+	arr := &s.buffer[:1][0]
+	check := func(step string, wantBlocks ...uint64) {
+		t.Helper()
+		var got []uint64
+		for _, op := range s.buffer {
+			got = append(got, op.Block)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(wantBlocks) {
+			t.Fatalf("%s: buffered blocks %v, want %v", step, got, wantBlocks)
+		}
+		if &s.buffer[:1][0] != arr {
+			t.Fatalf("%s: buffer reallocated", step)
+		}
+		for i, op := range s.buffer[len(s.buffer):cap(s.buffer)] {
+			if op.Data != nil {
+				t.Fatalf("%s: dropped slot %d still holds data", step, len(s.buffer)+i)
+			}
+		}
+	}
+	if err := s.Commit(1); err != nil {
+		t.Fatal(err)
+	}
+	check("commit 1", 1, 3, 4, 5, 6)
+	s.DiscardAbove(3)
+	check("discard above 3", 1, 3, 4, 6)
+	if err := s.ApplyResync(p.Local, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("resync through 2", 3, 6)
 }
 
 func TestDRBDRoleEnforcement(t *testing.T) {

@@ -194,7 +194,6 @@ func (d *DRBD) Commit(e uint64) error {
 	if d.Role != RoleSecondary {
 		return fmt.Errorf("simdisk: commit on primary end")
 	}
-	rest := d.buffer[:0]
 	for _, op := range d.buffer {
 		if op.Epoch <= e {
 			if err := d.Local.WriteBlock(op.Block, op.Data); err != nil {
@@ -203,11 +202,9 @@ func (d *DRBD) Commit(e uint64) error {
 			if op.Epoch > d.committed {
 				d.committed = op.Epoch
 			}
-		} else {
-			rest = append(rest, op)
 		}
 	}
-	d.buffer = append([]WriteOp(nil), rest...)
+	d.keepBuffered(func(op WriteOp) bool { return op.Epoch > e })
 	for k := range d.verified {
 		if k <= e {
 			delete(d.verified, k)
@@ -232,13 +229,7 @@ func (d *DRBD) ApplyResync(src *Disk, e uint64) error {
 		return fmt.Errorf("simdisk: resync on %v end", d.Role)
 	}
 	d.Local.CopyFrom(src)
-	rest := d.buffer[:0]
-	for _, op := range d.buffer {
-		if op.Epoch > e {
-			rest = append(rest, op)
-		}
-	}
-	d.buffer = append([]WriteOp(nil), rest...)
+	d.keepBuffered(func(op WriteOp) bool { return op.Epoch > e })
 	for k := range d.verified {
 		if k <= e {
 			delete(d.verified, k)
@@ -270,13 +261,21 @@ func (d *DRBD) ResyncedThrough() (uint64, bool) { return d.resyncEpoch, d.resync
 // backup discards the writes of any epoch whose container state was not
 // committed.
 func (d *DRBD) DiscardAbove(e uint64) {
+	d.keepBuffered(func(op WriteOp) bool { return op.Epoch <= e })
+}
+
+// keepBuffered filters the write buffer in place, keeping arrival order,
+// and clears the vacated tail so the dropped ops' data is released while
+// the buffer's array is reused by later writes.
+func (d *DRBD) keepBuffered(keep func(WriteOp) bool) {
 	rest := d.buffer[:0]
 	for _, op := range d.buffer {
-		if op.Epoch <= e {
+		if keep(op) {
 			rest = append(rest, op)
 		}
 	}
-	d.buffer = append([]WriteOp(nil), rest...)
+	clear(d.buffer[len(rest):])
+	d.buffer = rest
 }
 
 // Committed returns the highest epoch applied to the local disk.

@@ -8,7 +8,9 @@
 package simfs
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"nilicon/internal/simkernel"
@@ -41,8 +43,6 @@ type Inode struct {
 
 	// attrDNC marks the inode-cache entry dirty-but-not-checkpointed.
 	attrDNC bool
-	// attrDirty marks metadata needing writeback.
-	attrDirty bool
 }
 
 type pageKey struct {
@@ -72,6 +72,14 @@ type FS struct {
 	nextIn int
 
 	cache map[pageKey]*cachePage
+	// dncKeys lists, unsorted, the cache pages whose DNC flag is set: a
+	// key is appended exactly when its page's flag goes clear→set, so
+	// Fgetfc costs the simulator O(DNC pages), not O(cache). Entries go
+	// stale when ApplyCache clears a flag or truncate drops the page, and
+	// a page flagged again after that is listed twice; Fgetfc skips both.
+	// dncCount is the number of pages flagged.
+	dncKeys  []pageKey
+	dncCount int
 
 	// WritebackDelay is how long a page stays dirty before the flusher
 	// writes it to the block layer (0 disables automatic writeback).
@@ -104,7 +112,7 @@ func (fs *FS) Create(path string) *Inode {
 		fs.truncate(ino)
 		return ino
 	}
-	ino := &Inode{Ino: fs.nextIn, Path: path, Mode: 0644, MTime: fs.clock.Now(), attrDNC: true, attrDirty: true}
+	ino := &Inode{Ino: fs.nextIn, Path: path, Mode: 0644, MTime: fs.clock.Now(), attrDNC: true}
 	fs.nextIn++
 	fs.byPath[path] = ino
 	fs.byIno[ino.Ino] = ino
@@ -112,8 +120,11 @@ func (fs *FS) Create(path string) *Inode {
 }
 
 func (fs *FS) truncate(ino *Inode) {
-	for k := range fs.cache {
+	for k, pg := range fs.cache {
 		if k.ino == ino.Ino {
+			if pg.dnc {
+				fs.dncCount--
+			}
 			delete(fs.cache, k)
 		}
 	}
@@ -137,7 +148,6 @@ func (fs *FS) Inodes() []*Inode {
 
 func (ino *Inode) markAttr(fs *FS) {
 	ino.attrDNC = true
-	ino.attrDirty = true
 	ino.MTime = fs.clock.Now()
 }
 
@@ -177,7 +187,11 @@ func (fs *FS) WriteAt(ino *Inode, off int64, data []byte) error {
 		pg := fs.page(ino, idx, true)
 		copy(pg.data[po:], data[n:n+c])
 		pg.dirty = true
-		pg.dnc = true
+		if !pg.dnc {
+			pg.dnc = true
+			fs.dncKeys = append(fs.dncKeys, pageKey{ino.Ino, idx})
+			fs.dncCount++
+		}
 		if ino.Sync {
 			fs.writebackPage(ino, idx, pg)
 		} else {
@@ -271,7 +285,6 @@ func (fs *FS) Sync(ino *Inode) {
 	for _, idx := range idxs {
 		fs.writebackPage(ino, idx, fs.cache[pageKey{ino: ino.Ino, idx: idx}])
 	}
-	ino.attrDirty = false
 }
 
 // Writebacks returns the number of pages written to the block layer.
@@ -289,15 +302,7 @@ func (fs *FS) DirtyPages() int {
 }
 
 // DNCPages returns how many cache pages are dirty-but-not-checkpointed.
-func (fs *FS) DNCPages() int {
-	n := 0
-	for _, pg := range fs.cache {
-		if pg.dnc {
-			n++
-		}
-	}
-	return n
-}
+func (fs *FS) DNCPages() int { return fs.dncCount }
 
 // PageEntry is one page-cache entry in an fs-cache checkpoint.
 type PageEntry struct {
@@ -342,26 +347,22 @@ func (cs CacheSnapshot) Size() int64 {
 // and inode-cache entry and clears the DNC state, charging per entry.
 func (fs *FS) Fgetfc() CacheSnapshot {
 	var cs CacheSnapshot
-	keys := make([]pageKey, 0)
-	for k, pg := range fs.cache {
-		if pg.dnc {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
-		}
-		return keys[i].idx < keys[j].idx
-	})
-	for _, k := range keys {
+	slices.SortFunc(fs.dncKeys, comparePageKeys)
+	for _, k := range fs.dncKeys {
+		// A stale entry: the page was dropped, its flag was cleared by
+		// ApplyCache, or it is a duplicate already taken below.
 		pg := fs.cache[k]
+		if pg == nil || !pg.dnc {
+			continue
+		}
 		data := make([]byte, PageSize)
 		copy(data, pg.data)
 		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: data, Dirty: pg.dirty})
 		pg.dnc = false
+		fs.dncCount--
 		fs.charge(fs.costs().FgetfcPerEntry)
 	}
+	fs.dncKeys = fs.dncKeys[:0]
 	for _, ino := range fs.Inodes() {
 		if ino.attrDNC {
 			cs.Inodes = append(cs.Inodes, InodeEntry{
@@ -387,12 +388,7 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 	for k := range fs.cache {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ino != keys[j].ino {
-			return keys[i].ino < keys[j].ino
-		}
-		return keys[i].idx < keys[j].idx
-	})
+	slices.SortFunc(keys, comparePageKeys)
 	for _, k := range keys {
 		pg := fs.cache[k]
 		data := make([]byte, PageSize)
@@ -401,6 +397,7 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 		pg.dnc = false
 		fs.charge(fs.costs().FgetfcPerEntry)
 	}
+	fs.dncKeys, fs.dncCount = fs.dncKeys[:0], 0
 	for _, ino := range fs.Inodes() {
 		cs.Inodes = append(cs.Inodes, InodeEntry{
 			Ino: ino.Ino, Path: ino.Path, Size: ino.Size, Mode: ino.Mode,
@@ -444,12 +441,23 @@ func (fs *FS) ApplyCache(cs CacheSnapshot) {
 		pg := fs.page(ino, pe.Idx, false)
 		copy(pg.data, pe.Data)
 		pg.dirty = pe.Dirty
-		pg.dnc = false
+		if pg.dnc {
+			pg.dnc = false
+			fs.dncCount--
+		}
 		if pe.Dirty {
 			fs.scheduleWriteback(ino, pe.Idx)
 		}
 		fs.charge(fs.costs().RestoreFsPerEntry)
 	}
+}
+
+// comparePageKeys orders pages by inode, then page index.
+func comparePageKeys(a, b pageKey) int {
+	if a.ino != b.ino {
+		return cmp.Compare(a.ino, b.ino)
+	}
+	return cmp.Compare(a.idx, b.idx)
 }
 
 func (fs *FS) charge(d simtime.Duration) {

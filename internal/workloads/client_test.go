@@ -28,7 +28,7 @@ func TestLoaderLoadsAllRecords(t *testing.T) {
 	if !loader.Done() {
 		t.Fatalf("loader stuck at %d/500", loader.Loaded())
 	}
-	if got := len(sv.State().Index); got != 500 {
+	if got := len(sv.State().Keys); got != 500 {
 		t.Fatalf("server has %d records, want 500", got)
 	}
 }

@@ -32,8 +32,11 @@ type pendingReq struct {
 // serverState is the checkpointed application state of a Server. All
 // fields are exported for clarity that they are part of the checkpoint.
 type serverState struct {
-	Index      map[uint64]int // key → record slot
-	NextSlot   int
+	// Keys is the append-only record log: Keys[slot] is the key stored
+	// in record slot slot. Slots are handed out in order and never
+	// reused, so a snapshot shares the log's prefix instead of copying
+	// it, and the key → slot index is derived state rebuilt on restore.
+	Keys       []uint64
 	HeapStarts []uint64 // per-process heap VMA base
 	Pending    []pendingReq
 	ReaderBufs map[connID][]byte
@@ -42,16 +45,15 @@ type serverState struct {
 }
 
 func (st *serverState) clone() *serverState {
+	n := len(st.Keys)
 	cp := &serverState{
-		NextSlot:   st.NextSlot,
-		Index:      make(map[uint64]int, len(st.Index)),
+		// The capacity cap makes the next append on either side copy,
+		// so neither ever writes into the other's view of the log.
+		Keys:       st.Keys[:n:n],
 		HeapStarts: append([]uint64(nil), st.HeapStarts...),
 		ReaderBufs: make(map[connID][]byte, len(st.ReaderBufs)),
 		WebCursors: append([]int(nil), st.WebCursors...),
 		Errors:     append([]string(nil), st.Errors...),
-	}
-	for k, v := range st.Index {
-		cp.Index[k] = v
 	}
 	// Request payloads are immutable once parsed (the server reads and
 	// drops them), so the snapshot shares them and copies only the
@@ -81,6 +83,7 @@ type Server struct {
 
 	workers []*worker
 	state   *serverState
+	index   map[uint64]int // key → record slot; derived from state.Keys
 	readers map[connID]*FrameReader
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
@@ -104,7 +107,9 @@ func (sv *Server) Processed() int64 { return sv.processed }
 // State exposes the application state (for validation introspection).
 func (sv *Server) State() *serverState { return sv.state }
 
-// SnapshotState deep-copies the user-space state (container.App).
+// SnapshotState copies the user-space state (container.App). The
+// record log is shared by prefix, so a snapshot costs O(connections
+// and pending requests), not O(keys).
 func (sv *Server) SnapshotState() any {
 	// Partial frame bytes live in the reader objects; sync them into
 	// the checkpointed state first.
@@ -117,16 +122,21 @@ func (sv *Server) SnapshotState() any {
 	return sv.state.clone()
 }
 
-// RestoreState replaces the application state.
-func (sv *Server) RestoreState(s any) { sv.state = s.(*serverState).clone() }
+// RestoreState replaces the application state and rebuilds the key
+// index from the record log (O(keys), once per restore).
+func (sv *Server) RestoreState(s any) {
+	sv.state = s.(*serverState).clone()
+	sv.index = make(map[uint64]int, len(sv.state.Keys))
+	for slot, key := range sv.state.Keys {
+		sv.index[key] = slot
+	}
+}
 
 // Install sets the server up in a fresh container.
 func (sv *Server) Install(ctr *container.Container) {
 	sv.ctr = ctr
-	sv.state = &serverState{
-		Index:      make(map[uint64]int),
-		ReaderBufs: make(map[connID][]byte),
-	}
+	sv.state = &serverState{ReaderBufs: make(map[connID][]byte)}
+	sv.index = make(map[uint64]int)
 	sv.readers = make(map[connID]*FrameReader)
 	sv.conns = make(map[connID]*simnet.Socket)
 	ctr.App = sv
@@ -367,11 +377,11 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 		}
 		key := binary.BigEndian.Uint64(req.Payload)
 		value := req.Payload[8:]
-		slot, ok := sv.state.Index[key]
+		slot, ok := sv.index[key]
 		if !ok {
-			slot = sv.state.NextSlot
-			sv.state.NextSlot++
-			sv.state.Index[key] = slot
+			slot = len(sv.state.Keys)
+			sv.state.Keys = append(sv.state.Keys, key)
+			sv.index[key] = slot
 		}
 		addr, fits := sv.slotAddr(w, slot)
 		if !fits {
@@ -402,7 +412,7 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 			return cpu
 		}
 		key := binary.BigEndian.Uint64(req.Payload)
-		slot, ok := sv.state.Index[key]
+		slot, ok := sv.index[key]
 		if !ok {
 			sv.respond(req.Conn, OpGet, nil)
 			return cpu

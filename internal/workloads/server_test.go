@@ -1,0 +1,164 @@
+package workloads
+
+import (
+	"encoding/binary"
+	"runtime"
+	"testing"
+
+	"nilicon/internal/container"
+	"nilicon/internal/simnet"
+	"nilicon/internal/simtime"
+)
+
+// newStandaloneServer installs prof's server in a container of its own
+// (no replication, no clients); requests are driven through process.
+func newStandaloneServer(prof Profile) *Server {
+	clock := simtime.NewClock()
+	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
+	ctr := container.Create(container.NewHost("srv", clock, sw), container.Spec{ID: "kv", IP: "10.0.0.5", Cores: 1})
+	sv := NewServer(prof)
+	sv.Install(ctr)
+	return sv
+}
+
+func setKey(sv *Server, key uint64) {
+	payload := binary.BigEndian.AppendUint64(nil, key)
+	sv.process(sv.workers[0], pendingReq{Op: OpSet, Payload: append(payload, ValueFor(key, 1, 16)...)})
+}
+
+// hits reports whether a GET for key finds a record.
+func hits(sv *Server, key uint64) bool {
+	sv.value = nil
+	sv.process(sv.workers[0], pendingReq{Op: OpGet, Payload: binary.BigEndian.AppendUint64(nil, key)})
+	return sv.value != nil
+}
+
+// TestRecordLogSnapshotIsolation checks that a snapshot, which shares
+// the live server's record log by prefix, sees exactly the keys set
+// before it was taken, and that two servers grown from one snapshot
+// never write into each other's log.
+func TestRecordLogSnapshotIsolation(t *testing.T) {
+	const n = 100
+	prof := Redis().Profile()
+	prof.MemPages, prof.Records = 64, 200
+	old := newStandaloneServer(prof)
+	for k := uint64(0); k < n; k++ {
+		setKey(old, k)
+	}
+	snap := old.SnapshotState()
+	for k := uint64(n); k < n+10; k++ {
+		setKey(old, k)
+	}
+
+	restored := newStandaloneServer(prof)
+	restored.RestoreState(snap)
+	if got := len(restored.State().Keys); got != n || len(restored.index) != n {
+		t.Fatalf("restored server holds %d log entries and %d indexed keys, want %d", got, len(restored.index), n)
+	}
+	if !hits(restored, n-1) {
+		t.Errorf("GET of pre-snapshot key %d missed on the restored server", n-1)
+	}
+	if hits(restored, n) {
+		t.Errorf("GET of post-snapshot key %d hit on the restored server", n)
+	}
+
+	// Both servers now append past the snapshot's prefix, with different
+	// keys. A snapshot that handed out spare capacity would let the
+	// restored server overwrite the old server's slots.
+	for k := uint64(1000); k < 1010; k++ {
+		setKey(restored, k)
+	}
+	for k := uint64(2000); k < 2010; k++ {
+		setKey(old, k)
+	}
+	if errs := append(old.AppErrors(), restored.AppErrors()...); len(errs) > 0 {
+		t.Fatalf("server errors: %v", errs)
+	}
+	for _, c := range []struct {
+		name       string
+		sv         *Server
+		own, other uint64
+	}{
+		{"old", old, 2000, 1000},
+		{"restored", restored, 1000, 2000},
+	} {
+		// Restoring from a fresh snapshot rebuilds the index from the
+		// log alone, so it sees exactly what the log holds.
+		again := newStandaloneServer(prof)
+		again.RestoreState(c.sv.SnapshotState())
+		for k := c.own; k < c.own+10; k++ {
+			if !hits(c.sv, k) || !hits(again, k) {
+				t.Errorf("%s: own key %d missing (live %v, re-restored %v)", c.name, k, hits(c.sv, k), hits(again, k))
+			}
+		}
+		for k := c.other; k < c.other+10; k++ {
+			if hits(c.sv, k) || hits(again, k) {
+				t.Errorf("%s: sees the other server's key %d (live %v, re-restored %v)", c.name, k, hits(c.sv, k), hits(again, k))
+			}
+		}
+		for k := uint64(0); k < n; k++ {
+			if c.sv.State().Keys[k] != k {
+				t.Fatalf("%s: log slot %d holds key %d, want %d", c.name, k, c.sv.State().Keys[k], k)
+			}
+		}
+	}
+	if !hits(old, n-1) || !hits(old, n) {
+		t.Errorf("old server lost keys it set around the snapshot")
+	}
+}
+
+// snapshotCost returns the mean allocations and bytes allocated by one
+// SnapshotState call on a server holding keys records.
+func snapshotCost(t *testing.T, keys int) (allocs float64, bytes uint64) {
+	prof := Redis().Profile()
+	prof.Records = keys
+	prof.MemPages = (keys*recordSize+4095)/4096 + 64
+	sv := newStandaloneServer(prof)
+	for k := 0; k < keys; k++ {
+		setKey(sv, uint64(k))
+	}
+	if errs := sv.AppErrors(); len(errs) > 0 {
+		t.Fatalf("%d keys: server errors: %v", keys, errs)
+	}
+	const runs = 50
+	allocs = testing.AllocsPerRun(runs, func() { _ = sv.SnapshotState() })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		_ = sv.SnapshotState()
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
+}
+
+// TestSnapshotStateCostIndependentOfKeys guards the per-epoch app-state
+// snapshot: it shares the record log, so taking one at 20,000 keys
+// allocates what it does at 100 keys, give or take a constant.
+func TestSnapshotStateCostIndependentOfKeys(t *testing.T) {
+	smallAllocs, smallBytes := snapshotCost(t, 100)
+	bigAllocs, bigBytes := snapshotCost(t, 20000)
+	t.Logf("SnapshotState: %.0f allocs, %d B at 100 keys; %.0f allocs, %d B at 20,000 keys",
+		smallAllocs, smallBytes, bigAllocs, bigBytes)
+	const slackBytes = 1024
+	if bigAllocs > smallAllocs+2 || bigBytes > smallBytes+slackBytes {
+		t.Errorf("SnapshotState at 20,000 keys costs %.0f allocs, %d B; want within 2 allocs and %d B of the 100-key cost (%.0f allocs, %d B)",
+			bigAllocs, bigBytes, slackBytes, smallAllocs, smallBytes)
+	}
+}
+
+// BenchmarkServerSnapshotState takes the per-epoch app-state snapshot
+// of a server holding 20,000 records.
+func BenchmarkServerSnapshotState(b *testing.B) {
+	prof := Redis().Profile()
+	sv := newStandaloneServer(prof)
+	for k := 0; k < prof.Records; k++ {
+		setKey(sv, uint64(k))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSnapshot = sv.SnapshotState()
+	}
+}
+
+var benchSnapshot any

@@ -449,7 +449,7 @@ func TestZipfianKeysSkewed(t *testing.T) {
 		t.Fatalf("zipfian run failed: completed=%d errors=%v", set.Completed, set.Errors)
 	}
 	// Skew check: far fewer distinct slots than requests.
-	distinct := len(sv.State().Index)
+	distinct := len(sv.State().Keys)
 	if int64(distinct)*4 > set.Completed {
 		t.Fatalf("zipfian draw not skewed: %d distinct keys for %d ops", distinct, set.Completed)
 	}
@@ -465,7 +465,7 @@ func TestUniformKeysCoverStripe(t *testing.T) {
 	sv.Install(ctr)
 	set := NewClientSet(cl, prof, "10.0.0.10", KVBatch, 1, 5)
 	clock.RunFor(500 * simtime.Millisecond)
-	distinct := len(sv.State().Index)
+	distinct := len(sv.State().Keys)
 	// Uniform draws over a 10K stripe should spread widely.
 	if distinct < 1000 {
 		t.Fatalf("uniform distribution too narrow: %d distinct keys for %d ops", distinct, set.Completed)
