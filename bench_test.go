@@ -106,7 +106,7 @@ func BenchmarkTable6Latency(b *testing.B) {
 // short run per benchmark; the paper runs 50×60 s with 100% recovery).
 func BenchmarkValidation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results, _ := harness.RunValidation([]string{"redis", "diskstress", "netstress"}, 1, 6*simtime.Second, int64(i)+1)
+		results, _ := harness.RunValidation([]string{"redis", "diskstress", "netstress"}, 1, 6*simtime.Second, int64(i)+1, core.AllOpts())
 		passed := 0
 		for _, r := range results {
 			if r.Passed {

@@ -32,7 +32,6 @@
 //	scale-threads  Streamcluster 1..32 threads
 //	scale-clients  Lighttpd 2..128 clients
 //	scale-procs    Lighttpd 1..8 processes
-//	all            Everything above
 //
 // The chaos and fleet campaigns run with output-commit lease arbitration
 // on; -degrade selects the lease degradation policy (strict keeps a
@@ -159,7 +158,7 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.cpuprof = fs.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 	a.memprof = fs.String("memprofile", "", "write a heap profile to this file at exit (pprof format)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: niliconctl <table1|table2|fig3|table6|validate|pipeline|chaos|fleet|traffic|scale-threads|scale-clients|scale-procs|report|timeline|all> [flags]\n")
+		fmt.Fprintf(stderr, "usage: niliconctl <table1|table2|fig3|table6|validate|pipeline|chaos|fleet|traffic|scale-threads|scale-clients|scale-procs|report|timeline> [flags]\n")
 		fs.PrintDefaults()
 	}
 	return a
@@ -201,16 +200,6 @@ func (a *app) run(args []string) int {
 	}
 	defer a.stopProfiles()
 
-	if cmd == "all" {
-		for _, name := range []string{"table1", "table2", "fig3", "table6", "validate", "pipeline", "scale-threads", "scale-clients", "scale-procs"} {
-			fmt.Fprintf(a.stdout, "== %s ==\n", name)
-			if err := a.runCommand(name); err != nil {
-				fmt.Fprintf(a.stderr, "niliconctl %s: %v\n", name, err)
-				return 1
-			}
-		}
-		return 0
-	}
 	if err := a.runCommand(cmd); err != nil {
 		fmt.Fprintf(a.stderr, "niliconctl %s: %v\n", cmd, err)
 		return 1
@@ -299,7 +288,7 @@ func optSetNames() string {
 var commands = []string{
 	"table1", "table2", "fig3", "table6", "validate", "pipeline",
 	"chaos", "fleet", "traffic",
-	"scale-threads", "scale-clients", "scale-procs", "report", "timeline", "all",
+	"scale-threads", "scale-clients", "scale-procs", "report", "timeline",
 }
 
 func knownCommand(name string) bool {
@@ -371,7 +360,7 @@ func (a *app) runFig3() error {
 }
 
 func (a *app) runValidate() error {
-	_, tb := harness.RunValidationOpts(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, a.opts)
+	_, tb := harness.RunValidation(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, a.opts)
 	fmt.Fprintln(a.stdout, tb)
 	return nil
 }
@@ -557,8 +546,3 @@ func (a *app) runTimeline() error {
 	fmt.Fprint(a.stdout, csv)
 	return nil
 }
-
-// The "all" output is what EXPERIMENTS.md's committed run log contains;
-// regenerate with:
-//
-//	./niliconctl all > results.txt

@@ -21,6 +21,7 @@ func TestUsageErrors(t *testing.T) {
 		{"no-args", nil, "usage: niliconctl"},
 		{"unknown-subcommand", []string{"frobnicate"}, `unknown experiment "frobnicate"`},
 		{"subcommand-typo", []string{"chaso"}, `unknown experiment "chaso"`},
+		{"all-removed", []string{"all"}, `unknown experiment "all"`},
 		{"zero-jobs", []string{"chaos", "-j", "0"}, "-j must be >= 1"},
 		{"negative-jobs", []string{"pipeline", "-j", "-4"}, "-j must be >= 1"},
 		{"zero-seeds", []string{"chaos", "-sweep", "-seeds", "0"}, "-seeds must be >= 1"},

@@ -351,15 +351,10 @@ type ValidationResult struct {
 // middle 80%; recovery must complete with no broken connections, no
 // content errors, and continued progress. The paper runs 50 iterations
 // of ≥60 s per benchmark; runs and runLength are configurable so tests
-// stay fast.
-func RunValidation(benches []string, runs int, runLength simtime.Duration, seed int64) ([]ValidationResult, *metrics.Table) {
-	return RunValidationOpts(benches, runs, runLength, seed, core.AllOpts())
-}
-
-// RunValidationOpts is RunValidation with every run's replicator on the
-// given option set: the output-commit guarantees of §VII-A must hold
-// identically under, say, the overlapped transfer or the delta stream.
-func RunValidationOpts(benches []string, runs int, runLength simtime.Duration, seed int64, opts core.OptSet) ([]ValidationResult, *metrics.Table) {
+// stay fast. Every run's replicator uses opts: the output-commit
+// guarantees of §VII-A must hold identically under, say, the overlapped
+// transfer or the delta stream.
+func RunValidation(benches []string, runs int, runLength simtime.Duration, seed int64, opts core.OptSet) ([]ValidationResult, *metrics.Table) {
 	if len(benches) == 0 {
 		benches = []string{"diskstress", "netstress", "redis", "ssdb", "node", "lighttpd", "djcms", "swaptions", "streamcluster"}
 	}

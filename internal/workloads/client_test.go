@@ -106,50 +106,8 @@ func TestProbeClientVerifiesReads(t *testing.T) {
 	}
 }
 
-// TestTraceClientSetReplaysTrace: the trace-driven client set replaces
-// the uniform kv client — every trace arrival is issued on the workload
-// wire protocol, completes against the live server, and lands in the
-// SLO judge with a clean run showing zero violation windows.
-func TestTraceClientSetReplaysTrace(t *testing.T) {
-	sv := Redis()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
-	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
-	sv.Install(ctr)
-
-	cfg, err := traffic.Profile("uniform", 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Clients = 4
-	cfg.Rate = 400
-	cfg.Duration = simtime.Second
-	cfg.SlowFrac = 0
-	tr := traffic.Synthesize(cfg)
-
-	set := sv.NewTraceClients(cl, "10.0.0.10", tr, traffic.SLO{})
-	clock.RunFor(10 * simtime.Millisecond) // connects settle
-	set.Start(clock.Now())
-	clock.RunFor(cfg.Duration + 500*simtime.Millisecond)
-
-	if set.Rep.Outstanding() != 0 {
-		t.Fatalf("outstanding = %d after drain", set.Rep.Outstanding())
-	}
-	if int(set.Completed) != set.Rep.Issued() || set.Rep.Issued() < len(tr.Reqs) {
-		t.Fatalf("completed=%d issued=%d trace=%d", set.Completed, set.Rep.Issued(), len(tr.Reqs))
-	}
-	if len(set.Errors) != 0 {
-		t.Fatalf("trace client errors: %v", set.Errors)
-	}
-	rep := set.Finish(clock.Now())
-	if rep.Violations != 0 {
-		t.Fatalf("clean run has %d violation windows:\n%s", rep.Violations, rep.Line())
-	}
-}
-
 // TestClientSetCaptureRoundTrip: a uniform run recorded under capture
-// mode produces a parseable trace that replays through the trace client.
+// mode produces a trace that encodes and re-parses with every request.
 func TestClientSetCaptureRoundTrip(t *testing.T) {
 	sv := Redis()
 	sc := simtime.NewEngine()
@@ -180,19 +138,6 @@ func TestClientSetCaptureRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost requests: %d vs %d", len(back.Reqs), len(tr.Reqs))
 	}
 
-	// And the capture replays against a fresh server.
-	sc2 := simtime.NewEngine()
-	clock2 := sc2.Root()
-	cl2 := core.NewShardedCluster(sc2, core.ClusterParams{})
-	sv2 := Redis()
-	sv2.Install(cl2.NewProtectedContainer("kv", "10.0.0.10", 1))
-	set2 := sv2.NewTraceClients(cl2, "10.0.0.10", back, traffic.SLO{})
-	clock2.RunFor(10 * simtime.Millisecond)
-	set2.Start(clock2.Now())
-	clock2.RunFor(back.Duration() + 500*simtime.Millisecond)
-	if set2.Rep.Outstanding() != 0 || int(set2.Completed) == 0 {
-		t.Fatalf("capture replay: completed=%d outstanding=%d", set2.Completed, set2.Rep.Outstanding())
-	}
 }
 
 // TestKVBatchClientAllocsBounded is the allocation guard for the KV

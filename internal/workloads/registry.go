@@ -7,7 +7,6 @@ import (
 	"nilicon/internal/core"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
-	"nilicon/internal/traffic"
 )
 
 // The seven paper benchmarks (§VI), with footprints calibrated so the
@@ -228,12 +227,4 @@ func (sv *Server) NewClients(cl *core.Cluster, serverIP string, n int, seed int6
 		n = 1
 	}
 	return NewClientSet(cl, sv.prof, simnet.Addr(serverIP), ClientKindFor(sv.prof.Name), n, seed)
-}
-
-// NewTraceClients replaces the uniform client set with the open-loop
-// trace replayer on the same wire protocol: the trace decides every
-// arrival instant, key and op, and the windowed SLO judge observes the
-// latency. Call Start on the returned set to fire the arrivals.
-func (sv *Server) NewTraceClients(cl *core.Cluster, serverIP string, tr *traffic.Trace, slo traffic.SLO) *TraceClientSet {
-	return NewTraceClientSet(cl, sv.prof, simnet.Addr(serverIP), tr, slo)
 }
