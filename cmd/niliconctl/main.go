@@ -32,6 +32,10 @@
 //	scale-threads  Streamcluster 1..32 threads
 //	scale-clients  Lighttpd 2..128 clients
 //	scale-procs    Lighttpd 1..8 processes
+//	report         Paper-vs-measured comparison of every experiment
+//	               (the run log in EXPERIMENTS.md)
+//	timeline       Per-epoch CSV time series of one replicated run
+//	               (-bench picks the benchmark)
 //
 // The chaos and fleet campaigns run with output-commit lease arbitration
 // on; -degrade selects the lease degradation policy (strict keeps a

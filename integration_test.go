@@ -5,13 +5,17 @@ import (
 
 	"nilicon/internal/core"
 	"nilicon/internal/faultinject"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 	"nilicon/internal/workloads"
 )
 
 // TestEndToEndFailover is the repository's top-level smoke test: the
 // quickstart flow — protect a KV container, drive verified load, fail
-// the primary, and require transparent recovery.
+// the primary, and require transparent recovery. Beyond what
+// Example_quickstart prints, it checks the restored container's TCP
+// state: its stack sent no reset, and every socket restored in repair
+// mode had its repaired write queue retransmitted and acknowledged.
 func TestEndToEndFailover(t *testing.T) {
 	sc := simtime.NewEngine()
 	clock := sc.Root()
@@ -22,7 +26,17 @@ func TestEndToEndFailover(t *testing.T) {
 
 	cfg := core.DefaultConfig()
 	cfg.ExtraStopPerCheckpoint = server.Profile().TotalExtraStop()
+	var restored core.RestoredContainer
+	var repaired []*simnet.Socket
+	queued := 0
 	cfg.Reattach = func(rc core.RestoredContainer, state any) {
+		restored = rc
+		for _, s := range rc.Stack.Sockets() {
+			if s.InRepair() {
+				repaired = append(repaired, s)
+				queued += s.UnackedBytes()
+			}
+		}
 		if err := workloads.Redis().Reattach(rc, state); err != nil {
 			t.Errorf("reattach: %v", err)
 		}
@@ -53,6 +67,27 @@ func TestEndToEndFailover(t *testing.T) {
 	}
 	if clients.Resets != 0 {
 		t.Fatalf("%d broken connections", clients.Resets)
+	}
+
+	if restored == nil || len(repaired) == 0 || queued == 0 {
+		t.Fatalf("reattach saw %d repaired sockets holding %d unacknowledged bytes, want a non-empty write queue", len(repaired), queued)
+	}
+	// Stop the server taking new requests and let its output drain. A
+	// cumulative ACK drops a segment only with every segment before it,
+	// so an empty write queue means the repaired bytes were retransmitted
+	// and acknowledged.
+	for _, s := range repaired {
+		s.OnData = nil
+	}
+	clock.RunFor(simtime.Second)
+	for _, s := range repaired {
+		if s.UnackedBytes() != 0 || s.Reset || s.InRepair() {
+			t.Fatalf("restored socket %v: %d bytes unacknowledged after draining (reset %v, repair %v)",
+				s, s.UnackedBytes(), s.Reset, s.InRepair())
+		}
+	}
+	if n := restored.Stack.RSTsSent(); n != 0 {
+		t.Fatalf("restored stack sent %d resets", n)
 	}
 }
 

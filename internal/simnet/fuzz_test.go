@@ -53,6 +53,13 @@ const fuzzRetransmitFactor = 2
 // fuzzLink. The receiver's bytes must always be a prefix of what was
 // sent; once the link heals the whole stream must arrive, with no reset
 // and with retransmissions bounded by fuzzRetransmitFactor.
+//
+// It also checks the stream-byte ownership rule (DESIGN.md §8). The
+// sender writes each chunk from one reused buffer and overwrites it
+// right after Send, so Send must copy. The receiver keeps every ReadAll
+// slice itself, not a copy, and at the end each must still hold the
+// bytes it held when read: no later Send, retransmission or delivery
+// may write a byte already handed out.
 func FuzzTCPStream(f *testing.F) {
 	f.Add([]byte{}, []byte{200, 3, 90})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{64, 64, 64, 64})
@@ -76,12 +83,15 @@ func FuzzTCPStream(f *testing.F) {
 		b = NewStack(c, "10.0.0.2", func(p Packet) { link.send(a, p) })
 
 		var got []byte
+		var kept [][]byte // every ReadAll result, as returned
 		var srv *Socket
 		sentLen, segments := 0, 0
 		b.Listen(80, func(s *Socket) {
 			srv = s
 			s.OnData = func(s *Socket) {
-				got = append(got, s.ReadAll()...)
+				read := s.ReadAll()
+				kept = append(kept, read)
+				got = append(got, read...)
 				if len(got) > sentLen || string(got) != string(want[:len(got)]) {
 					t.Fatalf("receiver holds %d bytes, not a prefix of the %d sent", len(got), sentLen)
 				}
@@ -91,13 +101,18 @@ func FuzzTCPStream(f *testing.F) {
 			link.armed = true
 			link.fates = fates
 			off := 0
+			var out []byte
 			for i, n := range sizes {
 				chunk := want[off : off+int(n)*23+1]
 				off += len(chunk)
 				segments += (len(chunk) + s.stack.MSS - 1) / s.stack.MSS
 				c.Schedule(simtime.Duration(i)*4*simtime.Millisecond, func() {
 					sentLen += len(chunk)
-					s.Send(chunk)
+					out = append(out[:0], chunk...)
+					s.Send(out)
+					for j := range out {
+						out[j] = ^out[j]
+					}
 				})
 			}
 			if len(link.fates) > segments {
@@ -114,6 +129,13 @@ func FuzzTCPStream(f *testing.F) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("healed link delivered %d of %d bytes", len(got), len(want))
+		}
+		off := 0
+		for i, read := range kept {
+			if string(read) != string(want[off:off+len(read)]) {
+				t.Fatalf("read %d (stream bytes %d..%d) changed after it was returned", i, off, off+len(read))
+			}
+			off += len(read)
 		}
 		if n := cl.Retransmits(); n > fuzzRetransmitFactor*segments {
 			t.Fatalf("%d retransmissions for %d segments (bound %dx)", n, segments, fuzzRetransmitFactor)

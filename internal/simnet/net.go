@@ -112,6 +112,19 @@ type Switch struct {
 	ports    []*Port
 	arp      map[Addr]*Port
 	dropped  int
+	// free holds delivery records whose frame has been handed over, for
+	// forward to reuse.
+	free []*delivery
+}
+
+// delivery is one frame in flight across the switch. Its run method
+// value is bound once, when the record is made, so scheduling a reused
+// record allocates nothing.
+type delivery struct {
+	sw  *Switch
+	dst *Port
+	pkt Packet
+	run func()
 }
 
 // NewSwitch creates a switch with the given per-hop latency and
@@ -176,16 +189,30 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 	if dst.clock != nil {
 		dstClock = dst.clock
 	}
-	deliver := func() {
-		// Re-check at delivery time: the port may have been disconnected
-		// (recovery) while the frame was in flight.
-		if !dst.enabled || dst.rx == nil {
-			s.dropped++
-			return
-		}
-		dst.rx(pkt)
+	var d *delivery
+	if n := len(s.free); n > 0 {
+		d, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		d = &delivery{sw: s}
+		d.run = d.deliver
 	}
-	dstClock.Schedule(s.latency, deliver)
+	d.dst, d.pkt = dst, pkt
+	dstClock.Schedule(s.latency, d.run)
+}
+
+// deliver hands the frame to its port and returns the record to the
+// free list first, so frames the receiver sends in response can reuse it.
+func (d *delivery) deliver() {
+	s, dst, pkt := d.sw, d.dst, d.pkt
+	d.dst, d.pkt = nil, Packet{}
+	s.free = append(s.free, d)
+	// Re-check at delivery time: the port may have been disconnected
+	// (recovery) while the frame was in flight.
+	if !dst.enabled || dst.rx == nil {
+		s.dropped++
+		return
+	}
+	dst.rx(pkt)
 }
 
 // Link is a dedicated point-to-point link with bandwidth and latency,

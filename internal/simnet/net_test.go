@@ -310,3 +310,41 @@ func TestPropertyQdiscEpochOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestQdiscRecyclesEpochBuffers cycles a replicated qdisc through
+// Egress, Rotate and Release with two epochs awaiting their
+// acknowledgment, as the pipelined core runs it. Once the buffers have
+// grown, released epoch buffers are reused, so a cycle allocates
+// nothing, and every packet still leaves once, in order.
+func TestQdiscRecyclesEpochBuffers(t *testing.T) {
+	const perEpoch = 64
+	var sent, next uint32
+	ordered := true
+	q := NewPlugQdisc(func(p Packet) {
+		ordered = ordered && p.Seq == sent
+		sent++
+	}, nil)
+	q.SetReplicating(true)
+	payload := make([]byte, 100)
+	epoch := uint64(0)
+	cycle := func() {
+		for i := 0; i < perEpoch; i++ {
+			q.Egress(Packet{Seq: next, Payload: payload})
+			next++
+		}
+		q.Rotate(epoch)
+		if epoch >= 2 {
+			q.Release(epoch - 2)
+		}
+		epoch++
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("an epoch of %d packets allocated %.1f objects, want 0", perEpoch, allocs)
+	}
+	if !ordered || sent != next-2*perEpoch || q.PendingEgress() != 2*perEpoch {
+		t.Fatalf("released %d of %d packets (in order: %v), %d still held", sent, next, ordered, q.PendingEgress())
+	}
+}

@@ -45,6 +45,8 @@ type PlugQdisc struct {
 	curEpoch    uint64
 	current     []Packet
 	pending     []epochBuffer
+	// spare holds released epoch buffers, cleared, for Rotate to reuse.
+	spare [][]Packet
 
 	inputBlocked bool
 	inputMode    InputBlockMode
@@ -106,6 +108,9 @@ func (q *PlugQdisc) Rotate(epoch uint64) {
 	if len(q.current) > 0 {
 		q.pending = append(q.pending, epochBuffer{epoch: epoch, pkts: q.current})
 		q.current = nil
+		if n := len(q.spare); n > 0 {
+			q.current, q.spare = q.spare[n-1], q.spare[:n-1]
+		}
 	}
 	q.curEpoch = epoch + 1
 }
@@ -124,7 +129,15 @@ func (q *PlugQdisc) Release(acked uint64) {
 			}
 		}
 	}
-	q.pending = q.pending[i:]
+	// Recycle the flushed buffers, dropping their references to payload
+	// bytes, and move the unreleased ones to the front.
+	for _, b := range q.pending[:i] {
+		clear(b.pkts)
+		q.spare = append(q.spare, b.pkts[:0])
+	}
+	n := copy(q.pending, q.pending[i:])
+	clear(q.pending[n:])
+	q.pending = q.pending[:n]
 }
 
 // ReleaseAll flushes every buffered egress packet (used when replication

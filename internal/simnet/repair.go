@@ -105,14 +105,21 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		SndNxt:     s.sndNxt,
 		RcvNxt:     s.rcvNxt,
 	}
+	// Both queues are copied into one buffer: the snapshot's holder may
+	// write it, and the live socket must not see that.
 	for _, sg := range s.sendQ {
-		data := make([]byte, len(sg.data))
-		copy(data, sg.data)
-		sn.WriteQueue = append(sn.WriteQueue, SegmentSnapshot{Seq: sg.seq, Data: data, FIN: sg.fin})
 		queued += len(sg.data)
 	}
-	sn.ReadQueue = make([]byte, len(s.recvBuf))
-	copy(sn.ReadQueue, s.recvBuf)
+	buf := make([]byte, 0, queued+len(s.recvBuf))
+	if len(s.sendQ) > 0 {
+		sn.WriteQueue = make([]SegmentSnapshot, len(s.sendQ))
+	}
+	for i, sg := range s.sendQ {
+		buf = append(buf, sg.data...)
+		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: buf[len(buf)-len(sg.data) : len(buf) : len(buf)], FIN: sg.fin}
+	}
+	buf = append(buf, s.recvBuf...)
+	sn.ReadQueue = buf[queued:]
 	queued += len(s.recvBuf)
 
 	if st.Kernel != nil {
@@ -137,9 +144,19 @@ func (st *Stack) RestoreSocket(sn SocketSnapshot) *Socket {
 	// (recover = ISS), it may fast-retransmit at once.
 	s.recover = sn.SndUna - 1
 	s.repair = true
+	// The snapshot's holder may write it later, so the queues are copied,
+	// the write queue into one buffer that becomes the socket's full send
+	// slab (the next Send starts a new one).
+	n := 0
 	for _, sg := range sn.WriteQueue {
-		data := make([]byte, len(sg.Data))
-		copy(data, sg.Data)
+		n += len(sg.Data)
+	}
+	s.slab = make([]byte, 0, n)
+	s.sendArr = make([]segment, 0, len(sn.WriteQueue))
+	s.sendQ = s.sendArr
+	for _, sg := range sn.WriteQueue {
+		s.slab = append(s.slab, sg.Data...)
+		data := s.slab[len(s.slab)-len(sg.Data) : len(s.slab) : len(s.slab)]
 		s.sendQ = append(s.sendQ, segment{seq: sg.Seq, data: data, fin: sg.FIN})
 	}
 	s.recvBuf = append(s.recvBuf, sn.ReadQueue...)

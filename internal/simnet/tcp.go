@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"slices"
 
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
@@ -65,16 +66,29 @@ type Socket struct {
 	rcvNxt uint32 // next byte expected
 
 	// sendQ holds transmitted-but-unacknowledged segments: the "write
-	// queue" TCP repair mode exposes (§II-B).
-	sendQ []segment
+	// queue" TCP repair mode exposes (§II-B). Each segment's data is a
+	// capped subslice of a send slab. sendQ is a window onto sendArr,
+	// which starts at its backing array's first element: acknowledged
+	// segments are dropped from the window's front, and a fully
+	// acknowledged queue starts again at the array's front.
+	sendQ   []segment
+	sendArr []segment
+	// slab is the append-only buffer Send copies application bytes into.
+	// Bytes below len(slab) belong to segments already handed to the
+	// network and are never written again; a slab too full for the next
+	// Send is replaced, not reused (DESIGN.md §8, stream-byte ownership).
+	slab []byte
 	// recvBuf holds bytes received in order but not yet read by the
-	// process: the "read queue".
+	// process: the "read queue". It may be a delivered payload itself,
+	// capped at its length, so it is never written below len(recvBuf).
 	recvBuf []byte
 
 	rto simtime.Duration
 	// rtoTimer is the running retransmission (or SYN) timer; nil exactly
-	// when no timer is running.
+	// when no timer is running. onRTOFn is onRTO bound once, so arming
+	// the timer allocates no method value.
 	rtoTimer   *simtime.Event
+	onRTOFn    func()
 	synTries   int
 	retransmit int
 	// dupAcks counts consecutive duplicate ACKs for sndUna (RFC 5681
@@ -227,6 +241,7 @@ func (st *Stack) newSocket(local int, remote Addr, remotePort int) *Socket {
 		RemotePort: remotePort,
 		rto:        st.RTOInitial,
 	}
+	s.onRTOFn = s.onRTO
 	st.nextID++
 	st.byID[s.ID] = s
 	st.sockets[connKey{remote, remotePort, local}] = s
@@ -276,8 +291,19 @@ func (st *Stack) armSynTimer(s *Socket) {
 	})
 }
 
+// Send slabs grow geometrically between these sizes, so a mostly idle
+// socket holds a small slab and a busy one allocates rarely. A Send
+// larger than maxSendSlab gets a slab of exactly its size.
+const (
+	minSendSlab = 2 << 10
+	maxSendSlab = 64 << 10
+)
+
 // Send queues data for transmission and emits it in MSS-sized segments.
-// Bytes stay in the write queue until acknowledged.
+// Bytes stay in the write queue until acknowledged. Send copies data
+// once, into the socket's send slab, so the caller may reuse its buffer
+// at once; the segments, their retransmissions and the payloads the
+// receiver reads are all views of that copy.
 func (s *Socket) Send(data []byte) {
 	if s.State != StateEstablished && s.State != StateCloseWait {
 		return
@@ -285,20 +311,45 @@ func (s *Socket) Send(data []byte) {
 	if s.stack.OnAppSend != nil {
 		s.stack.OnAppSend(s, data)
 	}
-	for len(data) > 0 {
-		n := s.stack.MSS
-		if n > len(data) {
-			n = len(data)
-		}
-		chunk := make([]byte, n)
-		copy(chunk, data[:n])
+	buf := s.stage(data)
+	for len(buf) > 0 {
+		n := min(s.stack.MSS, len(buf))
+		chunk := buf[:n:n]
 		sg := segment{seq: s.sndNxt, data: chunk}
-		s.sendQ = append(s.sendQ, sg)
+		s.queue(sg)
 		s.sndNxt += uint32(n)
 		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk)
-		data = data[n:]
+		buf = buf[n:]
 	}
 	s.startRTO(s.rto)
+}
+
+// stage copies data into the send slab, starting a new slab when the
+// current one lacks the room, and returns the copy.
+func (s *Socket) stage(data []byte) []byte {
+	if cap(s.slab)-len(s.slab) < len(data) {
+		size := min(max(2*cap(s.slab), minSendSlab), maxSendSlab)
+		if len(data) >= size {
+			// Appending to nil clears only the capacity past the copy,
+			// not the bytes the copy overwrites.
+			s.slab = append([]byte(nil), data...)
+			return s.slab
+		}
+		s.slab = make([]byte, 0, size)
+	}
+	start := len(s.slab)
+	s.slab = append(s.slab, data...)
+	return s.slab[start:]
+}
+
+// queue appends sg to the write queue.
+func (s *Socket) queue(sg segment) {
+	if len(s.sendQ) == cap(s.sendQ) {
+		// The window reached the array's end: move to a larger array.
+		s.sendQ = slices.Grow(s.sendQ, 1)
+		s.sendArr = s.sendQ[:0]
+	}
+	s.sendQ = append(s.sendQ, sg)
 }
 
 // Close sends FIN after all queued data.
@@ -308,7 +359,7 @@ func (s *Socket) Close() {
 	}
 	s.State = StateFinWait
 	sg := segment{seq: s.sndNxt, fin: true}
-	s.sendQ = append(s.sendQ, sg)
+	s.queue(sg)
 	s.sndNxt++
 	s.stack.emit(s, FlagFIN|FlagACK, sg.seq, s.rcvNxt, nil)
 	s.startRTO(s.rto)
@@ -317,25 +368,28 @@ func (s *Socket) Close() {
 // Available returns the number of unread bytes in the read queue.
 func (s *Socket) Available() int { return len(s.recvBuf) }
 
-// ReadAll drains and returns the read queue.
+// ReadAll drains and returns the read queue. The caller may keep the
+// slice: the socket never writes it again.
 func (s *Socket) ReadAll() []byte {
 	b := s.recvBuf
 	s.recvBuf = nil
 	return b
 }
 
-// ReadN reads up to n bytes from the read queue.
+// ReadN reads up to n bytes from the read queue. The result is capped
+// at its length, so appending to it cannot write into the queue.
 func (s *Socket) ReadN(n int) []byte {
 	if n > len(s.recvBuf) {
 		n = len(s.recvBuf)
 	}
-	b := s.recvBuf[:n]
+	b := s.recvBuf[:n:n]
 	s.recvBuf = s.recvBuf[n:]
 	return b
 }
 
-// Peek returns the read queue without consuming it.
-func (s *Socket) Peek() []byte { return s.recvBuf }
+// Peek returns the read queue without consuming it. The caller must not
+// write it.
+func (s *Socket) Peek() []byte { return s.recvBuf[:len(s.recvBuf):len(s.recvBuf)] }
 
 // UnackedBytes returns the size of the write queue.
 func (s *Socket) UnackedBytes() int {
@@ -355,7 +409,7 @@ func (s *Socket) startRTO(d simtime.Duration) {
 	if s.rtoTimer != nil || len(s.sendQ) == 0 || s.repair {
 		return
 	}
-	s.rtoTimer = s.stack.clock.Schedule(d, s.onRTO)
+	s.rtoTimer = s.stack.clock.Schedule(d, s.onRTOFn)
 }
 
 // stopRTO cancels the retransmission timer if one is running.
@@ -534,7 +588,14 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 				break
 			}
 		}
-		s.sendQ = s.sendQ[i:]
+		// Drop the acknowledged segments' references to sent bytes; an
+		// empty queue starts again at its array's front.
+		clear(s.sendQ[:i])
+		if i == len(s.sendQ) {
+			s.sendQ = s.sendArr
+		} else {
+			s.sendQ = s.sendQ[i:]
+		}
 		s.stopRTO()
 		if len(s.sendQ) == 0 {
 			s.rto = st.RTOMin
@@ -568,7 +629,14 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			seq = s.rcvNxt
 		}
 		if seq == s.rcvNxt {
-			s.recvBuf = append(s.recvBuf, payload...)
+			if len(s.recvBuf) == 0 {
+				// Nobody writes a sent byte again, so the payload itself
+				// becomes the read queue, capped so that a later delivery
+				// copies instead of appending into the sender's slab.
+				s.recvBuf = payload[:len(payload):len(payload)]
+			} else {
+				s.recvBuf = append(s.recvBuf, payload...)
+			}
 			s.rcvNxt += uint32(len(payload))
 			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
 			if s.OnData != nil {

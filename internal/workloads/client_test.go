@@ -192,6 +192,84 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 	}
 }
 
+// TestFrameStreamAllocsBounded is the allocation guard for the byte
+// path: a sender writes batches of 200-byte frames from one reused
+// buffer through a switch to a receiver that reads with ReadAll and
+// parses with a FrameReader. Send copies each batch once into the
+// socket's send slab, the receiver's read queue is the delivered
+// payload itself, and a frame split across segments costs the reader a
+// copy of its tail only, so the whole path allocates only when a slab
+// or a reader buffer fills: well under one object per frame.
+func TestFrameStreamAllocsBounded(t *testing.T) {
+	const (
+		frameLen  = 200
+		perBatch  = 10 // 2,000 bytes: frames straddle the MSS boundary
+		maxAllocs = 0.1
+	)
+	clock := simtime.NewClock()
+	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
+	pa, pb := sw.Attach("a"), sw.Attach("b")
+	a := simnet.NewStack(clock, "10.0.0.1", pa.Send)
+	b := simnet.NewStack(clock, "10.0.0.2", pb.Send)
+	pa.SetReceiver(a.Receive)
+	pb.SetReceiver(b.Receive)
+	sw.Learn(a.IP, pa)
+	sw.Learn(b.IP, pb)
+
+	var fr FrameReader
+	frames, bad := 0, 0
+	b.Listen(80, func(s *simnet.Socket) {
+		s.OnData = func(s *simnet.Socket) {
+			fr.Feed(s.ReadAll())
+			for {
+				op, p, ok := fr.Next()
+				if !ok {
+					break
+				}
+				if op != OpEcho || len(p) != frameLen-5 || p[0] != byte(frames) {
+					bad++
+				}
+				frames++
+			}
+		}
+	})
+	var cl *simnet.Socket
+	a.Connect(b.IP, 80, func(s *simnet.Socket) { cl = s })
+	clock.Run()
+
+	payload := make([]byte, frameLen-5)
+	var out []byte
+	sent := 0
+	batch := func() {
+		out = out[:0]
+		for i := 0; i < perBatch; i++ {
+			payload[0] = byte(sent)
+			out = AppendFrame(out, OpEcho, payload)
+			sent++
+		}
+		cl.Send(out)
+		clock.RunFor(simtime.Millisecond)
+	}
+	for i := 0; i < 100; i++ { // warm-up: slabs and reader buffers grow
+		batch()
+	}
+	const batches = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		batch()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := float64(after.Mallocs-before.Mallocs) / (batches * perBatch)
+	if frames != sent || bad > 0 || fr.Buffered() != 0 {
+		t.Fatalf("received %d of %d frames, %d wrong, %d bytes left buffered", frames, sent, bad, fr.Buffered())
+	}
+	t.Logf("%.3f allocations per frame", perFrame)
+	if perFrame > maxAllocs {
+		t.Errorf("the stream allocated %.3f objects per frame, want <= %.1f", perFrame, maxAllocs)
+	}
+}
+
 // TestServerGetAllocsBounded guards the server's GET path: the record is
 // read from the heap into a reused per-server buffer, so a GET
 // allocates nothing once that buffer has grown to a record.

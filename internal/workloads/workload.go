@@ -172,29 +172,62 @@ func AppendFrame(dst []byte, op byte, payload []byte) []byte {
 
 // FrameReader incrementally parses a byte stream into frames.
 //
-// Ownership: Feed takes ownership of the slice it is given, and Next
-// returns payloads that alias the reader's buffer instead of copying.
-// This is sound because buf only grows at its end: the bytes before
-// len(buf) are never written again, so a returned payload stays valid,
-// unchanged, for as long as its holder keeps it. Each payload is capped
-// at its own length, so appending to it copies rather than overwriting
-// the stream.
+// Ownership (DESIGN.md §8, stream-byte ownership): Feed takes ownership
+// of the slice it is given, and Next returns payloads that alias the
+// reader's buffer instead of copying. This is sound because no byte the
+// reader has returned is ever written again. An adopted slice is capped
+// at its length, so nothing is appended into it. A buffer the reader
+// allocates itself is written only past the bytes already in it: a
+// frame that straddles two feeds is completed by copying just the
+// unconsumed tail and the new bytes into that buffer's unused capacity,
+// or into a new buffer when it is full. A returned payload therefore
+// stays valid, unchanged, for as long as its holder keeps it. Each
+// payload is capped at its own length, so appending to it copies rather
+// than overwriting the stream. The reader never compacts: moving the
+// unconsumed tail to the front would overwrite bytes it has returned.
 type FrameReader struct {
 	buf []byte
 	off int // start of the unconsumed bytes in buf
+	// spare is the unused capacity of the reader's own buffer while buf
+	// is an adopted slice; size is the capacity it last allocated.
+	spare []byte
+	size  int
 }
+
+// The buffers a reader allocates for itself double in size between
+// these bounds (or fit the bytes at hand, if more), so a stream whose
+// frames straddle its feeds allocates rarely.
+const (
+	minFrameBuf = 4 << 10
+	maxFrameBuf = 64 << 10
+)
 
 // Feed appends stream bytes. The reader takes ownership of b: the caller
 // must not modify it afterwards.
 func (fr *FrameReader) Feed(b []byte) {
-	if fr.off == len(fr.buf) {
+	switch {
+	case fr.off == len(fr.buf):
 		// Nothing buffered: adopt b instead of copying it. The cap keeps
 		// a later append from writing past b into memory b's owner may
-		// still use.
+		// still use. Only the reader's own buffer has capacity past its
+		// length; keep that for the next straddling frame.
+		if cap(fr.buf) > len(fr.buf) {
+			fr.spare = fr.buf[len(fr.buf):len(fr.buf)]
+		}
 		fr.buf, fr.off = b[:len(b):len(b)], 0
-		return
+	case len(b) <= cap(fr.buf)-len(fr.buf):
+		fr.buf = append(fr.buf, b...)
+	default:
+		// Copy only the unconsumed tail, not the prefix already parsed.
+		tail := fr.buf[fr.off:]
+		n := len(tail) + len(b)
+		if cap(fr.spare) < n {
+			fr.size = max(min(max(2*fr.size, minFrameBuf), maxFrameBuf), 2*n)
+			fr.spare = make([]byte, 0, fr.size)
+		}
+		fr.buf, fr.off = append(append(fr.spare, tail...), b...), 0
+		fr.spare = nil
 	}
-	fr.buf = append(fr.buf, b...)
 }
 
 // Next returns the next complete frame (ok=false if none buffered). The

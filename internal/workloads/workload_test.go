@@ -3,6 +3,7 @@ package workloads
 import (
 	"bytes"
 	"encoding/binary"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,52 @@ func TestPropertyFrameReassembly(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFrameReaderKeepsReturnedPayloads feeds a stream long enough to
+// fill several of the reader's own buffers and keeps every payload Next
+// returns. A third of the chunks end on a frame boundary, so the reader
+// adopts the next chunk while its own buffer has spare capacity; the
+// rest end inside a frame, which the reader completes by copying. At
+// the end each payload must still hold its frame's bytes: the reader
+// never writes a byte it has returned.
+func TestFrameReaderKeepsReturnedPayloads(t *testing.T) {
+	rng := simtime.NewRand(3)
+	var want [][]byte
+	var stream []byte
+	var ends []int // offset just past each frame
+	for len(stream) < 1<<20 {
+		p := make([]byte, rng.Intn(3000))
+		rng.Read(p)
+		want = append(want, p)
+		stream = AppendFrame(stream, OpEcho, p)
+		ends = append(ends, len(stream))
+	}
+	var fr FrameReader
+	var got [][]byte
+	for off := 0; off < len(stream); {
+		end := min(off+1+rng.Intn(5000), len(stream))
+		if rng.Intn(3) == 0 {
+			end = ends[sort.SearchInts(ends, end)]
+		}
+		fr.Feed(bytes.Clone(stream[off:end]))
+		off = end
+		for {
+			_, p, ok := fr.Next()
+			if !ok {
+				break
+			}
+			got = append(got, p)
+		}
+	}
+	if len(got) != len(want) || fr.Buffered() != 0 {
+		t.Fatalf("%d of %d frames returned, %d bytes left buffered", len(got), len(want), fr.Buffered())
+	}
+	for i := range got {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("payload of frame %d changed after later feeds", i)
+		}
 	}
 }
 
