@@ -21,7 +21,6 @@ var configSurface = map[string][]string{
 	"core.Config": {
 		"EpochInterval time.Duration",
 		"Opts core.OptSet",
-		"KeepAlive bool",
 		"BackupBeat bool",
 		"Lease core.LeaseConfig",
 		"Degrade core.DegradePolicy",

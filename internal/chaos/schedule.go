@@ -446,10 +446,7 @@ func (c *campaign) reprotectUnprotected() {
 		AckLink:  cl.AckLink,
 		Xfer:     cl.Xfer,
 	}
-	cfg := c.replConfig()
-	// The container keeps the keep-alive task from its original Start.
-	cfg.KeepAlive = false
-	repl, err := core.ReprotectOnto(view, c.repl.Ctr, cl.Primary.Disk, cfg)
+	repl, err := core.ReprotectOnto(view, c.repl.Ctr, cl.Primary.Disk, c.replConfig())
 	if err != nil {
 		c.verdicts = append(c.verdicts, Verdict{Oracle: "convergence", OK: false,
 			Detail: "reprotect-unprotected: " + err.Error()})

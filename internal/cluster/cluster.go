@@ -212,12 +212,6 @@ type Pair struct {
 	// LastFailover is the most recent recovery's stats.
 	LastFailover *core.RecoveryStats
 
-	// keepAliveOnReprotect: a failover-restored container lost its
-	// keep-alive task (tasks are rebuilt by Reattach, which only rebuilds
-	// the workload), so the next replicator must restart it; a fenced
-	// container still runs its original one.
-	keepAliveOnReprotect bool
-
 	// repairSlot is the chain slot currently resynchronizing after a
 	// chain repair (AttachReplica on a running chain); -1 when none.
 	repairSlot int
@@ -447,7 +441,7 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	}
 	pr.Workload.Install(ctr)
 
-	pr.Repl = core.NewChainReplicator(views, ctr, f.pairConfig(pr, true))
+	pr.Repl = core.NewChainReplicator(views, ctr, f.pairConfig(pr))
 	if len(views) > 1 {
 		// With several replicas each holding its own staleness view,
 		// per-replica self-promotion would elect everyone; the fleet
@@ -473,14 +467,12 @@ func (f *Fleet) liveBackups(pr *Pair) int {
 	return n
 }
 
-// pairConfig derives a pair's replication config. keepAlive is false
-// when the container already runs its keep-alive task (fence-reprotect).
-func (f *Fleet) pairConfig(pr *Pair, keepAlive bool) core.Config {
+// pairConfig derives a pair's replication config.
+func (f *Fleet) pairConfig(pr *Pair) core.Config {
 	cfg := core.DefaultConfig()
 	if f.Params.Opts != nil {
 		cfg.Opts = *f.Params.Opts
 	}
-	cfg.KeepAlive = keepAlive
 	cfg.BackupBeat = true
 	cfg.Lease = f.Params.Lease
 	cfg.Degrade = f.Params.Degrade

@@ -279,10 +279,6 @@ func (f *Fleet) replicaHostDied(pr *Pair, host int) {
 			return
 		}
 		pr.State = Degraded
-		// The container already runs a keep-alive task (from its original
-		// start or a prior re-protection); the next replicator must not
-		// stack another one.
-		pr.keepAliveOnReprotect = false
 		f.enqueueReprotect(pr.Index)
 		f.eventf("fence pair=%s primary=%s", pr.ID, f.Hosts[pr.PrimaryHost].Name)
 	case FailingOver:
@@ -326,9 +322,6 @@ func (f *Fleet) pairRecovered(pr *Pair, rc core.RestoredContainer, stats core.Re
 	pr.Vol = pr.Repl.ReplicaView(slot).DRBDBackup.Local
 	pr.State = Degraded
 	pr.electedSlot = -1
-	// The restore rebuilt the process tree without a keep-alive task;
-	// the re-protection replicator must start one.
-	pr.keepAliveOnReprotect = true
 	f.enqueueReprotect(pr.Index)
 	f.eventf("recovered pair=%s on=%s epoch=%d from=%s", pr.ID, nh.Name,
 		stats.CommittedEpoch, f.Hosts[oldPrimary].Name)

@@ -280,7 +280,7 @@ func (f *Fleet) startReprotect(pr *Pair, target int) bool {
 		AckLink:  tgt.NIC,
 		Xfer:     cur.Xfer,
 	}
-	cfg := f.pairConfig(pr, pr.keepAliveOnReprotect)
+	cfg := f.pairConfig(pr)
 	repl, err := core.ReprotectOnto(view, pr.Ctr, pr.Vol, cfg)
 	if err != nil {
 		// The probe passed but the view build still failed (e.g. the

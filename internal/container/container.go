@@ -116,6 +116,9 @@ type Container struct {
 	frozenAt simtime.Time
 	stopped  bool
 
+	// keepAlive is the task StartKeepAlive installed, if any.
+	keepAlive *Task
+
 	// OnTaskStep, when set, observes every executed scheduling quantum
 	// (the task's thread TID). The record/replay recorder folds the
 	// sequence into a per-segment scheduling digest so failover replay
@@ -335,13 +338,20 @@ func (c *Container) Reconnect() { c.Port.SetEnabled(true) }
 // StartKeepAlive installs the keep-alive process (§IV): it wakes every
 // interval and executes ~1000 instructions so that cpuacct.usage always
 // advances while the container is healthy, preventing false alarms from
-// the heartbeat detector when the container is idle.
+// the heartbeat detector when the container is idle. A container runs
+// at most one: if it already has its keep-alive task (it was protected
+// before and is now re-protected), that task is returned. A restored
+// container is a new object and starts without one.
 func (c *Container) StartKeepAlive(interval simtime.Duration) *Task {
+	if c.keepAlive != nil {
+		return c.keepAlive
+	}
 	p := c.AddProcess("keepalive", 1)
 	const instrCost = 500 * simtime.Nanosecond // ~1000 instructions
-	return c.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
+	c.keepAlive = c.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 		return instrCost, interval
 	})
+	return c.keepAlive
 }
 
 // TotalResidentPages sums resident pages across the container's

@@ -206,6 +206,21 @@ func TestKeepAliveAdvancesCpuacct(t *testing.T) {
 	}
 }
 
+// A re-protected container keeps the keep-alive task it already runs:
+// a second start returns that task and adds no process.
+func TestKeepAliveStartsOnce(t *testing.T) {
+	h, _ := newTestHost()
+	ctr := Create(h, Spec{ID: "c1", IP: "ip"})
+	first := ctr.StartKeepAlive(30 * simtime.Millisecond)
+	procs, tasks := len(ctr.Procs), len(ctr.Tasks)
+	if again := ctr.StartKeepAlive(30 * simtime.Millisecond); again != first {
+		t.Fatal("second StartKeepAlive started another task")
+	}
+	if len(ctr.Procs) != procs || len(ctr.Tasks) != tasks {
+		t.Fatalf("procs %d→%d, tasks %d→%d after a second start", procs, len(ctr.Procs), tasks, len(ctr.Tasks))
+	}
+}
+
 func TestKeepAliveStopsWhenFrozen(t *testing.T) {
 	h, clock := newTestHost()
 	ctr := Create(h, Spec{ID: "c1", IP: "ip"})

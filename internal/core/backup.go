@@ -82,7 +82,7 @@ type BackupAgent struct {
 	// 0 is the classic pair backup.
 	slot int
 
-	store criu.PageStore
+	store *criu.PageStore
 	// baseline holds, for a raw store built from a full image with
 	// SharesFrames set, the keys whose buffer arrived in that image and
 	// has not been superseded since. Such a buffer may still be another
@@ -146,10 +146,9 @@ type BackupAgent struct {
 	CPUBusy simtime.Duration
 
 	// Recovery result, populated after failover.
-	Recovery      *RecoveryStats
-	RestoredCtr   RestoredContainer
-	recoverErr    error
-	storeCostSeen simtime.Duration
+	Recovery    *RecoveryStats
+	RestoredCtr RestoredContainer
+	recoverErr  error
 }
 
 func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
@@ -159,11 +158,7 @@ func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
 		fsInodes: make(map[int]simfs.InodeEntry),
 		pending:  make(map[uint64]*criu.Image),
 		logSegs:  make(map[uint64]*criu.LogSegment),
-	}
-	if cfg.Opts.OptimizeCRIU {
-		b.store = criu.NewRadixStore()
-	} else {
-		b.store = criu.NewListStore()
+		store:    criu.NewPageStore(cfg.Opts.OptimizeCRIU),
 	}
 	return b
 }
@@ -375,11 +370,7 @@ func (b *BackupAgent) sendResync() {
 // baseline can never commit. The infrequent-state cache survives — the
 // primary's tracker guarantees a fresh copy was shipped if it changed.
 func (b *BackupAgent) resetToBaseline(epoch uint64) {
-	if b.cfg.Opts.OptimizeCRIU {
-		b.store = criu.NewRadixStore()
-	} else {
-		b.store = criu.NewListStore()
-	}
+	b.store = criu.NewPageStore(b.cfg.Opts.OptimizeCRIU)
 	b.fsPages = make(map[fsPageKey]simfs.PageEntry)
 	b.fsInodes = make(map[int]simfs.InodeEntry)
 	for e := range b.pending {

@@ -303,12 +303,10 @@ func runSharedFramesReprotect(t *testing.T, reprotectOld bool) {
 	var err error
 	if reprotectOld {
 		writer, keeper = env.ctr, restored
-		cfg := DefaultConfig()
-		cfg.KeepAlive = false // the container keeps its keep-alive task
 		repl2, err = ReprotectOnto(&Cluster{
 			Clock: env.clock, Switch: env.cl.Switch, Primary: env.cl.Primary, Backup: env.cl.Backup,
 			ReplLink: env.cl.ReplLink, AckLink: env.cl.AckLink, Xfer: env.cl.Xfer,
-		}, env.ctr, env.cl.Primary.Disk, cfg)
+		}, env.ctr, env.cl.Primary.Disk, DefaultConfig())
 	} else {
 		_, repl2, err = Reprotect(env.cl, restored, DefaultConfig())
 	}

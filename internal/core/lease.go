@@ -134,11 +134,6 @@ func (s LeaseState) String() string {
 
 // --- Primary side ------------------------------------------------------------
 
-func (r *Replicator) setLeaseState(s LeaseState) {
-	r.leaseState = s
-	r.LeaseGauge.Set(int64(s))
-}
-
 // startLease arms the initial lease at Start time. The backup's
 // detector grants from the first tick (grants are withheld only once
 // the primary's heartbeats go stale), so a healthy pair renews long
@@ -146,10 +141,10 @@ func (r *Replicator) setLeaseState(s LeaseState) {
 // synchronization is still streaming.
 func (r *Replicator) startLease() {
 	if !r.Cfg.Lease.Enabled {
-		r.setLeaseState(LeaseDisabled)
+		r.leaseState = LeaseDisabled
 		return
 	}
-	r.setLeaseState(LeaseHeld)
+	r.leaseState = LeaseHeld
 	r.leaseExpiresAt = r.Cluster.Clock.Now().Add(leaseTerm)
 	r.armLeaseExpiry()
 }
@@ -219,7 +214,7 @@ func (r *Replicator) leaseExpired() {
 // same stroke — their SYN-ACKs are buffered egress like everything
 // else.
 func (r *Replicator) selfFence() {
-	r.setLeaseState(LeaseSelfFenced)
+	r.leaseState = LeaseSelfFenced
 	r.SelfFences.Inc()
 	if r.Cfg.Degrade == Availability {
 		if r.unprotEvent != nil {
@@ -232,7 +227,7 @@ func (r *Replicator) selfFence() {
 // unfence resumes releases after a grant ended a fence, flushing every
 // parked release in epoch order.
 func (r *Replicator) unfence() {
-	r.setLeaseState(LeaseHeld)
+	r.leaseState = LeaseHeld
 	if r.unprotEvent != nil {
 		r.unprotEvent.Cancel()
 		r.unprotEvent = nil
@@ -296,7 +291,7 @@ func (r *Replicator) unprotectDeadline() {
 // and a heal is detected by the control plane (or campaign), which
 // re-protects the pair with a full resync.
 func (r *Replicator) declareUnprotected() {
-	r.setLeaseState(LeaseUnprotected)
+	r.leaseState = LeaseUnprotected
 	r.Unprotects.Inc()
 	r.cancelLeaseTimers()
 	if r.epochEvent != nil {
@@ -328,7 +323,7 @@ func (r *Replicator) supersededSeen() bool {
 	if r.leaseState == LeaseSuperseded {
 		return true
 	}
-	r.setLeaseState(LeaseSuperseded)
+	r.leaseState = LeaseSuperseded
 	r.cancelLeaseTimers()
 	r.parked = nil
 	r.hasParkedDirect = false

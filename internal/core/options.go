@@ -185,8 +185,6 @@ type Config struct {
 	EpochInterval simtime.Duration
 	// Opts selects the active optimizations.
 	Opts OptSet
-	// KeepAlive starts the keep-alive process in the container (§IV).
-	KeepAlive bool
 	// BackupBeat makes the backup agent send a reverse liveness beat to
 	// the primary on every detector tick. The paper's single-pair
 	// deployment never needs it (a dead backup merely leaves the pair
@@ -233,6 +231,5 @@ func DefaultConfig() Config {
 	return Config{
 		EpochInterval: 30 * simtime.Millisecond,
 		Opts:          AllOpts(),
-		KeepAlive:     true,
 	}
 }

@@ -425,11 +425,6 @@ func (run *epochRun) recordStop() {
 	r.StopTimes.Add(run.thawAt.Sub(run.startAt).Seconds())
 	r.StateBytes.Add(float64(stats.StateBytes))
 	r.DirtyPages.Add(float64(stats.DirtyPages))
-	r.FreezeWaits.Add(stats.FreezeWait.Seconds())
-	r.SockCollects.Add(stats.SocketCollect.Seconds())
-	r.ThreadColls.Add(stats.ThreadCollect.Seconds())
-	r.MemCopies.Add(stats.MemCopy.Seconds())
-	r.VMACollects.Add(stats.VMACollect.Seconds())
 }
 
 // record adds the per-stage samples and the timeline row once the whole

@@ -83,15 +83,10 @@ type Replicator struct {
 
 	// Virtual-time measurements, aggregated by the harness into Tables
 	// I, III and IV.
-	StopTimes    metrics.Stream // seconds
-	StateBytes   metrics.Stream // bytes (logical state size)
-	BytesOnWire  metrics.Stream // bytes actually sent per epoch
-	DirtyPages   metrics.Stream // pages
-	FreezeWaits  metrics.Stream // seconds
-	SockCollects metrics.Stream // seconds
-	ThreadColls  metrics.Stream // seconds
-	MemCopies    metrics.Stream // seconds
-	VMACollects  metrics.Stream // seconds
+	StopTimes   metrics.Stream // seconds
+	StateBytes  metrics.Stream // bytes (logical state size)
+	BytesOnWire metrics.Stream // bytes actually sent per epoch
+	DirtyPages  metrics.Stream // pages
 
 	// StageTimes holds one stream per pipeline stage (seconds), sampled
 	// once per epoch when the epoch's output is released.
@@ -103,9 +98,6 @@ type Replicator struct {
 	// Timeline, when non-nil, records a per-epoch time series
 	// (niliconctl timeline).
 	Timeline *trace.Timeline
-
-	// ReplStart marks when replication began (for utilization math).
-	ReplStart simtime.Time
 
 	hbTicker *simtime.Ticker
 	lastCPU  simtime.Duration
@@ -128,8 +120,6 @@ type Replicator struct {
 	parkedDirect    uint64
 	hasParkedDirect bool
 
-	// LeaseGauge mirrors leaseState for the metrics layer.
-	LeaseGauge metrics.Gauge
 	// SelfFences counts lease expirations that fenced this primary.
 	SelfFences metrics.Counter
 	// Unprotects counts Availability-policy unprotected declarations.
@@ -138,12 +128,11 @@ type Replicator struct {
 	// rec is the nondeterminism recorder (nil unless Opts.RecordReplay;
 	// replay.go, DESIGN.md §12).
 	rec *recorder
-	// LogSegments / LogEvents / LogWireBytes count the sealed
-	// nondeterminism-log segments, their recorded events, and their
-	// bytes on the replication link; LogCommitLatency samples seal →
-	// backup-ack latency per segment (seconds).
-	LogSegments, LogEvents, LogWireBytes metrics.Counter
-	LogCommitLatency                     metrics.Stream
+	// LogSegments counts the sealed nondeterminism-log segments;
+	// LogCommitLatency samples seal → backup-ack latency per segment
+	// (seconds).
+	LogSegments      metrics.Counter
+	LogCommitLatency metrics.Stream
 }
 
 // NewReplicator wires a replicator for the given protected container.
@@ -174,16 +163,13 @@ func (r *Replicator) Start() {
 		return
 	}
 	r.running = true
-	r.ReplStart = r.Cluster.Clock.Now()
 	r.Ctr.Qdisc.SetReplicating(true)
 	if r.Cfg.Opts.PlugInput {
 		r.Ctr.Qdisc.SetInputMode(plugBufferMode)
 	} else {
 		r.Ctr.Qdisc.SetInputMode(firewallDropMode)
 	}
-	if r.Cfg.KeepAlive {
-		r.Ctr.StartKeepAlive(heartbeatInterval)
-	}
+	r.Ctr.StartKeepAlive(heartbeatInterval)
 	if r.rec != nil {
 		// Install after the keep-alive process exists so recorded process
 		// indexes match the checkpoint image's process order.
@@ -341,11 +327,6 @@ func (r *Replicator) ResetMeasurement() {
 	r.StateBytes = metrics.Stream{}
 	r.BytesOnWire = metrics.Stream{}
 	r.DirtyPages = metrics.Stream{}
-	r.FreezeWaits = metrics.Stream{}
-	r.SockCollects = metrics.Stream{}
-	r.ThreadColls = metrics.Stream{}
-	r.MemCopies = metrics.Stream{}
-	r.VMACollects = metrics.Stream{}
 	for s := Stage(0); s < NumStages; s++ {
 		r.StageTimes[s] = metrics.Stream{}
 	}
@@ -354,8 +335,6 @@ func (r *Replicator) ResetMeasurement() {
 	r.ZeroFrames = metrics.Counter{}
 	r.DedupFrames = metrics.Counter{}
 	r.LogSegments = metrics.Counter{}
-	r.LogEvents = metrics.Counter{}
-	r.LogWireBytes = metrics.Counter{}
 	r.LogCommitLatency = metrics.Stream{}
 }
 
@@ -419,7 +398,7 @@ func (r *Replicator) FenceBackup() {
 	if r.Cfg.Lease.Enabled {
 		// Control-plane-sanctioned unprotected operation: the backups are
 		// verifiably dead, so releasing without a lease is safe.
-		r.setLeaseState(LeaseUnprotected)
+		r.leaseState = LeaseUnprotected
 	}
 }
 

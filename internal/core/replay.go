@@ -136,13 +136,11 @@ func (rec *recorder) uninstall() {
 
 func (rec *recorder) onIngress(pkt simnet.Packet) {
 	rec.events = append(rec.events, criu.LogEvent{Kind: criu.LogIngress, Packet: pkt})
-	rec.r.LogEvents.Inc()
 	rec.noteActivity()
 }
 
 func (rec *recorder) onRandom(procIndex int, v uint64) {
 	rec.events = append(rec.events, criu.LogEvent{Kind: criu.LogRandom, ProcIndex: procIndex, Value: v})
-	rec.r.LogEvents.Inc()
 	rec.noteActivity()
 }
 
@@ -200,7 +198,6 @@ func (rec *recorder) seal() {
 	r := rec.r
 	rec.sealTime[seg.Seq] = r.Cluster.Clock.Now()
 	r.LogSegments.Inc()
-	r.LogWireBytes.Add(seg.WireBytes())
 	r.Ctr.Qdisc.Rotate(seg.Seq)
 	rec.submit(seg)
 }

@@ -393,7 +393,7 @@ func (e *DeltaEncoder) findDonor(self, hv uint64, data []byte, acked uint64, hav
 // store's cross-VMA/process dedup. A zero frame returns the all-zero
 // stamp frame. Stored pages are never mutated in place (only replaced),
 // so the sharing is safe.
-func DecodeFrame(f *PageFrame, key uint64, store PageStore) ([]byte, error) {
+func DecodeFrame(f *PageFrame, key uint64, store *PageStore) ([]byte, error) {
 	switch f.Kind {
 	case FrameFull:
 		return f.Data, nil

@@ -28,7 +28,7 @@ func clonePage(p PageImage) []byte {
 // after the full decode pass matches the backup's commit, so a dedup
 // donor shipped in the same image is never visible to its referrers —
 // the encoder must not produce such references.
-func commitImage(t *testing.T, img *Image, store PageStore) {
+func commitImage(t *testing.T, img *Image, store *PageStore) {
 	t.Helper()
 	type dec struct {
 		key  uint64
@@ -125,7 +125,7 @@ func TestEncodeXORDeltaEdgeCases(t *testing.T) {
 // decoded stream reproduces the exact page content at every step.
 func TestDeltaEncoderLifecycle(t *testing.T) {
 	enc := NewDeltaEncoder()
-	store := NewRadixStore()
+	store := NewPageStore(true)
 
 	// Initial full sync, nothing acked: content pages go verbatim, the
 	// all-zero page is still elided (no base needed to install zeros).
@@ -294,7 +294,7 @@ func TestDeltaEncoderResetOnFullResync(t *testing.T) {
 // the signal that forces the caller to NACK instead of committing a
 // corrupted page.
 func TestDecodeFrameRejectsStaleState(t *testing.T) {
-	store := NewRadixStore()
+	store := NewPageStore(true)
 	committed := fillPage(10, 1).Data
 	store.Put(PageKey(0, 10), committed)
 
@@ -397,7 +397,7 @@ func TestEncoderBasesAreLentFrames(t *testing.T) {
 	e := NewEngine(ctr, NiLiConOptions())
 	defer e.Close()
 	enc := NewDeltaEncoder()
-	store := NewRadixStore()
+	store := NewPageStore(true)
 
 	img0, _ := e.Checkpoint()
 	ctr.Thaw()

@@ -45,7 +45,7 @@ func FuzzFrameDecoder(f *testing.F) {
 		copy(basePg, a)
 		copy(curPg, b)
 		key, donorKey := PageKey(0, 1), PageKey(1, 9)
-		store := NewRadixStore()
+		store := NewPageStore(true)
 		store.Put(key, basePg)
 		store.Put(donorKey, curPg)
 		decode := func(fr PageFrame, k uint64) ([]byte, error) {

@@ -1,181 +1,35 @@
 package criu
 
-import (
-	"sort"
-
-	"nilicon/internal/simtime"
-)
+import "nilicon/internal/simtime"
 
 // PageStore holds the committed memory pages at the backup, merged
 // across incremental checkpoints. The paper's most important CRIU
 // optimization (§V-A) replaces the stock implementation — a linked list
 // of per-checkpoint directories that must be searched linearly for every
-// received page — with a four-level radix tree mimicking hardware page
-// tables, making per-page processing time short and independent of the
-// number of previous checkpoints.
+// received page — with a four-level radix tree over the 36 low bits of
+// the key (9 bits per level), mimicking hardware page tables, making
+// per-page processing time short and independent of the number of
+// previous checkpoints.
+//
+// The radix tree is the only structure the simulation keeps. A stock
+// store (NewPageStore(false)) charges what the list walk would cost: it
+// counts directories and remembers which one holds each key's latest
+// copy, which is all the walk's cost depends on (DESIGN.md §4).
 //
 // Put stores a page under a 64-bit key (the core composes process ID and
 // page number into the key). Cost() accumulates the modeled backup-CPU
 // cost of the store's operations; the Table V backup-utilization
 // experiment reads it.
-type PageStore interface {
-	// BeginCheckpoint marks the start of a new incremental checkpoint.
-	BeginCheckpoint()
-	// Put stores (a copy of) data under key.
-	Put(key uint64, data []byte)
-	// PutOwned stores data under key, taking ownership of the slice
-	// (no copy), and returns the buffer it replaces (nil for a new key).
-	// Callers must not reuse data afterwards. The backup agent uses this
-	// for received checkpoint pages, whose buffers are dead after the
-	// merge, and recycles the replaced buffer when nothing else can
-	// hold it (DESIGN.md §8).
-	PutOwned(key uint64, data []byte) (old []byte)
-	// Get returns the stored page (nil if absent). The result must not
-	// be mutated.
-	Get(key uint64) []byte
-	// Len returns the number of distinct keys stored.
-	Len() int
-	// ForEach visits all pages in ascending key order.
-	ForEach(fn func(key uint64, data []byte))
-	// ForRange visits pages with lo <= key < hi in ascending key order.
-	// Restore uses it to extract one process's pages without scanning
-	// the whole store once per process.
-	ForRange(lo, hi uint64, fn func(key uint64, data []byte))
-	// Cost returns the cumulative modeled CPU cost of all operations.
-	Cost() simtime.Duration
-}
-
-// Per-operation modeled costs. The list store pays the scan cost once
-// per existing checkpoint directory per received page.
-const (
-	costRadixPut   = 120 * simtime.Nanosecond
-	costListPerDir = 90 * simtime.Nanosecond
-	costListAppend = 150 * simtime.Nanosecond
-)
-
-// pageRec is one stored page.
-type pageRec struct {
-	key  uint64
-	data []byte
-}
-
-// ListStore is the stock CRIU layout: a linked list of checkpoint
-// directories, each holding that checkpoint's pages. For every received
-// page the list is walked to find and remove a previous copy, so the
-// per-page cost grows with the number of checkpoints taken.
-type ListStore struct {
-	dirs [][]pageRec
-	cost simtime.Duration
-	n    int
-}
-
-// NewListStore returns an empty list store.
-func NewListStore() *ListStore { return &ListStore{} }
-
-// BeginCheckpoint appends a new directory to the list.
-func (s *ListStore) BeginCheckpoint() {
-	s.dirs = append(s.dirs, nil)
-}
-
-// Put walks every prior directory to remove an older copy of the page,
-// then appends the new copy to the current directory.
-func (s *ListStore) Put(key uint64, data []byte) {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	s.PutOwned(key, cp)
-}
-
-// PutOwned is Put without the defensive copy.
-func (s *ListStore) PutOwned(key uint64, data []byte) (old []byte) {
-	if len(s.dirs) == 0 {
-		s.dirs = append(s.dirs, nil)
-	}
-	found := false
-	for di := 0; di < len(s.dirs); di++ {
-		s.cost += costListPerDir
-		dir := s.dirs[di]
-		for i := range dir {
-			if dir[i].key == key {
-				old = dir[i].data
-				last := len(dir) - 1
-				dir[i] = dir[last]
-				s.dirs[di] = dir[:last]
-				found = true
-				break
-			}
-		}
-		if found {
-			break
-		}
-	}
-	if !found {
-		// Scanned the whole list without a hit.
-		s.n++
-	}
-	cur := len(s.dirs) - 1
-	s.dirs[cur] = append(s.dirs[cur], pageRec{key: key, data: data})
-	s.cost += costListAppend
-	return old
-}
-
-// Get linearly searches the directories (newest first).
-func (s *ListStore) Get(key uint64) []byte {
-	for di := len(s.dirs) - 1; di >= 0; di-- {
-		for _, r := range s.dirs[di] {
-			if r.key == key {
-				return r.data
-			}
-		}
-	}
-	return nil
-}
-
-// Len returns the number of distinct pages.
-func (s *ListStore) Len() int { return s.n }
-
-// ForEach visits pages in ascending key order.
-func (s *ListStore) ForEach(fn func(uint64, []byte)) {
-	var all []pageRec
-	for _, dir := range s.dirs {
-		all = append(all, dir...)
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	for _, r := range all {
-		fn(r.key, r.data)
-	}
-}
-
-// ForRange visits pages with lo <= key < hi in ascending key order. The
-// list layout has no index, so the directories are still scanned in
-// full, but only matching pages are collected and sorted.
-func (s *ListStore) ForRange(lo, hi uint64, fn func(uint64, []byte)) {
-	var hits []pageRec
-	for _, dir := range s.dirs {
-		for _, r := range dir {
-			if r.key >= lo && r.key < hi {
-				hits = append(hits, r)
-			}
-		}
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].key < hits[j].key })
-	for _, r := range hits {
-		fn(r.key, r.data)
-	}
-}
-
-// Cost returns the cumulative modeled CPU cost.
-func (s *ListStore) Cost() simtime.Duration { return s.cost }
-
-// Dirs returns the number of checkpoint directories (for tests).
-func (s *ListStore) Dirs() int { return len(s.dirs) }
-
-// RadixStore is NiLiCon's replacement: a four-level radix tree over the
-// 36 low bits of the key (9 bits per level), mimicking hardware page
-// tables. Per-page cost is constant.
-type RadixStore struct {
+type PageStore struct {
 	root *radixNode
 	cost simtime.Duration
 	n    int
+
+	// Stock layout only (dirOf non-nil): dirs counts the checkpoint
+	// directories, and dirOf maps each key to the index of the
+	// directory holding its latest copy.
+	dirs  int
+	dirOf map[uint64]int
 }
 
 type radixNode struct {
@@ -183,25 +37,52 @@ type radixNode struct {
 	leaves   [512][]byte
 }
 
-// NewRadixStore returns an empty radix store.
-func NewRadixStore() *RadixStore { return &RadixStore{root: &radixNode{}} }
+// Per-operation modeled costs. The stock list walk pays costListPerDir
+// for every directory it scans before finding the page's previous copy
+// (all of them for a new page), then costListAppend to file the page in
+// the newest directory.
+const (
+	costRadixPut   = 120 * simtime.Nanosecond
+	costListPerDir = 90 * simtime.Nanosecond
+	costListAppend = 150 * simtime.Nanosecond
+)
 
-// BeginCheckpoint is a no-op for the radix layout.
-func (s *RadixStore) BeginCheckpoint() {}
+// NewPageStore returns an empty store. With optimized false it charges
+// stock CRIU's linked-list layout instead of the radix tree's.
+func NewPageStore(optimized bool) *PageStore {
+	s := &PageStore{root: &radixNode{}}
+	if !optimized {
+		s.dirOf = make(map[uint64]int)
+	}
+	return s
+}
+
+// BeginCheckpoint marks the start of a new incremental checkpoint: the
+// stock layout appends a directory to its list.
+func (s *PageStore) BeginCheckpoint() {
+	if s.dirOf != nil {
+		s.dirs++
+	}
+}
 
 func radixIdx(key uint64, level int) int {
 	return int(key >> uint(9*(3-level)) & 0x1FF)
 }
 
-// Put stores the page in O(levels).
-func (s *RadixStore) Put(key uint64, data []byte) {
+// Put stores (a copy of) data under key.
+func (s *PageStore) Put(key uint64, data []byte) {
 	cp := make([]byte, len(data))
 	copy(cp, data)
 	s.PutOwned(key, cp)
 }
 
-// PutOwned is Put without the defensive copy.
-func (s *RadixStore) PutOwned(key uint64, data []byte) (old []byte) {
+// PutOwned stores data under key, taking ownership of the slice (no
+// copy), and returns the buffer it replaces (nil for a new key). Callers
+// must not reuse data afterwards. The backup agent uses this for
+// received checkpoint pages, whose buffers are dead after the merge, and
+// recycles the replaced buffer when nothing else can hold it
+// (DESIGN.md §8).
+func (s *PageStore) PutOwned(key uint64, data []byte) (old []byte) {
 	n := s.root
 	for level := 0; level < 3; level++ {
 		i := radixIdx(key, level)
@@ -216,12 +97,32 @@ func (s *RadixStore) PutOwned(key uint64, data []byte) (old []byte) {
 		s.n++
 	}
 	n.leaves[i] = data
-	s.cost += costRadixPut
+	if s.dirOf != nil {
+		s.chargeListPut(key, old != nil)
+	} else {
+		s.cost += costRadixPut
+	}
 	return old
 }
 
-// Get walks the tree.
-func (s *RadixStore) Get(key uint64) []byte {
+// chargeListPut charges one stock put: the walk scans directories from
+// the oldest until the one holding the key (every directory for a new
+// key), then appends to the newest. The first put creates directory 0.
+func (s *PageStore) chargeListPut(key uint64, stored bool) {
+	if s.dirs == 0 {
+		s.dirs = 1
+	}
+	scanned := s.dirs
+	if stored {
+		scanned = s.dirOf[key] + 1
+	}
+	s.cost += costListPerDir*simtime.Duration(scanned) + costListAppend
+	s.dirOf[key] = s.dirs - 1
+}
+
+// Get returns the stored page (nil if absent). The result must not be
+// mutated.
+func (s *PageStore) Get(key uint64) []byte {
 	n := s.root
 	for level := 0; level < 3; level++ {
 		n = n.children[radixIdx(key, level)]
@@ -232,11 +133,11 @@ func (s *RadixStore) Get(key uint64) []byte {
 	return n.leaves[radixIdx(key, 3)]
 }
 
-// Len returns the number of distinct pages.
-func (s *RadixStore) Len() int { return s.n }
+// Len returns the number of distinct keys stored.
+func (s *PageStore) Len() int { return s.n }
 
-// ForEach visits pages in ascending key order.
-func (s *RadixStore) ForEach(fn func(uint64, []byte)) {
+// ForEach visits all pages in ascending key order.
+func (s *PageStore) ForEach(fn func(key uint64, data []byte)) {
 	var walk func(n *radixNode, prefix uint64, level int)
 	walk = func(n *radixNode, prefix uint64, level int) {
 		if level == 3 {
@@ -257,10 +158,10 @@ func (s *RadixStore) ForEach(fn func(uint64, []byte)) {
 }
 
 // ForRange visits pages with lo <= key < hi in ascending key order,
-// descending only into subtrees that overlap the range — the radix
-// structure makes extracting one process's pages O(pages in range), not
-// O(pages stored).
-func (s *RadixStore) ForRange(lo, hi uint64, fn func(uint64, []byte)) {
+// descending only into subtrees that overlap the range. Restore uses it
+// to extract one process's pages in O(pages in range), not O(pages
+// stored).
+func (s *PageStore) ForRange(lo, hi uint64, fn func(key uint64, data []byte)) {
 	if hi <= lo {
 		return
 	}
@@ -286,5 +187,5 @@ func (s *RadixStore) ForRange(lo, hi uint64, fn func(uint64, []byte)) {
 	walk(s.root, 0, 0)
 }
 
-// Cost returns the cumulative modeled CPU cost.
-func (s *RadixStore) Cost() simtime.Duration { return s.cost }
+// Cost returns the cumulative modeled CPU cost of all operations.
+func (s *PageStore) Cost() simtime.Duration { return s.cost }

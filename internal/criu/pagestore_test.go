@@ -3,15 +3,18 @@ package criu
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"nilicon/internal/simtime"
 )
 
-// storeImpls lets every test run against both implementations.
-func storeImpls() map[string]func() PageStore {
-	return map[string]func() PageStore{
-		"list":  func() PageStore { return NewListStore() },
-		"radix": func() PageStore { return NewRadixStore() },
+// storeImpls lets every test run against both layouts' cost models.
+func storeImpls() map[string]func() *PageStore {
+	return map[string]func() *PageStore{
+		"list":  func() *PageStore { return NewPageStore(false) },
+		"radix": func() *PageStore { return NewPageStore(true) },
 	}
 }
 
@@ -111,7 +114,7 @@ func TestPageStoreForEachSorted(t *testing.T) {
 }
 
 func TestListStoreCostGrowsWithCheckpoints(t *testing.T) {
-	s := NewListStore()
+	s := NewPageStore(false)
 	// Many checkpoints, each dirtying a fresh page: later Puts must scan
 	// more directories.
 	for ck := 0; ck < 50; ck++ {
@@ -125,13 +128,13 @@ func TestListStoreCostGrowsWithCheckpoints(t *testing.T) {
 	if lateDelta <= costListPerDir*10 {
 		t.Fatalf("late put cost %v; should scan ~51 dirs", lateDelta)
 	}
-	if s.Dirs() != 51 {
-		t.Fatalf("dirs = %d", s.Dirs())
+	if s.dirs != 51 {
+		t.Fatalf("dirs = %d", s.dirs)
 	}
 }
 
 func TestRadixStoreCostConstant(t *testing.T) {
-	s := NewRadixStore()
+	s := NewPageStore(true)
 	for ck := 0; ck < 50; ck++ {
 		s.BeginCheckpoint()
 		s.Put(uint64(1000+ck), []byte{1})
@@ -144,7 +147,7 @@ func TestRadixStoreCostConstant(t *testing.T) {
 }
 
 func TestRadixBeatsListAfterManyCheckpoints(t *testing.T) {
-	list, radix := NewListStore(), NewRadixStore()
+	list, radix := NewPageStore(false), NewPageStore(true)
 	for ck := 0; ck < 100; ck++ {
 		list.BeginCheckpoint()
 		radix.BeginCheckpoint()
@@ -209,31 +212,34 @@ func TestPropertyStoresMatchMapModel(t *testing.T) {
 	}
 }
 
+// BenchmarkPageStoreRadixVsList reports the modeled backup CPU per
+// received page for each layout. Both run on the same radix tree, so
+// wall time no longer separates them; the virtual cost does, and the
+// list's grows with the number of checkpoints.
 func BenchmarkPageStoreRadixVsList(b *testing.B) {
 	page := bytes.Repeat([]byte{1}, 4096)
 	for _, n := range []int{10, 100} {
-		b.Run(fmt.Sprintf("list/checkpoints=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := NewListStore()
-				for ck := 0; ck < n; ck++ {
-					s.BeginCheckpoint()
-					for p := 0; p < 64; p++ {
-						s.Put(uint64((ck*13+p)%512), page)
+		for _, layout := range []struct {
+			name      string
+			optimized bool
+		}{{"list", false}, {"radix", true}} {
+			b.Run(fmt.Sprintf("%s/checkpoints=%d", layout.name, n), func(b *testing.B) {
+				var virtual simtime.Duration
+				puts := 0
+				for i := 0; i < b.N; i++ {
+					s := NewPageStore(layout.optimized)
+					for ck := 0; ck < n; ck++ {
+						s.BeginCheckpoint()
+						for p := 0; p < 64; p++ {
+							s.Put(uint64((ck*13+p)%512), page)
+							puts++
+						}
 					}
+					virtual += s.Cost()
 				}
-			}
-		})
-		b.Run(fmt.Sprintf("radix/checkpoints=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				s := NewRadixStore()
-				for ck := 0; ck < n; ck++ {
-					s.BeginCheckpoint()
-					for p := 0; p < 64; p++ {
-						s.Put(uint64((ck*13+p)%512), page)
-					}
-				}
-			}
-		})
+				b.ReportMetric(float64(virtual)/float64(puts), "virtual-ns/put")
+			})
+		}
 	}
 }
 
@@ -302,5 +308,153 @@ func TestPageStoreForRangeMatchesFilteredForEach(t *testing.T) {
 				t.Fatalf("ForRange visited %d keys, ForEach filter found %d", seen, len(want))
 			}
 		})
+	}
+}
+
+// listStore is stock CRIU's page store as it really is: a linked list
+// of checkpoint directories, each holding that checkpoint's pages. For
+// every received page the list is walked from the oldest directory to
+// find and remove a previous copy. PageStore charges this walk by
+// formula (NewPageStore(false)); listStore performs it, as the
+// reference that formula is checked against.
+type listStore struct {
+	dirs [][]pageRec
+	cost simtime.Duration
+	n    int
+}
+
+type pageRec struct {
+	key  uint64
+	data []byte
+}
+
+func (s *listStore) BeginCheckpoint() { s.dirs = append(s.dirs, nil) }
+
+func (s *listStore) Put(key uint64, data []byte) {
+	s.PutOwned(key, append([]byte(nil), data...))
+}
+
+func (s *listStore) PutOwned(key uint64, data []byte) (old []byte) {
+	if len(s.dirs) == 0 {
+		s.dirs = append(s.dirs, nil)
+	}
+	found := false
+	for di := 0; di < len(s.dirs) && !found; di++ {
+		s.cost += costListPerDir
+		dir := s.dirs[di]
+		for i := range dir {
+			if dir[i].key == key {
+				old = dir[i].data
+				last := len(dir) - 1
+				dir[i] = dir[last]
+				s.dirs[di] = dir[:last]
+				found = true
+				break
+			}
+		}
+	}
+	if !found {
+		s.n++
+	}
+	cur := len(s.dirs) - 1
+	s.dirs[cur] = append(s.dirs[cur], pageRec{key: key, data: data})
+	s.cost += costListAppend
+	return old
+}
+
+func (s *listStore) Get(key uint64) []byte {
+	for di := len(s.dirs) - 1; di >= 0; di-- {
+		for _, r := range s.dirs[di] {
+			if r.key == key {
+				return r.data
+			}
+		}
+	}
+	return nil
+}
+
+func (s *listStore) Cost() simtime.Duration { return s.cost }
+
+func (s *listStore) ForEach(fn func(uint64, []byte)) {
+	var all []pageRec
+	for _, dir := range s.dirs {
+		all = append(all, dir...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	for _, r := range all {
+		fn(r.key, r.data)
+	}
+}
+
+// Property: under arbitrary BeginCheckpoint/Put/PutOwned sequences the
+// stock-layout PageStore charges exactly what walking the real list
+// costs, and holds and returns the same pages.
+func TestStockStoreMatchesListReference(t *testing.T) {
+	f := func(ops []struct {
+		Kind uint8
+		Key  uint16
+	}) bool {
+		ref, s := &listStore{}, NewPageStore(false)
+		owned := map[uint64]bool{} // the key's latest copy came from PutOwned
+		for i, op := range ops {
+			// Keys spread over several radix leaves and repeat often.
+			key := uint64(op.Key%29) * 4099
+			val := []byte{byte(i), byte(i >> 8)}
+			var old, refOld []byte
+			switch op.Kind % 3 {
+			case 0:
+				ref.BeginCheckpoint()
+				s.BeginCheckpoint()
+				continue
+			case 1:
+				ref.Put(key, val)
+				s.Put(key, val)
+				owned[key] = false
+			case 2:
+				wasOwned := owned[key]
+				refOld = ref.PutOwned(key, val)
+				old = s.PutOwned(key, val)
+				owned[key] = true
+				if (old == nil) != (refOld == nil) || !bytes.Equal(old, refOld) {
+					t.Logf("op %d: PutOwned(%d) returned %v, reference %v", i, key, old, refOld)
+					return false
+				}
+				if wasOwned && &old[0] != &refOld[0] {
+					t.Logf("op %d: PutOwned(%d) returned a different buffer than the reference", i, key)
+					return false
+				}
+			}
+			if s.Cost() != ref.Cost() {
+				t.Logf("op %d: cost %v, reference %v", i, s.Cost(), ref.Cost())
+				return false
+			}
+		}
+		if s.Cost() != ref.Cost() || s.Len() != ref.n {
+			t.Logf("cost %v len %d, reference cost %v len %d", s.Cost(), s.Len(), ref.Cost(), ref.n)
+			return false
+		}
+		for k := uint64(0); k < 29; k++ {
+			if got, want := s.Get(k*4099), ref.Get(k*4099); !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+				t.Logf("Get(%d) = %v, reference %v", k*4099, got, want)
+				return false
+			}
+		}
+		var got, want []pageRec
+		s.ForEach(func(k uint64, d []byte) { got = append(got, pageRec{k, d}) })
+		ref.ForEach(func(k uint64, d []byte) { want = append(want, pageRec{k, d}) })
+		if len(got) != len(want) {
+			t.Logf("ForEach visited %d pages, reference %d", len(got), len(want))
+			return false
+		}
+		for i := range want {
+			if got[i].key != want[i].key || !bytes.Equal(got[i].data, want[i].data) {
+				t.Logf("ForEach page %d = %d:%v, reference %d:%v", i, got[i].key, got[i].data, want[i].key, want[i].data)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
 	}
 }

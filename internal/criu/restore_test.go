@@ -310,7 +310,7 @@ func TestRestoreOfStampFramesKeepsThemIntact(t *testing.T) {
 	e := NewEngine(ctr, NiLiConOptions())
 	defer e.Close()
 	img, _ := e.Checkpoint()
-	store := NewRadixStore()
+	store := NewPageStore(true)
 	for _, pg := range img.Procs[0].Pages {
 		if !simkernel.IsStampPage(pg.Data) || pg.Data[0] != 1 {
 			t.Fatalf("page %#x was not captured as stamp frame 1", pg.PN)

@@ -60,9 +60,6 @@ type MC struct {
 	StopTimes  metrics.Stream
 	DirtyPages metrics.Stream
 	StateBytes metrics.Stream
-
-	// ReplStart marks when replication began.
-	ReplStart simtime.Time
 }
 
 type config = Config
@@ -76,7 +73,6 @@ func New(cl *core.Cluster, ctr *container.Container, cfg Config) *MC {
 // dirty pages are tracked via VM exits, and output is buffered for the
 // output-commit rule exactly as with NiLiCon.
 func (m *MC) Start() {
-	m.ReplStart = m.cl.Clock.Now()
 	m.Ctr.Qdisc.SetReplicating(true)
 	for _, p := range m.Ctr.Procs {
 		p.Mem.SetSoftDirtyTracking(false) // no soft-dirty charges...

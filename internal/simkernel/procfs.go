@@ -11,6 +11,11 @@ import "nilicon/internal/simtime"
 //     kernel patch, which NiLiCon applies).
 //   - /proc/pid/clear_refs + /proc/pid/pagemap: soft-dirty tracking for
 //     incremental checkpoints (§II-B).
+//
+// Both VMA interfaces read their records straight from the address
+// space; smaps also fills in the page statistics. The smaps text is
+// never rendered or parsed: generating and parsing it is charged as
+// SmapsPerVMA and SmapsPerPage (DESIGN.md §4).
 
 // VMAInfo is the per-VMA record either interface returns.
 type VMAInfo struct {
@@ -44,15 +49,10 @@ func (k *Kernel) vmaInfos(p *Process, withStats bool) []VMAInfo {
 	return out
 }
 
-// ReadSmaps reads /proc/pid/smaps: every VMA with full page statistics,
-// rendered as text and parsed back — the real textual round trip the
-// paper's cause (3) complains about (the virtual-time cost models the
-// kernel-side generation; the render/parse here is the userspace side).
+// ReadSmaps reads /proc/pid/smaps: every VMA with full page
+// statistics. Cost: per VMA plus per resident page.
 func (k *Kernel) ReadSmaps(p *Process) []VMAInfo {
-	out, err := ParseSmaps(k.SmapsText(p))
-	if err != nil {
-		panic("simkernel: smaps round trip failed: " + err.Error())
-	}
+	out := k.vmaInfos(p, true)
 	cost := scaleDur(k.Costs.SmapsPerVMA, len(out))
 	cost += scaleDur(k.Costs.SmapsPerPage, p.Mem.ResidentPages())
 	k.ChargeSyscall(cost)

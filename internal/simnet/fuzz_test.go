@@ -11,10 +11,19 @@ import (
 // dropped, duplicated, or held back fate>>2 ms so later packets overtake
 // it. When the bytes run out the link heals and delivers everything
 // after a fixed latency.
+//
+// A packet that takes a fate has its payload copied into the link's
+// append-only arena and is handed over as a slice of that arena whose
+// capacity runs on over the packets that follow, so a receiver that
+// appended into a delivered payload would overwrite a packet still in
+// flight. Every other packet, on a healed link or before it is armed,
+// hands over the sender's own segment, as a switch does, so a sender
+// that wrote a byte it had already sent would change what was read.
 type fuzzLink struct {
 	clock *simtime.Clock
 	fates []byte
 	armed bool
+	arena []byte
 }
 
 const fuzzLatency = 100 * simtime.Microsecond
@@ -27,11 +36,18 @@ func (l *fuzzLink) send(dst *Stack, p Packet) {
 	}
 	fate := l.fates[0]
 	l.fates = l.fates[1:]
+	if fate&3 == 1 { // dropped
+		return
+	}
+	if len(p.Payload) > 0 {
+		start := len(l.arena)
+		l.arena = append(l.arena, p.Payload...)
+		p.Payload = l.arena[start:]
+	}
 	held := fuzzLatency + simtime.Duration(fate>>2)*simtime.Millisecond
 	switch fate & 3 {
 	case 0:
 		deliver(fuzzLatency)
-	case 1: // dropped
 	case 2:
 		deliver(fuzzLatency)
 		deliver(held)
@@ -60,12 +76,21 @@ const fuzzRetransmitFactor = 2
 // slice itself, not a copy, and at the end each must still hold the
 // bytes it held when read: no later Send, retransmission or delivery
 // may write a byte already handed out.
+//
+// Bit i of skips (low bit first) set means the receiver leaves the
+// read queue alone on its i-th delivery, so the next delivery lands in
+// a non-empty queue; what is left unread is drained at the end.
 func FuzzTCPStream(f *testing.F) {
-	f.Add([]byte{}, []byte{200, 3, 90})
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{64, 64, 64, 64})
-	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{255, 255, 255})
-	f.Add([]byte{2, 6, 2, 0, 7, 11, 3, 1}, []byte{10, 120, 30, 250, 5})
-	f.Fuzz(func(t *testing.T, fates, sizes []byte) {
+	f.Add([]byte{}, []byte{200, 3, 90}, []byte{})
+	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1}, []byte{64, 64, 64, 64}, []byte{})
+	f.Add([]byte{0, 0, 1, 0, 0, 0, 0, 0, 0}, []byte{255, 255, 255}, []byte{})
+	f.Add([]byte{2, 6, 2, 0, 7, 11, 3, 1}, []byte{10, 120, 30, 250, 5}, []byte{})
+	f.Add([]byte{}, []byte{200, 3, 90, 40}, []byte{0x55, 0x55})
+	f.Add([]byte{2, 6, 2, 0, 7, 11, 3, 1}, []byte{10, 120, 30, 250, 5}, []byte{0xff, 0x0f, 0xf3})
+	// A retransmission lands in a queue left unread while a held
+	// segment is still in flight behind it on the link.
+	f.Add([]byte("0170000000012"), []byte{0xbb, 0x91, 0xdd, 0xa2}, []byte("2"))
+	f.Fuzz(func(t *testing.T, fates, sizes, skips []byte) {
 		if len(sizes) > 64 {
 			sizes = sizes[:64]
 		}
@@ -85,16 +110,24 @@ func FuzzTCPStream(f *testing.F) {
 		var got []byte
 		var kept [][]byte // every ReadAll result, as returned
 		var srv *Socket
-		sentLen, segments := 0, 0
+		sentLen, segments, deliveries := 0, 0, 0
+		read := func(s *Socket) {
+			r := s.ReadAll()
+			kept = append(kept, r)
+			got = append(got, r...)
+			if len(got) > sentLen || string(got) != string(want[:len(got)]) {
+				t.Fatalf("receiver holds %d bytes, not a prefix of the %d sent", len(got), sentLen)
+			}
+		}
 		b.Listen(80, func(s *Socket) {
 			srv = s
 			s.OnData = func(s *Socket) {
-				read := s.ReadAll()
-				kept = append(kept, read)
-				got = append(got, read...)
-				if len(got) > sentLen || string(got) != string(want[:len(got)]) {
-					t.Fatalf("receiver holds %d bytes, not a prefix of the %d sent", len(got), sentLen)
+				i := deliveries
+				deliveries++
+				if i/8 < len(skips) && skips[i/8]>>(i%8)&1 == 1 {
+					return
 				}
+				read(s)
 			}
 		})
 		cl := a.Connect(b.IP, 80, func(s *Socket) {
@@ -124,6 +157,7 @@ func FuzzTCPStream(f *testing.F) {
 		if srv == nil || cl.State != StateEstablished {
 			t.Fatalf("connection not established: client %v", cl)
 		}
+		read(srv)
 		if cl.Reset || srv.Reset || a.RSTsSent()+b.RSTsSent() > 0 {
 			t.Fatal("connection reset")
 		}
