@@ -390,8 +390,8 @@ func (r *Replicator) logAckedFrom(slot int, seq uint64) {
 }
 
 // logRecompute re-derives the chain log watermark: segments every
-// participant has acknowledged leave the retransmission buffer, and
-// their buffered egress is released (or parked, under a fence).
+// participant has acknowledged are retired, and their buffered egress
+// is released (or parked, under a fence).
 func (r *Replicator) logRecompute() {
 	rec := r.rec
 	if rec == nil || r.stopped {
@@ -401,20 +401,7 @@ func (r *Replicator) logRecompute() {
 	if !ok {
 		return
 	}
-	if m > 0 {
-		now := r.Cluster.Clock.Now()
-		for s := range rec.unacked {
-			if s <= m {
-				delete(rec.unacked, s)
-			}
-		}
-		for s, at := range rec.sealTime {
-			if s <= m {
-				r.LogCommitLatency.Add(now.Sub(at).Seconds())
-				delete(rec.sealTime, s)
-			}
-		}
-	}
+	rec.retire(m, r.Cluster.Clock.Now())
 	if m <= rec.acked {
 		return
 	}

@@ -79,10 +79,11 @@ type recorder struct {
 	sealedThrough uint64
 	sealedAtEpoch map[uint64]uint64
 
-	// unacked retains sealed segments for retransmission after drops;
-	// sealTime feeds the commit-latency stream.
-	unacked  map[uint64]*criu.LogSegment
-	sealTime map[uint64]simtime.Time
+	// retained lists the sealed segments not yet acknowledged, in seq
+	// order: segment numbers are contiguous, so an ack retires a
+	// prefix. Their seal times feed the commit-latency stream. (A lost
+	// segment's retransmission holds the segment itself.)
+	retained []sealedSeg
 
 	// acked is the cumulative backup acknowledgment watermark; released
 	// the highest sequence whose egress buffer was flushed; parked the
@@ -93,13 +94,31 @@ type recorder struct {
 	hasParked bool
 }
 
+// sealedSeg is a sealed segment awaiting its acknowledgment.
+type sealedSeg struct {
+	seq      uint64
+	sealedAt simtime.Time
+}
+
+// retire drops the retained segments with seq <= m, adding each one's
+// seal-to-ack latency to the commit-latency stream in seq order.
+func (rec *recorder) retire(m uint64, now simtime.Time) {
+	n := 0
+	for n < len(rec.retained) && rec.retained[n].seq <= m {
+		rec.r.LogCommitLatency.Add(now.Sub(rec.retained[n].sealedAt).Seconds())
+		n++
+	}
+	if n == 0 {
+		return
+	}
+	rec.retained = rec.retained[:copy(rec.retained, rec.retained[n:])]
+}
+
 func newRecorder(r *Replicator) *recorder {
 	return &recorder{
 		r:             r,
 		nextSeq:       1,
 		sealedAtEpoch: make(map[uint64]uint64),
-		unacked:       make(map[uint64]*criu.LogSegment),
-		sealTime:      make(map[uint64]simtime.Time),
 		egressDigest:  criu.DigestInit(),
 		schedDigest:   criu.DigestInit(),
 	}
@@ -194,9 +213,8 @@ func (rec *recorder) seal() {
 	rec.schedSteps = 0
 	rec.nextSeq++
 	rec.sealedThrough = seg.Seq
-	rec.unacked[seg.Seq] = seg
 	r := rec.r
-	rec.sealTime[seg.Seq] = r.Cluster.Clock.Now()
+	rec.retained = append(rec.retained, sealedSeg{seq: seg.Seq, sealedAt: r.Cluster.Clock.Now()})
 	r.LogSegments.Inc()
 	r.Ctr.Qdisc.Rotate(seg.Seq)
 	rec.submit(seg)

@@ -146,9 +146,8 @@ func TestReplayCheckpointCommitTruncatesLog(t *testing.T) {
 		t.Fatalf("segments sealed = %d, want >= 10 for 20 spaced writes", n)
 	}
 	rec := env.repl.rec
-	if len(rec.unacked) != 0 || len(rec.sealTime) != 0 {
-		t.Fatalf("primary retains %d unacked / %d seal-time entries after quiesce",
-			len(rec.unacked), len(rec.sealTime))
+	if len(rec.retained) != 0 {
+		t.Fatalf("primary retains %d unacked segments after quiesce", len(rec.retained))
 	}
 	b := env.repl.Backup
 	if len(b.logSegs) != 0 {
@@ -251,5 +250,93 @@ func TestReplayRandomDrawsInjected(t *testing.T) {
 	clock.RunFor(2 * simtime.Second)
 	if len(client.replies) != 4 {
 		t.Fatalf("post-failover replies = %v", client.replies)
+	}
+}
+
+// One log ack that covers several segments retires them in seq order,
+// so the commit-latency samples, their Welford mean and any sum over
+// them come out the same on every run.
+func TestReplayAckRetiresSegmentsInSeqOrder(t *testing.T) {
+	run := func() (got, want []float64, mean float64) {
+		env := newReplayEnv(t)
+		env.repl.Start()
+		env.clock.RunFor(500 * simtime.Millisecond)
+		client := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
+		env.clock.RunFor(13 * simtime.Millisecond)
+		// Lose the log acks while three writes seal three segments.
+		env.cl.AckLink.SetDown(true)
+		for i := 0; i < 3; i++ {
+			client.send(fmt.Sprintf("SET k%d v", i))
+			env.clock.RunFor(simtime.Millisecond)
+		}
+		rec := env.repl.rec
+		if len(rec.retained) < 3 {
+			t.Fatalf("%d segments retained, want at least 3", len(rec.retained))
+		}
+		now := env.clock.Now()
+		for _, rs := range rec.retained {
+			want = append(want, now.Sub(rs.sealedAt).Seconds())
+		}
+		before := env.repl.LogCommitLatency.N()
+		env.repl.logAckedFrom(0, rec.retained[len(rec.retained)-1].seq)
+		if len(rec.retained) != 0 {
+			t.Fatalf("%d segments retained after an ack covering all of them", len(rec.retained))
+		}
+		got = env.repl.LogCommitLatency.Samples()[before:]
+		return got, want, env.repl.LogCommitLatency.Mean()
+	}
+	got1, want, mean1 := run()
+	if fmt.Sprint(got1) != fmt.Sprint(want) {
+		t.Fatalf("commit-latency samples %v, want seq order %v", got1, want)
+	}
+	got2, _, mean2 := run()
+	if fmt.Sprint(got2) != fmt.Sprint(got1) || mean2 != mean1 {
+		t.Fatalf("second run: samples %v mean %v, first run %v mean %v", got2, mean2, got1, mean1)
+	}
+}
+
+// The replay-divergence oracle is sensitive to one byte: when the
+// recorded digest is of egress that differs from what the replay
+// regenerates in a single byte (same length), the replay diverges at
+// exactly that segment.
+func TestReplayOneByteEgressDivergence(t *testing.T) {
+	env := newReplayEnv(t)
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	client := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
+	env.clock.RunFor(13 * simtime.Millisecond)
+	client.send("SET account 100")
+	env.clock.RunFor(30 * simtime.Millisecond)
+
+	// Record the next reply with its last byte flipped.
+	rec := env.repl.rec
+	record := env.ctr.Stack.OnAppSend
+	var tamperedSeq uint64
+	env.ctr.Stack.OnAppSend = func(s *simnet.Socket, data []byte) {
+		if tamperedSeq == 0 && len(data) > 0 {
+			tamperedSeq = rec.nextSeq
+			data = append([]byte(nil), data...)
+			data[len(data)-1] ^= 1
+		}
+		record(s, data)
+	}
+	client.send("SET account 250")
+	for i := 0; i < 100 && len(client.replies) < 2; i++ {
+		env.clock.RunFor(100 * simtime.Microsecond)
+	}
+	if tamperedSeq == 0 || len(client.replies) != 2 {
+		t.Fatalf("tampered seq %d, replies %v", tamperedSeq, client.replies)
+	}
+	env.ctr.Disconnect()
+	env.cl.ReplLink.SetDown(true)
+	env.cl.AckLink.SetDown(true)
+	env.clock.RunFor(2 * simtime.Second)
+
+	if !env.repl.Backup.Recovered() {
+		t.Fatal("no recovery")
+	}
+	rs := env.repl.Backup.Recovery.Replay
+	if rs == nil || !rs.Diverged || rs.DivergedSeq != tamperedSeq {
+		t.Fatalf("replay stats %+v, want divergence at seq %d", rs, tamperedSeq)
 	}
 }

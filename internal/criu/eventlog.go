@@ -12,6 +12,8 @@ package criu
 // log suffix; the per-segment output digest is the divergence oracle.
 
 import (
+	"hash/crc32"
+
 	"nilicon/internal/simnet"
 )
 
@@ -63,7 +65,7 @@ type LogSegment struct {
 	Epoch uint64
 	// Events holds the recorded events in occurrence order.
 	Events []LogEvent
-	// EgressDigest is an FNV-1a digest of the application-level bytes
+	// EgressDigest is a CRC-32C digest of the application-level bytes
 	// the container sent while this segment was open, and EgressBytes
 	// their count. Handlers run synchronously on input delivery, so
 	// replaying this segment's events must reproduce this digest
@@ -87,30 +89,28 @@ func (s *LogSegment) WireBytes() int64 {
 	return n
 }
 
-// FNV-1a 64-bit, the digest primitive for egress and scheduling streams.
-const (
-	fnvOffset64 = 0xcbf29ce484222325
-	fnvPrime64  = 0x100000001b3
-)
+// The digest primitive for egress and scheduling streams is a chained
+// CRC-32C (Castagnoli, hardware-accelerated on amd64 and arm64).
+// Chaining makes it split-invariant: folding a and then b gives the
+// digest of a‖b, however a send was cut into writes.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // DigestInit returns the digest seed value.
-func DigestInit() uint64 { return fnvOffset64 }
+func DigestInit() uint64 { return 0 }
 
-// DigestBytes folds data into an FNV-1a digest.
+// DigestBytes folds data into a digest.
 func DigestBytes(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= fnvPrime64
-	}
-	return h
+	return uint64(crc32.Update(uint32(h), castagnoli, data))
 }
 
-// DigestUint64 folds one 64-bit value into an FNV-1a digest.
+// DigestUint64 folds one 64-bit value, as its 8 little-endian bytes,
+// into a digest. The bytes go through the table one at a time: handing
+// a stack buffer to crc32.Update would move it to the heap.
 func DigestUint64(h, v uint64) uint64 {
+	crc := ^uint32(h)
 	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime64
+		crc = castagnoli[byte(crc)^byte(v)] ^ crc>>8
 		v >>= 8
 	}
-	return h
+	return uint64(^crc)
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"unsafe"
 
 	"nilicon/internal/simtime"
 )
@@ -79,12 +80,10 @@ type Page struct {
 
 // pagePool recycles page-sized buffers. Copy-on-write copies and
 // CopyPage draw from it; RecyclePage returns buffers whose last holder
-// let go (DESIGN.md §8).
+// let go (DESIGN.md §8). It holds array pointers, so putting a buffer
+// back allocates nothing.
 var pagePool = sync.Pool{
-	New: func() any {
-		b := make([]byte, PageSize)
-		return &b
-	},
+	New: func() any { return new([PageSize]byte) },
 }
 
 // CopyPage returns a copy of src. A page-sized copy comes from the page
@@ -93,7 +92,7 @@ func CopyPage(src []byte) []byte {
 	if len(src) != PageSize {
 		return append([]byte(nil), src...)
 	}
-	b := *pagePool.Get().(*[]byte)
+	b := pagePool.Get().(*[PageSize]byte)[:]
 	copy(b, src)
 	return b
 }
@@ -107,20 +106,22 @@ func RecyclePage(b []byte) {
 	if len(b) != PageSize || IsStampPage(b) {
 		return
 	}
-	pagePool.Put(&b)
+	pagePool.Put((*[PageSize]byte)(b))
 }
 
-// stampPages are the stamp frames: stampPages[s] is a read-only page of
-// zeros with byte 0 set to s, the only contents a page can have when
-// Touch is all that ever wrote it. All 256 live in one arena.
-var stampPages = func() (pages [256][]byte) {
-	arena := make([]byte, len(pages)*PageSize)
-	for s := range pages {
-		pages[s] = arena[s*PageSize : (s+1)*PageSize : (s+1)*PageSize]
-		pages[s][0] = byte(s)
-	}
-	return pages
-}()
+// stampArena holds the stamp frames: stampPages[s] is a read-only page
+// of zeros with byte 0 set to s, the only contents a page can have when
+// Touch is all that ever wrote it.
+var (
+	stampArena = make([]byte, 256*PageSize)
+	stampPages = func() (pages [256][]byte) {
+		for s := range pages {
+			pages[s] = stampArena[s*PageSize : (s+1)*PageSize : (s+1)*PageSize]
+			pages[s][0] = byte(s)
+		}
+		return pages
+	}()
+)
 
 // StampPage returns the stamp frame for s. It must never be written;
 // stamp frame 0 is the all-zero page.
@@ -129,9 +130,12 @@ func StampPage(s byte) []byte { return stampPages[s] }
 // IsStampPage reports whether b is one of the stamp frames (by identity,
 // not content). Stamp frames are never owned: nothing writes or
 // recycles them, so any number of frames, images and stores may hold
-// one.
+// one. The test compares addresses against the arena's and never loads
+// the page: a page-sized slice that starts inside the arena is a stamp
+// frame, since each frame's capacity ends at the next frame.
 func IsStampPage(b []byte) bool {
-	return len(b) == PageSize && &b[0] == &stampPages[b[0]][0]
+	off := uintptr(unsafe.Pointer(unsafe.SliceData(b))) - uintptr(unsafe.Pointer(unsafe.SliceData(stampArena)))
+	return len(b) == PageSize && off < uintptr(len(stampArena))
 }
 
 // AddressSpace is a process's virtual memory: a sorted set of VMAs, each

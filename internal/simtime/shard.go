@@ -24,6 +24,7 @@ package simtime
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -113,7 +114,6 @@ type wheel struct {
 	cur      Time
 	levels   [wheelLevels]wheelLevel
 	overflow keyHeap
-	count    int
 	// free recycles drained slot slices so steady-state insert/drain
 	// cycles allocate nothing (the freelist is bounded by the number of
 	// slots ever nonempty at once).
@@ -126,7 +126,6 @@ type wheel struct {
 // a cursor late in its slot has a small enough tick delta but lands one
 // full revolution ahead, in the very slot being scanned.
 func (w *wheel) insert(e *Event) {
-	w.count++
 	tw := uint64(e.when) >> tickShift
 	tc := uint64(w.cur) >> tickShift
 	for l := uint(0); l < wheelLevels; l++ {
@@ -168,21 +167,27 @@ func (w *wheel) recycle(s []*Event) {
 
 // findSlot returns the first nonempty slot at level l, scanning
 // circularly from the slot containing cur. start is the slot's absolute
-// start time. Whole-empty bitmap words are skipped.
+// start time. The scan tests at most five bitmap words: the cursor's
+// word from the cursor's bit up, the other three words, then the
+// cursor's word below its bit (the wrap).
 func (w *wheel) findSlot(l uint) (idx int, start Time, found bool) {
 	lv := &w.levels[l]
 	curSlotNum := (uint64(w.cur) >> tickShift) >> (l * wheelBits)
 	s := int(curSlotNum & wheelMask)
-	for off := 0; off < wheelSlots; off++ {
-		i := (s + off) & wheelMask
-		word := lv.bitmap[i>>6]
-		if word == 0 {
-			off += 63 - (i & 63) // skip rest of the empty word
-			continue
+	wi, below := s>>6, uint64(1)<<uint(s&63)-1
+	for k := 0; k <= bitmapWords; k++ {
+		j := (wi + k) & (bitmapWords - 1)
+		word := lv.bitmap[j]
+		switch k {
+		case 0:
+			word &^= below
+		case bitmapWords:
+			word &= below
 		}
-		if word&(1<<uint(i&63)) != 0 {
-			slotNum := curSlotNum + uint64(off)
-			return i, Time((slotNum << (l * wheelBits)) << tickShift), true
+		if word != 0 {
+			idx = j<<6 | bits.TrailingZeros64(word)
+			slotNum := curSlotNum + uint64((idx-s)&wheelMask)
+			return idx, Time((slotNum << (l * wheelBits)) << tickShift), true
 		}
 	}
 	return 0, 0, false
@@ -218,12 +223,15 @@ func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
 		if len(w.overflow) > 0 && (bestL < 0 || w.overflow[0].when <= bestStart) {
 			// The overflow head is due before (or at) every wheel slot:
 			// pull it back through the wheel so it merges in exact order
-			// with any same-slot events.
+			// with any same-slot events. A canceled head is dropped and
+			// leaves the cursor where it was.
 			e := w.overflow.pop()
+			if e.cancel {
+				continue
+			}
 			if e.when > w.cur {
 				w.cur = e.when
 			}
-			w.count--
 			w.insert(e)
 			continue
 		}
@@ -236,25 +244,31 @@ func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
 			lv.slots[bestIdx] = nil
 			lv.bitmap[bestIdx>>6] &^= 1 << uint(bestIdx&63)
 			lv.count -= len(batch)
-			w.count -= len(batch)
 			if start > w.cur {
 				w.cur = start
 			}
 			return batch, start + (1 << tickShift), true
 		}
-		// Cascade: advance to the slot and push its events one level
-		// down. Deltas from the advanced cur are strictly below the slot
-		// width, so every event lands at level <= bestL-1: progress.
-		if bestStart > w.cur {
-			w.cur = bestStart
-		}
+		// Cascade: push the slot's live events one level down and drop
+		// its canceled ones, which nothing will ever fire. The cursor
+		// advances to the slot only when a live event is filed again:
+		// deltas from the advanced cur are then strictly below the slot
+		// width, so every event lands at level <= bestL-1 (progress).
+		// An all-canceled slot leaves cur where it was, because nothing
+		// then pulls the engine's run window up to the slot, and an
+		// insert below an advanced cur would wrap a revolution ahead.
 		lv := &w.levels[bestL]
 		evs := lv.slots[bestIdx]
 		lv.slots[bestIdx] = nil
 		lv.bitmap[bestIdx>>6] &^= 1 << uint(bestIdx&63)
 		lv.count -= len(evs)
 		for _, e := range evs {
-			w.count--
+			if e.cancel {
+				continue
+			}
+			if bestStart > w.cur {
+				w.cur = bestStart
+			}
 			w.insert(e)
 		}
 		w.recycle(evs)

@@ -387,3 +387,111 @@ func TestNewShardedClockOneLaneOnly(t *testing.T) {
 		}()
 	}
 }
+
+// findSlot's bit scan must agree with the plain circular scan it
+// replaces: every level, every cursor slot (with revolutions above it),
+// and bitmaps that are empty, full, single bits at word edges, and
+// random at several densities.
+func TestFindSlotMatchesCircularScan(t *testing.T) {
+	naive := func(w *wheel, l uint) (int, Time, bool) {
+		lv := &w.levels[l]
+		curSlotNum := (uint64(w.cur) >> tickShift) >> (l * wheelBits)
+		s := int(curSlotNum & wheelMask)
+		for off := 0; off < wheelSlots; off++ {
+			i := (s + off) & wheelMask
+			if lv.bitmap[i>>6]&(1<<uint(i&63)) != 0 {
+				return i, Time(((curSlotNum + uint64(off)) << (l * wheelBits)) << tickShift), true
+			}
+		}
+		return 0, 0, false
+	}
+	var maps [][bitmapWords]uint64
+	maps = append(maps, [bitmapWords]uint64{}, [bitmapWords]uint64{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)})
+	for _, b := range []int{0, 1, 62, 63, 64, 65, 127, 128, 191, 192, 254, 255} {
+		var m [bitmapWords]uint64
+		m[b>>6] = 1 << uint(b&63)
+		maps = append(maps, m)
+	}
+	rng := NewRand(7)
+	for i := 0; i < 24; i++ {
+		var m [bitmapWords]uint64
+		for j := range m {
+			switch i % 3 {
+			case 0:
+				m[j] = rng.Uint64()
+			case 1:
+				m[j] = rng.Uint64() & rng.Uint64() & rng.Uint64()
+			default:
+				if rng.Intn(2) == 0 {
+					m[j] = 1 << uint(rng.Intn(64))
+				}
+			}
+		}
+		maps = append(maps, m)
+	}
+	for l := uint(0); l < wheelLevels; l++ {
+		for s := 0; s < wheelSlots; s++ {
+			revs := uint64(rng.Intn(1 << 10))
+			for _, m := range maps {
+				var w wheel
+				w.levels[l].bitmap = m
+				w.cur = Time(((revs<<wheelBits | uint64(s)) << (l * wheelBits)) << tickShift)
+				w.cur += Time(rng.Int63n(int64(1) << (l*wheelBits + tickShift))) // anywhere in the slot
+				gi, gs, gf := w.findSlot(l)
+				wi, ws, wf := naive(&w, l)
+				if gi != wi || gs != ws || gf != wf {
+					t.Fatalf("level %d cursor slot %d bitmap %x: findSlot = (%d, %v, %v), scan = (%d, %v, %v)",
+						l, s, m, gi, gs, gf, wi, ws, wf)
+				}
+			}
+		}
+	}
+}
+
+// A cascade that finds only canceled events drops them without
+// advancing the cursor. Were the cursor moved to the emptied slot, the
+// engine's time would stay behind it (nothing fires there), and an
+// event scheduled between the two would wrap a revolution ahead of the
+// cursor and cascade into itself forever.
+func TestCascadeOfCanceledSlotKeepsCursor(t *testing.T) {
+	c := NewClock()
+	far := c.Schedule(200*Millisecond, func() { t.Error("canceled timer fired") })
+	far.Cancel()
+	c.RunUntil(Time(100 * Millisecond)) // cascades the 200 ms slot, finds nothing live
+	fired := Time(-1)
+	c.ScheduleAt(Time(110*Millisecond), func() { fired = c.Now() })
+	withWatchdog(t, func() {
+		for i := 0; i < 4 && fired < 0; i++ {
+			c.Step()
+		}
+	})
+	if fired != Time(110*Millisecond) {
+		t.Fatalf("event fired at %v, want 110ms", fired)
+	}
+}
+
+// BenchmarkWheelTimerChurn is a TCP sender's timer pattern: every
+// segment, microseconds apart, cancels the pending 200 ms
+// retransmission timer and arms a new one, so nearly every timer the
+// wheel holds is dead by the time its slot cascades.
+func BenchmarkWheelTimerChurn(b *testing.B) {
+	b.ReportAllocs()
+	sc := NewEngine()
+	root := sc.Root()
+	var rto *Event
+	rtoFn := func() {}
+	n := 0
+	var seg func()
+	seg = func() {
+		if rto != nil {
+			rto.Cancel()
+		}
+		rto = root.Schedule(200*Millisecond, rtoFn)
+		if n++; n < b.N {
+			root.Schedule(Duration(5+n%20)*Microsecond, seg)
+		}
+	}
+	root.Schedule(Microsecond, seg)
+	b.ResetTimer()
+	sc.Run()
+}

@@ -18,6 +18,7 @@ const recordSize = 1024
 // object identities change at restore; the 4-tuple does not).
 type connID string
 
+// connIDOf formats s's id, once per connection: Server.bind keeps it.
 func connIDOf(s *simnet.Socket) connID {
 	return connID(fmt.Sprintf("%s:%d-%d", s.Remote, s.RemotePort, s.LocalPort))
 }
@@ -236,15 +237,12 @@ func (sv *Server) Reattach(ctr *container.Container, appState any) error {
 	ctr.Stack.Listen(sv.prof.Port, sv.accept)
 	for _, s := range ctr.Stack.Sockets() {
 		id := connIDOf(s)
-		sv.conns[id] = s
-		fr := &FrameReader{}
+		fr := sv.bind(id, s)
 		if buf, ok := sv.state.ReaderBufs[id]; ok {
 			fr.Feed(buf)
 		}
-		sv.readers[id] = fr
-		s.OnData = sv.onData
 		if s.Available() > 0 {
-			sv.onData(s)
+			sv.onData(id, fr, s)
 		}
 	}
 	sv.wakeWorkers()
@@ -265,21 +263,20 @@ func (sv *Server) startBackground(p *simkernel.Process) {
 	})
 }
 
-func (sv *Server) accept(s *simnet.Socket) {
-	id := connIDOf(s)
+func (sv *Server) accept(s *simnet.Socket) { sv.bind(connIDOf(s), s) }
+
+// bind registers a connection under its id and installs its data
+// handler. The id and the frame reader are bound into the handler once,
+// so no segment formats an id or looks its reader up.
+func (sv *Server) bind(id connID, s *simnet.Socket) *FrameReader {
+	fr := &FrameReader{}
 	sv.conns[id] = s
-	sv.readers[id] = &FrameReader{}
-	s.OnData = sv.onData
+	sv.readers[id] = fr
+	s.OnData = func(s *simnet.Socket) { sv.onData(id, fr, s) }
+	return fr
 }
 
-func (sv *Server) onData(s *simnet.Socket) {
-	id := connIDOf(s)
-	fr := sv.readers[id]
-	if fr == nil {
-		fr = &FrameReader{}
-		sv.readers[id] = fr
-		sv.conns[id] = s
-	}
+func (sv *Server) onData(id connID, fr *FrameReader, s *simnet.Socket) {
 	fr.Feed(s.ReadAll())
 	for {
 		op, payload, ok := fr.Next()
@@ -312,7 +309,12 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 		return 0, container.Blocked
 	}
 	req := sv.state.Pending[0]
-	sv.state.Pending = sv.state.Pending[1:]
+	if len(sv.state.Pending) == 1 {
+		// Emptied: the next request reuses the queue's array.
+		sv.state.Pending = sv.state.Pending[:0]
+	} else {
+		sv.state.Pending = sv.state.Pending[1:]
+	}
 	cpu := sv.process(w, req)
 	sv.processed++
 	if len(sv.state.Pending) > 0 {

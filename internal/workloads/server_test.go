@@ -162,3 +162,84 @@ func BenchmarkServerSnapshotState(b *testing.B) {
 }
 
 var benchSnapshot any
+
+// connectKV installs a Redis-profile server, connects one client to it
+// and returns the client's socket and the server's end of the
+// connection.
+func connectKV(t *testing.T) (env *wlEnv, sv *Server, cli, srv *simnet.Socket) {
+	t.Helper()
+	sv = Redis()
+	env = newWLEnv(t, sv)
+	env.cl.NewClient("10.0.0.1").Connect("10.0.0.10", sv.prof.Port, func(s *simnet.Socket) { cli = s })
+	env.clock.RunFor(10 * simtime.Millisecond)
+	if cli == nil || len(sv.conns) != 1 {
+		t.Fatalf("client connected: %v, server connections %d, want 1", cli != nil, len(sv.conns))
+	}
+	for _, srv = range sv.conns {
+	}
+	return env, sv, cli, srv
+}
+
+// The server binds a connection's id and frame reader into its data
+// handler at accept, so a one-frame segment on an established
+// connection formats nothing and allocates nothing: the reader adopts
+// the delivered payload and the request queue only grows now and then.
+func TestServerOnDataAllocatesNothing(t *testing.T) {
+	env, _, cli, srv := connectKV(t)
+	handler := srv.OnData
+	var before, after runtime.MemStats
+	var mallocs, segs uint64
+	measuring := false
+	srv.OnData = func(s *simnet.Socket) {
+		runtime.ReadMemStats(&before)
+		handler(s)
+		runtime.ReadMemStats(&after)
+		if measuring {
+			mallocs += after.Mallocs - before.Mallocs
+			segs++
+		}
+	}
+	frame := AppendFrame(nil, OpGet, binary.BigEndian.AppendUint64(nil, 7))
+	for i := 0; i < 300; i++ {
+		measuring = i >= 50
+		cli.Send(frame)
+		env.clock.RunFor(simtime.Millisecond)
+	}
+	if segs != 250 {
+		t.Fatalf("handler saw %d measured segments, want 250", segs)
+	}
+	perSeg := float64(mallocs) / float64(segs)
+	t.Logf("%d allocations over %d one-frame segments (%.3f per segment)", mallocs, segs, perSeg)
+	if perSeg >= 0.05 {
+		t.Errorf("the server's data handler allocated %.3f objects per segment, want < 0.05", perSeg)
+	}
+}
+
+// A connection's partial frame is checkpointed under its id, and a
+// server reattached to the container finds it under the id it binds to
+// the same socket: the rest of the frame completes the request, which
+// the reattached server queues.
+func TestReattachFindsReaderBufsUnderSameID(t *testing.T) {
+	env, sv, cli, srv := connectKV(t)
+	frame := AppendFrame(nil, OpGet, binary.BigEndian.AppendUint64(nil, 7))
+	cli.Send(frame[:3])
+	env.clock.RunFor(5 * simtime.Millisecond)
+	state := sv.SnapshotState().(*serverState)
+	if len(state.ReaderBufs) != 1 {
+		t.Fatalf("checkpoint holds %d partial frames, want 1", len(state.ReaderBufs))
+	}
+	fresh := NewServer(sv.prof)
+	if err := fresh.Reattach(env.ctr, state); err != nil {
+		t.Fatal(err)
+	}
+	fr := fresh.readers[connIDOf(srv)]
+	if fr == nil || fr.Buffered() != 3 {
+		t.Fatalf("reattached reader for %s = %v, want the 3 checkpointed bytes", connIDOf(srv), fr)
+	}
+	cli.Send(frame[3:])
+	env.clock.RunFor(5 * simtime.Millisecond)
+	if p := fresh.state.Pending; len(p) != 1 || p[0].Conn != connIDOf(srv) || p[0].Op != OpGet ||
+		binary.BigEndian.Uint64(p[0].Payload) != 7 {
+		t.Fatalf("reattached server queued %+v, want one GET of key 7 on %s", p, connIDOf(srv))
+	}
+}
