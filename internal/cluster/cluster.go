@@ -216,7 +216,7 @@ type Pair struct {
 	// chain repair (AttachReplica on a running chain); -1 when none.
 	repairSlot int
 	// electedSlot is the chain slot the fleet detector chose to promote
-	// while the pair is FailingOver; -1 outside a chain failover.
+	// while the pair is FailingOver; -1 outside a failover.
 	electedSlot int
 }
 
@@ -390,9 +390,8 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 // the primary, and per backup replica a day-one clone of it on the
 // replica's host, a DRBD secondary over the primary's NIC and a Cluster
 // view; then the container (file system on the DRBD primary end), the
-// workload, and the replicator over the views. Every view shares the
-// primary side — host, replication NIC and transfer scheduler (the
-// fan-out cost is real and lands on one wire).
+// workload, and the replicator over the views, arbitrated by the fleet
+// detector whatever the chain's width.
 func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	ph := f.Hosts[pl.Primary]
 	id := fmt.Sprintf("p%02d", pl.Pair)
@@ -403,16 +402,7 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	views := make([]*core.Cluster, 0, len(pl.Backups))
 	for j, bi := range pl.Backups {
 		bh := f.Hosts[bi]
-		v := &core.Cluster{
-			Clock:       ph.H.Clock,
-			Switch:      f.Switch,
-			Primary:     ph.H,
-			Backup:      bh.H,
-			ReplLink:    ph.NIC,
-			AckLink:     bh.NIC,
-			Xfer:        ph.Xfer,
-			DRBDPrimary: drbd,
-		}
+		v := f.view(ph, bh, drbd)
 		v.DRBDBackup = drbd.AttachSecondary(vol.Clone(fmt.Sprintf("%s-backup%d", id, j+1)), ph.NIC)
 		views = append(views, v)
 		bh.PagesUsed += pairBackupPgs
@@ -442,17 +432,30 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	pr.Workload.Install(ctr)
 
 	pr.Repl = core.NewChainReplicator(views, ctr, f.pairConfig(pr))
-	if len(views) > 1 {
-		// With several replicas each holding its own staleness view,
-		// per-replica self-promotion would elect everyone; the fleet
-		// detector arbitrates chain promotion (chainPrimaryDied).
-		pr.Repl.SetExternalArbiter(true)
-	}
+	pr.Repl.SetExternalArbiter()
 	pr.Repl.Timeline = f.Timeline
 
 	ph.CoresUsed += pairCores
 	ph.PagesUsed += pairPrimaryPgs
 	return pr, nil
+}
+
+// view builds the core.Cluster view of one chain replica on backup,
+// sharing the primary side: its host, replication NIC and transfer
+// scheduler (the fan-out cost is real and lands on one wire). drbd is
+// the pair's DRBD primary end, or nil when core.ReprotectOnto builds a
+// fresh one.
+func (f *Fleet) view(primary, backup *Host, drbd *simdisk.DRBD) *core.Cluster {
+	return &core.Cluster{
+		Clock:       primary.H.Clock,
+		Switch:      f.Switch,
+		Primary:     primary.H,
+		Backup:      backup.H,
+		ReplLink:    primary.NIC,
+		AckLink:     backup.NIC,
+		Xfer:        primary.Xfer,
+		DRBDPrimary: drbd,
+	}
 }
 
 // liveBackups counts the pair's unfenced chain replicas (the chain's

@@ -294,3 +294,82 @@ func TestFleetDeterministic(t *testing.T) {
 		t.Fatalf("trace missing host-death event:\n%s", a)
 	}
 }
+
+// TestFleetArbitratesEveryFailover: the fleet detector is the only
+// arbiter for a chain of any width, a pair being the one-replica chain.
+// With the detector stopped, a dead primary's replicas must neither
+// promote themselves nor hold at a promotion barrier, however long
+// their heartbeats stay stale. Once the detector runs again, each
+// failover restores on the slot its election named.
+func TestFleetArbitratesEveryFailover(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		p    Params
+	}{
+		{"pairs", Params{Workers: 3, Spares: 1, Pairs: 4, Seed: 2}},
+		{"chains", chainParams(12)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock, f := newTestFleet(t, tc.p)
+			byID := make(map[string]*Pair)
+			for _, pr := range f.Pairs {
+				byID[pr.ID] = pr
+			}
+			elected := make(map[string]int)
+			restored := 0
+			f.Eventf = func(format string, args ...any) {
+				ev := fmt.Sprintf(format, args...)
+				fields := strings.Fields(ev)
+				if len(fields) < 2 || !strings.HasPrefix(fields[1], "pair=") {
+					return
+				}
+				pr := byID[strings.TrimPrefix(fields[1], "pair=")]
+				switch fields[0] {
+				case "failover-start":
+					elected[pr.ID] = pr.electedSlot
+				case "recovered":
+					slot, ok := elected[pr.ID]
+					if !ok {
+						t.Fatalf("%s recovered without an election", pr.ID)
+					}
+					ag := pr.Repl.ReplicaAgent(slot)
+					if !ag.Recovered() || ag.RestoredCtr != pr.Ctr || pr.PrimaryHost != pr.ReplicaHosts[slot] {
+						t.Fatalf("%s recovered off its elected slot %d (primary host %d)", pr.ID, slot, pr.PrimaryHost)
+					}
+					restored++
+				}
+			}
+			f.Start()
+			clock.RunFor(900 * simtime.Millisecond)
+
+			f.detector.Stop()
+			f.KillHost(0)
+			clock.RunFor(2 * simtime.Second)
+			for _, pr := range f.Pairs {
+				if pr.PrimaryHost != 0 {
+					continue
+				}
+				if pr.State != Protected {
+					t.Fatalf("%s state = %v with the fleet detector stopped", pr.ID, pr.State)
+				}
+				for i := 0; i < pr.Repl.Replicas(); i++ {
+					if ag := pr.Repl.ReplicaAgent(i); ag.Recovered() || ag.PromotionPending() {
+						t.Fatalf("%s slot %d promoted itself (recovered=%v pending=%v)",
+							pr.ID, i, ag.Recovered(), ag.PromotionPending())
+					}
+				}
+			}
+
+			f.detector = simtime.NewTicker(f.Clock, detectorPeriod, f.checkHosts)
+			clock.RunFor(4 * simtime.Second)
+			if len(elected) == 0 || restored != len(elected) {
+				t.Fatalf("elections = %d, restores = %d", len(elected), restored)
+			}
+			for _, pr := range f.Pairs {
+				if pr.State == Lost {
+					t.Fatalf("%s lost", pr.ID)
+				}
+			}
+		})
+	}
+}

@@ -149,28 +149,7 @@ func (f *Fleet) declareHostDead(h *Host) {
 func (f *Fleet) primaryHostDied(pr *Pair) {
 	switch pr.State {
 	case Protected:
-		if pr.Repl.Replicas() > 1 {
-			f.chainPrimaryDied(pr)
-			return
-		}
-		pr.State = FailingOver
-		f.eventf("failover-start pair=%s from=%s to=%s",
-			pr.ID, f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.ReplicaHosts[0]].Name)
-		// The pair's own detector may already have fired (both run at the
-		// same cadence); Recover is idempotent.
-		pr.Repl.Backup.Recover()
-		if err := pr.Repl.Backup.RecoverError(); err != nil {
-			pr.State = Lost
-			f.eventf("pair-lost pair=%s err=%v", pr.ID, err)
-		} else if !pr.Repl.Backup.Recovered() && !pr.Repl.Backup.PromotionPending() {
-			// A halted backup cannot recover: both of the pair's hosts are
-			// gone. The fault-model boundary (DESIGN.md §9) — NiLiCon
-			// tolerates one failure per pair at a time. A backup holding at
-			// its lease promotion barrier is different: conviction is in,
-			// promotion follows once the last grant has provably expired.
-			pr.State = Lost
-			f.eventf("pair-lost pair=%s reason=both-hosts-dead", pr.ID)
-		}
+		f.chainPrimaryDied(pr)
 	case Resyncing:
 		// The new backup has no committed state to recover to.
 		pr.Repl.Stop()
@@ -188,14 +167,15 @@ func (f *Fleet) primaryHostDied(pr *Pair) {
 	}
 }
 
-// chainPrimaryDied fails over a multi-replica chain: elect the
-// most-caught-up surviving replica (highest committed epoch, ties to
-// the lowest slot), raise its promotion barrier over every grant any
-// chain member ever sent (the old primary may be holding a lease from
-// any of them), and recover it. The losing replicas are halted — the
-// elected replica's state supersedes theirs the instant recovery
-// commits, and halting them before Recover guarantees at most one
-// serving under the fleet's central arbitration.
+// chainPrimaryDied fails over a chain of any width (a pair is the
+// one-replica chain): elect the most-caught-up surviving replica
+// (highest committed epoch, ties to the lowest slot), raise its
+// promotion barrier over every grant any chain member ever sent (the
+// old primary may be holding a lease from any of them; with one
+// grantor the floor is its own), and recover it. The losing replicas
+// are halted — the elected replica's state supersedes theirs the
+// instant recovery commits, and halting them before Recover guarantees
+// at most one serving under the fleet's central arbitration.
 func (f *Fleet) chainPrimaryDied(pr *Pair) {
 	if pr.repairSlot >= 0 {
 		f.removeResync(pr.Index)
@@ -282,7 +262,7 @@ func (f *Fleet) replicaHostDied(pr *Pair, host int) {
 		f.enqueueReprotect(pr.Index)
 		f.eventf("fence pair=%s primary=%s", pr.ID, f.Hosts[pr.PrimaryHost].Name)
 	case FailingOver:
-		if pr.electedSlot >= 0 && pr.ReplicaHosts[pr.electedSlot] != host {
+		if pr.ReplicaHosts[pr.electedSlot] != host {
 			// A losing (already halted) replica's host died mid-restore;
 			// the elected replica is unaffected.
 			return
@@ -302,18 +282,9 @@ func (f *Fleet) pairRecovered(pr *Pair, rc core.RestoredContainer, stats core.Re
 	pr.LastFailover = &stats
 	f.FailoverLatencies.Add(stats.NetworkLiveAt.Sub(stats.DetectedAt).Seconds())
 
-	// Which chain slot won? The fleet's own election records it; a
-	// classic pair's self-promotion is always slot 0. Match the restored
-	// container to be robust against both paths.
-	slot := 0
-	for i := 0; i < pr.Repl.Replicas(); i++ {
-		if ag := pr.Repl.ReplicaAgent(i); ag.Recovered() && ag.RestoredCtr == rc {
-			slot = i
-			break
-		}
-	}
 	// The pair's home moves to the surviving host; its backup reservation
 	// there becomes the primary's (same page count) plus a core.
+	slot := pr.electedSlot
 	oldPrimary := pr.PrimaryHost
 	pr.PrimaryHost = pr.ReplicaHosts[slot]
 	nh := f.Hosts[pr.PrimaryHost]

@@ -83,14 +83,12 @@ func (f *Fleet) pumpReprotect() {
 		i++
 	}
 	// Chains below their configured strength (post-failover rebuilds
-	// grow back from a classic pair; replica-host fences fence slots)
-	// queue for repair; enqueueReprotect dedups.
-	if f.Params.Replicas > 2 {
-		for _, pr := range f.Pairs {
-			if pr.State == Protected && pr.repairSlot < 0 {
-				if live := f.liveBackups(pr); live > 0 && live < f.Params.Replicas-1 {
-					f.enqueueReprotect(pr.Index)
-				}
+	// grow back from a one-replica chain; replica-host fences fence
+	// slots) queue for repair; enqueueReprotect dedups.
+	for _, pr := range f.Pairs {
+		if pr.State == Protected && pr.repairSlot < 0 {
+			if live := f.liveBackups(pr); live > 0 && live < f.Params.Replicas-1 {
+				f.enqueueReprotect(pr.Index)
 			}
 		}
 	}
@@ -235,21 +233,9 @@ func (f *Fleet) startChainRepair(pr *Pair, target int) bool {
 	tgt := f.Hosts[target]
 	slotIdx := pr.Repl.Replicas()
 	bv := simdisk.NewDisk(fmt.Sprintf("%s-r%d", pr.ID, slotIdx))
-	view := &core.Cluster{
-		Clock:       ph.H.Clock,
-		Switch:      f.Switch,
-		Primary:     ph.H,
-		Backup:      tgt.H,
-		ReplLink:    ph.NIC,
-		AckLink:     tgt.NIC,
-		Xfer:        ph.Xfer,
-		DRBDPrimary: pr.View.DRBDPrimary,
-	}
+	view := f.view(ph, tgt, pr.View.DRBDPrimary)
 	view.DRBDBackup = pr.View.DRBDPrimary.AttachSecondary(bv, ph.NIC)
 	slot := pr.Repl.AttachReplica(view)
-	// The chain is multi-slot again: promotion arbitration moves (back)
-	// to the fleet detector.
-	pr.Repl.SetExternalArbiter(true)
 	pr.repairSlot = slot
 	pr.ReplicaHosts = append(pr.ReplicaHosts, target)
 	pr.Reprotects++
@@ -271,15 +257,7 @@ func (f *Fleet) startReprotect(pr *Pair, target int) bool {
 	}
 	cur := f.Hosts[pr.PrimaryHost]
 	tgt := f.Hosts[target]
-	view := &core.Cluster{
-		Clock:    cur.H.Clock,
-		Switch:   f.Switch,
-		Primary:  cur.H,
-		Backup:   tgt.H,
-		ReplLink: cur.NIC,
-		AckLink:  tgt.NIC,
-		Xfer:     cur.Xfer,
-	}
+	view := f.view(cur, tgt, nil)
 	cfg := f.pairConfig(pr)
 	repl, err := core.ReprotectOnto(view, pr.Ctr, pr.Vol, cfg)
 	if err != nil {
@@ -290,6 +268,7 @@ func (f *Fleet) startReprotect(pr *Pair, target int) bool {
 		f.enqueueReprotect(pr.Index)
 		return false
 	}
+	repl.SetExternalArbiter()
 	repl.Timeline = f.Timeline
 	pr.View = view
 	pr.Repl = repl

@@ -265,9 +265,8 @@ func (b *BackupAgent) checkHeartbeat() {
 			b.sendCandidacy()
 		case b.r.externalArbiter:
 			// A control plane (the fleet detector) arbitrates promotion
-			// for this chain: with several replicas each holding their own
-			// staleness view, per-replica self-promotion would elect
-			// everyone. The arbiter picks one slot and calls Recover on it.
+			// for this chain, whatever its width: it convicts the primary
+			// host, picks one slot and calls Recover on it.
 		default:
 			b.Recover()
 		}

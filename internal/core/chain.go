@@ -165,9 +165,9 @@ func (r *Replicator) ChainLastGrantSent() simtime.Time {
 // SetExternalArbiter hands promotion arbitration to an outside control
 // plane: replicas stop self-promoting on heartbeat staleness (the fleet
 // detector convicts hosts and picks the one slot to Recover, raising
-// its grant floor to ChainLastGrantSent first). Classic pairs under the
-// fleet keep self-promotion; set this only for multi-slot chains.
-func (r *Replicator) SetExternalArbiter(on bool) { r.externalArbiter = on }
+// its grant floor to ChainLastGrantSent first). The fleet sets it on
+// every chain it builds, a pair being the one-replica chain.
+func (r *Replicator) SetExternalArbiter() { r.externalArbiter = true }
 
 // Quorum returns how many replicas currently gate release: every
 // participating (unfenced, caught-up) slot.
@@ -391,7 +391,7 @@ func (r *Replicator) logAckedFrom(slot int, seq uint64) {
 
 // logRecompute re-derives the chain log watermark: segments every
 // participant has acknowledged are retired, and their buffered egress
-// is released (or parked, under a fence).
+// is released unless a fence holds it (unfence releases through acked).
 func (r *Replicator) logRecompute() {
 	rec := r.rec
 	if rec == nil || r.stopped {
@@ -406,14 +406,9 @@ func (r *Replicator) logRecompute() {
 		return
 	}
 	rec.acked = m
-	if !r.releaseAuthorized() {
-		if !rec.hasParked || m > rec.parked {
-			rec.parked = m
-			rec.hasParked = true
-		}
-		return
+	if r.releaseAuthorized() {
+		rec.releaseThrough(m)
 	}
-	rec.releaseThrough(m)
 }
 
 // unfencedCount returns how many chain slots are not fenced.

@@ -244,10 +244,8 @@ func (r *Replicator) unfence() {
 		r.hasParkedDirect = false
 		r.releaseDirect(e)
 	}
-	if r.rec != nil && r.rec.hasParked {
-		seq := r.rec.parked
-		r.rec.hasParked = false
-		r.rec.releaseThrough(seq)
+	if r.rec != nil && r.rec.released < r.rec.acked {
+		r.rec.releaseThrough(r.rec.acked)
 	}
 }
 

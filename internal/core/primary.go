@@ -28,8 +28,8 @@ type Replicator struct {
 	witness *Witness
 	// externalArbiter suppresses per-replica self-promotion: an outside
 	// control plane (the fleet detector) convicts the primary host and
-	// picks exactly one slot to Recover. Without it each replica of a
-	// multi-slot chain would self-promote on its own staleness view.
+	// picks exactly one slot to Recover, for a chain of any width.
+	// Without it each replica self-promotes on its own staleness view.
 	externalArbiter bool
 
 	engine *criu.Engine

@@ -86,12 +86,10 @@ type recorder struct {
 	retained []sealedSeg
 
 	// acked is the cumulative backup acknowledgment watermark; released
-	// the highest sequence whose egress buffer was flushed; parked the
-	// release watermark held back by a lease fence.
-	acked     uint64
-	released  uint64
-	parked    uint64
-	hasParked bool
+	// the highest sequence whose egress buffer was flushed. Under a lease
+	// fence released lags acked, and unfence releases the difference.
+	acked    uint64
+	released uint64
 }
 
 // sealedSeg is a sealed segment awaiting its acknowledgment.

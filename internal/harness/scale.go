@@ -13,10 +13,7 @@ type ScaleRow struct {
 	X          int // threads, clients, or processes
 	Overhead   float64
 	StopMean   simtime.Duration
-	ThreadColl simtime.Duration // per-thread state retrieval total
-	SockColl   simtime.Duration // socket state collection
 	DirtyPages float64
-	MemCopy    simtime.Duration
 }
 
 // RunScaleThreads reproduces the streamcluster thread sweep (§VII-C):

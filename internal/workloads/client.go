@@ -31,16 +31,18 @@ const (
 	KVProbe
 )
 
-// outstanding tracks one in-flight request and its expected reply.
+// outstanding tracks one in-flight request. It holds no reply bytes:
+// expect derives the reply from key, version and size when it arrives.
 type outstanding struct {
-	op       byte
-	sentAt   simtime.Time
-	expected []byte // nil → don't verify content, unless version is set
-	key      uint64
-	// version, when nonzero, is the version of key a read must return:
-	// the reply is checked against ValueFor(key, version), regenerated
-	// on arrival rather than held while the request is in flight.
+	op     byte
+	sentAt simtime.Time
+	// key is a KV request's key, a web request's path id, or an echo's
+	// client id. version, when nonzero, is the version of key a read
+	// must return, or an echo's per-client sequence number; a read with
+	// version 0 is not verified.
+	key     uint64
 	version uint32
+	size    int
 }
 
 // okReply is the server's reply to a write.
@@ -64,8 +66,8 @@ type Client struct {
 	respCount int
 
 	// out and scratch are reused across requests: out holds the frames
-	// one issue call sends (Socket.Send copies it), scratch a write's
-	// payload or a read's expected value.
+	// one issue call sends (Socket.Send copies it), scratch a request's
+	// payload or a reply's expected value.
 	out     []byte
 	scratch []byte
 
@@ -73,6 +75,9 @@ type Client struct {
 	// order, to derive the expected value of subsequent reads.
 	versions map[uint64]uint32
 
+	// echoSeq numbers the client's echoes: each payload is
+	// ValueFor(id, echoSeq, size).
+	echoSeq uint32
 	echoMax int
 }
 
@@ -204,43 +209,59 @@ func (c *Client) issue() {
 		c.sock.Send(c.out)
 	case WebLoop:
 		pathID := uint32(c.rng.Intn(512))
-		var p [4]byte
-		binary.BigEndian.PutUint32(p[:], pathID)
+		now := c.set.cl.Clock.Now()
 		// Web/echo loops capture as gets keyed by path: the trace format
 		// is kv-shaped, so a replay drives the page set as reads.
-		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
-		c.sock.Send(Frame(OpWeb, p[:]))
-		c.push(outstanding{
-			op: OpWeb, sentAt: c.set.cl.Clock.Now(),
-			expected: PageFor(pathID, c.set.prof.RespKB<<10),
-		})
+		c.set.record(now, c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
+		c.out = AppendFrame(c.out[:0], OpWeb, binary.BigEndian.AppendUint32(c.scratch[:0], pathID))
+		c.sock.Send(c.out)
+		c.push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
 	case EchoLoop:
 		size := c.echoMax
 		if size > 1 {
 			size = 1 + c.rng.Intn(c.echoMax)
 		}
-		payload := make([]byte, size)
-		c.rng.Read(payload)
-		c.set.record(c.set.cl.Clock.Now(), c.id, traffic.OpSet, uint64(c.id), size)
-		c.sock.Send(Frame(OpEcho, payload))
-		c.push(outstanding{op: OpEcho, sentAt: c.set.cl.Clock.Now(), expected: payload})
+		c.echoSeq++
+		now := c.set.cl.Clock.Now()
+		c.scratch = appendValue(c.scratch[:0], uint64(c.id), c.echoSeq, size)
+		c.set.record(now, c.id, traffic.OpSet, uint64(c.id), size)
+		c.out = AppendFrame(c.out[:0], OpEcho, c.scratch)
+		c.sock.Send(c.out)
+		c.push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
 	}
 }
 
+// expect derives the reply o must receive: OK for a write, the shared
+// page for a web request, and ValueFor(key, version, size), regenerated
+// into c.scratch, for a read or an echo. It returns nil for a read with
+// no version, which is not verified.
+func (c *Client) expect(o outstanding) []byte {
+	switch {
+	case o.op == OpSet:
+		return okReply
+	case o.op == OpWeb:
+		return PageFor(uint32(o.key), o.size)
+	case o.version == 0:
+		return nil
+	}
+	c.scratch = appendValue(c.scratch[:0], o.key, o.version, o.size)
+	return c.scratch
+}
+
 // appendKV appends one write (a new version of key) or read of key to
-// c.out and queues its expected reply.
+// c.out and queues it.
 func (c *Client) appendKV(now simtime.Time, key uint64, write bool) {
 	if write {
 		v := c.versions[key] + 1
 		c.versions[key] = v
 		c.scratch = appendValue(binary.BigEndian.AppendUint64(c.scratch[:0], key), key, v, recordSize)
 		c.out = AppendFrame(c.out, OpSet, c.scratch)
-		c.push(outstanding{op: OpSet, sentAt: now, expected: okReply, key: key})
+		c.push(outstanding{op: OpSet, sentAt: now, key: key})
 		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
 		return
 	}
 	c.out = AppendFrame(c.out, OpGet, binary.BigEndian.AppendUint64(c.scratch[:0], key))
-	c.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key]})
+	c.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
 	c.set.record(now, c.id, traffic.OpGet, key, 0)
 }
 
@@ -274,14 +295,9 @@ func (c *Client) receive(b []byte) {
 		if c.head == len(c.inflight) {
 			c.inflight, c.head = c.inflight[:0], 0
 		}
-		want := exp.expected
-		if exp.version != 0 {
-			c.scratch = appendValue(c.scratch[:0], exp.key, exp.version, recordSize)
-			want = c.scratch
-		}
 		if op != exp.op {
 			c.set.fail(fmt.Sprintf("client %d: response op %q for request %q", c.id, op, exp.op))
-		} else if want != nil && !bytes.Equal(payload, want) {
+		} else if want := c.expect(exp); want != nil && !bytes.Equal(payload, want) {
 			c.set.fail(fmt.Sprintf("client %d: wrong content for op %q key %d (%dB vs %dB expected)",
 				c.id, exp.op, exp.key, len(payload), len(want)))
 		}

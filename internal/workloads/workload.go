@@ -202,6 +202,9 @@ const (
 	maxFrameBuf = 64 << 10
 )
 
+// maxFrameLen is the largest op+payload length Next accepts.
+const maxFrameLen = 64 << 20
+
 // Feed appends stream bytes. The reader takes ownership of b: the caller
 // must not modify it afterwards.
 func (fr *FrameReader) Feed(b []byte) {
@@ -222,7 +225,15 @@ func (fr *FrameReader) Feed(b []byte) {
 		tail := fr.buf[fr.off:]
 		n := len(tail) + len(b)
 		if cap(fr.spare) < n {
-			fr.size = max(min(max(2*fr.size, minFrameBuf), maxFrameBuf), 2*n)
+			// Room for twice the bytes at hand, or for exactly the whole
+			// straddling frame once its length is buffered (capped at the
+			// frame limit Next enforces, so a bad length cannot force a
+			// huge allocation).
+			want := 2 * n
+			if len(tail) >= 4 {
+				want = max(n, 4+min(int(binary.BigEndian.Uint32(tail)), maxFrameLen))
+			}
+			fr.size = max(min(max(2*fr.size, minFrameBuf), maxFrameBuf), want)
 			fr.spare = make([]byte, 0, fr.size)
 		}
 		fr.buf, fr.off = append(append(fr.spare, tail...), b...), 0
@@ -238,7 +249,7 @@ func (fr *FrameReader) Next() (op byte, payload []byte, ok bool) {
 		return 0, nil, false
 	}
 	n := binary.BigEndian.Uint32(rest)
-	if n < 1 || n > 64<<20 {
+	if n < 1 || n > maxFrameLen {
 		panic(fmt.Sprintf("workloads: bad frame length %d", n))
 	}
 	if len(rest) < 4+int(n) {
