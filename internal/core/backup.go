@@ -455,7 +455,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 			}
 			key := criu.PageKey(pi, pg.PN)
 			old := b.store.PutOwned(key, pg.Data)
-			if len(old) > 0 && len(pg.Data) > 0 && &old[0] == &pg.Data[0] && !simkernel.IsStampPage(old) {
+			if sameBuffer(old, pg.Data) && !simkernel.IsStampPage(old) {
 				// A page is shipped again only after a write, and the
 				// write moved the frame to a fresh copy. A stamp frame
 				// is the exception: a page stamped with the same value
@@ -481,8 +481,17 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	for _, s := range img.Sockets {
 		sockBytes += s.Size()
 	}
+	// An fs-cache page arrives in the buffer Fgetfc lent (or, on a chain
+	// replica, in Clone's pool copy). A newer entry in a different buffer
+	// means the cache page was written, and the write moved it to a
+	// fresh copy, so this map is the old buffer's last holder. A resync's
+	// FgetfcFull re-lends an unwritten page's buffer, which must stay.
 	for _, pe := range img.FSCache.Pages {
-		b.fsPages[fsPageKey{pe.Ino, pe.Idx}] = pe
+		k := fsPageKey{pe.Ino, pe.Idx}
+		if old, ok := b.fsPages[k]; ok && !sameBuffer(old.Data, pe.Data) {
+			simkernel.RecyclePage(old.Data)
+		}
+		b.fsPages[k] = pe
 		pageBytes += int64(len(pe.Data))
 	}
 	for _, ie := range img.FSCache.Inodes {
@@ -498,11 +507,13 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 		// container without cgroups, namespaces or mounts.
 		panic("core: cached infrequent-state marker received before any full collection")
 	}
-	// Page contents now live in the store; keep only the metadata.
+	// Page contents now live in the store and fs-cache pages in
+	// fsPages; keep only the metadata.
 	for pi := range img.Procs {
 		img.Procs[pi].Pages = nil
 		img.Procs[pi].Frames = nil
 	}
+	img.FSCache.Pages = nil
 	b.lastImage = img
 	b.committed = epoch
 	b.hasCommitted = true
@@ -527,6 +538,11 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	cost += 40 * simtime.Microsecond // ack + bookkeeping
 	b.CPUBusy += cost
 	return nil
+}
+
+// sameBuffer reports whether a and b are the same non-empty buffer.
+func sameBuffer(a, b []byte) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // CommittedEpoch returns the newest committed epoch (ok=false before the

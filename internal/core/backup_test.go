@@ -534,3 +534,51 @@ func TestPropertyFailoverConsistencyRandomTiming(t *testing.T) {
 		}
 	}
 }
+
+// TestCommitKeepsARelentFsPage: a resync's FgetfcFull re-lends the
+// buffer of a cache page not written since its last checkpoint, so the
+// backup's fs-cache merge can see the very buffer it already holds under
+// that page. It must keep it: recycling it would hand the live cache
+// page and the committed entry to the next pool copy.
+func TestCommitKeepsARelentFsPage(t *testing.T) {
+	env := newTestEnv(t, DefaultConfig())
+	fs := env.ctr.FS
+	f := fs.Create("/data")
+	if err := fs.WriteAt(f, 0, []byte("fs-page-v1")); err != nil {
+		t.Fatal(err)
+	}
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	b := env.repl.Backup
+	committed, ok := b.CommittedEpoch()
+	if !ok {
+		t.Fatal("no committed epoch")
+	}
+	key := fsPageKey{f.Ino, 0}
+	held := b.fsPages[key].Data
+	if string(held[:10]) != "fs-page-v1" {
+		t.Fatalf("backup holds %q for the written page", held[:10])
+	}
+	img := &criu.Image{ContainerID: "kv", Epoch: committed + 1, InfrequentCached: true, FSCache: fs.FgetfcFull()}
+	relent := false
+	for _, pe := range img.FSCache.Pages {
+		relent = relent || (pe.Ino == f.Ino && pe.Idx == 0 && &pe.Data[0] == &held[0])
+	}
+	if !relent {
+		t.Fatal("FgetfcFull did not re-lend the committed buffer of the unwritten page")
+	}
+	if err := b.commit(img.Epoch, img); err != nil {
+		t.Fatal(err)
+	}
+	// Drain whatever the pool holds into copies that are then written.
+	ones := bytes.Repeat([]byte{0xFF}, simkernel.PageSize)
+	for i := 0; i < 1024; i++ {
+		simkernel.CopyPage(ones)
+	}
+	if got := b.fsPages[key].Data; string(got[:10]) != "fs-page-v1" {
+		t.Fatalf("committed fs page reads %q: its re-lent buffer was recycled", got[:10])
+	}
+	if got, _ := fs.ReadAt(f, 0, 10); string(got) != "fs-page-v1" {
+		t.Fatalf("cache page reads %q: its re-lent buffer was recycled", got)
+	}
+}

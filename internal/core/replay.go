@@ -204,7 +204,9 @@ func (rec *recorder) seal() {
 		SchedDigest:  rec.schedDigest,
 		SchedSteps:   rec.schedSteps,
 	}
-	rec.events = nil
+	// The segment keeps the slice; the next one starts at this one's
+	// length instead of regrowing from nil.
+	rec.events = make([]criu.LogEvent, 0, len(seg.Events))
 	rec.egressDigest = criu.DigestInit()
 	rec.egressBytes = 0
 	rec.schedDigest = criu.DigestInit()

@@ -108,8 +108,9 @@ type Image struct {
 // pages — is deep-copied: each replica's page store owns what it
 // commits, and a raw store recycles the verbatim pages it supersedes
 // (DESIGN.md §8), so two replicas must never share one buffer. The
-// verbatim copies come from simkernel's page pool, so a replica store
-// recycles them exactly as slot 0's store recycles the originals.
+// verbatim and fs-cache copies come from simkernel's page pool, so a
+// replica's backup recycles them exactly as slot 0's recycles the
+// originals.
 // Stamp frames are the exception: nothing owns, writes or recycles
 // them, so every replica shares them.
 // Structured snapshots (threads, VMAs, sockets, infrequent state) and
@@ -152,9 +153,7 @@ func (img *Image) Clone() *Image {
 	if len(img.FSCache.Pages) > 0 {
 		pages := make([]simfs.PageEntry, len(img.FSCache.Pages))
 		for j, pe := range img.FSCache.Pages {
-			d := make([]byte, len(pe.Data))
-			copy(d, pe.Data)
-			pe.Data = d
+			pe.Data = simkernel.CopyPage(pe.Data)
 			pages[j] = pe
 		}
 		cp.FSCache.Pages = pages

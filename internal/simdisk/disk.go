@@ -13,14 +13,17 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"nilicon/internal/simkernel"
 )
 
 // BlockSize is the device block size in bytes.
 const BlockSize = 4096
 
 // Disk is one host's block device. It is the only owner of its blocks:
-// a write overwrites the block in place, and every read-out (ReadBlock,
-// Clone, CopyFrom) hands out a copy.
+// a write overwrites the block in place, a DRBD commit hands it the
+// shipped buffer (adopt), and every read-out (ReadBlock, Clone,
+// CopyFrom) hands out a copy.
 type Disk struct {
 	Name   string
 	blocks map[uint64][]byte
@@ -51,15 +54,27 @@ func (d *Disk) WriteBlock(bn uint64, data []byte) error {
 	return nil
 }
 
+// adopt makes data, a full block nobody else holds, block bn's storage
+// and returns the replaced block to simkernel's page pool: the disk was
+// its only holder.
+func (d *Disk) adopt(bn uint64, data []byte) {
+	if len(data) != BlockSize {
+		panic(fmt.Sprintf("simdisk: adopt of %d bytes, want a full block", len(data)))
+	}
+	simkernel.RecyclePage(d.blocks[bn])
+	d.blocks[bn] = data
+	d.writes++
+}
+
 // ReadBlock returns the content of block bn (all zeros if never written).
-// The returned slice is a copy.
+// The returned slice is a copy the caller owns; a written block's copy
+// comes from simkernel's page pool.
 func (d *Disk) ReadBlock(bn uint64) []byte {
 	d.reads++
-	out := make([]byte, BlockSize)
 	if b, ok := d.blocks[bn]; ok {
-		copy(out, b)
+		return simkernel.CopyPage(b)
 	}
-	return out
+	return make([]byte, BlockSize)
 }
 
 // Blocks returns the number of blocks ever written.

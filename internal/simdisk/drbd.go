@@ -3,11 +3,14 @@ package simdisk
 import (
 	"fmt"
 
+	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 )
 
 // WriteOp is one replicated block write, tagged with the epoch it
-// belongs to.
+// belongs to. Data is a full block owned by the op: each peer gets its
+// own, the secondary's disk adopts it at Commit, and a dropped op
+// returns it to simkernel's page pool.
 type WriteOp struct {
 	Block uint64
 	Data  []byte
@@ -116,9 +119,12 @@ func (d *DRBD) DetachPeer(s *DRBD) {
 // SetEpoch sets the epoch tag for subsequent primary writes.
 func (d *DRBD) SetEpoch(e uint64) { d.epoch = e }
 
-// WriteBlock applies a block write locally and ships it to the
+// WriteBlock applies a block write locally and ships it to every
 // secondary. Only the primary may write. DRBD thereby satisfies
 // simfs.BlockStore, so a container file system can sit directly on it.
+// With no secondary attached nothing is shipped or copied; otherwise
+// each peer's op carries its own full-block copy (a short write is
+// zero-padded), while the wire carries only the bytes written.
 func (d *DRBD) WriteBlock(bn uint64, data []byte) error {
 	if d.Role != RolePrimary {
 		return fmt.Errorf("simdisk: write on %v end", d.Role)
@@ -126,18 +132,30 @@ func (d *DRBD) WriteBlock(bn uint64, data []byte) error {
 	if err := d.Local.WriteBlock(bn, data); err != nil {
 		return err
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	op := WriteOp{Block: bn, Data: cp, Epoch: d.epoch}
-	if len(d.peers) > 0 {
-		d.epochWrites[d.epoch]++
-		for i, peer := range d.peers {
-			peer := peer
-			d.links[i].Transfer(int64(len(data)+24), func() { peer.receiveWrite(op) })
-		}
+	if len(d.peers) == 0 {
+		return nil
+	}
+	d.epochWrites[d.epoch]++
+	for i, peer := range d.peers {
+		op := WriteOp{Block: bn, Data: blockCopy(data), Epoch: d.epoch}
+		d.links[i].Transfer(int64(len(data)+24), func() { peer.receiveWrite(op) })
 	}
 	return nil
 }
+
+// blockCopy returns a full-block copy of data from simkernel's page
+// pool, zero-padded past a short write.
+func blockCopy(data []byte) []byte {
+	if len(data) == BlockSize {
+		return simkernel.CopyPage(data)
+	}
+	b := simkernel.CopyPage(zeroBlock[:])
+	copy(b, data)
+	return b
+}
+
+// zeroBlock is the all-zero block a short write's copy starts from.
+var zeroBlock [BlockSize]byte
 
 // ReadBlock reads from the local disk (reads are processed normally,
 // §II-A).
@@ -189,16 +207,17 @@ func (d *DRBD) Buffered() int { return len(d.buffer) }
 // Commit applies all buffered writes with epoch <= e to the local disk,
 // in arrival order. The secondary calls this once the corresponding
 // container state is committed (§II-A: epoch k's writes are applied
-// during epoch k+1).
+// during epoch k+1). The disk adopts each op's block instead of copying
+// it.
 func (d *DRBD) Commit(e uint64) error {
 	if d.Role != RoleSecondary {
 		return fmt.Errorf("simdisk: commit on primary end")
 	}
-	for _, op := range d.buffer {
+	for i := range d.buffer {
+		op := &d.buffer[i]
 		if op.Epoch <= e {
-			if err := d.Local.WriteBlock(op.Block, op.Data); err != nil {
-				return err
-			}
+			d.Local.adopt(op.Block, op.Data)
+			op.Data = nil // the disk owns it now
 			if op.Epoch > d.committed {
 				d.committed = op.Epoch
 			}
@@ -265,13 +284,17 @@ func (d *DRBD) DiscardAbove(e uint64) {
 }
 
 // keepBuffered filters the write buffer in place, keeping arrival order,
-// and clears the vacated tail so the dropped ops' data is released while
-// the buffer's array is reused by later writes.
+// returns the dropped ops' blocks to the page pool (an op is its block's
+// only holder; Commit has already handed its committed ones to the
+// disk), and clears the vacated tail while the buffer's array is reused
+// by later writes.
 func (d *DRBD) keepBuffered(keep func(WriteOp) bool) {
 	rest := d.buffer[:0]
 	for _, op := range d.buffer {
 		if keep(op) {
 			rest = append(rest, op)
+		} else {
+			simkernel.RecyclePage(op.Data)
 		}
 	}
 	clear(d.buffer[len(rest):])

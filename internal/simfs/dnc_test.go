@@ -30,7 +30,9 @@ func scanDNC(fs *FS) []pageKey {
 // step, that DNCPages and the DNC flags agree with a model set of the
 // pages written since they were last checkpointed, and that each Fgetfc
 // returns exactly the full scan's pages, in its order, with their
-// content, charging one FgetfcPerEntry per entry.
+// content, charging one FgetfcPerEntry per entry. Every snapshot page
+// ever returned must keep its capture-time bytes: the cache lends its
+// buffers and must copy before writing one.
 func TestDNCListMatchesReferenceModel(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) { runDNCModel(t, seed, 300) })
@@ -49,6 +51,13 @@ func runDNCModel(t *testing.T, seed int64, steps int) {
 	}
 	fs.Open("/c").Sync = true
 	model := map[pageKey]bool{} // pages written since last checkpointed
+	type lentPage struct{ data, captured []byte }
+	var lent []lentPage
+	keep := func(cs CacheSnapshot) {
+		for _, pe := range cs.Pages {
+			lent = append(lent, lentPage{pe.Data, bytes.Clone(pe.Data)})
+		}
+	}
 
 	for step := 0; step < steps; step++ {
 		ino := fs.Open(paths[rng.Intn(len(paths))])
@@ -84,7 +93,7 @@ func runDNCModel(t *testing.T, seed int64, steps int) {
 			fs.ApplyCache(cs)
 		case r < 13:
 			op = "full"
-			fs.FgetfcFull()
+			keep(fs.FgetfcFull())
 			clear(model)
 		case r < 14:
 			op = "tick"
@@ -117,7 +126,13 @@ func runDNCModel(t *testing.T, seed int64, steps int) {
 					t.Fatalf("step %d: Fgetfc entry %d Dirty=%v, page dirty=%v", step, i, pe.Dirty, fs.cache[want[i]].dirty)
 				}
 			}
+			keep(cs)
 			clear(model)
+		}
+		for i, lp := range lent {
+			if !bytes.Equal(lp.data, lp.captured) {
+				t.Fatalf("step %d (%s): snapshot page %d changed after its capture", step, op, i)
+			}
 		}
 		got := scanDNC(fs)
 		var wantKeys []pageKey

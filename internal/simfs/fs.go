@@ -21,7 +21,8 @@ import (
 const PageSize = 4096
 
 // BlockStore is the block layer under the file system (a raw Disk or a
-// DRBD primary end).
+// DRBD primary end). ReadBlock returns a page-sized copy the caller
+// owns.
 type BlockStore interface {
 	WriteBlock(bn uint64, data []byte) error
 	ReadBlock(bn uint64) []byte
@@ -56,6 +57,18 @@ type cachePage struct {
 	dirty bool
 	// dnc: modified since the last checkpoint (§III).
 	dnc bool
+	// lent: Fgetfc handed data out, so the cache never writes it again;
+	// the next write copies the page into a fresh buffer first (own).
+	lent bool
+}
+
+// own makes the page's buffer writable: a lent buffer stays with its
+// holders and the page continues on a copy from simkernel's page pool.
+func (pg *cachePage) own() {
+	if pg.lent {
+		pg.data = simkernel.CopyPage(pg.data)
+		pg.lent = false
+	}
 }
 
 // FS is one mounted file system instance.
@@ -158,9 +171,12 @@ func (fs *FS) page(ino *Inode, idx int64, load bool) *cachePage {
 	k := pageKey{ino.Ino, idx}
 	pg := fs.cache[k]
 	if pg == nil {
-		pg = &cachePage{data: make([]byte, PageSize)}
+		// A loaded page takes the block layer's read-out as its buffer.
+		pg = &cachePage{}
 		if load && fs.store != nil {
-			copy(pg.data, fs.store.ReadBlock(blockFor(ino.Ino, idx)))
+			pg.data = fs.store.ReadBlock(blockFor(ino.Ino, idx))
+		} else {
+			pg.data = make([]byte, PageSize)
 		}
 		fs.cache[k] = pg
 	}
@@ -185,6 +201,7 @@ func (fs *FS) WriteAt(ino *Inode, off int64, data []byte) error {
 			c = len(data) - n
 		}
 		pg := fs.page(ino, idx, true)
+		pg.own()
 		copy(pg.data[po:], data[n:n+c])
 		pg.dirty = true
 		if !pg.dnc {
@@ -345,6 +362,9 @@ func (cs CacheSnapshot) Size() int64 {
 
 // Fgetfc is the new system call (§III): it returns every DNC page-cache
 // and inode-cache entry and clears the DNC state, charging per entry.
+// Page entries lend the cache's own buffers, which the cache never
+// writes again (copy-on-write): the snapshot keeps the bytes of its
+// capture for as long as anyone holds it.
 func (fs *FS) Fgetfc() CacheSnapshot {
 	var cs CacheSnapshot
 	slices.SortFunc(fs.dncKeys, comparePageKeys)
@@ -355,9 +375,8 @@ func (fs *FS) Fgetfc() CacheSnapshot {
 		if pg == nil || !pg.dnc {
 			continue
 		}
-		data := make([]byte, PageSize)
-		copy(data, pg.data)
-		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: data, Dirty: pg.dirty})
+		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: pg.data, Dirty: pg.dirty})
+		pg.lent = true
 		pg.dnc = false
 		fs.dncCount--
 		fs.charge(fs.costs().FgetfcPerEntry)
@@ -381,7 +400,9 @@ func (fs *FS) Fgetfc() CacheSnapshot {
 // baseline and the next Fgetfc is incremental relative to it. The
 // replication resync path uses this: after epochs are lost on the link,
 // their DNC deltas are gone and only a full dump restores a consistent
-// fs-cache view at the backup.
+// fs-cache view at the backup. Pages are lent as in Fgetfc, so a page
+// not written since an earlier snapshot lends that snapshot's buffer
+// again.
 func (fs *FS) FgetfcFull() CacheSnapshot {
 	var cs CacheSnapshot
 	keys := make([]pageKey, 0, len(fs.cache))
@@ -391,9 +412,8 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 	slices.SortFunc(keys, comparePageKeys)
 	for _, k := range keys {
 		pg := fs.cache[k]
-		data := make([]byte, PageSize)
-		copy(data, pg.data)
-		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: data, Dirty: pg.dirty})
+		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: pg.data, Dirty: pg.dirty})
+		pg.lent = true
 		pg.dnc = false
 		fs.charge(fs.costs().FgetfcPerEntry)
 	}
@@ -411,7 +431,8 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 
 // ApplyCache applies checkpointed fs-cache entries during restore, using
 // the existing system calls (pwrite for pages, chown/chmod for inodes),
-// charging per entry.
+// charging per entry. Page contents are copied: the cache never holds a
+// snapshot's buffer.
 func (fs *FS) ApplyCache(cs CacheSnapshot) {
 	for _, ie := range cs.Inodes {
 		ino := fs.byIno[ie.Ino]
@@ -439,6 +460,7 @@ func (fs *FS) ApplyCache(cs CacheSnapshot) {
 			continue
 		}
 		pg := fs.page(ino, pe.Idx, false)
+		pg.own()
 		copy(pg.data, pe.Data)
 		pg.dirty = pe.Dirty
 		if pg.dnc {

@@ -175,15 +175,40 @@ func TestFgetfcIncludesInodeAttrChanges(t *testing.T) {
 	}
 }
 
-func TestFgetfcDeepCopies(t *testing.T) {
+// TestFgetfcLendsCopyOnWrite: Fgetfc and FgetfcFull lend the cache's
+// own buffers instead of copying them, and the cache never writes a
+// lent buffer again: a write after the snapshot changes the cache and
+// leaves the snapshot's bytes as captured, and so does ApplyCache.
+func TestFgetfcLendsCopyOnWrite(t *testing.T) {
 	fs, _, _ := newTestFS()
 	f := fs.Create("/f")
 	_ = fs.WriteAt(f, 0, []byte("orig"))
 	cs := fs.Fgetfc()
-	cs.Pages[0].Data[0] = 'X'
-	got, _ := fs.ReadAt(f, 0, 4)
-	if string(got) != "orig" {
-		t.Fatal("fgetfc aliases cache pages")
+	lent := cs.Pages[0].Data
+	if &lent[0] != &fs.cache[pageKey{f.Ino, 0}].data[0] {
+		t.Fatal("Fgetfc copied the page instead of lending it")
+	}
+	full := fs.FgetfcFull()
+	if &full.Pages[0].Data[0] != &lent[0] {
+		t.Fatal("FgetfcFull did not re-lend the unwritten page's buffer")
+	}
+	_ = fs.WriteAt(f, 1, []byte("XY"))
+	if got, _ := fs.ReadAt(f, 0, 4); string(got) != "oXYg" {
+		t.Fatalf("cache reads %q after the write, want %q", got, "oXYg")
+	}
+	if string(lent[:4]) != "orig" {
+		t.Fatalf("snapshot reads %q after a later write, want the captured %q", lent[:4], "orig")
+	}
+	cs2 := fs.Fgetfc()
+	if len(cs2.Pages) != 1 || &cs2.Pages[0].Data[0] == &lent[0] {
+		t.Fatal("the written page was not moved to a fresh buffer")
+	}
+	fs.ApplyCache(CacheSnapshot{Pages: []PageEntry{{Ino: f.Ino, Idx: 0, Data: []byte("made")}}})
+	if string(cs2.Pages[0].Data[:4]) != "oXYg" {
+		t.Fatalf("ApplyCache wrote a lent buffer: snapshot reads %q", cs2.Pages[0].Data[:4])
+	}
+	if got, _ := fs.ReadAt(f, 0, 4); string(got) != "made" {
+		t.Fatalf("cache reads %q after ApplyCache, want %q", got, "made")
 	}
 }
 
