@@ -2,11 +2,20 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"nilicon/internal/chaos"
+	"nilicon/internal/core"
+	"nilicon/internal/simtime"
+	"nilicon/internal/traffic"
 )
 
 // TestUsageErrors: bad invocations must be rejected up front with a
@@ -149,51 +158,229 @@ func TestOptsSelectsTheOptionSet(t *testing.T) {
 	}
 }
 
-// TestCommittedOutputs replays deterministic invocations through the
-// CLI entry point and diffs stdout against the committed files in
-// testdata/: the paper's tables, the pipeline ablation and three chaos
-// and traffic traces. Any engine, protocol or model change that moves
-// a single byte of these outputs shows up here (and in the matching CI
-// diff steps for the traces).
-func TestCommittedOutputs(t *testing.T) {
-	cases := []struct {
-		name   string
-		args   []string
-		stdin  []string // when set, stdout of this invocation feeds stdin
-		golden string
-	}{
-		{"chaos-sweep", []string{"chaos", "-sweep", "-seeds", "2", "-chaos-duration", "600ms"}, nil,
-			"chaos-sweep-seeds2.txt"},
-		{"chaos-chain", []string{"chaos", "-replicas", "3", "-seed", "2"}, nil,
-			"chaos-replicas3-seed2.txt"},
-		{"traffic-replay", []string{"traffic", "-replay"},
-			[]string{"traffic", "-synth", "burst", "-traffic-duration", "2500ms"},
-			"traffic-replay-burst.txt"},
-		{"table1", []string{"table1"}, nil, "table1.txt"},
-		{"table2", []string{"table2"}, nil, "table2.txt"},
-		{"fig3", []string{"fig3"}, nil, "fig3.txt"},
-		{"table6", []string{"table6"}, nil, "table6.txt"},
-		{"pipeline", []string{"pipeline"}, nil, "pipeline.txt"},
+var (
+	update    = flag.Bool("update", false, "rewrite the committed outputs in testdata/ from the current code")
+	expensive = flag.Bool("expensive", false, "also run the committed outputs that take seconds each (report, 96-chain fleet)")
+)
+
+// committedOutput is one deterministic output the repository pins:
+// the text run produces must equal testdata/<name>.txt byte for byte.
+type committedOutput struct {
+	name      string
+	expensive bool // runs only under -expensive
+	run       func(t *testing.T) string
+	// traceOf, when set, names the campaign entry whose file this
+	// output must equal less its closing timeline-csv line: the CLI
+	// prints the campaign's trace, and that entry alone owns the file.
+	traceOf string
+}
+
+// cli is the stdout of one niliconctl invocation, which must exit 0.
+func cli(args ...string) func(*testing.T) string {
+	return func(t *testing.T) string { return runCLI(t, nil, args) }
+}
+
+// pipe is the stdout of dst reading src's stdout, as in `src | dst`.
+func pipe(src, dst []string) func(*testing.T) string {
+	return func(t *testing.T) string {
+		return runCLI(t, strings.NewReader(runCLI(t, nil, src)), dst)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", tc.golden))
+}
+
+func runCLI(t *testing.T, stdin io.Reader, args []string) string {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	a := newApp(&stdout, &stderr)
+	if stdin != nil {
+		a.stdin = stdin
+	}
+	if code := a.run(args); code != 0 {
+		t.Fatalf("%v: exit=%d stderr=%s", args, code, stderr.String())
+	}
+	return stdout.String()
+}
+
+// campaign is one chaos campaign rendered as its full trace plus the
+// SHA-256 of its epoch timeline CSV, so a change to what the campaign
+// simulates shows up even where the trace does not print it. Campaigns
+// run in parallel; CLI invocations do not, since each sets the
+// harness's package-level job count and progress hook.
+func campaign(cfg chaos.Config) func(*testing.T) string {
+	return func(t *testing.T) string {
+		t.Parallel()
+		res := chaos.Run(cfg)
+		return fmt.Sprintf("%stimeline-csv sha256=%x\n", res.Trace, sha256.Sum256([]byte(res.TimelineCSV)))
+	}
+}
+
+// trafficTrace is the trace a traffic campaign replays: a profile's
+// shape at a fixed rate, with no slow clients (client-side queueing
+// must not trip the fault-coincidence oracle).
+func trafficTrace(profile string, seed int64, dur simtime.Duration) *traffic.Trace {
+	cfg, err := traffic.Profile(profile, seed)
+	if err != nil {
+		panic(err)
+	}
+	cfg.Clients, cfg.Rate, cfg.Duration, cfg.SlowFrac = 8, 600, dur, 0
+	return traffic.Synthesize(cfg)
+}
+
+// committedOutputs is every deterministic output the repository pins:
+// the paper's tables, CLI runs, one chaos campaign of every kind, and
+// (under -expensive) the EXPERIMENTS.md run log and a 96-chain fleet.
+func committedOutputs() []committedOutput {
+	return []committedOutput{
+		{name: "table1", run: cli("table1")},
+		{name: "table2", run: cli("table2")},
+		{name: "fig3", run: cli("fig3")},
+		{name: "table6", run: cli("table6")},
+		{name: "pipeline", run: cli("pipeline")},
+		{name: "chaos-sweep", run: cli("chaos", "-sweep", "-seeds", "2", "-chaos-duration", "600ms")},
+		{name: "chaos-replay-seed3", run: cli("chaos", "-opts", "replay", "-seed", "3", "-chaos-duration", "800ms")},
+		{name: "chaos-pipelined-seed3", run: cli("chaos", "-opts", "pipelined", "-seed", "3", "-chaos-duration", "800ms")},
+		{name: "chaos-delta-seed3", run: cli("chaos", "-opts", "delta", "-seed", "3", "-chaos-duration", "800ms")},
+		{name: "chaos-chain", traceOf: "chain-replicas3-seed2", run: cli("chaos", "-replicas", "3", "-seed", "2")},
+		{name: "fleet-smoke-availability", run: cli("fleet", "-smoke", "-degrade", "availability")},
+		{name: "traffic-replay", run: pipe(
+			[]string{"traffic", "-synth", "burst", "-traffic-duration", "2500ms"}, []string{"traffic", "-replay"})},
+		{name: "traffic-zipf-smoke", run: pipe(
+			[]string{"traffic", "-synth", "zipf", "-traffic-duration", "700ms"}, []string{"traffic", "-replay", "-smoke"})},
+		{name: "traffic-redis-smoke", run: pipe(
+			[]string{"traffic", "-capture", "redis", "-traffic-duration", "700ms"}, []string{"traffic", "-replay", "-smoke"})},
+
+		{name: "report", expensive: true, run: cli("report", "-seed", "1", "-warmup", "1s", "-measure", "2s")},
+		{name: "fleet-96chains", expensive: true, run: cli(
+			"fleet", "-pairs", "96", "-hosts", "48", "-replicas", "3", "-zones", "3", "-chaos-duration", "3s")},
+
+		{name: "pair-all-kill", run: campaign(chaos.Config{
+			Seed: 7, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalKill})},
+		{name: "pair-all-reprotect", run: campaign(chaos.Config{
+			Seed: 5, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalReprotect})},
+		{name: "pair-all-none", run: campaign(chaos.Config{
+			Seed: 13, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalNone})},
+		{name: "pair-pipelined-midtransfer", run: campaign(chaos.Config{
+			Seed: 11, Opts: core.PipelinedOpts(), OptName: "pipelined", Terminal: chaos.TerminalKillMidTransfer})},
+		{name: "pair-basic-drawn", run: campaign(chaos.Config{
+			Seed: 2, Opts: core.BasicOpts(), OptName: "basic"})},
+		{name: "pair-replay-kill", run: campaign(chaos.Config{
+			Seed: 3, Opts: core.ReplayOpts(), OptName: "replay", Duration: 800 * simtime.Millisecond, Terminal: chaos.TerminalKill})},
+		{name: "asym", run: campaign(chaos.Config{
+			Seed: 21, Opts: core.AllOpts(), OptName: "asym", FaultKinds: []string{"oneway-pb", "oneway-bp", "flap"}})},
+		{name: "traffic-kill", run: campaign(chaos.Config{
+			Seed: 33, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalKill, Events: -1,
+			Traffic: trafficTrace("zipf", 33, 3*simtime.Second)})},
+		{name: "traffic-replay-kill", run: campaign(chaos.Config{
+			Seed: 9, Opts: core.ReplayOpts(), OptName: "replay", Terminal: chaos.TerminalKill, Events: -1,
+			Traffic: trafficTrace("uniform", 9, 3*simtime.Second)})},
+		{name: "splitbrain-partition-strict", run: campaign(chaos.Config{
+			Seed: 21, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety})},
+		{name: "splitbrain-partition-replay", run: campaign(chaos.Config{
+			Seed: 2, Opts: core.ReplayOpts(), OptName: "replay", Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety})},
+		{name: "splitbrain-partition-prelease", run: campaign(chaos.Config{
+			Seed: 21, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioPartitionHeal, PreLease: true})},
+		{name: "splitbrain-ackout-availability", run: campaign(chaos.Config{
+			Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioAckOutage, Degrade: core.Availability})},
+		{name: "splitbrain-ackout-strict", run: campaign(chaos.Config{
+			Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioAckOutage, Degrade: core.StrictSafety})},
+		// `chaos -replicas 3 -seed 2` prints this trace (entry chaos-chain).
+		{name: "chain-replicas3-seed2", run: campaign(chaos.Config{
+			Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalKill})},
+		{name: "chain-replicas4-kills2", run: campaign(chaos.Config{
+			Seed: 3, Opts: core.AllOpts(), OptName: "all", Replicas: 4, Terminal: chaos.TerminalDoubleKill, Events: -1})},
+		{name: "chain-prelease-asymcut", run: campaign(chaos.Config{
+			Seed: 4, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalNone,
+			Events: 1, FaultKinds: []string{"asym-cut"}, PreLease: true})},
+		{name: "chain-witness-partition", run: campaign(chaos.Config{
+			Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalNone,
+			Events: 1, FaultKinds: []string{"witness-partition"}})},
+		// `fleet -smoke` prints this trace (no timeline-csv line) plus a
+		// determinism verdict.
+		{name: "fleet-smoke", run: campaign(chaos.Config{
+			Seed: 1, Opts: core.AllOpts(), OptName: "all", Duration: 600 * simtime.Millisecond,
+			Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}})},
+		// `fleet -smoke -replicas 3 -zones 3` prints this trace (no
+		// timeline-csv line) plus a determinism verdict.
+		{name: "fleet-zonekill-replicas3", run: campaign(chaos.Config{
+			Seed: 1, Opts: core.AllOpts(), OptName: "all", Duration: 600 * simtime.Millisecond,
+			Replicas: 3, Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 3, Kills: 1, Zones: 3}})},
+		{name: "fleet-replay", run: campaign(chaos.Config{
+			Seed: 4, Opts: core.ReplayOpts(), OptName: "fleet-replay", Duration: 500 * simtime.Millisecond,
+			Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}})},
+		{name: "fleet-traffic", run: campaign(chaos.Config{
+			Seed: 4, Opts: core.AllOpts(), OptName: "all",
+			Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}, Traffic: trafficTrace("uniform", 4, 2*simtime.Second)})},
+	}
+}
+
+// TestCommittedOutputs diffs every entry of committedOutputs against
+// its file in testdata/, which holds nothing else. Any engine, protocol
+// or model change that moves a single byte of these outputs fails
+// here. Regenerate with `go test ./cmd/niliconctl/ -update -expensive`
+// and review the diff.
+func TestCommittedOutputs(t *testing.T) {
+	entries, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	owned := map[string]bool{}
+	outputs := committedOutputs()
+	for _, o := range outputs {
+		if o.traceOf == "" {
+			owned[o.name+".txt"] = true
+		}
+	}
+	for _, e := range entries {
+		if !owned[e.Name()] {
+			t.Errorf("testdata/%s belongs to no committed output", e.Name())
+		}
+		delete(owned, e.Name())
+	}
+	if !*update {
+		for file := range owned {
+			t.Errorf("testdata/%s is missing (run with -update to create it)", file)
+		}
+	}
+
+	ranExpensive := false
+	t.Cleanup(func() {
+		if *expensive && !ranExpensive {
+			t.Error("-expensive is set but -run selects no expensive entry")
+		}
+	})
+	for _, o := range outputs {
+		t.Run(o.name, func(t *testing.T) {
+			if o.expensive {
+				if !*expensive {
+					t.Skip("expensive; run with -expensive")
+				}
+				ranExpensive = true
+			}
+			got := o.run(t)
+			path := filepath.Join("testdata", o.name+".txt")
+			if o.traceOf != "" {
+				path = filepath.Join("testdata", o.traceOf+".txt")
+			}
+			if *update {
+				if o.traceOf == "" {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var in, stdout, stderr bytes.Buffer
-			if tc.stdin != nil {
-				if code := newApp(&in, &stderr).run(tc.stdin); code != 0 {
-					t.Fatalf("%v: exit=%d stderr=%s", tc.stdin, code, stderr.String())
+			if o.traceOf != "" {
+				trace, digest, ok := bytes.Cut(want, []byte("timeline-csv sha256="))
+				if !ok || bytes.Count(digest, []byte("\n")) != 1 {
+					t.Fatalf("%s does not end in one timeline-csv line", path)
 				}
+				want = trace
 			}
-			a := newApp(&stdout, &stderr)
-			a.stdin = &in
-			if code := a.run(tc.args); code != 0 {
-				t.Fatalf("%v: exit=%d stderr=%s", tc.args, code, stderr.String())
-			}
-			if got := stdout.String(); got != string(want) {
-				t.Fatalf("%v: stdout differs from testdata/%s\ngot:\n%s", tc.args, tc.golden, got)
+			if got != string(want) {
+				t.Errorf("output differs from %s (%d vs %d bytes); rerun with -update and review the diff", path, len(got), len(want))
 			}
 		})
 	}

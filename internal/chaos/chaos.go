@@ -576,7 +576,7 @@ func (c *campaign) execute() {
 // §V-C) during its long stop phases, and a SYN that keeps missing the
 // short open windows may never get through — and from warmup sends each
 // chain one unique SET every 10 ms. Every OK's latency from its SET is
-// recorded (the RunLatency probe's measurement).
+// recorded (the measurement of TestReplayLatencySweep's probe).
 func (c *campaign) startWriter() {
 	n := c.groups()
 	c.clients = make([]*kvClient, n)

@@ -1,8 +1,9 @@
 // Package harness drives the experiments that regenerate every table and
 // figure of the paper's evaluation (§VII). Each RunXxx function builds a
 // fresh deterministic simulation, executes the experiment, and returns
-// typed rows plus a rendered text table. The CLI (cmd/niliconctl) and the
-// benchmark suite (bench_test.go) are thin wrappers around this package.
+// typed rows plus a rendered text table. The CLI (cmd/niliconctl) is a
+// thin wrapper around this package; its TestCommittedOutputs pins every
+// rendered table byte for byte.
 package harness
 
 import (
