@@ -193,11 +193,6 @@ func (a *app) run(args []string) int {
 		return 2
 	}
 
-	harness.Jobs = *a.jobs
-	harness.Verbose = func(format string, args ...any) {
-		fmt.Fprintf(a.stderr, format+"\n", args...)
-	}
-
 	if err := a.startProfiles(); err != nil {
 		fmt.Fprintf(a.stderr, "niliconctl: %v\n", err)
 		return 2
@@ -306,7 +301,13 @@ func knownCommand(name string) bool {
 
 // runConfig assembles the shared RunConfig from the parsed flags.
 func (a *app) runConfig() harness.RunConfig {
-	return harness.RunConfig{Seed: *a.seed, Warmup: *a.warmup, Measure: *a.measure, Opts: &a.opts}
+	return harness.RunConfig{Seed: *a.seed, Warmup: *a.warmup, Measure: *a.measure, Opts: &a.opts,
+		Jobs: *a.jobs, Progress: a.progress}
+}
+
+// progress writes one experiment progress line to the app's stderr.
+func (a *app) progress(format string, args ...any) {
+	fmt.Fprintf(a.stderr, format+"\n", args...)
 }
 
 // runCommand dispatches one experiment; every branch is a run helper
@@ -364,14 +365,14 @@ func (a *app) runFig3() error {
 }
 
 func (a *app) runValidate() error {
-	_, tb := harness.RunValidation(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, a.opts)
+	_, tb := harness.RunValidation(nil, *a.runs, simtime.Duration(*a.runLen), *a.seed, a.opts, a.progress)
 	fmt.Fprintln(a.stdout, tb)
 	return nil
 }
 
 func (a *app) runChaos() error {
 	if *a.sweep {
-		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), harness.Jobs)
+		results, tb := harness.RunChaosSweep(*a.seeds, *a.seed, simtime.Duration(*a.chaosDur), *a.jobs, a.progress)
 		fmt.Fprintln(a.stdout, tb)
 		failed := 0
 		for _, res := range results {

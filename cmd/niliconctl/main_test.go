@@ -176,13 +176,18 @@ type committedOutput struct {
 }
 
 // cli is the stdout of one niliconctl invocation, which must exit 0.
+// Invocations share no state, so they run in parallel.
 func cli(args ...string) func(*testing.T) string {
-	return func(t *testing.T) string { return runCLI(t, nil, args) }
+	return func(t *testing.T) string {
+		t.Parallel()
+		return runCLI(t, nil, args)
+	}
 }
 
 // pipe is the stdout of dst reading src's stdout, as in `src | dst`.
 func pipe(src, dst []string) func(*testing.T) string {
 	return func(t *testing.T) string {
+		t.Parallel()
 		return runCLI(t, strings.NewReader(runCLI(t, nil, src)), dst)
 	}
 }
@@ -203,8 +208,7 @@ func runCLI(t *testing.T, stdin io.Reader, args []string) string {
 // campaign is one chaos campaign rendered as its full trace plus the
 // SHA-256 of its epoch timeline CSV, so a change to what the campaign
 // simulates shows up even where the trace does not print it. Campaigns
-// run in parallel; CLI invocations do not, since each sets the
-// harness's package-level job count and progress hook.
+// run in parallel.
 func campaign(cfg chaos.Config) func(*testing.T) string {
 	return func(t *testing.T) string {
 		t.Parallel()

@@ -68,10 +68,10 @@ type Task struct {
 	ctr     *Container
 	blocked bool
 	stopped bool
-	pending *simtime.Event
-	// wake is the reusable run callback: tasks reschedule on every step,
-	// so allocating a fresh closure per wake is pure event-loop garbage.
-	wake func()
+	// pending is the task's run timer, armed while its next step is
+	// queued. It is made once, with the run callback bound, because
+	// tasks reschedule on every step.
+	pending *simtime.Timer
 	// readyAt is the earliest time the task may run again: a step that
 	// consumed CPU occupies its thread for that long even if it then
 	// blocks (a Wake cannot bypass the busy time).
@@ -197,14 +197,14 @@ func (c *Container) AddProcess(name string, libs int) *simkernel.Process {
 // it immediately.
 func (c *Container) AddTask(th *simkernel.Thread, step StepFunc) *Task {
 	t := &Task{Thread: th, Step: step, ctr: c}
-	t.wake = func() { c.runTask(t) }
+	t.pending = simtime.NewTimer(c.Host.Clock, func() { c.runTask(t) })
 	c.Tasks = append(c.Tasks, t)
 	c.scheduleTask(t, 0)
 	return t
 }
 
 func (c *Container) scheduleTask(t *Task, d simtime.Duration) {
-	t.pending = c.Host.Clock.Schedule(d, t.wake)
+	t.pending.Reset(d)
 }
 
 func (c *Container) runTask(t *Task) {
@@ -259,9 +259,7 @@ func (t *Task) Wake() {
 // Stop permanently deschedules the task.
 func (t *Task) Stop() {
 	t.stopped = true
-	if t.pending != nil {
-		t.pending.Cancel()
-	}
+	t.pending.Stop()
 }
 
 // Freeze pauses the container via the cgroup freezer and returns the
@@ -274,14 +272,14 @@ func (c *Container) Freeze() simtime.Duration {
 	now := c.Host.Clock.Now()
 	c.frozenAt = now
 	for _, t := range c.Tasks {
-		if t.stopped || t.blocked || t.pending == nil || t.pending.Canceled() {
+		if t.stopped || t.blocked || !t.pending.Armed() {
 			continue
 		}
-		t.frozenRemaining = t.pending.When().Sub(now)
+		t.frozenRemaining = t.pending.Due().Sub(now)
 		if t.frozenRemaining < 0 {
 			t.frozenRemaining = 0
 		}
-		t.pending.Cancel()
+		t.pending.Stop()
 	}
 	return settle
 }
@@ -303,9 +301,6 @@ func (c *Container) Thaw() {
 			// as Blocked by the freezer; the wake takes effect now.
 			if t.Thread.State == simkernel.ThreadBlocked {
 				t.Thread.State = simkernel.ThreadRunning
-			}
-			if t.pending != nil {
-				t.pending.Cancel()
 			}
 			// Resume the suspended countdown where the freeze stopped it.
 			c.scheduleTask(t, t.frozenRemaining)

@@ -128,7 +128,9 @@ type BackupAgent struct {
 	// a conviction waiting out the promotion barrier.
 	lastGrantSent  simtime.Time
 	promotePending bool
-	promoteEvent   *simtime.Event
+	promoteTimer   *simtime.Timer
+	// freeAcks recycles log acknowledgments (logAck).
+	freeAcks []*logAck
 	// networkLive is set when the restored container's sockets go live
 	// after a promotion (the instant the replica starts serving).
 	networkLive bool
@@ -160,6 +162,7 @@ func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
 		logSegs:  make(map[uint64]*criu.LogSegment),
 		store:    criu.NewPageStore(cfg.Opts.OptimizeCRIU),
 	}
+	b.promoteTimer = simtime.NewTimer(cl.Clock, b.promoteBarrierReached)
 	return b
 }
 
@@ -191,9 +194,7 @@ func (b *BackupAgent) Halted() bool { return b.halted }
 func (b *BackupAgent) Halt() {
 	b.halted = true
 	b.promotePending = false
-	if b.promoteEvent != nil {
-		b.promoteEvent.Cancel()
-	}
+	b.promoteTimer.Stop()
 	if b.beacon != nil {
 		b.beacon.Stop()
 	}
@@ -610,7 +611,7 @@ func (b *BackupAgent) Recover() {
 	if b.cfg.Lease.Enabled {
 		if barrier := b.promotionBarrier(); b.cl.Clock.Now() < barrier {
 			b.promotePending = true
-			b.promoteEvent = b.cl.Clock.ScheduleAt(barrier, b.promoteBarrierReached)
+			b.promoteTimer.ResetAt(barrier)
 			return
 		}
 	}

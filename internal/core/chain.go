@@ -34,6 +34,9 @@ type replicaSlot struct {
 	idx   int
 	view  *Cluster
 	agent *BackupAgent
+	// flow and logFlow name the slot's transfer-scheduler flows for
+	// checkpoint images and log segments, formatted once (flowFor).
+	flow, logFlow string
 
 	// acked is this replica's cumulative epoch-ack watermark.
 	acked  uint64
@@ -86,9 +89,7 @@ func NewChainReplicator(views []*Cluster, ctr *container.Container, cfg Config) 
 // and it joins the watermarks at its first ack.
 func (r *Replicator) AttachReplica(view *Cluster) int {
 	idx := len(r.chain)
-	s := &replicaSlot{idx: idx, view: view}
-	s.agent = newBackupAgent(view, r.Cfg, r)
-	s.agent.slot = idx
+	s := r.newSlot(idx, view, newBackupAgent(view, r.Cfg, r))
 	r.chain = append(r.chain, s)
 	if r.witness != nil {
 		r.witness.addReplica()
@@ -171,7 +172,15 @@ func (r *Replicator) SetExternalArbiter() { r.externalArbiter = true }
 
 // Quorum returns how many replicas currently gate release: every
 // participating (unfenced, caught-up) slot.
-func (r *Replicator) Quorum() int { return len(r.participants()) }
+func (r *Replicator) Quorum() int {
+	n := 0
+	for _, s := range r.chain {
+		if s.participates() {
+			n++
+		}
+	}
+	return n
+}
 
 // lead returns the chain's lead slot, the lowest unfenced one (nil when
 // every slot is fenced).
@@ -205,74 +214,70 @@ func (r *Replicator) flowFor(i int) string {
 	return fmt.Sprintf("%s/r%d", r.Ctr.ID, i)
 }
 
-// participants returns the slots that gate the watermarks: not fenced,
-// not still catching up.
-func (r *Replicator) participants() []*replicaSlot {
-	ps := make([]*replicaSlot, 0, len(r.chain))
-	for _, s := range r.chain {
-		if !s.fenced && !s.catchingUp {
-			ps = append(ps, s)
-		}
-	}
-	return ps
+// newSlot makes slot idx of the chain around its view and agent.
+func (r *Replicator) newSlot(idx int, view *Cluster, agent *BackupAgent) *replicaSlot {
+	agent.slot = idx
+	flow := r.flowFor(idx)
+	return &replicaSlot{idx: idx, view: view, agent: agent, flow: flow, logFlow: flow + "/log"}
 }
+
+// participates reports whether the slot gates the watermarks: not
+// fenced, not still catching up.
+func (s *replicaSlot) participates() bool { return !s.fenced && !s.catchingUp }
 
 // chainMinAcked returns the minimum epoch-ack watermark across the
 // participating replicas — the base-safety watermark. False until every
 // participant has acknowledged at least once.
 func (r *Replicator) chainMinAcked() (uint64, bool) {
-	ps := r.participants()
-	if len(ps) == 0 {
-		return 0, false
-	}
 	var min uint64
-	for i, s := range ps {
+	found := false
+	for _, s := range r.chain {
+		if !s.participates() {
+			continue
+		}
 		if !s.hasAck {
 			return 0, false
 		}
-		if i == 0 || s.acked < min {
-			min = s.acked
+		if !found || s.acked < min {
+			min, found = s.acked, true
 		}
 	}
-	return min, true
+	return min, found
 }
 
 // chainCommittedWatermark returns the minimum committed epoch across
 // the participating replicas' agents; the release stage's output-commit
 // assertion checks the released epoch against it.
 func (r *Replicator) chainCommittedWatermark() (uint64, bool) {
-	ps := r.participants()
-	if len(ps) == 0 {
-		return 0, false
-	}
 	var min uint64
-	for i, s := range ps {
+	found := false
+	for _, s := range r.chain {
+		if !s.participates() {
+			continue
+		}
 		c, ok := s.agent.CommittedEpoch()
 		if !ok {
 			return 0, false
 		}
-		if i == 0 || c < min {
-			min = c
+		if !found || c < min {
+			min, found = c, true
 		}
 	}
-	return min, true
+	return min, found
 }
 
 // chainLogMin returns the minimum log-segment ack watermark across the
 // participating replicas (segment-retention gate: a retained segment
 // may still need retransmission to any of them).
 func (r *Replicator) chainLogMin() (uint64, bool) {
-	ps := r.participants()
-	if len(ps) == 0 {
-		return 0, false
-	}
 	var min uint64
-	for i, s := range ps {
-		if i == 0 || s.logAcked < min {
-			min = s.logAcked
+	found := false
+	for _, s := range r.chain {
+		if s.participates() && (!found || s.logAcked < min) {
+			min, found = s.logAcked, true
 		}
 	}
-	return min, true
+	return min, found
 }
 
 // ackReceivedFrom is the per-replica epoch acknowledgment entry point:
@@ -442,9 +447,9 @@ func (r *Replicator) FenceReplica(i int) {
 	s.fenced = true
 	s.agent.Halt()
 	r.Cluster.DRBDPrimary.DetachPeer(s.view.DRBDBackup)
-	s.view.Xfer.CancelFlow(r.flowFor(i))
-	s.view.Xfer.CancelFlow(r.flowFor(i) + "/resync")
-	s.view.Xfer.CancelFlow(r.flowFor(i) + "/log")
+	s.view.Xfer.CancelFlow(s.flow)
+	s.view.Xfer.CancelFlow(s.flow + "/resync")
+	s.view.Xfer.CancelFlow(s.logFlow)
 	r.recomputeWatermarks()
 }
 

@@ -149,21 +149,12 @@ func (r *Replicator) startLease() {
 	r.armLeaseExpiry()
 }
 
-func (r *Replicator) armLeaseExpiry() {
-	if r.leaseEvent != nil {
-		r.leaseEvent.Cancel()
-	}
-	r.leaseEvent = r.Cluster.Clock.ScheduleAt(r.leaseExpiresAt, r.leaseExpired)
-}
+func (r *Replicator) armLeaseExpiry() { r.leaseTimer.ResetAt(r.leaseExpiresAt) }
 
 // cancelLeaseTimers stops every pending lease event (Stop/teardown).
 func (r *Replicator) cancelLeaseTimers() {
-	if r.leaseEvent != nil {
-		r.leaseEvent.Cancel()
-	}
-	if r.unprotEvent != nil {
-		r.unprotEvent.Cancel()
-	}
+	r.leaseTimer.Stop()
+	r.unprotTimer.Stop()
 }
 
 // leaseGranted renews the lease from a grant stamped with its send
@@ -217,10 +208,7 @@ func (r *Replicator) selfFence() {
 	r.leaseState = LeaseSelfFenced
 	r.SelfFences.Inc()
 	if r.Cfg.Degrade == Availability {
-		if r.unprotEvent != nil {
-			r.unprotEvent.Cancel()
-		}
-		r.unprotEvent = r.Cluster.Clock.Schedule(unprotectedAfter, r.unprotectDeadline)
+		r.unprotTimer.Reset(unprotectedAfter)
 	}
 }
 
@@ -228,10 +216,7 @@ func (r *Replicator) selfFence() {
 // parked release in epoch order.
 func (r *Replicator) unfence() {
 	r.leaseState = LeaseHeld
-	if r.unprotEvent != nil {
-		r.unprotEvent.Cancel()
-		r.unprotEvent = nil
-	}
+	r.unprotTimer.Stop()
 	parked := r.parked
 	r.parked = nil
 	sort.Slice(parked, func(i, j int) bool { return parked[i].epoch < parked[j].epoch })
@@ -292,9 +277,7 @@ func (r *Replicator) declareUnprotected() {
 	r.leaseState = LeaseUnprotected
 	r.Unprotects.Inc()
 	r.cancelLeaseTimers()
-	if r.epochEvent != nil {
-		r.epochEvent.Cancel()
-	}
+	r.epochTimer.Stop()
 	r.quiesced = true
 	r.inflight = make(map[uint64]*epochRun)
 	r.parked = nil
@@ -302,9 +285,9 @@ func (r *Replicator) declareUnprotected() {
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx))
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx) + "/resync")
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx) + "/log")
+		s.view.Xfer.CancelFlow(s.flow)
+		s.view.Xfer.CancelFlow(s.flow + "/resync")
+		s.view.Xfer.CancelFlow(s.logFlow)
 	}
 }
 
@@ -373,7 +356,6 @@ func (b *BackupAgent) PromotionPending() bool { return b.promotePending }
 // partition healed mid-election — the promotion aborts and the backup
 // resumes granting and acknowledging.
 func (b *BackupAgent) promoteBarrierReached() {
-	b.promoteEvent = nil
 	if !b.promotePending || b.recovered || b.halted {
 		b.promotePending = false
 		return

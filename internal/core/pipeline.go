@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 
 	"nilicon/internal/criu"
 	"nilicon/internal/simdisk"
@@ -213,14 +212,14 @@ func (run *epochRun) freezeCollect() {
 		// flow: a resync is chain-global (it is the repair path for any
 		// replica's loss, and the delta encoder's base gate is the chain
 		// minimum, so all replicas must share the baseline). The snapshot
-		// itself is immutable and safely shared; the chunk slice is
-		// per-flow state, so each flow gets its own.
+		// itself is immutable and safely shared; each request copies the
+		// chunk sizes.
 		for _, s := range r.chain {
 			if s.fenced || s.agent.recovered || s.agent.halted {
 				continue
 			}
 			s := s
-			s.view.Xfer.SubmitReq(r.flowFor(s.idx), slices.Clone(chunks), func() {
+			s.view.Xfer.SubmitReq(s.flow, chunks, func() {
 				// A snapshot still in flight when failover promotes the
 				// backup is dead weight; never apply it to a promoted disk.
 				if r.stopped || s.agent.recovered {
@@ -268,7 +267,7 @@ func (run *epochRun) thaw() {
 		}
 		r.Ctr.Thaw()
 		r.Ctr.Qdisc.UnblockInput()
-		r.epochEvent = cl.Clock.Schedule(r.Cfg.EpochInterval, r.runEpoch)
+		r.epochTimer.Reset(r.Cfg.EpochInterval)
 		r.applyRuntimeTax(run.cowTax)
 		run.recordStop()
 		run.complete(StageThaw, at, at.Sub(run.pauseEnd))
@@ -337,11 +336,11 @@ func (run *epochRun) transfer() {
 				continue
 			}
 			clone := img.Clone()
-			s.view.Xfer.SubmitReq(r.flowFor(s.idx), clone.StreamChunks(xferChunkBytes), func() {
+			s.view.Xfer.SubmitReq(s.flow, clone.StreamChunks(xferChunkBytes), func() {
 				s.agent.receiveState(epoch, clone)
 			}, func() { dropped(clone) })
 		}
-		lead.view.Xfer.SubmitReq(r.flowFor(lead.idx), img.StreamChunks(xferChunkBytes), func() {
+		lead.view.Xfer.SubmitReq(lead.flow, img.StreamChunks(xferChunkBytes), func() {
 			lead.agent.receiveState(epoch, img)
 			finish()
 		}, leadDropped)

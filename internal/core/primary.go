@@ -106,7 +106,8 @@ type Replicator struct {
 	// off (FenceBackup): the pair runs unprotected until re-protected.
 	fenced bool
 
-	epochEvent *simtime.Event
+	// epochTimer starts the next epoch (runEpoch bound once).
+	epochTimer *simtime.Timer
 
 	// Lease arbitration state (lease.go, DESIGN.md §10). leaseExpiresAt
 	// is the end of the newest grant's term measured from its send
@@ -114,8 +115,8 @@ type Replicator struct {
 	// a self-fence, flushed in epoch order on re-grant.
 	leaseState      LeaseState
 	leaseExpiresAt  simtime.Time
-	leaseEvent      *simtime.Event
-	unprotEvent     *simtime.Event
+	leaseTimer      *simtime.Timer
+	unprotTimer     *simtime.Timer
 	parked          []*epochRun
 	parkedDirect    uint64
 	hasParkedDirect bool
@@ -143,6 +144,9 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 		cfg.EpochInterval = 30 * simtime.Millisecond
 	}
 	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, inflight: make(map[uint64]*epochRun)}
+	r.epochTimer = simtime.NewTimer(cl.Clock, r.runEpoch)
+	r.leaseTimer = simtime.NewTimer(cl.Clock, r.leaseExpired)
+	r.unprotTimer = simtime.NewTimer(cl.Clock, r.unprotectDeadline)
 	r.engine = criu.NewEngine(ctr, cfg.Opts.criuOptions())
 	if cfg.Opts.DeltaPages {
 		r.encoder = criu.NewDeltaEncoder()
@@ -151,7 +155,7 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 		r.rec = newRecorder(r)
 	}
 	r.Backup = newBackupAgent(cl, cfg, r)
-	r.chain = []*replicaSlot{{view: cl, agent: r.Backup}}
+	r.chain = []*replicaSlot{r.newSlot(0, cl, r.Backup)}
 	return r
 }
 
@@ -191,7 +195,7 @@ func (r *Replicator) Start() {
 		r.witness.start()
 	}
 
-	r.epochEvent = r.Cluster.Clock.Schedule(r.Cfg.EpochInterval, r.runEpoch)
+	r.epochTimer.Reset(r.Cfg.EpochInterval)
 }
 
 // Stop ends replication cleanly (measurement teardown): buffered output
@@ -202,9 +206,7 @@ func (r *Replicator) Stop() {
 	if r.hbTicker != nil {
 		r.hbTicker.Stop()
 	}
-	if r.epochEvent != nil {
-		r.epochEvent.Cancel()
-	}
+	r.epochTimer.Stop()
 	r.cancelLeaseTimers()
 	r.inflight = make(map[uint64]*epochRun)
 	r.parked = nil
@@ -391,9 +393,9 @@ func (r *Replicator) FenceBackup() {
 	}
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx))
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx) + "/resync")
-		s.view.Xfer.CancelFlow(r.flowFor(s.idx) + "/log")
+		s.view.Xfer.CancelFlow(s.flow)
+		s.view.Xfer.CancelFlow(s.flow + "/resync")
+		s.view.Xfer.CancelFlow(s.logFlow)
 	}
 	if r.Cfg.Lease.Enabled {
 		// Control-plane-sanctioned unprotected operation: the backups are
@@ -431,9 +433,7 @@ func (r *Replicator) ReleasedEpoch() (uint64, bool) { return r.released, r.hasRe
 // nothing is retained.
 func (r *Replicator) Quiesce() {
 	r.quiesced = true
-	if r.epochEvent != nil {
-		r.epochEvent.Cancel()
-	}
+	r.epochTimer.Stop()
 }
 
 // applyRuntimeTax steals the configured runtime-overhead time from the

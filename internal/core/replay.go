@@ -70,7 +70,9 @@ type recorder struct {
 	nextSeq uint64
 	epoch   uint64
 
-	sealEvent *simtime.Event
+	// sealTimer closes the open segment logSealDelay after the first
+	// event of a burst (seal bound once).
+	sealTimer *simtime.Timer
 
 	// sealedThrough is the highest sealed sequence — the LogSeqThrough
 	// watermark stamped into the next checkpoint. sealedAtEpoch remembers
@@ -90,6 +92,9 @@ type recorder struct {
 	// fence released lags acked, and unfence releases the difference.
 	acked    uint64
 	released uint64
+
+	// freeSends recycles per-replica segment sends (logSend).
+	freeSends []*logSend
 }
 
 // sealedSeg is a sealed segment awaiting its acknowledgment.
@@ -113,13 +118,15 @@ func (rec *recorder) retire(m uint64, now simtime.Time) {
 }
 
 func newRecorder(r *Replicator) *recorder {
-	return &recorder{
+	rec := &recorder{
 		r:             r,
 		nextSeq:       1,
 		sealedAtEpoch: make(map[uint64]uint64),
 		egressDigest:  criu.DigestInit(),
 		schedDigest:   criu.DigestInit(),
 	}
+	rec.sealTimer = simtime.NewTimer(r.Cluster.Clock, rec.seal)
+	return rec
 }
 
 // install wires the capture hooks into the protected container. Hooks
@@ -145,10 +152,7 @@ func (rec *recorder) uninstall() {
 	for _, p := range ctr.Procs {
 		p.RandHook = nil
 	}
-	if rec.sealEvent != nil {
-		rec.sealEvent.Cancel()
-		rec.sealEvent = nil
-	}
+	rec.sealTimer.Stop()
 }
 
 func (rec *recorder) onIngress(pkt simnet.Packet) {
@@ -178,13 +182,9 @@ func (rec *recorder) onTaskStep(tid int) {
 // noteActivity arms the coalescing seal timer on the first event of a
 // burst.
 func (rec *recorder) noteActivity() {
-	if rec.sealEvent != nil {
-		return
+	if !rec.sealTimer.Armed() {
+		rec.sealTimer.Reset(logSealDelay)
 	}
-	rec.sealEvent = rec.r.Cluster.Clock.Schedule(logSealDelay, func() {
-		rec.sealEvent = nil
-		rec.seal()
-	})
 }
 
 // seal closes the open segment, rotates the qdisc's egress buffer under
@@ -225,10 +225,7 @@ func (rec *recorder) seal() {
 // the checkpoint stamps as LogSeqThrough. Records made after this
 // boundary belong to epoch e+1.
 func (rec *recorder) epochBoundary(epoch uint64) uint64 {
-	if rec.sealEvent != nil {
-		rec.sealEvent.Cancel()
-		rec.sealEvent = nil
-	}
+	rec.sealTimer.Stop()
 	rec.seal()
 	rec.epoch = epoch + 1
 	rec.sealedAtEpoch[epoch] = rec.sealedThrough
@@ -250,29 +247,64 @@ func (rec *recorder) submit(seg *criu.LogSegment) {
 }
 
 func (rec *recorder) submitTo(s *replicaSlot, seg *criu.LogSegment) {
-	r := rec.r
-	ag := s.agent
-	s.view.Xfer.SubmitReq(r.flowFor(s.idx)+"/log", []int64{seg.WireBytes()}, func() {
-		ag.receiveLogSegment(seg)
-	}, func() {
-		rec.scheduleRetransmitTo(s, seg)
-	})
+	var ls *logSend
+	if n := len(rec.freeSends); n > 0 {
+		ls = rec.freeSends[n-1]
+		rec.freeSends = rec.freeSends[:n-1]
+	} else {
+		ls = &logSend{rec: rec}
+		ls.deliveredFn, ls.droppedFn, ls.retryFn = ls.delivered, ls.dropped, ls.retry
+	}
+	ls.s, ls.seg = s, seg
+	ls.send()
 }
 
-// scheduleRetransmitTo re-streams a segment lost to a link cut after a
-// deterministic delay, unless that replica retired it meanwhile (acked
-// directly, or implicitly by a checkpoint commit) or stopped being a
-// valid destination.
-func (rec *recorder) scheduleRetransmitTo(s *replicaSlot, seg *criu.LogSegment) {
-	r := rec.r
-	r.Cluster.Clock.Schedule(logRetransmitDelay, func() {
-		if r.stopped || seg.Seq <= s.logAcked || s.fenced ||
-			r.leaseState == LeaseUnprotected || r.leaseState == LeaseSuperseded ||
-			s.agent.recovered || s.agent.halted {
-			return
-		}
-		rec.submitTo(s, seg)
-	})
+// logSend is one segment on its way to one replica. Its callbacks are
+// bound once per record and records are recycled, so streaming a
+// segment allocates no closure. A record returns to the free list when
+// its segment is delivered or its retransmission is abandoned; one whose
+// transfer the scheduler cancels is left to the GC.
+type logSend struct {
+	rec *recorder
+	s   *replicaSlot
+	seg *criu.LogSegment
+
+	deliveredFn, droppedFn, retryFn func()
+}
+
+func (ls *logSend) send() {
+	ls.s.view.Xfer.SubmitReq(ls.s.logFlow, []int64{ls.seg.WireBytes()}, ls.deliveredFn, ls.droppedFn)
+}
+
+func (ls *logSend) delivered() {
+	ag, seg := ls.s.agent, ls.seg
+	ls.release()
+	ag.receiveLogSegment(seg)
+}
+
+// dropped re-streams a segment lost to a link cut after a deterministic
+// delay (retry).
+func (ls *logSend) dropped() {
+	ls.rec.r.Cluster.Clock.Schedule(logRetransmitDelay, ls.retryFn)
+}
+
+// retry re-streams the segment unless that replica retired it meanwhile
+// (acked directly, or implicitly by a checkpoint commit) or stopped
+// being a valid destination.
+func (ls *logSend) retry() {
+	r, s := ls.rec.r, ls.s
+	if r.stopped || ls.seg.Seq <= s.logAcked || s.fenced ||
+		r.leaseState == LeaseUnprotected || r.leaseState == LeaseSuperseded ||
+		s.agent.recovered || s.agent.halted {
+		ls.release()
+		return
+	}
+	ls.send()
+}
+
+func (ls *logSend) release() {
+	ls.s, ls.seg = nil, nil
+	ls.rec.freeSends = append(ls.rec.freeSends, ls)
 }
 
 // logAcked is the implicit-commit entry point: a checkpoint acked by
@@ -378,19 +410,41 @@ func (b *BackupAgent) resendLogAck() {
 }
 
 func (b *BackupAgent) sendLogAck(seq uint64) {
-	r := b.r
-	sentAt := b.cl.Clock.Now()
-	grant := b.cfg.Lease.Enabled && b.grantsLease()
-	if grant {
-		b.lastGrantSent = sentAt
+	var a *logAck
+	if n := len(b.freeAcks); n > 0 {
+		a = b.freeAcks[n-1]
+		b.freeAcks = b.freeAcks[:n-1]
+	} else {
+		a = &logAck{b: b}
+		a.deliverFn = a.deliver
 	}
-	slot := b.slot
-	b.cl.AckLink.Transfer(16, func() {
-		if grant {
-			r.leaseGranted(sentAt)
-		}
-		r.logAckedFrom(slot, seq)
-	})
+	a.seq, a.sentAt = seq, b.cl.Clock.Now()
+	a.grant = b.cfg.Lease.Enabled && b.grantsLease()
+	if a.grant {
+		b.lastGrantSent = a.sentAt
+	}
+	b.cl.AckLink.Transfer(16, a.deliverFn)
+}
+
+// logAck is one cumulative log acknowledgment in flight on the ack
+// link. Records are recycled with deliver bound once; one lost to a
+// link cut is left to the GC.
+type logAck struct {
+	b      *BackupAgent
+	seq    uint64
+	sentAt simtime.Time
+	grant  bool
+
+	deliverFn func()
+}
+
+func (a *logAck) deliver() {
+	b, seq, sentAt, grant := a.b, a.seq, a.sentAt, a.grant
+	b.freeAcks = append(b.freeAcks, a)
+	if grant {
+		b.r.leaseGranted(sentAt)
+	}
+	b.r.logAckedFrom(b.slot, seq)
 }
 
 // truncateLog drops buffered segments a committed checkpoint supersedes

@@ -17,20 +17,86 @@ const xferChunkBytes = 256 << 10
 // lost to a link outage — a half-streamed transfer must never complete.
 // settled records that the outcome is decided — delivered, lost or
 // cancelled — so at most one of done and dropped ever runs.
+//
+// Requests are recycled. refs counts what still holds one: its flow's
+// queue, each scheduled drop watch, and the last chunk's delivery
+// callback. The last to let go returns it to the scheduler's free list;
+// a request whose delivery the link drops is never returned, and the GC
+// takes it. deliverFn and watchFn are bound once per request record, so
+// streaming a chunk allocates no callback.
 type xferReq struct {
+	s       *TransferScheduler
 	chunks  []int64
 	next    int
 	done    func()
 	dropped func()
 	settled bool
+	refs    int
+
+	deliverFn, watchFn func()
+}
+
+// deliver runs on the last chunk's delivery. A request that lost an
+// earlier chunk must never complete, even if its last chunk happens to
+// be delivered after the link heals.
+func (req *xferReq) deliver() {
+	if !req.settled {
+		req.settled = true
+		req.done()
+	}
+	req.unref()
+}
+
+// watch runs at a chunk's delivery time and reports the request dropped
+// if the link is down. The link's own delivery event was scheduled
+// first at the same timestamp, so it usually observes the same down/up
+// state this check does — but a done callback (or another lane) may
+// take the link down in between, and a delivered request must not also
+// report a drop: its receiver already owns what it was sent.
+func (req *xferReq) watch() {
+	if req.s.link.Down() && !req.settled {
+		req.settled = true
+		if req.dropped != nil {
+			req.dropped()
+		}
+	}
+	req.unref()
+}
+
+func (req *xferReq) unref() {
+	if req.refs--; req.refs > 0 {
+		return
+	}
+	req.chunks = req.chunks[:0]
+	req.next = 0
+	req.done, req.dropped = nil, nil
+	req.settled = false
+	req.s.freeReqs = append(req.s.freeReqs, req)
 }
 
 // xferFlow is one traffic source (one replicator's container, a disk
 // resync, ...) with its FIFO queue of requests. Requests within a flow
-// stay ordered; chunks across flows interleave round-robin.
+// stay ordered; chunks across flows interleave round-robin. reqs[head:]
+// is the queue.
 type xferFlow struct {
 	id   string
 	reqs []*xferReq
+	head int
+}
+
+func (f *xferFlow) queued() int { return len(f.reqs) - f.head }
+
+// pop drops the head request, moving the queue back to the array's
+// front once the consumed prefix is at least half of it, so a flow that
+// never drains keeps a bounded array.
+func (f *xferFlow) pop() {
+	f.reqs[f.head] = nil
+	f.head++
+	if f.head >= 16 && 2*f.head >= len(f.reqs) {
+		n := copy(f.reqs, f.reqs[f.head:])
+		clear(f.reqs[n:])
+		f.reqs, f.head = f.reqs[:n], 0
+	}
 }
 
 // TransferScheduler owns the replication link and multiplexes concurrent
@@ -49,11 +115,18 @@ type TransferScheduler struct {
 	order   []*xferFlow // round-robin service order (creation order)
 	cursor  int
 	pumping bool
+	// pumpFn is pump bound once; freeReqs and freeFlows recycle request
+	// and drained-flow records.
+	pumpFn    func()
+	freeReqs  []*xferReq
+	freeFlows []*xferFlow
 }
 
 // NewTransferScheduler creates a scheduler owning the given link.
 func NewTransferScheduler(clock *simtime.Clock, link *simnet.Link) *TransferScheduler {
-	return &TransferScheduler{clock: clock, link: link, flows: make(map[string]*xferFlow)}
+	s := &TransferScheduler{clock: clock, link: link, flows: make(map[string]*xferFlow)}
+	s.pumpFn = s.pump
+	return s
 }
 
 // Submit queues a transfer on the named flow. done fires when the last
@@ -69,17 +142,35 @@ func (s *TransferScheduler) Submit(flow string, chunks []int64, done func()) {
 // transfer is lost to a link outage. The sender uses this to learn that
 // the receiver will never see the transfer and to arrange a resend or
 // resynchronization instead of waiting for an acknowledgment forever.
+// The chunk sizes are copied, so the caller keeps chunks.
 func (s *TransferScheduler) SubmitReq(flow string, chunks []int64, done, dropped func()) {
 	f := s.flows[flow]
 	if f == nil {
-		f = &xferFlow{id: flow}
+		if n := len(s.freeFlows); n > 0 {
+			f = s.freeFlows[n-1]
+			s.freeFlows = s.freeFlows[:n-1]
+			f.id = flow
+		} else {
+			f = &xferFlow{id: flow}
+		}
 		s.flows[flow] = f
 		s.order = append(s.order, f)
 	}
-	if len(chunks) == 0 {
-		chunks = []int64{0}
+	var req *xferReq
+	if n := len(s.freeReqs); n > 0 {
+		req = s.freeReqs[n-1]
+		s.freeReqs = s.freeReqs[:n-1]
+	} else {
+		req = &xferReq{s: s}
+		req.deliverFn, req.watchFn = req.deliver, req.watch
 	}
-	f.reqs = append(f.reqs, &xferReq{chunks: chunks, done: done, dropped: dropped})
+	req.chunks = append(req.chunks, chunks...)
+	if len(chunks) == 0 {
+		req.chunks = append(req.chunks, 0)
+	}
+	req.done, req.dropped = done, dropped
+	req.refs = 1
+	f.reqs = append(f.reqs, req)
 	if !s.pumping {
 		s.pumping = true
 		s.pump()
@@ -102,7 +193,7 @@ func (s *TransferScheduler) SubmitBytes(flow string, size int64, done func()) {
 func (s *TransferScheduler) QueuedBytes() int64 {
 	var n int64
 	for _, f := range s.order {
-		for _, req := range f.reqs {
+		for _, req := range f.reqs[f.head:] {
 			for _, c := range req.chunks[req.next:] {
 				n += c
 			}
@@ -138,12 +229,10 @@ func (s *TransferScheduler) CancelFlow(id string) {
 	if f == nil {
 		return
 	}
-	for _, req := range f.reqs {
+	for _, req := range f.reqs[f.head:] {
 		req.settled = true
-		req.done = nil
-		req.dropped = nil
+		req.unref()
 	}
-	f.reqs = nil
 	s.evict(f)
 }
 
@@ -157,48 +246,34 @@ func (s *TransferScheduler) pump() {
 		s.pumping = false
 		return
 	}
-	req := f.reqs[0]
+	req := f.reqs[f.head]
 	size := req.chunks[req.next]
 	req.next++
 	last := req.next == len(req.chunks)
 	if last {
-		f.reqs = f.reqs[1:]
-		if len(f.reqs) == 0 {
+		f.pop()
+		if f.queued() == 0 {
 			s.evict(f)
 		}
 	}
-	var done func()
+	var deliverAt simtime.Time
 	if last && req.done != nil {
-		// A request that lost an earlier chunk must never complete, even
-		// if its last chunk happens to be delivered after the link heals.
-		d := req.done
-		done = func() {
-			if !req.settled {
-				req.settled = true
-				d()
-			}
-		}
+		req.refs++
+		deliverAt = s.link.Transfer(size, req.deliverFn)
+	} else {
+		deliverAt = s.link.Transfer(size, nil)
 	}
-	deliverAt := s.link.Transfer(size, done)
 	if req.done != nil || req.dropped != nil {
-		// Watch for the chunk being lost to a link cut. The link's own
-		// delivery event was scheduled first at the same timestamp, so it
-		// usually observes the same down/up state this check does — but a
-		// done callback (or another lane) may take the link down in
-		// between, and a delivered request must not also report a drop:
-		// its receiver already owns what it was sent.
-		s.clock.ScheduleAt(deliverAt, func() {
-			if s.link.Down() && !req.settled {
-				req.settled = true
-				if req.dropped != nil {
-					req.dropped()
-				}
-			}
-		})
+		// Watch for the chunk being lost to a link cut.
+		req.refs++
+		s.clock.ScheduleAt(deliverAt, req.watchFn)
+	}
+	if last {
+		req.unref() // the queue's hold
 	}
 	// The link is free again once the chunk serializes; only propagation
 	// latency separates that from delivery.
-	s.clock.ScheduleAt(deliverAt.Add(-s.link.Latency()), s.pump)
+	s.clock.ScheduleAt(deliverAt.Add(-s.link.Latency()), s.pumpFn)
 }
 
 // evict removes a drained flow, preserving round-robin fairness for the
@@ -206,6 +281,9 @@ func (s *TransferScheduler) pump() {
 // from the same logical position.
 func (s *TransferScheduler) evict(f *xferFlow) {
 	delete(s.flows, f.id)
+	clear(f.reqs[f.head:])
+	f.reqs, f.head, f.id = f.reqs[:0], 0, ""
+	s.freeFlows = append(s.freeFlows, f)
 	for i, g := range s.order {
 		if g == f {
 			s.order = append(s.order[:i], s.order[i+1:]...)
@@ -228,7 +306,7 @@ func (s *TransferScheduler) nextFlow() *xferFlow {
 	n := len(s.order)
 	for i := 0; i < n; i++ {
 		f := s.order[(s.cursor+i)%n]
-		if len(f.reqs) > 0 {
+		if f.queued() > 0 {
 			s.cursor = (s.cursor + i + 1) % n
 			return f
 		}

@@ -68,7 +68,7 @@ func OptSets() []core.LadderStep {
 // is single-threaded and results are aggregated in (matrix entry, seed)
 // order, so the results slice, the progress lines and the summary table
 // are byte-identical for any jobs value.
-func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int) ([]chaos.Result, *metrics.Table) {
+func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int, progress Progress) ([]chaos.Result, *metrics.Table) {
 	if seeds <= 0 {
 		seeds = 20
 	}
@@ -180,11 +180,11 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int) (
 			} else {
 				for _, v := range res.Verdicts {
 					if !v.OK {
-						progressf("chaos %s seed=%d FAIL %s: %s", cmp.OptName, cmp.Seed, v.Oracle, v.Detail)
+						progress.printf("chaos %s seed=%d FAIL %s: %s", cmp.OptName, cmp.Seed, v.Oracle, v.Detail)
 					}
 				}
 			}
-			progressf("chaos %s seed=%d terminal=%s passed=%v", cmp.OptName, cmp.Seed, res.Terminal, res.Passed)
+			progress.printf("chaos %s seed=%d terminal=%s passed=%v", cmp.OptName, cmp.Seed, res.Terminal, res.Passed)
 			if (i+1)%seeds == 0 {
 				flush(cmp.OptName)
 			}

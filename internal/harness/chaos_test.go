@@ -17,7 +17,7 @@ func TestChaosSweepSmall(t *testing.T) {
 	// asymmetric-fault and three scripted split-brain lease blocks,
 	// plus the fleet scenarios.
 	entries := len(OptSets()) + 5 + len(FleetScenarios())
-	results, tb := RunChaosSweep(2, 21, 800*simtime.Millisecond, Jobs)
+	results, tb := RunChaosSweep(2, 21, 800*simtime.Millisecond, 1, nil)
 	if len(results) != 2*entries {
 		t.Fatalf("results = %d, want %d", len(results), 2*entries)
 	}
@@ -84,15 +84,12 @@ func TestChaosSweepSmall(t *testing.T) {
 // 4-worker run, because each seeded DES run is single-threaded and all
 // collection happens in (option set, seed) order on one goroutine.
 func TestChaosSweepParallelByteIdentical(t *testing.T) {
-	oldVerbose := Verbose
-	defer func() { Verbose = oldVerbose }()
-
 	capture := func(jobs int) ([]string, string, interface{}) {
 		var lines []string
-		Verbose = func(format string, args ...any) {
+		progress := func(format string, args ...any) {
 			lines = append(lines, fmt.Sprintf(format, args...))
 		}
-		results, tb := RunChaosSweep(2, 31, 500*simtime.Millisecond, jobs)
+		results, tb := RunChaosSweep(2, 31, 500*simtime.Millisecond, jobs, progress)
 		return lines, tb.String(), results
 	}
 	lines1, table1, results1 := capture(1)

@@ -10,13 +10,13 @@ import (
 	"nilicon/internal/workloads"
 )
 
-// Verbose, when set, streams experiment progress to the given function
-// (the CLI points it at stderr; tests leave it nil).
-var Verbose func(format string, args ...any)
+// Progress receives experiment progress lines, printf-style. The CLI
+// points it at stderr; a nil Progress drops them.
+type Progress func(format string, args ...any)
 
-func progressf(format string, args ...any) {
-	if Verbose != nil {
-		Verbose(format, args...)
+func (p Progress) printf(format string, args ...any) {
+	if p != nil {
+		p(format, args...)
 	}
 }
 
@@ -31,14 +31,14 @@ type Table1Row struct {
 
 // RunTable1 reproduces Table I: streamcluster's overhead as each §V
 // optimization is enabled cumulatively. Paper: 1940% → 31%. The rungs
-// run on the harness worker pool (Jobs); each run is an independent
+// run on rc.Jobs workers; each run is an independent
 // deterministic simulation, and rows are collected in ladder order.
 func RunTable1(rc RunConfig) ([]Table1Row, *metrics.Table) {
 	rc.defaults()
 	stock := RunBatch(workloads.Streamcluster, Stock, rc)
 	ladder := core.Table1Ladder()
 	rows := make([]Table1Row, len(ladder))
-	runIndexed(len(ladder), Jobs,
+	runIndexed(len(ladder), rc.Jobs,
 		func(i int) {
 			stepRC := rc
 			opts := ladder[i].Opts
@@ -50,7 +50,7 @@ func RunTable1(rc RunConfig) ([]Table1Row, *metrics.Table) {
 				StopMean: simtime.Duration(res.StopMean * float64(simtime.Second)),
 			}
 		},
-		func(i int) { progressf("table1: %s", ladder[i].Name) })
+		func(i int) { rc.Progress.printf("table1: %s", ladder[i].Name) })
 	tb := metrics.NewTable("Table I: impact of NiLiCon's performance optimizations (streamcluster)",
 		"Optimization", "Overhead", "Mean stop")
 	for _, r := range rows {
@@ -86,14 +86,14 @@ type Fig3Row struct {
 func RunFigure3(rc RunConfig) ([]Fig3Row, *metrics.Table) {
 	var rows []Fig3Row
 	for _, name := range workloads.BenchmarkNames() {
-		progressf("fig3: %s stock...", name)
+		rc.Progress.printf("fig3: %s stock...", name)
 		stock, err := Run(name, Stock, rc)
 		if err != nil {
 			panic(err)
 		}
-		progressf("fig3: %s mc...", name)
+		rc.Progress.printf("fig3: %s mc...", name)
 		mc, _ := Run(name, MC, rc)
-		progressf("fig3: %s nilicon...", name)
+		rc.Progress.printf("fig3: %s nilicon...", name)
 		nl, _ := Run(name, NiLiCon, rc)
 		rows = append(rows, Fig3Row{
 			Bench:      name,
@@ -181,7 +181,7 @@ func RunTable6(rc RunConfig) ([]Table6Row, *metrics.Table) {
 	rc.defaults()
 	var rows []Table6Row
 	for _, name := range []string{"redis", "ssdb", "node", "lighttpd", "djcms"} {
-		progressf("table6: %s...", name)
+		rc.Progress.printf("table6: %s...", name)
 		name := name
 		mk := func() *workloads.Server {
 			wl, _ := workloads.ByName(name)
@@ -353,16 +353,16 @@ type ValidationResult struct {
 // of ≥60 s per benchmark; runs and runLength are configurable so tests
 // stay fast. Every run's replicator uses opts: the output-commit
 // guarantees of §VII-A must hold identically under, say, the overlapped
-// transfer or the delta stream.
-func RunValidation(benches []string, runs int, runLength simtime.Duration, seed int64, opts core.OptSet) ([]ValidationResult, *metrics.Table) {
+// transfer or the delta stream. progress receives a line per run.
+func RunValidation(benches []string, runs int, runLength simtime.Duration, seed int64, opts core.OptSet, progress Progress) ([]ValidationResult, *metrics.Table) {
 	if len(benches) == 0 {
 		benches = []string{"diskstress", "netstress", "redis", "ssdb", "node", "lighttpd", "djcms", "swaptions", "streamcluster"}
 	}
 	var results []ValidationResult
 	for _, name := range benches {
 		for run := 0; run < runs; run++ {
-			progressf("validate: %s run %d/%d...", name, run+1, runs)
-			results = append(results, validateOnce(name, run, runLength, seed+int64(run)*104729, opts))
+			progress.printf("validate: %s run %d/%d...", name, run+1, runs)
+			results = append(results, validateOnce(name, run, runLength, seed+int64(run)*104729, opts, progress))
 		}
 	}
 	tb := metrics.NewTable("§VII-A validation: fail-stop fault injection",
@@ -390,7 +390,7 @@ func RunValidation(benches []string, runs int, runLength simtime.Duration, seed 
 	return results, tb
 }
 
-func validateOnce(name string, run int, runLength simtime.Duration, seed int64, opts core.OptSet) ValidationResult {
+func validateOnce(name string, run int, runLength simtime.Duration, seed int64, opts core.OptSet, progress Progress) ValidationResult {
 	wl, err := workloads.ByName(name)
 	if err != nil {
 		panic(err)
@@ -404,7 +404,7 @@ func validateOnce(name string, run int, runLength simtime.Duration, seed int64, 
 	}
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
-	rc := RunConfig{Seed: seed, Opts: &opts}
+	rc := RunConfig{Seed: seed, Opts: &opts, Progress: progress}
 	rc.defaults()
 	cfg := nlConfig(prof, func() workloads.Workload {
 		fresh, _ := workloads.ByName(name)

@@ -54,6 +54,14 @@ type RunConfig struct {
 	Opts *core.OptSet
 	// Clients overrides the profile's saturating client count.
 	Clients int
+	// Jobs is the worker-pool width for experiments that fan out over
+	// independent simulations (the Table I ladder, the pipeline
+	// ablation); 0 or 1 runs serially. Each seeded run stays
+	// single-threaded and results are collected in a fixed order, so
+	// output is byte-identical for any Jobs.
+	Jobs int
+	// Progress receives progress lines (nil drops them).
+	Progress Progress
 }
 
 func (rc *RunConfig) defaults() {
@@ -144,7 +152,7 @@ func nlConfig(prof workloads.Profile, fresh func() workloads.Workload, rc RunCon
 		if err := fresh().Reattach(ctr, state); err != nil {
 			// The workload recorded the failure in its own error list, which
 			// the validation oracles read (appErrors); log it for humans too.
-			progressf("reattach %s: %v", prof.Name, err)
+			rc.Progress.printf("reattach %s: %v", prof.Name, err)
 		}
 	}
 	return cfg

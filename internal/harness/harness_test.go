@@ -150,7 +150,7 @@ func TestTable2RecoveryBreakdown(t *testing.T) {
 }
 
 func TestValidationAllPass(t *testing.T) {
-	results, tb := RunValidation([]string{"diskstress", "netstress", "redis"}, 2, 6*simtime.Second, 77, core.AllOpts())
+	results, tb := RunValidation([]string{"diskstress", "netstress", "redis"}, 2, 6*simtime.Second, 77, core.AllOpts(), nil)
 	for _, r := range results {
 		if !r.Passed {
 			t.Fatalf("validation failed: %+v", r)

@@ -2,15 +2,6 @@ package harness
 
 import "sync/atomic"
 
-// Jobs is the worker-pool width for experiments that fan out over many
-// independent simulations (the chaos sweep, the Table I ladder, the
-// pipeline ablation). 0 or 1 runs serially; the CLI's
-// -j flag sets it. Each seeded DES run stays single-threaded and
-// deterministic — parallelism is only across runs — and results are
-// always collected in a fixed order, so all output is byte-identical
-// regardless of Jobs.
-var Jobs = 1
-
 // runIndexed executes fn(i) for every i in [0,n) on min(jobs,n) workers
 // and calls collect(i) in strict index order as results become
 // available. fn must touch only state owned by index i; collect runs on

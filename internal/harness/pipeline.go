@@ -54,7 +54,7 @@ func RunPipelineAblation(rc RunConfig) ([]PipelineRow, *metrics.Table) {
 	}
 
 	rows := make([]PipelineRow, len(modes))
-	runIndexed(len(modes), Jobs,
+	runIndexed(len(modes), rc.Jobs,
 		func(i int) {
 			m := modes[i]
 			mrc := rc
@@ -73,7 +73,7 @@ func RunPipelineAblation(rc RunConfig) ([]PipelineRow, *metrics.Table) {
 				DedupHit:     res.DedupHit,
 			}
 		},
-		func(i int) { progressf("pipeline: %s", modes[i].name) })
+		func(i int) { rc.Progress.printf("pipeline: %s", modes[i].name) })
 
 	tb := metrics.NewTable("Pipeline ablation: epoch transfer path (streamcluster)",
 		"Transfer mode", "Overhead", "Mean stop", "Mean transfer", "Mean commit", "p99 commit", "Wire/epoch", "Δ-hit", "Dedup")

@@ -85,7 +85,7 @@ func TestRunResultCarriesStageMeans(t *testing.T) {
 }
 
 func TestValidationPassesPipelined(t *testing.T) {
-	results, _ := RunValidation([]string{"netstress", "redis", "streamcluster"}, 2, 6*simtime.Second, 77, core.PipelinedOpts())
+	results, _ := RunValidation([]string{"netstress", "redis", "streamcluster"}, 2, 6*simtime.Second, 77, core.PipelinedOpts(), nil)
 	for _, r := range results {
 		if !r.Passed {
 			t.Fatalf("pipelined validation failed: %+v", r)

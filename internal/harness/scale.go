@@ -26,7 +26,7 @@ func RunScaleThreads(threads []int, rc RunConfig) ([]ScaleRow, *metrics.Table) {
 	}
 	var rows []ScaleRow
 	for _, n := range threads {
-		progressf("scale-threads: %d...", n)
+		rc.Progress.printf("scale-threads: %d...", n)
 		mk := func() *workloads.Parsec {
 			prof := workloads.Streamcluster().Profile()
 			prof.ThreadsPer = n
@@ -69,7 +69,7 @@ func RunScaleClients(clients []int, rc RunConfig) ([]ScaleRow, *metrics.Table) {
 	}
 	var rows []ScaleRow
 	for _, n := range clients {
-		progressf("scale-clients: %d...", n)
+		rc.Progress.printf("scale-clients: %d...", n)
 		runRC := rc
 		runRC.Clients = n
 		stock := RunServer(workloads.Lighttpd, Stock, runRC)
@@ -99,7 +99,7 @@ func RunScaleProcs(procs []int, rc RunConfig) ([]ScaleRow, *metrics.Table) {
 	}
 	var rows []ScaleRow
 	for _, n := range procs {
-		progressf("scale-procs: %d...", n)
+		rc.Progress.printf("scale-procs: %d...", n)
 		mk := func() *workloads.Server {
 			prof := workloads.Lighttpd().Profile()
 			prof.Procs = n

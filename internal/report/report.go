@@ -155,7 +155,7 @@ func Build(rc harness.RunConfig) string {
 			p[1]-p[0], float64(r.NiLiCon-r.Stock)/1e6)
 	}
 
-	val, _ := harness.RunValidation([]string{"diskstress", "netstress", "redis", "ssdb", "swaptions"}, 2, 8*simtime.Second, rc.Seed, core.AllOpts())
+	val, _ := harness.RunValidation([]string{"diskstress", "netstress", "redis", "ssdb", "swaptions"}, 2, 8*simtime.Second, rc.Seed, core.AllOpts(), rc.Progress)
 	passed, total := 0, 0
 	for _, v := range val {
 		total++

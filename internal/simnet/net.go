@@ -227,6 +227,31 @@ type Link struct {
 	sent      int64
 	down      bool
 	drops     int64
+	// free holds delivery records whose callback has run, for reuse.
+	free []*linkDelivery
+}
+
+// linkDelivery is one transfer's completion in flight on a link. Its
+// run method value is bound once, when the record is made, so a reused
+// record schedules without allocating. A record whose delivery the
+// link drops returns to the free list all the same.
+type linkDelivery struct {
+	l    *Link
+	done func()
+	run  func()
+}
+
+// deliver returns the record to the free list before running done, so
+// transfers done starts can reuse it.
+func (d *linkDelivery) deliver() {
+	l, done := d.l, d.done
+	d.done = nil
+	l.free = append(l.free, d)
+	if l.down {
+		l.drops++
+		return
+	}
+	done()
 }
 
 // NewLink creates a link. bytesPerSecond of zero means infinite bandwidth.
@@ -238,13 +263,22 @@ func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int6
 // run as the far end's shard.
 func (l *Link) BindRemote(c *simtime.Clock) { l.remote = c }
 
-// deliver schedules fn at time t on the delivery clock.
-func (l *Link) deliver(t simtime.Time, fn func()) {
+// deliver schedules done at time t on the delivery clock, unless the
+// link is down by then.
+func (l *Link) deliver(t simtime.Time, done func()) {
 	c := l.clock
 	if l.remote != nil {
 		c = l.remote
 	}
-	c.ScheduleAt(t, fn)
+	var d *linkDelivery
+	if n := len(l.free); n > 0 {
+		d, l.free = l.free[n-1], l.free[:n-1]
+	} else {
+		d = &linkDelivery{l: l}
+		d.run = d.deliver
+	}
+	d.done = done
+	c.ScheduleAt(t, d.run)
 }
 
 // Transfer schedules delivery of size bytes; done runs when the last
@@ -266,13 +300,7 @@ func (l *Link) Transfer(size int64, done func()) simtime.Time {
 	deliver := l.busyUntil.Add(l.latency)
 	l.sent += size
 	if done != nil {
-		l.deliver(deliver, func() {
-			if l.down {
-				l.drops++
-				return
-			}
-			done()
-		})
+		l.deliver(deliver, done)
 	}
 	return deliver
 }
@@ -288,13 +316,7 @@ func (l *Link) TransferExpress(size int64, done func()) simtime.Time {
 	l.sent += size
 	deliver := l.clock.Now().Add(l.latency)
 	if done != nil {
-		l.deliver(deliver, func() {
-			if l.down {
-				l.drops++
-				return
-			}
-			done()
-		})
+		l.deliver(deliver, done)
 	}
 	return deliver
 }

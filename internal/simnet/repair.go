@@ -9,6 +9,8 @@ package simnet
 import "nilicon/internal/simtime"
 
 // SegmentSnapshot is one write-queue segment in a socket checkpoint.
+// Data aliases the socket's send slab, which nobody writes again
+// (DESIGN.md §8), so holders must only read it.
 type SegmentSnapshot struct {
 	Seq  uint32
 	Data []byte
@@ -105,21 +107,20 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		SndNxt:     s.sndNxt,
 		RcvNxt:     s.rcvNxt,
 	}
-	// Both queues are copied into one buffer: the snapshot's holder may
-	// write it, and the live socket must not see that.
-	for _, sg := range s.sendQ {
-		queued += len(sg.data)
-	}
-	buf := make([]byte, 0, queued+len(s.recvBuf))
+	// Write-queue segments are capped views of the send slab, whose
+	// bytes are never written again, so the snapshot shares them. The
+	// read queue is copied: the snapshot's holder may write it, and the
+	// live socket must not see that.
 	if len(s.sendQ) > 0 {
 		sn.WriteQueue = make([]SegmentSnapshot, len(s.sendQ))
 	}
 	for i, sg := range s.sendQ {
-		buf = append(buf, sg.data...)
-		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: buf[len(buf)-len(sg.data) : len(buf) : len(buf)], FIN: sg.fin}
+		queued += len(sg.data)
+		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data, FIN: sg.fin}
 	}
-	buf = append(buf, s.recvBuf...)
-	sn.ReadQueue = buf[queued:]
+	if len(s.recvBuf) > 0 {
+		sn.ReadQueue = append([]byte(nil), s.recvBuf...)
+	}
 	queued += len(s.recvBuf)
 
 	if st.Kernel != nil {

@@ -155,29 +155,29 @@ func TestRepairModeNeverRetransmits(t *testing.T) {
 	}
 }
 
-// rtoTimer is nil exactly when no timer runs: after the handshake,
-// once everything is acknowledged, after a timer fires on an empty
-// queue, and once the socket is dropped.
+// rtoTimer is disarmed exactly when no timer runs: after the
+// handshake, once everything is acknowledged, after a timer fires on an
+// empty queue, and once the socket is dropped.
 func TestRTOTimerClearedWhenIdle(t *testing.T) {
 	p := newPair(t)
 	var srv, cl *Socket
 	p.b.Listen(80, func(s *Socket) { srv = s })
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
 	p.clock.Run()
-	if cl.rtoTimer != nil || srv.rtoTimer != nil {
+	if cl.rtoTimer.Armed() || srv.rtoTimer.Armed() {
 		t.Fatal("timer left set after the handshake")
 	}
 	cl.Send([]byte("data"))
-	if cl.rtoTimer == nil {
+	if !cl.rtoTimer.Armed() {
 		t.Fatal("send with data outstanding armed no timer")
 	}
 	p.clock.Run()
-	if cl.rtoTimer != nil {
+	if cl.rtoTimer.Armed() {
 		t.Fatal("timer left set with everything acknowledged")
 	}
 	cl.Close()
 	p.clock.Run()
-	if cl.rtoTimer != nil || p.a.SocketByID(cl.ID) != nil {
+	if cl.rtoTimer.Armed() || p.a.SocketByID(cl.ID) != nil {
 		t.Fatal("closed socket kept its timer or its table entry")
 	}
 }

@@ -84,11 +84,12 @@ type Socket struct {
 	recvBuf []byte
 
 	rto simtime.Duration
-	// rtoTimer is the running retransmission (or SYN) timer; nil exactly
-	// when no timer is running. onRTOFn is onRTO bound once, so arming
-	// the timer allocates no method value.
-	rtoTimer   *simtime.Event
-	onRTOFn    func()
+	// rtoTimer is the retransmission timer, armed exactly while a
+	// retransmission (or, with synTimer set, a SYN) timeout runs. It is
+	// made once per socket with onTimer bound, so re-arming allocates
+	// nothing.
+	rtoTimer   *simtime.Timer
+	synTimer   bool
 	synTries   int
 	retransmit int
 	// dupAcks counts consecutive duplicate ACKs for sndUna (RFC 5681
@@ -241,7 +242,7 @@ func (st *Stack) newSocket(local int, remote Addr, remotePort int) *Socket {
 		RemotePort: remotePort,
 		rto:        st.RTOInitial,
 	}
-	s.onRTOFn = s.onRTO
+	s.rtoTimer = simtime.NewTimer(st.clock, s.onTimer)
 	st.nextID++
 	st.byID[s.ID] = s
 	st.sockets[connKey{remote, remotePort, local}] = s
@@ -270,25 +271,28 @@ func (st *Stack) allocPort() int {
 }
 
 func (st *Stack) armSynTimer(s *Socket) {
-	backoff := st.RTOInitial << uint(s.synTries)
-	s.rtoTimer = st.clock.Schedule(backoff, func() {
-		s.rtoTimer = nil
-		if s.State != StateSynSent {
-			return
+	s.synTimer = true
+	s.rtoTimer.Reset(st.RTOInitial << uint(s.synTries))
+}
+
+// onSynTimeout retries a SYN with exponential backoff, and resets the
+// connection after the last retry.
+func (st *Stack) onSynTimeout(s *Socket) {
+	if s.State != StateSynSent {
+		return
+	}
+	s.synTries++
+	if s.synTries > 4 {
+		s.State = StateClosed
+		s.Reset = true
+		st.drop(s)
+		if s.OnReset != nil {
+			s.OnReset(s)
 		}
-		s.synTries++
-		if s.synTries > 4 {
-			s.State = StateClosed
-			s.Reset = true
-			st.drop(s)
-			if s.OnReset != nil {
-				s.OnReset(s)
-			}
-			return
-		}
-		st.emit(s, FlagSYN, s.sndUna, 0, nil)
-		st.armSynTimer(s)
-	})
+		return
+	}
+	st.emit(s, FlagSYN, s.sndUna, 0, nil)
+	st.armSynTimer(s)
 }
 
 // Send slabs grow geometrically between these sizes, so a mostly idle
@@ -406,24 +410,28 @@ func (s *Socket) UnackedBytes() int {
 // not push the timeout out. Nothing is armed for an empty write queue
 // or a socket in repair mode.
 func (s *Socket) startRTO(d simtime.Duration) {
-	if s.rtoTimer != nil || len(s.sendQ) == 0 || s.repair {
+	if s.rtoTimer.Armed() || len(s.sendQ) == 0 || s.repair {
 		return
 	}
-	s.rtoTimer = s.stack.clock.Schedule(d, s.onRTOFn)
+	s.synTimer = false
+	s.rtoTimer.Reset(d)
 }
 
 // stopRTO cancels the retransmission timer if one is running.
-func (s *Socket) stopRTO() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-		s.rtoTimer = nil
+func (s *Socket) stopRTO() { s.rtoTimer.Stop() }
+
+// onTimer runs the timeout the timer was armed for.
+func (s *Socket) onTimer() {
+	if s.synTimer {
+		s.stack.onSynTimeout(s)
+		return
 	}
+	s.onRTO()
 }
 
 // onRTO is the retransmission timeout: resend the write queue, back the
 // timeout off, and run the timer again.
 func (s *Socket) onRTO() {
-	s.rtoTimer = nil
 	if len(s.sendQ) == 0 || s.repair || s.State == StateClosed {
 		return
 	}

@@ -352,6 +352,35 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	if string(srv.Peek()) != "xyz" {
 		t.Fatal("snapshot aliases live read queue")
 	}
+
+	// The write queue is shared, not copied: its segments are views of
+	// the send slab, which later sends only append past and acks only
+	// drop references to, so the snapshot keeps what it captured.
+	srv.EnterRepair()
+	srv.Send([]byte("held-reply"))
+	srv.Send([]byte("second"))
+	sn = p.b.SnapshotSocket(srv)
+	if len(sn.WriteQueue) == 0 || &sn.WriteQueue[0].Data[0] != &srv.sendQ[0].data[0] {
+		t.Fatal("snapshot copied the write queue instead of sharing the slab")
+	}
+	var held []byte
+	for _, sg := range sn.WriteQueue {
+		held = append(held, sg.Data...)
+	}
+	srv.LeaveRepair(true)
+	p.clock.Run() // retransmitted and acknowledged
+	srv.Send([]byte("later bytes in the same slab"))
+	p.clock.Run()
+	if len(srv.sendQ) != 0 {
+		t.Fatalf("write queue not drained: %d segments", len(srv.sendQ))
+	}
+	var got []byte
+	for _, sg := range sn.WriteQueue {
+		got = append(got, sg.Data...)
+	}
+	if string(got) != string(held) || string(held) != "held-replysecond" {
+		t.Fatalf("snapshot write queue = %q after sends and acks, captured %q", got, held)
+	}
 }
 
 func TestRestoredSocketRetransmitsAfterRepairRTO(t *testing.T) {

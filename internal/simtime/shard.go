@@ -40,15 +40,32 @@ const (
 	bitmapWords = wheelSlots / 64
 )
 
-// slabChunk is the Event allocation batch: events are handed
-// out of chunked arrays so the steady-state schedule path amortizes one
-// heap allocation across slabChunk events. Chunks are never reused —
-// Cancel on a long-dead *Event must keep hitting its own memory — so a
-// chunk is freed by the GC once every event in it is unreachable.
+// slabChunk is the event allocation batch: fresh events are handed out
+// of chunked arrays, so growing the queue amortizes one heap allocation
+// across slabChunk events. Every fired or dropped event goes back on
+// the engine's free list, and the steady state allocates nothing.
 const slabChunk = 128
 
+// event is one queued entry. A plain schedule carries its callback in
+// fn; a timer's event carries the timer in tm instead. An event whose
+// timer abandoned it has neither and is dropped where the engine next
+// touches it. No handle on an event leaves the engine, so once it is
+// fired or dropped it is recycled.
+type event struct {
+	when Time
+	// seq is the scheduling shard's counter; (when, shard, seq) is the
+	// engine's total order.
+	seq   uint64
+	shard int32 // scheduling shard
+	// target is the shard of the view the event was scheduled on; the
+	// event runs as that shard, so its own schedules are keyed by it.
+	target int32
+	fn     func()
+	tm     *Timer
+}
+
 // keyLess is the engine's total order: (when, shard, seq).
-func keyLess(a, b *Event) bool {
+func keyLess(a, b *event) bool {
 	if a.when != b.when {
 		return a.when < b.when
 	}
@@ -60,9 +77,9 @@ func keyLess(a, b *Event) bool {
 
 // keyHeap is a heap over the full (when, shard, seq) key, used only for
 // the far-future overflow of a wheel.
-type keyHeap []*Event
+type keyHeap []*event
 
-func (h *keyHeap) push(e *Event) {
+func (h *keyHeap) push(e *event) {
 	*h = append(*h, e)
 	i := len(*h) - 1
 	for i > 0 {
@@ -75,7 +92,7 @@ func (h *keyHeap) push(e *Event) {
 	}
 }
 
-func (h *keyHeap) pop() *Event {
+func (h *keyHeap) pop() *event {
 	old := *h
 	e := old[0]
 	n := len(old) - 1
@@ -102,7 +119,7 @@ func (h *keyHeap) pop() *Event {
 }
 
 type wheelLevel struct {
-	slots  [wheelSlots][]*Event
+	slots  [wheelSlots][]*event
 	bitmap [bitmapWords]uint64
 	count  int // events stored at this level (skips empty-level scans)
 }
@@ -117,7 +134,7 @@ type wheel struct {
 	// free recycles drained slot slices so steady-state insert/drain
 	// cycles allocate nothing (the freelist is bounded by the number of
 	// slots ever nonempty at once).
-	free [][]*Event
+	free [][]*event
 }
 
 // insert files e at the lowest level whose slot number is less than one
@@ -125,7 +142,7 @@ type wheel struct {
 // rather than tick delta matters: a delay just under one revolution from
 // a cursor late in its slot has a small enough tick delta but lands one
 // full revolution ahead, in the very slot being scanned.
-func (w *wheel) insert(e *Event) {
+func (w *wheel) insert(e *event) {
 	tw := uint64(e.when) >> tickShift
 	tc := uint64(w.cur) >> tickShift
 	for l := uint(0); l < wheelLevels; l++ {
@@ -144,20 +161,20 @@ func (w *wheel) insert(e *Event) {
 	w.overflow.push(e)
 }
 
-func (w *wheel) getSlot() []*Event {
+func (w *wheel) getSlot() []*event {
 	if n := len(w.free); n > 0 {
 		s := w.free[n-1]
 		w.free = w.free[:n-1]
 		return s
 	}
-	return make([]*Event, 0, 8)
+	return make([]*event, 0, 8)
 }
 
 // recycle returns a drained slot slice to the freelist, dropping its
 // event pointers for the GC. Clearing the used prefix is enough: slot
 // slices only ever grow by append, so every freelist slice is all-nil
 // beyond its length, and so is everything append fills from it.
-func (w *wheel) recycle(s []*Event) {
+func (w *wheel) recycle(s []*event) {
 	if cap(s) == 0 {
 		return
 	}
@@ -195,7 +212,9 @@ func (w *wheel) findSlot(l uint) (idx int, start Time, found bool) {
 
 // nextSlot removes and returns the earliest nonempty level-0 slot's
 // events plus the exclusive end time of that slot, cascading higher
-// levels down as needed. ok is false when the wheel is empty.
+// levels down as needed. ok is false when the wheel is empty. Events
+// the engine settles away (see settle) are dropped here rather than
+// cascaded, and a re-keyed timer is cascaded under its new key.
 //
 // A level-l slot start is a multiple of the slot width 256^l ticks, so
 // two candidate slots at different levels either start at the same time
@@ -203,7 +222,8 @@ func (w *wheel) findSlot(l uint) (idx int, start Time, found bool) {
 // the later one starts at or beyond the earlier one's end (safe).
 // Choosing the minimum-start candidate, preferring the higher level on
 // ties, is therefore sufficient for exact ordering.
-func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
+func (sc *ShardedClock) nextSlot() (batch []*event, end Time, ok bool) {
+	w := &sc.wh
 	for {
 		bestL := -1
 		var bestIdx int
@@ -223,10 +243,10 @@ func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
 		if len(w.overflow) > 0 && (bestL < 0 || w.overflow[0].when <= bestStart) {
 			// The overflow head is due before (or at) every wheel slot:
 			// pull it back through the wheel so it merges in exact order
-			// with any same-slot events. A canceled head is dropped and
+			// with any same-slot events. A dead head is dropped and
 			// leaves the cursor where it was.
 			e := w.overflow.pop()
-			if e.cancel {
+			if live, _ := sc.settle(e); !live {
 				continue
 			}
 			if e.when > w.cur {
@@ -250,11 +270,12 @@ func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
 			return batch, start + (1 << tickShift), true
 		}
 		// Cascade: push the slot's live events one level down and drop
-		// its canceled ones, which nothing will ever fire. The cursor
+		// its dead ones, which nothing will ever fire. The cursor
 		// advances to the slot only when a live event is filed again:
 		// deltas from the advanced cur are then strictly below the slot
-		// width, so every event lands at level <= bestL-1 (progress).
-		// An all-canceled slot leaves cur where it was, because nothing
+		// width, so every event lands at level <= bestL-1 (progress),
+		// and a timer re-keyed past the slot keeps the wheel nonempty.
+		// An all-dead slot leaves cur where it was, because nothing
 		// then pulls the engine's run window up to the slot, and an
 		// insert below an advanced cur would wrap a revolution ahead.
 		lv := &w.levels[bestL]
@@ -263,7 +284,7 @@ func (w *wheel) nextSlot() (batch []*Event, end Time, ok bool) {
 		lv.bitmap[bestIdx>>6] &^= 1 << uint(bestIdx&63)
 		lv.count -= len(evs)
 		for _, e := range evs {
-			if e.cancel {
+			if live, _ := sc.settle(e); !live {
 				continue
 			}
 			if bestStart > w.cur {
@@ -290,23 +311,29 @@ type ShardedClock struct {
 	stopped  bool
 	running  bool
 	executed uint64
-	// live counts scheduled events that have neither fired nor been
-	// canceled (Pending).
+	// live counts plain schedules that have not fired plus armed
+	// timers (Pending).
 	live int64
 
 	wh     wheel
-	run    []*Event
+	run    []*event
 	runPos int
 	runEnd Time
-	// slab is the chunked Event allocator (see slabChunk).
-	slab    []Event
+	// free holds fired and dropped events for reuse; slab is the chunk
+	// fresh events come from when free is empty (see slabChunk).
+	free    []*event
+	slab    []event
 	slabPos int
+	// freshRefile is a deliberate defect for the engine's differential
+	// test: a re-keyed timer takes a fresh sequence number instead of
+	// the one Reset reserved. Never set outside that test.
+	freshRefile bool
 }
 
 // NewEngine creates an engine at virtual time zero with only the root
 // shard.
 func NewEngine() *ShardedClock {
-	sc := &ShardedClock{curShard: -1, ctrs: []uint64{0}}
+	sc := &ShardedClock{curShard: -1, ctrs: []uint64{0}, free: make([]*event, 0, slabChunk)}
 	sc.root = &Clock{eng: sc, shard: 0}
 	return sc
 }
@@ -339,17 +366,23 @@ func (sc *ShardedClock) NewShard() *Clock {
 // Now returns the engine's virtual time.
 func (sc *ShardedClock) Now() Time { return sc.now }
 
-// Pending returns the number of scheduled events that have neither
-// fired nor been canceled.
+// Pending returns the number of plain schedules that have not fired
+// plus the number of armed timers.
 func (sc *ShardedClock) Pending() int { return int(sc.live) }
 
 // Executed returns the total number of events fired.
 func (sc *ShardedClock) Executed() uint64 { return sc.executed }
 
-// alloc hands out the next Event from the slab chunk.
-func (sc *ShardedClock) alloc() *Event {
+// alloc hands out an event: a recycled one, or the next from the slab
+// chunk.
+func (sc *ShardedClock) alloc() *event {
+	if n := len(sc.free); n > 0 {
+		e := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		return e
+	}
 	if sc.slabPos == len(sc.slab) {
-		sc.slab = make([]Event, slabChunk)
+		sc.slab = make([]event, slabChunk)
 		sc.slabPos = 0
 	}
 	e := &sc.slab[sc.slabPos]
@@ -357,19 +390,39 @@ func (sc *ShardedClock) alloc() *Event {
 	return e
 }
 
-func (sc *ShardedClock) scheduleAt(view *Clock, t Time, fn func()) *Event {
-	schedShard := view.shard
+// release returns a fired or dropped event to the free list. Nothing
+// outside the engine holds an event, and the engine holds none it has
+// released, so reuse is safe.
+func (sc *ShardedClock) release(e *event) {
+	*e = event{}
+	sc.free = append(sc.free, e)
+}
+
+// schedShard is the shard a schedule made through view is keyed by:
+// the executing event's shard, or view's own outside events.
+func (sc *ShardedClock) schedShard(view *Clock) int32 {
 	if sc.curShard >= 0 {
-		schedShard = sc.curShard
+		return sc.curShard
 	}
+	return view.shard
+}
+
+func (sc *ShardedClock) scheduleAt(view *Clock, t Time, fn func()) {
+	shard := sc.schedShard(view)
 	if t < sc.now {
 		t = sc.now
 	}
 	e := sc.alloc()
-	*e = Event{when: t, seq: sc.ctrs[schedShard], shard: schedShard, target: view.shard, fn: fn, eng: sc}
-	sc.ctrs[schedShard]++
+	*e = event{when: t, seq: sc.ctrs[shard], shard: shard, target: view.shard, fn: fn}
+	sc.ctrs[shard]++
 	sc.live++
-	if t < sc.runEnd {
+	sc.file(e)
+}
+
+// file queues e under its key: spliced into the run's unconsumed tail
+// when it is due before the run ends, into the wheel otherwise.
+func (sc *ShardedClock) file(e *event) {
+	if e.when < sc.runEnd {
 		i := sc.runPos
 		for i < len(sc.run) && keyLess(sc.run[i], e) {
 			i++
@@ -377,26 +430,88 @@ func (sc *ShardedClock) scheduleAt(view *Clock, t Time, fn func()) *Event {
 		sc.run = append(sc.run, nil)
 		copy(sc.run[i+1:], sc.run[i:])
 		sc.run[i] = e
-	} else {
-		sc.wh.insert(e)
+		return
 	}
-	return e
+	sc.wh.insert(e)
+}
+
+// resetTimer arms t for at. It reserves the key a fresh schedule would
+// get, consuming the scheduling shard's counter exactly as ScheduleAt
+// does. A queued event keyed at or before the reserved key stays where
+// it is: the engine reaches it first and re-files it then (settle). An
+// event keyed after it would fire late, so it is abandoned and a new
+// one filed under the reserved key.
+func (sc *ShardedClock) resetTimer(t *Timer, at Time) {
+	shard := sc.schedShard(t.view)
+	if at < sc.now {
+		at = sc.now
+	}
+	t.when, t.shard, t.seq = at, shard, sc.ctrs[shard]
+	sc.ctrs[shard]++
+	if !t.armed {
+		t.armed = true
+		sc.live++
+	}
+	key := event{when: at, seq: t.seq, shard: shard, target: t.view.shard, tm: t}
+	if e := t.ev; e != nil {
+		if keyLess(e, &key) {
+			return
+		}
+		e.tm = nil
+	}
+	e := sc.alloc()
+	*e = key
+	t.ev = e
+	sc.file(e)
+}
+
+// settle decides what becomes of e where the engine touches it
+// (cascade, overflow pull, run). A plain event is live. An abandoned
+// event, or the event of a stopped timer, is dead: it is detached and
+// recycled. A timer event behind its timer's reserved key is re-keyed
+// to it (moved), and the caller files it again. Drops and re-keys fire
+// nothing and leave the clock alone.
+func (sc *ShardedClock) settle(e *event) (live, moved bool) {
+	if e.fn != nil {
+		return true, false
+	}
+	t := e.tm
+	if t == nil || !t.armed {
+		if t != nil {
+			t.ev = nil
+		}
+		sc.release(e)
+		return false, false
+	}
+	if e.seq == t.seq && e.when == t.when && e.shard == t.shard {
+		return true, false
+	}
+	e.when, e.shard, e.seq = t.when, t.shard, t.seq
+	if sc.freshRefile {
+		e.seq = sc.ctrs[e.shard]
+		t.seq = e.seq
+		sc.ctrs[e.shard]++
+	}
+	return true, true
 }
 
 // head returns the next live event without consuming it, pulling and
 // key-sorting the next wheel slot when the run is exhausted.
-func (sc *ShardedClock) head() *Event {
+func (sc *ShardedClock) head() *event {
 	for {
 		for sc.runPos < len(sc.run) {
 			e := sc.run[sc.runPos]
-			if e.cancel {
-				sc.run[sc.runPos] = nil
-				sc.runPos++
-				continue
+			live, moved := sc.settle(e)
+			if live && !moved {
+				return e
 			}
-			return e
+			sc.run[sc.runPos] = nil
+			sc.runPos++
+			if live {
+				sc.file(e)
+			}
 		}
-		batch, end, ok := sc.wh.nextSlot()
+		batch, end, ok := sc.nextSlot()
 		if !ok {
 			sc.run = sc.run[:0]
 			sc.runPos = 0
@@ -404,11 +519,17 @@ func (sc *ShardedClock) head() *Event {
 		}
 		// Copy live events into the reusable run buffer and hand the
 		// slot slice back to the wheel: the steady-state refill path
-		// allocates nothing.
+		// allocates nothing. A timer re-keyed past the slot goes back
+		// into the wheel.
 		sc.run = sc.run[:0]
 		for _, e := range batch {
-			if !e.cancel {
+			if live, _ := sc.settle(e); !live {
+				continue
+			}
+			if e.when < end {
 				sc.run = append(sc.run, e)
+			} else {
+				sc.wh.insert(e)
 			}
 		}
 		sc.wh.recycle(batch)
@@ -421,7 +542,7 @@ func (sc *ShardedClock) head() *Event {
 // sortByKey orders a slot batch by (when, shard, seq). Batches are
 // typically small (one level-0 slot), so insertion sort wins and
 // allocates nothing; large batches fall back to the library sort.
-func sortByKey(evs []*Event) {
+func sortByKey(evs []*event) {
 	if len(evs) <= 48 {
 		for i := 1; i < len(evs); i++ {
 			e := evs[i]
@@ -438,14 +559,22 @@ func sortByKey(evs []*Event) {
 }
 
 // fire consumes e, the event head() just returned, and runs it as its
-// target shard.
-func (sc *ShardedClock) fire(e *Event) {
+// target shard. The event is recycled before its callback runs, so a
+// timer re-armed from its own callback reuses it.
+func (sc *ShardedClock) fire(e *event) {
 	sc.run[sc.runPos] = nil
 	sc.runPos++
 	sc.now = e.when
 	sc.curShard = e.target
 	sc.live--
-	e.fire()
+	fn := e.fn
+	if t := e.tm; t != nil {
+		t.ev = nil
+		t.armed = false
+		fn = t.fn
+	}
+	sc.release(e)
+	fn()
 	sc.executed++
 	sc.curShard = -1
 }

@@ -122,13 +122,14 @@ func TestShardedCancel(t *testing.T) {
 	sc := NewEngine()
 	v := sc.NewShard()
 	fired := false
-	e := v.Schedule(Millisecond, func() { fired = true })
+	tm := NewTimer(v, func() { fired = true })
+	tm.Reset(Millisecond)
 	if v.Pending() != 1 {
 		t.Fatalf("Pending = %d, want 1", v.Pending())
 	}
-	e.Cancel()
+	tm.Stop()
 	if v.Pending() != 0 {
-		t.Fatalf("Pending after Cancel = %d, want 0 (canceled events must not be counted)", v.Pending())
+		t.Fatalf("Pending after Stop = %d, want 0 (stopped timers must not be counted)", v.Pending())
 	}
 	sc.Run()
 	if fired {
@@ -206,8 +207,9 @@ func wheelDelay(r uint64) Duration {
 }
 
 // Property: arbitrary delays and cancels behave identically on the
-// serial reference heap and the engine, with events spread over three
-// shard views but all scheduled from one event (so keyed by one shard).
+// serial reference heap and the engine (timers armed once and maybe
+// stopped), with timers spread over three shard views but all armed
+// from one event (so keyed by one shard).
 // The delays reach every wheel level and the overflow heap, and are
 // scheduled from a cursor at an arbitrary offset inside its slot.
 func TestPropertyShardedEquivalence(t *testing.T) {
@@ -218,7 +220,7 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 		view := views[0]
 		var a, b []int
 		re := make([]*refEvent, len(raw))
-		he := make([]*Event, len(raw))
+		he := make([]*Timer, len(raw))
 		ref.ScheduleAt(Time(start), func() {
 			for i, r := range raw {
 				i := i
@@ -233,11 +235,12 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 		view.ScheduleAt(Time(start), func() {
 			for i, r := range raw {
 				i := i
-				he[i] = views[i%len(views)].Schedule(wheelDelay(r), func() { b = append(b, i) })
+				he[i] = NewTimer(views[i%len(views)], func() { b = append(b, i) })
+				he[i].Reset(wheelDelay(r))
 			}
 			for i := range he {
 				if i < len(cancelMask) && cancelMask[i] {
-					he[i].Cancel()
+					he[i].Stop()
 				}
 			}
 		})
@@ -448,15 +451,16 @@ func TestFindSlotMatchesCircularScan(t *testing.T) {
 	}
 }
 
-// A cascade that finds only canceled events drops them without
+// A cascade that finds only a stopped timer's event drops it without
 // advancing the cursor. Were the cursor moved to the emptied slot, the
 // engine's time would stay behind it (nothing fires there), and an
 // event scheduled between the two would wrap a revolution ahead of the
 // cursor and cascade into itself forever.
 func TestCascadeOfCanceledSlotKeepsCursor(t *testing.T) {
 	c := NewClock()
-	far := c.Schedule(200*Millisecond, func() { t.Error("canceled timer fired") })
-	far.Cancel()
+	far := NewTimer(c, func() { t.Error("stopped timer fired") })
+	far.Reset(200 * Millisecond)
+	far.Stop()
 	c.RunUntil(Time(100 * Millisecond)) // cascades the 200 ms slot, finds nothing live
 	fired := Time(-1)
 	c.ScheduleAt(Time(110*Millisecond), func() { fired = c.Now() })
@@ -470,23 +474,21 @@ func TestCascadeOfCanceledSlotKeepsCursor(t *testing.T) {
 	}
 }
 
-// BenchmarkWheelTimerChurn is a TCP sender's timer pattern: every
-// segment, microseconds apart, cancels the pending 200 ms
-// retransmission timer and arms a new one, so nearly every timer the
-// wheel holds is dead by the time its slot cascades.
-func BenchmarkWheelTimerChurn(b *testing.B) {
+// BenchmarkTimerRestart is a TCP sender's timer pattern: every
+// segment, microseconds apart, restarts the pending 200 ms
+// retransmission timer, so the timer's deadline moves on long before
+// its queued event is reached. The event is re-keyed where the engine
+// first reaches it instead of being re-made per segment.
+func BenchmarkTimerRestart(b *testing.B) {
 	b.ReportAllocs()
 	sc := NewEngine()
 	root := sc.Root()
-	var rto *Event
-	rtoFn := func() {}
+	rto := NewTimer(root, func() {})
 	n := 0
 	var seg func()
 	seg = func() {
-		if rto != nil {
-			rto.Cancel()
-		}
-		rto = root.Schedule(200*Millisecond, rtoFn)
+		rto.Stop()
+		rto.Reset(200 * Millisecond)
 		if n++; n < b.N {
 			root.Schedule(Duration(5+n%20)*Microsecond, seg)
 		}

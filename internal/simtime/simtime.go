@@ -48,50 +48,6 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// Event is a scheduled callback. It is returned by Schedule so callers
-// can cancel it before it fires.
-type Event struct {
-	when Time
-	// seq is the scheduling shard's counter; (when, shard, seq) is the
-	// engine's total order.
-	seq   uint64
-	shard int32 // scheduling shard
-	// target is the shard of the view the event was scheduled on; the
-	// event runs as that shard, so its own schedules are keyed by it.
-	target int32
-	fn     func() // nil once fired or canceled
-	cancel bool
-	eng    *ShardedClock
-}
-
-// Canceled reports whether Cancel was called on the event.
-func (e *Event) Canceled() bool { return e.cancel }
-
-// When returns the virtual time at which the event fires (or would have
-// fired, if canceled).
-func (e *Event) When() Time { return e.when }
-
-// Cancel prevents the event from firing. Canceling an event that already
-// fired is a no-op. Pending() stops counting the event and its closure
-// is released at once; the engine drops the event itself lazily when
-// its slot drains.
-func (e *Event) Cancel() {
-	if e.fn == nil {
-		return
-	}
-	e.cancel = true
-	e.fn = nil
-	e.eng.live--
-}
-
-// fire runs the event's callback, first dropping it so a fired event
-// neither cancels nor keeps its closure reachable from the engine's slab.
-func (e *Event) fire() {
-	fn := e.fn
-	e.fn = nil
-	fn()
-}
-
 // Clock is a view onto the engine, bound to one logical shard. The zero
 // value is not usable; create one with NewClock, or obtain a view with
 // ShardedClock.Root/NewShard.
@@ -111,29 +67,30 @@ func (c *Clock) Now() Time { return c.eng.now }
 // view, the shard's ID for views from NewShard.
 func (c *Clock) Shard() int { return int(c.shard) }
 
-// Pending returns the number of scheduled events, engine-wide, that have
-// neither fired nor been canceled.
+// Pending returns the number of plain schedules, engine-wide, that have
+// not fired, plus the number of armed timers.
 func (c *Clock) Pending() int { return c.eng.Pending() }
 
 // Executed returns the number of events the whole engine has fired.
 func (c *Clock) Executed() uint64 { return c.eng.Executed() }
 
 // Schedule queues fn to run after delay d. A negative delay is treated as
-// zero. The returned Event may be canceled.
-func (c *Clock) Schedule(d Duration, fn func()) *Event {
+// zero. A plain schedule cannot be canceled; a callback that may need to
+// be withdrawn or moved belongs on a Timer.
+func (c *Clock) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	return c.ScheduleAt(c.Now().Add(d), fn)
+	c.ScheduleAt(c.Now().Add(d), fn)
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the
 // past are clamped to now: the simulation never moves backward.
-func (c *Clock) ScheduleAt(t Time, fn func()) *Event {
+func (c *Clock) ScheduleAt(t Time, fn func()) {
 	if fn == nil {
 		panic("simtime: ScheduleAt with nil function")
 	}
-	return c.eng.scheduleAt(c, t, fn)
+	c.eng.scheduleAt(c, t, fn)
 }
 
 // Step fires the next event, advancing the clock to its time. It returns
@@ -162,12 +119,72 @@ func NewRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
+// Timer is a cancellable, re-armable callback: the engine's one handle
+// on a scheduled event. Reset and Stop order events exactly as
+// canceling the pending event and scheduling a new one would, but a
+// timer re-armed for a later instant keeps its queued event: the
+// engine re-files that event under the new key when it reaches it
+// (DESIGN.md §11). The zero value is not usable; create one with
+// NewTimer.
+type Timer struct {
+	view *Clock
+	fn   func()
+	// ev is the queued event carrying this timer, nil when none is.
+	// Its key may be older, and never later, than the reserved key.
+	ev    *event
+	armed bool
+	// when, shard and seq are the reserved key: the one the latest
+	// Reset would have given a freshly scheduled event.
+	when  Time
+	shard int32
+	seq   uint64
+}
+
+// NewTimer returns a disarmed timer that runs fn as view's shard each
+// time it fires.
+func NewTimer(view *Clock, fn func()) *Timer {
+	if fn == nil {
+		panic("simtime: NewTimer with nil function")
+	}
+	return &Timer{view: view, fn: fn}
+}
+
+// Reset arms the timer to fire after delay d, replacing any earlier
+// deadline. A negative delay is treated as zero.
+func (t *Timer) Reset(d Duration) {
+	if d < 0 {
+		d = 0
+	}
+	t.ResetAt(t.view.Now().Add(d))
+}
+
+// ResetAt arms the timer to fire at absolute virtual time at (clamped
+// to now), replacing any earlier deadline.
+func (t *Timer) ResetAt(at Time) { t.view.eng.resetTimer(t, at) }
+
+// Stop disarms the timer; stopping a disarmed timer is a no-op.
+// Pending stops counting the timer at once; the engine drops its
+// queued event when it next reaches it.
+func (t *Timer) Stop() {
+	if t.armed {
+		t.armed = false
+		t.view.eng.live--
+	}
+}
+
+// Armed reports whether the timer will fire: it was Reset since it last
+// fired or was stopped.
+func (t *Timer) Armed() bool { return t.armed }
+
+// Due returns the instant the timer fires at. It is meaningful only
+// while the timer is armed.
+func (t *Timer) Due() Time { return t.when }
+
 // Ticker repeatedly invokes a callback at a fixed period until stopped.
 type Ticker struct {
-	clock  *Clock
 	period Duration
 	fn     func()
-	ev     *Event
+	tm     *Timer
 	stop   bool
 }
 
@@ -177,27 +194,21 @@ func NewTicker(c *Clock, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("simtime: non-positive ticker period %v", period))
 	}
-	t := &Ticker{clock: c, period: period, fn: fn}
-	t.arm()
+	t := &Ticker{period: period, fn: fn}
+	t.tm = NewTimer(c, t.tick)
+	t.tm.Reset(period)
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.clock.Schedule(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn()
-		if !t.stop {
-			t.arm()
-		}
-	})
+func (t *Ticker) tick() {
+	t.fn()
+	if !t.stop {
+		t.tm.Reset(t.period)
+	}
 }
 
 // Stop cancels future ticks.
 func (t *Ticker) Stop() {
 	t.stop = true
-	if t.ev != nil {
-		t.ev.Cancel()
-	}
+	t.tm.Stop()
 }

@@ -86,24 +86,29 @@ func TestScheduleAtPastClampedToNow(t *testing.T) {
 func TestCancel(t *testing.T) {
 	c := NewClock()
 	fired := false
-	e := c.Schedule(time.Millisecond, func() { fired = true })
-	e.Cancel()
+	tm := NewTimer(c, func() { fired = true })
+	tm.Reset(time.Millisecond)
+	tm.Stop()
 	c.Run()
 	if fired {
-		t.Fatal("canceled event fired")
+		t.Fatal("stopped timer fired")
 	}
-	if !e.Canceled() {
-		t.Fatal("Canceled() = false after Cancel")
+	if tm.Armed() {
+		t.Fatal("Armed() = true after Stop")
 	}
 }
 
 func TestCancelAfterFireIsNoop(t *testing.T) {
 	c := NewClock()
-	e := c.Schedule(time.Millisecond, func() {})
+	tm := NewTimer(c, func() {})
+	tm.Reset(time.Millisecond)
 	c.Run()
-	e.Cancel() // must not panic
-	if c.Pending() != 0 || e.Canceled() {
-		t.Fatalf("cancel after fire: Pending = %d, Canceled = %v; want 0, false", c.Pending(), e.Canceled())
+	if tm.Armed() {
+		t.Fatal("timer still armed after it fired")
+	}
+	tm.Stop() // must not panic
+	if c.Pending() != 0 || tm.Armed() {
+		t.Fatalf("stop after fire: Pending = %d, Armed = %v; want 0, false", c.Pending(), tm.Armed())
 	}
 }
 
@@ -294,21 +299,22 @@ func TestPropertyEventsFireInOrder(t *testing.T) {
 	}
 }
 
-// Property: canceling an arbitrary subset of events fires exactly the
+// Property: stopping an arbitrary subset of timers fires exactly the
 // complement.
 func TestPropertyCancelSubset(t *testing.T) {
 	f := func(delays []uint8, cancelMask []bool) bool {
 		c := NewClock()
 		fired := make(map[int]bool)
-		events := make([]*Event, len(delays))
+		timers := make([]*Timer, len(delays))
 		for i, d := range delays {
 			i := i
-			events[i] = c.Schedule(time.Duration(d)*time.Microsecond, func() { fired[i] = true })
+			timers[i] = NewTimer(c, func() { fired[i] = true })
+			timers[i].Reset(time.Duration(d) * time.Microsecond)
 		}
 		canceled := make(map[int]bool)
-		for i, e := range events {
+		for i, tm := range timers {
 			if i < len(cancelMask) && cancelMask[i] {
-				e.Cancel()
+				tm.Stop()
 				canceled[i] = true
 			}
 		}
@@ -325,25 +331,26 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
-// Regression: Cancel must stop counting the event immediately so
+// Regression: Stop must stop counting the timer immediately so
 // Pending() does not overreport — long chaos runs used to accumulate
 // dead entries until they drained.
 func TestCancelRemovesFromQueue(t *testing.T) {
 	c := NewClock()
-	events := make([]*Event, 100)
-	for i := range events {
-		events[i] = c.Schedule(time.Duration(i+1)*time.Millisecond, func() {})
+	timers := make([]*Timer, 100)
+	for i := range timers {
+		timers[i] = NewTimer(c, func() {})
+		timers[i].Reset(time.Duration(i+1) * time.Millisecond)
 	}
 	if c.Pending() != 100 {
 		t.Fatalf("Pending = %d, want 100", c.Pending())
 	}
-	for i, e := range events {
+	for i, tm := range timers {
 		if i%2 == 0 {
-			e.Cancel()
+			tm.Stop()
 		}
 	}
 	if c.Pending() != 50 {
-		t.Fatalf("Pending after canceling half = %d, want 50 (canceled events must be removed eagerly)", c.Pending())
+		t.Fatalf("Pending after stopping half = %d, want 50 (stopped timers must be uncounted eagerly)", c.Pending())
 	}
 	fired := 0
 	c.Schedule(0, func() {}) // repopulate ordering stress
@@ -360,9 +367,10 @@ func TestCancelRemovesFromQueue(t *testing.T) {
 
 func TestCancelDoubleIsNoop(t *testing.T) {
 	c := NewClock()
-	e := c.Schedule(time.Millisecond, func() {})
-	e.Cancel()
-	e.Cancel() // second cancel must not panic or corrupt the heap
+	tm := NewTimer(c, func() {})
+	tm.Reset(time.Millisecond)
+	tm.Stop()
+	tm.Stop() // a second stop must not panic or corrupt the count
 	if c.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", c.Pending())
 	}
@@ -386,10 +394,11 @@ func TestRunUntilEventExactlyAtBoundary(t *testing.T) {
 
 func TestRunUntilCanceledHead(t *testing.T) {
 	c := NewClock()
-	head := c.Schedule(5*time.Millisecond, func() { t.Error("canceled head fired") })
+	head := NewTimer(c, func() { t.Error("stopped head fired") })
+	head.Reset(5 * time.Millisecond)
 	var firedAt Time
 	c.Schedule(10*time.Millisecond, func() { firedAt = c.Now() })
-	head.Cancel()
+	head.Stop()
 	c.RunUntil(Time(15 * time.Millisecond))
 	if firedAt != Time(10*time.Millisecond) {
 		t.Fatalf("live event fired at %v, want 10ms", firedAt)
@@ -417,11 +426,12 @@ func TestExecutedCounter(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Schedule(time.Duration(i)*time.Millisecond, func() {})
 	}
-	canceled := c.Schedule(time.Millisecond, func() {})
-	canceled.Cancel()
+	stopped := NewTimer(c, func() {})
+	stopped.Reset(time.Millisecond)
+	stopped.Stop()
 	c.Run()
 	if c.Executed() != 10 {
-		t.Fatalf("Executed = %d, want 10 (canceled events don't count)", c.Executed())
+		t.Fatalf("Executed = %d, want 10 (stopped timers don't count)", c.Executed())
 	}
 }
 

@@ -49,7 +49,9 @@ type Replayer struct {
 	inflight [][]pending
 	queued   [][]queuedReq
 
-	next        int // cursor into tr.Reqs
+	next        int // cursor into tr.Reqs; the scheduled arrival is Reqs[next-1]
+	start       simtime.Time
+	arriveFn    func() // arriveNext bound once
 	nextChildID uint64
 	issued      int
 	queuedNow   int
@@ -73,6 +75,7 @@ func NewReplayer(clock *simtime.Clock, tr *Trace, judge *Judge) *Replayer {
 	for _, s := range tr.Header.SlowClients {
 		r.slow[s] = true
 	}
+	r.arriveFn = r.arriveNext
 	return r
 }
 
@@ -108,19 +111,24 @@ func (r *Replayer) Start(start simtime.Time) {
 	// Arrivals are scheduled one ahead of the cursor instead of all up
 	// front: the trace may hold hundreds of thousands of requests and
 	// the wheel only ever needs the next one.
-	r.scheduleNext(start)
+	r.start = start
+	r.scheduleNext()
 }
 
-func (r *Replayer) scheduleNext(start simtime.Time) {
+func (r *Replayer) scheduleNext() {
 	if r.next >= len(r.tr.Reqs) {
 		return
 	}
-	req := r.tr.Reqs[r.next]
+	at := r.tr.Reqs[r.next].At
 	r.next++
-	r.clock.ScheduleAt(start.Add(simtime.Duration(req.At)), func() {
-		r.arrive(pending{arrival: r.clock.Now(), key: req.Key, size: req.Size, fanout: req.Fanout}, req)
-		r.scheduleNext(start)
-	})
+	r.clock.ScheduleAt(r.start.Add(simtime.Duration(at)), r.arriveFn)
+}
+
+// arriveNext is the scheduled arrival of Reqs[next-1].
+func (r *Replayer) arriveNext() {
+	req := r.tr.Reqs[r.next-1]
+	r.arrive(pending{arrival: r.clock.Now(), key: req.Key, size: req.Size, fanout: req.Fanout}, req)
+	r.scheduleNext()
 }
 
 // arrive admits one open-loop arrival: judged, then sent — or queued
