@@ -129,8 +129,12 @@ type BackupAgent struct {
 	lastGrantSent  simtime.Time
 	promotePending bool
 	promoteTimer   *simtime.Timer
-	// freeAcks recycles log acknowledgments (logAck).
+	// freeAcks recycles log acknowledgments (logAck) and freeMsgs epoch
+	// acknowledgments and reverse liveness beats (ackMsg). nackFn is the
+	// primary's NACK handler, bound once.
 	freeAcks []*logAck
+	freeMsgs []*ackMsg
+	nackFn   func()
 	// networkLive is set when the restored container's sockets go live
 	// after a promotion (the instant the replica starts serving).
 	networkLive bool
@@ -163,6 +167,7 @@ func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
 		store:    criu.NewPageStore(cfg.Opts.OptimizeCRIU),
 	}
 	b.promoteTimer = simtime.NewTimer(cl.Clock, b.promoteBarrierReached)
+	b.nackFn = r.nackReceived
 	return b
 }
 
@@ -233,19 +238,13 @@ func (b *BackupAgent) checkHeartbeat() {
 		// extended to a host the conviction below is about to declare
 		// dead (an unbounded grant stream to a dead primary would push
 		// the promotion barrier out forever).
-		r := b.r
 		grant := b.cfg.Lease.Enabled && !stale && b.grantsLease()
 		if grant {
 			b.lastGrantSent = now
 		}
-		sentAt := now
-		slot := b.slot
-		b.cl.AckLink.TransferExpress(16, func() {
-			r.backupBeatSeenFrom(slot)
-			if grant {
-				r.leaseGranted(sentAt)
-			}
-		})
+		m := b.newAckMsg(now, grant)
+		m.beat = true
+		b.cl.AckLink.TransferExpress(16, m.deliverFn)
 	}
 	if b.resyncRequested {
 		// The NACK (or the baseline it asked for) may itself have been
@@ -334,7 +333,6 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 		}
 		return
 	}
-	r := b.r
 	// Every ack implicitly renews the primary's output-release lease,
 	// stamped with its send time (the conservative end of the term) —
 	// unless a witness centralizes granting (quorum mode).
@@ -343,13 +341,9 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 	if grant {
 		b.lastGrantSent = sentAt
 	}
-	slot := b.slot
-	b.cl.AckLink.Transfer(16, func() {
-		if grant {
-			r.leaseGranted(sentAt)
-		}
-		r.ackReceivedFrom(slot, epoch)
-	})
+	m := b.newAckMsg(sentAt, grant)
+	m.epoch = epoch
+	b.cl.AckLink.Transfer(16, m.deliverFn)
 	if baseline {
 		b.resyncRequested = false
 	}
@@ -360,8 +354,52 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 // sendResync NACKs the current state to the primary: epochs were lost
 // and only a full resynchronization baseline can resume commits.
 func (b *BackupAgent) sendResync() {
-	r := b.r
-	b.cl.AckLink.TransferExpress(16, func() { r.nackReceived() })
+	b.cl.AckLink.TransferExpress(16, b.nackFn)
+}
+
+// ackMsg is one epoch acknowledgment (or, with beat set, reverse
+// liveness beat) in flight on the ack link, sent at sentAt and carrying
+// a lease grant when grant is set. Records are recycled with deliver
+// bound once; one lost to a link cut is left to the GC.
+type ackMsg struct {
+	b      *BackupAgent
+	epoch  uint64
+	sentAt simtime.Time
+	grant  bool
+	beat   bool
+
+	deliverFn func()
+}
+
+// newAckMsg takes a record from the free list (or makes one) for an
+// epoch acknowledgment.
+func (b *BackupAgent) newAckMsg(sentAt simtime.Time, grant bool) *ackMsg {
+	var m *ackMsg
+	if n := len(b.freeMsgs); n > 0 {
+		m = b.freeMsgs[n-1]
+		b.freeMsgs = b.freeMsgs[:n-1]
+	} else {
+		m = &ackMsg{b: b}
+		m.deliverFn = m.deliver
+	}
+	m.epoch, m.sentAt, m.grant, m.beat = 0, sentAt, grant, false
+	return m
+}
+
+// deliver hands the primary a beat (seen, then its grant) or an epoch
+// acknowledgment (its grant, then the ack).
+func (m *ackMsg) deliver() {
+	b, epoch, sentAt, grant, beat := m.b, m.epoch, m.sentAt, m.grant, m.beat
+	b.freeMsgs = append(b.freeMsgs, m)
+	if beat {
+		b.r.backupBeatSeenFrom(b.slot)
+	}
+	if grant {
+		b.r.leaseGranted(sentAt)
+	}
+	if !beat {
+		b.r.ackReceivedFrom(b.slot, epoch)
+	}
 }
 
 // resetToBaseline discards buffered state a resynchronization baseline
@@ -465,6 +503,9 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 				panic(fmt.Sprintf("core: page %#x committed twice in one buffer", key))
 			}
 			pageBytes += int64(len(pg.Data))
+			// A chain's replicas hold the same buffers (Image.Clone):
+			// only the last store to supersede one may recycle it.
+			last := b.release(old)
 			if !recycle {
 				continue
 			}
@@ -474,7 +515,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 				}
 			} else if _, base := b.baseline[key]; base {
 				delete(b.baseline, key)
-			} else {
+			} else if last {
 				simkernel.RecyclePage(old)
 			}
 		}
@@ -489,7 +530,7 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	// FgetfcFull re-lends an unwritten page's buffer, which must stay.
 	for _, pe := range img.FSCache.Pages {
 		k := fsPageKey{pe.Ino, pe.Idx}
-		if old, ok := b.fsPages[k]; ok && !sameBuffer(old.Data, pe.Data) {
+		if old, ok := b.fsPages[k]; ok && !sameBuffer(old.Data, pe.Data) && b.release(old.Data) {
 			simkernel.RecyclePage(old.Data)
 		}
 		b.fsPages[k] = pe
@@ -539,6 +580,14 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	cost += 40 * simtime.Microsecond // ack + bookkeeping
 	b.CPUBusy += cost
 	return nil
+}
+
+// release records that this agent's store superseded a page buffer
+// and reports whether it was the buffer's last holder, the only one
+// that may recycle it.
+func (b *BackupAgent) release(buf []byte) bool {
+	last := b.r.holders.Release(buf)
+	return last || b.r.recycleAtFirstRelease
 }
 
 // sameBuffer reports whether a and b are the same non-empty buffer.

@@ -112,20 +112,12 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 	ratio := allocPerCommit / (pagesPerEpoch * simkernel.PageSize)
 	t.Logf("%.0f pages/epoch, %d commits, %.0f B allocated per commit: %.3f of shipped page bytes",
 		pagesPerEpoch, commits, allocPerCommit, ratio)
-	limit := 0.25
-	if raceEnabled {
-		// Under the race detector sync.Pool drops a random quarter of
-		// the buffers put into it, and each drop costs a fresh page.
-		limit += 0.25
-	}
+	const limit = 0.25
 	if ratio >= limit {
 		t.Fatalf("allocated %.3f of shipped page bytes per committed epoch, want < %.2f: "+
 			"superseded page buffers are not recycled", ratio, limit)
 	}
 }
-
-// raceEnabled reports a -race build (set in race_test.go).
-var raceEnabled bool
 
 // TestIsolatedPrimaryResyncsCopyNoPages: a primary cut off from its
 // backup takes a full resync checkpoint every epoch, and every one is

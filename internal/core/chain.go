@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"nilicon/internal/container"
 	"nilicon/internal/metrics"
@@ -60,6 +59,9 @@ type replicaSlot struct {
 	// lag mirrors this replica's epoch-ack lag behind the newest
 	// checkpoint for the metrics layer.
 	lag metrics.Gauge
+
+	// beatFn is the agent's heartbeat arrival, bound once.
+	beatFn func()
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
@@ -218,7 +220,13 @@ func (r *Replicator) flowFor(i int) string {
 func (r *Replicator) newSlot(idx int, view *Cluster, agent *BackupAgent) *replicaSlot {
 	agent.slot = idx
 	flow := r.flowFor(idx)
-	return &replicaSlot{idx: idx, view: view, agent: agent, flow: flow, logFlow: flow + "/log"}
+	return &replicaSlot{idx: idx, view: view, agent: agent, flow: flow, logFlow: flow + "/log", beatFn: agent.heartbeatArrived}
+}
+
+// live reports whether the slot receives the chain's traffic: not
+// fenced, and its agent neither promoted nor halted.
+func (s *replicaSlot) live() bool {
+	return !s.fenced && !s.agent.recovered && !s.agent.halted
 }
 
 // participates reports whether the slot gates the watermarks: not
@@ -338,13 +346,7 @@ func (r *Replicator) recomputeWatermarks() {
 // epoch <= e, including epochs whose own transfer was lost and whose
 // acks therefore never existed (they are covered by a later resync).
 func (r *Replicator) retireThrough(e uint64) {
-	var covered []uint64
-	for ep := range r.inflight {
-		if ep <= e {
-			covered = append(covered, ep)
-		}
-	}
-	if len(covered) == 0 {
+	if r.inflight.len() == 0 || r.inflight.peek().epoch > e {
 		// No pipeline record (replication restarted across a failover);
 		// the backups only acknowledge committed epochs, so releasing
 		// directly preserves the output-commit rule — unless a lapsed
@@ -360,11 +362,9 @@ func (r *Replicator) retireThrough(e uint64) {
 		r.releaseDirect(e)
 		return
 	}
-	sort.Slice(covered, func(i, j int) bool { return covered[i] < covered[j] })
 	now := r.Cluster.Clock.Now()
-	for _, ep := range covered {
-		run := r.inflight[ep]
-		delete(r.inflight, ep)
+	for r.inflight.len() > 0 && r.inflight.peek().epoch <= e {
+		run := r.inflight.pop()
 		if run.done[StageTransfer] {
 			run.complete(StageAwaitAck, now, now.Sub(run.doneAt[StageTransfer]))
 		} else {

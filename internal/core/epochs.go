@@ -1,0 +1,175 @@
+package core
+
+import "nilicon/internal/criu"
+
+// The epoch pipeline's per-epoch events are bound once per replicator
+// and its per-replica sends are recycled records, as the log path's are
+// (replay.go), so a steady-state epoch allocates no callback.
+
+// fifo is a first-in first-out queue; items[head:] is the queue. The
+// replicator keeps one of runs in flight and one for each kind of
+// pending epoch event — events of one kind fire in the order they were
+// scheduled, since their times never decrease and same-time events run
+// in insertion order, so the event pops the run at the head — and the
+// transfer scheduler keeps one of requests per flow.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) peek() T { return q.items[q.head] }
+
+// all returns the queued items, oldest first.
+func (q *fifo[T]) all() []T { return q.items[q.head:] }
+
+// pop removes the head item. An emptied queue starts again at its
+// array's front, and a queue whose consumed prefix is at least half its
+// array moves back to the front, so a queue that never drains keeps a
+// bounded array.
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head >= 16 && 2*q.head >= len(q.items):
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
+}
+
+// reset empties the queue.
+func (q *fifo[T]) reset() {
+	clear(q.items)
+	q.items, q.head = q.items[:0], 0
+}
+
+// thawNext, submitNext and encodedNext are the thaw, submission and
+// encoded-submission events (epochRun.resume, submit, submitEncoded).
+func (r *Replicator) thawNext() {
+	run := r.thawQ.pop()
+	run.resume()
+	run.unref()
+}
+
+func (r *Replicator) submitNext() {
+	run := r.submitQ.pop()
+	run.submit()
+	run.unref()
+}
+
+func (r *Replicator) encodedNext() {
+	run := r.encodedQ.pop()
+	run.submitEncoded()
+	run.unref()
+}
+
+// newRun starts epoch e's run at the epoch boundary, reusing a retired
+// run when one is free. The pipeline holds the first reference.
+func (r *Replicator) newRun(e uint64) *epochRun {
+	var run *epochRun
+	if n := len(r.freeRuns); n > 0 {
+		run = r.freeRuns[n-1]
+		r.freeRuns = r.freeRuns[:n-1]
+	} else {
+		run = new(epochRun)
+	}
+	*run = epochRun{r: r, epoch: e, startAt: r.Cluster.Clock.Now(), refs: 1}
+	return run
+}
+
+// unref drops one reference; the last returns the run to the free list.
+func (run *epochRun) unref() {
+	if run.refs--; run.refs > 0 {
+		return
+	}
+	r := run.r
+	*run = epochRun{}
+	r.freeRuns = append(r.freeRuns, run)
+}
+
+// imageLost is every slot's loss handler: the slot's image of epoch
+// (the lead's original or another slot's clone) was (partly) lost to a
+// link cut, so that replica will never see this epoch. The lost image
+// is released at once — the repair is a fresh full checkpoint, never a
+// resend, so an isolated primary retains no image past its loss — and a
+// chain-global resync is armed.
+func (r *Replicator) imageLost(epoch uint64, lost *criu.Image) {
+	lost.ReleaseLost()
+	if r.stopped {
+		return
+	}
+	r.resyncArmed = true
+	if r.resyncPendingB && epoch == r.resyncPending {
+		r.resyncPendingB = false
+	}
+}
+
+// imageSend is one epoch's image on its way to one replica. Its
+// callbacks are bound once per record and records are recycled; a
+// record returns to the free list when its image is delivered or lost,
+// and one whose transfer the scheduler cancels is left to the GC. Only
+// the lead's send refers to the run (and holds a reference to it): a
+// replica's send carries the epoch and image alone.
+type imageSend struct {
+	r     *Replicator
+	s     *replicaSlot
+	epoch uint64
+	img   *criu.Image
+	run   *epochRun // the lead's send only
+
+	deliveredFn, droppedFn func()
+}
+
+// sendImage submits epoch's img to slot s's flow; run is set for the
+// lead slot's send, which completes the run's transfer stage.
+func (r *Replicator) sendImage(s *replicaSlot, epoch uint64, img *criu.Image, run *epochRun) {
+	var is *imageSend
+	if n := len(r.freeSends); n > 0 {
+		is = r.freeSends[n-1]
+		r.freeSends = r.freeSends[:n-1]
+	} else {
+		is = &imageSend{r: r}
+		is.deliveredFn, is.droppedFn = is.delivered, is.dropped
+	}
+	is.s, is.epoch, is.img, is.run = s, epoch, img, run
+	if run != nil {
+		run.refs++
+	}
+	r.chunks = img.AppendStreamChunks(r.chunks[:0], xferChunkBytes)
+	s.view.Xfer.SubmitReq(s.flow, r.chunks, is.deliveredFn, is.droppedFn)
+}
+
+func (is *imageSend) delivered() {
+	s, epoch, img, run := is.s, is.epoch, is.img, is.run
+	is.release()
+	s.agent.receiveState(epoch, img)
+	if run != nil {
+		run.finishTransfer()
+		run.unref()
+	}
+}
+
+func (is *imageSend) dropped() {
+	r, epoch, img, run := is.r, is.epoch, is.img, is.run
+	is.release()
+	if run != nil {
+		run.leadDropped(img)
+		run.unref()
+	} else {
+		r.imageLost(epoch, img)
+	}
+}
+
+func (is *imageSend) release() {
+	is.s, is.img, is.run = nil, nil, nil
+	is.r.freeSends = append(is.r.freeSends, is)
+}

@@ -279,7 +279,7 @@ func (r *Replicator) declareUnprotected() {
 	r.cancelLeaseTimers()
 	r.epochTimer.Stop()
 	r.quiesced = true
-	r.inflight = make(map[uint64]*epochRun)
+	r.inflight.reset()
 	r.parked = nil
 	r.hasParkedDirect = false
 	r.Ctr.Qdisc.SetReplicating(false)
@@ -405,18 +405,20 @@ func (b *BackupAgent) startSupersedeBeacon() {
 	}
 	b.beaconTicks = int(supersedeFor / heartbeatInterval)
 	r := b.r
+	standDown := func() { b.standDown = true }
+	seen := func() {
+		if r.supersededSeen() {
+			// Stand-down acknowledgment rides the old primary→backup
+			// direction.
+			b.cl.ReplLink.TransferExpress(16, standDown)
+		}
+	}
 	b.beacon = simtime.NewTicker(b.cl.Clock, heartbeatInterval, func() {
 		if b.standDown || b.beaconTicks <= 0 {
 			b.beacon.Stop()
 			return
 		}
 		b.beaconTicks--
-		b.cl.AckLink.TransferExpress(16, func() {
-			if r.supersededSeen() {
-				// Stand-down acknowledgment rides the old
-				// primary→backup direction.
-				b.cl.ReplLink.TransferExpress(16, func() { b.standDown = true })
-			}
-		})
+		b.cl.AckLink.TransferExpress(16, seen)
 	})
 }

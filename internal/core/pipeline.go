@@ -34,7 +34,6 @@ type epochRun struct {
 	full  bool
 	stats criu.CheckpointStats
 
-	deps    [NumStages][]Stage
 	started [NumStages]bool
 	done    [NumStages]bool
 	doneAt  [NumStages]simtime.Time
@@ -59,6 +58,16 @@ type epochRun struct {
 	// lossy marks a run whose own transfer was dropped on the link; it is
 	// retired by a later cumulative ack and excluded from measurement.
 	lossy bool
+
+	// submitAt is when the transfer's submission (its encoding) began.
+	submitAt simtime.Time
+
+	// refs counts what still refers to the run: the pipeline until the
+	// output is released, and each pending thaw, submission and
+	// encoded-submission event and lead image send. The last to let go
+	// returns the run to the replicator's free list (epochs.go). A run
+	// dropped by Stop, or whose lead send is cancelled, is left to the GC.
+	refs int
 }
 
 // start dispatches to a stage's implementation. The driver (advance)
@@ -96,7 +105,7 @@ func (run *epochRun) advance() {
 }
 
 func (run *epochRun) ready(s Stage) bool {
-	for _, d := range run.deps[s] {
+	for _, d := range run.r.deps[s] {
 		if !run.done[d] {
 			return false
 		}
@@ -215,7 +224,7 @@ func (run *epochRun) freezeCollect() {
 		// itself is immutable and safely shared; each request copies the
 		// chunk sizes.
 		for _, s := range r.chain {
-			if s.fenced || s.agent.recovered || s.agent.halted {
+			if !s.live() {
 				continue
 			}
 			s := s
@@ -247,12 +256,12 @@ func (run *epochRun) freezeCollect() {
 // thaw resumes the container once every dependency allows it: at the end
 // of the pause when the transfer is overlapped, or after delivery at the
 // backup under stop-and-copy. The recorded duration is the extra wait
-// beyond the pause.
+// beyond the pause. The resume itself is Replicator.thawNext.
 func (run *epochRun) thaw() {
 	r := run.r
 	cl := r.Cluster
 	at := run.pauseEnd
-	for _, d := range run.deps[StageThaw] {
+	for _, d := range r.deps[StageThaw] {
 		if run.doneAt[d] > at {
 			at = run.doneAt[d]
 		}
@@ -261,17 +270,24 @@ func (run *epochRun) thaw() {
 		at = now
 	}
 	run.thawAt = at
-	cl.Clock.ScheduleAt(at, func() {
-		if r.stopped {
-			return
-		}
-		r.Ctr.Thaw()
-		r.Ctr.Qdisc.UnblockInput()
-		r.epochTimer.Reset(r.Cfg.EpochInterval)
-		r.applyRuntimeTax(run.cowTax)
-		run.recordStop()
-		run.complete(StageThaw, at, at.Sub(run.pauseEnd))
-	})
+	run.refs++
+	r.thawQ.push(run)
+	cl.Clock.ScheduleAt(at, r.thawFn)
+}
+
+// resume is the thaw event: the container runs again, input flows, and
+// the next epoch is timed from here.
+func (run *epochRun) resume() {
+	r := run.r
+	if r.stopped {
+		return
+	}
+	r.Ctr.Thaw()
+	r.Ctr.Qdisc.UnblockInput()
+	r.epochTimer.Reset(r.Cfg.EpochInterval)
+	r.applyRuntimeTax(run.cowTax)
+	run.recordStop()
+	run.complete(StageThaw, run.thawAt, run.thawAt.Sub(run.pauseEnd))
 }
 
 // transfer streams the image to every live chain replica through its
@@ -281,90 +297,90 @@ func (run *epochRun) thaw() {
 // memory.
 func (run *epochRun) transfer() {
 	r := run.r
-	cl := r.Cluster
-	// The frame encoding happens at submission time, against whatever the
-	// cumulative-ack protocol has proven committed by then; its CPU cost
-	// delays the submission in virtual time, so the compression win is
-	// charged honestly against the bytes it saves.
-	doSubmit := func(start simtime.Time) {
-		epoch, img := run.epoch, run.img
-		finish := func() {
-			now := cl.Clock.Now()
-			run.complete(StageTransfer, now, now.Sub(start))
-		}
-		// dropped is every slot's loss handler: the slot's image (the
-		// lead's original or another slot's clone) was (partly) lost to a
-		// link cut, so that replica will never see this epoch. The lost
-		// image is released at once — the repair is a fresh full
-		// checkpoint, never a resend, so an isolated primary retains no
-		// image past its loss — and a chain-global resync is armed.
-		dropped := func(lost *criu.Image) {
-			lost.ReleaseLost()
-			if r.stopped {
-				return
-			}
-			r.resyncArmed = true
-			if r.resyncPendingB && epoch == r.resyncPending {
-				r.resyncPendingB = false
-			}
-		}
-		// The lead's loss also marks the run lossy and completes the
-		// transfer stage, so a stop-and-copy container is not left frozen
-		// waiting on a delivery that cannot happen. Output stays buffered:
-		// AwaitAck completes only via a later cumulative ack. With every
-		// slot fenced there is no lead, and the run is lost at once.
-		leadDropped := func() {
-			run.lossy = true
-			run.img = nil
-			dropped(img)
-			finish()
-		}
-		lead := r.lead()
-		if lead == nil {
-			leadDropped()
-			return
-		}
-		// Fan-out: every other live replica gets its own deep copy of the
-		// image on its own flow, submitted ahead of the lead's. The copy is
-		// mandatory, not an optimization — each replica's store owns the
-		// pages it commits, and a raw store recycles a verbatim page once
-		// a newer epoch supersedes it, so two backups must never share page
-		// storage. The lead keeps the original image and alone drives the
-		// pipeline's StageTransfer completion. Fenced slots get nothing.
-		for _, s := range r.chain {
-			if s == lead || s.fenced || s.agent.recovered || s.agent.halted {
-				continue
-			}
-			clone := img.Clone()
-			s.view.Xfer.SubmitReq(s.flow, clone.StreamChunks(xferChunkBytes), func() {
-				s.agent.receiveState(epoch, clone)
-			}, func() { dropped(clone) })
-		}
-		lead.view.Xfer.SubmitReq(lead.flow, img.StreamChunks(xferChunkBytes), func() {
-			lead.agent.receiveState(epoch, img)
-			finish()
-		}, leadDropped)
-	}
-	submit := func() {
-		start := cl.Clock.Now()
-		at := start.Add(r.encodeForWire(run))
-		// One replication thread encodes and submits serially: never
-		// submit ahead of a predecessor still being encoded (the backup
-		// commits strictly in epoch order; reordering would NACK).
-		if at < r.submitFloor {
-			at = r.submitFloor
-		}
-		r.submitFloor = at
-		// Always submit through the event queue: same-timestamp events run
-		// in insertion order, so a zero-cost encode cannot overtake a
-		// predecessor whose submission is pending at this very instant.
-		cl.Clock.ScheduleAt(at, func() { doSubmit(start) })
-	}
 	if r.Cfg.Opts.StagingBuffer || r.Cfg.Opts.PipelinedTransfer {
-		cl.Clock.ScheduleAt(run.pauseEnd, submit)
+		run.refs++
+		r.submitQ.push(run)
+		r.Cluster.Clock.ScheduleAt(run.pauseEnd, r.submitFn)
 	} else {
-		submit()
+		run.submit()
 	}
+}
+
+// submit encodes the image for the wire. The frame encoding happens at
+// submission time, against whatever the cumulative-ack protocol has
+// proven committed by then; its CPU cost delays the submission in
+// virtual time, so the compression win is charged honestly against the
+// bytes it saves.
+func (run *epochRun) submit() {
+	r := run.r
+	cl := r.Cluster
+	run.submitAt = cl.Clock.Now()
+	at := run.submitAt.Add(r.encodeForWire(run))
+	// One replication thread encodes and submits serially: never
+	// submit ahead of a predecessor still being encoded (the backup
+	// commits strictly in epoch order; reordering would NACK).
+	if at < r.submitFloor {
+		at = r.submitFloor
+	}
+	r.submitFloor = at
+	// Always submit through the event queue: same-timestamp events run
+	// in insertion order, so a zero-cost encode cannot overtake a
+	// predecessor whose submission is pending at this very instant.
+	run.refs++
+	r.encodedQ.push(run)
+	cl.Clock.ScheduleAt(at, r.encodedFn)
+}
+
+// submitEncoded hands the encoded image to every live replica's flow.
+// Fan-out: every other live replica gets its own Clone of the image on
+// its own flow, submitted ahead of the lead's. A clone shares the page
+// buffers, and the replicator's holder table counts them, so a raw
+// store recycles a superseded buffer only when it is the last store
+// holding it (DESIGN.md §8). The lead keeps the original image and
+// alone drives the pipeline's StageTransfer completion. Fenced slots
+// get nothing.
+func (run *epochRun) submitEncoded() {
+	r := run.r
+	img := run.img
+	lead := r.lead()
+	if lead == nil {
+		// With every slot fenced there is no lead, and the run is lost
+		// at once.
+		run.leadDropped(img)
+		return
+	}
+	n := 1
+	for _, s := range r.chain {
+		if s != lead && s.live() {
+			n++
+		}
+	}
+	img.HoldPages(r.holders, n)
+	for _, s := range r.chain {
+		if s != lead && s.live() {
+			r.sendImage(s, run.epoch, img.Clone(), nil)
+		}
+	}
+	r.sendImage(lead, run.epoch, img, run)
+}
+
+// finishTransfer completes the transfer stage when the lead's image is
+// delivered or lost.
+func (run *epochRun) finishTransfer() {
+	now := run.r.Cluster.Clock.Now()
+	run.complete(StageTransfer, now, now.Sub(run.submitAt))
+}
+
+// leadDropped is the lead's loss handler (Replicator.imageLost does the
+// rest). It also marks the run lossy and completes the transfer stage,
+// so a stop-and-copy container is not left frozen waiting on a delivery
+// that cannot happen. Output stays buffered: AwaitAck completes only via
+// a later cumulative ack.
+func (run *epochRun) leadDropped(img *criu.Image) {
+	run.lossy = true
+	run.img = nil
+	run.r.imageLost(run.epoch, img)
+	run.finishTransfer()
 }
 
 // awaitAck has no work of its own: it completes when the chain's
@@ -408,6 +424,7 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 	}
 	run.complete(StageReleaseOutput, now, now.Sub(run.startAt))
 	run.record()
+	run.unref()
 }
 
 // --- Measurement -------------------------------------------------------------
@@ -451,7 +468,7 @@ func (run *epochRun) record() {
 			Transfer:    run.dur[StageTransfer],
 			AckWait:     run.dur[StageAwaitAck],
 			Commit:      run.dur[StageReleaseOutput],
-			Inflight:    len(r.inflight),
+			Inflight:    r.inflight.len(),
 			WireBytes:   run.wireBytes,
 			FullFrames:  run.frames.FullFrames,
 			DeltaFrames: run.frames.DeltaFrames,

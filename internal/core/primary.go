@@ -4,6 +4,7 @@ import (
 	"nilicon/internal/container"
 	"nilicon/internal/criu"
 	"nilicon/internal/metrics"
+	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
 )
@@ -34,10 +35,32 @@ type Replicator struct {
 
 	engine *criu.Engine
 	epoch  uint64
+	// deps is the option set's stage graph, built once (stage.go).
+	deps [NumStages][]Stage
 
 	// inflight holds epochs whose pipeline has not yet released output
-	// (with overlapped transfer, several can be in flight at once).
-	inflight map[uint64]*epochRun
+	// (with overlapped transfer, several can be in flight at once), in
+	// epoch order.
+	inflight fifo[*epochRun]
+
+	// Epoch bookkeeping bound once (epochs.go): the runs waiting for
+	// their thaw, submission and encoded-submission events, each queue
+	// served by one callback in the order its events were scheduled; the
+	// free lists of retired runs and per-replica image sends; and the
+	// chunk-size buffer a submission fills (the scheduler copies it).
+	thawQ, submitQ, encodedQ    fifo[*epochRun]
+	thawFn, submitFn, encodedFn func()
+	freeRuns                    []*epochRun
+	freeSends                   []*imageSend
+	chunks                      []int64
+
+	// holders counts the chain replicas' shared page buffers (Clone),
+	// so only a buffer's last store recycles it (DESIGN.md §8).
+	holders *simkernel.PageHolders
+	// recycleAtFirstRelease is the mutation the holder-count test
+	// catches: a store recycles a superseded buffer whatever its
+	// fellow holders.
+	recycleAtFirstRelease bool
 
 	running  bool
 	stopped  bool
@@ -143,7 +166,8 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 	if cfg.EpochInterval <= 0 {
 		cfg.EpochInterval = 30 * simtime.Millisecond
 	}
-	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, inflight: make(map[uint64]*epochRun)}
+	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, deps: cfg.Opts.stageGraph(), holders: simkernel.NewPageHolders()}
+	r.thawFn, r.submitFn, r.encodedFn = r.thawNext, r.submitNext, r.encodedNext
 	r.epochTimer = simtime.NewTimer(cl.Clock, r.runEpoch)
 	r.leaseTimer = simtime.NewTimer(cl.Clock, r.leaseExpired)
 	r.unprotTimer = simtime.NewTimer(cl.Clock, r.unprotectDeadline)
@@ -208,7 +232,7 @@ func (r *Replicator) Stop() {
 	}
 	r.epochTimer.Stop()
 	r.cancelLeaseTimers()
-	r.inflight = make(map[uint64]*epochRun)
+	r.inflight.reset()
 	r.parked = nil
 	r.hasParkedDirect = false
 	if r.rec != nil {
@@ -248,8 +272,7 @@ func (r *Replicator) heartbeat() {
 		if s.fenced {
 			continue
 		}
-		ag := s.agent
-		s.view.ReplLink.TransferExpress(16, func() { ag.heartbeatArrived() })
+		s.view.ReplLink.TransferExpress(16, s.beatFn)
 	}
 	if r.witness != nil {
 		r.witness.primaryKeepAlive()
@@ -264,14 +287,9 @@ func (r *Replicator) runEpoch() {
 	if r.stopped || r.quiesced {
 		return
 	}
-	run := &epochRun{
-		r:       r,
-		epoch:   r.epoch,
-		deps:    r.Cfg.Opts.stageGraph(),
-		startAt: r.Cluster.Clock.Now(),
-	}
+	run := r.newRun(r.epoch)
 	r.epoch++
-	r.inflight[run.epoch] = run
+	r.inflight.push(run)
 	run.advance()
 }
 
@@ -407,7 +425,7 @@ func (r *Replicator) FenceBackup() {
 // InflightEpochs returns the number of epochs whose pipeline has not yet
 // released output. During an outage this is the stalled backlog; after
 // heal and quiesce it must drain to zero.
-func (r *Replicator) InflightEpochs() int { return len(r.inflight) }
+func (r *Replicator) InflightEpochs() int { return r.inflight.len() }
 
 // RetainedImageBytes returns the memory-page payload held by the
 // checkpoint images of in-flight epochs. A run drops its image when the
@@ -415,7 +433,7 @@ func (r *Replicator) InflightEpochs() int { return len(r.inflight) }
 // images still queued on the link, however long the outage lasts.
 func (r *Replicator) RetainedImageBytes() int64 {
 	var n int64
-	for _, run := range r.inflight {
+	for _, run := range r.inflight.all() {
 		if run.img != nil {
 			n += run.img.PayloadBytes()
 		}

@@ -239,7 +239,7 @@ func (rec *recorder) epochBoundary(epoch uint64) uint64 {
 // slots; only one replica ever replays a given log generation.
 func (rec *recorder) submit(seg *criu.LogSegment) {
 	for _, s := range rec.r.chain {
-		if s.fenced || s.agent.recovered || s.agent.halted {
+		if !s.live() {
 			continue
 		}
 		rec.submitTo(s, seg)

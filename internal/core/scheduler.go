@@ -76,27 +76,10 @@ func (req *xferReq) unref() {
 
 // xferFlow is one traffic source (one replicator's container, a disk
 // resync, ...) with its FIFO queue of requests. Requests within a flow
-// stay ordered; chunks across flows interleave round-robin. reqs[head:]
-// is the queue.
+// stay ordered; chunks across flows interleave round-robin.
 type xferFlow struct {
 	id   string
-	reqs []*xferReq
-	head int
-}
-
-func (f *xferFlow) queued() int { return len(f.reqs) - f.head }
-
-// pop drops the head request, moving the queue back to the array's
-// front once the consumed prefix is at least half of it, so a flow that
-// never drains keeps a bounded array.
-func (f *xferFlow) pop() {
-	f.reqs[f.head] = nil
-	f.head++
-	if f.head >= 16 && 2*f.head >= len(f.reqs) {
-		n := copy(f.reqs, f.reqs[f.head:])
-		clear(f.reqs[n:])
-		f.reqs, f.head = f.reqs[:n], 0
-	}
+	reqs fifo[*xferReq]
 }
 
 // TransferScheduler owns the replication link and multiplexes concurrent
@@ -170,7 +153,7 @@ func (s *TransferScheduler) SubmitReq(flow string, chunks []int64, done, dropped
 	}
 	req.done, req.dropped = done, dropped
 	req.refs = 1
-	f.reqs = append(f.reqs, req)
+	f.reqs.push(req)
 	if !s.pumping {
 		s.pumping = true
 		s.pump()
@@ -193,7 +176,7 @@ func (s *TransferScheduler) SubmitBytes(flow string, size int64, done func()) {
 func (s *TransferScheduler) QueuedBytes() int64 {
 	var n int64
 	for _, f := range s.order {
-		for _, req := range f.reqs[f.head:] {
+		for _, req := range f.reqs.all() {
 			for _, c := range req.chunks[req.next:] {
 				n += c
 			}
@@ -229,7 +212,7 @@ func (s *TransferScheduler) CancelFlow(id string) {
 	if f == nil {
 		return
 	}
-	for _, req := range f.reqs[f.head:] {
+	for _, req := range f.reqs.all() {
 		req.settled = true
 		req.unref()
 	}
@@ -246,13 +229,13 @@ func (s *TransferScheduler) pump() {
 		s.pumping = false
 		return
 	}
-	req := f.reqs[f.head]
+	req := f.reqs.peek()
 	size := req.chunks[req.next]
 	req.next++
 	last := req.next == len(req.chunks)
 	if last {
-		f.pop()
-		if f.queued() == 0 {
+		f.reqs.pop()
+		if f.reqs.len() == 0 {
 			s.evict(f)
 		}
 	}
@@ -281,8 +264,8 @@ func (s *TransferScheduler) pump() {
 // from the same logical position.
 func (s *TransferScheduler) evict(f *xferFlow) {
 	delete(s.flows, f.id)
-	clear(f.reqs[f.head:])
-	f.reqs, f.head, f.id = f.reqs[:0], 0, ""
+	f.reqs.reset()
+	f.id = ""
 	s.freeFlows = append(s.freeFlows, f)
 	for i, g := range s.order {
 		if g == f {
@@ -306,7 +289,7 @@ func (s *TransferScheduler) nextFlow() *xferFlow {
 	n := len(s.order)
 	for i := 0; i < n; i++ {
 		f := s.order[(s.cursor+i)%n]
-		if f.queued() > 0 {
+		if f.reqs.len() > 0 {
 			s.cursor = (s.cursor + i + 1) % n
 			return f
 		}

@@ -1,10 +1,11 @@
 package criu
 
 import (
-	"sort"
+	"slices"
 
 	"nilicon/internal/container"
 	"nilicon/internal/simkernel"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
 
@@ -51,6 +52,17 @@ type Engine struct {
 	epoch            uint64
 	first            bool
 	forceFull        bool
+
+	// prevProcs and prevSockets are the previous image's process list
+	// and socket snapshots. A checkpoint still collects (and charges)
+	// every process, thread and socket, but shares a snapshot, or a
+	// whole list, that did not change with that image (images are
+	// read-only once built, apart from the page content commit and
+	// ReleaseLost drop).
+	prevProcs   []ProcessImage
+	prevSockets []simnet.SocketSnapshot
+	// pns is the page-number list a checkpoint fills, kept for the next.
+	pns []uint64
 }
 
 // NewEngine creates a checkpoint engine for the container. When the
@@ -121,14 +133,17 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 	k.Charge(c.CheckpointBase)
 
 	// --- Per-process state ------------------------------------------------
-	for _, p := range ctr.Procs {
+	procs := sharedList[ProcessImage]{prev: e.prevProcs}
+	for procIdx, p := range ctr.Procs {
 		k.Charge(c.ParasiteInject)
 		pi := ProcessImage{PID: p.PID, Name: p.Name}
 
 		tm := k.StartMeter()
-		for _, th := range p.Threads {
-			pi.Threads = append(pi.Threads, k.GetThreadState(th))
+		var prevThreads []simkernel.ThreadSnapshot
+		if procIdx < len(e.prevProcs) && e.prevProcs[procIdx].PID == p.PID {
+			prevThreads = e.prevProcs[procIdx].Threads
 		}
+		pi.Threads = collectThreads(k, p, prevThreads)
 		stats.ThreadCollect += tm.Stop()
 
 		vm := k.StartMeter()
@@ -144,11 +159,11 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 
 		// Memory pages (§II-B, §V-D).
 		mm := k.StartMeter()
-		var pns []uint64
+		pns := e.pns[:0]
 		if img.Full {
 			// Full dump: every resident page; also start soft-dirty
 			// tracking for subsequent incremental checkpoints.
-			pns = make([]uint64, 0, p.Mem.ResidentPages())
+			pns = slices.Grow(pns, p.Mem.ResidentPages())
 			for _, v := range p.Mem.VMAs() {
 				for pn := v.Start / simkernel.PageSize; pn < v.End/simkernel.PageSize; pn++ {
 					if p.Mem.PageData(pn) != nil {
@@ -159,9 +174,10 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 			p.Mem.SetSoftDirtyTracking(true)
 			k.ClearRefs(p)
 		} else {
-			pns = k.ReadPagemap(p)
+			pns = k.ReadPagemap(p, pns)
 			k.ClearRefs(p)
 		}
+		e.pns = pns
 		perPage := c.PageCopyPipe
 		if e.Opts.SharedMemPages {
 			perPage = c.PageCopyShared
@@ -181,18 +197,17 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		}
 		stats.MemCopy += mm.Stop()
 
-		img.Procs = append(img.Procs, pi)
+		procs.add(pi, len(ctr.Procs), func(prev *ProcessImage) bool { return sameProcess(prev, &pi) })
 	}
+	img.Procs = procs.list()
+	e.prevProcs = img.Procs
 
 	// --- Sockets (§II-B) ----------------------------------------------------
 	sm := k.StartMeter()
-	for _, s := range ctr.Stack.Sockets() {
-		img.Sockets = append(img.Sockets, ctr.Stack.SnapshotSocket(s))
+	img.Sockets = e.collectSockets()
+	if ports := ctr.Stack.ListenPortList(); len(ports) > 0 {
+		img.Listeners = ports
 	}
-	for port := range listenPorts(ctr) {
-		img.Listeners = append(img.Listeners, port)
-	}
-	sort.Ints(img.Listeners)
 	stats.SocketCollect = sm.Stop()
 
 	// --- File-system cache (§III) -------------------------------------------
@@ -245,6 +260,7 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 
 	stats.Collect = m.Stop()
 	stats.DirtyPages = img.DirtyPages()
+	img.nonPage = img.countNonPageBytes()
 	stats.StateBytes = img.SizeBytes()
 
 	e.first = false
@@ -252,7 +268,90 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 	return img, stats
 }
 
-// listenPorts returns the set of ports the container's stack listens on.
-func listenPorts(ctr *container.Container) map[int]bool {
-	return ctr.Stack.ListenPorts()
+// collectThreads collects (and charges) every thread of p. It returns
+// prev itself when no snapshot differs from it.
+func collectThreads(k *simkernel.Kernel, p *simkernel.Process, prev []simkernel.ThreadSnapshot) []simkernel.ThreadSnapshot {
+	l := sharedList[simkernel.ThreadSnapshot]{prev: prev}
+	for _, th := range p.Threads {
+		ts := k.GetThreadState(th)
+		l.add(ts, len(p.Threads), func(was *simkernel.ThreadSnapshot) bool { return *was == ts })
+	}
+	return l.list()
+}
+
+// collectSockets collects (and charges) every socket of the container
+// in creation order. A socket whose state did not change keeps its
+// previous snapshot, and when no socket changed the previous image's
+// list is returned itself.
+func (e *Engine) collectSockets() []simnet.SocketSnapshot {
+	st := e.Ctr.Stack
+	socks := st.Sockets()
+	l := sharedList[simnet.SocketSnapshot]{prev: e.prevSockets}
+	for i, s := range socks {
+		var was *simnet.SocketSnapshot
+		if i < len(e.prevSockets) {
+			was = &e.prevSockets[i]
+		}
+		sn, unchanged := st.SnapshotSocketSince(s, was)
+		l.add(sn, len(socks), func(*simnet.SocketSnapshot) bool { return unchanged })
+	}
+	e.prevSockets = l.list()
+	return e.prevSockets
+}
+
+// sameProcess reports whether b, a fresh process image without pages,
+// can be replaced by a, the previous image's: both hold no page
+// content, and every snapshot list is the same list.
+func sameProcess(a, b *ProcessImage) bool {
+	return a.PID == b.PID && a.Name == b.Name &&
+		len(a.Pages)+len(a.Frames)+len(b.Pages)+len(b.Frames) == 0 &&
+		sameList(a.Threads, b.Threads) && sameList(a.VMAs, b.VMAs) &&
+		sameList(a.FDs, b.FDs) && sameList(a.Timers, b.Timers)
+}
+
+// sameList reports whether a and b are the same list: the same length
+// and, if not empty, the same backing array.
+func sameList[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// sharedList builds a list element by element against the list prev
+// the previous checkpoint built. While every element equals prev's
+// element at its index, nothing is allocated, and list returns prev
+// itself (or its prefix); at the first difference the list is copied
+// out and continues on its own.
+type sharedList[T any] struct {
+	prev, out []T
+	n         int
+	diverged  bool
+}
+
+// add appends v; same reports whether prev's element at this index
+// (which add passes it) equals v. size is the list's final length.
+func (l *sharedList[T]) add(v T, size int, same func(*T) bool) {
+	if !l.diverged {
+		if l.n < len(l.prev) && same(&l.prev[l.n]) {
+			l.n++
+			return
+		}
+		l.diverged = true
+		l.out = make([]T, l.n, size)
+		copy(l.out, l.prev[:l.n])
+	}
+	l.out = append(l.out, v)
+	l.n++
+}
+
+// list returns the built list.
+func (l *sharedList[T]) list() []T {
+	switch {
+	case l.diverged:
+		return l.out
+	case l.n == len(l.prev):
+		return l.prev
+	case l.n == 0:
+		return nil
+	default:
+		return l.prev[:l.n:l.n]
+	}
 }

@@ -7,6 +7,8 @@
 package criu
 
 import (
+	"slices"
+
 	"nilicon/internal/simfs"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
@@ -25,7 +27,6 @@ type PageImage struct {
 type ProcessImage struct {
 	PID     int
 	Name    string
-	Libs    int
 	Threads []simkernel.ThreadSnapshot
 	VMAs    []simkernel.VMAInfo
 	FDs     []simkernel.FDSnapshot
@@ -82,7 +83,7 @@ type Image struct {
 	DiskResync bool
 
 	// Encoded marks that the dirty pages were rewritten into wire
-	// frames (ProcessImage.Frames) by the delta encoder; StreamChunks
+	// frames (ProcessImage.Frames) by the delta encoder; AppendStreamChunks
 	// then splits WireSizeBytes instead of the logical SizeBytes.
 	Encoded bool
 
@@ -100,65 +101,46 @@ type Image struct {
 	// commits those segments — even ones lost on the wire — and lets the
 	// backup truncate its log to segments newer than the checkpoint.
 	LogSeqThrough uint64
+
+	// nonPage caches nonPageBytes for an image Checkpoint built (0: not
+	// computed). Only page content changes after that: the encoder's
+	// rewrite and commit's release.
+	nonPage int64
 }
 
-// Clone returns a copy of the image that is safe to deliver to an
-// additional replica in a fan-out chain. Every page-content buffer —
-// verbatim dirty pages, full-frame payloads, XOR patches, fs-cache
-// pages — is deep-copied: each replica's page store owns what it
-// commits, and a raw store recycles the verbatim pages it supersedes
-// (DESIGN.md §8), so two replicas must never share one buffer. The
-// verbatim and fs-cache copies come from simkernel's page pool, so a
-// replica's backup recycles them exactly as slot 0's recycles the
-// originals.
-// Stamp frames are the exception: nothing owns, writes or recycles
-// them, so every replica shares them.
-// Structured snapshots (threads, VMAs, sockets, infrequent state) and
-// AppState are shared read-only; at most one replica of a generation
-// ever restores them.
+// Clone returns a copy of the image to deliver to an additional
+// replica in a fan-out chain. The copy shares every buffer with img:
+// nothing writes an image's buffers, and the only holders that recycle
+// one — the raw stores a verbatim page or fs-cache page is superseded
+// in — count their fellow holders (HoldPages, DESIGN.md §8). Encoded
+// frames (full payloads, XOR patches) are never recycled, and stamp
+// frames are never owned. Structured snapshots (threads, VMAs, sockets,
+// infrequent state) and AppState are shared read-only; at most one
+// replica of a generation ever restores them. Only the image and its
+// process list are new: commit and ReleaseLost drop a process's pages
+// on their own copy.
 func (img *Image) Clone() *Image {
 	cp := *img
 	cp.Procs = make([]ProcessImage, len(img.Procs))
-	for i := range img.Procs {
-		p := img.Procs[i]
-		if len(p.Pages) > 0 {
-			pages := make([]PageImage, len(p.Pages))
-			for j, pg := range p.Pages {
-				if !simkernel.IsStampPage(pg.Data) {
-					pg.Data = simkernel.CopyPage(pg.Data)
-				}
-				pages[j] = pg
-			}
-			p.Pages = pages
-		}
-		if len(p.Frames) > 0 {
-			frames := make([]PageFrame, len(p.Frames))
-			for j, f := range p.Frames {
-				if f.Data != nil {
-					d := make([]byte, len(f.Data))
-					copy(d, f.Data)
-					f.Data = d
-				}
-				if f.Delta != nil {
-					d := make([]byte, len(f.Delta))
-					copy(d, f.Delta)
-					f.Delta = d
-				}
-				frames[j] = f
-			}
-			p.Frames = frames
-		}
-		cp.Procs[i] = p
-	}
-	if len(img.FSCache.Pages) > 0 {
-		pages := make([]simfs.PageEntry, len(img.FSCache.Pages))
-		for j, pe := range img.FSCache.Pages {
-			pe.Data = simkernel.CopyPage(pe.Data)
-			pages[j] = pe
-		}
-		cp.FSCache.Pages = pages
-	}
+	copy(cp.Procs, img.Procs)
 	return &cp
+}
+
+// HoldPages records in h that n images — img and n-1 clones of it —
+// share img's verbatim and fs-cache pages, so the buffer returns to the
+// pool only when the last of their stores supersedes it.
+func (img *Image) HoldPages(h *simkernel.PageHolders, n int) {
+	if n < 2 {
+		return
+	}
+	for i := range img.Procs {
+		for _, pg := range img.Procs[i].Pages {
+			h.Hold(pg.Data, n)
+		}
+	}
+	for _, pe := range img.FSCache.Pages {
+		h.Hold(pe.Data, n)
+	}
 }
 
 // ReleaseLost drops the memory-page payload of an image whose transfer
@@ -232,6 +214,14 @@ func (img *Image) WireSizeBytes() int64 {
 // nonPageBytes is the non-page portion of the image's transfer size:
 // per-object records, socket queues, the fs cache and infrequent state.
 func (img *Image) nonPageBytes() int64 {
+	if img.nonPage > 0 {
+		return img.nonPage
+	}
+	return img.countNonPageBytes()
+}
+
+// countNonPageBytes computes nonPageBytes.
+func (img *Image) countNonPageBytes() int64 {
 	var n int64
 	for i := range img.Procs {
 		p := &img.Procs[i]
@@ -257,23 +247,24 @@ func (img *Image) nonPageBytes() int64 {
 	return n
 }
 
-// StreamChunks splits the image's wire size into transfer-sized pieces
-// for streaming over the replication link. The image is streamable as
-// soon as collection ends: the pages were either copied into the staging
-// buffer during the stop (§V-D) or write-protected for lazy
-// copy-on-write capture (pipelined transfer), so the bytes are stable
-// while the container runs. The last chunk carries the remainder.
-func (img *Image) StreamChunks(chunkBytes int64) []int64 {
+// AppendStreamChunks splits the image's wire size into transfer-sized
+// pieces for streaming over the replication link, appends them to dst
+// and returns the extended slice. The image is streamable as soon as
+// collection ends: the pages were either copied into the staging buffer
+// during the stop (§V-D) or write-protected for lazy copy-on-write
+// capture (pipelined transfer), so the bytes are stable while the
+// container runs. The last chunk carries the remainder.
+func (img *Image) AppendStreamChunks(dst []int64, chunkBytes int64) []int64 {
 	total := img.WireSizeBytes()
 	if chunkBytes <= 0 || total <= chunkBytes {
-		return []int64{total}
+		return append(dst, total)
 	}
-	chunks := make([]int64, 0, (total+chunkBytes-1)/chunkBytes)
+	dst = slices.Grow(dst, int((total+chunkBytes-1)/chunkBytes))
 	for total > chunkBytes {
-		chunks = append(chunks, chunkBytes)
+		dst = append(dst, chunkBytes)
 		total -= chunkBytes
 	}
-	return append(chunks, total)
+	return append(dst, total)
 }
 
 // CheckpointStats reports where a checkpoint's stop time went; the

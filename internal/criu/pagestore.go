@@ -21,7 +21,7 @@ import "nilicon/internal/simtime"
 // cost of the store's operations; the Table V backup-utilization
 // experiment reads it.
 type PageStore struct {
-	root *radixNode
+	root *radixTop
 	cost simtime.Duration
 	n    int
 
@@ -32,10 +32,15 @@ type PageStore struct {
 	dirOf map[uint64]int
 }
 
-type radixNode struct {
-	children [512]*radixNode
-	leaves   [512][]byte
-}
+// The tree's four levels each have their own node type, so a node holds
+// only what its level needs: the three inner levels hold the next
+// level's nodes, and a leaf holds the pages.
+type (
+	radixTop  [512]*radixMid
+	radixMid  [512]*radixLow
+	radixLow  [512]*radixLeaf
+	radixLeaf [512][]byte
+)
 
 // Per-operation modeled costs. The stock list walk pays costListPerDir
 // for every directory it scans before finding the page's previous copy
@@ -50,7 +55,7 @@ const (
 // NewPageStore returns an empty store. With optimized false it charges
 // stock CRIU's linked-list layout instead of the radix tree's.
 func NewPageStore(optimized bool) *PageStore {
-	s := &PageStore{root: &radixNode{}}
+	s := &PageStore{root: new(radixTop)}
 	if !optimized {
 		s.dirOf = make(map[uint64]int)
 	}
@@ -83,20 +88,24 @@ func (s *PageStore) Put(key uint64, data []byte) {
 // recycles the replaced buffer when nothing else can hold it
 // (DESIGN.md §8).
 func (s *PageStore) PutOwned(key uint64, data []byte) (old []byte) {
-	n := s.root
-	for level := 0; level < 3; level++ {
-		i := radixIdx(key, level)
-		if n.children[i] == nil {
-			n.children[i] = &radixNode{}
-		}
-		n = n.children[i]
+	mid := &s.root[radixIdx(key, 0)]
+	if *mid == nil {
+		*mid = new(radixMid)
 	}
-	i := radixIdx(key, 3)
-	old = n.leaves[i]
+	low := &(*mid)[radixIdx(key, 1)]
+	if *low == nil {
+		*low = new(radixLow)
+	}
+	leaf := &(*low)[radixIdx(key, 2)]
+	if *leaf == nil {
+		*leaf = new(radixLeaf)
+	}
+	slot := &(*leaf)[radixIdx(key, 3)]
+	old = *slot
 	if old == nil {
 		s.n++
 	}
-	n.leaves[i] = data
+	*slot = data
 	if s.dirOf != nil {
 		s.chargeListPut(key, old != nil)
 	} else {
@@ -123,14 +132,19 @@ func (s *PageStore) chargeListPut(key uint64, stored bool) {
 // Get returns the stored page (nil if absent). The result must not be
 // mutated.
 func (s *PageStore) Get(key uint64) []byte {
-	n := s.root
-	for level := 0; level < 3; level++ {
-		n = n.children[radixIdx(key, level)]
-		if n == nil {
-			return nil
-		}
+	mid := s.root[radixIdx(key, 0)]
+	if mid == nil {
+		return nil
 	}
-	return n.leaves[radixIdx(key, 3)]
+	low := mid[radixIdx(key, 1)]
+	if low == nil {
+		return nil
+	}
+	leaf := low[radixIdx(key, 2)]
+	if leaf == nil {
+		return nil
+	}
+	return leaf[radixIdx(key, 3)]
 }
 
 // Len returns the number of distinct keys stored.
@@ -138,23 +152,7 @@ func (s *PageStore) Len() int { return s.n }
 
 // ForEach visits all pages in ascending key order.
 func (s *PageStore) ForEach(fn func(key uint64, data []byte)) {
-	var walk func(n *radixNode, prefix uint64, level int)
-	walk = func(n *radixNode, prefix uint64, level int) {
-		if level == 3 {
-			for i := 0; i < 512; i++ {
-				if n.leaves[i] != nil {
-					fn(prefix<<9|uint64(i), n.leaves[i])
-				}
-			}
-			return
-		}
-		for i := 0; i < 512; i++ {
-			if n.children[i] != nil {
-				walk(n.children[i], prefix<<9|uint64(i), level+1)
-			}
-		}
-	}
-	walk(s.root, 0, 0)
+	s.ForRange(0, 1<<36, fn)
 }
 
 // ForRange visits pages with lo <= key < hi in ascending key order,
@@ -162,29 +160,33 @@ func (s *PageStore) ForEach(fn func(key uint64, data []byte)) {
 // to extract one process's pages in O(pages in range), not O(pages
 // stored).
 func (s *PageStore) ForRange(lo, hi uint64, fn func(key uint64, data []byte)) {
+	// in reports whether the span keys from base*span overlap the range.
+	in := func(base, span uint64) bool { return base*span < hi && base*span+span > lo }
 	if hi <= lo {
 		return
 	}
-	var walk func(n *radixNode, prefix uint64, level int)
-	walk = func(n *radixNode, prefix uint64, level int) {
-		// span is the number of keys one entry at this level covers.
-		span := uint64(1) << uint(9*(3-level))
-		for i := 0; i < 512; i++ {
-			base := prefix<<9 | uint64(i)
-			start := base * span
-			if start >= hi || start+span <= lo {
+	for i0, mid := range s.root {
+		if mid == nil || !in(uint64(i0), 1<<27) {
+			continue
+		}
+		for i1, low := range mid {
+			b1 := uint64(i0)<<9 | uint64(i1)
+			if low == nil || !in(b1, 1<<18) {
 				continue
 			}
-			if level == 3 {
-				if n.leaves[i] != nil {
-					fn(base, n.leaves[i])
+			for i2, leaf := range low {
+				b2 := b1<<9 | uint64(i2)
+				if leaf == nil || !in(b2, 1<<9) {
+					continue
 				}
-			} else if n.children[i] != nil {
-				walk(n.children[i], base, level+1)
+				for i3, data := range leaf {
+					if key := b2<<9 | uint64(i3); data != nil && lo <= key && key < hi {
+						fn(key, data)
+					}
+				}
 			}
 		}
 	}
-	walk(s.root, 0, 0)
 }
 
 // Cost returns the cumulative modeled CPU cost of all operations.

@@ -2,6 +2,7 @@ package criu
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"nilicon/internal/container"
@@ -140,7 +141,7 @@ func TestRestoreLeavesSocketsInRepairAndDisconnected(t *testing.T) {
 	if !socks[0].InRepair() {
 		t.Fatal("restored socket not in repair mode")
 	}
-	if !restored.Stack.ListenPorts()[80] {
+	if !slices.Contains(restored.Stack.ListenPortList(), 80) {
 		t.Fatal("listener not restored")
 	}
 }

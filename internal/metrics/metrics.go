@@ -12,16 +12,21 @@ import (
 )
 
 // Stream accumulates samples with Welford's online algorithm and also
-// retains the raw samples so exact percentiles can be computed. The zero
+// retains the raw samples so exact percentiles can be computed. The
+// samples are kept in blocks that double from 16 up to streamBlock
+// samples, so a long stream never copies its samples to grow. The zero
 // value is ready to use.
 type Stream struct {
-	n       int
-	mean    float64
-	m2      float64
-	min     float64
-	max     float64
-	samples []float64
+	n      int
+	mean   float64
+	m2     float64
+	min    float64
+	max    float64
+	blocks [][]float64
 }
+
+// streamBlock is the largest number of samples per block.
+const streamBlock = 1024
 
 // Add records one sample.
 func (s *Stream) Add(x float64) {
@@ -39,7 +44,12 @@ func (s *Stream) Add(x float64) {
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
-	s.samples = append(s.samples, x)
+	last := len(s.blocks) - 1
+	if last < 0 || len(s.blocks[last]) == cap(s.blocks[last]) {
+		s.blocks = append(s.blocks, make([]float64, 0, min(streamBlock, max(16, s.n-1))))
+		last++
+	}
+	s.blocks[last] = append(s.blocks[last], x)
 }
 
 // N returns the number of samples.
@@ -88,8 +98,7 @@ func (s *Stream) Percentile(p float64) float64 {
 	if p > 100 {
 		p = 100
 	}
-	sorted := make([]float64, len(s.samples))
-	copy(sorted, s.samples)
+	sorted := s.Samples()
 	sort.Float64s(sorted)
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -106,8 +115,10 @@ func (s *Stream) Percentile(p float64) float64 {
 
 // Samples returns a copy of the retained raw samples in insertion order.
 func (s *Stream) Samples() []float64 {
-	out := make([]float64, len(s.samples))
-	copy(out, s.samples)
+	out := make([]float64, 0, s.n)
+	for _, b := range s.blocks {
+		out = append(out, b...)
+	}
 	return out
 }
 

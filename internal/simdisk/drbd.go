@@ -70,6 +70,27 @@ type DRBD struct {
 	// acknowledging a checkpoint, §IV) and when a resync snapshot is
 	// applied.
 	OnBarrier func(epoch uint64)
+
+	// freeBarriers recycles the primary's barriers in flight.
+	freeBarriers []*barrier
+}
+
+// barrier is one epoch's barrier on its way to one peer. Records are
+// recycled with deliver bound once; one lost to a link cut is left to
+// the GC.
+type barrier struct {
+	d, peer *DRBD
+	epoch   uint64
+	count   int64
+
+	deliverFn func()
+}
+
+func (b *barrier) deliver() {
+	peer, e, count := b.peer, b.epoch, b.count
+	b.peer = nil
+	b.d.freeBarriers = append(b.d.freeBarriers, b)
+	peer.receiveBarrier(e, count)
 }
 
 // NewDRBDPair wires a primary/secondary pair over the replication link.
@@ -172,8 +193,16 @@ func (d *DRBD) Barrier(e uint64) {
 		count := d.epochWrites[e]
 		delete(d.epochWrites, e)
 		for i, peer := range d.peers {
-			peer := peer
-			d.links[i].Transfer(24, func() { peer.receiveBarrier(e, count) })
+			var b *barrier
+			if n := len(d.freeBarriers); n > 0 {
+				b = d.freeBarriers[n-1]
+				d.freeBarriers = d.freeBarriers[:n-1]
+			} else {
+				b = &barrier{d: d}
+				b.deliverFn = b.deliver
+			}
+			b.peer, b.epoch, b.count = peer, e, count
+			d.links[i].Transfer(24, b.deliverFn)
 		}
 	}
 }

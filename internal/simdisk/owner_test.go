@@ -12,9 +12,6 @@ import (
 	"nilicon/internal/simtime"
 )
 
-// raceEnabled reports a -race build (set in race_test.go).
-var raceEnabled bool
-
 // TestDRBDCommitAdoptsShippedBlock: the secondary's disk takes the
 // shipped op's buffer as the block itself instead of copying it, and
 // that buffer is the secondary's alone: a later primary write to the
@@ -143,12 +140,7 @@ func TestSyncedWriteAllocsBounded(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perWrite := float64(after.TotalAlloc-before.TotalAlloc) / writes
 	t.Logf("%.0f B allocated per synced write", perWrite)
-	limit := 1024.0
-	if raceEnabled {
-		// Under the race detector sync.Pool drops a random quarter of
-		// the buffers put into it, and each drop costs a fresh page.
-		limit += 2 * simkernel.PageSize / 4
-	}
+	const limit = 1024.0
 	if perWrite >= limit {
 		t.Fatalf("%.0f B allocated per synced write, want < %.0f: a block or cache page is copied into a fresh buffer",
 			perWrite, limit)

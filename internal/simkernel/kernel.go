@@ -31,7 +31,10 @@ type Kernel struct {
 	nextPID int
 	nextNS  int
 	procs   map[int]*Process
-	meter   *Meter
+	// meters is the stack of active meters, innermost last; meterGen
+	// numbers them.
+	meters   []meterFrame
+	meterGen uint64
 }
 
 // NewKernel creates a kernel bound to the given clock, using the default
@@ -51,49 +54,77 @@ func NewKernel(clock *simtime.Clock) *Kernel {
 
 // Meter accumulates the virtual-time cost of a sequence of kernel
 // operations — typically one checkpoint's state collection. Meters nest;
-// the innermost active meter receives charges.
+// the innermost active meter receives charges. A Meter is a small value
+// naming a frame on a stack the kernel owns, so starting one allocates
+// nothing once the stack has grown to the deepest nesting in use.
 type Meter struct {
-	total simtime.Duration
 	k     *Kernel
-	prev  *Meter
+	depth int
+	// gen tells this meter's frame from a later meter's at the same
+	// depth.
+	gen   uint64
+	total simtime.Duration
 	done  bool
 }
 
-// StartMeter begins accumulating kernel-operation costs.
-func (k *Kernel) StartMeter() *Meter {
-	m := &Meter{k: k, prev: k.meter}
-	k.meter = m
-	return m
+// meterFrame is one active meter's running total on the kernel's stack.
+type meterFrame struct {
+	total simtime.Duration
+	gen   uint64
 }
 
-// Stop ends accumulation and returns the total accumulated cost. Stopping
-// an already-stopped meter returns the same total and is otherwise a
-// no-op. If an inner meter is still active the totals propagate outward
-// when that meter stops.
+// StartMeter begins accumulating kernel-operation costs.
+func (k *Kernel) StartMeter() Meter {
+	k.meterGen++
+	k.meters = append(k.meters, meterFrame{gen: k.meterGen})
+	return Meter{k: k, depth: len(k.meters) - 1, gen: k.meterGen}
+}
+
+// active reports whether m's frame is still on the kernel's stack.
+func (m *Meter) active() bool {
+	return !m.done && m.depth < len(m.k.meters) && m.k.meters[m.depth].gen == m.gen
+}
+
+// Stop ends accumulation and returns the total accumulated cost, which
+// also counts toward the enclosing meter. Meters must nest: stopping a
+// meter ends every inner meter still active, and their charges count
+// toward it. Stopping an already-stopped meter returns the same total
+// and is otherwise a no-op.
 func (m *Meter) Stop() simtime.Duration {
 	if m.done {
 		return m.total
 	}
 	m.done = true
-	if m.k.meter == m {
-		m.k.meter = m.prev
+	if m.depth >= len(m.k.meters) || m.k.meters[m.depth].gen != m.gen {
+		// An outer meter's Stop ended this one first.
+		return m.total
 	}
-	if m.prev != nil {
-		m.prev.total += m.total
+	for i := len(m.k.meters) - 1; i > m.depth; i-- {
+		m.k.meters[i-1].total += m.k.meters[i].total
+	}
+	m.total = m.k.meters[m.depth].total
+	m.k.meters = m.k.meters[:m.depth]
+	if m.depth > 0 {
+		m.k.meters[m.depth-1].total += m.total
 	}
 	return m.total
 }
 
 // Total returns the cost accumulated so far.
-func (m *Meter) Total() simtime.Duration { return m.total }
+func (m *Meter) Total() simtime.Duration {
+	if m.active() {
+		return m.k.meters[m.depth].total
+	}
+	return m.total
+}
 
 // Charge adds d to the active meter, if any. Kernel-internal code calls
 // this for every modeled operation; charges issued with no active meter
 // are intentionally dropped (they represent background kernel work whose
 // cost the experiment does not measure).
 func (k *Kernel) Charge(d simtime.Duration) {
-	if k.meter != nil {
-		k.meter.total += d
+	if n := len(k.meters); n > 0 {
+		k.meters[n-1].total += d
 	}
 }
 

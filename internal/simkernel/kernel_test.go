@@ -249,7 +249,7 @@ func TestPagemapReturnsDirtyAndCharges(t *testing.T) {
 	k.ClearRefs(p)
 	_ = p.Mem.Touch(v, 5, 7, 2)
 	m := k.StartMeter()
-	dirty := k.ReadPagemap(p)
+	dirty := k.ReadPagemap(p, nil)
 	cost := m.Stop()
 	if len(dirty) != 7 {
 		t.Fatalf("dirty = %d, want 7", len(dirty))

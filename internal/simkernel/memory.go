@@ -80,10 +80,32 @@ type Page struct {
 
 // pagePool recycles page-sized buffers. Copy-on-write copies and
 // CopyPage draw from it; RecyclePage returns buffers whose last holder
-// let go (DESIGN.md §8). It holds array pointers, so putting a buffer
-// back allocates nothing.
-var pagePool = sync.Pool{
-	New: func() any { return new([PageSize]byte) },
+// let go (DESIGN.md §8). It is a free list of array pointers, so putting
+// a buffer back allocates nothing, guarded by a mutex because worlds run
+// in parallel. It keeps at most pagePoolMax buffers (16 MiB); a buffer
+// recycled past that is left to the collector, so a burst of recycling
+// does not pin memory for the rest of the process.
+var pagePool struct {
+	mu   sync.Mutex
+	free []*[PageSize]byte
+}
+
+// pagePoolMax bounds the page pool's free list.
+const pagePoolMax = 4096
+
+// newPage returns a page-sized buffer from the pool, or a fresh one when
+// the pool is empty. Its content is whatever it last held.
+func newPage() *[PageSize]byte {
+	pagePool.mu.Lock()
+	if n := len(pagePool.free); n > 0 {
+		b := pagePool.free[n-1]
+		pagePool.free[n-1] = nil
+		pagePool.free = pagePool.free[:n-1]
+		pagePool.mu.Unlock()
+		return b
+	}
+	pagePool.mu.Unlock()
+	return new([PageSize]byte)
 }
 
 // CopyPage returns a copy of src. A page-sized copy comes from the page
@@ -92,7 +114,7 @@ func CopyPage(src []byte) []byte {
 	if len(src) != PageSize {
 		return append([]byte(nil), src...)
 	}
-	b := pagePool.Get().(*[PageSize]byte)[:]
+	b := newPage()[:]
 	copy(b, src)
 	return b
 }
@@ -106,7 +128,64 @@ func RecyclePage(b []byte) {
 	if len(b) != PageSize || IsStampPage(b) {
 		return
 	}
-	pagePool.Put((*[PageSize]byte)(b))
+	pagePool.mu.Lock()
+	if len(pagePool.free) < pagePoolMax {
+		pagePool.free = append(pagePool.free, (*[PageSize]byte)(b))
+	}
+	pagePool.mu.Unlock()
+}
+
+// PageHolders counts the page stores that share a page buffer. A
+// chain's fan-out hands every captured page to each of its replicas, so
+// several stores hold one buffer, and only the last of them to
+// supersede it may recycle it. A buffer with no entry has one holder,
+// so a pair, which shares nothing, keeps an empty table. One chain's
+// stores live in one world, so the table needs no lock.
+//
+// A count may run high, never low: Release is the only decrement, and a
+// holder that lets go otherwise (a lost image, a store a resync resets
+// or a fence drops) leaves its count in place. A buffer whose count
+// never reaches zero is left to the collector instead of the pool.
+// Entries are keyed by address, so they do not keep buffers alive.
+type PageHolders struct {
+	n map[uintptr]int32
+}
+
+// NewPageHolders returns an empty holder table.
+func NewPageHolders() *PageHolders {
+	return &PageHolders{n: make(map[uintptr]int32)}
+}
+
+// Hold records that n holders now share b, replacing any older count: b
+// is being handed out afresh, and a store that held it before can let
+// go of it only through a reset, never by superseding it, because
+// superseding needs a write, which would have moved the frame off b
+// before it was handed out again. Stamp frames and buffers that are not
+// page-sized are never recycled and are not counted.
+func (h *PageHolders) Hold(b []byte, n int) {
+	if n < 2 || len(b) != PageSize || IsStampPage(b) {
+		return
+	}
+	h.n[uintptr(unsafe.Pointer(unsafe.SliceData(b)))] = int32(n)
+}
+
+// Release records that one holder superseded b and reports whether it
+// was the last, the only one that may recycle the buffer.
+func (h *PageHolders) Release(b []byte) bool {
+	if len(b) == 0 || len(h.n) == 0 {
+		return true
+	}
+	p := uintptr(unsafe.Pointer(unsafe.SliceData(b)))
+	n, ok := h.n[p]
+	if !ok {
+		return true
+	}
+	if n <= 1 {
+		delete(h.n, p)
+		return true
+	}
+	h.n[p] = n - 1
+	return false
 }
 
 // stampArena holds the stamp frames: stampPages[s] is a read-only page
@@ -150,6 +229,9 @@ type AddressSpace struct {
 	k        *Kernel
 	vmas     []*VMA // sorted by Start, non-overlapping
 	resident int    // resident frames across all VMAs
+	// infos caches the VMA records task-diag returns (nil until built).
+	// Only insertVMA and Munmap change the VMA list, and each drops it.
+	infos []VMAInfo
 	// dirty lists, unsorted, the page numbers (address / PageSize) whose
 	// soft-dirty bit is set. A page is appended exactly when its bit goes
 	// from clear to set, so the list holds no duplicates.
@@ -197,6 +279,7 @@ func (as *AddressSpace) Mmap(size uint64, prot Prot, path string, pid int, conta
 // sorted VMA list.
 func (as *AddressSpace) insertVMA(v *VMA) {
 	v.frames = make([]Page, v.Pages())
+	as.infos = nil
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 }
@@ -205,6 +288,7 @@ func (as *AddressSpace) insertVMA(v *VMA) {
 func (as *AddressSpace) Munmap(v *VMA) {
 	for i, x := range as.vmas {
 		if x == v {
+			as.infos = nil
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 			for j := range v.frames {
 				if v.frames[j].Data != nil {
@@ -429,8 +513,14 @@ func (as *AddressSpace) WriteProtectAll() {
 // is set. This is the functional core of a pagemap scan; the procfs
 // wrapper charges the scan cost.
 func (as *AddressSpace) DirtyPageNumbers() []uint64 {
+	return as.AppendDirtyPageNumbers(nil)
+}
+
+// AppendDirtyPageNumbers appends DirtyPageNumbers' result to dst and
+// returns the extended slice.
+func (as *AddressSpace) AppendDirtyPageNumbers(dst []uint64) []uint64 {
 	slices.Sort(as.dirty)
-	return append([]uint64(nil), as.dirty...)
+	return append(dst, as.dirty...)
 }
 
 // ClearSoftDirtyBits clears every page's soft-dirty bit (the functional

@@ -432,3 +432,36 @@ func TestIsStampPage(t *testing.T) {
 		}
 	}
 }
+
+// TestPagePoolReusesAndBounds: a recycled buffer is the next one a copy
+// draws, and the pool keeps at most pagePoolMax buffers however many
+// are recycled.
+func TestPagePoolReusesAndBounds(t *testing.T) {
+	src := bytes.Repeat([]byte{0x5A}, PageSize)
+	b := CopyPage(src)
+	RecyclePage(b)
+	again := CopyPage(src)
+	if &again[0] != &b[0] || !bytes.Equal(again, src) {
+		t.Fatal("CopyPage did not reuse the buffer just recycled")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { RecyclePage(CopyPage(src)) }); allocs != 0 {
+		t.Fatalf("copy and recycle of a pooled page: %.0f allocations, want 0", allocs)
+	}
+
+	bufs := make([][]byte, pagePoolMax+100)
+	for i := range bufs {
+		bufs[i] = make([]byte, PageSize)
+	}
+	for _, b := range bufs {
+		RecyclePage(b)
+	}
+	pagePool.mu.Lock()
+	n := len(pagePool.free)
+	pagePool.mu.Unlock()
+	if n != pagePoolMax {
+		t.Fatalf("pool holds %d buffers after %d recycles, want its bound %d", n, len(bufs), pagePoolMax)
+	}
+	for range bufs {
+		CopyPage(src)
+	}
+}

@@ -403,7 +403,7 @@ func BenchmarkPagemapScan(b *testing.B) {
 		if err := p.Mem.Touch(v, (i*977)%(resident-dirty), dirty, byte(i)); err != nil {
 			b.Fatal(err)
 		}
-		if got := len(k.ReadPagemap(p)); got != dirty {
+		if got := len(k.ReadPagemap(p, nil)); got != dirty {
 			b.Fatalf("pagemap found %d dirty pages, want %d", got, dirty)
 		}
 		k.ClearRefs(p)

@@ -29,8 +29,16 @@ type VMAInfo struct {
 	DirtyPages    int
 }
 
+// vmaInfos returns the VMA records, with the page statistics only when
+// withStats is set. Without them a record depends on the VMA list
+// alone, so the address space keeps the list it returned last time and
+// hands it out again until a VMA is mapped or unmapped.
 func (k *Kernel) vmaInfos(p *Process, withStats bool) []VMAInfo {
-	vmas := p.Mem.VMAs()
+	as := p.Mem
+	if !withStats && as.infos != nil {
+		return as.infos
+	}
+	vmas := as.VMAs()
 	out := make([]VMAInfo, 0, len(vmas))
 	for _, v := range vmas {
 		info := VMAInfo{Start: v.Start, End: v.End, Prot: v.Prot, Path: v.Path, FileOff: v.FileOff}
@@ -46,6 +54,9 @@ func (k *Kernel) vmaInfos(p *Process, withStats bool) []VMAInfo {
 		}
 		out = append(out, info)
 	}
+	if !withStats {
+		as.infos = out[:len(out):len(out)]
+	}
 	return out
 }
 
@@ -60,7 +71,9 @@ func (k *Kernel) ReadSmaps(p *Process) []VMAInfo {
 }
 
 // TaskDiagVMAs reads the VMA list through the netlink task-diag
-// interface: binary records, no page statistics. Cost: per-VMA only.
+// interface: binary records, no page statistics. Cost: per-VMA only,
+// charged on every call. The returned list is shared with later calls
+// until the VMA list changes, so callers must not write it.
 func (k *Kernel) TaskDiagVMAs(p *Process) []VMAInfo {
 	out := k.vmaInfos(p, false)
 	k.ChargeSyscall(scaleDur(k.Costs.NetlinkPerVMA, len(out)))
@@ -74,12 +87,13 @@ func (k *Kernel) ClearRefs(p *Process) {
 	p.Mem.ClearSoftDirtyBits()
 }
 
-// ReadPagemap scans /proc/pid/pagemap and returns the page numbers whose
-// soft-dirty bit is set. Cost is proportional to resident pages, matching
-// the paper's 49K pages → 1441 µs / 111K pages → 2887 µs measurements.
-func (k *Kernel) ReadPagemap(p *Process) []uint64 {
+// ReadPagemap scans /proc/pid/pagemap and appends to dst the page
+// numbers whose soft-dirty bit is set. Cost is proportional to resident
+// pages, matching the paper's 49K pages → 1441 µs / 111K pages → 2887 µs
+// measurements.
+func (k *Kernel) ReadPagemap(p *Process, dst []uint64) []uint64 {
 	k.ChargeSyscall(scaleDur(k.Costs.PagemapPerPage, p.Mem.ResidentPages()))
-	return p.Mem.DirtyPageNumbers()
+	return p.Mem.AppendDirtyPageNumbers(dst)
 }
 
 // scaleDur multiplies a per-unit cost by a count.

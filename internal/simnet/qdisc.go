@@ -51,6 +51,9 @@ type PlugQdisc struct {
 	inputBlocked bool
 	inputMode    InputBlockMode
 	inputBuf     []Packet
+	// inputSpare is the held-input array UnblockInput flushed last,
+	// cleared, for the next block to fill.
+	inputSpare []Packet
 
 	// OnDeliver, when set, observes every packet the qdisc hands to the
 	// container's stack — direct ingress and unblock flushes alike, in
@@ -172,10 +175,16 @@ func (q *PlugQdisc) BlockInput() { q.inputBlocked = true }
 func (q *PlugQdisc) UnblockInput() {
 	q.inputBlocked = false
 	buf := q.inputBuf
-	q.inputBuf = nil
+	if len(buf) == 0 {
+		return
+	}
+	// Anything held while the flush runs goes to the other array.
+	q.inputBuf = q.inputSpare
 	for _, pkt := range buf {
 		q.deliver(pkt)
 	}
+	clear(buf)
+	q.inputSpare = buf[:0]
 }
 
 // Ingress is the bridge-port receiver: it forwards to the container's

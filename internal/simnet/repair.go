@@ -96,8 +96,32 @@ func (s *Socket) SetRestoredAt(t simtime.Time) {
 // SnapshotSocket collects a socket's repair-mode state, charging the
 // per-socket and per-queued-byte costs to the stack's kernel meter.
 func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
-	queued := 0
-	sn := SocketSnapshot{
+	sn, _ := st.SnapshotSocketSince(s, nil)
+	return sn
+}
+
+// SnapshotSocketSince is SnapshotSocket given the socket's previous
+// snapshot prev (nil for none). When the socket's repair-mode state
+// has not changed since prev was taken, it returns *prev, sharing its
+// queues, and same is true. The sequence numbers pin both queues: the write queue holds
+// the bytes in [SndUna, SndNxt), and the read queue can keep its length
+// with RcvNxt unmoved only if nothing arrived and nothing was read. The
+// cost charged is the same either way.
+func (st *Stack) SnapshotSocketSince(s *Socket, prev *SocketSnapshot) (sn SocketSnapshot, same bool) {
+	queued := len(s.recvBuf)
+	for _, sg := range s.sendQ {
+		queued += len(sg.data)
+	}
+	if st.Kernel != nil {
+		c := st.Kernel.Costs
+		st.Kernel.Charge(c.SockRepairPerSocket + scaleKB(c.SockRepairPerKB, queued))
+	}
+	if prev != nil && prev.ID == s.ID && prev.State == s.State &&
+		prev.SndUna == s.sndUna && prev.SndNxt == s.sndNxt && prev.RcvNxt == s.rcvNxt &&
+		len(prev.WriteQueue) == len(s.sendQ) && len(prev.ReadQueue) == len(s.recvBuf) {
+		return *prev, true
+	}
+	sn = SocketSnapshot{
 		ID:         s.ID,
 		State:      s.State,
 		LocalPort:  s.LocalPort,
@@ -109,25 +133,18 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 	}
 	// Write-queue segments are capped views of the send slab, whose
 	// bytes are never written again, so the snapshot shares them. The
-	// read queue is copied: the snapshot's holder may write it, and the
-	// live socket must not see that.
+	// read queue is copied: the live socket's reads and arrivals must
+	// not show through. Holders of a snapshot only read it.
 	if len(s.sendQ) > 0 {
 		sn.WriteQueue = make([]SegmentSnapshot, len(s.sendQ))
 	}
 	for i, sg := range s.sendQ {
-		queued += len(sg.data)
 		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data, FIN: sg.fin}
 	}
 	if len(s.recvBuf) > 0 {
 		sn.ReadQueue = append([]byte(nil), s.recvBuf...)
 	}
-	queued += len(s.recvBuf)
-
-	if st.Kernel != nil {
-		c := st.Kernel.Costs
-		st.Kernel.Charge(c.SockRepairPerSocket + scaleKB(c.SockRepairPerKB, queued))
-	}
-	return sn
+	return sn, false
 }
 
 // RestoreSocket recreates a socket from a snapshot, in repair mode. The

@@ -65,26 +65,57 @@ type EpochRecord struct {
 	Quorum   int
 }
 
-// Timeline accumulates epoch records.
+// Timeline accumulates epoch records. They are kept in blocks, so
+// recording never copies the series to grow it; Records joins the
+// blocks when asked for the series as one slice.
 type Timeline struct {
-	records []EpochRecord
+	blocks [][]EpochRecord
+	n      int
+	// joined is the series Records last returned (nil: not built, or a
+	// record arrived since).
+	joined []EpochRecord
 }
 
+// timelineBlock is the number of records per block.
+const timelineBlock = 512
+
 // Record appends one epoch.
-func (tl *Timeline) Record(r EpochRecord) { tl.records = append(tl.records, r) }
+func (tl *Timeline) Record(r EpochRecord) {
+	last := len(tl.blocks) - 1
+	if last < 0 || len(tl.blocks[last]) == cap(tl.blocks[last]) {
+		// Blocks double from 16 records up to timelineBlock.
+		tl.blocks = append(tl.blocks, make([]EpochRecord, 0, min(timelineBlock, max(16, tl.n))))
+		last++
+	}
+	tl.blocks[last] = append(tl.blocks[last], r)
+	tl.n++
+	tl.joined = nil
+}
 
 // Len returns the number of recorded epochs.
-func (tl *Timeline) Len() int { return len(tl.records) }
+func (tl *Timeline) Len() int { return tl.n }
 
 // Records returns the recorded series (shared slice; do not mutate).
-func (tl *Timeline) Records() []EpochRecord { return tl.records }
+func (tl *Timeline) Records() []EpochRecord {
+	switch {
+	case tl.joined != nil, tl.n == 0:
+	case len(tl.blocks) == 1:
+		tl.joined = tl.blocks[0]
+	default:
+		tl.joined = make([]EpochRecord, 0, tl.n)
+		for _, b := range tl.blocks {
+			tl.joined = append(tl.joined, b...)
+		}
+	}
+	return tl.joined
+}
 
 // Pairs returns the distinct pair tags present, in first-appearance
 // order (deterministic: records are appended in virtual-time order).
 func (tl *Timeline) Pairs() []string {
 	var out []string
 	seen := make(map[string]bool)
-	for _, r := range tl.records {
+	for _, r := range tl.Records() {
 		if !seen[r.Pair] {
 			seen[r.Pair] = true
 			out = append(out, r.Pair)
@@ -96,7 +127,7 @@ func (tl *Timeline) Pairs() []string {
 // RecordsFor returns the records of one pair, in recording order.
 func (tl *Timeline) RecordsFor(pair string) []EpochRecord {
 	var out []EpochRecord
-	for _, r := range tl.records {
+	for _, r := range tl.Records() {
 		if r.Pair == pair {
 			out = append(out, r)
 		}
@@ -110,7 +141,7 @@ func (tl *Timeline) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, "epoch,at_ms,stop_us,freeze_us,memcopy_us,sockcoll_us,state_bytes,dirty_pages,transfer_us,ack_us,commit_us,inflight,wire_bytes,full_frames,delta_frames,zero_frames,dedup_frames,lease,replicas,quorum,pair"); err != nil {
 		return err
 	}
-	for _, r := range tl.records {
+	for _, r := range tl.Records() {
 		lease := r.Lease
 		if lease == "" {
 			lease = "off"

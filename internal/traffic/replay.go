@@ -46,8 +46,8 @@ type Replayer struct {
 
 	conns    []Conn
 	slow     []bool
-	inflight [][]pending
-	queued   [][]queuedReq
+	inflight []fifo[pending]
+	queued   []fifo[queuedReq]
 
 	next        int // cursor into tr.Reqs; the scheduled arrival is Reqs[next-1]
 	start       simtime.Time
@@ -68,8 +68,8 @@ func NewReplayer(clock *simtime.Clock, tr *Trace, judge *Judge) *Replayer {
 		judge:       judge,
 		conns:       make([]Conn, tr.Header.Clients),
 		slow:        make([]bool, tr.Header.Clients),
-		inflight:    make([][]pending, tr.Header.Clients),
-		queued:      make([][]queuedReq, tr.Header.Clients),
+		inflight:    make([]fifo[pending], tr.Header.Clients),
+		queued:      make([]fifo[queuedReq], tr.Header.Clients),
 		nextChildID: maxID(tr),
 	}
 	for _, s := range tr.Header.SlowClients {
@@ -138,8 +138,8 @@ func (r *Replayer) arrive(p pending, req Request) {
 		r.judge.Arrived(p.arrival)
 	}
 	cidx := req.Client
-	if r.slow[cidx] && len(r.inflight[cidx]) >= slowClientDepth {
-		r.queued[cidx] = append(r.queued[cidx], queuedReq{p: p, req: req})
+	if r.slow[cidx] && r.inflight[cidx].len() >= slowClientDepth {
+		r.queued[cidx].push(queuedReq{p: p, req: req})
 		r.queuedNow++
 		return
 	}
@@ -147,7 +147,7 @@ func (r *Replayer) arrive(p pending, req Request) {
 }
 
 func (r *Replayer) send(client int, p pending, req Request) {
-	r.inflight[client] = append(r.inflight[client], p)
+	r.inflight[client].push(p)
 	r.issued++
 	r.conns[client].Send(req)
 }
@@ -157,13 +157,11 @@ func (r *Replayer) send(client int, p pending, req Request) {
 // the request's dependent fanout children, and drains the client-side
 // queue if the client is slow.
 func (r *Replayer) Completed(client int) {
-	q := r.inflight[client]
-	if len(q) == 0 {
+	if r.inflight[client].len() == 0 {
 		// A reply with nothing in flight is a transport accounting bug.
 		panic(fmt.Sprintf("traffic: completion on client %d with no in-flight request", client))
 	}
-	p := q[0]
-	r.inflight[client] = q[1:]
+	p := r.inflight[client].pop()
 	now := r.clock.Now()
 	if r.judge != nil {
 		r.judge.Completed(p.arrival, now)
@@ -183,9 +181,8 @@ func (r *Replayer) Completed(client int) {
 		r.arrive(pending{arrival: now, key: child.Key, size: child.Size}, child)
 	}
 	// Slow-client drain: one completion frees one in-flight slot.
-	for r.slow[client] && len(r.queued[client]) > 0 && len(r.inflight[client]) < slowClientDepth {
-		qr := r.queued[client][0]
-		r.queued[client] = r.queued[client][1:]
+	for r.slow[client] && r.queued[client].len() > 0 && r.inflight[client].len() < slowClientDepth {
+		qr := r.queued[client].pop()
 		r.queuedNow--
 		r.send(client, qr.p, qr.req)
 	}
@@ -204,8 +201,8 @@ func childKey(parent uint64, i, keys int) uint64 {
 // Outstanding returns the requests in flight on the wire.
 func (r *Replayer) Outstanding() int {
 	n := 0
-	for _, q := range r.inflight {
-		n += len(q)
+	for i := range r.inflight {
+		n += r.inflight[i].len()
 	}
 	return n
 }
@@ -219,3 +216,34 @@ func (r *Replayer) Issued() int { return r.issued }
 
 // Done reports whether every trace arrival has fired.
 func (r *Replayer) Done() bool { return r.next >= len(r.tr.Reqs) }
+
+// fifo is a first-in first-out queue of values; items[head:] is the
+// queue. Popping leaves the array in place, an emptied queue starts
+// again at its array's front, and a queue whose consumed prefix is at
+// least half its array moves back to the front, so a queue that never
+// empties keeps a bounded array instead of re-slicing forward into a
+// new one.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() T {
+	var zero T
+	v := q.items[q.head]
+	q.items[q.head] = zero
+	q.head++
+	switch {
+	case q.head == len(q.items):
+		q.items, q.head = q.items[:0], 0
+	case q.head >= 16 && 2*q.head >= len(q.items):
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v
+}

@@ -85,8 +85,12 @@ type Judge struct {
 	slo     SLO
 	start   simtime.Time
 	started bool
-	windows []*window
-	total   metrics.Histogram
+	// blocks holds the windows, windowBlock to a block, so a run's
+	// windows cost one allocation per block and never move; nwin counts
+	// the windows materialized so far.
+	blocks [][]window
+	nwin   int
+	total  metrics.Histogram
 
 	arrivals    int
 	completions int
@@ -109,16 +113,23 @@ func (j *Judge) Start(t simtime.Time) {
 	j.started = true
 }
 
+// windowBlock is the number of windows per allocated block.
+const windowBlock = 64
+
 func (j *Judge) win(t simtime.Time) *window {
 	idx := 0
 	if j.started && t > j.start {
 		idx = int(int64(t-j.start) / int64(j.slo.Window))
 	}
-	for len(j.windows) <= idx {
-		j.windows = append(j.windows, &window{})
+	for len(j.blocks)*windowBlock <= idx {
+		j.blocks = append(j.blocks, make([]window, windowBlock))
 	}
-	return j.windows[idx]
+	j.nwin = max(j.nwin, idx+1)
+	return j.window(idx)
 }
+
+// window returns window i, which must be materialized.
+func (j *Judge) window(i int) *window { return &j.blocks[i/windowBlock][i%windowBlock] }
 
 // Arrived records one open-loop arrival at t.
 func (j *Judge) Arrived(t simtime.Time) {
@@ -195,7 +206,8 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	_ = j.win(end) // materialize trailing silent windows
 	rep := Report{
 		SLO:          j.slo,
-		TotalWindows: len(j.windows),
+		TotalWindows: j.nwin,
+		Windows:      make([]WindowStat, 0, j.nwin),
 		Arrivals:     j.arrivals,
 		Completions:  j.completions,
 		Outstanding:  j.arrivals - j.completions,
@@ -212,7 +224,8 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	lastDone := simtime.Duration(0)
 	var violSamples int
 	var violFactor [numFactors]int
-	for i, w := range j.windows {
+	for i := 0; i < j.nwin; i++ {
+		w := j.window(i)
 		cumArr += w.arrivals
 		cumDone += w.completions
 		ws := WindowStat{

@@ -178,6 +178,10 @@ func Synthesize(cfg SynthConfig) *Trace {
 	xm := meanGap * (cfg.ParetoAlpha - 1) / cfg.ParetoAlpha
 	t := 0.0 // seconds
 	dur := cfg.Duration.Seconds()
+	// Size the request list for the expected arrivals plus three
+	// standard deviations, so a constant-rate trace never regrows it.
+	want := cfg.Rate * dur
+	tr.Reqs = make([]Request, 0, int(want+3*math.Sqrt(want))+1)
 	var id uint64
 	for {
 		var gap float64

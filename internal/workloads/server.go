@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"nilicon/internal/container"
 	"nilicon/internal/simfs"
@@ -46,24 +47,42 @@ type serverState struct {
 }
 
 func (st *serverState) clone() *serverState {
-	n := len(st.Keys)
+	// Keys, HeapStarts and Errors are append-only (HeapStarts is set at
+	// install and never changes after), so the snapshot shares them; the
+	// capacity caps make the next append on either side copy, so neither
+	// ever writes into the other's view.
 	cp := &serverState{
-		// The capacity cap makes the next append on either side copy,
-		// so neither ever writes into the other's view of the log.
-		Keys:       st.Keys[:n:n],
-		HeapStarts: append([]uint64(nil), st.HeapStarts...),
-		ReaderBufs: make(map[connID][]byte, len(st.ReaderBufs)),
-		WebCursors: append([]int(nil), st.WebCursors...),
-		Errors:     append([]string(nil), st.Errors...),
+		Keys:       st.Keys[:len(st.Keys):len(st.Keys)],
+		HeapStarts: st.HeapStarts[:len(st.HeapStarts):len(st.HeapStarts)],
+		Errors:     st.Errors[:len(st.Errors):len(st.Errors)],
+	}
+	if len(st.WebCursors) > 0 {
+		cp.WebCursors = append([]int(nil), st.WebCursors...)
 	}
 	// Request payloads are immutable once parsed (the server reads and
 	// drops them), so the snapshot shares them and copies only the
 	// queue structure.
-	cp.Pending = append([]pendingReq(nil), st.Pending...)
-	for k, v := range st.ReaderBufs {
-		cp.ReaderBufs[k] = append([]byte(nil), v...)
+	if len(st.Pending) > 0 {
+		cp.Pending = append([]pendingReq(nil), st.Pending...)
+	}
+	if len(st.ReaderBufs) > 0 {
+		cp.ReaderBufs = make(map[connID][]byte, len(st.ReaderBufs))
+		for k, v := range st.ReaderBufs {
+			cp.ReaderBufs[k] = append([]byte(nil), v...)
+		}
 	}
 	return cp
+}
+
+// sameAs reports whether st holds the same state as snap, a snapshot
+// taken of it earlier: the append-only lists have not grown, nothing is
+// pending or buffered on either side, and the cursors match.
+func (st *serverState) sameAs(snap *serverState) bool {
+	return len(st.Keys) == len(snap.Keys) && len(st.Errors) == len(snap.Errors) &&
+		len(st.HeapStarts) == len(snap.HeapStarts) &&
+		len(st.Pending) == 0 && len(snap.Pending) == 0 &&
+		len(st.ReaderBufs) == 0 && len(snap.ReaderBufs) == 0 &&
+		slices.Equal(st.WebCursors, snap.WebCursors)
 }
 
 type worker struct {
@@ -89,7 +108,11 @@ type Server struct {
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
 	out     []byte // respond's frame buffer; Socket.Send copies it
-	value   []byte // a GET's record, read from the heap; respond copies it
+	// lastSnap is the last snapshot SnapshotState returned, shared
+	// again while the state stays the same (nil after a state change
+	// of another kind: install or restore).
+	lastSnap *serverState
+	value    []byte // a GET's record, read from the heap; respond copies it
 
 	processed int64
 }
@@ -114,19 +137,29 @@ func (sv *Server) State() *serverState { return sv.state }
 func (sv *Server) SnapshotState() any {
 	// Partial frame bytes live in the reader objects; sync them into
 	// the checkpointed state first.
-	sv.state.ReaderBufs = make(map[connID][]byte, len(sv.readers))
+	sv.state.ReaderBufs = nil
 	for id, fr := range sv.readers {
 		if fr.Buffered() > 0 {
-			sv.state.ReaderBufs[id] = append([]byte(nil), fr.buf[fr.off:]...)
+			if sv.state.ReaderBufs == nil {
+				sv.state.ReaderBufs = make(map[connID][]byte)
+			}
+			sv.state.ReaderBufs[id] = fr.buf[fr.off:]
 		}
 	}
-	return sv.state.clone()
+	if last := sv.lastSnap; last != nil && sv.state.sameAs(last) {
+		// Nothing changed since the last snapshot, which is read-only:
+		// share it.
+		return last
+	}
+	sv.lastSnap = sv.state.clone()
+	return sv.lastSnap
 }
 
 // RestoreState replaces the application state and rebuilds the key
 // index from the record log (O(keys), once per restore).
 func (sv *Server) RestoreState(s any) {
 	sv.state = s.(*serverState).clone()
+	sv.lastSnap = nil
 	sv.index = make(map[uint64]int, len(sv.state.Keys))
 	for slot, key := range sv.state.Keys {
 		sv.index[key] = slot
@@ -137,6 +170,7 @@ func (sv *Server) RestoreState(s any) {
 func (sv *Server) Install(ctr *container.Container) {
 	sv.ctr = ctr
 	sv.state = &serverState{ReaderBufs: make(map[connID][]byte)}
+	sv.lastSnap = nil
 	sv.index = make(map[uint64]int)
 	sv.readers = make(map[connID]*FrameReader)
 	sv.conns = make(map[connID]*simnet.Socket)

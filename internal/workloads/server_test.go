@@ -120,12 +120,19 @@ func snapshotCost(t *testing.T, keys int) (allocs float64, bytes uint64) {
 	if errs := sv.AppErrors(); len(errs) > 0 {
 		t.Fatalf("%d keys: server errors: %v", keys, errs)
 	}
+	// Forgetting the last snapshot makes every call take a fresh one,
+	// as after a state change; an unchanged state shares its last
+	// snapshot and allocates nothing.
+	snapshot := func() {
+		sv.lastSnap = nil
+		_ = sv.SnapshotState()
+	}
 	const runs = 50
-	allocs = testing.AllocsPerRun(runs, func() { _ = sv.SnapshotState() })
+	allocs = testing.AllocsPerRun(runs, snapshot)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		_ = sv.SnapshotState()
+		snapshot()
 	}
 	runtime.ReadMemStats(&after)
 	return allocs, (after.TotalAlloc - before.TotalAlloc) / runs
@@ -143,6 +150,34 @@ func TestSnapshotStateCostIndependentOfKeys(t *testing.T) {
 	if bigAllocs > smallAllocs+2 || bigBytes > smallBytes+slackBytes {
 		t.Errorf("SnapshotState at 20,000 keys costs %.0f allocs, %d B; want within 2 allocs and %d B of the 100-key cost (%.0f allocs, %d B)",
 			bigAllocs, bigBytes, slackBytes, smallAllocs, smallBytes)
+	}
+}
+
+// TestSnapshotStateSharedWhileUnchanged: a server whose state did not
+// change since its last snapshot hands out that snapshot again, and a
+// change (a new key) makes the next snapshot fresh, while the shared
+// one keeps what it held.
+func TestSnapshotStateSharedWhileUnchanged(t *testing.T) {
+	sv := newStandaloneServer(Redis().Profile())
+	setKey(sv, 1)
+	first := sv.SnapshotState()
+	if allocs := testing.AllocsPerRun(20, func() {
+		if sv.SnapshotState() != first {
+			t.Fatal("an unchanged server took a fresh snapshot")
+		}
+	}); allocs != 0 {
+		t.Fatalf("snapshot of an unchanged server: %.0f allocations, want 0", allocs)
+	}
+	setKey(sv, 2)
+	next := sv.SnapshotState()
+	if next == first {
+		t.Fatal("a new key did not make a fresh snapshot")
+	}
+	if got, want := len(first.(*serverState).Keys), 1; got != want {
+		t.Fatalf("the shared snapshot holds %d keys after a later set, want %d", got, want)
+	}
+	if got := len(next.(*serverState).Keys); got != 2 {
+		t.Fatalf("the fresh snapshot holds %d keys, want 2", got)
 	}
 }
 

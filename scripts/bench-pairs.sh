@@ -1,18 +1,29 @@
 #!/usr/bin/env bash
 # Runs the benchmark on a base revision and on the working tree in
 # alternating pairs, and prints each side's median and quartiles of one
-# metric plus how many pairs the working tree won.
+# metric, how many pairs the working tree won, and the verdict on a
+# claimed gain.
 #
 #   scripts/bench-pairs.sh REV WORKLOAD N [bench flags]
 #   scripts/bench-pairs.sh HEAD kv-replay 10 -seed 1
+#   ALL=1 scripts/bench-pairs.sh HEAD redis-failover 4 -seconds 1
 #
-# REV is checked out in a temporary git worktree (removed on exit).
-# Both sides build and run through `bash bench/run.sh -workload
-# WORKLOAD [bench flags]` from their own checkout. Pair i runs the base
-# first when i is odd and the working tree first when i is even. METRIC
-# (default sim_speed_x) names the metric; BETTER (default: the direction
-# BENCHMARK.json gives it) is "higher" or "lower". A run that exits
-# non-zero stops the script.
+# REV is exported with git archive into a temporary directory (removed
+# on exit). Both sides build and run through `bash bench/run.sh
+# -workload WORKLOAD [bench flags]` from their own tree. Pair i runs the
+# base first when i is odd and the working tree first when i is even.
+# METRIC (default sim_speed_x) names the metric; BETTER (default: the
+# direction BENCHMARK.json gives it) is "higher" or "lower".
+#
+# The verdict holds a claimed gain to the rule the benchmark's gate
+# applies: the working tree wins at least nine in ten pairs, and the gap
+# between the medians exceeds the base's interquartile range.
+#
+# ALL=1 also prints, for every end-to-end metric of BENCHMARK.json, the
+# base and working-tree medians beside the metric's bound, and flags a
+# metric whose median got worse by more than its bound (a relative
+# change). Flags are reported, not fatal: one short pair is noisy. A run
+# that exits non-zero stops the script.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -29,30 +40,29 @@ case $pairs in
 esac
 root=$(git rev-parse --show-toplevel)
 metric=${METRIC:-sim_speed_x}
-better=${BETTER:-$(tr -d ' \n' <"$root/BENCHMARK.json" |
+spec=$(tr -d ' \n\t' <"$root/BENCHMARK.json")
+better=${BETTER:-$(printf '%s' "$spec" |
 	sed -n "s/.*{\"name\":\"$metric\",\"unit\":\"[^\"]*\",\"better\":\"\([a-z]*\)\".*/\1/p")}
 if [ "$better" != higher ] && [ "$better" != lower ]; then
 	echo "$0: no direction for metric $metric; set BETTER=higher or BETTER=lower" >&2
 	exit 2
 fi
 
-base=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$base" >/dev/null 2>&1 || true
-	rm -rf "$base"
-}
-trap cleanup EXIT
-rm -rf "$base"
-git -C "$root" worktree add --quiet --detach "$base" "$rev"
-baserev=$(git -C "$base" rev-parse --short HEAD)
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+base="$work/base"
+mkdir "$base"
+baserev=$(git -C "$root" rev-parse --short "$rev")
+git -C "$root" archive "$rev" | tar -x -C "$base"
 
-# run DIR [bench flags] prints the metric's value from one run in
-# checkout DIR.
+# run DIR OUT [bench flags] runs the benchmark in tree DIR, keeps its
+# result line in OUT and prints the metric's value.
 run() {
-	local dir=$1 line v
-	shift
+	local dir=$1 out=$2 line v
+	shift 2
 	line=$(cd "$dir" && bash bench/run.sh -workload "$workload" "$@" | tail -n 1)
-	v=$(printf '%s\n' "$line" | sed -n "s/.*\"$metric\":{\"value\":\([-0-9.e+]*\).*/\1/p")
+	printf '%s\n' "$line" >"$out"
+	v=$(value "$metric" <"$out")
 	if [ -z "$v" ]; then
 		echo "$0: no $metric in the run's result line: $line" >&2
 		return 1
@@ -60,15 +70,20 @@ run() {
 	printf '%s\n' "$v"
 }
 
+# value NAME prints metric NAME's value from the result line on stdin.
+value() {
+	sed -n "s/.*\"$1\":{\"value\":\([-0-9.e+]*\).*/\1/p"
+}
+
 bases=() changes=()
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2 == 1)); then
-		b=$(run "$base" "$@")
-		c=$(run "$root" "$@")
+		b=$(run "$base" "$work/base.$i" "$@")
+		c=$(run "$root" "$work/change.$i" "$@")
 		order="base first"
 	else
-		c=$(run "$root" "$@")
-		b=$(run "$base" "$@")
+		c=$(run "$root" "$work/change.$i" "$@")
+		b=$(run "$base" "$work/base.$i" "$@")
 		order="change first"
 	fi
 	bases+=("$b")
@@ -76,24 +91,61 @@ for ((i = 1; i <= pairs; i++)); do
 	echo "pair $i ($order): base $b  change $c"
 done
 
-# summary NAME VALUES... prints median and quartiles (linear
-# interpolation between order statistics).
-summary() {
-	local name=$1
-	shift
-	printf '%s\n' "$@" | sort -g | awk -v name="$name" '
+# stats VALUES... prints the median, first and third quartiles
+# (linear interpolation between order statistics).
+stats() {
+	printf '%s\n' "$@" | sort -g | awk '
 		{ v[NR] = $1 }
 		function q(p,   h, l) {
 			h = (NR - 1) * p + 1
 			l = int(h)
 			return l >= NR ? v[NR] : v[l] + (h - l) * (v[l + 1] - v[l])
 		}
-		END { printf "%-28s median %.4g  Q1 %.4g  Q3 %.4g  IQR %.4g\n", name, q(0.5), q(0.25), q(0.75), q(0.75) - q(0.25) }'
+		END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
+read -r bmed bq1 bq3 <<<"$(stats "${bases[@]}")"
+read -r cmed cq1 cq3 <<<"$(stats "${changes[@]}")"
 echo "$metric ($better is better), workload $workload, $pairs pairs, flags: ${*:-none}"
-summary "base ($baserev)" "${bases[@]}"
-summary "change (working tree)" "${changes[@]}"
-paste -d ' ' <(printf '%s\n' "${bases[@]}") <(printf '%s\n' "${changes[@]}") | awk -v better="$better" '
+awk -v n="base ($baserev)" -v m="$bmed" -v a="$bq1" -v b="$bq3" \
+	'BEGIN { printf "%-28s median %.4g  Q1 %.4g  Q3 %.4g  IQR %.4g\n", n, m, a, b, b - a }'
+awk -v n="change (working tree)" -v m="$cmed" -v a="$cq1" -v b="$cq3" \
+	'BEGIN { printf "%-28s median %.4g  Q1 %.4g  Q3 %.4g  IQR %.4g\n", n, m, a, b, b - a }'
+paste -d ' ' <(printf '%s\n' "${bases[@]}") <(printf '%s\n' "${changes[@]}") |
+	awk -v better="$better" -v bmed="$bmed" -v cmed="$cmed" -v iqr="$(awk -v a="$bq1" -v b="$bq3" 'BEGIN { print b - a }')" '
 	{ if ($2 == $1) ties++; else if ((better == "higher") == ($2 > $1)) wins++ }
-	END { printf "change wins %d of %d pairs (%d ties)\n", wins, NR, ties }'
+	END {
+		printf "change wins %d of %d pairs (%d ties)\n", wins, NR, ties
+		gap = better == "higher" ? cmed - bmed : bmed - cmed
+		need = int((9 * NR + 9) / 10)
+		ok = wins >= need && gap > iqr
+		printf "verdict: %s (needs >= %d of %d pairs won and a median gap %.4g > base IQR %.4g)\n",
+			ok ? "gain shown" : "gain not shown", need, NR, gap, iqr
+	}'
+
+if [ "${ALL:-0}" = 1 ]; then
+	echo "end-to-end medians (base, change, relative change, bound; WORSE: worse by more than the bound)"
+	printf '%s\n' "$spec" | sed -n 's/.*"end_to_end":\[\([^]]*\)\].*/\1/p' | sed 's/},{/}\n{/g' |
+		sed -n 's/.*"name":"\([^"]*\)".*"better":"\([a-z]*\)","bound":\([-0-9.e+]*\).*/\1 \2 \3/p' |
+		while read -r name dir bound; do
+			bv=() cv=()
+			for ((i = 1; i <= pairs; i++)); do
+				b=$(value "$name" <"$work/base.$i")
+				c=$(value "$name" <"$work/change.$i")
+				[ -n "$b" ] && bv+=("$b")
+				[ -n "$c" ] && cv+=("$c")
+			done
+			if [ ${#bv[@]} -eq 0 ] || [ ${#cv[@]} -eq 0 ]; then
+				printf '  %-16s not reported\n' "$name"
+				continue
+			fi
+			read -r bm _ _ <<<"$(stats "${bv[@]}")"
+			read -r cm _ _ <<<"$(stats "${cv[@]}")"
+			awk -v name="$name" -v dir="$dir" -v bound="$bound" -v b="$bm" -v c="$cm" 'BEGIN {
+				rel = b == 0 ? (c == 0 ? 0 : (c > 0 ? 1 : -1)) : (c - b) / (b < 0 ? -b : b)
+				worse = dir == "higher" ? -rel > bound : rel > bound
+				printf "  %-16s base %-12.6g change %-12.6g %+8.2f%%  bound %g%%%s\n",
+					name, b, c, 100 * rel, 100 * bound, worse ? "  WORSE" : ""
+			}'
+		done
+fi
