@@ -103,15 +103,6 @@ func TestFleetChainSteadyState(t *testing.T) {
 			t.Fatalf("pair %s spans %d zones, want 3", pr.ID, len(zones))
 		}
 	}
-
-	tb, err := f.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := strings.Join(tb.Headers, " ")
-	if !strings.Contains(hdr, "Replicas") || !strings.Contains(hdr, "Quorum") {
-		t.Fatalf("summary header missing chain columns: %s", hdr)
-	}
 }
 
 // TestFleetChainZoneKill: killing an entire failure domain never loses a
@@ -231,30 +222,5 @@ func TestDetectorThreeSimultaneousKillsNoInnocentConviction(t *testing.T) {
 		if !killed[h.Index] && !h.Alive {
 			t.Fatalf("innocent host %s convicted by the sweep", h.Name)
 		}
-	}
-}
-
-// TestFleetChainSummaryKeyedRows: the chain summary keys every row by
-// pair ID — one row per pair, every ID present, and a duplicate key is
-// rejected rather than silently shadowing a pair's chain columns.
-func TestFleetChainSummaryKeyedRows(t *testing.T) {
-	clock, f := newTestFleet(t, chainParams(15))
-	f.Start()
-	clock.RunFor(900 * simtime.Millisecond)
-
-	tb, err := f.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != len(f.Pairs) {
-		t.Fatalf("summary rows = %d, want %d", tb.NumRows(), len(f.Pairs))
-	}
-	for _, pr := range f.Pairs {
-		if !tb.HasKey(pr.ID) {
-			t.Fatalf("summary missing pair %s", pr.ID)
-		}
-	}
-	if err := tb.AddKeyedRow(f.Pairs[0].ID, "dup"); err == nil {
-		t.Fatal("duplicate pair key accepted; chain columns could be silently shadowed")
 	}
 }

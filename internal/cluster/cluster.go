@@ -558,33 +558,3 @@ func (f *Fleet) WireBytes() int64 {
 	}
 	return n
 }
-
-// Summary renders the fleet state as a keyed table (one row per pair;
-// the keying is what makes concurrent replicators collide loudly rather
-// than silently if two pairs ever shared an ID).
-func (f *Fleet) Summary() (*metrics.Table, error) {
-	tb := metrics.NewTable("Fleet: protected pairs",
-		"Pair", "State", "Pri", "Bak", "Replicas", "Quorum", "Epochs", "Released", "Committed", "Failovers", "Fences", "Reprotects", "Lease")
-	for _, pr := range f.Pairs {
-		lead := pr.Repl.LeadSlot()
-		rel, relOK := pr.Repl.ReleasedEpoch()
-		com, comOK := pr.Repl.ReplicaAgent(lead).CommittedEpoch()
-		relS, comS := "-", "-"
-		if relOK {
-			relS = fmt.Sprintf("%d", rel)
-		}
-		if comOK {
-			comS = fmt.Sprintf("%d", com)
-		}
-		err := tb.AddKeyedRow(pr.ID, pr.ID, pr.State.String(),
-			f.Hosts[pr.PrimaryHost].Name, f.Hosts[pr.ReplicaHosts[lead]].Name,
-			fmt.Sprintf("%d", f.liveBackups(pr)+1), fmt.Sprintf("%d", pr.Repl.Quorum()),
-			fmt.Sprintf("%d", pr.Repl.Epochs()), relS, comS,
-			fmt.Sprintf("%d", pr.Failovers), fmt.Sprintf("%d", pr.Fences),
-			fmt.Sprintf("%d", pr.Reprotects), pr.Repl.LeaseState().String())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return tb, nil
-}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 // TestPlacementAntiAffinity: the fleet's placement engine puts pair p's
@@ -77,7 +78,12 @@ func TestFleetSteadyState(t *testing.T) {
 		t.Fatalf("timeline pairs = %v, want 4 distinct", pairs)
 	}
 	for _, id := range pairs {
-		recs := f.Timeline.RecordsFor(id)
+		var recs []trace.EpochRecord
+		for _, r := range f.Timeline.Records() {
+			if r.Pair == id {
+				recs = append(recs, r)
+			}
+		}
 		if len(recs) == 0 {
 			t.Fatalf("pair %s has no timeline records", id)
 		}
@@ -86,21 +92,6 @@ func TestFleetSteadyState(t *testing.T) {
 				t.Fatalf("pair %s epoch series not increasing: %d then %d",
 					id, recs[i-1].Epoch, recs[i].Epoch)
 			}
-		}
-	}
-
-	// The summary table is keyed by pair ID; every pair renders exactly
-	// one row and a duplicate would have errored.
-	tb, err := f.Summary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 4 {
-		t.Fatalf("summary rows = %d", tb.NumRows())
-	}
-	for _, pr := range f.Pairs {
-		if !tb.HasKey(pr.ID) {
-			t.Fatalf("summary missing pair %s", pr.ID)
 		}
 	}
 

@@ -349,16 +349,6 @@ func (c *Container) StartKeepAlive(interval simtime.Duration) *Task {
 	return c.keepAlive
 }
 
-// TotalResidentPages sums resident pages across the container's
-// processes.
-func (c *Container) TotalResidentPages() int {
-	n := 0
-	for _, p := range c.Procs {
-		n += p.Mem.ResidentPages()
-	}
-	return n
-}
-
 func (c *Container) String() string {
 	return fmt.Sprintf("container{%s on %s, procs=%d, frozen=%v}", c.ID, c.Host.Name, len(c.Procs), c.frozen)
 }

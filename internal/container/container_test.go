@@ -46,7 +46,7 @@ func TestAddProcessJoinsCgroupWithLibs(t *testing.T) {
 	if p.ContainerID != "c1" {
 		t.Fatal("container id not set")
 	}
-	if len(ctr.Cgroup.Members()) != 1 {
+	if pids := h.Kernel.CollectCgroup(ctr.Cgroup).PIDs; len(pids) != 1 || pids[0] != p.PID {
 		t.Fatal("process not in cgroup")
 	}
 	if len(p.Mem.MappedFiles()) != 3 {
@@ -310,16 +310,5 @@ func TestEgressHeldWhileReplicating(t *testing.T) {
 	clock.RunFor(50 * simtime.Millisecond)
 	if string(reply) != "held" {
 		t.Fatalf("after release reply = %q", reply)
-	}
-}
-
-func TestTotalResidentPages(t *testing.T) {
-	h, _ := newTestHost()
-	ctr := Create(h, Spec{ID: "c1", IP: "ip"})
-	p := ctr.AddProcess("a", 0)
-	v := p.Mem.Mmap(10*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, "c1")
-	_ = p.Mem.Touch(v, 0, 5, 1)
-	if ctr.TotalResidentPages() != 5 {
-		t.Fatalf("resident = %d", ctr.TotalResidentPages())
 	}
 }

@@ -130,11 +130,9 @@ type BackupAgent struct {
 	promotePending bool
 	promoteTimer   *simtime.Timer
 	// freeAcks recycles log acknowledgments (logAck) and freeMsgs epoch
-	// acknowledgments and reverse liveness beats (ackMsg). nackFn is the
-	// primary's NACK handler, bound once.
+	// acknowledgments and reverse liveness beats (ackMsg).
 	freeAcks []*logAck
 	freeMsgs []*ackMsg
-	nackFn   func()
 	// networkLive is set when the restored container's sockets go live
 	// after a promotion (the instant the replica starts serving).
 	networkLive bool
@@ -167,7 +165,6 @@ func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
 		store:    criu.NewPageStore(cfg.Opts.OptimizeCRIU),
 	}
 	b.promoteTimer = simtime.NewTimer(cl.Clock, b.promoteBarrierReached)
-	b.nackFn = r.nackReceived
 	return b
 }
 
@@ -354,7 +351,7 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 // sendResync NACKs the current state to the primary: epochs were lost
 // and only a full resynchronization baseline can resume commits.
 func (b *BackupAgent) sendResync() {
-	b.cl.AckLink.TransferExpress(16, b.nackFn)
+	b.cl.AckLink.TransferExpress(16, b.r.nackReceived)
 }
 
 // ackMsg is one epoch acknowledgment (or, with beat set, reverse

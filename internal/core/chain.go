@@ -59,9 +59,6 @@ type replicaSlot struct {
 	// lag mirrors this replica's epoch-ack lag behind the newest
 	// checkpoint for the metrics layer.
 	lag metrics.Gauge
-
-	// beatFn is the agent's heartbeat arrival, bound once.
-	beatFn func()
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
@@ -220,7 +217,7 @@ func (r *Replicator) flowFor(i int) string {
 func (r *Replicator) newSlot(idx int, view *Cluster, agent *BackupAgent) *replicaSlot {
 	agent.slot = idx
 	flow := r.flowFor(idx)
-	return &replicaSlot{idx: idx, view: view, agent: agent, flow: flow, logFlow: flow + "/log", beatFn: agent.heartbeatArrived}
+	return &replicaSlot{idx: idx, view: view, agent: agent, flow: flow, logFlow: flow + "/log"}
 }
 
 // live reports whether the slot receives the chain's traffic: not

@@ -404,21 +404,18 @@ func (b *BackupAgent) startSupersedeBeacon() {
 		return
 	}
 	b.beaconTicks = int(supersedeFor / heartbeatInterval)
-	r := b.r
-	standDown := func() { b.standDown = true }
-	seen := func() {
-		if r.supersededSeen() {
-			// Stand-down acknowledgment rides the old primary→backup
-			// direction.
-			b.cl.ReplLink.TransferExpress(16, standDown)
-		}
-	}
 	b.beacon = simtime.NewTicker(b.cl.Clock, heartbeatInterval, func() {
 		if b.standDown || b.beaconTicks <= 0 {
 			b.beacon.Stop()
 			return
 		}
 		b.beaconTicks--
-		b.cl.AckLink.TransferExpress(16, seen)
+		b.cl.AckLink.TransferExpress(16, func() {
+			if b.r.supersededSeen() {
+				// Stand-down acknowledgment rides the old
+				// primary→backup direction.
+				b.cl.ReplLink.TransferExpress(16, func() { b.standDown = true })
+			}
+		})
 	})
 }

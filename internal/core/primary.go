@@ -272,7 +272,7 @@ func (r *Replicator) heartbeat() {
 		if s.fenced {
 			continue
 		}
-		s.view.ReplLink.TransferExpress(16, s.beatFn)
+		s.view.ReplLink.TransferExpress(16, s.agent.heartbeatArrived)
 	}
 	if r.witness != nil {
 		r.witness.primaryKeepAlive()

@@ -351,15 +351,6 @@ func (rec *recorder) epochAcked(e uint64) {
 	}
 }
 
-// ReleasedLogSeq returns the highest log segment whose buffered output
-// has been released (0 before the first release).
-func (r *Replicator) ReleasedLogSeq() uint64 {
-	if r.rec == nil {
-		return 0
-	}
-	return r.rec.released
-}
-
 // --- Backup side -------------------------------------------------------------
 
 // receiveLogSegment buffers an arriving segment and acknowledges the

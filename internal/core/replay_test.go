@@ -43,7 +43,7 @@ func TestReplayReleaseGatesOnLogCommit(t *testing.T) {
 	if env.repl.LogSegments.Value() == 0 {
 		t.Fatal("no log segments sealed")
 	}
-	if env.repl.ReleasedLogSeq() == 0 {
+	if env.repl.rec.released == 0 {
 		t.Fatal("log release watermark never advanced")
 	}
 }

@@ -19,7 +19,7 @@ func BenchmarkVMACollection(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			ctr, _ := newTestContainer()
 			addWorkProcess(ctr, "bench", 20000)
-			opts := NiLiConOptions()
+			opts := allOptions
 			opts.NetlinkVMA = mode.netlink
 			e := NewEngine(ctr, opts)
 			defer e.Close()
@@ -43,7 +43,7 @@ func BenchmarkVMACollection(b *testing.B) {
 func BenchmarkCheckpointFull(b *testing.B) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "bench", 26000)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,7 +68,7 @@ func BenchmarkPageTransfer(b *testing.B) {
 		b.Run(mode.name, func(b *testing.B) {
 			ctr, _ := newTestContainer()
 			p, v := addWorkProcess(ctr, "bench", 10000)
-			opts := NiLiConOptions()
+			opts := allOptions
 			opts.SharedMemPages = mode.shared
 			e := NewEngine(ctr, opts)
 			defer e.Close()
@@ -93,7 +93,7 @@ func BenchmarkPageTransfer(b *testing.B) {
 func BenchmarkIncrementalCheckpoint(b *testing.B) {
 	ctr, _ := newTestContainer()
 	p, v := addWorkProcess(ctr, "bench", 26000)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	_, _ = e.Checkpoint()
 	ctr.Thaw()
@@ -114,7 +114,7 @@ func BenchmarkIncrementalCheckpoint(b *testing.B) {
 func BenchmarkRestore(b *testing.B) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "bench", 25000)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()

@@ -32,16 +32,6 @@ type Options struct {
 	CacheInfrequent bool
 }
 
-// NiLiConOptions returns the fully optimized configuration.
-func NiLiConOptions() Options {
-	return Options{
-		FreezePoll:      true,
-		NetlinkVMA:      true,
-		SharedMemPages:  true,
-		CacheInfrequent: true,
-	}
-}
-
 // Engine checkpoints one container repeatedly.
 type Engine struct {
 	Ctr  *container.Container
@@ -53,14 +43,12 @@ type Engine struct {
 	first            bool
 	forceFull        bool
 
-	// prevProcs and prevSockets are the previous image's process list
-	// and socket snapshots. A checkpoint still collects (and charges)
-	// every process, thread and socket, but shares a snapshot, or a
-	// whole list, that did not change with that image (images are
-	// read-only once built, apart from the page content commit and
-	// ReleaseLost drop).
-	prevProcs   []ProcessImage
-	prevSockets []simnet.SocketSnapshot
+	// prevProcs is the previous image's process list. A checkpoint
+	// still collects (and charges) every process and thread, but shares
+	// a snapshot, or a whole list, that did not change with that image
+	// (images are read-only once built, apart from the page content
+	// commit and ReleaseLost drop).
+	prevProcs []ProcessImage
 	// pns is the page-number list a checkpoint fills, kept for the next.
 	pns []uint64
 }
@@ -260,7 +248,6 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 
 	stats.Collect = m.Stop()
 	stats.DirtyPages = img.DirtyPages()
-	img.nonPage = img.countNonPageBytes()
 	stats.StateBytes = img.SizeBytes()
 
 	e.first = false
@@ -280,23 +267,14 @@ func collectThreads(k *simkernel.Kernel, p *simkernel.Process, prev []simkernel.
 }
 
 // collectSockets collects (and charges) every socket of the container
-// in creation order. A socket whose state did not change keeps its
-// previous snapshot, and when no socket changed the previous image's
-// list is returned itself.
+// in creation order.
 func (e *Engine) collectSockets() []simnet.SocketSnapshot {
 	st := e.Ctr.Stack
-	socks := st.Sockets()
-	l := sharedList[simnet.SocketSnapshot]{prev: e.prevSockets}
-	for i, s := range socks {
-		var was *simnet.SocketSnapshot
-		if i < len(e.prevSockets) {
-			was = &e.prevSockets[i]
-		}
-		sn, unchanged := st.SnapshotSocketSince(s, was)
-		l.add(sn, len(socks), func(*simnet.SocketSnapshot) bool { return unchanged })
+	var out []simnet.SocketSnapshot
+	for _, s := range st.Sockets() {
+		out = append(out, st.SnapshotSocket(s))
 	}
-	e.prevSockets = l.list()
-	return e.prevSockets
+	return out
 }
 
 // sameProcess reports whether b, a fresh process image without pages,

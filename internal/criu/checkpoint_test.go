@@ -12,6 +12,9 @@ import (
 	"nilicon/internal/simtime"
 )
 
+// allOptions is NiLiCon's fully optimized checkpoint configuration.
+var allOptions = Options{FreezePoll: true, NetlinkVMA: true, SharedMemPages: true, CacheInfrequent: true}
+
 func newTestContainer() (*container.Container, *simtime.Clock) {
 	c := simtime.NewClock()
 	sw := simnet.NewSwitch(c, 100*simtime.Microsecond, 28*simtime.Millisecond)
@@ -31,7 +34,7 @@ func addWorkProcess(ctr *container.Container, name string, pages int) (*simkerne
 func TestFirstCheckpointIsFull(t *testing.T) {
 	ctr, _ := newTestContainer()
 	_, _ = addWorkProcess(ctr, "app", 10)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, stats := e.Checkpoint()
 	if !img.Full {
@@ -51,7 +54,7 @@ func TestFirstCheckpointIsFull(t *testing.T) {
 func TestIncrementalCheckpointOnlyDirtyPages(t *testing.T) {
 	ctr, _ := newTestContainer()
 	p, v := addWorkProcess(ctr, "app", 100)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	_, _ = e.Checkpoint()
 	ctr.Thaw()
@@ -74,7 +77,7 @@ func TestCheckpointCapturesPageContent(t *testing.T) {
 	ctr, _ := newTestContainer()
 	p, v := addWorkProcess(ctr, "app", 4)
 	_ = p.Mem.Write(v.Start, []byte("precious-bytes"))
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()
@@ -109,7 +112,7 @@ func TestImagesKeepCaptureTimeBytes(t *testing.T) {
 	const pages = 32
 	ctr, _ := newTestContainer()
 	p, v := addWorkProcess(ctr, "app", pages)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	var imgs []*Image
 	var want []map[uint64][]byte
@@ -156,7 +159,7 @@ func TestLostImageReleaseKeepsMemoryIntact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()
@@ -181,7 +184,7 @@ func TestFreezePollVsSleepWait(t *testing.T) {
 	mk := func(poll bool) simtime.Duration {
 		ctr, _ := newTestContainer()
 		addWorkProcess(ctr, "app", 4)
-		opts := NiLiConOptions()
+		opts := allOptions
 		opts.FreezePoll = poll
 		e := NewEngine(ctr, opts)
 		defer e.Close()
@@ -203,7 +206,7 @@ func TestNetlinkVsSmapsCollectCost(t *testing.T) {
 	mk := func(netlink bool) simtime.Duration {
 		ctr, _ := newTestContainer()
 		addWorkProcess(ctr, "app", 2000)
-		opts := NiLiConOptions()
+		opts := allOptions
 		opts.NetlinkVMA = netlink
 		e := NewEngine(ctr, opts)
 		defer e.Close()
@@ -222,7 +225,7 @@ func TestSharedMemVsPipePageCopy(t *testing.T) {
 	mk := func(shared bool) simtime.Duration {
 		ctr, _ := newTestContainer()
 		addWorkProcess(ctr, "app", 2000)
-		opts := NiLiConOptions()
+		opts := allOptions
 		opts.SharedMemPages = shared
 		e := NewEngine(ctr, opts)
 		defer e.Close()
@@ -240,7 +243,7 @@ func TestSharedMemVsPipePageCopy(t *testing.T) {
 func TestInfrequentStateCacheHitAndInvalidation(t *testing.T) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "app", 4)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 
 	_, s1 := e.Checkpoint()
@@ -282,7 +285,7 @@ func TestInfrequentStateCacheHitAndInvalidation(t *testing.T) {
 func TestTrackerIgnoresOtherContainers(t *testing.T) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "app", 4)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	_, _ = e.Checkpoint()
 	ctr.Thaw()
@@ -310,7 +313,7 @@ func TestCheckpointIncludesSockets(t *testing.T) {
 	client.Connect("10.0.0.5", 80, func(s *simnet.Socket) { s.Send([]byte("pending-req")) })
 	clock.Run()
 
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, stats := e.Checkpoint()
 	ctr.Thaw()
@@ -333,7 +336,7 @@ func TestCheckpointIncludesFsCache(t *testing.T) {
 	addWorkProcess(ctr, "app", 4)
 	f := ctr.FS.Create("/data/db")
 	_ = ctr.FS.WriteAt(f, 0, []byte("durable"))
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()
@@ -351,7 +354,7 @@ func TestCheckpointIncludesFsCache(t *testing.T) {
 func TestCheckpointStatsBreakdownSums(t *testing.T) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "app", 50)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	_, stats := e.Checkpoint()
 	ctr.Thaw()
@@ -371,7 +374,7 @@ func TestAppStateSnapshotted(t *testing.T) {
 	ctr, _ := newTestContainer()
 	addWorkProcess(ctr, "app", 2)
 	ctr.App = testApp{val: "hello"}
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	ctr.Thaw()

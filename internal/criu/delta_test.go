@@ -394,7 +394,7 @@ func TestEncoderBasesAreLentFrames(t *testing.T) {
 		t.Fatal("checkpoint has no image of the app process")
 		return -1
 	}
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	enc := NewDeltaEncoder()
 	store := NewPageStore(true)

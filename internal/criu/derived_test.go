@@ -29,7 +29,7 @@ func vmaStarts(img *Image, pid int) []uint64 {
 func TestCheckpointSeesEveryVMAChange(t *testing.T) {
 	ctr, _ := newTestContainer()
 	p, _ := addWorkProcess(ctr, "app", 4)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	checkpoint := func() *Image {
 		img, _ := e.Checkpoint()
@@ -80,13 +80,13 @@ func TestCheckpointSeesEveryVMAChange(t *testing.T) {
 	}
 }
 
-// TestCheckpointSeesEveryListenerChange checks the listener-port cache:
-// a port added by Listen or removed by Unlisten between two checkpoints
-// shows in (or vanishes from) the next image and leaves the previous
-// image as it was.
+// TestCheckpointSeesEveryListenerChange checks the listener ports a
+// checkpoint records: a port added by Listen or removed by Unlisten
+// between two checkpoints shows in (or vanishes from) the next image
+// and leaves the previous image as it was.
 func TestCheckpointSeesEveryListenerChange(t *testing.T) {
 	ctr, _ := newTestContainer()
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	checkpoint := func() *Image {
 		img, _ := e.Checkpoint()

@@ -101,11 +101,6 @@ type Image struct {
 	// commits those segments — even ones lost on the wire — and lets the
 	// backup truncate its log to segments newer than the checkpoint.
 	LogSeqThrough uint64
-
-	// nonPage caches nonPageBytes for an image Checkpoint built (0: not
-	// computed). Only page content changes after that: the encoder's
-	// rewrite and commit's release.
-	nonPage int64
 }
 
 // Clone returns a copy of the image to deliver to an additional
@@ -214,14 +209,6 @@ func (img *Image) WireSizeBytes() int64 {
 // nonPageBytes is the non-page portion of the image's transfer size:
 // per-object records, socket queues, the fs cache and infrequent state.
 func (img *Image) nonPageBytes() int64 {
-	if img.nonPage > 0 {
-		return img.nonPage
-	}
-	return img.countNonPageBytes()
-}
-
-// countNonPageBytes computes nonPageBytes.
-func (img *Image) countNonPageBytes() int64 {
 	var n int64
 	for i := range img.Procs {
 		p := &img.Procs[i]

@@ -15,7 +15,7 @@ import (
 // on a fresh backup host sharing the same switch.
 func checkpointThenRestore(t *testing.T, ctr *container.Container, clock *simtime.Clock) (*container.Container, *Image) {
 	t.Helper()
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	backup := container.NewHost("backup", clock, ctr.Host.Switch)
@@ -29,7 +29,7 @@ func checkpointThenRestore(t *testing.T, ctr *container.Container, clock *simtim
 func TestRestoreRejectsIncrementalImage(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 4)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	_, _ = e.Checkpoint()
 	ctr.Thaw()
@@ -198,7 +198,7 @@ func TestFinishNetworkRestoreOrdering(t *testing.T) {
 func TestRestoreChargesMeter(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 100)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	backup := container.NewHost("backup", clock, ctr.Host.Switch)
@@ -264,7 +264,7 @@ func TestMisorderedRecoveryBreaksConnections(t *testing.T) {
 	client.Connect("10.0.0.5", 80, func(s *simnet.Socket) { cl = s })
 	clock.Run()
 
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	backup := container.NewHost("backup", clock, ctr.Host.Switch)
@@ -308,7 +308,7 @@ func TestRestoreOfStampFramesKeepsThemIntact(t *testing.T) {
 	const pages = 8
 	ctr, clock := newTestContainer()
 	_, v := addWorkProcess(ctr, "app", pages)
-	e := NewEngine(ctr, NiLiConOptions())
+	e := NewEngine(ctr, allOptions)
 	defer e.Close()
 	img, _ := e.Checkpoint()
 	store := NewPageStore(true)

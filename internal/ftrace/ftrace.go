@@ -35,11 +35,10 @@ type HookID int
 // Registry dispatches events from kernel mutation paths to hooks. The
 // zero value is ready to use.
 type Registry struct {
-	nextID  HookID
-	byFn    map[string]map[HookID]Hook
-	global  map[HookID]Hook
-	fnOf    map[HookID]string
-	counter int64
+	nextID HookID
+	byFn   map[string]map[HookID]Hook
+	global map[HookID]Hook
+	fnOf   map[HookID]string
 }
 
 // Register attaches h to the kernel function fn. An empty fn attaches to
@@ -86,7 +85,6 @@ func (r *Registry) Unregister(id HookID) {
 // As with real ftrace, the hook runs synchronously in the context of the
 // hooked function.
 func (r *Registry) Fire(ev Event) {
-	r.counter++
 	if r.byFn == nil {
 		return
 	}
@@ -97,13 +95,6 @@ func (r *Registry) Fire(ev Event) {
 		h(ev)
 	}
 }
-
-// Fired returns the total number of events fired (hooked or not); used by
-// tests and by overhead accounting.
-func (r *Registry) Fired() int64 { return r.counter }
-
-// HookCount returns the number of currently registered hooks.
-func (r *Registry) HookCount() int { return len(r.fnOf) }
 
 func (r *Registry) init() {
 	if r.byFn == nil {

@@ -48,8 +48,8 @@ func TestUnregister(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("hook fired %d times, want 1 (unregistered after first)", n)
 	}
-	if r.HookCount() != 0 {
-		t.Fatalf("HookCount = %d after unregister, want 0", r.HookCount())
+	if len(r.fnOf) != 0 {
+		t.Fatalf("%d hooks registered after unregister, want 0", len(r.fnOf))
 	}
 }
 
@@ -74,9 +74,6 @@ func TestUnregisterUnknownIDIgnored(t *testing.T) {
 func TestFireOnEmptyRegistry(t *testing.T) {
 	var r Registry
 	r.Fire(Event{Fn: "anything"}) // must not panic
-	if r.Fired() != 1 {
-		t.Fatalf("Fired = %d, want 1", r.Fired())
-	}
 }
 
 func TestRegisterNilPanics(t *testing.T) {
@@ -87,14 +84,4 @@ func TestRegisterNilPanics(t *testing.T) {
 	}()
 	var r Registry
 	r.Register("f", nil)
-}
-
-func TestFiredCountsUnhooked(t *testing.T) {
-	var r Registry
-	for i := 0; i < 5; i++ {
-		r.Fire(Event{Fn: "unhooked"})
-	}
-	if r.Fired() != 5 {
-		t.Fatalf("Fired = %d, want 5", r.Fired())
-	}
 }

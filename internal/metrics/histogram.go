@@ -101,9 +101,6 @@ func (h *Histogram) Mean() float64 {
 	return h.sum / float64(h.n)
 }
 
-// Min returns the smallest sample (0 for an empty histogram).
-func (h *Histogram) Min() float64 { return h.min }
-
 // Max returns the largest sample (0 for an empty histogram).
 func (h *Histogram) Max() float64 { return h.max }
 
@@ -163,24 +160,6 @@ func (h *Histogram) bucketBounds(i int) (lo, hi float64) {
 	default:
 		return histBounds[i-1], histBounds[i]
 	}
-}
-
-// Merge adds every sample recorded in o into h, bucket-exactly.
-func (h *Histogram) Merge(o *Histogram) {
-	if o.n == 0 {
-		return
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	if h.n == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if h.n == 0 || o.max > h.max {
-		h.max = o.max
-	}
-	h.n += o.n
-	h.sum += o.sum
 }
 
 // Reset clears the histogram.

@@ -12,7 +12,7 @@ func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.N() != 0 || s.Mean() != 0 || s.Variance() != 0 || s.Percentile(50) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty stream should report zeros")
 	}
 }
@@ -20,11 +20,8 @@ func TestStreamEmpty(t *testing.T) {
 func TestStreamSingleSample(t *testing.T) {
 	var s Stream
 	s.Add(7)
-	if s.Mean() != 7 || s.Min() != 7 || s.Max() != 7 {
-		t.Fatalf("single-sample stats wrong: mean=%v min=%v max=%v", s.Mean(), s.Min(), s.Max())
-	}
-	if s.Variance() != 0 {
-		t.Fatalf("single-sample variance = %v, want 0", s.Variance())
+	if s.Mean() != 7 || s.Max() != 7 {
+		t.Fatalf("single-sample stats wrong: mean=%v max=%v", s.Mean(), s.Max())
 	}
 	if s.Percentile(0) != 7 || s.Percentile(100) != 7 {
 		t.Fatal("single-sample percentiles should equal the sample")
@@ -39,10 +36,6 @@ func TestStreamMeanVariance(t *testing.T) {
 	if !almostEq(s.Mean(), 5, 1e-12) {
 		t.Fatalf("mean = %v, want 5", s.Mean())
 	}
-	// Unbiased variance of this classic dataset is 32/7.
-	if !almostEq(s.Variance(), 32.0/7.0, 1e-12) {
-		t.Fatalf("variance = %v, want %v", s.Variance(), 32.0/7.0)
-	}
 	if !almostEq(s.Sum(), 40, 1e-9) {
 		t.Fatalf("sum = %v, want 40", s.Sum())
 	}
@@ -53,23 +46,8 @@ func TestStreamMinMax(t *testing.T) {
 	for _, x := range []float64{3, -1, 10, 2} {
 		s.Add(x)
 	}
-	if s.Min() != -1 || s.Max() != 10 {
-		t.Fatalf("min/max = %v/%v, want -1/10", s.Min(), s.Max())
-	}
-}
-
-func TestStreamCV(t *testing.T) {
-	var s Stream
-	s.Add(10)
-	s.Add(10)
-	if s.CV() != 0 {
-		t.Fatalf("CV of constant stream = %v, want 0", s.CV())
-	}
-	var z Stream
-	z.Add(-1)
-	z.Add(1)
-	if z.CV() != 0 {
-		t.Fatalf("CV with zero mean should be defined as 0, got %v", z.CV())
+	if s.Percentile(0) != -1 || s.Max() != 10 {
+		t.Fatalf("min/max = %v/%v, want -1/10", s.Percentile(0), s.Max())
 	}
 }
 
@@ -142,7 +120,7 @@ func TestCounterNegativePanics(t *testing.T) {
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Table X", "Name", "Value")
 	tb.AddRow("redis", "33.71%")
-	tb.AddRowf("node", 58.32)
+	tb.AddRow("node", "58.32")
 	out := tb.String()
 	if !strings.Contains(out, "Table X") {
 		t.Error("title missing")
@@ -151,7 +129,7 @@ func TestTableRendering(t *testing.T) {
 		t.Errorf("row content missing:\n%s", out)
 	}
 	if !strings.Contains(out, "58.32") {
-		t.Errorf("AddRowf content missing:\n%s", out)
+		t.Errorf("second row content missing:\n%s", out)
 	}
 	if tb.NumRows() != 2 {
 		t.Errorf("NumRows = %d, want 2", tb.NumRows())
@@ -199,13 +177,7 @@ func TestFormatCount(t *testing.T) {
 	}
 }
 
-func TestFormatPercent(t *testing.T) {
-	if got := FormatPercent(0.3371); got != "33.71%" {
-		t.Errorf("FormatPercent = %q", got)
-	}
-}
-
-// Property: Welford mean/variance match the two-pass computation.
+// Property: the running mean matches the two-pass computation.
 func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0:0]
@@ -224,15 +196,7 @@ func TestPropertyWelfordMatchesTwoPass(t *testing.T) {
 			sum += x
 		}
 		mean := sum / float64(len(clean))
-		if !almostEq(s.Mean(), mean, 1e-6*(1+math.Abs(mean))) {
-			return false
-		}
-		ss := 0.0
-		for _, x := range clean {
-			ss += (x - mean) * (x - mean)
-		}
-		v := ss / float64(len(clean)-1)
-		return almostEq(s.Variance(), v, 1e-6*(1+v))
+		return almostEq(s.Mean(), mean, 1e-6*(1+math.Abs(mean)))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -260,7 +224,7 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 		prev := math.Inf(-1)
 		for _, p := range pcts {
 			v := s.Percentile(p)
-			if v < prev || v < s.Min()-1e-9 || v > s.Max()+1e-9 {
+			if v < prev || v < s.Percentile(0)-1e-9 || v > s.Max()+1e-9 {
 				return false
 			}
 			prev = v
@@ -269,28 +233,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestTableKeyedRowCollision: keyed rows namespace a shared table by
-// owner (pair ID). Two writers using the same key must fail loudly at
-// the second AddKeyedRow, not silently interleave rows.
-func TestTableKeyedRowCollision(t *testing.T) {
-	tb := NewTable("fleet", "pair", "epochs")
-	if err := tb.AddKeyedRow("p00", "p00", "10"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddKeyedRow("p01", "p01", "12"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddKeyedRow("p00", "p00", "99"); err == nil {
-		t.Fatal("duplicate key accepted")
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2 (collision must not add a row)", tb.NumRows())
-	}
-	if !tb.HasKey("p01") || tb.HasKey("p07") {
-		t.Fatal("HasKey bookkeeping wrong")
 	}
 }
 
@@ -310,88 +252,5 @@ func TestGaugeSetAndValue(t *testing.T) {
 	g.Set(-3)
 	if g.Value() != -3 {
 		t.Fatalf("Gauge = %d, want -3", g.Value())
-	}
-}
-
-// TestTableLeaseColumnKeyedCollision mirrors TestTableKeyedRowCollision
-// for the fleet summary's Lease column: per-pair lease states report
-// under the pair's key, and a second report for the same pair (two
-// replicator generations racing a summary) must fail loudly rather than
-// render two contradictory lease rows.
-func TestTableLeaseColumnKeyedCollision(t *testing.T) {
-	tb := NewTable("fleet", "Pair", "State", "Lease")
-	if err := tb.AddKeyedRow("p00", "p00", "protected", "held"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddKeyedRow("p01", "p01", "degraded", "unprotected"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddKeyedRow("p00", "p00", "protected", "superseded"); err == nil {
-		t.Fatal("second lease row for p00 accepted")
-	}
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows = %d, want 2", tb.NumRows())
-	}
-	out := tb.String()
-	if !strings.Contains(out, "held") || !strings.Contains(out, "unprotected") {
-		t.Fatalf("lease cells missing:\n%s", out)
-	}
-	if strings.Contains(out, "superseded") {
-		t.Fatalf("colliding lease row rendered:\n%s", out)
-	}
-}
-
-// TestKeyedRowsRenderSortedByKey: keyed rows must render sorted by key
-// no matter what order producers added them in, so tables filled from
-// concurrently completing workers are byte-identical across runs.
-func TestKeyedRowsRenderSortedByKey(t *testing.T) {
-	render := func(keys []string) string {
-		tb := NewTable("pairs", "Key", "Val")
-		for _, k := range keys {
-			if err := tb.AddKeyedRow(k, k, "v-"+k); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb.String()
-	}
-	insertions := [][]string{
-		{"p00", "p01", "p02"},
-		{"p02", "p00", "p01"},
-		{"p01", "p02", "p00"},
-	}
-	want := render(insertions[0])
-	for _, ins := range insertions[1:] {
-		if got := render(ins); got != want {
-			t.Fatalf("insertion order %v changed rendering:\n%s\nvs\n%s", ins, got, want)
-		}
-	}
-	i0 := strings.Index(want, "p00")
-	i1 := strings.Index(want, "p01")
-	i2 := strings.Index(want, "p02")
-	if !(i0 < i1 && i1 < i2) {
-		t.Fatalf("keyed rows not sorted by key:\n%s", want)
-	}
-}
-
-// TestKeyedRowsMixWithUnkeyed: unkeyed rows keep insertion order and
-// render before the sorted keyed block; NumRows counts both.
-func TestKeyedRowsMixWithUnkeyed(t *testing.T) {
-	tb := NewTable("", "Key", "Val")
-	tb.AddRow("summary", "1")
-	if err := tb.AddKeyedRow("b", "b", "2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.AddKeyedRow("a", "a", "3"); err != nil {
-		t.Fatal(err)
-	}
-	if tb.NumRows() != 3 {
-		t.Fatalf("NumRows = %d, want 3", tb.NumRows())
-	}
-	out := tb.String()
-	is := strings.Index(out, "summary")
-	ia := strings.Index(out, "a   ")
-	ib := strings.Index(out, "b   ")
-	if is < 0 || ia < 0 || ib < 0 || !(is < ia && ia < ib) {
-		t.Fatalf("row order wrong (summary, then keyed sorted):\n%s", out)
 	}
 }

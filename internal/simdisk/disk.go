@@ -27,7 +27,6 @@ const BlockSize = 4096
 type Disk struct {
 	Name   string
 	blocks map[uint64][]byte
-	reads  int64
 	writes int64
 }
 
@@ -70,7 +69,6 @@ func (d *Disk) adopt(bn uint64, data []byte) {
 // The returned slice is a copy the caller owns; a written block's copy
 // comes from simkernel's page pool.
 func (d *Disk) ReadBlock(bn uint64) []byte {
-	d.reads++
 	if b, ok := d.blocks[bn]; ok {
 		return simkernel.CopyPage(b)
 	}
@@ -80,8 +78,7 @@ func (d *Disk) ReadBlock(bn uint64) []byte {
 // Blocks returns the number of blocks ever written.
 func (d *Disk) Blocks() int { return len(d.blocks) }
 
-// Reads and Writes return operation counters.
-func (d *Disk) Reads() int64  { return d.reads }
+// Writes returns the number of block writes.
 func (d *Disk) Writes() int64 { return d.writes }
 
 // Checksum returns a digest over all written blocks; two disks with the

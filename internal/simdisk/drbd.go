@@ -330,9 +330,6 @@ func (d *DRBD) keepBuffered(keep func(WriteOp) bool) {
 	d.buffer = rest
 }
 
-// Committed returns the highest epoch applied to the local disk.
-func (d *DRBD) Committed() uint64 { return d.committed }
-
 // Detach disconnects a primary end from every peer: subsequent writes
 // apply locally only and nothing further is shipped. Used when the
 // backup's host is declared dead (fencing) — the primary keeps serving

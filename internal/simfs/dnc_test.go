@@ -143,8 +143,8 @@ func runDNCModel(t *testing.T, seed int64, steps int) {
 		if !slices.Equal(got, wantKeys) {
 			t.Fatalf("step %d (%s): DNC pages %v, model %v", step, op, got, wantKeys)
 		}
-		if fs.DNCPages() != len(got) {
-			t.Fatalf("step %d (%s): DNCPages() = %d, full scan %d", step, op, fs.DNCPages(), len(got))
+		if fs.dncCount != len(got) {
+			t.Fatalf("step %d (%s): dncCount = %d, full scan %d", step, op, fs.dncCount, len(got))
 		}
 	}
 }

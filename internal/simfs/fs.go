@@ -318,9 +318,6 @@ func (fs *FS) DirtyPages() int {
 	return n
 }
 
-// DNCPages returns how many cache pages are dirty-but-not-checkpointed.
-func (fs *FS) DNCPages() int { return fs.dncCount }
-
 // PageEntry is one page-cache entry in an fs-cache checkpoint.
 type PageEntry struct {
 	Ino  int

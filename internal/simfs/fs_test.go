@@ -136,14 +136,14 @@ func TestDNCLifecycle(t *testing.T) {
 	fs, _, _ := newTestFS()
 	f := fs.Create("/f")
 	_ = fs.WriteAt(f, 0, []byte("v1"))
-	if fs.DNCPages() != 1 {
-		t.Fatalf("DNC pages = %d", fs.DNCPages())
+	if fs.dncCount != 1 {
+		t.Fatalf("DNC pages = %d", fs.dncCount)
 	}
 	cs := fs.Fgetfc()
 	if len(cs.Pages) != 1 {
 		t.Fatalf("fgetfc pages = %d", len(cs.Pages))
 	}
-	if fs.DNCPages() != 0 {
+	if fs.dncCount != 0 {
 		t.Fatal("DNC not cleared by fgetfc")
 	}
 	// Unmodified: next fgetfc returns nothing.

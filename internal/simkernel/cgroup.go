@@ -46,9 +46,6 @@ func (cg *Cgroup) SetConfig(key, value string) {
 	cg.k.Trace.Fire(ftraceEvent("cgroup_file_write", pid, ctr, cg.Path+"/"+key))
 }
 
-// Members returns the attached processes.
-func (cg *Cgroup) Members() []*Process { return cg.members }
-
 // ChargeCPU accounts CPU time consumed by the group's tasks
 // (cpuacct.usage).
 func (cg *Cgroup) ChargeCPU(d simtime.Duration) {
@@ -112,19 +109,6 @@ func (cg *Cgroup) Thaw() {
 			}
 		}
 	}
-}
-
-// AllFrozen reports whether every member thread has reached the frozen
-// state; CRIU's poll loop checks this.
-func (cg *Cgroup) AllFrozen() bool {
-	for _, p := range cg.members {
-		for _, t := range p.Threads {
-			if t.State != ThreadFrozen && t.State != ThreadExited {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // CgroupSnapshot is the checkpointed control-group configuration.

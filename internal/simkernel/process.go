@@ -166,9 +166,6 @@ func (p *Process) OpenFD(kind FDKind, path string) *FD {
 	return fd
 }
 
-// CloseFD releases a descriptor; closing an unknown number is a no-op.
-func (p *Process) CloseFD(num int) { delete(p.FDs, num) }
-
 // FDList returns the descriptors in ascending numeric order.
 func (p *Process) FDList() []*FD {
 	out := make([]*FD, 0, len(p.FDs))

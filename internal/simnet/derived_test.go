@@ -6,8 +6,8 @@ import (
 	"nilicon/internal/simtime"
 )
 
-// TestRouteCacheFollowsARPChanges checks a port's route cache against
-// both paths that change the ARP table: a frame sent after a Learn or
+// TestRouteCacheFollowsARPChanges checks forwarding against both paths
+// that change the ARP table: a frame sent after a Learn or
 // after a gratuitous ARP's rebind goes to the address's new port,
 // however often the sender reached the old one before.
 func TestRouteCacheFollowsARPChanges(t *testing.T) {
@@ -41,11 +41,11 @@ func TestRouteCacheFollowsARPChanges(t *testing.T) {
 	send("spare")
 }
 
-// TestDemuxFollowsDropAndRestore checks the stack's connection cache:
+// TestDemuxFollowsDropAndRestore checks the stack's connection lookup:
 // once a socket is dropped its segments find no socket (the stack
 // answers with RST), and once a socket is restored under the same
 // connection — after the drop, or over a live socket — they reach the
-// restored socket, not the one the cache last returned.
+// restored socket, not the one the lookup last returned.
 func TestDemuxFollowsDropAndRestore(t *testing.T) {
 	p := newPair(t)
 	var srv, cl *Socket
@@ -65,7 +65,7 @@ func TestDemuxFollowsDropAndRestore(t *testing.T) {
 	}
 
 	p.b.Receive(segment(FlagRST, ""))
-	if !srv.Reset || p.b.SocketByID(srv.ID) != nil {
+	if !srv.Reset || p.b.byID[srv.ID] != nil {
 		t.Fatal("RST did not drop the server socket")
 	}
 	rsts := p.b.RSTsSent()

@@ -81,30 +81,6 @@ type Port struct {
 	// host's shard. Nil ports deliver on the switch's own clock, which
 	// on a single-clock topology is the same thing.
 	clock *simtime.Clock
-	// routes caches the switch's ARP lookups for frames this port sends,
-	// indexed by routeSlot. An entry is valid while its gen equals the
-	// switch's arpGen, which every ARP table change advances.
-	routes [routeSlots]route
-}
-
-// route is one cached ARP lookup: addr was bound to port (nil: unknown)
-// at ARP generation gen.
-type route struct {
-	addr Addr
-	port *Port
-	gen  uint64
-}
-
-// routeSlots is the size of a port's ARP lookup cache.
-const routeSlots = 4
-
-// routeSlot picks an address's cache slot from its last byte, so the
-// lookup hashes nothing.
-func routeSlot(a Addr) int {
-	if len(a) == 0 {
-		return 0
-	}
-	return int(a[len(a)-1]) & (routeSlots - 1)
 }
 
 // Name returns the port's label.
@@ -135,11 +111,6 @@ type Switch struct {
 	arpDelay simtime.Duration
 	ports    []*Port
 	arp      map[Addr]*Port
-	// arpGen numbers the ARP table's versions; it starts at 1 so a zero
-	// route is never valid. Learn and the GratuitousARP rebind advance
-	// it.
-	arpGen  uint64
-	dropped int
 	// free holds delivery records whose frame has been handed over, for
 	// forward to reuse.
 	free []*delivery
@@ -158,7 +129,7 @@ type delivery struct {
 // NewSwitch creates a switch with the given per-hop latency and
 // gratuitous-ARP propagation delay.
 func NewSwitch(clock *simtime.Clock, latency, arpDelay simtime.Duration) *Switch {
-	return &Switch{clock: clock, latency: latency, arpDelay: arpDelay, arp: make(map[Addr]*Port), arpGen: 1}
+	return &Switch{clock: clock, latency: latency, arpDelay: arpDelay, arp: make(map[Addr]*Port)}
 }
 
 // Attach adds a port delivering on the switch's clock.
@@ -175,10 +146,7 @@ func (s *Switch) AttachOn(name string, clock *simtime.Clock) *Port {
 }
 
 // Learn binds an address to a port immediately (initial configuration).
-func (s *Switch) Learn(addr Addr, p *Port) {
-	s.arp[addr] = p
-	s.arpGen++
-}
+func (s *Switch) Learn(addr Addr, p *Port) { s.arp[addr] = p }
 
 // Lookup returns the port currently bound to addr (nil if none).
 func (s *Switch) Lookup(addr Addr) *Port { return s.arp[addr] }
@@ -194,29 +162,18 @@ func (s *Switch) GratuitousARP(addr Addr, p *Port, done func()) {
 	}
 	clock.Schedule(s.arpDelay, func() {
 		s.arp[addr] = p
-		s.arpGen++
 		if done != nil {
 			done()
 		}
 	})
 }
 
-// Dropped returns the number of frames dropped (unknown destination or
-// disabled port).
-func (s *Switch) Dropped() int { return s.dropped }
-
 func (s *Switch) forward(from *Port, pkt Packet) {
 	if !from.enabled {
-		s.dropped++
 		return
 	}
-	r := &from.routes[routeSlot(pkt.Dst)]
-	if r.gen != s.arpGen || r.addr != pkt.Dst {
-		r.addr, r.port, r.gen = pkt.Dst, s.arp[pkt.Dst], s.arpGen
-	}
-	dst := r.port
+	dst := s.arp[pkt.Dst]
 	if dst == nil || !dst.enabled || dst.rx == nil {
-		s.dropped++
 		return
 	}
 	// Deliver on the receiving host's clock; clockless ports deliver on
@@ -245,7 +202,6 @@ func (d *delivery) deliver() {
 	// Re-check at delivery time: the port may have been disconnected
 	// (recovery) while the frame was in flight.
 	if !dst.enabled || dst.rx == nil {
-		s.dropped++
 		return
 	}
 	dst.rx(pkt)

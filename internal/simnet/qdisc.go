@@ -51,9 +51,6 @@ type PlugQdisc struct {
 	inputBlocked bool
 	inputMode    InputBlockMode
 	inputBuf     []Packet
-	// inputSpare is the held-input array UnblockInput flushed last,
-	// cleared, for the next block to fill.
-	inputSpare []Packet
 
 	// OnDeliver, when set, observes every packet the qdisc hands to the
 	// container's stack — direct ingress and unblock flushes alike, in
@@ -61,12 +58,6 @@ type PlugQdisc struct {
 	// authoritative capture point for network-input nondeterminism: what
 	// the stack saw, in the order it saw it.
 	OnDeliver func(Packet)
-
-	// Stats.
-	egressBuffered  int
-	egressReleased  int
-	ingressDropped  int
-	ingressBuffered int
 }
 
 // NewPlugQdisc creates a qdisc delivering egress via out and ingress via
@@ -102,7 +93,6 @@ func (q *PlugQdisc) Egress(pkt Packet) {
 		return
 	}
 	q.current = append(q.current, pkt)
-	q.egressBuffered++
 }
 
 // Rotate closes the current epoch's egress buffer, tagging it with the
@@ -126,7 +116,6 @@ func (q *PlugQdisc) Release(acked uint64) {
 			break
 		}
 		for _, pkt := range q.pending[i].pkts {
-			q.egressReleased++
 			if q.out != nil {
 				q.out(pkt)
 			}
@@ -175,28 +164,18 @@ func (q *PlugQdisc) BlockInput() { q.inputBlocked = true }
 func (q *PlugQdisc) UnblockInput() {
 	q.inputBlocked = false
 	buf := q.inputBuf
-	if len(buf) == 0 {
-		return
-	}
-	// Anything held while the flush runs goes to the other array.
-	q.inputBuf = q.inputSpare
+	q.inputBuf = nil
 	for _, pkt := range buf {
 		q.deliver(pkt)
 	}
-	clear(buf)
-	q.inputSpare = buf[:0]
 }
 
 // Ingress is the bridge-port receiver: it forwards to the container's
 // stack unless input is blocked.
 func (q *PlugQdisc) Ingress(pkt Packet) {
 	if q.inputBlocked {
-		switch q.inputMode {
-		case FirewallDrop:
-			q.ingressDropped++
-		case PlugBuffer:
+		if q.inputMode == PlugBuffer {
 			q.inputBuf = append(q.inputBuf, pkt)
-			q.ingressBuffered++
 		}
 		return
 	}
@@ -212,10 +191,4 @@ func (q *PlugQdisc) deliver(pkt Packet) {
 	if q.in != nil {
 		q.in(pkt)
 	}
-}
-
-// Stats returns (egressBuffered, egressReleased, ingressDropped,
-// ingressBuffered) counters.
-func (q *PlugQdisc) Stats() (int, int, int, int) {
-	return q.egressBuffered, q.egressReleased, q.ingressDropped, q.ingressBuffered
 }

@@ -96,18 +96,6 @@ func (s *Socket) SetRestoredAt(t simtime.Time) {
 // SnapshotSocket collects a socket's repair-mode state, charging the
 // per-socket and per-queued-byte costs to the stack's kernel meter.
 func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
-	sn, _ := st.SnapshotSocketSince(s, nil)
-	return sn
-}
-
-// SnapshotSocketSince is SnapshotSocket given the socket's previous
-// snapshot prev (nil for none). When the socket's repair-mode state
-// has not changed since prev was taken, it returns *prev, sharing its
-// queues, and same is true. The sequence numbers pin both queues: the write queue holds
-// the bytes in [SndUna, SndNxt), and the read queue can keep its length
-// with RcvNxt unmoved only if nothing arrived and nothing was read. The
-// cost charged is the same either way.
-func (st *Stack) SnapshotSocketSince(s *Socket, prev *SocketSnapshot) (sn SocketSnapshot, same bool) {
 	queued := len(s.recvBuf)
 	for _, sg := range s.sendQ {
 		queued += len(sg.data)
@@ -116,12 +104,7 @@ func (st *Stack) SnapshotSocketSince(s *Socket, prev *SocketSnapshot) (sn Socket
 		c := st.Kernel.Costs
 		st.Kernel.Charge(c.SockRepairPerSocket + scaleKB(c.SockRepairPerKB, queued))
 	}
-	if prev != nil && prev.ID == s.ID && prev.State == s.State &&
-		prev.SndUna == s.sndUna && prev.SndNxt == s.sndNxt && prev.RcvNxt == s.rcvNxt &&
-		len(prev.WriteQueue) == len(s.sendQ) && len(prev.ReadQueue) == len(s.recvBuf) {
-		return *prev, true
-	}
-	sn = SocketSnapshot{
+	sn := SocketSnapshot{
 		ID:         s.ID,
 		State:      s.State,
 		LocalPort:  s.LocalPort,
@@ -144,7 +127,7 @@ func (st *Stack) SnapshotSocketSince(s *Socket, prev *SocketSnapshot) (sn Socket
 	if len(s.recvBuf) > 0 {
 		sn.ReadQueue = append([]byte(nil), s.recvBuf...)
 	}
-	return sn, false
+	return sn
 }
 
 // RestoreSocket recreates a socket from a snapshot, in repair mode. The

@@ -177,7 +177,7 @@ func TestRTOTimerClearedWhenIdle(t *testing.T) {
 	}
 	cl.Close()
 	p.clock.Run()
-	if cl.rtoTimer.Armed() || p.a.SocketByID(cl.ID) != nil {
+	if cl.rtoTimer.Armed() || p.a.byID[cl.ID] != nil {
 		t.Fatal("closed socket kept its timer or its table entry")
 	}
 }

@@ -156,17 +156,6 @@ type Stack struct {
 	nextID    int
 	nextPort  int
 
-	// Derived state, each rebuilt from the maps above and dropped at the
-	// one place that changes its source. ordered lists the sockets in
-	// creation order (nil until Sockets builds it; newSocket appends,
-	// drop clears). ports is the sorted listener ports (nil until
-	// ListenPortList builds it; Listen and Unlisten clear it). demux
-	// caches the connection lookup of recent segments, indexed by
-	// demuxSlot; newSocket and drop clear the slot they change.
-	ordered []*Socket
-	ports   []int
-	demux   [demuxSlots]*Socket
-
 	// MSS is the maximum segment payload size.
 	MSS int
 	// RTOMin is the repair-mode retransmission timeout NiLiCon's kernel
@@ -211,60 +200,38 @@ func (st *Stack) SetOutput(out func(Packet)) { st.out = out }
 // validation asserts this stays zero at the backup (§III).
 func (st *Stack) RSTsSent() int { return st.rstSent }
 
-// demuxSlots is the size of the stack's connection-lookup cache.
-const demuxSlots = 8
-
-// demuxSlot picks a connection's cache slot from its ports.
-func demuxSlot(remotePort, localPort int) int {
-	return (remotePort ^ localPort) & (demuxSlots - 1)
-}
-
-// Sockets returns all sockets in creation order. The list is shared
-// with later calls until a socket is created or dropped, so callers
-// must not write it.
+// Sockets returns all sockets in creation order.
 func (st *Stack) Sockets() []*Socket {
-	if st.ordered == nil {
-		out := make([]*Socket, 0, len(st.byID))
-		for id := 1; id < st.nextID; id++ {
-			if s, ok := st.byID[id]; ok {
-				out = append(out, s)
-			}
+	out := make([]*Socket, 0, len(st.byID))
+	for id := 1; id < st.nextID; id++ {
+		if s, ok := st.byID[id]; ok {
+			out = append(out, s)
 		}
-		st.ordered = out
 	}
-	return st.ordered[:len(st.ordered):len(st.ordered)]
+	return out
 }
-
-// SocketByID returns the socket with the given ID (nil if gone).
-func (st *Stack) SocketByID(id int) *Socket { return st.byID[id] }
 
 // Listen registers an accept callback for a port.
 func (st *Stack) Listen(port int, onAccept func(*Socket)) *Listener {
 	l := &Listener{Port: port, OnAccept: onAccept}
 	st.listeners[port] = l
-	st.ports = nil
 	return l
 }
 
 // Unlisten removes a listener.
 func (st *Stack) Unlisten(port int) {
 	delete(st.listeners, port)
-	st.ports = nil
 }
 
 // ListenPortList returns the ports with registered listeners, in
-// ascending order. The list is shared with later calls until a
-// listener is added or removed, so callers must not write it.
+// ascending order.
 func (st *Stack) ListenPortList() []int {
-	if st.ports == nil {
-		out := make([]int, 0, len(st.listeners))
-		for p := range st.listeners {
-			out = append(out, p)
-		}
-		slices.Sort(out)
-		st.ports = out
+	out := make([]int, 0, len(st.listeners))
+	for p := range st.listeners {
+		out = append(out, p)
 	}
-	return st.ports[:len(st.ports):len(st.ports)]
+	slices.Sort(out)
+	return out
 }
 
 func (st *Stack) newSocket(local int, remote Addr, remotePort int) *Socket {
@@ -280,10 +247,6 @@ func (st *Stack) newSocket(local int, remote Addr, remotePort int) *Socket {
 	st.nextID++
 	st.byID[s.ID] = s
 	st.sockets[connKey{remote, remotePort, local}] = s
-	if st.ordered != nil {
-		st.ordered = append(st.ordered, s)
-	}
-	st.demux[demuxSlot(remotePort, local)] = nil
 	return s
 }
 
@@ -387,18 +350,9 @@ func (s *Socket) stage(data []byte) []byte {
 // queue appends sg to the write queue.
 func (s *Socket) queue(sg segment) {
 	if len(s.sendQ) == cap(s.sendQ) {
-		if n := len(s.sendQ); cap(s.sendArr)-cap(s.sendQ) >= n && n > 0 {
-			// The window reached the array's end with at least half the
-			// array consumed in front of it: move the window back to the
-			// front, as the array holds no other view.
-			copy(s.sendArr[:n], s.sendQ)
-			clear(s.sendArr[n:cap(s.sendArr)])
-			s.sendQ = s.sendArr[:n]
-		} else {
-			// The window fills most of the array: move to a larger one.
-			s.sendQ = slices.Grow(s.sendQ, 1)
-			s.sendArr = s.sendQ[:0]
-		}
+		// The window reached the array's end: move to a larger array.
+		s.sendQ = slices.Grow(s.sendQ, 1)
+		s.sendArr = s.sendQ[:0]
 	}
 	s.sendQ = append(s.sendQ, sg)
 }
@@ -548,8 +502,6 @@ func (st *Stack) sendRST(to Packet) {
 func (st *Stack) drop(s *Socket) {
 	delete(st.sockets, connKey{s.Remote, s.RemotePort, s.LocalPort})
 	delete(st.byID, s.ID)
-	st.ordered = nil
-	st.demux[demuxSlot(s.RemotePort, s.LocalPort)] = nil
 	s.stopRTO()
 }
 
@@ -558,7 +510,7 @@ func (st *Stack) Receive(pkt Packet) {
 	if pkt.Kind != KindTCP {
 		return
 	}
-	s := st.lookup(pkt)
+	s := st.sockets[connKey{pkt.Src, pkt.SrcPort, pkt.DstPort}]
 	if s == nil {
 		if pkt.Flags&FlagSYN != 0 && pkt.Flags&FlagACK == 0 {
 			if l := st.listeners[pkt.DstPort]; l != nil {
@@ -575,20 +527,6 @@ func (st *Stack) Receive(pkt Packet) {
 		return
 	}
 	st.handle(s, pkt)
-}
-
-// lookup returns the socket a segment belongs to (nil if none), first
-// from the demux cache and then from the connection map.
-func (st *Stack) lookup(pkt Packet) *Socket {
-	i := demuxSlot(pkt.SrcPort, pkt.DstPort)
-	if s := st.demux[i]; s != nil && s.RemotePort == pkt.SrcPort && s.LocalPort == pkt.DstPort && s.Remote == pkt.Src {
-		return s
-	}
-	s := st.sockets[connKey{pkt.Src, pkt.SrcPort, pkt.DstPort}]
-	if s != nil {
-		st.demux[i] = s
-	}
-	return s
 }
 
 func (st *Stack) accept(l *Listener, syn Packet) {

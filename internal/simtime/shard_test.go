@@ -376,7 +376,7 @@ func TestWheelRecycledSlotsAreNilToCap(t *testing.T) {
 }
 
 func TestNewShardedClockOneLaneOnly(t *testing.T) {
-	if sc := NewShardedClock(1); sc.Now() != 0 || sc.Pending() != 0 || sc.NewShard().Shard() != 1 {
+	if sc := NewShardedClock(1); sc.Now() != 0 || sc.Pending() != 0 || sc.NewShard().shard != 1 {
 		t.Fatal("NewShardedClock(1) did not return a fresh engine")
 	}
 	for _, n := range []int{0, 2, 8} {

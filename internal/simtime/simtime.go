@@ -63,10 +63,6 @@ func NewClock() *Clock { return NewEngine().Root() }
 // Now returns the current virtual time.
 func (c *Clock) Now() Time { return c.eng.now }
 
-// Shard returns the shard ID this clock schedules onto: 0 for a root
-// view, the shard's ID for views from NewShard.
-func (c *Clock) Shard() int { return int(c.shard) }
-
 // Pending returns the number of plain schedules, engine-wide, that have
 // not fired, plus the number of armed timers.
 func (c *Clock) Pending() int { return c.eng.Pending() }

@@ -65,50 +65,19 @@ type EpochRecord struct {
 	Quorum   int
 }
 
-// Timeline accumulates epoch records. They are kept in blocks, so
-// recording never copies the series to grow it; Records joins the
-// blocks when asked for the series as one slice.
+// Timeline accumulates epoch records.
 type Timeline struct {
-	blocks [][]EpochRecord
-	n      int
-	// joined is the series Records last returned (nil: not built, or a
-	// record arrived since).
-	joined []EpochRecord
+	records []EpochRecord
 }
-
-// timelineBlock is the number of records per block.
-const timelineBlock = 512
 
 // Record appends one epoch.
-func (tl *Timeline) Record(r EpochRecord) {
-	last := len(tl.blocks) - 1
-	if last < 0 || len(tl.blocks[last]) == cap(tl.blocks[last]) {
-		// Blocks double from 16 records up to timelineBlock.
-		tl.blocks = append(tl.blocks, make([]EpochRecord, 0, min(timelineBlock, max(16, tl.n))))
-		last++
-	}
-	tl.blocks[last] = append(tl.blocks[last], r)
-	tl.n++
-	tl.joined = nil
-}
+func (tl *Timeline) Record(r EpochRecord) { tl.records = append(tl.records, r) }
 
 // Len returns the number of recorded epochs.
-func (tl *Timeline) Len() int { return tl.n }
+func (tl *Timeline) Len() int { return len(tl.records) }
 
 // Records returns the recorded series (shared slice; do not mutate).
-func (tl *Timeline) Records() []EpochRecord {
-	switch {
-	case tl.joined != nil, tl.n == 0:
-	case len(tl.blocks) == 1:
-		tl.joined = tl.blocks[0]
-	default:
-		tl.joined = make([]EpochRecord, 0, tl.n)
-		for _, b := range tl.blocks {
-			tl.joined = append(tl.joined, b...)
-		}
-	}
-	return tl.joined
-}
+func (tl *Timeline) Records() []EpochRecord { return tl.records }
 
 // Pairs returns the distinct pair tags present, in first-appearance
 // order (deterministic: records are appended in virtual-time order).
@@ -119,17 +88,6 @@ func (tl *Timeline) Pairs() []string {
 		if !seen[r.Pair] {
 			seen[r.Pair] = true
 			out = append(out, r.Pair)
-		}
-	}
-	return out
-}
-
-// RecordsFor returns the records of one pair, in recording order.
-func (tl *Timeline) RecordsFor(pair string) []EpochRecord {
-	var out []EpochRecord
-	for _, r := range tl.Records() {
-		if r.Pair == pair {
-			out = append(out, r)
 		}
 	}
 	return out

@@ -47,9 +47,6 @@ func TestTimelineCSV(t *testing.T) {
 	if got := tl.Pairs(); len(got) != 2 || got[0] != "p00" || got[1] != "p01" {
 		t.Fatalf("Pairs = %v", got)
 	}
-	if got := tl.RecordsFor("p01"); len(got) != 1 || got[0].Epoch != 2 {
-		t.Fatalf("RecordsFor(p01) = %v", got)
-	}
 }
 
 func TestTimelineEmpty(t *testing.T) {

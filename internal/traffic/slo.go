@@ -85,12 +85,8 @@ type Judge struct {
 	slo     SLO
 	start   simtime.Time
 	started bool
-	// blocks holds the windows, windowBlock to a block, so a run's
-	// windows cost one allocation per block and never move; nwin counts
-	// the windows materialized so far.
-	blocks [][]window
-	nwin   int
-	total  metrics.Histogram
+	windows []*window
+	total   metrics.Histogram
 
 	arrivals    int
 	completions int
@@ -113,23 +109,16 @@ func (j *Judge) Start(t simtime.Time) {
 	j.started = true
 }
 
-// windowBlock is the number of windows per allocated block.
-const windowBlock = 64
-
 func (j *Judge) win(t simtime.Time) *window {
 	idx := 0
 	if j.started && t > j.start {
 		idx = int(int64(t-j.start) / int64(j.slo.Window))
 	}
-	for len(j.blocks)*windowBlock <= idx {
-		j.blocks = append(j.blocks, make([]window, windowBlock))
+	for len(j.windows) <= idx {
+		j.windows = append(j.windows, &window{})
 	}
-	j.nwin = max(j.nwin, idx+1)
-	return j.window(idx)
+	return j.windows[idx]
 }
-
-// window returns window i, which must be materialized.
-func (j *Judge) window(i int) *window { return &j.blocks[i/windowBlock][i%windowBlock] }
 
 // Arrived records one open-loop arrival at t.
 func (j *Judge) Arrived(t simtime.Time) {
@@ -206,8 +195,8 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	_ = j.win(end) // materialize trailing silent windows
 	rep := Report{
 		SLO:          j.slo,
-		TotalWindows: j.nwin,
-		Windows:      make([]WindowStat, 0, j.nwin),
+		TotalWindows: len(j.windows),
+		Windows:      make([]WindowStat, 0, len(j.windows)),
 		Arrivals:     j.arrivals,
 		Completions:  j.completions,
 		Outstanding:  j.arrivals - j.completions,
@@ -224,8 +213,7 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	lastDone := simtime.Duration(0)
 	var violSamples int
 	var violFactor [numFactors]int
-	for i := 0; i < j.nwin; i++ {
-		w := j.window(i)
+	for i, w := range j.windows {
 		cumArr += w.arrivals
 		cumDone += w.completions
 		ws := WindowStat{

@@ -26,7 +26,7 @@ func TestLoaderLoadsAllRecords(t *testing.T) {
 		clock.RunFor(5 * simtime.Millisecond)
 	}
 	if !loader.Done() {
-		t.Fatalf("loader stuck at %d/500", loader.Loaded())
+		t.Fatalf("loader stuck at %d/500", loader.acked)
 	}
 	if got := len(sv.State().Keys); got != 500 {
 		t.Fatalf("server has %d records, want 500", got)

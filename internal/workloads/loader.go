@@ -52,6 +52,3 @@ func (l *Loader) onData(s *simnet.Socket) {
 
 // Done reports whether every record was acknowledged.
 func (l *Loader) Done() bool { return l.acked >= l.records }
-
-// Loaded returns the number of acknowledged records.
-func (l *Loader) Loaded() int { return l.acked }

@@ -113,8 +113,6 @@ type Server struct {
 	// of another kind: install or restore).
 	lastSnap *serverState
 	value    []byte // a GET's record, read from the heap; respond copies it
-
-	processed int64
 }
 
 // NewServer builds a server workload from a profile.
@@ -124,9 +122,6 @@ func NewServer(prof Profile) *Server {
 
 // Profile returns the calibrated profile.
 func (sv *Server) Profile() Profile { return sv.prof }
-
-// Processed returns the number of requests processed by the server.
-func (sv *Server) Processed() int64 { return sv.processed }
 
 // State exposes the application state (for validation introspection).
 func (sv *Server) State() *serverState { return sv.state }
@@ -350,7 +345,6 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 		sv.state.Pending = sv.state.Pending[1:]
 	}
 	cpu := sv.process(w, req)
-	sv.processed++
 	if len(sv.state.Pending) > 0 {
 		return cpu, cpu
 	}

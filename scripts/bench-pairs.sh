@@ -22,8 +22,10 @@
 # ALL=1 also prints, for every end-to-end metric of BENCHMARK.json, the
 # base and working-tree medians beside the metric's bound, and flags a
 # metric whose median got worse by more than its bound (a relative
-# change). Flags are reported, not fatal: one short pair is noisy. A run
-# that exits non-zero stops the script.
+# change). Flags are reported, not fatal: one short pair is noisy. It
+# also prints each side's failed share (failed over attempted, summed
+# over its runs) and names any pair whose run reported "correct":false.
+# A run that exits non-zero stops the script.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -124,6 +126,25 @@ paste -d ' ' <(printf '%s\n' "${bases[@]}") <(printf '%s\n' "${changes[@]}") |
 	}'
 
 if [ "${ALL:-0}" = 1 ]; then
+	# The failed share a pipeline judges: sum of failed over sum of
+	# attempted across one side's runs. A run whose result line reads
+	# "correct":false is named.
+	for side in base change; do
+		for ((i = 1; i <= pairs; i++)); do
+			printf '%d %s\n' "$i" "$(cat "$work/$side.$i")"
+		done | awk -v side="$side" '
+			{
+				a = $0; f = $0
+				sub(/.*"attempted":/, "", a); sub(/[^0-9].*/, "", a)
+				sub(/.*"failed":/, "", f); sub(/[^0-9].*/, "", f)
+				att += a; fail += f
+				if (index($0, "\"correct\":false")) bad = bad " " $1
+			}
+			END {
+				printf "%-6s failed %d of %d attempted (%.4g%%)%s\n", side, fail, att,
+					att ? 100 * fail / att : 0, bad == "" ? "" : "; \"correct\":false in pair" bad
+			}'
+	done
 	echo "end-to-end medians (base, change, relative change, bound; WORSE: worse by more than the bound)"
 	printf '%s\n' "$spec" | sed -n 's/.*"end_to_end":\[\([^]]*\)\].*/\1/p' | sed 's/},{/}\n{/g' |
 		sed -n 's/.*"name":"\([^"]*\)".*"better":"\([a-z]*\)","bound":\([-0-9.e+]*\).*/\1 \2 \3/p' |
