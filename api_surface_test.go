@@ -22,7 +22,6 @@ var exportKeep = map[string]string{
 	"core.Replicator.ReplicaAckLagGauge": "bound: the cluster chain test holds the lag gauge a metrics reader sees to 3 epochs",
 	"core.Replicator.RetainedImageBytes": "bound: faultinject holds an isolated primary's retained images",
 	"criu.PageStore.ForEach":             "oracle: core's regression test reads the backup's committed pages",
-	"faultinject.HardKill":               "fixture: the host power-loss fault faultinject's takeover test drives",
 	"metrics.Table.NumRows":              "oracle: harness and cluster tests count the rows of rendered tables",
 	"simdisk.Disk.Checksum":              "oracle: replicated disks compare equal by content",
 	"simdisk.Disk.Writes":                "counter: simfs and workloads tests count writebacks reaching the disk",

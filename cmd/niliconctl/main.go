@@ -14,15 +14,17 @@
 //	table6         Single-client response latency
 //	validate       §VII-A fault-injection validation
 //	pipeline       Epoch-pipeline transfer-mode ablation (streamcluster)
-//	chaos          Seeded deterministic fault campaign with invariant
-//	               oracles (-sweep for the full matrix, including the
-//	               fleet scenarios; -replicas N>2 runs the f+1 chain
-//	               campaign with witness-quorum promotion instead)
+//	chaos          Seeded deterministic fault campaign on one
+//	               primary/backup pair with invariant oracles (-sweep
+//	               for the full matrix, including the fleet scenarios)
 //	fleet          Fleet campaign: -pairs containers over -hosts workers
 //	               (+ -spares), -kills concurrent host failures, all
 //	               oracles verified (-smoke for the reduced CI shape;
 //	               -replicas N>2 places f+1 chains zone-anti-affine over
-//	               -zones failure domains and kills a whole zone)
+//	               -zones failure domains and kills a whole zone; the
+//	               fleet control plane is the one arbiter that promotes
+//	               a chain's replica, so chains wider than a pair run
+//	               only here)
 //	traffic        Trace tooling (DESIGN.md §14): -synth <profile> writes
 //	               a synthesized JSONL trace to stdout, -capture <bench>
 //	               records a uniform client run into a trace, -replay
@@ -148,7 +150,7 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.hosts = fs.Int("hosts", 4, "fleet: worker hosts in the pool")
 	a.spares = fs.Int("spares", 2, "fleet: spare hosts for re-protection")
 	a.kills = fs.Int("kills", 2, "fleet: concurrent host failures to inject")
-	a.replicas = fs.Int("replicas", 2, "chaos/fleet: chain width, primary + N-1 backup replicas (>2 runs the f+1 chain machinery; fleet then kills a whole zone)")
+	a.replicas = fs.Int("replicas", 2, "fleet: chain width, primary + N-1 backup replicas (>2 places f+1 chains and kills a whole zone; chaos runs a pair and takes only 2)")
 	a.zones = fs.Int("zones", 0, "fleet: failure domains for zone-anti-affine chain placement (0 = auto: max(replicas, 1))")
 	a.smoke = fs.Bool("smoke", false, "fleet: reduced CI shape (4 pairs, 4 hosts, 1 kill, short window)")
 	a.degrade = fs.String("degrade", "strict", "chaos/fleet: lease degradation policy (strict|availability)")
@@ -188,7 +190,7 @@ func (a *app) run(args []string) int {
 		// to a.stderr.
 		return 2
 	}
-	if err := a.validate(); err != nil {
+	if err := a.validate(cmd); err != nil {
 		fmt.Fprintf(a.stderr, "niliconctl: %v\n", err)
 		return 2
 	}
@@ -245,7 +247,7 @@ func (a *app) stopProfiles() {
 
 // validate rejects out-of-range or malformed flag values with one-line
 // errors before any experiment starts.
-func (a *app) validate() error {
+func (a *app) validate(cmd string) error {
 	if *a.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1 (got %d)", *a.jobs)
 	}
@@ -257,6 +259,9 @@ func (a *app) validate() error {
 	}
 	if *a.replicas < 2 {
 		return fmt.Errorf("-replicas must be >= 2 (got %d)", *a.replicas)
+	}
+	if cmd == "chaos" && *a.replicas > 2 {
+		return fmt.Errorf("chaos runs one pair; a chain wider than a pair runs under the fleet control plane: fleet -replicas %d", *a.replicas)
 	}
 	if *a.zones < 0 {
 		return fmt.Errorf("-zones must be >= 0 (got %d)", *a.zones)
@@ -385,13 +390,9 @@ func (a *app) runChaos() error {
 		}
 		return nil
 	}
-	// -replicas > 2 runs an f+1 chain campaign: a witness-arbitrated
-	// chain through the chain fault kinds (zone-kill, witness-partition,
-	// asym-cut) and a terminal primary kill.
 	cfg := chaos.Config{
 		Seed: *a.seed, Opts: a.opts, OptName: *a.optsName,
 		Duration: simtime.Duration(*a.chaosDur),
-		Replicas: *a.replicas,
 		Degrade:  a.degradePol,
 	}
 	if *a.traceF != "" {
@@ -409,7 +410,7 @@ func (a *app) runChaos() error {
 	res := chaos.VerifySeed(cfg)
 	fmt.Fprint(a.stdout, res.Trace)
 	if !res.Passed {
-		return fmt.Errorf("campaign failed (seed %d, opts %s, replicas %d)", *a.seed, *a.optsName, cfg.Replicas)
+		return fmt.Errorf("campaign failed (seed %d, opts %s)", *a.seed, *a.optsName)
 	}
 	return nil
 }
@@ -516,15 +517,15 @@ func (a *app) runFleet() error {
 	// Chain flags apply after the smoke shape so the CI form
 	// `fleet -smoke -replicas 3 -zones 3` runs small chains; wider
 	// chains need one spare per zone for zone-kill re-protection.
-	cfg.Replicas, f.Zones = *a.replicas, *a.zones
-	if *a.smoke && cfg.Replicas > 2 && f.Spares < cfg.Replicas {
-		f.Spares = cfg.Replicas
+	f.Replicas, f.Zones = *a.replicas, *a.zones
+	if *a.smoke && f.Replicas > 2 && f.Spares < f.Replicas {
+		f.Spares = f.Replicas
 	}
 	if f.Pairs <= 0 || f.Hosts < 2 {
 		return fmt.Errorf("need at least 1 pair and 2 hosts (got -pairs %d -hosts %d)", f.Pairs, f.Hosts)
 	}
-	if f.Hosts < cfg.Replicas {
-		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", f.Hosts, cfg.Replicas)
+	if f.Hosts < f.Replicas {
+		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", f.Hosts, f.Replicas)
 	}
 	if err := chaos.Check(cfg); err != nil {
 		return err

@@ -41,6 +41,7 @@ func TestUsageErrors(t *testing.T) {
 		{"unparseable-int", []string{"chaos", "-seeds", "abc"}, `invalid value "abc"`},
 		{"unparseable-duration", []string{"chaos", "-chaos-duration", "soon"}, `invalid value "soon"`},
 		{"unknown-flag", []string{"chaos", "-frob"}, "flag provided but not defined"},
+		{"chaos-wider-than-pair", []string{"chaos", "-replicas", "3"}, "fleet -replicas 3"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -169,10 +170,6 @@ type committedOutput struct {
 	name      string
 	expensive bool // runs only under -expensive
 	run       func(t *testing.T) string
-	// traceOf, when set, names the campaign entry whose file this
-	// output must equal less its closing timeline-csv line: the CLI
-	// prints the campaign's trace, and that entry alone owns the file.
-	traceOf string
 }
 
 // cli is the stdout of one niliconctl invocation, which must exit 0.
@@ -243,7 +240,6 @@ func committedOutputs() []committedOutput {
 		{name: "chaos-replay-seed3", run: cli("chaos", "-opts", "replay", "-seed", "3", "-chaos-duration", "800ms")},
 		{name: "chaos-pipelined-seed3", run: cli("chaos", "-opts", "pipelined", "-seed", "3", "-chaos-duration", "800ms")},
 		{name: "chaos-delta-seed3", run: cli("chaos", "-opts", "delta", "-seed", "3", "-chaos-duration", "800ms")},
-		{name: "chaos-chain", traceOf: "chain-replicas3-seed2", run: cli("chaos", "-replicas", "3", "-seed", "2")},
 		{name: "fleet-smoke-availability", run: cli("fleet", "-smoke", "-degrade", "availability")},
 		{name: "traffic-replay", run: pipe(
 			[]string{"traffic", "-synth", "burst", "-traffic-duration", "2500ms"}, []string{"traffic", "-replay"})},
@@ -286,17 +282,6 @@ func committedOutputs() []committedOutput {
 			Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioAckOutage, Degrade: core.Availability})},
 		{name: "splitbrain-ackout-strict", run: campaign(chaos.Config{
 			Seed: 33, Opts: core.AllOpts(), OptName: "all", Scenario: chaos.ScenarioAckOutage, Degrade: core.StrictSafety})},
-		// `chaos -replicas 3 -seed 2` prints this trace (entry chaos-chain).
-		{name: "chain-replicas3-seed2", run: campaign(chaos.Config{
-			Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalKill})},
-		{name: "chain-replicas4-kills2", run: campaign(chaos.Config{
-			Seed: 3, Opts: core.AllOpts(), OptName: "all", Replicas: 4, Terminal: chaos.TerminalDoubleKill, Events: -1})},
-		{name: "chain-prelease-asymcut", run: campaign(chaos.Config{
-			Seed: 4, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalNone,
-			Events: 1, FaultKinds: []string{"asym-cut"}, PreLease: true})},
-		{name: "chain-witness-partition", run: campaign(chaos.Config{
-			Seed: 2, Opts: core.AllOpts(), OptName: "all", Replicas: 3, Terminal: chaos.TerminalNone,
-			Events: 1, FaultKinds: []string{"witness-partition"}})},
 		// `fleet -smoke` prints this trace (no timeline-csv line) plus a
 		// determinism verdict.
 		{name: "fleet-smoke", run: campaign(chaos.Config{
@@ -306,7 +291,7 @@ func committedOutputs() []committedOutput {
 		// timeline-csv line) plus a determinism verdict.
 		{name: "fleet-zonekill-replicas3", run: campaign(chaos.Config{
 			Seed: 1, Opts: core.AllOpts(), OptName: "all", Duration: 600 * simtime.Millisecond,
-			Replicas: 3, Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 3, Kills: 1, Zones: 3}})},
+			Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 3, Kills: 1, Replicas: 3, Zones: 3}})},
 		{name: "fleet-replay", run: campaign(chaos.Config{
 			Seed: 4, Opts: core.ReplayOpts(), OptName: "fleet-replay", Duration: 500 * simtime.Millisecond,
 			Fleet: &chaos.Fleet{Pairs: 4, Hosts: 4, Spares: 1, Kills: 1}})},
@@ -329,9 +314,7 @@ func TestCommittedOutputs(t *testing.T) {
 	owned := map[string]bool{}
 	outputs := committedOutputs()
 	for _, o := range outputs {
-		if o.traceOf == "" {
-			owned[o.name+".txt"] = true
-		}
+		owned[o.name+".txt"] = true
 	}
 	for _, e := range entries {
 		if !owned[e.Name()] {
@@ -361,27 +344,15 @@ func TestCommittedOutputs(t *testing.T) {
 			}
 			got := o.run(t)
 			path := filepath.Join("testdata", o.name+".txt")
-			if o.traceOf != "" {
-				path = filepath.Join("testdata", o.traceOf+".txt")
-			}
 			if *update {
-				if o.traceOf == "" {
-					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-						t.Fatal(err)
-					}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
 				}
 				return
 			}
 			want, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if o.traceOf != "" {
-				trace, digest, ok := bytes.Cut(want, []byte("timeline-csv sha256="))
-				if !ok || bytes.Count(digest, []byte("\n")) != 1 {
-					t.Fatalf("%s does not end in one timeline-csv line", path)
-				}
-				want = trace
 			}
 			if got != string(want) {
 				t.Errorf("output differs from %s (%d vs %d bytes); rerun with -update and review the diff", path, len(got), len(want))

@@ -71,7 +71,6 @@ var configSurface = map[string][]string{
 		"Opts core.OptSet",
 		"OptName string",
 		"Duration time.Duration",
-		"Replicas int",
 		"Fleet *chaos.Fleet",
 		"Terminal string",
 		"Events int",
@@ -81,6 +80,15 @@ var configSurface = map[string][]string{
 		"Degrade core.DegradePolicy",
 		"Traffic *traffic.Trace",
 	},
+	"chaos.Fleet": {
+		"Pairs int",
+		"Hosts int",
+		"Spares int",
+		"Replicas int",
+		"Kills int",
+		"Zones int",
+		"KillZone bool",
+	},
 }
 
 // TestConfigSurface fails when a configuration type gains or loses a
@@ -88,7 +96,7 @@ var configSurface = map[string][]string{
 func TestConfigSurface(t *testing.T) {
 	for _, v := range []any{
 		core.Config{}, core.LeaseConfig{}, core.OptSet{}, core.ClusterParams{},
-		cluster.Params{}, criu.Options{}, chaos.Config{},
+		cluster.Params{}, criu.Options{}, chaos.Config{}, chaos.Fleet{},
 	} {
 		typ := reflect.TypeOf(v)
 		var got []string

@@ -2,10 +2,11 @@
 // the replication pipeline. A campaign is a topology × a fault schedule
 // × an oracle list (DESIGN.md §6):
 //
-//   - the topology is one replication chain of Config.Replicas members
-//     (the classic primary/backup pair is the chain of two) or, with
-//     Config.Fleet, a host pool running many chains under the cluster
-//     control plane;
+//   - the topology is one primary/backup pair or, with Config.Fleet, a
+//     host pool running many chains under the cluster control plane. A
+//     chain wider than a pair exists only in a fleet (Fleet.Replicas):
+//     its replicas never promote themselves, the fleet detector picks
+//     the one slot to promote;
 //
 //   - the schedule is drawn from the seed (transient link faults plus a
 //     terminal phase), scripted (Config.Scenario: the split-brain
@@ -36,6 +37,7 @@ import (
 
 	"nilicon/internal/cluster"
 	"nilicon/internal/core"
+	"nilicon/internal/faultinject"
 	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
@@ -48,10 +50,6 @@ const (
 	TerminalKill            = "kill"
 	TerminalKillMidTransfer = "kill-mid-transfer"
 	TerminalReprotect       = "reprotect"
-	// TerminalDoubleKill kills the primary's host and the slot-0
-	// replica's host in the same instant: the f=2 claim, for chains of
-	// three or more.
-	TerminalDoubleKill = "double-kill"
 )
 
 // Config parameterizes one campaign.
@@ -64,32 +62,22 @@ type Config struct {
 	// a Scenario fixes its own.
 	Duration simtime.Duration
 
-	// Replicas is the chain width including the primary: 2 (the
-	// default) is the classic pair; more adds backup replicas, each on
-	// its own failure domain, arbitrated by a witness (DESIGN.md §15).
-	// In a fleet it is every pair's chain width, and a width above 2
-	// forces Fleet.KillZone.
-	Replicas int
-	// Fleet, when set, replaces the single chain with a host pool of
+	// Fleet, when set, replaces the single pair with a host pool of
 	// many chains, whose schedule is one host (or zone) kill.
 	Fleet *Fleet
 
 	// Terminal overrides the randomly drawn terminal phase of a pair
-	// ("" draws from the seed; a chain wider than a pair defaults to
-	// TerminalKill). TerminalReprotect needs a pair and
-	// TerminalDoubleKill a wider chain.
+	// ("" draws from the seed).
 	Terminal string
 	// Events overrides the number of transient fault events (0 draws
 	// 2–6 from the seed; a negative value means zero events — a clean
 	// run whose only disruption is the terminal phase).
 	Events int
-	// FaultKinds overrides the transient-fault kinds the schedule draws
-	// from. Nil keeps, for a pair, the legacy cut-repl/cut-ack/partition
-	// trio with its exact historical random stream and, for a wider
-	// chain, the chain geometries ("zone-kill", "witness-partition",
-	// "asym-cut"). A list may also name the sustained one-way cuts
-	// ("oneway-pb", "oneway-bp") and seeded link flapping ("flap"); the
-	// pair-era kinds act on slot 0.
+	// FaultKinds overrides the transient-fault kinds a pair's schedule
+	// draws from. Nil keeps the legacy cut-repl/cut-ack/partition trio
+	// with its exact historical random stream. A list may also name the
+	// sustained one-way cuts ("oneway-pb", "oneway-bp") and seeded link
+	// flapping ("flap").
 	FaultKinds []string
 	// Scenario replaces the drawn schedule with a scripted split-brain
 	// geometry (ScenarioPartitionHeal or ScenarioAckOutage) plus its
@@ -97,12 +85,10 @@ type Config struct {
 	Scenario string
 
 	// PreLease disables output-commit lease arbitration, reverting to
-	// the pre-lease detector behavior; on a chain wider than a pair it
-	// also omits the witness, so every backup self-promotes on its own
-	// staleness view. It is the one escape hatch, kept for the
-	// split-brain regressions: the same seed that passes the
-	// at-most-one-serving oracle with the lease (and, on a chain, the
-	// witness) on demonstrably dual-serves with it off.
+	// the pre-lease detector behavior. It is the one escape hatch, kept
+	// for the split-brain regressions: the same seed that passes the
+	// at-most-one-serving oracle with the lease on demonstrably
+	// dual-serves with it off.
 	PreLease bool
 	// Degrade selects the lease degradation policy (StrictSafety by
 	// default; ignored under PreLease).
@@ -127,6 +113,11 @@ type Fleet struct {
 	Pairs  int
 	Hosts  int
 	Spares int
+	// Replicas is every chain's width including the primary: 2 (the
+	// default) is the classic pair; more adds backup replicas, each in
+	// its own failure domain (DESIGN.md §15). A width above 2 forces
+	// KillZone.
+	Replicas int
 	// Kills is how many hosts die — all in the same instant. Victims are
 	// never ring-adjacent: a pair's backup sits on the next host in the
 	// placement ring, so adjacent victims would take both of a pair's
@@ -146,14 +137,11 @@ func (cfg *Config) defaults() {
 	if cfg.OptName == "" {
 		cfg.OptName = "custom"
 	}
-	if cfg.Replicas < 2 {
-		cfg.Replicas = 2
-	}
 	if f := cfg.Fleet; f != nil {
 		// Default a copy: callers may share one Fleet across configs.
 		fc := *f
 		cfg.Fleet = &fc
-		fc.defaults(cfg.Replicas)
+		fc.defaults()
 		if cfg.Duration <= 0 {
 			cfg.Duration = 900 * simtime.Millisecond
 		}
@@ -168,18 +156,12 @@ func (cfg *Config) defaults() {
 	default:
 		panic("chaos: unknown split-brain scenario " + cfg.Scenario)
 	}
-	if cfg.Replicas > 2 && cfg.Terminal == "" {
-		cfg.Terminal = TerminalKill
-	}
-	if cfg.Replicas > 2 && cfg.FaultKinds == nil {
-		cfg.FaultKinds = []string{"zone-kill", "witness-partition", "asym-cut"}
-	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = 1500 * simtime.Millisecond
 	}
 }
 
-func (f *Fleet) defaults(replicas int) {
+func (f *Fleet) defaults() {
 	if f.Pairs <= 0 {
 		f.Pairs = 8
 	}
@@ -192,6 +174,9 @@ func (f *Fleet) defaults(replicas int) {
 	if f.Kills <= 0 {
 		f.Kills = 2
 	}
+	if f.Replicas < 2 {
+		f.Replicas = 2
+	}
 	if f.Zones < 1 {
 		f.Zones = 1
 	}
@@ -199,10 +184,10 @@ func (f *Fleet) defaults(replicas int) {
 	// most one host from any chain, which the convergence accounting
 	// (and the fault model: f failures spread across domains, not two
 	// hosts of one chain) depends on.
-	if replicas > 2 {
+	if f.Replicas > 2 {
 		f.KillZone = true
-		if f.Zones < replicas {
-			f.Zones = replicas
+		if f.Zones < f.Replicas {
+			f.Zones = f.Replicas
 		}
 	}
 	if f.KillZone && f.Zones < 2 {
@@ -274,11 +259,10 @@ type campaign struct {
 
 	warmup, convergeIn simtime.Duration
 
-	// Chain topology (cfg.Fleet == nil). repl is the current replicator
-	// generation: a pair's reprotect terminal replaces it.
+	// Pair topology (cfg.Fleet == nil). repl is the current replicator
+	// generation: the reprotect terminal replaces it.
 	app  *kvApp
 	repl *core.Replicator
-	wit  *core.Witness
 
 	// Fleet topology (cfg.Fleet != nil).
 	pool  *cluster.Fleet
@@ -322,7 +306,12 @@ func Check(cfg Config) error {
 // Run executes one campaign and returns its result.
 func Run(cfg Config) Result {
 	cfg.defaults()
-	c := &campaign{cfg: cfg, sched: drawSchedule(cfg)}
+	return run(cfg, drawSchedule(cfg))
+}
+
+// run executes a defaulted cfg under the fault plan sched.
+func run(cfg Config, sched schedule) Result {
+	c := &campaign{cfg: cfg, sched: sched}
 	c.build()
 	c.emitHeader()
 	c.execute()
@@ -359,23 +348,19 @@ func (c *campaign) build() {
 	}
 	c.warmup, c.convergeIn = warmup, convergeIn
 	c.clock = sc.Root()
-	views := core.NewShardedChainViews(sc, c.cfg.Replicas)
-	ctr := views[0].NewProtectedContainer("chaos", "10.0.0.10", 1)
+	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	ctr := cl.NewProtectedContainer("chaos", "10.0.0.10", 1)
 	c.app = newKVApp(ctr)
 	c.timeline = &trace.Timeline{}
-	c.repl = core.NewChainReplicator(views, ctr, c.replConfig())
+	c.repl = core.NewReplicator(cl, ctr, c.replConfig())
 	c.repl.Timeline = c.timeline
-	if c.cfg.Replicas > 2 && !c.cfg.PreLease {
-		c.wit = core.AttachWitness(c.repl)
-	}
 }
 
-// replConfig is the replicator configuration of every chain generation
+// replConfig is the replicator configuration of every pair generation
 // the campaign builds. Campaigns run with lease arbitration on by
 // default: every schedule doubles as a regression for the lease path,
 // and the at-most-one-serving oracle holds by protocol rather than by
-// luck. On a chain the witness becomes the sole grantor; PreLease
-// drops both to show what the chain does without them.
+// luck; PreLease drops it to show what the pair does without it.
 func (c *campaign) replConfig() core.Config {
 	cfg := core.DefaultConfig()
 	cfg.Opts = c.cfg.Opts
@@ -398,18 +383,7 @@ func (c *campaign) onRecovered(rc core.RestoredContainer, stats core.RecoverySta
 	c.recoveredAt = c.clock.Now()
 	c.killPending = false
 	c.failovers++
-	slot := ""
-	if c.cfg.Replicas > 2 {
-		i := 0
-		for i < c.repl.Replicas() && !c.repl.ReplicaAgent(i).Recovered() {
-			i++
-		}
-		if i == c.repl.Replicas() {
-			i = -1
-		}
-		slot = fmt.Sprintf(" slot=%d", i)
-	}
-	c.eventf("recovered%s epoch=%d detect=%d", slot, stats.CommittedEpoch, int64(stats.DetectedAt))
+	c.eventf("recovered epoch=%d detect=%d", stats.CommittedEpoch, int64(stats.DetectedAt))
 	if c.cfg.Opts.RecordReplay {
 		c.replays = append(c.replays, stats.Replay)
 		if r := stats.Replay; r != nil {
@@ -432,19 +406,12 @@ func (c *campaign) emitHeader() {
 	case c.pool != nil:
 		f := c.cfg.Fleet
 		fmt.Fprintf(&c.trace, "chaos-fleet seed=%d opts=%s pairs=%d workers=%d spares=%d replicas=%d zones=%d duration=%s lease=%s degrade=%s\n",
-			c.cfg.Seed, c.cfg.OptName, f.Pairs, f.Hosts, f.Spares, c.cfg.Replicas, f.Zones, c.cfg.Duration, lease, c.cfg.Degrade)
+			c.cfg.Seed, c.cfg.OptName, f.Pairs, f.Hosts, f.Spares, f.Replicas, f.Zones, c.cfg.Duration, lease, c.cfg.Degrade)
 		zone := ""
 		if c.sched.zone >= 0 {
 			zone = fmt.Sprintf(" zone=%d", c.sched.zone)
 		}
 		fmt.Fprintf(&c.trace, "sched kill-at=%d%s victims=%v\n", int64(c.sched.killAt), zone, c.sched.victims)
-	case c.cfg.Replicas > 2:
-		witness := "on"
-		if c.wit == nil {
-			witness = "off"
-		}
-		fmt.Fprintf(&c.trace, "chaos-chain seed=%d opts=%s replicas=%d quorum=%d kills=%d duration=%s witness=%s\n",
-			c.cfg.Seed, c.cfg.OptName, c.cfg.Replicas, c.repl.Quorum(), c.hostKills(), c.cfg.Duration, witness)
 	default:
 		fmt.Fprintf(&c.trace, "chaos seed=%d opts=%s duration=%s terminal=%s lease=%s degrade=%s\n",
 			c.cfg.Seed, c.cfg.OptName, c.cfg.Duration, c.sched.terminal, lease, c.cfg.Degrade)
@@ -461,18 +428,6 @@ func (c *campaign) emitHeader() {
 	if c.cfg.Scenario != "" {
 		fmt.Fprintf(&c.trace, "splitbrain scenario=%s\n", c.cfg.Scenario)
 	}
-}
-
-// hostKills is how many hosts a chain's terminal phase kills (-1 for
-// none), as the chain header and the acked-output verdict report it.
-func (c *campaign) hostKills() int {
-	switch c.sched.terminal {
-	case TerminalNone:
-		return -1
-	case TerminalDoubleKill:
-		return 2
-	}
-	return 1
 }
 
 // groups is how many chains the campaign protects: one, or one per
@@ -562,7 +517,7 @@ func (c *campaign) execute() {
 	case c.sched.terminal != TerminalNone:
 	case c.failovers == 0:
 		c.quiesceDrain()
-	case c.cfg.Replicas == 2:
+	default:
 		c.eventf("drain-skipped failovers=%d", c.failovers)
 	}
 	if c.traffic != nil {
@@ -616,7 +571,7 @@ func (c *campaign) startWriter() {
 	})
 }
 
-// terminal runs a chain's terminal phase. Closely spaced replication
+// terminal runs a pair's terminal phase. Closely spaced replication
 // cuts can legitimately trip the failure detector (heartbeats gone > 3
 // intervals across two cuts); such an unplanned failover is a valid
 // system response, and the terminal phase adapts: there is no primary
@@ -624,7 +579,7 @@ func (c *campaign) startWriter() {
 func (c *campaign) terminal() {
 	switch c.sched.terminal {
 	case TerminalNone:
-		c.healAll()
+		faultinject.Heal(c.repl)
 		c.eventf("final-heal")
 		c.clock.RunFor(settleAfter)
 		switch c.cfg.Scenario {
@@ -693,7 +648,7 @@ func (c *campaign) reprotectCycle() {
 		return
 	}
 	c.clock.RunFor(200 * simtime.Millisecond)
-	c.healAll()
+	faultinject.Heal(c.repl)
 	_, repl2, err := core.Reprotect(c.repl.Cluster, restored, c.replConfig())
 	if err != nil {
 		c.verdicts = append(c.verdicts, Verdict{Oracle: "convergence", OK: false,
@@ -740,10 +695,8 @@ func (c *campaign) finish() Result {
 	} else {
 		res.Epochs = c.repl.Epochs()
 		res.Resyncs = c.repl.Resyncs.Value()
-		for i := 0; i < c.repl.Replicas(); i++ {
-			v := c.repl.ReplicaView(i)
-			res.LinkDrops += v.ReplLink.Drops() + v.AckLink.Drops()
-		}
+		cl := c.repl.Cluster
+		res.LinkDrops = cl.ReplLink.Drops() + cl.AckLink.Drops()
 	}
 	if c.cfg.Opts.RecordReplay && res.Failovers > 0 {
 		c.verdicts = append(c.verdicts, replayVerdict(res.Failovers, c.replayRecords()))
@@ -761,13 +714,6 @@ func (c *campaign) finish() Result {
 	switch {
 	case c.pool != nil:
 		c.emitFleetFinal(res)
-	case c.cfg.Replicas > 2:
-		elections, aborts := 0, 0
-		if c.wit != nil {
-			elections, aborts = c.wit.Elections, c.wit.Aborts
-		}
-		fmt.Fprintf(&c.trace, "counters epochs=%d resyncs=%d linkdrops=%d sent=%d acked=%d failovers=%d elections=%d aborts=%d\n",
-			res.Epochs, res.Resyncs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers, elections, aborts)
 	default:
 		fmt.Fprintf(&c.trace, "counters epochs=%d resyncs=%d linkdrops=%d sent=%d acked=%d failovers=%d\n",
 			res.Epochs, res.Resyncs, res.LinkDrops, res.SentWrites, res.AckedWrites, res.Failovers)

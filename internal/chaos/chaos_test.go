@@ -28,6 +28,15 @@ func optSets() []struct {
 	}
 }
 
+func verdict(res Result, oracle string) (Verdict, bool) {
+	for _, v := range res.Verdicts {
+		if v.Oracle == oracle {
+			return v, true
+		}
+	}
+	return Verdict{}, false
+}
+
 func requirePassed(t *testing.T, res Result) {
 	t.Helper()
 	if res.Passed {

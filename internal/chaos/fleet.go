@@ -104,7 +104,7 @@ func (cfg *Config) fleetParams() cluster.Params {
 		Workers:  f.Hosts,
 		Spares:   f.Spares,
 		Pairs:    f.Pairs,
-		Replicas: cfg.Replicas,
+		Replicas: f.Replicas,
 		Zones:    f.Zones,
 		Seed:     cfg.Seed,
 		Degrade:  cfg.Degrade,
@@ -148,10 +148,15 @@ func (c *campaign) scheduleHostKill() {
 				a.failovers++
 				a.detectable[pr.PrimaryHost] = true
 			}
-			// Every chain slot on a victim host fences.
+			// Every chain slot on a victim host fences — unless the
+			// primary died with it: a failover halts the chain's losing
+			// replicas, and one whose host the detector has not yet
+			// declared dead is halted without a fence.
 			for _, rh := range pr.ReplicaHosts {
 				if a.victim[rh] {
-					a.fences++
+					if !a.victim[pr.PrimaryHost] {
+						a.fences++
+					}
 					a.detectable[rh] = true
 					hit = true
 				}

@@ -69,11 +69,10 @@ func TestFleetCampaignSeeds(t *testing.T) {
 // and all oracles hold.
 func TestFleetZoneKill(t *testing.T) {
 	res := VerifySeed(Config{
-		Seed:     1,
-		Opts:     core.AllOpts(),
-		OptName:  "all",
-		Replicas: 3,
-		Fleet:    &Fleet{Pairs: 4, Hosts: 6, Spares: 3, Zones: 3},
+		Seed:    1,
+		Opts:    core.AllOpts(),
+		OptName: "all",
+		Fleet:   &Fleet{Pairs: 4, Hosts: 6, Spares: 3, Replicas: 3, Zones: 3},
 	})
 	if !res.Passed {
 		t.Fatalf("zone-kill fleet campaign failed:\n%s", res.Trace)
@@ -96,7 +95,7 @@ func TestFleetZoneKill(t *testing.T) {
 // in the same instant — outside the fault model the convergence
 // accounting assumes.
 func TestFleetReplicasForceZoneKill(t *testing.T) {
-	cfg := Config{Seed: 7, Replicas: 3, Fleet: &Fleet{}}
+	cfg := Config{Seed: 7, Fleet: &Fleet{Replicas: 3}}
 	cfg.defaults()
 	if !cfg.Fleet.KillZone || cfg.Fleet.Zones != 3 {
 		t.Fatalf("defaults: KillZone=%v Zones=%d, want zone-kill with 3 zones", cfg.Fleet.KillZone, cfg.Fleet.Zones)

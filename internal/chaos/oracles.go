@@ -166,11 +166,8 @@ func (c *campaign) verifyWrites() {
 
 	ok := true
 	detail := fmt.Sprintf("%d writes (%d acked pre-terminal) all readable", total, c.acked)
-	switch {
-	case c.pool != nil:
+	if c.pool != nil {
 		detail = fmt.Sprintf("%d writes across %d pairs all readable", total, len(c.clients))
-	case c.cfg.Replicas > 2:
-		detail += fmt.Sprintf(" after f=%d", c.hostKills())
 	}
 	for g, cli := range c.clients {
 		n := c.sent[g]
@@ -206,9 +203,9 @@ func (c *campaign) who(g int) string {
 // quiesceDrain is the drain-to-zero epilogue: with everything healed
 // and the backlog drained, stop new epochs and assert that the pipeline
 // retains nothing — no in-flight epochs, and no flows or queued bytes
-// on any transfer scheduler (every chain slot's, or every fleet host's
-// NIC, dead hosts included: their schedulers drain clock-driven into
-// their downed links).
+// on any transfer scheduler (the pair's, or every fleet host's NIC,
+// dead hosts included: their schedulers drain clock-driven into their
+// downed links).
 func (c *campaign) quiesceDrain() {
 	if c.pool != nil {
 		c.pool.Quiesce()
@@ -229,16 +226,13 @@ func (c *campaign) quiesceDrain() {
 		where = fmt.Sprintf(" across %d hosts", len(c.pool.Hosts))
 	} else {
 		inflight = c.repl.InflightEpochs()
-		if c.cfg.Replicas > 2 {
-			where = fmt.Sprintf(" across %d slots", c.repl.Replicas())
-		}
 	}
 	flows, queued := c.xferLoad()
 	c.verdicts = append(c.verdicts, Verdict{
 		Oracle: "drain-to-zero", OK: inflight == 0 && flows == 0 && queued == 0,
 		Detail: fmt.Sprintf("inflight=%d flows=%d queued=%d%s after quiesce", inflight, flows, queued, where),
 	})
-	if c.pool == nil && c.cfg.Replicas == 2 {
+	if c.pool == nil {
 		rel, relOK := c.repl.ReleasedEpoch()
 		com, comOK := c.repl.Backup.CommittedEpoch()
 		c.eventf("drained inflight=%d flows=%d queued=%d released=%d/%v committed=%d/%v",
@@ -252,12 +246,8 @@ func (c *campaign) xferLoad() (flows int, queued int64) {
 	if c.pool != nil {
 		return c.pool.DrainStats()
 	}
-	for i := 0; i < c.repl.Replicas(); i++ {
-		x := c.repl.ReplicaView(i).Xfer
-		flows += x.Flows()
-		queued += x.QueuedBytes()
-	}
-	return flows, queued
+	x := c.repl.Cluster.Xfer
+	return x.Flows(), x.QueuedBytes()
 }
 
 // replayRecord is one failover's replay outcome, labeled for the

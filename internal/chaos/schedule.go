@@ -13,13 +13,13 @@ import (
 // event is one scheduled transient fault.
 type event struct {
 	At   simtime.Duration // campaign-relative injection time
-	Kind string           // cut-repl | cut-ack | partition | oneway-pb | oneway-bp | flap | zone-kill | witness-partition | asym-cut
+	Kind string           // cut-repl | cut-ack | partition | oneway-pb | oneway-bp | flap
 	For  simtime.Duration // outage length before the heal
 }
 
 // schedule is a campaign's full fault plan, fixed entirely up front —
 // nothing about the run feeds back into it, which is what makes the
-// trace a pure function of the Config. A chain runs transient events
+// trace a pure function of the Config. A pair runs transient events
 // and a terminal phase; a fleet runs one host (or zone) kill.
 type schedule struct {
 	events   []event
@@ -41,8 +41,8 @@ const (
 	cutAckMax  = 150 * simtime.Millisecond
 )
 
-// Sustained one-way cuts, flap bursts and the chain geometries (drawn
-// only from explicit Config.FaultKinds lists) use the opposite duration
+// Sustained one-way cuts and flap bursts (drawn only from explicit
+// Config.FaultKinds lists) use the opposite duration
 // profile: long enough to cross both the failure-detection threshold
 // (90 ms) and the lease duration (120 ms). These kinds exist to
 // threaten split-brain, not to be absorbed.
@@ -105,13 +105,10 @@ func drawSchedule(cfg Config) schedule {
 			ev.For = cutMin + simtime.Duration(rng.Int63n(int64(cutReplMax-cutMin)))
 		case "cut-ack":
 			ev.For = cutMin + simtime.Duration(rng.Int63n(int64(cutAckMax-cutMin)))
-		case "oneway-pb", "oneway-bp", "witness-partition", "asym-cut":
+		case "oneway-pb", "oneway-bp":
 			ev.For = onewayMin + simtime.Duration(rng.Int63n(int64(onewayMax-onewayMin)))
 		case "flap":
 			ev.For = flapMin + simtime.Duration(rng.Int63n(int64(flapMax-flapMin)))
-		case "zone-kill":
-			// Permanent: a replica's failure domain burns down and never
-			// heals. For=0 so the separation pass treats it as an instant.
 		default:
 			panic("chaos: unknown fault kind " + ev.Kind)
 		}
@@ -135,21 +132,9 @@ func drawSchedule(cfg Config) schedule {
 	return s
 }
 
-// inject dispatches one scheduled fault. The pair-era kinds act on slot
-// 0 through faultinject; the chain kinds pick their victim slot by the
-// deterministic highest-unfenced rule so a campaign's trace is a pure
-// function of its seed.
+// inject dispatches one scheduled fault through faultinject.
 func (c *campaign) inject(ev event) {
 	switch ev.Kind {
-	case "zone-kill":
-		c.zoneKill()
-		return
-	case "witness-partition":
-		c.witnessPartition(ev.For)
-		return
-	case "asym-cut":
-		c.asymCut(ev.For)
-		return
 	case "cut-repl":
 		faultinject.CutRepl(c.repl)
 	case "cut-ack":
@@ -175,143 +160,17 @@ func (c *campaign) inject(ev event) {
 	})
 }
 
-// victimSlot picks the highest unfenced, unhalted slot at or above
-// floor; -1 if none.
-func (c *campaign) victimSlot(floor int) int {
-	for i := c.repl.Replicas() - 1; i >= floor; i-- {
-		if !c.repl.ReplicaFenced(i) && !c.repl.ReplicaAgent(i).Halted() {
-			return i
-		}
-	}
-	return -1
-}
-
-// zoneKill burns down one replica's failure domain permanently: links
-// down, host dead. Slot 0 is spared (the terminal phase owns its
-// death), and the kill is skipped when it would take the last backup —
-// the campaign models f failures against an f+1 chain, not total loss.
-// The fence lands one detection delay later, modeling the per-replica
-// failure detector a control plane runs; until then release stalls on
-// the dead slot's acks under a strict quorum, which is safe, merely
-// slow.
-func (c *campaign) zoneKill() {
-	slot := c.victimSlot(1)
-	if slot < 0 {
-		c.eventf("zone-kill-skipped last-replica")
-		return
-	}
-	setLinks(c.repl.ReplicaView(slot), true)
-	c.repl.ReplicaAgent(slot).Halt()
-	c.setWitnessSlot(slot, true)
-	c.eventf("zone-kill slot=%d", slot)
-	c.clock.Schedule(core.DetectionDeadline+10*simtime.Millisecond, func() {
-		c.repl.FenceReplica(slot)
-		c.eventf("fence slot=%d quorum=%d", slot, c.repl.Quorum())
-	})
-}
-
-// witnessPartition isolates the witness from every other failure
-// domain: no grants reach the primary (it self-fences one lease term
-// later), no candidacies reach the witness. Nobody serves until the
-// heal — the strict-safety cost, paid honestly.
-func (c *campaign) witnessPartition(dur simtime.Duration) {
-	if c.wit == nil {
-		c.eventf("witness-partition-skipped no-witness")
-		return
-	}
-	c.setWitnessLinks(true)
-	c.eventf("witness-partition for=%d", int64(dur))
-	c.clock.Schedule(dur, func() {
-		c.setWitnessLinks(false)
-		c.eventf("heal after=witness-partition")
-	})
-}
-
-// asymCut severs one replica's links to the primary, both directions,
-// leaving its witness links intact: the replica sees a stale primary
-// and bids for promotion while the witness still hears the primary.
-// With the witness the candidacy is refused and the primary serves
-// alone; under PreLease (no witness, no lease) the replica
-// self-promotes into a dual-serve — the escape-hatch geometry.
-func (c *campaign) asymCut(dur simtime.Duration) {
-	slot := c.victimSlot(0)
-	if slot < 0 {
-		c.eventf("asym-cut-skipped no-replica")
-		return
-	}
-	v := c.repl.ReplicaView(slot)
-	setLinks(v, true)
-	c.eventf("asym-cut slot=%d for=%d", slot, int64(dur))
-	c.clock.Schedule(dur, func() {
-		setLinks(v, false)
-		c.eventf("heal after=asym-cut slot=%d", slot)
-	})
-}
-
-// setLinks cuts (or restores) one chain slot's replication and ack
-// links.
-func setLinks(v *core.Cluster, down bool) {
-	v.ReplLink.SetDown(down)
-	v.AckLink.SetDown(down)
-}
-
-// setWitnessSlot cuts (or restores) the witness's links to one slot.
-func (c *campaign) setWitnessSlot(slot int, down bool) {
-	if c.wit != nil {
-		c.wit.CandidacyLinks[slot].SetDown(down)
-		c.wit.PromoteLinks[slot].SetDown(down)
-	}
-}
-
-func (c *campaign) setWitnessLinks(down bool) {
-	c.wit.KeepAliveLink.SetDown(down)
-	c.wit.GrantLink.SetDown(down)
-	for i := range c.wit.CandidacyLinks {
-		c.setWitnessSlot(i, down)
-	}
-}
-
-// healAll restores every per-slot link and the witness links.
-func (c *campaign) healAll() {
-	for i := 0; i < c.repl.Replicas(); i++ {
-		setLinks(c.repl.ReplicaView(i), false)
-	}
-	if c.wit != nil {
-		c.setWitnessLinks(false)
-	}
-}
-
-// kill is a host failure of the primary: every link it terminates goes
-// down, the container stops, and the epoch engine quiesces — a dead
-// host schedules nothing, and without this the killed replicator would
-// keep checkpointing the stopped container into the cut link forever.
-// TerminalDoubleKill also takes the slot-0 replica's host in the same
-// virtual instant; the witness lives on its own domain and arbitrates
-// the succession.
+// kill is a host failure of the primary (faultinject.HardKill): every
+// link it terminates goes down and the container stops; the epoch
+// engine also quiesces — a dead host schedules nothing, and without
+// this the killed replicator would keep checkpointing the stopped
+// container into the cut link forever.
 func (c *campaign) kill(label string) {
 	c.kills = append(c.kills, c.clock.Now())
 	c.killPending = true
-	r := c.repl
-	r.Ctr.Disconnect()
-	for i := 0; i < r.Replicas(); i++ {
-		setLinks(r.ReplicaView(i), true)
-	}
-	r.Ctr.Stop()
-	r.Quiesce()
-	if c.wit != nil {
-		c.wit.KeepAliveLink.SetDown(true)
-		c.wit.GrantLink.SetDown(true)
-	}
-	f := ""
-	if c.cfg.Replicas > 2 {
-		f = fmt.Sprintf(" f=%d", c.hostKills())
-	}
-	c.eventf("%s%s epoch=%d", label, f, r.Epochs())
-	if c.sched.terminal == TerminalDoubleKill {
-		r.ReplicaAgent(0).Halt()
-		c.setWitnessSlot(0, true)
-		c.eventf("replica-kill slot=0")
-	}
+	faultinject.HardKill(c.repl)
+	c.repl.Quiesce()
+	c.eventf("%s epoch=%d", label, c.repl.Epochs())
 }
 
 // Scripted split-brain scenarios (DESIGN.md §10): unlike the drawn

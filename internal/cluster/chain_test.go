@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"nilicon/internal/core"
 	"nilicon/internal/simtime"
 )
 
@@ -162,7 +163,9 @@ func TestFleetChainZoneKill(t *testing.T) {
 // TestFleetChainTwoSimultaneousFailures is the fleet-level f=2 claim: a
 // 3-replica chain survives its primary host and one replica host dying
 // in the same instant — the election skips the dead replica and promotes
-// the survivor.
+// the survivor, which holds every epoch whose output was released
+// before the kill (strict chain-tail gating released nothing the
+// survivor had not committed).
 func TestFleetChainTwoSimultaneousFailures(t *testing.T) {
 	clock, f := newTestFleet(t, Params{Workers: 6, Spares: 0, Pairs: 6, Seed: 13, Replicas: 3, Zones: 3})
 	var events []string
@@ -178,6 +181,10 @@ func TestFleetChainTwoSimultaneousFailures(t *testing.T) {
 	if p0.PrimaryHost != 0 || p0.ReplicaHosts[0] != 1 || p0.ReplicaHosts[1] != 2 {
 		t.Fatalf("unexpected p00 placement: pri=%d replicas=%v", p0.PrimaryHost, p0.ReplicaHosts)
 	}
+	released, ok := p0.Repl.ReleasedEpoch()
+	if !ok || released < 10 {
+		t.Fatalf("p00 released through epoch %d/%v before the kill, want >= 10", released, ok)
+	}
 	f.KillHost(0)
 	f.KillHost(1)
 	clock.RunFor(6 * simtime.Second)
@@ -191,6 +198,10 @@ func TestFleetChainTwoSimultaneousFailures(t *testing.T) {
 	if f.Hosts[p0.PrimaryHost].Zone != 2 {
 		t.Fatalf("p00 promoted onto host %d (zone %d), want the zone-2 survivor",
 			p0.PrimaryHost, f.Hosts[p0.PrimaryHost].Zone)
+	}
+	t.Logf("released through epoch %d before the kill; survivor restored epoch %d", released, p0.LastFailover.CommittedEpoch)
+	if got := p0.LastFailover.CommittedEpoch; got < released {
+		t.Fatalf("survivor restored epoch %d, but output through epoch %d was released before the kill", got, released)
 	}
 	for _, pr := range f.Pairs {
 		if pr.State == Lost {
@@ -222,5 +233,69 @@ func TestDetectorThreeSimultaneousKillsNoInnocentConviction(t *testing.T) {
 		if !killed[h.Index] && !h.Alive {
 			t.Fatalf("innocent host %s convicted by the sweep", h.Name)
 		}
+	}
+}
+
+// TestFleetChainPartitionedPrimary is chain split-brain safety under the
+// control plane. The primary host of a width-3 chain loses its
+// replication NIC while its container stays on the LAN: clients still
+// reach it, both replicas stop hearing it, and the fleet detector
+// convicts the host and promotes one replica. With the lease the
+// primary fences before the elected replica's barrier (raised to every
+// grant the chain sent) passes, so at most one side serves at every
+// 1 ms sample and exactly one failover happens. Without the lease the
+// same geometry dual-serves: the partitioned primary keeps releasing
+// output while the promoted replica serves.
+func TestFleetChainPartitionedPrimary(t *testing.T) {
+	for _, lease := range []bool{true, false} {
+		t.Run(fmt.Sprintf("lease=%v", lease), func(t *testing.T) {
+			p := Params{Workers: 3, Spares: 1, Pairs: 1, Seed: 15, Replicas: 3, Zones: 3}
+			if lease {
+				p.Lease = core.DefaultLease()
+			}
+			clock, f := newTestFleet(t, p)
+			f.Start()
+			clock.RunFor(900 * simtime.Millisecond)
+
+			pr := f.Pairs[0]
+			r := pr.Repl
+			maxServing, dual := 0, 0
+			sampler := simtime.NewTicker(clock, simtime.Millisecond, func() {
+				n := 0
+				if r.Serving() {
+					n++
+				}
+				for i := 0; i < r.Replicas(); i++ {
+					if r.ReplicaAgent(i).Serving() {
+						n++
+					}
+				}
+				maxServing = max(maxServing, n)
+				if n > 1 {
+					dual++
+				}
+			})
+			defer sampler.Stop()
+
+			f.Hosts[pr.PrimaryHost].NIC.SetDown(true)
+			clock.RunFor(1500 * simtime.Millisecond)
+
+			t.Logf("failovers=%d max serving=%d dual-serving samples=%d", pr.Failovers, maxServing, dual)
+			if pr.Failovers != 1 {
+				t.Fatalf("failovers = %d, want 1", pr.Failovers)
+			}
+			if !lease {
+				if dual == 0 {
+					t.Fatal("no dual-serving sample without the lease; has the partitioned primary stopped serving some other way?")
+				}
+				return
+			}
+			if maxServing > 1 {
+				t.Fatalf("%d sides served at once (%d dual-serving samples)", maxServing, dual)
+			}
+			if r.Serving() {
+				t.Fatal("the partitioned primary still serves after the failover")
+			}
+		})
 	}
 }

@@ -299,6 +299,7 @@ func TestFleetArbitratesEveryFailover(t *testing.T) {
 	}{
 		{"pairs", Params{Workers: 3, Spares: 1, Pairs: 4, Seed: 2}},
 		{"chains", chainParams(12)},
+		{"width4", Params{Workers: 8, Spares: 1, Pairs: 4, Seed: 12, Replicas: 4, Zones: 4}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			clock, f := newTestFleet(t, tc.p)

@@ -235,7 +235,7 @@ func (b *BackupAgent) checkHeartbeat() {
 		// extended to a host the conviction below is about to declare
 		// dead (an unbounded grant stream to a dead primary would push
 		// the promotion barrier out forever).
-		grant := b.cfg.Lease.Enabled && !stale && b.grantsLease()
+		grant := b.cfg.Lease.Enabled && !stale
 		if grant {
 			b.lastGrantSent = now
 		}
@@ -254,19 +254,12 @@ func (b *BackupAgent) checkHeartbeat() {
 		// parked at the primary until the next segment arrives.
 		b.resendLogAck()
 	}
-	if stale {
-		switch {
-		case b.r.witness != nil:
-			// Quorum mode: never self-promote — bid, and let the witness
-			// (which may still hear the primary) arbitrate.
-			b.sendCandidacy()
-		case b.r.externalArbiter:
-			// A control plane (the fleet detector) arbitrates promotion
-			// for this chain, whatever its width: it convicts the primary
-			// host, picks one slot and calls Recover on it.
-		default:
-			b.Recover()
-		}
+	// A control plane (the fleet detector) arbitrates promotion for an
+	// externally arbitrated chain, whatever its width: it convicts the
+	// primary host, picks one slot and calls Recover on it. Otherwise
+	// the pair's backup promotes itself.
+	if stale && !b.r.externalArbiter {
+		b.Recover()
 	}
 }
 
@@ -331,10 +324,9 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 		return
 	}
 	// Every ack implicitly renews the primary's output-release lease,
-	// stamped with its send time (the conservative end of the term) —
-	// unless a witness centralizes granting (quorum mode).
+	// stamped with its send time (the conservative end of the term).
 	sentAt := b.cl.Clock.Now()
-	grant := b.cfg.Lease.Enabled && b.grantsLease()
+	grant := b.cfg.Lease.Enabled
 	if grant {
 		b.lastGrantSent = sentAt
 	}

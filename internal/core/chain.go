@@ -62,10 +62,13 @@ type replicaSlot struct {
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
-// views as built by NewChainViews/NewShardedChainViews: views[0] is the
+// views (the fleet builds one per chain replica): views[0] is the
 // classic primary/backup pair, each further view adds one replica that
 // shares the primary side and brings its own backup host, links and
-// DRBD secondary.
+// DRBD secondary. A chain wider than a pair needs an external arbiter
+// (SetExternalArbiter): with every replica self-promoting on its own
+// staleness view, one that loses only its own primary link promotes
+// while the primary serves on the others' grants.
 func NewChainReplicator(views []*Cluster, ctr *container.Container, cfg Config) *Replicator {
 	r := NewReplicator(views[0], ctr, cfg)
 	for _, v := range views[1:] {
@@ -90,9 +93,6 @@ func (r *Replicator) AttachReplica(view *Cluster) int {
 	idx := len(r.chain)
 	s := r.newSlot(idx, view, newBackupAgent(view, r.Cfg, r))
 	r.chain = append(r.chain, s)
-	if r.witness != nil {
-		r.witness.addReplica()
-	}
 	if r.running {
 		s.catchingUp = true
 		s.lastBeat = r.Cluster.Clock.Now()

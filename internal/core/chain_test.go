@@ -3,10 +3,54 @@ package core
 import (
 	"testing"
 
+	"fmt"
+
 	"nilicon/internal/container"
 	"nilicon/internal/simkernel"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
+
+// NewShardedChainViews builds the topology for a standalone f+1
+// replication chain (DESIGN.md §15): one primary host and replicas-1
+// backup hosts, each backup joined to the primary by its own dedicated
+// replication/ack link pair and its own DRBD secondary over the
+// primary's volume. The primary and every backup host get their own
+// shard, and each view's links deliver on the receiving host's shard.
+// views[0] is a classic pair cluster; each further view shares the
+// primary side (clock, switch, primary host, DRBD primary end) and
+// carries its own backup host, links, transfer scheduler and DRBD
+// secondary. Pass the slice to NewChainReplicator. Only tests build
+// such a chain: in a program a chain wider than a pair runs under the
+// fleet control plane (internal/cluster), which builds its own views.
+func NewShardedChainViews(sc *simtime.ShardedClock, replicas int) []*Cluster {
+	if replicas < 2 {
+		replicas = 2
+	}
+	pclk := sc.NewShard()
+	base := newCluster(sc.Root(), pclk, sc.NewShard())
+	views := []*Cluster{base}
+	for i := 1; i < replicas-1; i++ {
+		bclk := sc.NewShard()
+		repl := simnet.NewLink(pclk, ReplLatency, ReplBW)
+		ack := simnet.NewLink(bclk, ReplLatency, ReplBW)
+		repl.BindRemote(bclk)
+		ack.BindRemote(pclk)
+		v := &Cluster{
+			Clock:       pclk,
+			Switch:      base.Switch,
+			Primary:     base.Primary,
+			Backup:      container.NewHost(fmt.Sprintf("backup%d", i+1), bclk, base.Switch),
+			ReplLink:    repl,
+			AckLink:     ack,
+			DRBDPrimary: base.DRBDPrimary,
+		}
+		v.Xfer = NewTransferScheduler(pclk, repl)
+		v.DRBDBackup = base.DRBDPrimary.AttachSecondary(v.Backup.Disk, repl)
+		views = append(views, v)
+	}
+	return views
+}
 
 // chainEnv bundles a running f+1-chain-replicated kv container.
 type chainEnv struct {
@@ -52,16 +96,11 @@ func (env *chainEnv) cutView(i int) {
 }
 
 // killPrimary models primary host death toward the whole chain: the
-// container leaves the LAN and every view's link pair goes down, as do
-// the witness keep-alive/grant links if a witness is attached.
+// container leaves the LAN and every view's link pair goes down.
 func (env *chainEnv) killPrimary() {
 	env.ctr.Disconnect()
 	for i := range env.views {
 		env.cutView(i)
-	}
-	if w := env.repl.witness; w != nil {
-		w.KeepAliveLink.SetDown(true)
-		w.GrantLink.SetDown(true)
 	}
 }
 
@@ -140,11 +179,11 @@ func TestQuorumFailoverSurvivesTwoSimultaneousFailures(t *testing.T) {
 	// f=2 with a 3-replica chain (primary + 2 backups): kill the primary
 	// AND one backup in the same instant; the surviving backup must hold
 	// every acked write. Strict chain-tail gating is what makes this
-	// true — the client saw "OK" only after BOTH backups committed.
+	// true — the client saw "OK" only after BOTH backups committed. With
+	// one survivor there is nothing to arbitrate: it promotes itself.
 	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
 	env := newChainEnv(t, 3, cfg, 0)
-	AttachWitness(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -178,99 +217,18 @@ func TestQuorumFailoverSurvivesTwoSimultaneousFailures(t *testing.T) {
 	}
 }
 
-func TestQuorumWitnessElectsExactlyOne(t *testing.T) {
-	// Primary dies with both backups alive: the witness must elect
-	// exactly one (the most-caught-up), and at no sampled instant may
-	// two replicas serve.
-	cfg := DefaultConfig()
-	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, 3, cfg, 0)
-	w := AttachWitness(env.repl)
-	env.repl.Start()
-	env.clock.RunFor(500 * simtime.Millisecond)
-
-	maxServing := 0
-	sampler := simtime.NewTicker(env.clock, simtime.Millisecond, func() {
-		if n := env.servingCount(false); n > maxServing {
-			maxServing = n
-		}
-	})
-	defer sampler.Stop()
-
-	env.killPrimary()
-	env.clock.RunFor(3 * simtime.Second)
-
-	if w.Elections != 1 {
-		t.Fatalf("elections = %d, want exactly 1", w.Elections)
-	}
-	recovered := 0
-	for i := 0; i < env.repl.Replicas(); i++ {
-		if env.repl.ReplicaAgent(i).Recovered() {
-			recovered++
-		}
-	}
-	if recovered != 1 {
-		t.Fatalf("recovered replicas = %d, want exactly 1", recovered)
-	}
-	if maxServing > 1 {
-		t.Fatalf("observed %d replicas serving simultaneously", maxServing)
-	}
-	if env.servingCount(false) != 1 {
-		t.Fatal("no replica serving after election settled")
-	}
-}
-
-func TestQuorumWitnessRefusesAsymmetricCut(t *testing.T) {
-	// One replica loses its links to the primary while the witness still
-	// hears primary keep-alives: the isolated replica's candidacies must
-	// be refused, the primary keeps its lease, and nobody promotes.
-	cfg := DefaultConfig()
-	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, 3, cfg, 0)
-	w := AttachWitness(env.repl)
-	env.repl.Start()
-	env.clock.RunFor(500 * simtime.Millisecond)
-
-	maxServing := 0
-	sampler := simtime.NewTicker(env.clock, simtime.Millisecond, func() {
-		if n := env.servingCount(true); n > maxServing {
-			maxServing = n
-		}
-	})
-	defer sampler.Stop()
-
-	env.cutView(1)
-	env.clock.RunFor(3 * simtime.Second)
-
-	if w.Elections != 0 {
-		t.Fatalf("witness concluded an election while the primary was reachable (%d)", w.Elections)
-	}
-	for i := 0; i < env.repl.Replicas(); i++ {
-		if env.repl.ReplicaAgent(i).Recovered() {
-			t.Fatalf("replica %d promoted under an asymmetric cut", i)
-		}
-	}
-	if !env.repl.Serving() {
-		t.Fatal("primary lost its lease despite a live witness")
-	}
-	if maxServing > 1 {
-		t.Fatalf("observed %d replicas serving simultaneously", maxServing)
-	}
-}
-
 func TestQuorumPreQuorumAsymmetricCutDualServes(t *testing.T) {
-	// The escape hatch the witness exists for: WITHOUT a witness, each
-	// backup of a multi-replica chain is its own lease grantor and
-	// election arbiter. Under the same asymmetric cut as above, the
-	// isolated replica waits out only its OWN last grant and promotes
-	// while the primary keeps serving on the other replica's grants —
-	// two servers, one IP. This test pins the unsafe behavior so the
-	// witness's at-most-one-serving guarantee is demonstrably load-
-	// bearing, exactly as the pre-lease split-brain regression does for
-	// the pair.
+	// Why a chain wider than a pair runs only under the fleet control
+	// plane: WITHOUT an external arbiter, each backup of a multi-replica
+	// chain is its own lease grantor and election arbiter. Under an
+	// asymmetric cut the isolated replica waits out only its OWN last
+	// grant and promotes while the primary keeps serving on the other
+	// replica's grants — two servers, one IP. This test pins the unsafe
+	// behavior so the arbiter is demonstrably load-bearing, exactly as
+	// the pre-lease split-brain regression does for the pair.
 	cfg := DefaultConfig()
 	cfg.Lease = DefaultLease()
-	env := newChainEnv(t, 3, cfg, 0) // no witness: per-slot two-party leases
+	env := newChainEnv(t, 3, cfg, 0) // no arbiter: per-slot two-party leases
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 
@@ -289,7 +247,7 @@ func TestQuorumPreQuorumAsymmetricCutDualServes(t *testing.T) {
 		t.Fatal("isolated replica never self-promoted (the unsafe behavior this test pins)")
 	}
 	if !dualObserved {
-		t.Fatal("expected dual-serving without a witness; has the multi-grantor hole been closed another way?")
+		t.Fatal("expected dual-serving without an arbiter; has the multi-grantor hole been closed another way?")
 	}
 }
 

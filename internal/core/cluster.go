@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"nilicon/internal/container"
 	"nilicon/internal/simdisk"
 	"nilicon/internal/simnet"
@@ -40,8 +38,8 @@ type Cluster struct {
 }
 
 // The link model is the paper's testbed (§VI), fixed for every
-// topology this repository builds: the pair cluster, chain views, the
-// fleet's switch and per-host NICs, and the witness links.
+// topology this repository builds: the pair cluster, chain views, and
+// the fleet's switch and per-host NICs.
 const (
 	// LANLatency is the client↔host one-way latency (1 GbE LAN).
 	LANLatency = 150 * simtime.Microsecond
@@ -84,45 +82,6 @@ func newCluster(root, pclk, bclk *simtime.Clock) *Cluster {
 	cl.Xfer = NewTransferScheduler(pclk, cl.ReplLink)
 	cl.DRBDPrimary, cl.DRBDBackup = simdisk.NewDRBDPair(cl.Primary.Disk, cl.Backup.Disk, cl.ReplLink)
 	return cl
-}
-
-// NewShardedChainViews builds the topology for an f+1 replication chain
-// (DESIGN.md §15): one primary host and replicas-1 backup hosts, each
-// backup joined to the primary by its own dedicated replication/ack
-// link pair and its own DRBD secondary over the primary's volume. The
-// primary and every backup host get their own shard, and each view's
-// links deliver on the receiving host's shard.
-// views[0] is a classic pair cluster; each further view shares the
-// primary side (clock, switch, primary host, DRBD primary end) and
-// carries its own backup host, links, transfer scheduler and DRBD
-// secondary. Pass the slice to NewChainReplicator.
-func NewShardedChainViews(sc *simtime.ShardedClock, replicas int) []*Cluster {
-	if replicas < 2 {
-		replicas = 2
-	}
-	pclk := sc.NewShard()
-	base := newCluster(sc.Root(), pclk, sc.NewShard())
-	views := []*Cluster{base}
-	for i := 1; i < replicas-1; i++ {
-		bclk := sc.NewShard()
-		repl := simnet.NewLink(pclk, ReplLatency, ReplBW)
-		ack := simnet.NewLink(bclk, ReplLatency, ReplBW)
-		repl.BindRemote(bclk)
-		ack.BindRemote(pclk)
-		v := &Cluster{
-			Clock:       pclk,
-			Switch:      base.Switch,
-			Primary:     base.Primary,
-			Backup:      container.NewHost(fmt.Sprintf("backup%d", i+1), bclk, base.Switch),
-			ReplLink:    repl,
-			AckLink:     ack,
-			DRBDPrimary: base.DRBDPrimary,
-		}
-		v.Xfer = NewTransferScheduler(pclk, repl)
-		v.DRBDBackup = base.DRBDPrimary.AttachSecondary(v.Backup.Disk, repl)
-		views = append(views, v)
-	}
-	return views
 }
 
 // NewProtectedContainer creates a container on the primary host whose

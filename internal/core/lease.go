@@ -347,6 +347,16 @@ func (b *BackupAgent) promotionBarrier() simtime.Time {
 	return b.lastGrantSent.Add(leaseTerm + leaseSkewMargin)
 }
 
+// RaiseGrantFloor raises this agent's promotion-barrier base to cover
+// grants it did not itself send: the fleet detector, promoting one
+// replica of a chain whose every member grants, raises it to
+// Replicator.ChainLastGrantSent first.
+func (b *BackupAgent) RaiseGrantFloor(t simtime.Time) {
+	if t > b.lastGrantSent {
+		b.lastGrantSent = t
+	}
+}
+
 // PromotionPending reports a conviction waiting out the lease barrier.
 func (b *BackupAgent) PromotionPending() bool { return b.promotePending }
 
@@ -365,7 +375,6 @@ func (b *BackupAgent) promoteBarrierReached() {
 		b.doRecover()
 		return
 	}
-	b.notifyWitnessAbort()
 	b.resumeAfterAbortedPromotion()
 }
 

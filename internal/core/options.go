@@ -171,9 +171,8 @@ const (
 	heartbeatInterval = 30 * simtime.Millisecond
 	heartbeatMisses   = 3
 	// DetectionDeadline is how long a peer may stay silent before a
-	// detector convicts it (90 ms): the per-pair backup detector, the
-	// witness, the fleet's host detector and the campaigns' fencing
-	// schedules all use this one value.
+	// detector convicts it (90 ms): the per-pair backup detector and the
+	// fleet's host detector use this one value.
 	DetectionDeadline = heartbeatMisses * heartbeatInterval
 )
 

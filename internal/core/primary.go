@@ -23,10 +23,8 @@ type Replicator struct {
 
 	// chain holds the f+1 replica slots (chain.go); chain[0] runs over
 	// the primary Cluster view, so the classic pair is the one-slot
-	// chain. witness is the quorum-promotion arbiter (witness.go; nil
-	// outside quorum mode).
-	chain   []*replicaSlot
-	witness *Witness
+	// chain.
+	chain []*replicaSlot
 	// externalArbiter suppresses per-replica self-promotion: an outside
 	// control plane (the fleet detector) convicts the primary host and
 	// picks exactly one slot to Recover, for a chain of any width.
@@ -215,9 +213,6 @@ func (r *Replicator) Start() {
 	for _, s := range r.chain {
 		s.agent.start()
 	}
-	if r.witness != nil {
-		r.witness.start()
-	}
 
 	r.epochTimer.Reset(r.Cfg.EpochInterval)
 }
@@ -240,9 +235,6 @@ func (r *Replicator) Stop() {
 	}
 	for _, s := range r.chain {
 		s.agent.stop()
-	}
-	if r.witness != nil {
-		r.witness.stop()
 	}
 	r.Ctr.Qdisc.SetReplicating(false)
 	r.engine.Close()
@@ -273,9 +265,6 @@ func (r *Replicator) heartbeat() {
 			continue
 		}
 		s.view.ReplLink.TransferExpress(16, s.agent.heartbeatArrived)
-	}
-	if r.witness != nil {
-		r.witness.primaryKeepAlive()
 	}
 }
 

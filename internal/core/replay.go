@@ -410,7 +410,7 @@ func (b *BackupAgent) sendLogAck(seq uint64) {
 		a.deliverFn = a.deliver
 	}
 	a.seq, a.sentAt = seq, b.cl.Clock.Now()
-	a.grant = b.cfg.Lease.Enabled && b.grantsLease()
+	a.grant = b.cfg.Lease.Enabled
 	if a.grant {
 		b.lastGrantSent = a.sentAt
 	}

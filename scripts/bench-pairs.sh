@@ -22,8 +22,12 @@
 # ALL=1 also prints, for every end-to-end metric of BENCHMARK.json, the
 # base and working-tree medians beside the metric's bound, and flags a
 # metric whose median got worse by more than its bound (a relative
-# change). Flags are reported, not fatal: one short pair is noisy. It
-# also prints each side's failed share (failed over attempted, summed
+# change). It flags a metric UNRESOLVED when the base runs' interquartile
+# range, relative to their median, exceeds the bound and the two sides'
+# runs overlap: a change within the noise cannot be told from no change,
+# so the metric is reported as unresolved, not as unchanged. Flags are
+# reported, not fatal: one short pair is noisy. It also prints each
+# side's failed share (failed over attempted, summed
 # over its runs) and names any pair whose run reported "correct":false.
 # A run that exits non-zero stops the script.
 set -euo pipefail
@@ -93,8 +97,8 @@ for ((i = 1; i <= pairs; i++)); do
 	echo "pair $i ($order): base $b  change $c"
 done
 
-# stats VALUES... prints the median, first and third quartiles
-# (linear interpolation between order statistics).
+# stats VALUES... prints the median, first and third quartiles (linear
+# interpolation between order statistics), minimum and maximum.
 stats() {
 	printf '%s\n' "$@" | sort -g | awk '
 		{ v[NR] = $1 }
@@ -103,11 +107,11 @@ stats() {
 			l = int(h)
 			return l >= NR ? v[NR] : v[l] + (h - l) * (v[l + 1] - v[l])
 		}
-		END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
+		END { printf "%.6g %.6g %.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75), v[1], v[NR] }'
 }
 
-read -r bmed bq1 bq3 <<<"$(stats "${bases[@]}")"
-read -r cmed cq1 cq3 <<<"$(stats "${changes[@]}")"
+read -r bmed bq1 bq3 _ <<<"$(stats "${bases[@]}")"
+read -r cmed cq1 cq3 _ <<<"$(stats "${changes[@]}")"
 echo "$metric ($better is better), workload $workload, $pairs pairs, flags: ${*:-none}"
 awk -v n="base ($baserev)" -v m="$bmed" -v a="$bq1" -v b="$bq3" \
 	'BEGIN { printf "%-28s median %.4g  Q1 %.4g  Q3 %.4g  IQR %.4g\n", n, m, a, b, b - a }'
@@ -145,7 +149,8 @@ if [ "${ALL:-0}" = 1 ]; then
 					att ? 100 * fail / att : 0, bad == "" ? "" : "; \"correct\":false in pair" bad
 			}'
 	done
-	echo "end-to-end medians (base, change, relative change, bound; WORSE: worse by more than the bound)"
+	echo "end-to-end medians (base, change, relative change, bound; WORSE: worse by more than the bound;"
+	echo "  UNRESOLVED: base IQR over its median exceeds the bound and the two sides' runs overlap)"
 	printf '%s\n' "$spec" | sed -n 's/.*"end_to_end":\[\([^]]*\)\].*/\1/p' | sed 's/},{/}\n{/g' |
 		sed -n 's/.*"name":"\([^"]*\)".*"better":"\([a-z]*\)","bound":\([-0-9.e+]*\).*/\1 \2 \3/p' |
 		while read -r name dir bound; do
@@ -160,13 +165,16 @@ if [ "${ALL:-0}" = 1 ]; then
 				printf '  %-16s not reported\n' "$name"
 				continue
 			fi
-			read -r bm _ _ <<<"$(stats "${bv[@]}")"
-			read -r cm _ _ <<<"$(stats "${cv[@]}")"
-			awk -v name="$name" -v dir="$dir" -v bound="$bound" -v b="$bm" -v c="$cm" 'BEGIN {
+			read -r bm bq1 bq3 bmin bmax <<<"$(stats "${bv[@]}")"
+			read -r cm _ _ cmin cmax <<<"$(stats "${cv[@]}")"
+			awk -v name="$name" -v dir="$dir" -v bound="$bound" -v b="$bm" -v c="$cm" \
+				-v q1="$bq1" -v q3="$bq3" -v bmin="$bmin" -v bmax="$bmax" -v cmin="$cmin" -v cmax="$cmax" 'BEGIN {
 				rel = b == 0 ? (c == 0 ? 0 : (c > 0 ? 1 : -1)) : (c - b) / (b < 0 ? -b : b)
 				worse = dir == "higher" ? -rel > bound : rel > bound
-				printf "  %-16s base %-12.6g change %-12.6g %+8.2f%%  bound %g%%%s\n",
-					name, b, c, 100 * rel, 100 * bound, worse ? "  WORSE" : ""
+				spread = b == 0 ? (q3 > q1 ? 1e300 : 0) : (q3 - q1) / (b < 0 ? -b : b)
+				unresolved = spread > bound && cmin <= bmax && bmin <= cmax
+				printf "  %-16s base %-12.6g change %-12.6g %+8.2f%%  bound %g%%%s%s\n",
+					name, b, c, 100 * rel, 100 * bound, worse ? "  WORSE" : "", unresolved ? "  UNRESOLVED" : ""
 			}'
 		done
 fi
