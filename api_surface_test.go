@@ -29,6 +29,7 @@ var exportKeep = map[string]string{
 	"simfs.FS.Chown":                     "kernel interface: chown(2), driven by simfs's fgetfc attribute test",
 	"simkernel.AddressSpace.Munmap":      "kernel interface: munmap(2), driven by the VMA and page-table tests",
 	"simkernel.Kernel.Processes":         "kernel interface: the process table core's backup tests read",
+	"simkernel.Process.GetRandom":        "kernel interface: getrandom(2), whose record and replay injection core's replay test drives",
 	"simnet.PlugQdisc.PendingEgress":     "counter: output held for commit, checked by simnet and core tests",
 	"simnet.PlugQdisc.SetInput":          "fixture: criu's misordered-recovery test routes ingress to a socket-less stack",
 	"simnet.Socket.EnterRepair":          "kernel interface: TCP_REPAIR, driven by the repair and retransmit tests",

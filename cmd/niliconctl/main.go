@@ -157,7 +157,7 @@ func newApp(stdout, stderr io.Writer) *app {
 	a.synth = fs.String("synth", "", "traffic: synthesize a trace from this profile (uniform|zipf|burst|slowclient) to stdout")
 	a.capture = fs.String("capture", "", "traffic: run this server benchmark's uniform clients under capture and write the recorded trace to stdout")
 	a.replay = fs.Bool("replay", false, "traffic: read a JSONL trace from stdin and replay it through a chaos campaign with SLO judging")
-	a.traceF = fs.String("traffic", "", "chaos: replay this JSONL trace file as the campaign's client workload (replaces the fixed-interval writer)")
+	a.traceF = fs.String("traffic", "", "chaos: replay this JSONL trace file as the campaign's client workload (replaces the fixed-interval writer trace)")
 	a.tClients = fs.Int("clients", 8, "traffic: client connections for -synth/-capture")
 	a.tRate = fs.Float64("rate", 600, "traffic -synth: mean arrival rate (req/s)")
 	a.tDur = fs.Duration("traffic-duration", 2500*time.Millisecond, "traffic: trace length for -synth, run length for -capture (virtual)")

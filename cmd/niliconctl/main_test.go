@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -170,7 +171,14 @@ type committedOutput struct {
 	name      string
 	expensive bool // runs only under -expensive
 	run       func(t *testing.T) string
+	// must, when set, matches the behaviour the entry exists to pin, so
+	// a re-record cannot quietly lose it.
+	must *regexp.Regexp
 }
+
+// midTransfer matches a kill-mid-transfer terminal that found the
+// transfer scheduler sending.
+var midTransfer = regexp.MustCompile(`event mid-transfer sending=[1-9]`)
 
 // cli is the stdout of one niliconctl invocation, which must exit 0.
 // Invocations share no state, so they run in parallel.
@@ -237,9 +245,10 @@ func committedOutputs() []committedOutput {
 		{name: "table6", run: cli("table6")},
 		{name: "pipeline", run: cli("pipeline")},
 		{name: "chaos-sweep", run: cli("chaos", "-sweep", "-seeds", "2", "-chaos-duration", "600ms")},
-		{name: "chaos-replay-seed3", run: cli("chaos", "-opts", "replay", "-seed", "3", "-chaos-duration", "800ms")},
-		{name: "chaos-pipelined-seed3", run: cli("chaos", "-opts", "pipelined", "-seed", "3", "-chaos-duration", "800ms")},
-		{name: "chaos-delta-seed3", run: cli("chaos", "-opts", "delta", "-seed", "3", "-chaos-duration", "800ms")},
+		{name: "chaos-replay-seed3", run: cli("chaos", "-opts", "replay", "-seed", "3", "-chaos-duration", "800ms"),
+			must: regexp.MustCompile(`(?s)event mid-transfer sending=[1-9].*event replay from=\d+ through=\d+ segments=[1-9]`)},
+		{name: "chaos-pipelined-seed3", run: cli("chaos", "-opts", "pipelined", "-seed", "3", "-chaos-duration", "800ms"), must: midTransfer},
+		{name: "chaos-delta-seed3", run: cli("chaos", "-opts", "delta", "-seed", "3", "-chaos-duration", "800ms"), must: midTransfer},
 		{name: "fleet-smoke-availability", run: cli("fleet", "-smoke", "-degrade", "availability")},
 		{name: "traffic-replay", run: pipe(
 			[]string{"traffic", "-synth", "burst", "-traffic-duration", "2500ms"}, []string{"traffic", "-replay"})},
@@ -259,13 +268,15 @@ func committedOutputs() []committedOutput {
 		{name: "pair-all-none", run: campaign(chaos.Config{
 			Seed: 13, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalNone})},
 		{name: "pair-pipelined-midtransfer", run: campaign(chaos.Config{
-			Seed: 11, Opts: core.PipelinedOpts(), OptName: "pipelined", Terminal: chaos.TerminalKillMidTransfer})},
+			Seed: 11, Opts: core.PipelinedOpts(), OptName: "pipelined", Terminal: chaos.TerminalKillMidTransfer}),
+			must: midTransfer},
 		{name: "pair-basic-drawn", run: campaign(chaos.Config{
 			Seed: 2, Opts: core.BasicOpts(), OptName: "basic"})},
 		{name: "pair-replay-kill", run: campaign(chaos.Config{
 			Seed: 3, Opts: core.ReplayOpts(), OptName: "replay", Duration: 800 * simtime.Millisecond, Terminal: chaos.TerminalKill})},
 		{name: "asym", run: campaign(chaos.Config{
-			Seed: 21, Opts: core.AllOpts(), OptName: "asym", FaultKinds: []string{"oneway-pb", "oneway-bp", "flap"}})},
+			Seed: 21, Opts: core.AllOpts(), OptName: "asym", FaultKinds: []string{"oneway-pb", "oneway-bp", "flap"}}),
+			must: midTransfer},
 		{name: "traffic-kill", run: campaign(chaos.Config{
 			Seed: 33, Opts: core.AllOpts(), OptName: "all", Terminal: chaos.TerminalKill, Events: -1,
 			Traffic: trafficTrace("zipf", 33, 3*simtime.Second)})},
@@ -343,6 +354,9 @@ func TestCommittedOutputs(t *testing.T) {
 				ranExpensive = true
 			}
 			got := o.run(t)
+			if o.must != nil && !o.must.MatchString(got) {
+				t.Errorf("output does not match %q", o.must)
+			}
 			path := filepath.Join("testdata", o.name+".txt")
 			if *update {
 				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

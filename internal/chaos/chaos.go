@@ -6,7 +6,11 @@
 //     host pool running many chains under the cluster control plane. A
 //     chain wider than a pair exists only in a fleet (Fleet.Replicas):
 //     its replicas never promote themselves, the fleet detector picks
-//     the one slot to promote;
+//     the one slot to promote. Every chain serves the benchmarks' KV
+//     server, workloads.Server, and its clients replay one trace
+//     (Config.Traffic, or a unique-key SET every 10 ms) through
+//     workloads.Conn, the one client type: the acked-output oracle reads
+//     back through the same connection;
 //
 //   - the schedule is drawn from the seed (transient link faults plus a
 //     terminal phase), scripted (Config.Scenario: the split-brain
@@ -38,10 +42,10 @@ import (
 	"nilicon/internal/cluster"
 	"nilicon/internal/core"
 	"nilicon/internal/faultinject"
-	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
 	"nilicon/internal/traffic"
+	"nilicon/internal/workloads"
 )
 
 // Terminal phases.
@@ -94,15 +98,17 @@ type Config struct {
 	// default; ignored under PreLease).
 	Degrade core.DegradePolicy
 
-	// Traffic, when set, replaces the fixed-interval writer with an
-	// open-loop replay of this trace against every chain: one TCP
-	// connection per trace client, arrivals fired at trace time
-	// regardless of completions, every reply judged against the
-	// traffic package's default SLO (p99.9 < 100 ms per 100 ms window). A
-	// trace longer than Duration keeps arriving through the terminal
-	// phase (a terminal kill becomes a mid-run failover), while a
-	// TerminalNone campaign wants the trace to fit inside Duration so
-	// arrivals do not bleed into the quiesce epilogue.
+	// Traffic, when set, is the trace every chain's clients replay in
+	// place of the fixed-interval writer trace (one unique-key SET every
+	// 10 ms over Duration), and adds the SLO report lines and the
+	// slo-windows oracle: every reply is judged against the traffic
+	// package's default SLO (p99.9 < 100 ms per 100 ms window). Either
+	// trace is replayed open-loop, one TCP connection per trace client,
+	// arrivals fired at trace time regardless of completions. A trace
+	// longer than Duration keeps arriving through the terminal phase (a
+	// terminal kill becomes a mid-run failover), while a TerminalNone
+	// campaign wants the trace to fit inside Duration so arrivals do not
+	// bleed into the quiesce epilogue.
 	Traffic *traffic.Trace
 }
 
@@ -217,7 +223,9 @@ type Result struct {
 	// byte.
 	TimelineCSV string
 
-	// Campaign counters.
+	// Campaign counters. SentWrites is how many requests the clients
+	// issued, AckedWrites how many replies they had when the fault
+	// window ended.
 	Epochs      uint64
 	Resyncs     int64
 	LinkDrops   int64
@@ -229,6 +237,9 @@ type Result struct {
 	// campaign ran under Config.Traffic).
 	SLO *traffic.Report
 }
+
+// pairIP is the pair topology's server address.
+const pairIP = "10.0.0.10"
 
 // Campaign phase layout (virtual time).
 const (
@@ -259,22 +270,24 @@ type campaign struct {
 
 	warmup, convergeIn simtime.Duration
 
+	// tr is the trace every chain's clients replay; prof sizes every
+	// chain's kv server for its keyspace.
+	tr   *traffic.Trace
+	prof workloads.Profile
+
 	// Pair topology (cfg.Fleet == nil). repl is the current replicator
 	// generation: the reprotect terminal replaces it.
-	app  *kvApp
+	srv  *kvServer
 	repl *core.Replicator
 
 	// Fleet topology (cfg.Fleet != nil).
 	pool  *cluster.Fleet
 	audit fleetAudit
 
-	// The writer: one client per chain, sent[g] SETs issued so far.
-	clients []*kvClient
-	sent    []int
-	acked   int
-	latency metrics.Stream
-	// traffic replaces the writer under cfg.Traffic.
-	traffic   *trafficDriver
+	// clients replay tr against every chain; acked is how many replies
+	// they had when the fault window ended.
+	clients   *clients
+	acked     int
 	sloReport *traffic.Report
 
 	recoveredAt simtime.Time
@@ -341,6 +354,11 @@ func withDeterminism(a, b Result) Result {
 }
 
 func (c *campaign) build() {
+	c.tr = c.cfg.Traffic
+	if c.tr == nil {
+		c.tr = writerTrace(c.cfg.Duration)
+	}
+	c.prof = kvProfile(c.tr.Header.Keys)
 	sc := simtime.NewEngine()
 	if c.cfg.Fleet != nil {
 		c.buildFleet(sc)
@@ -349,8 +367,9 @@ func (c *campaign) build() {
 	c.warmup, c.convergeIn = warmup, convergeIn
 	c.clock = sc.Root()
 	cl := core.NewShardedCluster(sc, core.ClusterParams{})
-	ctr := cl.NewProtectedContainer("chaos", "10.0.0.10", 1)
-	c.app = newKVApp(ctr)
+	ctr := cl.NewProtectedContainer("chaos", pairIP, 1)
+	c.srv = &kvServer{prof: c.prof}
+	c.srv.Install(ctr)
 	c.timeline = &trace.Timeline{}
 	c.repl = core.NewReplicator(cl, ctr, c.replConfig())
 	c.repl.Timeline = c.timeline
@@ -368,10 +387,7 @@ func (c *campaign) replConfig() core.Config {
 		cfg.Lease = core.DefaultLease()
 		cfg.Degrade = c.cfg.Degrade
 	}
-	cfg.Reattach = func(rc core.RestoredContainer, state any) {
-		c.app.RestoreState(state)
-		c.app.attach(rc)
-	}
+	cfg.Reattach = c.srv.Reattach
 	cfg.OnRecovered = c.onRecovered
 	return cfg
 }
@@ -464,11 +480,7 @@ func (c *campaign) execute() {
 	// panic, so a violation cannot slip through between samples
 	// unnoticed.
 	oracle := simtime.NewTicker(c.clock, simtime.Millisecond, c.sample)
-	if c.cfg.Traffic != nil {
-		c.startTraffic()
-	} else {
-		c.startWriter()
-	}
+	c.startClients()
 	if c.pool != nil {
 		c.scheduleHostKill()
 	} else {
@@ -478,24 +490,10 @@ func (c *campaign) execute() {
 	}
 
 	c.clock.RunUntil(simtime.Time(c.warmup + c.cfg.Duration + terminalGap))
-	if d := c.traffic; d != nil {
-		issued, outstanding, queued := d.load()
-		if c.pool != nil {
-			c.eventf("traffic-fault-window-end issued=%d completed=%d", issued, d.judge.Completions())
-		} else {
-			c.eventf("traffic-fault-window-end issued=%d completed=%d outstanding=%d queued=%d",
-				issued, d.judge.Completions(), outstanding, queued)
-		}
-	} else {
-		for _, cli := range c.clients {
-			c.acked += cli.okReplies()
-		}
-		stopped := "writer-stopped"
-		if c.pool != nil {
-			stopped = "writers-stopped"
-		}
-		c.eventf("%s sent=%d acked=%d", stopped, sum(c.sent), c.acked)
-	}
+	issued, outstanding, queued := c.clients.load()
+	c.acked = c.clients.judge.Completions()
+	c.eventf("fault-window-end issued=%d completed=%d outstanding=%d queued=%d",
+		issued, c.acked, outstanding, queued)
 
 	if c.pool != nil {
 		c.awaitFleetConvergence()
@@ -506,11 +504,7 @@ func (c *campaign) execute() {
 	// Read-back verification runs with the survivors still serving; for
 	// a no-terminal campaign replication is still active, so the GET
 	// replies themselves traverse the output-commit path.
-	if c.traffic != nil {
-		c.verifyTrafficData()
-	} else {
-		c.verifyWrites()
-	}
+	c.verifyAckedOutput()
 	switch {
 	case c.pool != nil:
 		c.quiesceDrain()
@@ -520,55 +514,10 @@ func (c *campaign) execute() {
 	default:
 		c.eventf("drain-skipped failovers=%d", c.failovers)
 	}
-	if c.traffic != nil {
+	if c.cfg.Traffic != nil {
 		c.finishTraffic()
 	}
 	oracle.Stop()
-}
-
-// startWriter connects one client per chain before the first epoch
-// boundary — the unoptimized configuration drops input (firewall rules,
-// §V-C) during its long stop phases, and a SYN that keeps missing the
-// short open windows may never get through — and from warmup sends each
-// chain one unique SET every 10 ms. Every OK's latency from its SET is
-// recorded (the measurement of TestReplayLatencySweep's probe).
-func (c *campaign) startWriter() {
-	n := c.groups()
-	c.clients = make([]*kvClient, n)
-	c.sent = make([]int, n)
-	c.clock.Schedule(simtime.Millisecond, func() {
-		for g := range c.clients {
-			cli := c.dial(g, c.clientIP(writerClient, g, 0))
-			cli.onReply = func(reply string) {
-				if reply == "OK" && cli.oks < len(cli.sentAt) {
-					c.latency.Add(c.clock.Now().Sub(cli.sentAt[cli.oks]).Seconds() * 1000)
-					cli.oks++
-				}
-			}
-			c.clients[g] = cli
-		}
-	})
-	writeUntil := c.warmup + c.cfg.Duration
-	var writer *simtime.Ticker
-	c.clock.Schedule(c.warmup, func() {
-		writer = simtime.NewTicker(c.clock, writeEvery, func() {
-			if simtime.Duration(c.clock.Now()) >= writeUntil {
-				writer.Stop()
-				return
-			}
-			for g, cli := range c.clients {
-				// A long first full checkpoint can freeze the container
-				// with the handshake still buffered; skip ticks until the
-				// connection is up (virtual time only — deterministic).
-				if cli.sock == nil {
-					continue
-				}
-				cli.sentAt = append(cli.sentAt, c.clock.Now())
-				cli.send(fmt.Sprintf("SET k%d v%d", c.sent[g], c.sent[g]))
-				c.sent[g]++
-			}
-		})
-	})
 }
 
 // terminal runs a pair's terminal phase. Closely spaced replication
@@ -610,15 +559,15 @@ func (c *campaign) terminal() {
 	}
 }
 
-// awaitTransfer waits (in virtual time) for bytes to be queued on the
-// transfer scheduler — a checkpoint image actually streaming — so the
-// kill that follows lands mid-transfer.
+// awaitTransfer runs the clock event by event until the transfer
+// scheduler is sending (at most 200 ms), so the kill that follows lands
+// while a transfer is still streaming and the backup must discard it.
 func (c *campaign) awaitTransfer() {
 	xfer := c.repl.Cluster.Xfer
-	for i := 0; i < 400 && xfer.QueuedBytes() == 0; i++ {
-		c.clock.RunFor(500 * simtime.Microsecond)
+	deadline := c.clock.Now().Add(200 * simtime.Millisecond)
+	for xfer.SendingBytes() == 0 && c.clock.Now() < deadline && c.clock.Step() {
 	}
-	c.eventf("mid-transfer queued=%d", xfer.QueuedBytes())
+	c.eventf("mid-transfer sending=%d", xfer.SendingBytes())
 }
 
 // awaitRecovery runs the clock until failover completes; a recovery
@@ -676,13 +625,10 @@ func (c *campaign) finish() Result {
 		OptName:     c.cfg.OptName,
 		Terminal:    c.sched.terminal,
 		AckedWrites: c.acked,
-		SentWrites:  sum(c.sent),
 		Failovers:   c.failovers,
 		SLO:         c.sloReport,
 	}
-	if c.traffic != nil {
-		res.SentWrites, _, _ = c.traffic.load()
-	}
+	res.SentWrites, _, _ = c.clients.load()
 	if c.pool != nil {
 		res.Terminal = fmt.Sprintf("host-kill×%d", len(c.sched.victims))
 		for _, pr := range c.pool.Pairs {
@@ -723,12 +669,4 @@ func (c *campaign) finish() Result {
 	c.timeline.WriteCSV(&csv)
 	res.TimelineCSV = csv.String()
 	return res
-}
-
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
 }

@@ -1,10 +1,12 @@
 package chaos
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
 	"nilicon/internal/core"
+	"nilicon/internal/simtime"
 )
 
 func optSets() []struct {
@@ -118,15 +120,26 @@ func TestChaosTerminalKill(t *testing.T) {
 
 // TestChaosTerminalKillMidTransfer kills the primary while checkpoint
 // bytes are in flight on the replication link — the half-streamed epoch
-// must be discarded, not recovered to.
+// must be discarded, not recovered to. The kill must find the transfer
+// scheduler sending; a kill on an idle link would pass every oracle
+// without testing the discard.
 func TestChaosTerminalKillMidTransfer(t *testing.T) {
-	res := VerifySeed(Config{Seed: 11, Opts: core.PipelinedOpts(), OptName: "pipelined",
-		Terminal: TerminalKillMidTransfer})
-	requirePassed(t, res)
-	if res.Failovers == 0 {
-		t.Fatal("mid-transfer kill produced no failover")
+	for _, cfg := range []Config{
+		{Seed: 11, Opts: core.PipelinedOpts(), OptName: "pipelined", Terminal: TerminalKillMidTransfer},
+		{Seed: 3, Opts: core.ReplayOpts(), OptName: "replay", Duration: 800 * simtime.Millisecond, Terminal: TerminalKillMidTransfer},
+	} {
+		res := VerifySeed(cfg)
+		requirePassed(t, res)
+		if res.Failovers == 0 {
+			t.Fatalf("%s seed %d: mid-transfer kill produced no failover", cfg.OptName, cfg.Seed)
+		}
+		if !midTransfer.MatchString(res.Trace) {
+			t.Fatalf("%s seed %d: the kill found nothing sending:\n%s", cfg.OptName, cfg.Seed, res.Trace)
+		}
 	}
 }
+
+var midTransfer = regexp.MustCompile(`event mid-transfer sending=[1-9]`)
 
 // TestChaosTerminalReprotect drives the full failover → reprotect →
 // second-failover cycle under a randomized fault schedule.

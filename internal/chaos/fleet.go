@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"nilicon/internal/cluster"
-	"nilicon/internal/container"
 	"nilicon/internal/core"
 	"nilicon/internal/simtime"
 )
@@ -17,17 +16,6 @@ import (
 // every pair whose primary died fails over, every chain slot on a dead
 // host is fenced and re-protected, the whole fleet returns to
 // Protected, and the control plane convicted exactly the dead hosts.
-
-// kvWorkload adapts the campaign's kv server to the fleet's Workload
-// interface.
-type kvWorkload struct{ app *kvApp }
-
-func (w *kvWorkload) Install(ctr *container.Container) { w.app = newKVApp(ctr) }
-
-func (w *kvWorkload) Reattach(ctr *container.Container, state any) {
-	w.app.RestoreState(state)
-	w.app.attach(ctr)
-}
 
 // fleetAudit is the ground truth the host kill leaves for the
 // convergence audit.
@@ -122,7 +110,7 @@ func (c *campaign) buildFleet(sc *simtime.ShardedClock) {
 		params.Lease = core.DefaultLease()
 	}
 	params.Opts = &c.cfg.Opts
-	params.Workload = func(string) cluster.Workload { return &kvWorkload{} }
+	params.Workload = func(string) cluster.Workload { return &kvServer{prof: c.prof} }
 	pool, err := cluster.NewSharded(sc, params)
 	if err != nil {
 		panic("chaos: fleet does not fit (reject it with Check first): " + err.Error())

@@ -6,16 +6,17 @@ import (
 
 	"nilicon/internal/cluster"
 	"nilicon/internal/core"
-	"nilicon/internal/simtime"
 )
 
 // Which oracle applies to which topology (DESIGN.md §6): output-commit,
-// at-most-one-serving, acked-output (or traffic-data), convergence and
-// replay-divergence run on every topology; drain-to-zero on a chain
-// whose terminal phase leaves a live primary, and on every fleet; the
-// split-brain policy verdicts (supersede, degrade-policy) on scripted
-// scenarios; slo-windows under Config.Traffic; determinism wherever the
-// campaign runs twice (VerifySeed).
+// at-most-one-serving, acked-output, convergence and replay-divergence
+// run on every topology; drain-to-zero on a chain whose terminal phase
+// leaves a live primary, and on every fleet; the split-brain policy
+// verdicts (supersede, degrade-policy) on scripted scenarios;
+// slo-windows under Config.Traffic; determinism wherever the campaign
+// runs twice (VerifySeed). Every campaign's clients replay a trace
+// through workloads.Conn against the benchmarks' workloads.Server, so
+// acked-output judges the same client path the benchmark trusts.
 
 // sampled accumulates one continuously sampled oracle: how many
 // samples, how many violated, and the first violation's detail.
@@ -60,7 +61,7 @@ func (c *campaign) sample() {
 			return fmt.Sprintf("%s%d sides serving at t=%d lease=%s", who, n, now, r.LeaseState())
 		})
 	})
-	if c.traffic != nil {
+	if c.cfg.Traffic != nil {
 		c.sampleTraffic()
 	}
 }
@@ -120,76 +121,6 @@ func servingCount(r *core.Replicator) int {
 func firewallSkip(oracle string) Verdict {
 	return Verdict{Oracle: oracle, OK: true,
 		Detail: "skipped: firewall input blocking drops client segments for seconds-long RTO backoffs"}
-}
-
-// verifyWrites is the acked-output oracle: every write a writer sent
-// was either acknowledged (and must survive) or sits in the client's
-// TCP send queue and is retransmitted to the (possibly restored) server
-// before the trailing GETs — so every key must read back its value, on
-// every chain.
-func (c *campaign) verifyWrites() {
-	total := sum(c.sent)
-	switch {
-	case total == 0:
-		return
-	case !c.cfg.Opts.PlugInput:
-		c.verdicts = append(c.verdicts, firewallSkip("acked-output"))
-		return
-	}
-	// Let retransmissions settle, then read everything back on the same
-	// connections: TCP FIFO ordering puts the GETs after every SET.
-	c.clock.RunFor(2 * simtime.Second)
-	most := 0
-	for _, n := range c.sent {
-		most = max(most, n)
-	}
-	for k := 0; k < most; k++ {
-		for g, cli := range c.clients {
-			if k < c.sent[g] {
-				cli.send(fmt.Sprintf("GET k%d", k))
-			}
-		}
-		c.clock.RunFor(2 * simtime.Millisecond)
-	}
-	pending := func() bool {
-		for g, cli := range c.clients {
-			if len(cli.replies) < 2*c.sent[g] {
-				return true
-			}
-		}
-		return false
-	}
-	deadline := c.clock.Now().Add(c.convergeIn)
-	for pending() && c.clock.Now() < deadline {
-		c.clock.RunFor(10 * simtime.Millisecond)
-	}
-
-	ok := true
-	detail := fmt.Sprintf("%d writes (%d acked pre-terminal) all readable", total, c.acked)
-	if c.pool != nil {
-		detail = fmt.Sprintf("%d writes across %d pairs all readable", total, len(c.clients))
-	}
-	for g, cli := range c.clients {
-		n := c.sent[g]
-		if len(cli.replies) < 2*n {
-			ok = false
-			detail = fmt.Sprintf("%sonly %d/%d replies arrived", c.who(g), len(cli.replies), 2*n)
-			break
-		}
-		for k := 0; k < n && ok; k++ {
-			if cli.replies[k] != "OK" {
-				ok = false
-				detail = fmt.Sprintf("%sSET k%d reply = %q", c.who(g), k, cli.replies[k])
-			} else if got, want := cli.replies[n+k], fmt.Sprintf("v%d", k); got != want {
-				ok = false
-				detail = fmt.Sprintf("%sGET k%d = %q, want %q", c.who(g), k, got, want)
-			}
-		}
-		if !ok {
-			break
-		}
-	}
-	c.verdicts = append(c.verdicts, Verdict{Oracle: "acked-output", OK: ok, Detail: detail})
 }
 
 // who prefixes a per-chain failure detail with the fleet pair index.

@@ -78,10 +78,10 @@ type latencyResult struct {
 }
 
 // runLatency is a fault-free steady-state run of the pair campaign's
-// world and writer that measures externally visible response latency:
-// the virtual time from a client's SET leaving its socket to the OK
-// arriving back. This is the quantity the output-commit rule taxes.
-// Release gated on epoch commit waits out the epoch tail
+// world and writer trace that measures externally visible response
+// latency: the virtual time from a SET's arrival to its reply, as the
+// campaign's judge reports it. This is the quantity the output-commit
+// rule taxes. Release gated on epoch commit waits out the epoch tail
 // (milliseconds); release gated on log-segment commit (RecordReplay)
 // waits only for a small log segment to be acknowledged (microseconds
 // plus RTT). The lease stays off, as in the single-pair experiments.
@@ -91,10 +91,11 @@ func runLatency(seed int64, opts core.OptSet, dur simtime.Duration) latencyResul
 	c := &campaign{cfg: cfg}
 	c.build()
 	c.repl.Start()
-	c.startWriter()
+	c.startClients()
 	c.clock.RunUntil(simtime.Time(warmup + cfg.Duration + settleAfter))
 	c.repl.Stop()
-	return latencyResult{acked: c.clients[0].oks, p50: c.latency.Percentile(50), p99: c.latency.Percentile(99)}
+	rep := c.clients.judge.Finish(c.clock.Now())
+	return latencyResult{acked: rep.Completions, p50: rep.P50, p99: rep.P99}
 }
 
 // TestReplayLatencySweep pins the record/replay headline: replay's

@@ -207,12 +207,11 @@ func (c *Container) scheduleTask(t *Task, d simtime.Duration) {
 	t.pending.Reset(d)
 }
 
-func (c *Container) runTask(t *Task) {
-	if c.frozen || c.stopped || t.stopped || t.blocked {
-		return
-	}
-	if t.Thread.State != simkernel.ThreadRunning {
-		return
+// runTask runs one scheduling quantum of t, if t may run, and returns
+// the CPU time it took.
+func (c *Container) runTask(t *Task) simtime.Duration {
+	if !c.runnable(t) {
+		return 0
 	}
 	if c.OnTaskStep != nil {
 		c.OnTaskStep(t.Thread.TID)
@@ -228,12 +227,31 @@ func (c *Container) runTask(t *Task) {
 	if next < 0 {
 		t.blocked = true
 		t.Thread.State = simkernel.ThreadBlocked
-		return
+		return total
 	}
 	if next < total {
 		next = total
 	}
 	c.scheduleTask(t, next)
+	return total
+}
+
+func (c *Container) runnable(t *Task) bool {
+	return !c.frozen && !c.stopped && !t.stopped && !t.blocked &&
+		t.Thread.State == simkernel.ThreadRunning
+}
+
+// StepReady runs one scheduling quantum of the first runnable task now,
+// instead of at its scheduled instant, and returns the CPU time it
+// took; ok is false when no task may run. Failover replay uses it to
+// re-execute the quanta a log segment recorded.
+func (c *Container) StepReady() (cpu simtime.Duration, ok bool) {
+	for _, t := range c.Tasks {
+		if c.runnable(t) {
+			return c.runTask(t), true
+		}
+	}
+	return 0, false
 }
 
 // Wake unblocks a task (e.g. data arrived on its socket).

@@ -747,7 +747,7 @@ func (b *BackupAgent) doRecover() {
 			// network-live honestly.
 			m := b.cl.Backup.Kernel.StartMeter()
 			rs := b.replayLog(ctr)
-			rs.Cost = m.Stop()
+			rs.Cost += m.Stop()
 			stats.Replay = rs
 			if rs.Cost > 0 {
 				b.cl.Clock.Schedule(rs.Cost, finish)

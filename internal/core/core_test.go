@@ -16,10 +16,11 @@ import (
 // Requests are processed directly in the data callback (kernel context);
 // the richer task-mediated workloads live in internal/workloads.
 type kvApp struct {
-	data map[string]string
-	proc *simkernel.Process
-	vma  *simkernel.VMA
-	seq  byte
+	data  map[string]string
+	proc  *simkernel.Process
+	vma   *simkernel.VMA
+	seq   byte
+	lines lineReader
 }
 
 func (a *kvApp) SnapshotState() any {
@@ -38,16 +39,22 @@ func (a *kvApp) RestoreState(s any) {
 	}
 }
 
+// lineReader splits each socket's stream into newline-terminated
+// requests; an incomplete tail waits for the rest of its bytes.
+type lineReader struct{ partial map[*simnet.Socket]string }
+
+func (lr *lineReader) read(s *simnet.Socket) []string {
+	if lr.partial == nil {
+		lr.partial = make(map[*simnet.Socket]string)
+	}
+	lines := strings.SplitAfter(lr.partial[s]+string(s.ReadAll()), "\n")
+	lr.partial[s] = lines[len(lines)-1]
+	return lines[:len(lines)-1]
+}
+
 func (a *kvApp) handle(s *simnet.Socket) {
-	for {
-		buf := string(s.Peek())
-		nl := strings.IndexByte(buf, '\n')
-		if nl < 0 {
-			return
-		}
-		line := string(s.ReadN(nl + 1))
-		line = strings.TrimSpace(line)
-		parts := strings.SplitN(line, " ", 3)
+	for _, line := range a.lines.read(s) {
+		parts := strings.SplitN(strings.TrimSpace(line), " ", 3)
 		switch parts[0] {
 		case "SET":
 			a.data[parts[1]] = parts[2]

@@ -477,8 +477,8 @@ type ReplayStats struct {
 	Segments, Events int
 	// Bytes is the application-level egress regenerated by the replay.
 	Bytes int64
-	// Cost is the replay's measured virtual-time CPU cost; it delays
-	// network-live by exactly this much.
+	// Cost is the replay's measured virtual-time CPU cost, re-run task
+	// quanta included; it delays network-live by exactly this much.
 	Cost simtime.Duration
 	// Diverged marks a replay whose regenerated output did not match the
 	// recorded per-segment digest; DivergedSeq is the first such segment.
@@ -492,7 +492,8 @@ type ReplayStats struct {
 // container: per segment, the recorded getrandom results are pre-pushed
 // into the drawing processes' injection queues (draws happen
 // synchronously inside the ingress handlers), then the recorded ingress
-// packets are delivered to the restored stack in arrival order.
+// packets are delivered to the restored stack in arrival order, and the
+// app's tasks run the quanta that sent the rest of the segment's egress.
 // Restored sockets are still in repair mode, so regenerated egress
 // lands in their send queues and retransmits once the network is live;
 // post-checkpoint connections are re-created by replaying their own
@@ -524,6 +525,17 @@ func (b *BackupAgent) replayLog(ctr *container.Container) *ReplayStats {
 			if ev := &seg.Events[i]; ev.Kind == criu.LogIngress {
 				ctr.Stack.Receive(ev.Packet)
 			}
+		}
+		// An app that answers from its own tasks rather than inside the
+		// ingress handler (workloads.Server) sent part of the segment's
+		// egress from scheduling quanta: re-run quanta until the recorded
+		// egress is regenerated, at most as many as the segment recorded.
+		for steps := uint64(0); bytes < seg.EgressBytes && steps < seg.SchedSteps; steps++ {
+			cpu, ok := ctr.StepReady()
+			if !ok {
+				break
+			}
+			rs.Cost += cpu
 		}
 		rs.Segments++
 		rs.Events += len(seg.Events)

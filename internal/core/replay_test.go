@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"nilicon/internal/container"
@@ -163,20 +162,15 @@ func TestReplayCheckpointCommitTruncatesLog(t *testing.T) {
 // values injected at replay, the restored container would draw fresh
 // entropy and the per-segment egress digest would diverge.
 type randApp struct {
-	proc *simkernel.Process
+	proc  *simkernel.Process
+	lines lineReader
 }
 
 func (a *randApp) SnapshotState() any { return nil }
 func (a *randApp) RestoreState(any)   {}
 
 func (a *randApp) handle(s *simnet.Socket) {
-	for {
-		buf := string(s.Peek())
-		nl := strings.IndexByte(buf, '\n')
-		if nl < 0 {
-			return
-		}
-		s.ReadN(nl + 1)
+	for range a.lines.read(s) {
 		n := a.proc.GetRandom()
 		s.Send([]byte(fmt.Sprintf("%d\n", n%1000)))
 	}

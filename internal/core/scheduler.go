@@ -98,6 +98,9 @@ type TransferScheduler struct {
 	order   []*xferFlow // round-robin service order (creation order)
 	cursor  int
 	pumping bool
+	// wire is the size of the chunk serializing on the link (0 when
+	// idle).
+	wire int64
 	// pumpFn is pump bound once; freeReqs and freeFlows recycle request
 	// and drained-flow records.
 	pumpFn    func()
@@ -185,6 +188,11 @@ func (s *TransferScheduler) QueuedBytes() int64 {
 	return n
 }
 
+// SendingBytes returns the bytes not yet off the sender: the chunk
+// serializing on the link plus QueuedBytes. It turns nonzero the
+// instant a transfer is submitted to an idle scheduler.
+func (s *TransferScheduler) SendingBytes() int64 { return s.wire + s.QueuedBytes() }
+
 // Flows returns the number of flows the scheduler currently retains.
 // Flows are evicted once drained, so after quiesce this must be zero —
 // a retained empty flow is a leak (and skews round-robin fairness
@@ -226,11 +234,12 @@ func (s *TransferScheduler) CancelFlow(id string) {
 func (s *TransferScheduler) pump() {
 	f := s.nextFlow()
 	if f == nil {
-		s.pumping = false
+		s.pumping, s.wire = false, 0
 		return
 	}
 	req := f.reqs.peek()
 	size := req.chunks[req.next]
+	s.wire = size
 	req.next++
 	last := req.next == len(req.chunks)
 	if last {

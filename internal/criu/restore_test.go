@@ -189,9 +189,8 @@ func TestFinishNetworkRestoreOrdering(t *testing.T) {
 		t.Fatal("client connection broke during recovery")
 	}
 	// The mid-recovery data must have arrived after restore.
-	srv := restored.Stack.Sockets()[0]
-	if string(srv.Peek()) != "mid-recovery" {
-		t.Fatalf("server read queue = %q", srv.Peek())
+	if got := restored.Stack.Sockets()[0].ReadAll(); string(got) != "mid-recovery" {
+		t.Fatalf("server read queue = %q", got)
 	}
 }
 

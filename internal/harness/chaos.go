@@ -83,8 +83,8 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int, p
 	for _, step := range OptSets() {
 		each(chaos.Config{Opts: step.Opts, OptName: step.Name, Duration: duration})
 	}
-	// Trace-replay campaigns: the fixed-interval writer is replaced by
-	// an open-loop synthesized trace (profile rotating by seed) judged
+	// Trace-replay campaigns: a synthesized trace (profile rotating by
+	// seed) replaces the fixed-interval writer trace and is judged
 	// against the windowed SLO; the slo-windows oracle requires every
 	// violation window to coincide with an injected disruption.
 	each(chaos.Config{Opts: core.AllOpts(), OptName: "traffic", Duration: duration})

@@ -381,21 +381,6 @@ func (s *Socket) ReadAll() []byte {
 	return b
 }
 
-// ReadN reads up to n bytes from the read queue. The result is capped
-// at its length, so appending to it cannot write into the queue.
-func (s *Socket) ReadN(n int) []byte {
-	if n > len(s.recvBuf) {
-		n = len(s.recvBuf)
-	}
-	b := s.recvBuf[:n:n]
-	s.recvBuf = s.recvBuf[n:]
-	return b
-}
-
-// Peek returns the read queue without consuming it. The caller must not
-// write it.
-func (s *Socket) Peek() []byte { return s.recvBuf[:len(s.recvBuf):len(s.recvBuf)] }
-
 // UnackedBytes returns the size of the write queue.
 func (s *Socket) UnackedBytes() int {
 	n := 0

@@ -349,7 +349,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 	p.clock.Run()
 	sn := p.b.SnapshotSocket(srv)
 	sn.ReadQueue[0] = '!'
-	if string(srv.Peek()) != "xyz" {
+	if string(srv.recvBuf) != "xyz" {
 		t.Fatal("snapshot aliases live read queue")
 	}
 

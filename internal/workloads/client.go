@@ -60,9 +60,7 @@ type Client struct {
 	sock  *simnet.Socket
 	fr    FrameReader
 
-	// inflight[head:] are the requests awaiting replies, oldest first.
-	inflight  []outstanding
-	head      int
+	inflight  replyQueue[outstanding]
 	respCount int
 
 	// out and scratch are reused across requests: out holds the frames
@@ -215,7 +213,7 @@ func (c *Client) issue() {
 		c.set.record(now, c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
 		c.out = AppendFrame(c.out[:0], OpWeb, binary.BigEndian.AppendUint32(c.scratch[:0], pathID))
 		c.sock.Send(c.out)
-		c.push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
+		c.inflight.push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
 	case EchoLoop:
 		size := c.echoMax
 		if size > 1 {
@@ -227,7 +225,7 @@ func (c *Client) issue() {
 		c.set.record(now, c.id, traffic.OpSet, uint64(c.id), size)
 		c.out = AppendFrame(c.out[:0], OpEcho, c.scratch)
 		c.sock.Send(c.out)
-		c.push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
+		c.inflight.push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
 	}
 }
 
@@ -256,24 +254,48 @@ func (c *Client) appendKV(now simtime.Time, key uint64, write bool) {
 		c.versions[key] = v
 		c.scratch = appendValue(binary.BigEndian.AppendUint64(c.scratch[:0], key), key, v, recordSize)
 		c.out = AppendFrame(c.out, OpSet, c.scratch)
-		c.push(outstanding{op: OpSet, sentAt: now, key: key})
+		c.inflight.push(outstanding{op: OpSet, sentAt: now, key: key})
 		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
 		return
 	}
 	c.out = AppendFrame(c.out, OpGet, binary.BigEndian.AppendUint64(c.scratch[:0], key))
-	c.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
+	c.inflight.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
 	c.set.record(now, c.id, traffic.OpGet, key, 0)
 }
 
-// push queues an in-flight request. A full queue first moves its live
-// tail to the front, so the backing array is reused rather than regrown.
-func (c *Client) push(o outstanding) {
-	if c.head > 0 && len(c.inflight) == cap(c.inflight) {
-		n := copy(c.inflight, c.inflight[c.head:])
-		c.inflight, c.head = c.inflight[:n], 0
-	}
-	c.inflight = append(c.inflight, o)
+// replyQueue holds one connection's requests awaiting replies, oldest
+// first: replies arrive in request order (TCP FIFO).
+type replyQueue[T any] struct {
+	q    []T // q[head:] are in flight
+	head int
 }
+
+// push queues a request. A full queue first moves its live tail to the
+// front, so the backing array is reused rather than regrown.
+func (r *replyQueue[T]) push(x T) {
+	if r.head > 0 && len(r.q) == cap(r.q) {
+		n := copy(r.q, r.q[r.head:])
+		r.q, r.head = r.q[:n], 0
+	}
+	r.q = append(r.q, x)
+}
+
+// pop removes the oldest request; ok is false when none is in flight.
+func (r *replyQueue[T]) pop() (x T, ok bool) {
+	if r.head == len(r.q) {
+		return x, false
+	}
+	x = r.q[r.head]
+	r.head++
+	if r.head == len(r.q) {
+		r.q, r.head = r.q[:0], 0
+	}
+	return x, true
+}
+
+// live returns the requests in flight, oldest first; the slice is valid
+// until the next push or pop.
+func (r *replyQueue[T]) live() []T { return r.q[r.head:] }
 
 func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadAll()) }
 
@@ -286,14 +308,10 @@ func (c *Client) receive(b []byte) {
 		if !ok {
 			return
 		}
-		if len(c.inflight) == 0 {
+		exp, ok := c.inflight.pop()
+		if !ok {
 			c.set.fail(fmt.Sprintf("client %d: unexpected response op %q", c.id, op))
 			continue
-		}
-		exp := c.inflight[c.head]
-		c.head++
-		if c.head == len(c.inflight) {
-			c.inflight, c.head = c.inflight[:0], 0
 		}
 		if op != exp.op {
 			c.set.fail(fmt.Sprintf("client %d: response op %q for request %q", c.id, op, exp.op))
@@ -317,7 +335,7 @@ func (c *Client) receive(b []byte) {
 			}
 			continue
 		}
-		if len(c.inflight) == 0 {
+		if len(c.inflight.live()) == 0 {
 			// Closed loop: one request outstanding at a time.
 			c.set.Latencies.Add(c.set.cl.Clock.Now().Sub(exp.sentAt).Seconds())
 			c.issue()
@@ -347,6 +365,98 @@ func (set *ClientSet) WindowThroughput() float64 {
 // mismatches, protocol violations) — the §VII-A pass/fail signal,
 // together with Resets.
 func (set *ClientSet) ValidationErrors() []string { return set.Errors }
+
+// Conn is one open-loop client connection to a KV server. It implements
+// traffic.Conn, so a traffic.Replayer drives it, and its Send serves
+// direct reads too. Requests sent before the TCP handshake completes
+// queue and go out when it does. Replies arrive in request order (TCP
+// FIFO), so Conn keeps the requests in flight oldest first and checks
+// each reply's op against its request's.
+type Conn struct {
+	// OnReply, when set, sees every reply matched to its request, at its
+	// virtual arrival instant. The payload aliases the stream and is
+	// never written again (FrameReader's ownership rule).
+	OnReply func(req traffic.Request, payload []byte)
+	// Errors lists protocol violations: a reply whose op is not its
+	// request's, or a reply with nothing in flight.
+	Errors []string
+
+	sock     *simnet.Socket
+	fr       FrameReader
+	queued   []byte // frames sent before the handshake completed
+	inflight replyQueue[traffic.Request]
+	out      []byte // one request's frame; Socket.Send copies it
+	scratch  []byte // a request's payload
+}
+
+// Dial connects a Conn from the client stack st to the server at
+// addr:port.
+func Dial(st *simnet.Stack, addr simnet.Addr, port int) *Conn {
+	c := &Conn{}
+	st.Connect(addr, port, func(s *simnet.Socket) {
+		c.sock = s
+		s.OnData = c.onData
+		if len(c.queued) > 0 {
+			s.Send(c.queued)
+			c.queued = nil
+		}
+	})
+	return c
+}
+
+// Connected reports whether the handshake has completed.
+func (c *Conn) Connected() bool { return c.sock != nil }
+
+// InFlight returns the requests still awaiting replies, oldest first.
+// The slice is valid until the next Send or reply.
+func (c *Conn) InFlight() []traffic.Request { return c.inflight.live() }
+
+// Send implements traffic.Conn. A SET writes ValueFor(key, request ID,
+// size), so a read names the write it returns; its size is the
+// request's, kept between the value's 12-byte seed and one record.
+func (c *Conn) Send(req traffic.Request) {
+	c.scratch = binary.BigEndian.AppendUint64(c.scratch[:0], req.Key)
+	if req.Op == traffic.OpSet {
+		size := min(max(req.Size, valueSeedLen), recordSize)
+		c.scratch = appendValue(c.scratch, req.Key, uint32(req.ID), size)
+	}
+	c.out = AppendFrame(c.out[:0], wireOp(req), c.scratch)
+	c.inflight.push(req)
+	if c.sock == nil {
+		c.queued = append(c.queued, c.out...)
+		return
+	}
+	c.sock.Send(c.out)
+}
+
+// wireOp is the frame op of a trace request.
+func wireOp(req traffic.Request) byte {
+	if req.Op == traffic.OpSet {
+		return OpSet
+	}
+	return OpGet
+}
+
+func (c *Conn) onData(s *simnet.Socket) {
+	c.fr.Feed(s.ReadAll())
+	for {
+		op, payload, ok := c.fr.Next()
+		if !ok {
+			return
+		}
+		req, ok := c.inflight.pop()
+		if !ok {
+			c.Errors = append(c.Errors, fmt.Sprintf("reply op %q with nothing in flight", op))
+			continue
+		}
+		if op != wireOp(req) {
+			c.Errors = append(c.Errors, fmt.Sprintf("reply op %q to %s of key %d", op, req.Op, req.Key))
+		}
+		if c.OnReply != nil {
+			c.OnReply(req, payload)
+		}
+	}
+}
 
 func max(a, b int) int {
 	if a > b {

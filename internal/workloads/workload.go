@@ -285,7 +285,7 @@ func appendValue(dst []byte, key uint64, version uint32, size int) []byte {
 	start := len(dst)
 	dst = slices.Grow(dst, size)[:start+size]
 	out := dst[start:]
-	var seed [12]byte
+	var seed [valueSeedLen]byte
 	binary.BigEndian.PutUint64(seed[:], key)
 	binary.BigEndian.PutUint32(seed[8:], version)
 	// Tile the seed by copy-doubling: every copied prefix is a whole
@@ -297,6 +297,29 @@ func appendValue(dst []byte, key uint64, version uint32, size int) []byte {
 		subtle.XORBytes(out[off:], out[off:], valueMask[:])
 	}
 	return dst
+}
+
+// valueSeedLen is the length of ValueFor's seed: key, then version.
+const valueSeedLen = 12
+
+// DecodeValue inverts ValueFor on a stored record: it returns the key
+// and version that v's first 12 bytes encode, and n, how many leading
+// bytes of v equal ValueFor(key, version, n) (0 when v is shorter than
+// the seed). A record holds its last SET's value followed by whatever
+// the slot held before, so a reader compares n with that SET's size.
+func DecodeValue(v []byte) (key uint64, version uint32, n int) {
+	if len(v) < valueSeedLen {
+		return 0, 0, 0
+	}
+	var seed [valueSeedLen]byte
+	for i := range seed {
+		seed[i] = v[i] ^ valueMask[i]
+	}
+	key = binary.BigEndian.Uint64(seed[:8])
+	version = binary.BigEndian.Uint32(seed[8:])
+	for n = valueSeedLen; n < len(v) && v[n] == seed[n%valueSeedLen]^valueMask[n%len(valueMask)]; n++ {
+	}
+	return key, version, n
 }
 
 // valueMask is ValueFor's position mask byte(i*131>>3), which repeats

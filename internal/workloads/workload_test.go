@@ -150,6 +150,24 @@ func TestValueForDeterministic(t *testing.T) {
 	}
 }
 
+// TestDecodeValueInvertsValueFor: a stored record decodes to the key and
+// version of the SET that wrote it, and n counts only the bytes that
+// SET wrote when the rest of the record is older content.
+func TestDecodeValueInvertsValueFor(t *testing.T) {
+	for _, size := range []int{12, 64, 1024, 4097} {
+		if k, v, n := DecodeValue(ValueFor(0xDEADBEEF, 9, size)); k != 0xDEADBEEF || v != 9 || n != size {
+			t.Fatalf("size %d: DecodeValue = (%#x, %d, %d)", size, k, v, n)
+		}
+	}
+	rec := append(ValueFor(5, 2, 64), make([]byte, 1024-64)...)
+	if k, v, n := DecodeValue(rec); k != 5 || v != 2 || n != 64 {
+		t.Fatalf("64-byte value in a 1 KB record: DecodeValue = (%d, %d, %d)", k, v, n)
+	}
+	if _, _, n := DecodeValue(ValueFor(5, 2, 11)); n != 0 {
+		t.Fatalf("a value shorter than the seed decoded %d bytes", n)
+	}
+}
+
 // valueForReference is ValueFor's defining per-byte formula. Verifying
 // clients and the benchmark's value decoder depend on these exact bytes.
 func valueForReference(key uint64, version uint32, size int) []byte {
