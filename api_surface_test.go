@@ -19,7 +19,6 @@ import (
 var exportKeep = map[string]string{
 	"core.Replicator.AckedThrough":       "oracle: cluster tests check every chain's ack watermark",
 	"core.Replicator.ReplicaAckLag":      "bound: the cluster chain test holds each replica's ack lag to 3 epochs",
-	"core.Replicator.ReplicaAckLagGauge": "bound: the cluster chain test holds the lag gauge a metrics reader sees to 3 epochs",
 	"core.Replicator.RetainedImageBytes": "bound: faultinject holds an isolated primary's retained images",
 	"criu.PageStore.ForEach":             "oracle: core's regression test reads the backup's committed pages",
 	"metrics.Table.NumRows":              "oracle: harness and cluster tests count the rows of rendered tables",
@@ -29,7 +28,6 @@ var exportKeep = map[string]string{
 	"simfs.FS.Chown":                     "kernel interface: chown(2), driven by simfs's fgetfc attribute test",
 	"simkernel.AddressSpace.Munmap":      "kernel interface: munmap(2), driven by the VMA and page-table tests",
 	"simkernel.Kernel.Processes":         "kernel interface: the process table core's backup tests read",
-	"simkernel.Process.GetRandom":        "kernel interface: getrandom(2), whose record and replay injection core's replay test drives",
 	"simnet.PlugQdisc.PendingEgress":     "counter: output held for commit, checked by simnet and core tests",
 	"simnet.PlugQdisc.SetInput":          "fixture: criu's misordered-recovery test routes ingress to a socket-less stack",
 	"simnet.Socket.EnterRepair":          "kernel interface: TCP_REPAIR, driven by the repair and retransmit tests",

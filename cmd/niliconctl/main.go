@@ -545,10 +545,9 @@ func (a *app) runFleet() error {
 }
 
 func (a *app) runTimeline() error {
-	csv, err := harness.RunTimeline(*a.bench, a.runConfig())
+	res, err := harness.Run(*a.bench, harness.NiLiCon, a.runConfig())
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(a.stdout, csv)
-	return nil
+	return res.Timeline.WriteCSV(a.stdout)
 }

@@ -21,7 +21,6 @@ var configSurface = map[string][]string{
 	"core.Config": {
 		"EpochInterval time.Duration",
 		"Opts core.OptSet",
-		"BackupBeat bool",
 		"Lease core.LeaseConfig",
 		"Degrade core.DegradePolicy",
 		"ExtraStopPerCheckpoint time.Duration",

@@ -7,6 +7,7 @@ import (
 	"nilicon/internal/faultinject"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 	"nilicon/internal/workloads"
 )
 
@@ -43,13 +44,18 @@ func Example_quickstart() {
 			st.Restore, st.ARP, st.Other, st.CommittedEpoch)
 	}
 	repl := core.NewReplicator(cluster, ctr, cfg)
+	repl.Timeline = &trace.Timeline{}
 	repl.Start()
 
 	// 4. A batched client hammers the store and verifies every read.
 	clients := server.NewClients(cluster, "10.0.0.10", 1, 42)
 	clock.RunFor(2 * simtime.Second)
+	var stop simtime.Duration
+	for _, rec := range repl.Timeline.Records() {
+		stop += rec.Stop
+	}
 	fmt.Printf("after 2s: %d requests completed, %d epochs, mean stop %.1fms\n",
-		clients.Completed, repl.Epochs(), repl.StopTimes.Mean()*1000)
+		clients.Completed, repl.Epochs(), float64(stop)/1e6/float64(repl.Timeline.Len()))
 
 	// 5. Fail-stop the primary (block all its traffic, §VII-A).
 	fmt.Println("injecting fail-stop fault on the primary host...")

@@ -7,6 +7,7 @@ import (
 	"nilicon/internal/faultinject"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 	"nilicon/internal/workloads"
 )
 
@@ -105,10 +106,15 @@ func TestDeterminism(t *testing.T) {
 		cfg := core.DefaultConfig()
 		cfg.ExtraStopPerCheckpoint = server.Profile().TotalExtraStop()
 		repl := core.NewReplicator(cluster, ctr, cfg)
+		repl.Timeline = &trace.Timeline{}
 		repl.Start()
 		clients := server.NewClients(cluster, "10.0.0.10", 1, 7)
 		clock.RunUntil(simtime.Time(2 * simtime.Second))
-		return clients.Completed, repl.Epochs(), repl.StopTimes.Mean()
+		var stop float64
+		for _, rec := range repl.Timeline.Records() {
+			stop += rec.Stop.Seconds()
+		}
+		return clients.Completed, repl.Epochs(), stop
 	}
 	c1, e1, s1 := run()
 	c2, e2, s2 := run()

@@ -476,7 +476,6 @@ func (f *Fleet) pairConfig(pr *Pair) core.Config {
 	if f.Params.Opts != nil {
 		cfg.Opts = *f.Params.Opts
 	}
-	cfg.BackupBeat = true
 	cfg.Lease = f.Params.Lease
 	cfg.Degrade = f.Params.Degrade
 	cfg.Reattach = func(rc core.RestoredContainer, state any) {

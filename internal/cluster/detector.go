@@ -19,8 +19,8 @@ import "nilicon/internal/core"
 //     cannot distinguish a dead primary from a long first checkpoint)
 //     and therefore contribute no evidence either way.
 //   - backup on the host: the pair's primary tracks each slot's last
-//     reverse liveness beat (Replicator.LastReplicaBeat,
-//     Config.BackupBeat).
+//     reverse liveness beat (Replicator.LastReplicaBeat), which every
+//     backup under an external arbiter sends.
 //
 // Declaring a host dead triggers, in the same virtual-time instant, a
 // concurrent failover of every Protected pair whose primary ran there

@@ -226,10 +226,13 @@ func (b *BackupAgent) checkHeartbeat() {
 		b.lastHeartbeat = now
 	}
 	stale := now.Sub(b.lastHeartbeat) > DetectionDeadline
-	if b.cfg.BackupBeat || b.cfg.Lease.Enabled {
+	if b.cfg.Lease.Enabled || b.r.externalArbiter {
 		// Reverse liveness beat: an individual packet on the ack link, so
 		// the primary (and through it the fleet control plane) can tell a
-		// dead backup host from a merely idle one. With the lease enabled
+		// dead backup host from a merely idle one. The paper's single pair
+		// without a lease never needs it (a dead backup merely leaves the
+		// pair unprotected), but a fleet control plane must detect
+		// backup-host loss to re-protect its pairs. With the lease enabled
 		// the beat doubles as an implicit grant renewal — withheld the
 		// moment the primary's heartbeats go stale, so a grant is never
 		// extended to a host the conviction below is about to declare

@@ -84,6 +84,7 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 		}
 		return 50 * simtime.Microsecond, 10 * simtime.Millisecond
 	})
+	tl := recordEpochs(env.repl)
 	env.repl.Start()
 	// Past the initial full sync, with the pool warmed by a few commits.
 	env.clock.RunFor(500 * simtime.Millisecond)
@@ -95,16 +96,20 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 		}
 		return e
 	}
-	epochs0, committed0, pages0 := env.repl.Epochs(), committed(), env.repl.DirtyPages.Sum()
+	committed0, records0 := committed(), tl.Len()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	env.clock.RunFor(time2s())
 	runtime.ReadMemStats(&after)
-	epochs, commits := env.repl.Epochs()-epochs0, committed()-committed0
+	commits := committed() - committed0
 	if commits < 30 {
 		t.Fatalf("only %d epochs committed in 2s", commits)
 	}
-	pagesPerEpoch := (env.repl.DirtyPages.Sum() - pages0) / float64(epochs)
+	var pages int
+	for _, rec := range tl.Records()[records0:] {
+		pages += rec.DirtyPages
+	}
+	pagesPerEpoch := float64(pages) / float64(tl.Len()-records0)
 	if pagesPerEpoch < 1000 {
 		t.Fatalf("%.0f dirty pages per epoch, want >= 1000", pagesPerEpoch)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"nilicon/internal/container"
-	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
 )
 
@@ -53,12 +52,8 @@ type replicaSlot struct {
 	// stalls the healthy replicas' release path.
 	catchingUp bool
 	// lastBeat is when this replica's most recent reverse liveness
-	// beat arrived (Config.BackupBeat / lease mode).
+	// beat arrived (lease mode or an external arbiter).
 	lastBeat simtime.Time
-
-	// lag mirrors this replica's epoch-ack lag behind the newest
-	// checkpoint for the metrics layer.
-	lag metrics.Gauge
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
@@ -139,10 +134,6 @@ func (r *Replicator) ReplicaAckLag(i int) uint64 {
 	return newest - s.acked
 }
 
-// ReplicaAckLagGauge returns slot i's ack-lag gauge (updated on every
-// ack arrival).
-func (r *Replicator) ReplicaAckLagGauge(i int) *metrics.Gauge { return &r.chain[i].lag }
-
 // LastReplicaBeat returns when slot i's most recent reverse liveness
 // beat arrived (the fleet's host detector aggregates this per replica).
 func (r *Replicator) LastReplicaBeat(i int) simtime.Time { return r.chain[i].lastBeat }
@@ -165,8 +156,10 @@ func (r *Replicator) ChainLastGrantSent() simtime.Time {
 // SetExternalArbiter hands promotion arbitration to an outside control
 // plane: replicas stop self-promoting on heartbeat staleness (the fleet
 // detector convicts hosts and picks the one slot to Recover, raising
-// its grant floor to ChainLastGrantSent first). The fleet sets it on
-// every chain it builds, a pair being the one-replica chain.
+// its grant floor to ChainLastGrantSent first). It also turns on every
+// backup's reverse liveness beat, the evidence the fleet detector reads
+// about backup hosts. The fleet sets it on every chain it builds, a pair
+// being the one-replica chain.
 func (r *Replicator) SetExternalArbiter() { r.externalArbiter = true }
 
 // Quorum returns how many replicas currently gate release: every
@@ -304,7 +297,6 @@ func (r *Replicator) ackReceivedFrom(slot int, e uint64) {
 		s.hasAck = true
 	}
 	s.catchingUp = false
-	s.lag.Set(int64(r.ReplicaAckLag(slot)))
 	r.recomputeWatermarks()
 }
 

@@ -9,6 +9,7 @@ import (
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 // kvApp is a minimal in-container key-value server used by the core
@@ -145,18 +146,54 @@ func newTestEnv(t *testing.T, cfg Config) *testEnv {
 	return &testEnv{clock: clock, cl: cl, ctr: ctr, app: app, repl: repl}
 }
 
+// recordEpochs attaches a fresh epoch timeline to repl and returns it:
+// tests read stop times, stage durations and frame mixes from its
+// records.
+func recordEpochs(repl *Replicator) *trace.Timeline {
+	repl.Timeline = &trace.Timeline{}
+	return repl.Timeline
+}
+
+// epochMean is the mean of f over tl's records (0 for none).
+func epochMean(tl *trace.Timeline, f func(trace.EpochRecord) float64) float64 {
+	if tl.Len() == 0 {
+		return 0
+	}
+	var sum float64
+	for _, rec := range tl.Records() {
+		sum += f(rec)
+	}
+	return sum / float64(tl.Len())
+}
+
+// compressedFrames counts the delta, zero and dedup frames of tl's
+// records.
+func compressedFrames(tl *trace.Timeline) (delta, zero, dedup int) {
+	for _, rec := range tl.Records() {
+		delta += rec.DeltaFrames
+		zero += rec.ZeroFrames
+		dedup += rec.DedupFrames
+	}
+	return delta, zero, dedup
+}
+
+// stopSeconds is a record's stop time in seconds.
+func stopSeconds(rec trace.EpochRecord) float64 { return rec.Stop.Seconds() }
+
 func TestReplicationEpochsRun(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
+	tl := recordEpochs(env.repl)
 	env.repl.Start()
 	env.clock.RunUntil(simtime.Time(simtime.Second))
 	if env.repl.Epochs() < 20 {
 		t.Fatalf("epochs = %d in 1s at 30ms interval, want ≥20", env.repl.Epochs())
 	}
-	if env.repl.StopTimes.N() == 0 || env.repl.StopTimes.Mean() <= 0 {
+	mean := epochMean(tl, stopSeconds)
+	if mean <= 0 {
 		t.Fatal("no stop-time samples")
 	}
 	// Fully optimized stop times for this tiny container: well under 5ms.
-	if mean := env.repl.StopTimes.Mean(); mean > 0.005 {
+	if mean > 0.005 {
 		t.Fatalf("mean stop = %.2fms, too high for optimized tiny container", mean*1000)
 	}
 }
@@ -401,6 +438,7 @@ func TestStagingBufferShortensStop(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Opts.StagingBuffer = staging
 		env := newTestEnv(t, cfg)
+		tl := recordEpochs(env.repl)
 		// Dirty a lot of pages per epoch so the transfer matters.
 		p := env.app.proc
 		big := p.Mem.Mmap(6000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
@@ -413,7 +451,7 @@ func TestStagingBufferShortensStop(t *testing.T) {
 		env.repl.Start()
 		env.clock.RunUntil(simtime.Time(2 * simtime.Second))
 		env.repl.Stop()
-		return env.repl.StopTimes.Mean()
+		return epochMean(tl, stopSeconds)
 	}
 	with := run(true)
 	without := run(false)
@@ -430,6 +468,7 @@ func TestTable1LadderMonotonicity(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Opts = step.Opts
 		env := newTestEnv(t, cfg)
+		tl := recordEpochs(env.repl)
 		p := env.app.proc
 		big := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
 		seq := byte(0)
@@ -441,7 +480,7 @@ func TestTable1LadderMonotonicity(t *testing.T) {
 		env.repl.Start()
 		env.clock.RunUntil(simtime.Time(3 * simtime.Second))
 		env.repl.Stop()
-		stops = append(stops, env.repl.StopTimes.Mean())
+		stops = append(stops, epochMean(tl, stopSeconds))
 	}
 	for i := 1; i < len(stops); i++ {
 		if stops[i] > stops[i-1]*1.10 {

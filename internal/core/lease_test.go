@@ -17,7 +17,6 @@ func leaseTestEnv(t *testing.T) *testEnv {
 	cfg := DefaultConfig()
 	cfg.Opts = AllOpts()
 	cfg.Lease = DefaultLease()
-	cfg.BackupBeat = true
 	env := newTestEnv(t, cfg)
 	env.repl.Start()
 	return env

@@ -65,8 +65,7 @@ type OptSet struct {
 	DeltaPages bool
 	// RecordReplay enables HyCoR-mode record/replay (DESIGN.md §12): the
 	// primary records all nondeterminism between checkpoints — network
-	// input arrival order and payloads, getrandom results, a scheduling
-	// digest — into small log segments streamed to the backup next to
+	// input arrival order and payloads and a scheduling digest — into small log segments streamed to the backup next to
 	// page traffic, and output release gates on log-segment commit
 	// (microseconds of data) instead of epoch page-transfer commit. On
 	// failover the backup restores the last committed checkpoint and
@@ -184,15 +183,6 @@ type Config struct {
 	EpochInterval simtime.Duration
 	// Opts selects the active optimizations.
 	Opts OptSet
-	// BackupBeat makes the backup agent send a reverse liveness beat to
-	// the primary on every detector tick. The paper's single-pair
-	// deployment never needs it (a dead backup merely leaves the pair
-	// unprotected until an operator intervenes), but a fleet control
-	// plane (DESIGN.md §9) must detect backup-host loss to re-protect the
-	// affected pairs, and the primary→backup heartbeat alone carries no
-	// information about the backup's health.
-	BackupBeat bool
-
 	// Lease enables output-release lease arbitration (DESIGN.md §10):
 	// the backup grants the primary a time-bounded right to release
 	// buffered output, renewed implicitly by acks and backup beats;

@@ -286,7 +286,6 @@ func (run *epochRun) resume() {
 	r.Ctr.Qdisc.UnblockInput()
 	r.epochTimer.Reset(r.Cfg.EpochInterval)
 	r.applyRuntimeTax(run.cowTax)
-	run.recordStop()
 	run.complete(StageThaw, run.thawAt, run.thawAt.Sub(run.pauseEnd))
 }
 
@@ -429,54 +428,36 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 
 // --- Measurement -------------------------------------------------------------
 
-// recordStop adds the epoch's stop-phase samples once the actual resume
-// time is known. The initial full synchronization is one-time setup;
-// Tables III/IV report steady-state incremental checkpoints.
-func (run *epochRun) recordStop() {
-	if run.full || run.lossy {
-		return
-	}
-	r := run.r
-	stats := run.stats
-	r.StopTimes.Add(run.thawAt.Sub(run.startAt).Seconds())
-	r.StateBytes.Add(float64(stats.StateBytes))
-	r.DirtyPages.Add(float64(stats.DirtyPages))
-}
-
-// record adds the per-stage samples and the timeline row once the whole
-// pipeline (through output release) has run for this epoch.
+// record appends the epoch's timeline row once the whole pipeline
+// (through output release) has run for it. The initial full
+// synchronization and resync baselines are one-time setup, and a lossy
+// run never shipped its image; neither is a steady-state checkpoint.
 func (run *epochRun) record() {
-	if run.full || run.lossy {
+	r := run.r
+	if run.full || run.lossy || r.Timeline == nil {
 		return
 	}
-	r := run.r
-	for s := Stage(0); s < NumStages; s++ {
-		r.StageTimes[s].Add(run.dur[s].Seconds())
-	}
-	r.BytesOnWire.Add(float64(run.wireBytes))
-	if r.Timeline != nil {
-		r.Timeline.Record(trace.EpochRecord{
-			Pair:        r.Ctr.ID,
-			Epoch:       run.epoch,
-			At:          run.startAt,
-			Stop:        run.thawAt.Sub(run.startAt),
-			FreezeWait:  run.stats.FreezeWait,
-			MemCopy:     run.stats.MemCopy,
-			SockColl:    run.stats.SocketCollect,
-			StateBytes:  run.stats.StateBytes,
-			DirtyPages:  run.stats.DirtyPages,
-			Transfer:    run.dur[StageTransfer],
-			AckWait:     run.dur[StageAwaitAck],
-			Commit:      run.dur[StageReleaseOutput],
-			Inflight:    r.inflight.len(),
-			WireBytes:   run.wireBytes,
-			FullFrames:  run.frames.FullFrames,
-			DeltaFrames: run.frames.DeltaFrames,
-			ZeroFrames:  run.frames.ZeroFrames,
-			DedupFrames: run.frames.DedupFrames,
-			Lease:       r.leaseState.String(),
-			Replicas:    r.unfencedCount() + 1,
-			Quorum:      r.Quorum(),
-		})
-	}
+	r.Timeline.Record(trace.EpochRecord{
+		Pair:        r.Ctr.ID,
+		Epoch:       run.epoch,
+		At:          run.startAt,
+		Stop:        run.thawAt.Sub(run.startAt),
+		FreezeWait:  run.stats.FreezeWait,
+		MemCopy:     run.stats.MemCopy,
+		SockColl:    run.stats.SocketCollect,
+		StateBytes:  run.stats.StateBytes,
+		DirtyPages:  run.stats.DirtyPages,
+		Transfer:    run.dur[StageTransfer],
+		AckWait:     run.dur[StageAwaitAck],
+		Commit:      run.dur[StageReleaseOutput],
+		Inflight:    r.inflight.len(),
+		WireBytes:   run.wireBytes,
+		FullFrames:  run.frames.FullFrames,
+		DeltaFrames: run.frames.DeltaFrames,
+		ZeroFrames:  run.frames.ZeroFrames,
+		DedupFrames: run.frames.DedupFrames,
+		Lease:       r.leaseState.String(),
+		Replicas:    r.unfencedCount() + 1,
+		Quorum:      r.Quorum(),
+	})
 }

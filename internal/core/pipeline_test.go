@@ -5,6 +5,7 @@ import (
 
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 func pipelinedConfig() Config {
@@ -62,29 +63,22 @@ func TestStageGraphShape(t *testing.T) {
 
 func TestStageTimesRecorded(t *testing.T) {
 	env := newTestEnv(t, pipelinedConfig())
+	tl := recordEpochs(env.repl)
 	dirtyManyPages(env, 2000)
 	env.repl.Start()
 	env.clock.RunUntil(simtime.Time(simtime.Second))
 	env.repl.Stop()
-	for s := Stage(0); s < NumStages; s++ {
-		if env.repl.StageTimes[s].N() == 0 {
-			t.Fatalf("no samples for stage %v", s)
-		}
+	if tl.Len() == 0 {
+		t.Fatal("no epoch records")
 	}
-	if m := env.repl.StageTimes[StageBlockInput].Mean(); m <= 0 {
-		t.Fatalf("BlockInput mean = %v, want >0 (plug cost)", m)
-	}
-	if m := env.repl.StageTimes[StageTransfer].Mean(); m <= 0 {
-		t.Fatalf("Transfer mean = %v, want >0", m)
-	}
-	// Overlapped: the thaw is never delayed past the end of collection.
-	if m := env.repl.StageTimes[StageThaw].Mean(); m != 0 {
-		t.Fatalf("Thaw extra wait = %v under overlapped transfer, want 0", m)
+	transfer := epochMean(tl, func(rec trace.EpochRecord) float64 { return rec.Transfer.Seconds() })
+	if transfer <= 0 {
+		t.Fatalf("Transfer mean = %v, want >0", transfer)
 	}
 	// The commit latency covers the whole pipeline: it must be at least
 	// the stop plus the transfer.
-	commit := env.repl.StageTimes[StageReleaseOutput].Mean()
-	if commit < env.repl.StopTimes.Mean()+env.repl.StageTimes[StageTransfer].Mean() {
+	commit := epochMean(tl, func(rec trace.EpochRecord) float64 { return rec.Commit.Seconds() })
+	if commit < epochMean(tl, stopSeconds)+transfer {
 		t.Fatalf("commit mean %.3fms below stop+transfer", commit*1000)
 	}
 }
@@ -92,11 +86,12 @@ func TestStageTimesRecorded(t *testing.T) {
 func TestPipelinedShortensStop(t *testing.T) {
 	run := func(cfg Config) (float64, uint64) {
 		env := newTestEnv(t, cfg)
+		tl := recordEpochs(env.repl)
 		dirtyManyPages(env, 5000)
 		env.repl.Start()
 		env.clock.RunUntil(simtime.Time(2 * simtime.Second))
 		env.repl.Stop()
-		return env.repl.StopTimes.Mean(), env.repl.Epochs()
+		return epochMean(tl, stopSeconds), env.repl.Epochs()
 	}
 	staged, epochsStaged := run(DefaultConfig())
 	piped, epochsPiped := run(pipelinedConfig())

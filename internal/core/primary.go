@@ -97,27 +97,13 @@ type Replicator struct {
 	// Resyncs counts full resynchronizations triggered by lost epochs.
 	Resyncs metrics.Counter
 
-	// Wire-format frame counters (DESIGN.md §8): how every transferred
-	// page was encoded. With the encoder disabled all pages count as
-	// full frames.
-	FullFrames, DeltaFrames, ZeroFrames, DedupFrames metrics.Counter
-
-	// Virtual-time measurements, aggregated by the harness into Tables
-	// I, III and IV.
-	StopTimes   metrics.Stream // seconds
-	StateBytes  metrics.Stream // bytes (logical state size)
-	BytesOnWire metrics.Stream // bytes actually sent per epoch
-	DirtyPages  metrics.Stream // pages
-
-	// StageTimes holds one stream per pipeline stage (seconds), sampled
-	// once per epoch when the epoch's output is released.
-	StageTimes [NumStages]metrics.Stream
-
 	// LastStats is the most recent checkpoint's breakdown.
 	LastStats criu.CheckpointStats
 
-	// Timeline, when non-nil, records a per-epoch time series
-	// (niliconctl timeline).
+	// Timeline, when non-nil, receives one trace.EpochRecord per
+	// steady-state epoch at its output release: the one per-epoch
+	// measurement the paper tables, the timeline CSV and the benchmark
+	// read (DESIGN.md §5).
 	Timeline *trace.Timeline
 
 	hbTicker *simtime.Ticker
@@ -303,16 +289,11 @@ func (r *Replicator) encodeForWire(run *epochRun) simtime.Duration {
 	if r.encoder == nil {
 		run.wireBytes = run.img.WireSizeBytes()
 		run.frames.FullFrames = run.img.DirtyPages()
-		r.FullFrames.Add(int64(run.frames.FullFrames))
 		return 0
 	}
 	st := r.encoder.EncodeImage(run.img, r.ackedThrough, r.hasAcked)
 	run.wireBytes = run.img.WireSizeBytes()
 	run.frames = st
-	r.FullFrames.Add(int64(st.FullFrames))
-	r.DeltaFrames.Add(int64(st.DeltaFrames))
-	r.ZeroFrames.Add(int64(st.ZeroFrames))
-	r.DedupFrames.Add(int64(st.DedupFrames))
 	if run.img.Full {
 		// A full image (initial sync, resync baseline) is pure full/zero
 		// frames; its hashing pipelines with the bulk stream chunk by chunk
@@ -324,49 +305,12 @@ func (r *Replicator) encodeForWire(run *epochRun) simtime.Duration {
 		simtime.Duration(st.DiffedPages)*c.PageDiff
 }
 
-// ResetMeasurement clears the per-epoch measurement streams and frame
-// counters so subsequent samples reflect steady state only: the harness
-// calls it at the end of its warmup window, excluding the one-time
-// initial synchronization and the epochs queued behind its bulk
-// transfer (the paper's tables report steady-state checkpoints).
-// Protocol state — epoch numbers, the ack watermark, the delta
-// encoder's bases, resync counters — is untouched.
+// ResetMeasurement clears the record/replay log measurements so later
+// samples reflect steady state only. The epoch timeline needs no reset:
+// its readers window it by each record's epoch start.
 func (r *Replicator) ResetMeasurement() {
-	r.StopTimes = metrics.Stream{}
-	r.StateBytes = metrics.Stream{}
-	r.BytesOnWire = metrics.Stream{}
-	r.DirtyPages = metrics.Stream{}
-	for s := Stage(0); s < NumStages; s++ {
-		r.StageTimes[s] = metrics.Stream{}
-	}
-	r.FullFrames = metrics.Counter{}
-	r.DeltaFrames = metrics.Counter{}
-	r.ZeroFrames = metrics.Counter{}
-	r.DedupFrames = metrics.Counter{}
 	r.LogSegments = metrics.Counter{}
 	r.LogCommitLatency = metrics.Stream{}
-}
-
-// DeltaHitRate returns the fraction of transferred pages that shipped
-// compressed by the delta path (XOR patches and zero-page elisions).
-func (r *Replicator) DeltaHitRate() float64 {
-	total := r.FullFrames.Value() + r.DeltaFrames.Value() +
-		r.ZeroFrames.Value() + r.DedupFrames.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(r.DeltaFrames.Value()+r.ZeroFrames.Value()) / float64(total)
-}
-
-// DedupHitRate returns the fraction of transferred pages that shipped as
-// dedup references to an identical committed page.
-func (r *Replicator) DedupHitRate() float64 {
-	total := r.FullFrames.Value() + r.DeltaFrames.Value() +
-		r.ZeroFrames.Value() + r.DedupFrames.Value()
-	if total == 0 {
-		return 0
-	}
-	return float64(r.DedupFrames.Value()) / float64(total)
 }
 
 // AckedThrough returns the cumulative-ack watermark: the newest epoch

@@ -299,6 +299,7 @@ func TestDeltaStreamSurvivesResync(t *testing.T) {
 	env := newTestEnv(t, cfg)
 	p := env.app.proc
 	v := p.Mem.Mmap(8*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	tl := recordEpochs(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	// Re-dirty the same page across epochs: after its first shipment is
@@ -307,7 +308,7 @@ func TestDeltaStreamSurvivesResync(t *testing.T) {
 		_ = p.Mem.Write(v.Start, []byte{1, byte(i)})
 		env.clock.RunFor(50 * simtime.Millisecond)
 	}
-	if env.repl.DeltaFrames.Value()+env.repl.ZeroFrames.Value()+env.repl.DedupFrames.Value() == 0 {
+	if delta, zero, dedup := compressedFrames(tl); delta+zero+dedup == 0 {
 		t.Fatal("no compressed frames before the cut — delta stream not active")
 	}
 
@@ -470,6 +471,7 @@ func TestLostImageReleaseKeepsDeltaChainIntact(t *testing.T) {
 			_ = p.Mem.Write(page(28), tmplA)
 			_ = p.Mem.Write(page(29), tmplB)
 
+			tl := recordEpochs(env.repl)
 			env.repl.Start()
 			env.clock.RunFor(500 * simtime.Millisecond)
 			client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
@@ -507,12 +509,12 @@ func TestLostImageReleaseKeepsDeltaChainIntact(t *testing.T) {
 			}
 
 			resyncs := env.repl.Resyncs.Value()
-			delta0, dedup0 := env.repl.DeltaFrames.Value(), env.repl.DedupFrames.Value()
+			delta0, _, dedup0 := compressedFrames(tl)
 			run(700 * simtime.Millisecond)
 			if got := env.repl.Resyncs.Value(); got != resyncs {
 				t.Fatalf("resyncs kept coming after the heal (%d → %d): a frame failed verification", resyncs, got)
 			}
-			if env.repl.DeltaFrames.Value() == delta0 || env.repl.DedupFrames.Value() == dedup0 {
+			if delta, _, dedup := compressedFrames(tl); delta == delta0 || dedup == dedup0 {
 				t.Fatal("post-heal stream shipped no delta or dedup frames — decode path not exercised")
 			}
 

@@ -2,13 +2,13 @@ package core
 
 // HyCoR-mode record/replay (DESIGN.md §12). With Opts.RecordReplay the
 // primary records every source of nondeterminism the simulation owns —
-// network input arrival order and payloads, getrandom results, and a
-// scheduling digest — into an append-only log cut into small segments.
-// Segments stream to the backup on their own TransferScheduler flow
-// (ctrID+"/log"), scheduled fairly against the pair's page traffic, and
-// output release gates on *segment* commit: the egress buffered while a
-// segment was open flushes when the backup's cumulative log
-// acknowledgment covers the segment. A segment is microseconds of data,
+// network input arrival order and payloads, and a scheduling digest —
+// into an append-only log cut into small segments. Segments stream to
+// the backup on their own TransferScheduler flow (ctrID+"/log"),
+// scheduled fairly against the pair's page traffic, and output release
+// gates on *segment* commit: the egress buffered while a segment was
+// open flushes when the backup's cumulative log acknowledgment covers
+// the segment. A segment is microseconds of data,
 // so the client-visible release latency drops from an epoch-commit
 // round trip (tens of milliseconds) to roughly the link latency.
 //
@@ -22,9 +22,8 @@ package core
 //
 // On failover the backup restores the last committed checkpoint,
 // reattaches the workload, and replays the contiguously received log
-// suffix: recorded getrandom values are pre-pushed into each process's
-// injection queue, then the recorded ingress packets are delivered to
-// the restored stack in arrival order. Handlers run synchronously, so
+// suffix: the recorded ingress packets are delivered to the restored
+// stack in arrival order. Handlers run synchronously, so
 // the replay regenerates the exact egress the primary released; the
 // per-segment egress digest is the divergence oracle.
 //
@@ -137,10 +136,6 @@ func (rec *recorder) install() {
 	ctr.Qdisc.OnDeliver = rec.onIngress
 	ctr.Stack.OnAppSend = rec.onAppSend
 	ctr.OnTaskStep = rec.onTaskStep
-	for i, p := range ctr.Procs {
-		i := i
-		p.RandHook = func(v uint64) { rec.onRandom(i, v) }
-	}
 }
 
 // uninstall removes the capture hooks (replication teardown).
@@ -149,19 +144,11 @@ func (rec *recorder) uninstall() {
 	ctr.Qdisc.OnDeliver = nil
 	ctr.Stack.OnAppSend = nil
 	ctr.OnTaskStep = nil
-	for _, p := range ctr.Procs {
-		p.RandHook = nil
-	}
 	rec.sealTimer.Stop()
 }
 
 func (rec *recorder) onIngress(pkt simnet.Packet) {
-	rec.events = append(rec.events, criu.LogEvent{Kind: criu.LogIngress, Packet: pkt})
-	rec.noteActivity()
-}
-
-func (rec *recorder) onRandom(procIndex int, v uint64) {
-	rec.events = append(rec.events, criu.LogEvent{Kind: criu.LogRandom, ProcIndex: procIndex, Value: v})
+	rec.events = append(rec.events, criu.LogEvent{Packet: pkt})
 	rec.noteActivity()
 }
 
@@ -473,7 +460,7 @@ type ReplayStats struct {
 	// replayed (Through < From when the suffix was empty).
 	From, Through uint64
 	// Segments and Events count the replayed segments and the recorded
-	// events injected (ingress packets plus getrandom values).
+	// ingress packets injected.
 	Segments, Events int
 	// Bytes is the application-level egress regenerated by the replay.
 	Bytes int64
@@ -489,11 +476,9 @@ type ReplayStats struct {
 }
 
 // replayLog re-executes the committed log suffix on the restored
-// container: per segment, the recorded getrandom results are pre-pushed
-// into the drawing processes' injection queues (draws happen
-// synchronously inside the ingress handlers), then the recorded ingress
-// packets are delivered to the restored stack in arrival order, and the
-// app's tasks run the quanta that sent the rest of the segment's egress.
+// container: per segment, the recorded ingress packets are delivered to
+// the restored stack in arrival order, and the app's tasks run the quanta
+// that sent the rest of the segment's egress.
 // Restored sockets are still in repair mode, so regenerated egress
 // lands in their send queues and retransmits once the network is live;
 // post-checkpoint connections are re-created by replaying their own
@@ -517,14 +502,7 @@ func (b *BackupAgent) replayLog(ctr *container.Container) *ReplayStats {
 		digest = criu.DigestInit()
 		bytes = 0
 		for i := range seg.Events {
-			if ev := &seg.Events[i]; ev.Kind == criu.LogRandom && ev.ProcIndex < len(ctr.Procs) {
-				ctr.Procs[ev.ProcIndex].PushRand(ev.Value)
-			}
-		}
-		for i := range seg.Events {
-			if ev := &seg.Events[i]; ev.Kind == criu.LogIngress {
-				ctr.Stack.Receive(ev.Packet)
-			}
+			ctr.Stack.Receive(seg.Events[i].Packet)
 		}
 		// An app that answers from its own tasks rather than inside the
 		// ingress handler (workloads.Server) sent part of the segment's

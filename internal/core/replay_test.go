@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"nilicon/internal/container"
-	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
@@ -154,96 +152,6 @@ func TestReplayCheckpointCommitTruncatesLog(t *testing.T) {
 	}
 	if b.logContig < rec.sealedThrough {
 		t.Fatalf("backup contiguity %d below sealed watermark %d", b.logContig, rec.sealedThrough)
-	}
-}
-
-// randApp replies to each DRAW request with a fresh getrandom value —
-// nondeterminism that reaches the client directly. Without recorded
-// values injected at replay, the restored container would draw fresh
-// entropy and the per-segment egress digest would diverge.
-type randApp struct {
-	proc  *simkernel.Process
-	lines lineReader
-}
-
-func (a *randApp) SnapshotState() any { return nil }
-func (a *randApp) RestoreState(any)   {}
-
-func (a *randApp) handle(s *simnet.Socket) {
-	for range a.lines.read(s) {
-		n := a.proc.GetRandom()
-		s.Send([]byte(fmt.Sprintf("%d\n", n%1000)))
-	}
-}
-
-func (a *randApp) attach(ctr *container.Container) {
-	ctr.App = a
-	for _, p := range ctr.Procs {
-		if p.Name == "rng" {
-			a.proc = p
-			break
-		}
-	}
-	ctr.Stack.Listen(6379, func(s *simnet.Socket) { s.OnData = a.handle })
-	for _, s := range ctr.Stack.Sockets() {
-		s.OnData = a.handle
-		if s.Available() > 0 {
-			a.handle(s)
-		}
-	}
-}
-
-func TestReplayRandomDrawsInjected(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := NewShardedCluster(sc, ClusterParams{})
-	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
-	app := &randApp{}
-	ctr.AddProcess("rng", 3)
-	app.attach(ctr)
-	cfg := DefaultConfig()
-	cfg.Opts = ReplayOpts()
-	cfg.Reattach = func(rc RestoredContainer, _ any) { app.attach(rc) }
-	repl := NewReplicator(cl, ctr, cfg)
-	repl.Start()
-	clock.RunFor(500 * simtime.Millisecond)
-	client := newKVClient(cl, "10.0.0.1", "10.0.0.10")
-	clock.RunFor(13 * simtime.Millisecond)
-
-	for i := 0; i < 3; i++ {
-		client.send("DRAW")
-		for j := 0; j < 100 && len(client.replies) < i+1; j++ {
-			clock.RunFor(100 * simtime.Microsecond)
-		}
-	}
-	if len(client.replies) != 3 {
-		t.Fatalf("replies = %v", client.replies)
-	}
-
-	ctr.Disconnect()
-	cl.ReplLink.SetDown(true)
-	cl.AckLink.SetDown(true)
-	clock.RunFor(2 * simtime.Second)
-	if !repl.Backup.Recovered() {
-		t.Fatal("no recovery")
-	}
-	st := repl.Backup.Recovery
-	if st.Replay == nil {
-		t.Fatal("no replay stats")
-	}
-	// The digest covers the numeric replies themselves, so a passing
-	// replay proves the recorded draws were re-injected verbatim.
-	if st.Replay.Diverged {
-		t.Fatalf("replay diverged at seq %d: getrandom results not injected", st.Replay.DivergedSeq)
-	}
-	if st.Replay.Segments < 3 || st.Replay.Events < 6 {
-		t.Fatalf("replay stats = %+v, want >=3 segments with ingress+random events", st.Replay)
-	}
-	// The restored app must keep serving draws.
-	client.send("DRAW")
-	clock.RunFor(2 * simtime.Second)
-	if len(client.replies) != 4 {
-		t.Fatalf("post-failover replies = %v", client.replies)
 	}
 }
 

@@ -5,8 +5,9 @@ package core
 // acknowledgment, release output — is decomposed into these first-class
 // stages so that configurations can overlap them (PipelinedTransfer,
 // StagingBuffer) by rewiring edges of the stage graph instead of
-// reordering a loop body, and so that every stage's virtual-time cost is
-// measured individually (Replicator.StageTimes, `niliconctl timeline`).
+// reordering a loop body. The transfer, ack-wait and output-commit
+// durations land in each epoch's trace.EpochRecord (Replicator.Timeline,
+// `niliconctl timeline`).
 type Stage int
 
 // The pipeline stages, in nominal (fully serialized) order.

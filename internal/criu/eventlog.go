@@ -2,14 +2,14 @@ package criu
 
 // Nondeterminism event log (HyCoR mode, DESIGN.md §12). Between
 // checkpoints the primary records every source of nondeterminism the
-// simulation owns — network input arrival order and payloads, sim-syscall
-// results (getrandom), and a digest of scheduling decisions — into an
-// append-only log cut into small segments. Segments stream to the backup
-// over the replication link next to (and scheduled fairly against) page
-// traffic; output release gates on segment commit, which is microseconds
-// of data, instead of epoch page-transfer commit. On failover the backup
-// restores the last committed checkpoint and re-executes the committed
-// log suffix; the per-segment output digest is the divergence oracle.
+// simulation owns — network input arrival order and payloads, and a
+// digest of scheduling decisions — into an append-only log cut into
+// small segments. Segments stream to the backup over the replication
+// link next to (and scheduled fairly against) page traffic; output
+// release gates on segment commit, which is microseconds of data,
+// instead of epoch page-transfer commit. On failover the backup restores
+// the last committed checkpoint and re-executes the committed log
+// suffix; the per-segment output digest is the divergence oracle.
 
 import (
 	"hash/crc32"
@@ -17,40 +17,14 @@ import (
 	"nilicon/internal/simnet"
 )
 
-// LogEventKind classifies one recorded nondeterministic event.
-type LogEventKind uint8
-
-// Log event kinds.
-const (
-	// LogIngress is one network packet delivered to the container's
-	// stack (payload and arrival order).
-	LogIngress LogEventKind = iota
-	// LogRandom is one getrandom(2) sim-syscall result.
-	LogRandom
-)
-
-// LogEvent is one recorded nondeterministic event.
+// LogEvent is one recorded nondeterministic event: a network packet
+// delivered to the container's stack (payload and arrival order).
 type LogEvent struct {
-	Kind LogEventKind
-	// Packet is the delivered frame (LogIngress).
 	Packet simnet.Packet
-	// ProcIndex identifies the drawing process by its position in the
-	// container's process list — stable across restore, unlike PIDs
-	// (LogRandom).
-	ProcIndex int
-	// Value is the recorded sim-syscall result (LogRandom).
-	Value uint64
 }
 
 // wireBytes models the event's size on the replication link.
-func (e *LogEvent) wireBytes() int64 {
-	switch e.Kind {
-	case LogIngress:
-		return 8 + int64(e.Packet.Len())
-	default:
-		return 16
-	}
-}
+func (e *LogEvent) wireBytes() int64 { return 8 + int64(e.Packet.Len()) }
 
 // LogSegment is one sealed slice of the nondeterminism log. Segments are
 // sealed on a short coalescing delay after the first event and at every

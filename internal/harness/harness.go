@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
 
 	"nilicon/internal/container"
 	"nilicon/internal/core"
@@ -106,18 +105,25 @@ type RunResult struct {
 
 	Epochs uint64
 
-	// StageMeans holds the mean virtual-time cost of each pipeline stage
-	// (seconds, indexed by core.Stage; NiLiCon mode only).
-	StageMeans [core.NumStages]float64
+	// Pipeline stage means (seconds; NiLiCon mode only): the transfer
+	// and the end-to-end output commit (epoch boundary → output
+	// released).
+	TransferMean, CommitMean float64
 
 	// Wire-format measurements (NiLiCon mode; DESIGN.md §8). WireMean is
 	// the mean bytes actually sent per steady-state epoch — equal to
 	// StateMean unless the delta encoder compressed the stream. CommitP50
 	// and CommitP99 are percentiles of the end-to-end output-commit
-	// latency (seconds).
+	// latency (seconds). DeltaHit/DedupHit are the fractions of
+	// transferred pages shipped as delta/zero frames and as dedup
+	// references.
 	WireMean             float64
 	CommitP50, CommitP99 float64
 	DeltaHit, DedupHit   float64
+
+	// Timeline is the run's per-epoch record (nil in Stock mode); every
+	// checkpoint column above is derived from it by epochColumns.
+	Timeline *trace.Timeline
 }
 
 // setup builds a cluster with the workload installed on a protected
@@ -165,20 +171,7 @@ func RunServer(mk func() *workloads.Server, mode Mode, rc RunConfig) RunResult {
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
 	res := RunResult{Bench: prof.Name, Mode: mode}
-
-	var repl *core.Replicator
-	var mc *remus.MC
-	switch mode {
-	case NiLiCon:
-		repl = core.NewReplicator(cl, ctr, nlConfig(prof, func() workloads.Workload { return mk() }, rc))
-		repl.Start()
-	case MC:
-		mc = remus.New(cl, ctr, remus.Config{
-			KernelDirtyPages:   prof.KernelDirtyPages,
-			RuntimeTaxPerEpoch: prof.RuntimeTax + prof.MCExtraTax,
-		})
-		mc.Start()
-	}
+	repl, mc := replicate(cl, ctr, prof, func() workloads.Workload { return mk() }, mode, rc, &res)
 
 	clients := rc.Clients
 	if clients <= 0 {
@@ -188,18 +181,15 @@ func RunServer(mk func() *workloads.Server, mode Mode, rc RunConfig) RunResult {
 
 	clock.RunFor(rc.Warmup)
 	set.BeginWindow()
-	if repl != nil {
-		// Measure steady state: drop the initial synchronization and the
-		// epochs queued behind its bulk transfer.
-		repl.ResetMeasurement()
-	}
+	// Measure steady state: drop the initial synchronization and the
+	// epochs queued behind its bulk transfer.
+	start := clock.Now()
 	runtimeAt := ctr.RuntimeOverhead
 	busyAt := ctr.CPUBusy
 	var backupAt simtime.Duration
 	if repl != nil {
 		backupAt = repl.Backup.CPUBusy
 	}
-	start := clock.Now()
 	clock.RunFor(rc.Measure)
 	wall := clock.Now().Sub(start).Seconds()
 
@@ -216,13 +206,12 @@ func RunServer(mk func() *workloads.Server, mode Mode, rc RunConfig) RunResult {
 	case NiLiCon:
 		repl.Stop()
 		res.Epochs = repl.Epochs()
-		fillStats(&res, &repl.StopTimes, &repl.StateBytes, &repl.DirtyPages, wall)
-		fillStageMeans(&res, repl)
 		res.BackupUtil = (repl.Backup.CPUBusy - backupAt).Seconds() / wall
+		epochColumns(&res, start, wall)
 	case MC:
 		mc.Stop()
 		res.Epochs = mc.Epochs()
-		fillStats(&res, &mc.StopTimes, &mc.StateBytes, &mc.DirtyPages, wall)
+		epochColumns(&res, 0, wall)
 	}
 	return res
 }
@@ -235,28 +224,16 @@ func RunBatch(mk func() *workloads.Parsec, mode Mode, rc RunConfig) RunResult {
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
 	res := RunResult{Bench: prof.Name, Mode: mode}
-
-	var repl *core.Replicator
-	var mc *remus.MC
-	switch mode {
-	case NiLiCon:
-		repl = core.NewReplicator(cl, ctr, nlConfig(prof, func() workloads.Workload { return mk() }, rc))
-		repl.Start()
-	case MC:
-		mc = remus.New(cl, ctr, remus.Config{
-			KernelDirtyPages:   prof.KernelDirtyPages,
-			RuntimeTaxPerEpoch: prof.RuntimeTax + prof.MCExtraTax,
-		})
-		mc.Start()
-	}
+	repl, mc := replicate(cl, ctr, prof, func() workloads.Workload { return mk() }, mode, rc, &res)
 
 	start := clock.Now()
+	var from simtime.Time // MC's records skip only the initial sync
 	if repl != nil {
 		// Let the initial synchronization and its queued epochs drain,
 		// then measure steady state (the workload keeps executing, so the
 		// elapsed time still covers the whole run).
 		clock.RunFor(rc.Warmup)
-		repl.ResetMeasurement()
+		from = clock.Now()
 	}
 	// Run until the workload finishes (bounded by a generous ceiling).
 	for i := 0; i < 100000 && !wl.Done(); i++ {
@@ -271,18 +248,63 @@ func RunBatch(mk func() *workloads.Parsec, mode Mode, rc RunConfig) RunResult {
 	case NiLiCon:
 		repl.Stop()
 		res.Epochs = repl.Epochs()
-		fillStats(&res, &repl.StopTimes, &repl.StateBytes, &repl.DirtyPages, wall)
-		fillStageMeans(&res, repl)
 		res.BackupUtil = repl.Backup.CPUBusy.Seconds() / wall
+		epochColumns(&res, from, wall)
 	case MC:
 		mc.Stop()
 		res.Epochs = mc.Epochs()
-		fillStats(&res, &mc.StopTimes, &mc.StateBytes, &mc.DirtyPages, wall)
+		epochColumns(&res, from, wall)
 	}
 	return res
 }
 
-func fillStats(res *RunResult, stop, state, dirty *metrics.Stream, wall float64) {
+// replicate attaches the mode's replicator to the protected container and
+// starts it, recording every checkpoint into res.Timeline. Stock runs
+// unreplicated and returns two nils.
+func replicate(cl *core.Cluster, ctr *container.Container, prof workloads.Profile, fresh func() workloads.Workload, mode Mode, rc RunConfig, res *RunResult) (*core.Replicator, *remus.MC) {
+	switch mode {
+	case NiLiCon:
+		repl := core.NewReplicator(cl, ctr, nlConfig(prof, fresh, rc))
+		res.Timeline = &trace.Timeline{}
+		repl.Timeline = res.Timeline
+		repl.Start()
+		return repl, nil
+	case MC:
+		mc := remus.New(cl, ctr, remus.Config{
+			KernelDirtyPages:   prof.KernelDirtyPages,
+			RuntimeTaxPerEpoch: prof.RuntimeTax + prof.MCExtraTax,
+		})
+		res.Timeline = &trace.Timeline{}
+		mc.Timeline = res.Timeline
+		mc.Start()
+		return nil, mc
+	}
+	return nil, nil
+}
+
+// epochColumns computes every per-epoch column of res from its
+// timeline. It counts a record when its epoch started at or after from,
+// the run's measurement start (the window rule bench/layers.go uses):
+// an epoch whose output was not released before the run stopped has no
+// record and appears in no column. wall is the run's wall time, the
+// denominator of StopFrac.
+func epochColumns(res *RunResult, from simtime.Time, wall float64) {
+	var stop, state, dirty, transfer, commit, wire metrics.Stream
+	var frames, delta, dedup int
+	for _, rec := range res.Timeline.Records() {
+		if rec.At < from {
+			continue
+		}
+		stop.Add(rec.Stop.Seconds())
+		state.Add(float64(rec.StateBytes))
+		dirty.Add(float64(rec.DirtyPages))
+		transfer.Add(rec.Transfer.Seconds())
+		commit.Add(rec.Commit.Seconds())
+		wire.Add(float64(rec.WireBytes))
+		frames += rec.FullFrames + rec.DeltaFrames + rec.ZeroFrames + rec.DedupFrames
+		delta += rec.DeltaFrames + rec.ZeroFrames
+		dedup += rec.DedupFrames
+	}
 	res.StopMean = stop.Mean()
 	res.StopP10 = stop.Percentile(10)
 	res.StopP50 = stop.Percentile(50)
@@ -295,46 +317,15 @@ func fillStats(res *RunResult, stop, state, dirty *metrics.Stream, wall float64)
 	if wall > 0 {
 		res.StopFrac = stop.Sum() / wall
 	}
-}
-
-func fillStageMeans(res *RunResult, repl *core.Replicator) {
-	for s := core.Stage(0); s < core.NumStages; s++ {
-		res.StageMeans[s] = repl.StageTimes[s].Mean()
+	res.TransferMean = transfer.Mean()
+	res.CommitMean = commit.Mean()
+	res.CommitP50 = commit.Percentile(50)
+	res.CommitP99 = commit.Percentile(99)
+	res.WireMean = wire.Mean()
+	if frames > 0 {
+		res.DeltaHit = float64(delta) / float64(frames)
+		res.DedupHit = float64(dedup) / float64(frames)
 	}
-	res.WireMean = repl.BytesOnWire.Mean()
-	res.CommitP50 = repl.StageTimes[core.StageReleaseOutput].Percentile(50)
-	res.CommitP99 = repl.StageTimes[core.StageReleaseOutput].Percentile(99)
-	res.DeltaHit = repl.DeltaHitRate()
-	res.DedupHit = repl.DedupHitRate()
-}
-
-// RunTimeline runs a server benchmark under NiLiCon and returns the
-// per-epoch time series as CSV (the data behind Table IV's variations).
-func RunTimeline(name string, rc RunConfig) (string, error) {
-	rc.defaults()
-	wl, err := workloads.ByName(name)
-	if err != nil {
-		return "", err
-	}
-	prof := wl.Profile()
-	clock, cl, ctr := setup(wl, 0)
-	cfg := nlConfig(prof, func() workloads.Workload {
-		fresh, _ := workloads.ByName(name)
-		return fresh
-	}, rc)
-	repl := core.NewReplicator(cl, ctr, cfg)
-	repl.Timeline = &trace.Timeline{}
-	repl.Start()
-	if sv, ok := wl.(*workloads.Server); ok {
-		sv.NewClients(cl, "10.0.0.10", rc.Clients, rc.Seed)
-	}
-	clock.RunFor(rc.Warmup + rc.Measure)
-	repl.Stop()
-	var b strings.Builder
-	if err := repl.Timeline.WriteCSV(&b); err != nil {
-		return "", err
-	}
-	return b.String(), nil
 }
 
 // Run dispatches by benchmark name.

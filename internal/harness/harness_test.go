@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"nilicon/internal/core"
+	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 	"nilicon/internal/workloads"
 )
 
@@ -216,4 +218,69 @@ func TestRenderFigure3(t *testing.T) {
 
 func containsStr(s, sub string) bool {
 	return len(s) >= len(sub) && strings.Contains(s, sub)
+}
+
+// TestEpochColumnsCountTheWindowsRecords: every per-epoch column of a
+// RunResult is derived from exactly the timeline records of epochs that
+// started in the measurement window. The run stops with an epoch in
+// flight: it froze, collected and resumed inside the window, but its
+// output was not released before Stop, so it has no record and must
+// appear in no column — its stop time included.
+func TestEpochColumnsCountTheWindowsRecords(t *testing.T) {
+	rc := shortRC()
+	res := RunServer(workloads.Redis, NiLiCon, rc)
+	from := simtime.Time(rc.Warmup) // RunServer's measurement start
+	var window []trace.EpochRecord
+	for _, rec := range res.Timeline.Records() {
+		if rec.At >= from {
+			window = append(window, rec)
+		}
+	}
+	if len(window) < 10 {
+		t.Fatalf("%d records in the window, want a steady-state sample", len(window))
+	}
+	if last := window[len(window)-1].Epoch; last+1 >= res.Epochs {
+		t.Fatalf("last record is epoch %d of %d taken: no epoch in flight at Stop", last, res.Epochs)
+	}
+
+	var stop, state, dirty, transfer, commit, wire metrics.Stream
+	var frames, delta, dedup int
+	for _, rec := range window {
+		stop.Add(rec.Stop.Seconds())
+		state.Add(float64(rec.StateBytes))
+		dirty.Add(float64(rec.DirtyPages))
+		transfer.Add(rec.Transfer.Seconds())
+		commit.Add(rec.Commit.Seconds())
+		wire.Add(float64(rec.WireBytes))
+		frames += rec.FullFrames + rec.DeltaFrames + rec.ZeroFrames + rec.DedupFrames
+		delta += rec.DeltaFrames + rec.ZeroFrames
+		dedup += rec.DedupFrames
+	}
+	cols := []struct {
+		name      string
+		got, want float64
+	}{
+		{"StopMean", res.StopMean, stop.Mean()},
+		{"StopP10", res.StopP10, stop.Percentile(10)},
+		{"StopP50", res.StopP50, stop.Percentile(50)},
+		{"StopP90", res.StopP90, stop.Percentile(90)},
+		{"StopFrac", res.StopFrac, stop.Sum() / rc.Measure.Seconds()},
+		{"StateMean", res.StateMean, state.Mean()},
+		{"StateP10", res.StateP10, state.Percentile(10)},
+		{"StateP50", res.StateP50, state.Percentile(50)},
+		{"StateP90", res.StateP90, state.Percentile(90)},
+		{"DirtyMean", res.DirtyMean, dirty.Mean()},
+		{"TransferMean", res.TransferMean, transfer.Mean()},
+		{"CommitMean", res.CommitMean, commit.Mean()},
+		{"CommitP50", res.CommitP50, commit.Percentile(50)},
+		{"CommitP99", res.CommitP99, commit.Percentile(99)},
+		{"WireMean", res.WireMean, wire.Mean()},
+		{"DeltaHit", res.DeltaHit, float64(delta) / float64(frames)},
+		{"DedupHit", res.DedupHit, float64(dedup) / float64(frames)},
+	}
+	for _, c := range cols {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v from the window's %d records", c.name, c.got, c.want, len(window))
+		}
+	}
 }

@@ -65,8 +65,8 @@ func RunPipelineAblation(rc RunConfig) ([]PipelineRow, *metrics.Table) {
 				Name:         m.name,
 				Overhead:     Overhead(stock, res),
 				StopMean:     simtime.Duration(res.StopMean * float64(simtime.Second)),
-				TransferMean: simtime.Duration(res.StageMeans[core.StageTransfer] * float64(simtime.Second)),
-				CommitMean:   simtime.Duration(res.StageMeans[core.StageReleaseOutput] * float64(simtime.Second)),
+				TransferMean: simtime.Duration(res.TransferMean * float64(simtime.Second)),
+				CommitMean:   simtime.Duration(res.CommitMean * float64(simtime.Second)),
 				CommitP99:    simtime.Duration(res.CommitP99 * float64(simtime.Second)),
 				WireMean:     res.WireMean,
 				DeltaHit:     res.DeltaHit,

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"strings"
 	"testing"
 
 	"nilicon/internal/core"
@@ -71,16 +72,15 @@ func TestRunResultCarriesStageMeans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for s := core.Stage(0); s < core.NumStages; s++ {
-		if s == core.StageThaw {
-			continue // zero under overlapped transfer
-		}
-		if res.StageMeans[s] <= 0 {
-			t.Fatalf("stage %v mean = %v, want >0", s, res.StageMeans[s])
-		}
+	if res.TransferMean <= 0 || res.CommitMean <= 0 {
+		t.Fatalf("transfer mean = %v, commit mean = %v, want both >0", res.TransferMean, res.CommitMean)
 	}
-	if res.StageMeans[core.StageThaw] != 0 {
-		t.Fatalf("Thaw mean = %v under overlapped transfer, want 0", res.StageMeans[core.StageThaw])
+	var ackWait simtime.Duration
+	for _, rec := range res.Timeline.Records() {
+		ackWait += rec.AckWait
+	}
+	if ackWait <= 0 {
+		t.Fatal("no epoch record waited on an ack")
 	}
 }
 
@@ -95,10 +95,15 @@ func TestValidationPassesPipelined(t *testing.T) {
 
 func TestTimelineHasStageColumns(t *testing.T) {
 	opts := core.PipelinedOpts()
-	csv, err := RunTimeline("redis", RunConfig{Measure: simtime.Second, Opts: &opts})
+	res, err := Run("redis", NiLiCon, RunConfig{Measure: simtime.Second, Opts: &opts})
 	if err != nil {
 		t.Fatal(err)
 	}
+	var b strings.Builder
+	if err := res.Timeline.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	csv := b.String()
 	header := csv[:len("epoch,at_ms,stop_us,freeze_us,memcopy_us,sockcoll_us,state_bytes,dirty_pages,transfer_us,ack_us,commit_us")]
 	if header != "epoch,at_ms,stop_us,freeze_us,memcopy_us,sockcoll_us,state_bytes,dirty_pages,transfer_us,ack_us,commit_us" {
 		t.Fatalf("timeline header = %q", header)

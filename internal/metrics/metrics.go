@@ -83,27 +83,8 @@ type Counter struct{ v int64 }
 // Inc adds 1.
 func (c *Counter) Inc() { c.v++ }
 
-// Add adds n (n may not be negative).
-func (c *Counter) Add(n int64) {
-	if n < 0 {
-		panic("metrics: Counter.Add with negative value")
-	}
-	c.v += n
-}
-
 // Value returns the current tally.
 func (c *Counter) Value() int64 { return c.v }
-
-// Gauge is a last-value-wins instrument for state that moves both ways
-// (e.g. a lease state machine's current state). Unlike Counter it may be
-// set to any value, including backwards. The zero value reads 0.
-type Gauge struct{ v int64 }
-
-// Set records the current value.
-func (g *Gauge) Set(v int64) { g.v = v }
-
-// Value returns the most recently set value.
-func (g *Gauge) Value() int64 { return g.v }
 
 // Table renders rows of labeled values as fixed-width text, used to print
 // the paper's tables from the harness and the CLI.

@@ -18,8 +18,8 @@ package remus
 import (
 	"nilicon/internal/container"
 	"nilicon/internal/core"
-	"nilicon/internal/metrics"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 // Cost model for the hypervisor-level checkpoint path, fitted to Table
@@ -55,11 +55,10 @@ type MC struct {
 	stopped bool
 	first   bool
 
-	// StopTimes, DirtyPages and StateBytes aggregate per-epoch stats
-	// (seconds / pages / bytes).
-	StopTimes  metrics.Stream
-	DirtyPages metrics.Stream
-	StateBytes metrics.Stream
+	// Timeline, when non-nil, receives one trace.EpochRecord per
+	// checkpoint after the initial sync: its stop time, dirty pages and
+	// state size.
+	Timeline *trace.Timeline
 }
 
 type config = Config
@@ -121,10 +120,15 @@ func (m *MC) runEpoch() {
 	m.epoch++
 	m.Ctr.Qdisc.Rotate(epoch)
 
-	if !m.first {
-		m.StopTimes.Add(simtime.Duration(stop).Seconds())
-		m.DirtyPages.Add(float64(dirty))
-		m.StateBytes.Add(float64(stateBytes))
+	if !m.first && m.Timeline != nil {
+		m.Timeline.Record(trace.EpochRecord{
+			Pair:       m.Ctr.ID,
+			Epoch:      epoch,
+			At:         cl.Clock.Now(),
+			Stop:       stop,
+			StateBytes: stateBytes,
+			DirtyPages: dirty,
+		})
 	}
 	m.first = false
 

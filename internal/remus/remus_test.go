@@ -7,6 +7,7 @@ import (
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 type vmEnv struct {
@@ -17,6 +18,21 @@ type vmEnv struct {
 }
 
 type coreContainer = containerAlias
+
+// meanOf is the mean of f over tl's records (0 for none).
+func meanOf(tl *trace.Timeline, f func(trace.EpochRecord) float64) float64 {
+	if tl.Len() == 0 {
+		return 0
+	}
+	var sum float64
+	for _, rec := range tl.Records() {
+		sum += f(rec)
+	}
+	return sum / float64(tl.Len())
+}
+
+// stopSeconds is a record's stop time in seconds.
+func stopSeconds(rec trace.EpochRecord) float64 { return rec.Stop.Seconds() }
 
 func TestMCEpochsAndDirtyTracking(t *testing.T) {
 	sc := simtime.NewEngine()
@@ -33,6 +49,7 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 		return simtime.Millisecond, 10 * simtime.Millisecond
 	})
 	mc := New(cl, ctr, Config{KernelDirtyPages: 150})
+	mc.Timeline = &trace.Timeline{}
 	mc.Start()
 	clock.RunUntil(simtime.Time(simtime.Second))
 	mc.Stop()
@@ -41,12 +58,12 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 		t.Fatalf("epochs = %d", mc.Epochs())
 	}
 	// Per epoch: ~200 user pages + 150 kernel pages.
-	mean := mc.DirtyPages.Mean()
+	mean := meanOf(mc.Timeline, func(rec trace.EpochRecord) float64 { return float64(rec.DirtyPages) })
 	if mean < 300 || mean > 420 {
 		t.Fatalf("mean dirty pages = %.0f, want ≈350", mean)
 	}
 	// Stop time ≈ 2.2ms + 350×1.15µs ≈ 2.6ms.
-	if s := mc.StopTimes.Mean(); s < 0.002 || s > 0.004 {
+	if s := meanOf(mc.Timeline, stopSeconds); s < 0.002 || s > 0.004 {
 		t.Fatalf("mean stop = %.2fms, want ≈2.6ms", s*1000)
 	}
 }
@@ -141,6 +158,7 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 	clock1, cl1, ctr1, run1 := build()
 	run1()
 	mc := New(cl1, ctr1, Config{KernelDirtyPages: 160})
+	mc.Timeline = &trace.Timeline{}
 	mc.Start()
 	clock1.RunUntil(simtime.Time(2 * simtime.Second))
 	mc.Stop()
@@ -148,13 +166,15 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 	clock2, cl2, ctr2, run2 := build()
 	run2()
 	repl := core.NewReplicator(cl2, ctr2, core.DefaultConfig())
+	repl.Timeline = &trace.Timeline{}
 	repl.Start()
 	clock2.RunUntil(simtime.Time(2 * simtime.Second))
 	repl.Stop()
 
-	if mc.StopTimes.Mean() >= repl.StopTimes.Mean() {
+	mcStop, nlStop := meanOf(mc.Timeline, stopSeconds), meanOf(repl.Timeline, stopSeconds)
+	if mcStop >= nlStop {
 		t.Fatalf("MC stop (%.2fms) should be below NiLiCon stop (%.2fms): no in-kernel state collection",
-			mc.StopTimes.Mean()*1000, repl.StopTimes.Mean()*1000)
+			mcStop*1000, nlStop*1000)
 	}
 	if ctr1.RuntimeOverhead <= ctr2.RuntimeOverhead {
 		t.Fatalf("MC runtime overhead (%v) should exceed NiLiCon's (%v): VM exits vs soft-dirty",

@@ -126,17 +126,6 @@ type Process struct {
 	k       *Kernel
 	nextTID int
 	nextFD  int
-
-	// randState is the deterministic entropy pool behind GetRandom,
-	// seeded from the PID so every run draws the same sequence.
-	randState uint64
-	// randQueue holds injected values replayed ahead of the pool: the
-	// record/replay driver pushes a failed-over container's recorded
-	// draws here so re-executed handlers see the primary's exact results.
-	randQueue []uint64
-	// RandHook, when set, observes every GetRandom result (the recorder's
-	// sim-syscall capture point).
-	RandHook func(uint64)
 }
 
 // NewThread adds a thread to the process.
@@ -182,42 +171,6 @@ func (p *Process) AddTimer(interval, remaining simtime.Duration) *Timer {
 	t := &Timer{ID: len(p.Timers) + 1, Interval: interval, Remaining: remaining}
 	p.Timers = append(p.Timers, t)
 	return t
-}
-
-// GetRandom models the getrandom(2) sim-syscall: a nondeterministic
-// kernel result the checkpoint cannot capture (the pool advances between
-// epochs). The simulation keeps it deterministic per process — a
-// splitmix64 stream seeded from the PID — but record/replay must still
-// log every draw: a restored process re-executing from a checkpoint
-// would otherwise resume the stream at the checkpoint's position and
-// diverge from the results the primary already exposed. Injected values
-// (PushRand) are consumed before the pool, in FIFO order.
-func (p *Process) GetRandom() uint64 {
-	p.k.ChargeSyscall(0)
-	var v uint64
-	if len(p.randQueue) > 0 {
-		v = p.randQueue[0]
-		p.randQueue = p.randQueue[1:]
-	} else {
-		if p.randState == 0 {
-			p.randState = uint64(p.PID)*0x9e3779b97f4a7c15 + 0x1
-		}
-		p.randState += 0x9e3779b97f4a7c15
-		z := p.randState
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		v = z ^ (z >> 31)
-	}
-	if p.RandHook != nil {
-		p.RandHook(v)
-	}
-	return v
-}
-
-// PushRand queues values for GetRandom to return ahead of the entropy
-// pool (replay injection).
-func (p *Process) PushRand(values ...uint64) {
-	p.randQueue = append(p.randQueue, values...)
 }
 
 // ThreadSnapshot is the per-thread state the parasite collects.

@@ -3,7 +3,10 @@
 // paper's Table IV observation — that NiLiCon's impact "can vary
 // significantly over time (e.g., due to stop time for streamcluster,
 // state size for DJCMS)" — is directly visible in these series;
-// `niliconctl timeline` emits them as CSV for plotting.
+// `niliconctl timeline` emits them as CSV for plotting. An EpochRecord
+// is the one per-epoch measurement: the paper tables' checkpoint
+// columns and the benchmark's per-layer metrics are computed from
+// these records.
 package trace
 
 import (

@@ -10,8 +10,8 @@ import (
 // FuzzParse feeds arbitrary bytes to Parse. Whatever it accepts must be
 // a trace Parse promises: every non-blank line one whole JSON value,
 // at least one request, positive unique IDs, non-decreasing
-// non-negative arrivals, clients inside the header's range, known ops,
-// non-negative fanout. An accepted trace must also survive an
+// non-negative arrivals, clients inside the header's range, known ops.
+// An accepted trace must also survive an
 // Encode/Parse round trip byte for byte.
 //
 // The committed corpus (testdata/fuzz/FuzzParse) holds the seeds: an
@@ -42,8 +42,6 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("request %d: client %d outside [0,%d)", i, r.Client, tr.Header.Clients)
 			case r.Op != OpSet && r.Op != OpGet:
 				t.Fatalf("request %d: op %q", i, r.Op)
-			case r.Fanout < 0:
-				t.Fatalf("request %d: fanout %d", i, r.Fanout)
 			}
 			seen[r.ID] = true
 		}

@@ -20,18 +20,10 @@ type Conn interface {
 // to drain its socket. Queue wait counts toward observed latency.
 const slowClientDepth = 1
 
-// pending is one in-flight request awaiting its FIFO reply.
-type pending struct {
-	arrival simtime.Time // open-loop arrival (trace time), not send time
-	key     uint64
-	size    int
-	fanout  int
-}
-
 // queuedReq is one arrival parked behind a slow client's in-flight cap.
 type queuedReq struct {
-	p   pending
-	req Request
+	arrival simtime.Time
+	req     Request
 }
 
 // Replayer drives a trace open-loop on the simulation clock: every
@@ -44,18 +36,19 @@ type Replayer struct {
 	tr    *Trace
 	judge *Judge
 
-	conns    []Conn
-	slow     []bool
-	inflight []fifo[pending]
+	conns []Conn
+	slow  []bool
+	// inflight holds each client's in-flight requests awaiting their
+	// FIFO replies, as open-loop arrival (trace) times, not send times.
+	inflight []fifo[simtime.Time]
 	queued   []fifo[queuedReq]
 
-	next        int // cursor into tr.Reqs; the scheduled arrival is Reqs[next-1]
-	start       simtime.Time
-	arriveFn    func() // arriveNext bound once
-	nextChildID uint64
-	issued      int
-	queuedNow   int
-	started     bool
+	next      int // cursor into tr.Reqs; the scheduled arrival is Reqs[next-1]
+	start     simtime.Time
+	arriveFn  func() // arriveNext bound once
+	issued    int
+	queuedNow int
+	started   bool
 }
 
 // NewReplayer builds a replayer for one trace. The judge may be nil
@@ -63,30 +56,19 @@ type Replayer struct {
 // client index before Start.
 func NewReplayer(clock *simtime.Clock, tr *Trace, judge *Judge) *Replayer {
 	r := &Replayer{
-		clock:       clock,
-		tr:          tr,
-		judge:       judge,
-		conns:       make([]Conn, tr.Header.Clients),
-		slow:        make([]bool, tr.Header.Clients),
-		inflight:    make([]fifo[pending], tr.Header.Clients),
-		queued:      make([]fifo[queuedReq], tr.Header.Clients),
-		nextChildID: maxID(tr),
+		clock:    clock,
+		tr:       tr,
+		judge:    judge,
+		conns:    make([]Conn, tr.Header.Clients),
+		slow:     make([]bool, tr.Header.Clients),
+		inflight: make([]fifo[simtime.Time], tr.Header.Clients),
+		queued:   make([]fifo[queuedReq], tr.Header.Clients),
 	}
 	for _, s := range tr.Header.SlowClients {
 		r.slow[s] = true
 	}
 	r.arriveFn = r.arriveNext
 	return r
-}
-
-func maxID(tr *Trace) uint64 {
-	var m uint64
-	for i := range tr.Reqs {
-		if tr.Reqs[i].ID > m {
-			m = tr.Reqs[i].ID
-		}
-	}
-	return m
 }
 
 // SetConn installs the transport for one client index.
@@ -126,76 +108,49 @@ func (r *Replayer) scheduleNext() {
 
 // arriveNext is the scheduled arrival of Reqs[next-1].
 func (r *Replayer) arriveNext() {
-	req := r.tr.Reqs[r.next-1]
-	r.arrive(pending{arrival: r.clock.Now(), key: req.Key, size: req.Size, fanout: req.Fanout}, req)
+	r.arrive(r.clock.Now(), r.tr.Reqs[r.next-1])
 	r.scheduleNext()
 }
 
 // arrive admits one open-loop arrival: judged, then sent — or queued
 // client-side when the issuing client is slow and at its in-flight cap.
-func (r *Replayer) arrive(p pending, req Request) {
+func (r *Replayer) arrive(arrival simtime.Time, req Request) {
 	if r.judge != nil {
-		r.judge.Arrived(p.arrival)
+		r.judge.Arrived(arrival)
 	}
 	cidx := req.Client
 	if r.slow[cidx] && r.inflight[cidx].len() >= slowClientDepth {
-		r.queued[cidx].push(queuedReq{p: p, req: req})
+		r.queued[cidx].push(queuedReq{arrival: arrival, req: req})
 		r.queuedNow++
 		return
 	}
-	r.send(cidx, p, req)
+	r.send(cidx, arrival, req)
 }
 
-func (r *Replayer) send(client int, p pending, req Request) {
-	r.inflight[client].push(p)
+func (r *Replayer) send(client int, arrival simtime.Time, req Request) {
+	r.inflight[client].push(arrival)
 	r.issued++
 	r.conns[client].Send(req)
 }
 
 // Completed is the transport's reply callback: the oldest in-flight
-// request on that client just finished. It records the latency, issues
-// the request's dependent fanout children, and drains the client-side
-// queue if the client is slow.
+// request on that client just finished. It records the latency and
+// drains the client-side queue if the client is slow.
 func (r *Replayer) Completed(client int) {
 	if r.inflight[client].len() == 0 {
 		// A reply with nothing in flight is a transport accounting bug.
 		panic(fmt.Sprintf("traffic: completion on client %d with no in-flight request", client))
 	}
-	p := r.inflight[client].pop()
-	now := r.clock.Now()
+	arrival := r.inflight[client].pop()
 	if r.judge != nil {
-		r.judge.Completed(p.arrival, now)
-	}
-	// Dependent fanout: follow-up requests a real client issues only
-	// once the parent completes (closed-loop children). They arrive now,
-	// read keys derived from the parent's, and carry no further fanout.
-	for i := 0; i < p.fanout; i++ {
-		r.nextChildID++
-		child := Request{
-			ID:     r.nextChildID,
-			Client: client,
-			Op:     OpGet,
-			Key:    childKey(p.key, i, r.tr.Header.Keys),
-			Size:   p.size,
-		}
-		r.arrive(pending{arrival: now, key: child.Key, size: child.Size}, child)
+		r.judge.Completed(arrival, r.clock.Now())
 	}
 	// Slow-client drain: one completion frees one in-flight slot.
 	for r.slow[client] && r.queued[client].len() > 0 && r.inflight[client].len() < slowClientDepth {
 		qr := r.queued[client].pop()
 		r.queuedNow--
-		r.send(client, qr.p, qr.req)
+		r.send(client, qr.arrival, qr.req)
 	}
-}
-
-// childKey spreads a parent's dependent reads across the keyspace
-// deterministically (Fibonacci hashing of parent key and child index).
-func childKey(parent uint64, i, keys int) uint64 {
-	k := (parent + uint64(i) + 1) * 0x9e3779b97f4a7c15
-	if keys > 0 {
-		return k % uint64(keys)
-	}
-	return k
 }
 
 // Outstanding returns the requests in flight on the wire.

@@ -37,7 +37,7 @@ func (f *fakeConn) heal() {
 
 func synthSmall(t *testing.T, slow bool) *Trace {
 	t.Helper()
-	cfg := SynthConfig{Seed: 3, Clients: 4, Duration: simtime.Second, Rate: 400, Keys: 32, FanoutFrac: 0.2}
+	cfg := SynthConfig{Seed: 3, Clients: 4, Duration: simtime.Second, Rate: 400, Keys: 32}
 	if slow {
 		// Per-client arrival rate (300/s) exceeds a slow client's service
 		// capacity (cap 1 in flight × 5 ms service = 200/s), so the
@@ -88,9 +88,8 @@ func TestReplayOpenLoopAndJudge(t *testing.T) {
 	if rep.Completions != rep.Arrivals || rep.Outstanding != 0 {
 		t.Fatalf("report accounting: %+v", rep)
 	}
-	// Issued > trace records: fanout children ran too.
-	if r.Issued() <= len(tr.Reqs) {
-		t.Fatalf("issued %d, want > %d trace records (fanout)", r.Issued(), len(tr.Reqs))
+	if r.Issued() != len(tr.Reqs) {
+		t.Fatalf("issued %d, want the trace's %d records", r.Issued(), len(tr.Reqs))
 	}
 	if rep.Violations == 0 {
 		t.Fatalf("no SLO violations through a 300ms outage")

@@ -54,11 +54,6 @@ type SynthConfig struct {
 	BurstLen   simtime.Duration
 	BurstX     float64
 
-	// FanoutFrac is the fraction of requests carrying a dependency
-	// fanout of 1..FanoutMax follow-ups. Defaults 0 and 3.
-	FanoutFrac float64
-	FanoutMax  int
-
 	// SlowFrac marks the first ceil(SlowFrac × Clients) client indices
 	// as slow drainers (Header.SlowClients): the replayer caps their
 	// in-flight requests so open-loop arrivals queue client-side.
@@ -111,9 +106,6 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	}
 	if c.BurstX <= 0 {
 		c.BurstX = 4
-	}
-	if c.FanoutMax <= 0 {
-		c.FanoutMax = 3
 	}
 	return c
 }
@@ -216,9 +208,6 @@ func Synthesize(cfg SynthConfig) *Trace {
 			req.Key = zipf.Uint64()
 		} else {
 			req.Key = uint64(rng.Intn(cfg.Keys))
-		}
-		if cfg.FanoutFrac > 0 && rng.Float64() < cfg.FanoutFrac {
-			req.Fanout = 1 + rng.Intn(cfg.FanoutMax)
 		}
 		tr.Reqs = append(tr.Reqs, req)
 	}

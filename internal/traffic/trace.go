@@ -66,11 +66,6 @@ type Request struct {
 	Key uint64 `json:"key"`
 	// Size is the value payload size in bytes carried by a set.
 	Size int `json:"size"`
-	// Fanout is the dependency fanout: the number of dependent follow-up
-	// requests the replayer issues the moment this request completes
-	// (a page load triggering sub-requests). Dependent requests are
-	// closed-loop children; they are not separate trace records.
-	Fanout int `json:"fanout,omitempty"`
 }
 
 // Ops.
@@ -157,9 +152,6 @@ func Parse(r io.Reader) (*Trace, error) {
 		}
 		if req.Op != OpSet && req.Op != OpGet {
 			return nil, fmt.Errorf("traffic: line %d: unknown op %q", line, req.Op)
-		}
-		if req.Fanout < 0 {
-			return nil, fmt.Errorf("traffic: line %d: negative fanout %d", line, req.Fanout)
 		}
 		tr.Reqs = append(tr.Reqs, req)
 	}

@@ -11,7 +11,7 @@ import (
 func validTrace() string {
 	return `{"nilicon_trace":1,"name":"t","seed":7,"clients":2,"keys":8}
 {"id":1,"at":0,"client":0,"op":"set","key":3,"size":64}
-{"id":2,"at":1000000,"client":1,"op":"get","key":3,"size":64,"fanout":2}
+{"id":2,"at":1000000,"client":1,"op":"get","key":3,"size":64}
 `
 }
 
@@ -23,7 +23,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if len(tr.Reqs) != 2 || tr.Header.Clients != 2 || tr.Header.Seed != 7 {
 		t.Fatalf("parsed trace = %+v", tr)
 	}
-	if tr.Reqs[1].Fanout != 2 || tr.Reqs[1].Op != OpGet {
+	if tr.Reqs[1].Key != 3 || tr.Reqs[1].Op != OpGet {
 		t.Fatalf("request 2 = %+v", tr.Reqs[1])
 	}
 	if tr.Duration() != simtime.Millisecond {
@@ -78,6 +78,8 @@ func TestParseRejectsEdgeCases(t *testing.T) {
 			`{"id":1,"at":0,"client":0,"op":"del","key":0,"size":1}` + "\n", "unknown op"},
 		{"negative-at", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":-5,"client":0,"op":"set","key":0,"size":1}` + "\n", "negative arrival"},
+		{"fanout-key", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
+			`{"id":1,"at":0,"client":0,"op":"get","key":0,"size":1,"fanout":2}` + "\n", `unknown field "fanout"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

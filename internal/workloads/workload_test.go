@@ -10,6 +10,7 @@ import (
 
 	"nilicon/internal/core"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -381,13 +382,18 @@ func replicatedEnv(t *testing.T, wl Workload) (*wlEnv, *core.Replicator) {
 func TestRedisUnderReplicationStopTimeNearPaper(t *testing.T) {
 	sv := Redis()
 	env, repl := replicatedEnv(t, sv)
+	repl.Timeline = &trace.Timeline{}
 	set := sv.NewClients(env.cl, "10.0.0.10", 1, 21)
 	env.clock.RunFor(4 * simtime.Second)
 	repl.Stop()
 	if len(set.Errors) != 0 {
 		t.Fatalf("errors under replication: %v", set.Errors[:min(3, len(set.Errors))])
 	}
-	stop := repl.StopTimes.Mean() * 1000 // ms
+	var sum simtime.Duration
+	for _, rec := range repl.Timeline.Records() {
+		sum += rec.Stop
+	}
+	stop := float64(sum) / 1e6 / float64(repl.Timeline.Len()) // ms
 	// Paper Table III: 18.9 ms. Accept ±40%.
 	if stop < 11 || stop > 27 {
 		t.Fatalf("redis mean stop = %.1fms, want ≈18.9ms", stop)
