@@ -244,6 +244,11 @@ func committedOutputs() []committedOutput {
 		{name: "fig3", run: cli("fig3")},
 		{name: "table6", run: cli("table6")},
 		{name: "pipeline", run: cli("pipeline")},
+		// The per-epoch records of a paper workload on either side of
+		// the epoch pipeline's one fork: the container resumes after the
+		// transfer (stop-and-copy) or before it (staging buffer).
+		{name: "timeline-redis-stop-and-copy", run: cli("timeline", "-opts", "stop-and-copy", "-bench", "redis", "-measure", "1s")},
+		{name: "timeline-redis-all", run: cli("timeline", "-opts", "all", "-bench", "redis", "-measure", "1s")},
 		{name: "chaos-sweep", run: cli("chaos", "-sweep", "-seeds", "2", "-chaos-duration", "600ms")},
 		{name: "chaos-replay-seed3", run: cli("chaos", "-opts", "replay", "-seed", "3", "-chaos-duration", "800ms"),
 			must: regexp.MustCompile(`(?s)event mid-transfer sending=[1-9].*event replay from=\d+ through=\d+ segments=[1-9]`)},
