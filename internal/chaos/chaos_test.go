@@ -13,9 +13,9 @@ func optSets() []struct {
 	name string
 	opts core.OptSet
 } {
-	// stop-and-copy keeps the serialized stage graph (Thaw waits for
-	// Transfer) while buffering input, so the data-path oracle runs for
-	// that graph shape too; plain basic drops input at the firewall and
+	// stop-and-copy keeps the container frozen until its transfer ends
+	// while buffering input, so the data-path oracle runs for that side
+	// of the pipeline's fork too; plain basic drops input at the firewall and
 	// gets the acked-output oracle skipped.
 	stopcopy := core.AllOpts()
 	stopcopy.StagingBuffer = false

@@ -24,8 +24,8 @@ import (
 //
 // Every slot is equal. The classic pair is the one-slot chain
 // (Replicator.Backup is chain[0].agent); the lead slot — the lowest
-// unfenced one — keeps each epoch's original image and drives the
-// pipeline's transfer stage, and every other slot gets a clone.
+// unfenced one — keeps each epoch's original image, whose delivery or
+// loss ends the run's transfer, and every other slot gets a clone.
 
 // replicaSlot is one backup replica of the chain.
 type replicaSlot struct {
@@ -354,16 +354,16 @@ func (r *Replicator) retireThrough(e uint64) {
 	now := r.Cluster.Clock.Now()
 	for r.inflight.len() > 0 && r.inflight.peek().epoch <= e {
 		run := r.inflight.pop()
-		if run.done[StageTransfer] {
-			run.complete(StageAwaitAck, now, now.Sub(run.doneAt[StageTransfer]))
+		if run.transferred {
+			run.ackWait = now.Sub(run.transferredAt)
 		} else {
 			// The epoch's own transfer was lost; it is covered by a later
 			// resync image. Retire the run without pretending it measured
 			// anything.
 			run.lossy = true
-			run.complete(StageTransfer, now, 0)
-			run.complete(StageAwaitAck, now, 0)
+			run.finishTransfer(0)
 		}
+		run.releaseOutput()
 	}
 }
 

@@ -130,7 +130,7 @@ type imageSend struct {
 }
 
 // sendImage submits epoch's img to slot s's flow; run is set for the
-// lead slot's send, which completes the run's transfer stage.
+// lead slot's send, which ends the run's transfer.
 func (r *Replicator) sendImage(s *replicaSlot, epoch uint64, img *criu.Image, run *epochRun) {
 	var is *imageSend
 	if n := len(r.freeSends); n > 0 {
@@ -153,7 +153,7 @@ func (is *imageSend) delivered() {
 	is.release()
 	s.agent.receiveState(epoch, img)
 	if run != nil {
-		run.finishTransfer()
+		run.finishTransfer(run.r.Cluster.Clock.Now().Sub(run.submitAt))
 		run.unref()
 	}
 }

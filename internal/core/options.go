@@ -46,10 +46,9 @@ type OptSet struct {
 	// of collection, and the image streams to the backup from the
 	// CoW-protected pages while the container runs (paying a small
 	// copy-on-write runtime tax for re-dirtied pages). Output release is
-	// still strictly gated on the backup's acknowledgment — the
-	// ReleaseOutput→AwaitAck edge of the stage graph is unconditional.
-	// This goes beyond the paper's Table I ladder and is therefore not
-	// part of AllOpts.
+	// still strictly gated on the backup's acknowledgment: only the ack
+	// watermark releases output, whatever the options. This goes beyond
+	// the paper's Table I ladder and is therefore not part of AllOpts.
 	PipelinedTransfer bool
 	// DeltaPages delta-compresses the replication stream (DESIGN.md §8):
 	// each dirty page ships as the cheapest of four frames. An all-zero
@@ -75,6 +74,13 @@ type OptSet struct {
 	// part of AllOpts.
 	RecordReplay bool
 }
+
+// overlapsTransfer reports whether the container resumes at the end of
+// the pause, before its image has reached the backup (StagingBuffer or
+// PipelinedTransfer). Otherwise the run is stop-and-copy: the container
+// stays frozen until the lead's transfer ends (§V-D deficiency (2)).
+// It is the epoch pipeline's one fork (pipeline.go).
+func (o OptSet) overlapsTransfer() bool { return o.StagingBuffer || o.PipelinedTransfer }
 
 // AllOpts returns the fully optimized NiLiCon configuration.
 func AllOpts() OptSet {

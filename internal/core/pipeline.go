@@ -17,12 +17,14 @@ import (
 // saved copy time divided by this.
 const cowRedirtyDivisor = 8
 
-// epochRun carries one epoch's checkpoint through the stage graph. A run
-// is created at the epoch boundary and lives until its output is
-// released (or replication stops). Stages start as soon as their
-// dependencies complete; which stages overlap container execution is
-// decided entirely by the OptSet's stage graph (stage.go), not by the
-// order of any loop body.
+// epochRun carries one epoch's checkpoint through the pipeline (§IV):
+// block input, freeze and collect, resume, transfer, await the ack,
+// release output. A run is created at the epoch boundary and lives
+// until its output is released (or replication stops). The sequence
+// has one fork, OptSet.overlapsTransfer: an overlapped run resumes the
+// container at the end of the pause and streams the image while it
+// runs; a stop-and-copy run streams from frozen memory and resumes the
+// container when the lead's transfer ends.
 type epochRun struct {
 	r     *Replicator
 	epoch uint64
@@ -34,13 +36,8 @@ type epochRun struct {
 	full  bool
 	stats criu.CheckpointStats
 
-	started [NumStages]bool
-	done    [NumStages]bool
-	doneAt  [NumStages]simtime.Time
-	dur     [NumStages]simtime.Duration
-
 	// startAt is the epoch boundary; pauseEnd is when the virtual-time
-	// pause (BlockInput + FreezeCollect) ends; thawAt is when the
+	// pause (block input + freeze/collect) ends; thawAt is when the
 	// container actually resumed (≥ pauseEnd under stop-and-copy).
 	startAt  simtime.Time
 	pauseEnd simtime.Time
@@ -62,6 +59,15 @@ type epochRun struct {
 	// submitAt is when the transfer's submission (its encoding) began.
 	submitAt simtime.Time
 
+	// transferred is set, at transferredAt, when the lead's transfer
+	// ends: delivered, lost, or retired unsent by a covering ack.
+	transferred   bool
+	transferredAt simtime.Time
+	// transfer, ackWait and commit are the recorded durations: submit
+	// to transfer end, transfer end to covering ack, and epoch boundary
+	// to output release.
+	transfer, ackWait, commit simtime.Duration
+
 	// refs counts what still refers to the run: the pipeline until the
 	// output is released, and each pending thaw, submission and
 	// encoded-submission event and lead image send. The last to let go
@@ -70,79 +76,41 @@ type epochRun struct {
 	refs int
 }
 
-// start dispatches to a stage's implementation. The driver (advance)
-// starts a stage the moment its dependencies are complete.
-func (run *epochRun) start(s Stage) {
-	switch s {
-	case StageBlockInput:
-		run.blockInput()
-	case StageFreezeCollect:
-		run.freezeCollect()
-	case StageThaw:
-		run.thaw()
-	case StageTransfer:
-		run.transfer()
-	case StageAwaitAck:
-		run.awaitAck()
-	case StageReleaseOutput:
-		run.releaseOutput()
+// begin runs the epoch boundary: input blocks, the container freezes
+// and its image is collected, and the pause ends at pauseEnd. An
+// overlapped run then schedules its thaw and its submission, both at
+// pauseEnd and in that order; a stop-and-copy run submits at once and
+// thaws when the transfer ends (finishTransfer).
+func (run *epochRun) begin() {
+	r := run.r
+	run.pauseEnd = run.startAt.Add(run.blockInput() + run.freezeCollect())
+	if !r.Cfg.Opts.overlapsTransfer() {
+		run.submit()
+		return
 	}
+	run.thaw()
+	run.refs++
+	r.submitQ.push(run)
+	r.Cluster.Clock.ScheduleAt(run.pauseEnd, r.submitFn)
 }
-
-// advance starts every not-yet-started stage whose dependencies have
-// completed. Synchronous stages complete inside their handler (possibly
-// with a future virtual-time completion stamp); asynchronous stages
-// complete from scheduled events or link-delivery callbacks, which call
-// complete and thereby re-enter advance.
-func (run *epochRun) advance() {
-	for s := Stage(0); s < NumStages; s++ {
-		if run.started[s] || !run.ready(s) {
-			continue
-		}
-		run.started[s] = true
-		run.start(s)
-	}
-}
-
-func (run *epochRun) ready(s Stage) bool {
-	for _, d := range run.r.deps[s] {
-		if !run.done[d] {
-			return false
-		}
-	}
-	return true
-}
-
-// complete marks a stage finished at virtual time `at` with measured
-// duration d, then lets dependent stages start.
-func (run *epochRun) complete(s Stage, at simtime.Time, d simtime.Duration) {
-	run.done[s] = true
-	run.doneAt[s] = at
-	run.dur[s] = d
-	run.advance()
-}
-
-// --- Stage implementations ---------------------------------------------------
 
 // blockInput blocks network input for the duration of the stop phase
-// (§III): sch_plug (43 µs) or firewall rules (7 ms) per §V-C.
-func (run *epochRun) blockInput() {
+// (§III): sch_plug (43 µs) or firewall rules (7 ms) per §V-C. It
+// returns the blocking cost.
+func (run *epochRun) blockInput() simtime.Duration {
 	r := run.r
 	costs := r.Ctr.Host.Kernel.Costs
-	var cost simtime.Duration
-	if r.Cfg.Opts.PlugInput {
-		cost = costs.PlugBlock
-	} else {
-		cost = costs.FirewallSetup
-	}
 	r.Ctr.Qdisc.BlockInput()
-	run.complete(StageBlockInput, run.startAt.Add(cost), cost)
+	if r.Cfg.Opts.PlugInput {
+		return costs.PlugBlock
+	}
+	return costs.FirewallSetup
 }
 
 // freezeCollect freezes the container and collects the checkpoint image.
-// The state capture itself happens atomically at the epoch boundary; the
-// stage's virtual-time cost is the stop-phase pause it contributes.
-func (run *epochRun) freezeCollect() {
+// The state capture itself happens atomically at the epoch boundary; it
+// returns the stop-phase pause it contributes.
+func (run *epochRun) freezeCollect() simtime.Duration {
 	r := run.r
 	cl := r.Cluster
 	costs := r.Ctr.Host.Kernel.Costs
@@ -163,7 +131,7 @@ func (run *epochRun) freezeCollect() {
 	if r.Cfg.Opts.PipelinedTransfer {
 		// The dirty pages are write-protected instead of copied out
 		// during the pause: the copy happens lazily while the image
-		// streams (StageTransfer), and only re-dirtied pages pay a
+		// streams, and only re-dirtied pages pay a
 		// copy-on-write fault, charged as runtime tax mid-epoch.
 		stop = stats.StopTimeExcludingCopy()
 		run.cowTax = stats.MemCopy / cowRedirtyDivisor
@@ -249,30 +217,19 @@ func (run *epochRun) freezeCollect() {
 	}
 
 	r.LastStats = stats
-	run.pauseEnd = run.doneAt[StageBlockInput].Add(stop)
-	run.complete(StageFreezeCollect, run.pauseEnd, stop)
+	return stop
 }
 
-// thaw resumes the container once every dependency allows it: at the end
-// of the pause when the transfer is overlapped, or after delivery at the
-// backup under stop-and-copy. The recorded duration is the extra wait
-// beyond the pause. The resume itself is Replicator.thawNext.
+// thaw schedules the container's resume: at the end of the pause when
+// the transfer is overlapped, or when the lead's transfer ends under
+// stop-and-copy. The resume itself is Replicator.thawNext.
 func (run *epochRun) thaw() {
 	r := run.r
 	cl := r.Cluster
-	at := run.pauseEnd
-	for _, d := range r.deps[StageThaw] {
-		if run.doneAt[d] > at {
-			at = run.doneAt[d]
-		}
-	}
-	if now := cl.Clock.Now(); at < now {
-		at = now
-	}
-	run.thawAt = at
+	run.thawAt = max(run.pauseEnd, cl.Clock.Now())
 	run.refs++
 	r.thawQ.push(run)
-	cl.Clock.ScheduleAt(at, r.thawFn)
+	cl.Clock.ScheduleAt(run.thawAt, r.thawFn)
 }
 
 // resume is the thaw event: the container runs again, input flows, and
@@ -286,23 +243,6 @@ func (run *epochRun) resume() {
 	r.Ctr.Qdisc.UnblockInput()
 	r.epochTimer.Reset(r.Cfg.EpochInterval)
 	r.applyRuntimeTax(run.cowTax)
-	run.complete(StageThaw, run.thawAt, run.thawAt.Sub(run.pauseEnd))
-}
-
-// transfer streams the image to every live chain replica through its
-// view's TransferScheduler. Overlapped configurations start streaming
-// when the container resumes (the pages are staged or CoW-protected by
-// then); stop-and-copy streams during the pause, directly from frozen
-// memory.
-func (run *epochRun) transfer() {
-	r := run.r
-	if r.Cfg.Opts.StagingBuffer || r.Cfg.Opts.PipelinedTransfer {
-		run.refs++
-		r.submitQ.push(run)
-		r.Cluster.Clock.ScheduleAt(run.pauseEnd, r.submitFn)
-	} else {
-		run.submit()
-	}
 }
 
 // submit encodes the image for the wire. The frame encoding happens at
@@ -335,9 +275,9 @@ func (run *epochRun) submit() {
 // its own flow, submitted ahead of the lead's. A clone shares the page
 // buffers, and the replicator's holder table counts them, so a raw
 // store recycles a superseded buffer only when it is the last store
-// holding it (DESIGN.md §8). The lead keeps the original image and
-// alone drives the pipeline's StageTransfer completion. Fenced slots
-// get nothing.
+// holding it (DESIGN.md §8). The lead keeps the original image, and
+// its delivery or loss alone ends the run's transfer. Fenced slots get
+// nothing.
 func (run *epochRun) submitEncoded() {
 	r := run.r
 	img := run.img
@@ -363,37 +303,36 @@ func (run *epochRun) submitEncoded() {
 	r.sendImage(lead, run.epoch, img, run)
 }
 
-// finishTransfer completes the transfer stage when the lead's image is
-// delivered or lost.
-func (run *epochRun) finishTransfer() {
-	now := run.r.Cluster.Clock.Now()
-	run.complete(StageTransfer, now, now.Sub(run.submitAt))
+// finishTransfer ends the run's transfer, d after its submission; a
+// stop-and-copy container resumes now. Only the first end counts: a
+// run retired unsent by a covering ack may still hear from its send.
+func (run *epochRun) finishTransfer(d simtime.Duration) {
+	if run.transferred {
+		return
+	}
+	run.transferred, run.transferredAt, run.transfer = true, run.r.Cluster.Clock.Now(), d
+	if !run.r.Cfg.Opts.overlapsTransfer() {
+		run.thaw()
+	}
 }
 
 // leadDropped is the lead's loss handler (Replicator.imageLost does the
-// rest). It also marks the run lossy and completes the transfer stage,
-// so a stop-and-copy container is not left frozen waiting on a delivery
-// that cannot happen. Output stays buffered: AwaitAck completes only via
-// a later cumulative ack.
+// rest). It also marks the run lossy and ends its transfer, so a
+// stop-and-copy container is not left frozen waiting on a delivery
+// that cannot happen. Output stays buffered: only a later cumulative
+// ack releases it.
 func (run *epochRun) leadDropped(img *criu.Image) {
 	run.lossy = true
 	run.img = nil
 	run.r.imageLost(run.epoch, img)
-	run.finishTransfer()
+	run.finishTransfer(run.r.Cluster.Clock.Now().Sub(run.submitAt))
 }
 
-// awaitAck has no work of its own: it completes when the chain's
-// acknowledgment watermark covers it (Replicator.ackReceivedFrom). If
-// a backup fails or its link goes down, the stage never completes and
-// the epoch's output stays buffered — which is exactly the output-commit
-// rule.
-func (run *epochRun) awaitAck() {}
-
-// releaseOutput flushes the epoch's buffered output. The stage graph
-// guarantees AwaitAck completed first; the commit check below makes the
-// output-commit invariant (DESIGN.md §4) fail loudly rather than
-// silently if the graph is ever miswired. A self-fenced primary parks
-// the release instead (lease.go): the ack authorized it, but the lease
+// releaseOutput flushes the epoch's buffered output. Its one caller is
+// the ack watermark (Replicator.retireThrough); the commit check below
+// makes the output-commit invariant (DESIGN.md §4) fail loudly rather
+// than silently if that ever changes. A self-fenced primary parks the
+// release instead (lease.go): the ack authorized it, but the lease
 // that authorizes *releasing* lapsed — it flushes, in epoch order, when
 // a grant returns.
 func (run *epochRun) releaseOutput() {
@@ -421,7 +360,7 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 		r.released = run.epoch
 		r.hasReleased = true
 	}
-	run.complete(StageReleaseOutput, now, now.Sub(run.startAt))
+	run.commit = now.Sub(run.startAt)
 	run.record()
 	run.unref()
 }
@@ -447,9 +386,9 @@ func (run *epochRun) record() {
 		SockColl:    run.stats.SocketCollect,
 		StateBytes:  run.stats.StateBytes,
 		DirtyPages:  run.stats.DirtyPages,
-		Transfer:    run.dur[StageTransfer],
-		AckWait:     run.dur[StageAwaitAck],
-		Commit:      run.dur[StageReleaseOutput],
+		Transfer:    run.transfer,
+		AckWait:     run.ackWait,
+		Commit:      run.commit,
 		Inflight:    r.inflight.len(),
 		WireBytes:   run.wireBytes,
 		FullFrames:  run.frames.FullFrames,

@@ -10,9 +10,9 @@ import (
 )
 
 // Replicator is the primary agent (§IV): it drives the epoch pipeline —
-// execute, then BlockInput, FreezeCollect, Thaw, Transfer, AwaitAck,
-// ReleaseOutput per the stage graph (stage.go) — and sends heartbeats to
-// the backup agent.
+// execute, then block input, freeze and collect, resume, transfer,
+// await the ack and release output (pipeline.go) — and sends
+// heartbeats to the backup agent.
 type Replicator struct {
 	Cfg     Config
 	Cluster *Cluster
@@ -33,8 +33,6 @@ type Replicator struct {
 
 	engine *criu.Engine
 	epoch  uint64
-	// deps is the option set's stage graph, built once (stage.go).
-	deps [NumStages][]Stage
 
 	// inflight holds epochs whose pipeline has not yet released output
 	// (with overlapped transfer, several can be in flight at once), in
@@ -150,7 +148,7 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 	if cfg.EpochInterval <= 0 {
 		cfg.EpochInterval = 30 * simtime.Millisecond
 	}
-	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, deps: cfg.Opts.stageGraph(), holders: simkernel.NewPageHolders()}
+	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, holders: simkernel.NewPageHolders()}
 	r.thawFn, r.submitFn, r.encodedFn = r.thawNext, r.submitNext, r.encodedNext
 	r.epochTimer = simtime.NewTimer(cl.Clock, r.runEpoch)
 	r.leaseTimer = simtime.NewTimer(cl.Clock, r.leaseExpired)
@@ -254,10 +252,8 @@ func (r *Replicator) heartbeat() {
 	}
 }
 
-// runEpoch fires at an epoch boundary. It is a thin driver: it creates
-// the epoch's pipeline run and lets the stage graph decide what executes
-// when — which stages overlap container execution is a property of the
-// configuration's dependency edges, not of this function's shape.
+// runEpoch fires at an epoch boundary: it starts the epoch's pipeline
+// run (epochRun.begin).
 func (r *Replicator) runEpoch() {
 	if r.stopped || r.quiesced {
 		return
@@ -265,7 +261,7 @@ func (r *Replicator) runEpoch() {
 	run := r.newRun(r.epoch)
 	r.epoch++
 	r.inflight.push(run)
-	run.advance()
+	run.begin()
 }
 
 // nackReceived is called when the backup reports an out-of-order epoch
