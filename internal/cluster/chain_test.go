@@ -147,11 +147,11 @@ func TestFleetChainZoneKill(t *testing.T) {
 	// Workloads kept running through it.
 	before := make(map[string]uint64)
 	for _, pr := range f.Pairs {
-		before[pr.ID] = pr.Workload.(*DirtyLoop).Seq()
+		before[pr.ID] = pr.Workload.(*DirtyLoop).seq
 	}
 	clock.RunFor(200 * simtime.Millisecond)
 	for _, pr := range f.Pairs {
-		if got := pr.Workload.(*DirtyLoop).Seq(); got <= before[pr.ID] {
+		if got := pr.Workload.(*DirtyLoop).seq; got <= before[pr.ID] {
 			t.Fatalf("pair %s workload stalled (%d -> %d)", pr.ID, before[pr.ID], got)
 		}
 	}

@@ -84,7 +84,3 @@ func (d *DirtyLoop) addTask(ctr *container.Container) {
 		return 20 * simtime.Microsecond, 2 * simtime.Millisecond
 	})
 }
-
-// Seq returns the workload's current sequence counter (test oracle:
-// must keep advancing after failover).
-func (d *DirtyLoop) Seq() uint64 { return d.seq }

@@ -221,11 +221,6 @@ type EncodeStats struct {
 	WireBytes int64
 }
 
-// Frames returns the total frame count.
-func (st EncodeStats) Frames() int {
-	return st.FullFrames + st.DeltaFrames + st.ZeroFrames + st.DedupFrames
-}
-
 // DeltaEncoder rewrites checkpoint images into wire frames. It mirrors
 // the backup's committed page state: for every store key it keeps the
 // copy it last shipped, with the epoch that shipped it. A key is usable

@@ -14,14 +14,12 @@ import "math"
 // underflow bucket below histMin and an overflow bucket above the top
 // bound. Values are unit-agnostic float64s like Stream's; the traffic
 // subsystem stores milliseconds, so the default layout spans 1 µs to
-// ~80 s. Exact min/max/sum/count are tracked alongside the buckets, and
+// ~80 s. Exact min/max/count are tracked alongside the buckets, and
 // quantile results are clamped to [min, max]. The zero value is ready to
-// use, and two histograms merge bucket-wise, so per-window sketches roll
-// up into a run total exactly.
+// use.
 type Histogram struct {
 	counts [histBuckets]int64
 	n      int64
-	sum    float64
 	min    float64
 	max    float64
 }
@@ -74,7 +72,6 @@ func histBucket(v float64) int {
 func (h *Histogram) Add(v float64) {
 	h.counts[histBucket(v)]++
 	h.n++
-	h.sum += v
 	if h.n == 1 {
 		h.min, h.max = v, v
 		return
@@ -85,20 +82,6 @@ func (h *Histogram) Add(v float64) {
 	if v > h.max {
 		h.max = v
 	}
-}
-
-// N returns the number of recorded samples.
-func (h *Histogram) N() int64 { return h.n }
-
-// Sum returns the exact total of all samples.
-func (h *Histogram) Sum() float64 { return h.sum }
-
-// Mean returns the exact sample mean (0 for an empty histogram).
-func (h *Histogram) Mean() float64 {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / float64(h.n)
 }
 
 // Max returns the largest sample (0 for an empty histogram).
@@ -161,6 +144,3 @@ func (h *Histogram) bucketBounds(i int) (lo, hi float64) {
 		return histBounds[i-1], histBounds[i]
 	}
 }
-
-// Reset clears the histogram.
-func (h *Histogram) Reset() { *h = Histogram{} }

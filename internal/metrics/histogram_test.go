@@ -19,14 +19,11 @@ func TestHistogramQuantilesTrackStream(t *testing.T) {
 			x = 0.01
 		}
 	}
-	if h.N() != int64(s.N()) {
-		t.Fatalf("N = %d vs %d", h.N(), s.N())
+	if h.n != int64(s.N()) {
+		t.Fatalf("N = %d vs %d", h.n, s.N())
 	}
-	if math.Abs(h.Mean()-s.Mean()) > 1e-9 {
-		t.Fatalf("Mean = %v vs %v", h.Mean(), s.Mean())
-	}
-	if h.min != s.Percentile(0) || h.Max() != s.Max() {
-		t.Fatalf("min/max = %v/%v vs %v/%v", h.min, h.Max(), s.Percentile(0), s.Max())
+	if h.min != s.Percentile(0) || h.Max() != s.Percentile(100) {
+		t.Fatalf("min/max = %v/%v vs %v/%v", h.min, h.Max(), s.Percentile(0), s.Percentile(100))
 	}
 	for _, p := range []float64{0, 10, 50, 90, 99, 99.9, 100} {
 		hq, sq := h.Quantile(p), s.Percentile(p)
@@ -39,14 +36,14 @@ func TestHistogramQuantilesTrackStream(t *testing.T) {
 
 func TestHistogramEdges(t *testing.T) {
 	var h Histogram
-	if h.Quantile(50) != 0 || h.Mean() != 0 || h.N() != 0 {
+	if h.Quantile(50) != 0 || h.Max() != 0 || h.n != 0 {
 		t.Fatalf("empty histogram not zero-valued")
 	}
 	h.Add(0)    // underflow bucket
 	h.Add(1e-9) // underflow bucket
 	h.Add(1e12) // overflow bucket
-	if h.N() != 3 {
-		t.Fatalf("N = %d", h.N())
+	if h.n != 3 {
+		t.Fatalf("N = %d", h.n)
 	}
 	if q := h.Quantile(100); q != 1e12 {
 		t.Fatalf("p100 = %v, want exact max", q)

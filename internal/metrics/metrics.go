@@ -11,21 +11,17 @@ import (
 	"strings"
 )
 
-// Stream keeps a running mean and maximum and retains the raw samples
-// so exact percentiles can be computed. The zero value is ready to use.
+// Stream keeps a running mean and retains the raw samples so exact
+// percentiles can be computed. The zero value is ready to use.
 type Stream struct {
 	n       int
 	mean    float64
-	max     float64
 	samples []float64
 }
 
 // Add records one sample.
 func (s *Stream) Add(x float64) {
 	s.n++
-	if s.n == 1 || x > s.max {
-		s.max = x
-	}
 	s.mean += (x - s.mean) / float64(s.n)
 	s.samples = append(s.samples, x)
 }
@@ -38,9 +34,6 @@ func (s *Stream) Mean() float64 { return s.mean }
 
 // Sum returns the total of all samples.
 func (s *Stream) Sum() float64 { return s.mean * float64(s.n) }
-
-// Max returns the largest sample (0 for an empty stream).
-func (s *Stream) Max() float64 { return s.max }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
 // interpolation between closest ranks. Empty streams return 0.
@@ -73,9 +66,6 @@ func (s *Stream) Percentile(p float64) float64 {
 func (s *Stream) Samples() []float64 {
 	return append([]float64(nil), s.samples...)
 }
-
-// Reset clears the stream.
-func (s *Stream) Reset() { *s = Stream{} }
 
 // Counter is a monotonically increasing tally.
 type Counter struct{ v int64 }

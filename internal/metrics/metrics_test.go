@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,7 +13,7 @@ func almostEq(a, b, eps float64) bool { return math.Abs(a-b) <= eps }
 
 func TestStreamEmpty(t *testing.T) {
 	var s Stream
-	if s.N() != 0 || s.Mean() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.N() != 0 || s.Mean() != 0 || s.Percentile(100) != 0 || s.Percentile(50) != 0 {
 		t.Fatal("empty stream should report zeros")
 	}
 }
@@ -20,8 +21,8 @@ func TestStreamEmpty(t *testing.T) {
 func TestStreamSingleSample(t *testing.T) {
 	var s Stream
 	s.Add(7)
-	if s.Mean() != 7 || s.Max() != 7 {
-		t.Fatalf("single-sample stats wrong: mean=%v max=%v", s.Mean(), s.Max())
+	if s.Mean() != 7 || s.N() != 1 {
+		t.Fatalf("single-sample stats wrong: mean=%v n=%v", s.Mean(), s.N())
 	}
 	if s.Percentile(0) != 7 || s.Percentile(100) != 7 {
 		t.Fatal("single-sample percentiles should equal the sample")
@@ -46,8 +47,8 @@ func TestStreamMinMax(t *testing.T) {
 	for _, x := range []float64{3, -1, 10, 2} {
 		s.Add(x)
 	}
-	if s.Percentile(0) != -1 || s.Max() != 10 {
-		t.Fatalf("min/max = %v/%v, want -1/10", s.Percentile(0), s.Max())
+	if s.Percentile(0) != -1 || s.Percentile(100) != 10 {
+		t.Fatalf("min/max = %v/%v, want -1/10", s.Percentile(0), s.Percentile(100))
 	}
 }
 
@@ -76,15 +77,6 @@ func TestPercentileClampsRange(t *testing.T) {
 	}
 	if s.Percentile(150) != 2 {
 		t.Fatal("p>100 should clamp to max")
-	}
-}
-
-func TestStreamReset(t *testing.T) {
-	var s Stream
-	s.Add(5)
-	s.Reset()
-	if s.N() != 0 || s.Mean() != 0 {
-		t.Fatal("Reset did not clear the stream")
 	}
 }
 
@@ -212,10 +204,10 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 			pcts = append(pcts, float64(p%101))
 		}
 		sort.Float64s(pcts)
-		prev := math.Inf(-1)
+		prev, hi := math.Inf(-1), slices.Max(s.Samples())
 		for _, p := range pcts {
 			v := s.Percentile(p)
-			if v < prev || v < s.Percentile(0)-1e-9 || v > s.Max()+1e-9 {
+			if v < prev || v < s.Percentile(0)-1e-9 || v > hi+1e-9 {
 				return false
 			}
 			prev = v

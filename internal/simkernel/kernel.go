@@ -110,14 +110,6 @@ func (m *Meter) Stop() simtime.Duration {
 	return m.total
 }
 
-// Total returns the cost accumulated so far.
-func (m *Meter) Total() simtime.Duration {
-	if m.active() {
-		return m.k.meters[m.depth].total
-	}
-	return m.total
-}
-
 // Charge adds d to the active meter, if any. Kernel-internal code calls
 // this for every modeled operation; charges issued with no active meter
 // are intentionally dropped (they represent background kernel work whose
@@ -152,9 +144,6 @@ func (k *Kernel) NewProcess(name, containerID string) *Process {
 	k.procs[p.PID] = p
 	return p
 }
-
-// Process returns the process with the given PID, or nil.
-func (k *Kernel) Process(pid int) *Process { return k.procs[pid] }
 
 // Processes returns all live processes in PID order.
 func (k *Kernel) Processes() []*Process {

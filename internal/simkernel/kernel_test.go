@@ -16,7 +16,7 @@ func TestNewProcessBasics(t *testing.T) {
 	if len(p.Threads) != 1 {
 		t.Fatalf("threads = %d, want 1 initial thread", len(p.Threads))
 	}
-	if k.Process(p.PID) != p {
+	if k.procs[p.PID] != p {
 		t.Fatal("process not registered")
 	}
 	q := k.NewProcess("other", "c1")
@@ -45,7 +45,7 @@ func TestExitRemovesProcess(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("p", "")
 	k.Exit(p.PID)
-	if k.Process(p.PID) != nil {
+	if k.procs[p.PID] != nil {
 		t.Fatal("exited process still in table")
 	}
 	if !p.Exited || p.MainThread().State != ThreadExited {
@@ -102,7 +102,7 @@ func TestMeterDoubleStopIdempotent(t *testing.T) {
 	}
 	// After stop, charges are dropped.
 	k.Charge(time5())
-	if m.Total() != a {
+	if m.Stop() != a {
 		t.Fatal("stopped meter still accumulating")
 	}
 }

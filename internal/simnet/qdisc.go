@@ -66,9 +66,6 @@ func NewPlugQdisc(out, in func(Packet)) *PlugQdisc {
 	return &PlugQdisc{out: out, in: in, inputMode: PlugBuffer}
 }
 
-// SetOutput replaces the egress path (used when reattaching at restore).
-func (q *PlugQdisc) SetOutput(out func(Packet)) { q.out = out }
-
 // SetInput replaces the ingress path.
 func (q *PlugQdisc) SetInput(in func(Packet)) { q.in = in }
 

@@ -67,9 +67,6 @@ func (c *Clock) Now() Time { return c.eng.now }
 // not fired, plus the number of armed timers.
 func (c *Clock) Pending() int { return c.eng.Pending() }
 
-// Executed returns the number of events the whole engine has fired.
-func (c *Clock) Executed() uint64 { return c.eng.Executed() }
-
 // Schedule queues fn to run after delay d. A negative delay is treated as
 // zero. A plain schedule cannot be canceled; a callback that may need to
 // be withdrawn or moved belongs on a Timer.

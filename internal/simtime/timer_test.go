@@ -219,16 +219,16 @@ func TestTimerResetLaterKeepsItsEvent(t *testing.T) {
 		t.Fatalf("Armed %v Due %v Pending %d, want true 5ms 1", tm.Armed(), tm.Due(), c.Pending())
 	}
 	c.RunUntil(Time(3 * Millisecond))
-	if len(firedAt) != 0 || c.Executed() != 0 || c.Now() != Time(3*Millisecond) {
-		t.Fatalf("re-file fired %v, Executed %d, now %v", firedAt, c.Executed(), c.Now())
+	if len(firedAt) != 0 || c.eng.Executed() != 0 || c.Now() != Time(3*Millisecond) {
+		t.Fatalf("re-file fired %v, Executed %d, now %v", firedAt, c.eng.Executed(), c.Now())
 	}
 	tm.Reset(Millisecond) // earlier: the queued event is abandoned
 	if tm.ev == first {
 		t.Fatal("Reset to an earlier deadline kept the late event")
 	}
 	c.Run()
-	if len(firedAt) != 1 || firedAt[0] != Time(4*Millisecond) || c.Executed() != 1 {
-		t.Fatalf("fired at %v (Executed %d), want once at 4ms", firedAt, c.Executed())
+	if len(firedAt) != 1 || firedAt[0] != Time(4*Millisecond) || c.eng.Executed() != 1 {
+		t.Fatalf("fired at %v (Executed %d), want once at 4ms", firedAt, c.eng.Executed())
 	}
 	if c.Now() != Time(4*Millisecond) {
 		t.Fatalf("Run returned at %v, want 4ms: dropped events must not move the clock", c.Now())

@@ -82,20 +82,6 @@ func (tl *Timeline) Len() int { return len(tl.records) }
 // Records returns the recorded series (shared slice; do not mutate).
 func (tl *Timeline) Records() []EpochRecord { return tl.records }
 
-// Pairs returns the distinct pair tags present, in first-appearance
-// order (deterministic: records are appended in virtual-time order).
-func (tl *Timeline) Pairs() []string {
-	var out []string
-	seen := make(map[string]bool)
-	for _, r := range tl.Records() {
-		if !seen[r.Pair] {
-			seen[r.Pair] = true
-			out = append(out, r.Pair)
-		}
-	}
-	return out
-}
-
 // WriteCSV emits the series with a header row. Durations are in
 // microseconds, the timestamp in milliseconds.
 func (tl *Timeline) WriteCSV(w io.Writer) error {

@@ -44,9 +44,6 @@ func TestTimelineCSV(t *testing.T) {
 	if tl.Len() != 2 {
 		t.Fatalf("Len = %d", tl.Len())
 	}
-	if got := tl.Pairs(); len(got) != 2 || got[0] != "p00" || got[1] != "p01" {
-		t.Fatalf("Pairs = %v", got)
-	}
 }
 
 func TestTimelineEmpty(t *testing.T) {

@@ -54,9 +54,6 @@ func (r *Recorder) Record(now simtime.Time, client int, op string, key uint64, s
 	})
 }
 
-// N returns the number of captured requests.
-func (r *Recorder) N() int { return len(r.reqs) }
-
 // Trace finalizes the capture. A capture with no requests is an error —
 // the run recorded nothing, and an empty trace is unparseable by
 // design.

@@ -169,9 +169,6 @@ func (r *Replayer) QueuedClientSide() int { return r.queuedNow }
 // Issued returns the requests actually sent (children included).
 func (r *Replayer) Issued() int { return r.issued }
 
-// Done reports whether every trace arrival has fired.
-func (r *Replayer) Done() bool { return r.next >= len(r.tr.Reqs) }
-
 // fifo is a first-in first-out queue of values; items[head:] is the
 // queue. Popping leaves the array in place, an emptied queue starts
 // again at its array's front, and a queue whose consumed prefix is at

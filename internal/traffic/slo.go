@@ -95,11 +95,7 @@ type Judge struct {
 // NewJudge creates a judge with defaulted SLO fields.
 func NewJudge(slo SLO) *Judge { return &Judge{slo: slo.withDefaults()} }
 
-// SLO returns the (defaulted) objective being judged.
-func (j *Judge) SLO() SLO { return j.slo }
-
-// Arrivals and Completions report the running totals.
-func (j *Judge) Arrivals() int    { return j.arrivals }
+// Completions reports the running total of completed requests.
 func (j *Judge) Completions() int { return j.completions }
 
 // Start anchors window 0 at t. Events before Start are attributed to

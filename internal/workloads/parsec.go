@@ -49,11 +49,10 @@ func (pw *Parsec) SetWorkUnits(n int) { pw.prof.WorkUnits = n }
 func (pw *Parsec) Profile() Profile { return pw.prof }
 
 // SnapshotState and RestoreState implement container.App.
-func (pw *Parsec) SnapshotState() any              { return pw.state.clone() }
-func (pw *Parsec) RestoreState(s any)              { pw.state = s.(*parsecState).clone() }
-func (pw *Parsec) Done() bool                      { return pw.state.Completed >= pw.prof.WorkUnits }
-func (pw *Parsec) CompletedUnits() int             { return pw.state.Completed }
-func (pw *Parsec) Container() *container.Container { return pw.ctr }
+func (pw *Parsec) SnapshotState() any  { return pw.state.clone() }
+func (pw *Parsec) RestoreState(s any)  { pw.state = s.(*parsecState).clone() }
+func (pw *Parsec) Done() bool          { return pw.state.Completed >= pw.prof.WorkUnits }
+func (pw *Parsec) CompletedUnits() int { return pw.state.Completed }
 
 // Errors returns restore- and run-time validation failures.
 func (pw *Parsec) Errors() []string { return pw.state.Errors }
