@@ -335,7 +335,7 @@ func (r *Replicator) recomputeWatermarks() {
 // epoch <= e, including epochs whose own transfer was lost and whose
 // acks therefore never existed (they are covered by a later resync).
 func (r *Replicator) retireThrough(e uint64) {
-	if r.inflight.len() == 0 || r.inflight.peek().epoch > e {
+	if r.inflight.Len() == 0 || r.inflight.Peek().epoch > e {
 		// No pipeline record (replication restarted across a failover);
 		// the backups only acknowledge committed epochs, so releasing
 		// directly preserves the output-commit rule — unless a lapsed
@@ -352,8 +352,8 @@ func (r *Replicator) retireThrough(e uint64) {
 		return
 	}
 	now := r.Cluster.Clock.Now()
-	for r.inflight.len() > 0 && r.inflight.peek().epoch <= e {
-		run := r.inflight.pop()
+	for r.inflight.Len() > 0 && r.inflight.Peek().epoch <= e {
+		run := r.inflight.Pop()
 		if run.transferred {
 			run.ackWait = now.Sub(run.transferredAt)
 		} else {

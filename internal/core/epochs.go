@@ -6,68 +6,25 @@ import "nilicon/internal/criu"
 // and its per-replica sends are recycled records, as the log path's are
 // (replay.go), so a steady-state epoch allocates no callback.
 
-// fifo is a first-in first-out queue; items[head:] is the queue. The
-// replicator keeps one of runs in flight and one for each kind of
-// pending epoch event — events of one kind fire in the order they were
-// scheduled, since their times never decrease and same-time events run
-// in insertion order, so the event pops the run at the head — and the
-// transfer scheduler keeps one of requests per flow.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-func (q *fifo[T]) peek() T { return q.items[q.head] }
-
-// all returns the queued items, oldest first.
-func (q *fifo[T]) all() []T { return q.items[q.head:] }
-
-// pop removes the head item. An emptied queue starts again at its
-// array's front, and a queue whose consumed prefix is at least half its
-// array moves back to the front, so a queue that never drains keeps a
-// bounded array.
-func (q *fifo[T]) pop() T {
-	var zero T
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	switch {
-	case q.head == len(q.items):
-		q.items, q.head = q.items[:0], 0
-	case q.head >= 16 && 2*q.head >= len(q.items):
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	return v
-}
-
-// reset empties the queue.
-func (q *fifo[T]) reset() {
-	clear(q.items)
-	q.items, q.head = q.items[:0], 0
-}
-
 // thawNext, submitNext and encodedNext are the thaw, submission and
 // encoded-submission events (epochRun.resume, submit, submitEncoded).
+// Each pops the run at its queue's head: events of one kind fire in the
+// order they were scheduled, since their times never decrease and
+// same-time events run in insertion order.
 func (r *Replicator) thawNext() {
-	run := r.thawQ.pop()
+	run := r.thawQ.Pop()
 	run.resume()
 	run.unref()
 }
 
 func (r *Replicator) submitNext() {
-	run := r.submitQ.pop()
+	run := r.submitQ.Pop()
 	run.submit()
 	run.unref()
 }
 
 func (r *Replicator) encodedNext() {
-	run := r.encodedQ.pop()
+	run := r.encodedQ.Pop()
 	run.submitEncoded()
 	run.unref()
 }

@@ -279,7 +279,7 @@ func (r *Replicator) declareUnprotected() {
 	r.cancelLeaseTimers()
 	r.epochTimer.Stop()
 	r.quiesced = true
-	r.inflight.reset()
+	r.inflight.Reset()
 	r.parked = nil
 	r.hasParkedDirect = false
 	r.Ctr.Qdisc.SetReplicating(false)

@@ -90,7 +90,7 @@ func (run *epochRun) begin() {
 	}
 	run.thaw()
 	run.refs++
-	r.submitQ.push(run)
+	r.submitQ.Push(run)
 	r.Cluster.Clock.ScheduleAt(run.pauseEnd, r.submitFn)
 }
 
@@ -228,7 +228,7 @@ func (run *epochRun) thaw() {
 	cl := r.Cluster
 	run.thawAt = max(run.pauseEnd, cl.Clock.Now())
 	run.refs++
-	r.thawQ.push(run)
+	r.thawQ.Push(run)
 	cl.Clock.ScheduleAt(run.thawAt, r.thawFn)
 }
 
@@ -266,7 +266,7 @@ func (run *epochRun) submit() {
 	// in insertion order, so a zero-cost encode cannot overtake a
 	// predecessor whose submission is pending at this very instant.
 	run.refs++
-	r.encodedQ.push(run)
+	r.encodedQ.Push(run)
 	cl.Clock.ScheduleAt(at, r.encodedFn)
 }
 
@@ -389,7 +389,7 @@ func (run *epochRun) record() {
 		Transfer:    run.transfer,
 		AckWait:     run.ackWait,
 		Commit:      run.commit,
-		Inflight:    r.inflight.len(),
+		Inflight:    r.inflight.Len(),
 		WireBytes:   run.wireBytes,
 		FullFrames:  run.frames.FullFrames,
 		DeltaFrames: run.frames.DeltaFrames,

@@ -3,6 +3,7 @@ package core
 import (
 	"nilicon/internal/container"
 	"nilicon/internal/criu"
+	"nilicon/internal/fifo"
 	"nilicon/internal/metrics"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
@@ -37,14 +38,14 @@ type Replicator struct {
 	// inflight holds epochs whose pipeline has not yet released output
 	// (with overlapped transfer, several can be in flight at once), in
 	// epoch order.
-	inflight fifo[*epochRun]
+	inflight fifo.Queue[*epochRun]
 
 	// Epoch bookkeeping bound once (epochs.go): the runs waiting for
 	// their thaw, submission and encoded-submission events, each queue
 	// served by one callback in the order its events were scheduled; the
 	// free lists of retired runs and per-replica image sends; and the
 	// chunk-size buffer a submission fills (the scheduler copies it).
-	thawQ, submitQ, encodedQ    fifo[*epochRun]
+	thawQ, submitQ, encodedQ    fifo.Queue[*epochRun]
 	thawFn, submitFn, encodedFn func()
 	freeRuns                    []*epochRun
 	freeSends                   []*imageSend
@@ -211,7 +212,7 @@ func (r *Replicator) Stop() {
 	}
 	r.epochTimer.Stop()
 	r.cancelLeaseTimers()
-	r.inflight.reset()
+	r.inflight.Reset()
 	r.parked = nil
 	r.hasParkedDirect = false
 	if r.rec != nil {
@@ -260,7 +261,7 @@ func (r *Replicator) runEpoch() {
 	}
 	run := r.newRun(r.epoch)
 	r.epoch++
-	r.inflight.push(run)
+	r.inflight.Push(run)
 	run.begin()
 }
 
@@ -354,7 +355,7 @@ func (r *Replicator) FenceBackup() {
 // InflightEpochs returns the number of epochs whose pipeline has not yet
 // released output. During an outage this is the stalled backlog; after
 // heal and quiesce it must drain to zero.
-func (r *Replicator) InflightEpochs() int { return r.inflight.len() }
+func (r *Replicator) InflightEpochs() int { return r.inflight.Len() }
 
 // RetainedImageBytes returns the memory-page payload held by the
 // checkpoint images of in-flight epochs. A run drops its image when the
@@ -362,7 +363,7 @@ func (r *Replicator) InflightEpochs() int { return r.inflight.len() }
 // images still queued on the link, however long the outage lasts.
 func (r *Replicator) RetainedImageBytes() int64 {
 	var n int64
-	for _, run := range r.inflight.all() {
+	for _, run := range r.inflight.All() {
 		if run.img != nil {
 			n += run.img.PayloadBytes()
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"nilicon/internal/fifo"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
@@ -79,7 +80,7 @@ func (req *xferReq) unref() {
 // stay ordered; chunks across flows interleave round-robin.
 type xferFlow struct {
 	id   string
-	reqs fifo[*xferReq]
+	reqs fifo.Queue[*xferReq]
 }
 
 // TransferScheduler owns the replication link and multiplexes concurrent
@@ -156,7 +157,7 @@ func (s *TransferScheduler) SubmitReq(flow string, chunks []int64, done, dropped
 	}
 	req.done, req.dropped = done, dropped
 	req.refs = 1
-	f.reqs.push(req)
+	f.reqs.Push(req)
 	if !s.pumping {
 		s.pumping = true
 		s.pump()
@@ -179,7 +180,7 @@ func (s *TransferScheduler) SubmitBytes(flow string, size int64, done func()) {
 func (s *TransferScheduler) QueuedBytes() int64 {
 	var n int64
 	for _, f := range s.order {
-		for _, req := range f.reqs.all() {
+		for _, req := range f.reqs.All() {
 			for _, c := range req.chunks[req.next:] {
 				n += c
 			}
@@ -220,7 +221,7 @@ func (s *TransferScheduler) CancelFlow(id string) {
 	if f == nil {
 		return
 	}
-	for _, req := range f.reqs.all() {
+	for _, req := range f.reqs.All() {
 		req.settled = true
 		req.unref()
 	}
@@ -237,14 +238,14 @@ func (s *TransferScheduler) pump() {
 		s.pumping, s.wire = false, 0
 		return
 	}
-	req := f.reqs.peek()
+	req := f.reqs.Peek()
 	size := req.chunks[req.next]
 	s.wire = size
 	req.next++
 	last := req.next == len(req.chunks)
 	if last {
-		f.reqs.pop()
-		if f.reqs.len() == 0 {
+		f.reqs.Pop()
+		if f.reqs.Len() == 0 {
 			s.evict(f)
 		}
 	}
@@ -273,7 +274,7 @@ func (s *TransferScheduler) pump() {
 // from the same logical position.
 func (s *TransferScheduler) evict(f *xferFlow) {
 	delete(s.flows, f.id)
-	f.reqs.reset()
+	f.reqs.Reset()
 	f.id = ""
 	s.freeFlows = append(s.freeFlows, f)
 	for i, g := range s.order {
@@ -298,7 +299,7 @@ func (s *TransferScheduler) nextFlow() *xferFlow {
 	n := len(s.order)
 	for i := 0; i < n; i++ {
 		f := s.order[(s.cursor+i)%n]
-		if f.reqs.len() > 0 {
+		if f.reqs.Len() > 0 {
 			s.cursor = (s.cursor + i + 1) % n
 			return f
 		}

@@ -3,6 +3,7 @@ package traffic
 import (
 	"fmt"
 
+	"nilicon/internal/fifo"
 	"nilicon/internal/simtime"
 )
 
@@ -40,8 +41,8 @@ type Replayer struct {
 	slow  []bool
 	// inflight holds each client's in-flight requests awaiting their
 	// FIFO replies, as open-loop arrival (trace) times, not send times.
-	inflight []fifo[simtime.Time]
-	queued   []fifo[queuedReq]
+	inflight []fifo.Queue[simtime.Time]
+	queued   []fifo.Queue[queuedReq]
 
 	next      int // cursor into tr.Reqs; the scheduled arrival is Reqs[next-1]
 	start     simtime.Time
@@ -61,8 +62,8 @@ func NewReplayer(clock *simtime.Clock, tr *Trace, judge *Judge) *Replayer {
 		judge:    judge,
 		conns:    make([]Conn, tr.Header.Clients),
 		slow:     make([]bool, tr.Header.Clients),
-		inflight: make([]fifo[simtime.Time], tr.Header.Clients),
-		queued:   make([]fifo[queuedReq], tr.Header.Clients),
+		inflight: make([]fifo.Queue[simtime.Time], tr.Header.Clients),
+		queued:   make([]fifo.Queue[queuedReq], tr.Header.Clients),
 	}
 	for _, s := range tr.Header.SlowClients {
 		r.slow[s] = true
@@ -119,8 +120,8 @@ func (r *Replayer) arrive(arrival simtime.Time, req Request) {
 		r.judge.Arrived(arrival)
 	}
 	cidx := req.Client
-	if r.slow[cidx] && r.inflight[cidx].len() >= slowClientDepth {
-		r.queued[cidx].push(queuedReq{arrival: arrival, req: req})
+	if r.slow[cidx] && r.inflight[cidx].Len() >= slowClientDepth {
+		r.queued[cidx].Push(queuedReq{arrival: arrival, req: req})
 		r.queuedNow++
 		return
 	}
@@ -128,7 +129,7 @@ func (r *Replayer) arrive(arrival simtime.Time, req Request) {
 }
 
 func (r *Replayer) send(client int, arrival simtime.Time, req Request) {
-	r.inflight[client].push(arrival)
+	r.inflight[client].Push(arrival)
 	r.issued++
 	r.conns[client].Send(req)
 }
@@ -137,17 +138,17 @@ func (r *Replayer) send(client int, arrival simtime.Time, req Request) {
 // request on that client just finished. It records the latency and
 // drains the client-side queue if the client is slow.
 func (r *Replayer) Completed(client int) {
-	if r.inflight[client].len() == 0 {
+	if r.inflight[client].Len() == 0 {
 		// A reply with nothing in flight is a transport accounting bug.
 		panic(fmt.Sprintf("traffic: completion on client %d with no in-flight request", client))
 	}
-	arrival := r.inflight[client].pop()
+	arrival := r.inflight[client].Pop()
 	if r.judge != nil {
 		r.judge.Completed(arrival, r.clock.Now())
 	}
 	// Slow-client drain: one completion frees one in-flight slot.
-	for r.slow[client] && r.queued[client].len() > 0 && r.inflight[client].len() < slowClientDepth {
-		qr := r.queued[client].pop()
+	for r.slow[client] && r.queued[client].Len() > 0 && r.inflight[client].Len() < slowClientDepth {
+		qr := r.queued[client].Pop()
 		r.queuedNow--
 		r.send(client, qr.arrival, qr.req)
 	}
@@ -157,7 +158,7 @@ func (r *Replayer) Completed(client int) {
 func (r *Replayer) Outstanding() int {
 	n := 0
 	for i := range r.inflight {
-		n += r.inflight[i].len()
+		n += r.inflight[i].Len()
 	}
 	return n
 }
@@ -168,34 +169,3 @@ func (r *Replayer) QueuedClientSide() int { return r.queuedNow }
 
 // Issued returns the requests actually sent (children included).
 func (r *Replayer) Issued() int { return r.issued }
-
-// fifo is a first-in first-out queue of values; items[head:] is the
-// queue. Popping leaves the array in place, an emptied queue starts
-// again at its array's front, and a queue whose consumed prefix is at
-// least half its array moves back to the front, so a queue that never
-// empties keeps a bounded array instead of re-slicing forward into a
-// new one.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) pop() T {
-	var zero T
-	v := q.items[q.head]
-	q.items[q.head] = zero
-	q.head++
-	switch {
-	case q.head == len(q.items):
-		q.items, q.head = q.items[:0], 0
-	case q.head >= 16 && 2*q.head >= len(q.items):
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	return v
-}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"nilicon/internal/core"
+	"nilicon/internal/fifo"
 	"nilicon/internal/metrics"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
@@ -60,7 +61,7 @@ type Client struct {
 	sock  *simnet.Socket
 	fr    FrameReader
 
-	inflight  replyQueue[outstanding]
+	inflight  fifo.Queue[outstanding]
 	respCount int
 
 	// out and scratch are reused across requests: out holds the frames
@@ -213,7 +214,7 @@ func (c *Client) issue() {
 		c.set.record(now, c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
 		c.out = AppendFrame(c.out[:0], OpWeb, binary.BigEndian.AppendUint32(c.scratch[:0], pathID))
 		c.sock.Send(c.out)
-		c.inflight.push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
+		c.inflight.Push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
 	case EchoLoop:
 		size := c.echoMax
 		if size > 1 {
@@ -225,7 +226,7 @@ func (c *Client) issue() {
 		c.set.record(now, c.id, traffic.OpSet, uint64(c.id), size)
 		c.out = AppendFrame(c.out[:0], OpEcho, c.scratch)
 		c.sock.Send(c.out)
-		c.inflight.push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
+		c.inflight.Push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
 	}
 }
 
@@ -254,48 +255,14 @@ func (c *Client) appendKV(now simtime.Time, key uint64, write bool) {
 		c.versions[key] = v
 		c.scratch = appendValue(binary.BigEndian.AppendUint64(c.scratch[:0], key), key, v, recordSize)
 		c.out = AppendFrame(c.out, OpSet, c.scratch)
-		c.inflight.push(outstanding{op: OpSet, sentAt: now, key: key})
+		c.inflight.Push(outstanding{op: OpSet, sentAt: now, key: key})
 		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
 		return
 	}
 	c.out = AppendFrame(c.out, OpGet, binary.BigEndian.AppendUint64(c.scratch[:0], key))
-	c.inflight.push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
+	c.inflight.Push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
 	c.set.record(now, c.id, traffic.OpGet, key, 0)
 }
-
-// replyQueue holds one connection's requests awaiting replies, oldest
-// first: replies arrive in request order (TCP FIFO).
-type replyQueue[T any] struct {
-	q    []T // q[head:] are in flight
-	head int
-}
-
-// push queues a request. A full queue first moves its live tail to the
-// front, so the backing array is reused rather than regrown.
-func (r *replyQueue[T]) push(x T) {
-	if r.head > 0 && len(r.q) == cap(r.q) {
-		n := copy(r.q, r.q[r.head:])
-		r.q, r.head = r.q[:n], 0
-	}
-	r.q = append(r.q, x)
-}
-
-// pop removes the oldest request; ok is false when none is in flight.
-func (r *replyQueue[T]) pop() (x T, ok bool) {
-	if r.head == len(r.q) {
-		return x, false
-	}
-	x = r.q[r.head]
-	r.head++
-	if r.head == len(r.q) {
-		r.q, r.head = r.q[:0], 0
-	}
-	return x, true
-}
-
-// live returns the requests in flight, oldest first; the slice is valid
-// until the next push or pop.
-func (r *replyQueue[T]) live() []T { return r.q[r.head:] }
 
 func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadAll()) }
 
@@ -308,11 +275,11 @@ func (c *Client) receive(b []byte) {
 		if !ok {
 			return
 		}
-		exp, ok := c.inflight.pop()
-		if !ok {
+		if c.inflight.Len() == 0 {
 			c.set.fail(fmt.Sprintf("client %d: unexpected response op %q", c.id, op))
 			continue
 		}
+		exp := c.inflight.Pop()
 		if op != exp.op {
 			c.set.fail(fmt.Sprintf("client %d: response op %q for request %q", c.id, op, exp.op))
 		} else if want := c.expect(exp); want != nil && !bytes.Equal(payload, want) {
@@ -335,7 +302,7 @@ func (c *Client) receive(b []byte) {
 			}
 			continue
 		}
-		if len(c.inflight.live()) == 0 {
+		if c.inflight.Len() == 0 {
 			// Closed loop: one request outstanding at a time.
 			c.set.Latencies.Add(c.set.cl.Clock.Now().Sub(exp.sentAt).Seconds())
 			c.issue()
@@ -384,7 +351,7 @@ type Conn struct {
 	sock     *simnet.Socket
 	fr       FrameReader
 	queued   []byte // frames sent before the handshake completed
-	inflight replyQueue[traffic.Request]
+	inflight fifo.Queue[traffic.Request]
 	out      []byte // one request's frame; Socket.Send copies it
 	scratch  []byte // a request's payload
 }
@@ -409,7 +376,7 @@ func (c *Conn) Connected() bool { return c.sock != nil }
 
 // InFlight returns the requests still awaiting replies, oldest first.
 // The slice is valid until the next Send or reply.
-func (c *Conn) InFlight() []traffic.Request { return c.inflight.live() }
+func (c *Conn) InFlight() []traffic.Request { return c.inflight.All() }
 
 // Send implements traffic.Conn. A SET writes ValueFor(key, request ID,
 // size), so a read names the write it returns; its size is the
@@ -421,7 +388,7 @@ func (c *Conn) Send(req traffic.Request) {
 		c.scratch = appendValue(c.scratch, req.Key, uint32(req.ID), size)
 	}
 	c.out = AppendFrame(c.out[:0], wireOp(req), c.scratch)
-	c.inflight.push(req)
+	c.inflight.Push(req)
 	if c.sock == nil {
 		c.queued = append(c.queued, c.out...)
 		return
@@ -444,11 +411,11 @@ func (c *Conn) onData(s *simnet.Socket) {
 		if !ok {
 			return
 		}
-		req, ok := c.inflight.pop()
-		if !ok {
+		if c.inflight.Len() == 0 {
 			c.Errors = append(c.Errors, fmt.Sprintf("reply op %q with nothing in flight", op))
 			continue
 		}
+		req := c.inflight.Pop()
 		if op != wireOp(req) {
 			c.Errors = append(c.Errors, fmt.Sprintf("reply op %q to %s of key %d", op, req.Op, req.Key))
 		}

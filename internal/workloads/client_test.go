@@ -162,7 +162,7 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 			// The server's replies to the oldest batch, built before the
 			// measurement.
 			var replies []byte
-			for _, o := range c.inflight.live()[:batch] {
+			for _, o := range c.inflight.All()[:batch] {
 				switch {
 				case o.op == OpSet:
 					replies = AppendFrame(replies, OpSet, okReply)
