@@ -13,7 +13,7 @@ import (
 // event is one scheduled transient fault.
 type event struct {
 	At   simtime.Duration // campaign-relative injection time
-	Kind string           // cut-repl | cut-ack | partition | oneway-pb | oneway-bp | flap
+	Kind string           // a faultKinds key
 	For  simtime.Duration // outage length before the heal
 }
 
@@ -52,6 +52,27 @@ const (
 	flapMin   = 120 * simtime.Millisecond
 	flapMax   = 300 * simtime.Millisecond
 )
+
+// faultKind is what one transient fault kind means: the inter-host
+// links it cuts (repl: primary→backup, ack: backup→primary) or, for a
+// flap burst, toggles, and the range [min, max) its outage length is
+// drawn from.
+type faultKind struct {
+	repl, ack, flap bool
+	min, max        simtime.Duration
+}
+
+// faultKinds names every transient fault kind a schedule can hold. The
+// one-way kinds cut the same links as cut-repl and cut-ack; they differ
+// in the duration profile that threatens split-brain.
+var faultKinds = map[string]faultKind{
+	"cut-repl":  {repl: true, min: cutMin, max: cutReplMax},
+	"cut-ack":   {ack: true, min: cutMin, max: cutAckMax},
+	"partition": {repl: true, ack: true, min: cutMin, max: cutReplMax},
+	"oneway-pb": {repl: true, min: onewayMin, max: onewayMax},
+	"oneway-bp": {ack: true, min: onewayMin, max: onewayMax},
+	"flap":      {flap: true, min: flapMin, max: flapMax},
+}
 
 // seededRand decorrelates adjacent small seeds with a splitmix64
 // finalizer (math/rand's leading draws from seeds 1..N are highly
@@ -100,18 +121,11 @@ func drawSchedule(cfg Config) schedule {
 		} else {
 			ev.Kind = cfg.FaultKinds[rng.Intn(len(cfg.FaultKinds))]
 		}
-		switch ev.Kind {
-		case "cut-repl", "partition":
-			ev.For = cutMin + simtime.Duration(rng.Int63n(int64(cutReplMax-cutMin)))
-		case "cut-ack":
-			ev.For = cutMin + simtime.Duration(rng.Int63n(int64(cutAckMax-cutMin)))
-		case "oneway-pb", "oneway-bp":
-			ev.For = onewayMin + simtime.Duration(rng.Int63n(int64(onewayMax-onewayMin)))
-		case "flap":
-			ev.For = flapMin + simtime.Duration(rng.Int63n(int64(flapMax-flapMin)))
-		default:
+		k, ok := faultKinds[ev.Kind]
+		if !ok {
 			panic("chaos: unknown fault kind " + ev.Kind)
 		}
+		ev.For = k.min + simtime.Duration(rng.Int63n(int64(k.max-k.min)))
 		s.events = append(s.events, ev)
 	}
 	sort.Slice(s.events, func(i, j int) bool { return s.events[i].At < s.events[j].At })
@@ -134,24 +148,15 @@ func drawSchedule(cfg Config) schedule {
 
 // inject dispatches one scheduled fault through faultinject.
 func (c *campaign) inject(ev event) {
-	switch ev.Kind {
-	case "cut-repl":
-		faultinject.CutRepl(c.repl)
-	case "cut-ack":
-		faultinject.CutAck(c.repl)
-	case "partition":
-		faultinject.Partition(c.repl)
-	case "oneway-pb":
-		faultinject.CutPrimaryToBackup(c.repl)
-	case "oneway-bp":
-		faultinject.CutBackupToPrimary(c.repl)
-	case "flap":
+	if k := faultKinds[ev.Kind]; k.flap {
 		// The burst schedules its own seeded toggles and ends healed
 		// inside ev.For; the trailing heal below is a harmless no-op that
 		// keeps the event lifecycle uniform in the trace. The salt keeps
 		// multiple flap events in one campaign decorrelated while staying
 		// a pure function of (seed, schedule).
 		faultinject.FlapLinks(c.repl, c.cfg.Seed^int64(ev.At), ev.For)
+	} else {
+		faultinject.Cut(c.repl, k.repl, k.ack)
 	}
 	c.eventf("%s for=%d", ev.Kind, int64(ev.For))
 	c.clock.Schedule(ev.For, func() {

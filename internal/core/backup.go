@@ -699,7 +699,7 @@ func (b *BackupAgent) doRecover() {
 		return
 	}
 	stats.Restore = restoreCost
-	stats.ARP = 28 * simtime.Millisecond
+	stats.ARP = ARPDelay
 	b.RestoredCtr = ctr
 	// The restored frames are the store's buffers, installed shared.
 	// Dropping the store leaves nothing here that could recycle one.

@@ -8,6 +8,8 @@
 package faultinject
 
 import (
+	"slices"
+
 	"nilicon/internal/core"
 	"nilicon/internal/simtime"
 )
@@ -37,50 +39,21 @@ func HardKill(r *core.Replicator) Injection {
 	return inj
 }
 
-// CutRepl cuts the replication link (checkpoint state, DRBD writes and
-// heartbeats are lost) without touching the container or the ack link —
-// a transient network fault rather than a host failure.
-func CutRepl(r *core.Replicator) Injection {
-	r.Cluster.ReplLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "cut-repl"}
-}
-
-// CutAck cuts the acknowledgment link: the backup still receives state
-// but its acks (and resync requests) are lost, so the primary's output
-// stays buffered.
-func CutAck(r *core.Replicator) Injection {
-	r.Cluster.AckLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "cut-ack"}
-}
-
-// Partition cuts both inter-host links (transient full partition).
-func Partition(r *core.Replicator) Injection {
-	r.Cluster.ReplLink.SetDown(true)
-	r.Cluster.AckLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "partition"}
-}
-
-// CutPrimaryToBackup is a sustained one-way partition in the
-// primary→backup direction: checkpoint state, DRBD writes and
-// heartbeats are lost, while the backup's acks, beats and lease grants
-// still reach the primary. Physically this downs the same link as
-// CutRepl; it exists as a distinct kind because its *duration profile*
-// in chaos schedules is the dangerous one — long enough for the
-// backup's detector to convict a primary that is still serving
-// clients, the asymmetric scenario lease arbitration exists for.
-func CutPrimaryToBackup(r *core.Replicator) Injection {
-	r.Cluster.ReplLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "oneway-pb"}
-}
-
-// CutBackupToPrimary is the reverse one-way partition: the backup
-// hears everything (so it never convicts the primary) but its acks,
-// beats and lease grants are lost. The primary's lease expires with
-// the backup perfectly healthy — the scenario that separates the
-// StrictSafety and Availability degradation policies.
-func CutBackupToPrimary(r *core.Replicator) Injection {
-	r.Cluster.AckLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "oneway-bp"}
+// Cut downs the chosen inter-host links without touching the
+// container: a transient network fault rather than a host failure.
+// Cutting the replication link (primary→backup) loses checkpoint state,
+// DRBD writes and heartbeats; cutting the ack link (backup→primary)
+// loses the backup's acks, resync requests, beats and lease grants, so
+// the primary's output stays buffered. Both together are a full
+// partition. Heal restores them.
+func Cut(r *core.Replicator, repl, ack bool) Injection {
+	if repl {
+		r.Cluster.ReplLink.SetDown(true)
+	}
+	if ack {
+		r.Cluster.AckLink.SetDown(true)
+	}
+	return Injection{At: r.Cluster.Clock.Now(), Kind: "cut"}
 }
 
 // FlapLinks schedules a seeded burst of link flaps over the next
@@ -100,21 +73,13 @@ func FlapLinks(r *core.Replicator, seed int64, total simtime.Duration) Injection
 		for i := 0; i < 2*flaps; i++ {
 			at = append(at, rng.Int63n(int64(total)))
 		}
-		sortInt64(at)
+		slices.Sort(at)
 		for i, t := range at {
 			down := i%2 == 0
 			cl.Clock.Schedule(simtime.Duration(t), func() { link.SetDown(down) })
 		}
 	}
 	return Injection{At: cl.Clock.Now(), Kind: "flap"}
-}
-
-func sortInt64(a []int64) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }
 
 // Heal restores both inter-host links.

@@ -147,27 +147,39 @@ func TestScheduleInjectsWithinMiddle80Percent(t *testing.T) {
 	}
 }
 
-func TestOneWayCutsAreAsymmetric(t *testing.T) {
-	clock, repl := newReplicator()
-	repl.Start()
-	clock.RunFor(200 * simtime.Millisecond)
-	inj := CutPrimaryToBackup(repl)
-	if inj.Kind != "oneway-pb" {
-		t.Fatalf("kind = %q", inj.Kind)
-	}
-	if !repl.Cluster.ReplLink.Down() || repl.Cluster.AckLink.Down() {
-		t.Fatal("oneway-pb must down only the repl link")
-	}
-	Heal(repl)
-	inj = CutBackupToPrimary(repl)
-	if inj.Kind != "oneway-bp" {
-		t.Fatalf("kind = %q", inj.Kind)
-	}
-	if repl.Cluster.ReplLink.Down() || !repl.Cluster.AckLink.Down() {
-		t.Fatal("oneway-bp must down only the ack link")
-	}
-	if repl.Ctr.Stopped() || !repl.Ctr.Port.Enabled() {
-		t.Fatal("one-way cuts must not touch the container")
+// TestCutDownsOnlyTheChosenLinks covers every link geometry a cut can
+// have: each one-way direction alone (the asymmetric cuts) and both
+// (a partition). A cut never touches the container, and Heal restores
+// every link.
+func TestCutDownsOnlyTheChosenLinks(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		repl, ack bool
+	}{
+		{"primary-to-backup", true, false},
+		{"backup-to-primary", false, true},
+		{"partition", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock, repl := newReplicator()
+			repl.Start()
+			clock.RunFor(200 * simtime.Millisecond)
+			inj := Cut(repl, tc.repl, tc.ack)
+			if inj.Kind != "cut" || inj.At != clock.Now() {
+				t.Fatalf("injection = %+v at %v", inj, clock.Now())
+			}
+			if repl.Cluster.ReplLink.Down() != tc.repl || repl.Cluster.AckLink.Down() != tc.ack {
+				t.Fatalf("repl down=%v ack down=%v, want %v and %v",
+					repl.Cluster.ReplLink.Down(), repl.Cluster.AckLink.Down(), tc.repl, tc.ack)
+			}
+			if repl.Ctr.Stopped() || !repl.Ctr.Port.Enabled() {
+				t.Fatal("a cut must not touch the container")
+			}
+			Heal(repl)
+			if repl.Cluster.ReplLink.Down() || repl.Cluster.AckLink.Down() {
+				t.Fatal("Heal left a link down")
+			}
+		})
 	}
 }
 
