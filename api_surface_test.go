@@ -231,8 +231,11 @@ func (m *module) Import(path string) (*types.Package, error) {
 			return pkg, nil
 		}
 		pkg, err := m.gc.Import(path)
+		if err != nil {
+			return nil, err
+		}
 		m.std[path] = pkg
-		return pkg, err
+		return pkg, nil
 	}
 	dir := strings.TrimPrefix(strings.TrimPrefix(path, "nilicon"), "/")
 	if dir == "" {

@@ -64,7 +64,12 @@ type faultKind struct {
 
 // faultKinds names every transient fault kind a schedule can hold. The
 // one-way kinds cut the same links as cut-repl and cut-ack; they differ
-// in the duration profile that threatens split-brain.
+// in the duration profile that threatens split-brain. oneway-pb lasts
+// long enough for the backup's detector to convict a primary that is
+// still serving clients, the asymmetric case lease arbitration exists
+// for; under oneway-bp the backup hears everything, so the primary's
+// lease expires with the backup healthy, the case that separates the
+// StrictSafety and Availability degradation policies.
 var faultKinds = map[string]faultKind{
 	"cut-repl":  {repl: true, min: cutMin, max: cutReplMax},
 	"cut-ack":   {ack: true, min: cutMin, max: cutAckMax},

@@ -361,7 +361,7 @@ func (r *Replicator) retireThrough(e uint64) {
 			// resync image. Retire the run without pretending it measured
 			// anything.
 			run.lossy = true
-			run.finishTransfer(0)
+			run.finishTransfer()
 		}
 		run.releaseOutput()
 	}

@@ -110,7 +110,7 @@ func (is *imageSend) delivered() {
 	is.release()
 	s.agent.receiveState(epoch, img)
 	if run != nil {
-		run.finishTransfer(run.r.Cluster.Clock.Now().Sub(run.submitAt))
+		run.finishTransfer()
 		run.unref()
 	}
 }

@@ -65,7 +65,8 @@ type epochRun struct {
 	transferredAt simtime.Time
 	// transfer, ackWait and commit are the recorded durations: submit
 	// to transfer end, transfer end to covering ack, and epoch boundary
-	// to output release.
+	// to output release. A lossy run records nothing, so its values are
+	// never read.
 	transfer, ackWait, commit simtime.Duration
 
 	// refs counts what still refers to the run: the pipeline until the
@@ -303,14 +304,15 @@ func (run *epochRun) submitEncoded() {
 	r.sendImage(lead, run.epoch, img, run)
 }
 
-// finishTransfer ends the run's transfer, d after its submission; a
-// stop-and-copy container resumes now. Only the first end counts: a
-// run retired unsent by a covering ack may still hear from its send.
-func (run *epochRun) finishTransfer(d simtime.Duration) {
+// finishTransfer ends the run's transfer; a stop-and-copy container
+// resumes now. Only the first end counts: a run retired unsent by a
+// covering ack may still hear from its send.
+func (run *epochRun) finishTransfer() {
 	if run.transferred {
 		return
 	}
-	run.transferred, run.transferredAt, run.transfer = true, run.r.Cluster.Clock.Now(), d
+	now := run.r.Cluster.Clock.Now()
+	run.transferred, run.transferredAt, run.transfer = true, now, now.Sub(run.submitAt)
 	if !run.r.Cfg.Opts.overlapsTransfer() {
 		run.thaw()
 	}
@@ -325,7 +327,7 @@ func (run *epochRun) leadDropped(img *criu.Image) {
 	run.lossy = true
 	run.img = nil
 	run.r.imageLost(run.epoch, img)
-	run.finishTransfer(run.r.Cluster.Clock.Now().Sub(run.submitAt))
+	run.finishTransfer()
 }
 
 // releaseOutput flushes the epoch's buffered output. Its one caller is
