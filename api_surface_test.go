@@ -8,56 +8,43 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// exportKeep lists the exported functions and methods that no non-test
-// file calls, each with the reason it stays. An export that
-// only tests call is otherwise a line that earns nothing: a test of
-// the package reads the field or calls the unexported helper instead.
-var exportKeep = map[string]string{
-	"core.Replicator.AckedThrough":       "oracle: cluster tests check every chain's ack watermark",
-	"core.Replicator.ReplicaAckLag":      "bound: the cluster chain test holds each replica's ack lag to 3 epochs",
-	"core.Replicator.RetainedImageBytes": "bound: faultinject holds an isolated primary's retained images",
-	"criu.PageStore.ForEach":             "oracle: core's regression test reads the backup's committed pages",
-	"criu.PageStore.Len":                 "oracle: store, delta and backup tests count committed pages",
-	"criu.PageStore.Put":                 "fixture: the store tests and the frame-decoder fuzzer commit copied pages",
-	"metrics.Table.NumRows":              "oracle: harness and cluster tests count the rows of rendered tables",
-	"simdisk.Disk.Checksum":              "oracle: replicated disks compare equal by content",
-	"simdisk.Disk.Writes":                "counter: simfs and workloads tests count writebacks reaching the disk",
-	"simfs.FS.Chmod":                     "kernel interface: chmod(2), driven by simfs's fgetfc attribute test",
-	"simfs.FS.Chown":                     "kernel interface: chown(2), driven by simfs's fgetfc attribute test",
-	"simfs.FS.DirtyPages":                "counter: simfs, criu and workloads tests count dirty page-cache pages",
-	"simfs.FS.Sync":                      "kernel interface: fsync(2), driven by simfs's writeback tests",
-	"simkernel.AddressSpace.Munmap":      "kernel interface: munmap(2), driven by the VMA and page-table tests",
-	"simkernel.AddressSpace.Read":        "kernel interface: reading process memory, the oracle of the memory, criu and core tests",
-	"simkernel.Cgroup.Frozen":            "oracle: freezer state, checked by the kernel and checkpoint tests",
-	"simkernel.Kernel.Exit":              "kernel interface: exit(2), driven by simkernel's process-table test",
-	"simkernel.Kernel.Processes":         "kernel interface: the process table core's backup tests read",
-	"simnet.Port.Enabled":                "oracle: faultinject and restore tests check a container port's link state",
-	"simnet.Port.Name":                   "identity: the only reader of the name every Attach caller, bench/ included, gives a port",
-	"simnet.PlugQdisc.PendingEgress":     "counter: output held for commit, checked by simnet and core tests",
-	"simnet.PlugQdisc.SetInput":          "fixture: criu's misordered-recovery test routes ingress to a socket-less stack",
-	"simnet.Socket.Close":                "kernel interface: close(2), driven by the TCP, checkpoint and workload tests",
-	"simnet.Socket.EnterRepair":          "kernel interface: TCP_REPAIR, driven by the repair and retransmit tests",
-	"simnet.Socket.UnackedBytes":         "bound: tests hold the write queue while a peer is unreachable",
-	"simnet.Stack.RSTsSent":              "counter: recovery must send no reset (§III)",
-	"simnet.Switch.Lookup":               "oracle: the ARP table that restore, container and simnet tests read after a rebind",
-	"simtime.Clock.Pending":              "oracle: simtime tests hold the live-event count (stopped timers are not counted)",
-	"simtime.Clock.Run":                  "fixture: runs a test's single-clock engine to quiescence",
-	"simtime.Clock.Stop":                 "fixture: ends a test's engine run from inside a callback",
-	"simtime.NewClock":                   "fixture: the single-clock test engine of most packages",
-	"simtime.Time.Seconds":               "conversion: tests divide virtual busy time by the elapsed virtual time",
-	"trace.Timeline.Len":                 "oracle: tests count the epoch records a run wrote",
-	"workloads.Server.State":             "oracle: chaos and workloads tests read the server's key-value state",
+// readKeep returns testdata/keep.txt by key: each function that stays
+// although no traffic executes it or no non-test file calls it, with
+// the reason. scripts/traffic-coverage.sh reads the same file.
+func readKeep(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "keep.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep := map[string]string{}
+	for i, line := range strings.Split(strings.TrimSuffix(string(b), "\n"), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, reason, ok := strings.Cut(line, "\t")
+		if !ok || key == "" || reason == "" {
+			t.Fatalf("testdata/keep.txt:%d: want pkg.Func or pkg.Recv.Func, a tab and a reason: %q", i+1, line)
+		}
+		if _, dup := keep[key]; dup {
+			t.Fatalf("testdata/keep.txt:%d: %s listed twice", i+1, key)
+		}
+		keep[key] = reason
+	}
+	return keep
 }
 
 // TestEveryExportHasACaller fails on an exported function or method of
 // a non-test file under internal/ or cmd/ that no non-test file of the
-// module (bench/ included) refers to, unless exportKeep lists it.
+// module (bench/ included) refers to, unless testdata/keep.txt lists it;
+// and on a keep entry that names no function of internal/ or cmd/.
 // Callers are resolved by type (go/types), so a method counts only when
 // its own type's method is used — not another type's method of the
 // same name. A method also counts when its type implements an
@@ -65,7 +52,9 @@ var exportKeep = map[string]string{
 // imported standard-library package (fmt.Stringer, error, sort.Interface
 // ...), which may call it dynamically; so the check errs toward keeping.
 func TestEveryExportHasACaller(t *testing.T) {
+	keep := readKeep(t)
 	m := loadModule(t)
+	declared := map[string]bool{}
 	type export struct {
 		key string
 		fn  *types.Func
@@ -78,14 +67,18 @@ func TestEveryExportHasACaller(t *testing.T) {
 		for _, f := range p.files {
 			for _, d := range f.Decls {
 				fn, ok := d.(*ast.FuncDecl)
-				if !ok || !lib || !fn.Name.IsExported() {
+				if !ok || !lib {
 					continue
 				}
 				key := filepath.Base(p.dir) + "."
 				if fn.Recv != nil && len(fn.Recv.List) == 1 {
 					key += recvName(fn.Recv.List[0].Type) + "."
 				}
-				exports = append(exports, export{key + fn.Name.Name, p.info.Defs[fn.Name].(*types.Func)})
+				key += fn.Name.Name
+				declared[key] = true
+				if fn.Name.IsExported() {
+					exports = append(exports, export{key, p.info.Defs[fn.Name].(*types.Func)})
+				}
 			}
 		}
 		for _, obj := range p.info.Uses {
@@ -131,23 +124,24 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	var orphans []string
 	for _, e := range exports {
-		if _, keep := exportKeep[e.key]; !keep && !used[e.fn] && !implementsUsed(e.fn) {
+		if _, kept := keep[e.key]; !kept && !used[e.fn] && !implementsUsed(e.fn) {
 			orphans = append(orphans, e.key)
 		}
 	}
 	sort.Strings(orphans)
 	if len(orphans) > 0 {
-		t.Errorf("%d exported functions or methods have no caller outside tests; delete them (and tests of them alone) or list them in exportKeep with a reason:\n  %s",
+		t.Errorf("%d exported functions or methods have no caller outside tests; delete them (and tests of them alone) or list them in testdata/keep.txt with a reason:\n  %s",
 			len(orphans), strings.Join(orphans, "\n  "))
 	}
-	for key := range exportKeep {
-		found := false
-		for _, e := range exports {
-			found = found || e.key == key
+	var stale []string
+	for key := range keep {
+		if !declared[key] {
+			stale = append(stale, key)
 		}
-		if !found {
-			t.Errorf("exportKeep lists %s, which is not an exported function or method", key)
-		}
+	}
+	sort.Strings(stale)
+	for _, key := range stale {
+		t.Errorf("testdata/keep.txt lists %s, which is not a function of internal/ or cmd/", key)
 	}
 }
 

@@ -50,8 +50,6 @@ var configSurface = map[string][]string{
 		"Pairs int",
 		"Seed int64",
 		"Opts *core.OptSet",
-		"CoresPerHost int",
-		"PagesPerHost int",
 		"MaxConcurrentResyncs int",
 		"Workload cluster.WorkloadFactory",
 		"Lease core.LeaseConfig",

@@ -94,7 +94,6 @@ func (cfg *Config) fleetParams() cluster.Params {
 		Pairs:    f.Pairs,
 		Replicas: f.Replicas,
 		Zones:    f.Zones,
-		Seed:     cfg.Seed,
 		Degrade:  cfg.Degrade,
 		// Two concurrent resyncs: with several pairs displaced per host
 		// kill, strictly serial re-protection would leave the fleet

@@ -12,7 +12,7 @@ import (
 // TestPlaceChainsZoneAntiAffinity: every chain's hosts are distinct and
 // land in distinct zones when zones >= replicas.
 func TestPlaceChainsZoneAntiAffinity(t *testing.T) {
-	pls, err := PlaceChains(6, 6, 3, 3, 8, 4096)
+	pls, err := PlaceChains(6, 6, 3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestPlaceChainsZoneAntiAffinity(t *testing.T) {
 // the next worker in the ring, for any ring size.
 func TestPlaceChainsPairIsRingNext(t *testing.T) {
 	for _, workers := range []int{2, 3, 5} {
-		pls, err := PlaceChains(2*workers, workers, 1, 2, 8, 4096)
+		pls, err := PlaceChains(2*workers, workers, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,12 +55,18 @@ func TestPlaceChainsPairIsRingNext(t *testing.T) {
 	}
 }
 
+// TestPlaceChainsCapacity: 3-replica chains on 3 workers put 256 pages
+// of every chain on every host, so 16 chains fill hostPages exactly
+// (with 6 of hostCores used) and a 17th does not fit.
 func TestPlaceChainsCapacity(t *testing.T) {
-	if _, err := PlaceChains(1, 2, 1, 3, 8, 4096); err == nil {
+	if _, err := PlaceChains(1, 2, 1, 3); err == nil {
 		t.Fatal("3-replica chain on 2 workers accepted (distinct hosts impossible)")
 	}
-	if _, err := PlaceChains(8, 3, 1, 3, 8, 1024); err == nil {
-		t.Fatal("8 chains with 1024 pages/host accepted")
+	if _, err := PlaceChains(16, 3, 1, 3); err != nil {
+		t.Fatalf("16 chains that fill the hosts' pages rejected: %v", err)
+	}
+	if _, err := PlaceChains(17, 3, 1, 3); err == nil || !strings.Contains(err.Error(), "pages") {
+		t.Fatalf("17 chains over 3 hosts' pages: err = %v, want out of pages", err)
 	}
 }
 
@@ -147,11 +153,11 @@ func TestFleetChainZoneKill(t *testing.T) {
 	// Workloads kept running through it.
 	before := make(map[string]uint64)
 	for _, pr := range f.Pairs {
-		before[pr.ID] = pr.Workload.(*DirtyLoop).seq
+		before[pr.ID] = pr.Workload.(*dirtyLoop).seq
 	}
 	clock.RunFor(200 * simtime.Millisecond)
 	for _, pr := range f.Pairs {
-		if got := pr.Workload.(*DirtyLoop).seq; got <= before[pr.ID] {
+		if got := pr.Workload.(*dirtyLoop).seq; got <= before[pr.ID] {
 			t.Fatalf("pair %s workload stalled (%d -> %d)", pr.ID, before[pr.ID], got)
 		}
 	}

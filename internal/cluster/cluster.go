@@ -65,20 +65,22 @@ func (s PairState) String() string {
 	}
 }
 
-// Per-pair capacity reservations (bookkeeping units for placement and
-// admission; the simulation does not enforce them at page granularity).
+// Per-pair capacity reservations and each host's capacity (bookkeeping
+// units for placement and admission; the simulation does not enforce
+// them at page granularity).
 const (
 	pairCores       = 1
 	pairPrimaryPgs  = 256
 	pairBackupPgs   = 256
-	defaultHostCPU  = 8
-	defaultHostPgs  = 4096
+	hostCores       = 8
+	hostPages       = 4096
 	defaultResyncs  = 1
 	detectorPeriod  = 30 * simtime.Millisecond
 	reprotectPeriod = 10 * simtime.Millisecond
 )
 
-// Params configures a fleet. Zero values take defaults.
+// Params configures a fleet. Zero values take defaults, except
+// Workload, which every fleet must bring.
 type Params struct {
 	// Workers is the number of hosts that receive initial placements;
 	// Spares hosts start empty and absorb re-protection.
@@ -86,19 +88,15 @@ type Params struct {
 	Spares  int
 	// Pairs is how many protected pairs to place.
 	Pairs int
-	// Seed decorrelates nothing by itself (the fleet is deterministic
-	// either way) but is passed to workloads that want seeded behavior.
+	// Seed is read by nothing in the fleet (it is deterministic either
+	// way); the benchmark's fleet sets it.
 	Seed int64
 	// Opts is the per-pair optimization set (core.AllOpts by default).
 	Opts *core.OptSet
-	// CoresPerHost / PagesPerHost bound each host's capacity.
-	CoresPerHost int
-	PagesPerHost int
 	// MaxConcurrentResyncs is the re-protection admission limit: how many
 	// initial synchronizations may occupy replication NICs at once.
 	MaxConcurrentResyncs int
-	// Workload builds each pair's application; nil installs the default
-	// page-dirtying loop.
+	// Workload builds each pair's application (required).
 	Workload WorkloadFactory
 	// Lease configures per-pair output-release lease arbitration (zero
 	// value = disabled, the pre-lease fleet behavior). Every pair built
@@ -128,12 +126,6 @@ func (p *Params) defaults() {
 	}
 	if p.Pairs <= 0 {
 		p.Pairs = p.Workers * 2
-	}
-	if p.CoresPerHost <= 0 {
-		p.CoresPerHost = defaultHostCPU
-	}
-	if p.PagesPerHost <= 0 {
-		p.PagesPerHost = defaultHostPgs
 	}
 	if p.MaxConcurrentResyncs <= 0 {
 		p.MaxConcurrentResyncs = defaultResyncs
@@ -249,8 +241,6 @@ type Fleet struct {
 	// order; resyncActive holds pairs whose initial sync is running.
 	reprotectQ   []int
 	resyncActive []int
-
-	clients int
 }
 
 // Placement is one chain's host assignment: Backups lists the backup
@@ -266,11 +256,12 @@ type Placement struct {
 // scan from the primary with zone anti-affinity — hosts in zones the
 // chain does not already occupy are preferred, and only when no such
 // host has capacity does the scan fall back to an already-used zone.
-// Host i belongs to zone i mod zones. With zones=1 and replicas=2 a
+// Host i belongs to zone i mod zones, and every host has the fixed
+// capacity hostCores and hostPages. With zones=1 and replicas=2 a
 // pair's backup is the next worker in the ring with capacity. It is a
 // pure function so tests can exercise the placement engine without
 // building a fleet.
-func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([]Placement, error) {
+func PlaceChains(n, workers, zones, replicas int) ([]Placement, error) {
 	if replicas < 2 {
 		replicas = 2
 	}
@@ -286,11 +277,11 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 	out := make([]Placement, 0, n)
 	for p := 0; p < n; p++ {
 		pri := p % workers
-		if cores[pri]+pairCores > coresPerHost {
+		if cores[pri]+pairCores > hostCores {
 			return nil, fmt.Errorf("cluster: host %d out of cores placing chain %d (%d/%d used)",
-				pri, p, cores[pri], coresPerHost)
+				pri, p, cores[pri], hostCores)
 		}
-		if pages[pri]+pairPrimaryPgs > pagesPerHost {
+		if pages[pri]+pairPrimaryPgs > hostPages {
 			return nil, fmt.Errorf("cluster: host %d out of pages placing chain %d primary", pri, p)
 		}
 		used := map[int]bool{pri: true}
@@ -307,7 +298,7 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 					if pass == 0 && usedZone[c%zones] {
 						continue
 					}
-					if pages[c]+pairBackupPgs > pagesPerHost {
+					if pages[c]+pairBackupPgs > hostPages {
 						continue
 					}
 					pick = c
@@ -334,8 +325,7 @@ func PlaceChains(n, workers, zones, replicas, coresPerHost, pagesPerHost int) ([
 // before a run starts.
 func Place(params Params) ([]Placement, error) {
 	params.defaults()
-	return PlaceChains(params.Pairs, params.Workers, params.Zones, params.Replicas,
-		params.CoresPerHost, params.PagesPerHost)
+	return PlaceChains(params.Pairs, params.Workers, params.Zones, params.Replicas)
 }
 
 // NewSharded builds the fleet — hosts, NICs, placements, per-pair
@@ -347,6 +337,9 @@ func Place(params Params) ([]Placement, error) {
 // schedules under the engine's (when, shard, seq) key. Nothing runs
 // until Start.
 func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
+	if params.Workload == nil {
+		return nil, fmt.Errorf("cluster: a fleet needs a workload (Params.Workload is nil)")
+	}
 	params.defaults()
 	placements, err := Place(params)
 	if err != nil {
@@ -424,11 +417,7 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 		repairSlot:   -1,
 		electedSlot:  -1,
 	}
-	if f.Params.Workload != nil {
-		pr.Workload = f.Params.Workload(id)
-	} else {
-		pr.Workload = NewDirtyLoop(f.Params.Seed + int64(pl.Pair))
-	}
+	pr.Workload = f.Params.Workload(id)
 	pr.Workload.Install(ctr)
 
 	pr.Repl = core.NewChainReplicator(views, ctr, f.pairConfig(pr))
@@ -519,8 +508,7 @@ func (f *Fleet) Quiesce() {
 
 // NewClient attaches a client TCP stack to the fleet's shared LAN.
 func (f *Fleet) NewClient(ip simnet.Addr) *simnet.Stack {
-	f.clients++
-	port := f.Switch.Attach("client-" + string(ip))
+	port := f.Switch.Attach()
 	st := simnet.NewStack(f.Clock, ip, port.Send)
 	port.SetReceiver(st.Receive)
 	f.Switch.Learn(ip, port)

@@ -32,20 +32,34 @@ func TestPlacementAntiAffinity(t *testing.T) {
 	}
 }
 
+// TestPlacementCapacity: pairs on 2 workers put one primary core on
+// every other pair's host, so 16 pairs use all hostCores of both and a
+// 17th does not fit; one worker cannot hold a pair at all.
 func TestPlacementCapacity(t *testing.T) {
-	if _, err := Place(Params{Workers: 2, Pairs: 5, CoresPerHost: 2}); err == nil {
-		t.Fatal("5 pairs on 2 hosts with 2 cores each accepted")
+	if _, err := Place(Params{Workers: 2, Pairs: 16}); err != nil {
+		t.Fatalf("16 pairs that fill 2 hosts' cores rejected: %v", err)
 	}
-	if _, err := Place(Params{Workers: 2, Pairs: 4, PagesPerHost: 512}); err == nil {
-		t.Fatal("4 pairs with 512 pages/host accepted (needs 4*256 primary+backup)")
+	if _, err := Place(Params{Workers: 2, Pairs: 17}); err == nil || !strings.Contains(err.Error(), "cores") {
+		t.Fatalf("17 pairs on 2 hosts: err = %v, want out of cores", err)
 	}
 	if _, err := Place(Params{Workers: 1, Pairs: 2}); err == nil {
 		t.Fatal("single-worker placement accepted (anti-affinity impossible)")
 	}
 }
 
+// TestFleetNeedsAWorkload: a fleet brings its own workload; there is no
+// default.
+func TestFleetNeedsAWorkload(t *testing.T) {
+	if _, err := NewSharded(simtime.NewEngine(), Params{}); err == nil {
+		t.Fatal("a fleet without a workload was built")
+	}
+}
+
+// newTestFleet builds a fleet of p on a fresh engine, each pair
+// running a dirtyLoop seeded from p.Seed.
 func newTestFleet(t *testing.T, p Params) (*simtime.Clock, *Fleet) {
 	t.Helper()
+	p.Workload = dirtyLoops(p.Seed)
 	f, err := NewSharded(simtime.NewEngine(), p)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +80,7 @@ func TestFleetSteadyState(t *testing.T) {
 		if !ok || com < 10 {
 			t.Fatalf("pair %s committed = %d/%v, want >= 10", pr.ID, com, ok)
 		}
-		wl := pr.Workload.(*DirtyLoop)
+		wl := pr.Workload.(*dirtyLoop)
 		if wl.seq == 0 {
 			t.Fatalf("pair %s workload never ran", pr.ID)
 		}
@@ -176,11 +190,11 @@ func TestFleetHostFailureConcurrentFailover(t *testing.T) {
 	// Workloads resumed: sequence counters advance after recovery.
 	before := make(map[string]uint64)
 	for _, pr := range f.Pairs {
-		before[pr.ID] = pr.Workload.(*DirtyLoop).seq
+		before[pr.ID] = pr.Workload.(*dirtyLoop).seq
 	}
 	clock.RunFor(200 * simtime.Millisecond)
 	for _, pr := range f.Pairs {
-		if got := pr.Workload.(*DirtyLoop).seq; got <= before[pr.ID] {
+		if got := pr.Workload.(*dirtyLoop).seq; got <= before[pr.ID] {
 			t.Fatalf("pair %s workload stalled after recovery (%d -> %d)", pr.ID, before[pr.ID], got)
 		}
 	}
@@ -275,7 +289,7 @@ func fleetTrace(t *testing.T) string {
 		com, _ := pr.Repl.Backup.CommittedEpoch()
 		fmt.Fprintf(&b, "final pair=%s state=%s pri=%d bak=%d rel=%d com=%d seq=%d\n",
 			pr.ID, pr.State, pr.PrimaryHost, pr.ReplicaHosts[0], rel, com,
-			pr.Workload.(*DirtyLoop).seq)
+			pr.Workload.(*dirtyLoop).seq)
 	}
 	fmt.Fprintf(&b, "wire=%d\n", f.WireBytes())
 	return b.String()
@@ -367,6 +381,107 @@ func TestFleetArbitratesEveryFailover(t *testing.T) {
 				if pr.State == Lost {
 					t.Fatalf("%s lost", pr.ID)
 				}
+			}
+		})
+	}
+}
+
+// TestFleetDoubleFailureLosesThePair is the fault model's boundary
+// (DESIGN.md §9): a pair with no live backup whose primary host dies
+// is Lost, whether it still waits in the re-protection queue (Degraded)
+// or its new backup's initial sync is running (Resyncing). The lost
+// pair leaves the queue and the admission set, the admission slot goes
+// to the next queued pair, every other pair regains protection, and no
+// alive host keeps a reservation for the lost pair.
+func TestFleetDoubleFailureLosesThePair(t *testing.T) {
+	for _, state := range []PairState{Degraded, Resyncing} {
+		t.Run(state.String(), func(t *testing.T) {
+			clock, f := newTestFleet(t, Params{Workers: 4, Spares: 2, Pairs: 8, Seed: 5})
+			var events []string
+			f.Eventf = func(format string, args ...any) { events = append(events, fmt.Sprintf(format, args...)) }
+			f.Start()
+			clock.RunFor(600 * simtime.Millisecond)
+			// Host 0 runs the primaries of p00 and p04 and backs p03 and
+			// p07: four pairs lose protection and one resync runs at a time.
+			f.KillHost(0)
+			var victim *Pair
+			for i := 0; victim == nil; i++ {
+				if i == 500 {
+					t.Fatalf("no %v pair with another queued behind the running resync:\n%s",
+						state, strings.Join(events, "\n"))
+				}
+				clock.RunFor(10 * simtime.Millisecond)
+				if f.ActiveResyncs() != 1 || f.QueuedReprotects() < 2 {
+					continue
+				}
+				for _, pr := range f.Pairs {
+					if pr.State == state {
+						victim = pr
+						break
+					}
+				}
+			}
+			target, targetPages := -1, 0
+			if state == Resyncing {
+				target = victim.ReplicaHosts[0]
+				targetPages = f.Hosts[target].PagesUsed
+			}
+
+			dead := f.Hosts[victim.PrimaryHost]
+			f.KillHost(dead.Index)
+			f.declareHostDead(dead)
+			if victim.State != Lost {
+				t.Fatalf("%s state = %v after its primary host died, want lost", victim.ID, victim.State)
+			}
+			if slices.Contains(f.reprotectQ, victim.Index) || slices.Contains(f.resyncActive, victim.Index) {
+				t.Fatalf("lost %s still queued %v or resyncing %v", victim.ID, f.reprotectQ, f.resyncActive)
+			}
+			if target >= 0 && f.Hosts[target].PagesUsed != targetPages-pairBackupPgs {
+				t.Fatalf("resync target %s holds %d pages, want %d back from lost %s",
+					f.Hosts[target].Name, f.Hosts[target].PagesUsed, targetPages-pairBackupPgs, victim.ID)
+			}
+
+			// The next pump tick admits the queue's head.
+			if len(f.reprotectQ) == 0 {
+				t.Fatal("no pair left queued behind the lost one")
+			}
+			head := f.Pairs[f.reprotectQ[0]]
+			for i := 0; head.State == Degraded; i++ {
+				if i == 100 {
+					t.Fatalf("queued %s never admitted after %s was lost", head.ID, victim.ID)
+				}
+				clock.RunFor(reprotectPeriod)
+			}
+
+			for i := 0; f.QueuedReprotects()+f.ActiveResyncs() > 0; i++ {
+				if i == 100 {
+					t.Fatalf("re-protection never drained: queued=%v resyncing=%v", f.reprotectQ, f.resyncActive)
+				}
+				clock.RunFor(100 * simtime.Millisecond)
+			}
+			cores, pages := map[int]int{}, map[int]int{}
+			for _, pr := range f.Pairs {
+				if pr.State == Lost {
+					continue
+				}
+				if pr.State != Protected {
+					t.Fatalf("pair %s state = %v after re-protection drained", pr.ID, pr.State)
+				}
+				cores[pr.PrimaryHost] += pairCores
+				pages[pr.PrimaryHost] += pairPrimaryPgs
+				pages[pr.ReplicaHosts[0]] += pairBackupPgs
+			}
+			for _, h := range f.Hosts {
+				if h.Alive && (h.CoresUsed != cores[h.Index] || h.PagesUsed != pages[h.Index]) {
+					t.Fatalf("host %s reserves %d cores %d pages, its pairs need %d and %d",
+						h.Name, h.CoresUsed, h.PagesUsed, cores[h.Index], pages[h.Index])
+				}
+			}
+
+			f.Quiesce()
+			clock.RunFor(2 * simtime.Second)
+			if flows, queued := f.DrainStats(); flows != 0 || queued != 0 {
+				t.Fatalf("after quiesce: %d transfer flows, %d bytes queued", flows, queued)
 			}
 		})
 	}

@@ -167,7 +167,7 @@ func (f *Fleet) pickReprotectTarget(pr *Pair) int {
 			if passes == 2 && pass == 0 && h.Zone == priZone {
 				continue
 			}
-			if h.PagesUsed+pairBackupPgs > f.Params.PagesPerHost {
+			if h.PagesUsed+pairBackupPgs > hostPages {
 				continue
 			}
 			if best < 0 || h.PagesUsed < f.Hosts[best].PagesUsed {
@@ -205,7 +205,7 @@ func (f *Fleet) pickReplicaHost(pr *Pair) int {
 			if pass == 0 && usedZone[h.Zone] {
 				continue
 			}
-			if h.PagesUsed+pairBackupPgs > f.Params.PagesPerHost {
+			if h.PagesUsed+pairBackupPgs > hostPages {
 				continue
 			}
 			if best < 0 || h.PagesUsed < f.Hosts[best].PagesUsed {

@@ -169,7 +169,7 @@ func Create(h *Host, spec Spec) *Container {
 	c.FS = simfs.New(h.Clock, store)
 	c.FS.Kernel = h.Kernel
 
-	c.Port = h.Switch.AttachOn(spec.ID+"-veth", h.Clock)
+	c.Port = h.Switch.AttachOn(h.Clock)
 	c.Stack = simnet.NewStack(h.Clock, spec.IP, nil)
 	c.Stack.Kernel = h.Kernel
 	c.Qdisc = simnet.NewPlugQdisc(c.Port.Send, c.Stack.Receive)
@@ -365,8 +365,4 @@ func (c *Container) StartKeepAlive(interval simtime.Duration) *Task {
 		return instrCost, interval
 	})
 	return c.keepAlive
-}
-
-func (c *Container) String() string {
-	return fmt.Sprintf("container{%s on %s, procs=%d, frozen=%v}", c.ID, c.Host.Name, len(c.Procs), c.frozen)
 }

@@ -238,7 +238,7 @@ func TestDisconnectBlocksTraffic(t *testing.T) {
 	h, clock := newTestHost()
 	ctr := Create(h, Spec{ID: "c1", IP: "10.0.0.5"})
 	// A client on the same switch.
-	cp := h.Switch.Attach("client")
+	cp := h.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	h.Switch.Learn("10.0.0.1", cp)
@@ -261,7 +261,7 @@ func TestDisconnectBlocksTraffic(t *testing.T) {
 func TestContainerNetworkThroughQdisc(t *testing.T) {
 	h, clock := newTestHost()
 	ctr := Create(h, Spec{ID: "c1", IP: "10.0.0.5"})
-	cp := h.Switch.Attach("client")
+	cp := h.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	h.Switch.Learn("10.0.0.1", cp)
@@ -283,7 +283,7 @@ func TestContainerNetworkThroughQdisc(t *testing.T) {
 func TestEgressHeldWhileReplicating(t *testing.T) {
 	h, clock := newTestHost()
 	ctr := Create(h, Spec{ID: "c1", IP: "10.0.0.5"})
-	cp := h.Switch.Attach("client")
+	cp := h.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	h.Switch.Learn("10.0.0.1", cp)

@@ -33,8 +33,6 @@ type Cluster struct {
 
 	DRBDPrimary *simdisk.DRBD
 	DRBDBackup  *simdisk.DRBD
-
-	clients int
 }
 
 // The link model is the paper's testbed (§VI), fixed for every
@@ -95,8 +93,7 @@ func (cl *Cluster) NewProtectedContainer(id string, ip simnet.Addr, cores int) *
 // NewClient attaches a client TCP stack to the LAN (the client host in
 // the paper's testbed).
 func (cl *Cluster) NewClient(ip simnet.Addr) *simnet.Stack {
-	cl.clients++
-	port := cl.Switch.Attach("client-" + string(ip))
+	port := cl.Switch.Attach()
 	st := simnet.NewStack(cl.Clock, ip, port.Send)
 	port.SetReceiver(st.Receive)
 	cl.Switch.Learn(ip, port)

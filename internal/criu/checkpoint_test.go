@@ -305,7 +305,7 @@ func TestCheckpointIncludesSockets(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 4)
 	// A client connects and sends unread data.
-	cp := ctr.Host.Switch.Attach("client")
+	cp := ctr.Host.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	ctr.Host.Switch.Learn("10.0.0.1", cp)

@@ -34,21 +34,6 @@ const (
 	FrameDedup
 )
 
-func (k FrameKind) String() string {
-	switch k {
-	case FrameFull:
-		return "full"
-	case FrameDelta:
-		return "delta"
-	case FrameZero:
-		return "zero"
-	case FrameDedup:
-		return "dedup"
-	default:
-		return fmt.Sprintf("FrameKind(%d)", uint8(k))
-	}
-}
-
 // Wire-size model: every frame starts with a (kind, page number, length)
 // header; hashes and store keys are 8 bytes each. A full frame's wire
 // cost equals the un-encoded per-page cost in Image.SizeBytes, so

@@ -122,7 +122,7 @@ func TestRestoreRecreatesMounts(t *testing.T) {
 func TestRestoreLeavesSocketsInRepairAndDisconnected(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 2)
-	cp := ctr.Host.Switch.Attach("client")
+	cp := ctr.Host.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	ctr.Host.Switch.Learn("10.0.0.1", cp)
@@ -151,7 +151,7 @@ func TestFinishNetworkRestoreOrdering(t *testing.T) {
 	// of repair — and no RSTs were generated at any point.
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 2)
-	cp := ctr.Host.Switch.Attach("client")
+	cp := ctr.Host.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	ctr.Host.Switch.Learn("10.0.0.1", cp)
@@ -254,7 +254,7 @@ func TestRestoredContainerRunsTasks(t *testing.T) {
 func TestMisorderedRecoveryBreaksConnections(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 2)
-	cp := ctr.Host.Switch.Attach("client")
+	cp := ctr.Host.Switch.Attach()
 	client := simnet.NewStack(clock, "10.0.0.1", cp.Send)
 	cp.SetReceiver(client.Receive)
 	ctr.Host.Switch.Learn("10.0.0.1", cp)

@@ -28,19 +28,6 @@ const (
 	MC
 )
 
-func (m Mode) String() string {
-	switch m {
-	case Stock:
-		return "Stock"
-	case NiLiCon:
-		return "NiLiCon"
-	case MC:
-		return "MC"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
 // RunConfig controls measurement windows. Zero values take defaults
 // sized for fast, statistically stable runs.
 type RunConfig struct {

@@ -210,14 +210,10 @@ func TestRenderFigure3(t *testing.T) {
 	}}
 	out := RenderFigure3(rows)
 	for _, want := range []string{"redis", "MC", "NiLiCon", "67.00%", "34.00%", "█", "░"} {
-		if !containsStr(out, want) {
+		if !strings.Contains(out, want) {
 			t.Fatalf("rendered figure missing %q:\n%s", want, out)
 		}
 	}
-}
-
-func containsStr(s, sub string) bool {
-	return len(s) >= len(sub) && strings.Contains(s, sub)
 }
 
 // TestEpochColumnsCountTheWindowsRecords: every per-epoch column of a

@@ -246,19 +246,6 @@ func (fs *FS) ReadAt(ino *Inode, off int64, n int) ([]byte, error) {
 	return out, nil
 }
 
-// Chown changes ownership: an inode-cache-only change (restored via the
-// chown syscall, §III).
-func (fs *FS) Chown(ino *Inode, uid, gid int) {
-	ino.UID, ino.GID = uid, gid
-	ino.markAttr(fs)
-}
-
-// Chmod changes the mode bits.
-func (fs *FS) Chmod(ino *Inode, mode int) {
-	ino.Mode = mode
-	ino.markAttr(fs)
-}
-
 func (fs *FS) scheduleWriteback(ino *Inode, idx int64) {
 	if fs.WritebackDelay <= 0 {
 		return

@@ -159,19 +159,29 @@ func TestDNCLifecycle(t *testing.T) {
 	}
 }
 
+// TestFgetfcIncludesInodeAttrChanges: an inode enters fgetfc when an
+// attribute changes — on create, on a write that grows the file, and
+// on a create that truncates an existing path — and not on a write
+// that leaves its size alone.
 func TestFgetfcIncludesInodeAttrChanges(t *testing.T) {
 	fs, _, _ := newTestFS()
 	f := fs.Create("/f")
-	fs.Fgetfc() // clear create's DNC
-	fs.Chown(f, 1000, 1000)
-	cs := fs.Fgetfc()
-	if len(cs.Inodes) != 1 || cs.Inodes[0].UID != 1000 {
-		t.Fatalf("chown not in fgetfc: %+v", cs.Inodes)
+	if cs := fs.Fgetfc(); len(cs.Inodes) != 1 || cs.Inodes[0].Ino != f.Ino {
+		t.Fatalf("create not in fgetfc: %+v", cs.Inodes)
 	}
-	fs.Chmod(f, 0600)
-	cs = fs.Fgetfc()
-	if len(cs.Inodes) != 1 || cs.Inodes[0].Mode != 0600 {
-		t.Fatal("chmod not in fgetfc")
+	_ = fs.WriteAt(f, 0, []byte("grow"))
+	if cs := fs.Fgetfc(); len(cs.Inodes) != 1 || cs.Inodes[0].Size != 4 {
+		t.Fatalf("growing write not in fgetfc: %+v", cs.Inodes)
+	}
+	_ = fs.WriteAt(f, 0, []byte("same"))
+	if cs := fs.Fgetfc(); len(cs.Inodes) != 0 || len(cs.Pages) != 1 {
+		t.Fatalf("in-place write: %d inodes %d pages, want 0 and 1", len(cs.Inodes), len(cs.Pages))
+	}
+	if g := fs.Create("/f"); g != f {
+		t.Fatal("creating an existing path made a new inode")
+	}
+	if cs := fs.Fgetfc(); len(cs.Inodes) != 1 || cs.Inodes[0].Size != 0 {
+		t.Fatalf("truncating create not in fgetfc: %+v", cs.Inodes)
 	}
 }
 
@@ -235,7 +245,7 @@ func TestApplyCacheRestoresContentAndMetadata(t *testing.T) {
 	fsA, _, _ := newTestFS()
 	f := fsA.Create("/data")
 	_ = fsA.WriteAt(f, 100, []byte("checkpointed-content"))
-	fsA.Chown(f, 42, 43)
+	f.UID, f.GID = 42, 43
 	cs := fsA.Fgetfc()
 
 	cB := simtime.NewClock()

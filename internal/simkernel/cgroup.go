@@ -1,10 +1,6 @@
 package simkernel
 
-import (
-	"fmt"
-
-	"nilicon/internal/simtime"
-)
+import "nilicon/internal/simtime"
 
 // Cgroup is a control group with the two controllers NiLiCon uses:
 // cpuacct (the failure detector reads cpuacct.usage, §IV) and freezer
@@ -78,9 +74,6 @@ func (cg *Cgroup) Freeze() simtime.Duration {
 	var settle simtime.Duration
 	for _, p := range cg.members {
 		for _, t := range p.Threads {
-			if t.State == ThreadExited {
-				continue
-			}
 			cg.k.Charge(cg.k.Costs.FreezeSignal)
 			s := cg.k.Costs.FreezeSettleUser
 			if t.InSyscall {
@@ -132,8 +125,4 @@ func (k *Kernel) CollectCgroup(cg *Cgroup) CgroupSnapshot {
 		pids = append(pids, p.PID)
 	}
 	return CgroupSnapshot{Path: cg.Path, Config: cfg, PIDs: pids}
-}
-
-func (cg *Cgroup) String() string {
-	return fmt.Sprintf("cgroup{%s, frozen=%v, members=%d}", cg.Path, cg.frozen, len(cg.members))
 }

@@ -13,8 +13,6 @@
 package simkernel
 
 import (
-	"fmt"
-
 	"nilicon/internal/ftrace"
 	"nilicon/internal/simtime"
 )
@@ -78,11 +76,6 @@ func (k *Kernel) StartMeter() Meter {
 	k.meterGen++
 	k.meters = append(k.meters, meterFrame{gen: k.meterGen})
 	return Meter{k: k, depth: len(k.meters) - 1, gen: k.meterGen}
-}
-
-// active reports whether m's frame is still on the kernel's stack.
-func (m *Meter) active() bool {
-	return !m.done && m.depth < len(m.k.meters) && m.k.meters[m.depth].gen == m.gen
 }
 
 // Stop ends accumulation and returns the total accumulated cost, which
@@ -156,26 +149,9 @@ func (k *Kernel) Processes() []*Process {
 	return out
 }
 
-// Exit terminates a process and removes it from the process table.
-func (k *Kernel) Exit(pid int) {
-	p := k.procs[pid]
-	if p == nil {
-		return
-	}
-	p.Exited = true
-	for _, t := range p.Threads {
-		t.State = ThreadExited
-	}
-	delete(k.procs, pid)
-}
-
 // AllocNamespaceID returns a fresh namespace identifier.
 func (k *Kernel) AllocNamespaceID() int {
 	id := k.nextNS
 	k.nextNS++
 	return id
-}
-
-func (k *Kernel) String() string {
-	return fmt.Sprintf("simkernel{procs=%d, t=%v}", len(k.procs), k.Clock.Now())
 }

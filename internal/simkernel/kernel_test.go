@@ -41,19 +41,6 @@ func TestProcessesOrderedByPID(t *testing.T) {
 	}
 }
 
-func TestExitRemovesProcess(t *testing.T) {
-	k := newTestKernel()
-	p := k.NewProcess("p", "")
-	k.Exit(p.PID)
-	if k.procs[p.PID] != nil {
-		t.Fatal("exited process still in table")
-	}
-	if !p.Exited || p.MainThread().State != ThreadExited {
-		t.Fatal("exit flags not set")
-	}
-	k.Exit(999) // unknown PID: no panic
-}
-
 func TestMeterAccumulates(t *testing.T) {
 	k := newTestKernel()
 	m := k.StartMeter()

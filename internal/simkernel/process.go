@@ -1,8 +1,6 @@
 package simkernel
 
 import (
-	"fmt"
-
 	"nilicon/internal/ftrace"
 	"nilicon/internal/simtime"
 )
@@ -15,23 +13,7 @@ const (
 	ThreadRunning ThreadState = iota
 	ThreadBlocked
 	ThreadFrozen
-	ThreadExited
 )
-
-func (s ThreadState) String() string {
-	switch s {
-	case ThreadRunning:
-		return "running"
-	case ThreadBlocked:
-		return "blocked"
-	case ThreadFrozen:
-		return "frozen"
-	case ThreadExited:
-		return "exited"
-	default:
-		return fmt.Sprintf("ThreadState(%d)", int(s))
-	}
-}
 
 // Registers is the architectural register file the parasite must collect.
 type Registers struct {
@@ -80,23 +62,6 @@ const (
 	FDEventFD
 )
 
-func (k FDKind) String() string {
-	switch k {
-	case FDFile:
-		return "file"
-	case FDSocket:
-		return "socket"
-	case FDPipe:
-		return "pipe"
-	case FDDevice:
-		return "device"
-	case FDEventFD:
-		return "eventfd"
-	default:
-		return fmt.Sprintf("FDKind(%d)", int(k))
-	}
-}
-
 // FD is one open file descriptor.
 type FD struct {
 	Num    int
@@ -121,7 +86,6 @@ type Process struct {
 	FDs     map[int]*FD
 	Timers  []*Timer
 	Cwd     string
-	Exited  bool
 
 	k       *Kernel
 	nextTID int

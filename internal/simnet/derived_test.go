@@ -13,11 +13,11 @@ import (
 func TestRouteCacheFollowsARPChanges(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 100*simtime.Microsecond, 28*simtime.Millisecond)
-	from := sw.Attach("client")
+	from := sw.Attach()
 	got := map[string]int{}
 	ports := map[string]*Port{}
 	for _, name := range []string{"primary", "backup", "spare"} {
-		p := sw.Attach(name)
+		p := sw.Attach()
 		p.SetReceiver(func(Packet) { got[name]++ })
 		ports[name] = p
 	}

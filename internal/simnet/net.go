@@ -9,11 +9,7 @@
 // §V-C).
 package simnet
 
-import (
-	"fmt"
-
-	"nilicon/internal/simtime"
-)
+import "nilicon/internal/simtime"
 
 // Addr is an L3 address ("10.0.0.2"). The simulation does not model
 // subnets; the switch forwards purely on its ARP table.
@@ -52,28 +48,9 @@ type Packet struct {
 // Len returns the modeled wire size in bytes (40-byte header + payload).
 func (p Packet) Len() int { return 40 + len(p.Payload) }
 
-func (p Packet) String() string {
-	f := ""
-	if p.Flags&FlagSYN != 0 {
-		f += "S"
-	}
-	if p.Flags&FlagACK != 0 {
-		f += "A"
-	}
-	if p.Flags&FlagFIN != 0 {
-		f += "F"
-	}
-	if p.Flags&FlagRST != 0 {
-		f += "R"
-	}
-	return fmt.Sprintf("%s:%d>%s:%d %s seq=%d ack=%d len=%d",
-		p.Src, p.SrcPort, p.Dst, p.DstPort, f, p.Seq, p.Ack, len(p.Payload))
-}
-
 // Port is one attachment point on the switch.
 type Port struct {
 	sw      *Switch
-	name    string
 	rx      func(Packet)
 	enabled bool
 	// clock, when set, is the simulated host's clock view: frames are
@@ -82,9 +59,6 @@ type Port struct {
 	// on a single-clock topology is the same thing.
 	clock *simtime.Clock
 }
-
-// Name returns the port's label.
-func (p *Port) Name() string { return p.name }
 
 // SetReceiver installs the ingress handler.
 func (p *Port) SetReceiver(fn func(Packet)) { p.rx = fn }
@@ -109,7 +83,6 @@ type Switch struct {
 	// arpDelay models how long a gratuitous ARP takes to propagate and
 	// take effect; Table II measures this at 28 ms.
 	arpDelay simtime.Duration
-	ports    []*Port
 	arp      map[Addr]*Port
 	// free holds delivery records whose frame has been handed over, for
 	// forward to reuse.
@@ -133,16 +106,14 @@ func NewSwitch(clock *simtime.Clock, latency, arpDelay simtime.Duration) *Switch
 }
 
 // Attach adds a port delivering on the switch's clock.
-func (s *Switch) Attach(name string) *Port {
-	return s.AttachOn(name, nil)
+func (s *Switch) Attach() *Port {
+	return s.AttachOn(nil)
 }
 
 // AttachOn adds a port that delivers ingress on the given host clock,
 // so the port's traffic runs as the host's shard.
-func (s *Switch) AttachOn(name string, clock *simtime.Clock) *Port {
-	p := &Port{sw: s, name: name, enabled: true, clock: clock}
-	s.ports = append(s.ports, p)
-	return p
+func (s *Switch) AttachOn(clock *simtime.Clock) *Port {
+	return &Port{sw: s, enabled: true, clock: clock}
 }
 
 // Learn binds an address to a port immediately (initial configuration).

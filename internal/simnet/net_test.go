@@ -11,8 +11,8 @@ import (
 func TestSwitchForwardsByARP(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, simtime.Millisecond, 28*simtime.Millisecond)
-	pa := sw.Attach("a")
-	pb := sw.Attach("b")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	sw.Learn("10.0.0.1", pa)
 	sw.Learn("10.0.0.2", pb)
 	var got []Packet
@@ -33,8 +33,8 @@ func TestSwitchForwardsByARP(t *testing.T) {
 func TestSwitchDropsUnknownDestination(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 0, 0)
-	pa := sw.Attach("a")
-	pb := sw.Attach("b")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	n := 0
 	pa.SetReceiver(func(Packet) { n++ })
 	pb.SetReceiver(func(Packet) { n++ })
@@ -48,8 +48,8 @@ func TestSwitchDropsUnknownDestination(t *testing.T) {
 func TestDisabledPortDropsIngressAndEgress(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 0, 0)
-	pa := sw.Attach("a")
-	pb := sw.Attach("b")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	sw.Learn("b", pb)
 	n := 0
 	pb.SetReceiver(func(Packet) { n++ })
@@ -73,8 +73,8 @@ func TestDisabledPortDropsIngressAndEgress(t *testing.T) {
 func TestDisconnectWhileInFlight(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, simtime.Millisecond, 0)
-	pa := sw.Attach("a")
-	pb := sw.Attach("b")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	sw.Learn("b", pb)
 	n := 0
 	pb.SetReceiver(func(Packet) { n++ })
@@ -90,8 +90,8 @@ func TestDisconnectWhileInFlight(t *testing.T) {
 func TestGratuitousARPRebindsAfterDelay(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 0, 28*simtime.Millisecond)
-	pa := sw.Attach("primary")
-	pb := sw.Attach("backup")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	sw.Learn("10.0.0.5", pa)
 	done := simtime.Time(-1)
 	sw.GratuitousARP("10.0.0.5", pb, func() { done = c.Now() })

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"fmt"
 	"slices"
 
 	"nilicon/internal/simkernel"
@@ -22,15 +21,6 @@ const (
 	StateFinWait
 	StateCloseWait
 )
-
-var tcpStateNames = [...]string{"Closed", "Listen", "SynSent", "SynRcvd", "Established", "FinWait", "CloseWait"}
-
-func (s TCPState) String() string {
-	if int(s) < len(tcpStateNames) {
-		return tcpStateNames[s]
-	}
-	return fmt.Sprintf("TCPState(%d)", int(s))
-}
 
 // seqLT reports a < b in 32-bit sequence space.
 func seqLT(a, b uint32) bool { return int32(a-b) < 0 }
@@ -121,11 +111,6 @@ type Socket struct {
 
 	// acceptCb fires when a SynRcvd socket completes the handshake.
 	acceptCb func(*Socket)
-}
-
-func (s *Socket) String() string {
-	return fmt.Sprintf("sock%d[%s :%d<->%s:%d una=%d nxt=%d rcv=%d]",
-		s.ID, s.State, s.LocalPort, s.Remote, s.RemotePort, s.sndUna, s.sndNxt, s.rcvNxt)
 }
 
 // Listener accepts incoming connections on a port.

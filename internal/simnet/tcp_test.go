@@ -20,8 +20,8 @@ func newPair(t *testing.T) *pair {
 	t.Helper()
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 100*simtime.Microsecond, 28*simtime.Millisecond)
-	pa := sw.Attach("a")
-	pb := sw.Attach("b")
+	pa := sw.Attach()
+	pb := sw.Attach()
 	a := NewStack(c, "10.0.0.1", pa.Send)
 	b := NewStack(c, "10.0.0.2", pb.Send)
 	pa.SetReceiver(a.Receive)
@@ -389,9 +389,9 @@ func TestRestoredSocketRetransmitsAfterRepairRTO(t *testing.T) {
 	// connection must survive — no RSTs anywhere (§V-E, §VII-A).
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 100*simtime.Microsecond, 28*simtime.Millisecond)
-	pc := sw.Attach("client")
-	pp := sw.Attach("primary")
-	pbk := sw.Attach("backup")
+	pc := sw.Attach()
+	pp := sw.Attach()
+	pbk := sw.Attach()
 	client := NewStack(c, "10.0.0.1", pc.Send)
 	primary := NewStack(c, "10.0.0.9", pp.Send)
 	backup := NewStack(c, "10.0.0.9", pbk.Send) // same service IP
@@ -444,8 +444,8 @@ func TestRestoredSocketRetransmitsAfterRepairRTO(t *testing.T) {
 func TestRestoredSocketWithoutPatchIsSlow(t *testing.T) {
 	c := simtime.NewClock()
 	sw := NewSwitch(c, 100*simtime.Microsecond, 0)
-	pc := sw.Attach("client")
-	pbk := sw.Attach("backup")
+	pc := sw.Attach()
+	pbk := sw.Attach()
 	client := NewStack(c, "10.0.0.1", pc.Send)
 	backup := NewStack(c, "10.0.0.9", pbk.Send)
 	pc.SetReceiver(client.Receive)
@@ -483,8 +483,8 @@ func TestPropertyStreamIntegrity(t *testing.T) {
 	f := func(chunks [][]byte) bool {
 		c := simtime.NewClock()
 		sw := NewSwitch(c, 10*simtime.Microsecond, 0)
-		pa := sw.Attach("a")
-		pb := sw.Attach("b")
+		pa := sw.Attach()
+		pb := sw.Attach()
 		a := NewStack(c, "a", pa.Send)
 		b := NewStack(c, "b", pb.Send)
 		pa.SetReceiver(a.Receive)

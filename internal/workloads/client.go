@@ -424,10 +424,3 @@ func (c *Conn) onData(s *simnet.Socket) {
 		}
 	}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

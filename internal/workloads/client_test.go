@@ -208,7 +208,7 @@ func TestFrameStreamAllocsBounded(t *testing.T) {
 	)
 	clock := simtime.NewClock()
 	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
-	pa, pb := sw.Attach("a"), sw.Attach("b")
+	pa, pb := sw.Attach(), sw.Attach()
 	a := simnet.NewStack(clock, "10.0.0.1", pa.Send)
 	b := simnet.NewStack(clock, "10.0.0.2", pb.Send)
 	pa.SetReceiver(a.Receive)

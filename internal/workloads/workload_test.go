@@ -495,13 +495,6 @@ func TestFailoverParsecResumesFromCheckpoint(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestZipfianKeysSkewed(t *testing.T) {
 	prof := Redis().Profile()
 	prof.ZipfianKeys = true
