@@ -455,12 +455,12 @@ func (a *app) runTrafficCapture() error {
 	if !ok {
 		return fmt.Errorf("traffic: -capture needs a server benchmark, %q runs to completion", *a.capture)
 	}
-	sc := simtime.NewEngine()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	sv.Install(cl.NewProtectedContainer(*a.capture, "10.0.0.10", 1))
 	set := sv.NewClients(cl, "10.0.0.10", *a.tClients, *a.seed)
-	set.Capture = traffic.NewRecorder("capture:"+*a.capture, len(set.Clients), sc.Now())
-	sc.RunFor(simtime.Duration(*a.tDur))
+	set.Capture = traffic.NewRecorder("capture:"+*a.capture, len(set.Clients), clock.Now())
+	clock.RunFor(simtime.Duration(*a.tDur))
 	tr, err := set.Capture.Trace()
 	if err != nil {
 		return err

@@ -19,9 +19,8 @@ import (
 func Example_quickstart() {
 	// 1. Build the two-host topology: primary and backup joined by a
 	//    10 GbE replication link, clients on the 1 GbE LAN.
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cluster := core.NewShardedCluster(clock, core.ClusterParams{})
 
 	// 2. Create the protected container (its root file system sits on
 	//    the replicated DRBD device) and install a Redis-like store.
@@ -87,9 +86,8 @@ func Example_quickstart() {
 //
 //	go test -run Example_kvstoreFailover -v .
 func Example_kvstoreFailover() {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cluster := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 	server := workloads.Redis()
 	server.Install(ctr)

@@ -18,9 +18,8 @@ import (
 // state: its stack sent no reset, and every socket restored in repair
 // mode had its repaired write queue retransmitted and acknowledged.
 func TestEndToEndFailover(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cluster := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cluster := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 	server := workloads.Redis()
 	server.Install(ctr)
@@ -97,9 +96,8 @@ func TestEndToEndFailover(t *testing.T) {
 // relies on.
 func TestDeterminism(t *testing.T) {
 	run := func() (int64, uint64, float64) {
-		sc := simtime.NewEngine()
-		clock := sc.Root()
-		cluster := core.NewShardedCluster(sc, core.ClusterParams{})
+		clock := simtime.NewClock()
+		cluster := core.NewShardedCluster(clock, core.ClusterParams{})
 		ctr := cluster.NewProtectedContainer("kv", "10.0.0.10", 1)
 		server := workloads.Redis()
 		server.Install(ctr)

@@ -359,14 +359,14 @@ func (c *campaign) build() {
 		c.tr = writerTrace(c.cfg.Duration)
 	}
 	c.prof = kvProfile(c.tr.Header.Keys)
-	sc := simtime.NewEngine()
+	clock := simtime.NewClock()
 	if c.cfg.Fleet != nil {
-		c.buildFleet(sc)
+		c.buildFleet(clock)
 		return
 	}
 	c.warmup, c.convergeIn = warmup, convergeIn
-	c.clock = sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	c.clock = clock
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("chaos", pairIP, 1)
 	c.srv = &kvServer{prof: c.prof}
 	c.srv.Install(ctr)

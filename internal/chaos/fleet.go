@@ -102,7 +102,7 @@ func (cfg *Config) fleetParams() cluster.Params {
 	}
 }
 
-func (c *campaign) buildFleet(sc *simtime.ShardedClock) {
+func (c *campaign) buildFleet(clock *simtime.Clock) {
 	c.warmup, c.convergeIn = fleetWarmup, fleetConvergeIn
 	params := c.cfg.fleetParams()
 	if !c.cfg.PreLease {
@@ -110,7 +110,7 @@ func (c *campaign) buildFleet(sc *simtime.ShardedClock) {
 	}
 	params.Opts = &c.cfg.Opts
 	params.Workload = func(string) cluster.Workload { return &kvServer{prof: c.prof} }
-	pool, err := cluster.NewSharded(sc, params)
+	pool, err := cluster.NewSharded(clock, params)
 	if err != nil {
 		panic("chaos: fleet does not fit (reject it with Check first): " + err.Error())
 	}

@@ -329,14 +329,12 @@ func Place(params Params) ([]Placement, error) {
 }
 
 // NewSharded builds the fleet — hosts, NICs, placements, per-pair
-// volumes, DRBD pairs, workloads, and replicators — on a sharded engine.
-// The switch and the control plane (detector, re-protection pump) run on
-// the root shard, and every host gets its own shard in pool-index order
-// so shard assignment is topology-deterministic. A host's NIC fans out
-// to whichever hosts back its pairs; cross-shard schedules are ordinary
-// schedules under the engine's (when, shard, seq) key. Nothing runs
-// until Start.
-func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
+// volumes, DRBD pairs, workloads, and replicators — on one clock: the
+// switch, the control plane (detector, re-protection pump) and every
+// host schedule on it, under the engine's (when, seq) key. A host's NIC
+// fans out to whichever hosts back its pairs. Nothing runs until Start.
+// The name is the one the benchmark module (bench/) calls.
+func NewSharded(clock *simtime.Clock, params Params) (*Fleet, error) {
 	if params.Workload == nil {
 		return nil, fmt.Errorf("cluster: a fleet needs a workload (Params.Workload is nil)")
 	}
@@ -345,7 +343,6 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 	if err != nil {
 		return nil, err
 	}
-	clock := sc.Root()
 	f := &Fleet{
 		Params:   params,
 		Clock:    clock,
@@ -355,17 +352,16 @@ func NewSharded(sc *simtime.ShardedClock, params Params) (*Fleet, error) {
 	total := params.Workers + params.Spares
 	for i := 0; i < total; i++ {
 		name := fmt.Sprintf("host%02d", i)
-		hc := sc.NewShard()
 		h := &Host{
 			Index: i,
 			Name:  name,
 			Zone:  i % params.Zones,
-			H:     container.NewHost(name, hc, f.Switch),
-			NIC:   simnet.NewLink(hc, core.ReplLatency, core.ReplBW),
+			H:     container.NewHost(name, clock, f.Switch),
+			NIC:   simnet.NewLink(clock, core.ReplLatency, core.ReplBW),
 			Spare: i >= params.Workers,
 			Alive: true,
 		}
-		h.Xfer = core.NewTransferScheduler(hc, h.NIC)
+		h.Xfer = core.NewTransferScheduler(clock, h.NIC)
 		f.Hosts = append(f.Hosts, h)
 	}
 

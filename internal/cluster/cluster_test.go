@@ -50,7 +50,7 @@ func TestPlacementCapacity(t *testing.T) {
 // TestFleetNeedsAWorkload: a fleet brings its own workload; there is no
 // default.
 func TestFleetNeedsAWorkload(t *testing.T) {
-	if _, err := NewSharded(simtime.NewEngine(), Params{}); err == nil {
+	if _, err := NewSharded(simtime.NewClock(), Params{}); err == nil {
 		t.Fatal("a fleet without a workload was built")
 	}
 }
@@ -60,7 +60,7 @@ func TestFleetNeedsAWorkload(t *testing.T) {
 func newTestFleet(t *testing.T, p Params) (*simtime.Clock, *Fleet) {
 	t.Helper()
 	p.Workload = dirtyLoops(p.Seed)
-	f, err := NewSharded(simtime.NewEngine(), p)
+	f, err := NewSharded(simtime.NewClock(), p)
 	if err != nil {
 		t.Fatal(err)
 	}

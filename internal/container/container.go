@@ -169,7 +169,7 @@ func Create(h *Host, spec Spec) *Container {
 	c.FS = simfs.New(h.Clock, store)
 	c.FS.Kernel = h.Kernel
 
-	c.Port = h.Switch.AttachOn(h.Clock)
+	c.Port = h.Switch.Attach()
 	c.Stack = simnet.NewStack(h.Clock, spec.IP, nil)
 	c.Stack.Kernel = h.Kernel
 	c.Qdisc = simnet.NewPlugQdisc(c.Port.Send, c.Stack.Receive)

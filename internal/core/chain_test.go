@@ -11,41 +11,35 @@ import (
 	"nilicon/internal/simtime"
 )
 
-// NewShardedChainViews builds the topology for a standalone f+1
-// replication chain (DESIGN.md §15): one primary host and replicas-1
-// backup hosts, each backup joined to the primary by its own dedicated
+// NewChainViews builds the topology for a standalone f+1 replication
+// chain (DESIGN.md §15): one primary host and replicas-1 backup hosts,
+// each backup joined to the primary by its own dedicated
 // replication/ack link pair and its own DRBD secondary over the
-// primary's volume. The primary and every backup host get their own
-// shard, and each view's links deliver on the receiving host's shard.
-// views[0] is a classic pair cluster; each further view shares the
-// primary side (clock, switch, primary host, DRBD primary end) and
-// carries its own backup host, links, transfer scheduler and DRBD
-// secondary. Pass the slice to NewChainReplicator. Only tests build
+// primary's volume, all on the one clock. views[0] is a classic pair
+// cluster; each further view shares the primary side (clock, switch,
+// primary host, DRBD primary end) and carries its own backup host,
+// links, transfer scheduler and DRBD secondary. Pass the slice to NewChainReplicator. Only tests build
 // such a chain: in a program a chain wider than a pair runs under the
 // fleet control plane (internal/cluster), which builds its own views.
-func NewShardedChainViews(sc *simtime.ShardedClock, replicas int) []*Cluster {
+func NewChainViews(clock *simtime.Clock, replicas int) []*Cluster {
 	if replicas < 2 {
 		replicas = 2
 	}
-	pclk := sc.NewShard()
-	base := newCluster(sc.Root(), pclk, sc.NewShard())
+	base := NewShardedCluster(clock, ClusterParams{})
 	views := []*Cluster{base}
 	for i := 1; i < replicas-1; i++ {
-		bclk := sc.NewShard()
-		repl := simnet.NewLink(pclk, ReplLatency, ReplBW)
-		ack := simnet.NewLink(bclk, ReplLatency, ReplBW)
-		repl.BindRemote(bclk)
-		ack.BindRemote(pclk)
+		repl := simnet.NewLink(clock, ReplLatency, ReplBW)
+		ack := simnet.NewLink(clock, ReplLatency, ReplBW)
 		v := &Cluster{
-			Clock:       pclk,
+			Clock:       clock,
 			Switch:      base.Switch,
 			Primary:     base.Primary,
-			Backup:      container.NewHost(fmt.Sprintf("backup%d", i+1), bclk, base.Switch),
+			Backup:      container.NewHost(fmt.Sprintf("backup%d", i+1), clock, base.Switch),
 			ReplLink:    repl,
 			AckLink:     ack,
 			DRBDPrimary: base.DRBDPrimary,
 		}
-		v.Xfer = NewTransferScheduler(pclk, repl)
+		v.Xfer = NewTransferScheduler(clock, repl)
 		v.DRBDBackup = base.DRBDPrimary.AttachSecondary(v.Backup.Disk, repl)
 		views = append(views, v)
 	}
@@ -66,9 +60,8 @@ type chainEnv struct {
 // available for AttachReplica repair tests.
 func newChainEnv(t *testing.T, replicas int, cfg Config, attach int) *chainEnv {
 	t.Helper()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	views := NewShardedChainViews(sc, replicas)
+	clock := simtime.NewClock()
+	views := NewChainViews(clock, replicas)
 	ctr := views[0].NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)

@@ -56,28 +56,20 @@ const (
 type ClusterParams struct{}
 
 // NewShardedCluster builds the two-host topology plus the replication
-// links and the DRBD pair over the hosts' disks. The primary and backup
-// hosts each get their own shard, the switch and campaign drivers run
-// on the root shard, and the replication/ack links deliver on the
-// receiving host's shard.
-func NewShardedCluster(sc *simtime.ShardedClock, _ ClusterParams) *Cluster {
-	return newCluster(sc.Root(), sc.NewShard(), sc.NewShard())
-}
-
-func newCluster(root, pclk, bclk *simtime.Clock) *Cluster {
-	sw := simnet.NewSwitch(root, LANLatency, ARPDelay)
+// links and the DRBD pair over the hosts' disks, every part of it on
+// the one clock. The name is the one the benchmark module (bench/)
+// calls.
+func NewShardedCluster(clock *simtime.Clock, _ ClusterParams) *Cluster {
+	sw := simnet.NewSwitch(clock, LANLatency, ARPDelay)
 	cl := &Cluster{
-		Clock:    pclk,
+		Clock:    clock,
 		Switch:   sw,
-		Primary:  container.NewHost("primary", pclk, sw),
-		Backup:   container.NewHost("backup", bclk, sw),
-		ReplLink: simnet.NewLink(pclk, ReplLatency, ReplBW),
-		AckLink:  simnet.NewLink(bclk, ReplLatency, ReplBW),
+		Primary:  container.NewHost("primary", clock, sw),
+		Backup:   container.NewHost("backup", clock, sw),
+		ReplLink: simnet.NewLink(clock, ReplLatency, ReplBW),
+		AckLink:  simnet.NewLink(clock, ReplLatency, ReplBW),
 	}
-	// Checkpoint state flows primary→backup; acks flow back.
-	cl.ReplLink.BindRemote(bclk)
-	cl.AckLink.BindRemote(pclk)
-	cl.Xfer = NewTransferScheduler(pclk, cl.ReplLink)
+	cl.Xfer = NewTransferScheduler(clock, cl.ReplLink)
 	cl.DRBDPrimary, cl.DRBDBackup = simdisk.NewDRBDPair(cl.Primary.Disk, cl.Backup.Disk, cl.ReplLink)
 	return cl
 }

@@ -127,9 +127,8 @@ type testEnv struct {
 
 func newTestEnv(t *testing.T, cfg Config) *testEnv {
 	t.Helper()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := NewShardedCluster(sc, ClusterParams{})
+	clock := simtime.NewClock()
+	cl := NewShardedCluster(clock, ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)

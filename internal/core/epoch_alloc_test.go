@@ -14,8 +14,8 @@ import (
 // runs it past the initial synchronization.
 func quietKV(t *testing.T, width int) (*simtime.Clock, *core.Replicator) {
 	t.Helper()
-	sc := simtime.NewEngine()
-	views := core.NewShardedChainViews(sc, width)
+	clock := simtime.NewClock()
+	views := core.NewChainViews(clock, width)
 	ctr := views[0].NewProtectedContainer("kv", "10.0.0.10", 1)
 	workloads.NewServer(workloads.Profile{
 		Name: "kv", Procs: 1, ThreadsPer: 1, LibsPerProc: 2,
@@ -26,7 +26,6 @@ func quietKV(t *testing.T, width int) (*simtime.Clock, *core.Replicator) {
 	cfg.Lease = core.DefaultLease()
 	repl := core.NewChainReplicator(views, ctr, cfg)
 	repl.Start()
-	clock := sc.Root()
 	clock.RunFor(simtime.Second)
 	return clock, repl
 }

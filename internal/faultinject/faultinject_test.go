@@ -11,9 +11,8 @@ import (
 )
 
 func newReplicator() (*simtime.Clock, *core.Replicator) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
 	ctr.AddProcess("app", 1)
 	repl := core.NewReplicator(cl, ctr, core.DefaultConfig())
@@ -63,9 +62,8 @@ func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
 		opts core.OptSet
 	}{{"all", core.AllOpts()}, {"delta", core.DeltaOpts()}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sc := simtime.NewEngine()
-			clock := sc.Root()
-			cl := core.NewShardedCluster(sc, core.ClusterParams{})
+			clock := simtime.NewClock()
+			cl := core.NewShardedCluster(clock, core.ClusterParams{})
 			ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
 			p := ctr.AddProcess("app", 1)
 			v := p.Mem.Mmap(mappedPages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)

@@ -63,9 +63,8 @@ func (c *olConn) onData(s *simnet.Socket, now func() simtime.Time) {
 // detection, the promotion barrier, restore and ARP; every SET issued
 // before the fault is readable afterwards, and nothing is reset.
 func TestFailStopOpenLoopResumesAtNetworkLive(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	prof := workloads.Profile{
 		Name: "kv", Procs: 1, ThreadsPer: 1, LibsPerProc: 2,
 		MemPages: 2048, Port: 6380,

@@ -116,9 +116,8 @@ type RunResult struct {
 // setup builds a cluster with the workload installed on a protected
 // container.
 func setup(wl workloads.Workload, cores int) (*simtime.Clock, *core.Cluster, *container.Container) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	if cores <= 0 {
 		prof := wl.Profile()
 		cores = prof.Procs * prof.ThreadsPer

@@ -35,9 +35,8 @@ func meanOf(tl *trace.Timeline, f func(trace.EpochRecord) float64) float64 {
 func stopSeconds(rec trace.EpochRecord) float64 { return rec.Stop.Seconds() }
 
 func TestMCEpochsAndDirtyTracking(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 4)
 	p := ctr.AddProcess("guest", 2)
 	v := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
@@ -69,9 +68,8 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 }
 
 func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	p := ctr.AddProcess("guest", 0)
 	v := p.Mem.Mmap(500*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
@@ -99,9 +97,8 @@ func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
 }
 
 func TestMCOutputCommit(t *testing.T) {
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	ctr.AddProcess("guest", 0)
 	ctr.Stack.Listen(7, func(s *simnet.Socket) {
@@ -137,9 +134,8 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 	// The qualitative Table III / Figure 3 relationship on one workload:
 	// identical container+load under MC vs NiLiCon.
 	build := func() (*simtime.Clock, *core.Cluster, *containerAlias, func()) {
-		sc := simtime.NewEngine()
-		clock := sc.Root()
-		cl := core.NewShardedCluster(sc, core.ClusterParams{})
+		clock := simtime.NewClock()
+		cl := core.NewShardedCluster(clock, core.ClusterParams{})
 		ctr := cl.NewProtectedContainer("x", "10.0.0.20", 4)
 		p := ctr.AddProcess("app", 2)
 		v := p.Mem.Mmap(5000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)

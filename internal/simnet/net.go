@@ -48,16 +48,12 @@ type Packet struct {
 // Len returns the modeled wire size in bytes (40-byte header + payload).
 func (p Packet) Len() int { return 40 + len(p.Payload) }
 
-// Port is one attachment point on the switch.
+// Port is one attachment point on the switch. Its frames are delivered
+// on the switch's clock, the one clock every host shares.
 type Port struct {
 	sw      *Switch
 	rx      func(Packet)
 	enabled bool
-	// clock, when set, is the simulated host's clock view: frames are
-	// delivered (and gratuitous-ARP rebinds applied) on the receiving
-	// host's shard. Nil ports deliver on the switch's own clock, which
-	// on a single-clock topology is the same thing.
-	clock *simtime.Clock
 }
 
 // SetReceiver installs the ingress handler.
@@ -105,15 +101,9 @@ func NewSwitch(clock *simtime.Clock, latency, arpDelay simtime.Duration) *Switch
 	return &Switch{clock: clock, latency: latency, arpDelay: arpDelay, arp: make(map[Addr]*Port)}
 }
 
-// Attach adds a port delivering on the switch's clock.
+// Attach adds an enabled port.
 func (s *Switch) Attach() *Port {
-	return s.AttachOn(nil)
-}
-
-// AttachOn adds a port that delivers ingress on the given host clock,
-// so the port's traffic runs as the host's shard.
-func (s *Switch) AttachOn(clock *simtime.Clock) *Port {
-	return &Port{sw: s, enabled: true, clock: clock}
+	return &Port{sw: s, enabled: true}
 }
 
 // Learn binds an address to a port immediately (initial configuration).
@@ -124,14 +114,9 @@ func (s *Switch) Lookup(addr Addr) *Port { return s.arp[addr] }
 
 // GratuitousARP rebinds addr to p after the ARP propagation delay and
 // then invokes done. The backup agent broadcasts this after restoring
-// the container so client traffic reaches the new host (§VII-B). The
-// rebind executes on the announcing port's clock when it has one.
+// the container so client traffic reaches the new host (§VII-B).
 func (s *Switch) GratuitousARP(addr Addr, p *Port, done func()) {
-	clock := s.clock
-	if p.clock != nil {
-		clock = p.clock
-	}
-	clock.Schedule(s.arpDelay, func() {
+	s.clock.Schedule(s.arpDelay, func() {
 		s.arp[addr] = p
 		if done != nil {
 			done()
@@ -147,12 +132,6 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 	if dst == nil || !dst.enabled || dst.rx == nil {
 		return
 	}
-	// Deliver on the receiving host's clock; clockless ports deliver on
-	// the switch's.
-	dstClock := s.clock
-	if dst.clock != nil {
-		dstClock = dst.clock
-	}
 	var d *delivery
 	if n := len(s.free); n > 0 {
 		d, s.free = s.free[n-1], s.free[:n-1]
@@ -161,7 +140,7 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 		d.run = d.deliver
 	}
 	d.dst, d.pkt = dst, pkt
-	dstClock.Schedule(s.latency, d.run)
+	s.clock.Schedule(s.latency, d.run)
 }
 
 // deliver hands the frame to its port and returns the record to the
@@ -183,7 +162,6 @@ func (d *delivery) deliver() {
 // Transfers are serialized FIFO: a transfer begins when the link is free.
 type Link struct {
 	clock     *simtime.Clock
-	remote    *simtime.Clock // delivery clock; nil = deliver on clock
 	latency   simtime.Duration
 	bytesPerS int64
 	busyUntil simtime.Time
@@ -222,17 +200,8 @@ func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int6
 	return &Link{clock: clock, latency: latency, bytesPerS: bytesPerSecond}
 }
 
-// BindRemote makes deliveries execute on the far end's clock, so they
-// run as the far end's shard.
-func (l *Link) BindRemote(c *simtime.Clock) { l.remote = c }
-
-// deliver schedules done at time t on the delivery clock, unless the
-// link is down by then.
+// deliver schedules done at time t, unless the link is down by then.
 func (l *Link) deliver(t simtime.Time, done func()) {
-	c := l.clock
-	if l.remote != nil {
-		c = l.remote
-	}
 	var d *linkDelivery
 	if n := len(l.free); n > 0 {
 		d, l.free = l.free[n-1], l.free[:n-1]
@@ -241,7 +210,7 @@ func (l *Link) deliver(t simtime.Time, done func()) {
 		d.run = d.deliver
 	}
 	d.done = done
-	c.ScheduleAt(t, d.run)
+	l.clock.ScheduleAt(t, d.run)
 }
 
 // Transfer schedules delivery of size bytes; done runs when the last

@@ -2,67 +2,62 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-// Events due at the same instant fire shard by shard, and within a
-// shard in scheduling order, whatever order they were scheduled in. An
-// event scheduled from inside another is keyed by the executing shard,
-// not by the view it is scheduled on.
-func TestShardedSameInstantTieOrder(t *testing.T) {
-	sc := NewEngine()
-	root := sc.Root()
-	a, b := sc.NewShard(), sc.NewShard() // shards 1 and 2
+// Events due at the same instant fire in the order they were
+// scheduled, whatever scheduled them: driver code outside any event, or
+// callbacks standing for different hosts' components, which all
+// schedule on the one clock. A schedule made from inside an event takes
+// the next key then, so it fires after every same-instant event already
+// queued.
+func TestSameInstantFiresInSchedulingOrder(t *testing.T) {
+	c := NewClock()
 	at := Time(5 * Millisecond)
 	var order []string
 	log := func(s string) func() { return func() { order = append(order, s) } }
-	b.ScheduleAt(at, log("b0"))
-	a.ScheduleAt(at, log("a0"))
-	root.ScheduleAt(at, func() {
+	c.ScheduleAt(at, log("b0"))
+	c.ScheduleAt(at, log("a0"))
+	c.ScheduleAt(at, func() {
 		order = append(order, "r0")
-		// Keyed (at, 0, ·): sorts ahead of every shard-1 and shard-2
-		// event still due at this instant.
-		b.ScheduleAt(at, log("b-from-r0"))
+		c.ScheduleAt(at, log("b-from-r0"))
 	})
-	b.ScheduleAt(at, log("b1"))
-	a.ScheduleAt(at, log("a1"))
-	b.ScheduleAt(at-Time(Millisecond), func() {
-		// Keyed (at, 2, ·): after b0 and b1, ahead of nothing else.
-		a.ScheduleAt(at, log("a-from-b"))
-		root.ScheduleAt(at, log("r-from-b"))
+	c.ScheduleAt(at, log("b1"))
+	c.ScheduleAt(at, log("a1"))
+	c.ScheduleAt(at-Time(Millisecond), func() {
+		// Keyed before r0 runs, so both fire ahead of b-from-r0.
+		c.ScheduleAt(at, log("a-from-b"))
+		c.ScheduleAt(at, log("r-from-b"))
 	})
-	sc.Run()
-	want := "[r0 b-from-r0 a0 a1 b0 b1 a-from-b r-from-b]"
+	c.Run()
+	want := "[b0 a0 r0 b1 a1 a-from-b r-from-b b-from-r0]"
 	if got := fmt.Sprint(order); got != want {
 		t.Fatalf("same-instant order = %v, want %v", got, want)
 	}
 }
 
-// A sharded engine driven from one shard must agree with the serial
-// reference heap on ordering semantics (time order, insertion-order ties
-// within a shard, clamping).
+// The engine must agree with the reference heap on ordering semantics
+// (time order, insertion-order ties, clamping).
 func TestShardedMatchesSerialSemantics(t *testing.T) {
 	ref := &refClock{}
-	sc := NewEngine()
-	sc.NewShard()
-	sc.NewShard()
-	view := sc.Root()
+	c := NewClock()
 	var a, b []int
 	for i := 0; i < 20; i++ {
 		i := i
 		d := Duration((i*37)%11) * Millisecond
 		ref.Schedule(d, func() { a = append(a, i) })
-		view.Schedule(d, func() { b = append(b, i) })
+		c.Schedule(d, func() { b = append(b, i) })
 	}
 	ref.Run()
-	sc.Run()
+	c.Run()
 	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("serial order %v != sharded order %v", a, b)
+		t.Fatalf("reference order %v != engine order %v", a, b)
 	}
-	if ref.now != sc.Now() {
-		t.Fatalf("serial now %v != sharded now %v", ref.now, sc.Now())
+	if ref.now != c.Now() {
+		t.Fatalf("reference now %v != engine now %v", ref.now, c.Now())
 	}
 }
 
@@ -70,9 +65,11 @@ func TestShardedMatchesSerialSemantics(t *testing.T) {
 // the last tick of a level-l slot, must fire on time. Filed by tick
 // delta it landed one revolution ahead in the slot being scanned, the
 // cascade re-filed it in the same place, and RunFor never returned.
+// The top level's revolution (2^66 ns) lies past every Time, so the
+// check stops at the last level whose revolution fits.
 func TestWheelRevolutionFromSlotEnd(t *testing.T) {
 	const tick = Time(1) << tickShift
-	for l := 1; l < wheelLevels; l++ {
+	for l := 1; (l+1)*wheelBits+tickShift < 63; l++ {
 		slot := tick << (l * wheelBits) // level-l slot width
 		c := NewClock()
 		fired := Time(-1)
@@ -88,30 +85,26 @@ func TestWheelRevolutionFromSlotEnd(t *testing.T) {
 }
 
 func TestShardedRunUntilBoundary(t *testing.T) {
-	sc := NewEngine()
-	v := sc.NewShard()
+	c := NewClock()
 	var fired []Time
-	v.Schedule(10*Millisecond, func() { fired = append(fired, v.Now()) })
-	v.Schedule(20*Millisecond, func() { fired = append(fired, v.Now()) })
-	v.Schedule(20*Millisecond+1, func() { fired = append(fired, v.Now()) })
-	sc.RunUntil(Time(20 * Millisecond))
+	c.Schedule(10*Millisecond, func() { fired = append(fired, c.Now()) })
+	c.Schedule(20*Millisecond, func() { fired = append(fired, c.Now()) })
+	c.Schedule(20*Millisecond+1, func() { fired = append(fired, c.Now()) })
+	c.RunUntil(Time(20 * Millisecond))
 	if len(fired) != 2 {
 		t.Fatalf("RunUntil(20ms) fired %d events, want 2 (event exactly at t must fire)", len(fired))
 	}
-	if sc.Now() != Time(20*Millisecond) {
-		t.Fatalf("engine at %v, want exactly 20ms", sc.Now())
+	if c.Now() != Time(20*Millisecond) {
+		t.Fatalf("engine at %v, want exactly 20ms", c.Now())
 	}
-	if v.Now() != Time(20*Millisecond) {
-		t.Fatalf("view at %v, want exactly 20ms", v.Now())
-	}
-	sc.Run()
+	c.Run()
 	if len(fired) != 3 {
 		t.Fatalf("remaining event did not fire: %d", len(fired))
 	}
 }
 
 func TestShardedRunUntilIdleAdvances(t *testing.T) {
-	sc := NewEngine()
+	sc := NewClock()
 	sc.RunUntil(Time(time.Second))
 	if sc.Now() != Time(time.Second) {
 		t.Fatalf("idle RunUntil left engine at %v, want 1s", sc.Now())
@@ -119,8 +112,7 @@ func TestShardedRunUntilIdleAdvances(t *testing.T) {
 }
 
 func TestShardedCancel(t *testing.T) {
-	sc := NewEngine()
-	v := sc.NewShard()
+	v := NewClock()
 	fired := false
 	tm := NewTimer(v, func() { fired = true })
 	tm.Reset(Millisecond)
@@ -131,17 +123,16 @@ func TestShardedCancel(t *testing.T) {
 	if v.Pending() != 0 {
 		t.Fatalf("Pending after Stop = %d, want 0 (stopped timers must not be counted)", v.Pending())
 	}
-	sc.Run()
+	v.Run()
 	if fired {
 		t.Fatal("canceled event fired")
 	}
 }
 
 func TestShardedPendingAndExecuted(t *testing.T) {
-	sc := NewEngine()
-	views := []*Clock{sc.NewShard(), sc.NewShard(), sc.NewShard()}
-	for i, v := range views {
-		v.Schedule(Duration(i+1)*Millisecond, func() {})
+	sc := NewClock()
+	for i := 0; i < 3; i++ {
+		sc.Schedule(Duration(i+1)*Millisecond, func() {})
 	}
 	if sc.Pending() != 3 {
 		t.Fatalf("Pending = %d, want 3", sc.Pending())
@@ -155,50 +146,59 @@ func TestShardedPendingAndExecuted(t *testing.T) {
 	}
 }
 
-// The wheel must honor arbitrary far-future schedules (higher levels
-// and overflow) in exact time order.
+// The wheel must honor arbitrary far-future schedules in exact
+// (when, seq) order, from the low levels up to the top level and the
+// largest Time: the same order as the reference heap, same-instant
+// ties included.
 func TestShardedFarFutureOrdering(t *testing.T) {
-	sc := NewEngine()
-	v := sc.NewShard()
+	ref := &refClock{}
+	c := NewClock()
 	delays := []Duration{
 		500 * Nanosecond,  // level 0
 		3 * Millisecond,   // level 1
 		900 * Millisecond, // level 2
 		40 * time.Second,  // level 3
-		2 * time.Hour,     // overflow
-		90 * time.Minute,  // overflow
+		1 << 42,           // level 4: past the old four-level span
+		math.MaxInt64,     // the last Time
+		1<<58 + 3,         // level 6
 		17 * time.Second,  // level 3
+		1<<62 - 1,         // level 6
 		100 * Microsecond, // level 0
+		1<<50 - 1,         // level 4, one tick under the level-5 slot
+		math.MaxInt64 - 1, // level 6, the last slot
 		65 * Millisecond,  // level 2 boundary-ish
+		math.MaxInt64,     // tie with the other MaxInt64
+		1 << 42,           // tie with the other 2^42
 		260 * Microsecond, // level 0/1 boundary
 	}
-	var fired []Time
-	for _, d := range delays {
-		v.Schedule(d, func() { fired = append(fired, v.Now()) })
+	var a, b []int
+	for i, d := range delays {
+		ref.Schedule(d, func() { a = append(a, i) })
+		c.Schedule(d, func() { b = append(b, i) })
 	}
-	sc.Run()
-	if len(fired) != len(delays) {
-		t.Fatalf("fired %d, want %d", len(fired), len(delays))
+	ref.Run()
+	withWatchdog(t, c.Run)
+	if fmt.Sprint(a) != fmt.Sprint(b) {
+		t.Fatalf("engine order %v, reference order %v", b, a)
 	}
-	for i := 1; i < len(fired); i++ {
-		if fired[i] < fired[i-1] {
-			t.Fatalf("out of order at %d: %v after %v", i, fired[i], fired[i-1])
-		}
-	}
-	if sc.Executed() != uint64(len(delays)) {
-		t.Fatalf("Executed = %d, want %d", sc.Executed(), len(delays))
+	if c.Now() != Time(math.MaxInt64) || c.Executed() != uint64(len(delays)) {
+		t.Fatalf("Now %v Executed %d, want MaxInt64 and %d", c.Now(), c.Executed(), len(delays))
 	}
 }
 
 // wheelDelay maps a random word onto a delay within one of the wheel's
-// level spans or past the last (the overflow heap), so every level is
-// drawn about equally often. Half the draws sit within two slots below
-// the span's end: a delay just under one revolution is where filing by
-// tick delta went wrong.
+// level spans, so every level is drawn about equally often. Half the
+// draws sit within two slots below the span's end: a delay just under
+// one revolution is where filing by tick delta went wrong. The top
+// level's revolution lies past every Time, so its span is capped where
+// a delay from a uint32 start still fits in a Time.
 func wheelDelay(r uint64) Duration {
-	level := r % (wheelLevels + 1)
-	r /= wheelLevels + 1
-	span := uint64(1) << ((level+1)*wheelBits + tickShift)
+	level := r % wheelLevels
+	r /= wheelLevels
+	span := uint64(math.MaxInt64 - math.MaxUint32)
+	if bits := (level+1)*wheelBits + tickShift; bits < 63 {
+		span = uint64(1) << bits
+	}
 	if r&1 == 0 {
 		return Duration((r >> 1) % span)
 	}
@@ -207,17 +207,13 @@ func wheelDelay(r uint64) Duration {
 }
 
 // Property: arbitrary delays and cancels behave identically on the
-// serial reference heap and the engine (timers armed once and maybe
-// stopped), with timers spread over three shard views but all armed
-// from one event (so keyed by one shard).
-// The delays reach every wheel level and the overflow heap, and are
-// scheduled from a cursor at an arbitrary offset inside its slot.
+// reference heap and the engine (timers armed once and maybe stopped).
+// The delays reach every wheel level, up to near the largest Time, and
+// are scheduled from a cursor at an arbitrary offset inside its slot.
 func TestPropertyShardedEquivalence(t *testing.T) {
 	f := func(start uint32, raw []uint64, cancelMask []bool) bool {
 		ref := &refClock{}
-		sc := NewEngine()
-		views := []*Clock{sc.NewShard(), sc.NewShard(), sc.NewShard()}
-		view := views[0]
+		sc := NewClock()
 		var a, b []int
 		re := make([]*refEvent, len(raw))
 		he := make([]*Timer, len(raw))
@@ -232,10 +228,10 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 				}
 			}
 		})
-		view.ScheduleAt(Time(start), func() {
+		sc.ScheduleAt(Time(start), func() {
 			for i, r := range raw {
 				i := i
-				he[i] = NewTimer(views[i%len(views)], func() { b = append(b, i) })
+				he[i] = NewTimer(sc, func() { b = append(b, i) })
 				he[i].Reset(wheelDelay(r))
 			}
 			for i := range he {
@@ -257,10 +253,9 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 }
 
 func TestShardedTicker(t *testing.T) {
-	sc := NewEngine()
-	v := sc.NewShard()
+	sc := NewClock()
 	var ticks []Time
-	tk := NewTicker(v, 30*Millisecond, func() { ticks = append(ticks, v.Now()) })
+	tk := NewTicker(sc, 30*Millisecond, func() { ticks = append(ticks, sc.Now()) })
 	sc.RunUntil(Time(100 * Millisecond))
 	tk.Stop()
 	sc.RunUntil(Time(500 * Millisecond))
@@ -270,8 +265,7 @@ func TestShardedTicker(t *testing.T) {
 }
 
 func TestShardedStop(t *testing.T) {
-	sc := NewEngine()
-	v := sc.NewShard()
+	v := NewClock()
 	count := 0
 	for i := 0; i < 10; i++ {
 		v.Schedule(Duration(i+1)*Millisecond, func() {
@@ -281,7 +275,7 @@ func TestShardedStop(t *testing.T) {
 			}
 		})
 	}
-	sc.Run()
+	v.Run()
 	if count != 3 {
 		t.Fatalf("Stop did not interrupt the run: %d events fired, want 3", count)
 	}
@@ -293,41 +287,38 @@ func TestShardedStop(t *testing.T) {
 // that wheel.recycle's prefix clear serves.
 func BenchmarkWheelChurn(b *testing.B) {
 	b.ReportAllocs()
-	sc := NewEngine()
-	root := sc.Root()
+	c := NewClock()
 	fn := func() {}
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < 256; j++ {
-			root.Schedule(Millisecond, fn)
+			c.Schedule(Millisecond, fn)
 		}
 		for j := 0; j < 32; j++ {
-			root.Schedule(Duration(j)*100*Microsecond, fn)
+			c.Schedule(Duration(j)*100*Microsecond, fn)
 		}
-		sc.Run()
+		c.Run()
 	}
 }
 
-func BenchmarkShardedEngine(b *testing.B) {
+// BenchmarkInterleavedChains runs eight self-rescheduling event chains
+// on one engine, 500 events each, 10-59 µs apart: the interleaving of
+// several hosts' activity on the one clock.
+func BenchmarkInterleavedChains(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc := NewEngine()
-		views := make([]*Clock, 8)
-		for j := range views {
-			views[j] = sc.NewShard()
-		}
-		for j := range views {
-			j, v := j, views[j]
+		c := NewClock()
+		for j := 0; j < 8; j++ {
 			n := 0
 			var step func()
 			step = func() {
 				n++
 				if n < 500 {
-					v.Schedule(Duration(10+(n+j)%50)*Microsecond, step)
+					c.Schedule(Duration(10+(n+j)%50)*Microsecond, step)
 				}
 			}
-			v.Schedule(Microsecond, step)
+			c.Schedule(Microsecond, step)
 		}
-		sc.Run()
+		c.Run()
 	}
 }
 
@@ -337,8 +328,8 @@ func BenchmarkShardedEngine(b *testing.B) {
 // from the freelist with fewer events — must come back with no event
 // pointer left anywhere in its backing array.
 func TestWheelRecycledSlotsAreNilToCap(t *testing.T) {
-	sc := NewEngine()
-	root := sc.Root()
+	sc := NewClock()
+	root := sc
 	checkFree := func(round string, wantCap int) {
 		t.Helper()
 		maxCap := 0
@@ -376,7 +367,7 @@ func TestWheelRecycledSlotsAreNilToCap(t *testing.T) {
 }
 
 func TestNewShardedClockOneLaneOnly(t *testing.T) {
-	if sc := NewShardedClock(1); sc.Now() != 0 || sc.Pending() != 0 || sc.NewShard().shard != 1 {
+	if sc := NewShardedClock(1); sc.Now() != 0 || sc.Pending() != 0 || sc.Root() != sc {
 		t.Fatal("NewShardedClock(1) did not return a fresh engine")
 	}
 	for _, n := range []int{0, 2, 8} {
@@ -481,19 +472,18 @@ func TestCascadeOfCanceledSlotKeepsCursor(t *testing.T) {
 // first reaches it instead of being re-made per segment.
 func BenchmarkTimerRestart(b *testing.B) {
 	b.ReportAllocs()
-	sc := NewEngine()
-	root := sc.Root()
-	rto := NewTimer(root, func() {})
+	c := NewClock()
+	rto := NewTimer(c, func() {})
 	n := 0
 	var seg func()
 	seg = func() {
 		rto.Stop()
 		rto.Reset(200 * Millisecond)
 		if n++; n < b.N {
-			root.Schedule(Duration(5+n%20)*Microsecond, seg)
+			c.Schedule(Duration(5+n%20)*Microsecond, seg)
 		}
 	}
-	root.Schedule(Microsecond, seg)
+	c.Schedule(Microsecond, seg)
 	b.ResetTimer()
-	sc.Run()
+	c.Run()
 }

@@ -7,40 +7,30 @@ import (
 )
 
 // refClock is the reference semantics the engine is checked against:
-// one binary heap ordered by (when, shard, seq), per-shard insertion
-// counters, canceled events removed eagerly, and a timer that is an
-// eager cancel-and-reschedule. A schedule is keyed by the executing
-// event's shard, or by its view's shard outside events, as the engine
-// keys it. The zero value schedules everything on shard 0. It exists
-// only for the equivalence tests.
+// one binary heap ordered by (when, seq), one insertion counter,
+// canceled events removed eagerly, and a timer that is an eager
+// cancel-and-reschedule. It exists only for the equivalence tests.
 type refClock struct {
-	now     Time
-	ctrs    []uint64 // per-shard counters, grown on demand
-	cur     int32    // executing event's shard, valid while inEvent
-	inEvent bool
-	pq      refHeap
+	now Time
+	seq uint64
+	pq  refHeap
 }
 
 type refEvent struct {
 	when   Time
-	shard  int32
 	seq    uint64
-	target int32
 	fn     func()
 	index  int // heap index; -1 when not queued
 	cancel bool
 }
 
-// refHeap orders events by (when, shard, seq).
+// refHeap orders events by (when, seq).
 type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
 func (h refHeap) Less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
-	}
-	if h[i].shard != h[j].shard {
-		return h[i].shard < h[j].shard
 	}
 	return h[i].seq < h[j].seq
 }
@@ -64,25 +54,15 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// scheduleOn queues fn at t through the view of shard view.
-func (c *refClock) scheduleOn(view int32, t Time, fn func()) *refEvent {
+func (c *refClock) ScheduleAt(t Time, fn func()) *refEvent {
 	if t < c.now {
 		t = c.now
 	}
-	shard := view
-	if c.inEvent {
-		shard = c.cur
-	}
-	for int(shard) >= len(c.ctrs) {
-		c.ctrs = append(c.ctrs, 0)
-	}
-	e := &refEvent{when: t, shard: shard, seq: c.ctrs[shard], target: view, fn: fn, index: -1}
-	c.ctrs[shard]++
+	e := &refEvent{when: t, seq: c.seq, fn: fn, index: -1}
+	c.seq++
 	heap.Push(&c.pq, e)
 	return e
 }
-
-func (c *refClock) ScheduleAt(t Time, fn func()) *refEvent { return c.scheduleOn(0, t, fn) }
 
 func (c *refClock) Schedule(d Duration, fn func()) *refEvent {
 	if d < 0 {
@@ -101,9 +81,7 @@ func (c *refClock) Cancel(e *refEvent) {
 func (c *refClock) fireNext() {
 	e := heap.Pop(&c.pq).(*refEvent)
 	c.now = e.when
-	c.cur, c.inEvent = e.target, true
 	e.fn()
-	c.inEvent = false
 }
 
 func (c *refClock) Run() {
@@ -125,15 +103,14 @@ func (c *refClock) RunUntil(t Time) {
 // refTimer is the eager timer: Reset cancels the queued event and
 // schedules a new one, Stop cancels it.
 type refTimer struct {
-	c    *refClock
-	view int32
-	fn   func()
-	ev   *refEvent
+	c  *refClock
+	fn func()
+	ev *refEvent
 }
 
 func (t *refTimer) ResetAt(at Time) {
 	t.Stop()
-	t.ev = t.c.scheduleOn(t.view, at, func() {
+	t.ev = t.c.ScheduleAt(at, func() {
 		t.ev = nil
 		t.fn()
 	})

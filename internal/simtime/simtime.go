@@ -2,16 +2,14 @@
 // the entire NiLiCon simulation.
 //
 // All simulated activity — container execution, packet delivery, disk
-// writes, checkpoint state collection — is expressed as events on a
+// writes, checkpoint state collection — is expressed as events on one
 // Clock. The simulation is therefore deterministic: events fire in
-// (time, scheduling shard, insertion order) sequence, and the only
-// source of randomness is explicitly seeded generators (see NewRand).
+// (time, scheduling order) sequence, and the only source of randomness
+// is explicitly seeded generators (see NewRand).
 //
-// There is one engine (see shard.go): a single hierarchical timing
-// wheel ordered by (when, shard, seq). A Clock is a view onto that
-// engine bound to one logical shard; views come from
-// ShardedClock.Root/NewShard, and NewClock is shorthand for the root
-// view of a fresh engine.
+// The Clock is the engine (see engine.go): a single hierarchical
+// timing wheel ordered by (when, seq), where seq is one engine-wide
+// counter fixed at schedule time.
 package simtime
 
 import (
@@ -48,24 +46,75 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // String formats the time as a duration since simulation start.
 func (t Time) String() string { return Duration(t).String() }
 
-// Clock is a view onto the engine, bound to one logical shard. The zero
-// value is not usable; create one with NewClock, or obtain a view with
-// ShardedClock.Root/NewShard.
+// Clock is the simulation engine: one timing wheel (engine.go) plus
+// the key-sorted run of the level-0 slot being consumed. Every
+// simulated host, link and driver schedules on the one Clock. The zero
+// value is not usable; create one with NewClock.
+//
+// Invariant: wheel events have when > runLast; inserts at or before
+// runLast splice into the run's unconsumed tail.
 type Clock struct {
-	eng   *ShardedClock
-	shard int32
+	now Time
+	// seq is the next event key's tie-breaker; (when, seq) is the
+	// engine's total order.
+	seq      uint64
+	stopped  bool
+	running  bool
+	executed uint64
+	// live counts plain schedules that have not fired plus armed
+	// timers (Pending).
+	live int64
+
+	wh     wheel
+	run    []*event
+	runPos int
+	// runLast is the last instant of the level-0 slot the run holds;
+	// -1 before the first slot is pulled.
+	runLast Time
+	// free holds fired and dropped events for reuse; slab is the chunk
+	// fresh events come from when free is empty (see slabChunk).
+	free    []*event
+	slab    []event
+	slabPos int
+	// freshRefile is a deliberate defect for the engine's differential
+	// test: a re-keyed timer takes a fresh sequence number instead of
+	// the one Reset reserved. Never set outside that test.
+	freshRefile bool
 }
 
-// NewClock returns the root view of a fresh engine, at virtual time
-// zero with an empty queue.
-func NewClock() *Clock { return NewEngine().Root() }
+// NewClock returns an engine at virtual time zero with an empty queue.
+func NewClock() *Clock {
+	return &Clock{runLast: -1, free: make([]*event, 0, slabChunk)}
+}
+
+// ShardedClock is Clock under its old name, which the benchmark module
+// (bench/) still uses.
+type ShardedClock = Clock
+
+// NewShardedClock is NewClock under its old name, whose argument
+// counted event wheels. The benchmark module (bench/) is its last
+// caller. The engine has exactly one wheel, so any n other than 1
+// panics.
+func NewShardedClock(n int) *Clock {
+	if n != 1 {
+		panic(fmt.Sprintf("simtime: NewShardedClock(%d): the engine has exactly one wheel", n))
+	}
+	return NewClock()
+}
+
+// Root returns c itself: there is one clock. The benchmark module
+// (bench/) is its last caller.
+func (c *Clock) Root() *Clock { return c }
 
 // Now returns the current virtual time.
-func (c *Clock) Now() Time { return c.eng.now }
+func (c *Clock) Now() Time { return c.now }
 
-// Pending returns the number of plain schedules, engine-wide, that have
-// not fired, plus the number of armed timers.
-func (c *Clock) Pending() int { return c.eng.Pending() }
+// Pending returns the number of plain schedules that have not fired
+// plus the number of armed timers.
+func (c *Clock) Pending() int { return int(c.live) }
+
+// Executed returns the total number of events fired.
+func (c *Clock) Executed() uint64 { return c.executed }
 
 // Schedule queues fn to run after delay d. A negative delay is treated as
 // zero. A plain schedule cannot be canceled; a callback that may need to
@@ -74,7 +123,7 @@ func (c *Clock) Schedule(d Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	c.ScheduleAt(c.Now().Add(d), fn)
+	c.ScheduleAt(c.now.Add(d), fn)
 }
 
 // ScheduleAt queues fn to run at absolute virtual time t. Times in the
@@ -83,27 +132,41 @@ func (c *Clock) ScheduleAt(t Time, fn func()) {
 	if fn == nil {
 		panic("simtime: ScheduleAt with nil function")
 	}
-	c.eng.scheduleAt(c, t, fn)
+	if t < c.now {
+		t = c.now
+	}
+	e := c.alloc()
+	*e = event{when: t, seq: c.seq, fn: fn}
+	c.seq++
+	c.live++
+	c.file(e)
 }
 
 // Step fires the next event, advancing the clock to its time. It returns
 // false when the queue is empty.
-func (c *Clock) Step() bool { return c.eng.step() }
+func (c *Clock) Step() bool {
+	e := c.head()
+	if e == nil {
+		return false
+	}
+	c.fire(e)
+	return true
+}
 
 // Run fires events until the queue is empty or Stop is called.
-func (c *Clock) Run() { c.eng.Run() }
+func (c *Clock) Run() { c.drive(0, false) }
 
 // RunUntil fires events with time <= t, then sets the clock to t. Events
 // scheduled after t remain queued. An event exactly at t fires; the
 // clock always lands exactly on t even when the queue goes empty early
 // or the head events were canceled.
-func (c *Clock) RunUntil(t Time) { c.eng.RunUntil(t) }
+func (c *Clock) RunUntil(t Time) { c.drive(t, true) }
 
 // RunFor is shorthand for RunUntil(Now().Add(d)).
-func (c *Clock) RunFor(d Duration) { c.RunUntil(c.Now().Add(d)) }
+func (c *Clock) RunFor(d Duration) { c.RunUntil(c.now.Add(d)) }
 
 // Stop makes a Run/RunUntil in progress return after the current event.
-func (c *Clock) Stop() { c.eng.Stop() }
+func (c *Clock) Stop() { c.stopped = true }
 
 // NewRand returns a deterministic random generator for the given seed.
 // All simulation randomness must come from seeded generators so that
@@ -120,26 +183,25 @@ func NewRand(seed int64) *rand.Rand {
 // (DESIGN.md §11). The zero value is not usable; create one with
 // NewTimer.
 type Timer struct {
-	view *Clock
-	fn   func()
+	c  *Clock
+	fn func()
 	// ev is the queued event carrying this timer, nil when none is.
 	// Its key may be older, and never later, than the reserved key.
 	ev    *event
 	armed bool
-	// when, shard and seq are the reserved key: the one the latest
-	// Reset would have given a freshly scheduled event.
-	when  Time
-	shard int32
-	seq   uint64
+	// when and seq are the reserved key: the one the latest Reset
+	// would have given a freshly scheduled event.
+	when Time
+	seq  uint64
 }
 
-// NewTimer returns a disarmed timer that runs fn as view's shard each
-// time it fires.
-func NewTimer(view *Clock, fn func()) *Timer {
+// NewTimer returns a disarmed timer that runs fn on c each time it
+// fires.
+func NewTimer(c *Clock, fn func()) *Timer {
 	if fn == nil {
 		panic("simtime: NewTimer with nil function")
 	}
-	return &Timer{view: view, fn: fn}
+	return &Timer{c: c, fn: fn}
 }
 
 // Reset arms the timer to fire after delay d, replacing any earlier
@@ -148,12 +210,12 @@ func (t *Timer) Reset(d Duration) {
 	if d < 0 {
 		d = 0
 	}
-	t.ResetAt(t.view.Now().Add(d))
+	t.ResetAt(t.c.now.Add(d))
 }
 
 // ResetAt arms the timer to fire at absolute virtual time at (clamped
 // to now), replacing any earlier deadline.
-func (t *Timer) ResetAt(at Time) { t.view.eng.resetTimer(t, at) }
+func (t *Timer) ResetAt(at Time) { t.c.resetTimer(t, at) }
 
 // Stop disarms the timer; stopping a disarmed timer is a no-op.
 // Pending stops counting the timer at once; the engine drops its
@@ -161,7 +223,7 @@ func (t *Timer) ResetAt(at Time) { t.view.eng.resetTimer(t, at) }
 func (t *Timer) Stop() {
 	if t.armed {
 		t.armed = false
-		t.view.eng.live--
+		t.c.live--
 	}
 }
 

@@ -430,8 +430,8 @@ func TestExecutedCounter(t *testing.T) {
 	stopped.Reset(time.Millisecond)
 	stopped.Stop()
 	c.Run()
-	if c.eng.Executed() != 10 {
-		t.Fatalf("Executed = %d, want 10 (stopped timers don't count)", c.eng.Executed())
+	if c.Executed() != 10 {
+		t.Fatalf("Executed = %d, want 10 (stopped timers don't count)", c.Executed())
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 type diffSide interface {
 	now() Time
 	pending() int
-	schedule(view int, at Time, fn func())
-	newTimer(view int, fn func())
+	schedule(at Time, fn func())
+	newTimer(fn func())
 	resetAt(i int, at Time)
 	stop(i int)
 	runUntil(t Time)
@@ -21,45 +21,31 @@ type diffSide interface {
 }
 
 type engineSide struct {
-	sc     *ShardedClock
-	views  []*Clock
+	c      *Clock
 	timers []*Timer
 }
 
-func newEngineSide(shards int) *engineSide {
-	s := &engineSide{sc: NewEngine()}
-	s.views = append(s.views, s.sc.Root())
-	for i := 1; i < shards; i++ {
-		s.views = append(s.views, s.sc.NewShard())
-	}
-	return s
-}
+func newEngineSide() *engineSide { return &engineSide{c: NewClock()} }
 
-func (s *engineSide) now() Time    { return s.sc.Now() }
-func (s *engineSide) pending() int { return s.sc.Pending() }
-func (s *engineSide) schedule(view int, at Time, fn func()) {
-	s.views[view].ScheduleAt(at, fn)
-}
-func (s *engineSide) newTimer(view int, fn func()) {
-	s.timers = append(s.timers, NewTimer(s.views[view], fn))
-}
-func (s *engineSide) resetAt(i int, at Time) { s.timers[i].ResetAt(at) }
-func (s *engineSide) stop(i int)             { s.timers[i].Stop() }
-func (s *engineSide) runUntil(t Time)        { s.sc.RunUntil(t) }
-func (s *engineSide) run()                   { s.sc.Run() }
+func (s *engineSide) now() Time                   { return s.c.Now() }
+func (s *engineSide) pending() int                { return s.c.Pending() }
+func (s *engineSide) schedule(at Time, fn func()) { s.c.ScheduleAt(at, fn) }
+func (s *engineSide) newTimer(fn func())          { s.timers = append(s.timers, NewTimer(s.c, fn)) }
+func (s *engineSide) resetAt(i int, at Time)      { s.timers[i].ResetAt(at) }
+func (s *engineSide) stop(i int)                  { s.timers[i].Stop() }
+func (s *engineSide) runUntil(t Time)             { s.c.RunUntil(t) }
+func (s *engineSide) run()                        { s.c.Run() }
 
 type refSide struct {
 	c      refClock
 	timers []*refTimer
 }
 
-func (s *refSide) now() Time    { return s.c.now }
-func (s *refSide) pending() int { return len(s.c.pq) }
-func (s *refSide) schedule(view int, at Time, fn func()) {
-	s.c.scheduleOn(int32(view), at, fn)
-}
-func (s *refSide) newTimer(view int, fn func()) {
-	s.timers = append(s.timers, &refTimer{c: &s.c, view: int32(view), fn: fn})
+func (s *refSide) now() Time                   { return s.c.now }
+func (s *refSide) pending() int                { return len(s.c.pq) }
+func (s *refSide) schedule(at Time, fn func()) { s.c.ScheduleAt(at, fn) }
+func (s *refSide) newTimer(fn func()) {
+	s.timers = append(s.timers, &refTimer{c: &s.c, fn: fn})
 }
 func (s *refSide) resetAt(i int, at Time) { s.timers[i].ResetAt(at) }
 func (s *refSide) stop(i int)             { s.timers[i].Stop() }
@@ -67,13 +53,13 @@ func (s *refSide) runUntil(t Time)        { s.c.RunUntil(t) }
 func (s *refSide) run()                   { s.c.Run() }
 
 // timerProgram drives one side through a random program of plain
-// schedules and timer Reset/Stop operations, issued from several
-// shards, from outside events and from inside timer and plain
-// callbacks, and returns the log of what fired when. The program is a
+// schedules and timer Reset/Stop operations, issued from outside events
+// and from inside timer and plain callbacks, and returns the log of
+// what fired when. The program is a
 // function of the seed and of what fires in which order, so two
 // sides that agree on the order log identical programs.
 func timerProgram(side diffSide, seed int64) string {
-	const shards, timers = 3, 6
+	const timers = 6
 	rng := rand.New(rand.NewSource(seed))
 	var log strings.Builder
 	budget := 400
@@ -113,7 +99,7 @@ func timerProgram(side diffSide, seed int64) string {
 			case op < 3:
 				id := nextID
 				nextID++
-				side.schedule(rng.Intn(shards), pick(), func() {
+				side.schedule(pick(), func() {
 					fmt.Fprintf(&log, "s%d@%d/%d ", id, side.now(), side.pending())
 					ops(rng.Intn(3))
 				})
@@ -146,7 +132,7 @@ func timerProgram(side diffSide, seed int64) string {
 	}
 	for i := 0; i < timers; i++ {
 		i := i
-		side.newTimer(i%shards, func() {
+		side.newTimer(func() {
 			armed[i] = false
 			fmt.Fprintf(&log, "t%d@%d/%d ", i, side.now(), side.pending())
 			ops(rng.Intn(4))
@@ -166,13 +152,13 @@ func timerProgram(side diffSide, seed int64) string {
 // The timer re-key rule must order events exactly as the eager model:
 // a Reset cancels and reschedules, a Stop cancels. Fire order, the
 // pending count along the way and the clock after Run all agree on
-// random programs from several shards, inside and outside events, with
-// earlier, later and equal deadlines and same-instant ties.
+// random programs run inside and outside events, with earlier, later
+// and equal deadlines and same-instant ties.
 func TestTimerMatchesEagerModel(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		ref := timerProgram(&refSide{}, seed)
 		var got string
-		withWatchdog(t, func() { got = timerProgram(newEngineSide(3), seed) })
+		withWatchdog(t, func() { got = timerProgram(newEngineSide(), seed) })
 		if got != ref {
 			t.Fatalf("seed %d: engine diverges from the eager model\nengine: %s\nmodel:  %s", seed, got, ref)
 		}
@@ -181,14 +167,14 @@ func TestTimerMatchesEagerModel(t *testing.T) {
 
 // The differential test must catch a re-key that files the event under
 // a fresh sequence number instead of the one Reset reserved: events
-// scheduled on the same shard between the Reset and the re-file, due at
-// the same instant, would then fire ahead of the timer.
+// scheduled between the Reset and the re-file, due at the same instant,
+// would then fire ahead of the timer.
 func TestTimerDifferentialCatchesFreshSeqRefile(t *testing.T) {
 	caught := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		ref := timerProgram(&refSide{}, seed)
-		side := newEngineSide(3)
-		side.sc.freshRefile = true
+		side := newEngineSide()
+		side.c.freshRefile = true
 		var got string
 		withWatchdog(t, func() { got = timerProgram(side, seed) })
 		if got != ref {
@@ -219,16 +205,16 @@ func TestTimerResetLaterKeepsItsEvent(t *testing.T) {
 		t.Fatalf("Armed %v Due %v Pending %d, want true 5ms 1", tm.Armed(), tm.Due(), c.Pending())
 	}
 	c.RunUntil(Time(3 * Millisecond))
-	if len(firedAt) != 0 || c.eng.Executed() != 0 || c.Now() != Time(3*Millisecond) {
-		t.Fatalf("re-file fired %v, Executed %d, now %v", firedAt, c.eng.Executed(), c.Now())
+	if len(firedAt) != 0 || c.Executed() != 0 || c.Now() != Time(3*Millisecond) {
+		t.Fatalf("re-file fired %v, Executed %d, now %v", firedAt, c.Executed(), c.Now())
 	}
 	tm.Reset(Millisecond) // earlier: the queued event is abandoned
 	if tm.ev == first {
 		t.Fatal("Reset to an earlier deadline kept the late event")
 	}
 	c.Run()
-	if len(firedAt) != 1 || firedAt[0] != Time(4*Millisecond) || c.eng.Executed() != 1 {
-		t.Fatalf("fired at %v (Executed %d), want once at 4ms", firedAt, c.eng.Executed())
+	if len(firedAt) != 1 || firedAt[0] != Time(4*Millisecond) || c.Executed() != 1 {
+		t.Fatalf("fired at %v (Executed %d), want once at 4ms", firedAt, c.Executed())
 	}
 	if c.Now() != Time(4*Millisecond) {
 		t.Fatalf("Run returned at %v, want 4ms: dropped events must not move the clock", c.Now())

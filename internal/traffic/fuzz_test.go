@@ -9,8 +9,9 @@ import (
 
 // FuzzParse feeds arbitrary bytes to Parse. Whatever it accepts must be
 // a trace Parse promises: every non-blank line one whole JSON value,
-// at least one request, positive unique IDs, non-decreasing
-// non-negative arrivals, clients inside the header's range, known ops.
+// at least one request, positive unique IDs, non-decreasing arrivals
+// within [0, one virtual day], at most 39,000 clients and every client
+// inside the header's range, known ops.
 // An accepted trace must also survive an
 // Encode/Parse round trip byte for byte.
 //
@@ -28,7 +29,7 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("accepted line %d, which is not one JSON value: %q", i+1, line)
 			}
 		}
-		if tr.Header.Version != TraceVersion || tr.Header.Clients <= 0 || len(tr.Reqs) == 0 {
+		if tr.Header.Version != TraceVersion || tr.Header.Clients <= 0 || tr.Header.Clients > maxClients || len(tr.Reqs) == 0 {
 			t.Fatalf("accepted header %+v with %d requests", tr.Header, len(tr.Reqs))
 		}
 		seen := make(map[uint64]bool)
@@ -36,8 +37,8 @@ func FuzzParse(f *testing.F) {
 			switch {
 			case r.ID == 0 || seen[r.ID]:
 				t.Fatalf("request %d: id %d zero or repeated", i, r.ID)
-			case r.At < 0 || (i > 0 && r.At < tr.Reqs[i-1].At):
-				t.Fatalf("request %d: arrival %d negative or out of order", i, r.At)
+			case r.At < 0 || r.At > maxAt || (i > 0 && r.At < tr.Reqs[i-1].At):
+				t.Fatalf("request %d: arrival %d negative, past a day or out of order", i, r.At)
 			case r.Client < 0 || r.Client >= tr.Header.Clients:
 				t.Fatalf("request %d: client %d outside [0,%d)", i, r.Client, tr.Header.Clients)
 			case r.Op != OpSet && r.Op != OpGet:

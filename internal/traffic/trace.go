@@ -37,8 +37,8 @@ type Header struct {
 	Name string `json:"name"`
 	// Seed is the generator seed for synthesized traces (0 for captures).
 	Seed int64 `json:"seed"`
-	// Clients is the number of client connections the trace drives;
-	// every record's Client index is in [0, Clients).
+	// Clients is the number of client connections the trace drives, at
+	// most 39,000; every record's Client index is in [0, Clients).
 	Clients int `json:"clients"`
 	// Keys is the keyspace size (informational for captures; generators
 	// draw keys in [0, Keys)).
@@ -56,7 +56,7 @@ type Request struct {
 	// data verification can tie a stored value back to a write.
 	ID uint64 `json:"id"`
 	// At is the arrival time in nanoseconds of virtual time from replay
-	// start. Arrivals must be non-decreasing.
+	// start. Arrivals must be non-decreasing and at most one virtual day.
 	At int64 `json:"at"`
 	// Client is the issuing client connection index.
 	Client int `json:"client"`
@@ -72,6 +72,22 @@ type Request struct {
 const (
 	OpSet = "set"
 	OpGet = "get"
+)
+
+// The bounds Parse holds a trace to, so that every trace it accepts can
+// be replayed as written.
+const (
+	// maxAt is the latest arrival: one virtual day after replay start.
+	// The replayer fires request i at start + At; an At near the largest
+	// Time overflows that sum, and the clock clamps the negative instant
+	// to now. A day is past any run this repository makes and far below
+	// that.
+	maxAt = 24 * 60 * 60 * int64(simtime.Second)
+	// maxClients is the most clients a header may declare. The replayer
+	// allocates per declared client, and a campaign dials client i from
+	// 10.(100+i/250).<chain>.(1+i%250), whose octets are valid only
+	// below this count.
+	maxClients = 39_000
 )
 
 // Trace is a parsed or synthesized workload trace.
@@ -109,7 +125,8 @@ func (t *Trace) Encode(w io.Writer) error {
 // requests, malformed or truncated lines, out-of-order arrival
 // timestamps, duplicate request IDs, and client indices outside the
 // header's range — the failure modes a capture interrupted mid-write or
-// a hand-edited trace would produce.
+// a hand-edited trace would produce — and arrivals past one virtual day
+// or more than 39,000 declared clients, which no replay can honour.
 func Parse(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
@@ -143,6 +160,9 @@ func Parse(r io.Reader) (*Trace, error) {
 		seen[req.ID] = line
 		if req.At < 0 {
 			return nil, fmt.Errorf("traffic: line %d: negative arrival time %d", line, req.At)
+		}
+		if req.At > maxAt {
+			return nil, fmt.Errorf("traffic: line %d: arrival time %d past the bound of %d ns (one virtual day)", line, req.At, maxAt)
 		}
 		if n := len(tr.Reqs); n > 0 && req.At < tr.Reqs[n-1].At {
 			return nil, fmt.Errorf("traffic: line %d: out-of-order arrival %d after %d", line, req.At, tr.Reqs[n-1].At)
@@ -188,8 +208,8 @@ func parseHeader(text string, h *Header) error {
 	if h.Version != TraceVersion {
 		return fmt.Errorf("traffic: unsupported trace version %d (want %d)", h.Version, TraceVersion)
 	}
-	if h.Clients <= 0 {
-		return fmt.Errorf("traffic: trace header declares %d clients", h.Clients)
+	if h.Clients <= 0 || h.Clients > maxClients {
+		return fmt.Errorf("traffic: trace header declares %d clients, want 1 to %d", h.Clients, maxClients)
 	}
 	for _, s := range h.SlowClients {
 		if s < 0 || s >= h.Clients {

@@ -78,6 +78,12 @@ func TestParseRejectsEdgeCases(t *testing.T) {
 			`{"id":1,"at":0,"client":0,"op":"del","key":0,"size":1}` + "\n", "unknown op"},
 		{"negative-at", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":-5,"client":0,"op":"set","key":0,"size":1}` + "\n", "negative arrival"},
+		{"late-at", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
+			`{"id":1,"at":9223372036854775000,"client":0,"op":"set","key":0,"size":1}` + "\n", "past the bound"},
+		{"at-one-past-a-day", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
+			`{"id":1,"at":86400000000001,"client":0,"op":"set","key":0,"size":1}` + "\n", "past the bound"},
+		{"too-many-clients", `{"nilicon_trace":1,"name":"t","seed":0,"clients":39001,"keys":1}` + "\n" +
+			`{"id":1,"at":0,"client":0,"op":"set","key":0,"size":1}` + "\n", "want 1 to 39000"},
 		{"fanout-key", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":0,"client":0,"op":"get","key":0,"size":1,"fanout":2}` + "\n", `unknown field "fanout"`},
 	}

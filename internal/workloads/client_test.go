@@ -16,9 +16,8 @@ import (
 
 func TestLoaderLoadsAllRecords(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	loader := NewLoader(cl, sv.Profile(), "10.0.0.10", 500)
@@ -37,7 +36,7 @@ func TestKeyStripesDisjointAcrossKinds(t *testing.T) {
 	// Batch clients draw from the lower half, probes from the upper
 	// half; no writer shares a key with another writer.
 	prof := Redis().Profile()
-	cl := core.NewShardedCluster(simtime.NewEngine(), core.ClusterParams{})
+	cl := core.NewShardedCluster(simtime.NewClock(), core.ClusterParams{})
 	batchSet := &ClientSet{cl: cl, prof: prof}
 	probeSet := &ClientSet{cl: cl, prof: prof}
 	mk := func(set *ClientSet, kind ClientKind, id int) *Client {
@@ -91,9 +90,8 @@ func TestClientKindMapping(t *testing.T) {
 
 func TestProbeClientVerifiesReads(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	set := NewClientSet(cl, sv.Profile(), "10.0.0.10", KVProbe, 2, 9)
@@ -110,9 +108,8 @@ func TestProbeClientVerifiesReads(t *testing.T) {
 // mode produces a trace that encodes and re-parses with every request.
 func TestClientSetCaptureRoundTrip(t *testing.T) {
 	sv := Redis()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("kv", "10.0.0.10", 1)
 	sv.Install(ctr)
 	set := NewClientSet(cl, sv.Profile(), "10.0.0.10", KVProbe, 2, 9)
@@ -150,7 +147,7 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 	for _, batch := range []int{1000, 4000} {
 		prof := Redis().Profile()
 		prof.BatchSize, prof.Records, prof.ZipfianKeys = batch, 2000, false
-		cl := core.NewShardedCluster(simtime.NewEngine(), core.ClusterParams{})
+		cl := core.NewShardedCluster(simtime.NewClock(), core.ClusterParams{})
 		set := &ClientSet{cl: cl, prof: prof}
 		c := &Client{set: set, kind: KVBatch, rng: simtime.NewRand(1), versions: map[uint64]uint32{}, sock: &simnet.Socket{}}
 		set.Clients = append(set.Clients, c)

@@ -15,7 +15,7 @@ import (
 // content, a reply of the wrong op and a reply with nothing in flight,
 // and records nothing for a correct reply.
 func TestClientRecordsBadReplies(t *testing.T) {
-	cl := core.NewShardedCluster(simtime.NewEngine(), core.ClusterParams{})
+	cl := core.NewShardedCluster(simtime.NewClock(), core.ClusterParams{})
 	set := &ClientSet{cl: cl, prof: Redis().Profile()}
 	c := &Client{set: set, kind: KVBatch, versions: map[uint64]uint32{}}
 	set.Clients = append(set.Clients, c)

@@ -248,9 +248,8 @@ type wlEnv struct {
 
 func newWLEnv(t *testing.T, wl Workload) *wlEnv {
 	t.Helper()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer(wl.Profile().Name, "10.0.0.10", 4)
 	wl.Install(ctr)
 	return &wlEnv{clock: clock, cl: cl, ctr: ctr, wl: wl}
@@ -498,9 +497,8 @@ func TestFailoverParsecResumesFromCheckpoint(t *testing.T) {
 func TestZipfianKeysSkewed(t *testing.T) {
 	prof := Redis().Profile()
 	prof.ZipfianKeys = true
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("z", "10.0.0.10", 1)
 	sv := NewServer(prof)
 	sv.Install(ctr)
@@ -518,9 +516,8 @@ func TestZipfianKeysSkewed(t *testing.T) {
 
 func TestUniformKeysCoverStripe(t *testing.T) {
 	prof := Redis().Profile()
-	sc := simtime.NewEngine()
-	clock := sc.Root()
-	cl := core.NewShardedCluster(sc, core.ClusterParams{})
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("u", "10.0.0.10", 1)
 	sv := NewServer(prof)
 	sv.Install(ctr)
