@@ -266,6 +266,33 @@ func (a *app) validate(cmd string) error {
 	if *a.zones < 0 {
 		return fmt.Errorf("-zones must be >= 0 (got %d)", *a.zones)
 	}
+	if *a.pairs < 1 {
+		return fmt.Errorf("-pairs must be >= 1 (got %d)", *a.pairs)
+	}
+	if *a.hosts < 2 {
+		return fmt.Errorf("-hosts must be >= 2 (got %d)", *a.hosts)
+	}
+	if *a.hosts < *a.replicas {
+		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", *a.hosts, *a.replicas)
+	}
+	if *a.spares < 0 {
+		return fmt.Errorf("-spares must be >= 0 (got %d)", *a.spares)
+	}
+	if *a.kills < 1 {
+		return fmt.Errorf("-kills must be >= 1 (got %d)", *a.kills)
+	}
+	if *a.chaosDur <= 0 {
+		return fmt.Errorf("-chaos-duration must be > 0 (got %v)", *a.chaosDur)
+	}
+	if *a.tClients < 1 || *a.tClients > traffic.MaxClients {
+		return fmt.Errorf("-clients must be 1 to %d (got %d)", traffic.MaxClients, *a.tClients)
+	}
+	if *a.tRate <= 0 {
+		return fmt.Errorf("-rate must be > 0 (got %g)", *a.tRate)
+	}
+	if *a.tDur <= 0 {
+		return fmt.Errorf("-traffic-duration must be > 0 (got %v)", *a.tDur)
+	}
 	pol, err := core.ParseDegradePolicy(*a.degrade)
 	if err != nil {
 		return fmt.Errorf("-degrade: %v", err)
@@ -501,14 +528,12 @@ func (a *app) runTrafficReplay() error {
 func (a *app) runFleet() error {
 	f := &chaos.Fleet{Pairs: *a.pairs, Hosts: *a.hosts, Spares: *a.spares, Kills: *a.kills}
 	cfg := chaos.Config{
-		Seed:    *a.seed,
-		Opts:    a.opts,
-		OptName: *a.optsName,
-		Fleet:   f,
-		Degrade: a.degradePol,
-	}
-	if d := simtime.Duration(*a.chaosDur); d > 0 {
-		cfg.Duration = d
+		Seed:     *a.seed,
+		Opts:     a.opts,
+		OptName:  *a.optsName,
+		Fleet:    f,
+		Duration: simtime.Duration(*a.chaosDur),
+		Degrade:  a.degradePol,
 	}
 	if *a.smoke {
 		f.Pairs, f.Hosts, f.Spares, f.Kills = 4, 4, 1, 1
@@ -520,12 +545,6 @@ func (a *app) runFleet() error {
 	f.Replicas, f.Zones = *a.replicas, *a.zones
 	if *a.smoke && f.Replicas > 2 && f.Spares < f.Replicas {
 		f.Spares = f.Replicas
-	}
-	if f.Pairs <= 0 || f.Hosts < 2 {
-		return fmt.Errorf("need at least 1 pair and 2 hosts (got -pairs %d -hosts %d)", f.Pairs, f.Hosts)
-	}
-	if f.Hosts < f.Replicas {
-		return fmt.Errorf("zone-anti-affine chains need -hosts >= -replicas (got -hosts %d -replicas %d)", f.Hosts, f.Replicas)
 	}
 	if err := chaos.Check(cfg); err != nil {
 		return err

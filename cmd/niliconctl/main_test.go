@@ -43,6 +43,16 @@ func TestUsageErrors(t *testing.T) {
 		{"unparseable-duration", []string{"chaos", "-chaos-duration", "soon"}, `invalid value "soon"`},
 		{"unknown-flag", []string{"chaos", "-frob"}, "flag provided but not defined"},
 		{"chaos-wider-than-pair", []string{"chaos", "-replicas", "3"}, "fleet -replicas 3"},
+		{"too-many-clients", []string{"traffic", "-synth", "uniform", "-clients", "40000"}, "-clients must be 1 to 39000"},
+		{"zero-clients", []string{"traffic", "-synth", "uniform", "-clients", "0"}, "-clients must be 1 to 39000"},
+		{"negative-rate", []string{"traffic", "-synth", "uniform", "-rate", "-5"}, "-rate must be > 0"},
+		{"negative-traffic-duration", []string{"traffic", "-synth", "uniform", "-traffic-duration", "-1s"}, "-traffic-duration must be > 0"},
+		{"negative-chaos-duration", []string{"chaos", "-chaos-duration", "-1s"}, "-chaos-duration must be > 0"},
+		{"zero-pairs", []string{"fleet", "-pairs", "0"}, "-pairs must be >= 1"},
+		{"one-host", []string{"fleet", "-hosts", "1"}, "-hosts must be >= 2"},
+		{"negative-spares", []string{"fleet", "-spares", "-3"}, "-spares must be >= 0"},
+		{"zero-kills", []string{"fleet", "-kills", "0"}, "-kills must be >= 1"},
+		{"fewer-hosts-than-replicas", []string{"fleet", "-hosts", "2", "-replicas", "3"}, "-hosts >= -replicas"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -84,7 +84,6 @@ var configSurface = map[string][]string{
 		"Replicas int",
 		"Kills int",
 		"Zones int",
-		"KillZone bool",
 	},
 }
 

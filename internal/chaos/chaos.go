@@ -121,8 +121,8 @@ type Fleet struct {
 	Spares int
 	// Replicas is every chain's width including the primary: 2 (the
 	// default) is the classic pair; more adds backup replicas, each in
-	// its own failure domain (DESIGN.md §15). A width above 2 forces
-	// KillZone.
+	// its own failure domain (DESIGN.md §15). A width above 2 kills a
+	// whole zone instead of Kills hosts (Fleet.killsZone).
 	Replicas int
 	// Kills is how many hosts die — all in the same instant. Victims are
 	// never ring-adjacent: a pair's backup sits on the next host in the
@@ -133,11 +133,17 @@ type Fleet struct {
 	// Zones is the number of failure domains for zone-anti-affine chain
 	// placement (cluster.Params.Zones).
 	Zones int
-	// KillZone replaces the Kills independent host victims with an
-	// entire failure domain drawn from the seed: every host in the
-	// chosen zone — workers and spares — dies in the same instant.
-	KillZone bool
 }
+
+// killsZone reports whether the fleet's kill takes an entire failure
+// domain drawn from the seed — every host in the chosen zone, workers
+// and spares, in the same instant — instead of Kills independent hosts:
+// exactly when its chains are wider than a pair. Zone anti-affinity is
+// what guarantees a single instant takes at most one host from any
+// chain, which the convergence accounting (and the fault model: f
+// failures spread across domains, not two hosts of one chain) depends
+// on; independent host draws could take two members of one chain.
+func (f *Fleet) killsZone() bool { return f.Replicas > 2 }
 
 func (cfg *Config) defaults() {
 	if cfg.OptName == "" {
@@ -186,18 +192,9 @@ func (f *Fleet) defaults() {
 	if f.Zones < 1 {
 		f.Zones = 1
 	}
-	// Zone anti-affinity is what guarantees a single instant takes at
-	// most one host from any chain, which the convergence accounting
-	// (and the fault model: f failures spread across domains, not two
-	// hosts of one chain) depends on.
-	if f.Replicas > 2 {
-		f.KillZone = true
-		if f.Zones < f.Replicas {
-			f.Zones = f.Replicas
-		}
-	}
-	if f.KillZone && f.Zones < 2 {
-		f.Zones = 2
+	// A zone kill needs a zone for every chain member (killsZone).
+	if f.killsZone() && f.Zones < f.Replicas {
+		f.Zones = f.Replicas
 	}
 }
 

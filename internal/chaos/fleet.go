@@ -35,8 +35,8 @@ type fleetAudit struct {
 
 // drawHostKill derives the kill instant and the victim hosts from the
 // seed: one timestamp inside the writer window, and Kills hosts none of
-// which are ring-adjacent — or, under KillZone, every host of one
-// drawn failure domain.
+// which are ring-adjacent — or, when the fleet kills a zone
+// (Fleet.killsZone), every host of one drawn failure domain.
 func drawHostKill(cfg Config) schedule {
 	f := cfg.Fleet
 	rng := seededRand(cfg.Seed, 0x9e3779b97f4a7c15, 0xd1b54a32d192ed03)
@@ -46,7 +46,7 @@ func drawHostKill(cfg Config) schedule {
 		hi = lo + 1
 	}
 	s := schedule{killAt: simtime.Duration(lo + rng.Int63n(hi-lo)), zone: -1}
-	if f.KillZone {
+	if f.killsZone() {
 		// Hosts map to zones by index (i mod Zones, the fleet's
 		// placement rule); spares die with their zone.
 		s.zone = rng.Intn(f.Zones)

@@ -97,8 +97,8 @@ func TestFleetZoneKill(t *testing.T) {
 func TestFleetReplicasForceZoneKill(t *testing.T) {
 	cfg := Config{Seed: 7, Fleet: &Fleet{Replicas: 3}}
 	cfg.defaults()
-	if !cfg.Fleet.KillZone || cfg.Fleet.Zones != 3 {
-		t.Fatalf("defaults: KillZone=%v Zones=%d, want zone-kill with 3 zones", cfg.Fleet.KillZone, cfg.Fleet.Zones)
+	if !cfg.Fleet.killsZone() || cfg.Fleet.Zones != 3 {
+		t.Fatalf("defaults: killsZone=%v Zones=%d, want zone-kill with 3 zones", cfg.Fleet.killsZone(), cfg.Fleet.Zones)
 	}
 	s := drawSchedule(cfg)
 	if s.zone < 0 || s.zone >= cfg.Fleet.Zones {

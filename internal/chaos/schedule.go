@@ -26,7 +26,7 @@ type schedule struct {
 	terminal string
 
 	killAt  simtime.Duration
-	zone    int // -1 unless Fleet.KillZone
+	zone    int // -1 unless Fleet.killsZone
 	victims []int
 }
 

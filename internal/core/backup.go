@@ -495,8 +495,8 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 				panic(fmt.Sprintf("core: page %#x committed twice in one buffer", key))
 			}
 			pageBytes += int64(len(pg.Data))
-			// A chain's replicas hold the same buffers (Image.Clone):
-			// only the last store to supersede one may recycle it.
+			// A chain's replicas hold the same buffers (one image per
+			// epoch): only the last store to supersede one may recycle it.
 			last := b.release(old)
 			if !recycle {
 				continue
@@ -515,11 +515,12 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	for _, s := range img.Sockets {
 		sockBytes += s.Size()
 	}
-	// An fs-cache page arrives in the buffer Fgetfc lent (or, on a chain
-	// replica, in Clone's pool copy). A newer entry in a different buffer
+	// An fs-cache page arrives in the buffer Fgetfc lent, which every
+	// replica of a chain shares. A newer entry in a different buffer
 	// means the cache page was written, and the write moved it to a
-	// fresh copy, so this map is the old buffer's last holder. A resync's
-	// FgetfcFull re-lends an unwritten page's buffer, which must stay.
+	// fresh copy, so once the last replica's map lets go of the old
+	// buffer it is dead. A resync's FgetfcFull re-lends an unwritten
+	// page's buffer, which must stay.
 	for _, pe := range img.FSCache.Pages {
 		k := fsPageKey{pe.Ino, pe.Idx}
 		if old, ok := b.fsPages[k]; ok && !sameBuffer(old.Data, pe.Data) && b.release(old.Data) {
@@ -542,12 +543,8 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 		panic("core: cached infrequent-state marker received before any full collection")
 	}
 	// Page contents now live in the store and fs-cache pages in
-	// fsPages; keep only the metadata.
-	for pi := range img.Procs {
-		img.Procs[pi].Pages = nil
-		img.Procs[pi].Frames = nil
-	}
-	img.FSCache.Pages = nil
+	// fsPages; a restore reads only the image's metadata. The image is
+	// every live slot's (epochRun.submitEncoded), so it stays as built.
 	b.lastImage = img
 	b.committed = epoch
 	b.hasCommitted = true
@@ -611,7 +608,7 @@ func (b *BackupAgent) buildRestoreImage() (*criu.Image, error) {
 	}
 	for pi := range src.Procs {
 		p := src.Procs[pi]
-		p.Pages = nil
+		p.Pages, p.Frames = nil, nil
 		lo := uint64(pi) << 28
 		hi := uint64(pi+1) << 28
 		b.store.ForRange(lo, hi, func(key uint64, data []byte) {

@@ -24,8 +24,10 @@ import (
 //
 // Every slot is equal. The classic pair is the one-slot chain
 // (Replicator.Backup is chain[0].agent); the lead slot — the lowest
-// unfenced one — keeps each epoch's original image, whose delivery or
-// loss ends the run's transfer, and every other slot gets a clone.
+// unfenced one — is only the slot whose delivery or loss ends the run's
+// transfer. Every live slot is handed the same image, read-only once
+// built: the stores it reaches share its page buffers, and a holder
+// count decides which of them recycles a superseded one (DESIGN.md §8).
 
 // replicaSlot is one backup replica of the chain.
 type replicaSlot struct {
@@ -223,60 +225,34 @@ func (s *replicaSlot) live() bool {
 // fenced, not still catching up.
 func (s *replicaSlot) participates() bool { return !s.fenced && !s.catchingUp }
 
-// chainMinAcked returns the minimum epoch-ack watermark across the
-// participating replicas — the base-safety watermark. False until every
-// participant has acknowledged at least once.
-func (r *Replicator) chainMinAcked() (uint64, bool) {
+// slotMin returns the minimum of mark over the participating slots —
+// the one watermark rule. False when no slot participates, or some
+// participant has no mark yet.
+func (r *Replicator) slotMin(mark func(*replicaSlot) (uint64, bool)) (uint64, bool) {
 	var min uint64
 	found := false
 	for _, s := range r.chain {
 		if !s.participates() {
 			continue
 		}
-		if !s.hasAck {
-			return 0, false
-		}
-		if !found || s.acked < min {
-			min, found = s.acked, true
-		}
-	}
-	return min, found
-}
-
-// chainCommittedWatermark returns the minimum committed epoch across
-// the participating replicas' agents; the release stage's output-commit
-// assertion checks the released epoch against it.
-func (r *Replicator) chainCommittedWatermark() (uint64, bool) {
-	var min uint64
-	found := false
-	for _, s := range r.chain {
-		if !s.participates() {
-			continue
-		}
-		c, ok := s.agent.CommittedEpoch()
+		m, ok := mark(s)
 		if !ok {
 			return 0, false
 		}
-		if !found || c < min {
-			min, found = c, true
+		if !found || m < min {
+			min, found = m, true
 		}
 	}
 	return min, found
 }
 
-// chainLogMin returns the minimum log-segment ack watermark across the
-// participating replicas (segment-retention gate: a retained segment
-// may still need retransmission to any of them).
-func (r *Replicator) chainLogMin() (uint64, bool) {
-	var min uint64
-	found := false
-	for _, s := range r.chain {
-		if s.participates() && (!found || s.logAcked < min) {
-			min, found = s.logAcked, true
-		}
-	}
-	return min, found
-}
+// The chain's three watermarks: epoch acks gate delta bases, resync
+// retirement, log commit and release; committed epochs back the
+// output-commit assertion; log acks gate segment retention (a retained
+// segment may still need retransmission to any participant).
+func ackedEpoch(s *replicaSlot) (uint64, bool)     { return s.acked, s.hasAck }
+func committedEpoch(s *replicaSlot) (uint64, bool) { return s.agent.CommittedEpoch() }
+func ackedSegment(s *replicaSlot) (uint64, bool)   { return s.logAcked, true }
 
 // ackReceivedFrom is the per-replica epoch acknowledgment entry point:
 // record slot's cumulative ack, then re-derive the chain watermark.
@@ -309,7 +285,7 @@ func (r *Replicator) recomputeWatermarks() {
 	if r.stopped {
 		return
 	}
-	if m, ok := r.chainMinAcked(); ok {
+	if m, ok := r.slotMin(ackedEpoch); ok {
 		if !r.hasAcked || m > r.ackedThrough {
 			r.ackedThrough = m
 			r.hasAcked = true
@@ -391,7 +367,7 @@ func (r *Replicator) logRecompute() {
 	if rec == nil || r.stopped {
 		return
 	}
-	m, ok := r.chainLogMin()
+	m, ok := r.slotMin(ackedSegment)
 	if !ok {
 		return
 	}
@@ -436,10 +412,16 @@ func (r *Replicator) FenceReplica(i int) {
 	s.fenced = true
 	s.agent.Halt()
 	r.Cluster.DRBDPrimary.DetachPeer(s.view.DRBDBackup)
+	s.cancelFlows()
+	r.recomputeWatermarks()
+}
+
+// cancelFlows drops the slot's queued transfer traffic — its image,
+// resync and log flows — so it cannot occupy the shared NIC.
+func (s *replicaSlot) cancelFlows() {
 	s.view.Xfer.CancelFlow(s.flow)
 	s.view.Xfer.CancelFlow(s.flow + "/resync")
 	s.view.Xfer.CancelFlow(s.logFlow)
-	r.recomputeWatermarks()
 }
 
 // backupBeatSeenFrom records the arrival of slot's reverse liveness

@@ -34,14 +34,16 @@ func quietKV(t *testing.T, width int) (*simtime.Clock, *core.Replicator) {
 // allocates when nothing changes: the checkpoint shares every snapshot
 // with the previous image, the epoch's events are bound once, and the
 // sends, acks, beats and barriers are recycled records. What is left per
-// replica epoch is the epoch run, the image and its process list (and a
-// chain replica's clone of them).
+// epoch is the epoch run, the image and its process list, and every
+// replica of a chain is handed that one image: a width-3 chain may cost
+// no more bytes per replica epoch than a pair.
 func TestQuietEpochAllocationBudget(t *testing.T) {
 	const (
 		maxAllocs = 10  // per replica epoch
 		maxBytes  = 800 // per replica epoch
 		epochs    = 200
 	)
+	var pairBytes float64
 	for _, width := range []int{2, 3} {
 		clock, repl := quietKV(t, width)
 		interval := core.DefaultConfig().EpochInterval
@@ -64,6 +66,12 @@ func TestQuietEpochAllocationBudget(t *testing.T) {
 		if allocs > maxAllocs || bytes > maxBytes {
 			t.Errorf("width %d: %.1f allocations and %.0f B per replica epoch, want at most %d and %d B",
 				width, allocs, bytes, maxAllocs, maxBytes)
+		}
+		if width == 2 {
+			pairBytes = bytes
+		} else if bytes > pairBytes {
+			t.Errorf("width %d: %.0f B per replica epoch, more than a pair's %.0f B: a chain replica costs its own image",
+				width, bytes, pairBytes)
 		}
 	}
 }

@@ -53,14 +53,12 @@ func (run *epochRun) unref() {
 	r.freeRuns = append(r.freeRuns, run)
 }
 
-// imageLost is every slot's loss handler: the slot's image of epoch
-// (the lead's original or another slot's clone) was (partly) lost to a
-// link cut, so that replica will never see this epoch. The lost image
-// is released at once — the repair is a fresh full checkpoint, never a
-// resend, so an isolated primary retains no image past its loss — and a
-// chain-global resync is armed.
-func (r *Replicator) imageLost(epoch uint64, lost *criu.Image) {
-	lost.ReleaseLost()
+// imageLost is every slot's loss handler: the slot's send of epoch's
+// image was (partly) lost to a link cut, so that replica will never see
+// this epoch, and a chain-global resync is armed. The repair is a fresh
+// full checkpoint, never a resend: nothing keeps the lost send's image,
+// so an isolated primary retains no image past its loss.
+func (r *Replicator) imageLost(epoch uint64) {
 	if r.stopped {
 		return
 	}
@@ -73,9 +71,10 @@ func (r *Replicator) imageLost(epoch uint64, lost *criu.Image) {
 // imageSend is one epoch's image on its way to one replica. Its
 // callbacks are bound once per record and records are recycled; a
 // record returns to the free list when its image is delivered or lost,
-// and one whose transfer the scheduler cancels is left to the GC. Only
-// the lead's send refers to the run (and holds a reference to it): a
-// replica's send carries the epoch and image alone.
+// and one whose transfer the scheduler cancels is left to the GC. Every
+// send of an epoch carries the same read-only image. Only the lead's
+// send refers to the run (and holds a reference to it): another slot's
+// send carries the epoch and image alone.
 type imageSend struct {
 	r     *Replicator
 	s     *replicaSlot
@@ -116,13 +115,13 @@ func (is *imageSend) delivered() {
 }
 
 func (is *imageSend) dropped() {
-	r, epoch, img, run := is.r, is.epoch, is.img, is.run
+	r, epoch, run := is.r, is.epoch, is.run
 	is.release()
 	if run != nil {
-		run.leadDropped(img)
+		run.leadDropped()
 		run.unref()
 	} else {
-		r.imageLost(epoch, img)
+		r.imageLost(epoch)
 	}
 }
 

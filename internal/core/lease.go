@@ -285,9 +285,7 @@ func (r *Replicator) declareUnprotected() {
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
-		s.view.Xfer.CancelFlow(s.flow)
-		s.view.Xfer.CancelFlow(s.flow + "/resync")
-		s.view.Xfer.CancelFlow(s.logFlow)
+		s.cancelFlows()
 	}
 }
 

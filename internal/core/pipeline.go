@@ -272,13 +272,13 @@ func (run *epochRun) submit() {
 }
 
 // submitEncoded hands the encoded image to every live replica's flow.
-// Fan-out: every other live replica gets its own Clone of the image on
-// its own flow, submitted ahead of the lead's. A clone shares the page
-// buffers, and the replicator's holder table counts them, so a raw
-// store recycles a superseded buffer only when it is the last store
-// holding it (DESIGN.md §8). The lead keeps the original image, and
-// its delivery or loss alone ends the run's transfer. Fenced slots get
-// nothing.
+// Fan-out: every live slot gets the one image, read-only from here on;
+// the other slots' sends are submitted ahead of the lead's, whose
+// delivery or loss alone ends the run's transfer. The image's page
+// buffers are shared by every store it reaches, and the replicator's
+// holder table counts them, so a raw store recycles a superseded buffer
+// only when it is the last store holding it (DESIGN.md §8). Fenced
+// slots get nothing.
 func (run *epochRun) submitEncoded() {
 	r := run.r
 	img := run.img
@@ -286,7 +286,7 @@ func (run *epochRun) submitEncoded() {
 	if lead == nil {
 		// With every slot fenced there is no lead, and the run is lost
 		// at once.
-		run.leadDropped(img)
+		run.leadDropped()
 		return
 	}
 	n := 1
@@ -298,7 +298,7 @@ func (run *epochRun) submitEncoded() {
 	img.HoldPages(r.holders, n)
 	for _, s := range r.chain {
 		if s != lead && s.live() {
-			r.sendImage(s, run.epoch, img.Clone(), nil)
+			r.sendImage(s, run.epoch, img, nil)
 		}
 	}
 	r.sendImage(lead, run.epoch, img, run)
@@ -319,14 +319,14 @@ func (run *epochRun) finishTransfer() {
 }
 
 // leadDropped is the lead's loss handler (Replicator.imageLost does the
-// rest). It also marks the run lossy and ends its transfer, so a
-// stop-and-copy container is not left frozen waiting on a delivery
-// that cannot happen. Output stays buffered: only a later cumulative
-// ack releases it.
-func (run *epochRun) leadDropped(img *criu.Image) {
+// rest). The run lets go of its image, marks itself lossy and ends its
+// transfer, so a stop-and-copy container is not left frozen waiting on
+// a delivery that cannot happen. Output stays buffered: only a later
+// cumulative ack releases it.
+func (run *epochRun) leadDropped() {
 	run.lossy = true
 	run.img = nil
-	run.r.imageLost(run.epoch, img)
+	run.r.imageLost(run.epoch)
 	run.finishTransfer()
 }
 
@@ -339,7 +339,7 @@ func (run *epochRun) leadDropped(img *criu.Image) {
 // a grant returns.
 func (run *epochRun) releaseOutput() {
 	r := run.r
-	if c, ok := r.chainCommittedWatermark(); !ok || c < run.epoch {
+	if c, ok := r.slotMin(committedEpoch); !ok || c < run.epoch {
 		panic(fmt.Sprintf("core: output-commit violation: releasing epoch %d before quorum commit", run.epoch))
 	}
 	if !r.releaseAuthorized() {

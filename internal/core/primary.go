@@ -108,10 +108,6 @@ type Replicator struct {
 	hbTicker *simtime.Ticker
 	lastCPU  simtime.Duration
 
-	// fenced marks a replicator whose backup was declared dead and cut
-	// off (FenceBackup): the pair runs unprotected until re-protected.
-	fenced bool
-
 	// epochTimer starts the next epoch (runEpoch bound once).
 	epochTimer *simtime.Timer
 
@@ -317,8 +313,9 @@ func (r *Replicator) ResetMeasurement() {
 // shares the replication NIC.
 func (r *Replicator) AckedThrough() (uint64, bool) { return r.ackedThrough, r.hasAcked }
 
-// Fenced reports whether FenceBackup has run.
-func (r *Replicator) Fenced() bool { return r.fenced }
+// Fenced reports whether every slot is fenced, the state only
+// FenceBackup reaches (FenceReplica hands it the last slot).
+func (r *Replicator) Fenced() bool { return r.lead() == nil }
 
 // FenceBackup cuts every dead backup off from a healthy primary:
 // replication stops, buffered output is flushed (the primary is the
@@ -330,10 +327,9 @@ func (r *Replicator) Fenced() bool { return r.fenced }
 // subset of a chain while the survivors keep it protected, use
 // FenceReplica (chain.go).
 func (r *Replicator) FenceBackup() {
-	if r.fenced {
+	if r.Fenced() {
 		return
 	}
-	r.fenced = true
 	r.Stop()
 	for _, s := range r.chain {
 		s.fenced = true
@@ -341,9 +337,7 @@ func (r *Replicator) FenceBackup() {
 	}
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
-		s.view.Xfer.CancelFlow(s.flow)
-		s.view.Xfer.CancelFlow(s.flow + "/resync")
-		s.view.Xfer.CancelFlow(s.logFlow)
+		s.cancelFlows()
 	}
 	if r.Cfg.Lease.Enabled {
 		// Control-plane-sanctioned unprotected operation: the backups are

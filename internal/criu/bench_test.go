@@ -54,7 +54,6 @@ func BenchmarkCheckpointFull(b *testing.B) {
 		if !img.Full || img.DirtyPages() < 26000 {
 			b.Fatalf("full=%v with %d pages", img.Full, img.DirtyPages())
 		}
-		img.ReleaseLost()
 	}
 }
 

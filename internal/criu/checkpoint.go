@@ -46,8 +46,8 @@ type Engine struct {
 	// prevProcs is the previous image's process list. A checkpoint
 	// still collects (and charges) every process and thread, but shares
 	// a snapshot, or a whole list, that did not change with that image
-	// (images are read-only once built, apart from the page content
-	// commit and ReleaseLost drop).
+	// (images are read-only once built; a process that shipped pages is
+	// never shared, so a page list is never handed out twice).
 	prevProcs []ProcessImage
 	// pns is the page-number list a checkpoint fills, kept for the next.
 	pns []uint64

@@ -3,7 +3,6 @@ package criu
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"nilicon/internal/container"
@@ -144,40 +143,6 @@ func TestImagesKeepCaptureTimeBytes(t *testing.T) {
 	if got, _ := p.Mem.Read(v.Start, 14); got[0] != 13 || string(got[7:]) != "round-3" {
 		t.Fatalf("live memory = %q, want the last round's writes", got)
 	}
-}
-
-// TestLostImageReleaseKeepsMemoryIntact: a lost image's pages are lent
-// frames, so releasing it must not hand them to the page pool — the
-// next copies drawn from the pool would overwrite the container's
-// memory.
-func TestLostImageReleaseKeepsMemoryIntact(t *testing.T) {
-	const pages = 64
-	ctr, _ := newTestContainer()
-	p, v := addWorkProcess(ctr, "app", pages)
-	for i := 0; i < pages; i++ {
-		if err := p.Mem.Write(v.Start+uint64(i)*simkernel.PageSize, []byte(fmt.Sprintf("page-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	e := NewEngine(ctr, allOptions)
-	defer e.Close()
-	img, _ := e.Checkpoint()
-	ctr.Thaw()
-	img.ReleaseLost()
-	// Pool churn: draw more buffers than the image held and fill them.
-	junk := bytes.Repeat([]byte{0xDB}, simkernel.PageSize)
-	var held [][]byte
-	for i := 0; i < 4*pages; i++ {
-		held = append(held, simkernel.CopyPage(junk))
-	}
-	for i := 0; i < pages; i++ {
-		want := fmt.Sprintf("page-%d", i)
-		got, err := p.Mem.Read(v.Start+uint64(i)*simkernel.PageSize, len(want))
-		if err != nil || string(got) != want {
-			t.Fatalf("page %d reads %q after a lost image's release and pool churn, want %q", i, got, want)
-		}
-	}
-	runtime.KeepAlive(held)
 }
 
 func TestFreezePollVsSleepWait(t *testing.T) {

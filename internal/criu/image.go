@@ -103,27 +103,9 @@ type Image struct {
 	LogSeqThrough uint64
 }
 
-// Clone returns a copy of the image to deliver to an additional
-// replica in a fan-out chain. The copy shares every buffer with img:
-// nothing writes an image's buffers, and the only holders that recycle
-// one — the raw stores a verbatim page or fs-cache page is superseded
-// in — count their fellow holders (HoldPages, DESIGN.md §8). Encoded
-// frames (full payloads, XOR patches) are never recycled, and stamp
-// frames are never owned. Structured snapshots (threads, VMAs, sockets,
-// infrequent state) and AppState are shared read-only; at most one
-// replica of a generation ever restores them. Only the image and its
-// process list are new: commit and ReleaseLost drop a process's pages
-// on their own copy.
-func (img *Image) Clone() *Image {
-	cp := *img
-	cp.Procs = make([]ProcessImage, len(img.Procs))
-	copy(cp.Procs, img.Procs)
-	return &cp
-}
-
-// HoldPages records in h that n images — img and n-1 clones of it —
-// share img's verbatim and fs-cache pages, so the buffer returns to the
-// pool only when the last of their stores supersedes it.
+// HoldPages records in h that n stores — one per replica the image is
+// handed to — share img's verbatim and fs-cache pages, so a buffer
+// returns to the pool only when the last of them supersedes it.
 func (img *Image) HoldPages(h *simkernel.PageHolders, n int) {
 	if n < 2 {
 		return
@@ -135,19 +117,6 @@ func (img *Image) HoldPages(h *simkernel.PageHolders, n int) {
 	}
 	for _, pe := range img.FSCache.Pages {
 		h.Hold(pe.Data, n)
-	}
-}
-
-// ReleaseLost drops the memory-page payload of an image whose transfer
-// was lost: the receiver never saw it, and a lost image is never sent
-// again (the repair is a fresh full checkpoint). The buffers are only
-// dereferenced, never recycled: a verbatim page is lent from the
-// container and may still be its live frame, and encoded frame payloads
-// are co-owned by the delta encoder's bases (DESIGN.md §8).
-func (img *Image) ReleaseLost() {
-	for i := range img.Procs {
-		p := &img.Procs[i]
-		p.Pages, p.Frames = nil, nil
 	}
 }
 

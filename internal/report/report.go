@@ -131,7 +131,6 @@ func Build(rc harness.RunConfig) string {
 	b.WriteString("|---|---|---|---|---|---|---|\n")
 	for _, r := range t2 {
 		p := paperTable2[r.Bench]
-		_ = r.ClientGap
 		total := float64(r.Restore+r.ARP+r.TCP+r.Other) / 1e6
 		fmt.Fprintf(&b, "| %s | %.0f / %.0f | %.0f / %.0f | %.0f / %.0f | %.0f / %.0f | %.0f / %.0f | %.0f |\n",
 			r.Bench,

@@ -88,7 +88,13 @@ func TestCancel(t *testing.T) {
 	fired := false
 	tm := NewTimer(c, func() { fired = true })
 	tm.Reset(time.Millisecond)
+	if c.Pending() != 1 {
+		t.Fatalf("Pending = %d, want 1", c.Pending())
+	}
 	tm.Stop()
+	if c.Pending() != 0 {
+		t.Fatalf("Pending after Stop = %d, want 0 (stopped timers must not be counted)", c.Pending())
+	}
 	c.Run()
 	if fired {
 		t.Fatal("stopped timer fired")
@@ -117,17 +123,18 @@ func TestRunUntilStopsAtBoundary(t *testing.T) {
 	var fired []int
 	c.Schedule(10*time.Millisecond, func() { fired = append(fired, 1) })
 	c.Schedule(20*time.Millisecond, func() { fired = append(fired, 2) })
-	c.Schedule(30*time.Millisecond, func() { fired = append(fired, 3) })
+	c.Schedule(20*time.Millisecond+1, func() { fired = append(fired, 3) })
+	c.Schedule(30*time.Millisecond, func() { fired = append(fired, 4) })
 	c.RunUntil(Time(20 * time.Millisecond))
 	if len(fired) != 2 {
-		t.Fatalf("RunUntil(20ms) fired %v, want events 1,2", fired)
+		t.Fatalf("RunUntil(20ms) fired %v, want events 1,2 (the event exactly at t fires, the one 1ns later does not)", fired)
 	}
 	if c.Now() != Time(20*time.Millisecond) {
 		t.Fatalf("clock = %v, want exactly 20ms", c.Now())
 	}
 	c.Run()
-	if len(fired) != 3 {
-		t.Fatalf("remaining event not fired: %v", fired)
+	if len(fired) != 4 {
+		t.Fatalf("remaining events not fired: %v", fired)
 	}
 }
 
@@ -429,7 +436,13 @@ func TestExecutedCounter(t *testing.T) {
 	stopped := NewTimer(c, func() {})
 	stopped.Reset(time.Millisecond)
 	stopped.Stop()
+	if c.Pending() != 10 {
+		t.Fatalf("Pending = %d, want 10 (stopped timers don't count)", c.Pending())
+	}
 	c.Run()
+	if c.Pending() != 0 {
+		t.Fatalf("Pending after Run = %d, want 0", c.Pending())
+	}
 	if c.Executed() != 10 {
 		t.Fatalf("Executed = %d, want 10 (stopped timers don't count)", c.Executed())
 	}

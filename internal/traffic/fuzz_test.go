@@ -29,7 +29,7 @@ func FuzzParse(f *testing.F) {
 				t.Fatalf("accepted line %d, which is not one JSON value: %q", i+1, line)
 			}
 		}
-		if tr.Header.Version != TraceVersion || tr.Header.Clients <= 0 || tr.Header.Clients > maxClients || len(tr.Reqs) == 0 {
+		if tr.Header.Version != TraceVersion || tr.Header.Clients <= 0 || tr.Header.Clients > MaxClients || len(tr.Reqs) == 0 {
 			t.Fatalf("accepted header %+v with %d requests", tr.Header, len(tr.Reqs))
 		}
 		seen := make(map[uint64]bool)

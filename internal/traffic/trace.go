@@ -83,11 +83,11 @@ const (
 	// to now. A day is past any run this repository makes and far below
 	// that.
 	maxAt = 24 * 60 * 60 * int64(simtime.Second)
-	// maxClients is the most clients a header may declare. The replayer
+	// MaxClients is the most clients a header may declare. The replayer
 	// allocates per declared client, and a campaign dials client i from
 	// 10.(100+i/250).<chain>.(1+i%250), whose octets are valid only
 	// below this count.
-	maxClients = 39_000
+	MaxClients = 39_000
 )
 
 // Trace is a parsed or synthesized workload trace.
@@ -208,8 +208,8 @@ func parseHeader(text string, h *Header) error {
 	if h.Version != TraceVersion {
 		return fmt.Errorf("traffic: unsupported trace version %d (want %d)", h.Version, TraceVersion)
 	}
-	if h.Clients <= 0 || h.Clients > maxClients {
-		return fmt.Errorf("traffic: trace header declares %d clients, want 1 to %d", h.Clients, maxClients)
+	if h.Clients <= 0 || h.Clients > MaxClients {
+		return fmt.Errorf("traffic: trace header declares %d clients, want 1 to %d", h.Clients, MaxClients)
 	}
 	for _, s := range h.SlowClients {
 		if s < 0 || s >= h.Clients {
