@@ -145,6 +145,177 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 }
 
+// unreadFields is every struct field of internal/ or cmd/ that stays
+// although no non-test file reads it, by "pkg.Type.Field" (or
+// "pkg.Type" for every field of a type), with the reason. Two kinds
+// belong here: snapshot state that a checkpoint carries by value, and
+// an oracle field that a test reads to observe behaviour.
+var unreadFields = map[string]string{
+	// Snapshot state (§II-B): criu collects it into the image and carries
+	// it by value; restore rebuilds these parts from the rest.
+	"simkernel.CgroupSnapshot":    "restore re-applies the cgroup's Config and rebuilds its path and members itself",
+	"simkernel.DeviceFile":        "restore copies the device records into the container by value",
+	"simkernel.FDSnapshot.Num":    "restore reopens descriptors in order and numbers them afresh",
+	"simkernel.Mount":             "restore re-mounts every entry by value",
+	"simkernel.NamespaceSnapshot": "criu collects namespace state into the infrequent-state image; restore builds fresh namespaces",
+	"simkernel.TimerSnapshot.ID":  "restore re-arms timers in order under fresh identities",
+
+	// Oracles: tests read these to observe behaviour.
+	"criu.CheckpointStats.InfrequentCollect": "TestInfrequentStateCacheHitAndInvalidation observes the §V-B cache: a hit costs under 1 ms, a miss the full collection",
+	"criu.CheckpointStats.VMACollect":        "TestNetlinkVsSmapsCollectCost and BenchmarkVMACollection observe netlink's VMA-collection saving over smaps",
+	"harness.RunResult.Epochs":               "TestEpochColumnsCountTheWindowsRecords checks that an epoch was still in flight when the run stopped",
+	"harness.RunResult.Errors":               "the harness run tests check that clients saw no errors",
+	"harness.RunResult.Resets":               "TestRunServerStockBaseline checks that no connection was reset",
+	"simnet.Socket.Reset":                    "the TCP tests check that repair, failover and lossy links reset no connection",
+
+	// Set by the benchmark, whose sources stay fixed.
+	"cluster.Params.Seed": "bench/fleet.go sets it; the fleet is deterministic without it",
+}
+
+// TestEveryFieldIsRead fails on a field of a struct declared in a
+// non-test file under internal/ or cmd/ that no non-test file of the
+// module (bench/ included) reads, unless unreadFields lists it; and on
+// an unreadFields entry that names no such field or type. A read is any
+// use other than an assignment target, the operand of ++ or --, or a
+// composite-literal key. A field also counts as read when it has a
+// struct tag (an encoder reads it), or when its struct is compared with
+// == or != or is a map key type, which read every field. Embedded
+// fields are not checked.
+func TestEveryFieldIsRead(t *testing.T) {
+	m := loadModule(t)
+	type decl struct{ key, pos string }
+	fields := map[*types.Var]decl{}
+	typeKeys := map[string]bool{}
+	read := map[*types.Var]bool{}
+	var readAll func(t types.Type)
+	readAll = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				if f := u.Field(i).Origin(); !read[f] {
+					read[f] = true
+					readAll(f.Type())
+				}
+			}
+		case *types.Array:
+			readAll(u.Elem())
+		}
+	}
+	for _, p := range m.pkgs {
+		lib := strings.HasPrefix(p.dir, "internal/") || strings.HasPrefix(p.dir, "cmd/")
+		for _, f := range p.files {
+			if lib {
+				collectFields(p, f, func(key string, v *types.Var, tagged bool) {
+					fields[v] = decl{key, m.fset.Position(v.Pos()).String()}
+					typeKeys[key[:strings.LastIndex(key, ".")]] = true
+					if tagged {
+						read[v] = true
+					}
+				})
+			}
+			written := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, x := range n.Lhs {
+						written[x] = true
+					}
+				case *ast.IncDecStmt:
+					written[n.X] = true
+				case *ast.BinaryExpr:
+					if tv, ok := p.info.Types[n.X]; ok && (n.Op == token.EQL || n.Op == token.NEQ) {
+						readAll(tv.Type)
+					}
+				}
+				return true
+			})
+			ast.Inspect(f, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				s := p.info.Selections[sel]
+				if s == nil || s.Kind() == types.MethodExpr {
+					return true
+				}
+				if s.Kind() == types.FieldVal && !written[sel] {
+					read[s.Obj().(*types.Var).Origin()] = true
+				}
+				return true
+			})
+		}
+		for _, tv := range p.info.Types {
+			if mt, ok := tv.Type.Underlying().(*types.Map); ok {
+				readAll(mt.Key())
+			}
+		}
+	}
+	var unread []string
+	for v, d := range fields {
+		_, keptField := unreadFields[d.key]
+		_, keptType := unreadFields[d.key[:strings.LastIndex(d.key, ".")]]
+		if !read[v] && !keptField && !keptType {
+			unread = append(unread, d.key+" ("+d.pos+")")
+		}
+	}
+	sort.Strings(unread)
+	if len(unread) > 0 {
+		t.Errorf("%d struct fields are read by no non-test file; delete them with the code that fills them, or list them in unreadFields with a reason:\n  %s",
+			len(unread), strings.Join(unread, "\n  "))
+	}
+	declared := map[string]bool{}
+	for _, d := range fields {
+		declared[d.key] = true
+	}
+	for key, reason := range unreadFields {
+		if reason == "" {
+			t.Errorf("unreadFields: %s has no reason", key)
+		}
+		if !declared[key] && !typeKeys[key] {
+			t.Errorf("unreadFields lists %s, which is not a struct field or type of internal/ or cmd/", key)
+		}
+	}
+}
+
+// collectFields calls fn with every named field of a struct type
+// declared in f, keyed "pkg.Owner.Field", and whether the field has a
+// struct tag. Embedded fields are left out: their promoted fields and
+// methods read them. Owner is the innermost named type around the
+// struct, else the function or package-level variable it appears in.
+func collectFields(p *typedPkg, f *ast.File, fn func(key string, v *types.Var, tagged bool)) {
+	var walk func(n ast.Node, owner string)
+	walk = func(n ast.Node, owner string) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				walk(n.Type, n.Name.Name)
+				return false
+			case *ast.Field:
+				for _, id := range n.Names {
+					if v, ok := p.info.Defs[id].(*types.Var); ok && v.IsField() {
+						fn(filepath.Base(p.dir)+"."+owner+"."+id.Name, v, n.Tag != nil)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			walk(d, d.Name.Name)
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				owner := ""
+				if vs, ok := spec.(*ast.ValueSpec); ok {
+					owner = vs.Names[0].Name
+				}
+				walk(spec, owner)
+			}
+		}
+	}
+}
+
 // addInterface files each method of t, if t is an interface, under its
 // name.
 func addInterface(ifaces map[string][]*types.Interface, t types.Type) {
@@ -239,7 +410,12 @@ func (m *module) Import(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &typedPkg{dir: dir, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}}
+	p := &typedPkg{dir: dir, info: &types.Info{
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}}
 	for _, name := range bp.GoFiles {
 		f, err := parser.ParseFile(m.fset, filepath.Join(dir, name), nil, 0)
 		if err != nil {

@@ -14,10 +14,10 @@ func requireAckedFailover(t *testing.T, res Result) {
 	t.Helper()
 	requirePassed(t, res)
 	if res.Failovers == 0 {
-		t.Fatalf("seed %d: the zone kill took no chain's primary", res.Seed)
+		t.Fatalf("%s: the zone kill took no chain's primary", header(res))
 	}
 	if v, ok := verdict(res, "acked-output"); !ok || strings.Contains(v.Detail, "skipped") {
-		t.Fatalf("seed %d: acked-output oracle did not run: %+v", res.Seed, v)
+		t.Fatalf("%s: acked-output oracle did not run: %+v", header(res), v)
 	}
 }
 

@@ -78,8 +78,8 @@ type Config struct {
 	// run whose only disruption is the terminal phase).
 	Events int
 	// FaultKinds overrides the transient-fault kinds a pair's schedule
-	// draws from. Nil keeps the legacy cut-repl/cut-ack/partition trio
-	// with its exact historical random stream. A list may also name the
+	// draws from; nil draws from the transient cuts "cut-repl",
+	// "cut-ack" and "partition". A list may also name the
 	// sustained one-way cuts ("oneway-pb", "oneway-bp") and seeded link
 	// flapping ("flap").
 	FaultKinds []string
@@ -207,8 +207,6 @@ type Verdict struct {
 
 // Result is a completed campaign.
 type Result struct {
-	Seed     int64
-	OptName  string
 	Terminal string
 	Passed   bool
 	Verdicts []Verdict
@@ -618,8 +616,6 @@ func (c *campaign) finish() Result {
 	}, c.verdicts...)
 
 	res := Result{
-		Seed:        c.cfg.Seed,
-		OptName:     c.cfg.OptName,
 		Terminal:    c.sched.terminal,
 		AckedWrites: c.acked,
 		Failovers:   c.failovers,

@@ -49,8 +49,15 @@ func requirePassed(t *testing.T, res Result) {
 			t.Errorf("oracle %s: %s", v.Oracle, v.Detail)
 		}
 	}
-	t.Fatalf("seed=%d opts=%s terminal=%s failed (trace %d bytes)",
-		res.Seed, res.OptName, res.Terminal, len(res.Trace))
+	t.Fatalf("%s: terminal=%s failed (trace %d bytes)",
+		header(res), res.Terminal, len(res.Trace))
+}
+
+// header is the first line of the campaign's trace: its seed, option
+// set and shape.
+func header(res Result) string {
+	h, _, _ := strings.Cut(res.Trace, "\n")
+	return h
 }
 
 // TestChaosSeedSweep runs randomized campaigns across every option set.

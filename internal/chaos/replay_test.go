@@ -34,10 +34,10 @@ func TestReplayRecoversPostCheckpointWork(t *testing.T) {
 	rres := Run(rp)
 	for _, res := range []Result{pres, rres} {
 		if !res.Passed {
-			t.Fatalf("%s campaign failed:\n%s", res.OptName, res.Trace)
+			t.Fatalf("%s: campaign failed:\n%s", header(res), res.Trace)
 		}
 		if res.Failovers < 1 {
-			t.Fatalf("%s campaign had no failover under TerminalKill", res.OptName)
+			t.Fatalf("%s: campaign had no failover under TerminalKill", header(res))
 		}
 	}
 

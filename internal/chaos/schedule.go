@@ -117,15 +117,13 @@ func drawSchedule(cfg Config) schedule {
 	if hi <= lo {
 		hi = lo + 1
 	}
+	kinds := cfg.FaultKinds
+	if len(kinds) == 0 {
+		kinds = []string{"cut-repl", "cut-ack", "partition"}
+	}
 	for i := 0; i < n; i++ {
 		ev := event{At: simtime.Duration(lo + rng.Int63n(hi-lo))}
-		if len(cfg.FaultKinds) == 0 {
-			// Legacy trio, drawn with the exact historical random stream so
-			// pre-existing seeds reproduce byte-identical schedules.
-			ev.Kind = []string{"cut-repl", "cut-ack", "partition"}[rng.Intn(3)]
-		} else {
-			ev.Kind = cfg.FaultKinds[rng.Intn(len(cfg.FaultKinds))]
-		}
+		ev.Kind = kinds[rng.Intn(len(kinds))]
 		k, ok := faultKinds[ev.Kind]
 		if !ok {
 			panic("chaos: unknown fault kind " + ev.Kind)

@@ -126,7 +126,7 @@ func TestFleetChainZoneKill(t *testing.T) {
 	clock.RunFor(6 * simtime.Second)
 
 	for _, h := range f.Hosts {
-		if h.Zone == 0 && h.Alive && !h.Spare {
+		if h.Zone == 0 && h.Alive && h.Index < f.Params.Workers {
 			t.Fatalf("detector never declared zone-0 worker %s dead", h.Name)
 		}
 		if h.Zone != 0 && !h.Alive {

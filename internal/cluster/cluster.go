@@ -153,9 +153,6 @@ type Host struct {
 	NIC *simnet.Link
 	// Xfer arbitrates the NIC's bandwidth across co-located bulk flows.
 	Xfer *core.TransferScheduler
-	// Spare marks hosts excluded from initial placement.
-	Spare bool
-
 	// Alive is the control plane's belief (flips on declareHostDead);
 	// killed is the injected ground truth (KillHost). Oracles may compare
 	// the two; the detector must only ever read Alive and the per-pair
@@ -163,8 +160,7 @@ type Host struct {
 	Alive  bool
 	killed bool
 
-	// CoresUsed / PagesUsed track capacity reservations.
-	CoresUsed int
+	// PagesUsed tracks memory reservations.
 	PagesUsed int
 }
 
@@ -358,7 +354,6 @@ func NewSharded(clock *simtime.Clock, params Params) (*Fleet, error) {
 			Zone:  i % params.Zones,
 			H:     container.NewHost(name, clock, f.Switch),
 			NIC:   simnet.NewLink(clock, core.ReplLatency, core.ReplBW),
-			Spare: i >= params.Workers,
 			Alive: true,
 		}
 		h.Xfer = core.NewTransferScheduler(clock, h.NIC)
@@ -386,13 +381,13 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	id := fmt.Sprintf("p%02d", pl.Pair)
 	ip := simnet.Addr(fmt.Sprintf("10.1.0.%d", pl.Pair+1))
 
-	vol := simdisk.NewDisk(id + "-vol")
+	vol := simdisk.NewDisk()
 	drbd := simdisk.NewDRBDPrimary(vol)
 	views := make([]*core.Cluster, 0, len(pl.Backups))
-	for j, bi := range pl.Backups {
+	for _, bi := range pl.Backups {
 		bh := f.Hosts[bi]
 		v := f.view(ph, bh, drbd)
-		v.DRBDBackup = drbd.AttachSecondary(vol.Clone(fmt.Sprintf("%s-backup%d", id, j+1)), ph.NIC)
+		v.DRBDBackup = drbd.AttachSecondary(vol.Clone(), ph.NIC)
 		views = append(views, v)
 		bh.PagesUsed += pairBackupPgs
 	}
@@ -420,7 +415,6 @@ func (f *Fleet) buildPair(pl Placement) (*Pair, error) {
 	pr.Repl.SetExternalArbiter()
 	pr.Repl.Timeline = f.Timeline
 
-	ph.CoresUsed += pairCores
 	ph.PagesUsed += pairPrimaryPgs
 	return pr, nil
 }

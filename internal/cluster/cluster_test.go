@@ -116,8 +116,8 @@ func TestFleetSteadyState(t *testing.T) {
 	}
 
 	// The spare stayed empty.
-	if sp := f.Hosts[3]; sp.CoresUsed != 0 || sp.PagesUsed != 0 {
-		t.Fatalf("spare host used: cores=%d pages=%d", sp.CoresUsed, sp.PagesUsed)
+	if sp := f.Hosts[3]; sp.PagesUsed != 0 {
+		t.Fatalf("spare host used: pages=%d", sp.PagesUsed)
 	}
 }
 
@@ -459,7 +459,7 @@ func TestFleetDoubleFailureLosesThePair(t *testing.T) {
 				}
 				clock.RunFor(100 * simtime.Millisecond)
 			}
-			cores, pages := map[int]int{}, map[int]int{}
+			pages := map[int]int{}
 			for _, pr := range f.Pairs {
 				if pr.State == Lost {
 					continue
@@ -467,14 +467,13 @@ func TestFleetDoubleFailureLosesThePair(t *testing.T) {
 				if pr.State != Protected {
 					t.Fatalf("pair %s state = %v after re-protection drained", pr.ID, pr.State)
 				}
-				cores[pr.PrimaryHost] += pairCores
 				pages[pr.PrimaryHost] += pairPrimaryPgs
 				pages[pr.ReplicaHosts[0]] += pairBackupPgs
 			}
 			for _, h := range f.Hosts {
-				if h.Alive && (h.CoresUsed != cores[h.Index] || h.PagesUsed != pages[h.Index]) {
-					t.Fatalf("host %s reserves %d cores %d pages, its pairs need %d and %d",
-						h.Name, h.CoresUsed, h.PagesUsed, cores[h.Index], pages[h.Index])
+				if h.Alive && h.PagesUsed != pages[h.Index] {
+					t.Fatalf("host %s reserves %d pages, its pairs need %d",
+						h.Name, h.PagesUsed, pages[h.Index])
 				}
 			}
 

@@ -129,7 +129,7 @@ func (f *Fleet) checkHosts() {
 // demo asserts.
 func (f *Fleet) declareHostDead(h *Host) {
 	h.Alive = false
-	h.CoresUsed, h.PagesUsed = 0, 0
+	h.PagesUsed = 0
 	f.eventf("host-dead host=%s", h.Name)
 	for _, pr := range f.Pairs {
 		if h.Index == pr.PrimaryHost {
@@ -283,18 +283,16 @@ func (f *Fleet) pairRecovered(pr *Pair, rc core.RestoredContainer, stats core.Re
 	f.FailoverLatencies.Add(stats.NetworkLiveAt.Sub(stats.DetectedAt).Seconds())
 
 	// The pair's home moves to the surviving host; its backup reservation
-	// there becomes the primary's (same page count) plus a core.
+	// there becomes the primary's (same page count).
 	slot := pr.electedSlot
 	oldPrimary := pr.PrimaryHost
 	pr.PrimaryHost = pr.ReplicaHosts[slot]
-	nh := f.Hosts[pr.PrimaryHost]
-	nh.CoresUsed += pairCores
 	// The authoritative volume is now the promoted replica's end.
 	pr.Vol = pr.Repl.ReplicaView(slot).DRBDBackup.Local
 	pr.State = Degraded
 	pr.electedSlot = -1
 	f.enqueueReprotect(pr.Index)
-	f.eventf("recovered pair=%s on=%s epoch=%d from=%s", pr.ID, nh.Name,
+	f.eventf("recovered pair=%s on=%s epoch=%d from=%s", pr.ID, f.Hosts[pr.PrimaryHost].Name,
 		stats.CommittedEpoch, f.Hosts[oldPrimary].Name)
 }
 

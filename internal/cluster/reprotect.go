@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-
 	"nilicon/internal/core"
 	"nilicon/internal/simdisk"
 )
@@ -231,8 +229,7 @@ func (f *Fleet) startChainRepair(pr *Pair, target int) bool {
 	}
 	ph := f.Hosts[pr.PrimaryHost]
 	tgt := f.Hosts[target]
-	slotIdx := pr.Repl.Replicas()
-	bv := simdisk.NewDisk(fmt.Sprintf("%s-r%d", pr.ID, slotIdx))
+	bv := simdisk.NewDisk()
 	view := f.view(ph, tgt, pr.View.DRBDPrimary)
 	view.DRBDBackup = pr.View.DRBDPrimary.AttachSecondary(bv, ph.NIC)
 	slot := pr.Repl.AttachReplica(view)

@@ -41,7 +41,7 @@ func (d *dirtyLoop) Install(ctr *container.Container) {
 	proc := ctr.AddProcess("dirtyloop", 2)
 	d.proc = proc
 	d.vma = proc.Mem.Mmap(64*simkernel.PageSize,
-		simkernel.ProtRead|simkernel.ProtWrite, "", proc.PID, ctr.ID)
+		simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = proc.Mem.Touch(d.vma, 0, 64, 1)
 	ctr.App = d
 	d.addTask(ctr)

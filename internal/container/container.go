@@ -46,9 +46,9 @@ func NewHost(name string, clock *simtime.Clock, sw *simnet.Switch) *Host {
 	return &Host{
 		Name:   name,
 		Clock:  clock,
-		Kernel: simkernel.NewKernel(clock),
+		Kernel: simkernel.NewKernel(),
 		Switch: sw,
-		Disk:   simdisk.NewDisk(name + "-disk"),
+		Disk:   simdisk.NewDisk(),
 	}
 }
 
@@ -119,11 +119,10 @@ type Container struct {
 	// keepAlive is the task StartKeepAlive installed, if any.
 	keepAlive *Task
 
-	// OnTaskStep, when set, observes every executed scheduling quantum
-	// (the task's thread TID). The record/replay recorder folds the
-	// sequence into a per-segment scheduling digest so failover replay
-	// can detect divergence in scheduling decisions, not just in output.
-	OnTaskStep func(tid int)
+	// OnTaskStep, when set, observes every executed scheduling quantum.
+	// The record/replay recorder counts them per log segment, the bound
+	// on how many quanta failover replay re-runs.
+	OnTaskStep func()
 
 	// RuntimeOverhead accumulates dirty-tracking cost folded into task
 	// execution since creation.
@@ -151,12 +150,12 @@ func Create(h *Host, spec Spec) *Container {
 	}
 	c := &Container{ID: spec.ID, Host: h, IP: spec.IP, Cores: spec.Cores}
 	c.Cgroup = h.Kernel.NewCgroup("/sys/fs/cgroup/" + spec.ID)
-	c.NS = h.Kernel.NewNamespaceSet(0, spec.ID)
-	h.Kernel.SetNamespaceExtra(c.NS.UTS, 0, spec.ID, "hostname", spec.ID)
+	c.NS = h.Kernel.NewNamespaceSet(spec.ID)
+	h.Kernel.SetNamespaceExtra(c.NS.UTS, spec.ID, "hostname", spec.ID)
 	c.Mounts = h.Kernel.NewMountTable()
-	c.Mounts.Mount(simkernel.Mount{Source: "overlay", Target: "/", FSType: "overlay"}, 0, spec.ID)
-	c.Mounts.Mount(simkernel.Mount{Source: "proc", Target: "/proc", FSType: "proc"}, 0, spec.ID)
-	c.Mounts.Mount(simkernel.Mount{Source: "tmpfs", Target: "/tmp", FSType: "tmpfs"}, 0, spec.ID)
+	c.Mounts.Mount(simkernel.Mount{Source: "overlay", Target: "/", FSType: "overlay"}, spec.ID)
+	c.Mounts.Mount(simkernel.Mount{Source: "proc", Target: "/proc", FSType: "proc"}, spec.ID)
+	c.Mounts.Mount(simkernel.Mount{Source: "tmpfs", Target: "/tmp", FSType: "tmpfs"}, spec.ID)
 	c.Devices = []simkernel.DeviceFile{
 		{Path: "/dev/null", Major: 1, Minor: 3},
 		{Path: "/dev/zero", Major: 1, Minor: 5},
@@ -187,7 +186,7 @@ func (c *Container) AddProcess(name string, libs int) *simkernel.Process {
 	c.Cgroup.AddProcess(p)
 	for i := 0; i < libs; i++ {
 		p.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtExec,
-			fmt.Sprintf("/usr/lib/%s-lib%d.so", name, i), p.PID, c.ID)
+			fmt.Sprintf("/usr/lib/%s-lib%d.so", name, i), c.ID)
 	}
 	c.Procs = append(c.Procs, p)
 	return p
@@ -214,7 +213,7 @@ func (c *Container) runTask(t *Task) simtime.Duration {
 		return 0
 	}
 	if c.OnTaskStep != nil {
-		c.OnTaskStep(t.Thread.TID)
+		c.OnTaskStep()
 	}
 	busy, next := t.Step()
 	// Fold the runtime dirty-tracking overhead into execution time.

@@ -172,7 +172,7 @@ func TestRuntimeOverheadFoldedIn(t *testing.T) {
 	ctr := Create(h, Spec{ID: "c1", IP: "ip"})
 	p := ctr.AddProcess("app", 0)
 	p.Mem.SetSoftDirtyTracking(true)
-	vma := p.Mem.Mmap(100*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, "c1")
+	vma := p.Mem.Mmap(100*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", "c1")
 	_ = p.Mem.Touch(vma, 0, 100, 1) // pre-fault
 	p.Mem.ConsumeTrackingOverhead()
 	p.Mem.ClearSoftDirtyBits()

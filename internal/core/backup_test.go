@@ -19,7 +19,7 @@ import (
 func TestIncrementalMergeRestoresLatestContent(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	v := p.Mem.Mmap(16*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(16*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	env.repl.Start()
 	env.clock.RunFor(200 * simtime.Millisecond)
 
@@ -70,7 +70,7 @@ func TestRawCommitRecyclesPageBuffers(t *testing.T) {
 		t.Fatal("DefaultConfig encodes pages; this guard needs a raw store")
 	}
 	p := env.app.proc
-	v := p.Mem.Mmap(dirty*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(dirty*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	content := make([]byte, 64)
 	round := 0
 	env.ctr.AddTask(p.NewThread(), func() (simtime.Duration, simtime.Duration) {
@@ -133,7 +133,7 @@ func TestIsolatedPrimaryResyncsCopyNoPages(t *testing.T) {
 	const pages = 6000
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	if err := p.Mem.Touch(v, 0, pages, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestIsolatedPrimaryResyncsCopyNoPages(t *testing.T) {
 func TestCommitRejectsADuplicatePageBuffer(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	v := p.Mem.Mmap(simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	if err := p.Mem.Write(v.Start, []byte("owned-page")); err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func runSharedFramesReprotect(t *testing.T, reprotectOld bool) {
 	const pages = 256
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	content := func(i int) string { return fmt.Sprintf("shared-page-%d", i) }
 	for i := 0; i < pages; i++ {
 		if err := p.Mem.Write(v.Start+uint64(i)*simkernel.PageSize, []byte(content(i))); err != nil {
@@ -345,7 +345,7 @@ func runSharedFramesReprotect(t *testing.T, reprotectOld bool) {
 func TestUncommittedEpochDiscardedOnFailover(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	v := p.Mem.Mmap(4*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(4*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
 	_ = p.Mem.Write(v.Start, []byte("committed"))

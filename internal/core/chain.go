@@ -310,23 +310,9 @@ func (r *Replicator) recomputeWatermarks() {
 // watermark e. Acks are cumulative: the watermark vouches for every
 // epoch <= e, including epochs whose own transfer was lost and whose
 // acks therefore never existed (they are covered by a later resync).
+// Every epoch <= e that has left the pipeline was released or parked
+// when it did, so the runs still in flight are all there is to release.
 func (r *Replicator) retireThrough(e uint64) {
-	if r.inflight.Len() == 0 || r.inflight.Peek().epoch > e {
-		// No pipeline record (replication restarted across a failover);
-		// the backups only acknowledge committed epochs, so releasing
-		// directly preserves the output-commit rule — unless a lapsed
-		// lease has fenced the release path, in which case the
-		// watermark parks until a grant returns.
-		if !r.releaseAuthorized() {
-			if !r.hasParkedDirect || e > r.parkedDirect {
-				r.parkedDirect = e
-				r.hasParkedDirect = true
-			}
-			return
-		}
-		r.releaseDirect(e)
-		return
-	}
 	now := r.Cluster.Clock.Now()
 	for r.inflight.Len() > 0 && r.inflight.Peek().epoch <= e {
 		run := r.inflight.Pop()

@@ -66,7 +66,7 @@ func newChainEnv(t *testing.T, replicas int, cfg Config, attach int) *chainEnv {
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)
 	app.proc = proc
-	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", proc.PID, ctr.ID)
+	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = proc.Mem.Touch(app.vma, 0, 64, 1)
 	app.attach(ctr)
 

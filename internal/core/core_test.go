@@ -133,7 +133,7 @@ func newTestEnv(t *testing.T, cfg Config) *testEnv {
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)
 	app.proc = proc
-	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", proc.PID, ctr.ID)
+	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = proc.Mem.Touch(app.vma, 0, 64, 1)
 	app.attach(ctr)
 
@@ -440,7 +440,7 @@ func TestStagingBufferShortensStop(t *testing.T) {
 		tl := recordEpochs(env.repl)
 		// Dirty a lot of pages per epoch so the transfer matters.
 		p := env.app.proc
-		big := p.Mem.Mmap(6000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+		big := p.Mem.Mmap(6000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 		seq := byte(0)
 		env.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 			seq++
@@ -469,7 +469,7 @@ func TestTable1LadderMonotonicity(t *testing.T) {
 		env := newTestEnv(t, cfg)
 		tl := recordEpochs(env.repl)
 		p := env.app.proc
-		big := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+		big := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 		seq := byte(0)
 		env.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 			seq++
@@ -496,7 +496,7 @@ func TestTable1LadderMonotonicity(t *testing.T) {
 func TestBackupCPUAccountingGrows(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	p := env.app.proc
-	big := p.Mem.Mmap(2000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	big := p.Mem.Mmap(2000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	seq := byte(0)
 	env.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 		seq++

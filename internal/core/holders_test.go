@@ -24,7 +24,7 @@ func chainPagesRun(t *testing.T, recycleAtFirst bool) (wrong, shared int) {
 	env := newChainEnv(t, 3, DefaultConfig(), 0)
 	env.repl.recycleAtFirstRelease = recycleAtFirst
 	p := env.app.proc
-	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	round := uint64(0)
 	content := make([]byte, 16)
 	env.ctr.AddTask(p.NewThread(), func() (simtime.Duration, simtime.Duration) {

@@ -188,12 +188,9 @@ func (r *Replicator) leaseGranted(sentAt simtime.Time) {
 }
 
 func (r *Replicator) leaseExpired() {
+	// leaseGranted re-arms the timer at every new expiry, so it fires
+	// only at leaseExpiresAt.
 	if r.stopped || r.leaseState != LeaseHeld {
-		return
-	}
-	if r.Cluster.Clock.Now() < r.leaseExpiresAt {
-		// A renewal landed after this event was scheduled; re-arm.
-		r.armLeaseExpiry()
 		return
 	}
 	r.selfFence()
@@ -224,11 +221,6 @@ func (r *Replicator) unfence() {
 	for _, run := range parked {
 		run.finishRelease(now)
 	}
-	if r.hasParkedDirect {
-		e := r.parkedDirect
-		r.hasParkedDirect = false
-		r.releaseDirect(e)
-	}
 	if r.rec != nil && r.rec.released < r.rec.acked {
 		r.rec.releaseThrough(r.rec.acked)
 	}
@@ -239,20 +231,6 @@ func (r *Replicator) unfence() {
 // split-brain regression test shows produces a dual primary.
 func (r *Replicator) releaseAuthorized() bool {
 	return r.leaseState != LeaseSelfFenced && r.leaseState != LeaseSuperseded
-}
-
-// releaseDirect flushes buffered output through epoch e outside the
-// pipeline (the post-failover generation-crossing ack path). In
-// record/replay mode the qdisc is keyed by log segment, so only the
-// epoch watermark advances here.
-func (r *Replicator) releaseDirect(e uint64) {
-	if r.rec == nil {
-		r.Ctr.Qdisc.Release(e)
-	}
-	if !r.hasReleased || e > r.released {
-		r.released = e
-		r.hasReleased = true
-	}
 }
 
 // unprotectDeadline fires unprotectedAfter into a fence under the
@@ -281,7 +259,6 @@ func (r *Replicator) declareUnprotected() {
 	r.quiesced = true
 	r.inflight.Reset()
 	r.parked = nil
-	r.hasParkedDirect = false
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
@@ -305,7 +282,6 @@ func (r *Replicator) supersededSeen() bool {
 	r.leaseState = LeaseSuperseded
 	r.cancelLeaseTimers()
 	r.parked = nil
-	r.hasParkedDirect = false
 	if !r.stopped {
 		// Discard before Stop: Stop flushes the qdisc via
 		// SetReplicating(false), and unacked output must never escape a

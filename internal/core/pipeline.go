@@ -178,7 +178,7 @@ func (run *epochRun) freezeCollect() simtime.Duration {
 		// fleet control plane a host runs many pairs, each on a private
 		// DRBD volume (cl.DRBDPrimary.Local == cl.Primary.Disk only in the
 		// single-pair topology).
-		snap := cl.DRBDPrimary.Local.Clone(r.Ctr.ID + "-resync")
+		snap := cl.DRBDPrimary.Local.Clone()
 		snapBytes := int64(snap.Blocks()) * simdisk.BlockSize
 		var chunks []int64
 		for snapBytes > xferChunkBytes {
@@ -217,7 +217,6 @@ func (run *epochRun) freezeCollect() simtime.Duration {
 		}
 	}
 
-	r.LastStats = stats
 	return stop
 }
 

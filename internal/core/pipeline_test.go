@@ -19,7 +19,7 @@ func pipelinedConfig() Config {
 func dirtyManyPages(env *testEnv, pages int) {
 	p := env.app.proc
 	big := p.Mem.Mmap(uint64(pages+1000)*simkernel.PageSize,
-		simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+		simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	seq := byte(0)
 	env.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 		seq++

@@ -96,9 +96,6 @@ type Replicator struct {
 	// Resyncs counts full resynchronizations triggered by lost epochs.
 	Resyncs metrics.Counter
 
-	// LastStats is the most recent checkpoint's breakdown.
-	LastStats criu.CheckpointStats
-
 	// Timeline, when non-nil, receives one trace.EpochRecord per
 	// steady-state epoch at its output release: the one per-epoch
 	// measurement the paper tables, the timeline CSV and the benchmark
@@ -115,13 +112,11 @@ type Replicator struct {
 	// is the end of the newest grant's term measured from its send
 	// time; parked holds ack-authorized pipeline releases held back by
 	// a self-fence, flushed in epoch order on re-grant.
-	leaseState      LeaseState
-	leaseExpiresAt  simtime.Time
-	leaseTimer      *simtime.Timer
-	unprotTimer     *simtime.Timer
-	parked          []*epochRun
-	parkedDirect    uint64
-	hasParkedDirect bool
+	leaseState     LeaseState
+	leaseExpiresAt simtime.Time
+	leaseTimer     *simtime.Timer
+	unprotTimer    *simtime.Timer
+	parked         []*epochRun
 
 	// SelfFences counts lease expirations that fenced this primary.
 	SelfFences metrics.Counter
@@ -210,7 +205,6 @@ func (r *Replicator) Stop() {
 	r.cancelLeaseTimers()
 	r.inflight.Reset()
 	r.parked = nil
-	r.hasParkedDirect = false
 	if r.rec != nil {
 		r.rec.uninstall()
 	}

@@ -152,7 +152,7 @@ func TestMultiProcessRestoreImage(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	// Second process with its own touched pages.
 	proc2 := env.ctr.AddProcess("helper", 2)
-	vma2 := proc2.Mem.Mmap(32*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", proc2.PID, env.ctr.ID)
+	vma2 := proc2.Mem.Mmap(32*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	_ = proc2.Mem.Touch(vma2, 0, 32, 9)
 
 	env.repl.Start()
@@ -219,11 +219,11 @@ func newBenchEnv(b *testing.B) *testEnv {
 	app := &kvApp{data: make(map[string]string)}
 	proc := ctr.AddProcess("kvserver", 3)
 	app.proc = proc
-	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", proc.PID, ctr.ID)
+	app.vma = proc.Mem.Mmap(64*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = proc.Mem.Touch(app.vma, 0, 64, 1)
 	for i := 1; i < benchProcs; i++ {
 		p := ctr.AddProcess(fmt.Sprintf("w%d", i), 1)
-		v := p.Mem.Mmap(128*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+		v := p.Mem.Mmap(128*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 		_ = p.Mem.Touch(v, 0, 128, byte(i))
 	}
 	app.attach(ctr)
@@ -297,7 +297,7 @@ func TestDeltaStreamSurvivesResync(t *testing.T) {
 	cfg.Opts = DeltaOpts()
 	env := newTestEnv(t, cfg)
 	p := env.app.proc
-	v := p.Mem.Mmap(8*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+	v := p.Mem.Mmap(8*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 	tl := recordEpochs(env.repl)
 	env.repl.Start()
 	env.clock.RunFor(500 * simtime.Millisecond)
@@ -451,7 +451,7 @@ func TestLostImageReleaseKeepsDeltaChainIntact(t *testing.T) {
 			env := newChainEnv(t, tc.replicas, cfg, 0)
 			p := env.app.proc
 			const pages = 32
-			v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, env.ctr.ID)
+			v := p.Mem.Mmap(pages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
 			page := func(i int) uint64 { return v.Start + uint64(i)*simkernel.PageSize }
 			fill := func(seed byte) []byte {
 				b := make([]byte, simkernel.PageSize)

@@ -61,13 +61,10 @@ type recorder struct {
 	events       []criu.LogEvent
 	egressDigest uint64
 	egressBytes  int64
-	schedDigest  uint64
 	schedSteps   uint64
 
-	// nextSeq is the sequence the next sealed segment gets (1-based);
-	// epoch is the checkpoint that will contain the open records.
+	// nextSeq is the sequence the next sealed segment gets (1-based).
 	nextSeq uint64
-	epoch   uint64
 
 	// sealTimer closes the open segment logSealDelay after the first
 	// event of a burst (seal bound once).
@@ -122,7 +119,6 @@ func newRecorder(r *Replicator) *recorder {
 		nextSeq:       1,
 		sealedAtEpoch: make(map[uint64]uint64),
 		egressDigest:  criu.DigestInit(),
-		schedDigest:   criu.DigestInit(),
 	}
 	rec.sealTimer = simtime.NewTimer(r.Cluster.Clock, rec.seal)
 	return rec
@@ -158,11 +154,10 @@ func (rec *recorder) onAppSend(_ *simnet.Socket, data []byte) {
 	rec.noteActivity()
 }
 
-// onTaskStep folds the scheduling-quantum sequence into the open
-// segment's digest. Steps never trigger a seal on their own — they
-// happen continuously and carry no releasable output.
-func (rec *recorder) onTaskStep(tid int) {
-	rec.schedDigest = criu.DigestUint64(rec.schedDigest, uint64(tid))
+// onTaskStep counts the open segment's scheduling quanta. Steps never
+// trigger a seal on their own — they happen continuously and carry no
+// releasable output.
+func (rec *recorder) onTaskStep() {
 	rec.schedSteps++
 }
 
@@ -184,11 +179,9 @@ func (rec *recorder) seal() {
 	}
 	seg := &criu.LogSegment{
 		Seq:          rec.nextSeq,
-		Epoch:        rec.epoch,
 		Events:       rec.events,
 		EgressDigest: rec.egressDigest,
 		EgressBytes:  rec.egressBytes,
-		SchedDigest:  rec.schedDigest,
 		SchedSteps:   rec.schedSteps,
 	}
 	// The segment keeps the slice; the next one starts at this one's
@@ -196,7 +189,6 @@ func (rec *recorder) seal() {
 	rec.events = make([]criu.LogEvent, 0, len(seg.Events))
 	rec.egressDigest = criu.DigestInit()
 	rec.egressBytes = 0
-	rec.schedDigest = criu.DigestInit()
 	rec.schedSteps = 0
 	rec.nextSeq++
 	rec.sealedThrough = seg.Seq
@@ -214,7 +206,6 @@ func (rec *recorder) seal() {
 func (rec *recorder) epochBoundary(epoch uint64) uint64 {
 	rec.sealTimer.Stop()
 	rec.seal()
-	rec.epoch = epoch + 1
 	rec.sealedAtEpoch[epoch] = rec.sealedThrough
 	return rec.sealedThrough
 }

@@ -67,7 +67,7 @@ func ReprotectOnto(view *Cluster, ctr *container.Container, vol *simdisk.Disk, c
 	if err := view.reprotectable(ctr); err != nil {
 		return nil, err
 	}
-	backupVol := vol.Clone(ctr.ID + "-backup")
+	backupVol := vol.Clone()
 	view.DRBDPrimary, view.DRBDBackup = simdisk.NewDRBDPair(vol, backupVol, view.ReplLink)
 	view.Xfer.SubmitBytes(ctr.ID+"/resync",
 		int64(vol.Blocks())*simdisk.BlockSize, nil)

@@ -166,11 +166,16 @@ func BenchmarkDeltaEncode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		epoch := uint64(i + 1)
-		st := enc.EncodeImage(mkimg(epoch, false, byte(i)+1), epoch-1, true)
+		img := mkimg(epoch, false, byte(i)+1)
+		st := enc.EncodeImage(img, epoch-1, true)
 		if st.DeltaFrames == 0 {
 			b.Fatal("no delta frames")
 		}
-		b.ReportMetric(float64(st.WireBytes)/pages, "wire-B/page")
+		var wire int64
+		for _, f := range img.Procs[0].Frames {
+			wire += f.WireBytes()
+		}
+		b.ReportMetric(float64(wire)/pages, "wire-B/page")
 	}
 }
 

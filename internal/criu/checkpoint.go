@@ -126,13 +126,11 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		k.Charge(c.ParasiteInject)
 		pi := ProcessImage{PID: p.PID, Name: p.Name}
 
-		tm := k.StartMeter()
 		var prevThreads []simkernel.ThreadSnapshot
 		if procIdx < len(e.prevProcs) && e.prevProcs[procIdx].PID == p.PID {
 			prevThreads = e.prevProcs[procIdx].Threads
 		}
 		pi.Threads = collectThreads(k, p, prevThreads)
-		stats.ThreadCollect += tm.Stop()
 
 		vm := k.StartMeter()
 		if e.Opts.NetlinkVMA {

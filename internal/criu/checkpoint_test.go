@@ -25,7 +25,7 @@ func newTestContainer() (*container.Container, *simtime.Clock) {
 // addWorkProcess creates a process with a data VMA and touches n pages.
 func addWorkProcess(ctr *container.Container, name string, pages int) (*simkernel.Process, *simkernel.VMA) {
 	p := ctr.AddProcess(name, 2)
-	v := p.Mem.Mmap(uint64(pages*2)*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+	v := p.Mem.Mmap(uint64(pages*2)*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = p.Mem.Touch(v, 0, pages, 1)
 	return p, v
 }
@@ -227,7 +227,7 @@ func TestInfrequentStateCacheHitAndInvalidation(t *testing.T) {
 	}
 
 	// Mutate a mount → tracker dirties → next checkpoint re-collects.
-	ctr.Mounts.Mount(simkernel.Mount{Source: "tmpfs", Target: "/scratch", FSType: "tmpfs"}, 0, ctr.ID)
+	ctr.Mounts.Mount(simkernel.Mount{Source: "tmpfs", Target: "/scratch", FSType: "tmpfs"}, ctr.ID)
 	img3, s3 := e.Checkpoint()
 	ctr.Thaw()
 	if img3.InfrequentCached {
@@ -257,7 +257,7 @@ func TestTrackerIgnoresOtherContainers(t *testing.T) {
 
 	// A different container on the same host mutates its own mounts.
 	other := container.Create(ctr.Host, container.Spec{ID: "other", IP: "10.0.0.99"})
-	other.Mounts.Mount(simkernel.Mount{Source: "x", Target: "/x", FSType: "tmpfs"}, 0, "other")
+	other.Mounts.Mount(simkernel.Mount{Source: "x", Target: "/x", FSType: "tmpfs"}, "other")
 
 	img, _ := e.Checkpoint()
 	ctr.Thaw()
@@ -323,7 +323,7 @@ func TestCheckpointStatsBreakdownSums(t *testing.T) {
 	defer e.Close()
 	_, stats := e.Checkpoint()
 	ctr.Thaw()
-	sum := stats.MemCopy + stats.SocketCollect + stats.ThreadCollect + stats.VMACollect + stats.InfrequentCollect
+	sum := stats.MemCopy + stats.SocketCollect + stats.VMACollect + stats.InfrequentCollect
 	if sum > stats.Collect {
 		t.Fatalf("component sum %v exceeds total collect %v", sum, stats.Collect)
 	}

@@ -202,8 +202,6 @@ type EncodeStats struct {
 	// DiffedPages counts page-pair comparisons: XOR diffs plus dedup
 	// byte-verifications.
 	DiffedPages int
-	// WireBytes is the total page-frame wire size.
-	WireBytes int64
 }
 
 // DeltaEncoder rewrites checkpoint images into wire frames. It mirrors
@@ -263,11 +261,10 @@ func (e *DeltaEncoder) EncodeImage(img *Image, acked uint64, haveAck bool) Encod
 
 // encodePage ships one page as the cheapest frame it can: zero, then a
 // dedup reference, then an XOR delta, then full.
-func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64, haveAck bool, st *EncodeStats) (f PageFrame) {
+func (e *DeltaEncoder) encodePage(procIdx int, pg PageImage, epoch, acked uint64, haveAck bool, st *EncodeStats) PageFrame {
 	key := PageKey(procIdx, pg.PN)
 	hv := HashPage(pg.Data)
 	st.HashedPages++
-	defer func() { st.WireBytes += f.WireBytes() }()
 
 	if allZero(pg.Data) {
 		// The base is the all-zero stamp frame, so the encoder does not

@@ -52,7 +52,7 @@ func TestCheckpointSeesEveryVMAChange(t *testing.T) {
 		inNext bool
 	}{
 		{"Mmap", func() uint64 {
-			mapped = p.Mem.Mmap(2*simkernel.PageSize, simkernel.ProtRead, "", p.PID, ctr.ID)
+			mapped = p.Mem.Mmap(2*simkernel.PageSize, simkernel.ProtRead, "", ctr.ID)
 			return mapped.Start
 		}, true},
 		{"InstallVMA", func() uint64 {

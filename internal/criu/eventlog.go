@@ -28,15 +28,12 @@ func (e *LogEvent) wireBytes() int64 { return 8 + int64(e.Packet.Len()) }
 
 // LogSegment is one sealed slice of the nondeterminism log. Segments are
 // sealed on a short coalescing delay after the first event and at every
-// epoch boundary, so Seq is globally monotone and Epoch is nondecreasing
-// in Seq. A segment is tiny next to a checkpoint — the whole point: its
-// commit latency is link latency plus microseconds of serialization.
+// epoch boundary, so Seq is globally monotone. A segment is tiny next to
+// a checkpoint — the whole point: its commit latency is link latency
+// plus microseconds of serialization.
 type LogSegment struct {
 	// Seq is the global segment sequence number (1-based).
 	Seq uint64
-	// Epoch is the checkpoint that will contain this segment's effects:
-	// events recorded after freeze(e-1) and before freeze(e) carry e.
-	Epoch uint64
 	// Events holds the recorded events in occurrence order.
 	Events []LogEvent
 	// EgressDigest is a CRC-32C digest of the application-level bytes
@@ -46,24 +43,21 @@ type LogSegment struct {
 	// exactly — the replay-divergence oracle.
 	EgressDigest uint64
 	EgressBytes  int64
-	// SchedDigest folds the scheduling-quantum sequence (thread TIDs)
-	// executed while the segment was open; SchedSteps counts them.
-	// Informational: output correctness is carried by EgressDigest, the
-	// scheduling digest localizes divergence when it happens.
-	SchedDigest uint64
-	SchedSteps  uint64
+	// SchedSteps counts the scheduling quanta executed while the
+	// segment was open: replay runs at most this many.
+	SchedSteps uint64
 }
 
 // WireBytes models the segment's transfer size on the replication link.
 func (s *LogSegment) WireBytes() int64 {
-	n := int64(64) // segment header: seq, epoch, digests, counts
+	n := int64(64) // segment header
 	for i := range s.Events {
 		n += s.Events[i].wireBytes()
 	}
 	return n
 }
 
-// The digest primitive for egress and scheduling streams is a chained
+// The digest primitive for the egress stream is a chained
 // CRC-32C (Castagnoli, hardware-accelerated on amd64 and arm64).
 // Chaining makes it split-invariant: folding a and then b gives the
 // digest of a‖b, however a send was cut into writes.
@@ -75,16 +69,4 @@ func DigestInit() uint64 { return 0 }
 // DigestBytes folds data into a digest.
 func DigestBytes(h uint64, data []byte) uint64 {
 	return uint64(crc32.Update(uint32(h), castagnoli, data))
-}
-
-// DigestUint64 folds one 64-bit value, as its 8 little-endian bytes,
-// into a digest. The bytes go through the table one at a time: handing
-// a stack buffer to crc32.Update would move it to the heap.
-func DigestUint64(h, v uint64) uint64 {
-	crc := ^uint32(h)
-	for i := 0; i < 8; i++ {
-		crc = castagnoli[byte(crc)^byte(v)] ^ crc>>8
-		v >>= 8
-	}
-	return uint64(^crc)
 }

@@ -235,8 +235,6 @@ type CheckpointStats struct {
 	MemCopy simtime.Duration
 	// SocketCollect is the portion spent on socket repair-mode reads.
 	SocketCollect simtime.Duration
-	// ThreadCollect is the portion spent on per-thread state.
-	ThreadCollect simtime.Duration
 	// VMACollect is the portion spent reading VMA information.
 	VMACollect simtime.Duration
 	// InfrequentCollect is the portion spent on rarely-modified state.

@@ -39,10 +39,10 @@ func Restore(h *container.Host, img *Image, store simfs.BlockStore) (*container.
 
 	// Mount table and devices from the image replace the defaults.
 	for _, m := range ctr.Mounts.Mounts() {
-		ctr.Mounts.Unmount(m.Target, 0, ctr.ID)
+		ctr.Mounts.Unmount(m.Target, ctr.ID)
 	}
 	for _, m := range img.Infrequent.Mounts {
-		ctr.Mounts.Mount(m, 0, ctr.ID)
+		ctr.Mounts.Mount(m, ctr.ID)
 	}
 	ctr.Devices = append([]simkernel.DeviceFile(nil), img.Infrequent.Devices...)
 	for key, val := range img.Infrequent.Cgroup.Config {

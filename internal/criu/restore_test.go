@@ -69,7 +69,7 @@ func TestRestoreRecreatesThreadsAndFDs(t *testing.T) {
 	th2 := p.NewThread()
 	th2.Regs.PC = 0xBEEF
 	th2.SigMask = 0x3
-	th2.Policy = simkernel.SchedPolicy{Policy: "SCHED_FIFO", Priority: 10}
+	th2.Policy = simkernel.SchedPolicy{Policy: "SCHED_FIFO"}
 	fd := p.OpenFD(simkernel.FDFile, "/var/log/app.log")
 	fd.Offset = 4096
 	p.AddTimer(30*simtime.Millisecond, 7*simtime.Millisecond)
@@ -103,7 +103,7 @@ func TestRestoreRecreatesThreadsAndFDs(t *testing.T) {
 func TestRestoreRecreatesMounts(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 2)
-	ctr.Mounts.Mount(simkernel.Mount{Source: "nfs:/x", Target: "/mnt/x", FSType: "nfs"}, 0, ctr.ID)
+	ctr.Mounts.Mount(simkernel.Mount{Source: "nfs:/x", Target: "/mnt/x", FSType: "nfs"}, ctr.ID)
 	restored, img := checkpointThenRestore(t, ctr, clock)
 	if len(restored.Mounts.Mounts()) != len(img.Infrequent.Mounts) {
 		t.Fatalf("mounts = %d, want %d", len(restored.Mounts.Mounts()), len(img.Infrequent.Mounts))

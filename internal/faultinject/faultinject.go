@@ -14,29 +14,20 @@ import (
 	"nilicon/internal/simtime"
 )
 
-// Injection records what was injected and when.
-type Injection struct {
-	At   simtime.Time
-	Kind string
-}
-
 // FailStop blocks all primary traffic: the container port, the
 // replication link, and the acknowledgment link. The container keeps
 // running (fail-stop from the outside world's perspective).
-func FailStop(r *core.Replicator) Injection {
+func FailStop(r *core.Replicator) {
 	r.Ctr.Disconnect()
 	r.Cluster.ReplLink.SetDown(true)
 	r.Cluster.AckLink.SetDown(true)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "fail-stop"}
 }
 
 // HardKill additionally stops the container's execution (host power
 // loss).
-func HardKill(r *core.Replicator) Injection {
-	inj := FailStop(r)
+func HardKill(r *core.Replicator) {
+	FailStop(r)
 	r.Ctr.Stop()
-	inj.Kind = "hard-kill"
-	return inj
 }
 
 // Cut downs the chosen inter-host links without touching the
@@ -46,22 +37,20 @@ func HardKill(r *core.Replicator) Injection {
 // loses the backup's acks, resync requests, beats and lease grants, so
 // the primary's output stays buffered. Both together are a full
 // partition. Heal restores them.
-func Cut(r *core.Replicator, repl, ack bool) Injection {
+func Cut(r *core.Replicator, repl, ack bool) {
 	if repl {
 		r.Cluster.ReplLink.SetDown(true)
 	}
 	if ack {
 		r.Cluster.AckLink.SetDown(true)
 	}
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "cut"}
 }
 
 // FlapLinks schedules a seeded burst of link flaps over the next
 // `total` of virtual time: both inter-host links toggle down and up at
 // random points, independently drawn per link, always ending healed.
-// The flap count and instants are a pure function of the seed. Returns
-// the injection stamp for the start of the burst.
-func FlapLinks(r *core.Replicator, seed int64, total simtime.Duration) Injection {
+// The flap count and instants are a pure function of the seed.
+func FlapLinks(r *core.Replicator, seed int64, total simtime.Duration) {
 	rng := simtime.NewRand(seed)
 	cl := r.Cluster
 	for _, link := range []interface{ SetDown(bool) }{cl.ReplLink, cl.AckLink} {
@@ -79,30 +68,23 @@ func FlapLinks(r *core.Replicator, seed int64, total simtime.Duration) Injection
 			cl.Clock.Schedule(simtime.Duration(t), func() { link.SetDown(down) })
 		}
 	}
-	return Injection{At: cl.Clock.Now(), Kind: "flap"}
 }
 
 // Heal restores both inter-host links.
-func Heal(r *core.Replicator) Injection {
+func Heal(r *core.Replicator) {
 	r.Cluster.ReplLink.SetDown(false)
 	r.Cluster.AckLink.SetDown(false)
-	return Injection{At: r.Cluster.Clock.Now(), Kind: "heal"}
 }
 
 // Schedule arranges an injection at a uniformly random time within the
 // middle 80% of a run of the given length, as in the paper's validation
 // methodology. It returns the chosen time.
-func Schedule(r *core.Replicator, runLength simtime.Duration, seed int64, inject func(*core.Replicator) Injection, done func(Injection)) simtime.Time {
+func Schedule(r *core.Replicator, runLength simtime.Duration, seed int64, inject func(*core.Replicator)) simtime.Time {
 	rng := simtime.NewRand(seed)
 	lo := int64(runLength) / 10
 	span := int64(runLength) * 8 / 10
 	at := simtime.Duration(lo + rng.Int63n(span))
 	when := r.Cluster.Clock.Now().Add(at)
-	r.Cluster.Clock.Schedule(at, func() {
-		inj := inject(r)
-		if done != nil {
-			done(inj)
-		}
-	})
+	r.Cluster.Clock.Schedule(at, func() { inject(r) })
 	return when
 }

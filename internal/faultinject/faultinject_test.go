@@ -23,10 +23,7 @@ func TestFailStopBlocksEverything(t *testing.T) {
 	clock, repl := newReplicator()
 	repl.Start()
 	clock.RunFor(200 * simtime.Millisecond)
-	inj := FailStop(repl)
-	if inj.Kind != "fail-stop" {
-		t.Fatalf("kind = %q", inj.Kind)
-	}
+	FailStop(repl)
 	if repl.Ctr.Port.Enabled() {
 		t.Fatal("container port still enabled")
 	}
@@ -55,6 +52,7 @@ func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
 	const (
 		mappedPages = 1024 // a 4 MiB full checkpoint per isolated epoch
 		chunkSlack  = 2 * 256 << 10
+		recordSlack = 64 << 10 // a checkpoint's non-page records
 		heapCap     = 64 << 20
 	)
 	for _, tc := range []struct {
@@ -66,7 +64,7 @@ func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
 			cl := core.NewShardedCluster(clock, core.ClusterParams{})
 			ctr := cl.NewProtectedContainer("ft", "10.0.0.10", 1)
 			p := ctr.AddProcess("app", 1)
-			v := p.Mem.Mmap(mappedPages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+			v := p.Mem.Mmap(mappedPages*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 			if err := p.Mem.Touch(v, 0, mappedPages, 1); err != nil {
 				t.Fatal(err)
 			}
@@ -78,12 +76,19 @@ func TestFailStopIsolatedPrimaryRetainsNoLostImages(t *testing.T) {
 
 			FailStop(repl)
 			atFault := repl.RetainedImageBytes()
+			// The newest checkpoint is at most a full one: every resident
+			// page and the non-page records.
+			resident := 0
+			for _, p := range ctr.Procs {
+				resident += p.Mem.ResidentPages()
+			}
+			newest := int64(resident)*(simkernel.PageSize+16) + recordSlack
 			epochs := repl.Epochs()
 			var peak int64
 			for i := 1; i <= 6000; i++ {
 				clock.RunFor(5 * simtime.Millisecond)
 				got := repl.RetainedImageBytes()
-				bound := atFault + cl.Xfer.QueuedBytes() + chunkSlack + repl.LastStats.StateBytes
+				bound := atFault + cl.Xfer.QueuedBytes() + chunkSlack + newest
 				if got > bound {
 					t.Fatalf("after %v of isolation the primary retains %d image bytes, want <= %d (%d held at the fault + queued on the link + newest checkpoint)",
 						simtime.Duration(i)*5*simtime.Millisecond, got, bound, atFault)
@@ -112,10 +117,7 @@ func TestHardKillStopsContainer(t *testing.T) {
 	clock, repl := newReplicator()
 	repl.Start()
 	clock.RunFor(200 * simtime.Millisecond)
-	inj := HardKill(repl)
-	if inj.Kind != "hard-kill" {
-		t.Fatalf("kind = %q", inj.Kind)
-	}
+	HardKill(repl)
 	if !repl.Ctr.Stopped() {
 		t.Fatal("hard kill must stop the container")
 	}
@@ -131,7 +133,10 @@ func TestScheduleInjectsWithinMiddle80Percent(t *testing.T) {
 		repl.Start()
 		runLen := 10 * simtime.Second
 		var at simtime.Time
-		when := Schedule(repl, runLen, seed, FailStop, func(inj Injection) { at = inj.At })
+		when := Schedule(repl, runLen, seed, func(r *core.Replicator) {
+			at = clock.Now()
+			FailStop(r)
+		})
 		lo := simtime.Time(int64(runLen) / 10)
 		hi := simtime.Time(int64(runLen) * 9 / 10)
 		if when < lo || when >= hi {
@@ -162,10 +167,7 @@ func TestCutDownsOnlyTheChosenLinks(t *testing.T) {
 			clock, repl := newReplicator()
 			repl.Start()
 			clock.RunFor(200 * simtime.Millisecond)
-			inj := Cut(repl, tc.repl, tc.ack)
-			if inj.Kind != "cut" || inj.At != clock.Now() {
-				t.Fatalf("injection = %+v at %v", inj, clock.Now())
-			}
+			Cut(repl, tc.repl, tc.ack)
 			if repl.Cluster.ReplLink.Down() != tc.repl || repl.Cluster.AckLink.Down() != tc.ack {
 				t.Fatalf("repl down=%v ack down=%v, want %v and %v",
 					repl.Cluster.ReplLink.Down(), repl.Cluster.AckLink.Down(), tc.repl, tc.ack)
@@ -185,10 +187,7 @@ func TestFlapLinksEndsHealed(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		clock, repl := newReplicator()
 		repl.Start()
-		inj := FlapLinks(repl, seed, 300*simtime.Millisecond)
-		if inj.Kind != "flap" {
-			t.Fatalf("kind = %q", inj.Kind)
-		}
+		FlapLinks(repl, seed, 300*simtime.Millisecond)
 		clock.RunFor(400 * simtime.Millisecond)
 		if repl.Cluster.ReplLink.Down() || repl.Cluster.AckLink.Down() {
 			t.Fatalf("seed %d: flap burst left a link down", seed)
@@ -199,7 +198,7 @@ func TestFlapLinksEndsHealed(t *testing.T) {
 func TestScheduleDeterministicPerSeed(t *testing.T) {
 	mk := func(seed int64) simtime.Time {
 		_, repl := newReplicator()
-		return Schedule(repl, 20*simtime.Second, seed, FailStop, nil)
+		return Schedule(repl, 20*simtime.Second, seed, FailStop)
 	}
 	if mk(42) != mk(42) {
 		t.Fatal("same seed, different injection time")

@@ -16,14 +16,11 @@ package ftrace
 type Event struct {
 	// Fn is the kernel function name, e.g. "do_mount", "cgroup_attach_task".
 	Fn string
-	// PID is the process on whose behalf the function ran (0 if none).
-	PID int
-	// ContainerID identifies the container the process belongs to
-	// (empty if the process is not containerized). Hook functions use it
-	// to decide whether the event concerns the checkpointed container.
+	// ContainerID identifies the container of the process on whose
+	// behalf the function ran (empty if the process is not
+	// containerized). Hook functions use it to decide whether the event
+	// concerns the checkpointed container.
 	ContainerID string
-	// Detail carries function-specific context (mount point, cgroup path…).
-	Detail string
 }
 
 // Hook is a callback attached to one or more kernel functions.

@@ -6,12 +6,12 @@ func TestFireDispatchesToMatchingHook(t *testing.T) {
 	var r Registry
 	var got []Event
 	r.Register("do_mount", func(e Event) { got = append(got, e) })
-	r.Fire(Event{Fn: "do_mount", PID: 7, Detail: "/data"})
-	r.Fire(Event{Fn: "cgroup_attach_task", PID: 7})
+	r.Fire(Event{Fn: "do_mount", ContainerID: "c1"})
+	r.Fire(Event{Fn: "cgroup_attach_task", ContainerID: "c1"})
 	if len(got) != 1 {
 		t.Fatalf("hook fired %d times, want 1", len(got))
 	}
-	if got[0].PID != 7 || got[0].Detail != "/data" {
+	if got[0].Fn != "do_mount" || got[0].ContainerID != "c1" {
 		t.Fatalf("event = %+v", got[0])
 	}
 }

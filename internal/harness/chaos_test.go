@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"nilicon/internal/chaos"
 	"nilicon/internal/simtime"
 )
 
@@ -25,10 +26,10 @@ func TestChaosSweepSmall(t *testing.T) {
 		if !res.Passed {
 			for _, v := range res.Verdicts {
 				if !v.OK {
-					t.Errorf("%s seed=%d oracle %s: %s", res.OptName, res.Seed, v.Oracle, v.Detail)
+					t.Errorf("%s oracle %s: %s", campaignID(res), v.Oracle, v.Detail)
 				}
 			}
-			t.Fatalf("campaign %s seed=%d failed", res.OptName, res.Seed)
+			t.Fatalf("campaign %s failed", campaignID(res))
 		}
 	}
 	if tb.NumRows() != entries {
@@ -50,11 +51,12 @@ func TestChaosSweepSmall(t *testing.T) {
 		t.Fatalf("summary table missing traffic entry:\n%s", tb)
 	}
 	for _, res := range results {
-		if res.OptName == "traffic" && res.SLO == nil {
-			t.Fatalf("traffic campaign seed=%d has no SLO report", res.Seed)
+		name := optName(res)
+		if name == "traffic" && res.SLO == nil {
+			t.Fatalf("traffic campaign %s has no SLO report", campaignID(res))
 		}
-		if res.OptName != "traffic" && !strings.HasPrefix(res.OptName, "fleet-") && res.SLO != nil {
-			t.Fatalf("non-traffic campaign %s seed=%d has an SLO report", res.OptName, res.Seed)
+		if name != "traffic" && !strings.HasPrefix(name, "fleet-") && res.SLO != nil {
+			t.Fatalf("non-traffic campaign %s has an SLO report", campaignID(res))
 		}
 	}
 	// The fleet scenarios ride in the same matrix: each has a summary row
@@ -66,9 +68,9 @@ func TestChaosSweepSmall(t *testing.T) {
 	}
 	fleetFailovers := 0
 	for _, res := range results {
-		if strings.HasPrefix(res.OptName, "fleet-") {
+		if strings.HasPrefix(optName(res), "fleet-") {
 			if !strings.HasPrefix(res.Terminal, "host-kill") {
-				t.Fatalf("fleet campaign %s seed=%d terminal = %q", res.OptName, res.Seed, res.Terminal)
+				t.Fatalf("fleet campaign %s terminal = %q", campaignID(res), res.Terminal)
 			}
 			fleetFailovers += res.Failovers
 		}
@@ -76,6 +78,26 @@ func TestChaosSweepSmall(t *testing.T) {
 	if fleetFailovers == 0 {
 		t.Fatal("fleet campaigns never failed over")
 	}
+}
+
+// campaignID is the "seed=S opts=NAME" part of a campaign's trace
+// header.
+func campaignID(res chaos.Result) string {
+	header, _, _ := strings.Cut(res.Trace, "\n")
+	var id []string
+	for _, f := range strings.Fields(header) {
+		if strings.HasPrefix(f, "seed=") || strings.HasPrefix(f, "opts=") {
+			id = append(id, f)
+		}
+	}
+	return strings.Join(id, " ")
+}
+
+// optName is the option-set or scenario name in a campaign's trace
+// header.
+func optName(res chaos.Result) string {
+	_, name, _ := strings.Cut(campaignID(res), "opts=")
+	return name
 }
 
 // TestChaosSweepParallelByteIdentical: the -j worker pool must not change

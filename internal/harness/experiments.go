@@ -76,7 +76,7 @@ type Fig3Row struct {
 	NLStopFrac, NLRuntimeFrac float64
 
 	// Raw results for downstream tables.
-	Stock, MCRes, NLRes RunResult
+	Stock, NLRes RunResult
 }
 
 // RunFigure3 measures overhead under maximum CPU utilization for every
@@ -105,7 +105,7 @@ func RunFigure3(rc RunConfig) ([]Fig3Row, *metrics.Table) {
 			NLStop:     simtime.Duration(nl.StopMean * float64(simtime.Second)),
 			NLDirty:    nl.DirtyMean,
 			NLStopFrac: nl.StopFrac, NLRuntimeFrac: nl.RuntimeFrac,
-			Stock: stock, MCRes: mc, NLRes: nl,
+			Stock: stock, NLRes: nl,
 		})
 	}
 	tb := metrics.NewTable("Figure 3: performance overhead, MC vs NiLiCon (with stop/runtime shares of wall time)",
@@ -334,16 +334,13 @@ func preload(clock *simtime.Clock, cl *core.Cluster, wl *workloads.Server, recor
 
 // ValidationResult is one fault-injection run's outcome.
 type ValidationResult struct {
-	Bench       string
-	Run         int
-	Recovered   bool
-	ClientErrs  int
-	Resets      int
-	ServerErrs  int
-	ProgressOK  bool
-	Passed      bool
-	InjectedAt  simtime.Time
-	RecoveredIn simtime.Duration
+	Bench      string
+	Recovered  bool
+	ClientErrs int
+	Resets     int
+	ServerErrs int
+	ProgressOK bool
+	Passed     bool
 }
 
 // RunValidation performs the §VII-A experiment: each benchmark runs for
@@ -362,7 +359,7 @@ func RunValidation(benches []string, runs int, runLength simtime.Duration, seed 
 	for _, name := range benches {
 		for run := 0; run < runs; run++ {
 			progress.printf("validate: %s run %d/%d...", name, run+1, runs)
-			results = append(results, validateOnce(name, run, runLength, seed+int64(run)*104729, opts, progress))
+			results = append(results, validateOnce(name, runLength, seed+int64(run)*104729, opts, progress))
 		}
 	}
 	tb := metrics.NewTable("§VII-A validation: fail-stop fault injection",
@@ -390,7 +387,7 @@ func RunValidation(benches []string, runs int, runLength simtime.Duration, seed 
 	return results, tb
 }
 
-func validateOnce(name string, run int, runLength simtime.Duration, seed int64, opts core.OptSet, progress Progress) ValidationResult {
+func validateOnce(name string, runLength simtime.Duration, seed int64, opts core.OptSet, progress Progress) ValidationResult {
 	wl, err := workloads.ByName(name)
 	if err != nil {
 		panic(err)
@@ -421,11 +418,8 @@ func validateOnce(name string, run int, runLength simtime.Duration, seed int64, 
 		set = sv.NewClients(cl, "10.0.0.10", 0, seed)
 	}
 
-	res := ValidationResult{Bench: name, Run: run}
-	var injectedAt simtime.Time
-	faultinject.Schedule(repl, runLength, seed, faultinject.FailStop, func(inj faultinject.Injection) {
-		injectedAt = inj.At
-	})
+	res := ValidationResult{Bench: name}
+	faultinject.Schedule(repl, runLength, seed, faultinject.FailStop)
 	clock.RunFor(runLength)
 	// Allow recovery to complete, then let post-recovery traffic settle.
 	var progressBase int64 = -1
@@ -437,11 +431,7 @@ func validateOnce(name string, run int, runLength simtime.Duration, seed int64, 
 	}
 	clock.RunFor(2 * simtime.Second)
 
-	res.InjectedAt = injectedAt
 	res.Recovered = repl.Backup.Recovered() && repl.Backup.RecoverError() == nil && repl.Backup.RestoredCtr != nil
-	if res.Recovered && repl.Backup.Recovery != nil {
-		res.RecoveredIn = repl.Backup.Recovery.NetworkLiveAt.Sub(repl.Backup.Recovery.DetectedAt)
-	}
 	if set != nil {
 		res.ClientErrs = len(set.ValidationErrors())
 		res.Resets = set.Resets

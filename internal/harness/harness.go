@@ -64,18 +64,15 @@ func (rc *RunConfig) defaults() {
 
 // RunResult is one benchmark execution's measurements.
 type RunResult struct {
-	Bench string
-	Mode  Mode
-
 	// Throughput is requests/second (server benchmarks).
 	Throughput float64
 	// Elapsed is the completion time (batch benchmarks).
 	Elapsed simtime.Duration
 
 	// Checkpoint statistics (virtual time, seconds / pages / bytes).
-	StopMean, StopP10, StopP50, StopP90     float64
-	StateMean, StateP10, StateP50, StateP90 float64
-	DirtyMean                               float64
+	StopMean, StopP10, StopP50, StopP90 float64
+	StateP10, StateP50, StateP90        float64
+	DirtyMean                           float64
 
 	// Overhead components relative to useful execution time.
 	StopFrac    float64 // Σstop / wall
@@ -98,15 +95,15 @@ type RunResult struct {
 	TransferMean, CommitMean float64
 
 	// Wire-format measurements (NiLiCon mode; DESIGN.md §8). WireMean is
-	// the mean bytes actually sent per steady-state epoch — equal to
-	// StateMean unless the delta encoder compressed the stream. CommitP50
-	// and CommitP99 are percentiles of the end-to-end output-commit
+	// the mean bytes actually sent per steady-state epoch — equal to the
+	// mean state size unless the delta encoder compressed the stream.
+	// CommitP99 is the 99th percentile of the end-to-end output-commit
 	// latency (seconds). DeltaHit/DedupHit are the fractions of
 	// transferred pages shipped as delta/zero frames and as dedup
 	// references.
-	WireMean             float64
-	CommitP50, CommitP99 float64
-	DeltaHit, DedupHit   float64
+	WireMean           float64
+	CommitP99          float64
+	DeltaHit, DedupHit float64
 
 	// Timeline is the run's per-epoch record (nil in Stock mode); every
 	// checkpoint column above is derived from it by epochColumns.
@@ -156,7 +153,7 @@ func RunServer(mk func() *workloads.Server, mode Mode, rc RunConfig) RunResult {
 	wl := mk()
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
-	res := RunResult{Bench: prof.Name, Mode: mode}
+	var res RunResult
 	repl, mc := replicate(cl, ctr, prof, func() workloads.Workload { return mk() }, mode, rc, &res)
 
 	clients := rc.Clients
@@ -209,7 +206,7 @@ func RunBatch(mk func() *workloads.Parsec, mode Mode, rc RunConfig) RunResult {
 	wl := mk()
 	prof := wl.Profile()
 	clock, cl, ctr := setup(wl, 0)
-	res := RunResult{Bench: prof.Name, Mode: mode}
+	var res RunResult
 	repl, mc := replicate(cl, ctr, prof, func() workloads.Workload { return mk() }, mode, rc, &res)
 
 	start := clock.Now()
@@ -295,7 +292,6 @@ func epochColumns(res *RunResult, from simtime.Time, wall float64) {
 	res.StopP10 = stop.Percentile(10)
 	res.StopP50 = stop.Percentile(50)
 	res.StopP90 = stop.Percentile(90)
-	res.StateMean = state.Mean()
 	res.StateP10 = state.Percentile(10)
 	res.StateP50 = state.Percentile(50)
 	res.StateP90 = state.Percentile(90)
@@ -305,7 +301,6 @@ func epochColumns(res *RunResult, from simtime.Time, wall float64) {
 	}
 	res.TransferMean = transfer.Mean()
 	res.CommitMean = commit.Mean()
-	res.CommitP50 = commit.Percentile(50)
 	res.CommitP99 = commit.Percentile(99)
 	res.WireMean = wire.Mean()
 	if frames > 0 {

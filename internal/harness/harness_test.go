@@ -33,7 +33,7 @@ func TestRunServerStockBaseline(t *testing.T) {
 
 func TestRunServerNiLiConCollectsStats(t *testing.T) {
 	res := RunServer(workloads.Redis, NiLiCon, shortRC())
-	if res.Epochs == 0 || res.StopMean <= 0 || res.DirtyMean <= 0 || res.StateMean <= 0 {
+	if res.Epochs == 0 || res.StopMean <= 0 || res.DirtyMean <= 0 || res.StateP50 <= 0 {
 		t.Fatalf("stats missing: %+v", res)
 	}
 	if res.BackupUtil <= 0 {
@@ -92,7 +92,7 @@ func TestRunDispatch(t *testing.T) {
 		t.Fatal("unknown benchmark accepted")
 	}
 	res, err := Run("swaptions", Stock, shortRC())
-	if err != nil || res.Bench != "swaptions" {
+	if err != nil || res.Elapsed <= 0 {
 		t.Fatalf("res=%+v err=%v", res, err)
 	}
 }
@@ -261,14 +261,12 @@ func TestEpochColumnsCountTheWindowsRecords(t *testing.T) {
 		{"StopP50", res.StopP50, stop.Percentile(50)},
 		{"StopP90", res.StopP90, stop.Percentile(90)},
 		{"StopFrac", res.StopFrac, stop.Sum() / rc.Measure.Seconds()},
-		{"StateMean", res.StateMean, state.Mean()},
 		{"StateP10", res.StateP10, state.Percentile(10)},
 		{"StateP50", res.StateP50, state.Percentile(50)},
 		{"StateP90", res.StateP90, state.Percentile(90)},
 		{"DirtyMean", res.DirtyMean, dirty.Mean()},
 		{"TransferMean", res.TransferMean, transfer.Mean()},
 		{"CommitMean", res.CommitMean, commit.Mean()},
-		{"CommitP50", res.CommitP50, commit.Percentile(50)},
 		{"CommitP99", res.CommitP99, commit.Percentile(99)},
 		{"WireMean", res.WireMean, wire.Mean()},
 		{"DeltaHit", res.DeltaHit, float64(delta) / float64(frames)},

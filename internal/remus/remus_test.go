@@ -39,7 +39,7 @@ func TestMCEpochsAndDirtyTracking(t *testing.T) {
 	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 4)
 	p := ctr.AddProcess("guest", 2)
-	v := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+	v := p.Mem.Mmap(1000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = p.Mem.Touch(v, 0, 1000, 1)
 	seq := byte(0)
 	ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
@@ -72,7 +72,7 @@ func TestMCRuntimeOverheadFromVMExits(t *testing.T) {
 	cl := core.NewShardedCluster(clock, core.ClusterParams{})
 	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
 	p := ctr.AddProcess("guest", 0)
-	v := p.Mem.Mmap(500*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+	v := p.Mem.Mmap(500*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = p.Mem.Touch(v, 0, 500, 1)
 	p.Mem.ConsumeTrackingOverhead()
 	seq := byte(0)
@@ -138,7 +138,7 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 		cl := core.NewShardedCluster(clock, core.ClusterParams{})
 		ctr := cl.NewProtectedContainer("x", "10.0.0.20", 4)
 		p := ctr.AddProcess("app", 2)
-		v := p.Mem.Mmap(5000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+		v := p.Mem.Mmap(5000*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 		_ = p.Mem.Touch(v, 0, 5000, 1)
 		seq := byte(0)
 		run := func() {

@@ -25,14 +25,13 @@ const BlockSize = 4096
 // shipped buffer (adopt), and every read-out (ReadBlock, Clone,
 // CopyFrom) hands out a copy.
 type Disk struct {
-	Name   string
 	blocks map[uint64][]byte
 	writes int64
 }
 
 // NewDisk creates an empty disk.
-func NewDisk(name string) *Disk {
-	return &Disk{Name: name, blocks: make(map[uint64][]byte)}
+func NewDisk() *Disk {
+	return &Disk{blocks: make(map[uint64][]byte)}
 }
 
 // WriteBlock stores data at block bn. Data longer than BlockSize is an
@@ -109,8 +108,8 @@ func (d *Disk) Checksum() [32]byte {
 
 // Clone returns a deep copy (used to give primary and backup identical
 // initial content).
-func (d *Disk) Clone(name string) *Disk {
-	nd := NewDisk(name)
+func (d *Disk) Clone() *Disk {
+	nd := NewDisk()
 	for bn, b := range d.blocks {
 		nb := make([]byte, BlockSize)
 		copy(nb, b)

@@ -11,7 +11,7 @@ import (
 )
 
 func TestDiskReadWrite(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	if err := d.WriteBlock(7, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestDiskReadWrite(t *testing.T) {
 }
 
 func TestDiskUnwrittenBlockIsZero(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	b := d.ReadBlock(99)
 	for _, x := range b {
 		if x != 0 {
@@ -38,14 +38,14 @@ func TestDiskUnwrittenBlockIsZero(t *testing.T) {
 }
 
 func TestDiskOversizeWriteFails(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	if err := d.WriteBlock(0, make([]byte, BlockSize+1)); err == nil {
 		t.Fatal("oversize write accepted")
 	}
 }
 
 func TestDiskReadIsCopy(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	_ = d.WriteBlock(0, []byte{1})
 	b := d.ReadBlock(0)
 	b[0] = 99
@@ -55,7 +55,7 @@ func TestDiskReadIsCopy(t *testing.T) {
 }
 
 func TestChecksumEqualForEqualContent(t *testing.T) {
-	a, b := NewDisk("a"), NewDisk("b")
+	a, b := NewDisk(), NewDisk()
 	_ = a.WriteBlock(1, []byte("x"))
 	_ = a.WriteBlock(5, []byte("y"))
 	_ = b.WriteBlock(5, []byte("y"))
@@ -70,7 +70,7 @@ func TestChecksumEqualForEqualContent(t *testing.T) {
 }
 
 func TestChecksumIgnoresZeroBlocks(t *testing.T) {
-	a, b := NewDisk("a"), NewDisk("b")
+	a, b := NewDisk(), NewDisk()
 	_ = a.WriteBlock(3, []byte("data"))
 	_ = b.WriteBlock(3, []byte("data"))
 	_ = b.WriteBlock(9, make([]byte, BlockSize)) // explicit zeros
@@ -80,9 +80,9 @@ func TestChecksumIgnoresZeroBlocks(t *testing.T) {
 }
 
 func TestClone(t *testing.T) {
-	a := NewDisk("a")
+	a := NewDisk()
 	_ = a.WriteBlock(2, []byte("orig"))
-	b := a.Clone("b")
+	b := a.Clone()
 	if a.Checksum() != b.Checksum() {
 		t.Fatal("clone differs")
 	}
@@ -93,7 +93,7 @@ func TestClone(t *testing.T) {
 }
 
 func TestDiskShorterOverwriteZeroFillsTail(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	_ = d.WriteBlock(4, bytes.Repeat([]byte{0xAB}, BlockSize))
 	if err := d.WriteBlock(4, []byte("short")); err != nil {
 		t.Fatal(err)
@@ -112,20 +112,20 @@ func TestDiskShorterOverwriteZeroFillsTail(t *testing.T) {
 // everything handed out before (ReadBlock's slice, a Clone, a CopyFrom
 // target) must hold its own copy.
 func TestDiskReadOutsSurviveOverwrite(t *testing.T) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	_ = d.WriteBlock(1, []byte("before"))
 	read := d.ReadBlock(1)
-	clone := d.Clone("clone")
-	copied := NewDisk("copy")
+	clone := d.Clone()
+	copied := NewDisk()
 	copied.CopyFrom(d)
 	want := d.Checksum()
 	_ = d.WriteBlock(1, []byte("after!"))
 	if string(read[:6]) != "before" {
 		t.Errorf("ReadBlock result changed to %q by a later overwrite", read[:6])
 	}
-	for _, o := range []*Disk{clone, copied} {
+	for name, o := range map[string]*Disk{"clone": clone, "copy": copied} {
 		if o.Checksum() != want || string(o.ReadBlock(1)[:6]) != "before" {
-			t.Errorf("%s changed by a later overwrite of its source", o.Name)
+			t.Errorf("%s changed by a later overwrite of its source", name)
 		}
 	}
 	// And the other direction: writing the copies leaves the source.
@@ -139,7 +139,7 @@ func TestDiskReadOutsSurviveOverwrite(t *testing.T) {
 // BenchmarkDiskWriteBlock overwrites already-written blocks, the steady
 // state of a synced KV store rewriting its records.
 func BenchmarkDiskWriteBlock(b *testing.B) {
-	d := NewDisk("sda")
+	d := NewDisk()
 	data := bytes.Repeat([]byte{0x5A}, 1024)
 	const blocks = 256
 	for bn := uint64(0); bn < blocks; bn++ {
@@ -156,7 +156,7 @@ func BenchmarkDiskWriteBlock(b *testing.B) {
 
 func newDRBDPair(c *simtime.Clock) (*DRBD, *DRBD, *simnet.Link) {
 	link := simnet.NewLink(c, 50*simtime.Microsecond, 1_250_000_000)
-	p, s := NewDRBDPair(NewDisk("p"), NewDisk("b"), link)
+	p, s := NewDRBDPair(NewDisk(), NewDisk(), link)
 	return p, s, link
 }
 

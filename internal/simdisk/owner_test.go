@@ -204,14 +204,14 @@ func FuzzDRBDReplication(f *testing.F) {
 			buffer []op
 		}
 		c := simtime.NewClock()
-		p := NewDRBDPrimary(NewDisk("p"))
+		p := NewDRBDPrimary(NewDisk())
 		peers := 1 + int(next()%2)
 		secs := make([]*DRBD, peers)
 		links := make([]*simnet.Link, peers)
 		models := make([]*model, peers)
 		for i := range secs {
 			links[i] = simnet.NewLink(c, 50*simtime.Microsecond, 1_250_000_000)
-			secs[i] = p.AttachSecondary(NewDisk("b"), links[i])
+			secs[i] = p.AttachSecondary(NewDisk(), links[i])
 			models[i] = &model{disk: make(map[uint64][]byte)}
 		}
 		primary := make(map[uint64][]byte)

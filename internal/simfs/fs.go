@@ -90,9 +90,7 @@ type FS struct {
 	// Fgetfc costs the simulator O(DNC pages), not O(cache). Entries go
 	// stale when ApplyCache clears a flag or truncate drops the page, and
 	// a page flagged again after that is listed twice; Fgetfc skips both.
-	// dncCount is the number of pages flagged.
-	dncKeys  []pageKey
-	dncCount int
+	dncKeys []pageKey
 
 	// WritebackDelay is how long a page stays dirty before the flusher
 	// writes it to the block layer (0 disables automatic writeback).
@@ -133,11 +131,8 @@ func (fs *FS) Create(path string) *Inode {
 }
 
 func (fs *FS) truncate(ino *Inode) {
-	for k, pg := range fs.cache {
+	for k := range fs.cache {
 		if k.ino == ino.Ino {
-			if pg.dnc {
-				fs.dncCount--
-			}
 			delete(fs.cache, k)
 		}
 	}
@@ -207,7 +202,6 @@ func (fs *FS) WriteAt(ino *Inode, off int64, data []byte) error {
 		if !pg.dnc {
 			pg.dnc = true
 			fs.dncKeys = append(fs.dncKeys, pageKey{ino.Ino, idx})
-			fs.dncCount++
 		}
 		if ino.Sync {
 			fs.writebackPage(ino, idx, pg)
@@ -362,7 +356,6 @@ func (fs *FS) Fgetfc() CacheSnapshot {
 		cs.Pages = append(cs.Pages, PageEntry{Ino: k.ino, Idx: k.idx, Data: pg.data, Dirty: pg.dirty})
 		pg.lent = true
 		pg.dnc = false
-		fs.dncCount--
 		fs.charge(fs.costs().FgetfcPerEntry)
 	}
 	fs.dncKeys = fs.dncKeys[:0]
@@ -401,7 +394,7 @@ func (fs *FS) FgetfcFull() CacheSnapshot {
 		pg.dnc = false
 		fs.charge(fs.costs().FgetfcPerEntry)
 	}
-	fs.dncKeys, fs.dncCount = fs.dncKeys[:0], 0
+	fs.dncKeys = fs.dncKeys[:0]
 	for _, ino := range fs.Inodes() {
 		cs.Inodes = append(cs.Inodes, InodeEntry{
 			Ino: ino.Ino, Path: ino.Path, Size: ino.Size, Mode: ino.Mode,
@@ -447,10 +440,7 @@ func (fs *FS) ApplyCache(cs CacheSnapshot) {
 		pg.own()
 		copy(pg.data, pe.Data)
 		pg.dirty = pe.Dirty
-		if pg.dnc {
-			pg.dnc = false
-			fs.dncCount--
-		}
+		pg.dnc = false
 		if pe.Dirty {
 			fs.scheduleWriteback(ino, pe.Idx)
 		}

@@ -11,7 +11,7 @@ import (
 
 func newTestFS() (*FS, *simdisk.Disk, *simtime.Clock) {
 	c := simtime.NewClock()
-	d := simdisk.NewDisk("sda")
+	d := simdisk.NewDisk()
 	fs := New(c, d)
 	return fs, d, c
 }
@@ -136,14 +136,14 @@ func TestDNCLifecycle(t *testing.T) {
 	fs, _, _ := newTestFS()
 	f := fs.Create("/f")
 	_ = fs.WriteAt(f, 0, []byte("v1"))
-	if fs.dncCount != 1 {
-		t.Fatalf("DNC pages = %d", fs.dncCount)
+	if n := len(scanDNC(fs)); n != 1 {
+		t.Fatalf("DNC pages = %d", n)
 	}
 	cs := fs.Fgetfc()
 	if len(cs.Pages) != 1 {
 		t.Fatalf("fgetfc pages = %d", len(cs.Pages))
 	}
-	if fs.dncCount != 0 {
+	if len(scanDNC(fs)) != 0 {
 		t.Fatal("DNC not cleared by fgetfc")
 	}
 	// Unmodified: next fgetfc returns nothing.
@@ -249,7 +249,7 @@ func TestApplyCacheRestoresContentAndMetadata(t *testing.T) {
 	cs := fsA.Fgetfc()
 
 	cB := simtime.NewClock()
-	dB := simdisk.NewDisk("backup")
+	dB := simdisk.NewDisk()
 	fsB := New(cB, dB)
 	fsB.ApplyCache(cs)
 
@@ -283,7 +283,7 @@ func TestApplyCachePreservesCleanPages(t *testing.T) {
 	cs := fsA.Fgetfc()
 
 	cB := simtime.NewClock()
-	dB := simdisk.NewDisk("b")
+	dB := simdisk.NewDisk()
 	fsB := New(cB, dB)
 	fsB.ApplyCache(cs)
 	cB.Run()
@@ -307,7 +307,7 @@ func TestReadThroughFromDisk(t *testing.T) {
 	// Content already on disk (e.g. backup disk after DRBD commit) must
 	// be visible through a cold cache.
 	c := simtime.NewClock()
-	d := simdisk.NewDisk("sda")
+	d := simdisk.NewDisk()
 	fs1 := New(c, d)
 	f := fs1.Create("/f")
 	_ = fs1.WriteAt(f, 0, []byte("on-disk"))
@@ -354,7 +354,7 @@ func TestPropertyCheckpointRestorePreservesContent(t *testing.T) {
 
 		// Backup: disk clone as of now + fs cache restore.
 		cB := simtime.NewClock()
-		fsB := New(cB, dA.Clone("b"))
+		fsB := New(cB, dA.Clone())
 		fsB.ApplyCache(cs)
 		g := fsB.Open("/f")
 		if g == nil {
@@ -400,7 +400,7 @@ func TestSyncWritebackOrderDeterministic(t *testing.T) {
 	var want []uint64
 	for run, perm := range perms {
 		c := simtime.NewClock()
-		rec := &recordingStore{inner: simdisk.NewDisk("sda")}
+		rec := &recordingStore{inner: simdisk.NewDisk()}
 		fs := New(c, rec)
 		fs.WritebackDelay = 0 // no background flusher: Sync does all writeback
 		f := fs.Create("/f")

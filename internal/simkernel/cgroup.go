@@ -26,20 +26,18 @@ func (k *Kernel) NewCgroup(path string) *Cgroup {
 // firing the cgroup_attach_task hook the state-change tracker watches.
 func (cg *Cgroup) AddProcess(p *Process) {
 	cg.members = append(cg.members, p)
-	cg.k.Trace.Fire(ftraceEvent("cgroup_attach_task", p.PID, p.ContainerID, cg.Path))
+	cg.k.Trace.Fire(ftraceEvent("cgroup_attach_task", p.ContainerID))
 }
 
 // SetConfig updates a configuration knob, firing the corresponding hook
 // (configuration changes invalidate the cached cgroup state).
 func (cg *Cgroup) SetConfig(key, value string) {
 	cg.Config[key] = value
-	pid := 0
 	ctr := ""
 	if len(cg.members) > 0 {
-		pid = cg.members[0].PID
 		ctr = cg.members[0].ContainerID
 	}
-	cg.k.Trace.Fire(ftraceEvent("cgroup_file_write", pid, ctr, cg.Path+"/"+key))
+	cg.k.Trace.Fire(ftraceEvent("cgroup_file_write", ctr))
 }
 
 // ChargeCPU accounts CPU time consumed by the group's tasks

@@ -20,7 +20,6 @@ import (
 // Kernel is one host's simulated kernel. All methods are single-threaded:
 // the simulation runs on one event loop.
 type Kernel struct {
-	Clock *simtime.Clock
 	Costs *Costs
 	// Trace is the ftrace hook registry; kernel mutation paths fire
 	// events through it (see package ftrace).
@@ -35,14 +34,9 @@ type Kernel struct {
 	meterGen uint64
 }
 
-// NewKernel creates a kernel bound to the given clock, using the default
-// cost model.
-func NewKernel(clock *simtime.Clock) *Kernel {
-	if clock == nil {
-		panic("simkernel: NewKernel with nil clock")
-	}
+// NewKernel creates a kernel using the default cost model.
+func NewKernel() *Kernel {
 	return &Kernel{
-		Clock:   clock,
 		Costs:   DefaultCosts(),
 		nextPID: 1,
 		nextNS:  1,
@@ -129,7 +123,6 @@ func (k *Kernel) NewProcess(name, containerID string) *Process {
 		k:           k,
 		FDs:         make(map[int]*FD),
 		nextFD:      3, // 0,1,2 reserved for stdio
-		Cwd:         "/",
 	}
 	k.nextPID++
 	p.Mem = NewAddressSpace(k)

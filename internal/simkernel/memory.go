@@ -229,7 +229,8 @@ type AddressSpace struct {
 	k        *Kernel
 	vmas     []*VMA // sorted by Start, non-overlapping
 	resident int    // resident frames across all VMAs
-	// infos caches the VMA records task-diag returns (nil until built).
+	// infos caches the VMA records smaps and task-diag return (nil until
+	// built).
 	// Only insertVMA and Munmap change the VMA list, and each drops it.
 	infos []VMAInfo
 	// dirty lists, unsorted, the page numbers (address / PageSize) whose
@@ -261,7 +262,7 @@ func NewAddressSpace(k *Kernel) *AddressSpace {
 // address. path names the backing file ("" for anonymous). Mapping a file
 // fires the ftrace hook for mmap, which the state-change tracker uses to
 // invalidate the mapped-files cache (§V-B).
-func (as *AddressSpace) Mmap(size uint64, prot Prot, path string, pid int, containerID string) *VMA {
+func (as *AddressSpace) Mmap(size uint64, prot Prot, path, containerID string) *VMA {
 	if size == 0 {
 		panic("simkernel: Mmap of zero size")
 	}
@@ -270,7 +271,7 @@ func (as *AddressSpace) Mmap(size uint64, prot Prot, path string, pid int, conta
 	as.nextMap = v.End + PageSize // guard page gap
 	as.insertVMA(v)
 	if path != "" {
-		as.k.Trace.Fire(ftraceEvent("mmap_region", pid, containerID, path))
+		as.k.Trace.Fire(ftraceEvent("mmap_region", containerID))
 	}
 	return v
 }

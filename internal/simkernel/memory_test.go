@@ -4,17 +4,15 @@ import (
 	"bytes"
 	"testing"
 	"testing/quick"
-
-	"nilicon/internal/simtime"
 )
 
-func newTestKernel() *Kernel { return NewKernel(simtime.NewClock()) }
+func newTestKernel() *Kernel { return NewKernel() }
 
 func TestMmapAllocatesDisjointVMAs(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "c1")
-	a := p.Mem.Mmap(3*PageSize, ProtRead|ProtWrite, "", p.PID, "c1")
-	b := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", p.PID, "c1")
+	a := p.Mem.Mmap(3*PageSize, ProtRead|ProtWrite, "", "c1")
+	b := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", "c1")
 	if a.Pages() != 3 || b.Pages() != 1 {
 		t.Fatalf("page counts: %d, %d", a.Pages(), b.Pages())
 	}
@@ -26,7 +24,7 @@ func TestMmapAllocatesDisjointVMAs(t *testing.T) {
 func TestMmapRoundsUpToPage(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(1, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(1, ProtRead|ProtWrite, "", "")
 	if v.Pages() != 1 {
 		t.Fatalf("1-byte mmap has %d pages, want 1", v.Pages())
 	}
@@ -40,13 +38,13 @@ func TestMmapZeroSizePanics(t *testing.T) {
 	}()
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	p.Mem.Mmap(0, ProtRead, "", p.PID, "")
+	p.Mem.Mmap(0, ProtRead, "", "")
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", "")
 	data := []byte("hello, checkpoint world")
 	// Write straddling a page boundary.
 	addr := v.Start + PageSize - 5
@@ -73,7 +71,7 @@ func TestWriteUnmappedFails(t *testing.T) {
 func TestWritePastVMAEndFails(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", "")
 	if err := p.Mem.Write(v.End-2, []byte("abcd")); err == nil {
 		t.Fatal("write crossing VMA end succeeded")
 	}
@@ -82,7 +80,7 @@ func TestWritePastVMAEndFails(t *testing.T) {
 func TestWriteReadOnlyVMAFails(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(PageSize, ProtRead, "", p.PID, "")
+	v := p.Mem.Mmap(PageSize, ProtRead, "", "")
 	if err := p.Mem.Write(v.Start, []byte("x")); err == nil {
 		t.Fatal("write to read-only VMA succeeded")
 	}
@@ -91,7 +89,7 @@ func TestWriteReadOnlyVMAFails(t *testing.T) {
 func TestMunmapDropsPages(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(2*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(2*PageSize, ProtRead|ProtWrite, "", "")
 	if err := p.Mem.Write(v.Start, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +109,7 @@ func TestSoftDirtyLifecycle(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
 	p.Mem.SetSoftDirtyTracking(true)
-	v := p.Mem.Mmap(8*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(8*PageSize, ProtRead|ProtWrite, "", "")
 	// Touch 3 pages.
 	for i := 0; i < 3; i++ {
 		if err := p.Mem.Write(v.Start+uint64(i)*PageSize, []byte{1}); err != nil {
@@ -139,7 +137,7 @@ func TestSoftDirtyLifecycle(t *testing.T) {
 func TestDirtyPageNumbersSorted(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(64*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(64*PageSize, ProtRead|ProtWrite, "", "")
 	for _, i := range []int{40, 3, 17, 59, 0} {
 		if err := p.Mem.Write(v.Start+uint64(i)*PageSize, []byte{9}); err != nil {
 			t.Fatal(err)
@@ -157,7 +155,7 @@ func TestTrackingOverheadSoftDirty(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
 	p.Mem.SetSoftDirtyTracking(true)
-	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", "")
 	// First touches: minor faults only.
 	for i := 0; i < 4; i++ {
 		_ = p.Mem.Write(v.Start+uint64(i)*PageSize, []byte{1})
@@ -180,7 +178,7 @@ func TestTrackingOverheadSoftDirty(t *testing.T) {
 func TestTrackingOverheadWriteProtect(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("vm", "")
-	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(4*PageSize, ProtRead|ProtWrite, "", "")
 	for i := 0; i < 4; i++ {
 		_ = p.Mem.Write(v.Start+uint64(i)*PageSize, []byte{1})
 	}
@@ -198,7 +196,7 @@ func TestTrackingOverheadWriteProtect(t *testing.T) {
 func TestTouchDirtiesExactCount(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(100*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(100*PageSize, ProtRead|ProtWrite, "", "")
 	if err := p.Mem.Touch(v, 10, 25, 0xAB); err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +214,7 @@ func TestTouchDirtiesExactCount(t *testing.T) {
 func TestInstallPageRestore(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", "")
 	content := bytes.Repeat([]byte{0x5A}, PageSize)
 	p.Mem.InstallPage(v.Start/PageSize, content)
 	got, err := p.Mem.Read(v.Start, PageSize)
@@ -231,7 +229,7 @@ func TestInstallPageRestore(t *testing.T) {
 func TestInstallPageCopiesData(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(PageSize, ProtRead|ProtWrite, "", "")
 	buf := []byte{1, 2, 3}
 	p.Mem.InstallPage(v.Start/PageSize, buf)
 	buf[0] = 99
@@ -248,7 +246,7 @@ func TestInstallVMA(t *testing.T) {
 		t.Fatal("installed VMA not found")
 	}
 	// Subsequent Mmap must not collide.
-	w := p.Mem.Mmap(PageSize, ProtRead, "", p.PID, "")
+	w := p.Mem.Mmap(PageSize, ProtRead, "", "")
 	if w.Start < v.End {
 		t.Fatalf("mmap after InstallVMA collided: %v vs %v", w, v)
 	}
@@ -257,9 +255,9 @@ func TestInstallVMA(t *testing.T) {
 func TestMappedFilesDeduplicated(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	p.Mem.Mmap(PageSize, ProtRead|ProtExec, "/lib/libc.so", p.PID, "")
-	p.Mem.Mmap(PageSize, ProtRead, "/lib/libc.so", p.PID, "")
-	p.Mem.Mmap(PageSize, ProtRead, "/lib/libm.so", p.PID, "")
+	p.Mem.Mmap(PageSize, ProtRead|ProtExec, "/lib/libc.so", "")
+	p.Mem.Mmap(PageSize, ProtRead, "/lib/libc.so", "")
+	p.Mem.Mmap(PageSize, ProtRead, "/lib/libm.so", "")
 	files := p.Mem.MappedFiles()
 	if len(files) != 2 {
 		t.Fatalf("mapped files = %v, want 2 distinct", files)
@@ -285,7 +283,7 @@ func TestPropertyMemoryMatchesFlatModel(t *testing.T) {
 	}) bool {
 		k := newTestKernel()
 		p := k.NewProcess("prop", "")
-		v := p.Mem.Mmap(size, ProtRead|ProtWrite, "", p.PID, "")
+		v := p.Mem.Mmap(size, ProtRead|ProtWrite, "", "")
 		model := make([]byte, size)
 		for _, op := range ops {
 			off := uint64(op.Off) % (size - 256)
@@ -316,7 +314,7 @@ func TestPropertyDirtySetMatchesWrites(t *testing.T) {
 		k := newTestKernel()
 		p := k.NewProcess("prop", "")
 		p.Mem.SetSoftDirtyTracking(true)
-		v := p.Mem.Mmap(256*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+		v := p.Mem.Mmap(256*PageSize, ProtRead|ProtWrite, "", "")
 		// Pre-fault everything, then clear.
 		_ = p.Mem.Touch(v, 0, 256, 0)
 		p.Mem.ClearSoftDirtyBits()
@@ -368,7 +366,7 @@ func TestPageBufPoolExactSizeOnly(t *testing.T) {
 func TestTouchSharesStampFrames(t *testing.T) {
 	k := newTestKernel()
 	p := k.NewProcess("test", "")
-	v := p.Mem.Mmap(64*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(64*PageSize, ProtRead|ProtWrite, "", "")
 	base := v.Start / PageSize
 	if allocs := testing.AllocsPerRun(10, func() {
 		if err := p.Mem.Touch(v, 0, 64, 0x42); err != nil {

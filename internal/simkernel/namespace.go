@@ -13,15 +13,6 @@ const (
 	NSUser
 )
 
-var nsKindNames = [...]string{"pid", "net", "mnt", "uts", "ipc", "user"}
-
-func (k NamespaceKind) String() string {
-	if int(k) < len(nsKindNames) {
-		return nsKindNames[k]
-	}
-	return "ns?"
-}
-
 // Namespace is one kernel namespace instance.
 type Namespace struct {
 	Kind NamespaceKind
@@ -38,7 +29,7 @@ type NamespaceSet struct {
 
 // NewNamespaceSet creates fresh namespaces of every kind, firing the
 // unshare hook (namespace creation/modification invalidates the cache).
-func (k *Kernel) NewNamespaceSet(pid int, containerID string) *NamespaceSet {
+func (k *Kernel) NewNamespaceSet(containerID string) *NamespaceSet {
 	mk := func(kind NamespaceKind) *Namespace {
 		return &Namespace{Kind: kind, ID: k.AllocNamespaceID(), Extra: make(map[string]string)}
 	}
@@ -46,7 +37,7 @@ func (k *Kernel) NewNamespaceSet(pid int, containerID string) *NamespaceSet {
 		PID: mk(NSPID), Net: mk(NSNet), Mount: mk(NSMount),
 		UTS: mk(NSUTS), IPC: mk(NSIPC), User: mk(NSUser),
 	}
-	k.Trace.Fire(ftraceEvent("sys_unshare", pid, containerID, "all"))
+	k.Trace.Fire(ftraceEvent("sys_unshare", containerID))
 	return ns
 }
 
@@ -57,17 +48,16 @@ func (ns *NamespaceSet) All() []*Namespace {
 
 // SetExtra records kind-specific configuration, firing the setns-family
 // hook so the cached namespace state is invalidated.
-func (k *Kernel) SetNamespaceExtra(ns *Namespace, pid int, containerID, key, value string) {
+func (k *Kernel) SetNamespaceExtra(ns *Namespace, containerID, key, value string) {
 	ns.Extra[key] = value
-	k.Trace.Fire(ftraceEvent("sys_setns", pid, containerID, ns.Kind.String()+":"+key))
+	k.Trace.Fire(ftraceEvent("sys_setns", containerID))
 }
 
 // Mount is one mount-table entry.
 type Mount struct {
-	Source  string
-	Target  string
-	FSType  string
-	Options string
+	Source string
+	Target string
+	FSType string
 }
 
 // MountTable is a mount namespace's table.
@@ -80,18 +70,18 @@ type MountTable struct {
 func (k *Kernel) NewMountTable() *MountTable { return &MountTable{k: k} }
 
 // Mount adds an entry, firing the do_mount hook.
-func (mt *MountTable) Mount(m Mount, pid int, containerID string) {
+func (mt *MountTable) Mount(m Mount, containerID string) {
 	mt.mounts = append(mt.mounts, m)
-	mt.k.Trace.Fire(ftraceEvent("do_mount", pid, containerID, m.Target))
+	mt.k.Trace.Fire(ftraceEvent("do_mount", containerID))
 }
 
 // Unmount removes the entry with the given target; missing targets are a
 // no-op. Fires the umount hook.
-func (mt *MountTable) Unmount(target string, pid int, containerID string) {
+func (mt *MountTable) Unmount(target, containerID string) {
 	for i, m := range mt.mounts {
 		if m.Target == target {
 			mt.mounts = append(mt.mounts[:i], mt.mounts[i+1:]...)
-			mt.k.Trace.Fire(ftraceEvent("sys_umount", pid, containerID, target))
+			mt.k.Trace.Fire(ftraceEvent("sys_umount", containerID))
 			return
 		}
 	}

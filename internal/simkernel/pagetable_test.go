@@ -176,7 +176,7 @@ func runPageTableModel(t *testing.T, seed int64, steps int) {
 			if rng.Intn(5) == 0 {
 				prot = ProtRead
 			}
-			v := as.Mmap(uint64(1+rng.Intn(12*PageSize)), prot, "", 1, "")
+			v := as.Mmap(uint64(1+rng.Intn(12*PageSize)), prot, "", "")
 			m.vmas = append(m.vmas, VMA{Start: v.Start, End: v.End, Prot: v.Prot})
 		case r < 4:
 			op = "munmap"
@@ -342,9 +342,9 @@ func TestTouchRejectsStaleVMA(t *testing.T) {
 	k := newTestKernel()
 	a := k.NewProcess("a", "").Mem
 	b := k.NewProcess("b", "").Mem
-	va := a.Mmap(8*PageSize, ProtRead|ProtWrite, "", 1, "")
+	va := a.Mmap(8*PageSize, ProtRead|ProtWrite, "", "")
 	// b maps a larger area at the same address: va does not span it.
-	b.Mmap(16*PageSize, ProtRead|ProtWrite, "", 2, "")
+	b.Mmap(16*PageSize, ProtRead|ProtWrite, "", "")
 	if err := b.Touch(va, 0, 4, 7); err == nil || !strings.Contains(err.Error(), "stale VMA") {
 		t.Fatalf("Touch with a foreign VMA of another size: err=%v, want a stale-VMA error", err)
 	}
@@ -391,7 +391,7 @@ func BenchmarkPagemapScan(b *testing.B) {
 	const resident, dirty = 26000, 6400
 	k := newTestKernel()
 	p := k.NewProcess("scan", "")
-	v := p.Mem.Mmap(resident*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(resident*PageSize, ProtRead|ProtWrite, "", "")
 	if err := p.Mem.Touch(v, 0, resident, 1); err != nil {
 		b.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func BenchmarkTouchAfterShare(b *testing.B) {
 	const pages = 6400
 	k := newTestKernel()
 	p := k.NewProcess("churn", "")
-	v := p.Mem.Mmap(pages*PageSize, ProtRead|ProtWrite, "", p.PID, "")
+	v := p.Mem.Mmap(pages*PageSize, ProtRead|ProtWrite, "", "")
 	if err := p.Mem.Touch(v, 0, pages, 1); err != nil {
 		b.Fatal(err)
 	}

@@ -21,10 +21,9 @@ type Registers struct {
 	GP     [8]uint64
 }
 
-// SchedPolicy is the thread's scheduling class and priority.
+// SchedPolicy is the thread's scheduling class.
 type SchedPolicy struct {
-	Policy   string // "SCHED_OTHER", "SCHED_FIFO", ...
-	Priority int
+	Policy string // "SCHED_OTHER", "SCHED_FIFO", ...
 }
 
 // Thread is one kernel task.
@@ -79,13 +78,11 @@ type Process struct {
 	PID         int
 	Name        string
 	ContainerID string
-	Parent      *Process
 
 	Threads []*Thread
 	Mem     *AddressSpace
 	FDs     map[int]*FD
 	Timers  []*Timer
-	Cwd     string
 
 	k       *Kernel
 	nextTID int
@@ -114,7 +111,7 @@ func (p *Process) OpenFD(kind FDKind, path string) *FD {
 	p.nextFD++
 	p.FDs[fd.Num] = fd
 	if kind == FDDevice {
-		p.k.Trace.Fire(ftraceEvent("chrdev_open", p.PID, p.ContainerID, path))
+		p.k.Trace.Fire(ftraceEvent("chrdev_open", p.ContainerID))
 	}
 	return fd
 }
@@ -204,6 +201,6 @@ func (k *Kernel) StatMappedFiles(p *Process) []string {
 	return files
 }
 
-func ftraceEvent(fn string, pid int, containerID, detail string) ftrace.Event {
-	return ftrace.Event{Fn: fn, PID: pid, ContainerID: containerID, Detail: detail}
+func ftraceEvent(fn, containerID string) ftrace.Event {
+	return ftrace.Event{Fn: fn, ContainerID: containerID}
 }

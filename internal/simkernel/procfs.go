@@ -12,9 +12,9 @@ import "nilicon/internal/simtime"
 //   - /proc/pid/clear_refs + /proc/pid/pagemap: soft-dirty tracking for
 //     incremental checkpoints (§II-B).
 //
-// Both VMA interfaces read their records straight from the address
-// space; smaps also fills in the page statistics. The smaps text is
-// never rendered or parsed: generating and parsing it is charged as
+// Both VMA interfaces return the same records, read straight from the
+// address space. The smaps text and its page statistics are never
+// generated or parsed: producing and parsing them is charged as
 // SmapsPerVMA and SmapsPerPage (DESIGN.md §4).
 
 // VMAInfo is the per-VMA record either interface returns.
@@ -23,47 +23,30 @@ type VMAInfo struct {
 	Prot       Prot
 	Path       string
 	FileOff    uint64
-	// ResidentPages and DirtyPages are the page statistics smaps
-	// generates whether or not the reader needs them.
-	ResidentPages int
-	DirtyPages    int
 }
 
-// vmaInfos returns the VMA records, with the page statistics only when
-// withStats is set. Without them a record depends on the VMA list
+// vmaInfos returns the VMA records. A record depends on the VMA list
 // alone, so the address space keeps the list it returned last time and
 // hands it out again until a VMA is mapped or unmapped.
-func (k *Kernel) vmaInfos(p *Process, withStats bool) []VMAInfo {
+func (k *Kernel) vmaInfos(p *Process) []VMAInfo {
 	as := p.Mem
-	if !withStats && as.infos != nil {
+	if as.infos != nil {
 		return as.infos
 	}
 	vmas := as.VMAs()
 	out := make([]VMAInfo, 0, len(vmas))
 	for _, v := range vmas {
-		info := VMAInfo{Start: v.Start, End: v.End, Prot: v.Prot, Path: v.Path, FileOff: v.FileOff}
-		if withStats {
-			for i := range v.frames {
-				if pg := &v.frames[i]; pg.Data != nil {
-					info.ResidentPages++
-					if pg.SoftDirty {
-						info.DirtyPages++
-					}
-				}
-			}
-		}
-		out = append(out, info)
+		out = append(out, VMAInfo{Start: v.Start, End: v.End, Prot: v.Prot, Path: v.Path, FileOff: v.FileOff})
 	}
-	if !withStats {
-		as.infos = out[:len(out):len(out)]
-	}
+	as.infos = out[:len(out):len(out)]
 	return out
 }
 
-// ReadSmaps reads /proc/pid/smaps: every VMA with full page
-// statistics. Cost: per VMA plus per resident page.
+// ReadSmaps reads /proc/pid/smaps: every VMA, with page statistics
+// the reader does not need. Cost: per VMA plus per resident page. The
+// returned list is shared as TaskDiagVMAs' is.
 func (k *Kernel) ReadSmaps(p *Process) []VMAInfo {
-	out := k.vmaInfos(p, true)
+	out := k.vmaInfos(p)
 	cost := scaleDur(k.Costs.SmapsPerVMA, len(out))
 	cost += scaleDur(k.Costs.SmapsPerPage, p.Mem.ResidentPages())
 	k.ChargeSyscall(cost)
@@ -75,7 +58,7 @@ func (k *Kernel) ReadSmaps(p *Process) []VMAInfo {
 // charged on every call. The returned list is shared with later calls
 // until the VMA list changes, so callers must not write it.
 func (k *Kernel) TaskDiagVMAs(p *Process) []VMAInfo {
-	out := k.vmaInfos(p, false)
+	out := k.vmaInfos(p)
 	k.ChargeSyscall(scaleDur(k.Costs.NetlinkPerVMA, len(out)))
 	return out
 }

@@ -1,10 +1,7 @@
 package simnet
 
-import (
-	"nilicon/internal/simkernel"
-	"nilicon/internal/simtime"
-)
+import "nilicon/internal/simkernel"
 
 func newNetTestKernel() *simkernel.Kernel {
-	return simkernel.NewKernel(simtime.NewClock())
+	return simkernel.NewKernel()
 }

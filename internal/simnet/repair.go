@@ -19,7 +19,6 @@ type SegmentSnapshot struct {
 
 // SocketSnapshot is the repair-mode state of one TCP socket.
 type SocketSnapshot struct {
-	ID         int
 	State      TCPState
 	LocalPort  int
 	Remote     Addr
@@ -105,7 +104,6 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		st.Kernel.Charge(c.SockRepairPerSocket + scaleKB(c.SockRepairPerKB, queued))
 	}
 	sn := SocketSnapshot{
-		ID:         s.ID,
 		State:      s.State,
 		LocalPort:  s.LocalPort,
 		Remote:     s.Remote,

@@ -99,9 +99,8 @@ type Socket struct {
 	restoredAt simtime.Time
 	wasRestore bool
 
-	// Reset/Closed report connection termination.
-	Reset  bool
-	Closed bool
+	// Reset reports that the connection was reset.
+	Reset bool
 
 	// Callbacks into the owning application.
 	OnData    func(*Socket)
@@ -115,7 +114,6 @@ type Socket struct {
 
 // Listener accepts incoming connections on a port.
 type Listener struct {
-	Port     int
 	OnAccept func(*Socket)
 }
 
@@ -198,7 +196,7 @@ func (st *Stack) Sockets() []*Socket {
 
 // Listen registers an accept callback for a port.
 func (st *Stack) Listen(port int, onAccept func(*Socket)) *Listener {
-	l := &Listener{Port: port, OnAccept: onAccept}
+	l := &Listener{OnAccept: onAccept}
 	st.listeners[port] = l
 	return l
 }
@@ -631,7 +629,6 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 		s.rcvNxt++
 		s.State = StateCloseWait
 		st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
-		s.Closed = true
 		if s.OnClose != nil {
 			s.OnClose(s)
 		}

@@ -84,68 +84,6 @@ func TestWheelRevolutionFromSlotEnd(t *testing.T) {
 	}
 }
 
-func TestShardedRunUntilBoundary(t *testing.T) {
-	c := NewClock()
-	var fired []Time
-	c.Schedule(10*Millisecond, func() { fired = append(fired, c.Now()) })
-	c.Schedule(20*Millisecond, func() { fired = append(fired, c.Now()) })
-	c.Schedule(20*Millisecond+1, func() { fired = append(fired, c.Now()) })
-	c.RunUntil(Time(20 * Millisecond))
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(20ms) fired %d events, want 2 (event exactly at t must fire)", len(fired))
-	}
-	if c.Now() != Time(20*Millisecond) {
-		t.Fatalf("engine at %v, want exactly 20ms", c.Now())
-	}
-	c.Run()
-	if len(fired) != 3 {
-		t.Fatalf("remaining event did not fire: %d", len(fired))
-	}
-}
-
-func TestShardedRunUntilIdleAdvances(t *testing.T) {
-	sc := NewClock()
-	sc.RunUntil(Time(time.Second))
-	if sc.Now() != Time(time.Second) {
-		t.Fatalf("idle RunUntil left engine at %v, want 1s", sc.Now())
-	}
-}
-
-func TestShardedCancel(t *testing.T) {
-	v := NewClock()
-	fired := false
-	tm := NewTimer(v, func() { fired = true })
-	tm.Reset(Millisecond)
-	if v.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", v.Pending())
-	}
-	tm.Stop()
-	if v.Pending() != 0 {
-		t.Fatalf("Pending after Stop = %d, want 0 (stopped timers must not be counted)", v.Pending())
-	}
-	v.Run()
-	if fired {
-		t.Fatal("canceled event fired")
-	}
-}
-
-func TestShardedPendingAndExecuted(t *testing.T) {
-	sc := NewClock()
-	for i := 0; i < 3; i++ {
-		sc.Schedule(Duration(i+1)*Millisecond, func() {})
-	}
-	if sc.Pending() != 3 {
-		t.Fatalf("Pending = %d, want 3", sc.Pending())
-	}
-	sc.Run()
-	if sc.Pending() != 0 {
-		t.Fatalf("Pending after Run = %d, want 0", sc.Pending())
-	}
-	if sc.Executed() != 3 {
-		t.Fatalf("Executed = %d, want 3", sc.Executed())
-	}
-}
-
 // The wheel must honor arbitrary far-future schedules in exact
 // (when, seq) order, from the low levels up to the top level and the
 // largest Time: the same order as the reference heap, same-instant
@@ -249,35 +187,6 @@ func TestPropertyShardedEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShardedTicker(t *testing.T) {
-	sc := NewClock()
-	var ticks []Time
-	tk := NewTicker(sc, 30*Millisecond, func() { ticks = append(ticks, sc.Now()) })
-	sc.RunUntil(Time(100 * Millisecond))
-	tk.Stop()
-	sc.RunUntil(Time(500 * Millisecond))
-	if len(ticks) != 3 {
-		t.Fatalf("ticker fired %d times, want 3: %v", len(ticks), ticks)
-	}
-}
-
-func TestShardedStop(t *testing.T) {
-	v := NewClock()
-	count := 0
-	for i := 0; i < 10; i++ {
-		v.Schedule(Duration(i+1)*Millisecond, func() {
-			count++
-			if count == 3 {
-				v.Stop()
-			}
-		})
-	}
-	v.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not interrupt the run: %d events fired, want 3", count)
 	}
 }
 

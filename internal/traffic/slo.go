@@ -147,17 +147,13 @@ func (j *Judge) Sample(t simtime.Time, f Factors) {
 
 // WindowStat is one evaluated window in a Report.
 type WindowStat struct {
-	Index          int
-	Start          simtime.Duration // relative to Judge.Start
-	Arrivals       int
-	Completions    int
-	P50, P99, P999 float64 // ms
+	Index int
+	Start simtime.Duration // relative to Judge.Start
+	P999  float64          // the judged quantile, ms
 	// Violation: the judged quantile exceeded the target, or the window
-	// was starved (see Report).
+	// was starved: no completions while requests were outstanding long
+	// past the target — the client observed silence, not latency.
 	Violation bool
-	// Starved: no completions while requests were outstanding long past
-	// the target — the client observed silence, not latency.
-	Starved bool
 }
 
 // Report is a finished SLO evaluation.
@@ -212,16 +208,9 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	for i, w := range j.windows {
 		cumArr += w.arrivals
 		cumDone += w.completions
-		ws := WindowStat{
-			Index:       i,
-			Start:       simtime.Duration(i) * j.slo.Window,
-			Arrivals:    w.arrivals,
-			Completions: w.completions,
-		}
+		ws := WindowStat{Index: i, Start: simtime.Duration(i) * j.slo.Window}
 		wEnd := ws.Start + j.slo.Window
 		if w.completions > 0 {
-			ws.P50 = w.hist.Quantile(50)
-			ws.P99 = w.hist.Quantile(99)
 			ws.P999 = w.hist.Quantile(j.slo.Quantile)
 			ws.Violation = ws.P999 > targetMs
 			lastDone = wEnd
@@ -230,7 +219,6 @@ func (j *Judge) Finish(end simtime.Time) Report {
 				rep.WorstWindow = i
 			}
 		} else if cumArr > cumDone && (wEnd-lastDone).Seconds()*1000 > targetMs {
-			ws.Starved = true
 			ws.Violation = true
 		}
 		if ws.Violation {

@@ -70,7 +70,7 @@ func (pw *Parsec) Install(ctr *container.Container) {
 	p := ctr.AddProcess(pw.prof.Name, pw.prof.LibsPerProc)
 	pw.proc = p
 	pw.heap = p.Mem.Mmap(uint64(pw.prof.MemPages)*simkernel.PageSize,
-		simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+		simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 	_ = p.Mem.Touch(pw.heap, 0, pw.prof.MemPages, 1)
 	p.Mem.ConsumeTrackingOverhead()
 	pw.state.HeapStart = pw.heap.Start

@@ -183,7 +183,7 @@ func (sv *Server) Install(ctr *container.Container) {
 	for pi := 0; pi < sv.prof.Procs; pi++ {
 		p := ctr.AddProcess(fmt.Sprintf("%s-%d", sv.prof.Name, pi), sv.prof.LibsPerProc)
 		heap := p.Mem.Mmap(uint64(sv.prof.MemPages)*simkernel.PageSize,
-			simkernel.ProtRead|simkernel.ProtWrite, "", p.PID, ctr.ID)
+			simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
 		_ = p.Mem.Touch(heap, 0, sv.prof.MemPages, 0xEE) // prefault
 		p.Mem.ConsumeTrackingOverhead()                  // setup faults are not runtime overhead
 		sv.state.HeapStarts = append(sv.state.HeapStarts, heap.Start)

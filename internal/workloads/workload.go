@@ -32,9 +32,6 @@ type Profile struct {
 	LibsPerProc int
 	// MemPages is the resident memory footprint per process.
 	MemPages int
-	// HeatPages is how many pages the workload re-dirties per epoch via
-	// background activity (beyond per-request dirtying).
-	HeatPages int
 
 	// Server configuration.
 	Port     int

@@ -8,10 +8,13 @@
 #   scripts/bench-pairs.sh HEAD kv-replay 10 -seed 1
 #   ALL=1 scripts/bench-pairs.sh HEAD redis-failover 4 -seconds 1
 #
-# REV is exported with git archive into a temporary directory (removed
-# on exit). Both sides build and run through `bash bench/run.sh
-# -workload WORKLOAD [bench flags]` from their own tree. Pair i runs the
-# base first when i is odd and the working tree first when i is even.
+# Both sides run from temporary trees built the same way (removed on
+# exit): REV is exported with git archive, and the working tree's files
+# (tracked and untracked, less what .gitignore excludes) are copied as
+# they stand. Each side builds and runs through `bash bench/run.sh
+# -workload WORKLOAD [bench flags]` in its own tree, with its own fresh
+# build cache. Pair i runs the base first when i is odd and the working
+# tree first when i is even.
 # METRIC (default sim_speed_x) names the metric; BETTER (default: the
 # direction BENCHMARK.json gives it) is "higher" or "lower".
 #
@@ -56,10 +59,13 @@ fi
 
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
-base="$work/base"
-mkdir "$base"
+base="$work/base" change="$work/change"
+mkdir "$base" "$change"
 baserev=$(git -C "$root" rev-parse --short "$rev")
 git -C "$root" archive "$rev" | tar -x -C "$base"
+(cd "$root" && git ls-files -z -co --exclude-standard |
+	while IFS= read -r -d '' f; do [ -e "$f" ] && printf '%s\0' "$f"; done |
+	tar --null -T - -cf -) | tar -x -C "$change"
 
 # run DIR OUT [bench flags] runs the benchmark in tree DIR, keeps its
 # result line in OUT and prints the metric's value.
@@ -85,10 +91,10 @@ bases=() changes=()
 for ((i = 1; i <= pairs; i++)); do
 	if ((i % 2 == 1)); then
 		b=$(run "$base" "$work/base.$i" "$@")
-		c=$(run "$root" "$work/change.$i" "$@")
+		c=$(run "$change" "$work/change.$i" "$@")
 		order="base first"
 	else
-		c=$(run "$root" "$work/change.$i" "$@")
+		c=$(run "$change" "$work/change.$i" "$@")
 		b=$(run "$base" "$work/base.$i" "$@")
 		order="change first"
 	fi
