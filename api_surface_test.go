@@ -153,12 +153,14 @@ func TestEveryExportHasACaller(t *testing.T) {
 var unreadFields = map[string]string{
 	// Snapshot state (§II-B): criu collects it into the image and carries
 	// it by value; restore rebuilds these parts from the rest.
-	"simkernel.CgroupSnapshot":    "restore re-applies the cgroup's Config and rebuilds its path and members itself",
-	"simkernel.DeviceFile":        "restore copies the device records into the container by value",
-	"simkernel.FDSnapshot.Num":    "restore reopens descriptors in order and numbers them afresh",
-	"simkernel.Mount":             "restore re-mounts every entry by value",
-	"simkernel.NamespaceSnapshot": "criu collects namespace state into the infrequent-state image; restore builds fresh namespaces",
-	"simkernel.TimerSnapshot.ID":  "restore re-arms timers in order under fresh identities",
+	"simkernel.CgroupSnapshot.PIDs":  "restore re-adds the processes it recreates to the fresh group",
+	"simkernel.CgroupSnapshot.Path":  "restore creates the group under the container's own path",
+	"simkernel.DeviceFile":           "restore copies the device records into the container by value",
+	"simkernel.FDSnapshot.Num":       "restore reopens descriptors in order and numbers them afresh",
+	"simkernel.Mount.FSType":         "restore re-mounts every entry by value",
+	"simkernel.Mount.Source":         "restore re-mounts every entry by value",
+	"simkernel.NamespaceSnapshot.ID": "restore re-applies each namespace's configuration to a fresh namespace of its kind, under a fresh identity",
+	"simkernel.TimerSnapshot.ID":     "restore re-arms timers in order under fresh identities",
 
 	// Oracles: tests read these to observe behaviour.
 	"criu.CheckpointStats.InfrequentCollect": "TestInfrequentStateCacheHitAndInvalidation observes the §V-B cache: a hit costs under 1 ms, a miss the full collection",
@@ -176,11 +178,11 @@ var unreadFields = map[string]string{
 // non-test file under internal/ or cmd/ that no non-test file of the
 // module (bench/ included) reads, unless unreadFields lists it; and on
 // an unreadFields entry that names no such field or type. A read is any
-// use other than an assignment target, the operand of ++ or --, or a
-// composite-literal key. A field also counts as read when it has a
-// struct tag (an encoder reads it), or when its struct is compared with
-// == or != or is a map key type, which read every field. Embedded
-// fields are not checked.
+// use other than an assignment target (an element of it included:
+// x.f[k] = v writes f), the operand of ++ or --, or a composite-literal
+// key. A field also counts as read when it has a struct tag (an encoder
+// reads it), or when its struct is compared with == or != or is a map
+// key type, which read every field. Embedded fields are not checked.
 func TestEveryFieldIsRead(t *testing.T) {
 	m := loadModule(t)
 	type decl struct{ key, pos string }
@@ -218,6 +220,10 @@ func TestEveryFieldIsRead(t *testing.T) {
 				switch n := n.(type) {
 				case *ast.AssignStmt:
 					for _, x := range n.Lhs {
+						// Writing an element, x.f[k] = v, writes f.
+						for ix, ok := x.(*ast.IndexExpr); ok; ix, ok = x.(*ast.IndexExpr) {
+							x = ix.X
+						}
 						written[x] = true
 					}
 				case *ast.IncDecStmt:

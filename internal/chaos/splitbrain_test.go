@@ -67,8 +67,8 @@ func TestSplitBrainRegressionPreLease(t *testing.T) {
 // TestSplitBrainAckOutageStrict: a sustained backup→primary cut under
 // StrictSafety. The backup hears every heartbeat so it must never
 // promote; the primary self-fences when its lease lapses, buffers
-// output for the whole outage, and resumes (re-granted lease, parked
-// output flushed) after the heal. No failover, no data loss, pipeline
+// output for the whole outage, and resumes (re-granted lease, held
+// output released) after the heal. No failover, no data loss, pipeline
 // drains to zero.
 func TestSplitBrainAckOutageStrict(t *testing.T) {
 	res := VerifySeed(Config{

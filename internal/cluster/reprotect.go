@@ -95,7 +95,7 @@ func (f *Fleet) pumpReprotect() {
 		pr := f.Pairs[idx]
 		switch {
 		case pr.State == Degraded:
-			target := f.pickReprotectTarget(pr)
+			target := f.pickHost(pr)
 			if target < 0 {
 				// No host has capacity right now (e.g. spares still absorbing
 				// other re-protections); retry on the next tick rather than
@@ -109,7 +109,7 @@ func (f *Fleet) pumpReprotect() {
 				return
 			}
 		case pr.State == Protected && pr.repairSlot < 0 && f.liveBackups(pr) < f.Params.Replicas-1:
-			target := f.pickReplicaHost(pr)
+			target := f.pickHost(pr)
 			if target < 0 {
 				return
 			}
@@ -145,53 +145,24 @@ func (f *Fleet) probeTarget(pr *Pair, target int) bool {
 	return false
 }
 
-// pickReprotectTarget chooses the least-loaded (by reserved pages) alive
-// host with capacity, excluding the pair's own primary (anti-affinity);
-// ties break toward the lowest index, keeping placement deterministic.
-// With failure domains configured, hosts outside the primary's zone are
-// preferred (pass 0) and the primary's own zone is the fallback.
-func (f *Fleet) pickReprotectTarget(pr *Pair) int {
-	passes := 1
-	if f.Params.Zones > 1 {
-		passes = 2
-	}
-	priZone := f.Hosts[pr.PrimaryHost].Zone
-	for pass := 0; pass < passes; pass++ {
-		best := -1
-		for _, h := range f.Hosts {
-			if !h.Alive || h.Index == pr.PrimaryHost {
-				continue
-			}
-			if passes == 2 && pass == 0 && h.Zone == priZone {
-				continue
-			}
-			if h.PagesUsed+pairBackupPgs > hostPages {
-				continue
-			}
-			if best < 0 || h.PagesUsed < f.Hosts[best].PagesUsed {
-				best = h.Index
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	return -1
-}
-
-// pickReplicaHost chooses a chain-repair target with zone anti-affinity:
-// among alive hosts with capacity that carry no live slot of this chain
-// (and are not its primary), hosts in zones the chain does not already
-// occupy are preferred; only when no such host exists does the pick
-// fall back to an occupied zone. Within a pass: least reserved pages,
-// ties to the lowest index — deterministic, like every placement.
-func (f *Fleet) pickReplicaHost(pr *Pair) int {
+// pickHost chooses the host for a new replica of pr's chain: an alive
+// host with capacity that is no live member of the chain. The members
+// are its primary and, for a Protected chain, its unfenced slots (a
+// Degraded pair's replicator is the pre-failover one, so its slots are
+// not members). Hosts in zones no member occupies are preferred (pass
+// 0); only when no such host exists does the pick fall back to an
+// occupied zone (pass 1), which with one zone is every host. Within a
+// pass: least reserved pages, ties to the lowest index — deterministic,
+// like every placement.
+func (f *Fleet) pickHost(pr *Pair) int {
 	used := map[int]bool{pr.PrimaryHost: true}
 	usedZone := map[int]bool{f.Hosts[pr.PrimaryHost].Zone: true}
-	for i, rh := range pr.ReplicaHosts {
-		if !pr.Repl.ReplicaFenced(i) {
-			used[rh] = true
-			usedZone[f.Hosts[rh].Zone] = true
+	if pr.State == Protected {
+		for i, rh := range pr.ReplicaHosts {
+			if !pr.Repl.ReplicaFenced(i) {
+				used[rh] = true
+				usedZone[f.Hosts[rh].Zone] = true
+			}
 		}
 	}
 	for pass := 0; pass < 2; pass++ {

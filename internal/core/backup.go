@@ -254,7 +254,7 @@ func (b *BackupAgent) checkHeartbeat() {
 	if b.cfg.Opts.RecordReplay {
 		// Re-send the cumulative log acknowledgment: an ack lost on a
 		// flapping link must not leave committed-but-unflushed output
-		// parked at the primary until the next segment arrives.
+		// held at the primary until the next segment arrives.
 		b.resendLogAck()
 	}
 	// A control plane (the fleet detector) arbitrates promotion for an
@@ -466,12 +466,12 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 		// dedup donor's slice sits under two keys.
 		b.store.PutOwned(d.key, d.data)
 	}
-	// Without an encoder the store holds every verbatim page under one
-	// key. A copy a newer epoch supersedes was lent from the primary's
-	// frame, which the write that superseded it moved to a fresh copy,
-	// so it is dead and goes back to the page pool (DESIGN.md §8).
-	recycle := !b.cfg.Opts.DeltaPages
-	if recycle && img.Full {
+	// Verbatim pages (an image the delta encoder rewrote carries frames
+	// alone) go under one key each. A copy a newer epoch supersedes was
+	// lent from the primary's frame, which the write that superseded it
+	// moved to a fresh copy, so it is dead and goes back to the page pool
+	// (DESIGN.md §8).
+	if img.Full {
 		// A full image commits into an empty store.
 		b.baseline = nil
 		if img.SharesFrames {
@@ -498,9 +498,6 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 			// A chain's replicas hold the same buffers (one image per
 			// epoch): only the last store to supersede one may recycle it.
 			last := b.release(old)
-			if !recycle {
-				continue
-			}
 			if img.Full {
 				if b.baseline != nil {
 					b.baseline[key] = struct{}{}

@@ -310,9 +310,14 @@ func (r *Replicator) recomputeWatermarks() {
 // watermark e. Acks are cumulative: the watermark vouches for every
 // epoch <= e, including epochs whose own transfer was lost and whose
 // acks therefore never existed (they are covered by a later resync).
-// Every epoch <= e that has left the pipeline was released or parked
-// when it did, so the runs still in flight are all there is to release.
+// Every epoch <= e that has left the pipeline was released when it
+// did, so the runs still in flight are all there is to release. A
+// self-fenced primary retires nothing: the covered runs stay in flight,
+// in epoch order, until a grant returns (unfence).
 func (r *Replicator) retireThrough(e uint64) {
+	if !r.releaseAuthorized() {
+		return
+	}
 	now := r.Cluster.Clock.Now()
 	for r.inflight.Len() > 0 && r.inflight.Peek().epoch <= e {
 		run := r.inflight.Pop()
@@ -346,24 +351,21 @@ func (r *Replicator) logAckedFrom(slot int, seq uint64) {
 }
 
 // logRecompute re-derives the chain log watermark: segments every
-// participant has acknowledged are retired, and their buffered egress
-// is released unless a fence holds it (unfence releases through acked).
+// participant has acknowledged are retired, and the buffered egress
+// through the watermark is released unless a fence holds it there.
 func (r *Replicator) logRecompute() {
 	rec := r.rec
 	if rec == nil || r.stopped {
 		return
 	}
-	m, ok := r.slotMin(ackedSegment)
-	if !ok {
-		return
+	if m, ok := r.slotMin(ackedSegment); ok {
+		rec.retire(m, r.Cluster.Clock.Now())
+		if m > rec.acked {
+			rec.acked = m
+		}
 	}
-	rec.retire(m, r.Cluster.Clock.Now())
-	if m <= rec.acked {
-		return
-	}
-	rec.acked = m
-	if r.releaseAuthorized() {
-		rec.releaseThrough(m)
+	if r.releaseAuthorized() && rec.released < rec.acked {
+		rec.releaseThrough(rec.acked)
 	}
 }
 

@@ -105,8 +105,8 @@ const (
 	// LeaseHeld: a live lease authorizes output release.
 	LeaseHeld
 	// LeaseSelfFenced: the lease expired; the primary checkpoints into
-	// the buffer but releases nothing and parks any ack-authorized
-	// releases until a grant returns.
+	// the buffer but releases nothing, holding its release watermarks
+	// where they are until a grant returns.
 	LeaseSelfFenced
 	// LeaseUnprotected: the pair runs without a backup — either the
 	// Availability policy timed out a fence, or the control plane
@@ -196,11 +196,12 @@ func (r *Replicator) leaseExpired() {
 	r.selfFence()
 }
 
-// selfFence parks the release path: checkpoints continue, acks are
-// still processed (their releases are parked), but no buffered output
-// reaches a client until a grant returns. New connections die with the
-// same stroke — their SYN-ACKs are buffered egress like everything
-// else.
+// selfFence holds the release path: checkpoints continue and acks still
+// advance the ack watermarks, but no buffered output reaches a client
+// until a grant returns — the covered pipeline runs stay in flight and
+// the log release stays below its ack watermark. New connections die
+// with the same stroke — their SYN-ACKs are buffered egress like
+// everything else.
 func (r *Replicator) selfFence() {
 	r.leaseState = LeaseSelfFenced
 	r.SelfFences.Inc()
@@ -209,21 +210,13 @@ func (r *Replicator) selfFence() {
 	}
 }
 
-// unfence resumes releases after a grant ended a fence, flushing every
-// parked release in epoch order.
+// unfence resumes releases after a grant ended a fence: the epochs and
+// log segments the fence held below the ack watermarks flow out, in
+// order, through the ordinary release path (recomputeWatermarks).
 func (r *Replicator) unfence() {
 	r.leaseState = LeaseHeld
 	r.unprotTimer.Stop()
-	parked := r.parked
-	r.parked = nil
-	sort.Slice(parked, func(i, j int) bool { return parked[i].epoch < parked[j].epoch })
-	now := r.Cluster.Clock.Now()
-	for _, run := range parked {
-		run.finishRelease(now)
-	}
-	if r.rec != nil && r.rec.released < r.rec.acked {
-		r.rec.releaseThrough(r.rec.acked)
-	}
+	r.recomputeWatermarks()
 }
 
 // releaseAuthorized gates every output-release path. With the lease
@@ -244,21 +237,33 @@ func (r *Replicator) unprotectDeadline() {
 
 // declareUnprotected is the Availability policy's escape hatch: the
 // backup has been unreachable for so long that the primary declares
-// the pair unprotected and resumes serving without acks. Buffered
-// output flushes (it reflects state nobody will ever fail over past),
-// checkpointing stops, the DRBD primary end detaches so disk writes
-// stay local, and any queued transfer traffic is cancelled. Heartbeats
-// keep flowing: a backup that can still hear us must never promote,
-// and a heal is detected by the control plane (or campaign), which
-// re-protects the pair with a full resync.
+// the pair unprotected and resumes serving without acks (unprotect).
+// Heartbeats keep flowing: a backup that can still hear us must never
+// promote, and a heal is detected by the control plane (or campaign),
+// which re-protects the pair with a full resync.
 func (r *Replicator) declareUnprotected() {
-	r.leaseState = LeaseUnprotected
 	r.Unprotects.Inc()
+	r.unprotect()
+}
+
+// unprotect is the one way a primary leaves protection, shared by the
+// Availability policy (declareUnprotected) and the control plane's
+// fence of dead backups (FenceBackup). Buffered output flushes (it
+// reflects state nobody will ever fail over past), checkpointing and
+// log recording stop, the DRBD primary end detaches so disk writes
+// stay local, and every slot's queued transfer traffic is cancelled so
+// it cannot occupy the shared replication NIC.
+func (r *Replicator) unprotect() {
+	if r.Cfg.Lease.Enabled {
+		r.leaseState = LeaseUnprotected
+	}
 	r.cancelLeaseTimers()
 	r.epochTimer.Stop()
 	r.quiesced = true
 	r.inflight.Reset()
-	r.parked = nil
+	if r.rec != nil {
+		r.rec.uninstall()
+	}
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
@@ -281,7 +286,6 @@ func (r *Replicator) supersededSeen() bool {
 	}
 	r.leaseState = LeaseSuperseded
 	r.cancelLeaseTimers()
-	r.parked = nil
 	if !r.stopped {
 		// Discard before Stop: Stop flushes the qdisc via
 		// SetReplicating(false), and unacked output must never escape a

@@ -130,8 +130,8 @@ func TestPromotionExactlyAtSkewMargin(t *testing.T) {
 
 // TestGrantAtLapseInstantKeepsLease: a grant landing in the same
 // simulated instant the lease lapses renews it — after that tick the
-// primary is held, nothing stays parked, and once acks flow again the
-// client is served.
+// primary is held, no in-flight run is held at or below the ack
+// watermark, and once acks flow again the client is served.
 func TestGrantAtLapseInstantKeepsLease(t *testing.T) {
 	env := leaseTestEnv(t)
 	cli := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
@@ -148,8 +148,9 @@ func TestGrantAtLapseInstantKeepsLease(t *testing.T) {
 	if env.repl.LeaseState() != LeaseHeld {
 		t.Fatalf("lease = %s after a same-instant grant, want held", env.repl.LeaseState())
 	}
-	if len(env.repl.parked) != 0 {
-		t.Fatalf("releases still parked after the same-instant renewal: %d", len(env.repl.parked))
+	if acked, ok := env.repl.AckedThrough(); ok && env.repl.inflight.Len() > 0 && env.repl.inflight.Peek().epoch <= acked {
+		t.Fatalf("epoch %d still held at or below the ack watermark %d after the same-instant renewal",
+			env.repl.inflight.Peek().epoch, acked)
 	}
 
 	env.cl.AckLink.SetDown(false)
@@ -255,7 +256,7 @@ func TestNoReleaseWhileFenced(t *testing.T) {
 
 // TestReleasedWatermarkMonotoneAcrossFences: the released-epoch
 // watermark never regresses through repeated fence/unfence cycles —
-// parked releases flush in epoch order, and acks that arrived during a
+// held epochs release in epoch order, and acks that arrived during a
 // fence never rewind the watermark when replayed.
 func TestReleasedWatermarkMonotoneAcrossFences(t *testing.T) {
 	env := leaseTestEnv(t)
@@ -300,5 +301,150 @@ func TestReleasedWatermarkMonotoneAcrossFences(t *testing.T) {
 	}
 	if !have {
 		t.Fatal("released watermark never observed")
+	}
+}
+
+// TestFenceHoldsAckWatermarkUntilGrant: a self-fenced primary holds its
+// release watermark even when a fence of a lagging replica advances the
+// ack watermark under it. Slot 1 of a two-slot chain lags (its
+// replication link is cut), both ack links are cut so the primary
+// self-fences, and FenceReplica(1) then raises the ack watermark to slot
+// 0's: nothing is released — neither the released epoch nor the client's
+// reply moves. The first grant after slot 0's ack link heals releases
+// every held epoch, in epoch order, at that instant.
+func TestFenceHoldsAckWatermarkUntilGrant(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts OptSet
+	}{{"all", AllOpts()}, {"replay", ReplayOpts()}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Opts = tc.opts
+			cfg.Lease = DefaultLease()
+			env := newChainEnv(t, 3, cfg, 0)
+			env.repl.SetExternalArbiter()
+			tl := recordEpochs(env.repl)
+			env.repl.Start()
+			env.clock.RunFor(500 * simtime.Millisecond)
+			cli := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
+			env.clock.RunFor(100 * simtime.Millisecond)
+
+			env.views[1].ReplLink.SetDown(true)
+			cli.send("SET held v")
+			env.clock.RunFor(100 * simtime.Millisecond)
+			if len(cli.replies) != 0 {
+				t.Fatalf("reply released while slot 1 lags: %v", cli.replies)
+			}
+			env.views[0].AckLink.SetDown(true)
+			env.views[1].AckLink.SetDown(true)
+			env.clock.RunFor(200 * simtime.Millisecond)
+			if env.repl.LeaseState() != LeaseSelfFenced {
+				t.Fatalf("lease = %s with both ack links cut, want fenced", env.repl.LeaseState())
+			}
+
+			acked0, _ := env.repl.AckedThrough()
+			rel0, _ := env.repl.ReleasedEpoch()
+			env.repl.FenceReplica(1)
+			acked1, _ := env.repl.AckedThrough()
+			if acked1 <= acked0 || acked1 <= rel0 {
+				t.Fatalf("fencing the laggard left the ack watermark at %d (was %d, released %d)", acked1, acked0, rel0)
+			}
+			env.clock.RunFor(100 * simtime.Millisecond)
+			if rel, _ := env.repl.ReleasedEpoch(); rel != rel0 {
+				t.Fatalf("fenced primary released epochs %d..%d", rel0+1, rel)
+			}
+			if len(cli.replies) != 0 {
+				t.Fatalf("fenced primary released the reply: %v", cli.replies)
+			}
+			if rec := env.repl.rec; rec != nil && rec.released >= rec.acked {
+				t.Fatalf("no log segment held under the fence: released %d, acked %d", rec.released, rec.acked)
+			}
+
+			env.views[0].AckLink.SetDown(false)
+			healed := env.clock.Now()
+			for i := 0; i < 1000 && env.repl.LeaseState() != LeaseHeld; i++ {
+				env.clock.RunFor(100 * simtime.Microsecond)
+			}
+			if env.repl.LeaseState() != LeaseHeld {
+				t.Fatal("no grant reached the primary after slot 0's ack link healed")
+			}
+			if rel, _ := env.repl.ReleasedEpoch(); rel < acked1 {
+				t.Fatalf("the grant released through epoch %d, want the held watermark %d", rel, acked1)
+			}
+			if rec := env.repl.rec; rec != nil && rec.released < rec.acked {
+				t.Fatalf("the grant left log segments held: released %d, acked %d", rec.released, rec.acked)
+			}
+			// Every held epoch is released at the one grant's instant, and
+			// the timeline receives every epoch in epoch order.
+			var last, held uint64
+			var grant simtime.Time
+			for i, r := range tl.Records() {
+				if i > 0 && r.Epoch <= last {
+					t.Fatalf("epoch %d recorded after epoch %d", r.Epoch, last)
+				}
+				last = r.Epoch
+				if r.Epoch <= rel0 || r.Epoch > acked1 {
+					continue
+				}
+				at := r.At.Add(r.Commit)
+				if held > 0 && at != grant {
+					t.Fatalf("held epoch %d released at t=%d, another at t=%d", r.Epoch, int64(at), int64(grant))
+				}
+				grant = at
+				held++
+			}
+			if held == 0 || grant <= healed {
+				t.Fatalf("%d held epochs released, at t=%d (ack link healed at t=%d)", held, int64(grant), int64(healed))
+			}
+			env.clock.RunFor(50 * simtime.Millisecond)
+			if len(cli.replies) != 1 || cli.replies[0] != "OK" {
+				t.Fatalf("replies after the grant = %v, want [OK]", cli.replies)
+			}
+		})
+	}
+}
+
+// TestUnprotectedPrimaryStopsStreamingLog: under the Availability policy
+// a record/replay primary whose ack link stays cut declares itself
+// unprotected and stops recording: no log segment is sealed or streamed
+// and the backup buffers no more, however long the outage lasts, while
+// every client write is still answered.
+func TestUnprotectedPrimaryStopsStreamingLog(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Opts = ReplayOpts()
+	cfg.Lease = DefaultLease()
+	cfg.Degrade = Availability
+	env := newTestEnv(t, cfg)
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	cli := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
+	env.clock.RunFor(100 * simtime.Millisecond)
+
+	env.cl.AckLink.SetDown(true)
+	for i := 0; i < 2000 && !env.repl.Unprotected(); i++ {
+		env.clock.RunFor(simtime.Millisecond)
+	}
+	if !env.repl.Unprotected() {
+		t.Fatal("the Availability policy never declared the pair unprotected")
+	}
+	env.clock.RunFor(50 * simtime.Millisecond)
+	segs := env.repl.LogSegments.Value()
+	buffered := len(env.repl.Backup.logSegs)
+	replies := len(cli.replies)
+
+	const writes = 200
+	for i := 0; i < writes; i++ {
+		cli.send(fmt.Sprintf("SET u%d v", i))
+		env.clock.RunFor(5 * simtime.Millisecond)
+	}
+	env.clock.RunFor(50 * simtime.Millisecond)
+	if got := env.repl.LogSegments.Value(); got != segs {
+		t.Fatalf("unprotected primary sealed %d log segments", got-segs)
+	}
+	if got := len(env.repl.Backup.logSegs); got != buffered {
+		t.Fatalf("backup buffers %d log segments, was %d", got, buffered)
+	}
+	if got := len(cli.replies) - replies; got != writes {
+		t.Fatalf("unprotected primary answered %d of %d writes", got, writes)
 	}
 }

@@ -64,13 +64,14 @@ type OptSet struct {
 	DeltaPages bool
 	// RecordReplay enables HyCoR-mode record/replay (DESIGN.md §12): the
 	// primary records all nondeterminism between checkpoints — network
-	// input arrival order and payloads and a scheduling digest — into small log segments streamed to the backup next to
-	// page traffic, and output release gates on log-segment commit
-	// (microseconds of data) instead of epoch page-transfer commit. On
+	// input arrival order and payloads — into small log segments
+	// streamed to the backup next to page traffic, and output release
+	// gates on log-segment commit (microseconds of data) instead of
+	// epoch page-transfer commit. On
 	// failover the backup restores the last committed checkpoint and
 	// deterministically replays the committed log suffix. Composes with
-	// the lease layer unchanged: a fenced primary parks segment releases
-	// exactly as it parks epoch releases. Beyond the Table I ladder; not
+	// the lease layer unchanged: a fenced primary holds segment releases
+	// exactly as it holds epoch releases. Beyond the Table I ladder; not
 	// part of AllOpts.
 	RecordReplay bool
 }

@@ -330,28 +330,15 @@ func (run *epochRun) leadDropped() {
 }
 
 // releaseOutput flushes the epoch's buffered output. Its one caller is
-// the ack watermark (Replicator.retireThrough); the commit check below
+// the ack watermark (Replicator.retireThrough), which holds every run
+// while a self-fence forbids release (lease.go); the commit check below
 // makes the output-commit invariant (DESIGN.md §4) fail loudly rather
-// than silently if that ever changes. A self-fenced primary parks the
-// release instead (lease.go): the ack authorized it, but the lease
-// that authorizes *releasing* lapsed — it flushes, in epoch order, when
-// a grant returns.
+// than silently if that ever changes.
 func (run *epochRun) releaseOutput() {
 	r := run.r
 	if c, ok := r.slotMin(committedEpoch); !ok || c < run.epoch {
 		panic(fmt.Sprintf("core: output-commit violation: releasing epoch %d before quorum commit", run.epoch))
 	}
-	if !r.releaseAuthorized() {
-		r.parked = append(r.parked, run)
-		return
-	}
-	run.finishRelease(r.Cluster.Clock.Now())
-}
-
-// finishRelease completes the release once both gates (ack and lease)
-// allow it.
-func (run *epochRun) finishRelease(now simtime.Time) {
-	r := run.r
 	if r.rec == nil {
 		// In record/replay mode the qdisc is keyed (and flushed) by log
 		// segment; the epoch pipeline only advances the commit watermark.
@@ -361,7 +348,7 @@ func (run *epochRun) finishRelease(now simtime.Time) {
 		r.released = run.epoch
 		r.hasReleased = true
 	}
-	run.commit = now.Sub(run.startAt)
+	run.commit = r.Cluster.Clock.Now().Sub(run.startAt)
 	run.record()
 	run.unref()
 }

@@ -51,8 +51,8 @@ type Replicator struct {
 	freeSends                   []*imageSend
 	chunks                      []int64
 
-	// holders counts the chain replicas' shared page buffers (Clone),
-	// so only a buffer's last store recycles it (DESIGN.md §8).
+	// holders counts the chain replicas' shared page buffers, so only a
+	// buffer's last store recycles it (DESIGN.md §8).
 	holders *simkernel.PageHolders
 	// recycleAtFirstRelease is the mutation the holder-count test
 	// catches: a store recycles a superseded buffer whatever its
@@ -110,13 +110,11 @@ type Replicator struct {
 
 	// Lease arbitration state (lease.go, DESIGN.md §10). leaseExpiresAt
 	// is the end of the newest grant's term measured from its send
-	// time; parked holds ack-authorized pipeline releases held back by
-	// a self-fence, flushed in epoch order on re-grant.
+	// time.
 	leaseState     LeaseState
 	leaseExpiresAt simtime.Time
 	leaseTimer     *simtime.Timer
 	unprotTimer    *simtime.Timer
-	parked         []*epochRun
 
 	// SelfFences counts lease expirations that fenced this primary.
 	SelfFences metrics.Counter
@@ -204,7 +202,6 @@ func (r *Replicator) Stop() {
 	r.epochTimer.Stop()
 	r.cancelLeaseTimers()
 	r.inflight.Reset()
-	r.parked = nil
 	if r.rec != nil {
 		r.rec.uninstall()
 	}
@@ -312,11 +309,10 @@ func (r *Replicator) AckedThrough() (uint64, bool) { return r.ackedThrough, r.ha
 func (r *Replicator) Fenced() bool { return r.lead() == nil }
 
 // FenceBackup cuts every dead backup off from a healthy primary:
-// replication stops, buffered output is flushed (the primary is the
-// authoritative survivor — nothing it produced depends on the lost
-// backups), the DRBD primary end detaches so disk writes stay local,
-// and all queued transfer traffic is cancelled so it cannot occupy the
-// shared replication NIC. The container keeps running unprotected; the
+// replication stops, every slot's agent halts, and the primary leaves
+// protection (unprotect) — the primary is the authoritative survivor,
+// and nothing it produced depends on the lost backups, so releasing
+// without a lease is safe. The container keeps running unprotected; the
 // fleet control plane re-protects it via ReprotectOnto. To fence a
 // subset of a chain while the survivors keep it protected, use
 // FenceReplica (chain.go).
@@ -329,15 +325,7 @@ func (r *Replicator) FenceBackup() {
 		s.fenced = true
 		s.agent.Halt()
 	}
-	_ = r.Cluster.DRBDPrimary.Detach()
-	for _, s := range r.chain {
-		s.cancelFlows()
-	}
-	if r.Cfg.Lease.Enabled {
-		// Control-plane-sanctioned unprotected operation: the backups are
-		// verifiably dead, so releasing without a lease is safe.
-		r.leaseState = LeaseUnprotected
-	}
+	r.unprotect()
 }
 
 // InflightEpochs returns the number of epochs whose pipeline has not yet

@@ -2,8 +2,8 @@ package core
 
 // HyCoR-mode record/replay (DESIGN.md §12). With Opts.RecordReplay the
 // primary records every source of nondeterminism the simulation owns —
-// network input arrival order and payloads, and a scheduling digest —
-// into an append-only log cut into small segments. Segments stream to
+// network input arrival order and payloads — into an append-only log
+// cut into small segments. Segments stream to
 // the backup on their own TransferScheduler flow (ctrID+"/log"),
 // scheduled fairly against the pair's page traffic, and output release
 // gates on *segment* commit: the egress buffered while a segment was
@@ -27,9 +27,9 @@ package core
 // the replay regenerates the exact egress the primary released; the
 // per-segment egress digest is the divergence oracle.
 //
-// The lease layer composes unchanged: a self-fenced primary parks the
-// log-ack release watermark exactly as it parks epoch releases, and
-// unfence flushes both in order.
+// The lease layer composes unchanged: a self-fenced primary holds the
+// log release below its ack watermark exactly as it holds epoch
+// releases (logRecompute), and the unfence releases both in order.
 
 import (
 	"nilicon/internal/container"
@@ -85,7 +85,7 @@ type recorder struct {
 
 	// acked is the cumulative backup acknowledgment watermark; released
 	// the highest sequence whose egress buffer was flushed. Under a lease
-	// fence released lags acked, and unfence releases the difference.
+	// fence released lags acked; the unfence releases the difference.
 	acked    uint64
 	released uint64
 
@@ -369,7 +369,7 @@ func (b *BackupAgent) ackLog() {
 
 // resendLogAck re-sends the current watermark unconditionally (detector
 // tick): a cumulative ack lost on a flapping ack link must not leave
-// released-but-unflushed output parked at the primary forever.
+// committed-but-unflushed output held at the primary forever.
 func (b *BackupAgent) resendLogAck() {
 	if b.logContig == 0 {
 		return

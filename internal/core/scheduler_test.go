@@ -145,6 +145,47 @@ func TestSchedulerLinkDownDropsDelivery(t *testing.T) {
 	}
 }
 
+// Cancelling a busy flow — one chunk on the wire, more chunks and a
+// second request queued — drops its queue without firing either
+// callback of either request, and a second flow on the same link keeps
+// delivering.
+func TestSchedulerCancelBusyFlow(t *testing.T) {
+	clock, _, sched := newTestScheduler()
+	fired := 0
+	cb := func() { fired++ }
+	const chunk = xferChunkBytes
+	sched.SubmitReq("fenced", []int64{chunk, chunk, chunk}, cb, cb)
+	sched.SubmitReq("fenced", []int64{chunk}, cb, cb)
+	var otherDone bool
+	sched.SubmitBytes("other", 4*chunk, func() { otherDone = true })
+	if sched.Flows() != 2 {
+		t.Fatalf("flows = %d, want 2", sched.Flows())
+	}
+	// The fenced flow's first chunk is serializing; three of its chunks
+	// and the other flow's four are queued.
+	if got, want := sched.QueuedBytes(), int64(7*chunk); got != want {
+		t.Fatalf("queued %d bytes before the cancel, want %d", got, want)
+	}
+
+	sched.CancelFlow("fenced")
+	if got, want := sched.QueuedBytes(), int64(4*chunk); got != want {
+		t.Fatalf("queued %d bytes after the cancel, want the other flow's %d", got, want)
+	}
+	if sched.Flows() != 1 {
+		t.Fatalf("flows = %d after the cancel, want 1", sched.Flows())
+	}
+	clock.RunFor(100 * simtime.Millisecond)
+	if fired != 0 {
+		t.Fatalf("cancelled flow fired %d callbacks", fired)
+	}
+	if !otherDone {
+		t.Fatal("the other flow stopped delivering after the cancel")
+	}
+	if sched.Flows() != 0 || sched.QueuedBytes() != 0 {
+		t.Fatalf("flows = %d, queued = %d after draining", sched.Flows(), sched.QueuedBytes())
+	}
+}
+
 func TestSchedulerZeroByteTransfer(t *testing.T) {
 	clock, _, sched := newTestScheduler()
 	fired := false

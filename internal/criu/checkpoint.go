@@ -222,14 +222,13 @@ func (e *Engine) Checkpoint() (*Image, CheckpointStats) {
 		img.InfrequentCached = true
 	} else {
 		inf := InfrequentState{
-			Cgroup:      k.CollectCgroup(ctr.Cgroup),
-			Namespaces:  k.CollectNamespaces(ctr.NS),
-			Mounts:      k.CollectMounts(ctr.Mounts),
-			Devices:     k.CollectDevices(ctr.Devices),
-			MappedFiles: make(map[int][]string),
+			Cgroup:     k.CollectCgroup(ctr.Cgroup),
+			Namespaces: k.CollectNamespaces(ctr.NS),
+			Mounts:     k.CollectMounts(ctr.Mounts),
+			Devices:    k.CollectDevices(ctr.Devices),
 		}
 		for _, p := range ctr.Procs {
-			inf.MappedFiles[p.PID] = k.StatMappedFiles(p)
+			k.StatMappedFiles(p)
 		}
 		img.Infrequent = inf
 		if e.Opts.CacheInfrequent {

@@ -36,14 +36,15 @@ type ProcessImage struct {
 }
 
 // InfrequentState bundles the in-kernel container state components that
-// rarely change (§V-B): control groups, namespaces, mount points,
-// device files, and memory-mapped files.
+// rarely change (§V-B): control groups, namespaces, mount points and
+// device files. Collecting it also stats every memory-mapped file
+// (Kernel.StatMappedFiles), a cost with nothing to carry: restore
+// rebuilds the mappings from the process images.
 type InfrequentState struct {
-	Cgroup      simkernel.CgroupSnapshot
-	Namespaces  []simkernel.NamespaceSnapshot
-	Mounts      []simkernel.Mount
-	Devices     []simkernel.DeviceFile
-	MappedFiles map[int][]string // PID → mapped file paths
+	Cgroup     simkernel.CgroupSnapshot
+	Namespaces []simkernel.NamespaceSnapshot
+	Mounts     []simkernel.Mount
+	Devices    []simkernel.DeviceFile
 }
 
 // Image is one (incremental) container checkpoint in the format the

@@ -37,7 +37,9 @@ func Restore(h *container.Host, img *Image, store simfs.BlockStore) (*container.
 	// The pages are installed shared: the image's buffers become frames.
 	ctr.SharesFrames = true
 
-	// Mount table and devices from the image replace the defaults.
+	// Mount table and devices from the image replace the defaults; the
+	// image's namespace configuration and cgroup settings are re-applied
+	// to the fresh namespaces and group.
 	for _, m := range ctr.Mounts.Mounts() {
 		ctr.Mounts.Unmount(m.Target, ctr.ID)
 	}
@@ -47,6 +49,16 @@ func Restore(h *container.Host, img *Image, store simfs.BlockStore) (*container.
 	ctr.Devices = append([]simkernel.DeviceFile(nil), img.Infrequent.Devices...)
 	for key, val := range img.Infrequent.Cgroup.Config {
 		ctr.Cgroup.SetConfig(key, val)
+	}
+	for _, sn := range img.Infrequent.Namespaces {
+		for _, n := range ctr.NS.All() {
+			if n.Kind != sn.Kind {
+				continue
+			}
+			for key, val := range sn.Extra {
+				k.SetNamespaceExtra(n, ctr.ID, key, val)
+			}
+		}
 	}
 
 	// Processes: address spaces, pages, threads, descriptors, timers.

@@ -119,6 +119,44 @@ func TestRestoreRecreatesMounts(t *testing.T) {
 	}
 }
 
+// TestRestoreRoundTripsInfrequentState: the §II-B state a checkpoint
+// carries in its infrequent-state image — a cgroup setting, a
+// namespace's configuration, a mount and a device node — is back on the
+// container restored on another host.
+func TestRestoreRoundTripsInfrequentState(t *testing.T) {
+	ctr, clock := newTestContainer()
+	addWorkProcess(ctr, "app", 2)
+	k := ctr.Host.Kernel
+	ctr.Cgroup.SetConfig("memory.limit_in_bytes", "268435456")
+	k.SetNamespaceExtra(ctr.NS.Net, ctr.ID, "eth0.mtu", "9000")
+	ctr.Mounts.Mount(simkernel.Mount{Source: "nfs:/x", Target: "/mnt/x", FSType: "nfs"}, ctr.ID)
+	dev := simkernel.DeviceFile{Path: "/dev/fuse", Major: 10, Minor: 229}
+	ctr.Devices = append(ctr.Devices, dev)
+
+	restored, _ := checkpointThenRestore(t, ctr, clock)
+	if restored.Host == ctr.Host {
+		t.Fatal("restored on the primary's own host")
+	}
+	if got := restored.Cgroup.Config["memory.limit_in_bytes"]; got != "268435456" {
+		t.Fatalf("cgroup memory.limit_in_bytes = %q after restore", got)
+	}
+	if got := restored.NS.Net.Extra["eth0.mtu"]; got != "9000" {
+		t.Fatalf("net namespace eth0.mtu = %q after restore", got)
+	}
+	if got := restored.NS.UTS.Extra["hostname"]; got != ctr.ID {
+		t.Fatalf("UTS hostname = %q after restore, want %q", got, ctr.ID)
+	}
+	if _, ok := restored.NS.UTS.Extra["eth0.mtu"]; ok {
+		t.Fatal("net namespace configuration restored into the UTS namespace")
+	}
+	if !slices.Contains(restored.Mounts.Mounts(), simkernel.Mount{Source: "nfs:/x", Target: "/mnt/x", FSType: "nfs"}) {
+		t.Fatalf("mount /mnt/x lost: %v", restored.Mounts.Mounts())
+	}
+	if !slices.Contains(restored.Devices, dev) {
+		t.Fatalf("device %v lost: %v", dev, restored.Devices)
+	}
+}
+
 func TestRestoreLeavesSocketsInRepairAndDisconnected(t *testing.T) {
 	ctr, clock := newTestContainer()
 	addWorkProcess(ctr, "app", 2)

@@ -102,7 +102,7 @@ func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int, p
 	// Availability policy (unprotect → serve without acks → re-protect on
 	// heal), and the partition-heal geometry again under record/replay —
 	// the mid-partition promotion must replay the committed log suffix
-	// and the healed old primary's parked log-ack releases must flush
+	// and the healed old primary's held log releases must flush
 	// safely.
 	each(chaos.Config{Opts: core.AllOpts(), OptName: "splitbrain-partition",
 		Scenario: chaos.ScenarioPartitionHeal, Degrade: core.StrictSafety})

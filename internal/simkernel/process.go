@@ -191,14 +191,12 @@ func (k *Kernel) CollectTimers(p *Process) []TimerSnapshot {
 }
 
 // StatMappedFiles models the stat() call stock CRIU issues per
-// memory-mapped file (dynamic libraries etc.; §V cause (1)). It returns
-// the file list and charges one StatFile per distinct file.
-func (k *Kernel) StatMappedFiles(p *Process) []string {
-	files := p.Mem.MappedFiles()
-	for range files {
+// memory-mapped file (dynamic libraries etc.; §V cause (1)): it charges
+// one StatFile per distinct file.
+func (k *Kernel) StatMappedFiles(p *Process) {
+	for range p.Mem.MappedFiles() {
 		k.ChargeSyscall(k.Costs.StatFile)
 	}
-	return files
 }
 
 func ftraceEvent(fn, containerID string) ftrace.Event {

@@ -7,7 +7,8 @@
 # testdata/keep.txt; and every function named there must still exist
 # and still be executed by no traffic.
 #
-#   scripts/traffic-coverage.sh    # prints file:line: key per unexecuted function
+#   scripts/traffic-coverage.sh    # prints file:line: key per unexecuted function,
+#                                  # then how many internal/ statements no traffic executes
 #
 # A key is pkg.Func or pkg.Recv.Func (pkg is the package directory's
 # name), read from the function's declaration line: the form keep.txt
@@ -90,4 +91,11 @@ if [ -n "$stale" ]; then
 	echo "FAIL: in testdata/keep.txt but executed by traffic, or no longer a function (drop the entry):" >&2
 	sed 's/^/  /' <<<"$stale" >&2
 fi
+# One summary line: internal/ statements no traffic executes, of all.
+# A block may appear once per profile merged; it counts once, executed
+# if any run executed it.
+awk 'NR > 1 { stmts[$1] = $2; if ($3 > 0) hit[$1] = 1 }
+	END { for (b in stmts) { total += stmts[b]; if (!(b in hit)) missed += stmts[b] }
+		printf "traffic-coverage: %d of %d internal/ statements executed by no traffic\n", missed, total }' "$work/internal.txt"
+
 [ -z "$unkept" ] && [ -z "$stale" ]
