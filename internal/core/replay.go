@@ -143,8 +143,8 @@ func (rec *recorder) uninstall() {
 	rec.sealTimer.Stop()
 }
 
-func (rec *recorder) onIngress(pkt simnet.Packet) {
-	rec.events = append(rec.events, criu.LogEvent{Packet: pkt})
+func (rec *recorder) onIngress(pkt *simnet.Packet) {
+	rec.events = append(rec.events, criu.LogEvent{Packet: *pkt})
 	rec.noteActivity()
 }
 
@@ -493,7 +493,7 @@ func (b *BackupAgent) replayLog(ctr *container.Container) *ReplayStats {
 		digest = criu.DigestInit()
 		bytes = 0
 		for i := range seg.Events {
-			ctr.Stack.Receive(seg.Events[i].Packet)
+			ctr.Stack.Receive(&seg.Events[i].Packet)
 		}
 		// An app that answers from its own tasks rather than inside the
 		// ingress handler (workloads.Server) sent part of the segment's

@@ -1,6 +1,7 @@
 package simkernel
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -236,6 +237,60 @@ func TestPagemapReturnsDirtyAndCharges(t *testing.T) {
 	want := k.Costs.SyscallBase + 100*k.Costs.PagemapPerPage
 	if cost != want {
 		t.Fatalf("pagemap cost = %v, want %v (scan is per resident page)", cost, want)
+	}
+}
+
+// TestReadPagemapMatchesSortedDirtyList drives random writes, Touch
+// calls and clear_refs over VMAs of odd sizes, one installed below the
+// others, and checks after every step that ReadPagemap appends exactly
+// the sorted list of the pages written since the last clear_refs.
+func TestReadPagemapMatchesSortedDirtyList(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	k := newTestKernel()
+	p := k.NewProcess("p", "")
+	rw := ProtRead | ProtWrite
+	vmas := []*VMA{
+		p.Mem.Mmap(300*PageSize, rw, "", ""),
+		p.Mem.Mmap(64*PageSize, rw, "", ""),
+		p.Mem.Mmap(PageSize, rw, "", ""),
+		p.Mem.InstallVMA(VMA{Start: PageSize, End: 15 * PageSize, Prot: rw}),
+	}
+	want := map[uint64]bool{}
+	for step := 0; step < 2000; step++ {
+		v := vmas[rng.Intn(len(vmas))]
+		first := rng.Intn(v.Pages())
+		count := 1 + rng.Intn(min(v.Pages()-first, 80))
+		r := rng.Intn(10)
+		switch {
+		case r == 0:
+			k.ClearRefs(p)
+			clear(want)
+		case r < 5:
+			if err := p.Mem.Touch(v, first, count, byte(step)); err != nil {
+				t.Fatal(err)
+			}
+		default:
+			// A write that starts and ends inside pages, not on their
+			// boundaries.
+			addr := v.Start + uint64(first)*PageSize + 100
+			if err := p.Mem.Write(addr, make([]byte, count*PageSize-200)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if r != 0 {
+			for i := 0; i < count; i++ {
+				want[v.Start/PageSize+uint64(first+i)] = true
+			}
+		}
+		got := k.ReadPagemap(p, []uint64{42})
+		var w []uint64
+		for pn := range want {
+			w = append(w, pn)
+		}
+		slices.Sort(w)
+		if got[0] != 42 || !slices.Equal(got[1:], w) {
+			t.Fatalf("step %d: ReadPagemap appended %d pages %v, want %d pages %v", step, len(got)-1, got[1:], len(w), w)
+		}
 	}
 }
 

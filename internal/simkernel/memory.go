@@ -2,6 +2,7 @@ package simkernel
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -51,6 +52,12 @@ type VMA struct {
 	// frames holds the VMA's page frames, indexed by page offset from
 	// Start. A frame with nil Data is not resident.
 	frames []Page
+	// softDirty is the frames' soft-dirty PTE bits (set on write,
+	// cleared via /proc/pid/clear_refs), bit i%64 of word i/64 for
+	// frame i, and nDirty counts the bits set: a pagemap scan reads the
+	// set bits of the VMAs in address order, already sorted.
+	softDirty []uint64
+	nDirty    int
 }
 
 // Pages returns the number of pages the VMA spans.
@@ -64,9 +71,6 @@ func (v *VMA) String() string {
 // has length PageSize once it is.
 type Page struct {
 	Data []byte
-	// SoftDirty is the kernel's soft-dirty PTE bit (set on write, cleared
-	// via /proc/pid/clear_refs).
-	SoftDirty bool
 	// WriteProtected supports hypervisor-style dirty tracking (MC): a
 	// write to a protected page costs a VM exit and clears the bit.
 	WriteProtected bool
@@ -221,10 +225,11 @@ func IsStampPage(b []byte) bool {
 // owning its page frames, with both soft-dirty (NiLiCon) and
 // write-protect (MC) dirty tracking.
 //
-// Like a hardware page table, a page is found through its VMA, and the
-// soft-dirty pages are kept on a list: a pagemap scan and a clear_refs
-// cost the simulator O(dirty) work, while ReadPagemap and ClearRefs
-// still charge the modelled kernel its per-resident-page cost.
+// Like a hardware page table, a page is found through its VMA, and each
+// VMA keeps its pages' soft-dirty bits in a bitmap: a pagemap scan and a
+// clear_refs cost the simulator a word per 64 pages of the VMAs with a
+// dirty page, plus O(dirty), while ReadPagemap and ClearRefs still
+// charge the modelled kernel its per-resident-page cost.
 type AddressSpace struct {
 	k        *Kernel
 	vmas     []*VMA // sorted by Start, non-overlapping
@@ -233,10 +238,6 @@ type AddressSpace struct {
 	// built).
 	// Only insertVMA and Munmap change the VMA list, and each drops it.
 	infos []VMAInfo
-	// dirty lists, unsorted, the page numbers (address / PageSize) whose
-	// soft-dirty bit is set. A page is appended exactly when its bit goes
-	// from clear to set, so the list holds no duplicates.
-	dirty []uint64
 
 	nextMap uint64 // bump allocator for Mmap
 
@@ -280,6 +281,7 @@ func (as *AddressSpace) Mmap(size uint64, prot Prot, path, containerID string) *
 // sorted VMA list.
 func (as *AddressSpace) insertVMA(v *VMA) {
 	v.frames = make([]Page, v.Pages())
+	v.softDirty, v.nDirty = make([]uint64, (v.Pages()+63)/64), 0
 	as.infos = nil
 	as.vmas = append(as.vmas, v)
 	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
@@ -296,9 +298,7 @@ func (as *AddressSpace) Munmap(v *VMA) {
 					as.resident--
 				}
 			}
-			v.frames = nil
-			lo, hi := v.Start/PageSize, v.End/PageSize
-			as.dirty = slices.DeleteFunc(as.dirty, func(pn uint64) bool { return lo <= pn && pn < hi })
+			v.frames, v.softDirty, v.nDirty = nil, nil, 0
 			return
 		}
 	}
@@ -347,38 +347,49 @@ func (as *AddressSpace) checkRange(addr uint64, n int) error {
 
 // frame returns page pn's frame slot, or nil when no VMA maps it.
 func (as *AddressSpace) frame(pn uint64) *Page {
-	v := as.FindVMA(pn * PageSize)
+	v, i := as.locate(pn)
 	if v == nil {
 		return nil
 	}
-	return &v.frames[pn-v.Start/PageSize]
+	return &v.frames[i]
 }
 
-// setSoftDirty sets pg's soft-dirty bit, listing pn if the bit was clear.
-// It reports whether the bit was clear.
-func (as *AddressSpace) setSoftDirty(pg *Page, pn uint64) bool {
-	if pg.SoftDirty {
+// locate returns the VMA that maps page pn and the page's index in it
+// (nil, 0 when no VMA maps it).
+func (as *AddressSpace) locate(pn uint64) (*VMA, int) {
+	v := as.FindVMA(pn * PageSize)
+	if v == nil {
+		return nil, 0
+	}
+	return v, int(pn - v.Start/PageSize)
+}
+
+// setSoftDirty sets the soft-dirty bit of v's frame i and reports
+// whether it was clear.
+func (v *VMA) setSoftDirty(i int) bool {
+	w, bit := &v.softDirty[i/64], uint64(1)<<(i%64)
+	if *w&bit != 0 {
 		return false
 	}
-	pg.SoftDirty = true
-	as.dirty = append(as.dirty, pn)
+	*w |= bit
+	v.nDirty++
 	return true
 }
 
-// account does the fault and dirty-tracking work of an access to frame
-// slot pg, which holds page pn, and reports whether the page was
-// resident. A page that was not is counted resident; the caller gives
-// it a buffer.
-func (as *AddressSpace) account(pg *Page, pn uint64, forWrite bool) bool {
+// account does the fault and dirty-tracking work of an access to v's
+// frame i and reports whether the page was resident. A page that was
+// not is counted resident; the caller gives it a buffer.
+func (as *AddressSpace) account(v *VMA, i int, forWrite bool) bool {
+	pg := &v.frames[i]
 	if pg.Data == nil {
 		as.resident++
 		as.trackOverhead += as.k.Costs.MinorFault
 		// A freshly faulted page starts dirty under both trackers.
-		as.setSoftDirty(pg, pn)
+		v.setSoftDirty(i)
 		return false
 	}
 	if forWrite {
-		if as.setSoftDirty(pg, pn) && as.softTracking {
+		if v.setSoftDirty(i) && as.softTracking {
 			as.trackOverhead += as.k.Costs.SoftDirtyFault
 		}
 		if as.wpTracking && pg.WriteProtected {
@@ -389,11 +400,12 @@ func (as *AddressSpace) account(pg *Page, pn uint64, forWrite bool) bool {
 	return true
 }
 
-// access returns frame slot pg, which holds page pn, faulting it in if
-// needed and doing the dirty-tracking work of the access. A write to a
-// shared frame copies it first.
-func (as *AddressSpace) access(pg *Page, pn uint64, forWrite bool) *Page {
-	if !as.account(pg, pn, forWrite) {
+// access returns v's frame i, faulting it in if needed and doing the
+// dirty-tracking work of the access. A write to a shared frame copies it
+// first.
+func (as *AddressSpace) access(v *VMA, i int, forWrite bool) *Page {
+	pg := &v.frames[i]
+	if !as.account(v, i, forWrite) {
 		pg.Data = make([]byte, PageSize)
 	} else if forWrite && pg.Shared {
 		pg.Data, pg.Shared = CopyPage(pg.Data), false
@@ -421,7 +433,8 @@ func (as *AddressSpace) Write(addr uint64, data []byte) error {
 		if n > len(data)-off {
 			n = len(data) - off
 		}
-		pg := as.access(as.frame(pn), pn, true)
+		v, i := as.locate(pn)
+		pg := as.access(v, i, true)
 		copy(pg.Data[po:], data[off:off+n])
 		off += n
 	}
@@ -446,7 +459,8 @@ func (as *AddressSpace) AppendRead(dst []byte, addr uint64, n int) ([]byte, erro
 		if c > n-off {
 			c = n - off
 		}
-		pg := as.access(as.frame(pn), pn, false)
+		v, i := as.locate(pn)
+		pg := as.access(v, i, false)
 		dst = append(dst, pg.Data[po:int(po)+c]...)
 		off += c
 	}
@@ -475,16 +489,14 @@ func (as *AddressSpace) Touch(v *VMA, firstPage, count int, stamp byte) error {
 	if firstPage < 0 || firstPage+count > own.Pages() {
 		return fmt.Errorf("simkernel: Touch out of VMA range (%d+%d of %d pages)", firstPage, count, own.Pages())
 	}
-	base := own.Start/PageSize + uint64(firstPage)
-	frames := own.frames[firstPage : firstPage+count]
-	for i := range frames {
-		pg := &frames[i]
+	for i := firstPage; i < firstPage+count; i++ {
+		pg := &own.frames[i]
 		if pg.Data == nil || IsStampPage(pg.Data) {
-			as.account(pg, base+uint64(i), true)
+			as.account(own, i, true)
 			pg.Data, pg.Shared = stampPages[stamp], true
 			continue
 		}
-		as.access(pg, base+uint64(i), true).Data[0] = stamp
+		as.access(own, i, true).Data[0] = stamp
 	}
 	return nil
 }
@@ -493,7 +505,7 @@ func (as *AddressSpace) Touch(v *VMA, firstPage, count int, stamp byte) error {
 func (as *AddressSpace) ResidentPages() int { return as.resident }
 
 // SetSoftDirtyTracking enables or disables soft-dirty accounting of
-// writes (the tracking bit itself lives on each page).
+// writes (the tracking bits themselves live in each VMA's bitmap).
 func (as *AddressSpace) SetSoftDirtyTracking(on bool) { as.softTracking = on }
 
 // WriteProtectAll marks every resident page write-protected and enables
@@ -518,20 +530,38 @@ func (as *AddressSpace) DirtyPageNumbers() []uint64 {
 }
 
 // AppendDirtyPageNumbers appends DirtyPageNumbers' result to dst and
-// returns the extended slice.
+// returns the extended slice. The VMAs are sorted and disjoint, so
+// walking each one's bitmap in order yields the page numbers sorted.
 func (as *AddressSpace) AppendDirtyPageNumbers(dst []uint64) []uint64 {
-	slices.Sort(as.dirty)
-	return append(dst, as.dirty...)
+	n := 0
+	for _, v := range as.vmas {
+		n += v.nDirty
+	}
+	dst = slices.Grow(dst, n)
+	for _, v := range as.vmas {
+		if v.nDirty == 0 {
+			continue
+		}
+		base := v.Start / PageSize
+		for wi, w := range v.softDirty {
+			for ; w != 0; w &= w - 1 {
+				dst = append(dst, base+uint64(wi*64+bits.TrailingZeros64(w)))
+			}
+		}
+	}
+	return dst
 }
 
 // ClearSoftDirtyBits clears every page's soft-dirty bit (the functional
-// part of writing /proc/pid/clear_refs). Only the listed dirty pages are
-// visited.
+// part of writing /proc/pid/clear_refs). VMAs with no dirty page are
+// skipped.
 func (as *AddressSpace) ClearSoftDirtyBits() {
-	for _, pn := range as.dirty {
-		as.frame(pn).SoftDirty = false
+	for _, v := range as.vmas {
+		if v.nDirty > 0 {
+			clear(v.softDirty)
+			v.nDirty = 0
+		}
 	}
-	as.dirty = as.dirty[:0]
 }
 
 // PageData returns the frame contents for page number pn (nil if the
@@ -564,10 +594,11 @@ func (as *AddressSpace) SharePage(pn uint64) []byte {
 // it. Other data is copied and zero-padded. Restore installs the VMAs
 // first, so a page outside every VMA is a bug and panics.
 func (as *AddressSpace) InstallPage(pn uint64, data []byte) {
-	pg := as.frame(pn)
-	if pg == nil {
+	v, i := as.locate(pn)
+	if v == nil {
 		panic(fmt.Sprintf("simkernel: InstallPage of page %#x outside every VMA", pn))
 	}
+	pg := &v.frames[i]
 	if pg.Data == nil {
 		as.resident++
 	}
@@ -578,7 +609,7 @@ func (as *AddressSpace) InstallPage(pn uint64, data []byte) {
 		copy(pg.Data, data)
 	}
 	pg.WriteProtected = false
-	as.setSoftDirty(pg, pn)
+	v.setSoftDirty(i)
 }
 
 // InstallVMA places a VMA during restore (no hook fire, no allocator

@@ -18,14 +18,14 @@ func TestRouteCacheFollowsARPChanges(t *testing.T) {
 	ports := map[string]*Port{}
 	for _, name := range []string{"primary", "backup", "spare"} {
 		p := sw.Attach()
-		p.SetReceiver(func(Packet) { got[name]++ })
+		p.SetReceiver(func(*Packet) { got[name]++ })
 		ports[name] = p
 	}
 	send := func(want string) {
 		t.Helper()
 		before := got[want]
 		for i := 0; i < 3; i++ {
-			from.Send(Packet{Kind: KindTCP, Dst: "10.0.0.9"})
+			from.Send(&Packet{Kind: KindTCP, Dst: "10.0.0.9"})
 		}
 		c.Run()
 		if got[want]-before != 3 {
@@ -59,8 +59,8 @@ func TestDemuxFollowsDropAndRestore(t *testing.T) {
 	}
 	srv.EnterRepair()
 	sn := p.b.SnapshotSocket(srv)
-	segment := func(flags int, payload string) Packet {
-		return Packet{Kind: KindTCP, Src: p.a.IP, Dst: p.b.IP, SrcPort: cl.LocalPort, DstPort: 80,
+	segment := func(flags int, payload string) *Packet {
+		return &Packet{Kind: KindTCP, Src: p.a.IP, Dst: p.b.IP, SrcPort: cl.LocalPort, DstPort: 80,
 			Flags: flags, Seq: sn.RcvNxt, Ack: sn.SndNxt, Payload: []byte(payload)}
 	}
 

@@ -28,8 +28,9 @@ type fuzzLink struct {
 
 const fuzzLatency = 100 * simtime.Microsecond
 
-func (l *fuzzLink) send(dst *Stack, p Packet) {
-	deliver := func(d simtime.Duration) { l.clock.Schedule(d, func() { dst.Receive(p) }) }
+func (l *fuzzLink) send(dst *Stack, pkt *Packet) {
+	p := *pkt
+	deliver := func(d simtime.Duration) { l.clock.Schedule(d, func() { dst.Receive(&p) }) }
 	if !l.armed || len(l.fates) == 0 {
 		deliver(fuzzLatency)
 		return
@@ -70,12 +71,16 @@ const fuzzRetransmitFactor = 2
 // sent; once the link heals the whole stream must arrive, with no reset
 // and with retransmissions bounded by fuzzRetransmitFactor.
 //
-// It also checks the stream-byte ownership rule (DESIGN.md §8). The
-// sender writes each chunk from one reused buffer and overwrites it
-// right after Send, so Send must copy. The receiver keeps every ReadAll
-// slice itself, not a copy, and at the end each must still hold the
-// bytes it held when read: no later Send, retransmission or delivery
-// may write a byte already handed out.
+// It also checks the stream-byte ownership rule (DESIGN.md §8). A chunk
+// of even size index (sizes[i] even) is written from one reused buffer
+// that is overwritten right after Send, so Send must copy. An odd one
+// is appended to SendBuffer's slab tail, which Send then sends in
+// place; when sizes[i]%4 == 3 the tail is asked for half the room
+// only, so the append may move the chunk to another array, which Send
+// must copy. The receiver keeps every ReadAll slice itself, not a copy,
+// and at the end each must still hold the bytes it held when read: no
+// later Send, retransmission or delivery may write a byte already
+// handed out.
 //
 // Bit i of skips (low bit first) set means the receiver leaves the
 // read queue alone on its i-th delivery, so the next delivery lands in
@@ -104,8 +109,8 @@ func FuzzTCPStream(f *testing.F) {
 		c := simtime.NewClock()
 		link := &fuzzLink{clock: c}
 		var a, b *Stack
-		a = NewStack(c, "10.0.0.1", func(p Packet) { link.send(b, p) })
-		b = NewStack(c, "10.0.0.2", func(p Packet) { link.send(a, p) })
+		a = NewStack(c, "10.0.0.1", func(p *Packet) { link.send(b, p) })
+		b = NewStack(c, "10.0.0.2", func(p *Packet) { link.send(a, p) })
 
 		var got []byte
 		var kept [][]byte // every ReadAll result, as returned
@@ -141,6 +146,14 @@ func FuzzTCPStream(f *testing.F) {
 				segments += (len(chunk) + s.stack.MSS - 1) / s.stack.MSS
 				c.Schedule(simtime.Duration(i)*4*simtime.Millisecond, func() {
 					sentLen += len(chunk)
+					if n%2 == 1 {
+						room := len(chunk)
+						if n%4 == 3 {
+							room /= 2
+						}
+						s.Send(append(s.SendBuffer(room), chunk...))
+						return
+					}
 					out = append(out[:0], chunk...)
 					s.Send(out)
 					for j := range out {

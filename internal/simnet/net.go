@@ -32,7 +32,11 @@ const (
 	FlagRST
 )
 
-// Packet is one frame on the wire.
+// Packet is one frame on the wire. Packets travel by pointer from a
+// stack's emit through the qdisc and the switch to the receiving stack.
+// The pointer is valid for the call only: a holder that keeps a packet
+// (a switch delivery, a qdisc's epoch buffer, a recorded log event)
+// copies the struct, and no callee writes it.
 type Packet struct {
 	Kind    PacketKind
 	Src     Addr
@@ -46,18 +50,18 @@ type Packet struct {
 }
 
 // Len returns the modeled wire size in bytes (40-byte header + payload).
-func (p Packet) Len() int { return 40 + len(p.Payload) }
+func (p *Packet) Len() int { return 40 + len(p.Payload) }
 
 // Port is one attachment point on the switch. Its frames are delivered
 // on the switch's clock, the one clock every host shares.
 type Port struct {
 	sw      *Switch
-	rx      func(Packet)
+	rx      func(*Packet)
 	enabled bool
 }
 
 // SetReceiver installs the ingress handler.
-func (p *Port) SetReceiver(fn func(Packet)) { p.rx = fn }
+func (p *Port) SetReceiver(fn func(*Packet)) { p.rx = fn }
 
 // SetEnabled connects or disconnects the port from the bridge. A
 // disabled port drops all ingress — this is how the backup agent
@@ -69,7 +73,7 @@ func (p *Port) SetEnabled(on bool) { p.enabled = on }
 func (p *Port) Enabled() bool { return p.enabled }
 
 // Send puts a frame on the wire from this port.
-func (p *Port) Send(pkt Packet) { p.sw.forward(p, pkt) }
+func (p *Port) Send(pkt *Packet) { p.sw.forward(p, pkt) }
 
 // Switch is the L2 switch / virtual bridge. Delivery is by destination
 // address through the ARP table; unknown destinations are dropped.
@@ -124,7 +128,7 @@ func (s *Switch) GratuitousARP(addr Addr, p *Port, done func()) {
 	})
 }
 
-func (s *Switch) forward(from *Port, pkt Packet) {
+func (s *Switch) forward(from *Port, pkt *Packet) {
 	if !from.enabled {
 		return
 	}
@@ -139,22 +143,20 @@ func (s *Switch) forward(from *Port, pkt Packet) {
 		d = &delivery{sw: s}
 		d.run = d.deliver
 	}
-	d.dst, d.pkt = dst, pkt
+	d.dst, d.pkt = dst, *pkt
 	s.clock.Schedule(s.latency, d.run)
 }
 
-// deliver hands the frame to its port and returns the record to the
-// free list first, so frames the receiver sends in response can reuse it.
+// deliver hands the record's frame to its port, by pointer, and then
+// returns the record to the free list.
 func (d *delivery) deliver() {
-	s, dst, pkt := d.sw, d.dst, d.pkt
-	d.dst, d.pkt = nil, Packet{}
-	s.free = append(s.free, d)
 	// Re-check at delivery time: the port may have been disconnected
 	// (recovery) while the frame was in flight.
-	if !dst.enabled || dst.rx == nil {
-		return
+	if dst := d.dst; dst.enabled && dst.rx != nil {
+		dst.rx(&d.pkt)
 	}
-	dst.rx(pkt)
+	d.dst, d.pkt = nil, Packet{}
+	d.sw.free = append(d.sw.free, d)
 }
 
 // Link is a dedicated point-to-point link with bandwidth and latency,

@@ -16,8 +16,8 @@ func TestSwitchForwardsByARP(t *testing.T) {
 	sw.Learn("10.0.0.1", pa)
 	sw.Learn("10.0.0.2", pb)
 	var got []Packet
-	pb.SetReceiver(func(p Packet) { got = append(got, p) })
-	pa.Send(Packet{Kind: KindTCP, Src: "10.0.0.1", Dst: "10.0.0.2"})
+	pb.SetReceiver(func(p *Packet) { got = append(got, *p) })
+	pa.Send(&Packet{Kind: KindTCP, Src: "10.0.0.1", Dst: "10.0.0.2"})
 	if len(got) != 0 {
 		t.Fatal("delivery should be delayed by link latency")
 	}
@@ -36,9 +36,9 @@ func TestSwitchDropsUnknownDestination(t *testing.T) {
 	pa := sw.Attach()
 	pb := sw.Attach()
 	n := 0
-	pa.SetReceiver(func(Packet) { n++ })
-	pb.SetReceiver(func(Packet) { n++ })
-	pa.Send(Packet{Dst: "10.9.9.9"})
+	pa.SetReceiver(func(*Packet) { n++ })
+	pb.SetReceiver(func(*Packet) { n++ })
+	pa.Send(&Packet{Dst: "10.9.9.9"})
 	c.Run()
 	if n != 0 || len(sw.free) != 0 {
 		t.Fatalf("frame to an unknown destination delivered %d times, %d delivery records made", n, len(sw.free))
@@ -52,10 +52,10 @@ func TestDisabledPortDropsIngressAndEgress(t *testing.T) {
 	pb := sw.Attach()
 	sw.Learn("b", pb)
 	n := 0
-	pb.SetReceiver(func(Packet) { n++ })
+	pb.SetReceiver(func(*Packet) { n++ })
 
 	pb.SetEnabled(false)
-	pa.Send(Packet{Dst: "b"})
+	pa.Send(&Packet{Dst: "b"})
 	c.Run()
 	if n != 0 {
 		t.Fatalf("disabled ingress: delivered %d frames", n)
@@ -63,7 +63,7 @@ func TestDisabledPortDropsIngressAndEgress(t *testing.T) {
 
 	pb.SetEnabled(true)
 	pa.SetEnabled(false)
-	pa.Send(Packet{Dst: "b"})
+	pa.Send(&Packet{Dst: "b"})
 	c.Run()
 	if n != 0 {
 		t.Fatal("disabled port transmitted")
@@ -77,8 +77,8 @@ func TestDisconnectWhileInFlight(t *testing.T) {
 	pb := sw.Attach()
 	sw.Learn("b", pb)
 	n := 0
-	pb.SetReceiver(func(Packet) { n++ })
-	pa.Send(Packet{Dst: "b"})
+	pb.SetReceiver(func(*Packet) { n++ })
+	pa.Send(&Packet{Dst: "b"})
 	// Disconnect before the frame lands.
 	pb.SetEnabled(false)
 	c.Run()
@@ -149,9 +149,9 @@ func TestLinkNegativeSizePanics(t *testing.T) {
 
 func TestQdiscPassThroughWhenNotReplicating(t *testing.T) {
 	var out, in []Packet
-	q := NewPlugQdisc(func(p Packet) { out = append(out, p) }, func(p Packet) { in = append(in, p) })
-	q.Egress(Packet{Seq: 1})
-	q.Ingress(Packet{Seq: 2})
+	q := NewPlugQdisc(func(p *Packet) { out = append(out, *p) }, func(p *Packet) { in = append(in, *p) })
+	q.Egress(&Packet{Seq: 1})
+	q.Ingress(&Packet{Seq: 2})
 	if len(out) != 1 || len(in) != 1 {
 		t.Fatalf("pass-through failed: out=%d in=%d", len(out), len(in))
 	}
@@ -159,13 +159,13 @@ func TestQdiscPassThroughWhenNotReplicating(t *testing.T) {
 
 func TestQdiscEpochBufferingAndRelease(t *testing.T) {
 	var out []Packet
-	q := NewPlugQdisc(func(p Packet) { out = append(out, p) }, nil)
+	q := NewPlugQdisc(func(p *Packet) { out = append(out, *p) }, nil)
 	q.SetReplicating(true)
 
-	q.Egress(Packet{Seq: 1}) // epoch 0
-	q.Egress(Packet{Seq: 2})
+	q.Egress(&Packet{Seq: 1}) // epoch 0
+	q.Egress(&Packet{Seq: 2})
 	q.Rotate(0)
-	q.Egress(Packet{Seq: 3}) // epoch 1
+	q.Egress(&Packet{Seq: 3}) // epoch 1
 	q.Rotate(1)
 
 	if len(out) != 0 {
@@ -186,10 +186,10 @@ func TestQdiscEpochBufferingAndRelease(t *testing.T) {
 
 func TestQdiscReleaseIsOrdered(t *testing.T) {
 	var out []Packet
-	q := NewPlugQdisc(func(p Packet) { out = append(out, p) }, nil)
+	q := NewPlugQdisc(func(p *Packet) { out = append(out, *p) }, nil)
 	q.SetReplicating(true)
 	for i := uint32(1); i <= 5; i++ {
-		q.Egress(Packet{Seq: i})
+		q.Egress(&Packet{Seq: i})
 		q.Rotate(uint64(i - 1))
 	}
 	q.Release(4)
@@ -202,11 +202,11 @@ func TestQdiscReleaseIsOrdered(t *testing.T) {
 
 func TestQdiscDiscardPending(t *testing.T) {
 	var out []Packet
-	q := NewPlugQdisc(func(p Packet) { out = append(out, p) }, nil)
+	q := NewPlugQdisc(func(p *Packet) { out = append(out, *p) }, nil)
 	q.SetReplicating(true)
-	q.Egress(Packet{Seq: 1})
+	q.Egress(&Packet{Seq: 1})
 	q.Rotate(0)
-	q.Egress(Packet{Seq: 2})
+	q.Egress(&Packet{Seq: 2})
 	q.DiscardPending()
 	q.Release(^uint64(0))
 	if len(out) != 0 {
@@ -216,9 +216,9 @@ func TestQdiscDiscardPending(t *testing.T) {
 
 func TestQdiscSetReplicatingOffFlushes(t *testing.T) {
 	var out []Packet
-	q := NewPlugQdisc(func(p Packet) { out = append(out, p) }, nil)
+	q := NewPlugQdisc(func(p *Packet) { out = append(out, *p) }, nil)
 	q.SetReplicating(true)
-	q.Egress(Packet{Seq: 1})
+	q.Egress(&Packet{Seq: 1})
 	q.SetReplicating(false)
 	if len(out) != 1 {
 		t.Fatal("buffered egress not flushed when replication stopped")
@@ -227,12 +227,12 @@ func TestQdiscSetReplicatingOffFlushes(t *testing.T) {
 
 func TestQdiscInputBlockingFirewallDrops(t *testing.T) {
 	var in []Packet
-	q := NewPlugQdisc(nil, func(p Packet) { in = append(in, p) })
+	q := NewPlugQdisc(nil, func(p *Packet) { in = append(in, *p) })
 	q.SetInputMode(FirewallDrop)
 	q.BlockInput()
-	q.Ingress(Packet{Seq: 1})
+	q.Ingress(&Packet{Seq: 1})
 	q.UnblockInput()
-	q.Ingress(Packet{Seq: 2})
+	q.Ingress(&Packet{Seq: 2})
 	if len(in) != 1 || in[0].Seq != 2 {
 		t.Fatalf("firewall mode: delivered %v, want only post-unblock packet", in)
 	}
@@ -243,11 +243,11 @@ func TestQdiscInputBlockingFirewallDrops(t *testing.T) {
 
 func TestQdiscInputBlockingPlugBuffers(t *testing.T) {
 	var in []Packet
-	q := NewPlugQdisc(nil, func(p Packet) { in = append(in, p) })
+	q := NewPlugQdisc(nil, func(p *Packet) { in = append(in, *p) })
 	q.SetInputMode(PlugBuffer)
 	q.BlockInput()
-	q.Ingress(Packet{Seq: 1})
-	q.Ingress(Packet{Seq: 2})
+	q.Ingress(&Packet{Seq: 1})
+	q.Ingress(&Packet{Seq: 2})
 	if len(in) != 0 {
 		t.Fatal("blocked input leaked")
 	}
@@ -264,7 +264,7 @@ func TestQdiscInputBlockingPlugBuffers(t *testing.T) {
 func TestPropertyQdiscEpochOrdering(t *testing.T) {
 	f := func(ops []uint8) bool {
 		var out []uint32
-		q := NewPlugQdisc(func(p Packet) { out = append(out, p.Seq) }, nil)
+		q := NewPlugQdisc(func(p *Packet) { out = append(out, p.Seq) }, nil)
 		q.SetReplicating(true)
 		var seq uint32
 		epoch := uint64(0)
@@ -274,7 +274,7 @@ func TestPropertyQdiscEpochOrdering(t *testing.T) {
 			switch op % 3 {
 			case 0: // egress
 				seq++
-				q.Egress(Packet{Seq: seq})
+				q.Egress(&Packet{Seq: seq})
 				sentInEpoch[epoch] = append(sentInEpoch[epoch], seq)
 			case 1: // checkpoint boundary
 				q.Rotate(epoch)
@@ -323,16 +323,18 @@ func TestQdiscRecyclesEpochBuffers(t *testing.T) {
 	const perEpoch = 64
 	var sent, next uint32
 	ordered := true
-	q := NewPlugQdisc(func(p Packet) {
+	q := NewPlugQdisc(func(p *Packet) {
 		ordered = ordered && p.Seq == sent
 		sent++
 	}, nil)
 	q.SetReplicating(true)
 	payload := make([]byte, 100)
 	epoch := uint64(0)
+	var pkt Packet // reused, as a stack reuses its one tx packet
 	cycle := func() {
 		for i := 0; i < perEpoch; i++ {
-			q.Egress(Packet{Seq: next, Payload: payload})
+			pkt = Packet{Seq: next, Payload: payload}
+			q.Egress(&pkt)
 			next++
 		}
 		q.Rotate(epoch)

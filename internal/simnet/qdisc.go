@@ -37,9 +37,9 @@ type epochBuffer struct {
 // PlugQdisc sits between a container's TCP stack and its bridge port.
 type PlugQdisc struct {
 	// out is the egress path toward the switch.
-	out func(Packet)
+	out func(*Packet)
 	// in is the ingress path toward the container's stack.
-	in func(Packet)
+	in func(*Packet)
 
 	replicating bool
 	curEpoch    uint64
@@ -57,17 +57,17 @@ type PlugQdisc struct {
 	// delivery order. The record/replay recorder uses this as the
 	// authoritative capture point for network-input nondeterminism: what
 	// the stack saw, in the order it saw it.
-	OnDeliver func(Packet)
+	OnDeliver func(*Packet)
 }
 
 // NewPlugQdisc creates a qdisc delivering egress via out and ingress via
 // in. Replication buffering starts disabled (pass-through).
-func NewPlugQdisc(out, in func(Packet)) *PlugQdisc {
+func NewPlugQdisc(out, in func(*Packet)) *PlugQdisc {
 	return &PlugQdisc{out: out, in: in, inputMode: PlugBuffer}
 }
 
 // SetInput replaces the ingress path.
-func (q *PlugQdisc) SetInput(in func(Packet)) { q.in = in }
+func (q *PlugQdisc) SetInput(in func(*Packet)) { q.in = in }
 
 // SetInputMode selects drop vs buffer semantics for blocked ingress.
 func (q *PlugQdisc) SetInputMode(m InputBlockMode) { q.inputMode = m }
@@ -81,15 +81,16 @@ func (q *PlugQdisc) SetReplicating(on bool) {
 	}
 }
 
-// Egress is called by the container stack for each outgoing packet.
-func (q *PlugQdisc) Egress(pkt Packet) {
+// Egress is called by the container stack for each outgoing packet. A
+// held packet is copied into the current epoch's buffer.
+func (q *PlugQdisc) Egress(pkt *Packet) {
 	if !q.replicating {
 		if q.out != nil {
 			q.out(pkt)
 		}
 		return
 	}
-	q.current = append(q.current, pkt)
+	q.current = append(q.current, *pkt)
 }
 
 // Rotate closes the current epoch's egress buffer, tagging it with the
@@ -112,9 +113,10 @@ func (q *PlugQdisc) Release(acked uint64) {
 		if q.pending[i].epoch > acked {
 			break
 		}
-		for _, pkt := range q.pending[i].pkts {
+		pkts := q.pending[i].pkts
+		for j := range pkts {
 			if q.out != nil {
-				q.out(pkt)
+				q.out(&pkts[j])
 			}
 		}
 	}
@@ -162,17 +164,17 @@ func (q *PlugQdisc) UnblockInput() {
 	q.inputBlocked = false
 	buf := q.inputBuf
 	q.inputBuf = nil
-	for _, pkt := range buf {
-		q.deliver(pkt)
+	for i := range buf {
+		q.deliver(&buf[i])
 	}
 }
 
 // Ingress is the bridge-port receiver: it forwards to the container's
-// stack unless input is blocked.
-func (q *PlugQdisc) Ingress(pkt Packet) {
+// stack unless input is blocked. A buffered packet is copied.
+func (q *PlugQdisc) Ingress(pkt *Packet) {
 	if q.inputBlocked {
 		if q.inputMode == PlugBuffer {
-			q.inputBuf = append(q.inputBuf, pkt)
+			q.inputBuf = append(q.inputBuf, *pkt)
 		}
 		return
 	}
@@ -181,7 +183,7 @@ func (q *PlugQdisc) Ingress(pkt Packet) {
 
 // deliver hands one packet to the stack, notifying the observer first so
 // a recorder logs the packet before any synchronous handler output.
-func (q *PlugQdisc) deliver(pkt Packet) {
+func (q *PlugQdisc) deliver(pkt *Packet) {
 	if q.OnDeliver != nil {
 		q.OnDeliver(pkt)
 	}

@@ -10,7 +10,8 @@ import "nilicon/internal/simtime"
 
 // SegmentSnapshot is one write-queue segment in a socket checkpoint.
 // Data aliases the socket's send slab, which nobody writes again
-// (DESIGN.md §8), so holders must only read it.
+// (DESIGN.md §8), so holders must only read it. It is capped at its
+// length, so an append copies instead of writing into the slab.
 type SegmentSnapshot struct {
 	Seq  uint32
 	Data []byte
@@ -112,15 +113,15 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		SndNxt:     s.sndNxt,
 		RcvNxt:     s.rcvNxt,
 	}
-	// Write-queue segments are capped views of the send slab, whose
-	// bytes are never written again, so the snapshot shares them. The
-	// read queue is copied: the live socket's reads and arrivals must
-	// not show through. Holders of a snapshot only read it.
+	// Write-queue segments are views of the send slab, whose bytes are
+	// never written again, so the snapshot shares them, capped. The read
+	// queue is copied: the live socket's reads and arrivals must not
+	// show through. Holders of a snapshot only read it.
 	if len(s.sendQ) > 0 {
 		sn.WriteQueue = make([]SegmentSnapshot, len(s.sendQ))
 	}
 	for i, sg := range s.sendQ {
-		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data, FIN: sg.fin}
+		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data[:len(sg.data):len(sg.data)], FIN: sg.fin}
 	}
 	if len(s.recvBuf) > 0 {
 		sn.ReadQueue = append([]byte(nil), s.recvBuf...)
@@ -155,10 +156,11 @@ func (st *Stack) RestoreSocket(sn SocketSnapshot) *Socket {
 	s.sendQ = s.sendArr
 	for _, sg := range sn.WriteQueue {
 		s.slab = append(s.slab, sg.Data...)
-		data := s.slab[len(s.slab)-len(sg.Data) : len(s.slab) : len(s.slab)]
+		data := s.slab[len(s.slab)-len(sg.Data):]
 		s.sendQ = append(s.sendQ, segment{seq: sg.Seq, data: data, fin: sg.FIN})
 	}
 	s.recvBuf = append(s.recvBuf, sn.ReadQueue...)
+	s.recvOwn = true
 	if st.Kernel != nil {
 		st.Kernel.Charge(st.Kernel.Costs.RestorePerSocket)
 	}

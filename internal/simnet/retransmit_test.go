@@ -24,8 +24,8 @@ func newLossyConn(t *testing.T) *lossyConn {
 	if lc.cl == nil || lc.srv == nil {
 		t.Fatal("handshake did not complete")
 	}
-	lc.a.SetOutput(func(p Packet) {
-		lc.sent = append(lc.sent, p)
+	lc.a.SetOutput(func(p *Packet) {
+		lc.sent = append(lc.sent, *p)
 		lc.pa.Send(p)
 	})
 	lc.pb.SetEnabled(false)
@@ -34,7 +34,7 @@ func newLossyConn(t *testing.T) *lossyConn {
 
 // ack injects a server segment into the client acknowledging ack.
 func (lc *lossyConn) ack(ack uint32, payload []byte) {
-	lc.a.Receive(Packet{
+	lc.a.Receive(&Packet{
 		Kind: KindTCP, Src: lc.b.IP, Dst: lc.a.IP,
 		SrcPort: 80, DstPort: lc.cl.LocalPort,
 		Flags: FlagACK, Seq: lc.cl.rcvNxt, Ack: ack, Payload: payload,

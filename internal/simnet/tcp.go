@@ -57,21 +57,28 @@ type Socket struct {
 
 	// sendQ holds transmitted-but-unacknowledged segments: the "write
 	// queue" TCP repair mode exposes (§II-B). Each segment's data is a
-	// capped subslice of a send slab. sendQ is a window onto sendArr,
-	// which starts at its backing array's first element: acknowledged
-	// segments are dropped from the window's front, and a fully
-	// acknowledged queue starts again at the array's front.
+	// view of a send slab that keeps the slab's capacity. sendQ is a
+	// window onto sendArr, which starts at its backing array's first
+	// element: acknowledged segments are dropped from the window's
+	// front, a fully acknowledged queue starts again at the array's
+	// front, and a window that reaches the array's end moves back to the
+	// front once half the array is free.
 	sendQ   []segment
 	sendArr []segment
-	// slab is the append-only buffer Send copies application bytes into.
+	// slab is the append-only buffer Send copies application bytes into,
+	// or that SendBuffer lends for the application to write them into.
 	// Bytes below len(slab) belong to segments already handed to the
 	// network and are never written again; a slab too full for the next
 	// Send is replaced, not reused (DESIGN.md §8, stream-byte ownership).
 	slab []byte
 	// recvBuf holds bytes received in order but not yet read by the
-	// process: the "read queue". It may be a delivered payload itself,
-	// capped at its length, so it is never written below len(recvBuf).
+	// process: the "read queue". Unless recvOwn is set it is a delivered
+	// payload itself, possibly extended in place over later payloads of
+	// the same slab; its capacity then reaches into the sender's slab,
+	// so nothing is appended to it. recvOwn marks a buffer the socket
+	// allocated, which later deliveries append to.
 	recvBuf []byte
+	recvOwn bool
 
 	rto simtime.Duration
 	// rtoTimer is the retransmission timer, armed exactly while a
@@ -131,7 +138,11 @@ type Stack struct {
 	Kernel *simkernel.Kernel
 
 	IP  Addr
-	out func(Packet)
+	out func(*Packet)
+	// tx is the packet emit hands to out. The egress path copies what it
+	// keeps and never re-enters emit, so one per stack serves every
+	// packet without an allocation.
+	tx Packet
 
 	sockets   map[connKey]*Socket
 	byID      map[int]*Socket
@@ -160,7 +171,7 @@ type Stack struct {
 }
 
 // NewStack creates a TCP stack with address ip whose egress goes to out.
-func NewStack(clock *simtime.Clock, ip Addr, out func(Packet)) *Stack {
+func NewStack(clock *simtime.Clock, ip Addr, out func(*Packet)) *Stack {
 	return &Stack{
 		clock:      clock,
 		IP:         ip,
@@ -177,7 +188,7 @@ func NewStack(clock *simtime.Clock, ip Addr, out func(Packet)) *Stack {
 }
 
 // SetOutput replaces the egress path.
-func (st *Stack) SetOutput(out func(Packet)) { st.out = out }
+func (st *Stack) SetOutput(out func(*Packet)) { st.out = out }
 
 // RSTsSent counts reset packets this stack has emitted; the recovery
 // validation asserts this stays zero at the backup (§III).
@@ -288,10 +299,11 @@ const (
 )
 
 // Send queues data for transmission and emits it in MSS-sized segments.
-// Bytes stay in the write queue until acknowledged. Send copies data
-// once, into the socket's send slab, so the caller may reuse its buffer
-// at once; the segments, their retransmissions and the payloads the
-// receiver reads are all views of that copy.
+// Bytes stay in the write queue until acknowledged. Send writes data
+// into the socket's send slab at most once, so the caller may reuse its
+// buffer at once; the segments, their retransmissions and the payloads
+// the receiver reads are all views of the slab. Data the caller already
+// wrote into the slab through SendBuffer is not copied at all.
 func (s *Socket) Send(data []byte) {
 	if s.State != StateEstablished && s.State != StateCloseWait {
 		return
@@ -302,7 +314,7 @@ func (s *Socket) Send(data []byte) {
 	buf := s.stage(data)
 	for len(buf) > 0 {
 		n := min(s.stack.MSS, len(buf))
-		chunk := buf[:n:n]
+		chunk := buf[:n]
 		sg := segment{seq: s.sndNxt, data: chunk}
 		s.queue(sg)
 		s.sndNxt += uint32(n)
@@ -312,11 +324,38 @@ func (s *Socket) Send(data []byte) {
 	s.startRTO(s.rto)
 }
 
-// stage copies data into the send slab, starting a new slab when the
-// current one lacks the room, and returns the copy.
+// SendBuffer returns the send slab's empty tail with room for at least
+// n bytes, starting a new slab if the current one lacks it. A caller
+// that appends a message to the tail and passes the result to Send
+// sends it without a copy: Send finds the bytes already where the
+// slab's next bytes go and only advances the slab over them. The tail
+// is valid until the next Send on s; appending past its capacity moves
+// the message to another array, which Send then copies.
+func (s *Socket) SendBuffer(n int) []byte {
+	if cap(s.slab)-len(s.slab) < n {
+		s.slab = make([]byte, 0, max(n, s.nextSlabSize()))
+	}
+	return s.slab[len(s.slab):len(s.slab)]
+}
+
+// nextSlabSize is the size of the socket's next send slab: twice the
+// last one, between minSendSlab and maxSendSlab.
+func (s *Socket) nextSlabSize() int {
+	return min(max(2*cap(s.slab), minSendSlab), maxSendSlab)
+}
+
+// stage puts data into the send slab and returns the slab's view of it.
+// Data that SendBuffer's tail already holds only advances the slab;
+// anything else is copied, into a new slab when the current one lacks
+// the room.
 func (s *Socket) stage(data []byte) []byte {
-	if cap(s.slab)-len(s.slab) < len(data) {
-		size := min(max(2*cap(s.slab), minSendSlab), maxSendSlab)
+	start := len(s.slab)
+	if Adjoins(s.slab, data) {
+		s.slab = s.slab[:start+len(data)]
+		return s.slab[start:]
+	}
+	if cap(s.slab)-start < len(data) {
+		size := s.nextSlabSize()
 		if len(data) >= size {
 			// Appending to nil clears only the capacity past the copy,
 			// not the bytes the copy overwrites.
@@ -324,18 +363,36 @@ func (s *Socket) stage(data []byte) []byte {
 			return s.slab
 		}
 		s.slab = make([]byte, 0, size)
+		start = 0
 	}
-	start := len(s.slab)
 	s.slab = append(s.slab, data...)
 	return s.slab[start:]
 }
 
+// Adjoins reports whether b starts exactly where a ends, inside a's
+// capacity: the same array, so a[:len(a)+len(b)] is a view of a's bytes
+// followed by b's, with nothing copied. It is how a view of a send slab
+// (a read queue, a frame reader's buffer) grows over the next one.
+func Adjoins(a, b []byte) bool {
+	return len(b) > 0 && cap(a)-len(a) >= len(b) && &a[:len(a)+1][len(a)] == &b[0]
+}
+
 // queue appends sg to the write queue.
 func (s *Socket) queue(sg segment) {
-	if len(s.sendQ) == cap(s.sendQ) {
-		// The window reached the array's end: move to a larger array.
-		s.sendQ = slices.Grow(s.sendQ, 1)
-		s.sendArr = s.sendQ[:0]
+	if n := len(s.sendQ); n == cap(s.sendQ) {
+		if free := cap(s.sendArr) - n; n > 0 && 2*free >= cap(s.sendArr) {
+			// The window reached the array's end with at least half the
+			// array free before it: move it back to the front, dropping
+			// the stale references it leaves behind.
+			q := s.sendArr[:n]
+			copy(q, s.sendQ)
+			clear(s.sendArr[n:cap(s.sendArr)])
+			s.sendQ = q
+		} else {
+			// Mostly full: move to a larger array.
+			s.sendQ = slices.Grow(s.sendQ, 1)
+			s.sendArr = s.sendQ[:0]
+		}
 	}
 	s.sendQ = append(s.sendQ, sg)
 }
@@ -357,10 +414,12 @@ func (s *Socket) Close() {
 func (s *Socket) Available() int { return len(s.recvBuf) }
 
 // ReadAll drains and returns the read queue. The caller may keep the
-// slice: the socket never writes it again.
+// slice: the socket never writes it again. Its capacity may reach into
+// the sender's send slab, so the caller must not append to it; the one
+// way to grow it is in place, over a later slice that adjoins it.
 func (s *Socket) ReadAll() []byte {
 	b := s.recvBuf
-	s.recvBuf = nil
+	s.recvBuf, s.recvOwn = nil, false
 	return b
 }
 
@@ -448,23 +507,27 @@ func (st *Stack) emit(s *Socket, flags int, seq, ack uint32, payload []byte) {
 	if st.out == nil {
 		return
 	}
-	st.out(Packet{
+	st.tx = Packet{
 		Kind: KindTCP, Src: st.IP, Dst: s.Remote,
 		SrcPort: s.LocalPort, DstPort: s.RemotePort,
 		Flags: flags, Seq: seq, Ack: ack, Payload: payload,
-	})
+	}
+	st.out(&st.tx)
+	st.tx = Packet{}
 }
 
-func (st *Stack) sendRST(to Packet) {
+func (st *Stack) sendRST(to *Packet) {
 	st.rstSent++
 	if st.out == nil {
 		return
 	}
-	st.out(Packet{
+	st.tx = Packet{
 		Kind: KindTCP, Src: st.IP, Dst: to.Src,
 		SrcPort: to.DstPort, DstPort: to.SrcPort,
 		Flags: FlagRST, Seq: to.Ack, Ack: to.Seq + uint32(len(to.Payload)),
-	})
+	}
+	st.out(&st.tx)
+	st.tx = Packet{}
 }
 
 func (st *Stack) drop(s *Socket) {
@@ -473,8 +536,9 @@ func (st *Stack) drop(s *Socket) {
 	s.stopRTO()
 }
 
-// Receive is the stack's ingress entry point.
-func (st *Stack) Receive(pkt Packet) {
+// Receive is the stack's ingress entry point. It reads pkt and keeps
+// no pointer to it.
+func (st *Stack) Receive(pkt *Packet) {
 	if pkt.Kind != KindTCP {
 		return
 	}
@@ -497,7 +561,7 @@ func (st *Stack) Receive(pkt Packet) {
 	st.handle(s, pkt)
 }
 
-func (st *Stack) accept(l *Listener, syn Packet) {
+func (st *Stack) accept(l *Listener, syn *Packet) {
 	s := st.newSocket(syn.DstPort, syn.Src, syn.SrcPort)
 	s.State = StateSynRcvd
 	s.rcvNxt = syn.Seq + 1
@@ -507,7 +571,7 @@ func (st *Stack) accept(l *Listener, syn Packet) {
 	st.emit(s, FlagSYN|FlagACK, iss, s.rcvNxt, nil)
 }
 
-func (st *Stack) handle(s *Socket, pkt Packet) {
+func (st *Stack) handle(s *Socket, pkt *Packet) {
 	if pkt.Flags&FlagRST != 0 {
 		s.State = StateClosed
 		s.Reset = true
@@ -605,13 +669,21 @@ func (st *Stack) handle(s *Socket, pkt Packet) {
 			seq = s.rcvNxt
 		}
 		if seq == s.rcvNxt {
-			if len(s.recvBuf) == 0 {
+			switch {
+			case len(s.recvBuf) == 0:
 				// Nobody writes a sent byte again, so the payload itself
-				// becomes the read queue, capped so that a later delivery
-				// copies instead of appending into the sender's slab.
-				s.recvBuf = payload[:len(payload):len(payload)]
-			} else {
+				// becomes the read queue.
+				s.recvBuf, s.recvOwn = payload, false
+			case !s.recvOwn && Adjoins(s.recvBuf, payload):
+				// The next segment of the same slab: extend in place.
+				s.recvBuf = s.recvBuf[:len(s.recvBuf)+len(payload)]
+			case s.recvOwn:
 				s.recvBuf = append(s.recvBuf, payload...)
+			default:
+				// Never append into an adopted payload: copy into a
+				// buffer of the socket's own.
+				s.recvBuf = append(s.recvBuf[:len(s.recvBuf):len(s.recvBuf)], payload...)
+				s.recvOwn = true
 			}
 			s.rcvNxt += uint32(len(payload))
 			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)

@@ -160,7 +160,7 @@ func TestDuplicateSegmentsDiscarded(t *testing.T) {
 	cl.Send([]byte("abc"))
 	p.clock.Run()
 	// Replay the same segment directly into the server stack.
-	p.b.Receive(Packet{
+	p.b.Receive(&Packet{
 		Kind: KindTCP, Src: p.a.IP, Dst: p.b.IP,
 		SrcPort: cl.LocalPort, DstPort: 80,
 		Flags: FlagACK, Seq: cl.sndUna - 3, Ack: srv.sndNxt, Payload: []byte("abc"),
@@ -185,7 +185,7 @@ func TestPartialOverlapConsumesOnlyNewBytes(t *testing.T) {
 	cl.Send([]byte("abc"))
 	p.clock.Run()
 	// Segment overlapping the last 3 bytes plus 3 new ones.
-	p.b.Receive(Packet{
+	p.b.Receive(&Packet{
 		Kind: KindTCP, Src: p.a.IP, Dst: p.b.IP,
 		SrcPort: cl.LocalPort, DstPort: 80,
 		Flags: FlagACK, Seq: cl.sndUna - 3, Ack: srv.sndNxt, Payload: []byte("abcdef"),
@@ -208,7 +208,7 @@ func TestOutOfOrderSegmentDropped(t *testing.T) {
 	p.a.Connect(p.b.IP, 80, func(s *Socket) { cl = s })
 	p.clock.Run()
 	// Inject a segment with a gap.
-	p.b.Receive(Packet{
+	p.b.Receive(&Packet{
 		Kind: KindTCP, Src: p.a.IP, Dst: p.b.IP,
 		SrcPort: cl.LocalPort, DstPort: 80,
 		Flags: FlagACK, Seq: cl.sndNxt + 100, Ack: srv.sndNxt, Payload: []byte("gap"),

@@ -64,10 +64,8 @@ type Client struct {
 	inflight  fifo.Queue[outstanding]
 	respCount int
 
-	// out and scratch are reused across requests: out holds the frames
-	// one issue call sends (Socket.Send copies it), scratch a request's
-	// payload or a reply's expected value.
-	out     []byte
+	// scratch is reused across replies: it holds a reply's expected
+	// value. Requests are written straight into the socket's send slab.
 	scratch []byte
 
 	// versions tracks the last value version written per key, in stream
@@ -195,25 +193,27 @@ func (c *Client) issue() {
 		if batch <= 0 {
 			batch = 1000
 		}
-		c.out = c.out[:0]
+		// Even requests write, odd ones read: the slab is sized exactly
+		// for the batch's frames.
+		writes := (batch + 1) / 2
+		buf := c.sock.SendBuffer(writes*frameLen(8+recordSize) + (batch-writes)*frameLen(8))
 		now := c.set.cl.Clock.Now()
 		for i := 0; i < batch; i++ {
-			c.appendKV(now, c.randKey(), i%2 == 0)
+			buf = c.appendKV(buf, now, c.randKey(), i%2 == 0)
 		}
-		c.sock.Send(c.out)
+		c.sock.Send(buf)
 	case KVProbe:
 		key := c.randKey()
-		c.out = c.out[:0]
-		c.appendKV(c.set.cl.Clock.Now(), key, c.rng.Intn(2) == 0)
-		c.sock.Send(c.out)
+		buf := c.sock.SendBuffer(frameLen(8 + recordSize))
+		c.sock.Send(c.appendKV(buf, c.set.cl.Clock.Now(), key, c.rng.Intn(2) == 0))
 	case WebLoop:
 		pathID := uint32(c.rng.Intn(512))
 		now := c.set.cl.Clock.Now()
 		// Web/echo loops capture as gets keyed by path: the trace format
 		// is kv-shaped, so a replay drives the page set as reads.
 		c.set.record(now, c.id, traffic.OpGet, uint64(pathID), c.set.prof.RespKB<<10)
-		c.out = AppendFrame(c.out[:0], OpWeb, binary.BigEndian.AppendUint32(c.scratch[:0], pathID))
-		c.sock.Send(c.out)
+		buf := appendFrameHeader(c.sock.SendBuffer(frameLen(4)), OpWeb, 4)
+		c.sock.Send(binary.BigEndian.AppendUint32(buf, pathID))
 		c.inflight.Push(outstanding{op: OpWeb, sentAt: now, key: uint64(pathID), size: c.set.prof.RespKB << 10})
 	case EchoLoop:
 		size := c.echoMax
@@ -222,10 +222,9 @@ func (c *Client) issue() {
 		}
 		c.echoSeq++
 		now := c.set.cl.Clock.Now()
-		c.scratch = appendValue(c.scratch[:0], uint64(c.id), c.echoSeq, size)
 		c.set.record(now, c.id, traffic.OpSet, uint64(c.id), size)
-		c.out = AppendFrame(c.out[:0], OpEcho, c.scratch)
-		c.sock.Send(c.out)
+		buf := appendFrameHeader(c.sock.SendBuffer(frameLen(size)), OpEcho, size)
+		c.sock.Send(appendValue(buf, uint64(c.id), c.echoSeq, size))
 		c.inflight.Push(outstanding{op: OpEcho, sentAt: now, key: uint64(c.id), version: c.echoSeq, size: size})
 	}
 }
@@ -247,21 +246,32 @@ func (c *Client) expect(o outstanding) []byte {
 	return c.scratch
 }
 
-// appendKV appends one write (a new version of key) or read of key to
-// c.out and queues it.
-func (c *Client) appendKV(now simtime.Time, key uint64, write bool) {
+// appendKV appends the frame of one write (a new version of key) or read
+// of key to dst, queues the request and returns the extended slice.
+func (c *Client) appendKV(dst []byte, now simtime.Time, key uint64, write bool) []byte {
 	if write {
 		v := c.versions[key] + 1
 		c.versions[key] = v
-		c.scratch = appendValue(binary.BigEndian.AppendUint64(c.scratch[:0], key), key, v, recordSize)
-		c.out = AppendFrame(c.out, OpSet, c.scratch)
 		c.inflight.Push(outstanding{op: OpSet, sentAt: now, key: key})
 		c.set.record(now, c.id, traffic.OpSet, key, recordSize)
-		return
+		return appendSet(dst, key, v, recordSize)
 	}
-	c.out = AppendFrame(c.out, OpGet, binary.BigEndian.AppendUint64(c.scratch[:0], key))
 	c.inflight.Push(outstanding{op: OpGet, sentAt: now, key: key, version: c.versions[key], size: recordSize})
 	c.set.record(now, c.id, traffic.OpGet, key, 0)
+	return appendGet(dst, key)
+}
+
+// appendSet appends the frame of a SET of key to ValueFor(key, version,
+// size) to dst and returns the extended slice.
+func appendSet(dst []byte, key uint64, version uint32, size int) []byte {
+	dst = binary.BigEndian.AppendUint64(appendFrameHeader(dst, OpSet, 8+size), key)
+	return appendValue(dst, key, version, size)
+}
+
+// appendGet appends the frame of a GET of key to dst and returns the
+// extended slice.
+func appendGet(dst []byte, key uint64) []byte {
+	return binary.BigEndian.AppendUint64(appendFrameHeader(dst, OpGet, 8), key)
 }
 
 func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadAll()) }
@@ -352,8 +362,6 @@ type Conn struct {
 	fr       FrameReader
 	queued   []byte // frames sent before the handshake completed
 	inflight fifo.Queue[traffic.Request]
-	out      []byte // one request's frame; Socket.Send copies it
-	scratch  []byte // a request's payload
 }
 
 // Dial connects a Conn from the client stack st to the server at
@@ -382,18 +390,21 @@ func (c *Conn) InFlight() []traffic.Request { return c.inflight.All() }
 // size), so a read names the write it returns; its size is the
 // request's, kept between the value's 12-byte seed and one record.
 func (c *Conn) Send(req traffic.Request) {
-	c.scratch = binary.BigEndian.AppendUint64(c.scratch[:0], req.Key)
-	if req.Op == traffic.OpSet {
-		size := min(max(req.Size, valueSeedLen), recordSize)
-		c.scratch = appendValue(c.scratch, req.Key, uint32(req.ID), size)
-	}
-	c.out = AppendFrame(c.out[:0], wireOp(req), c.scratch)
 	c.inflight.Push(req)
 	if c.sock == nil {
-		c.queued = append(c.queued, c.out...)
+		c.queued = appendRequest(c.queued, req)
 		return
 	}
-	c.sock.Send(c.out)
+	c.sock.Send(appendRequest(c.sock.SendBuffer(frameLen(8+recordSize)), req))
+}
+
+// appendRequest appends req's frame to dst and returns the extended
+// slice.
+func appendRequest(dst []byte, req traffic.Request) []byte {
+	if req.Op != traffic.OpSet {
+		return appendGet(dst, req.Key)
+	}
+	return appendSet(dst, req.Key, uint32(req.ID), min(max(req.Size, valueSeedLen), recordSize))
 }
 
 // wireOp is the frame op of a trace request.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"nilicon/internal/container"
 	"nilicon/internal/core"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
@@ -194,9 +193,9 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 // buffer through a switch to a receiver that reads with ReadAll and
 // parses with a FrameReader. Send copies each batch once into the
 // socket's send slab, the receiver's read queue is the delivered
-// payload itself, and a frame split across segments costs the reader a
-// copy of its tail only, so the whole path allocates only when a slab
-// or a reader buffer fills: well under one object per frame.
+// payload itself, and a frame split across two segments of one slab is
+// read in place, so the whole path allocates only when a slab fills or
+// a frame straddles two slabs: well under one object per frame.
 func TestFrameStreamAllocsBounded(t *testing.T) {
 	const (
 		frameLen  = 200
@@ -268,25 +267,20 @@ func TestFrameStreamAllocsBounded(t *testing.T) {
 }
 
 // TestServerGetAllocsBounded guards the server's GET path: the record is
-// read from the heap into a reused per-server buffer, so a GET
-// allocates nothing once that buffer has grown to a record.
+// read from the heap straight into the reply frame in the socket's send
+// slab, and the client reads it in place, so a GET, reply delivery
+// included, allocates nothing but a new slab every few dozen replies.
 func TestServerGetAllocsBounded(t *testing.T) {
 	prof := Redis().Profile()
 	prof.MemPages, prof.Records = 64, 200
-	clock := simtime.NewClock()
-	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
-	ctr := container.Create(container.NewHost("srv", clock, sw), container.Spec{ID: "kv", IP: "10.0.0.5", Cores: 1})
-	sv := NewServer(prof)
-	sv.Install(ctr)
-	w := sv.workers[0]
+	sv := newStandaloneServer(prof)
 	key := binary.BigEndian.AppendUint64(nil, 42)
 	want := ValueFor(42, 1, recordSize)
-	sv.process(w, pendingReq{Op: OpSet, Payload: append(key, want...)})
-	get := pendingReq{Op: OpGet, Payload: key}
-	sv.process(w, get) // grows the buffer
-	allocs := testing.AllocsPerRun(100, func() { sv.process(w, get) })
-	if errs := sv.AppErrors(); len(errs) > 0 || !bytes.Equal(sv.value, want) {
-		t.Fatalf("GET read %d bytes, want the stored record (errors %v)", len(sv.value), errs)
+	sv.process(sv.workers[0], pendingReq{Op: OpSet, Payload: append(key, want...)})
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() { got = sv.get(42) })
+	if errs := sv.AppErrors(); len(errs) > 0 || !bytes.Equal(got, want) {
+		t.Fatalf("GET replied %d bytes, want the stored record (errors %v)", len(got), errs)
 	}
 	t.Logf("%.0f allocations per GET", allocs)
 	if allocs > 0 {

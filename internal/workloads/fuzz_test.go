@@ -8,17 +8,26 @@ import (
 // FuzzFrameReader encodes an arbitrary (op, payload) sequence with
 // AppendFrame, feeds the stream to a FrameReader in fuzz-chosen chunks
 // and checks that the frames come back in order. msgs is read as
-// records of op byte, length byte, then up to that many payload bytes;
-// each byte of splits sizes one chunk (1–256 bytes, cycling), and empty
-// splits feed the whole stream at once.
+// records of op byte, length byte, then up to that many payload bytes.
+// Each byte s of splits (cycling) sizes one chunk, 1+s bytes, and by
+// s%3 places it: in an array of its own (0), in a shared arena right
+// after the arena's previous chunk (1), as the segments of one send lie
+// in a send slab, or in the arena after a gap of filler bytes (2).
+// Empty splits feed the whole stream at once, from the arena. Every
+// chunk is laid out before the first is fed, and an arena chunk keeps
+// the arena's capacity, so a reader that appended into an adopted
+// slice would overwrite chunks it has yet to read, and one that
+// extended a slice over a gap would read the filler.
 //
-// Next returns payloads that alias the reader's buffer, so two more
-// checks guard that aliasing: appending to a returned payload must not
-// write into the stream, and at the end every payload Next returned must
-// still hold the bytes it held when returned.
+// Next returns payloads that alias the reader's buffer, so more checks
+// guard that aliasing: appending to a returned payload must not write
+// into the stream, at the end every payload Next returned must still
+// hold the bytes it held when returned, and no fed byte may change.
 func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("S\x05helloG\x00"), []byte{})
 	f.Add([]byte("S\x03abcG\x00W\x04wxyzE\x02hi"), []byte{6, 2, 9})
+	f.Add([]byte("S\x03abcG\x00W\x04wxyzE\x02hiS\x07partial"), []byte{1, 4, 7, 2, 5})
+	f.Add([]byte("S\x03abcG\x00W\x04wxyzE\x02hiS\x07partial"), []byte{4, 2, 3, 1, 8, 0})
 	f.Fuzz(func(t *testing.T, msgs, splits []byte) {
 		type frame struct {
 			op      byte
@@ -33,17 +42,41 @@ func FuzzFrameReader(f *testing.F) {
 			msgs = msgs[2+n:]
 		}
 
+		// Lay the chunks out. The reader owns what it is fed, as it owns
+		// a socket's ReadAll result, so every chunk is a copy.
+		arena := make([]byte, 0, 2*len(stream))
+		var chunks [][]byte
+		var spans [][2]int // arena chunks' bounds, by chunk index; {-1} for an own array
+		for off, k := 0, 0; off < len(stream); k++ {
+			n, mode := len(stream)-off, byte(1)
+			if len(splits) > 0 {
+				s := splits[k%len(splits)]
+				n, mode = min(n, 1+int(s)), s%3
+			}
+			b := stream[off : off+n]
+			off += n
+			if mode == 0 {
+				chunks, spans = append(chunks, bytes.Clone(b)), append(spans, [2]int{-1})
+				continue
+			}
+			if mode == 2 {
+				arena = append(arena, bytes.Repeat([]byte{0xEE}, 1+n%4)...)
+			}
+			spans = append(spans, [2]int{len(arena), len(arena) + n})
+			arena = append(arena, b...)
+			chunks = append(chunks, nil)
+		}
+		for i, sp := range spans {
+			if sp[0] >= 0 {
+				chunks[i] = arena[sp[0]:sp[1]]
+			}
+		}
+		laid := bytes.Clone(arena)
+
 		var fr FrameReader
 		var got []frame
-		for off, k := 0, 0; off < len(stream); k++ {
-			n := len(stream) - off
-			if len(splits) > 0 {
-				n = min(n, 1+int(splits[k%len(splits)]))
-			}
-			// The reader owns what it is fed, as it owns a socket's
-			// ReadAll result: hand it a fresh copy.
-			fr.Feed(bytes.Clone(stream[off : off+n]))
-			off += n
+		for _, c := range chunks {
+			fr.Feed(c)
 			for {
 				op, p, ok := fr.Next()
 				if !ok {
@@ -66,6 +99,9 @@ func FuzzFrameReader(f *testing.F) {
 			if !bytes.Equal(got[i].payload, want[i].payload) {
 				t.Fatalf("payload of frame %d changed after later feeds: now %q, was %q", i, got[i].payload, want[i].payload)
 			}
+		}
+		if !bytes.Equal(arena, laid) {
+			t.Fatal("the reader wrote into a slice it was fed")
 		}
 	})
 }

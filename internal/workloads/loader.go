@@ -32,8 +32,8 @@ func NewLoader(cl *core.Cluster, prof Profile, serverIP simnet.Addr, records int
 
 func (l *Loader) fill() {
 	for l.next < l.records && l.next-l.acked < l.window {
-		payload := append(KeyBytes(uint64(l.next)), ValueFor(uint64(l.next), 1, recordSize)...)
-		l.sock.Send(Frame(OpSet, payload))
+		buf := l.sock.SendBuffer(frameLen(8 + recordSize))
+		l.sock.Send(appendSet(buf, uint64(l.next), 1, recordSize))
 		l.next++
 	}
 }

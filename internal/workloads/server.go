@@ -50,26 +50,22 @@ func (st *serverState) clone() *serverState {
 	// Keys, HeapStarts and Errors are append-only (HeapStarts is set at
 	// install and never changes after), so the snapshot shares them; the
 	// capacity caps make the next append on either side copy, so neither
-	// ever writes into the other's view.
+	// ever writes into the other's view. Pending is shared the same way,
+	// copy-on-write: the live side's pushes append past the cap, and the
+	// server moves its queue to a fresh array before it writes a slot
+	// the snapshot may hold (Server.pendShared). Request payloads and
+	// partial frames are stream bytes, which nobody writes again, and
+	// the ReaderBufs map is built afresh by every SnapshotState, so both
+	// are shared as they are.
 	cp := &serverState{
 		Keys:       st.Keys[:len(st.Keys):len(st.Keys)],
 		HeapStarts: st.HeapStarts[:len(st.HeapStarts):len(st.HeapStarts)],
 		Errors:     st.Errors[:len(st.Errors):len(st.Errors)],
+		Pending:    st.Pending[:len(st.Pending):len(st.Pending)],
+		ReaderBufs: st.ReaderBufs,
 	}
 	if len(st.WebCursors) > 0 {
 		cp.WebCursors = append([]int(nil), st.WebCursors...)
-	}
-	// Request payloads are immutable once parsed (the server reads and
-	// drops them), so the snapshot shares them and copies only the
-	// queue structure.
-	if len(st.Pending) > 0 {
-		cp.Pending = append([]pendingReq(nil), st.Pending...)
-	}
-	if len(st.ReaderBufs) > 0 {
-		cp.ReaderBufs = make(map[connID][]byte, len(st.ReaderBufs))
-		for k, v := range st.ReaderBufs {
-			cp.ReaderBufs[k] = append([]byte(nil), v...)
-		}
 	}
 	return cp
 }
@@ -107,12 +103,18 @@ type Server struct {
 	readers map[connID]*FrameReader
 	conns   map[connID]*simnet.Socket
 	file    *simfs.Inode
-	out     []byte // respond's frame buffer; Socket.Send copies it
 	// lastSnap is the last snapshot SnapshotState returned, shared
 	// again while the state stays the same (nil after a state change
 	// of another kind: install or restore).
 	lastSnap *serverState
-	value    []byte // a GET's record, read from the heap; respond copies it
+	// pendArr is the array state.Pending is a window onto, from its
+	// first element (nil while the window is not in an array the server
+	// allocated: after install or restore). pendShared reports that a
+	// snapshot may hold slots of it, so the queue writes no slot below
+	// its end: it neither clears popped slots nor compacts nor restarts
+	// at the front, and moves to a fresh array instead.
+	pendArr    []pendingReq
+	pendShared bool
 }
 
 // NewServer builds a server workload from a profile.
@@ -138,7 +140,7 @@ func (sv *Server) SnapshotState() any {
 			if sv.state.ReaderBufs == nil {
 				sv.state.ReaderBufs = make(map[connID][]byte)
 			}
-			sv.state.ReaderBufs[id] = fr.buf[fr.off:]
+			sv.state.ReaderBufs[id] = fr.buf[fr.off:len(fr.buf):len(fr.buf)]
 		}
 	}
 	if last := sv.lastSnap; last != nil && sv.state.sameAs(last) {
@@ -147,6 +149,7 @@ func (sv *Server) SnapshotState() any {
 		return last
 	}
 	sv.lastSnap = sv.state.clone()
+	sv.pendShared = sv.pendShared || len(sv.state.Pending) > 0
 	return sv.lastSnap
 }
 
@@ -155,6 +158,7 @@ func (sv *Server) SnapshotState() any {
 func (sv *Server) RestoreState(s any) {
 	sv.state = s.(*serverState).clone()
 	sv.lastSnap = nil
+	sv.pendArr, sv.pendShared = nil, len(sv.state.Pending) > 0
 	sv.index = make(map[uint64]int, len(sv.state.Keys))
 	for slot, key := range sv.state.Keys {
 		sv.index[key] = slot
@@ -164,8 +168,9 @@ func (sv *Server) RestoreState(s any) {
 // Install sets the server up in a fresh container.
 func (sv *Server) Install(ctr *container.Container) {
 	sv.ctr = ctr
-	sv.state = &serverState{ReaderBufs: make(map[connID][]byte)}
+	sv.state = &serverState{}
 	sv.lastSnap = nil
+	sv.pendArr, sv.pendShared = nil, false
 	sv.index = make(map[uint64]int)
 	sv.readers = make(map[connID]*FrameReader)
 	sv.conns = make(map[connID]*simnet.Socket)
@@ -312,9 +317,48 @@ func (sv *Server) onData(id connID, fr *FrameReader, s *simnet.Socket) {
 		if !ok {
 			break
 		}
-		sv.state.Pending = append(sv.state.Pending, pendingReq{Conn: id, Op: op, Payload: payload})
+		sv.push(pendingReq{Conn: id, Op: op, Payload: payload})
 	}
 	sv.wakeWorkers()
+}
+
+// push queues req. A window that has reached its array's end moves
+// back to the front once half the array is free, as fifo.Queue does,
+// unless a snapshot may hold the array's slots: then, as when most of
+// the array is in use, the queue moves to a fresh array.
+func (sv *Server) push(req pendingReq) {
+	q := sv.state.Pending
+	if n := len(q); n == cap(q) {
+		if arr := sv.pendArr; n > 0 && !sv.pendShared && 2*(cap(arr)-n) >= cap(arr) {
+			q = arr[:n]
+			copy(q, sv.state.Pending)
+			clear(arr[n:cap(arr)])
+		} else {
+			q = make([]pendingReq, n, max(2*n, cap(arr), 16))
+			copy(q, sv.state.Pending)
+			sv.pendArr, sv.pendShared = q[:0], false
+		}
+	}
+	sv.state.Pending = append(q, req)
+}
+
+// pop removes and returns the oldest queued request; the queue must not
+// be empty. An emptied queue starts again at its array's front, unless
+// a snapshot may hold that array's slots.
+func (sv *Server) pop() pendingReq {
+	q := sv.state.Pending
+	req := q[0]
+	switch {
+	case sv.pendShared:
+		sv.state.Pending = q[1:]
+	case len(q) == 1:
+		q[0] = pendingReq{}
+		sv.state.Pending = sv.pendArr[:0]
+	default:
+		q[0] = pendingReq{} // drop the reference to the request's bytes
+		sv.state.Pending = q[1:]
+	}
+	return req
 }
 
 func (sv *Server) wakeWorkers() {
@@ -337,24 +381,18 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 	if len(sv.state.Pending) == 0 {
 		return 0, container.Blocked
 	}
-	req := sv.state.Pending[0]
-	if len(sv.state.Pending) == 1 {
-		// Emptied: the next request reuses the queue's array.
-		sv.state.Pending = sv.state.Pending[:0]
-	} else {
-		sv.state.Pending = sv.state.Pending[1:]
-	}
-	cpu := sv.process(w, req)
+	cpu := sv.process(w, sv.pop())
 	if len(sv.state.Pending) > 0 {
 		return cpu, cpu
 	}
 	return cpu, container.Blocked
 }
 
+// respond sends one reply frame, written straight into the socket's send
+// slab.
 func (sv *Server) respond(id connID, op byte, payload []byte) {
 	if s := sv.conns[id]; s != nil {
-		sv.out = AppendFrame(sv.out[:0], op, payload)
-		s.Send(sv.out)
+		s.Send(AppendFrame(s.SendBuffer(frameLen(len(payload))), op, payload))
 	}
 }
 
@@ -452,14 +490,21 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 			sv.fail("index points past heap")
 			return cpu
 		}
-		mem := sv.ctr.Procs[0].Mem
-		value, err := mem.AppendRead(sv.value[:0], addr, recordSize)
+		// The record goes from the heap straight into the reply frame
+		// in the socket's send slab.
+		var frame []byte
+		s := sv.conns[req.Conn]
+		if s != nil {
+			frame = appendFrameHeader(s.SendBuffer(frameLen(recordSize)), OpGet, recordSize)
+		}
+		frame, err := sv.ctr.Procs[0].Mem.AppendRead(frame, addr, recordSize)
 		if err != nil {
 			sv.fail("heap read: " + err.Error())
 			return cpu
 		}
-		sv.value = value
-		sv.respond(req.Conn, OpGet, value)
+		if s != nil {
+			s.Send(frame)
+		}
 	case OpWeb:
 		if len(req.Payload) < 4 {
 			sv.fail("short WEB payload")

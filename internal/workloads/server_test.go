@@ -3,6 +3,7 @@ package workloads
 import (
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"testing"
 
 	"nilicon/internal/container"
@@ -10,28 +11,62 @@ import (
 	"nilicon/internal/simtime"
 )
 
+// standalone is a server installed in a container of its own (no
+// replication) with one client connection that nothing drives: requests
+// are driven through process, and get reads the replies off the
+// client's socket.
+type standalone struct {
+	*Server
+	clock *simtime.Clock
+	conn  connID         // the server's id of the client connection
+	cli   *simnet.Socket // the client's end
+	fr    FrameReader    // parses the client's read queue
+}
+
 // newStandaloneServer installs prof's server in a container of its own
-// (no replication, no clients); requests are driven through process.
-func newStandaloneServer(prof Profile) *Server {
+// and connects the client to it.
+func newStandaloneServer(prof Profile) *standalone {
 	clock := simtime.NewClock()
 	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
 	ctr := container.Create(container.NewHost("srv", clock, sw), container.Spec{ID: "kv", IP: "10.0.0.5", Cores: 1})
-	sv := NewServer(prof)
+	sv := &standalone{Server: NewServer(prof), clock: clock}
 	sv.Install(ctr)
+	port := sw.Attach()
+	st := simnet.NewStack(clock, "10.0.0.1", port.Send)
+	port.SetReceiver(st.Receive)
+	sw.Learn(st.IP, port)
+	st.Connect(ctr.IP, prof.Port, func(s *simnet.Socket) { sv.cli = s })
+	clock.RunFor(10 * simtime.Millisecond)
+	for id := range sv.conns {
+		sv.conn = id
+	}
+	if sv.cli == nil || len(sv.conns) != 1 {
+		panic("standalone server: client did not connect")
+	}
 	return sv
 }
 
-func setKey(sv *Server, key uint64) {
+func setKey(sv *standalone, key uint64) {
 	payload := binary.BigEndian.AppendUint64(nil, key)
 	sv.process(sv.workers[0], pendingReq{Op: OpSet, Payload: append(payload, ValueFor(key, 1, 16)...)})
 }
 
-// hits reports whether a GET for key finds a record.
-func hits(sv *Server, key uint64) bool {
-	sv.value = nil
-	sv.process(sv.workers[0], pendingReq{Op: OpGet, Payload: binary.BigEndian.AppendUint64(nil, key)})
-	return sv.value != nil
+// get processes a GET of key from the client and returns the reply's
+// payload as the client reads it off its socket (nil if no reply came).
+func (sv *standalone) get(key uint64) []byte {
+	var req [8]byte
+	binary.BigEndian.PutUint64(req[:], key)
+	sv.process(sv.workers[0], pendingReq{Conn: sv.conn, Op: OpGet, Payload: req[:]})
+	sv.clock.RunFor(simtime.Millisecond)
+	sv.fr.Feed(sv.cli.ReadAll())
+	if op, p, ok := sv.fr.Next(); ok && op == OpGet {
+		return p
+	}
+	return nil
 }
+
+// hits reports whether a GET for key finds a record.
+func hits(sv *standalone, key uint64) bool { return len(sv.get(key)) > 0 }
 
 // TestRecordLogSnapshotIsolation checks that a snapshot, which shares
 // the live server's record log by prefix, sees exactly the keys set
@@ -76,7 +111,7 @@ func TestRecordLogSnapshotIsolation(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name       string
-		sv         *Server
+		sv         *standalone
 		own, other uint64
 	}{
 		{"old", old, 2000, 1000},
@@ -276,5 +311,88 @@ func TestReattachFindsReaderBufsUnderSameID(t *testing.T) {
 	if p := fresh.state.Pending; len(p) != 1 || p[0].Conn != connIDOf(srv) || p[0].Op != OpGet ||
 		binary.BigEndian.Uint64(p[0].Payload) != 7 {
 		t.Fatalf("reattached server queued %+v, want one GET of key 7 on %s", p, connIDOf(srv))
+	}
+}
+
+// TestSnapshotPendingSurvivesQueueReuse: a snapshot shares the live
+// request queue's array instead of copying it, and keeps the requests
+// it held while the live queue drains, refills past its array's end,
+// drains again and refills; a server restored from it queues exactly
+// the snapshot's requests, and two such servers' pops and pushes leave
+// the snapshot and each other alone.
+func TestSnapshotPendingSurvivesQueueReuse(t *testing.T) {
+	sv := newStandaloneServer(Redis().Profile())
+	req := func(key uint64) pendingReq {
+		return pendingReq{Conn: sv.conn, Op: OpGet, Payload: binary.BigEndian.AppendUint64(nil, key)}
+	}
+	keysOf := func(q []pendingReq) []uint64 {
+		var keys []uint64
+		for _, r := range q {
+			keys = append(keys, binary.BigEndian.Uint64(r.Payload))
+		}
+		return keys
+	}
+	span := func(lo, hi uint64) []uint64 {
+		var keys []uint64
+		for k := lo; k < hi; k++ {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	for k := uint64(0); k < 20; k++ {
+		sv.push(req(k))
+	}
+	for i := 0; i < 5; i++ {
+		sv.pop()
+	}
+	snap := sv.SnapshotState().(*serverState)
+	if &snap.Pending[0] != &sv.state.Pending[0] {
+		t.Fatal("the snapshot copied the request queue")
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := keysOf(snap.Pending), span(5, 20); !slices.Equal(got, want) {
+			t.Fatalf("%s: snapshot queues keys %v, want %v", when, got, want)
+		}
+	}
+	for len(sv.state.Pending) > 0 {
+		sv.pop()
+	}
+	check("after the live queue drained")
+	for k := uint64(100); k < 200; k++ {
+		sv.push(req(k))
+	}
+	check("after it refilled past its array")
+	for i := 0; i < 90; i++ {
+		sv.pop()
+	}
+	for k := uint64(200); k < 300; k++ {
+		sv.push(req(k))
+	}
+	check("after it drained and refilled again")
+	if got, want := keysOf(sv.state.Pending), span(190, 300); !slices.Equal(got, want) {
+		t.Fatalf("live queue holds keys %v, want %v", got, want)
+	}
+
+	// Two servers restored from the snapshot push different keys.
+	restored, again := newStandaloneServer(Redis().Profile()), newStandaloneServer(Redis().Profile())
+	restored.RestoreState(snap)
+	again.RestoreState(snap)
+	if got, want := keysOf(restored.state.Pending), span(5, 20); !slices.Equal(got, want) {
+		t.Fatalf("restored server queues keys %v, want %v", got, want)
+	}
+	for i := 0; i < 15; i++ {
+		restored.pop()
+	}
+	for k := uint64(1000); k < 1040; k++ {
+		restored.push(req(k))
+		again.push(req(k + 1000))
+	}
+	check("after the restored servers pushed")
+	if got, want := keysOf(restored.state.Pending), span(1000, 1040); !slices.Equal(got, want) {
+		t.Fatalf("restored server queues keys %v, want %v", got, want)
+	}
+	if got, want := keysOf(again.state.Pending), append(span(5, 20), span(2000, 2040)...); !slices.Equal(got, want) {
+		t.Fatalf("second restored server queues keys %v, want %v", got, want)
 	}
 }

@@ -19,6 +19,7 @@ import (
 
 	"nilicon/internal/container"
 	"nilicon/internal/core"
+	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
 
@@ -162,29 +163,43 @@ func Frame(op byte, payload []byte) []byte {
 // AppendFrame appends the encoding of one message to dst and returns the
 // extended slice.
 func AppendFrame(dst []byte, op byte, payload []byte) []byte {
-	dst = binary.BigEndian.AppendUint32(dst, uint32(1+len(payload)))
-	dst = append(dst, op)
-	return append(dst, payload...)
+	return append(appendFrameHeader(dst, op, len(payload)), payload...)
 }
+
+// appendFrameHeader appends the header of a frame whose payload is n
+// bytes long; the caller appends the payload itself.
+func appendFrameHeader(dst []byte, op byte, n int) []byte {
+	return append(binary.BigEndian.AppendUint32(dst, uint32(1+n)), op)
+}
+
+// frameLen is the encoded length of a frame with an n-byte payload.
+func frameLen(n int) int { return 5 + n }
 
 // FrameReader incrementally parses a byte stream into frames.
 //
 // Ownership (DESIGN.md §8, stream-byte ownership): Feed takes ownership
 // of the slice it is given, and Next returns payloads that alias the
 // reader's buffer instead of copying. This is sound because no byte the
-// reader has returned is ever written again. An adopted slice is capped
-// at its length, so nothing is appended into it. A buffer the reader
-// allocates itself is written only past the bytes already in it: a
-// frame that straddles two feeds is completed by copying just the
-// unconsumed tail and the new bytes into that buffer's unused capacity,
-// or into a new buffer when it is full. A returned payload therefore
-// stays valid, unchanged, for as long as its holder keeps it. Each
-// payload is capped at its own length, so appending to it copies rather
-// than overwriting the stream. The reader never compacts: moving the
-// unconsumed tail to the front would overwrite bytes it has returned.
+// reader has returned is ever written again. An adopted slice may carry
+// capacity into memory its sender still writes (a socket's send slab),
+// so nothing is ever appended into it; it grows only in place, when the
+// next fed slice starts exactly where it ends in the same array, and so
+// a frame that straddles two segments of one send costs no copy. A
+// buffer the reader allocates itself is written only past the bytes
+// already in it: a frame that straddles two feeds of different arrays
+// is completed by copying just the unconsumed tail and the new bytes
+// into that buffer's unused capacity, or into a new buffer when it is
+// full. A returned payload therefore stays valid, unchanged, for as long
+// as its holder keeps it. Each payload is capped at its own length, so
+// appending to it copies rather than overwriting the stream. The reader
+// never compacts: moving the unconsumed tail to the front would
+// overwrite bytes it has returned.
 type FrameReader struct {
 	buf []byte
 	off int // start of the unconsumed bytes in buf
+	// own marks buf as the reader's own buffer, which Feed may append
+	// into; an adopted slice is never appended into.
+	own bool
 	// spare is the unused capacity of the reader's own buffer while buf
 	// is an adopted slice; size is the capacity it last allocated.
 	spare []byte
@@ -206,16 +221,19 @@ const maxFrameLen = 64 << 20
 // must not modify it afterwards.
 func (fr *FrameReader) Feed(b []byte) {
 	switch {
+	case len(b) == 0:
 	case fr.off == len(fr.buf):
-		// Nothing buffered: adopt b instead of copying it. The cap keeps
-		// a later append from writing past b into memory b's owner may
-		// still use. Only the reader's own buffer has capacity past its
-		// length; keep that for the next straddling frame.
-		if cap(fr.buf) > len(fr.buf) {
+		// Nothing buffered: adopt b instead of copying it. Keep the
+		// unused capacity of the reader's own buffer for the next
+		// straddling frame.
+		if fr.own && cap(fr.buf) > len(fr.buf) {
 			fr.spare = fr.buf[len(fr.buf):len(fr.buf)]
 		}
-		fr.buf, fr.off = b[:len(b):len(b)], 0
-	case len(b) <= cap(fr.buf)-len(fr.buf):
+		fr.buf, fr.off, fr.own = b, 0, false
+	case !fr.own && simnet.Adjoins(fr.buf, b):
+		// b is the next part of the array buf views: extend in place.
+		fr.buf = fr.buf[:len(fr.buf)+len(b)]
+	case fr.own && len(b) <= cap(fr.buf)-len(fr.buf):
 		fr.buf = append(fr.buf, b...)
 	default:
 		// Copy only the unconsumed tail, not the prefix already parsed.
@@ -233,7 +251,7 @@ func (fr *FrameReader) Feed(b []byte) {
 			fr.size = max(min(max(2*fr.size, minFrameBuf), maxFrameBuf), want)
 			fr.spare = make([]byte, 0, fr.size)
 		}
-		fr.buf, fr.off = append(append(fr.spare, tail...), b...), 0
+		fr.buf, fr.off, fr.own = append(append(fr.spare, tail...), b...), 0, true
 		fr.spare = nil
 	}
 }

@@ -246,7 +246,7 @@ type wlEnv struct {
 	wl    Workload
 }
 
-func newWLEnv(t *testing.T, wl Workload) *wlEnv {
+func newWLEnv(t testing.TB, wl Workload) *wlEnv {
 	t.Helper()
 	clock := simtime.NewClock()
 	cl := core.NewShardedCluster(clock, core.ClusterParams{})
