@@ -452,3 +452,111 @@ func recvName(x ast.Expr) string {
 	}
 	return "?"
 }
+
+// bufferLists is every hand-written free list that stays outside
+// internal/pool, by "pkg.Func list" (pkg.Recv.Method for a method), with
+// the reason. Records go through pool.Free; these hold buffers.
+var bufferLists = map[string]string{
+	"simkernel.newPage pagePool.free": "page buffers, not records: one list shared by every world under a mutex and bounded at pagePoolMax",
+	"simtime.wheel.getSlot w.free":    "the wheel's drained slot slices, not records: a slice is reused for its capacity and recycle clears it in bulk",
+	"simnet.PlugQdisc.Rotate q.spare": "flushed egress packet batches, not records: a batch is reused for its capacity, and only by an epoch that sent something",
+}
+
+// TestNoHandWrittenFreeList fails on a hand-written free list outside
+// internal/pool: a slice of pointers or slices that one function both
+// reads at s[n-1] and cuts back with s = s[:n-1], unless bufferLists
+// names it; and on a bufferLists entry that names no such list. A
+// recycled record belongs in a pool.Free, whose constructor binds its
+// callbacks once and whose pool.Refs checks its holder count.
+func TestNoHandWrittenFreeList(t *testing.T) {
+	m := loadModule(t)
+	found := map[string]string{}
+	for _, p := range m.pkgs {
+		if p.dir == "internal/pool" {
+			continue
+		}
+		for _, f := range p.files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || fd.Body == nil {
+					continue
+				}
+				name := filepath.Base(p.dir) + "." + fd.Name.Name
+				if fd.Recv != nil {
+					name = filepath.Base(p.dir) + "." + recvName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+				}
+				for _, list := range poppedLists(p, fd.Body) {
+					found[name+" "+list] = m.fset.Position(fd.Pos()).String()
+				}
+			}
+		}
+	}
+	var bad []string
+	for key, pos := range found {
+		if _, ok := bufferLists[key]; !ok {
+			bad = append(bad, key+" ("+pos+")")
+		}
+	}
+	sort.Strings(bad)
+	if len(bad) > 0 {
+		t.Errorf("%d hand-written free lists outside internal/pool; recycle records through pool.Free, or list a buffer list in bufferLists with a reason:\n  %s",
+			len(bad), strings.Join(bad, "\n  "))
+	}
+	for key, reason := range bufferLists {
+		if reason == "" {
+			t.Errorf("bufferLists: %s has no reason", key)
+		}
+		if _, ok := found[key]; !ok {
+			t.Errorf("bufferLists lists %s, which is no longer a free list", key)
+		}
+	}
+}
+
+// poppedLists returns the slices, as written, that body pops: it reads
+// s[e-1] and assigns s = s[:e-1]. Only slices of pointers or of slices
+// count — things worth recycling.
+func poppedLists(p *typedPkg, body *ast.BlockStmt) []string {
+	minusOne := func(x ast.Expr) bool {
+		b, ok := x.(*ast.BinaryExpr)
+		if !ok || b.Op != token.SUB {
+			return false
+		}
+		lit, ok := b.Y.(*ast.BasicLit)
+		return ok && lit.Value == "1"
+	}
+	read, cut := map[string]bool{}, map[string]bool{}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.IndexExpr:
+			if minusOne(n.Index) {
+				read[types.ExprString(n.X)] = true
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) != len(n.Rhs) {
+				return true
+			}
+			for i, rhs := range n.Rhs {
+				s, ok := rhs.(*ast.SliceExpr)
+				if !ok || s.Low != nil || s.High == nil || !minusOne(s.High) {
+					continue
+				}
+				if x := types.ExprString(s.X); x == types.ExprString(n.Lhs[i]) {
+					if sl, ok := p.info.Types[s.X].Type.Underlying().(*types.Slice); ok {
+						switch sl.Elem().Underlying().(type) {
+						case *types.Pointer, *types.Slice:
+							cut[x] = true
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+	var lists []string
+	for x := range cut {
+		if read[x] {
+			lists = append(lists, x)
+		}
+	}
+	return lists
+}

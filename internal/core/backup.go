@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"nilicon/internal/criu"
+	"nilicon/internal/pool"
 	"nilicon/internal/simfs"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
@@ -129,10 +130,8 @@ type BackupAgent struct {
 	lastGrantSent  simtime.Time
 	promotePending bool
 	promoteTimer   *simtime.Timer
-	// freeAcks recycles log acknowledgments (logAck) and freeMsgs epoch
-	// acknowledgments and reverse liveness beats (ackMsg).
-	freeAcks []*logAck
-	freeMsgs []*ackMsg
+	// msgs recycles acknowledgments in flight (ackMsg).
+	msgs pool.Free[ackMsg]
 	// networkLive is set when the restored container's sockets go live
 	// after a promotion (the instant the replica starts serving).
 	networkLive bool
@@ -165,6 +164,11 @@ func newBackupAgent(cl *Cluster, cfg Config, r *Replicator) *BackupAgent {
 		store:    criu.NewPageStore(cfg.Opts.OptimizeCRIU),
 	}
 	b.promoteTimer = simtime.NewTimer(cl.Clock, b.promoteBarrierReached)
+	b.msgs = pool.New(func() *ackMsg {
+		m := &ackMsg{b: b}
+		m.deliverFn = m.deliver
+		return m
+	})
 	return b
 }
 
@@ -238,13 +242,7 @@ func (b *BackupAgent) checkHeartbeat() {
 		// extended to a host the conviction below is about to declare
 		// dead (an unbounded grant stream to a dead primary would push
 		// the promotion barrier out forever).
-		grant := b.cfg.Lease.Enabled && !stale
-		if grant {
-			b.lastGrantSent = now
-		}
-		m := b.newAckMsg(now, grant)
-		m.beat = true
-		b.cl.AckLink.TransferExpress(16, m.deliverFn)
+		b.sendAck(ackBeat, 0, b.cfg.Lease.Enabled && !stale)
 	}
 	if b.resyncRequested {
 		// The NACK (or the baseline it asked for) may itself have been
@@ -255,7 +253,7 @@ func (b *BackupAgent) checkHeartbeat() {
 		// Re-send the cumulative log acknowledgment: an ack lost on a
 		// flapping link must not leave committed-but-unflushed output
 		// held at the primary until the next segment arrives.
-		b.resendLogAck()
+		b.ackLog(true)
 	}
 	// A control plane (the fleet detector) arbitrates promotion for an
 	// externally arbitrated chain, whatever its width: it convicts the
@@ -328,14 +326,7 @@ func (b *BackupAgent) tryAck(epoch uint64) {
 	}
 	// Every ack implicitly renews the primary's output-release lease,
 	// stamped with its send time (the conservative end of the term).
-	sentAt := b.cl.Clock.Now()
-	grant := b.cfg.Lease.Enabled
-	if grant {
-		b.lastGrantSent = sentAt
-	}
-	m := b.newAckMsg(sentAt, grant)
-	m.epoch = epoch
-	b.cl.AckLink.Transfer(16, m.deliverFn)
+	b.sendAck(ackEpoch, epoch, b.cfg.Lease.Enabled)
 	if baseline {
 		b.resyncRequested = false
 	}
@@ -349,48 +340,60 @@ func (b *BackupAgent) sendResync() {
 	b.cl.AckLink.TransferExpress(16, b.r.nackReceived)
 }
 
-// ackMsg is one epoch acknowledgment (or, with beat set, reverse
-// liveness beat) in flight on the ack link, sent at sentAt and carrying
-// a lease grant when grant is set. Records are recycled with deliver
-// bound once; one lost to a link cut is left to the GC.
+// ackKind is what an ackMsg acknowledges.
+type ackKind uint8
+
+const (
+	ackEpoch   ackKind = iota // a committed epoch: mark
+	ackSegment                // the received log segments through mark
+	ackBeat                   // nothing: a reverse liveness beat
+)
+
+// ackMsg is one acknowledgment in flight on the ack link, sent at
+// sentAt and carrying a lease grant when grant is set. Records are
+// recycled with deliver bound once, by the pool's constructor; one lost
+// to a link cut is left to the GC.
 type ackMsg struct {
 	b      *BackupAgent
-	epoch  uint64
+	kind   ackKind
+	mark   uint64
 	sentAt simtime.Time
 	grant  bool
-	beat   bool
 
 	deliverFn func()
 }
 
-// newAckMsg takes a record from the free list (or makes one) for an
-// epoch acknowledgment.
-func (b *BackupAgent) newAckMsg(sentAt simtime.Time, grant bool) *ackMsg {
-	var m *ackMsg
-	if n := len(b.freeMsgs); n > 0 {
-		m = b.freeMsgs[n-1]
-		b.freeMsgs = b.freeMsgs[:n-1]
-	} else {
-		m = &ackMsg{b: b}
-		m.deliverFn = m.deliver
+// sendAck puts an acknowledgment on the ack link, stamped now. A beat
+// rides express, as an individual packet beside the state stream.
+func (b *BackupAgent) sendAck(kind ackKind, mark uint64, grant bool) {
+	m := b.msgs.Get()
+	m.kind, m.mark, m.sentAt, m.grant = kind, mark, b.cl.Clock.Now(), grant
+	if grant {
+		b.lastGrantSent = m.sentAt
 	}
-	m.epoch, m.sentAt, m.grant, m.beat = 0, sentAt, grant, false
-	return m
+	if kind == ackBeat {
+		b.cl.AckLink.TransferExpress(16, m.deliverFn)
+	} else {
+		b.cl.AckLink.Transfer(16, m.deliverFn)
+	}
 }
 
-// deliver hands the primary a beat (seen, then its grant) or an epoch
+// deliver hands the primary a beat (seen, then its grant) or an
 // acknowledgment (its grant, then the ack).
 func (m *ackMsg) deliver() {
-	b, epoch, sentAt, grant, beat := m.b, m.epoch, m.sentAt, m.grant, m.beat
-	b.freeMsgs = append(b.freeMsgs, m)
-	if beat {
+	b, kind, mark, sentAt, grant := m.b, m.kind, m.mark, m.sentAt, m.grant
+	b.msgs.Put(m)
+	if kind == ackBeat {
 		b.r.backupBeatSeenFrom(b.slot)
 	}
 	if grant {
 		b.r.leaseGranted(sentAt)
 	}
-	if !beat {
-		b.r.ackReceivedFrom(b.slot, epoch)
+	switch kind {
+	case ackEpoch:
+		b.r.ackReceivedFrom(b.slot, mark)
+	case ackSegment:
+		b.r.logAckedFrom(b.slot, mark)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"nilicon/internal/container"
 	"nilicon/internal/simtime"
@@ -56,6 +57,8 @@ type replicaSlot struct {
 	// lastBeat is when this replica's most recent reverse liveness
 	// beat arrived (lease mode or an external arbiter).
 	lastBeat simtime.Time
+	// sends are the image sends on their way to this replica.
+	sends []*imageSend
 }
 
 // NewChainReplicator wires a replicator over an f+1 chain of cluster
@@ -400,16 +403,35 @@ func (r *Replicator) FenceReplica(i int) {
 	s.fenced = true
 	s.agent.Halt()
 	r.Cluster.DRBDPrimary.DetachPeer(s.view.DRBDBackup)
-	s.cancelFlows()
+	r.cancelFlows(s)
 	r.recomputeWatermarks()
 }
 
-// cancelFlows drops the slot's queued transfer traffic — its image,
-// resync and log flows — so it cannot occupy the shared NIC.
-func (s *replicaSlot) cancelFlows() {
+// cancelFlows drops the slot's image, resync and log traffic, so it
+// cannot occupy the shared NIC, and lets go of its image sends. A
+// cancelled lead send hands the lead to the lowest slot with a send of
+// the run still on its way, or, with none, ends the transfer unmeasured.
+func (r *Replicator) cancelFlows(s *replicaSlot) {
 	s.view.Xfer.CancelFlow(s.flow)
 	s.view.Xfer.CancelFlow(s.flow + "/resync")
 	s.view.Xfer.CancelFlow(s.logFlow)
+	for len(s.sends) > 0 {
+		run := s.sends[0].run
+		s.sends[0].release()
+		if run.lead == s && !run.transferred {
+			run.lead = nil
+			for _, t := range r.chain {
+				if run.lead == nil && slices.ContainsFunc(t.sends, func(is *imageSend) bool { return is.run == run }) {
+					run.lead = t
+				}
+			}
+			if run.lead == nil {
+				run.lossy = true
+				run.finishTransfer()
+			}
+		}
+		run.unref()
+	}
 }
 
 // backupBeatSeenFrom records the arrival of slot's reverse liveness

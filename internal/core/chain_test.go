@@ -1,14 +1,15 @@
 package core
 
 import (
-	"testing"
-
 	"fmt"
+	"slices"
+	"testing"
 
 	"nilicon/internal/container"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
+	"nilicon/internal/trace"
 )
 
 // NewChainViews builds the topology for a standalone f+1 replication
@@ -339,5 +340,97 @@ func TestQuorumFencedSlotZeroGetsNoImages(t *testing.T) {
 	}
 	if len(client.replies) != 1 || client.replies[0] != "OK" {
 		t.Fatalf("write not released with slot 1 leading: %v", client.replies)
+	}
+}
+
+// Fencing the lead slot while its image send is on the wire cancels
+// that send: its delivery fires nothing. The lead of the run passes to
+// slot 1's send of the same epoch, whose delivery ends the transfer:
+// the stop-and-copy container thaws and the next epochs start. With the pair protected, slot 1 leads and keeps committing,
+// the fenced epoch is measured and output is released; under a
+// self-fence (every ack link cut, so no covering ack can end the
+// transfer) the container thaws all the same and output stays held.
+func TestQuorumFenceLeadWithSendOnTheWire(t *testing.T) {
+	for _, selfFenced := range []bool{false, true} {
+		name := map[bool]string{false: "protected", true: "self-fenced"}[selfFenced]
+		t.Run(name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Opts.StagingBuffer = false // stop-and-copy: frozen until the transfer ends
+			if selfFenced {
+				cfg.Lease = DefaultLease()
+			}
+			env := newChainEnv(t, 3, cfg, 0)
+			if selfFenced {
+				env.repl.SetExternalArbiter()
+			}
+			tl := recordEpochs(env.repl)
+			env.repl.Start()
+			env.clock.RunFor(500 * simtime.Millisecond)
+			client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
+			env.clock.RunFor(200 * simtime.Millisecond)
+			if selfFenced {
+				for _, v := range env.views {
+					v.AckLink.SetDown(true)
+				}
+				env.clock.RunFor(200 * simtime.Millisecond)
+				if env.repl.LeaseState() != LeaseSelfFenced {
+					t.Fatalf("lease = %s with every ack link cut, want fenced", env.repl.LeaseState())
+				}
+			}
+
+			lead := env.views[0].Xfer
+			var send *xferReq
+			for send == nil {
+				if !env.clock.Step() {
+					t.Fatal("the clock ran dry before the lead's send went on the wire")
+				}
+				for _, req := range lead.onWire.All() {
+					if req.flow == env.repl.flowFor(0) {
+						send = req
+					}
+				}
+			}
+			if !env.ctr.Frozen() {
+				t.Fatal("the stop-and-copy container runs while its image streams")
+			}
+			epoch := env.repl.epoch - 1
+			runs := env.repl.inflight.All()
+			run := runs[len(runs)-1]
+			env.repl.FenceReplica(0)
+			if !send.settled {
+				t.Fatal("the fence left the lead's send on the wire unsettled")
+			}
+			if got := env.repl.LeadSlot(); got != 1 {
+				t.Fatalf("lead slot = %d after fencing slot 0, want 1", got)
+			}
+			if run.epoch != epoch || run.lead != env.repl.chain[1] || run.transferred {
+				t.Fatalf("run %d after the fence: lead %v, transferred %v; want epoch %d's run led by slot 1's send",
+					run.epoch, run.lead, run.transferred, epoch)
+			}
+			committed, _ := env.repl.ReplicaAgent(1).CommittedEpoch()
+			client.send("SET after fence")
+			env.clock.RunFor(500 * simtime.Millisecond)
+
+			if env.repl.epoch < epoch+5 {
+				t.Fatalf("%d epochs began in 500 ms after the fence in epoch %d: the container stayed frozen", env.repl.epoch-epoch-1, epoch)
+			}
+			c, ok := env.repl.ReplicaAgent(1).CommittedEpoch()
+			t.Logf("fenced at %v in epoch %d; slot 1 committed %d then, %d 500 ms later; epoch %d began", env.clock.Now()-simtime.Time(500*simtime.Millisecond), epoch, committed, c, env.repl.epoch-1)
+			if selfFenced {
+				if len(client.replies) != 0 {
+					t.Fatalf("self-fenced primary released the reply: %v", client.replies)
+				}
+				return
+			}
+			if !ok || c < epoch || c < committed+5 {
+				t.Fatalf("slot 1 committed through epoch %d (was %d; the fenced run was %d), want it to keep committing", c, committed, epoch)
+			}
+			if !slices.ContainsFunc(tl.Records(), func(rec trace.EpochRecord) bool { return rec.Epoch == epoch }) {
+				t.Fatalf("epoch %d, whose lead send was fenced, has no record", epoch)
+			}
+			if len(client.replies) != 1 || client.replies[0] != "OK" {
+				t.Fatalf("write not released after fencing the lead: %v", client.replies)
+			}
+		})
 	}
 }

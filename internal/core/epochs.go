@@ -1,6 +1,10 @@
 package core
 
-import "nilicon/internal/criu"
+import (
+	"slices"
+
+	"nilicon/internal/criu"
+)
 
 // The epoch pipeline's per-epoch events are bound once per replicator
 // and its per-replica sends are recycled records, as the log path's are
@@ -29,28 +33,14 @@ func (r *Replicator) encodedNext() {
 	run.unref()
 }
 
-// newRun starts epoch e's run at the epoch boundary, reusing a retired
-// run when one is free. The pipeline holds the first reference.
-func (r *Replicator) newRun(e uint64) *epochRun {
-	var run *epochRun
-	if n := len(r.freeRuns); n > 0 {
-		run = r.freeRuns[n-1]
-		r.freeRuns = r.freeRuns[:n-1]
-	} else {
-		run = new(epochRun)
-	}
-	*run = epochRun{r: r, epoch: e, startAt: r.Cluster.Clock.Now(), refs: 1}
-	return run
-}
-
-// unref drops one reference; the last returns the run to the free list.
+// unref drops one reference; the last returns the run to the pool.
 func (run *epochRun) unref() {
-	if run.refs--; run.refs > 0 {
+	if !run.refs.Drop() {
 		return
 	}
 	r := run.r
 	*run = epochRun{}
-	r.freeRuns = append(r.freeRuns, run)
+	r.runs.Put(run)
 }
 
 // imageLost is every slot's loss handler: the slot's send of epoch's
@@ -68,64 +58,53 @@ func (r *Replicator) imageLost(epoch uint64) {
 	}
 }
 
-// imageSend is one epoch's image on its way to one replica. Its
-// callbacks are bound once per record and records are recycled; a
-// record returns to the free list when its image is delivered or lost,
-// and one whose transfer the scheduler cancels is left to the GC. Every
-// send of an epoch carries the same read-only image. Only the lead's
-// send refers to the run (and holds a reference to it): another slot's
-// send carries the epoch and image alone.
+// imageSend is one epoch's read-only image on its way to one replica,
+// holding a reference to the run. It is on its slot's list until it is
+// delivered, lost or cancelled (cancelFlows), and then goes back to the
+// pool, whose constructor binds its callbacks.
 type imageSend struct {
-	r     *Replicator
-	s     *replicaSlot
-	epoch uint64
-	img   *criu.Image
-	run   *epochRun // the lead's send only
+	s   *replicaSlot
+	img *criu.Image
+	run *epochRun
 
 	deliveredFn, droppedFn func()
 }
 
-// sendImage submits epoch's img to slot s's flow; run is set for the
-// lead slot's send, which ends the run's transfer.
-func (r *Replicator) sendImage(s *replicaSlot, epoch uint64, img *criu.Image, run *epochRun) {
-	var is *imageSend
-	if n := len(r.freeSends); n > 0 {
-		is = r.freeSends[n-1]
-		r.freeSends = r.freeSends[:n-1]
-	} else {
-		is = &imageSend{r: r}
-		is.deliveredFn, is.droppedFn = is.delivered, is.dropped
-	}
-	is.s, is.epoch, is.img, is.run = s, epoch, img, run
-	if run != nil {
-		run.refs++
-	}
-	r.chunks = img.AppendStreamChunks(r.chunks[:0], xferChunkBytes)
+// sendImage submits run's image to slot s's flow.
+func (r *Replicator) sendImage(s *replicaSlot, run *epochRun) {
+	is := r.sends.Get()
+	is.s, is.img, is.run = s, run.img, run
+	run.refs++
+	s.sends = append(s.sends, is)
+	r.chunks = run.img.AppendStreamChunks(r.chunks[:0], xferChunkBytes)
 	s.view.Xfer.SubmitReq(s.flow, r.chunks, is.deliveredFn, is.droppedFn)
 }
 
 func (is *imageSend) delivered() {
-	s, epoch, img, run := is.s, is.epoch, is.img, is.run
+	s, img, run := is.s, is.img, is.run
 	is.release()
-	s.agent.receiveState(epoch, img)
-	if run != nil {
+	s.agent.receiveState(run.epoch, img)
+	if run.lead == s {
 		run.finishTransfer()
-		run.unref()
 	}
+	run.unref()
 }
 
 func (is *imageSend) dropped() {
-	r, epoch, run := is.r, is.epoch, is.run
+	s, run := is.s, is.run
 	is.release()
-	if run != nil {
+	run.r.imageLost(run.epoch)
+	if run.lead == s {
 		run.leadDropped()
-		run.unref()
-	} else {
-		r.imageLost(epoch)
 	}
+	run.unref()
 }
 
+// release takes the send off its slot's list and back to the pool.
 func (is *imageSend) release() {
+	s, run := is.s, is.run
+	i := slices.Index(s.sends, is)
+	s.sends = slices.Delete(s.sends, i, i+1)
 	is.s, is.img, is.run = nil, nil, nil
-	is.r.freeSends = append(is.r.freeSends, is)
+	run.r.sends.Put(is)
 }

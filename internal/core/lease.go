@@ -251,8 +251,8 @@ func (r *Replicator) declareUnprotected() {
 // fence of dead backups (FenceBackup). Buffered output flushes (it
 // reflects state nobody will ever fail over past), checkpointing and
 // log recording stop, the DRBD primary end detaches so disk writes
-// stay local, and every slot's queued transfer traffic is cancelled so
-// it cannot occupy the shared replication NIC.
+// stay local, and every slot's transfer traffic is cancelled, which
+// ends the transfer of a run still streaming (cancelFlows).
 func (r *Replicator) unprotect() {
 	if r.Cfg.Lease.Enabled {
 		r.leaseState = LeaseUnprotected
@@ -267,7 +267,7 @@ func (r *Replicator) unprotect() {
 	r.Ctr.Qdisc.SetReplicating(false)
 	_ = r.Cluster.DRBDPrimary.Detach()
 	for _, s := range r.chain {
-		s.cancelFlows()
+		r.cancelFlows(s)
 	}
 }
 
@@ -369,7 +369,7 @@ func (b *BackupAgent) resumeAfterAbortedPromotion() {
 		b.tryAck(e)
 	}
 	if b.cfg.Opts.RecordReplay {
-		b.ackLog()
+		b.ackLog(false)
 	}
 }
 

@@ -448,3 +448,62 @@ func TestUnprotectedPrimaryStopsStreamingLog(t *testing.T) {
 		t.Fatalf("unprotected primary answered %d of %d writes", got, writes)
 	}
 }
+
+// TestUnprotectThawsStopAndCopyMidTransfer: a stop-and-copy primary
+// under the Availability policy that declares itself unprotected while
+// its image send is on the wire cancels that send, and the cancel ends
+// the run's transfer: the container thaws and answers every later
+// write.
+func TestUnprotectThawsStopAndCopyMidTransfer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Opts.StagingBuffer = false // stop-and-copy: frozen until the transfer ends
+	cfg.Lease = DefaultLease()
+	cfg.Degrade = Availability
+	env := newTestEnv(t, cfg)
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	cli := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
+	env.clock.RunFor(100 * simtime.Millisecond)
+
+	env.cl.AckLink.SetDown(true)
+	for i := 0; i < 1000 && env.repl.LeaseState() != LeaseSelfFenced; i++ {
+		env.clock.RunFor(simtime.Millisecond)
+	}
+	if env.repl.LeaseState() != LeaseSelfFenced {
+		t.Fatalf("lease = %s with the ack link cut, want fenced", env.repl.LeaseState())
+	}
+	// The unprotect deadline's event, run when the lead's send is on
+	// the wire.
+	var send *xferReq
+	for send == nil {
+		if !env.clock.Step() {
+			t.Fatal("the clock ran dry before the lead's send went on the wire")
+		}
+		for _, req := range env.cl.Xfer.onWire.All() {
+			if req.flow == env.repl.flowFor(0) {
+				send = req
+			}
+		}
+	}
+	if !env.ctr.Frozen() {
+		t.Fatal("the stop-and-copy container runs while its image streams")
+	}
+	env.repl.unprotectDeadline()
+	if !env.repl.Unprotected() || !send.settled {
+		t.Fatalf("unprotected %v, lead send settled %v: want both", env.repl.Unprotected(), send.settled)
+	}
+	replies := len(cli.replies)
+	env.clock.RunFor(10 * simtime.Millisecond) // past the freeze's pause
+
+	if env.ctr.Frozen() {
+		t.Fatal("the unprotected primary stayed frozen")
+	}
+	const writes = 20
+	for i := 0; i < writes; i++ {
+		cli.send(fmt.Sprintf("SET u%d v", i))
+		env.clock.RunFor(5 * simtime.Millisecond)
+	}
+	if got := len(cli.replies) - replies; got < writes {
+		t.Fatalf("unprotected primary answered %d of %d writes", got, writes)
+	}
+}

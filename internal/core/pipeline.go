@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"nilicon/internal/criu"
+	"nilicon/internal/pool"
 	"nilicon/internal/simdisk"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
@@ -52,6 +53,9 @@ type epochRun struct {
 	wireBytes int64
 	frames    criu.EncodeStats
 
+	// lead is the slot whose send ends the transfer (see cancelFlows).
+	lead *replicaSlot
+
 	// lossy marks a run whose own transfer was dropped on the link; it is
 	// retired by a later cumulative ack and excluded from measurement.
 	lossy bool
@@ -60,7 +64,7 @@ type epochRun struct {
 	submitAt simtime.Time
 
 	// transferred is set, at transferredAt, when the lead's transfer
-	// ends: delivered, lost, or retired unsent by a covering ack.
+	// ends: delivered, lost, cancelled or retired by a covering ack.
 	transferred   bool
 	transferredAt simtime.Time
 	// transfer, ackWait and commit are the recorded durations: submit
@@ -71,10 +75,10 @@ type epochRun struct {
 
 	// refs counts what still refers to the run: the pipeline until the
 	// output is released, and each pending thaw, submission and
-	// encoded-submission event and lead image send. The last to let go
-	// returns the run to the replicator's free list (epochs.go). A run
-	// dropped by Stop, or whose lead send is cancelled, is left to the GC.
-	refs int
+	// encoded-submission event and image send. The last to let go
+	// returns the run to the pool; Stop and unprotect drop the
+	// pipeline's runs to the GC.
+	refs pool.Refs
 }
 
 // begin runs the epoch boundary: input blocks, the container freezes
@@ -180,24 +184,17 @@ func (run *epochRun) freezeCollect() simtime.Duration {
 		// single-pair topology).
 		snap := cl.DRBDPrimary.Local.Clone()
 		snapBytes := int64(snap.Blocks()) * simdisk.BlockSize
-		var chunks []int64
-		for snapBytes > xferChunkBytes {
-			chunks = append(chunks, xferChunkBytes)
-			snapBytes -= xferChunkBytes
-		}
-		chunks = append(chunks, snapBytes)
 		// Every chain replica receives the snapshot on its own resync
 		// flow: a resync is chain-global (it is the repair path for any
 		// replica's loss, and the delta encoder's base gate is the chain
 		// minimum, so all replicas must share the baseline). The snapshot
-		// itself is immutable and safely shared; each request copies the
-		// chunk sizes.
+		// itself is immutable and safely shared.
 		for _, s := range r.chain {
 			if !s.live() {
 				continue
 			}
 			s := s
-			s.view.Xfer.SubmitReq(s.flow, chunks, func() {
+			s.view.Xfer.SubmitBytes(s.flow, snapBytes, func() {
 				// A snapshot still in flight when failover promotes the
 				// backup is dead weight; never apply it to a promoted disk.
 				if r.stopped || s.agent.recovered {
@@ -295,12 +292,13 @@ func (run *epochRun) submitEncoded() {
 		}
 	}
 	img.HoldPages(r.holders, n)
+	run.lead = lead
 	for _, s := range r.chain {
 		if s != lead && s.live() {
-			r.sendImage(s, run.epoch, img, nil)
+			r.sendImage(s, run)
 		}
 	}
-	r.sendImage(lead, run.epoch, img, run)
+	r.sendImage(lead, run)
 }
 
 // finishTransfer ends the run's transfer; a stop-and-copy container
@@ -317,15 +315,14 @@ func (run *epochRun) finishTransfer() {
 	}
 }
 
-// leadDropped is the lead's loss handler (Replicator.imageLost does the
-// rest). The run lets go of its image, marks itself lossy and ends its
+// leadDropped is the lead's loss handler (Replicator.imageLost arms the
+// resync). The run lets go of its image, marks itself lossy and ends its
 // transfer, so a stop-and-copy container is not left frozen waiting on
 // a delivery that cannot happen. Output stays buffered: only a later
 // cumulative ack releases it.
 func (run *epochRun) leadDropped() {
 	run.lossy = true
 	run.img = nil
-	run.r.imageLost(run.epoch)
 	run.finishTransfer()
 }
 

@@ -5,6 +5,7 @@ import (
 	"nilicon/internal/criu"
 	"nilicon/internal/fifo"
 	"nilicon/internal/metrics"
+	"nilicon/internal/pool"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simtime"
 	"nilicon/internal/trace"
@@ -43,12 +44,12 @@ type Replicator struct {
 	// Epoch bookkeeping bound once (epochs.go): the runs waiting for
 	// their thaw, submission and encoded-submission events, each queue
 	// served by one callback in the order its events were scheduled; the
-	// free lists of retired runs and per-replica image sends; and the
+	// pools of retired runs and per-replica image sends; and the
 	// chunk-size buffer a submission fills (the scheduler copies it).
 	thawQ, submitQ, encodedQ    fifo.Queue[*epochRun]
 	thawFn, submitFn, encodedFn func()
-	freeRuns                    []*epochRun
-	freeSends                   []*imageSend
+	runs                        pool.Free[epochRun]
+	sends                       pool.Free[imageSend]
 	chunks                      []int64
 
 	// holders counts the chain replicas' shared page buffers, so only a
@@ -140,6 +141,12 @@ func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicato
 	}
 	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, holders: simkernel.NewPageHolders()}
 	r.thawFn, r.submitFn, r.encodedFn = r.thawNext, r.submitNext, r.encodedNext
+	r.runs = pool.New(func() *epochRun { return new(epochRun) })
+	r.sends = pool.New(func() *imageSend {
+		is := new(imageSend)
+		is.deliveredFn, is.droppedFn = is.delivered, is.dropped
+		return is
+	})
 	r.epochTimer = simtime.NewTimer(cl.Clock, r.runEpoch)
 	r.leaseTimer = simtime.NewTimer(cl.Clock, r.leaseExpired)
 	r.unprotTimer = simtime.NewTimer(cl.Clock, r.unprotectDeadline)
@@ -246,7 +253,9 @@ func (r *Replicator) runEpoch() {
 	if r.stopped || r.quiesced {
 		return
 	}
-	run := r.newRun(r.epoch)
+	// A retired run is reused; the pipeline holds the first reference.
+	run := r.runs.Get()
+	*run = epochRun{r: r, epoch: r.epoch, startAt: r.Cluster.Clock.Now(), refs: 1}
 	r.epoch++
 	r.inflight.Push(run)
 	run.begin()

@@ -34,7 +34,7 @@ func TestReprotectReusesTransferScheduler(t *testing.T) {
 
 	// A transfer still queued on the old scheduler when reprotect runs:
 	// stale work from the dead primary's generation.
-	env.cl.Xfer.SubmitBytes("stale/leftover", 8<<20, nil)
+	env.cl.Xfer.SubmitBytes("stale/leftover", 8<<20, nil, nil)
 	if env.cl.Xfer.QueuedBytes() == 0 {
 		t.Fatal("setup: no queued bytes on old scheduler")
 	}
@@ -78,7 +78,7 @@ func TestSchedulerEvictsDrainedFlows(t *testing.T) {
 
 	done := 0
 	for i := 0; i < 5; i++ {
-		s.SubmitBytes(fmt.Sprintf("flow%d", i), 1<<20, func() { done++ })
+		s.SubmitBytes(fmt.Sprintf("flow%d", i), 1<<20, func() { done++ }, nil)
 	}
 	clock.RunFor(simtime.Second)
 	if done != 5 {
@@ -93,7 +93,7 @@ func TestSchedulerEvictsDrainedFlows(t *testing.T) {
 
 	// Fairness after eviction: a fresh flow still gets service.
 	fresh := false
-	s.SubmitBytes("late", 1<<20, func() { fresh = true })
+	s.SubmitBytes("late", 1<<20, func() { fresh = true }, nil)
 	clock.RunFor(simtime.Second)
 	if !fresh {
 		t.Fatal("flow submitted after eviction never completed")
@@ -112,7 +112,7 @@ func TestSchedulerEvictionKeepsRoundRobinFair(t *testing.T) {
 
 	var order []string
 	mk := func(name string, n int64) {
-		s.SubmitBytes(name, n*xferChunkBytes, func() { order = append(order, name) })
+		s.SubmitBytes(name, n*xferChunkBytes, func() { order = append(order, name) }, nil)
 	}
 	mk("a", 1) // drains (and is evicted) first
 	mk("b", 3)

@@ -34,6 +34,7 @@ package core
 import (
 	"nilicon/internal/container"
 	"nilicon/internal/criu"
+	"nilicon/internal/pool"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
@@ -89,8 +90,8 @@ type recorder struct {
 	acked    uint64
 	released uint64
 
-	// freeSends recycles per-replica segment sends (logSend).
-	freeSends []*logSend
+	// sends recycles per-replica segment sends.
+	sends pool.Free[logSend]
 }
 
 // sealedSeg is a sealed segment awaiting its acknowledgment.
@@ -121,6 +122,11 @@ func newRecorder(r *Replicator) *recorder {
 		egressDigest:  criu.DigestInit(),
 	}
 	rec.sealTimer = simtime.NewTimer(r.Cluster.Clock, rec.seal)
+	rec.sends = pool.New(func() *logSend {
+		ls := &logSend{rec: rec}
+		ls.deliveredFn, ls.droppedFn, ls.retryFn = ls.delivered, ls.dropped, ls.retry
+		return ls
+	})
 	return rec
 }
 
@@ -220,28 +226,17 @@ func (rec *recorder) submit(seg *criu.LogSegment) {
 		if !s.live() {
 			continue
 		}
-		rec.submitTo(s, seg)
+		ls := rec.sends.Get()
+		ls.s, ls.seg = s, seg
+		ls.send()
 	}
 }
 
-func (rec *recorder) submitTo(s *replicaSlot, seg *criu.LogSegment) {
-	var ls *logSend
-	if n := len(rec.freeSends); n > 0 {
-		ls = rec.freeSends[n-1]
-		rec.freeSends = rec.freeSends[:n-1]
-	} else {
-		ls = &logSend{rec: rec}
-		ls.deliveredFn, ls.droppedFn, ls.retryFn = ls.delivered, ls.dropped, ls.retry
-	}
-	ls.s, ls.seg = s, seg
-	ls.send()
-}
-
-// logSend is one segment on its way to one replica. Its callbacks are
-// bound once per record and records are recycled, so streaming a
-// segment allocates no closure. A record returns to the free list when
-// its segment is delivered or its retransmission is abandoned; one whose
-// transfer the scheduler cancels is left to the GC.
+// logSend is one segment on its way to one replica, recycled with its
+// callbacks bound once by the pool's constructor. A record returns to
+// the pool when its segment is delivered or its retransmission is
+// abandoned; one whose log flow a fence cancels (CancelFlow) fires no
+// callback again and is left to the GC.
 type logSend struct {
 	rec *recorder
 	s   *replicaSlot
@@ -282,7 +277,7 @@ func (ls *logSend) retry() {
 
 func (ls *logSend) release() {
 	ls.s, ls.seg = nil, nil
-	ls.rec.freeSends = append(ls.rec.freeSends, ls)
+	ls.rec.sends.Put(ls)
 }
 
 // logAcked is the implicit-commit entry point: a checkpoint acked by
@@ -352,68 +347,21 @@ func (b *BackupAgent) receiveLogSegment(seg *criu.LogSegment) {
 	if b.promotePending {
 		return
 	}
-	b.ackLog()
+	b.ackLog(false)
 }
 
 // ackLog sends the cumulative log acknowledgment for the contiguously
-// received prefix. Like the epoch ack, it doubles as an implicit lease
-// grant stamped with its send time.
-func (b *BackupAgent) ackLog() {
-	if b.logContig <= b.logAckSent {
-		return
-	}
-	seq := b.logContig
-	b.logAckSent = seq
-	b.sendLogAck(seq)
-}
-
-// resendLogAck re-sends the current watermark unconditionally (detector
-// tick): a cumulative ack lost on a flapping ack link must not leave
-// committed-but-unflushed output held at the primary forever.
-func (b *BackupAgent) resendLogAck() {
-	if b.logContig == 0 {
+// received prefix when it is new, or with resend whenever there is one
+// (detector tick): a cumulative ack lost on a flapping ack link must not
+// leave committed-but-unflushed output held at the primary forever. Like
+// the epoch ack, it doubles as an implicit lease grant stamped with its
+// send time.
+func (b *BackupAgent) ackLog(resend bool) {
+	if b.logContig == 0 || (b.logContig <= b.logAckSent && !resend) {
 		return
 	}
 	b.logAckSent = b.logContig
-	b.sendLogAck(b.logContig)
-}
-
-func (b *BackupAgent) sendLogAck(seq uint64) {
-	var a *logAck
-	if n := len(b.freeAcks); n > 0 {
-		a = b.freeAcks[n-1]
-		b.freeAcks = b.freeAcks[:n-1]
-	} else {
-		a = &logAck{b: b}
-		a.deliverFn = a.deliver
-	}
-	a.seq, a.sentAt = seq, b.cl.Clock.Now()
-	a.grant = b.cfg.Lease.Enabled
-	if a.grant {
-		b.lastGrantSent = a.sentAt
-	}
-	b.cl.AckLink.Transfer(16, a.deliverFn)
-}
-
-// logAck is one cumulative log acknowledgment in flight on the ack
-// link. Records are recycled with deliver bound once; one lost to a
-// link cut is left to the GC.
-type logAck struct {
-	b      *BackupAgent
-	seq    uint64
-	sentAt simtime.Time
-	grant  bool
-
-	deliverFn func()
-}
-
-func (a *logAck) deliver() {
-	b, seq, sentAt, grant := a.b, a.seq, a.sentAt, a.grant
-	b.freeAcks = append(b.freeAcks, a)
-	if grant {
-		b.r.leaseGranted(sentAt)
-	}
-	b.r.logAckedFrom(b.slot, seq)
+	b.sendAck(ackSegment, b.logContig, b.cfg.Lease.Enabled)
 }
 
 // truncateLog drops buffered segments a committed checkpoint supersedes
@@ -439,7 +387,7 @@ func (b *BackupAgent) truncateLog(through uint64) {
 		b.logContig++
 	}
 	if !b.promotePending {
-		b.ackLog()
+		b.ackLog(false)
 	}
 }
 

@@ -36,8 +36,8 @@ func Reprotect(old *Cluster, ctr *container.Container, cfg Config) (*Cluster, *R
 	// The replication link has exactly one scheduler multiplexing it;
 	// reuse the old cluster's rather than stacking a second one on the
 	// same link (two independent pumps double-book the link's serialization
-	// window and break chunk-level fairness). Queued work belongs to the
-	// dead primary and is dropped.
+	// window and break chunk-level fairness). Its transfers belong to
+	// the dead primary and are cancelled, the ones on the wire included.
 	old.Xfer.Reset()
 	repl, err := ReprotectOnto(swapped, ctr, swapped.Primary.Disk, cfg)
 	if err != nil {
@@ -70,7 +70,7 @@ func ReprotectOnto(view *Cluster, ctr *container.Container, vol *simdisk.Disk, c
 	backupVol := vol.Clone()
 	view.DRBDPrimary, view.DRBDBackup = simdisk.NewDRBDPair(vol, backupVol, view.ReplLink)
 	view.Xfer.SubmitBytes(ctr.ID+"/resync",
-		int64(vol.Blocks())*simdisk.BlockSize, nil)
+		int64(vol.Blocks())*simdisk.BlockSize, nil, nil)
 	ctr.FS.SetStore(view.DRBDPrimary)
 
 	return NewReplicator(view, ctr, cfg), nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"nilicon/internal/fifo"
+	"nilicon/internal/pool"
 	"nilicon/internal/simnet"
 	"nilicon/internal/simtime"
 )
@@ -17,22 +18,24 @@ const xferChunkBytes = 256 << 10
 // an optional drop callback that fires (once) if any chunk's delivery is
 // lost to a link outage — a half-streamed transfer must never complete.
 // settled records that the outcome is decided — delivered, lost or
-// cancelled — so at most one of done and dropped ever runs.
+// cancelled — so at most one of done and dropped ever runs. flow lets
+// CancelFlow find the request on the wire; watched counts its chunk
+// watches that have run.
 //
-// Requests are recycled. refs counts what still holds one: its flow's
-// queue, each scheduled drop watch, and the last chunk's delivery
-// callback. The last to let go returns it to the scheduler's free list;
-// a request whose delivery the link drops is never returned, and the GC
-// takes it. deliverFn and watchFn are bound once per request record, so
-// streaming a chunk allocates no callback.
+// Requests are recycled, their callbacks bound once by the pool's
+// constructor. refs counts the holds: the flow's queue, each drop
+// watch and the last chunk's delivery. The last returns the request to
+// the pool; one whose delivery the link drops is left to the GC.
 type xferReq struct {
 	s       *TransferScheduler
+	flow    string
 	chunks  []int64
 	next    int
+	watched int
 	done    func()
 	dropped func()
 	settled bool
-	refs    int
+	refs    pool.Refs
 
 	deliverFn, watchFn func()
 }
@@ -53,7 +56,9 @@ func (req *xferReq) deliver() {
 // first at the same timestamp, so it usually observes the same down/up
 // state this check does — but a done callback (or another lane) may
 // take the link down in between, and a delivered request must not also
-// report a drop: its receiver already owns what it was sent.
+// report a drop: its receiver already owns what it was sent. After the
+// last chunk's watch no callback can settle the request: it leaves
+// onWire, whose head it is, since the link delivers in wire order.
 func (req *xferReq) watch() {
 	if req.s.link.Down() && !req.settled {
 		req.settled = true
@@ -61,18 +66,20 @@ func (req *xferReq) watch() {
 			req.dropped()
 		}
 	}
+	if req.watched++; req.watched == len(req.chunks) && req.s.onWire.Pop() != req {
+		panic("core: a last chunk's watch ran out of wire order")
+	}
 	req.unref()
 }
 
+// unref drops one hold; the last returns the request to the pool.
 func (req *xferReq) unref() {
-	if req.refs--; req.refs > 0 {
+	if !req.refs.Drop() {
 		return
 	}
-	req.chunks = req.chunks[:0]
-	req.next = 0
-	req.done, req.dropped = nil, nil
-	req.settled = false
-	req.s.freeReqs = append(req.s.freeReqs, req)
+	req.flow, req.chunks, req.next, req.watched = "", req.chunks[:0], 0, 0
+	req.done, req.dropped, req.settled = nil, nil, false
+	req.s.reqPool.Put(req)
 }
 
 // xferFlow is one traffic source (one replicator's container, a disk
@@ -102,61 +109,50 @@ type TransferScheduler struct {
 	// wire is the size of the chunk serializing on the link (0 when
 	// idle).
 	wire int64
-	// pumpFn is pump bound once; freeReqs and freeFlows recycle request
+	// onWire holds the requests whose last chunk is on the link, for
+	// CancelFlow, until that chunk's watch.
+	onWire fifo.Queue[*xferReq]
+	// pumpFn is pump bound once; reqPool and flowPool recycle request
 	// and drained-flow records.
-	pumpFn    func()
-	freeReqs  []*xferReq
-	freeFlows []*xferFlow
+	pumpFn   func()
+	reqPool  pool.Free[xferReq]
+	flowPool pool.Free[xferFlow]
 }
 
 // NewTransferScheduler creates a scheduler owning the given link.
 func NewTransferScheduler(clock *simtime.Clock, link *simnet.Link) *TransferScheduler {
 	s := &TransferScheduler{clock: clock, link: link, flows: make(map[string]*xferFlow)}
 	s.pumpFn = s.pump
+	s.reqPool = pool.New(func() *xferReq {
+		req := &xferReq{s: s}
+		req.deliverFn, req.watchFn = req.deliver, req.watch
+		return req
+	})
+	s.flowPool = pool.New(func() *xferFlow { return new(xferFlow) })
 	return s
 }
 
-// Submit queues a transfer on the named flow. done fires when the last
-// chunk is delivered at the far end; like Link.Transfer, delivery (and
-// therefore done) is dropped if the link is down — a half-streamed
-// checkpoint must never be acknowledged.
-func (s *TransferScheduler) Submit(flow string, chunks []int64, done func()) {
-	s.SubmitReq(flow, chunks, done, nil)
-}
-
-// SubmitReq is Submit with a drop callback: dropped fires (at most once,
-// at the failed chunk's would-be delivery time) if any chunk of the
-// transfer is lost to a link outage. The sender uses this to learn that
-// the receiver will never see the transfer and to arrange a resend or
-// resynchronization instead of waiting for an acknowledgment forever.
-// The chunk sizes are copied, so the caller keeps chunks.
+// SubmitReq queues a transfer of chunks (their sizes are copied) on the
+// named flow. done fires when the last chunk is delivered. If a link
+// outage loses any chunk, dropped fires instead, once, at that chunk's
+// delivery time: the sender arranges a resend or resync rather than
+// wait for an acknowledgment forever.
 func (s *TransferScheduler) SubmitReq(flow string, chunks []int64, done, dropped func()) {
 	f := s.flows[flow]
 	if f == nil {
-		if n := len(s.freeFlows); n > 0 {
-			f = s.freeFlows[n-1]
-			s.freeFlows = s.freeFlows[:n-1]
-			f.id = flow
-		} else {
-			f = &xferFlow{id: flow}
-		}
+		f = s.flowPool.Get()
+		f.id = flow
 		s.flows[flow] = f
 		s.order = append(s.order, f)
 	}
-	var req *xferReq
-	if n := len(s.freeReqs); n > 0 {
-		req = s.freeReqs[n-1]
-		s.freeReqs = s.freeReqs[:n-1]
-	} else {
-		req = &xferReq{s: s}
-		req.deliverFn, req.watchFn = req.deliver, req.watch
-	}
+	req := s.reqPool.Get()
+	req.flow = flow
 	req.chunks = append(req.chunks, chunks...)
 	if len(chunks) == 0 {
 		req.chunks = append(req.chunks, 0)
 	}
 	req.done, req.dropped = done, dropped
-	req.refs = 1
+	req.refs++
 	f.reqs.Push(req)
 	if !s.pumping {
 		s.pumping = true
@@ -164,16 +160,15 @@ func (s *TransferScheduler) SubmitReq(flow string, chunks []int64, done, dropped
 	}
 }
 
-// SubmitBytes queues a transfer of a raw byte count, chunked at the
+// SubmitBytes is SubmitReq for a raw byte count, chunked at the
 // scheduler's streaming granularity.
-func (s *TransferScheduler) SubmitBytes(flow string, size int64, done func()) {
+func (s *TransferScheduler) SubmitBytes(flow string, size int64, done, dropped func()) {
 	var chunks []int64
 	for size > xferChunkBytes {
 		chunks = append(chunks, xferChunkBytes)
 		size -= xferChunkBytes
 	}
-	chunks = append(chunks, size)
-	s.Submit(flow, chunks, done)
+	s.SubmitReq(flow, append(chunks, size), done, dropped)
 }
 
 // QueuedBytes returns the bytes not yet put on the link across all flows.
@@ -200,23 +195,29 @@ func (s *TransferScheduler) SendingBytes() int64 { return s.wire + s.QueuedBytes
 // against newly created flows).
 func (s *TransferScheduler) Flows() int { return len(s.flows) }
 
-// Reset drops all queued work and flow state. Used when a scheduler is
-// repurposed for a new cluster topology (reprotect): queued transfers
-// belong to the old primary and must not be replayed.
+// Reset cancels every flow, as CancelFlow does. Used when a scheduler
+// is repurposed for a new cluster topology (reprotect): its transfers
+// belong to the old primary and must neither be replayed nor complete.
 func (s *TransferScheduler) Reset() {
-	s.flows = make(map[string]*xferFlow)
-	s.order = nil
-	s.cursor = 0
+	for _, req := range s.onWire.All() {
+		req.settled = true
+	}
+	for len(s.order) > 0 {
+		s.CancelFlow(s.order[0].id)
+	}
 }
 
-// CancelFlow silently drops one flow's queued requests and marks its
-// in-flight request failed, without firing completion or drop callbacks:
-// used when a pair is fenced off a shared scheduler (the receiver is
-// dead; neither "delivered" nor "lost, please resync" is meaningful).
-// Other flows keep their round-robin position. Chunks already
-// serializing on the link still occupy it until they finish — cancelling
-// cannot retroactively reclaim wire time.
+// CancelFlow settles one flow's requests, queued or with their last
+// chunk on the wire, firing neither callback: the receiver of a fenced
+// slot is dead, so neither "delivered" nor "lost, please resync" means
+// anything. Other flows keep their round-robin position. Chunks on the
+// link still occupy it, and hold a cancelled request, until they end.
 func (s *TransferScheduler) CancelFlow(id string) {
+	for _, req := range s.onWire.All() {
+		if req.flow == id {
+			req.settled = true
+		}
+	}
 	f := s.flows[id]
 	if f == nil {
 		return
@@ -257,8 +258,12 @@ func (s *TransferScheduler) pump() {
 		deliverAt = s.link.Transfer(size, nil)
 	}
 	if req.done != nil || req.dropped != nil {
-		// Watch for the chunk being lost to a link cut.
+		// Watch for the chunk being lost to a link cut. Until the last
+		// chunk's watch, a cancel finds the request on the wire.
 		req.refs++
+		if last {
+			s.onWire.Push(req)
+		}
 		s.clock.ScheduleAt(deliverAt, req.watchFn)
 	}
 	if last {
@@ -276,7 +281,7 @@ func (s *TransferScheduler) evict(f *xferFlow) {
 	delete(s.flows, f.id)
 	f.reqs.Reset()
 	f.id = ""
-	s.freeFlows = append(s.freeFlows, f)
+	s.flowPool.Put(f)
 	for i, g := range s.order {
 		if g == f {
 			s.order = append(s.order[:i], s.order[i+1:]...)

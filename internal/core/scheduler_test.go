@@ -20,7 +20,7 @@ func TestSchedulerSingleFlowMatchesLink(t *testing.T) {
 	const size = 10 << 20
 	clock, _, sched := newTestScheduler()
 	var schedDone simtime.Time
-	sched.SubmitBytes("repl-1", size, func() { schedDone = clock.Now() })
+	sched.SubmitBytes("repl-1", size, func() { schedDone = clock.Now() }, nil)
 	clock.RunFor(simtime.Second)
 
 	refClock := simtime.NewClock()
@@ -49,9 +49,9 @@ func TestSchedulerFairnessSmallNotStarved(t *testing.T) {
 	done := map[string]simtime.Time{}
 	mark := func(id string) func() { return func() { done[id] = clock.Now() } }
 
-	sched.SubmitBytes("repl-1", 64<<20, mark("big")) // 64 MiB ≈ 54 ms serialization
-	sched.SubmitBytes("repl-2", 512<<10, mark("small-2"))
-	sched.SubmitBytes("repl-3", 512<<10, mark("small-3"))
+	sched.SubmitBytes("repl-1", 64<<20, mark("big"), nil) // 64 MiB ≈ 54 ms serialization
+	sched.SubmitBytes("repl-2", 512<<10, mark("small-2"), nil)
+	sched.SubmitBytes("repl-3", 512<<10, mark("small-3"), nil)
 	clock.RunFor(simtime.Second)
 
 	for id, at := range done {
@@ -80,7 +80,7 @@ func TestSchedulerFairnessEqualFlows(t *testing.T) {
 	done := map[string]simtime.Time{}
 	for _, id := range []string{"repl-1", "repl-2", "repl-3"} {
 		id := id
-		sched.SubmitBytes(id, 8<<20, func() { done[id] = clock.Now() })
+		sched.SubmitBytes(id, 8<<20, func() { done[id] = clock.Now() }, nil)
 	}
 	clock.RunFor(simtime.Second)
 
@@ -109,9 +109,9 @@ func TestSchedulerFairnessEqualFlows(t *testing.T) {
 func TestSchedulerFlowFIFO(t *testing.T) {
 	clock, _, sched := newTestScheduler()
 	var order []int
-	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 1) })
-	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 2) })
-	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 3) })
+	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 1) }, nil)
+	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 2) }, nil)
+	sched.SubmitBytes("repl-1", 1<<20, func() { order = append(order, 3) }, nil)
 	clock.RunFor(simtime.Second)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("delivery order = %v", order)
@@ -124,7 +124,7 @@ func TestSchedulerFlowFIFO(t *testing.T) {
 func TestSchedulerLinkDownDropsDelivery(t *testing.T) {
 	clock, link, sched := newTestScheduler()
 	var cutDone, laterDone bool
-	sched.SubmitBytes("repl-1", 32<<20, func() { cutDone = true })
+	sched.SubmitBytes("repl-1", 32<<20, func() { cutDone = true }, nil)
 	clock.RunFor(5 * simtime.Millisecond) // mid-stream (≈27 ms serialization)
 	link.SetDown(true)
 	clock.RunFor(100 * simtime.Millisecond)
@@ -135,7 +135,7 @@ func TestSchedulerLinkDownDropsDelivery(t *testing.T) {
 		t.Fatalf("scheduler wedged: %d bytes still queued", sched.QueuedBytes())
 	}
 	link.SetDown(false)
-	sched.SubmitBytes("repl-2", 1<<20, func() { laterDone = true })
+	sched.SubmitBytes("repl-2", 1<<20, func() { laterDone = true }, nil)
 	clock.RunFor(100 * simtime.Millisecond)
 	if cutDone {
 		t.Fatal("cut transfer delivered after link restore")
@@ -157,7 +157,7 @@ func TestSchedulerCancelBusyFlow(t *testing.T) {
 	sched.SubmitReq("fenced", []int64{chunk, chunk, chunk}, cb, cb)
 	sched.SubmitReq("fenced", []int64{chunk}, cb, cb)
 	var otherDone bool
-	sched.SubmitBytes("other", 4*chunk, func() { otherDone = true })
+	sched.SubmitBytes("other", 4*chunk, func() { otherDone = true }, nil)
 	if sched.Flows() != 2 {
 		t.Fatalf("flows = %d, want 2", sched.Flows())
 	}
@@ -189,7 +189,7 @@ func TestSchedulerCancelBusyFlow(t *testing.T) {
 func TestSchedulerZeroByteTransfer(t *testing.T) {
 	clock, _, sched := newTestScheduler()
 	fired := false
-	sched.Submit("repl-1", nil, func() { fired = true })
+	sched.SubmitReq("repl-1", nil, func() { fired = true }, nil)
 	clock.RunFor(simtime.Millisecond)
 	if !fired {
 		t.Fatal("empty transfer never completed")
@@ -307,6 +307,62 @@ func TestSchedulerDoneThatDownsLinkNeverDrops(t *testing.T) {
 		}
 		if !link.Down() {
 			t.Fatal("done callback did not take the link down")
+		}
+	}
+}
+
+// CancelFlow settles a request whose last chunk is already on the wire:
+// neither callback fires, at delivery or later, and the record is
+// handed out again once the wire lets go of it. The one-chunk request
+// is cancelled the instant it goes on the link (behind another flow's
+// chunk, so the test can name its record), the three-chunk one while
+// its last chunk is in flight. Reset, which cancels every flow, settles
+// it the same way.
+func TestSchedulerCancelSettlesOnWireRequest(t *testing.T) {
+	const chunk = xferChunkBytes
+	for _, tc := range []struct {
+		name    string
+		blocker bool    // another flow's chunk goes on the link first
+		chunks  []int64 // the cancelled request
+		wait    simtime.Duration
+	}{
+		{"one chunk, cancelled as it goes on the wire", true, []int64{4096}, 210 * simtime.Microsecond},
+		{"three chunks, last on the wire", false, []int64{chunk, chunk, chunk}, 500 * simtime.Microsecond},
+	} {
+		for _, reset := range []bool{false, true} {
+			name := tc.name + ", CancelFlow"
+			if reset {
+				name = tc.name + ", Reset"
+			}
+			t.Run(name, func(t *testing.T) {
+				clock, _, sched := newTestScheduler()
+				if tc.blocker {
+					sched.SubmitBytes("other", chunk, nil, nil)
+				}
+				var done, dropped int
+				sched.SubmitReq("fenced", tc.chunks, func() { done++ }, func() { dropped++ })
+				req := sched.flows["fenced"].reqs.Peek()
+				clock.RunFor(tc.wait)
+				if q, s := sched.QueuedBytes(), sched.SendingBytes(); q != 0 || s == 0 {
+					t.Fatalf("queued %d, sending %d bytes at the cancel: want the last chunk on the wire alone", q, s)
+				}
+				if reset {
+					sched.Reset()
+				} else {
+					sched.CancelFlow("fenced")
+				}
+				clock.RunFor(100 * simtime.Millisecond)
+				if done != 0 || dropped != 0 {
+					t.Fatalf("cancelled request fired done %d, dropped %d times", done, dropped)
+				}
+				// The record is free again: the next request is the same
+				// record (its second chunk keeps it queued, where the test
+				// can see it).
+				sched.SubmitReq("next", []int64{1, 1}, nil, nil)
+				if got := sched.flows["next"].reqs.Peek(); got != req {
+					t.Fatal("the cancelled request's record did not go back to the pool")
+				}
+			})
 		}
 	}
 }

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"fmt"
 
+	"nilicon/internal/pool"
 	"nilicon/internal/simkernel"
 	"nilicon/internal/simnet"
 )
@@ -71,13 +72,13 @@ type DRBD struct {
 	// applied.
 	OnBarrier func(epoch uint64)
 
-	// freeBarriers recycles the primary's barriers in flight.
-	freeBarriers []*barrier
+	// barriers recycles the primary's barriers in flight.
+	barriers pool.Free[barrier]
 }
 
 // barrier is one epoch's barrier on its way to one peer. Records are
-// recycled with deliver bound once; one lost to a link cut is left to
-// the GC.
+// recycled with deliver bound once, by the pool's constructor; one lost
+// to a link cut is left to the GC.
 type barrier struct {
 	d, peer *DRBD
 	epoch   uint64
@@ -89,7 +90,7 @@ type barrier struct {
 func (b *barrier) deliver() {
 	peer, e, count := b.peer, b.epoch, b.count
 	b.peer = nil
-	b.d.freeBarriers = append(b.d.freeBarriers, b)
+	b.d.barriers.Put(b)
 	peer.receiveBarrier(e, count)
 }
 
@@ -102,7 +103,16 @@ func NewDRBDPair(primaryDisk, backupDisk *Disk, link *simnet.Link) (*DRBD, *DRBD
 // NewDRBDPrimary returns a primary end over disk with no secondary yet;
 // AttachSecondary adds each replica.
 func NewDRBDPrimary(disk *Disk) *DRBD {
-	return &DRBD{Role: RolePrimary, Local: disk, epochWrites: make(map[uint64]int64)}
+	d := &DRBD{Role: RolePrimary, Local: disk, epochWrites: make(map[uint64]int64)}
+	d.barriers = pool.New(d.newBarrier)
+	return d
+}
+
+// newBarrier is the barrier pool's constructor.
+func (d *DRBD) newBarrier() *barrier {
+	b := &barrier{d: d}
+	b.deliverFn = b.deliver
+	return b
 }
 
 // AttachSecondary stacks one more secondary onto a primary end over its
@@ -116,6 +126,7 @@ func (d *DRBD) AttachSecondary(backupDisk *Disk, link *simnet.Link) *DRBD {
 	}
 	s := &DRBD{Role: RoleSecondary, Local: backupDisk,
 		recvWrites: make(map[uint64]int64), verified: make(map[uint64]bool)}
+	s.barriers = pool.New(s.newBarrier) // a promoted secondary is a primary
 	d.peers = append(d.peers, s)
 	d.links = append(d.links, link)
 	return s
@@ -193,14 +204,7 @@ func (d *DRBD) Barrier(e uint64) {
 		count := d.epochWrites[e]
 		delete(d.epochWrites, e)
 		for i, peer := range d.peers {
-			var b *barrier
-			if n := len(d.freeBarriers); n > 0 {
-				b = d.freeBarriers[n-1]
-				d.freeBarriers = d.freeBarriers[:n-1]
-			} else {
-				b = &barrier{d: d}
-				b.deliverFn = b.deliver
-			}
+			b := d.barriers.Get()
 			b.peer, b.epoch, b.count = peer, e, count
 			d.links[i].Transfer(24, b.deliverFn)
 		}

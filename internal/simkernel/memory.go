@@ -88,7 +88,8 @@ type Page struct {
 // a buffer back allocates nothing, guarded by a mutex because worlds run
 // in parallel. It keeps at most pagePoolMax buffers (16 MiB); a buffer
 // recycled past that is left to the collector, so a burst of recycling
-// does not pin memory for the rest of the process.
+// does not pin memory for the rest of the process. Shared and bounded,
+// and holding buffers, not records, it is not a pool.Free.
 var pagePool struct {
 	mu   sync.Mutex
 	free []*[PageSize]byte

@@ -9,7 +9,10 @@
 // §V-C).
 package simnet
 
-import "nilicon/internal/simtime"
+import (
+	"nilicon/internal/pool"
+	"nilicon/internal/simtime"
+)
 
 // Addr is an L3 address ("10.0.0.2"). The simulation does not model
 // subnets; the switch forwards purely on its ARP table.
@@ -84,14 +87,13 @@ type Switch struct {
 	// take effect; Table II measures this at 28 ms.
 	arpDelay simtime.Duration
 	arp      map[Addr]*Port
-	// free holds delivery records whose frame has been handed over, for
-	// forward to reuse.
-	free []*delivery
+	// deliveries recycles the records of frames handed over.
+	deliveries pool.Free[delivery]
 }
 
 // delivery is one frame in flight across the switch. Its run method
-// value is bound once, when the record is made, so scheduling a reused
-// record allocates nothing.
+// value is bound once, by the pool's constructor, so scheduling a
+// reused record allocates nothing.
 type delivery struct {
 	sw  *Switch
 	dst *Port
@@ -102,7 +104,13 @@ type delivery struct {
 // NewSwitch creates a switch with the given per-hop latency and
 // gratuitous-ARP propagation delay.
 func NewSwitch(clock *simtime.Clock, latency, arpDelay simtime.Duration) *Switch {
-	return &Switch{clock: clock, latency: latency, arpDelay: arpDelay, arp: make(map[Addr]*Port)}
+	s := &Switch{clock: clock, latency: latency, arpDelay: arpDelay, arp: make(map[Addr]*Port)}
+	s.deliveries = pool.New(func() *delivery {
+		d := &delivery{sw: s}
+		d.run = d.deliver
+		return d
+	})
+	return s
 }
 
 // Attach adds an enabled port.
@@ -136,19 +144,13 @@ func (s *Switch) forward(from *Port, pkt *Packet) {
 	if dst == nil || !dst.enabled || dst.rx == nil {
 		return
 	}
-	var d *delivery
-	if n := len(s.free); n > 0 {
-		d, s.free = s.free[n-1], s.free[:n-1]
-	} else {
-		d = &delivery{sw: s}
-		d.run = d.deliver
-	}
+	d := s.deliveries.Get()
 	d.dst, d.pkt = dst, *pkt
 	s.clock.Schedule(s.latency, d.run)
 }
 
 // deliver hands the record's frame to its port, by pointer, and then
-// returns the record to the free list.
+// returns the record to the pool.
 func (d *delivery) deliver() {
 	// Re-check at delivery time: the port may have been disconnected
 	// (recovery) while the frame was in flight.
@@ -156,7 +158,7 @@ func (d *delivery) deliver() {
 		dst.rx(&d.pkt)
 	}
 	d.dst, d.pkt = nil, Packet{}
-	d.sw.free = append(d.sw.free, d)
+	d.sw.deliveries.Put(d)
 }
 
 // Link is a dedicated point-to-point link with bandwidth and latency,
@@ -170,26 +172,26 @@ type Link struct {
 	sent      int64
 	down      bool
 	drops     int64
-	// free holds delivery records whose callback has run, for reuse.
-	free []*linkDelivery
+	// deliveries recycles the records of completions that have run.
+	deliveries pool.Free[linkDelivery]
 }
 
 // linkDelivery is one transfer's completion in flight on a link. Its
-// run method value is bound once, when the record is made, so a reused
-// record schedules without allocating. A record whose delivery the
-// link drops returns to the free list all the same.
+// run method value is bound once, by the pool's constructor, so a
+// reused record schedules without allocating. A record whose delivery
+// the link drops returns to the pool all the same.
 type linkDelivery struct {
 	l    *Link
 	done func()
 	run  func()
 }
 
-// deliver returns the record to the free list before running done, so
+// deliver returns the record to the pool before running done, so
 // transfers done starts can reuse it.
 func (d *linkDelivery) deliver() {
 	l, done := d.l, d.done
 	d.done = nil
-	l.free = append(l.free, d)
+	l.deliveries.Put(d)
 	if l.down {
 		l.drops++
 		return
@@ -199,18 +201,18 @@ func (d *linkDelivery) deliver() {
 
 // NewLink creates a link. bytesPerSecond of zero means infinite bandwidth.
 func NewLink(clock *simtime.Clock, latency simtime.Duration, bytesPerSecond int64) *Link {
-	return &Link{clock: clock, latency: latency, bytesPerS: bytesPerSecond}
+	l := &Link{clock: clock, latency: latency, bytesPerS: bytesPerSecond}
+	l.deliveries = pool.New(func() *linkDelivery {
+		d := &linkDelivery{l: l}
+		d.run = d.deliver
+		return d
+	})
+	return l
 }
 
 // deliver schedules done at time t, unless the link is down by then.
 func (l *Link) deliver(t simtime.Time, done func()) {
-	var d *linkDelivery
-	if n := len(l.free); n > 0 {
-		d, l.free = l.free[n-1], l.free[:n-1]
-	} else {
-		d = &linkDelivery{l: l}
-		d.run = d.deliver
-	}
+	d := l.deliveries.Get()
 	d.done = done
 	l.clock.ScheduleAt(t, d.run)
 }

@@ -45,7 +45,8 @@ type PlugQdisc struct {
 	curEpoch    uint64
 	current     []Packet
 	pending     []epochBuffer
-	// spare holds released epoch buffers, cleared, for Rotate to reuse.
+	// spare holds released epoch buffers, cleared, for Rotate to reuse:
+	// buffers, not records, so no pool.Free.
 	spare [][]Packet
 
 	inputBlocked bool

@@ -25,7 +25,7 @@ const (
 // slabChunk is the event allocation batch: fresh events are handed out
 // of chunked arrays, so growing the queue amortizes one heap allocation
 // across slabChunk events. Every fired or dropped event goes back on
-// the engine's free list, and the steady state allocates nothing.
+// the engine's pool, and the steady state allocates nothing.
 const slabChunk = 128
 
 // event is one queued entry. A plain schedule carries its callback in
@@ -59,9 +59,9 @@ type wheelLevel struct {
 type wheel struct {
 	cur    Time
 	levels [wheelLevels]wheelLevel
-	// free recycles drained slot slices so steady-state insert/drain
-	// cycles allocate nothing (the freelist is bounded by the number of
-	// slots ever nonempty at once).
+	// free recycles drained slot slices, buffers and not records (no
+	// pool.Free), so steady-state insert/drain cycles allocate nothing
+	// (it is bounded by the number of slots ever nonempty at once).
 	free [][]*event
 }
 
@@ -211,31 +211,6 @@ func (c *Clock) nextSlot() (batch []*event, last Time, ok bool) {
 	}
 }
 
-// alloc hands out an event: a recycled one, or the next from the slab
-// chunk.
-func (c *Clock) alloc() *event {
-	if n := len(c.free); n > 0 {
-		e := c.free[n-1]
-		c.free = c.free[:n-1]
-		return e
-	}
-	if c.slabPos == len(c.slab) {
-		c.slab = make([]event, slabChunk)
-		c.slabPos = 0
-	}
-	e := &c.slab[c.slabPos]
-	c.slabPos++
-	return e
-}
-
-// release returns a fired or dropped event to the free list. Nothing
-// outside the engine holds an event, and the engine holds none it has
-// released, so reuse is safe.
-func (c *Clock) release(e *event) {
-	*e = event{}
-	c.free = append(c.free, e)
-}
-
 // file queues e under its key: spliced into the run's unconsumed tail
 // when it is due within the run's slot, into the wheel otherwise.
 func (c *Clock) file(e *event) {
@@ -275,7 +250,7 @@ func (c *Clock) resetTimer(t *Timer, at Time) {
 		}
 		e.tm = nil
 	}
-	e := c.alloc()
+	e := c.events.Get()
 	*e = key
 	t.ev = e
 	c.file(e)
@@ -296,7 +271,8 @@ func (c *Clock) settle(e *event) (live, moved bool) {
 		if t != nil {
 			t.ev = nil
 		}
-		c.release(e)
+		*e = event{}
+		c.events.Put(e)
 		return false, false
 	}
 	if e.seq == t.seq {
@@ -388,7 +364,8 @@ func (c *Clock) fire(e *event) {
 		t.armed = false
 		fn = t.fn
 	}
-	c.release(e)
+	*e = event{}
+	c.events.Put(e)
 	fn()
 	c.executed++
 }

@@ -16,6 +16,8 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
+
+	"nilicon/internal/pool"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -71,11 +73,8 @@ type Clock struct {
 	// runLast is the last instant of the level-0 slot the run holds;
 	// -1 before the first slot is pulled.
 	runLast Time
-	// free holds fired and dropped events for reuse; slab is the chunk
-	// fresh events come from when free is empty (see slabChunk).
-	free    []*event
-	slab    []event
-	slabPos int
+	// events recycles fired and dropped events.
+	events pool.Free[event]
 	// freshRefile is a deliberate defect for the engine's differential
 	// test: a re-keyed timer takes a fresh sequence number instead of
 	// the one Reset reserved. Never set outside that test.
@@ -84,7 +83,15 @@ type Clock struct {
 
 // NewClock returns an engine at virtual time zero with an empty queue.
 func NewClock() *Clock {
-	return &Clock{runLast: -1, free: make([]*event, 0, slabChunk)}
+	var slab []event // fresh events are cut from slab chunks
+	return &Clock{runLast: -1, events: pool.New(func() *event {
+		if len(slab) == 0 {
+			slab = make([]event, slabChunk)
+		}
+		e := &slab[0]
+		slab = slab[1:]
+		return e
+	})}
 }
 
 // ShardedClock is Clock under its old name, which the benchmark module
@@ -135,7 +142,7 @@ func (c *Clock) ScheduleAt(t Time, fn func()) {
 	if t < c.now {
 		t = c.now
 	}
-	e := c.alloc()
+	e := c.events.Get()
 	*e = event{when: t, seq: c.seq, fn: fn}
 	c.seq++
 	c.live++
