@@ -180,9 +180,6 @@ func (f *Fleet) defaults() {
 	if f.Hosts <= 0 {
 		f.Hosts = 4
 	}
-	if f.Spares < 0 {
-		f.Spares = 0
-	}
 	if f.Kills <= 0 {
 		f.Kills = 2
 	}

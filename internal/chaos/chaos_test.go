@@ -200,4 +200,40 @@ func TestChaosDeterminismOracleFiresOnTimeline(t *testing.T) {
 	if !strings.Contains(v.Detail, "timeline mismatch") {
 		t.Fatalf("determinism detail = %q, want a timeline mismatch", v.Detail)
 	}
+	c := a
+	c.Trace += "t=0 extra\n"
+	if v := findVerdict(t, withDeterminism(a, c), "determinism"); v.OK || !strings.Contains(v.Detail, "trace mismatch") {
+		t.Fatalf("runs differing in Trace: determinism OK=%v %q, want a trace mismatch", v.OK, v.Detail)
+	}
+}
+
+// TestSchedulesFitAShortWindow: a fault window shorter than the margins
+// kept clear of warmup and the terminal phase (niliconctl allows any
+// -chaos-duration above 0) puts every draw at the window's first
+// instant; a host ring too small for more non-adjacent kills kills
+// fewer hosts; and an unknown fault kind or scenario is a caller's bug.
+func TestSchedulesFitAShortWindow(t *testing.T) {
+	s := drawSchedule(Config{Seed: 1, Duration: 100 * simtime.Millisecond, Events: 1})
+	if len(s.events) != 1 || s.events[0].At != warmup+100*simtime.Millisecond {
+		t.Fatalf("events %+v, want one at the window's first instant %v", s.events, warmup+100*simtime.Millisecond)
+	}
+	k := drawHostKill(Config{Seed: 1, Duration: 100 * simtime.Millisecond, Fleet: &Fleet{Hosts: 3, Kills: 2}})
+	if k.killAt != fleetWarmup+150*simtime.Millisecond || len(k.victims) != 1 {
+		t.Fatalf("kill at %v of hosts %v, want one host at %v", k.killAt, k.victims, fleetWarmup+150*simtime.Millisecond)
+	}
+	for want, fn := range map[string]func(){
+		"unknown fault kind": func() {
+			drawSchedule(Config{Seed: 1, Duration: simtime.Second, Events: 1, FaultKinds: []string{"flood"}})
+		},
+		"unknown split-brain scenario": func() { (&Config{Scenario: "flood"}).defaults() },
+	} {
+		func() {
+			defer func() {
+				if p := recover(); p == nil || !strings.Contains(p.(string), want) {
+					t.Errorf("%s: panic %v", want, p)
+				}
+			}()
+			fn()
+		}()
+	}
 }

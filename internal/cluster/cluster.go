@@ -79,8 +79,8 @@ const (
 	reprotectPeriod = 10 * simtime.Millisecond
 )
 
-// Params configures a fleet. Zero values take defaults, except
-// Workload, which every fleet must bring.
+// Params configures a fleet. Workers, Pairs and Workload are
+// required; the other zero values take defaults.
 type Params struct {
 	// Workers is the number of hosts that receive initial placements;
 	// Spares hosts start empty and absorb re-protection.
@@ -121,12 +121,6 @@ type Params struct {
 }
 
 func (p *Params) defaults() {
-	if p.Workers <= 0 {
-		p.Workers = 4
-	}
-	if p.Pairs <= 0 {
-		p.Pairs = p.Workers * 2
-	}
 	if p.MaxConcurrentResyncs <= 0 {
 		p.MaxConcurrentResyncs = defaultResyncs
 	}
@@ -254,16 +248,11 @@ type Placement struct {
 // host has capacity does the scan fall back to an already-used zone.
 // Host i belongs to zone i mod zones, and every host has the fixed
 // capacity hostCores and hostPages. With zones=1 and replicas=2 a
-// pair's backup is the next worker in the ring with capacity. It is a
+// pair's backup is the next worker in the ring with capacity. It takes
+// replicas >= 2 and zones >= 1, as Params.defaults leaves them. It is a
 // pure function so tests can exercise the placement engine without
 // building a fleet.
 func PlaceChains(n, workers, zones, replicas int) ([]Placement, error) {
-	if replicas < 2 {
-		replicas = 2
-	}
-	if zones < 1 {
-		zones = 1
-	}
 	if workers < replicas {
 		return nil, fmt.Errorf("cluster: anti-affine chain placement needs >= %d workers for %d replicas, have %d",
 			replicas, replicas, workers)

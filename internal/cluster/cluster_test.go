@@ -485,3 +485,118 @@ func TestFleetDoubleFailureLosesThePair(t *testing.T) {
 		})
 	}
 }
+
+// TestFleetFailoverLostPaths: a failover that cannot finish loses the
+// pair. The elected replica's host dying mid-restore leaves nothing to
+// serve, and so does an elected replica whose recovery fails (here its
+// disk end was promoted already, so it cannot be promoted again).
+func TestFleetFailoverLostPaths(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		fault func(f *Fleet, pr *Pair)
+		want  string
+	}{
+		{"died-mid-restore", func(f *Fleet, pr *Pair) {
+			f.declareHostDead(f.Hosts[pr.PrimaryHost])
+			if pr.State != FailingOver {
+				t.Fatalf("%s state = %v after its primary host died, want failing-over", pr.ID, pr.State)
+			}
+			elected := f.Hosts[pr.ReplicaHosts[pr.electedSlot]]
+			f.KillHost(elected.Index)
+			f.declareHostDead(elected)
+		}, "reason=died-mid-restore"},
+		{"recovery-error", func(f *Fleet, pr *Pair) {
+			if err := pr.Repl.ReplicaView(0).DRBDBackup.Promote(); err != nil {
+				t.Fatal(err)
+			}
+			f.declareHostDead(f.Hosts[pr.PrimaryHost])
+		}, "err=simdisk: promote on primary end"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clock, f := newTestFleet(t, Params{Workers: 3, Spares: 1, Pairs: 3, Seed: 4})
+			var events []string
+			f.Eventf = func(format string, args ...any) { events = append(events, fmt.Sprintf(format, args...)) }
+			f.Start()
+			clock.RunFor(600 * simtime.Millisecond)
+			pr := f.Pairs[0]
+			f.KillHost(pr.PrimaryHost)
+			tc.fault(f, pr)
+			if pr.State != Lost {
+				t.Fatalf("%s state = %v, want lost:\n%s", pr.ID, pr.State, strings.Join(events, "\n"))
+			}
+			if want := "pair-lost pair=" + pr.ID + " " + tc.want; !slices.Contains(events, want) {
+				t.Fatalf("no %q event:\n%s", want, strings.Join(events, "\n"))
+			}
+		})
+	}
+}
+
+// TestFleetReprotectRetriesAFailedBuild: a re-protection whose target
+// passes the probe but whose view cannot be built, because the pair's
+// own primary NIC is down, re-queues the pair; once the NIC is back a
+// later tick re-protects it.
+func TestFleetReprotectRetriesAFailedBuild(t *testing.T) {
+	clock, f := newTestFleet(t, Params{Workers: 3, Spares: 1, Pairs: 3, Seed: 4})
+	var events []string
+	f.Eventf = func(format string, args ...any) { events = append(events, fmt.Sprintf(format, args...)) }
+	f.Start()
+	clock.RunFor(600 * simtime.Millisecond)
+	pr := f.Pairs[0]
+	backup := f.Hosts[pr.ReplicaHosts[0]]
+	f.KillHost(backup.Index)
+	f.declareHostDead(backup)
+	if pr.State != Degraded || len(f.reprotectQ) == 0 || f.reprotectQ[0] != pr.Index {
+		t.Fatalf("%s state = %v, queue %v: want it degraded at the queue's head", pr.ID, pr.State, f.reprotectQ)
+	}
+	nic := f.Hosts[pr.PrimaryHost].NIC
+	nic.SetDown(true)
+	clock.RunFor(reprotectPeriod)
+	if !slices.ContainsFunc(events, func(e string) bool { return strings.HasPrefix(e, "reprotect-retry pair="+pr.ID+" ") }) ||
+		pr.State != Degraded || !slices.Contains(f.reprotectQ, pr.Index) {
+		t.Fatalf("%s state = %v, queue %v after a failed build:\n%s", pr.ID, pr.State, f.reprotectQ, strings.Join(events, "\n"))
+	}
+	nic.SetDown(false)
+	for i := 0; pr.State != Protected; i++ {
+		if i == 100 {
+			t.Fatalf("%s state = %v: never re-protected after the NIC came back:\n%s", pr.ID, pr.State, strings.Join(events, "\n"))
+		}
+		clock.RunFor(10 * reprotectPeriod)
+	}
+}
+
+// TestPairStateNames: the spellings events and test failures print.
+func TestPairStateNames(t *testing.T) {
+	for s, want := range map[PairState]string{Protected: "protected", FailingOver: "failing-over",
+		Degraded: "degraded", Resyncing: "resyncing", Lost: "lost", Lost + 1: "PairState(5)"} {
+		if got := s.String(); got != want {
+			t.Errorf("PairState %d prints %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// TestFleetStartAndKillHostTwiceAreNoOps: starting a fleet again, or
+// killing a dead host again, changes nothing the control plane does.
+func TestFleetStartAndKillHostTwiceAreNoOps(t *testing.T) {
+	run := func(twice bool) []string {
+		clock, f := newTestFleet(t, Params{Workers: 3, Spares: 1, Pairs: 3, Seed: 4})
+		var events []string
+		f.Eventf = func(format string, args ...any) {
+			events = append(events, fmt.Sprintf("%v ", clock.Now())+fmt.Sprintf(format, args...))
+		}
+		f.Start()
+		if twice {
+			f.Start()
+		}
+		clock.RunFor(300 * simtime.Millisecond)
+		f.KillHost(0)
+		if twice {
+			f.KillHost(0)
+		}
+		clock.RunFor(simtime.Second)
+		return events
+	}
+	once, twice := run(false), run(true)
+	if len(once) == 0 || !slices.Equal(once, twice) {
+		t.Fatalf("events once:\n%s\ntwice:\n%s", strings.Join(once, "\n"), strings.Join(twice, "\n"))
+	}
+}

@@ -224,8 +224,9 @@ func (f *Fleet) chainPrimaryDied(pr *Pair) {
 		pr.State = Lost
 		f.eventf("pair-lost pair=%s err=%v", pr.ID, err)
 	} else if !ag.Recovered() && !ag.PromotionPending() {
-		pr.State = Lost
-		f.eventf("pair-lost pair=%s reason=elected-replica-cannot-recover", pr.ID)
+		// Recover on an agent neither halted nor recovered (the loop
+		// above skipped those) either recovers it or arms its barrier.
+		panic("cluster: the elected replica neither recovered nor armed its promotion barrier")
 	}
 }
 

@@ -663,7 +663,8 @@ func (b *BackupAgent) Recover() {
 // prescribe.
 func (b *BackupAgent) doRecover() {
 	if b.recovered || b.halted {
-		return
+		// Recover and promoteBarrierReached check both first.
+		panic("core: recovery of a recovered or halted agent")
 	}
 	b.recovered = true
 	b.stop()

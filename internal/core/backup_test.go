@@ -408,6 +408,40 @@ func TestNoFailoverBeforeFirstCommit(t *testing.T) {
 	if _, ok := env.repl.Backup.CommittedEpoch(); ok {
 		t.Fatal("phantom commit")
 	}
+	// A control plane that promotes it anyway gets an error, not a
+	// container.
+	env.repl.Backup.Recover()
+	if err := env.repl.Backup.RecoverError(); err == nil || !strings.Contains(err.Error(), "no committed checkpoint") {
+		t.Fatalf("RecoverError = %v, want no committed checkpoint", err)
+	}
+	if env.repl.Backup.RestoredCtr != nil {
+		t.Fatal("a container was restored from nothing")
+	}
+}
+
+// TestRecoverReportsADiskThatCannotPromote: when the backup's DRBD end
+// cannot be promoted, recovery stops with the error and restores
+// nothing.
+func TestRecoverReportsADiskThatCannotPromote(t *testing.T) {
+	env := newTestEnv(t, DefaultConfig())
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	if err := env.cl.DRBDBackup.Promote(); err != nil { // someone else promoted it
+		t.Fatal(err)
+	}
+	env.ctr.Disconnect()
+	env.cl.ReplLink.SetDown(true)
+	env.cl.AckLink.SetDown(true)
+	env.clock.RunFor(simtime.Second)
+	for try := 0; try < 2; try++ { // a second Recover is a no-op
+		if err := env.repl.Backup.RecoverError(); err == nil || !strings.Contains(err.Error(), "promote on primary end") {
+			t.Fatalf("RecoverError = %v, want the failed promotion", err)
+		}
+		if env.repl.Backup.RestoredCtr != nil {
+			t.Fatal("a container was restored onto an unpromoted disk")
+		}
+		env.repl.Backup.Recover()
+	}
 }
 
 // TestHeartbeatStopsWhenContainerHangs models a hung container (no
@@ -439,8 +473,12 @@ func TestHeartbeatStopsWhenContainerHangs(t *testing.T) {
 func TestStopReplicationCleanly(t *testing.T) {
 	env := newTestEnv(t, DefaultConfig())
 	env.repl.Start()
+	env.repl.Start() // a second Start is a no-op
 	env.clock.RunFor(simtime.Second)
 	epochs := env.repl.Epochs()
+	if epochs > 34 {
+		t.Fatalf("%d checkpoints in one second of 30 ms epochs", epochs)
+	}
 	env.repl.Stop()
 	env.clock.RunFor(simtime.Second)
 	if env.repl.Epochs() != epochs {
@@ -577,5 +615,71 @@ func TestCommitKeepsARelentFsPage(t *testing.T) {
 	}
 	if got, _ := fs.ReadAt(f, 0, 10); string(got) != "fs-page-v1" {
 		t.Fatalf("cache page reads %q: its re-lent buffer was recycled", got)
+	}
+}
+
+// TestUndecodableDeltaNACKsForABaseline: a delta frame whose base no
+// longer matches the backup's committed page cannot commit. The backup
+// drops that image unacknowledged and NACKs, and the full baseline the
+// primary sends back repairs the page, after which epochs commit again.
+func TestUndecodableDeltaNACKsForABaseline(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Opts = DeltaOpts()
+	env := newTestEnv(t, cfg)
+	p := env.app.proc
+	v := p.Mem.Mmap(simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", env.ctr.ID)
+	if err := p.Mem.Write(v.Start, bytes.Repeat([]byte("content-"), simkernel.PageSize/8)); err != nil {
+		t.Fatal(err)
+	}
+	seq := byte(0)
+	env.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
+		seq++
+		_ = p.Mem.Write(v.Start, []byte{seq})
+		return simtime.Millisecond, 10 * simtime.Millisecond
+	})
+	tl := recordEpochs(env.repl)
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	if delta, _, _ := compressedFrames(tl); delta == 0 {
+		t.Fatal("the page never shipped as a delta")
+	}
+
+	b := env.repl.Backup
+	key := criu.PageKey(0, v.Start/simkernel.PageSize)
+	b.store.Put(key, make([]byte, simkernel.PageSize)) // the committed base goes stale
+	before, _ := b.CommittedEpoch()
+	resyncs := env.repl.Resyncs.Value()
+	env.clock.RunFor(500 * simtime.Millisecond)
+
+	if env.repl.Resyncs.Value() == resyncs {
+		t.Fatal("the undecodable delta drew no resync")
+	}
+	if after, _ := b.CommittedEpoch(); after <= before+1 {
+		t.Fatalf("committed epoch %d → %d: the stale base stalled the stream", before, after)
+	}
+	// Only the page's first byte changes; the rest must be the primary's
+	// again.
+	if got := b.store.Get(key); !bytes.Equal(got[1:], bytes.Repeat([]byte("content-"), simkernel.PageSize/8)[1:]) {
+		t.Fatalf("the stale page was not repaired by a baseline: %q", got[:16])
+	}
+}
+
+// TestFenceBackupTwiceKeepsServing: a fenced primary runs on unprotected
+// and releases its output without acks; fencing it again changes
+// nothing.
+func TestFenceBackupTwiceKeepsServing(t *testing.T) {
+	env := newTestEnv(t, DefaultConfig())
+	env.repl.Start()
+	env.clock.RunFor(500 * simtime.Millisecond)
+	client := newKVClient(env.cl, "10.0.0.1", "10.0.0.10")
+	env.clock.RunFor(200 * simtime.Millisecond)
+	env.cl.ReplLink.SetDown(true)
+	env.cl.AckLink.SetDown(true)
+	env.repl.FenceBackup()
+	env.repl.FenceBackup()
+	client.send("SET after fence")
+	env.clock.RunFor(200 * simtime.Millisecond)
+	if !env.repl.Fenced() || len(client.replies) != 1 || client.replies[0] != "OK" {
+		t.Fatalf("fenced %v, replies %v: want the fenced primary serving", env.repl.Fenced(), client.replies)
 	}
 }

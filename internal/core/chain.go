@@ -359,7 +359,8 @@ func (r *Replicator) logAckedFrom(slot int, seq uint64) {
 func (r *Replicator) logRecompute() {
 	rec := r.rec
 	if rec == nil || r.stopped {
-		return
+		// Every caller checks both first.
+		panic("core: log watermark recomputed without a recorder or after stop")
 	}
 	if m, ok := r.slotMin(ackedSegment); ok {
 		rec.retire(m, r.Cluster.Clock.Now())

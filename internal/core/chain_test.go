@@ -434,3 +434,126 @@ func TestQuorumFenceLeadWithSendOnTheWire(t *testing.T) {
 		})
 	}
 }
+
+// TestQuorumFenceRetiresARunLedByACatchingUpSlot: fencing the lead hands
+// its run to the lowest slot whose send of the run is still on its way.
+// When that slot is still catching up it does not vote, so the other
+// voter's ack already covers the run, which retires at once: lossy (no
+// record), its output released, and the stream goes on. Another pair's
+// bulk transfer shares slot 0's and slot 2's NICs, so their sends of an
+// epoch trail slot 1's.
+func TestQuorumFenceRetiresARunLedByACatchingUpSlot(t *testing.T) {
+	env := newChainEnv(t, 4, DefaultConfig(), 2)
+	tl := recordEpochs(env.repl)
+	env.repl.Start()
+	env.clock.RunFor(300 * simtime.Millisecond)
+	env.views[2].AckLink.SetDown(true) // slot 2 never acks, so it stays catching up
+	env.repl.AttachReplica(env.views[2])
+	env.clock.RunFor(100 * simtime.Millisecond)
+	for _, i := range []int{0, 2} {
+		env.views[i].Xfer.SubmitBytes("bulk", 1<<30, nil, nil)
+	}
+
+	var run *epochRun
+	for run == nil {
+		if !env.clock.Step() {
+			t.Fatal("the clock ran dry before slot 1 acked an epoch slot 0 still carries")
+		}
+		acked, _ := env.repl.ReplicaAcked(1)
+		for _, r := range env.repl.inflight.All() {
+			if r.lead == env.repl.chain[0] && !r.transferred && r.epoch <= acked {
+				run = r
+			}
+		}
+	}
+	epoch := run.epoch
+	env.repl.FenceReplica(0)
+	if slices.ContainsFunc(env.repl.inflight.All(), func(r *epochRun) bool { return r.epoch == epoch }) {
+		t.Fatalf("epoch %d, covered by slot 1's ack, is still in flight after the fence", epoch)
+	}
+	committed, _ := env.repl.ReplicaAgent(1).CommittedEpoch()
+	env.clock.RunFor(300 * simtime.Millisecond)
+	if c, _ := env.repl.ReplicaAgent(1).CommittedEpoch(); c < committed+5 {
+		t.Fatalf("slot 1 committed %d → %d in 300 ms after the fence", committed, c)
+	}
+	if slices.ContainsFunc(tl.Records(), func(rec trace.EpochRecord) bool { return rec.Epoch == epoch }) {
+		t.Fatalf("epoch %d, retired unsent, has a record", epoch)
+	}
+}
+
+// TestLateAcksAfterAFenceOrStop: an epoch or log-segment ack still on the
+// ack link when its slot is fenced, or when the replicator stops and
+// then fences the slot, arrives to nothing: the slot's watermark stays
+// where the fence or stop left it. A second fence of the slot is a
+// no-op.
+func TestLateAcksAfterAFenceOrStop(t *testing.T) {
+	for _, kind := range []string{"epoch", "log"} {
+		for _, cut := range []string{"fence", "stop"} {
+			t.Run(kind+"/"+cut, func(t *testing.T) {
+				cfg := DefaultConfig()
+				cfg.Opts = ReplayOpts()
+				env := newChainEnv(t, 3, cfg, 0)
+				env.repl.Start()
+				env.clock.RunFor(300 * simtime.Millisecond)
+				client := newKVClient(env.views[0], "10.0.0.1", "10.0.0.10")
+				env.clock.RunFor(200 * simtime.Millisecond)
+				s, ag := env.repl.chain[0], env.repl.ReplicaAgent(0)
+				mark := func() uint64 {
+					if kind == "log" {
+						return s.logAcked
+					}
+					return s.acked
+				}
+				inFlight := func() bool {
+					if kind == "log" {
+						return ag.logAckSent > s.logAcked
+					}
+					c, ok := ag.CommittedEpoch()
+					return ok && c > s.acked
+				}
+				for i := 0; !inFlight(); i++ {
+					if i%1000 == 0 {
+						client.send(fmt.Sprintf("SET k%d v", i))
+					}
+					if i == 100_000 || !env.clock.Step() {
+						t.Fatalf("no %s ack of slot 0 went on the ack link", kind)
+					}
+				}
+				before := mark()
+				if cut == "stop" {
+					env.repl.Stop()
+				}
+				env.repl.FenceReplica(0)
+				env.repl.FenceReplica(0)
+				env.clock.RunFor(10 * simtime.Millisecond)
+				if got := mark(); got != before {
+					t.Fatalf("slot 0's %s ack watermark moved %d → %d after the %s", kind, before, got, cut)
+				}
+			})
+		}
+	}
+}
+
+// TestReplicaAckLag: a slot's lag is 0 before the first checkpoint, every
+// epoch taken before its first ack, and the epochs past its ack once it
+// stops acknowledging.
+func TestReplicaAckLag(t *testing.T) {
+	env := newChainEnv(t, 3, DefaultConfig(), 0)
+	if lag := env.repl.ReplicaAckLag(1); lag != 0 {
+		t.Fatalf("lag %d before the first checkpoint", lag)
+	}
+	env.repl.Start()
+	for env.repl.epoch == 0 {
+		env.clock.Step()
+	}
+	if lag := env.repl.ReplicaAckLag(1); lag != env.repl.epoch {
+		t.Fatalf("lag %d before the first ack, want %d", lag, env.repl.epoch)
+	}
+	env.clock.RunFor(300 * simtime.Millisecond)
+	env.views[1].AckLink.SetDown(true)
+	env.clock.RunFor(300 * simtime.Millisecond)
+	acked, _ := env.repl.ReplicaAcked(1)
+	if lag := env.repl.ReplicaAckLag(1); lag < 5 || lag != env.repl.epoch-1-acked {
+		t.Fatalf("lag %d with slot 1 acked through %d of %d epochs", lag, acked, env.repl.epoch)
+	}
+}

@@ -191,7 +191,9 @@ func (r *Replicator) leaseExpired() {
 	// leaseGranted re-arms the timer at every new expiry, so it fires
 	// only at leaseExpiresAt.
 	if r.stopped || r.leaseState != LeaseHeld {
-		return
+		// Stop, unprotect and supersededSeen cancel the timer, and the
+		// one other move off a held lease, selfFence, is this call.
+		panic("core: lease expiry after stop or off a held lease")
 	}
 	r.selfFence()
 }

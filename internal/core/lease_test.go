@@ -507,3 +507,41 @@ func TestUnprotectThawsStopAndCopyMidTransfer(t *testing.T) {
 		t.Fatalf("unprotected primary answered %d of %d writes", got, writes)
 	}
 }
+
+// TestLeaseStateNames: the spellings of the timeline's lease column.
+func TestLeaseStateNames(t *testing.T) {
+	for s, want := range map[LeaseState]string{LeaseDisabled: "off", LeaseHeld: "held",
+		LeaseSelfFenced: "fenced", LeaseUnprotected: "unprotected", LeaseSuperseded: "superseded"} {
+		if got := s.String(); got != want {
+			t.Errorf("LeaseState %d prints %q, want %q", int(s), got, want)
+		}
+	}
+}
+
+// TestQuiescedPrimaryStaysFenced: under the Availability policy a
+// self-fenced primary declares itself unprotected a second into the
+// fence, unless it was quiesced (its host is dead) or its container
+// stopped in the meantime: then the deadline finds nothing to resume.
+func TestQuiescedPrimaryStaysFenced(t *testing.T) {
+	for _, halt := range []string{"quiesce", "stop container"} {
+		cfg := DefaultConfig()
+		cfg.Lease = DefaultLease()
+		cfg.Degrade = Availability
+		env := newTestEnv(t, cfg)
+		env.repl.Start()
+		env.clock.RunFor(500 * simtime.Millisecond)
+		env.cl.AckLink.SetDown(true)
+		for i := 0; i < 1000 && env.repl.LeaseState() != LeaseSelfFenced; i++ {
+			env.clock.RunFor(simtime.Millisecond)
+		}
+		if halt == "quiesce" {
+			env.repl.Quiesce()
+		} else {
+			env.ctr.Stop()
+		}
+		env.clock.RunFor(2 * simtime.Second)
+		if got := env.repl.LeaseState(); got != LeaseSelfFenced {
+			t.Fatalf("%s: lease %s two seconds into the fence, want fenced", halt, got)
+		}
+	}
+}

@@ -184,9 +184,9 @@ const (
 
 // Config parameterizes a Replicator.
 type Config struct {
-	// EpochInterval is the execution phase length (30 ms in the paper;
-	// zero takes it). Every run uses the paper's value; the field stays
-	// because the benchmark reads it from DefaultConfig.
+	// EpochInterval is the execution phase length (30 ms in the paper,
+	// set by DefaultConfig). Every run uses the paper's value; the field
+	// stays because the benchmark reads it from DefaultConfig.
 	EpochInterval simtime.Duration
 	// Opts selects the active optimizations.
 	Opts OptSet

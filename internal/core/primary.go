@@ -136,9 +136,6 @@ type Replicator struct {
 // The container must have been created with Cluster.NewProtectedContainer
 // (its file system must sit on the cluster's DRBD primary end).
 func NewReplicator(cl *Cluster, ctr *container.Container, cfg Config) *Replicator {
-	if cfg.EpochInterval <= 0 {
-		cfg.EpochInterval = 30 * simtime.Millisecond
-	}
 	r := &Replicator{Cfg: cfg, Cluster: cl, Ctr: ctr, holders: simkernel.NewPageHolders()}
 	r.thawFn, r.submitFn, r.encodedFn = r.thawNext, r.submitNext, r.encodedNext
 	r.runs = pool.New(func() *epochRun { return new(epochRun) })
@@ -228,7 +225,8 @@ func (r *Replicator) Epochs() uint64 { return r.epoch }
 // phases would starve the heartbeat).
 func (r *Replicator) heartbeat() {
 	if r.stopped {
-		return
+		// Stop stops the heartbeat ticker, the one caller.
+		panic("core: heartbeat after stop")
 	}
 	cpu := r.Ctr.Cgroup.CPUUsage()
 	progressed := cpu > r.lastCPU

@@ -287,7 +287,9 @@ func (ls *logSend) release() {
 // certifies). Per-replica wire acks go through logAckedFrom instead.
 func (r *Replicator) logAcked(seq uint64) {
 	if r.rec == nil || r.stopped {
-		return
+		// The one caller, recomputeWatermarks through epochAcked,
+		// checks both first.
+		panic("core: log ack without a recorder or after stop")
 	}
 	for _, s := range r.chain {
 		if !s.fenced && seq > s.logAcked {

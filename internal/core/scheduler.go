@@ -25,7 +25,8 @@ const xferChunkBytes = 256 << 10
 // Requests are recycled, their callbacks bound once by the pool's
 // constructor. refs counts the holds: the flow's queue, each drop
 // watch and the last chunk's delivery. The last returns the request to
-// the pool; one whose delivery the link drops is left to the GC.
+// the pool. The delivery's hold is dropped by deliver, or, when the
+// link discards that delivery, by the last chunk's watch.
 type xferReq struct {
 	s       *TransferScheduler
 	flow    string
@@ -48,17 +49,20 @@ func (req *xferReq) deliver() {
 		req.settled = true
 		req.done()
 	}
+	req.done = nil // tells the last chunk's watch that the delivery ran
 	req.unref()
 }
 
 // watch runs at a chunk's delivery time and reports the request dropped
 // if the link is down. The link's own delivery event was scheduled
 // first at the same timestamp, so it usually observes the same down/up
-// state this check does — but a done callback (or another lane) may
-// take the link down in between, and a delivered request must not also
-// report a drop: its receiver already owns what it was sent. After the
-// last chunk's watch no callback can settle the request: it leaves
-// onWire, whose head it is, since the link delivers in wire order.
+// state this check does — but a done callback may take the link down
+// in between, and a delivered request must not also report a drop: its
+// receiver already owns what it was sent. After the last chunk's watch
+// no callback can settle the request: it leaves onWire, whose head it
+// is, since the link delivers in wire order. A last chunk whose
+// delivery still holds the request (done is set) was discarded by the
+// link, whose delivery ran first, so the watch drops that hold too.
 func (req *xferReq) watch() {
 	if req.s.link.Down() && !req.settled {
 		req.settled = true
@@ -66,8 +70,13 @@ func (req *xferReq) watch() {
 			req.dropped()
 		}
 	}
-	if req.watched++; req.watched == len(req.chunks) && req.s.onWire.Pop() != req {
-		panic("core: a last chunk's watch ran out of wire order")
+	if req.watched++; req.watched == len(req.chunks) {
+		if req.s.onWire.Pop() != req {
+			panic("core: a last chunk's watch ran out of wire order")
+		}
+		if req.done != nil {
+			req.unref()
+		}
 	}
 	req.unref()
 }

@@ -366,3 +366,48 @@ func TestSchedulerCancelSettlesOnWireRequest(t *testing.T) {
 		}
 	}
 }
+
+// TestSchedulerRecyclesARequestWhoseDeliveryTheLinkDrops: the last
+// chunk's delivery holds its request, and the delivery releases it. When
+// the link discards that delivery, the last chunk's watch releases the
+// hold instead, and only then, so the record goes back to the pool once
+// in each order: an outage under the last chunk, a done callback that
+// takes the link down after its delivery ran, and a cancel of the
+// request on the wire followed by an outage. A second release would
+// panic in pool.Refs.
+func TestSchedulerRecyclesARequestWhoseDeliveryTheLinkDrops(t *testing.T) {
+	for _, order := range []string{"outage", "done-then-down", "cancel-then-outage"} {
+		t.Run(order, func(t *testing.T) {
+			clock, link, sched := newTestScheduler()
+			var done, dropped int
+			sched.SubmitReq("repl", []int64{xferChunkBytes, xferChunkBytes}, func() {
+				done++
+				if order == "done-then-down" {
+					link.SetDown(true)
+				}
+			}, func() { dropped++ })
+			req := sched.flows["repl"].reqs.Peek()
+			clock.RunFor(300 * simtime.Microsecond) // the second, last chunk is on the wire
+			if q, s := sched.QueuedBytes(), sched.SendingBytes(); q != 0 || s == 0 {
+				t.Fatalf("queued %d, sending %d bytes: want the last chunk on the wire alone", q, s)
+			}
+			switch order {
+			case "outage":
+				link.SetDown(true)
+			case "cancel-then-outage":
+				sched.CancelFlow("repl")
+				link.SetDown(true)
+			}
+			clock.RunFor(100 * simtime.Millisecond)
+			want := map[string][2]int{"outage": {0, 1}, "done-then-down": {1, 0}, "cancel-then-outage": {0, 0}}[order]
+			if done != want[0] || dropped != want[1] {
+				t.Fatalf("done fired %d, dropped %d times; want %d and %d", done, dropped, want[0], want[1])
+			}
+			link.SetDown(false)
+			sched.SubmitReq("next", []int64{1, 1}, nil, nil)
+			if got := sched.flows["next"].reqs.Peek(); got != req {
+				t.Fatal("the request's record did not go back to the pool")
+			}
+		})
+	}
+}

@@ -3,6 +3,7 @@ package criu
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"nilicon/internal/container"
@@ -352,3 +353,29 @@ type testApp struct{ val string }
 
 func (a testApp) SnapshotState() any { return a.val }
 func (a testApp) RestoreState(s any) {}
+
+// TestSharedListReusesPrev: a list built from prev's elements in order
+// is prev itself, or the prefix of prev it reached, without allocating;
+// the first different element copies the list out.
+func TestSharedListReusesPrev(t *testing.T) {
+	prev := []int{1, 2, 3}
+	build := func(vs ...int) []int {
+		l := sharedList[int]{prev: prev}
+		for _, v := range vs {
+			l.add(v, len(vs), func(p *int) bool { return *p == v })
+		}
+		return l.list()
+	}
+	if got := build(1, 2, 3); !sameList(got, prev) {
+		t.Fatalf("equal list %v is not prev", got)
+	}
+	if got := build(1, 2); len(got) != 2 || cap(got) != 2 || &got[0] != &prev[0] {
+		t.Fatalf("prefix %v (cap %d) is not prev's prefix", got, cap(got))
+	}
+	if got := build(); got != nil {
+		t.Fatalf("empty list %v, want nil", got)
+	}
+	if got := build(1, 5); !slices.Equal(got, []int{1, 5}) || &got[0] == &prev[0] {
+		t.Fatalf("diverged list %v shares prev", got)
+	}
+}

@@ -467,3 +467,21 @@ func TestEncoderBasesAreLentFrames(t *testing.T) {
 		}
 	}
 }
+
+// TestFrameInvariantPanics: a frame of no known kind, or a delta between
+// pages of different sizes, is a bug in the encoder's caller.
+func TestFrameInvariantPanics(t *testing.T) {
+	for name, fn := range map[string]func(){
+		"unknown kind":    func() { (&PageFrame{Kind: FrameDedup + 1}).WireBytes() },
+		"size mismatched": func() { EncodeXORDelta(make([]byte, 8), make([]byte, 16)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}

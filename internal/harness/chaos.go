@@ -18,9 +18,6 @@ import (
 // fault-coincidence oracle on its own), and the trace outlasts the
 // fault window by a second so a drawn terminal kill lands mid-run.
 func trafficSweepTrace(seed int64, fault simtime.Duration) *traffic.Trace {
-	if fault <= 0 {
-		fault = 1500 * simtime.Millisecond
-	}
 	profiles := []string{"uniform", "zipf", "burst"}
 	name := profiles[((seed%3)+3)%3]
 	cfg, err := traffic.Profile(name, seed)
@@ -69,9 +66,6 @@ func OptSets() []core.LadderStep {
 // order, so the results slice, the progress lines and the summary table
 // are byte-identical for any jobs value.
 func RunChaosSweep(seeds int, base int64, duration simtime.Duration, jobs int, progress Progress) ([]chaos.Result, *metrics.Table) {
-	if seeds <= 0 {
-		seeds = 20
-	}
 	var campaigns []chaos.Config
 	each := func(cfg chaos.Config) {
 		for s := int64(0); s < int64(seeds); s++ {

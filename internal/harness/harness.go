@@ -118,9 +118,6 @@ func setup(wl workloads.Workload, cores int) (*simtime.Clock, *core.Cluster, *co
 	if cores <= 0 {
 		prof := wl.Profile()
 		cores = prof.Procs * prof.ThreadsPer
-		if cores < 1 {
-			cores = 1
-		}
 	}
 	ctr := cl.NewProtectedContainer(wl.Profile().Name, "10.0.0.10", cores)
 	wl.Install(ctr)

@@ -51,4 +51,16 @@ func TestHistogramEdges(t *testing.T) {
 	if q := h.Quantile(0); q != 0 {
 		t.Fatalf("p0 = %v, want clamped min", q)
 	}
+	// p50 interpolates inside the underflow bucket [0, histMin], p99
+	// inside the overflow bucket up to the exact max, and a p so small
+	// its rank rounds to 0 takes rank 1.
+	if q := h.Quantile(50); q < 0 || q > histMin {
+		t.Fatalf("p50 = %v, want inside the underflow bucket", q)
+	}
+	if q := h.Quantile(99); q < histBounds[len(histBounds)-1] || q > 1e12 {
+		t.Fatalf("p99 = %v, want inside the overflow bucket", q)
+	}
+	if q := h.Quantile(math.SmallestNonzeroFloat64); q != h.Quantile(1) {
+		t.Fatalf("p(min float) = %v, want rank 1's %v", q, h.Quantile(1))
+	}
 }

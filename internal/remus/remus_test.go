@@ -177,3 +177,26 @@ func TestMCStopShorterThanNiLiConButMoreRuntime(t *testing.T) {
 			ctr1.RuntimeOverhead, ctr2.RuntimeOverhead)
 	}
 }
+
+// TestMCStopBetweenPauses: an MC stopped during the execution phase takes
+// no further checkpoint and steals no further runtime tax: its next
+// epoch and its pending tax both find it stopped.
+func TestMCStopBetweenPauses(t *testing.T) {
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
+	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 1)
+	ctr.AddProcess("guest", 0)
+	mc := New(cl, ctr, Config{RuntimeTaxPerEpoch: simtime.Millisecond})
+	mc.Start()
+	clock.RunFor(100 * simtime.Millisecond)
+	for ctr.Frozen() { // stop right after a pause, before the epoch's tax
+		clock.Step()
+	}
+	epochs, overhead := mc.Epochs(), ctr.RuntimeOverhead
+	mc.Stop()
+	clock.RunFor(100 * simtime.Millisecond)
+	if mc.Epochs() != epochs || ctr.RuntimeOverhead != overhead || ctr.Frozen() {
+		t.Fatalf("after Stop: epochs %d → %d, runtime overhead %v → %v, frozen %v",
+			epochs, mc.Epochs(), overhead, ctr.RuntimeOverhead, ctr.Frozen())
+	}
+}

@@ -3,6 +3,7 @@ package simdisk
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -288,12 +289,45 @@ func TestDRBDCommitFiltersBufferInPlace(t *testing.T) {
 func TestDRBDRoleEnforcement(t *testing.T) {
 	c := simtime.NewClock()
 	p, s, _ := newDRBDPair(c)
-	if err := s.WriteBlock(0, []byte("x")); err == nil {
-		t.Fatal("secondary write accepted")
+	for what, err := range map[string]error{
+		"secondary write":   s.WriteBlock(0, []byte("x")),
+		"primary commit":    p.Commit(0),
+		"primary resync":    p.ApplyResync(NewDisk(), 1),
+		"secondary detach":  s.Detach(),
+		"primary promote":   p.Promote(),
+		"oversize write":    p.WriteBlock(0, make([]byte, BlockSize+1)),
+		"secondary barrier": catch(func() { s.Barrier(1) }),
+		"secondary attach":  catch(func() { s.AttachSecondary(NewDisk(), nil) }),
+		"short adopt":       catch(func() { s.Local.adopt(0, []byte("x")) }),
+	} {
+		if err == nil {
+			t.Errorf("%s accepted", what)
+		}
 	}
-	if err := p.Commit(0); err == nil {
-		t.Fatal("primary commit accepted")
+	s.DetachPeer(p) // a secondary has no peers: a no-op
+	if p.Role != RolePrimary || s.Role != RoleSecondary {
+		t.Fatalf("roles changed: primary end %v, secondary end %v", p.Role, s.Role)
 	}
+
+	// A secondary holding uncommitted writes cannot be promoted.
+	if err := p.WriteBlock(0, []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	c.RunFor(simtime.Millisecond)
+	if err := s.Promote(); err == nil || !strings.Contains(err.Error(), "uncommitted writes") {
+		t.Fatalf("Promote with a buffered write = %v", err)
+	}
+}
+
+// catch runs fn and returns its panic as an error, or nil.
+func catch(fn func()) (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("%v", p)
+		}
+	}()
+	fn()
+	return nil
 }
 
 func TestDRBDBarrierCallback(t *testing.T) {

@@ -27,6 +27,14 @@ const (
 	RoleSecondary
 )
 
+// String names the role in errors ("promote on primary end").
+func (r DRBDRole) String() string {
+	if r == RolePrimary {
+		return "primary"
+	}
+	return "secondary"
+}
+
 // DRBD is the modified DRBD module (RemusXen's changes ported to
 // mainline DRBD, §IV). The primary end applies writes to its local disk
 // and ships them asynchronously over the replication link; the secondary

@@ -80,6 +80,28 @@ func TestMetersNest(t *testing.T) {
 	}
 }
 
+// TestOuterStopEndsInnerMeters: stopping an outer meter first ends the
+// inner one still active, whose charges count toward the outer total;
+// the inner meter's own Stop then changes nothing.
+func TestOuterStopEndsInnerMeters(t *testing.T) {
+	k := newTestKernel()
+	outer := k.StartMeter()
+	k.Charge(1 * simtime.Millisecond)
+	inner := k.StartMeter()
+	k.Charge(2 * simtime.Millisecond)
+	if got := outer.Stop(); got != 3*simtime.Millisecond {
+		t.Fatalf("outer = %v, want 3ms", got)
+	}
+	if got := inner.Stop(); got != 0 {
+		t.Fatalf("inner ended by the outer Stop = %v, want 0", got)
+	}
+	after := k.StartMeter()
+	k.Charge(4 * simtime.Millisecond)
+	if got := after.Stop(); got != 4*simtime.Millisecond {
+		t.Fatalf("a meter started afterwards = %v, want 4ms", got)
+	}
+}
+
 func TestMeterDoubleStopIdempotent(t *testing.T) {
 	k := newTestKernel()
 	m := k.StartMeter()

@@ -139,12 +139,20 @@ func TestLinkInfiniteBandwidth(t *testing.T) {
 }
 
 func TestLinkNegativeSizePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewLink(simtime.NewClock(), 0, 0).Transfer(-1, nil)
+	l := NewLink(simtime.NewClock(), 0, 0)
+	for name, fn := range map[string]func(){
+		"Transfer":        func() { l.Transfer(-1, nil) },
+		"TransferExpress": func() { l.TransferExpress(-1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s of -1 bytes: no panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
 }
 
 func TestQdiscPassThroughWhenNotReplicating(t *testing.T) {

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -238,6 +239,40 @@ func TestScheduleNilFnPanics(t *testing.T) {
 		}
 	}()
 	NewClock().Schedule(time.Second, nil)
+}
+
+func TestTimerMisusePanics(t *testing.T) {
+	reentrant := NewClock()
+	reentrant.Schedule(time.Second, func() { reentrant.Run() })
+	for name, fn := range map[string]func(){
+		"NewTimer(nil)": func() { NewTimer(NewClock(), nil) },
+		"reentrant Run": func() { reentrant.Run() },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			fn()
+		}()
+	}
+}
+
+// TestTimerPastDeadlineFiresNow: a timer reset with a negative delay or
+// to an instant already past fires at the current instant.
+func TestTimerPastDeadlineFiresNow(t *testing.T) {
+	c := NewClock()
+	c.RunFor(time.Second)
+	var fired []Time
+	tm := NewTimer(c, func() { fired = append(fired, c.Now()) })
+	tm.Reset(-time.Millisecond)
+	c.RunFor(time.Millisecond)
+	tm.ResetAt(0)
+	c.RunFor(time.Millisecond)
+	if want := []Time{Time(time.Second), Time(time.Second + time.Millisecond)}; !slices.Equal(fired, want) {
+		t.Fatalf("fired at %v, want %v", fired, want)
+	}
 }
 
 func TestTimeArithmetic(t *testing.T) {

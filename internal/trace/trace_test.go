@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -89,5 +90,28 @@ func TestTimelineChainColumns(t *testing.T) {
 	}
 	if seen["replicas"] != 1 || seen["quorum"] != 1 {
 		t.Fatalf("chain columns missing from header %q", lines[0])
+	}
+}
+
+// failAfter accepts its first n writes, then fails every one.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if w.n == 0 {
+		return 0, errors.New("disk full")
+	}
+	w.n--
+	return len(p), nil
+}
+
+// TestTimelineCSVReportsWriteErrors: a failing writer fails WriteCSV at
+// the header and at a row.
+func TestTimelineCSVReportsWriteErrors(t *testing.T) {
+	tl := &Timeline{}
+	tl.Record(EpochRecord{Epoch: 1})
+	for _, n := range []int{0, 1} {
+		if err := tl.WriteCSV(&failAfter{n}); err == nil {
+			t.Errorf("WriteCSV through a writer that fails after %d writes: no error", n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -158,4 +159,29 @@ func TestReplayDeterministic(t *testing.T) {
 	if a, b := run(), run(); a != b {
 		t.Fatalf("replay reports differ:\n%s\n%s", a, b)
 	}
+}
+
+// TestReplayerMisuse: a replayer started twice, started before every
+// client has a transport, or told of a completion nothing was waiting
+// for is a bug in its caller, and it panics rather than skew the judge.
+func TestReplayerMisuse(t *testing.T) {
+	mustPanic := func(what, want string, fn func()) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), want) {
+				t.Errorf("%s: panic %v, want one containing %q", what, p, want)
+			}
+		}()
+		fn()
+	}
+	tr := synthSmall(t, false)
+	clock := simtime.NewClock()
+	r := NewReplayer(clock, tr, nil)
+	mustPanic("unset conn", "unset client conn", func() { r.Start(0) })
+	for i := 0; i < tr.Header.Clients; i++ {
+		r.SetConn(i, &fakeConn{clock: clock, r: r, client: i, delay: simtime.Millisecond})
+	}
+	mustPanic("spurious completion", "no in-flight request", func() { r.Completed(0) })
+	r.Start(0)
+	mustPanic("second start", "started twice", func() { r.Start(0) })
 }

@@ -17,7 +17,7 @@ type SynthConfig struct {
 	Seed int64
 	// Clients is the number of client connections. Default 32.
 	Clients int
-	// Duration is the trace length in virtual time. Default 2 s.
+	// Duration is the trace length in virtual time (required).
 	Duration simtime.Duration
 	// Rate is the mean request rate across all clients, req/s. Default 1000.
 	Rate float64
@@ -44,9 +44,8 @@ type SynthConfig struct {
 	Size int
 
 	// Envelope modulates the instantaneous rate over the trace:
-	// "flat" (default), "burst" (Rate × BurstX during periodic burst
-	// windows), or "diurnal" (a half-sine ramp peaking mid-trace,
-	// a compressed day).
+	// "flat" (default) or "burst" (Rate × BurstX during periodic burst
+	// windows).
 	Envelope string
 	// BurstEvery/BurstLen/BurstX shape the burst envelope.
 	// Defaults: every 500 ms, 100 ms long, ×4.
@@ -67,9 +66,6 @@ func (c SynthConfig) withDefaults() SynthConfig {
 	}
 	if c.Clients <= 0 {
 		c.Clients = 32
-	}
-	if c.Duration <= 0 {
-		c.Duration = 2 * simtime.Second
 	}
 	if c.Rate <= 0 {
 		c.Rate = 1000
@@ -188,7 +184,7 @@ func Synthesize(cfg SynthConfig) *Trace {
 		}
 		// The envelope scales the instantaneous rate, so it divides the
 		// inter-arrival gap.
-		t += gap / cfg.envelope(t, dur)
+		t += gap / cfg.envelope(t)
 		if t >= dur {
 			break
 		}
@@ -215,17 +211,9 @@ func Synthesize(cfg SynthConfig) *Trace {
 }
 
 // envelope returns the instantaneous rate multiplier at time t (s).
-func (c SynthConfig) envelope(t, dur float64) float64 {
-	switch c.Envelope {
-	case "burst":
-		if math.Mod(t, c.BurstEvery.Seconds()) < c.BurstLen.Seconds() {
-			return c.BurstX
-		}
-		return 1
-	case "diurnal":
-		// Half-sine ramp: 0.5× at the edges, 1.5× at the trace midpoint.
-		return 0.5 + math.Sin(math.Pi*t/dur)
-	default:
-		return 1
+func (c SynthConfig) envelope(t float64) float64 {
+	if c.Envelope == "burst" && math.Mod(t, c.BurstEvery.Seconds()) < c.BurstLen.Seconds() {
+		return c.BurstX
 	}
+	return 1
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -16,7 +17,8 @@ func validTrace() string {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	tr, err := Parse(strings.NewReader(validTrace()))
+	// Blank lines anywhere in a trace are skipped.
+	tr, err := Parse(strings.NewReader("\n" + strings.Replace(validTrace(), "\n", "\n  \n", 1)))
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -47,6 +49,31 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 	if buf1.String() != buf2.String() {
 		t.Fatalf("encode/parse round trip not byte-stable")
+	}
+	if (&Trace{}).Duration() != 0 {
+		t.Fatal("an empty trace has a duration")
+	}
+}
+
+// failingWriter fails every write, as a closed pipe or a full disk does.
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errors.New("disk full") }
+
+// TestEncodeReportsWriteErrors: a trace whose header or requests cannot
+// be written fails Encode with the failing part named, not silently.
+func TestEncodeReportsWriteErrors(t *testing.T) {
+	// Encode buffers 4 KiB before it first writes, so the header fails
+	// only when it is longer than that, and the requests once they are.
+	long := &Trace{Header: Header{Version: TraceVersion, Name: strings.Repeat("x", 5000), Clients: 1}}
+	many := Synthesize(SynthConfig{Seed: 1, Clients: 1, Duration: simtime.Second, Rate: 1000})
+	for _, tc := range []struct {
+		tr   *Trace
+		want string
+	}{{long, "encode header: disk full"}, {many, "encode request"}} {
+		if err := tc.tr.Encode(failingWriter{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Encode = %v, want an error containing %q", err, tc.want)
+		}
 	}
 }
 
@@ -86,6 +113,11 @@ func TestParseRejectsEdgeCases(t *testing.T) {
 			`{"id":1,"at":0,"client":0,"op":"set","key":0,"size":1}` + "\n", "want 1 to 39000"},
 		{"fanout-key", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
 			`{"id":1,"at":0,"client":0,"op":"get","key":0,"size":1,"fanout":2}` + "\n", `unknown field "fanout"`},
+		{"zero-id", `{"nilicon_trace":1,"name":"t","seed":0,"clients":1,"keys":1}` + "\n" +
+			`{"id":0,"at":0,"client":0,"op":"set","key":0,"size":1}` + "\n", "id must be positive"},
+		{"bad-slow-client", `{"nilicon_trace":1,"name":"t","seed":0,"clients":2,"keys":1,"slow_clients":[2]}` + "\n" +
+			`{"id":1,"at":0,"client":0,"op":"set","key":0,"size":1}` + "\n", "slow client 2 outside"},
+		{"line-past-the-buffer", `{"nilicon_trace":1,"name":"` + strings.Repeat("x", 4<<20) + `"}`, "read trace"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,11 +229,12 @@ func TestRecorderCapturesReplayableTrace(t *testing.T) {
 	rec.Record(500, 0, OpSet, 1, 16) // before start: clamps to 0
 	rec.Record(2000, 1, OpGet, 2, 16)
 	rec.Record(3000, 0, OpSet, 1, 16)
+	rec.Record(2500, 1, OpGet, 2, 16) // out of order: clamps to the last arrival
 	tr, err := rec.Trace()
 	if err != nil {
 		t.Fatalf("Trace: %v", err)
 	}
-	if tr.Reqs[0].At != 0 || tr.Reqs[1].At != 1000 || tr.Header.Keys != 2 {
+	if tr.Reqs[0].At != 0 || tr.Reqs[1].At != 1000 || tr.Reqs[3].At != 2000 || tr.Header.Keys != 2 {
 		t.Fatalf("capture = %+v", tr)
 	}
 	var buf bytes.Buffer
@@ -210,5 +243,30 @@ func TestRecorderCapturesReplayableTrace(t *testing.T) {
 	}
 	if _, err := Parse(&buf); err != nil {
 		t.Fatalf("captured trace does not parse: %v", err)
+	}
+}
+
+func TestProfileRejectsAnUnknownName(t *testing.T) {
+	if _, err := Profile("diurnal", 1); err == nil || !strings.Contains(err.Error(), "unknown profile") {
+		t.Fatalf("Profile(diurnal) = %v, want an unknown-profile error", err)
+	}
+}
+
+// TestSynthesizeClampsOutOfRangeFractions: a read fraction outside [0,1]
+// takes the default half, and a slow fraction above 1 marks every
+// client slow, not more.
+func TestSynthesizeClampsOutOfRangeFractions(t *testing.T) {
+	tr := Synthesize(SynthConfig{Seed: 1, Clients: 4, Duration: simtime.Second, Rate: 2000, ReadFrac: 2, SlowFrac: 1.5})
+	if got := tr.Header.SlowClients; len(got) != 4 {
+		t.Fatalf("slow clients %v, want all 4", got)
+	}
+	gets := 0
+	for _, r := range tr.Reqs {
+		if r.Op == OpGet {
+			gets++
+		}
+	}
+	if frac := float64(gets) / float64(len(tr.Reqs)); frac < 0.45 || frac > 0.55 {
+		t.Fatalf("read fraction %.2f, want the default 0.5", frac)
 	}
 }

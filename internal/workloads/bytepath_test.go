@@ -29,7 +29,7 @@ func newKVStream(tb testing.TB) *kvStream {
 // runBatches steps the clock until n more batches of replies have
 // arrived.
 func (ks *kvStream) runBatches(n int) {
-	target := ks.set.Completed + int64(n*ks.set.prof.BatchSize)
+	target := ks.set.Completed + int64(n*batchSize)
 	for ks.set.Completed < target && ks.env.clock.Step() {
 	}
 }

@@ -17,10 +17,14 @@ import (
 // ClientKind selects the driving pattern.
 type ClientKind int
 
+// batchSize is how many requests a KVBatch client sends per batch
+// (the paper's Redis/SSDB client: 1000).
+const batchSize = 1000
+
 // Client kinds.
 const (
 	// KVBatch is the paper's custom Redis/SSDB client: batches of
-	// BatchSize requests, 50% reads / 50% writes, YCSB-style keyspace.
+	// batchSize requests, 50% reads / 50% writes, YCSB-style keyspace.
 	KVBatch ClientKind = iota
 	// WebLoop is a SIEGE-style closed-loop client: one request
 	// outstanding, immediately re-issued.
@@ -126,11 +130,7 @@ func (c *Client) connect() {
 		s.OnData = c.onData
 		s.OnReset = func(*simnet.Socket) { c.set.Resets++ }
 		if c.kind == KVBatch {
-			depth := c.set.prof.PipelineDepth
-			if depth <= 0 {
-				depth = 1
-			}
-			for i := 0; i < depth; i++ {
+			for i := 0; i < c.set.prof.PipelineDepth; i++ {
 				c.issue()
 			}
 			return
@@ -149,18 +149,14 @@ func (c *Client) randKey() uint64 {
 	rec := max(1, c.set.prof.Records)
 	half := rec / 2
 	n := len(c.set.Clients)
-	if n < 1 {
-		n = 1
-	}
 	var lo, stripe int
 	switch c.kind {
 	case KVProbe:
+		// Probe sets are a handful of clients, so each has a stripe.
 		stripe = (rec - half) / n
-		if stripe < 1 {
-			stripe = 1
-		}
 		lo = half + c.id%n*stripe
 	default:
+		// niliconctl's -clients can exceed half the keyspace.
 		stripe = half / n
 		if stripe < 1 {
 			stripe = 1
@@ -189,16 +185,12 @@ func (set *ClientSet) record(now simtime.Time, client int, op string, key uint64
 func (c *Client) issue() {
 	switch c.kind {
 	case KVBatch:
-		batch := c.set.prof.BatchSize
-		if batch <= 0 {
-			batch = 1000
-		}
 		// Even requests write, odd ones read: the slab is sized exactly
 		// for the batch's frames.
-		writes := (batch + 1) / 2
-		buf := c.sock.SendBuffer(writes*frameLen(8+recordSize) + (batch-writes)*frameLen(8))
+		writes := (batchSize + 1) / 2
+		buf := c.sock.SendBuffer(writes*frameLen(8+recordSize) + (batchSize-writes)*frameLen(8))
 		now := c.set.cl.Clock.Now()
-		for i := 0; i < batch; i++ {
+		for i := 0; i < batchSize; i++ {
 			buf = c.appendKV(buf, now, c.randKey(), i%2 == 0)
 		}
 		c.sock.Send(buf)
@@ -302,11 +294,7 @@ func (c *Client) receive(b []byte) {
 		if c.kind == KVBatch {
 			// Pipelined batches: issue a replacement batch whenever a
 			// full batch's worth of responses has arrived.
-			batch := c.set.prof.BatchSize
-			if batch <= 0 {
-				batch = 1000
-			}
-			if c.respCount%batch == 0 {
+			if c.respCount%batchSize == 0 {
 				c.set.Latencies.Add(c.set.cl.Clock.Now().Sub(exp.sentAt).Seconds())
 				c.issue()
 			}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,52 +140,50 @@ func TestClientSetCaptureRoundTrip(t *testing.T) {
 // TestKVBatchClientAllocsBounded is the allocation guard for the KV
 // request path: after warm-up, receiving a batch's replies, verifying
 // them and issuing the replacement batch allocates a few objects at
-// most, however large the batch. The socket is closed, so Send drops the
+// most, not one per request. The socket is closed, so Send drops the
 // frames and only the client's own work is counted.
 func TestKVBatchClientAllocsBounded(t *testing.T) {
 	const maxAllocs = 8
-	for _, batch := range []int{1000, 4000} {
-		prof := Redis().Profile()
-		prof.BatchSize, prof.Records, prof.ZipfianKeys = batch, 2000, false
-		cl := core.NewShardedCluster(simtime.NewClock(), core.ClusterParams{})
-		set := &ClientSet{cl: cl, prof: prof}
-		c := &Client{set: set, kind: KVBatch, rng: simtime.NewRand(1), versions: map[uint64]uint32{}, sock: &simnet.Socket{}}
-		set.Clients = append(set.Clients, c)
-		for i := 0; i < prof.PipelineDepth; i++ {
-			c.issue()
-		}
-		var allocs uint64
-		for cycle := 0; cycle < 40; cycle++ {
-			// The server's replies to the oldest batch, built before the
-			// measurement.
-			var replies []byte
-			for _, o := range c.inflight.All()[:batch] {
-				switch {
-				case o.op == OpSet:
-					replies = AppendFrame(replies, OpSet, okReply)
-				case o.version != 0:
-					replies = AppendFrame(replies, OpGet, ValueFor(o.key, o.version, recordSize))
-				default:
-					replies = AppendFrame(replies, OpGet, nil)
-				}
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			c.receive(replies)
-			runtime.ReadMemStats(&after)
-			// The first cycles are warm-up: every key gets written and
-			// the buffers grow to size.
-			if n := after.Mallocs - before.Mallocs; cycle >= 30 && n > allocs {
-				allocs = n
+	prof := Redis().Profile()
+	prof.Records, prof.ZipfianKeys = 2000, false
+	cl := core.NewShardedCluster(simtime.NewClock(), core.ClusterParams{})
+	set := &ClientSet{cl: cl, prof: prof}
+	c := &Client{set: set, kind: KVBatch, rng: simtime.NewRand(1), versions: map[uint64]uint32{}, sock: &simnet.Socket{}}
+	set.Clients = append(set.Clients, c)
+	for i := 0; i < prof.PipelineDepth; i++ {
+		c.issue()
+	}
+	var allocs uint64
+	for cycle := 0; cycle < 40; cycle++ {
+		// The server's replies to the oldest batch, built before the
+		// measurement.
+		var replies []byte
+		for _, o := range c.inflight.All()[:batchSize] {
+			switch {
+			case o.op == OpSet:
+				replies = AppendFrame(replies, OpSet, okReply)
+			case o.version != 0:
+				replies = AppendFrame(replies, OpGet, ValueFor(o.key, o.version, recordSize))
+			default:
+				replies = AppendFrame(replies, OpGet, nil)
 			}
 		}
-		if len(set.Errors) > 0 || set.Completed != int64(40*batch) {
-			t.Fatalf("batch %d: %d replies completed, errors %v", batch, set.Completed, set.Errors)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		c.receive(replies)
+		runtime.ReadMemStats(&after)
+		// The first cycles are warm-up: every key gets written and
+		// the buffers grow to size.
+		if n := after.Mallocs - before.Mallocs; cycle >= 30 && n > allocs {
+			allocs = n
 		}
-		t.Logf("batch %d: at most %d allocations per reply-and-reissue cycle", batch, allocs)
-		if allocs > maxAllocs {
-			t.Errorf("batch %d: a reply-and-reissue cycle allocated %d objects, want <= %d", batch, allocs, maxAllocs)
-		}
+	}
+	if len(set.Errors) > 0 || set.Completed != int64(40*batchSize) {
+		t.Fatalf("%d replies completed, errors %v", set.Completed, set.Errors)
+	}
+	t.Logf("at most %d allocations per reply-and-reissue cycle", allocs)
+	if allocs > maxAllocs {
+		t.Errorf("a reply-and-reissue cycle allocated %d objects, want <= %d", allocs, maxAllocs)
 	}
 }
 
@@ -285,5 +284,60 @@ func TestServerGetAllocsBounded(t *testing.T) {
 	t.Logf("%.0f allocations per GET", allocs)
 	if allocs > 0 {
 		t.Errorf("a GET allocated %.0f objects, want 0", allocs)
+	}
+}
+
+// TestConnFlagsProtocolViolations: a Conn records a reply whose op is not
+// its request's, and a reply with nothing in flight, as errors — the
+// traffic verifier's evidence of a server that answers out of turn.
+func TestConnFlagsProtocolViolations(t *testing.T) {
+	clock := simtime.NewClock()
+	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
+	pa, pb := sw.Attach(), sw.Attach()
+	a := simnet.NewStack(clock, "10.0.0.1", pa.Send)
+	b := simnet.NewStack(clock, "10.0.0.2", pb.Send)
+	pa.SetReceiver(a.Receive)
+	pb.SetReceiver(b.Receive)
+	sw.Learn(a.IP, pa)
+	sw.Learn(b.IP, pb)
+	// The server answers every request with a GET reply, then sends one
+	// reply more.
+	b.Listen(80, func(s *simnet.Socket) {
+		s.OnData = func(s *simnet.Socket) {
+			s.ReadAll()
+			s.Send(AppendFrame(AppendFrame(nil, OpGet, nil), OpGet, nil))
+		}
+	})
+	c := Dial(a, b.IP, 80)
+	var replies []traffic.Request
+	c.OnReply = func(req traffic.Request, _ []byte) { replies = append(replies, req) }
+	c.Send(traffic.Request{ID: 1, Op: traffic.OpSet, Key: 7, Size: 64})
+	clock.RunFor(100 * simtime.Millisecond)
+
+	want := []string{`reply op 'G' to set of key 7`, `reply op 'G' with nothing in flight`}
+	if !slices.Equal(c.Errors, want) {
+		t.Fatalf("Errors = %q, want %q", c.Errors, want)
+	}
+	if len(replies) != 1 || replies[0].ID != 1 || len(c.InFlight()) != 0 {
+		t.Fatalf("replies %v, in flight %v: want request 1 answered", replies, c.InFlight())
+	}
+}
+
+// TestKVBatchKeysWithMoreClientsThanKeys: with more batch clients than
+// half the keyspace (niliconctl's -clients allows it), each client's
+// stripe is one key: client i always draws key i.
+func TestKVBatchKeysWithMoreClientsThanKeys(t *testing.T) {
+	prof := Redis().Profile()
+	prof.Records, prof.ZipfianKeys = 4, false
+	set := &ClientSet{prof: prof}
+	for i := 0; i < 3; i++ {
+		set.Clients = append(set.Clients, &Client{set: set, kind: KVBatch, id: i, rng: simtime.NewRand(int64(i) + 1)})
+	}
+	for _, c := range set.Clients {
+		for range 10 {
+			if k := c.randKey(); k != uint64(c.id) {
+				t.Fatalf("client %d drew key %d", c.id, k)
+			}
+		}
 	}
 }

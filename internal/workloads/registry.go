@@ -38,7 +38,7 @@ func Redis() *Server {
 		Name: "redis", Procs: 1, ThreadsPer: 1, LibsPerProc: 6,
 		MemPages: 26000, Port: 6379,
 		ReqCPU: 30 * simtime.Microsecond, ReqDirty: 13,
-		Records: 20000, BatchSize: 1000, PipelineDepth: 3, Clients: 1,
+		Records: 20000, PipelineDepth: 3, Clients: 1,
 		KernelDirtyPages: 3400,
 		ExtraStop:        10500 * simtime.Microsecond,
 		MCExtraTax:       13 * simtime.Millisecond,
@@ -55,7 +55,7 @@ func SSDB() *Server {
 		ReqCPU: 150 * simtime.Microsecond, ReqDirty: 9,
 		FSBytesPerWrite: recordSize, SyncFS: true,
 		DiskWriteLat: 240 * simtime.Microsecond,
-		Records:      20000, BatchSize: 1000, PipelineDepth: 3, Clients: 1,
+		Records:      20000, PipelineDepth: 3, Clients: 1,
 		KernelDirtyPages: 517,
 		ExtraStop:        5200 * simtime.Microsecond,
 		ExtraStopPerProc: 0,

@@ -286,12 +286,8 @@ func (sv *Server) Reattach(ctr *container.Container, appState any) error {
 // startBackground runs a non-worker process (reverse proxy, database
 // helper) at the profile's duty cycle.
 func (sv *Server) startBackground(p *simkernel.Process) {
-	frac := sv.prof.BackgroundCPUFrac
-	if frac <= 0 {
-		frac = 0.05
-	}
 	const period = 10 * simtime.Millisecond
-	busy := simtime.Duration(float64(period) * frac)
+	busy := simtime.Duration(float64(period) * sv.prof.BackgroundCPUFrac)
 	sv.ctr.AddTask(p.MainThread(), func() (simtime.Duration, simtime.Duration) {
 		return busy, period
 	})

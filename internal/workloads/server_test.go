@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"encoding/binary"
+	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -394,5 +395,59 @@ func TestSnapshotPendingSurvivesQueueReuse(t *testing.T) {
 	}
 	if got, want := keysOf(again.state.Pending), append(span(5, 20), span(2000, 2040)...); !slices.Equal(got, want) {
 		t.Fatalf("second restored server queues keys %v, want %v", got, want)
+	}
+}
+
+// TestServerRejectsMalformedRequests: a request too short for its op,
+// an unknown op, or a key past the heap is recorded as an app error and
+// answered with nothing.
+func TestServerRejectsMalformedRequests(t *testing.T) {
+	prof := Redis().Profile()
+	prof.MemPages, prof.Records = 64, 200
+	sv := newStandaloneServer(prof)
+	for _, req := range []pendingReq{
+		{Op: OpSet, Payload: []byte{1, 2, 3}},
+		{Op: OpGet, Payload: []byte{1}},
+		{Op: OpWeb, Payload: []byte{1}},
+		{Op: 'Z'},
+	} {
+		req.Conn = sv.conn
+		sv.process(sv.workers[0], req)
+	}
+	// Past the heap: the SET that does not fit, then the GET of its key.
+	for k := uint64(0); len(sv.AppErrors()) == 4; k++ {
+		setKey(sv, k)
+	}
+	full := sv.State().Keys[len(sv.State().Keys)-1]
+	if got := sv.get(full); got != nil {
+		t.Fatalf("GET past the heap answered %q", got)
+	}
+	want := []string{"short SET payload", "short GET payload", "short WEB payload", `unknown op 'Z'`,
+		fmt.Sprintf("heap full at slot %d", len(sv.State().Keys)-1), "index points past heap"}
+	if got := sv.AppErrors(); !slices.Equal(got, want) {
+		t.Fatalf("app errors %q, want %q", got, want)
+	}
+	sv.clock.RunFor(simtime.Millisecond)
+	if n := sv.cli.Available(); n != 0 {
+		t.Fatalf("the client got %d reply bytes to malformed requests", n)
+	}
+}
+
+// TestReattachWithoutTheHeapFails: reattaching to a container whose
+// process lacks the checkpointed heap is an error, recorded for the
+// validation oracles, and that process gets no workers.
+func TestReattachWithoutTheHeapFails(t *testing.T) {
+	prof := Redis().Profile()
+	prof.MemPages, prof.Records = 64, 200
+	sv := newStandaloneServer(prof)
+	clock := simtime.NewClock()
+	sw := simnet.NewSwitch(clock, 100*simtime.Microsecond, 28*simtime.Millisecond)
+	ctr := container.Create(container.NewHost("other", clock, sw), container.Spec{ID: "kv", IP: "10.0.0.6", Cores: 1})
+	ctr.AddProcess("redis", 1)
+	fresh := NewServer(prof)
+	err := fresh.Reattach(ctr, sv.SnapshotState())
+	if err == nil || !slices.Equal(fresh.AppErrors(), []string{err.Error()}) || len(fresh.workers) != 0 {
+		t.Fatalf("Reattach = %v, app errors %q, %d workers: want the missing heap reported and no workers",
+			err, fresh.AppErrors(), len(fresh.workers))
 	}
 }

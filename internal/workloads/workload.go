@@ -50,8 +50,6 @@ type Profile struct {
 	// Clients is the number of concurrent clients that saturates the
 	// server (§VI).
 	Clients int
-	// BatchSize is the KV batch size (Redis/SSDB: 1000).
-	BatchSize int
 	// PipelineDepth is how many KV batches the client keeps in flight
 	// (the YCSB driver streams batches back-to-back).
 	PipelineDepth int

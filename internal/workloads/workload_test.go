@@ -208,7 +208,7 @@ func TestValueForMatchesReference(t *testing.T) {
 }
 
 func TestByNameCoversAll(t *testing.T) {
-	for _, name := range BenchmarkNames() {
+	for _, name := range AllNames() {
 		w, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)
@@ -529,4 +529,23 @@ func TestUniformKeysCoverStripe(t *testing.T) {
 		t.Fatalf("uniform distribution too narrow: %d distinct keys for %d ops", distinct, set.Completed)
 	}
 	_ = set
+}
+
+// TestFrameReaderRejectsBadLengths: a frame whose length field is 0 or
+// past maxFrameLen is a corrupt stream, and the reader panics rather
+// than parse garbage.
+func TestFrameReaderRejectsBadLengths(t *testing.T) {
+	for _, n := range []uint32{0, maxFrameLen + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("frame length %d: no panic", n)
+				}
+			}()
+			var fr FrameReader
+			fr.Feed(binary.BigEndian.AppendUint32(nil, n))
+			fr.Feed([]byte{OpGet})
+			fr.Next()
+		}()
+	}
 }

@@ -1,28 +1,52 @@
 #!/usr/bin/env bash
-# The traffic-coverage gate. Every non-test function of internal/ that
-# no traffic executes — neither the five benchmark workloads (one
-# virtual second each, untraced and then traced, as `-trace 1` runs
-# them) nor the committed CLI outputs (TestCommittedOutputs with
-# -expensive) — must be named, with the reason it stays, in
-# testdata/keep.txt; and every function named there must still exist
-# and still be executed by no traffic.
+# The traffic-coverage gate, over three coverage sources:
 #
-#   scripts/traffic-coverage.sh    # prints file:line: key per unexecuted function,
-#                                  # then how many internal/ statements no traffic executes
+#   traffic  the five benchmark workloads (one virtual second each,
+#            untraced and then traced, as `-trace 1` runs them);
+#   outputs  the committed CLI outputs (TestCommittedOutputs with
+#            -expensive);
+#   tier-1   `go test ./...` under -coverpkg=nilicon/internal/....
+#
+# It holds two gates. The function gate: every non-test function of
+# internal/ that no traffic executes (traffic and outputs merged) must be
+# named, with the reason it stays, in testdata/keep.txt; and every
+# function named there must still exist and still be executed by no
+# traffic. The statement ceiling: the internal/ statements that none of
+# the three sources executes may number at most the one figure in
+# testdata/statement-ceiling.txt.
+#
+#   scripts/traffic-coverage.sh          # prints file:line: key per unexecuted function,
+#                                        # then the two statement counts
+#   scripts/traffic-coverage.sh -record  # the same, then writes the merged count
+#                                        # to testdata/statement-ceiling.txt
 #
 # A key is pkg.Func or pkg.Recv.Func (pkg is the package directory's
 # name), read from the function's declaration line: the form keep.txt
 # and TestEveryExportHasACaller share. The script exits 1, naming the
 # offending keys, when an unexecuted function is not on the list or a
-# listed one is executed or gone.
+# listed one is executed or gone; and exits 1 when the merged count of
+# unexecuted statements exceeds the ceiling. Lower the ceiling with
+# -record once a change executes or deletes statements; a change that
+# raises it says why.
 #
 # The benchmark lives in its own module (bench/), so -coverpkg reaches
 # nilicon/internal/... only through a workspace: the build uses a
 # temporary go.work (GOWORK) over the repository root and bench/, and
-# writes nothing under bench/. Takes about a minute of wall clock.
+# writes nothing under bench/. Takes a little over a minute of wall
+# clock on two CPUs, tier-1 most of it.
 set -euo pipefail
 root=$(git rev-parse --show-toplevel)
 keep="$root/testdata/keep.txt"
+ceiling="$root/testdata/statement-ceiling.txt"
+record=
+case ${1:-} in
+-record) record=1 ;;
+"") ;;
+*)
+	echo "usage: scripts/traffic-coverage.sh [-record]" >&2
+	exit 2
+	;;
+esac
 work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 pkgs=nilicon/internal/...
@@ -35,7 +59,7 @@ use (
 	$root/bench
 )
 EOF
-mkdir -p "$work/bench-cov" "$work/test-cov" "$work/run"
+mkdir -p "$work/bench-cov" "$work/test-cov" "$work/tier1-cov" "$work/run"
 
 echo "building the benchmark with coverage of $pkgs" >&2
 # The binary writes its counters at exit only when its main package is
@@ -49,6 +73,10 @@ echo "running the five workloads at -seconds 1 -trace 1" >&2
 echo "running TestCommittedOutputs -expensive" >&2
 (cd "$root" && GOWORK=off go test -count=1 -run TestCommittedOutputs -cover -coverpkg="$pkgs" \
 	./cmd/niliconctl/ -expensive -args -test.gocoverdir="$work/test-cov" >/dev/null)
+
+echo "running tier-1 (go test ./...) with coverage of $pkgs" >&2
+(cd "$root" && GOWORK=off go test -count=1 -cover -coverpkg="$pkgs" ./... \
+	-args -test.gocoverdir="$work/tier1-cov" >/dev/null)
 
 go tool covdata textfmt -i="$work/bench-cov,$work/test-cov" -o "$work/merged.txt"
 grep -E '^(mode:|nilicon/internal/)' "$work/merged.txt" >"$work/internal.txt"
@@ -91,11 +119,29 @@ if [ -n "$stale" ]; then
 	echo "FAIL: in testdata/keep.txt but executed by traffic, or no longer a function (drop the entry):" >&2
 	sed 's/^/  /' <<<"$stale" >&2
 fi
-# One summary line: internal/ statements no traffic executes, of all.
-# A block may appear once per profile merged; it counts once, executed
-# if any run executed it.
-awk 'NR > 1 { stmts[$1] = $2; if ($3 > 0) hit[$1] = 1 }
-	END { for (b in stmts) { total += stmts[b]; if (!(b in hit)) missed += stmts[b] }
-		printf "traffic-coverage: %d of %d internal/ statements executed by no traffic\n", missed, total }' "$work/internal.txt"
+# Statements executed by none of the merged profiles, of all. A block
+# may appear once per profile merged; it counts once, executed if any
+# run executed it.
+unexecuted() {
+	awk 'NR > 1 { stmts[$1] = $2; if ($3 > 0) hit[$1] = 1 }
+		END { for (b in stmts) { total += stmts[b]; if (!(b in hit)) missed += stmts[b] }
+			print missed + 0, total + 0 }' "$1"
+}
+read -r missed total < <(unexecuted "$work/internal.txt")
+echo "traffic-coverage: $missed of $total internal/ statements executed by no traffic"
 
-[ -z "$unkept" ] && [ -z "$stale" ]
+go tool covdata textfmt -i="$work/bench-cov,$work/test-cov,$work/tier1-cov" -o "$work/all.txt"
+grep -E '^(mode:|nilicon/internal/)' "$work/all.txt" >"$work/all-internal.txt"
+read -r missed total < <(unexecuted "$work/all-internal.txt")
+limit=$(tr -d '[:space:]' <"$ceiling")
+echo "traffic-coverage: $missed of $total internal/ statements executed by neither traffic nor tier-1 (ceiling $limit)"
+over=
+if [ -n "$record" ]; then
+	echo "$missed" >"$ceiling"
+	echo "traffic-coverage: recorded ceiling $missed in testdata/statement-ceiling.txt" >&2
+elif [ "$missed" -gt "$limit" ]; then
+	echo "FAIL: $missed internal/ statements executed by neither traffic nor tier-1, above the ceiling of $limit (reach the new ones with a test or delete them; raising the ceiling with -record needs a reason)" >&2
+	over=1
+fi
+
+[ -z "$unkept" ] && [ -z "$stale" ] && [ -z "$over" ]
