@@ -460,6 +460,7 @@ var bufferLists = map[string]string{
 	"simkernel.newPage pagePool.free": "page buffers, not records: one list shared by every world under a mutex and bounded at pagePoolMax",
 	"simtime.wheel.getSlot w.free":    "the wheel's drained slot slices, not records: a slice is reused for its capacity and recycle clears it in bulk",
 	"simnet.PlugQdisc.Rotate q.spare": "flushed egress packet batches, not records: a batch is reused for its capacity, and only by an epoch that sent something",
+	"simnet.newSlab slabPool.free[k]": "send slabs, not records: one list per size class, shared by every world under a mutex and bounded at slabPoolMax bytes; a slab's holder count decides when it goes back",
 }
 
 // TestNoHandWrittenFreeList fails on a hand-written free list outside

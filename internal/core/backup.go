@@ -544,7 +544,11 @@ func (b *BackupAgent) commit(epoch uint64, img *criu.Image) error {
 	}
 	// Page contents now live in the store and fs-cache pages in
 	// fsPages; a restore reads only the image's metadata. The image is
-	// every live slot's (epochRun.submitEncoded), so it stays as built.
+	// every live slot's (epochRun.submitEncoded), so it stays as built;
+	// the one it supersedes lets go of its send slabs.
+	if b.lastImage != nil {
+		b.lastImage.DropSlabs()
+	}
 	b.lastImage = img
 	b.committed = epoch
 	b.hasCommitted = true

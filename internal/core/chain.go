@@ -418,6 +418,7 @@ func (r *Replicator) cancelFlows(s *replicaSlot) {
 	s.view.Xfer.CancelFlow(s.logFlow)
 	for len(s.sends) > 0 {
 		run := s.sends[0].run
+		s.sends[0].img.DropSlabs()
 		s.sends[0].release()
 		if run.lead == s && !run.transferred {
 			run.lead = nil

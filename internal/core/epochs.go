@@ -33,10 +33,14 @@ func (r *Replicator) encodedNext() {
 	run.unref()
 }
 
-// unref drops one reference; the last returns the run to the pool.
+// unref drops one reference; the last lets go of the run's image and
+// returns the run to the pool.
 func (run *epochRun) unref() {
 	if !run.refs.Drop() {
 		return
+	}
+	if run.img != nil {
+		run.img.DropSlabs()
 	}
 	r := run.r
 	*run = epochRun{}
@@ -90,8 +94,10 @@ func (is *imageSend) delivered() {
 	run.unref()
 }
 
+// dropped is a lost send: its slot lets go of the image.
 func (is *imageSend) dropped() {
 	s, run := is.s, is.run
+	is.img.DropSlabs()
 	is.release()
 	run.r.imageLost(run.epoch)
 	if run.lead == s {

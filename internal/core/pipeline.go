@@ -273,8 +273,9 @@ func (run *epochRun) submit() {
 // delivery or loss alone ends the run's transfer. The image's page
 // buffers are shared by every store it reaches, and the replicator's
 // holder table counts them, so a raw store recycles a superseded buffer
-// only when it is the last store holding it (DESIGN.md §8). Fenced
-// slots get nothing.
+// only when it is the last store holding it (DESIGN.md §8). Each slot
+// also holds the send slabs the image views, beside the run's own hold
+// from the capture. Fenced slots get nothing.
 func (run *epochRun) submitEncoded() {
 	r := run.r
 	img := run.img
@@ -292,6 +293,7 @@ func (run *epochRun) submitEncoded() {
 		}
 	}
 	img.HoldPages(r.holders, n)
+	img.HoldSlabs(n)
 	run.lead = lead
 	for _, s := range r.chain {
 		if s != lead && s.live() {
@@ -322,6 +324,7 @@ func (run *epochRun) finishTransfer() {
 // cumulative ack releases it.
 func (run *epochRun) leadDropped() {
 	run.lossy = true
+	run.img.DropSlabs()
 	run.img = nil
 	run.finishTransfer()
 }

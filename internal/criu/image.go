@@ -121,6 +121,38 @@ func (img *Image) HoldPages(h *simkernel.PageHolders, n int) {
 	}
 }
 
+// slabViews is app state that views send slabs and holds them once
+// from its capture (workloads.Server's snapshot).
+type slabViews interface {
+	HoldSlabs(n int)
+	DropSlabs()
+}
+
+// HoldSlabs records that n more holders — one per replica the image is
+// handed to — share the send slabs its socket write queues and app
+// state view. The capture's own hold (SnapshotSocket, SnapshotState)
+// belongs to the image's first holder; each holder calls DropSlabs once
+// where it supersedes, retires or loses the image, so a slab is reused
+// only when the last of them lets go.
+func (img *Image) HoldSlabs(n int) {
+	for i := range img.Sockets {
+		img.Sockets[i].HoldSlabs(n)
+	}
+	if v, ok := img.AppState.(slabViews); ok {
+		v.HoldSlabs(n)
+	}
+}
+
+// DropSlabs lets go of one holder's share of the image's send slabs.
+func (img *Image) DropSlabs() {
+	for i := range img.Sockets {
+		img.Sockets[i].DropSlabs()
+	}
+	if v, ok := img.AppState.(slabViews); ok {
+		v.DropSlabs()
+	}
+}
+
 // PayloadBytes returns the memory-page content the image holds:
 // verbatim pages plus encoded frame data and patches.
 func (img *Image) PayloadBytes() int64 {

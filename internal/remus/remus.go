@@ -133,12 +133,13 @@ func (m *MC) runEpoch() {
 	m.first = false
 
 	// MC copies to a staging buffer during the pause, resumes, then
-	// transfers; the backup acks and the buffered output is released.
+	// transfers; the backup acks and the buffered output is released. A
+	// pause ends in a thaw even when replication stopped during it.
 	cl.Clock.Schedule(stop, func() {
+		m.Ctr.Thaw()
 		if m.stopped {
 			return
 		}
-		m.Ctr.Thaw()
 		cl.ReplLink.Transfer(stateBytes, func() {
 			cl.AckLink.Transfer(16, func() {
 				if !m.stopped {
@@ -164,10 +165,6 @@ func (m *MC) applyRuntimeTax() {
 		}
 		m.Ctr.Freeze()
 		m.Ctr.RuntimeOverhead += tax
-		m.cl.Clock.Schedule(tax, func() {
-			if !m.stopped {
-				m.Ctr.Thaw()
-			}
-		})
+		m.cl.Clock.Schedule(tax, m.Ctr.Thaw)
 	})
 }

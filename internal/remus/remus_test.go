@@ -34,6 +34,29 @@ func meanOf(tl *trace.Timeline, f func(trace.EpochRecord) float64) float64 {
 // stopSeconds is a record's stop time in seconds.
 func stopSeconds(rec trace.EpochRecord) float64 { return rec.Stop.Seconds() }
 
+// TestMCStoppedDuringPauseThaws stops an MC while its guest is paused
+// for a checkpoint: the pause still ends, and the guest runs again.
+func TestMCStoppedDuringPauseThaws(t *testing.T) {
+	clock := simtime.NewClock()
+	cl := core.NewShardedCluster(clock, core.ClusterParams{})
+	ctr := cl.NewProtectedContainer("vm", "10.0.0.20", 4)
+	p := ctr.AddProcess("guest", 2)
+	v := p.Mem.Mmap(100*simkernel.PageSize, simkernel.ProtRead|simkernel.ProtWrite, "", ctr.ID)
+	_ = p.Mem.Touch(v, 0, 100, 1)
+	mc := New(cl, ctr, Config{})
+	mc.Start()
+	for !ctr.Frozen() && clock.Step() {
+	}
+	if !ctr.Frozen() {
+		t.Fatal("the guest never paused for a checkpoint")
+	}
+	mc.Stop()
+	clock.RunFor(simtime.Second)
+	if ctr.Frozen() {
+		t.Fatal("an MC stopped during a pause left its guest frozen")
+	}
+}
+
 func TestMCEpochsAndDirtyTracking(t *testing.T) {
 	clock := simtime.NewClock()
 	cl := core.NewShardedCluster(clock, core.ClusterParams{})

@@ -18,7 +18,9 @@ import (
 // appended into a delivered payload would overwrite a packet still in
 // flight. Every other packet, on a healed link or before it is armed,
 // hands over the sender's own segment, as a switch does, so a sender
-// that wrote a byte it had already sent would change what was read.
+// that wrote a byte it had already sent would change what was read; the
+// link holds the packet's send slab until it delivers it, as a switch
+// does.
 type fuzzLink struct {
 	clock *simtime.Clock
 	fates []byte
@@ -30,7 +32,13 @@ const fuzzLatency = 100 * simtime.Microsecond
 
 func (l *fuzzLink) send(dst *Stack, pkt *Packet) {
 	p := *pkt
-	deliver := func(d simtime.Duration) { l.clock.Schedule(d, func() { dst.Receive(&p) }) }
+	deliver := func(d simtime.Duration) {
+		p.slab.Hold(1)
+		l.clock.Schedule(d, func() {
+			dst.Receive(&p)
+			p.slab.Drop()
+		})
+	}
 	if !l.armed || len(l.fates) == 0 {
 		deliver(fuzzLatency)
 		return
@@ -43,7 +51,7 @@ func (l *fuzzLink) send(dst *Stack, pkt *Packet) {
 	if len(p.Payload) > 0 {
 		start := len(l.arena)
 		l.arena = append(l.arena, p.Payload...)
-		p.Payload = l.arena[start:]
+		p.Payload, p.slab = l.arena[start:], nil
 	}
 	held := fuzzLatency + simtime.Duration(fate>>2)*simtime.Millisecond
 	switch fate & 3 {
@@ -77,9 +85,13 @@ const fuzzRetransmitFactor = 2
 // is appended to SendBuffer's slab tail, which Send then sends in
 // place; when sizes[i]%4 == 3 the tail is asked for half the room
 // only, so the append may move the chunk to another array, which Send
-// must copy. The receiver keeps every ReadAll slice itself, not a copy,
-// and at the end each must still hold the bytes it held when read: no
-// later Send, retransmission or delivery may write a byte already
+// must copy. Every fourth read drains the queue with ReadAll, whose
+// slice the receiver keeps, not a copy, to the end; the others use
+// ReadHeld and keep the slice and its slab's hold over the next two
+// hold-aware reads, then drop it, so slabs are recycled into later
+// sends (of this stream or the next). Each kept slice must still hold
+// the bytes it held when read as long as it is held: no later Send,
+// retransmission, delivery or recycled slab may write a byte already
 // handed out.
 //
 // Bit i of skips (low bit first) set means the receiver leaves the
@@ -113,13 +125,36 @@ func FuzzTCPStream(f *testing.F) {
 		b = NewStack(c, "10.0.0.2", func(p *Packet) { link.send(a, p) })
 
 		var got []byte
-		var kept [][]byte // every ReadAll result, as returned
+		// keptRead is a read slice, as returned, at stream offset off,
+		// with the slab it holds (nil for ReadAll's pinned ones).
+		type keptRead struct {
+			b   []byte
+			off int
+			sl  *Slab
+		}
+		var kept, held []keptRead
+		check := func(k keptRead) {
+			if string(k.b) != string(want[k.off:k.off+len(k.b)]) {
+				t.Fatalf("read of stream bytes %d..%d changed while it was kept", k.off, k.off+len(k.b))
+			}
+		}
 		var srv *Socket
-		sentLen, segments, deliveries := 0, 0, 0
+		sentLen, segments, deliveries, reads := 0, 0, 0, 0
 		read := func(s *Socket) {
-			r := s.ReadAll()
-			kept = append(kept, r)
-			got = append(got, r...)
+			k := keptRead{off: len(got)}
+			if reads%4 == 0 {
+				k.b = s.ReadAll()
+				kept = append(kept, k)
+			} else {
+				k.b, k.sl = s.ReadHeld()
+				if held = append(held, k); len(held) > 2 {
+					check(held[0])
+					held[0].sl.Drop()
+					held = held[1:]
+				}
+			}
+			reads++
+			got = append(got, k.b...)
 			if len(got) > sentLen || string(got) != string(want[:len(got)]) {
 				t.Fatalf("receiver holds %d bytes, not a prefix of the %d sent", len(got), sentLen)
 			}
@@ -177,12 +212,12 @@ func FuzzTCPStream(f *testing.F) {
 		if string(got) != string(want) {
 			t.Fatalf("healed link delivered %d of %d bytes", len(got), len(want))
 		}
-		off := 0
-		for i, read := range kept {
-			if string(read) != string(want[off:off+len(read)]) {
-				t.Fatalf("read %d (stream bytes %d..%d) changed after it was returned", i, off, off+len(read))
-			}
-			off += len(read)
+		for _, k := range kept {
+			check(k)
+		}
+		for _, k := range held {
+			check(k)
+			k.sl.Drop()
 		}
 		if n := cl.Retransmits(); n > fuzzRetransmitFactor*segments {
 			t.Fatalf("%d retransmissions for %d segments (bound %dx)", n, segments, fuzzRetransmitFactor)

@@ -39,7 +39,8 @@ const (
 // stack's emit through the qdisc and the switch to the receiving stack.
 // The pointer is valid for the call only: a holder that keeps a packet
 // (a switch delivery, a qdisc's epoch buffer, a recorded log event)
-// copies the struct, and no callee writes it.
+// copies the struct and holds its payload's slab, and no callee writes
+// it.
 type Packet struct {
 	Kind    PacketKind
 	Src     Addr
@@ -50,6 +51,7 @@ type Packet struct {
 	Seq     uint32
 	Ack     uint32
 	Payload []byte
+	slab    *Slab // the send slab Payload views (nil: untracked)
 }
 
 // Len returns the modeled wire size in bytes (40-byte header + payload).
@@ -146,17 +148,19 @@ func (s *Switch) forward(from *Port, pkt *Packet) {
 	}
 	d := s.deliveries.Get()
 	d.dst, d.pkt = dst, *pkt
+	pkt.slab.Hold(1)
 	s.clock.Schedule(s.latency, d.run)
 }
 
-// deliver hands the record's frame to its port, by pointer, and then
-// returns the record to the pool.
+// deliver hands the record's frame to its port, by pointer, lets go of
+// its payload and then returns the record to the pool.
 func (d *delivery) deliver() {
 	// Re-check at delivery time: the port may have been disconnected
 	// (recovery) while the frame was in flight.
 	if dst := d.dst; dst.enabled && dst.rx != nil {
 		dst.rx(&d.pkt)
 	}
+	d.pkt.slab.Drop()
 	d.dst, d.pkt = nil, Packet{}
 	d.sw.deliveries.Put(d)
 }

@@ -57,7 +57,8 @@ type PlugQdisc struct {
 	// container's stack — direct ingress and unblock flushes alike, in
 	// delivery order. The record/replay recorder uses this as the
 	// authoritative capture point for network-input nondeterminism: what
-	// the stack saw, in the order it saw it.
+	// the stack saw, in the order it saw it. The observer may keep the
+	// packet, so its payload's slab is pinned.
 	OnDeliver func(*Packet)
 }
 
@@ -83,7 +84,8 @@ func (q *PlugQdisc) SetReplicating(on bool) {
 }
 
 // Egress is called by the container stack for each outgoing packet. A
-// held packet is copied into the current epoch's buffer.
+// held packet is copied into the current epoch's buffer, which holds
+// its payload's slab until the packet is released or discarded.
 func (q *PlugQdisc) Egress(pkt *Packet) {
 	if !q.replicating {
 		if q.out != nil {
@@ -92,6 +94,7 @@ func (q *PlugQdisc) Egress(pkt *Packet) {
 		return
 	}
 	q.current = append(q.current, *pkt)
+	pkt.slab.Hold(1)
 }
 
 // Rotate closes the current epoch's egress buffer, tagging it with the
@@ -119,6 +122,7 @@ func (q *PlugQdisc) Release(acked uint64) {
 			if q.out != nil {
 				q.out(&pkts[j])
 			}
+			pkts[j].slab.Drop()
 		}
 	}
 	// Recycle the flushed buffers, dropping their references to payload
@@ -143,8 +147,19 @@ func (q *PlugQdisc) ReleaseAll() {
 // the primary's buffered output must never reach the client (it reflects
 // uncommitted state).
 func (q *PlugQdisc) DiscardPending() {
+	dropSlabs(q.current)
+	for _, b := range q.pending {
+		dropSlabs(b.pkts)
+	}
 	q.current = nil
 	q.pending = nil
+}
+
+// dropSlabs lets go of the payloads of held packets.
+func dropSlabs(pkts []Packet) {
+	for i := range pkts {
+		pkts[i].slab.Drop()
+	}
 }
 
 // PendingEgress returns the number of packets currently held.
@@ -167,15 +182,18 @@ func (q *PlugQdisc) UnblockInput() {
 	q.inputBuf = nil
 	for i := range buf {
 		q.deliver(&buf[i])
+		buf[i].slab.Drop()
 	}
 }
 
 // Ingress is the bridge-port receiver: it forwards to the container's
-// stack unless input is blocked. A buffered packet is copied.
+// stack unless input is blocked. A buffered packet is copied, and
+// holds its payload's slab until it is delivered.
 func (q *PlugQdisc) Ingress(pkt *Packet) {
 	if q.inputBlocked {
 		if q.inputMode == PlugBuffer {
 			q.inputBuf = append(q.inputBuf, *pkt)
+			pkt.slab.Hold(1)
 		}
 		return
 	}
@@ -186,6 +204,7 @@ func (q *PlugQdisc) Ingress(pkt *Packet) {
 // a recorder logs the packet before any synchronous handler output.
 func (q *PlugQdisc) deliver(pkt *Packet) {
 	if q.OnDeliver != nil {
+		pkt.slab.Hold(1)
 		q.OnDeliver(pkt)
 	}
 	if q.in != nil {

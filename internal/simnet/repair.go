@@ -9,12 +9,13 @@ package simnet
 import "nilicon/internal/simtime"
 
 // SegmentSnapshot is one write-queue segment in a socket checkpoint.
-// Data aliases the socket's send slab, which nobody writes again
-// (DESIGN.md §8), so holders must only read it. It is capped at its
-// length, so an append copies instead of writing into the slab.
+// Data aliases the socket's send slab, which nobody writes again while
+// it is held (DESIGN.md §8), so holders must only read it. It is capped
+// at its length, so an append copies instead of writing into the slab.
 type SegmentSnapshot struct {
 	Seq  uint32
 	Data []byte
+	slab *Slab
 	FIN  bool
 }
 
@@ -29,6 +30,22 @@ type SocketSnapshot struct {
 	RcvNxt     uint32
 	WriteQueue []SegmentSnapshot
 	ReadQueue  []byte
+}
+
+// HoldSlabs records n more holders of the send slabs the write queue
+// views.
+func (sn *SocketSnapshot) HoldSlabs(n int) {
+	for _, sg := range sn.WriteQueue {
+		sg.slab.Hold(n)
+	}
+}
+
+// DropSlabs lets go of one hold on each send slab the write queue
+// views.
+func (sn *SocketSnapshot) DropSlabs() {
+	for _, sg := range sn.WriteQueue {
+		sg.slab.Drop()
+	}
 }
 
 // Size returns the snapshot's transfer size in bytes (queues plus a
@@ -94,7 +111,9 @@ func (s *Socket) SetRestoredAt(t simtime.Time) {
 }
 
 // SnapshotSocket collects a socket's repair-mode state, charging the
-// per-socket and per-queued-byte costs to the stack's kernel meter.
+// per-socket and per-queued-byte costs to the stack's kernel meter. The
+// snapshot holds each write-queue segment's slab once, for its caller:
+// one that never calls DropSlabs pins them.
 func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 	queued := len(s.recvBuf)
 	for _, sg := range s.sendQ {
@@ -114,14 +133,16 @@ func (st *Stack) SnapshotSocket(s *Socket) SocketSnapshot {
 		RcvNxt:     s.rcvNxt,
 	}
 	// Write-queue segments are views of the send slab, whose bytes are
-	// never written again, so the snapshot shares them, capped. The read
-	// queue is copied: the live socket's reads and arrivals must not
-	// show through. Holders of a snapshot only read it.
+	// never written again while held, so the snapshot shares them,
+	// capped, and holds their slabs. The read queue is copied: the live
+	// socket's reads and arrivals must not show through. Holders of a
+	// snapshot only read it.
 	if len(s.sendQ) > 0 {
 		sn.WriteQueue = make([]SegmentSnapshot, len(s.sendQ))
 	}
 	for i, sg := range s.sendQ {
-		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data[:len(sg.data):len(sg.data)], FIN: sg.fin}
+		sn.WriteQueue[i] = SegmentSnapshot{Seq: sg.seq, Data: sg.data[:len(sg.data):len(sg.data)], slab: sg.slab, FIN: sg.fin}
+		sg.slab.Hold(1)
 	}
 	if len(s.recvBuf) > 0 {
 		sn.ReadQueue = append([]byte(nil), s.recvBuf...)
@@ -146,7 +167,8 @@ func (st *Stack) RestoreSocket(sn SocketSnapshot) *Socket {
 	s.repair = true
 	// The snapshot's holder may write it later, so the queues are copied,
 	// the write queue into one buffer that becomes the socket's full send
-	// slab (the next Send starts a new one).
+	// slab (the next Send starts a new one), untracked: nothing recycles
+	// it.
 	n := 0
 	for _, sg := range sn.WriteQueue {
 		n += len(sg.Data)

@@ -31,6 +31,7 @@ func seqLE(a, b uint32) bool { return int32(a-b) <= 0 }
 type segment struct {
 	seq  uint32
 	data []byte
+	slab *Slab // data's slab, held until the segment is acknowledged
 	fin  bool
 }
 
@@ -69,16 +70,22 @@ type Socket struct {
 	// or that SendBuffer lends for the application to write them into.
 	// Bytes below len(slab) belong to segments already handed to the
 	// network and are never written again; a slab too full for the next
-	// Send is replaced, not reused (DESIGN.md §8, stream-byte ownership).
-	slab []byte
+	// Send is replaced, and goes back to the free list once the last
+	// view of it is let go (DESIGN.md §8, stream-byte ownership).
+	// slabRef is its holder count, held by the socket while it is the
+	// current slab (nil for a restored socket's queue).
+	slab    []byte
+	slabRef *Slab
 	// recvBuf holds bytes received in order but not yet read by the
 	// process: the "read queue". Unless recvOwn is set it is a delivered
 	// payload itself, possibly extended in place over later payloads of
-	// the same slab; its capacity then reaches into the sender's slab,
-	// so nothing is appended to it. recvOwn marks a buffer the socket
-	// allocated, which later deliveries append to.
-	recvBuf []byte
-	recvOwn bool
+	// the same slab, and recvSlab holds that slab; its capacity then
+	// reaches into the sender's slab, so nothing is appended to it.
+	// recvOwn marks a buffer the socket allocated, which later
+	// deliveries append to.
+	recvBuf  []byte
+	recvSlab *Slab
+	recvOwn  bool
 
 	rto simtime.Duration
 	// rtoTimer is the retransmission timer, armed exactly while a
@@ -254,7 +261,7 @@ func (st *Stack) Connect(remote Addr, port int, onConnect func(*Socket)) *Socket
 	s.OnConnect = onConnect
 	iss := uint32(s.ID) * 100000
 	s.sndUna, s.sndNxt, s.recover = iss, iss+1, iss
-	st.emit(s, FlagSYN, iss, 0, nil)
+	st.emit(s, FlagSYN, iss, 0, nil, nil)
 	st.armSynTimer(s)
 	return s
 }
@@ -286,7 +293,7 @@ func (st *Stack) onSynTimeout(s *Socket) {
 		}
 		return
 	}
-	st.emit(s, FlagSYN, s.sndUna, 0, nil)
+	st.emit(s, FlagSYN, s.sndUna, 0, nil, nil)
 	st.armSynTimer(s)
 }
 
@@ -302,23 +309,29 @@ const (
 // Bytes stay in the write queue until acknowledged. Send writes data
 // into the socket's send slab at most once, so the caller may reuse its
 // buffer at once; the segments, their retransmissions and the payloads
-// the receiver reads are all views of the slab. Data the caller already
-// wrote into the slab through SendBuffer is not copied at all.
+// the receiver reads are all views of the slab, and each segment holds
+// it until acknowledged. Data the caller already wrote into the slab
+// through SendBuffer is not copied at all. OnAppSend's observer may keep
+// what it is shown, so a slab it is shown a view of is pinned.
 func (s *Socket) Send(data []byte) {
 	if s.State != StateEstablished && s.State != StateCloseWait {
 		return
 	}
 	if s.stack.OnAppSend != nil {
+		if Adjoins(s.slab, data) {
+			s.slabRef.Hold(1)
+		}
 		s.stack.OnAppSend(s, data)
 	}
 	buf := s.stage(data)
 	for len(buf) > 0 {
 		n := min(s.stack.MSS, len(buf))
 		chunk := buf[:n]
-		sg := segment{seq: s.sndNxt, data: chunk}
+		sg := segment{seq: s.sndNxt, data: chunk, slab: s.slabRef}
+		sg.slab.Hold(1)
 		s.queue(sg)
 		s.sndNxt += uint32(n)
-		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk)
+		s.stack.emit(s, FlagACK, sg.seq, s.rcvNxt, chunk, sg.slab)
 		buf = buf[n:]
 	}
 	s.startRTO(s.rto)
@@ -329,13 +342,22 @@ func (s *Socket) Send(data []byte) {
 // that appends a message to the tail and passes the result to Send
 // sends it without a copy: Send finds the bytes already where the
 // slab's next bytes go and only advances the slab over them. The tail
-// is valid until the next Send on s; appending past its capacity moves
-// the message to another array, which Send then copies.
+// is valid until the next Send or SendBuffer on s; appending past its
+// capacity moves the message to another array, which Send then copies.
 func (s *Socket) SendBuffer(n int) []byte {
 	if cap(s.slab)-len(s.slab) < n {
-		s.slab = make([]byte, 0, max(n, s.nextSlabSize()))
+		s.replaceSlab(max(n, s.nextSlabSize()))
 	}
 	return s.slab[len(s.slab):len(s.slab)]
+}
+
+// replaceSlab lets go of the current send slab and takes one with room
+// for n bytes, recycled if the free list has one.
+func (s *Socket) replaceSlab(n int) {
+	s.slabRef.Drop()
+	sl := newSlab(n)
+	sl.Hold(1)
+	s.slab, s.slabRef = sl.buf, sl
 }
 
 // nextSlabSize is the size of the socket's next send slab: twice the
@@ -347,7 +369,8 @@ func (s *Socket) nextSlabSize() int {
 // stage puts data into the send slab and returns the slab's view of it.
 // Data that SendBuffer's tail already holds only advances the slab;
 // anything else is copied, into a new slab when the current one lacks
-// the room.
+// the room (of exactly len(data) bytes when that is more than the next
+// slab size).
 func (s *Socket) stage(data []byte) []byte {
 	start := len(s.slab)
 	if Adjoins(s.slab, data) {
@@ -355,14 +378,7 @@ func (s *Socket) stage(data []byte) []byte {
 		return s.slab[start:]
 	}
 	if cap(s.slab)-start < len(data) {
-		size := s.nextSlabSize()
-		if len(data) >= size {
-			// Appending to nil clears only the capacity past the copy,
-			// not the bytes the copy overwrites.
-			s.slab = append([]byte(nil), data...)
-			return s.slab
-		}
-		s.slab = make([]byte, 0, size)
+		s.replaceSlab(max(len(data), s.nextSlabSize()))
 		start = 0
 	}
 	s.slab = append(s.slab, data...)
@@ -372,7 +388,9 @@ func (s *Socket) stage(data []byte) []byte {
 // Adjoins reports whether b starts exactly where a ends, inside a's
 // capacity: the same array, so a[:len(a)+len(b)] is a view of a's bytes
 // followed by b's, with nothing copied. It is how a view of a send slab
-// (a read queue, a frame reader's buffer) grows over the next one.
+// (a read queue, a frame reader's buffer) grows over the next one. It
+// is asked only of a view whose slab is held, so the array cannot have
+// been recycled under it.
 func Adjoins(a, b []byte) bool {
 	return len(b) > 0 && cap(a)-len(a) >= len(b) && &a[:len(a)+1][len(a)] == &b[0]
 }
@@ -406,7 +424,7 @@ func (s *Socket) Close() {
 	sg := segment{seq: s.sndNxt, fin: true}
 	s.queue(sg)
 	s.sndNxt++
-	s.stack.emit(s, FlagFIN|FlagACK, sg.seq, s.rcvNxt, nil)
+	s.stack.emit(s, FlagFIN|FlagACK, sg.seq, s.rcvNxt, nil, nil)
 	s.startRTO(s.rto)
 }
 
@@ -414,13 +432,24 @@ func (s *Socket) Close() {
 func (s *Socket) Available() int { return len(s.recvBuf) }
 
 // ReadAll drains and returns the read queue. The caller may keep the
-// slice: the socket never writes it again. Its capacity may reach into
-// the sender's send slab, so the caller must not append to it; the one
-// way to grow it is in place, over a later slice that adjoins it.
+// slice: the socket never writes it again, and its slab is pinned, never
+// recycled. Its capacity may reach into the sender's send slab, so the
+// caller must not append to it; the one way to grow it is in place,
+// over a later slice that adjoins it.
 func (s *Socket) ReadAll() []byte {
-	b := s.recvBuf
-	s.recvBuf, s.recvOwn = nil, false
+	b, _ := s.ReadHeld()
 	return b
+}
+
+// ReadHeld drains the read queue and returns it with the send slab it
+// views (nil when the socket copied it into a buffer of its own, which
+// nobody recycles). The caller takes over the socket's hold on the
+// slab and drops it where it lets go of the bytes; until then the rules
+// of ReadAll apply.
+func (s *Socket) ReadHeld() ([]byte, *Slab) {
+	b, sl := s.recvBuf, s.recvSlab
+	s.recvBuf, s.recvSlab, s.recvOwn = nil, nil, false
+	return b, sl
 }
 
 // UnackedBytes returns the size of the write queue.
@@ -479,7 +508,7 @@ func (s *Socket) resend() {
 		if sg.fin {
 			flags |= FlagFIN
 		}
-		s.stack.emit(s, flags, sg.seq, s.rcvNxt, sg.data)
+		s.stack.emit(s, flags, sg.seq, s.rcvNxt, sg.data, sg.slab)
 		s.retransmit++
 	}
 }
@@ -500,7 +529,7 @@ func (s *Socket) onDupAck() {
 // Retransmits returns how many segments this socket retransmitted.
 func (s *Socket) Retransmits() int { return s.retransmit }
 
-func (st *Stack) emit(s *Socket, flags int, seq, ack uint32, payload []byte) {
+func (st *Stack) emit(s *Socket, flags int, seq, ack uint32, payload []byte, slab *Slab) {
 	if s.repair {
 		return
 	}
@@ -510,7 +539,7 @@ func (st *Stack) emit(s *Socket, flags int, seq, ack uint32, payload []byte) {
 	st.tx = Packet{
 		Kind: KindTCP, Src: st.IP, Dst: s.Remote,
 		SrcPort: s.LocalPort, DstPort: s.RemotePort,
-		Flags: flags, Seq: seq, Ack: ack, Payload: payload,
+		Flags: flags, Seq: seq, Ack: ack, Payload: payload, slab: slab,
 	}
 	st.out(&st.tx)
 	st.tx = Packet{}
@@ -568,7 +597,7 @@ func (st *Stack) accept(l *Listener, syn *Packet) {
 	iss := uint32(s.ID)*100000 + 50000
 	s.sndUna, s.sndNxt, s.recover = iss, iss+1, iss
 	s.acceptCb = l.OnAccept
-	st.emit(s, FlagSYN|FlagACK, iss, s.rcvNxt, nil)
+	st.emit(s, FlagSYN|FlagACK, iss, s.rcvNxt, nil, nil)
 }
 
 func (st *Stack) handle(s *Socket, pkt *Packet) {
@@ -590,7 +619,7 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 			s.sndUna = pkt.Ack
 			s.rto = st.RTOMin
 			s.stopRTO()
-			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
+			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil, nil)
 			if s.OnConnect != nil {
 				s.OnConnect(s)
 			}
@@ -606,7 +635,7 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 			// The handshake ACK may carry data; fall through.
 		} else if pkt.Flags&FlagSYN != 0 {
 			// Duplicate SYN (our SYN-ACK was lost/blocked): re-answer.
-			st.emit(s, FlagSYN|FlagACK, s.sndUna, s.rcvNxt, nil)
+			st.emit(s, FlagSYN|FlagACK, s.sndUna, s.rcvNxt, nil, nil)
 			return
 		} else {
 			return
@@ -628,8 +657,11 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 				break
 			}
 		}
-		// Drop the acknowledged segments' references to sent bytes; an
-		// empty queue starts again at its array's front.
+		// Drop the acknowledged segments' holds on and references to
+		// sent bytes; an empty queue starts again at its array's front.
+		for _, sg := range s.sendQ[:i] {
+			sg.slab.Drop()
+		}
 		clear(s.sendQ[:i])
 		if i == len(s.sendQ) {
 			s.sendQ = s.sendArr
@@ -662,7 +694,7 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 			// Duplicate or partial overlap: skip what we already have.
 			skip := s.rcvNxt - seq
 			if uint32(len(payload)) <= skip {
-				st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil) // pure dup: re-ACK
+				st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil, nil) // pure dup: re-ACK
 				return
 			}
 			payload = payload[skip:]
@@ -671,9 +703,10 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 		if seq == s.rcvNxt {
 			switch {
 			case len(s.recvBuf) == 0:
-				// Nobody writes a sent byte again, so the payload itself
-				// becomes the read queue.
-				s.recvBuf, s.recvOwn = payload, false
+				// Nobody writes a sent byte again while it is held, so
+				// the payload itself becomes the read queue.
+				s.recvBuf, s.recvSlab, s.recvOwn = payload, pkt.slab, false
+				pkt.slab.Hold(1)
 			case !s.recvOwn && Adjoins(s.recvBuf, payload):
 				// The next segment of the same slab: extend in place.
 				s.recvBuf = s.recvBuf[:len(s.recvBuf)+len(payload)]
@@ -683,16 +716,17 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 				// Never append into an adopted payload: copy into a
 				// buffer of the socket's own.
 				s.recvBuf = append(s.recvBuf[:len(s.recvBuf):len(s.recvBuf)], payload...)
-				s.recvOwn = true
+				s.recvSlab.Drop()
+				s.recvSlab, s.recvOwn = nil, true
 			}
 			s.rcvNxt += uint32(len(payload))
-			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
+			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil, nil)
 			if s.OnData != nil {
 				s.OnData(s)
 			}
 		} else {
 			// Gap: dup-ACK for what we expect.
-			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
+			st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil, nil)
 		}
 	}
 
@@ -700,7 +734,7 @@ func (st *Stack) handle(s *Socket, pkt *Packet) {
 		pkt.Flags&FlagFIN != 0 && pkt.Seq == s.rcvNxt {
 		s.rcvNxt++
 		s.State = StateCloseWait
-		st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil)
+		st.emit(s, FlagACK, s.sndNxt, s.rcvNxt, nil, nil)
 		if s.OnClose != nil {
 			s.OnClose(s)
 		}

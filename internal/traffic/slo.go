@@ -68,9 +68,11 @@ func (f Factors) vec() [numFactors]bool {
 	return [numFactors]bool{f.CheckpointStall, f.TransferBacklog, f.Fence, f.ReplayCPU, f.ClientQueue}
 }
 
-// window accumulates one SLO window's evidence.
+// window accumulates one SLO window's evidence. Its histogram is made
+// when the first completion lands in it, so a window nothing completes
+// in (an outage, the silence after a run) costs no histogram.
 type window struct {
-	hist        metrics.Histogram
+	hist        *metrics.Histogram
 	arrivals    int
 	completions int
 	factor      [numFactors]int
@@ -85,7 +87,7 @@ type Judge struct {
 	slo     SLO
 	start   simtime.Time
 	started bool
-	windows []*window
+	windows []window
 	total   metrics.Histogram
 
 	arrivals    int
@@ -111,9 +113,9 @@ func (j *Judge) win(t simtime.Time) *window {
 		idx = int(int64(t-j.start) / int64(j.slo.Window))
 	}
 	for len(j.windows) <= idx {
-		j.windows = append(j.windows, &window{})
+		j.windows = append(j.windows, window{})
 	}
-	return j.windows[idx]
+	return &j.windows[idx]
 }
 
 // Arrived records one open-loop arrival at t.
@@ -130,6 +132,9 @@ func (j *Judge) Completed(arrival, done simtime.Time) {
 	j.completions++
 	w := j.win(done)
 	w.completions++
+	if w.hist == nil {
+		w.hist = new(metrics.Histogram)
+	}
 	w.hist.Add(ms)
 	j.total.Add(ms)
 }
@@ -205,7 +210,8 @@ func (j *Judge) Finish(end simtime.Time) Report {
 	lastDone := simtime.Duration(0)
 	var violSamples int
 	var violFactor [numFactors]int
-	for i, w := range j.windows {
+	for i := range j.windows {
+		w := &j.windows[i]
 		cumArr += w.arrivals
 		cumDone += w.completions
 		ws := WindowStat{Index: i, Start: simtime.Duration(i) * j.slo.Window}

@@ -266,12 +266,13 @@ func appendGet(dst []byte, key uint64) []byte {
 	return binary.BigEndian.AppendUint64(appendFrameHeader(dst, OpGet, 8), key)
 }
 
-func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadAll()) }
+func (c *Client) onData(s *simnet.Socket) { c.receive(s.ReadHeld()) }
 
-// receive consumes reply bytes from the server; the client takes
-// ownership of b.
-func (c *Client) receive(b []byte) {
-	c.fr.Feed(b)
+// receive consumes reply bytes from the server, a view of the send slab
+// sl whose hold the client's reader takes over; each reply is checked
+// and let go of in the call.
+func (c *Client) receive(b []byte, sl *simnet.Slab) {
+	c.fr.feedHeld(b, sl)
 	for {
 		op, payload, ok := c.fr.Next()
 		if !ok {
@@ -340,7 +341,8 @@ func (set *ClientSet) ValidationErrors() []string { return set.Errors }
 type Conn struct {
 	// OnReply, when set, sees every reply matched to its request, at its
 	// virtual arrival instant. The payload aliases the stream and is
-	// never written again (FrameReader's ownership rule).
+	// never written again: Conn reads with ReadAll, which pins its send
+	// slabs (FrameReader's ownership rule).
 	OnReply func(req traffic.Request, payload []byte)
 	// Errors lists protocol violations: a reply whose op is not its
 	// request's, or a reply with nothing in flight.

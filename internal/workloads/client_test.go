@@ -170,7 +170,7 @@ func TestKVBatchClientAllocsBounded(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		c.receive(replies)
+		c.receive(replies, nil)
 		runtime.ReadMemStats(&after)
 		// The first cycles are warm-up: every key gets written and
 		// the buffers grow to size.

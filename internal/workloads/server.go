@@ -24,11 +24,20 @@ func connIDOf(s *simnet.Socket) connID {
 	return connID(fmt.Sprintf("%s:%d-%d", s.Remote, s.RemotePort, s.LocalPort))
 }
 
-// pendingReq is one parsed-but-unprocessed request.
+// pendingReq is one parsed-but-unprocessed request. Payload views the
+// client's send slab, which the request holds until it is processed.
 type pendingReq struct {
 	Conn    connID
 	Op      byte
 	Payload []byte
+	slab    *simnet.Slab
+}
+
+// readerBuf is a connection's partial frame in a checkpoint, with the
+// send slab it views (nil for the frame reader's own buffer).
+type readerBuf struct {
+	Data []byte
+	slab *simnet.Slab
 }
 
 // serverState is the checkpointed application state of a Server. All
@@ -41,7 +50,7 @@ type serverState struct {
 	Keys       []uint64
 	HeapStarts []uint64 // per-process heap VMA base
 	Pending    []pendingReq
-	ReaderBufs map[connID][]byte
+	ReaderBufs map[connID]readerBuf
 	WebCursors []int // per-worker response-buffer cursor
 	Errors     []string
 }
@@ -54,9 +63,10 @@ func (st *serverState) clone() *serverState {
 	// copy-on-write: the live side's pushes append past the cap, and the
 	// server moves its queue to a fresh array before it writes a slot
 	// the snapshot may hold (Server.pendShared). Request payloads and
-	// partial frames are stream bytes, which nobody writes again, and
-	// the ReaderBufs map is built afresh by every SnapshotState, so both
-	// are shared as they are.
+	// partial frames are stream bytes, which nobody writes again while
+	// their slabs are held (SnapshotState and RestoreState take the
+	// holds), and the ReaderBufs map is built afresh by every
+	// SnapshotState, so both are shared as they are.
 	cp := &serverState{
 		Keys:       st.Keys[:len(st.Keys):len(st.Keys)],
 		HeapStarts: st.HeapStarts[:len(st.HeapStarts):len(st.HeapStarts)],
@@ -68,6 +78,28 @@ func (st *serverState) clone() *serverState {
 		cp.WebCursors = append([]int(nil), st.WebCursors...)
 	}
 	return cp
+}
+
+// HoldSlabs records n more holders of the send slabs that the state's
+// requests and partial frames view: the holders of a checkpoint image
+// that carries the state (criu.Image.HoldSlabs).
+func (st *serverState) HoldSlabs(n int) {
+	for _, req := range st.Pending {
+		req.slab.Hold(n)
+	}
+	for _, rb := range st.ReaderBufs {
+		rb.slab.Hold(n)
+	}
+}
+
+// DropSlabs lets go of one hold on each send slab the state views.
+func (st *serverState) DropSlabs() {
+	for _, req := range st.Pending {
+		req.slab.Drop()
+	}
+	for _, rb := range st.ReaderBufs {
+		rb.slab.Drop()
+	}
 }
 
 // sameAs reports whether st holds the same state as snap, a snapshot
@@ -130,7 +162,10 @@ func (sv *Server) State() *serverState { return sv.state }
 
 // SnapshotState copies the user-space state (container.App). The
 // record log is shared by prefix, so a snapshot costs O(connections
-// and pending requests), not O(keys).
+// and pending requests), not O(keys). The snapshot holds the send
+// slabs its requests and partial frames view once, for its caller
+// (criu.Image.DropSlabs lets go); a caller that never drops them pins
+// them.
 func (sv *Server) SnapshotState() any {
 	// Partial frame bytes live in the reader objects; sync them into
 	// the checkpointed state first.
@@ -138,25 +173,30 @@ func (sv *Server) SnapshotState() any {
 	for id, fr := range sv.readers {
 		if fr.Buffered() > 0 {
 			if sv.state.ReaderBufs == nil {
-				sv.state.ReaderBufs = make(map[connID][]byte)
+				sv.state.ReaderBufs = make(map[connID]readerBuf)
 			}
-			sv.state.ReaderBufs[id] = fr.buf[fr.off:len(fr.buf):len(fr.buf)]
+			sv.state.ReaderBufs[id] = readerBuf{fr.buf[fr.off:len(fr.buf):len(fr.buf)], fr.slab}
 		}
 	}
 	if last := sv.lastSnap; last != nil && sv.state.sameAs(last) {
-		// Nothing changed since the last snapshot, which is read-only:
-		// share it.
+		// Nothing changed since the last snapshot, which is read-only
+		// and views no slab: share it.
 		return last
 	}
 	sv.lastSnap = sv.state.clone()
+	sv.lastSnap.HoldSlabs(1)
 	sv.pendShared = sv.pendShared || len(sv.state.Pending) > 0
 	return sv.lastSnap
 }
 
 // RestoreState replaces the application state and rebuilds the key
-// index from the record log (O(keys), once per restore).
+// index from the record log (O(keys), once per restore). The restored
+// queue holds its requests' slabs, as a live one does.
 func (sv *Server) RestoreState(s any) {
 	sv.state = s.(*serverState).clone()
+	for _, req := range sv.state.Pending {
+		req.slab.Hold(1)
+	}
 	sv.lastSnap = nil
 	sv.pendArr, sv.pendShared = nil, len(sv.state.Pending) > 0
 	sv.index = make(map[uint64]int, len(sv.state.Keys))
@@ -272,8 +312,9 @@ func (sv *Server) Reattach(ctr *container.Container, appState any) error {
 	for _, s := range ctr.Stack.Sockets() {
 		id := connIDOf(s)
 		fr := sv.bind(id, s)
-		if buf, ok := sv.state.ReaderBufs[id]; ok {
-			fr.Feed(buf)
+		if rb, ok := sv.state.ReaderBufs[id]; ok {
+			rb.slab.Hold(1)
+			fr.feedHeld(rb.Data, rb.slab)
 		}
 		if s.Available() > 0 {
 			sv.onData(id, fr, s)
@@ -307,13 +348,14 @@ func (sv *Server) bind(id connID, s *simnet.Socket) *FrameReader {
 }
 
 func (sv *Server) onData(id connID, fr *FrameReader, s *simnet.Socket) {
-	fr.Feed(s.ReadAll())
+	fr.feedHeld(s.ReadHeld())
 	for {
 		op, payload, ok := fr.Next()
 		if !ok {
 			break
 		}
-		sv.push(pendingReq{Conn: id, Op: op, Payload: payload})
+		fr.slab.Hold(1)
+		sv.push(pendingReq{Conn: id, Op: op, Payload: payload, slab: fr.slab})
 	}
 	sv.wakeWorkers()
 }
@@ -377,7 +419,9 @@ func (sv *Server) step(w *worker) (simtime.Duration, simtime.Duration) {
 	if len(sv.state.Pending) == 0 {
 		return 0, container.Blocked
 	}
-	cpu := sv.process(w, sv.pop())
+	req := sv.pop()
+	cpu := sv.process(w, req)
+	req.slab.Drop()
 	if len(sv.state.Pending) > 0 {
 		return cpu, cpu
 	}
@@ -444,13 +488,17 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 		slot, ok := sv.index[key]
 		if !ok {
 			slot = len(sv.state.Keys)
-			sv.state.Keys = append(sv.state.Keys, key)
-			sv.index[key] = slot
 		}
+		// A new key takes its slot only once the slot is known to fit,
+		// so a rejected SET leaves no key behind.
 		addr, fits := sv.slotAddr(w, slot)
 		if !fits {
 			sv.fail(fmt.Sprintf("heap full at slot %d", slot))
 			return cpu
+		}
+		if !ok {
+			sv.state.Keys = append(sv.state.Keys, key)
+			sv.index[key] = slot
 		}
 		// KV data lives in process 0's address space.
 		mem := sv.ctr.Procs[0].Mem
@@ -481,11 +529,8 @@ func (sv *Server) process(w *worker, req pendingReq) simtime.Duration {
 			sv.respond(req.Conn, OpGet, nil)
 			return cpu
 		}
-		addr, fits := sv.slotAddr(w, slot)
-		if !fits {
-			sv.fail("index points past heap")
-			return cpu
-		}
+		// A key is indexed only once its slot fits (OpSet above).
+		addr, _ := sv.slotAddr(w, slot)
 		// The record goes from the heap straight into the reply frame
 		// in the socket's send slab.
 		var frame []byte

@@ -289,7 +289,8 @@ func TestServerOnDataAllocatesNothing(t *testing.T) {
 // A connection's partial frame is checkpointed under its id, and a
 // server reattached to the container finds it under the id it binds to
 // the same socket: the rest of the frame completes the request, which
-// the reattached server queues.
+// the reattached server queues. The reattached reader holds the frame's
+// slab itself, so the checkpoint's holder may let go first.
 func TestReattachFindsReaderBufsUnderSameID(t *testing.T) {
 	env, sv, cli, srv := connectKV(t)
 	frame := AppendFrame(nil, OpGet, binary.BigEndian.AppendUint64(nil, 7))
@@ -307,6 +308,7 @@ func TestReattachFindsReaderBufsUnderSameID(t *testing.T) {
 	if fr == nil || fr.Buffered() != 3 {
 		t.Fatalf("reattached reader for %s = %v, want the 3 checkpointed bytes", connIDOf(srv), fr)
 	}
+	state.DropSlabs()
 	cli.Send(frame[3:])
 	env.clock.RunFor(5 * simtime.Millisecond)
 	if p := fresh.state.Pending; len(p) != 1 || p[0].Conn != connIDOf(srv) || p[0].Op != OpGet ||
@@ -399,8 +401,9 @@ func TestSnapshotPendingSurvivesQueueReuse(t *testing.T) {
 }
 
 // TestServerRejectsMalformedRequests: a request too short for its op,
-// an unknown op, or a key past the heap is recorded as an app error and
-// answered with nothing.
+// an unknown op, or a SET of a new key past the heap is recorded as an
+// app error and answered with nothing; the rejected SET leaves no key
+// behind.
 func TestServerRejectsMalformedRequests(t *testing.T) {
 	prof := Redis().Profile()
 	prof.MemPages, prof.Records = 64, 200
@@ -414,16 +417,27 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 		req.Conn = sv.conn
 		sv.process(sv.workers[0], req)
 	}
-	// Past the heap: the SET that does not fit, then the GET of its key.
+	// Past the heap: the SET of a new key that does not fit is rejected
+	// and leaves no key behind, in the live state or a snapshot, so a
+	// later GET of the key is a miss.
+	var full uint64
+	var keys []uint64
 	for k := uint64(0); len(sv.AppErrors()) == 4; k++ {
+		keys = slices.Clone(sv.State().Keys)
+		full = k
 		setKey(sv, k)
 	}
-	full := sv.State().Keys[len(sv.State().Keys)-1]
-	if got := sv.get(full); got != nil {
-		t.Fatalf("GET past the heap answered %q", got)
+	if got := sv.State().Keys; !slices.Equal(got, keys) {
+		t.Fatalf("the rejected SET of key %d changed the record log to %d keys, want %d", full, len(got), len(keys))
+	}
+	if snap := sv.SnapshotState().(*serverState); slices.Contains(snap.Keys, full) {
+		t.Fatalf("a snapshot carries the rejected key %d", full)
+	}
+	if got := sv.get(full); got == nil || len(got) != 0 {
+		t.Fatalf("GET of the rejected key answered %q, want a miss", got)
 	}
 	want := []string{"short SET payload", "short GET payload", "short WEB payload", `unknown op 'Z'`,
-		fmt.Sprintf("heap full at slot %d", len(sv.State().Keys)-1), "index points past heap"}
+		fmt.Sprintf("heap full at slot %d", len(keys))}
 	if got := sv.AppErrors(); !slices.Equal(got, want) {
 		t.Fatalf("app errors %q, want %q", got, want)
 	}

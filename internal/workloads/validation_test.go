@@ -36,7 +36,7 @@ func TestClientRecordsBadReplies(t *testing.T) {
 		for _, o := range tc.inflight {
 			c.inflight.Push(o)
 		}
-		c.receive(AppendFrame(nil, tc.op, []byte(tc.payload)))
+		c.receive(AppendFrame(nil, tc.op, []byte(tc.payload)), nil)
 		if c.inflight.Len() != 0 {
 			t.Fatalf("%s: %d requests still in flight", tc.name, c.inflight.Len())
 		}

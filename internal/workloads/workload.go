@@ -178,7 +178,12 @@ func frameLen(n int) int { return 5 + n }
 // Ownership (DESIGN.md §8, stream-byte ownership): Feed takes ownership
 // of the slice it is given, and Next returns payloads that alias the
 // reader's buffer instead of copying. This is sound because no byte the
-// reader has returned is ever written again. An adopted slice may carry
+// reader has returned is ever written again while its send slab is
+// held. feedHeld also takes over a hold on the slice's slab, which the
+// reader keeps while it views that slab and drops when it moves on; a
+// caller that keeps a payload past the next Feed holds the reader's
+// slab itself. A slice fed by Feed is untracked: its slab is pinned
+// (Socket.ReadAll) or it is no slab at all. An adopted slice may carry
 // capacity into memory its sender still writes (a socket's send slab),
 // so nothing is ever appended into it; it grows only in place, when the
 // next fed slice starts exactly where it ends in the same array, and so
@@ -198,6 +203,9 @@ type FrameReader struct {
 	// own marks buf as the reader's own buffer, which Feed may append
 	// into; an adopted slice is never appended into.
 	own bool
+	// slab is the send slab an adopted buf views, held by the reader
+	// (nil for its own buffer or an untracked slice).
+	slab *simnet.Slab
 	// spare is the unused capacity of the reader's own buffer while buf
 	// is an adopted slice; size is the capacity it last allocated.
 	spare []byte
@@ -217,9 +225,14 @@ const maxFrameLen = 64 << 20
 
 // Feed appends stream bytes. The reader takes ownership of b: the caller
 // must not modify it afterwards.
-func (fr *FrameReader) Feed(b []byte) {
+func (fr *FrameReader) Feed(b []byte) { fr.feedHeld(b, nil) }
+
+// feedHeld is Feed of a view of the send slab sl, whose hold the reader
+// takes over (Socket.ReadHeld).
+func (fr *FrameReader) feedHeld(b []byte, sl *simnet.Slab) {
 	switch {
 	case len(b) == 0:
+		sl.Drop()
 	case fr.off == len(fr.buf):
 		// Nothing buffered: adopt b instead of copying it. Keep the
 		// unused capacity of the reader's own buffer for the next
@@ -227,12 +240,16 @@ func (fr *FrameReader) Feed(b []byte) {
 		if fr.own && cap(fr.buf) > len(fr.buf) {
 			fr.spare = fr.buf[len(fr.buf):len(fr.buf)]
 		}
-		fr.buf, fr.off, fr.own = b, 0, false
+		fr.slab.Drop()
+		fr.buf, fr.off, fr.own, fr.slab = b, 0, false, sl
 	case !fr.own && simnet.Adjoins(fr.buf, b):
-		// b is the next part of the array buf views: extend in place.
+		// b is the next part of the array buf views, whose slab the
+		// reader holds already: extend in place.
 		fr.buf = fr.buf[:len(fr.buf)+len(b)]
+		sl.Drop()
 	case fr.own && len(b) <= cap(fr.buf)-len(fr.buf):
 		fr.buf = append(fr.buf, b...)
+		sl.Drop()
 	default:
 		// Copy only the unconsumed tail, not the prefix already parsed.
 		tail := fr.buf[fr.off:]
@@ -251,6 +268,9 @@ func (fr *FrameReader) Feed(b []byte) {
 		}
 		fr.buf, fr.off, fr.own = append(append(fr.spare, tail...), b...), 0, true
 		fr.spare = nil
+		fr.slab.Drop()
+		sl.Drop()
+		fr.slab = nil
 	}
 }
 
